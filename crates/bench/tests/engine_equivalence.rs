@@ -16,7 +16,7 @@
 //! `AFC_FULL_SCAN=1` (full scan) and `AFC_SIM_THREADS=4` (threaded
 //! engine, exercised via the equivalent [`Network::set_sim_threads`]) —
 //! and a fifth proves the snapshot byte format survived the slab rewrite:
-//! save → restore → save round-trips to identical `FORMAT_VERSION` 3
+//! save → restore → save round-trips to identical `FORMAT_VERSION` 4
 //! bytes with buffered flits in every mechanism's slabs.
 
 use afc_bench::MechanismId;
@@ -233,7 +233,7 @@ fn slab_routers_match_golden_across_patterns_and_engines() {
 /// save (buffered flits sitting in every mechanism's lane slabs) must
 /// restore into a fresh simulation and re-save to *identical* bytes — the
 /// occupancy bitwords, ring indices, and route caches are derived state
-/// that never leaks into the `FORMAT_VERSION` 3 container — and the
+/// that never leaks into the `FORMAT_VERSION` 4 container — and the
 /// restored run must continue exactly like the original.
 #[test]
 fn slab_state_round_trips_snapshot_bytes_unchanged() {
@@ -266,8 +266,8 @@ fn slab_state_round_trips_snapshot_bytes_unchanged() {
         let bytes = sim.snapshot().expect("snapshot");
         assert_eq!(
             bytes[8..12],
-            3u32.to_le_bytes(),
-            "{}: snapshot container is not FORMAT_VERSION 3",
+            4u32.to_le_bytes(),
+            "{}: snapshot container is not FORMAT_VERSION 4",
             id.label()
         );
         let mut restored = make(0xBEA7);

@@ -1,11 +1,24 @@
-//! Pipelined inter-router channels.
+//! Pipelined inter-router links: the cycle-stamped link wheel.
 //!
-//! Each directed adjacency in the mesh is realized by a [`Channel`]: a
-//! forward lane carrying at most one flit per cycle downstream, and a reverse
-//! lane carrying credits and control signals upstream. Both lanes are modeled
-//! as fixed-capacity ring buffers so that multi-cycle link latency is
-//! cycle-exact while `advance()` is a handful of index operations — no
-//! per-cycle heap traffic (DESIGN.md §8's allocation discipline).
+//! Each directed adjacency in the mesh is a link with a forward lane
+//! carrying at most one flit per cycle downstream and a reverse lane
+//! carrying credits and control signals upstream. The paper models a link
+//! as a fixed pipeline delay, so a lane needs no queue: an item pushed at
+//! cycle `t` is written to slot `(t + delay) % W` stamped with its arrival
+//! cycle `due = t + delay`, and the receiver at cycle `t` reads slot
+//! `t % W` and accepts it iff `due == t`. Stale slots invalidate
+//! themselves — nothing is rotated, popped, cleared or staged, and there is
+//! no per-cycle heap traffic (DESIGN.md §8).
+//!
+//! All links of a network share one [`LinkWheel`]: a forward slab of
+//! cache-line `{due, flit}` slots and a reverse slab of
+//! `{due, credits, control}` slots, `W = delay + 1` stripes of one slot per
+//! link each. With `W = delay + 1` the stripe read at `t` and the stripe
+//! written at `t` are never the same, and each lane has exactly one writer
+//! (the upstream router pushes flits, the downstream router pushes
+//! credits/control) — the ownership split the parallel engine relies on
+//! (DESIGN.md §12). [`Channel`] is the same kernel as a standalone
+//! one-link wheel with its own clock.
 //!
 //! The forward lane has delay `L + 2`: one cycle of switch traversal at the
 //! sender, `L` cycles of wire, with the downstream buffer write overlapped
@@ -13,7 +26,7 @@
 //! delay `L` — credits and the one-bit credit-tracking control line are pure
 //! wires.
 
-use crate::flit::{Flit, VcId, VirtualNetwork};
+use crate::flit::{Cycle, Flit, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -82,21 +95,29 @@ pub enum ControlSignal {
 /// constant; 4 leaves slack. Overflow panics rather than spilling.
 pub const LANE_CAP: usize = 4;
 
-/// A fixed-capacity inline list: one reverse-lane ring slot.
+/// A fixed-capacity inline list: one cycle's worth of a reverse lane.
 #[derive(Debug, Clone, Copy)]
 struct LaneSlot<T: Copy> {
     len: u8,
     items: [T; LANE_CAP],
 }
 
-impl<T: Copy> LaneSlot<T> {
-    fn new(fill: T) -> LaneSlot<T> {
-        LaneSlot {
-            len: 0,
-            items: [fill; LANE_CAP],
-        }
-    }
+// Fill values are never observed: `len` gates every read.
+impl LaneSlot<Credit> {
+    const EMPTY: Self = LaneSlot {
+        len: 0,
+        items: [Credit::Vc(VcId(0)); LANE_CAP],
+    };
+}
 
+impl LaneSlot<ControlSignal> {
+    const EMPTY: Self = LaneSlot {
+        len: 0,
+        items: [ControlSignal::StartCreditTracking; LANE_CAP],
+    };
+}
+
+impl<T: Copy> LaneSlot<T> {
     fn push(&mut self, item: T) {
         assert!(
             (self.len as usize) < LANE_CAP,
@@ -119,11 +140,11 @@ impl<T: Copy> LaneSlot<T> {
     }
 }
 
-/// What a channel delivers at the start of a cycle.
+/// What a [`Channel`] delivers at the start of a cycle.
 ///
-/// Plain-old-data with inline storage (no heap): the engine copies it out
-/// of the staging slot and iterates [`credits`](Delivery::credits) /
-/// [`control`](Delivery::control) as slices.
+/// Plain-old-data with inline storage (no heap); iterate
+/// [`credits`](Delivery::credits) / [`control`](Delivery::control) as
+/// slices.
 #[derive(Debug, Clone, Copy)]
 pub struct Delivery {
     /// Flit arriving at the downstream router, if any.
@@ -146,17 +167,6 @@ impl Delivery {
     /// True if nothing arrived.
     pub fn is_empty(&self) -> bool {
         self.flit.is_none() && self.credits.is_empty() && self.control.is_empty()
-    }
-}
-
-impl Default for Delivery {
-    fn default() -> Delivery {
-        Delivery {
-            flit: None,
-            // Fill values are never observed: `len` gates every read.
-            credits: LaneSlot::new(Credit::Vc(VcId(0))),
-            control: LaneSlot::new(ControlSignal::StartCreditTracking),
-        }
     }
 }
 
@@ -244,70 +254,385 @@ fn read_control(r: &mut SnapshotReader<'_>) -> Result<ControlSignal, SnapshotErr
     })
 }
 
-fn read_credit_slot(r: &mut SnapshotReader<'_>) -> Result<LaneSlot<Credit>, SnapshotError> {
-    let n = r.get_u8("credit slot length")?;
-    if n as usize > LANE_CAP {
-        return Err(SnapshotError::Malformed {
-            what: "credit slot length",
-        });
+fn write_slot<T: Copy>(
+    w: &mut SnapshotWriter,
+    slot: &LaneSlot<T>,
+    put: fn(&mut SnapshotWriter, T),
+) {
+    w.put_u8(slot.len);
+    for &item in slot.as_slice() {
+        put(w, item);
     }
-    let mut slot = LaneSlot::new(Credit::Vc(VcId(0)));
+}
+
+fn read_slot<T: Copy>(
+    r: &mut SnapshotReader<'_>,
+    mut slot: LaneSlot<T>,
+    what: &'static str,
+    get: fn(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
+) -> Result<LaneSlot<T>, SnapshotError> {
+    let n = r.get_u8(what)?;
+    if n as usize > LANE_CAP {
+        return Err(SnapshotError::Malformed { what });
+    }
     for _ in 0..n {
-        slot.push(read_credit(r)?);
+        slot.push(get(r)?);
     }
     Ok(slot)
 }
 
-fn read_control_slot(r: &mut SnapshotReader<'_>) -> Result<LaneSlot<ControlSignal>, SnapshotError> {
-    let n = r.get_u8("control slot length")?;
-    if n as usize > LANE_CAP {
-        return Err(SnapshotError::Malformed {
-            what: "control slot length",
-        });
-    }
-    let mut slot = LaneSlot::new(ControlSignal::StartCreditTracking);
-    for _ in 0..n {
-        slot.push(read_control(r)?);
-    }
-    Ok(slot)
+/// `due` stamp of a slot that has never been written (or was reset): no
+/// simulation reaches this cycle, so it never matches a read.
+const NEVER: Cycle = Cycle::MAX;
+
+/// Whether a slot stamped `due` still awaits delivery at cycle `now`.
+#[inline]
+fn live(due: Cycle, now: Cycle) -> bool {
+    due != NEVER && due >= now
 }
 
-impl Delivery {
-    /// Serializes a staged delivery for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        match &self.flit {
-            Some(f) => {
-                w.put_bool(true);
-                snapshot::write_flit(w, f);
-            }
-            None => w.put_bool(false),
+/// One forward-wheel slot: a flit stamped with its arrival cycle. Exactly
+/// one cache line, so a phase-1 read or a phase-3 push touches one line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+pub(crate) struct FwdSlot {
+    due: Cycle,
+    flit: Option<Flit>,
+}
+
+impl FwdSlot {
+    const EMPTY: FwdSlot = FwdSlot {
+        due: NEVER,
+        flit: None,
+    };
+
+    /// Stamps `flit` to arrive at cycle `due`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot already carries a flit due that cycle — two flits
+    /// crossed the same link in the same cycle, a router bug.
+    #[inline]
+    pub(crate) fn push(&mut self, due: Cycle, flit: Flit) {
+        if let (true, Some(first)) = (self.due == due, self.flit) {
+            panic!("link overdriven: two flits pushed in one cycle ({first} then {flit})");
         }
-        w.put_u8(self.credits.len);
-        for c in self.credits.as_slice() {
-            write_credit(w, *c);
-        }
-        w.put_u8(self.control.len);
-        for s in self.control.as_slice() {
-            write_control(w, *s);
-        }
+        *self = FwdSlot {
+            due,
+            flit: Some(flit),
+        };
     }
 
-    /// Restores a delivery written by [`Delivery::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Delivery, SnapshotError> {
-        let flit = if r.get_bool("delivery flit presence")? {
-            Some(snapshot::read_flit(r)?)
+    /// The flit arriving at cycle `now`, if this slot holds one.
+    #[inline]
+    pub(crate) fn arrival(&self, now: Cycle) -> Option<Flit> {
+        if self.due == now {
+            self.flit
         } else {
             None
-        };
-        Ok(Delivery {
-            flit,
-            credits: read_credit_slot(r)?,
-            control: read_control_slot(r)?,
-        })
+        }
     }
 }
 
-/// A directed channel between two adjacent routers.
+/// One reverse-wheel slot: the credits and control signals (one wire
+/// bundle) stamped with their shared arrival cycle.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RevSlot {
+    due: Cycle,
+    credits: LaneSlot<Credit>,
+    control: LaneSlot<ControlSignal>,
+}
+
+impl RevSlot {
+    const EMPTY: RevSlot = RevSlot {
+        due: NEVER,
+        credits: LaneSlot::<Credit>::EMPTY,
+        control: LaneSlot::<ControlSignal>::EMPTY,
+    };
+
+    /// Re-stamps a stale slot for arrivals at `due`, discarding its old
+    /// contents; a slot already stamped `due` keeps accumulating.
+    #[inline]
+    fn open(&mut self, due: Cycle) {
+        if self.due != due {
+            self.due = due;
+            self.credits.clear();
+            self.control.clear();
+        }
+    }
+
+    /// Adds a credit arriving at cycle `due`.
+    #[inline]
+    pub(crate) fn push_credit(&mut self, due: Cycle, credit: Credit) {
+        self.open(due);
+        self.credits.push(credit);
+    }
+
+    /// Adds a control signal arriving at cycle `due`.
+    #[inline]
+    pub(crate) fn push_control(&mut self, due: Cycle, signal: ControlSignal) {
+        self.open(due);
+        self.control.push(signal);
+    }
+
+    /// This slot, if its contents arrive at cycle `now`.
+    #[inline]
+    pub(crate) fn arrival(&self, now: Cycle) -> Option<&RevSlot> {
+        (self.due == now).then_some(self)
+    }
+
+    /// Credits carried by this slot.
+    #[inline]
+    pub(crate) fn credits(&self) -> &[Credit] {
+        self.credits.as_slice()
+    }
+
+    /// Control signals carried by this slot.
+    #[inline]
+    pub(crate) fn control(&self) -> &[ControlSignal] {
+        self.control.as_slice()
+    }
+}
+
+/// Where one cycle reads and writes the wheel: slab offsets of the stripes
+/// `now % W` (arrivals) and `(now + delay) % W` (pushes) of each lane, and
+/// the `due` stamps pushes carry. A pure function of the clock, computed
+/// once per cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tick {
+    pub(crate) now: Cycle,
+    pub(crate) fwd_due: Cycle,
+    pub(crate) rev_due: Cycle,
+    pub(crate) fwd_rd: usize,
+    pub(crate) fwd_wr: usize,
+    pub(crate) rev_rd: usize,
+    pub(crate) rev_wr: usize,
+}
+
+/// Every link of a network as two slot slabs (see the module docs).
+///
+/// Slabs are stripe-major — slot `s` of link `c` lives at `s * links + c` —
+/// so a cycle's arrivals are one contiguous stripe walked in ascending
+/// link order. `last_due[2c]` / `last_due[2c + 1]` hold the arrival cycle
+/// of the newest push onto link `c`'s forward / reverse lane (0 = never):
+/// the whole of a lane's occupancy bookkeeping, written only by that
+/// lane's single writer. Fields are crate-visible for the parallel engine,
+/// which pushes through raw slot pointers.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkWheel {
+    links: usize,
+    fwd_delay: u64,
+    rev_delay: u64,
+    pub(crate) fwd: Vec<FwdSlot>,
+    pub(crate) rev: Vec<RevSlot>,
+    pub(crate) last_due: Vec<Cycle>,
+}
+
+impl LinkWheel {
+    /// A wheel of `links` empty links of wire latency `link_latency`.
+    pub(crate) fn new(links: usize, link_latency: u64) -> LinkWheel {
+        assert!(link_latency >= 1, "link latency must be >= 1");
+        let fwd_delay = link_latency + Channel::ROUTER_OVERHEAD;
+        let rev_delay = link_latency;
+        LinkWheel {
+            links,
+            fwd_delay,
+            rev_delay,
+            fwd: vec![FwdSlot::EMPTY; links * (fwd_delay as usize + 1)],
+            rev: vec![RevSlot::EMPTY; links * (rev_delay as usize + 1)],
+            last_due: vec![0; 2 * links],
+        }
+    }
+
+    /// The stripe offsets and stamps for cycle `now`.
+    pub(crate) fn tick(&self, now: Cycle) -> Tick {
+        let stripe = |t: Cycle, delay: u64| (t % (delay + 1)) as usize * self.links;
+        Tick {
+            now,
+            fwd_due: now + self.fwd_delay,
+            rev_due: now + self.rev_delay,
+            fwd_rd: stripe(now, self.fwd_delay),
+            fwd_wr: stripe(now + self.fwd_delay, self.fwd_delay),
+            rev_rd: stripe(now, self.rev_delay),
+            rev_wr: stripe(now + self.rev_delay, self.rev_delay),
+        }
+    }
+
+    /// `self.tick(t.now + 1)` without the divisions: every stripe moves up
+    /// one, so next cycle writes where this one read.
+    fn next_tick(&self, t: &Tick) -> Tick {
+        let up = |rd: usize, len: usize| {
+            if rd + self.links == len {
+                0
+            } else {
+                rd + self.links
+            }
+        };
+        Tick {
+            now: t.now + 1,
+            fwd_due: t.fwd_due + 1,
+            rev_due: t.rev_due + 1,
+            fwd_rd: up(t.fwd_rd, self.fwd.len()),
+            fwd_wr: t.fwd_rd,
+            rev_rd: up(t.rev_rd, self.rev.len()),
+            rev_wr: t.rev_rd,
+        }
+    }
+
+    /// Sends a flit down link `c` (at most one per link per cycle).
+    #[inline]
+    pub(crate) fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
+        self.fwd[t.fwd_wr + c].push(t.fwd_due, flit);
+        self.last_due[2 * c] = t.fwd_due;
+    }
+
+    /// Sends a credit up link `c`.
+    #[inline]
+    pub(crate) fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
+        self.rev[t.rev_wr + c].push_credit(t.rev_due, credit);
+        self.last_due[2 * c + 1] = t.rev_due;
+    }
+
+    /// Sends a control signal up link `c`.
+    #[inline]
+    pub(crate) fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
+        self.rev[t.rev_wr + c].push_control(t.rev_due, signal);
+        self.last_due[2 * c + 1] = t.rev_due;
+    }
+
+    /// The flit arriving on link `c` this cycle, if any.
+    #[inline]
+    pub(crate) fn flit_at(&self, t: &Tick, c: usize) -> Option<Flit> {
+        self.fwd[t.fwd_rd + c].arrival(t.now)
+    }
+
+    /// The credits/control arriving on link `c` this cycle, if any.
+    #[inline]
+    pub(crate) fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
+        self.rev[t.rev_rd + c].arrival(t.now)
+    }
+
+    /// Whether nothing on link `c` is due after cycle `now` — the link's
+    /// activity bit may drop once this cycle's arrivals are delivered.
+    #[inline]
+    pub(crate) fn quiet_after(&self, c: usize, now: Cycle) -> bool {
+        self.last_due[2 * c].max(self.last_due[2 * c + 1]) <= now
+    }
+
+    /// Flits not yet delivered at cycle `now`, recounted from the slab.
+    pub(crate) fn flits_in_flight(&self, now: Cycle) -> usize {
+        self.fwd.iter().filter(|s| live(s.due, now)).count()
+    }
+
+    /// Credits not yet delivered at cycle `now`, recounted from the slab
+    /// (feeds the network's credit-conservation audit).
+    pub(crate) fn credits_in_flight(&self, now: Cycle) -> usize {
+        self.rev
+            .iter()
+            .filter(|s| live(s.due, now))
+            .map(|s| s.credits().len())
+            .sum()
+    }
+
+    /// Heap bytes of the slabs: a function of link count and latency only.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.fwd.capacity() * size_of::<FwdSlot>()
+            + self.rev.capacity() * size_of::<RevSlot>()
+            + self.last_due.capacity() * size_of::<Cycle>()
+    }
+
+    /// Empties every link in place. Stamps must go: a reused wheel's clock
+    /// restarts, and an old stamp could match a new cycle.
+    pub(crate) fn reset(&mut self) {
+        for s in &mut self.fwd {
+            s.due = NEVER;
+        }
+        for s in &mut self.rev {
+            s.due = NEVER;
+        }
+        self.last_due.fill(0);
+    }
+
+    /// The ticks of the cycles anything on the wires before cycle `now`
+    /// can arrive in: `now..now + fwd_delay` (the reverse lane's
+    /// `rev_delay < fwd_delay` cycles are a prefix).
+    fn arrival_ticks(&self, now: Cycle) -> Vec<Tick> {
+        (now..now + self.fwd_delay).map(|t| self.tick(t)).collect()
+    }
+
+    /// Serializes what is on the wires between cycles `now - 1` and `now`,
+    /// link by link in arrival order relative to `now`: `fwd_delay`
+    /// optional flits, then `rev_delay` credit/control slot pairs. Slot
+    /// positions, stale contents and `last_due` are not state.
+    pub(crate) fn save(&self, w: &mut SnapshotWriter, now: Cycle) {
+        let ticks = self.arrival_ticks(now);
+        for c in 0..self.links {
+            for t in &ticks {
+                match self.flit_at(t, c) {
+                    Some(f) => {
+                        w.put_bool(true);
+                        snapshot::write_flit(w, &f);
+                    }
+                    None => w.put_bool(false),
+                }
+            }
+            for t in &ticks[..self.rev_delay as usize] {
+                let slot = self.rev_at(t, c).unwrap_or(&RevSlot::EMPTY);
+                write_slot(w, &slot.credits, write_credit);
+                write_slot(w, &slot.control, write_control);
+            }
+        }
+    }
+
+    /// Restores, in place, a wheel written by [`LinkWheel::save`] at the
+    /// same `now` for the same link count and latency.
+    pub(crate) fn load(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        now: Cycle,
+    ) -> Result<(), SnapshotError> {
+        self.reset();
+        let ticks = self.arrival_ticks(now);
+        for c in 0..self.links {
+            for t in &ticks {
+                if r.get_bool("link flit presence")? {
+                    self.fwd[t.fwd_rd + c] = FwdSlot {
+                        due: t.now,
+                        flit: Some(snapshot::read_flit(r)?),
+                    };
+                    self.last_due[2 * c] = t.now;
+                }
+            }
+            for t in &ticks[..self.rev_delay as usize] {
+                let credits = read_slot(
+                    r,
+                    LaneSlot::<Credit>::EMPTY,
+                    "credit slot length",
+                    read_credit,
+                )?;
+                let control = read_slot(
+                    r,
+                    LaneSlot::<ControlSignal>::EMPTY,
+                    "control slot length",
+                    read_control,
+                )?;
+                if !(credits.is_empty() && control.is_empty()) {
+                    self.rev[t.rev_rd + c] = RevSlot {
+                        due: t.now,
+                        credits,
+                        control,
+                    };
+                    self.last_due[2 * c + 1] = t.now;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A single directed link between two adjacent routers: a one-link
+/// [`LinkWheel`] with its own clock, advanced by [`Channel::advance`].
 ///
 /// # Examples
 ///
@@ -330,111 +655,14 @@ impl Delivery {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel {
-    /// Forward (flit) half. Written only by the upstream router's shard.
-    pub(crate) fwd: FwdLane,
-    /// Reverse (credit/control) half. Written only by the downstream
-    /// router's shard.
-    pub(crate) rev: RevLane,
-}
-
-/// The forward half of a channel: the flit ring.
-///
-/// Split out as its own struct so the parallel engine can hand mutable
-/// access to the forward and reverse halves of one channel to *different*
-/// shards within a cycle (the upstream router pushes flits, the downstream
-/// router pushes credits) without aliasing a `&mut Channel`.
-#[derive(Debug, Clone)]
-pub(crate) struct FwdLane {
-    /// Ring; `ring[head]` is the next slot delivered.
-    ring: Box<[Option<Flit>]>,
-    head: usize,
-    /// Occupied slots (O(1) occupancy queries).
-    count: usize,
-}
-
-/// The reverse half of a channel: credit + control rings (one wire bundle,
-/// shared head).
-#[derive(Debug, Clone)]
-pub(crate) struct RevLane {
-    credits: Box<[LaneSlot<Credit>]>,
-    control: Box<[LaneSlot<ControlSignal>]>,
-    head: usize,
-    credit_count: usize,
-    control_count: usize,
-}
-
-impl FwdLane {
-    /// Index of the ring slot written by this cycle's push (the "back").
-    fn tail(&self) -> usize {
-        (self.head + self.ring.len() - 1) % self.ring.len()
-    }
-
-    /// Sends a flit downstream. At most one flit may be pushed per cycle.
-    pub(crate) fn push_flit(&mut self, flit: Flit) {
-        let tail = self.tail();
-        let back = &mut self.ring[tail];
-        assert!(
-            back.is_none(),
-            "link overdriven: two flits pushed in one cycle ({} then {})",
-            back.unwrap(),
-            flit
-        );
-        *back = Some(flit);
-        self.count += 1;
-    }
-
-    fn pop(&mut self) -> Option<Flit> {
-        let flit = self.ring[self.head].take();
-        self.head = (self.head + 1) % self.ring.len();
-        self.count -= flit.is_some() as usize;
-        flit
-    }
-}
-
-impl RevLane {
-    fn tail(&self) -> usize {
-        (self.head + self.credits.len() - 1) % self.credits.len()
-    }
-
-    /// Sends a credit upstream.
-    pub(crate) fn push_credit(&mut self, credit: Credit) {
-        let tail = self.tail();
-        self.credits[tail].push(credit);
-        self.credit_count += 1;
-    }
-
-    /// Sends a control signal upstream.
-    pub(crate) fn push_control(&mut self, signal: ControlSignal) {
-        let tail = self.tail();
-        self.control[tail].push(signal);
-        self.control_count += 1;
-    }
-
-    fn pop(&mut self) -> (LaneSlot<Credit>, LaneSlot<ControlSignal>) {
-        let credits = self.credits[self.head];
-        self.credits[self.head].clear();
-        let control = self.control[self.head];
-        self.control[self.head].clear();
-        self.head = (self.head + 1) % self.credits.len();
-        self.credit_count -= credits.as_slice().len();
-        self.control_count -= control.as_slice().len();
-        (credits, control)
-    }
+    wheel: LinkWheel,
+    tick: Tick,
 }
 
 impl Channel {
     /// Extra forward-lane delay on top of the wire latency: one cycle of
     /// switch traversal plus the (overlapped) downstream buffer write.
     pub const ROUTER_OVERHEAD: u64 = 2;
-
-    /// Heap bytes owned by this channel's pipeline rings. The rings are
-    /// sized by link latency alone, so this is mesh-size independent —
-    /// the property [`crate::network::Network::memory_footprint`] audits.
-    pub fn heap_bytes(&self) -> usize {
-        self.fwd.ring.len() * std::mem::size_of::<Option<Flit>>()
-            + self.rev.credits.len() * std::mem::size_of::<LaneSlot<Credit>>()
-            + self.rev.control.len() * std::mem::size_of::<LaneSlot<ControlSignal>>()
-    }
 
     /// Creates a channel for a link of latency `link_latency` cycles.
     ///
@@ -443,235 +671,46 @@ impl Channel {
     /// Panics if `link_latency` is zero (validated earlier by
     /// [`NetworkConfig::validate`](crate::config::NetworkConfig::validate)).
     pub fn new(link_latency: u64) -> Channel {
-        assert!(link_latency >= 1, "link latency must be >= 1");
-        let fwd = (link_latency + Self::ROUTER_OVERHEAD) as usize;
-        let rev = link_latency as usize;
-        Channel {
-            fwd: FwdLane {
-                ring: vec![None; fwd].into_boxed_slice(),
-                head: 0,
-                count: 0,
-            },
-            rev: RevLane {
-                credits: vec![LaneSlot::new(Credit::Vc(VcId(0))); rev].into_boxed_slice(),
-                control: vec![LaneSlot::new(ControlSignal::StartCreditTracking); rev]
-                    .into_boxed_slice(),
-                head: 0,
-                credit_count: 0,
-                control_count: 0,
-            },
-        }
+        let wheel = LinkWheel::new(1, link_latency);
+        let tick = wheel.tick(0);
+        Channel { wheel, tick }
     }
 
     /// Total forward delay (cycles from arbitration win to downstream
     /// arbitration eligibility).
     pub fn forward_delay(&self) -> u64 {
-        self.fwd.ring.len() as u64
-    }
-
-    /// Reverse (credit/control) delay in cycles.
-    pub fn reverse_delay(&self) -> u64 {
-        self.rev.credits.len() as u64
+        self.wheel.fwd_delay
     }
 
     /// Sends a flit downstream. At most one flit may be pushed per cycle.
     ///
     /// # Panics
     ///
-    /// Panics if the entry slot is already occupied — that would mean two
+    /// Panics if a flit was already pushed this cycle — that would mean two
     /// flits crossed the same link in the same cycle, a router bug.
     pub fn push_flit(&mut self, flit: Flit) {
-        self.fwd.push_flit(flit);
-    }
-
-    /// Whether a flit has already been pushed this cycle.
-    pub fn entry_occupied(&self) -> bool {
-        self.fwd.ring[self.fwd.tail()].is_some()
+        self.wheel.push_flit(&self.tick, 0, flit);
     }
 
     /// Sends a credit upstream.
     pub fn push_credit(&mut self, credit: Credit) {
-        self.rev.push_credit(credit);
+        self.wheel.push_credit(&self.tick, 0, credit);
     }
 
     /// Sends a control signal upstream.
     pub fn push_control(&mut self, signal: ControlSignal) {
-        self.rev.push_control(signal);
+        self.wheel.push_control(&self.tick, 0, signal);
     }
 
-    /// Advances both lanes one cycle and returns what arrives.
+    /// Advances the clock one cycle and returns what arrives.
     pub fn advance(&mut self) -> Delivery {
-        let flit = self.fwd.pop();
-        let (credits, control) = self.rev.pop();
+        self.tick = self.wheel.next_tick(&self.tick);
+        let rev = self.wheel.rev_at(&self.tick, 0).unwrap_or(&RevSlot::EMPTY);
         Delivery {
-            flit,
-            credits,
-            control,
+            flit: self.wheel.flit_at(&self.tick, 0),
+            credits: rev.credits,
+            control: rev.control,
         }
-    }
-
-    /// Number of flits currently in flight on the forward lane.
-    pub fn flits_in_flight(&self) -> usize {
-        self.fwd.count
-    }
-
-    /// Number of credits currently in flight on the reverse lane (feeds the
-    /// network's credit-conservation audit).
-    pub fn credits_in_flight(&self) -> usize {
-        self.rev.credit_count
-    }
-
-    /// Whether both lanes are completely empty. O(1): the lane rings keep
-    /// occupancy counts, so the activity-tracked engine can poll this per
-    /// cycle without scanning slots.
-    pub fn is_drained(&self) -> bool {
-        self.fwd.count == 0 && self.rev.credit_count == 0 && self.rev.control_count == 0
-    }
-
-    /// Empties both lane rings in place (contents, heads, occupancy
-    /// counts) back to the freshly constructed state without freeing the
-    /// ring allocations. Stale items beyond a cleared slot's length are
-    /// unobservable: every read and [`Channel::save`] is gated by `len`.
-    pub fn reset(&mut self) {
-        self.fwd.ring.fill(None);
-        self.fwd.head = 0;
-        self.fwd.count = 0;
-        for slot in self.rev.credits.iter_mut() {
-            slot.clear();
-        }
-        for slot in self.rev.control.iter_mut() {
-            slot.clear();
-        }
-        self.rev.head = 0;
-        self.rev.credit_count = 0;
-        self.rev.control_count = 0;
-    }
-
-    /// Serializes both lane rings (contents, heads) for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.fwd.ring.len());
-        for slot in self.fwd.ring.iter() {
-            match slot {
-                Some(f) => {
-                    w.put_bool(true);
-                    snapshot::write_flit(w, f);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        w.put_usize(self.fwd.head);
-        w.put_usize(self.rev.credits.len());
-        for slot in self.rev.credits.iter() {
-            w.put_u8(slot.len);
-            for c in slot.as_slice() {
-                match c {
-                    Credit::Vc(vc) => {
-                        w.put_u8(0);
-                        w.put_u8(vc.0);
-                    }
-                    Credit::Vnet(vn) => {
-                        w.put_u8(1);
-                        w.put_u8(vn.0);
-                    }
-                }
-            }
-        }
-        for slot in self.rev.control.iter() {
-            w.put_u8(slot.len);
-            for s in slot.as_slice() {
-                write_control(w, *s);
-            }
-        }
-        w.put_usize(self.rev.head);
-    }
-
-    /// Restores a channel written by [`Channel::save`]. Lane occupancy
-    /// counts are recomputed from the ring contents (self-validating).
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Channel, SnapshotError> {
-        let fwd_len = r.get_usize("channel forward length")?;
-        if fwd_len < 1 + Self::ROUTER_OVERHEAD as usize {
-            return Err(SnapshotError::Malformed {
-                what: "channel forward length",
-            });
-        }
-        let mut fwd = Vec::with_capacity(fwd_len);
-        let mut fwd_count = 0;
-        for _ in 0..fwd_len {
-            if r.get_bool("channel forward slot")? {
-                fwd.push(Some(snapshot::read_flit(r)?));
-                fwd_count += 1;
-            } else {
-                fwd.push(None);
-            }
-        }
-        let fwd_head = r.get_usize("channel forward head")?;
-        let rev_len = r.get_usize("channel reverse length")?;
-        if fwd_head >= fwd_len || rev_len == 0 {
-            return Err(SnapshotError::Malformed {
-                what: "channel ring geometry",
-            });
-        }
-        let mut rev_credits = Vec::with_capacity(rev_len);
-        let mut credit_count = 0;
-        for _ in 0..rev_len {
-            let n = r.get_u8("channel credit slot length")?;
-            if n as usize > LANE_CAP {
-                return Err(SnapshotError::Malformed {
-                    what: "channel credit slot length",
-                });
-            }
-            let mut slot = LaneSlot::new(Credit::Vc(VcId(0)));
-            for _ in 0..n {
-                let c = match r.get_u8("channel credit tag")? {
-                    0 => Credit::Vc(VcId(r.get_u8("channel credit vc")?)),
-                    1 => Credit::Vnet(VirtualNetwork(r.get_u8("channel credit vnet")?)),
-                    _ => {
-                        return Err(SnapshotError::Malformed {
-                            what: "channel credit tag",
-                        })
-                    }
-                };
-                slot.push(c);
-                credit_count += 1;
-            }
-            rev_credits.push(slot);
-        }
-        let mut rev_control = Vec::with_capacity(rev_len);
-        let mut control_count = 0;
-        for _ in 0..rev_len {
-            let n = r.get_u8("channel control slot length")?;
-            if n as usize > LANE_CAP {
-                return Err(SnapshotError::Malformed {
-                    what: "channel control slot length",
-                });
-            }
-            let mut slot = LaneSlot::new(ControlSignal::StartCreditTracking);
-            for _ in 0..n {
-                slot.push(read_control(r)?);
-                control_count += 1;
-            }
-            rev_control.push(slot);
-        }
-        let rev_head = r.get_usize("channel reverse head")?;
-        if rev_head >= rev_len {
-            return Err(SnapshotError::Malformed {
-                what: "channel reverse head",
-            });
-        }
-        Ok(Channel {
-            fwd: FwdLane {
-                ring: fwd.into_boxed_slice(),
-                head: fwd_head,
-                count: fwd_count,
-            },
-            rev: RevLane {
-                credits: rev_credits.into_boxed_slice(),
-                control: rev_control.into_boxed_slice(),
-                head: rev_head,
-                credit_count,
-                control_count,
-            },
-        })
     }
 }
 
@@ -679,10 +718,45 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::flit::PacketId;
-    use crate::geom::NodeId;
+    use std::collections::VecDeque;
 
     fn flit(n: u64) -> Flit {
         Flit::test_flit(PacketId(n), NodeId::new(0), NodeId::new(1))
+    }
+
+    /// `(flits, credits)` still on `ch`'s wires after its last advance.
+    fn in_flight(ch: &Channel) -> (usize, usize) {
+        let next = ch.tick.now + 1;
+        (
+            ch.wheel.flits_in_flight(next),
+            ch.wheel.credits_in_flight(next),
+        )
+    }
+
+    fn is_drained(ch: &Channel) -> bool {
+        ch.wheel.quiet_after(0, ch.tick.now)
+    }
+
+    #[test]
+    fn slots_are_cache_line_sized() {
+        assert_eq!(std::mem::size_of::<FwdSlot>(), 64);
+        assert_eq!(std::mem::align_of::<FwdSlot>(), 64);
+        assert!(std::mem::size_of::<RevSlot>() <= 128);
+    }
+
+    #[test]
+    fn next_tick_is_tick_of_the_next_cycle() {
+        for link_latency in 1..=4 {
+            for links in [1, 3] {
+                let wheel = LinkWheel::new(links, link_latency);
+                let mut t = wheel.tick(0);
+                for now in 1..60 {
+                    t = wheel.next_tick(&t);
+                    assert_eq!(t, wheel.tick(now));
+                    assert!(t.fwd_rd != t.fwd_wr && t.rev_rd != t.rev_wr);
+                }
+            }
+        }
     }
 
     #[test]
@@ -717,15 +791,31 @@ mod tests {
                 assert_eq!(d.control(), &[ControlSignal::StartCreditTracking]);
                 break;
             }
+            assert!(d.is_empty());
             assert!(cycles < 100);
         }
         assert_eq!(cycles, 3);
     }
 
+    /// Spins the clock past several laps of the wheel so the panicking
+    /// push lands on a slot that carries a stale stamp and stale contents.
+    fn lapped_channel() -> Channel {
+        let mut ch = Channel::new(1);
+        for i in 0..11 {
+            ch.push_flit(flit(i));
+            for _ in 0..LANE_CAP {
+                ch.push_credit(Credit::Vc(VcId(0)));
+                ch.push_control(ControlSignal::StopCreditTracking);
+            }
+            ch.advance();
+        }
+        ch
+    }
+
     #[test]
     #[should_panic(expected = "link overdriven")]
     fn double_push_panics() {
-        let mut ch = Channel::new(1);
+        let mut ch = lapped_channel();
         ch.push_flit(flit(1));
         ch.push_flit(flit(2));
     }
@@ -733,7 +823,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reverse-lane slot overflow")]
     fn lane_slot_overflow_panics() {
-        let mut ch = Channel::new(1);
+        let mut ch = lapped_channel();
         for _ in 0..=LANE_CAP {
             ch.push_credit(Credit::Vc(VcId(0)));
         }
@@ -749,12 +839,11 @@ mod tests {
                 received += 1;
             }
         }
-        // A flit pushed on iteration `i` pops on the 4th advance, i.e. on
-        // iteration `i + 3` (the network engine then delivers it at the
-        // start of the next cycle, completing the 4-cycle delay).
+        // A flit pushed on iteration `i` arrives on the 4th advance, i.e. on
+        // iteration `i + 3`.
         assert_eq!(received, 20 - 3);
-        assert_eq!(ch.flits_in_flight(), 3);
-        assert!(!ch.is_drained());
+        assert_eq!(in_flight(&ch), (3, 0));
+        assert!(!is_drained(&ch));
     }
 
     #[test]
@@ -762,10 +851,12 @@ mod tests {
         let mut ch = Channel::new(2);
         ch.push_flit(flit(0));
         ch.push_credit(Credit::Vnet(VirtualNetwork(1)));
+        assert_eq!(in_flight(&ch), (1, 1));
         for _ in 0..10 {
             ch.advance();
         }
-        assert!(ch.is_drained());
+        assert!(is_drained(&ch));
+        assert_eq!(in_flight(&ch), (0, 0));
     }
 
     #[test]
@@ -786,34 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_snapshot_round_trip_is_exact() {
-        let mut ch = Channel::new(3);
-        ch.push_flit(flit(1));
-        ch.advance();
-        ch.push_flit(flit(2));
-        ch.push_credit(Credit::Vc(VcId(1)));
-        ch.push_credit(Credit::Vnet(VirtualNetwork(2)));
-        ch.push_control(ControlSignal::StopCreditTracking);
-        let mut w = SnapshotWriter::new();
-        ch.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        let mut restored = Channel::load(&mut r).unwrap();
-        r.finish("channel").unwrap();
-        assert_eq!(restored.flits_in_flight(), ch.flits_in_flight());
-        assert_eq!(restored.credits_in_flight(), ch.credits_in_flight());
-        // Advancing both to drain must produce identical deliveries.
-        for _ in 0..10 {
-            let a = ch.advance();
-            let b = restored.advance();
-            assert_eq!(a.flit, b.flit);
-            assert_eq!(a.credits(), b.credits());
-            assert_eq!(a.control(), b.control());
-        }
-        assert!(restored.is_drained());
-    }
-
-    #[test]
     fn flits_preserve_order() {
         let mut ch = Channel::new(1);
         let mut out = Vec::new();
@@ -829,5 +892,278 @@ mod tests {
             }
         }
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// The differential reference: a link as three unbounded queues of
+    /// `(due, item)`, searched rather than indexed. Deliberately naive —
+    /// it shares no logic with the wheel.
+    #[derive(Default)]
+    struct RefLink {
+        flits: VecDeque<(Cycle, Flit)>,
+        credits: VecDeque<(Cycle, Credit)>,
+        control: VecDeque<(Cycle, ControlSignal)>,
+    }
+
+    fn take_due<T>(q: &mut VecDeque<(Cycle, T)>, now: Cycle) -> Vec<T> {
+        let mut out = Vec::new();
+        while q.front().is_some_and(|&(due, _)| due == now) {
+            out.push(q.pop_front().expect("front checked").1);
+        }
+        assert!(
+            q.front().is_none_or(|&(due, _)| due > now),
+            "reference lost an arrival"
+        );
+        out
+    }
+
+    impl RefLink {
+        fn is_empty(&self) -> bool {
+            self.flits.is_empty() && self.credits.is_empty() && self.control.is_empty()
+        }
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn arbitrary_control(rng: &mut XorShift) -> ControlSignal {
+        match rng.below(4) {
+            0 => ControlSignal::StartCreditTracking,
+            1 => ControlSignal::StopCreditTracking,
+            2 => ControlSignal::LinkFault {
+                node: NodeId::new(rng.below(64) as usize),
+                dir: Direction::ALL[rng.below(4) as usize],
+                epoch: rng.below(9) as u32,
+                alive: rng.below(2) == 0,
+            },
+            _ => ControlSignal::CreditResync {
+                node: NodeId::new(rng.below(64) as usize),
+                dir: Direction::ALL[rng.below(4) as usize],
+                epoch: rng.below(9) as u32,
+            },
+        }
+    }
+
+    /// Drives a three-link wheel and three reference links through the
+    /// same seeded schedule, the way the engine does: each cycle, for every
+    /// *active* link, deliver arrivals (compared item by item), drop the
+    /// activity flag when the wheel says the link is quiet, then push. A
+    /// link whose flag is down is not read at all — for idle gaps forced
+    /// longer than the wheel, so re-activation lands on stale slots.
+    fn differential(link_latency: u64, seed: u64) {
+        const LINKS: usize = 3;
+        let mut rng = XorShift(seed | 1);
+        let mut wheel = LinkWheel::new(LINKS, link_latency);
+        let (fd, rd) = (wheel.fwd_delay, wheel.rev_delay);
+        let mut refs: [RefLink; LINKS] = Default::default();
+        let mut active = [false; LINKS];
+        let mut idle_until = [0 as Cycle; LINKS];
+        let mut next_flit = 0u64;
+        let mut delivered = 0usize;
+        for now in 0..(40 * (fd + 1)) {
+            let t = wheel.tick(now);
+            for c in 0..LINKS {
+                if active[c] {
+                    let r = &mut refs[c];
+                    assert_eq!(
+                        wheel.flit_at(&t, c).into_iter().collect::<Vec<_>>(),
+                        take_due(&mut r.flits, now),
+                        "L={link_latency} seed={seed} link {c} cycle {now}: flit"
+                    );
+                    let rev = wheel.rev_at(&t, c);
+                    let got_credits = rev.map_or(&[][..], RevSlot::credits);
+                    let got_control = rev.map_or(&[][..], RevSlot::control);
+                    delivered += got_credits.len() + got_control.len();
+                    assert_eq!(
+                        got_credits,
+                        take_due(&mut r.credits, now),
+                        "cycle {now}: credits"
+                    );
+                    assert_eq!(
+                        got_control,
+                        take_due(&mut r.control, now),
+                        "cycle {now}: control"
+                    );
+                    assert_eq!(
+                        wheel.quiet_after(c, now),
+                        r.is_empty(),
+                        "cycle {now}: occupancy"
+                    );
+                    if wheel.quiet_after(c, now) {
+                        active[c] = false;
+                        if rng.below(3) == 0 {
+                            // Longer than either lane's wheel.
+                            idle_until[c] = now + fd + 2 + rng.below(2 * fd);
+                        }
+                    }
+                } else {
+                    assert!(refs[c].is_empty(), "an inactive link held traffic");
+                }
+                if now < idle_until[c] {
+                    continue;
+                }
+                if rng.below(2) == 0 {
+                    let f = flit(next_flit);
+                    next_flit += 1;
+                    wheel.push_flit(&t, c, f);
+                    refs[c].flits.push_back((now + fd, f));
+                    active[c] = true;
+                }
+                // Up to LANE_CAP credits and LANE_CAP control signals in
+                // one cycle: both halves of a slot filled to the brim.
+                for _ in 0..rng.below(LANE_CAP as u64 + 3).saturating_sub(2) {
+                    if refs[c]
+                        .credits
+                        .iter()
+                        .filter(|&&(due, _)| due == now + rd)
+                        .count()
+                        == LANE_CAP
+                    {
+                        break;
+                    }
+                    let credit = if rng.below(2) == 0 {
+                        Credit::Vc(VcId(rng.below(8) as u8))
+                    } else {
+                        Credit::Vnet(VirtualNetwork(rng.below(3) as u8))
+                    };
+                    wheel.push_credit(&t, c, credit);
+                    refs[c].credits.push_back((now + rd, credit));
+                    active[c] = true;
+                }
+                for _ in 0..rng.below(LANE_CAP as u64 + 4).saturating_sub(3) {
+                    if refs[c]
+                        .control
+                        .iter()
+                        .filter(|&&(due, _)| due == now + rd)
+                        .count()
+                        == LANE_CAP
+                    {
+                        break;
+                    }
+                    let signal = arbitrary_control(&mut rng);
+                    wheel.push_control(&t, c, signal);
+                    refs[c].control.push_back((now + rd, signal));
+                    active[c] = true;
+                }
+            }
+            // Between-cycle recounts (what the audits and snapshots see).
+            assert_eq!(
+                wheel.flits_in_flight(now + 1),
+                refs.iter().map(|r| r.flits.len()).sum::<usize>()
+            );
+            assert_eq!(
+                wheel.credits_in_flight(now + 1),
+                refs.iter().map(|r| r.credits.len()).sum::<usize>()
+            );
+        }
+        assert!(next_flit > 10 && delivered > 10, "schedule was vacuous");
+    }
+
+    #[test]
+    fn wheel_matches_naive_queues_for_every_latency() {
+        let mut full_slots = 0;
+        for link_latency in 1..=4 {
+            for seed in 1..=24u64 {
+                differential(link_latency, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            }
+            // Same-cycle fan-in up to the cap on both halves of one slot.
+            let mut ch = Channel::new(link_latency);
+            for lap in 0..3 * (link_latency + 1) {
+                for _ in 0..LANE_CAP {
+                    ch.push_credit(Credit::Vc(VcId(lap as u8)));
+                    ch.push_control(ControlSignal::StartCreditTracking);
+                }
+                let d = ch.advance();
+                if lap >= link_latency - 1 {
+                    assert_eq!(
+                        d.credits(),
+                        &[Credit::Vc(VcId((lap + 1 - link_latency) as u8)); LANE_CAP]
+                    );
+                    assert_eq!(d.control().len(), LANE_CAP);
+                    full_slots += 1;
+                } else {
+                    assert!(d.is_empty());
+                }
+            }
+        }
+        assert!(full_slots > 0);
+    }
+
+    #[test]
+    fn wheel_snapshot_round_trip_is_exact() {
+        for link_latency in 1..=4 {
+            let mut wheel = LinkWheel::new(2, link_latency);
+            // Lap the wheel first so the save has stale slots to ignore.
+            let mut now = 0;
+            for i in 0..17u64 {
+                let t = wheel.tick(now);
+                if i % 3 != 1 {
+                    wheel.push_flit(&t, (i % 2) as usize, flit(i));
+                }
+                wheel.push_credit(&t, 0, Credit::Vc(VcId(i as u8)));
+                if i % 4 == 0 {
+                    wheel.push_credit(&t, 1, Credit::Vnet(VirtualNetwork(2)));
+                    wheel.push_control(&t, 1, ControlSignal::StopCreditTracking);
+                }
+                now += 1;
+            }
+            let mut w = SnapshotWriter::new();
+            wheel.save(&mut w, now);
+            let bytes = w.into_bytes();
+            let mut restored = LinkWheel::new(2, link_latency);
+            let mut r = SnapshotReader::new(&bytes);
+            restored.load(&mut r, now).unwrap();
+            r.finish("wheel").unwrap();
+            let mut w = SnapshotWriter::new();
+            restored.save(&mut w, now);
+            assert_eq!(
+                w.into_bytes(),
+                bytes,
+                "save -> load -> save must be byte-stable"
+            );
+            assert_eq!(restored.flits_in_flight(now), wheel.flits_in_flight(now));
+            assert_eq!(
+                restored.credits_in_flight(now),
+                wheel.credits_in_flight(now)
+            );
+            // Draining both must produce identical arrivals.
+            for now in now..now + 10 {
+                let t = wheel.tick(now);
+                for c in 0..2 {
+                    assert_eq!(wheel.flit_at(&t, c), restored.flit_at(&t, c));
+                    let (a, b) = (wheel.rev_at(&t, c), restored.rev_at(&t, c));
+                    assert_eq!(a.map(RevSlot::credits), b.map(RevSlot::credits));
+                    assert_eq!(a.map(RevSlot::control), b.map(RevSlot::control));
+                    assert_eq!(wheel.quiet_after(c, now), restored.quiet_after(c, now));
+                }
+            }
+            assert_eq!(restored.flits_in_flight(now + 10), 0);
+        }
+    }
+
+    #[test]
+    fn reset_forgets_old_stamps() {
+        let mut wheel = LinkWheel::new(1, 1);
+        let t = wheel.tick(0);
+        wheel.push_flit(&t, 0, flit(7));
+        wheel.push_credit(&t, 0, Credit::Vc(VcId(0)));
+        wheel.reset();
+        // The restarted clock passes the old arrival cycles and sees nothing.
+        for now in 0..8 {
+            let t = wheel.tick(now);
+            assert!(wheel.flit_at(&t, 0).is_none() && wheel.rev_at(&t, 0).is_none());
+            assert!(wheel.quiet_after(0, now));
+        }
+        assert_eq!(
+            (wheel.flits_in_flight(0), wheel.credits_in_flight(0)),
+            (0, 0)
+        );
     }
 }

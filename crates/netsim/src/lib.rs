@@ -21,13 +21,16 @@
 //!
 //! ## Cycle semantics
 //!
-//! Every simulated cycle proceeds in four phases:
+//! Every simulated cycle proceeds in three phases:
 //!
 //! 1. channels deliver arrivals (flits, credits, control signals) to routers,
 //! 2. network interfaces attempt packet injection (routers may refuse —
 //!    injection-port backpressure exists even for backpressureless routers),
-//! 3. every router executes one pipeline step and produces outputs,
-//! 4. channel pipelines advance.
+//! 3. every router executes one pipeline step and pushes its outputs onto
+//!    the links, stamped with their arrival cycle.
+//!
+//! Links are slots indexed by arrival cycle ([`channel`]), so nothing
+//! advances between cycles.
 //!
 //! A flit that wins switch arbitration at cycle `T` becomes eligible for
 //! arbitration at the next router at cycle `T + 2 + L` where `L` is the link

@@ -14,7 +14,7 @@
 //! so the mode can be toggled mid-run and must produce byte-identical
 //! results — the self-check the golden tests pin.
 
-use crate::channel::Channel;
+use crate::channel::{LinkWheel, Tick};
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
@@ -221,7 +221,7 @@ pub struct MemoryFootprint {
     pub router_bytes: usize,
     /// Network interfaces: queues, reassembly, retransmit state.
     pub ni_bytes: usize,
-    /// Channels: pipeline rings plus fault hold-back queues.
+    /// Channels: the link-wheel slabs plus fault hold-back queues.
     pub channel_bytes: usize,
     /// Parallel engine: plan tables and per-shard deltas (0 when serial).
     pub engine_bytes: usize,
@@ -252,7 +252,8 @@ impl MemoryFootprint {
 /// accumulated while [`Network::set_phase_profiling`] is enabled.
 ///
 /// Categories follow the cycle structure (see `try_step`): `channel_ns`
-/// covers delivery (phase 1) and advance (phase 4); `ni_ns` covers the
+/// covers link-wheel delivery (phase 1 — pushes are part of the router
+/// walk, and nothing advances); `ni_ns` covers the
 /// NACK/ack/timeout plumbing and injection (phases 2a/2b/3b); `router_ns`
 /// is the router pipeline walk (phase 3); `merge_ns` is time spent inside
 /// the parallel engine (shard step + merge tree — zero on serial runs);
@@ -265,7 +266,7 @@ impl MemoryFootprint {
 /// unprofiled total, not absolute sums.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// Channel delivery + advance (phases 1 and 4).
+    /// Channel delivery (phase 1).
     pub channel_ns: u64,
     /// NI work: NACK/ack/timeouts, injection, corrupt/ack pickup (2a/2b/3b).
     pub ni_ns: u64,
@@ -306,13 +307,13 @@ pub struct Network {
     buffer_flits_per_port: usize,
     pub(crate) routers: Vec<Box<dyn Router>>,
     pub(crate) nis: Vec<NodeInterface>,
-    pub(crate) channels: Vec<Channel>,
+    /// Every link's forward and reverse lane (indexed like `ends`).
+    pub(crate) wheel: LinkWheel,
     pub(crate) ends: Vec<ChannelEnds>,
     /// Outgoing channel index per (node, direction).
     pub(crate) out_chan: Vec<DirMap<Option<usize>>>,
     /// Incoming channel index per (node, direction of the input port).
     pub(crate) in_chan: Vec<DirMap<Option<usize>>>,
-    pub(crate) pending: Vec<crate::channel::Delivery>,
     pub(crate) now: Cycle,
     pub(crate) rng: SimRng,
     /// Independent RNG stream for the fault plane: drawing fault outcomes
@@ -330,7 +331,11 @@ pub struct Network {
     pub(crate) ack_queue: Vec<(Cycle, NodeId, PacketId)>,
     /// Per-channel flits held back at the receiving end while the receiver
     /// is stalled by a fault (released one per cycle once the stall lifts).
+    /// Bypassed — never touched, never allocated — on a fault-free run.
     pub(crate) held: Vec<VecDeque<Flit>>,
+    /// Total flits across `held`, maintained where flits enter and leave
+    /// it (cross-checked against a recount in debug builds).
+    pub(crate) held_flits: usize,
     /// Log of injected faults (capped at [`Network::FAULT_LOG_CAP`]).
     pub(crate) fault_log: Vec<FaultEvent>,
     /// Deterministic fault-detection schedule derived from the fault plan's
@@ -361,7 +366,7 @@ pub struct Network {
     full_scan: bool,
     /// Routers that must be stepped: everything not proven quiescent.
     pub(crate) router_active: ActiveSet,
-    /// Channels with anything on a lane, staged for delivery, or held.
+    /// Channels with anything still due on a lane, or held.
     pub(crate) chan_active: ActiveSet,
     /// NIs with send-side work (queued packets or pending retransmits).
     pub(crate) ni_send_active: ActiveSet,
@@ -375,7 +380,7 @@ pub struct Network {
     /// [`Network::mode_slot`]) so per-cycle mode stats are O(1), not O(n).
     pub(crate) modes_cache: Vec<RouterMode>,
     pub(crate) mode_counts: [u64; 3],
-    /// Flits inside routers/channels/staged/held, maintained incrementally
+    /// Flits inside routers/channels/held, maintained incrementally
     /// (cross-checked against [`Network::flits_in_network`] in debug).
     pub(crate) in_flight: usize,
     /// Flits sitting in NI retransmit queues, maintained incrementally.
@@ -474,15 +479,13 @@ impl Network {
             })
             .collect();
 
-        let mut channels = Vec::new();
         let mut ends = Vec::new();
         let mut out_chan: Vec<DirMap<Option<usize>>> = vec![DirMap::default(); n];
         let mut in_chan: Vec<DirMap<Option<usize>>> = vec![DirMap::default(); n];
         for node in mesh.nodes() {
             for dir in Direction::ALL {
                 if let Some(nb) = mesh.neighbor(node, dir) {
-                    let idx = channels.len();
-                    channels.push(Channel::new(config.link_latency));
+                    let idx = ends.len();
                     ends.push(ChannelEnds {
                         from: node,
                         dir,
@@ -493,8 +496,8 @@ impl Network {
                 }
             }
         }
-        let pending = vec![crate::channel::Delivery::default(); channels.len()];
-        let held = vec![VecDeque::new(); channels.len()];
+        let wheel = LinkWheel::new(ends.len(), config.link_latency);
+        let held = vec![VecDeque::new(); ends.len()];
         let rng = SimRng::seed_from(seed);
         let fault_rng = rng.fork(0x00FA_0171);
         let full_scan =
@@ -514,7 +517,7 @@ impl Network {
         for m in &modes_cache {
             mode_counts[Self::mode_slot(*m)] += 1;
         }
-        let chan_count = channels.len();
+        let chan_count = ends.len();
 
         Ok(Network {
             mesh,
@@ -524,11 +527,10 @@ impl Network {
             buffer_flits_per_port,
             routers,
             nis,
-            channels,
+            wheel,
             ends,
             out_chan,
             in_chan,
-            pending,
             now: 0,
             rng,
             fault_rng,
@@ -538,6 +540,7 @@ impl Network {
             nack_queue: Vec::new(),
             ack_queue: Vec::new(),
             held,
+            held_flits: 0,
             fault_log: Vec::new(),
             detect_schedule,
             detect_next: 0,
@@ -747,8 +750,7 @@ impl Network {
             .map(NodeInterface::heap_bytes)
             .sum::<usize>()
             + self.nis.capacity() * size_of::<NodeInterface>();
-        let channel_bytes: usize = self.channels.iter().map(Channel::heap_bytes).sum::<usize>()
-            + self.channels.capacity() * size_of::<Channel>()
+        let channel_bytes: usize = self.wheel.heap_bytes()
             + self.ends.capacity() * size_of::<ChannelEnds>()
             + self
                 .held
@@ -761,7 +763,6 @@ impl Network {
             + self.scratch.heap_bytes()
             + (self.out_chan.capacity() + self.in_chan.capacity())
                 * size_of::<DirMap<Option<usize>>>()
-            + self.pending.capacity() * size_of::<crate::channel::Delivery>()
             + self.nack_queue.capacity() * size_of::<(Cycle, Flit)>()
             + self.ack_queue.capacity() * size_of::<(Cycle, NodeId, PacketId)>()
             + self.fault_log.capacity() * size_of::<FaultEvent>()
@@ -846,7 +847,7 @@ impl Network {
             .unwrap_or_default()
     }
 
-    /// Advances the simulation one cycle (four phases — see crate docs).
+    /// Advances the simulation one cycle (three phases — see crate docs).
     ///
     /// # Panics
     ///
@@ -950,22 +951,24 @@ impl Network {
             }
         }
 
-        // Phase 1: deliver staged channel arrivals. Arriving flits pass
-        // through the fault plane (drop/corrupt/kill) and are held back
-        // while the receiving router is stalled; credits cross the fault
-        // plane's credit-loss stage on their way upstream.
+        // Phase 1: deliver what the link wheel has due this cycle. Arriving
+        // flits pass through the fault plane (drop/corrupt/kill) and are
+        // held back while the receiving router is stalled; credits cross
+        // the fault plane's credit-loss stage on their way upstream. An
+        // inactive link has nothing due, so skipping it is unobservable.
+        let tick = self.wheel.tick(now);
         if fast {
             for wi in 0..self.chan_active.word_count() {
                 let mut w = self.chan_active.word(wi);
                 while w != 0 {
                     let c = (wi << 6) + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.deliver_channel(c, now, faults_active)?;
+                    self.deliver_channel(c, &tick, faults_active)?;
                 }
             }
         } else {
-            for c in 0..self.channels.len() {
-                self.deliver_channel(c, now, faults_active)?;
+            for c in 0..self.ends.len() {
+                self.deliver_channel(c, &tick, faults_active)?;
             }
         }
         if let Some(p) = self.phase_profile.as_deref_mut() {
@@ -1053,7 +1056,7 @@ impl Network {
                 while w != 0 {
                     let i = (wi << 6) + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.step_one_router(i, now)?;
+                    self.step_one_router(i, &tick)?;
                 }
             }
         } else {
@@ -1065,7 +1068,7 @@ impl Network {
                     self.accounted_upto[i] = now + 1;
                     continue;
                 }
-                self.step_one_router(i, now)?;
+                self.step_one_router(i, &tick)?;
             }
         }
         if let Some(p) = self.phase_profile.as_deref_mut() {
@@ -1096,26 +1099,6 @@ impl Network {
             p.ni_ns += lap_ns(&mut lap);
         }
 
-        // Phase 4: advance channels; stage next cycle's deliveries. An
-        // inactive channel is fully empty, so skipping its advance() only
-        // skips rotating an all-empty ring — unobservable.
-        if fast {
-            for wi in 0..self.chan_active.word_count() {
-                let mut w = self.chan_active.word(wi);
-                while w != 0 {
-                    let c = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.advance_channel(c);
-                }
-            }
-        } else {
-            for c in 0..self.channels.len() {
-                self.advance_channel(c);
-            }
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.channel_ns += lap_ns(&mut lap);
-        }
         self.now += 1;
         self.stats.cycles += 1;
         self.stats.cycles_backpressured += self.mode_counts[0];
@@ -1130,6 +1113,11 @@ impl Network {
                 self.in_flight,
                 self.flits_in_network(),
                 "incremental in-flight accounting diverged"
+            );
+            debug_assert_eq!(
+                self.held_flits,
+                self.held.iter().map(VecDeque::len).sum::<usize>(),
+                "incremental held-flit accounting diverged"
             );
             debug_assert_eq!(
                 self.retx_queued,
@@ -1176,57 +1164,77 @@ impl Network {
         Ok(())
     }
 
-    /// Phase-1 body for one channel: route its staged delivery (and any
-    /// held-back flits) into the adjacent routers.
+    /// Phase-1 body for one channel: route what the wheel has due this
+    /// cycle (and any held-back flits) into the adjacent routers, then
+    /// settle the channel's activity bit.
     fn deliver_channel(
         &mut self,
         c: usize,
-        now: Cycle,
+        tick: &Tick,
         faults_active: bool,
     ) -> Result<(), SimError> {
-        if self.pending[c].is_empty() && self.held[c].is_empty() {
-            return Ok(());
-        }
-        let delivery = std::mem::take(&mut self.pending[c]);
+        let now = tick.now;
         let ends = self.ends[c];
-        if let Some(flit) = delivery.flit {
-            self.held[c].push_back(flit);
-        }
-        for &credit in delivery.credits() {
-            if faults_active
-                && self.config.faults.credit_lost(
-                    &self.mesh,
-                    ends.from,
-                    ends.dir,
-                    now,
-                    &mut self.fault_rng,
-                )
-            {
-                self.stats.credits_lost += 1;
-                self.stats.faults_injected += 1;
-                self.credits_faulted += 1;
-                self.log_fault(FaultEvent {
-                    cycle: now,
-                    from: ends.from,
-                    dir: ends.dir,
-                    kind: FaultEventKind::CreditLost,
-                });
-                continue;
+        if let Some(rev) = self.wheel.rev_at(tick, c).copied() {
+            for &credit in rev.credits() {
+                if faults_active
+                    && self.config.faults.credit_lost(
+                        &self.mesh,
+                        ends.from,
+                        ends.dir,
+                        now,
+                        &mut self.fault_rng,
+                    )
+                {
+                    self.stats.credits_lost += 1;
+                    self.stats.faults_injected += 1;
+                    self.credits_faulted += 1;
+                    self.log_fault(FaultEvent {
+                        cycle: now,
+                        from: ends.from,
+                        dir: ends.dir,
+                        kind: FaultEventKind::CreditLost,
+                    });
+                    continue;
+                }
+                self.credits_delivered += 1;
+                self.router_active.insert(ends.from.index());
+                self.routers[ends.from.index()].receive_credit(PortId::Net(ends.dir), credit, now);
             }
-            self.credits_delivered += 1;
-            self.router_active.insert(ends.from.index());
-            self.routers[ends.from.index()].receive_credit(PortId::Net(ends.dir), credit, now);
+            for &signal in rev.control() {
+                self.router_active.insert(ends.from.index());
+                self.routers[ends.from.index()].receive_control(PortId::Net(ends.dir), signal, now);
+            }
         }
-        for &signal in delivery.control() {
-            self.router_active.insert(ends.from.index());
-            self.routers[ends.from.index()].receive_control(PortId::Net(ends.dir), signal, now);
+        let arriving = self.wheel.flit_at(tick, c);
+        let stalled = faults_active && self.config.faults.router_stalled(ends.to, now);
+        // The hold-back queue is a bypass: an arrival goes straight to the
+        // receiver unless that router is frozen (arrivals then wait and
+        // drain one per cycle — the link's bandwidth — once the stall
+        // lifts) or older flits are still waiting ahead of it.
+        let mut holding = self.held_flits > 0 && !self.held[c].is_empty();
+        let flit = if stalled || holding {
+            if let Some(flit) = arriving {
+                self.held[c].push_back(flit);
+                self.held_flits += 1;
+            }
+            let released = if stalled {
+                None
+            } else {
+                self.held_flits -= 1;
+                self.held[c].pop_front()
+            };
+            holding = !self.held[c].is_empty();
+            released
+        } else {
+            arriving
+        };
+        if holding || !self.wheel.quiet_after(c, now) {
+            self.chan_active.insert(c);
+        } else {
+            self.chan_active.remove(c);
         }
-        if faults_active && self.config.faults.router_stalled(ends.to, now) {
-            // The receiver is frozen: arrivals wait in `held` and drain
-            // one per cycle (the link's bandwidth) once the stall lifts.
-            return Ok(());
-        }
-        if let Some(mut flit) = self.held[c].pop_front() {
+        if let Some(mut flit) = flit {
             if faults_active {
                 match self.config.faults.flit_fate(
                     &self.mesh,
@@ -1292,7 +1300,8 @@ impl Network {
 
     /// Phase-3 body for one router: replay pending idle cycles, step it,
     /// and route its outputs into channels and the local NI.
-    fn step_one_router(&mut self, i: usize, now: Cycle) -> Result<(), SimError> {
+    fn step_one_router(&mut self, i: usize, tick: &Tick) -> Result<(), SimError> {
+        let now = tick.now;
         let pending_idle = now - self.accounted_upto[i];
         if pending_idle > 0 {
             #[cfg(debug_assertions)]
@@ -1322,12 +1331,12 @@ impl Network {
                     });
                 };
                 self.chan_active.insert(chan);
-                self.channels[chan].push_flit(flit);
+                self.wheel.push_flit(tick, chan, flit);
             }
             for &credit in &self.scratch.credits[PortId::Net(dir)] {
                 if let Some(chan) = self.in_chan[i][dir] {
                     self.chan_active.insert(chan);
-                    self.channels[chan].push_credit(credit);
+                    self.wheel.push_credit(tick, chan, credit);
                     self.credits_pushed += 1;
                 }
             }
@@ -1343,7 +1352,7 @@ impl Network {
             for dir in Direction::ALL {
                 if let Some(chan) = self.in_chan[i][dir] {
                     self.chan_active.insert(chan);
-                    self.channels[chan].push_control(signal);
+                    self.wheel.push_control(tick, chan, signal);
                 }
             }
         }
@@ -1384,16 +1393,6 @@ impl Network {
         Ok(())
     }
 
-    /// Phase-4 body for one channel.
-    fn advance_channel(&mut self, c: usize) {
-        self.pending[c] = self.channels[c].advance();
-        if self.pending[c].is_empty() && self.held[c].is_empty() && self.channels[c].is_drained() {
-            self.chan_active.remove(c);
-        } else {
-            self.chan_active.insert(c);
-        }
-    }
-
     pub(crate) fn mode_slot(mode: RouterMode) -> usize {
         match mode {
             RouterMode::Backpressured => 0,
@@ -1430,10 +1429,8 @@ impl Network {
     /// audits and external callers.
     pub fn flits_in_network(&self) -> usize {
         let in_routers: usize = self.routers.iter().map(|r| r.occupancy()).sum();
-        let in_channels: usize = self.channels.iter().map(Channel::flits_in_flight).sum();
-        let staged: usize = self.pending.iter().filter(|d| d.flit.is_some()).count();
         let held: usize = self.held.iter().map(VecDeque::len).sum();
-        in_routers + in_channels + staged + held
+        in_routers + self.wheel.flits_in_flight(self.now) + held
     }
 
     /// True when no flit is anywhere in the system and all NIs are idle.
@@ -1528,7 +1525,7 @@ impl Network {
 
     /// Returns this network, in place, to the state
     /// `Network::new(config, factory, seed)` would produce — reusing every
-    /// allocation (router buffers, channel rings, NI queues, activity
+    /// allocation (router buffers, link-wheel slabs, NI queues, activity
     /// bitmasks) instead of freeing and reacquiring them. Succeeds only
     /// when the target is *arena-compatible*: the factory names the same
     /// mechanism and `config` equals the network's own. On `false` the
@@ -1562,15 +1559,11 @@ impl Network {
                 ni.enable_recovery(r);
             }
         }
-        for c in &mut self.channels {
-            c.reset();
-        }
-        for p in &mut self.pending {
-            *p = crate::channel::Delivery::default();
-        }
+        self.wheel.reset();
         for h in &mut self.held {
             h.clear();
         }
+        self.held_flits = 0;
         self.now = 0;
         self.rng = SimRng::seed_from(seed);
         self.fault_rng = self.rng.fork(0x00FA_0171);
@@ -1592,7 +1585,7 @@ impl Network {
         self.audit_baseline = 0;
         self.offer_log = None;
         self.router_active.fill_full(n);
-        self.chan_active.fill_full(self.channels.len());
+        self.chan_active.fill_full(self.ends.len());
         self.ni_send_active.fill_full(n);
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
@@ -1681,19 +1674,16 @@ impl Network {
     ///
     /// Returns a human-readable description of the imbalance.
     pub fn credit_audit(&self) -> Result<(), String> {
-        let on_wire: usize = self.channels.iter().map(Channel::credits_in_flight).sum();
-        let staged: usize = self.pending.iter().map(|d| d.credits().len()).sum();
+        let on_wire = self.wheel.credits_in_flight(self.now);
         let lhs = self.credits_pushed;
-        let rhs = self.credits_delivered + self.credits_faulted + (on_wire + staged) as u64;
+        let rhs = self.credits_delivered + self.credits_faulted + on_wire as u64;
         if lhs == rhs {
             Ok(())
         } else {
             Err(format!(
                 "credit conservation violated: pushed {lhs} != delivered {} + faulted {} \
                  + on-wire {}",
-                self.credits_delivered,
-                self.credits_faulted,
-                on_wire + staged
+                self.credits_delivered, self.credits_faulted, on_wire
             ))
         }
     }
@@ -1704,8 +1694,8 @@ impl Network {
     }
 
     /// Serializes the network's complete mutable state — fingerprint,
-    /// clock, RNG streams, stats, routers, NIs, channels, staged
-    /// deliveries, NACK/ack circuits, held flits, fault log, audit
+    /// clock, RNG streams, stats, routers, NIs, the link wheel, NACK/ack
+    /// circuits, held flits, fault log, audit
     /// counters, and activity sets — into `w`.
     ///
     /// Static topology and configuration are *not* written: restore
@@ -1743,12 +1733,7 @@ impl Network {
         for ni in &self.nis {
             ni.save(w);
         }
-        for ch in &self.channels {
-            ch.save(w);
-        }
-        for d in &self.pending {
-            d.save(w);
-        }
+        self.wheel.save(w, self.now);
 
         w.put_usize(self.nack_queue.len());
         for (ready, flit) in &self.nack_queue {
@@ -1881,12 +1866,7 @@ impl Network {
         for ni in &mut self.nis {
             ni.load(r)?;
         }
-        for ch in &mut self.channels {
-            *ch = Channel::load(r)?;
-        }
-        for d in &mut self.pending {
-            *d = crate::channel::Delivery::load(r)?;
-        }
+        self.wheel.load(r, self.now)?;
 
         let nacks = r.get_usize("nack queue length")?;
         self.nack_queue.clear();
@@ -1906,12 +1886,14 @@ impl Network {
             let id = PacketId(r.get_u64("ack packet id")?);
             self.ack_queue.push((ready, src, id));
         }
+        self.held_flits = 0;
         for held in &mut self.held {
             let n = r.get_usize("held flit count")?;
             held.clear();
             for _ in 0..n {
                 held.push_back(snapshot::read_flit(r)?);
             }
+            self.held_flits += n;
         }
         let faults = r.get_usize("fault log length")?;
         if faults > Self::FAULT_LOG_CAP {
@@ -1963,7 +1945,7 @@ impl Network {
 
         let n = self.routers.len();
         self.router_active = ActiveSet::load(r, n)?;
-        self.chan_active = ActiveSet::load(r, self.channels.len())?;
+        self.chan_active = ActiveSet::load(r, self.ends.len())?;
         self.ni_send_active = ActiveSet::load(r, n)?;
         self.ni_delivered = ActiveSet::load(r, n)?;
         for upto in &mut self.accounted_upto {

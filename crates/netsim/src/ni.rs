@@ -86,6 +86,28 @@ struct Reassembly {
     last_arrival: Cycle,
 }
 
+/// The descriptor of the packet `flit` belongs to (every flit carries its
+/// packet's full identity).
+fn descriptor_of(flit: &Flit) -> PacketDescriptor {
+    PacketDescriptor {
+        id: flit.packet,
+        src: flit.src,
+        dest: flit.dest,
+        vnet: flit.vnet,
+        len: flit.len,
+        created_at: flit.created_at,
+        kind: flit.kind,
+        tag: flit.tag,
+    }
+}
+
+/// An empty arrival bitmap: a recycled one if any is spare.
+fn spare_bitmap(spares: &mut Vec<Vec<bool>>) -> Vec<bool> {
+    let mut bitmap = spares.pop().unwrap_or_default();
+    bitmap.clear();
+    bitmap
+}
+
 /// The per-node injection/ejection endpoint.
 #[derive(Debug)]
 pub struct NodeInterface {
@@ -101,6 +123,11 @@ pub struct NodeInterface {
     retransmit: VecDeque<Flit>,
     /// Open reassembly buffers.
     reassembly: HashMap<PacketId, Reassembly>,
+    /// Arrival bitmaps of closed buffers, reused by the next buffer to open
+    /// so steady-state reassembly does not allocate. A bitmap is only ever
+    /// allocated when this list is empty, so open + spare never exceeds the
+    /// high-water mark of open buffers. Not simulation state.
+    spare_bitmaps: Vec<Vec<bool>>,
     /// Fully reassembled packets awaiting pickup by the traffic model.
     delivered: Vec<DeliveredPacket>,
     /// High-water mark of simultaneously open reassembly buffers.
@@ -127,6 +154,7 @@ impl NodeInterface {
             rr_next: 0,
             retransmit: VecDeque::new(),
             reassembly: HashMap::new(),
+            spare_bitmaps: Vec::new(),
             delivered: Vec::new(),
             reassembly_high_water: 0,
             recovery: None,
@@ -152,13 +180,21 @@ impl NodeInterface {
         }
         self.rr_next = 0;
         self.retransmit.clear();
-        self.reassembly.clear();
+        self.close_reassemblies();
         self.delivered.clear();
         self.reassembly_high_water = 0;
         self.recovery = None;
         self.corrupt_outbox.clear();
         self.acks_outbox.clear();
         self.unreachable_outbox.clear();
+    }
+
+    /// Discards every open reassembly buffer, keeping the bitmaps for reuse
+    /// (a restore or arena reset must not feed fresh bitmaps into
+    /// circulation each time it runs).
+    fn close_reassemblies(&mut self) {
+        let open = self.reassembly.drain().map(|(_, e)| e.received);
+        self.spare_bitmaps.extend(open);
     }
 
     /// Switches on end-to-end recovery: outstanding-packet tracking, timeout
@@ -350,27 +386,34 @@ impl NodeInterface {
             stats.flits_delivered += 1;
             stats.flit_hops.record(flit.hops as u64);
             stats.flit_deflections.record(flit.deflections as u64);
-            let entry = self
-                .reassembly
-                .entry(flit.packet)
-                .or_insert_with(|| Reassembly {
-                    desc: PacketDescriptor {
-                        id: flit.packet,
-                        src: flit.src,
-                        dest: flit.dest,
-                        vnet: flit.vnet,
-                        len: flit.len,
-                        created_at: flit.created_at,
-                        kind: flit.kind,
-                        tag: flit.tag,
-                    },
-                    received: vec![false; flit.len as usize],
+            if flit.len == 1 {
+                // Complete on arrival: nothing to reassemble, so no buffer
+                // is opened (the high-water mark is sampled after the loop
+                // and never saw one-flit buffers anyway).
+                let delivered = DeliveredPacket {
+                    descriptor: descriptor_of(&flit),
+                    injected_at: flit.injected_at,
+                    delivered_at: now,
+                    total_hops: flit.hops as u32,
+                    total_deflections: flit.deflections as u32,
+                };
+                self.deliver(delivered, stats);
+                continue;
+            }
+            let spares = &mut self.spare_bitmaps;
+            let entry = self.reassembly.entry(flit.packet).or_insert_with(|| {
+                let mut received = spare_bitmap(spares);
+                received.resize(flit.len as usize, false);
+                Reassembly {
+                    desc: descriptor_of(&flit),
+                    received,
                     received_count: 0,
                     min_injected_at: flit.injected_at,
                     total_hops: 0,
                     total_deflections: 0,
                     last_arrival: now,
-                });
+                }
+            });
             assert!(
                 !entry.received[flit.seq as usize],
                 "duplicate flit {flit} delivered"
@@ -384,6 +427,7 @@ impl NodeInterface {
 
             if entry.received_count == entry.desc.len {
                 let entry = self.reassembly.remove(&flit.packet).expect("just inserted");
+                self.spare_bitmaps.push(entry.received);
                 let delivered = DeliveredPacket {
                     descriptor: entry.desc,
                     injected_at: entry.min_injected_at,
@@ -391,20 +435,27 @@ impl NodeInterface {
                     total_hops: entry.total_hops,
                     total_deflections: entry.total_deflections,
                 };
-                stats.packets_delivered += 1;
-                stats.network_latency.record(delivered.network_latency());
-                stats
-                    .network_latency_hist
-                    .record(delivered.network_latency());
-                stats.total_latency.record(delivered.total_latency());
-                self.delivered.push(delivered);
-                if let Some(rec) = &mut self.recovery {
-                    rec.completed.insert(flit.packet);
-                    self.acks_outbox.push((entry.desc.src, flit.packet));
-                }
+                self.deliver(delivered, stats);
             }
         }
         self.reassembly_high_water = self.reassembly_high_water.max(self.reassembly.len());
+    }
+
+    /// Hands a fully received packet to the traffic model's pickup list,
+    /// records its latencies and (under recovery) acknowledges it.
+    fn deliver(&mut self, delivered: DeliveredPacket, stats: &mut NetworkStats) {
+        stats.packets_delivered += 1;
+        stats.network_latency.record(delivered.network_latency());
+        stats
+            .network_latency_hist
+            .record(delivered.network_latency());
+        stats.total_latency.record(delivered.total_latency());
+        self.delivered.push(delivered);
+        if let Some(rec) = &mut self.recovery {
+            let PacketDescriptor { id, src, .. } = delivered.descriptor;
+            rec.completed.insert(id);
+            self.acks_outbox.push((src, id));
+        }
     }
 
     /// Fires end-to-end retransmit timeouts (recovery mode only): every
@@ -592,7 +643,9 @@ impl NodeInterface {
                 .reassembly
                 .values()
                 .map(|r| r.received.capacity())
-                .sum::<usize>();
+                .sum::<usize>()
+            + self.spare_bitmaps.capacity() * std::mem::size_of::<Vec<bool>>()
+            + self.spare_bitmaps.iter().map(Vec::capacity).sum::<usize>();
         let recovery = self.recovery.as_ref().map_or(0, |r| {
             r.outstanding.len()
                 * (std::mem::size_of::<PacketId>() + std::mem::size_of::<Outstanding>())
@@ -744,10 +797,10 @@ impl NodeInterface {
         for _ in 0..r.get_usize("ni retransmit length")? {
             self.retransmit.push_back(snapshot::read_flit(r)?);
         }
-        self.reassembly.clear();
+        self.close_reassemblies();
         for _ in 0..r.get_usize("ni reassembly count")? {
             let desc = snapshot::read_descriptor(r)?;
-            let mut received = Vec::with_capacity(desc.len as usize);
+            let mut received = spare_bitmap(&mut self.spare_bitmaps);
             let mut received_count = 0u16;
             for _ in 0..desc.len {
                 let got = r.get_bool("ni reassembly bitmap")?;

@@ -7,7 +7,7 @@
 //! output-neutral because byte-identity holds for **any** contiguous
 //! ascending partition (see below).
 //!
-//! Each cycle runs as two barrier-separated regions on a persistent
+//! Each cycle runs as one barrier-released region on a persistent
 //! `std::thread` pool, followed by a barrier-free binomial merge tree:
 //!
 //! * **Exclusive window** (main thread, workers parked): the previous
@@ -15,33 +15,36 @@
 //!   order-sensitive `swap_remove` scans), and publication of the cycle's
 //!   `Job` (pointers + cycle number + RNG + current plan).
 //! * **Region AB** (phases 1 + 2a-scan + 2b + 3, fused): each shard pulls
-//!   the staged deliveries incident on its own routers (phase 1), scans
-//!   its own NIs' retransmit timeouts (the sharded tail of phase 2a),
-//!   injects from its own NIs (2b), then steps its own routers (3).
-//!   Produced flits go into the forward half of the router's outgoing
-//!   channels (owned by this shard); credits/control go into the *reverse*
-//!   half of its incoming channels. The channel halves
-//!   ([`FwdLane`](crate::channel) / [`RevLane`](crate::channel)) are the
-//!   double-buffered boundary slots: exactly one shard writes each half.
-//!   Fusing 1 with 3 is safe because phase 1 reads only the `pending`
-//!   staging array (written exclusively in region C, after the barrier)
-//!   while phase 3 writes only channel-lane interiors — disjoint arrays.
-//! * **Region C** (phase 4): after one full barrier, each shard advances
-//!   its own channels, re-staging next cycle's deliveries. The barrier is
-//!   required: `advance` consumes both halves of a channel, which two
-//!   different shards may have written during region AB.
+//!   what the link wheel has due on the links incident on its own routers
+//!   (phase 1), scans its own NIs' retransmit timeouts (the sharded tail
+//!   of phase 2a), injects from its own NIs (2b), then steps its own
+//!   routers (3). Produced flits go onto the forward lane of the router's
+//!   outgoing links; credits/control onto the *reverse* lane of its
+//!   incoming links — exactly one shard writes each lane. Fusing 1 with 3
+//!   is safe because of the wheel contract ([`crate::channel`]): at cycle
+//!   `t` a lane is read at stripe `t % W` and written at stripe
+//!   `(t + delay) % W`, and `W = delay + 1` makes those two different
+//!   slots — no slot has a reader and a writer in the same cycle, and the
+//!   start barrier orders this cycle's reads after last cycle's writes.
 //! * **Merge tree**: per-shard deltas fold up a binomial tree — shard `k`
 //!   merges shard `k+s` for `s = 1, 2, 4, …` while `k mod 2s == 0`,
 //!   spin-waiting on the child's generation-tagged ready flag. Shard 0's
 //!   root merge therefore transitively waits on every shard, so the main
-//!   thread needs no further barrier before the epilogue: two barriers per
+//!   thread needs no further barrier before the epilogue: one barrier per
 //!   cycle, total. Tree order concatenates shard vectors in ascending
 //!   shard order, byte-identical to the old serial shard-order fold.
+//! * **Epilogue** (main thread, exclusive again): besides folding the
+//!   root delta into the network, it drops the activity bit of every link
+//!   with nothing due after this cycle. The serial engine settles that bit
+//!   in phase 1, before the cycle's pushes; here phase 1 of one shard runs
+//!   alongside phase 3 of another, so a clear there would race a push's
+//!   set — after the merge every push has landed and the same predicate
+//!   (`LinkWheel::quiet_after`) yields the same bits, with no data moved.
 //!
 //! ## Why the output is byte-identical at any thread count
 //!
 //! Every mutation in a cycle either (a) targets state owned by exactly one
-//! shard (router, NI, channel half, staged delivery, mode-cache slot,
+//! shard (router, NI, link lane, mode-cache slot,
 //! `accounted_upto` slot, activity bit), in which case the per-owner
 //! mutation order matches the serial walk (ascending index), or (b) is a
 //! commutative fold (counter sums, latency-distribution merges, idempotent
@@ -71,7 +74,7 @@
 //! back to the serial walk instead of burning 4× the time.
 #![allow(unsafe_code)]
 
-use crate::channel::{Channel, Delivery};
+use crate::channel::{FwdSlot, RevSlot, Tick};
 use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultEventKind};
 use crate::flit::{Cycle, Flit};
@@ -84,7 +87,6 @@ use crate::stats::NetworkStats;
 use crate::topology::Mesh;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -142,7 +144,7 @@ struct PlanStatic {
 impl PlanStatic {
     fn build(net: &Network) -> PlanStatic {
         let n = net.routers.len();
-        let chan_count = net.channels.len();
+        let chan_count = net.ends.len();
 
         // Channels are created grouped by their upstream node in ascending
         // node order (Network::new), so per-node channel ranges are
@@ -210,22 +212,14 @@ struct Plan {
     shards: usize,
     /// Node range of shard `k`: `[node_start[k], node_start[k+1])`.
     node_start: Vec<usize>,
-    /// Channel range of shard `k` (channels grouped by upstream node).
-    chan_start: Vec<usize>,
     stat: Arc<PlanStatic>,
 }
 
 impl Plan {
     fn with_boundaries(stat: Arc<PlanStatic>, node_start: Vec<usize>) -> Plan {
-        let shards = node_start.len() - 1;
-        let chan_start: Vec<usize> = node_start
-            .iter()
-            .map(|&ns| stat.node_chan_start[ns])
-            .collect();
         Plan {
-            shards,
+            shards: node_start.len() - 1,
             node_start,
-            chan_start,
             stat,
         }
     }
@@ -326,14 +320,18 @@ pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<us
 /// then — the merge-tree flags prove it).
 struct Job {
     seq: u64,
-    now: Cycle,
     rng: SimRng,
     plan: *const Plan,
     recovery: bool,
     routers: *mut Box<dyn Router>,
     nis: *mut NodeInterface,
-    channels: *mut Channel,
-    pending: *mut Delivery,
+    /// Link-wheel slabs and per-lane `last_due` words: a shard touches
+    /// only this cycle's read slots of links incident on its routers and
+    /// the write slots (and words) of the lanes its routers drive.
+    tick: Tick,
+    fwd: *mut FwdSlot,
+    rev: *mut RevSlot,
+    last_due: *mut Cycle,
     ends: *const ChannelEnds,
     out_chan: *const DirMap<Option<usize>>,
     in_chan: *const DirMap<Option<usize>>,
@@ -516,10 +514,6 @@ struct Shared {
     /// to `seq` before merging. Generation-tagging (instead of a reset
     /// boolean) removes any cross-cycle reset race.
     ready: Vec<CachePadded<AtomicU64>>,
-    /// `seq` of the cycle in which a shard recorded an error/panic during
-    /// region AB (stale values from earlier cycles read as clean). Gates
-    /// region C deterministically.
-    poisoned_seq: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -574,7 +568,6 @@ impl Engine {
             ready: (0..plan.shards)
                 .map(|_| CachePadded(AtomicU64::new(0)))
                 .collect(),
-            poisoned_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
         let workers = (1..plan.shards)
@@ -621,8 +614,7 @@ impl Engine {
             + stat.dead_windows.capacity() * size_of::<(Cycle, Cycle)>()
             + stat.dw_off.capacity() * size_of::<u32>()
             + stat.node_chan_start.capacity() * size_of::<usize>()
-            + self.plan.node_start.capacity() * size_of::<usize>()
-            + self.plan.chan_start.capacity() * size_of::<usize>();
+            + self.plan.node_start.capacity() * size_of::<usize>();
         // SAFETY: called only from the exclusive window between cycles
         // (workers parked at the start barrier), where the owning thread
         // has sole access to every delta.
@@ -716,21 +708,23 @@ fn min_error(delta: &mut ShardDelta, phase: u8, index: u32, err: SimError) {
     }
 }
 
-/// Region AB: fused phases 1 (pull staged deliveries), 2a-scan (own NIs'
+/// Region AB: fused phases 1 (pull this cycle's arrivals), 2a-scan (own NIs'
 /// retransmit timeouts), 2b (inject from own NIs) and 3 (step own
-/// routers, route outputs into owned channel halves).
+/// routers, route outputs onto owned link lanes).
 ///
 /// # Safety
-/// Must run between the start and mid barriers with a valid published
-/// `Job`; only shard `shard` may call it for that shard.
+/// Must run after the start barrier with a valid published `Job`; only
+/// shard `shard` may call it for that shard.
 unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta) {
     let stat = &*plan.stat;
-    let now = job.now;
+    let now = job.tick.now;
+    let tick = &job.tick;
     let (lo, hi) = (plan.node_start[shard], plan.node_start[shard + 1]);
 
-    // Phase 1: every shard pulls the staged deliveries incident on its own
-    // routers — credits/control from the staging slots of its routers'
-    // outgoing channels, flits from those of its incoming channels —
+    // Phase 1: every shard pulls the arrivals incident on its own routers
+    // — credits/control from the reverse read slots of its routers'
+    // outgoing links, flits from the forward read slots of its incoming
+    // links —
     // walking each router's incident channels in ascending channel order,
     // which reproduces the serial engine's per-router mutation sequence
     // exactly. Deliveries cross the *deterministic* fault plane here: a
@@ -738,16 +732,17 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
     // fault kind the fast path admits — kills draw no RNG), with the event
     // recorded in the shard delta tagged by channel index so the epilogue
     // can replay the fault log in the serial engine's channel order.
-    // Reading `pending` here while other shards run phase 3 is race-free:
-    // phase 3 writes channel-lane interiors, never the staging array.
+    // Reading the read stripe while other shards run phase 3 is race-free:
+    // phase 3 writes the write stripe, a different slot of every lane.
     for j in lo..hi {
         let router = &mut *job.routers.add(j);
         let evs = &stat.events[stat.ev_off[j] as usize..stat.ev_off[j + 1] as usize];
         for &(c32, is_fwd) in evs {
             let c = c32 as usize;
-            let pend = &*(job.pending.add(c) as *const Delivery);
             if is_fwd {
-                let Some(flit) = pend.flit else { continue };
+                let Some(flit) = (*job.fwd.add(tick.fwd_rd + c)).arrival(now) else {
+                    continue;
+                };
                 if stat.link_dead(c, now) {
                     // Deterministic fault plane: the link is dead, the flit
                     // is eaten — exactly the serial engine's `flit_fate`,
@@ -797,6 +792,9 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                 if delta.error.is_some() {
                     continue;
                 }
+                let Some(pend) = (*job.rev.add(tick.rev_rd + c)).arrival(now) else {
+                    continue;
+                };
                 let ends = &*job.ends.add(c);
                 let dir = ends.dir;
                 if stat.link_dead(c, now) {
@@ -892,11 +890,12 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
 }
 
 /// One router's phase-3 step (the parallel twin of the serial
-/// `Network::step_one_router`, writing into shard-owned channel halves and
-/// the shard's delta instead of the global accumulators).
+/// `Network::step_one_router`, writing into shard-owned link lanes and the
+/// shard's delta instead of the global accumulators).
 unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usize) {
     let stat = &*plan.stat;
-    let now = job.now;
+    let now = job.tick.now;
+    let tick = &job.tick;
     let router = &mut *job.routers.add(i);
     let accounted = &mut *job.accounted_upto.add(i);
     let pending_idle = now - *accounted;
@@ -934,15 +933,18 @@ unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usi
                 return;
             };
             set_bit(job.chan_active, chan);
-            // Forward half owned by this shard (the channel's upstream end
-            // is router `i`); the downstream shard may concurrently write
-            // the reverse half — disjoint fields, no `&mut Channel` formed.
-            (&mut *addr_of_mut!((*job.channels.add(chan)).fwd)).push_flit(flit);
+            // Forward lane owned by this shard (the link's upstream end is
+            // router `i`); the downstream shard may concurrently write the
+            // reverse lane and read this lane's read slot — all distinct
+            // slots and words, no overlapping `&mut` formed.
+            (*job.fwd.add(tick.fwd_wr + chan)).push(tick.fwd_due, flit);
+            *job.last_due.add(2 * chan) = tick.fwd_due;
         }
         for &credit in &delta.scratch.credits[PortId::Net(dir)] {
             if let Some(chan) = (&*job.in_chan.add(i))[dir] {
                 set_bit(job.chan_active, chan);
-                (&mut *addr_of_mut!((*job.channels.add(chan)).rev)).push_credit(credit);
+                (*job.rev.add(tick.rev_wr + chan)).push_credit(tick.rev_due, credit);
+                *job.last_due.add(2 * chan + 1) = tick.rev_due;
                 delta.credits_pushed += 1;
             }
         }
@@ -964,7 +966,8 @@ unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usi
         for dir in Direction::ALL {
             if let Some(chan) = (&*job.in_chan.add(i))[dir] {
                 set_bit(job.chan_active, chan);
-                (&mut *addr_of_mut!((*job.channels.add(chan)).rev)).push_control(signal);
+                (*job.rev.add(tick.rev_wr + chan)).push_control(tick.rev_due, signal);
+                *job.last_due.add(2 * chan + 1) = tick.rev_due;
             }
         }
     }
@@ -1000,37 +1003,11 @@ unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usi
     }
 }
 
-/// Region C: phase-4 channel advance for one shard's channels.
-///
-/// # Safety
-/// Must run after the mid barrier (both halves of every channel are
-/// settled) with a valid published `Job`; only shard `shard` may call it
-/// for that shard. Fast-path only (per-channel `held` queues are all
-/// empty — checked by the gate).
-unsafe fn region_c(job: &Job, plan: &Plan, shard: usize) {
-    walk_masked(
-        job.chan_active,
-        plan.chan_start[shard],
-        plan.chan_start[shard + 1],
-        |c| {
-            let ch = &mut *job.channels.add(c);
-            let pend = &mut *job.pending.add(c);
-            *pend = ch.advance();
-            if pend.is_empty() && ch.is_drained() {
-                clear_bit(job.chan_active, c);
-            } else {
-                set_bit(job.chan_active, c);
-            }
-            true
-        },
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Worker loop + merge tree + main-thread orchestration
 // ---------------------------------------------------------------------------
 
-fn run_guarded(shared: &Shared, shard: usize, seq: u64, f: impl FnOnce(&mut ShardDelta)) {
+fn run_guarded(shared: &Shared, shard: usize, f: impl FnOnce(&mut ShardDelta)) {
     // SAFETY: each delta is written only by its shard until the shard's
     // ready flag is set (which happens strictly after this call).
     let delta = unsafe { &mut *shared.deltas[shard].0.get() };
@@ -1041,9 +1018,6 @@ fn run_guarded(shared: &Shared, shard: usize, seq: u64, f: impl FnOnce(&mut Shar
         if delta.panic.is_none() {
             delta.panic = Some(payload);
         }
-    }
-    if delta.panic.is_some() || delta.error.is_some() {
-        shared.poisoned_seq.store(seq, Ordering::Release);
     }
 }
 
@@ -1108,18 +1082,11 @@ fn worker_loop(shared: &Shared, shard: usize) {
         // replaced in the exclusive window, when no job is in flight).
         let plan = unsafe { &*job.plan };
         let seq = job.seq;
-        run_guarded(shared, shard, seq, |d| {
+        run_guarded(shared, shard, |d| {
             d.reset();
-            // SAFETY: between the start and mid barriers, on this shard.
+            // SAFETY: after the start barrier, on this shard.
             unsafe { region_ab(job, plan, shard, d) }
         });
-        shared.barrier.wait(); // mid barrier
-        if shared.poisoned_seq.load(Ordering::Acquire) != seq {
-            run_guarded(shared, shard, seq, |_| {
-                // SAFETY: after the mid barrier, on this shard.
-                unsafe { region_c(job, plan, shard) }
-            });
-        }
         merge_subtree(shared, shard, seq);
     }
 }
@@ -1178,7 +1145,7 @@ pub(crate) fn static_gate(net: &Network) -> bool {
     if active < net.par_min_active.saturating_mul(threads) {
         return false;
     }
-    !net.held.iter().any(|h| !h.is_empty())
+    net.held_flits == 0
 }
 
 /// Builds the engine (plan + worker pool) for `threads` workers if it
@@ -1235,14 +1202,15 @@ fn step_cycle(
     unsafe {
         *shared.job.get() = Some(Job {
             seq,
-            now,
             rng: net.rng.clone(),
             plan: Arc::as_ptr(plan),
             recovery: net.config.retransmit.is_some(),
             routers: net.routers.as_mut_ptr(),
             nis: net.nis.as_mut_ptr(),
-            channels: net.channels.as_mut_ptr(),
-            pending: net.pending.as_mut_ptr(),
+            tick: net.wheel.tick(now),
+            fwd: net.wheel.fwd.as_mut_ptr(),
+            rev: net.wheel.rev.as_mut_ptr(),
+            last_due: net.wheel.last_due.as_mut_ptr(),
             ends: net.ends.as_ptr(),
             out_chan: net.out_chan.as_ptr(),
             in_chan: net.in_chan.as_ptr(),
@@ -1261,18 +1229,11 @@ fn step_cycle(
         // that). Scoped so the borrow ends before the epilogue.
         let job = unsafe { (*shared.job.get()).as_ref().expect("job just published") };
         shared.barrier.wait(); // start barrier
-        run_guarded(shared, 0, seq, |d| {
+        run_guarded(shared, 0, |d| {
             d.reset();
-            // SAFETY: between the start and mid barriers, on shard 0.
+            // SAFETY: after the start barrier, on shard 0.
             unsafe { region_ab(job, plan, 0, d) }
         });
-        shared.barrier.wait(); // mid barrier
-        if shared.poisoned_seq.load(Ordering::Acquire) != seq {
-            run_guarded(shared, 0, seq, |_| {
-                // SAFETY: after the mid barrier, on shard 0.
-                unsafe { region_c(job, plan, 0) }
-            });
-        }
         merge_subtree(shared, 0, seq);
     }
 
@@ -1318,11 +1279,24 @@ fn step_cycle(
         return Err(e);
     }
 
+    // Every push of the cycle has landed: drop the activity bit of links
+    // with nothing due after it (see the module docs; `held` is empty on
+    // this path — the static gate checked).
+    for wi in 0..net.chan_active.word_count() {
+        let mut w = net.chan_active.word(wi);
+        while w != 0 {
+            let c = (wi << 6) + w.trailing_zeros() as usize;
+            w &= w - 1;
+            if net.wheel.quiet_after(c, now) {
+                net.chan_active.remove(c);
+            }
+        }
+    }
+
     // Serial phase 3b: corrupt arrivals join the NACK circuit, fresh acks
-    // start their trip back, unreachable-packet records are collected.
-    // Channel state (region C) and NI sideband buffers are disjoint, so
-    // running it after the regions is byte-identical to the serial
-    // placement between phases 3 and 4.
+    // start their trip back, unreachable-packet records are collected —
+    // NI sideband buffers only, so running it after the region is
+    // byte-identical to the serial placement after phase 3.
     if !net.config.faults.is_empty() || net.config.retransmit.is_some() {
         for i in 0..net.nis.len() {
             for flit in net.nis[i].take_corrupt() {

@@ -84,7 +84,7 @@ impl RouterOutputs {
 
 /// A router: one per mesh node, implementing a flow-control mechanism.
 ///
-/// The network engine drives implementations through four phases per cycle —
+/// The network engine drives implementations through three phases per cycle —
 /// see the crate-level documentation. Implementations must uphold:
 ///
 /// * at most one flit per output port per [`Router::step`] call,

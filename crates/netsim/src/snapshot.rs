@@ -55,7 +55,10 @@ pub const MAGIC: [u8; 8] = *b"AFCSNAP\0";
 // epoch + alive flag, ControlSignal::CreditResync), per-router credit
 // re-sync handshake fields, AFC overflow scratch, bounded unreachable log,
 // and the links_revived / unreachable_records_dropped stats (DESIGN.md §15).
-pub const FORMAT_VERSION: u32 = 3;
+// v4: link-wheel channel section — per link, what is on the wires in arrival
+// order relative to `now`; no ring heads, no staged-delivery block
+// (DESIGN.md §8).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Errors raised while encoding, sealing, opening, or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -729,9 +732,10 @@ mod tests {
 
     #[test]
     fn open_refuses_previous_format_version() {
-        // A v2 (pre-repair-plane) container must be refused outright, not
-        // half-decoded: v3 added epoch-versioned fault facts, credit re-sync
-        // handshake state, and new stats fields that v2 payloads lack.
+        // A v3 (ring-channel) container must be refused outright, not
+        // half-decoded: v4 writes each link as its in-flight items in
+        // arrival order, where v3 had ring contents, heads and a
+        // staged-delivery block.
         let mut old = seal(SnapshotWriter::new());
         old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
         let body_len = old.len() - 8;

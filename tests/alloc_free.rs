@@ -10,12 +10,13 @@
 //! outside those crates.
 //!
 //! The zero-allocation guarantee is asserted for the *idle* steady state
-//! (every lane ring, scratch buffer and reused `Vec` already at capacity;
+//! (every link slot, scratch buffer and reused `Vec` already at capacity;
 //! this is the regime the activity tracker optimizes for and the one where
 //! any per-cycle allocation is pure engine overhead, with no traffic noise
-//! to excuse it). Loaded steady state is additionally bounded: traffic
-//! generation allocates per *packet* (descriptor queues, reassembly maps),
-//! so it is checked against a per-cycle budget rather than zero.
+//! to excuse it). Loaded steady state is additionally bounded: link slots
+//! are inline and NIs recycle their reassembly bitmaps, so all that is
+//! left is the occasional queue or map growing past its old high-water
+//! mark — checked against a small per-cycle budget rather than zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,8 +79,8 @@ fn warmed_sim(id: MechanismId, rate: f64, full_scan: bool) -> Simulation<OpenLoo
         0xFEED,
     );
     let mut sim = Simulation::new(network, traffic);
-    // Long warmup: every channel lane ring, router scratch vector, NACK
-    // queue and delivery buffer must have seen its high-water mark.
+    // Long warmup: every router scratch vector, NACK queue and delivery
+    // buffer must have seen its high-water mark.
     sim.run(3_000);
     sim
 }
@@ -108,20 +109,23 @@ fn steady_state_step_loop_is_allocation_free() {
                 after - before
             );
 
-            // Loaded steady state: packet creation/reassembly allocates by
-            // design, but the engine's own per-cycle cost must stay flat.
-            // Budget: well under one allocation per cycle on a 64-node
-            // mesh — impossible to meet if any per-component-per-cycle
-            // path still allocates (that would cost tens per cycle).
+            // Loaded steady state: nothing allocates per flit, per packet
+            // or per component any more; what remains is containers
+            // outgrowing their warm-up high-water mark (measured: 16–30
+            // allocations in the 2 000 cycles, 0.008–0.015 per cycle).
+            // Budget 0.1 per cycle: a per-packet allocation (~0.4 per
+            // cycle at this load, the reassembly bitmap this test used
+            // to tolerate) cannot hide under it.
             let mut sim = warmed_sim(id, 0.05, full_scan);
             sim.run(100);
             let before = allocations();
             sim.run(2_000);
             let per_cycle = (allocations() - before) as f64 / 2_000.0;
             assert!(
-                per_cycle < 16.0,
-                "{} (full_scan={full_scan}): {per_cycle:.1} allocations per \
-                 cycle under load — a per-component hot path is allocating",
+                per_cycle < 0.1,
+                "{} (full_scan={full_scan}): {per_cycle:.3} allocations per \
+                 cycle under load — a per-packet or per-component path is \
+                 allocating",
                 id.label()
             );
         }
