@@ -156,7 +156,7 @@ fn thread_count_never_changes_the_outcome() {
                 let (fp, log, parallel) =
                     run_case(&config, id, 0.30, pattern.clone(), 0xA11CE, threads, 500);
                 assert!(
-                    parallel > 0,
+                    parallel > 0 || !parallel_expected(),
                     "{} {pattern:?} x{threads}: parallel engine never engaged \
                      (gate too strict for this load?)",
                     id.label()
@@ -195,7 +195,7 @@ fn more_threads_than_routers_clamps_and_matches() {
         sim.network.audit().expect("flit conservation");
         sim.network.credit_audit().expect("credit conservation");
         assert!(
-            sim.network.parallel_cycles() > 0,
+            sim.network.parallel_cycles() > 0 || !parallel_expected(),
             "{}: threshold 0 must engage the parallel engine",
             id.label()
         );
@@ -218,7 +218,7 @@ fn retargeting_thread_count_mid_run_changes_nothing() {
             sim.run(100);
         }
         sim.drain(5_000);
-        assert!(sim.network.parallel_cycles() > 0);
+        assert!(sim.network.parallel_cycles() > 0 || !parallel_expected());
         assert_eq!(base_fp, fingerprint_of(&sim), "{}", id.label());
         assert_eq!(base_log, sim.traffic.log, "{}", id.label());
     }
@@ -369,7 +369,7 @@ fn snapshots_are_thread_count_invariant() {
 
         let mut parallel = make_sim(&config, id, 0.30, Pattern::UniformRandom, 0x5EED, 4);
         parallel.run(300);
-        assert!(parallel.network.parallel_cycles() > 0);
+        assert!(parallel.network.parallel_cycles() > 0 || !parallel_expected());
         let parallel_snap = parallel.snapshot().expect("parallel snapshot");
         assert_eq!(
             serial_snap,

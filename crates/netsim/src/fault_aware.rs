@@ -35,12 +35,13 @@
 //! ## Routing rule
 //!
 //! For each destination the table holds the first hop of a shortest path in
-//! the directed graph of alive links (computed by BFS from the destination
-//! over reversed edges). Ties prefer the dimension-ordered productive
-//! direction (X before Y), then the canonical [`Direction::ALL`] order, so
-//! the detour deviates minimally from DOR and is identical on every engine
-//! path. Unreachable destinations are reported so callers can terminate the
-//! packet cleanly (drop → NACK → bounded retransmit → `Unreachable`).
+//! the directed graph of alive links (one BFS from each alive out-neighbour
+//! of the router, at most four per rebuild). Ties prefer the
+//! dimension-ordered productive direction (X before Y), then the canonical
+//! [`Direction::ALL`] order, so the detour deviates minimally from DOR and
+//! is identical on every engine path. Unreachable destinations are reported
+//! so callers can terminate the packet cleanly (drop → NACK → bounded
+//! retransmit → `Unreachable`).
 
 use crate::channel::ControlSignal;
 use crate::flit::Cycle;
@@ -48,6 +49,7 @@ use crate::geom::{DirMap, Direction, NodeId};
 use crate::router::RouterOutputs;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::topology::Mesh;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Fault notifications rebroadcast per router per cycle. The reverse-lane
@@ -59,6 +61,25 @@ pub const GOSSIP_PER_CYCLE: usize = 2;
 /// Next-hop table entry: direction index, local delivery, or unreachable.
 const HOP_LOCAL: u8 = 4;
 const HOP_UNREACHABLE: u8 = u8::MAX;
+
+/// Working memory of one table rebuild: per node the bit mask of its dead
+/// out-links, four distance stripes of `node_count` entries (one per
+/// out-direction of the rebuilding node) and the BFS queue.
+#[derive(Default)]
+struct BfsScratch {
+    dead: Vec<u8>,
+    dist: Vec<u32>,
+    queue: Vec<NodeId>,
+}
+
+thread_local! {
+    /// Per engine thread, not per router: a rebuild allocates nothing once
+    /// the thread has seen the mesh size, and routers stay O(1) heap.
+    static BFS_SCRATCH: RefCell<BfsScratch> = RefCell::default();
+    /// Nodes dequeued by this thread's rebuilds (the O(mesh) bound's test).
+    #[cfg(test)]
+    static BFS_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Outcome of a fault-aware route lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,85 +339,70 @@ impl FaultAwareness {
         self.first_fault_at = None;
     }
 
-    /// Rebuilds the per-destination next-hop table: one BFS per destination
-    /// from the destination over reversed alive edges, then a tie-broken
-    /// argmin over this node's alive output directions.
+    /// Rebuilds the per-destination next-hop table: one forward BFS over
+    /// the alive graph from each alive out-neighbour `w` of this node (at
+    /// most four, reading dead-link masks filled once from `facts`), then
+    /// a tie-broken argmin per destination. `dist_w[dest]` is the number a
+    /// reverse BFS from `dest` reads at `w`, so this is the table one BFS
+    /// per destination builds, in O(mesh) instead of O(mesh²).
     fn rebuild_table(&mut self) {
         let n = self.mesh.node_count();
         self.table.clear();
         self.table.resize(n, HOP_UNREACHABLE);
         self.table[self.node.index()] = HOP_LOCAL;
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        for dest in self.mesh.nodes() {
-            if dest == self.node {
-                continue;
+        BFS_SCRATCH.with_borrow_mut(|scratch| {
+            let BfsScratch { dead, dist, queue } = scratch;
+            dead.clear();
+            dead.resize(n, 0);
+            for (&(node, dir), _) in self.facts.iter().filter(|(_, f)| !f.alive) {
+                dead[node] |= 1 << dir;
             }
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[dest.index()] = 0;
-            queue.clear();
-            queue.push_back(dest);
-            while let Some(v) = queue.pop_front() {
-                let dv = dist[v.index()];
-                // Reversed edge: u can reach v directly iff the directed
-                // link u -> v is alive.
-                for dir in Direction::ALL {
-                    let Some(u) = self.mesh.neighbor(v, dir) else {
-                        continue;
-                    };
-                    let toward_v = dir.opposite();
-                    if self.link_dead(u, toward_v) || dist[u.index()] != u32::MAX {
-                        continue;
-                    }
-                    dist[u.index()] = dv + 1;
-                    queue.push_back(u);
-                }
-            }
-            let mut best: Option<(u32, Direction)> = None;
-            for dir in self.preference_order(dest) {
+            dist.clear();
+            dist.resize(4 * n, u32::MAX);
+            for dir in Direction::ALL {
                 let Some(w) = self.mesh.neighbor(self.node, dir) else {
                     continue;
                 };
-                if self.dead_out[dir] || dist[w.index()] == u32::MAX {
+                if self.dead_out[dir] {
                     continue;
                 }
-                if best.is_none_or(|(d, _)| dist[w.index()] < d) {
-                    best = Some((dist[w.index()], dir));
+                let dist = &mut dist[dir.index() * n..][..n];
+                dist[w.index()] = 0;
+                queue.clear();
+                queue.push(w);
+                let mut head = 0;
+                while let Some(&v) = queue.get(head) {
+                    head += 1;
+                    for out in Direction::ALL {
+                        let Some(u) = self.mesh.neighbor(v, out) else {
+                            continue;
+                        };
+                        let alive = dead[v.index()] >> out.index() & 1 == 0;
+                        if alive && dist[u.index()] == u32::MAX {
+                            dist[u.index()] = dist[v.index()] + 1;
+                            queue.push(u);
+                        }
+                    }
+                }
+                #[cfg(test)]
+                BFS_VISITS.set(BFS_VISITS.get() + head);
+            }
+            for dest in self.mesh.nodes().filter(|&d| d != self.node) {
+                // Ties go to the first direction in preference order:
+                // productive X, productive Y (DOR's dimension order), then
+                // canonical. `min_by_key` keeps the first minimum, so `ALL`'s
+                // repeats never win; a dead out-link's stripe is `u32::MAX`.
+                let hop_dist = |dir: &Direction| dist[dir.index() * n + dest.index()];
+                let productive = self.mesh.productive_dirs(self.node, dest);
+                let hop = (productive.iter().chain(Direction::ALL))
+                    .filter(|dir| hop_dist(dir) != u32::MAX)
+                    .min_by_key(hop_dist);
+                if let Some(dir) = hop {
+                    self.table[dest.index()] = dir.index() as u8;
                 }
             }
-            if let Some((_, dir)) = best {
-                self.table[dest.index()] = dir.index() as u8;
-            }
-        }
+        });
         self.dirty = false;
-    }
-
-    /// Whether the directed link `from -> dir` is believed dead.
-    #[inline]
-    fn link_dead(&self, from: NodeId, dir: Direction) -> bool {
-        self.facts
-            .get(&(from.index(), dir.index() as u8))
-            .is_some_and(|f| !f.alive)
-    }
-
-    /// Tie-break order for next-hop selection: productive X then productive
-    /// Y (matching DOR's dimension order), then the remaining directions in
-    /// canonical order.
-    fn preference_order(&self, dest: NodeId) -> [Direction; 4] {
-        let productive = self.mesh.productive_dirs(self.node, dest);
-        let mut order = [Direction::North; 4];
-        let mut len = 0;
-        for d in productive.iter() {
-            order[len] = d;
-            len += 1;
-        }
-        for d in Direction::ALL {
-            if !order[..len].contains(&d) {
-                order[len] = d;
-                len += 1;
-            }
-        }
-        order
     }
 
     /// Serializes the fault state (fact map, gossip queue, first-fault
@@ -490,8 +496,219 @@ impl FaultAwareness {
 mod tests {
     use super::*;
 
+    use crate::rng::SimRng;
+
     fn mesh3() -> Mesh {
         Mesh::new(3, 3).unwrap()
+    }
+
+    impl FaultAwareness {
+        /// Tie-break order for next-hop selection: productive X then productive
+        /// Y (matching DOR's dimension order), then the remaining directions in
+        /// canonical order.
+        fn preference_order(&self, dest: NodeId) -> [Direction; 4] {
+            let productive = self.mesh.productive_dirs(self.node, dest);
+            let mut order = [Direction::North; 4];
+            let mut len = 0;
+            for d in productive.iter() {
+                order[len] = d;
+                len += 1;
+            }
+            for d in Direction::ALL {
+                if !order[..len].contains(&d) {
+                    order[len] = d;
+                    len += 1;
+                }
+            }
+            order
+        }
+
+        /// The table as it was built before the four-BFS rewrite, kept as
+        /// the oracle: one BFS per destination over reversed alive edges
+        /// (every edge a `facts` probe), then the same tie-broken argmin.
+        fn reference_table(&self) -> Vec<u8> {
+            let n = self.mesh.node_count();
+            let link_dead = |from: NodeId, dir: Direction| {
+                self.facts
+                    .get(&(from.index(), dir.index() as u8))
+                    .is_some_and(|f| !f.alive)
+            };
+            let mut table = vec![HOP_UNREACHABLE; n];
+            table[self.node.index()] = HOP_LOCAL;
+            for dest in self.mesh.nodes().filter(|&d| d != self.node) {
+                let mut dist = vec![u32::MAX; n];
+                dist[dest.index()] = 0;
+                let mut queue = VecDeque::from([dest]);
+                while let Some(v) = queue.pop_front() {
+                    for dir in Direction::ALL {
+                        let Some(u) = self.mesh.neighbor(v, dir) else {
+                            continue;
+                        };
+                        if link_dead(u, dir.opposite()) || dist[u.index()] != u32::MAX {
+                            continue;
+                        }
+                        dist[u.index()] = dist[v.index()] + 1;
+                        queue.push_back(u);
+                    }
+                }
+                let mut best: Option<(u32, Direction)> = None;
+                for dir in self.preference_order(dest) {
+                    let Some(w) = self.mesh.neighbor(self.node, dir) else {
+                        continue;
+                    };
+                    if self.dead_out[dir] || dist[w.index()] == u32::MAX {
+                        continue;
+                    }
+                    if best.is_none_or(|(d, _)| dist[w.index()] < d) {
+                        best = Some((dist[w.index()], dir));
+                    }
+                }
+                if let Some((_, dir)) = best {
+                    table[dest.index()] = dir.index() as u8;
+                }
+            }
+            table
+        }
+
+        /// Rebuilds through the production path and checks it against the
+        /// oracle and the O(mesh) visit bound.
+        fn assert_table_matches_reference(&mut self, what: &str) {
+            BFS_VISITS.set(0);
+            self.dirty = true;
+            self.rebuild_table();
+            let n = self.mesh.node_count();
+            assert!(
+                BFS_VISITS.get() <= 4 * n,
+                "{what}: {} visits",
+                BFS_VISITS.get()
+            );
+            assert_eq!(
+                self.table,
+                self.reference_table(),
+                "{what}: node {:?}",
+                self.node
+            );
+        }
+    }
+
+    /// A random existing directed link of `mesh`.
+    fn random_link(mesh: &Mesh, rng: &mut SimRng) -> (NodeId, Direction) {
+        loop {
+            let node = NodeId::new(rng.gen_index(mesh.node_count()));
+            let dir = Direction::ALL[rng.gen_index(4)];
+            if mesh.neighbor(node, dir).is_some() {
+                return (node, dir);
+            }
+        }
+    }
+
+    /// Teaches every router the next-epoch fact that puts `node -> dir` in
+    /// state `alive` (epoch parity carries the state: odd dead, even alive);
+    /// a no-op when the link is already there.
+    fn flip(
+        fas: &mut [FaultAwareness],
+        epochs: &mut BTreeMap<(usize, u8), u32>,
+        node: NodeId,
+        dir: Direction,
+        alive: bool,
+    ) {
+        let e = epochs.entry((node.index(), dir.index() as u8)).or_insert(0);
+        if e.is_multiple_of(2) == alive {
+            return;
+        }
+        *e += 1;
+        for fa in fas.iter_mut() {
+            fa.learn(node, dir, *e, alive, 0);
+        }
+    }
+
+    #[test]
+    fn four_bfs_table_equals_per_destination_reference() {
+        for (w, h) in [(1, 6), (6, 1), (3, 3), (5, 7), (8, 8)] {
+            let mesh = Mesh::new(w, h).unwrap();
+            let n = mesh.node_count();
+            for seed in 0..12u64 {
+                let mut rng = SimRng::seed_from(0xFA17 + seed * 97 + n as u64);
+                // One router per seed on the big meshes, every router on the
+                // small ones; all see the same fact stream.
+                let at: Vec<usize> = if n <= 9 {
+                    (0..n).collect()
+                } else {
+                    vec![rng.gen_index(n), 0, n - 1]
+                };
+                let mut fas: Vec<FaultAwareness> = at
+                    .iter()
+                    .map(|&i| FaultAwareness::new(NodeId::new(i), mesh.clone()))
+                    .collect();
+                let mut epochs: BTreeMap<(usize, u8), u32> = BTreeMap::new();
+                // One-directional kills.
+                for _ in 0..1 + rng.gen_index(n) {
+                    let (node, dir) = random_link(&mesh, &mut rng);
+                    flip(&mut fas, &mut epochs, node, dir, false);
+                }
+                for fa in &mut fas {
+                    fa.assert_table_matches_reference("one-directional kills");
+                }
+                // An isolated node: every link entering and leaving it.
+                let lonely = NodeId::new(rng.gen_index(n));
+                for dir in Direction::ALL {
+                    if let Some(nb) = mesh.neighbor(lonely, dir) {
+                        flip(&mut fas, &mut epochs, lonely, dir, false);
+                        flip(&mut fas, &mut epochs, nb, dir.opposite(), false);
+                    }
+                }
+                for fa in &mut fas {
+                    fa.assert_table_matches_reference("isolated node");
+                }
+                // Kill -> revive -> kill epochs on random links.
+                for _ in 0..2 * n {
+                    let (node, dir) = random_link(&mesh, &mut rng);
+                    flip(&mut fas, &mut epochs, node, dir, rng.gen_bool(0.5));
+                }
+                for fa in &mut fas {
+                    fa.assert_table_matches_reference("churned epochs");
+                }
+                // Fully healed: every dead link revives; the table is DOR.
+                let dead: Vec<(usize, u8)> = epochs
+                    .iter()
+                    .filter(|(_, &e)| e % 2 == 1)
+                    .map(|(&k, _)| k)
+                    .collect();
+                for (node, dir) in dead {
+                    let dir = Direction::from_index(dir as usize).unwrap();
+                    flip(&mut fas, &mut epochs, NodeId::new(node), dir, true);
+                }
+                for fa in &mut fas {
+                    assert!(fa.is_clean());
+                    fa.assert_table_matches_reference("fully healed");
+                    let node = fa.node;
+                    for dest in mesh.nodes().filter(|&d| d != node) {
+                        let dor = mesh.dor_route(node, dest).unwrap();
+                        assert_eq!(fa.route(dest), RouteOutcome::Dir(dor));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_reuses_the_thread_scratch() {
+        let mesh = Mesh::new(8, 8).unwrap();
+        let mut fa = FaultAwareness::new(NodeId::new(27), mesh);
+        fa.learn(NodeId::new(27), Direction::East, 1, false, 0);
+        fa.route(NodeId::new(0));
+        let caps =
+            BFS_SCRATCH.with_borrow(|s| (s.dead.capacity(), s.dist.capacity(), s.queue.capacity()));
+        for epoch in 2..40 {
+            fa.learn(NodeId::new(27), Direction::East, epoch, epoch % 2 == 0, 0);
+            fa.route(NodeId::new(0));
+        }
+        let after =
+            BFS_SCRATCH.with_borrow(|s| (s.dead.capacity(), s.dist.capacity(), s.queue.capacity()));
+        assert_eq!(
+            caps, after,
+            "a rebuild on a seen mesh size must not grow the scratch"
+        );
     }
 
     #[test]

@@ -458,27 +458,6 @@ impl FaultPlan {
             .min()
     }
 
-    /// Whether a matching revival supersedes a kill of `from -> dir` taken
-    /// at `kill_at`, as observed at `now`: true iff some `ReviveAt` covers
-    /// the link with `kill_at <= at <= now` (the inclusive lower bound is
-    /// the revive-wins-ties rule). Draws no randomness, so kill-only plans
-    /// are byte-identical with or without this check.
-    fn revived_since(
-        &self,
-        mesh: &Mesh,
-        from: NodeId,
-        dir: Direction,
-        kill_at: Cycle,
-        now: Cycle,
-    ) -> bool {
-        self.link_faults.iter().any(|f| match f.kind {
-            LinkFaultKind::ReviveAt { at } => {
-                kill_at <= at && at <= now && f.selector.matches(mesh, from, dir)
-            }
-            _ => false,
-        })
-    }
-
     /// The alive-state transition timeline of the directed link
     /// `from -> dir`: `(cycle, alive)` entries in increasing cycle order,
     /// starting from the implicit alive state at cycle 0 (which is *not* an
@@ -520,29 +499,6 @@ impl FaultPlan {
             }
         }
         timeline
-    }
-
-    /// The half-open cycle intervals `[dead_from, alive_from)` during which
-    /// the directed link `from -> dir` is dead (the last interval ends at
-    /// `Cycle::MAX` if the link never revives). The parallel engine's fault
-    /// plane consumes this — for deterministic plans an interval test is
-    /// exactly equivalent to [`FaultPlan::flit_fate`].
-    pub fn dead_windows(&self, mesh: &Mesh, from: NodeId, dir: Direction) -> Vec<(Cycle, Cycle)> {
-        let mut windows = Vec::new();
-        let mut dead_from = None;
-        for (cycle, alive) in self.link_timeline(mesh, from, dir) {
-            if alive {
-                if let Some(start) = dead_from.take() {
-                    windows.push((start, cycle));
-                }
-            } else {
-                dead_from = Some(cycle);
-            }
-        }
-        if let Some(start) = dead_from {
-            windows.push((start, Cycle::MAX));
-        }
-        windows
     }
 
     /// The deterministic link-event detection schedule: one entry per
@@ -691,44 +647,131 @@ impl FaultPlan {
         }
         Ok(())
     }
+}
 
-    /// Whether `node` is frozen at `now`.
-    pub fn router_stalled(&self, node: NodeId, now: Cycle) -> bool {
-        self.router_stalls
-            .iter()
-            .any(|s| s.node == node && s.contains(now))
+/// One [`LinkFault`] as it bears on a single link, selector resolved away.
+#[derive(Debug, Clone, Copy)]
+enum Armed {
+    /// A `KillAt`: dead throughout the window, which the earliest covering
+    /// `ReviveAt` at or after the kill ends (none: forever).
+    Dead(FaultWindow),
+    Drop(f64, FaultWindow),
+    Corrupt(f64, FaultWindow),
+    CreditLoss(f64, FaultWindow),
+}
+
+/// A [`FaultPlan`] compiled against one network's links and nodes: what
+/// the engines consult per arriving flit and credit. Each link holds the
+/// plan entries that cover it, in plan order, so a probabilistic entry draws
+/// from the fault RNG exactly when the plan-scanning queries it replaced
+/// would (they survive in the unit tests as the specification). An empty
+/// plan compiles to empty vectors: no allocation.
+#[derive(Debug, Default)]
+pub(crate) struct FaultPlane {
+    /// `armed[link_off[c]..link_off[c + 1]]`: link `c`'s entries.
+    armed: Vec<Armed>,
+    link_off: Vec<u32>,
+    /// `stalls[stall_off[i]..stall_off[i + 1]]`: node `i`'s stall windows.
+    stalls: Vec<FaultWindow>,
+    stall_off: Vec<u32>,
+}
+
+/// Row `i` of a flattened table (`off` is empty when the table is).
+#[inline]
+fn row<'a, T>(items: &'a [T], off: &[u32], i: usize) -> &'a [T] {
+    match off.get(i..i + 2) {
+        Some(o) => &items[o[0] as usize..o[1] as usize],
+        None => &[],
+    }
+}
+
+impl FaultPlane {
+    /// Compiles `plan` for the links `links` (in the network's channel
+    /// order) of `mesh`.
+    pub(crate) fn compile(
+        plan: &FaultPlan,
+        mesh: &Mesh,
+        links: impl ExactSizeIterator<Item = (NodeId, Direction)>,
+    ) -> FaultPlane {
+        use LinkFaultKind::{CreditLoss, KillAt, ReviveAt, TransientCorrupt, TransientDrop};
+        let mut plane = FaultPlane::default();
+        if !plan.link_faults.is_empty() {
+            plane.link_off.reserve_exact(links.len() + 1);
+            plane.link_off.push(0);
+            for (from, dir) in links {
+                let covering = || {
+                    plan.link_faults
+                        .iter()
+                        .filter(move |f| f.selector.matches(mesh, from, dir))
+                };
+                // A kill stays armed until the earliest revival at or after it.
+                let revived_at = |kill: Cycle| {
+                    let revivals = covering().filter_map(|f| match f.kind {
+                        ReviveAt { at } if at >= kill => Some(at),
+                        _ => None,
+                    });
+                    revivals.min().unwrap_or(Cycle::MAX)
+                };
+                for fault in covering() {
+                    plane.armed.push(match fault.kind {
+                        KillAt { at } => Armed::Dead(FaultWindow {
+                            start: at,
+                            end: revived_at(at),
+                        }),
+                        TransientDrop { rate, window } => Armed::Drop(rate, window),
+                        TransientCorrupt { rate, window } => Armed::Corrupt(rate, window),
+                        CreditLoss { rate, window } => Armed::CreditLoss(rate, window),
+                        ReviveAt { .. } => continue,
+                    });
+                }
+                plane.link_off.push(plane.armed.len() as u32);
+            }
+        }
+        if !plan.router_stalls.is_empty() {
+            plane.stall_off.reserve_exact(mesh.node_count() + 1);
+            plane.stall_off.push(0);
+            for node in mesh.nodes() {
+                let of_node = plan.router_stalls.iter().filter(|s| s.node == node);
+                plane.stalls.extend(of_node.map(|s| FaultWindow {
+                    start: s.from,
+                    end: s.from.saturating_add(s.cycles),
+                }));
+                plane.stall_off.push(plane.stalls.len() as u32);
+            }
+        }
+        plane
     }
 
-    /// Decides the fate of a flit arriving over the link `from -> dir` at
-    /// `now`, drawing from `rng` only when an armed fault matches (so an
+    /// Whether node `node` is frozen at `now`.
+    #[inline]
+    pub(crate) fn router_stalled(&self, node: usize, now: Cycle) -> bool {
+        row(&self.stalls, &self.stall_off, node)
+            .iter()
+            .any(|w| w.contains(now))
+    }
+
+    /// Whether link `c` is inside a kill's dead window at `now` — all a
+    /// deterministic plan can do, so the parallel engine (which admits no
+    /// other plan and owns no fault RNG) asks this, not the methods below.
+    #[inline]
+    pub(crate) fn link_dead(&self, c: usize, now: Cycle) -> bool {
+        row(&self.armed, &self.link_off, c)
+            .iter()
+            .any(|a| matches!(a, Armed::Dead(w) if w.contains(now)))
+    }
+
+    /// Decides the fate of a flit arriving over link `c` at `now`, drawing
+    /// from `rng` only when an armed probabilistic entry covers it (so an
     /// empty or inactive plan leaves the stream untouched).
-    pub fn flit_fate(
-        &self,
-        mesh: &Mesh,
-        from: NodeId,
-        dir: Direction,
-        now: Cycle,
-        rng: &mut SimRng,
-    ) -> FlitFate {
+    pub(crate) fn flit_fate(&self, c: usize, now: Cycle, rng: &mut SimRng) -> FlitFate {
         let mut fate = FlitFate::Deliver;
-        for f in &self.link_faults {
-            if !f.selector.matches(mesh, from, dir) {
-                continue;
-            }
-            match f.kind {
-                LinkFaultKind::KillAt { at }
-                    if now >= at && !self.revived_since(mesh, from, dir, at, now) =>
-                {
+        for armed in row(&self.armed, &self.link_off, c) {
+            match *armed {
+                Armed::Dead(w) if w.contains(now) => return FlitFate::Drop,
+                Armed::Drop(rate, w) if w.contains(now) && rate > 0.0 && rng.gen_bool(rate) => {
                     return FlitFate::Drop;
                 }
-                LinkFaultKind::TransientDrop { rate, window }
-                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
-                {
-                    return FlitFate::Drop;
-                }
-                LinkFaultKind::TransientCorrupt { rate, window }
-                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
-                {
+                Armed::Corrupt(rate, w) if w.contains(now) && rate > 0.0 && rng.gen_bool(rate) => {
                     fate = FlitFate::Corrupt;
                 }
                 _ => {}
@@ -737,34 +780,23 @@ impl FaultPlan {
         fate
     }
 
-    /// Whether a credit arriving over `from -> dir` at `now` is lost.
-    pub fn credit_lost(
-        &self,
-        mesh: &Mesh,
-        from: NodeId,
-        dir: Direction,
-        now: Cycle,
-        rng: &mut SimRng,
-    ) -> bool {
-        for f in &self.link_faults {
-            if !f.selector.matches(mesh, from, dir) {
-                continue;
-            }
-            match f.kind {
-                LinkFaultKind::KillAt { at }
-                    if now >= at && !self.revived_since(mesh, from, dir, at, now) =>
-                {
-                    return true;
-                }
-                LinkFaultKind::CreditLoss { rate, window }
-                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
-                {
-                    return true;
-                }
-                _ => {}
-            }
-        }
-        false
+    /// Whether a credit arriving over link `c` at `now` is lost.
+    pub(crate) fn credit_lost(&self, c: usize, now: Cycle, rng: &mut SimRng) -> bool {
+        row(&self.armed, &self.link_off, c)
+            .iter()
+            .any(|armed| match *armed {
+                Armed::Dead(w) => w.contains(now),
+                Armed::CreditLoss(rate, w) => w.contains(now) && rate > 0.0 && rng.gen_bool(rate),
+                _ => false,
+            })
+    }
+
+    /// Heap bytes owned by the compiled tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.armed.capacity() * size_of::<Armed>()
+            + self.stalls.capacity() * size_of::<FaultWindow>()
+            + (self.link_off.capacity() + self.stall_off.capacity()) * size_of::<u32>()
     }
 }
 
@@ -867,6 +899,277 @@ mod tests {
 
     fn mesh3() -> Mesh {
         Mesh::new(3, 3).unwrap()
+    }
+
+    /// The selector-scanning fault queries the engines used before the plan
+    /// was compiled into a [`FaultPlane`], kept as its specification: they
+    /// rescan the whole plan per query (and `revived_since` rescans it per
+    /// armed kill).
+    impl FaultPlan {
+        /// Whether a matching revival supersedes a kill of `from -> dir` taken
+        /// at `kill_at`, as observed at `now`: true iff some `ReviveAt` covers
+        /// the link with `kill_at <= at <= now` (the inclusive lower bound is
+        /// the revive-wins-ties rule). Draws no randomness, so kill-only plans
+        /// are byte-identical with or without this check.
+        fn revived_since(
+            &self,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+            kill_at: Cycle,
+            now: Cycle,
+        ) -> bool {
+            self.link_faults.iter().any(|f| match f.kind {
+                LinkFaultKind::ReviveAt { at } => {
+                    kill_at <= at && at <= now && f.selector.matches(mesh, from, dir)
+                }
+                _ => false,
+            })
+        }
+
+        /// The half-open cycle intervals `[dead_from, alive_from)` during which
+        /// the directed link `from -> dir` is dead (the last interval ends at
+        /// `Cycle::MAX` if the link never revives). For deterministic plans an
+        /// interval test is exactly equivalent to [`FaultPlan::flit_fate`].
+        pub fn dead_windows(
+            &self,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+        ) -> Vec<(Cycle, Cycle)> {
+            let mut windows = Vec::new();
+            let mut dead_from = None;
+            for (cycle, alive) in self.link_timeline(mesh, from, dir) {
+                if alive {
+                    if let Some(start) = dead_from.take() {
+                        windows.push((start, cycle));
+                    }
+                } else {
+                    dead_from = Some(cycle);
+                }
+            }
+            if let Some(start) = dead_from {
+                windows.push((start, Cycle::MAX));
+            }
+            windows
+        }
+
+        /// Whether `node` is frozen at `now`.
+        pub fn router_stalled(&self, node: NodeId, now: Cycle) -> bool {
+            self.router_stalls
+                .iter()
+                .any(|s| s.node == node && s.contains(now))
+        }
+
+        /// Decides the fate of a flit arriving over the link `from -> dir` at
+        /// `now`, drawing from `rng` only when an armed fault matches (so an
+        /// empty or inactive plan leaves the stream untouched).
+        pub fn flit_fate(
+            &self,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+            now: Cycle,
+            rng: &mut SimRng,
+        ) -> FlitFate {
+            let mut fate = FlitFate::Deliver;
+            for f in &self.link_faults {
+                if !f.selector.matches(mesh, from, dir) {
+                    continue;
+                }
+                match f.kind {
+                    LinkFaultKind::KillAt { at }
+                        if now >= at && !self.revived_since(mesh, from, dir, at, now) =>
+                    {
+                        return FlitFate::Drop;
+                    }
+                    LinkFaultKind::TransientDrop { rate, window }
+                        if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                    {
+                        return FlitFate::Drop;
+                    }
+                    LinkFaultKind::TransientCorrupt { rate, window }
+                        if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                    {
+                        fate = FlitFate::Corrupt;
+                    }
+                    _ => {}
+                }
+            }
+            fate
+        }
+
+        /// Whether a credit arriving over `from -> dir` at `now` is lost.
+        pub fn credit_lost(
+            &self,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+            now: Cycle,
+            rng: &mut SimRng,
+        ) -> bool {
+            for f in &self.link_faults {
+                if !f.selector.matches(mesh, from, dir) {
+                    continue;
+                }
+                match f.kind {
+                    LinkFaultKind::KillAt { at }
+                        if now >= at && !self.revived_since(mesh, from, dir, at, now) =>
+                    {
+                        return true;
+                    }
+                    LinkFaultKind::CreditLoss { rate, window }
+                        if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                    {
+                        return true;
+                    }
+                    _ => {}
+                }
+            }
+            false
+        }
+    }
+
+    /// Every directed link of `mesh`, in the network's channel order.
+    fn links(mesh: &Mesh) -> Vec<(NodeId, Direction)> {
+        mesh.nodes()
+            .flat_map(|n| Direction::ALL.map(|d| (n, d)))
+            .filter(|&(n, d)| mesh.neighbor(n, d).is_some())
+            .collect()
+    }
+
+    fn random_selector(mesh: &Mesh, rng: &mut SimRng) -> LinkSelector {
+        let (w, h) = (mesh.width() as u64, mesh.height() as u64);
+        let node = NodeId::new(rng.gen_index(mesh.node_count()));
+        match rng.gen_range(6) {
+            0 => LinkSelector::All,
+            1 => LinkSelector::Link {
+                from: node,
+                dir: Direction::ALL[rng.gen_index(4)],
+            },
+            2 => LinkSelector::Node { node },
+            3 => LinkSelector::Row {
+                y: rng.gen_range(h) as u16,
+            },
+            4 => LinkSelector::Column {
+                x: rng.gen_range(w) as u16,
+            },
+            _ => {
+                let (x0, y0) = (rng.gen_range(w) as u16, rng.gen_range(h) as u16);
+                LinkSelector::Region {
+                    x0,
+                    y0,
+                    x1: x0 + rng.gen_range(w - x0 as u64) as u16,
+                    y1: y0 + rng.gen_range(h - y0 as u64) as u16,
+                }
+            }
+        }
+    }
+
+    fn random_plan(mesh: &Mesh, rng: &mut SimRng, horizon: Cycle) -> FaultPlan {
+        let mut plan = FaultPlan::none();
+        let window = |rng: &mut SimRng| {
+            let start = rng.gen_range(horizon);
+            FaultWindow {
+                start,
+                end: start + rng.gen_range(horizon),
+            }
+        };
+        for _ in 0..rng.gen_range(12) {
+            // Rates of exactly 0 and 1 are the edge cases of the draw rule.
+            let rate = [0.0, 0.2, 0.7, 1.0][rng.gen_index(4)];
+            let at = rng.gen_range(horizon);
+            let kind = match rng.gen_range(5) {
+                0 => LinkFaultKind::KillAt { at },
+                1 => LinkFaultKind::ReviveAt { at },
+                2 => LinkFaultKind::TransientDrop {
+                    rate,
+                    window: window(rng),
+                },
+                3 => LinkFaultKind::TransientCorrupt {
+                    rate,
+                    window: window(rng),
+                },
+                _ => LinkFaultKind::CreditLoss {
+                    rate,
+                    window: window(rng),
+                },
+            };
+            plan.link_faults.push(LinkFault {
+                selector: random_selector(mesh, rng),
+                kind,
+            });
+        }
+        for _ in 0..rng.gen_range(4) {
+            let node = NodeId::new(rng.gen_index(mesh.node_count()));
+            plan = plan.with_stall(node, rng.gen_range(horizon), rng.gen_range(horizon / 2));
+        }
+        plan
+    }
+
+    #[test]
+    fn compiled_plane_equals_the_scanning_reference() {
+        const HORIZON: Cycle = 40;
+        for (w, h) in [(1, 5), (4, 1), (3, 3), (5, 4)] {
+            let mesh = Mesh::new(w, h).unwrap();
+            let links = links(&mesh);
+            for seed in 0..60u64 {
+                let mut gen = SimRng::seed_from(seed * 31 + w as u64);
+                let plan = random_plan(&mesh, &mut gen, HORIZON);
+                plan.validate(w, h).unwrap();
+                let plane = FaultPlane::compile(&plan, &mesh, links.iter().copied());
+                let (mut a, mut b) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+                for now in 0..2 * HORIZON + 2 {
+                    for (c, &(from, dir)) in links.iter().enumerate() {
+                        let what = format!("{w}x{h} seed {seed} cycle {now} link {c}");
+                        assert_eq!(
+                            plane.flit_fate(c, now, &mut a),
+                            plan.flit_fate(&mesh, from, dir, now, &mut b),
+                            "flit fate, {what}"
+                        );
+                        assert_eq!(a.state(), b.state(), "draws after flit fate, {what}");
+                        assert_eq!(
+                            plane.credit_lost(c, now, &mut a),
+                            plan.credit_lost(&mesh, from, dir, now, &mut b),
+                            "credit loss, {what}"
+                        );
+                        assert_eq!(a.state(), b.state(), "draws after credit loss, {what}");
+                        if plan.is_deterministic() {
+                            let dead = plan
+                                .dead_windows(&mesh, from, dir)
+                                .iter()
+                                .any(|&(kill, revive)| kill <= now && now < revive);
+                            assert_eq!(plane.link_dead(c, now), dead, "dead window, {what}");
+                        }
+                    }
+                    for node in mesh.nodes() {
+                        assert_eq!(
+                            plane.router_stalled(node.index(), now),
+                            plan.router_stalled(node, now),
+                            "stall, node {node:?} cycle {now}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_plan_compiles_to_nothing() {
+        let mesh = mesh3();
+        let plane = FaultPlane::compile(&FaultPlan::none(), &mesh, links(&mesh).into_iter());
+        assert_eq!(plane.heap_bytes(), 0);
+        let mut rng = SimRng::seed_from(1);
+        let before = rng.clone();
+        assert_eq!(plane.flit_fate(5, 9, &mut rng), FlitFate::Deliver);
+        assert!(!plane.credit_lost(5, 9, &mut rng));
+        assert!(!plane.link_dead(5, 9) && !plane.router_stalled(4, 9));
+        assert_eq!(rng, before);
+        // Stalls alone build no link table, and the other way round.
+        let stalls = FaultPlan::none().with_stall(NodeId::new(4), 3, 5);
+        let plane = FaultPlane::compile(&stalls, &mesh, links(&mesh).into_iter());
+        assert!(plane.link_off.is_empty() && plane.router_stalled(4, 7));
+        assert_eq!(plane.flit_fate(5, 4, &mut rng), FlitFate::Deliver);
     }
 
     #[test]

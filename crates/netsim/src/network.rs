@@ -18,7 +18,7 @@ use crate::channel::{LinkWheel, Tick};
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind, FlitFate, LinkEvent};
+use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, FlitFate, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId, PortId};
 use crate::ni::{NodeInterface, UnreachablePacket};
@@ -29,6 +29,7 @@ use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Endpoints of one directed channel.
 #[derive(Debug, Clone, Copy)]
@@ -320,6 +321,9 @@ pub struct Network {
     /// never perturbs router/traffic randomness, so a run with an empty
     /// `FaultPlan` is bit-identical to one built before faults existed.
     fault_rng: SimRng,
+    /// `config.faults` compiled against this network's links and nodes
+    /// (static per configuration); the parallel engine's plans share it.
+    pub(crate) fault_plane: Arc<FaultPlane>,
     pub(crate) stats: NetworkStats,
     next_packet_id: u64,
     scratch: RouterOutputs,
@@ -512,6 +516,8 @@ impl Network {
             .filter(|&n| n >= 1)
             .unwrap_or(config.sim_threads);
         let detect_schedule = config.faults.event_schedule(&mesh);
+        let links = ends.iter().map(|e| (e.from, e.dir));
+        let fault_plane = Arc::new(FaultPlane::compile(&config.faults, &mesh, links));
         let modes_cache: Vec<RouterMode> = routers.iter().map(|r| r.mode()).collect();
         let mut mode_counts = [0u64; 3];
         for m in &modes_cache {
@@ -534,6 +540,7 @@ impl Network {
             now: 0,
             rng,
             fault_rng,
+            fault_plane,
             stats: NetworkStats::new(),
             next_packet_id: 0,
             scratch: RouterOutputs::new(),
@@ -766,6 +773,7 @@ impl Network {
             + self.nack_queue.capacity() * size_of::<(Cycle, Flit)>()
             + self.ack_queue.capacity() * size_of::<(Cycle, NodeId, PacketId)>()
             + self.fault_log.capacity() * size_of::<FaultEvent>()
+            + self.fault_plane.heap_bytes()
             + self.detect_schedule.capacity() * size_of::<LinkEvent>()
             + self.unreachable_packets.capacity() * size_of::<UnreachablePacket>()
             + self.accounted_upto.capacity() * size_of::<Cycle>()
@@ -1038,7 +1046,7 @@ impl Network {
             }
         } else {
             for i in 0..self.nis.len() {
-                if faults_active && self.config.faults.router_stalled(NodeId::new(i), now) {
+                if faults_active && self.fault_plane.router_stalled(i, now) {
                     continue;
                 }
                 self.inject_at(i, now);
@@ -1061,7 +1069,7 @@ impl Network {
             }
         } else {
             for i in 0..self.routers.len() {
-                if faults_active && self.config.faults.router_stalled(NodeId::new(i), now) {
+                if faults_active && self.fault_plane.router_stalled(i, now) {
                     // The stalled cycle is never accounted in the router's
                     // counters (matching the historical engine), so mark it
                     // handled without replaying it as idle.
@@ -1075,26 +1083,8 @@ impl Network {
             p.router_ns += lap_ns(&mut lap);
         }
 
-        // Phase 3b: corrupt arrivals join the NACK circuit; fresh end-to-end
-        // acks start their trip back to the source. Corrupt flits exist only
-        // under the fault plane and acks only under recovery, so the phase
-        // is provably a no-op otherwise.
-        if faults_active || self.config.retransmit.is_some() {
-            for i in 0..self.nis.len() {
-                for flit in self.nis[i].take_corrupt() {
-                    let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
-                    let ready = now + dist * self.config.link_latency + 2;
-                    self.nack_queue.push((ready, flit));
-                }
-                for (src, id) in self.nis[i].take_acks() {
-                    let dist = self.mesh.distance(NodeId::new(i), src) as u64;
-                    let ready = now + dist * self.config.link_latency;
-                    self.ack_queue.push((ready, src, id));
-                }
-                self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
-            }
-            self.cap_unreachable_log();
-        }
+        // Phase 3b: NI sideband (corrupt arrivals, acks, give-up records).
+        self.collect_ni_sideband(now);
         if let Some(p) = self.phase_profile.as_deref_mut() {
             p.ni_ns += lap_ns(&mut lap);
         }
@@ -1177,15 +1167,7 @@ impl Network {
         let ends = self.ends[c];
         if let Some(rev) = self.wheel.rev_at(tick, c).copied() {
             for &credit in rev.credits() {
-                if faults_active
-                    && self.config.faults.credit_lost(
-                        &self.mesh,
-                        ends.from,
-                        ends.dir,
-                        now,
-                        &mut self.fault_rng,
-                    )
-                {
+                if faults_active && self.fault_plane.credit_lost(c, now, &mut self.fault_rng) {
                     self.stats.credits_lost += 1;
                     self.stats.faults_injected += 1;
                     self.credits_faulted += 1;
@@ -1207,7 +1189,7 @@ impl Network {
             }
         }
         let arriving = self.wheel.flit_at(tick, c);
-        let stalled = faults_active && self.config.faults.router_stalled(ends.to, now);
+        let stalled = faults_active && self.fault_plane.router_stalled(ends.to.index(), now);
         // The hold-back queue is a bypass: an arrival goes straight to the
         // receiver unless that router is frozen (arrivals then wait and
         // drain one per cycle — the link's bandwidth — once the stall
@@ -1236,13 +1218,7 @@ impl Network {
         }
         if let Some(mut flit) = flit {
             if faults_active {
-                match self.config.faults.flit_fate(
-                    &self.mesh,
-                    ends.from,
-                    ends.dir,
-                    now,
-                    &mut self.fault_rng,
-                ) {
+                match self.fault_plane.flit_fate(c, now, &mut self.fault_rng) {
                     FlitFate::Drop => {
                         self.stats.flits_lost_to_faults += 1;
                         self.stats.faults_injected += 1;
@@ -1276,6 +1252,34 @@ impl Network {
             self.routers[ends.to.index()].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
         }
         Ok(())
+    }
+
+    /// Phase 3b, shared by both engines: corrupt arrivals join the NACK
+    /// circuit, fresh end-to-end acks start their trip back to the source,
+    /// given-up records join the run-wide log. Corrupt flits exist only
+    /// under the fault plane and the rest only under recovery, so the
+    /// phase is provably a no-op otherwise.
+    pub(crate) fn collect_ni_sideband(&mut self, now: Cycle) {
+        if self.config.faults.is_empty() && self.config.retransmit.is_none() {
+            return;
+        }
+        for i in 0..self.nis.len() {
+            if !self.nis[i].has_sideband() {
+                continue;
+            }
+            for flit in self.nis[i].take_corrupt() {
+                let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
+                let ready = now + dist * self.config.link_latency + 2;
+                self.nack_queue.push((ready, flit));
+            }
+            for (src, id) in self.nis[i].take_acks() {
+                let dist = self.mesh.distance(NodeId::new(i), src) as u64;
+                let ready = now + dist * self.config.link_latency;
+                self.ack_queue.push((ready, src, id));
+            }
+            self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
+        }
+        self.cap_unreachable_log();
     }
 
     /// Phase-2b body for one NI: one injection attempt plus incremental

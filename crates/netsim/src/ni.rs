@@ -70,6 +70,11 @@ struct Recovery {
     /// Packets fully reassembled at this node (dedup filter for late
     /// retransmitted copies).
     completed: BTreeSet<PacketId>,
+    /// No outstanding deadline and no reassembly expiry falls before this
+    /// cycle, so [`NodeInterface::check_timeouts`] is a no-op until then.
+    /// A lower bound, only ever lowered outside the scan that recomputes
+    /// it; derived state (0 after a restore: the first scan settles it).
+    wake_at: Cycle,
 }
 
 /// Reassembly state for one partially received packet.
@@ -322,13 +327,15 @@ impl NodeInterface {
             if progress.next_seq == progress.desc.len {
                 let done = self.in_progress[v].take().expect("progress just borrowed");
                 if let Some(rec) = &mut self.recovery {
+                    let next_deadline = now + rec.cfg.timeout;
+                    rec.wake_at = rec.wake_at.min(next_deadline);
                     rec.outstanding.insert(
                         done.desc.id,
                         Outstanding {
                             desc: done.desc,
                             first_injected_at: done.first_injected_at,
                             attempts: 0,
-                            next_deadline: now + rec.cfg.timeout,
+                            next_deadline,
                         },
                     );
                 }
@@ -401,7 +408,13 @@ impl NodeInterface {
                 continue;
             }
             let spares = &mut self.spare_bitmaps;
+            let recovery = &mut self.recovery;
             let entry = self.reassembly.entry(flit.packet).or_insert_with(|| {
+                if let Some(rec) = recovery {
+                    rec.wake_at = rec
+                        .wake_at
+                        .min(now.saturating_add(rec.cfg.reassembly_ttl()));
+                }
                 let mut received = spare_bitmap(spares);
                 received.resize(flit.len as usize, false);
                 Reassembly {
@@ -478,9 +491,14 @@ impl NodeInterface {
         let Some(rec) = &mut self.recovery else {
             return;
         };
+        if now < rec.wake_at {
+            return;
+        }
+        let mut wake_at = Cycle::MAX;
         let mut gave_up: Vec<PacketId> = Vec::new();
         for (id, out) in rec.outstanding.iter_mut() {
             if out.next_deadline > now {
+                wake_at = wake_at.min(out.next_deadline);
                 continue;
             }
             if self.retransmit.iter().any(|f| f.packet == *id) {
@@ -490,6 +508,7 @@ impl NodeInterface {
                 // attempts first would charge the packet for an attempt
                 // that never reached the wire and retire it one retry
                 // early.
+                wake_at = now;
                 continue;
             }
             if rec.cfg.max_attempts > 0 && out.attempts >= rec.cfg.max_attempts {
@@ -505,6 +524,7 @@ impl NodeInterface {
             }
             let backoff = out.attempts.min(rec.cfg.backoff_cap);
             out.next_deadline = now + (rec.cfg.timeout << backoff);
+            wake_at = wake_at.min(out.next_deadline);
         }
         for id in gave_up {
             let out = rec.outstanding.remove(&id).expect("collected above");
@@ -531,9 +551,15 @@ impl NodeInterface {
         // conservation leaks — every copy still retires exactly once).
         let ttl = rec.cfg.reassembly_ttl();
         let before = self.reassembly.len();
-        self.reassembly
-            .retain(|_, e| now.saturating_sub(e.last_arrival) < ttl);
+        self.reassembly.retain(|_, e| {
+            let keep = now.saturating_sub(e.last_arrival) < ttl;
+            if keep {
+                wake_at = wake_at.min(e.last_arrival.saturating_add(ttl));
+            }
+            keep
+        });
         stats.reassemblies_expired += (before - self.reassembly.len()) as u64;
+        rec.wake_at = wake_at;
     }
 
     /// Handles a NACK that has travelled back to this source.
@@ -551,6 +577,7 @@ impl NodeInterface {
         if let Some(rec) = &mut self.recovery {
             if let Some(out) = rec.outstanding.get_mut(&flit.packet) {
                 out.next_deadline = out.next_deadline.min(now);
+                rec.wake_at = rec.wake_at.min(now);
             }
             // The NACKed copy itself is retired here (its data comes back
             // as fresh retransmit copies); if the packet is no longer
@@ -581,6 +608,14 @@ impl NodeInterface {
         self.recovery
             .as_ref()
             .map_or(0, |rec| rec.outstanding.len())
+    }
+
+    /// True when a sideband outbox (corrupt arrivals, acks, given-up
+    /// records) holds anything for the network to collect.
+    pub(crate) fn has_sideband(&self) -> bool {
+        !(self.corrupt_outbox.is_empty()
+            && self.acks_outbox.is_empty()
+            && self.unreachable_outbox.is_empty())
     }
 
     /// Takes the corrupt arrivals collected since the last call (the
@@ -852,6 +887,7 @@ impl NodeInterface {
                 cfg,
                 outstanding,
                 completed,
+                wake_at: 0,
             })
         } else {
             None
@@ -1195,6 +1231,98 @@ mod tests {
         ni.drain_unreachable_into(&mut records);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].attempts, 2);
+    }
+
+    /// NI state and stats as snapshot bytes.
+    fn state_bytes(ni: &NodeInterface, stats: &NetworkStats) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        ni.save(&mut w);
+        stats.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn timeout_wake_cache_is_unobservable() {
+        // Two NIs driven identically through injections, refusals, NACKs,
+        // acks, partial arrivals and deadlines; the second has its wake
+        // cycle zeroed before every call, which is the pre-cache behaviour
+        // (a full scan every cycle). Bytes must match after every cycle.
+        for seed in 0..8u64 {
+            let cfg = RetransmitConfig {
+                timeout: 12 + seed,
+                backoff_cap: (seed % 3) as u32,
+                max_attempts: (seed % 4) as u32,
+            };
+            let mut nis = [0, 1].map(|_| {
+                let mut ni = NodeInterface::new(NodeId::new(0), 2);
+                ni.enable_recovery(cfg);
+                ni
+            });
+            let mut stats = [NetworkStats::new(), NetworkStats::new()];
+            let mut routers = [SinkRouter::default(), SinkRouter::default()];
+            let mut rng = SimRng::seed_from(0x77A6 + seed);
+            let (mut next_id, mut scans_skipped) = (0u64, 0u32);
+            for now in 0..1_500u64 {
+                // Offers come in bursts so the source side falls quiet for
+                // longer than a reassembly TTL while arrivals continue.
+                let offer = (now / 300 % 2 == 0 && rng.gen_bool(0.15)).then(|| {
+                    next_id += 1;
+                    desc(
+                        next_id,
+                        0,
+                        5,
+                        rng.gen_range(2) as u8,
+                        1 + rng.gen_range(3) as u16,
+                    )
+                });
+                let accept = rng.gen_bool(0.8);
+                // A flit of some packet sourced elsewhere arrives; most
+                // packets never complete, so their buffers expire.
+                let arrival = rng.gen_bool(0.1).then(|| {
+                    let d = desc(10_000 + rng.gen_range(40), 3, 0, 0, 4);
+                    d.flit(rng.gen_range(4) as u16, now)
+                });
+                let (nack, ack) = (rng.gen_bool(0.05), rng.gen_bool(0.3));
+                let pick = rng.next_u64() as usize;
+                for k in 0..2 {
+                    let (ni, st, router) = (&mut nis[k], &mut stats[k], &mut routers[k]);
+                    if let Some(d) = offer {
+                        ni.enqueue(d, st);
+                    }
+                    // NACKs and acks name one of the latest few injections.
+                    let sent = router.injected.len();
+                    let recent = sent.saturating_sub(1 + pick % 6);
+                    if sent > 0 && nack {
+                        ni.nack(router.injected[recent], now, st);
+                    }
+                    if sent > 0 && ack {
+                        ni.acknowledge(router.injected[recent].packet, st);
+                    }
+                    if let Some(f) = arrival {
+                        ni.receive_flits([f], now, st);
+                    }
+                    let rec = ni.recovery.as_mut().unwrap();
+                    if k == 1 {
+                        rec.wake_at = 0;
+                    } else if now < rec.wake_at {
+                        scans_skipped += 1;
+                    }
+                    ni.check_timeouts(now, st);
+                    router.accept = accept;
+                    ni.try_inject(router, now, st);
+                }
+                assert_eq!(
+                    state_bytes(&nis[0], &stats[0]),
+                    state_bytes(&nis[1], &stats[1]),
+                    "seed {seed} cycle {now}"
+                );
+            }
+            assert!(stats[0].retransmit_timeouts > 0 && stats[0].reassemblies_expired > 0);
+            assert!(
+                scans_skipped > 300,
+                "seed {seed}: only {scans_skipped} scans skipped"
+            );
+        }
     }
 
     #[test]

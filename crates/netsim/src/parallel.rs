@@ -76,7 +76,7 @@
 
 use crate::channel::{FwdSlot, RevSlot, Tick};
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind};
+use crate::faults::{FaultEvent, FaultEventKind, FaultPlane};
 use crate::flit::{Cycle, Flit};
 use crate::geom::{DirMap, Direction, NodeId, PortId};
 use crate::network::{ChannelEnds, Network};
@@ -127,12 +127,9 @@ struct PlanStatic {
     /// end (receives credits/control).
     events: Vec<(u32, bool)>,
     ev_off: Vec<u32>,
-    /// Flattened half-open dead windows `[kill, revive)` of channel `c`
-    /// (empty for a never-killed link; `Cycle::MAX` end when never
-    /// revived), ascending and disjoint. The fast path admits only
-    /// deterministic fault plans, whose entire effect this table captures.
-    dead_windows: Vec<(Cycle, Cycle)>,
-    dw_off: Vec<u32>,
+    /// The network's compiled fault plan. The fast path admits only
+    /// deterministic plans, whose entire effect is `link_dead`.
+    faults: Arc<FaultPlane>,
     /// Prefix sums of per-node outgoing-channel counts: node `j` owns
     /// channels `[node_chan_start[j], node_chan_start[j+1])`.
     node_chan_start: Vec<usize>,
@@ -176,34 +173,15 @@ impl PlanStatic {
             ev_off[j + 1] = events.len() as u32;
         }
 
-        let mut dead_windows = Vec::new();
-        let mut dw_off = vec![0u32; chan_count + 1];
-        for (c, e) in net.ends.iter().enumerate() {
-            dead_windows.extend(net.config.faults.dead_windows(&net.mesh, e.from, e.dir));
-            dw_off[c + 1] = dead_windows.len() as u32;
-        }
-
         PlanStatic {
             events,
             ev_off,
-            dead_windows,
-            dw_off,
+            faults: Arc::clone(&net.fault_plane),
             node_chan_start,
             mesh: net.mesh.clone(),
             link_latency: net.config.link_latency,
             max_flit_age: net.config.max_flit_age,
         }
-    }
-
-    /// Whether channel `c` is inside a dead window at `now` — exactly the
-    /// serial engine's `flit_fate`/`credit_lost` aliveness (a link revived
-    /// at `now` is already alive). Channels have 0–2 windows in practice,
-    /// so a linear scan wins over binary search.
-    #[inline]
-    fn link_dead(&self, c: usize, now: Cycle) -> bool {
-        self.dead_windows[self.dw_off[c] as usize..self.dw_off[c + 1] as usize]
-            .iter()
-            .any(|&(kill, revive)| kill <= now && now < revive)
     }
 }
 
@@ -611,8 +589,6 @@ impl Engine {
         let stat = &self.plan.stat;
         let plan = stat.events.capacity() * size_of::<(u32, bool)>()
             + stat.ev_off.capacity() * size_of::<u32>()
-            + stat.dead_windows.capacity() * size_of::<(Cycle, Cycle)>()
-            + stat.dw_off.capacity() * size_of::<u32>()
             + stat.node_chan_start.capacity() * size_of::<usize>()
             + self.plan.node_start.capacity() * size_of::<usize>();
         // SAFETY: called only from the exclusive window between cycles
@@ -743,7 +719,7 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                 let Some(flit) = (*job.fwd.add(tick.fwd_rd + c)).arrival(now) else {
                     continue;
                 };
-                if stat.link_dead(c, now) {
+                if stat.faults.link_dead(c, now) {
                     // Deterministic fault plane: the link is dead, the flit
                     // is eaten — exactly the serial engine's `flit_fate`,
                     // which runs before the age check (a killed flit can
@@ -797,7 +773,7 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                 };
                 let ends = &*job.ends.add(c);
                 let dir = ends.dir;
-                if stat.link_dead(c, now) {
+                if stat.faults.link_dead(c, now) {
                     // A dead link loses its credits too (serial
                     // `credit_lost`); control signals are sideband and
                     // still cross, keeping fault gossip alive.
@@ -1293,26 +1269,9 @@ fn step_cycle(
         }
     }
 
-    // Serial phase 3b: corrupt arrivals join the NACK circuit, fresh acks
-    // start their trip back, unreachable-packet records are collected —
-    // NI sideband buffers only, so running it after the region is
-    // byte-identical to the serial placement after phase 3.
-    if !net.config.faults.is_empty() || net.config.retransmit.is_some() {
-        for i in 0..net.nis.len() {
-            for flit in net.nis[i].take_corrupt() {
-                let dist = net.mesh.distance(NodeId::new(i), flit.src) as u64;
-                let ready = now + dist * net.config.link_latency + 2;
-                net.nack_queue.push((ready, flit));
-            }
-            for (src, id) in net.nis[i].take_acks() {
-                let dist = net.mesh.distance(NodeId::new(i), src) as u64;
-                let ready = now + dist * net.config.link_latency;
-                net.ack_queue.push((ready, src, id));
-            }
-            net.nis[i].drain_unreachable_into(&mut net.unreachable_packets);
-        }
-        net.cap_unreachable_log();
-    }
+    // Serial phase 3b — NI sideband buffers only, so running it after the
+    // region is byte-identical to the serial placement after phase 3.
+    net.collect_ni_sideband(now);
 
     net.now += 1;
     net.stats.cycles += 1;

@@ -651,7 +651,9 @@ fn replanning_mid_run_preserves_snapshot_bytes() {
         sim.network.set_parallel_adaptive(false);
         sim.network.set_replan_interval(replan_every);
         sim.run(400);
-        if threads > 1 {
+        // `AFC_FULL_SCAN=1` legally pins the engine serial; the comparison
+        // then proves full-scan serial ≡ itself across replan settings.
+        if threads > 1 && std::env::var_os("AFC_FULL_SCAN").is_none() {
             assert!(
                 sim.network.parallel_cycles() > 0,
                 "replan test must actually exercise the parallel engine"
