@@ -10,13 +10,16 @@
 //! * `host_cores` records the machine's available parallelism. On a
 //!   single-core container the multi-thread rows measure barrier/handoff
 //!   overhead, not speedup — read them together with `host_cores`.
-//! * The adaptive serial/parallel gate is switched *off* here so the
-//!   multi-thread rows measure the engine itself; with the gate on (the
-//!   default) a losing configuration would fall back to serial stepping
-//!   and every row would flatline at the serial cost.
-//! * At idle the activity threshold keeps the engine serial regardless,
-//!   so those rows should match the 1-thread rows to within noise;
-//!   `parallel_cycles` in each row shows how often the parallel path ran.
+//! * Every row is measured twice. `ns_per_cycle` / `parallel_cycles` are
+//!   the engine *forced*: the gate's floor lowered to the 16 active
+//!   components that `AFC_SIM_THREADS` uses, so the multi-thread rows
+//!   measure the engine itself. `default_ns_per_cycle` /
+//!   `default_parallel_cycles` are the same run with nothing forced — what
+//!   a user gets. The default gate is calibrated from these pairs: it must
+//!   stay serial (`default_parallel_cycles` 0) wherever the forced row
+//!   loses to 1 thread, and engage wherever it wins.
+//! * At idle the floor keeps even the forced engine serial, so those rows
+//!   should match the 1-thread rows to within noise.
 //! * `mem_per_node_bytes` is the large-mesh leanness audit: it must stay
 //!   in the same ballpark from 8×8 to 128×128 (traffic-dependent state
 //!   aside), or the mesh sweep is buying speed with O(mesh²) memory.
@@ -53,11 +56,14 @@ struct MeshCase {
     repeats: u32,
     mechanisms: &'static [MechanismId],
     /// Extra low-load/idle rows (AFC only, 8×8 only): documents the
-    /// adaptive gate's fallback regime without quadrupling the sweep.
+    /// regime the gate exists for without quadrupling the sweep.
     low_load_rows: bool,
 }
 
-const MESH_CASES: [MeshCase; 4] = [
+/// The floor `AFC_SIM_THREADS` runs under (active components).
+const FORCED_FLOOR: usize = 16;
+
+const MESH_CASES: [MeshCase; 5] = [
     MeshCase {
         mesh: 8,
         sat_rate: 0.30,
@@ -71,6 +77,15 @@ const MESH_CASES: [MeshCase; 4] = [
             MechanismId::Afc,
         ],
         low_load_rows: true,
+    },
+    MeshCase {
+        mesh: 16,
+        sat_rate: 0.15,
+        warmup: 600,
+        measure: 2_000,
+        repeats: 3,
+        mechanisms: &[MechanismId::Backpressured, MechanismId::Afc],
+        low_load_rows: false,
     },
     MeshCase {
         mesh: 32,
@@ -106,6 +121,7 @@ fn make_sim(
     mesh: u16,
     rate: f64,
     threads: usize,
+    floor: Option<usize>,
     warmup: u64,
 ) -> Simulation<OpenLoopTraffic> {
     let cfg = NetworkConfig {
@@ -123,8 +139,9 @@ fn make_sim(
     );
     let mut sim = Simulation::new(network, traffic);
     sim.network.set_sim_threads(threads);
-    // Measure the engine, not the gate's fallback (see module docs).
-    sim.network.set_parallel_adaptive(false);
+    if let Some(floor) = floor {
+        sim.network.set_parallel_threshold(floor);
+    }
     sim.run(warmup);
     sim
 }
@@ -164,7 +181,16 @@ fn main() {
                         &label,
                         case.measure,
                         case.repeats,
-                        || make_sim(id, case.mesh, rate, threads, case.warmup),
+                        || {
+                            make_sim(
+                                id,
+                                case.mesh,
+                                rate,
+                                threads,
+                                Some(FORCED_FLOOR),
+                                case.warmup,
+                            )
+                        },
                         |sim| {
                             sim.run(case.measure);
                             parallel_cycles = sim.network.parallel_cycles();
@@ -173,6 +199,21 @@ fn main() {
                             mem_per_node = fp.per_node_bytes();
                         },
                     );
+                    // The same run under the default gate (at 1 thread the
+                    // two are the same run).
+                    let (mut default_ns, mut default_parallel) = (best, parallel_cycles);
+                    if threads > 1 {
+                        default_ns = group.bench_units(
+                            &format!("{label}/default"),
+                            case.measure,
+                            case.repeats,
+                            || make_sim(id, case.mesh, rate, threads, None, case.warmup),
+                            |sim| {
+                                sim.run(case.measure);
+                                default_parallel = sim.network.parallel_cycles();
+                            },
+                        );
+                    }
                     if case.mesh == 128 {
                         budget_128_used += t_case.elapsed().as_secs_f64();
                     }
@@ -184,6 +225,8 @@ fn main() {
                          \"load\": \"{load_label}\", \"rate\": {rate}, \
                          \"threads\": {threads}, \"ns_per_cycle\": {best:.1}, \
                          \"speedup_vs_1t\": {:.3}, \"parallel_cycles\": {parallel_cycles}, \
+                         \"default_ns_per_cycle\": {default_ns:.1}, \
+                         \"default_parallel_cycles\": {default_parallel}, \
                          \"mem_total_bytes\": {mem_total}, \
                          \"mem_per_node_bytes\": {mem_per_node}}}",
                         id.label(),

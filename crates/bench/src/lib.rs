@@ -34,3 +34,17 @@ pub use sweep::{
     run_sweep, write_atomic, JobFailure, RunOutput, RunSpec, SweepError, SweepManifest,
     SweepResults, SweepSpec,
 };
+
+/// What the process environment does to every fresh network, as the engine
+/// itself parsed it: `(full_scan, threads_forced)`. `AFC_FULL_SCAN` pins
+/// every cycle to the serial full walk; `AFC_SIM_THREADS` overrides the
+/// thread budget and lowers the engine gate's floor. The engine-equivalence
+/// suites run under both in CI and ask here which of their asserts apply,
+/// rather than re-parsing the variables (`AFC_FULL_SCAN=0` is *off*).
+pub fn engine_overrides() -> (bool, bool) {
+    use afc_netsim::{config::NetworkConfig, network::Network};
+    let factory = MechanismId::Afc.mechanism().factory;
+    let probe =
+        Network::new(NetworkConfig::paper_3x3(), factory.as_ref(), 0).expect("valid config");
+    (probe.full_scan(), probe.sim_threads() != 1)
+}

@@ -117,6 +117,9 @@ fn make_sim_at(
     };
     let mut sim = Simulation::new(network, traffic);
     sim.network.set_sim_threads(threads);
+    // The default gate keeps an 8x8 serial; this suite is about the
+    // sharded engine under faults, so use the forced-coverage floor.
+    sim.network.set_parallel_threshold(16);
     sim
 }
 
@@ -168,7 +171,7 @@ fn run_case(
 /// non-vacuity asserts relax (as in `parallel_equivalence.rs`): the
 /// comparison then proves full-scan serial ≡ fast-path serial.
 fn parallel_expected() -> bool {
-    std::env::var_os("AFC_FULL_SCAN").is_none()
+    !afc_bench::engine_overrides().0
 }
 
 /// The headline golden: 4 mechanisms × thread counts {1, 2, 4, 8} through

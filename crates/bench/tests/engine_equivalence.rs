@@ -90,8 +90,7 @@ fn fingerprint(
 
 /// [`fingerprint`] with an explicit traffic pattern and intra-run thread
 /// budget (`threads > 1` is the `AFC_SIM_THREADS` engine, forced past the
-/// adaptive wall-clock gate so a loaded host cannot make the comparison
-/// vacuous).
+/// activity gate, which would keep a 3×3 serial).
 fn fingerprint_with(
     id: MechanismId,
     rate: f64,
@@ -119,7 +118,6 @@ fn fingerprint_with(
     if threads > 1 {
         sim.network.set_sim_threads(threads);
         sim.network.set_parallel_threshold(0);
-        sim.network.set_parallel_adaptive(false);
     }
     match scan {
         Scan::Fast => sim.network.set_full_scan(false),

@@ -94,12 +94,11 @@ fn make_sim(
     };
     let mut sim = Simulation::new(network, traffic);
     sim.network.set_sim_threads(threads);
-    // These tests assert `parallel_cycles > 0`: the adaptive wall-clock
-    // gate would legally fall back to serial on a loaded or single-core
-    // host and make every comparison vacuous, so it is pinned off here.
-    // (Byte-identity with the gate *on* is still covered: the gate only
-    // ever picks between two engines this suite proves identical.)
-    sim.network.set_parallel_adaptive(false);
+    // These tests assert `parallel_cycles > 0`: the default gate keeps
+    // meshes this small serial (that is `parallel_payoff.rs`'s subject),
+    // which would make every comparison vacuous, so the floor is lowered
+    // to the forced-coverage value `AFC_SIM_THREADS` uses.
+    sim.network.set_parallel_threshold(16);
     sim
 }
 
@@ -257,7 +256,7 @@ fn mesh_config(side: u16) -> NetworkConfig {
 /// serial ≡ fast-path serial instead, which is exactly that mode's
 /// contract.
 fn parallel_expected() -> bool {
-    std::env::var_os("AFC_FULL_SCAN").is_none()
+    !afc_bench::engine_overrides().0
 }
 
 /// 32×32: the smallest mesh where sharding pays. All four mechanisms,

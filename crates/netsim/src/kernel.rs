@@ -1,0 +1,489 @@
+//! The cycle kernel: every phase body of a simulated cycle, written once
+//! (DESIGN.md §8).
+//!
+//! A *schedule* decides which components a cycle visits, in what order and
+//! on which thread; a *body* is what happens to one component when it is
+//! visited. The serial engine (`network.rs`) and the sharded engine
+//! (`parallel.rs`) are schedules over the bodies below. A body reaches
+//! simulation state only through a [`Cx`]: the node range of routers, NIs
+//! and per-node bookkeeping its schedule owns, the [`Accum`] its counts go
+//! to, and three handles saying how shared structures are touched —
+//! activity bits ([`Bits`]), link-wheel slots ([`Lanes`]) and the fault log
+//! ([`FaultLog`]). The serial schedule plugs in the network's own sets,
+//! wheel, log and totals; a shard plugs in atomic bitmask words, raw slot
+//! pointers and its per-cycle delta. Both are monomorphised, so neither
+//! pays for the other.
+
+use crate::channel::{ControlSignal, Credit, RevSlot, Tick};
+use crate::config::NetworkConfig;
+use crate::error::SimError;
+use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, FlitFate};
+use crate::flit::{Cycle, Flit};
+use crate::geom::{DirMap, Direction, NodeId, PortId};
+use crate::network::{ChannelEnds, Network};
+use crate::ni::NodeInterface;
+use crate::rng::SimRng;
+use crate::router::{Router, RouterMode, RouterOutputs};
+use crate::stats::NetworkStats;
+use crate::topology::Mesh;
+
+/// One activity bitmask as a schedule reaches it.
+pub(crate) trait Bits {
+    /// Marks member `i` active.
+    fn set(&mut self, i: usize);
+    /// Marks member `i` inactive.
+    fn clear(&mut self, i: usize);
+    /// Snapshot of word `wi` (members `64·wi ..`).
+    fn word(&self, wi: usize) -> u64;
+}
+
+/// The link wheel as the bodies reach it: this cycle's reverse arrivals and
+/// the write slots of the lanes their routers drive.
+pub(crate) trait Lanes {
+    /// The credits/control arriving on link `c` this cycle, if any.
+    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot>;
+    /// Sends a flit down link `c`.
+    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit);
+    /// Sends a credit up link `c`.
+    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit);
+    /// Sends a control signal up link `c`.
+    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal);
+}
+
+/// Where fault-plane events go.
+pub(crate) trait FaultLog {
+    /// Records `ev`, raised while delivering link `c`'s flit (`is_flit`) or
+    /// one of its credits. The serial walk visits links in ascending order
+    /// and logs directly; a shard keeps the tags to sort its events by.
+    fn log(&mut self, c: usize, is_flit: bool, ev: FaultEvent);
+}
+
+/// Everything the phase bodies count. The network's run totals are one of
+/// these, filled directly by the serial schedule; each shard fills its own
+/// (zeroed per cycle) and [`Accum::merge`] folds them in ascending shard
+/// order — the single reduction path. Deltas can be negative, hence the
+/// signed gauges.
+#[derive(Debug, Default)]
+pub(crate) struct Accum {
+    pub(crate) stats: NetworkStats,
+    /// Credit-conservation audit: credits pushed onto reverse lanes,
+    /// delivered upstream, lost to faults.
+    pub(crate) credits_pushed: u64,
+    pub(crate) credits_delivered: u64,
+    pub(crate) credits_faulted: u64,
+    /// Flits inside routers, on links, or held back at a stalled receiver.
+    pub(crate) in_flight: i64,
+    /// Flits sitting in NI retransmit queues.
+    pub(crate) retx_queued: i64,
+    /// Routers per mode, indexed by [`Network::mode_slot`].
+    pub(crate) mode_counts: [i64; 3],
+    /// Max over NIs of their (monotone) reassembly high-water marks.
+    pub(crate) ni_high_water_max: usize,
+    /// Dropped flits riding the modeled NACK circuit back to their source:
+    /// `(retransmission-ready cycle, flit)`, in router-walk order.
+    pub(crate) nack_queue: Vec<(Cycle, Flit)>,
+}
+
+impl Accum {
+    /// Zeroes the accumulator in place, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.stats.clear();
+        self.credits_pushed = 0;
+        self.credits_delivered = 0;
+        self.credits_faulted = 0;
+        self.in_flight = 0;
+        self.retx_queued = 0;
+        self.mode_counts = [0; 3];
+        self.ni_high_water_max = 0;
+        self.nack_queue.clear();
+    }
+
+    /// Folds `src` into `self`. Sums and maxima commute; the NACK queue
+    /// concatenates, so callers merge in ascending shard order.
+    pub(crate) fn merge(&mut self, src: &mut Accum) {
+        self.stats.merge(&src.stats);
+        self.credits_pushed += src.credits_pushed;
+        self.credits_delivered += src.credits_delivered;
+        self.credits_faulted += src.credits_faulted;
+        self.in_flight += src.in_flight;
+        self.retx_queued += src.retx_queued;
+        for (m, s) in self.mode_counts.iter_mut().zip(src.mode_counts) {
+            *m += s;
+        }
+        self.ni_high_water_max = self.ni_high_water_max.max(src.ni_high_water_max);
+        self.nack_queue.append(&mut src.nack_queue);
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.stats.heap_bytes() + self.nack_queue.capacity() * std::mem::size_of::<(Cycle, Flit)>()
+    }
+}
+
+/// What every body of one cycle reads and nobody writes.
+#[derive(Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    pub(crate) tick: Tick,
+    pub(crate) ends: &'a [ChannelEnds],
+    pub(crate) out_chan: &'a [DirMap<Option<usize>>],
+    pub(crate) in_chan: &'a [DirMap<Option<usize>>],
+    pub(crate) mesh: &'a Mesh,
+    pub(crate) faults: &'a FaultPlane,
+    /// The fault plan is non-empty (every fault query hides behind this).
+    pub(crate) faults_active: bool,
+    pub(crate) config: &'a NetworkConfig,
+    /// Parent of the per-`(cycle, router)` step streams.
+    pub(crate) rng: &'a SimRng,
+}
+
+impl Frame<'_> {
+    /// The age watchdog: a flit arriving at `node` older than
+    /// `max_flit_age` is a terminal error.
+    pub(crate) fn check_age(&self, node: NodeId, flit: Flit) -> Result<(), SimError> {
+        let (now, limit) = (self.tick.now, self.config.max_flit_age);
+        let age = now.saturating_sub(flit.injected_at);
+        if limit > 0 && age > limit {
+            return Err(SimError::FlitOverAge {
+                cycle: now,
+                limit,
+                age,
+                node,
+                flit,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A schedule's view of the state it owns for one cycle (see the module
+/// docs). Per-node slices cover nodes `lo..lo + routers.len()`; bodies take
+/// global indices.
+pub(crate) struct Cx<'a, B, L, F> {
+    pub(crate) fr: Frame<'a>,
+    pub(crate) lo: usize,
+    pub(crate) routers: &'a mut [Box<dyn Router>],
+    pub(crate) nis: &'a mut [NodeInterface],
+    pub(crate) accounted_upto: &'a mut [Cycle],
+    pub(crate) modes_cache: &'a mut [RouterMode],
+    pub(crate) acc: &'a mut Accum,
+    pub(crate) scratch: &'a mut RouterOutputs,
+    /// The fault plane's stream. Only probabilistic plans draw from it and
+    /// those run serially, so a shard's copy is never advanced.
+    pub(crate) fault_rng: &'a mut SimRng,
+    pub(crate) router_active: B,
+    pub(crate) chan_active: B,
+    pub(crate) ni_send_active: B,
+    pub(crate) ni_delivered: B,
+    pub(crate) lanes: L,
+    pub(crate) fault_log: F,
+}
+
+impl<B: Bits, L: Lanes, F: FaultLog> Cx<'_, B, L, F> {
+    /// Phase 1, reverse side of link `c`: each credit crosses the fault
+    /// plane's credit-loss stage on its way to the upstream router; control
+    /// signals are sideband and always cross.
+    #[inline]
+    pub(crate) fn deliver_reverse(&mut self, c: usize) {
+        let Some(rev) = self.lanes.rev_at(&self.fr.tick, c) else {
+            return;
+        };
+        let now = self.fr.tick.now;
+        let ends = self.fr.ends[c];
+        let up = ends.from.index();
+        for &credit in rev.credits() {
+            if self.fr.faults_active && self.fr.faults.credit_lost(c, now, self.fault_rng) {
+                self.acc.stats.credits_lost += 1;
+                self.acc.stats.faults_injected += 1;
+                self.acc.credits_faulted += 1;
+                let ev = FaultEvent {
+                    cycle: now,
+                    from: ends.from,
+                    dir: ends.dir,
+                    kind: FaultEventKind::CreditLost,
+                };
+                self.fault_log.log(c, false, ev);
+                continue;
+            }
+            self.acc.credits_delivered += 1;
+            self.router_active.set(up);
+            self.routers[up - self.lo].receive_credit(PortId::Net(ends.dir), credit, now);
+        }
+        for &signal in rev.control() {
+            self.router_active.set(up);
+            self.routers[up - self.lo].receive_control(PortId::Net(ends.dir), signal, now);
+        }
+    }
+
+    /// Phase 1, flit side of link `c`: fault fate, then the age watchdog,
+    /// then the downstream router's input port.
+    #[inline]
+    pub(crate) fn deliver_flit(&mut self, c: usize, mut flit: Flit) -> Result<(), SimError> {
+        let now = self.fr.tick.now;
+        let ends = self.fr.ends[c];
+        if self.fr.faults_active {
+            match self.fr.faults.flit_fate(c, now, self.fault_rng) {
+                FlitFate::Drop => {
+                    self.acc.stats.flits_lost_to_faults += 1;
+                    self.acc.stats.faults_injected += 1;
+                    self.acc.in_flight -= 1;
+                    let ev = FaultEvent::for_flit(now, ends.from, ends.dir, &flit, true);
+                    self.fault_log.log(c, true, ev);
+                    return Ok(());
+                }
+                FlitFate::Corrupt => {
+                    flit.corrupt();
+                    self.acc.stats.faults_injected += 1;
+                    let ev = FaultEvent::for_flit(now, ends.from, ends.dir, &flit, false);
+                    self.fault_log.log(c, true, ev);
+                }
+                FlitFate::Deliver => {}
+            }
+        }
+        self.fr.check_age(ends.to, flit)?;
+        let down = ends.to.index();
+        self.router_active.set(down);
+        self.routers[down - self.lo].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
+        Ok(())
+    }
+
+    /// Phase 2a, per NI: retransmit timeouts fire; re-materialized copies
+    /// make the NI a sender again, copies purged with a given-up packet
+    /// never inject.
+    #[inline]
+    pub(crate) fn check_timeouts(&mut self, i: usize) {
+        let stats = &mut self.acc.stats;
+        let (copies0, abandoned0) = (stats.flits_retransmit_copies, stats.flits_abandoned);
+        self.nis[i - self.lo].check_timeouts(self.fr.tick.now, stats);
+        let copies = stats.flits_retransmit_copies - copies0;
+        if copies > 0 {
+            self.ni_send_active.set(i);
+        }
+        self.acc.retx_queued += copies as i64 - (stats.flits_abandoned - abandoned0) as i64;
+    }
+
+    /// Phase 2b, per NI: one injection attempt (a stalled router accepts
+    /// nothing), in-flight/retransmit accounting, send-set maintenance.
+    #[inline]
+    pub(crate) fn inject(&mut self, i: usize) {
+        let now = self.fr.tick.now;
+        if self.fr.faults_active && self.fr.faults.router_stalled(i, now) {
+            return;
+        }
+        let ni = &mut self.nis[i - self.lo];
+        let stats = &mut self.acc.stats;
+        let (inj0, rtx0) = (stats.flits_injected, stats.flits_retransmitted);
+        ni.try_inject(self.routers[i - self.lo].as_mut(), now, stats);
+        let retransmitted = stats.flits_retransmitted - rtx0;
+        let entered = (stats.flits_injected - inj0) + retransmitted;
+        if entered > 0 {
+            self.acc.in_flight += entered as i64;
+            self.router_active.set(i);
+        }
+        self.acc.retx_queued -= retransmitted as i64;
+        if ni.pending_packets() > 0 || ni.pending_retransmits() > 0 {
+            self.ni_send_active.set(i);
+        } else {
+            self.ni_send_active.clear(i);
+        }
+    }
+
+    /// Phase 3, per router: replay pending idle cycles, step it on its own
+    /// `(cycle, router)` RNG stream, and route its outputs onto link lanes,
+    /// the local NI and the NACK circuit.
+    pub(crate) fn step_one_router(&mut self, i: usize) -> Result<(), SimError> {
+        let fr = &self.fr;
+        let (now, tick) = (fr.tick.now, &fr.tick);
+        let router = &mut self.routers[i - self.lo];
+        let accounted = &mut self.accounted_upto[i - self.lo];
+        if fr.faults_active && fr.faults.router_stalled(i, now) {
+            // A stalled cycle is never accounted in the router's counters,
+            // so mark it handled without replaying it as idle; mode
+            // residency still accrues through the cached counts.
+            *accounted = now + 1;
+            return Ok(());
+        }
+        let pending_idle = now - *accounted;
+        if pending_idle > 0 {
+            #[cfg(debug_assertions)]
+            let expected = router.counters_view(pending_idle);
+            router.note_idle_cycles(pending_idle);
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(
+                *router.counters(),
+                expected,
+                "router {i}: note_idle_cycles disagrees with counters_view"
+            );
+        }
+        *accounted = now + 1;
+
+        let out = &mut *self.scratch;
+        out.clear();
+        let mut rng = fr.rng.fork((now << 16) ^ i as u64);
+        router.step(now, &mut rng, out);
+
+        for dir in Direction::ALL {
+            if let Some(flit) = out.flits[PortId::Net(dir)] {
+                let Some(chan) = fr.out_chan[i][dir] else {
+                    return Err(SimError::Misrouted {
+                        cycle: now,
+                        node: NodeId::new(i),
+                        dir,
+                        flit,
+                    });
+                };
+                self.chan_active.set(chan);
+                self.lanes.push_flit(tick, chan, flit);
+            }
+            for &credit in &out.credits[PortId::Net(dir)] {
+                if let Some(chan) = fr.in_chan[i][dir] {
+                    self.chan_active.set(chan);
+                    self.lanes.push_credit(tick, chan, credit);
+                    self.acc.credits_pushed += 1;
+                }
+            }
+        }
+        if out.flits[PortId::Local].is_some() {
+            return Err(SimError::ProtocolViolation {
+                cycle: now,
+                node: NodeId::new(i),
+                what: "routers must use `ejected`, not the Local flit slot",
+            });
+        }
+        for &signal in &out.control {
+            for dir in Direction::ALL {
+                if let Some(chan) = fr.in_chan[i][dir] {
+                    self.chan_active.set(chan);
+                    self.lanes.push_control(tick, chan, signal);
+                }
+            }
+        }
+        if !out.ejected.is_empty() {
+            let ni = &mut self.nis[i - self.lo];
+            self.acc.in_flight -= out.ejected.len() as i64;
+            ni.receive_flits(out.ejected.drain(..), now, &mut self.acc.stats);
+            self.acc.ni_high_water_max = self.acc.ni_high_water_max.max(ni.reassembly_high_water());
+            if ni.has_delivered() {
+                self.ni_delivered.set(i);
+            }
+        }
+        // Dropped flits ride the modeled NACK circuit back to their source:
+        // latency proportional to the Manhattan distance, plus a small
+        // fixed processing cost.
+        if !out.dropped.is_empty() {
+            self.acc.in_flight -= out.dropped.len() as i64;
+            for flit in out.dropped.drain(..) {
+                let dist = fr.mesh.distance(NodeId::new(i), flit.src) as u64;
+                let ready = now + dist * fr.config.link_latency + 2;
+                self.acc.nack_queue.push((ready, flit));
+            }
+        }
+
+        let mode = router.mode();
+        let cached = &mut self.modes_cache[i - self.lo];
+        if mode != *cached {
+            self.acc.mode_counts[Network::mode_slot(*cached)] -= 1;
+            self.acc.mode_counts[Network::mode_slot(mode)] += 1;
+            *cached = mode;
+        }
+        if router.is_quiescent() {
+            self.router_active.clear(i);
+        } else {
+            self.router_active.set(i);
+        }
+        Ok(())
+    }
+}
+
+/// Visits the members of `[lo, hi)` in ascending order, one bitmask word
+/// at a time: `word(cx, wi)` is read once per word, so a bit set while
+/// that word is being walked — behind the cursor or ahead of it — is not
+/// visited this cycle, while bits set in later words are. Feeding all-ones
+/// words visits exactly `lo..hi` (the full scan). Stops at the first error.
+#[inline]
+pub(crate) fn walk<C, E>(
+    cx: &mut C,
+    lo: usize,
+    hi: usize,
+    word: impl Fn(&C, usize) -> u64,
+    mut visit: impl FnMut(&mut C, usize) -> Result<(), E>,
+) -> Result<(), E> {
+    if lo >= hi {
+        return Ok(());
+    }
+    let (w_lo, w_hi) = (lo >> 6, (hi - 1) >> 6);
+    for wi in w_lo..=w_hi {
+        let mut w = word(cx, wi);
+        if wi == w_lo {
+            w &= !0u64 << (lo & 63);
+        }
+        if wi == hi >> 6 {
+            // Only reachable when `hi % 64 != 0` (else `hi >> 6 > w_hi`).
+            w &= (1u64 << (hi & 63)) - 1;
+        }
+        while w != 0 {
+            let i = (wi << 6) + w.trailing_zeros() as usize;
+            w &= w - 1;
+            visit(cx, i)?;
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::walk;
+
+    /// Walks `[lo, hi)` of `words` (all-ones words when `full`); visiting
+    /// member 10 sets 3 (behind the cursor), 20 (ahead, same word) and 70
+    /// (a later word), and member `fail` is a terminal error.
+    fn visited(words: &mut [u64], lo: usize, hi: usize, full: bool, fail: usize) -> Vec<usize> {
+        let (mut words, mut seen) = (words, Vec::new());
+        let result = walk(
+            &mut words,
+            lo,
+            hi,
+            |w, wi| if full { !0 } else { w[wi] },
+            |w, i| {
+                seen.push(i);
+                if i == 10 && !full {
+                    w[0] |= (1 << 3) | (1 << 20);
+                    w[1] |= 1 << 6;
+                }
+                if i == fail {
+                    Err(i)
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!(result.is_err(), seen.last() == Some(&fail));
+        seen
+    }
+
+    #[test]
+    fn walk_reads_each_word_once_ascending_and_stops_at_an_error() {
+        let none = usize::MAX;
+        // Bits set while their word is being walked wait for the next
+        // walk; bits set in a later word are visited by this one.
+        let mut words = [1u64 << 10, 0];
+        assert_eq!(visited(&mut words, 0, 128, false, none), [10, 70]);
+        assert_eq!(visited(&mut words, 0, 128, false, none), [3, 10, 20, 70]);
+        assert_eq!(visited(&mut words, 4, 70, false, none), [10, 20]);
+        assert_eq!(visited(&mut words, 0, 128, false, 10), [3, 10]);
+    }
+
+    #[test]
+    fn walk_under_full_scan_visits_exactly_the_range() {
+        for (lo, hi) in [
+            (0, 1),
+            (0, 63),
+            (0, 64),
+            (0, 65),
+            (0, 130),
+            (70, 75),
+            (5, 5),
+        ] {
+            let seen = visited(&mut [0u64; 3], lo, hi, true, usize::MAX);
+            assert_eq!(seen, (lo..hi).collect::<Vec<_>>(), "{lo}..{hi}");
+        }
+    }
+}

@@ -65,6 +65,7 @@ pub mod fault_aware;
 pub mod faults;
 pub mod flit;
 pub mod geom;
+pub(crate) mod kernel;
 pub mod network;
 #[cfg(test)]
 mod network_tests;

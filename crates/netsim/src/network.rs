@@ -1,26 +1,29 @@
 //! The network engine: wires routers, channels and network interfaces
 //! together and advances them cycle by cycle.
 //!
-//! ## Activity tracking (DESIGN.md §8)
+//! ## One kernel, three schedules (DESIGN.md §8)
 //!
-//! The engine keeps dirty bitmasks over routers, channels and NIs and — on
-//! the fast path — walks only the active members each cycle, in ascending
-//! index order so the walk is bit-identical to the historical full scan.
-//! Quiescent routers ([`Router::is_quiescent`]) are skipped entirely; their
-//! per-cycle counters are replayed in bulk via [`Router::note_idle_cycles`]
-//! the moment they re-activate. Setting the `AFC_FULL_SCAN` environment
-//! variable (or calling [`Network::set_full_scan`]) forces the historical
-//! every-component walk; both paths maintain the activity sets identically,
-//! so the mode can be toggled mid-run and must produce byte-identical
-//! results — the self-check the golden tests pin.
+//! What happens to a link, an NI or a router when a cycle visits it is
+//! written once, in [`crate::kernel`]. This file owns the *frame* every
+//! cycle shares — fault detection, NACK/ack queue retirement, NI sideband
+//! collection, the end-of-cycle block — and the serial *schedule*: one walk
+//! per phase over the dirty bitmasks (routers, channels, sending NIs) in
+//! ascending index order, skipping quiescent routers and replaying their
+//! idle cycles in bulk when they re-activate. `AFC_FULL_SCAN` (or
+//! [`Network::set_full_scan`]) feeds the same walk all-ones words instead;
+//! the bodies maintain the activity sets identically either way, so the
+//! mode can be toggled mid-run and must produce byte-identical results —
+//! the self-check the golden tests pin. The third schedule, one node range
+//! per thread, is `parallel.rs`; [`crate::parallel::gate`] picks per cycle.
 
-use crate::channel::{LinkWheel, Tick};
+use crate::channel::{ControlSignal, Credit, LinkWheel, RevSlot, Tick};
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, FlitFate, LinkEvent};
+use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
-use crate::geom::{DirMap, Direction, NodeId, PortId};
+use crate::geom::{DirMap, Direction, NodeId};
+use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame, Lanes};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
@@ -49,8 +52,7 @@ pub(crate) struct ChannelEnds {
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveSet {
     /// Raw bitmask words. Crate-visible so the parallel engine can reborrow
-    /// them as `&[AtomicU64]` during a sharded cycle (per-bit single-writer,
-    /// word-level RMW — see `parallel.rs`).
+    /// them as `&[AtomicU64]` during a sharded cycle (see `parallel.rs`).
     pub(crate) words: Vec<u64>,
 }
 
@@ -62,14 +64,8 @@ impl ActiveSet {
     }
 
     fn full(len: usize) -> ActiveSet {
-        let mut set = ActiveSet {
-            words: vec![!0u64; len.div_ceil(64)],
-        };
-        if !len.is_multiple_of(64) {
-            if let Some(last) = set.words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
+        let mut set = ActiveSet::empty(len);
+        set.fill_full(len);
         set
     }
 
@@ -113,16 +109,6 @@ impl ActiveSet {
             .is_some_and(|w| w & (1u64 << (i & 63)) != 0)
     }
 
-    pub(crate) fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Snapshot of one word; iterate its bits while freely mutating the set.
-    #[inline]
-    pub(crate) fn word(&self, wi: usize) -> u64 {
-        self.words[wi]
-    }
-
     /// Number of set bits (activity-threshold heuristic for the parallel
     /// engine's serial fallback).
     #[inline]
@@ -154,6 +140,99 @@ impl ActiveSet {
             }
         }
         Ok(ActiveSet { words })
+    }
+}
+
+impl Bits for &mut ActiveSet {
+    #[inline]
+    fn set(&mut self, i: usize) {
+        self.insert(i);
+    }
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.remove(i);
+    }
+    #[inline]
+    fn word(&self, wi: usize) -> u64 {
+        self.words[wi]
+    }
+}
+
+impl Lanes for &mut LinkWheel {
+    #[inline]
+    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
+        LinkWheel::rev_at(self, t, c)
+    }
+    #[inline]
+    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
+        LinkWheel::push_flit(self, t, c, flit);
+    }
+    #[inline]
+    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
+        LinkWheel::push_credit(self, t, c, credit);
+    }
+    #[inline]
+    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
+        LinkWheel::push_control(self, t, c, signal);
+    }
+}
+
+/// The run's fault log, capped at [`Network::FAULT_LOG_CAP`] events. The
+/// serial walk raises events in log order, so the tags go unused.
+impl FaultLog for &mut Vec<FaultEvent> {
+    fn log(&mut self, _c: usize, _is_flit: bool, ev: FaultEvent) {
+        if self.len() < Network::FAULT_LOG_CAP {
+            self.push(ev);
+        }
+    }
+}
+
+/// The serial schedule's view: the whole network, touched directly.
+type SerialCx<'a> = Cx<'a, &'a mut ActiveSet, &'a mut LinkWheel, &'a mut Vec<FaultEvent>>;
+
+/// Phase 1 of the serial schedule for link `c`: the reverse side, the flit
+/// (through the fault hold-back queue when one is in play), then the link's
+/// activity bit — settled here, before the cycle's pushes re-mark it.
+fn deliver_channel(
+    cx: &mut SerialCx<'_>,
+    held: &mut [VecDeque<Flit>],
+    held_flits: &mut usize,
+    c: usize,
+) -> Result<(), SimError> {
+    let now = cx.fr.tick.now;
+    cx.deliver_reverse(c);
+    let arriving = cx.lanes.flit_at(&cx.fr.tick, c);
+    let to = cx.fr.ends[c].to.index();
+    let stalled = cx.fr.faults_active && cx.fr.faults.router_stalled(to, now);
+    // The hold-back queue is a bypass: an arrival goes straight to the
+    // receiver unless that router is frozen (arrivals then wait and drain
+    // one per cycle — the link's bandwidth — once the stall lifts) or older
+    // flits are still waiting ahead of it.
+    let mut holding = *held_flits > 0 && !held[c].is_empty();
+    let flit = if stalled || holding {
+        if let Some(flit) = arriving {
+            held[c].push_back(flit);
+            *held_flits += 1;
+        }
+        let released = if stalled {
+            None
+        } else {
+            *held_flits -= 1;
+            held[c].pop_front()
+        };
+        holding = !held[c].is_empty();
+        released
+    } else {
+        arriving
+    };
+    if holding || !cx.lanes.quiet_after(c, now) {
+        cx.chan_active.insert(c);
+    } else {
+        cx.chan_active.remove(c);
+    }
+    match flit {
+        Some(flit) => cx.deliver_flit(c, flit),
+        None => Ok(()),
     }
 }
 
@@ -324,12 +403,12 @@ pub struct Network {
     /// `config.faults` compiled against this network's links and nodes
     /// (static per configuration); the parallel engine's plans share it.
     pub(crate) fault_plane: Arc<FaultPlane>,
-    pub(crate) stats: NetworkStats,
+    /// Run totals: statistics, audit counters, in-flight gauges, mode
+    /// residency counts and the NACK circuit. The serial schedule's bodies
+    /// fill it directly; a sharded cycle merges its shard deltas into it.
+    pub(crate) acc: Accum,
     next_packet_id: u64,
     scratch: RouterOutputs,
-    /// Dropped flits in flight on the modeled NACK circuit:
-    /// `(retransmission-ready cycle, flit)`.
-    pub(crate) nack_queue: Vec<(Cycle, Flit)>,
     /// End-to-end acknowledgements riding back to packet sources:
     /// `(arrival cycle, source node, packet)`.
     pub(crate) ack_queue: Vec<(Cycle, NodeId, PacketId)>,
@@ -352,11 +431,6 @@ pub struct Network {
     /// Run-wide log of packets retired as unreachable (bounded retransmit
     /// exhausted) — the structured per-packet outcome of DESIGN.md §13.
     pub(crate) unreachable_packets: Vec<UnreachablePacket>,
-    /// Credit-conservation audit (raw, never reset): credits pushed onto
-    /// reverse lanes, credits delivered upstream, credits lost to faults.
-    pub(crate) credits_pushed: u64,
-    pub(crate) credits_delivered: u64,
-    pub(crate) credits_faulted: u64,
     /// Stall watchdog: progress counter sample and the cycle it last moved.
     pub(crate) last_progress: u64,
     pub(crate) last_progress_cycle: Cycle,
@@ -380,19 +454,9 @@ pub struct Network {
     /// router `i` reflect cycles `[reset, accounted_upto[i])`; the gap to
     /// `now` is idle cycles pending bulk replay.
     pub(crate) accounted_upto: Vec<Cycle>,
-    /// Cached post-step router modes plus residency counts (indexed by
-    /// [`Network::mode_slot`]) so per-cycle mode stats are O(1), not O(n).
+    /// Cached post-step router modes (`acc.mode_counts` holds the
+    /// residency counts) so per-cycle mode stats are O(1), not O(n).
     pub(crate) modes_cache: Vec<RouterMode>,
-    pub(crate) mode_counts: [u64; 3],
-    /// Flits inside routers/channels/held, maintained incrementally
-    /// (cross-checked against [`Network::flits_in_network`] in debug).
-    pub(crate) in_flight: usize,
-    /// Flits sitting in NI retransmit queues, maintained incrementally.
-    pub(crate) retx_queued: usize,
-    /// Monotone max over NIs of their reassembly high-water marks; each NI
-    /// mark is itself monotone, so this equals the per-cycle max scan the
-    /// engine used to perform.
-    pub(crate) ni_high_water_max: usize,
     /// Debug-build cross-checking of the incremental accounting against a
     /// from-scratch recount. Disabled only by tests that install
     /// deliberately conservation-violating routers.
@@ -401,21 +465,15 @@ pub struct Network {
     /// Worker-thread budget for the intra-run parallel engine; `1` steps
     /// serially. Not part of snapshots: a restored run may use any value
     /// (results are byte-identical regardless — DESIGN.md §12).
-    sim_threads: usize,
-    /// Lazily-built shard plans + thread pools (`sim_threads > 1` only),
-    /// one per thread count the adaptive gate probes — at most two live
-    /// (2 and the full budget), since serial needs no engine.
-    pub(crate) engines: Vec<crate::parallel::Engine>,
-    /// Cycles actually stepped by the parallel engine (diagnostic only:
-    /// lets tests assert non-vacuity; excluded from snapshots and stats).
+    pub(crate) sim_threads: usize,
+    /// Lazily-built shard plan + thread pool for the current budget.
+    pub(crate) engine: Option<crate::parallel::Engine>,
+    /// Cycles stepped by the parallel engine (diagnostic only: lets tests
+    /// assert which engine ran; excluded from snapshots and stats).
     pub(crate) parallel_cycles: u64,
-    /// Minimum active components per shard before a cycle runs parallel
-    /// (see [`Network::set_parallel_threshold`]).
+    /// Activity floor of the engine gate (see
+    /// [`Network::set_parallel_threshold`]).
     pub(crate) par_min_active: usize,
-    /// Probe/commit wall-clock controller deciding serial vs parallel for
-    /// gated cycles (see [`Network::set_parallel_adaptive`]). Wall-clock
-    /// state only — never snapshotted.
-    pub(crate) par_gate: crate::parallel::AdaptiveGate,
     /// Parallel cycles between deterministic shard re-plan points
     /// (see [`Network::set_replan_interval`]; 0 disables re-planning).
     pub(crate) replan_every: u64,
@@ -423,7 +481,7 @@ pub struct Network {
     pub(crate) mem_high_water: usize,
     /// Per-phase wall-clock attribution (see [`PhaseProfile`]); `None`
     /// unless enabled. Observer state: never snapshotted, carried over by
-    /// arena resets exactly like the adaptive gate.
+    /// arena resets exactly like the thread budget.
     phase_profile: Option<Box<PhaseProfile>>,
 }
 
@@ -452,18 +510,24 @@ impl Network {
     ///
     /// The `AFC_FULL_SCAN` environment variable (any value other than empty
     /// or `0`) starts the network in full-scan self-check mode; see
-    /// [`Network::set_full_scan`].
+    /// [`Network::set_full_scan`]. `AFC_SIM_THREADS=<n>` overrides
+    /// `config.sim_threads` and lowers the engine gate's floor to
+    /// `FORCED_MIN_ACTIVE` (16, see `parallel.rs`), so whole
+    /// test suites can be forced through the parallel engine — it is
+    /// byte-identical to the serial one — without touching their configs.
     ///
     /// # Errors
     ///
     /// Propagates [`ConfigError`](crate::error::ConfigError) from
-    /// [`NetworkConfig::validate`].
+    /// [`NetworkConfig::validate`]; a malformed `AFC_SIM_THREADS` is
+    /// [`ConfigError::OutOfRange`](crate::error::ConfigError::OutOfRange).
     pub fn new(
         config: NetworkConfig,
         factory: &dyn RouterFactory,
         seed: u64,
     ) -> Result<Network, crate::error::ConfigError> {
         config.validate()?;
+        let env = crate::config::EngineEnv::get()?;
         let mesh = config.mesh()?;
         let n = mesh.node_count();
         let buffer_flits_per_port = factory.buffer_flits_per_port(&config);
@@ -504,26 +568,16 @@ impl Network {
         let held = vec![VecDeque::new(); ends.len()];
         let rng = SimRng::seed_from(seed);
         let fault_rng = rng.fork(0x00FA_0171);
-        let full_scan =
-            std::env::var_os("AFC_FULL_SCAN").is_some_and(|v| !v.is_empty() && v != "0");
-        // `AFC_SIM_THREADS=<n>` overrides the configured intra-run thread
-        // budget, mirroring AFC_FULL_SCAN: because the parallel engine is
-        // byte-identical to the serial one, entire test suites can be forced
-        // through it without touching their configs.
-        let sim_threads = std::env::var("AFC_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(config.sim_threads);
         let detect_schedule = config.faults.event_schedule(&mesh);
         let links = ends.iter().map(|e| (e.from, e.dir));
         let fault_plane = Arc::new(FaultPlane::compile(&config.faults, &mesh, links));
         let modes_cache: Vec<RouterMode> = routers.iter().map(|r| r.mode()).collect();
-        let mut mode_counts = [0u64; 3];
+        let mut acc = Accum::default();
         for m in &modes_cache {
-            mode_counts[Self::mode_slot(*m)] += 1;
+            acc.mode_counts[Self::mode_slot(*m)] += 1;
         }
         let chan_count = ends.len();
+        let sim_threads = env.sim_threads.unwrap_or(config.sim_threads);
 
         Ok(Network {
             mesh,
@@ -541,10 +595,9 @@ impl Network {
             rng,
             fault_rng,
             fault_plane,
-            stats: NetworkStats::new(),
+            acc,
             next_packet_id: 0,
             scratch: RouterOutputs::new(),
-            nack_queue: Vec::new(),
             ack_queue: Vec::new(),
             held,
             held_flits: 0,
@@ -552,14 +605,11 @@ impl Network {
             detect_schedule,
             detect_next: 0,
             unreachable_packets: Vec::new(),
-            credits_pushed: 0,
-            credits_delivered: 0,
-            credits_faulted: 0,
             last_progress: 0,
             last_progress_cycle: 0,
             audit_baseline: 0,
             offer_log: None,
-            full_scan,
+            full_scan: env.full_scan,
             // Conservative starts: every router/channel/NI walks until it
             // proves itself inactive (unknown implementations default to
             // never-quiescent and simply stay on the always-step path).
@@ -569,22 +619,14 @@ impl Network {
             ni_delivered: ActiveSet::empty(n),
             accounted_upto: vec![0; n],
             modes_cache,
-            mode_counts,
-            in_flight: 0,
-            retx_queued: 0,
-            ni_high_water_max: 0,
             check_conservation: true,
             sim_threads,
-            engines: Vec::new(),
+            engine: None,
             parallel_cycles: 0,
-            par_min_active: crate::parallel::MIN_ACTIVE_PER_SHARD,
-            // When a whole suite is forced through the parallel engine via
-            // AFC_SIM_THREADS, the adaptive gate must not silently route
-            // cycles back to the serial walk — coverage is the point there.
-            par_gate: crate::parallel::AdaptiveGate::new(
-                std::env::var_os("AFC_SIM_THREADS").is_none(),
-                sim_threads,
-            ),
+            par_min_active: match env.sim_threads {
+                Some(_) => crate::parallel::FORCED_MIN_ACTIVE,
+                None => crate::parallel::MIN_ACTIVE,
+            },
             replan_every: crate::parallel::DEFAULT_REPLAN_INTERVAL,
             mem_high_water: 0,
             phase_profile: None,
@@ -624,7 +666,7 @@ impl Network {
 
     /// Cumulative run statistics.
     pub fn stats(&self) -> &NetworkStats {
-        &self.stats
+        &self.acc.stats
     }
 
     /// Read access to a node's router (e.g. for mode inspection).
@@ -666,17 +708,13 @@ impl Network {
     /// Sets the intra-run parallel engine's thread budget (`1` = serial).
     ///
     /// May be changed mid-run: the parallel engine is byte-identical to the
-    /// serial one, so this only affects wall-clock time. Shrinking or
-    /// growing the budget tears down the old thread pool lazily.
+    /// serial one, so this only affects wall-clock time. The old thread
+    /// pool is torn down; the next sharded cycle builds the new one.
     pub fn set_sim_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         if threads != self.sim_threads {
             self.sim_threads = threads;
-            self.engines.clear();
-            // Learned ns/cycle estimates (and the candidate set itself)
-            // belong to the old thread budget.
-            self.par_gate =
-                crate::parallel::AdaptiveGate::new(self.par_gate.is_adaptive(), threads);
+            self.engine = None;
         }
     }
 
@@ -685,42 +723,22 @@ impl Network {
         self.sim_threads
     }
 
-    /// Cycles stepped by the parallel engine so far (0 when serial). A
-    /// wall-clock diagnostic — never part of simulation state, stats, or
-    /// snapshots — used by the equivalence suite to prove the parallel
-    /// path actually engaged.
+    /// Cycles stepped by the parallel engine so far (0 when serial). Never
+    /// part of simulation state, stats, or snapshots, but — the engine gate
+    /// being a function of simulation state only — identical across runs of
+    /// the same configuration, seed, budget and floor.
     pub fn parallel_cycles(&self) -> u64 {
         self.parallel_cycles
     }
 
-    /// Overrides the parallel engine's activity gate: a cycle is stepped in
-    /// parallel only when at least `min_active_per_shard` components
-    /// (routers + channels + sending NIs) are active per shard. Purely a
-    /// wall-clock heuristic — results are byte-identical either way — so
-    /// this knob exists for tuning and for tests that need the parallel
-    /// path to engage on small meshes.
-    pub fn set_parallel_threshold(&mut self, min_active_per_shard: usize) {
-        self.par_min_active = min_active_per_shard;
-    }
-
-    /// Enables (default) or disables the adaptive serial/parallel gate.
-    ///
-    /// When enabled, cycles that pass the static activity threshold are
-    /// further routed by a probe/commit controller that periodically times
-    /// a few cycles of each engine and commits to the faster one with
-    /// hysteresis — so workloads where the barriers do not pay (low load,
-    /// oversubscribed hosts) fall back to the serial walk. When disabled,
-    /// every gated cycle runs parallel (the raw engine — what benchmarks
-    /// measure). Purely a wall-clock heuristic: results are byte-identical
-    /// either way. Forcing a suite through the engine with
-    /// `AFC_SIM_THREADS` disables adaptivity so coverage stays parallel.
-    pub fn set_parallel_adaptive(&mut self, on: bool) {
-        self.par_gate.set_adaptive(on);
-    }
-
-    /// Whether the adaptive serial/parallel gate is currently enabled.
-    pub fn parallel_adaptive(&self) -> bool {
-        self.par_gate.is_adaptive()
+    /// Overrides the engine gate's activity floor: a cycle is stepped in
+    /// parallel only when at least `min_active` components (routers +
+    /// channels + sending NIs) are active. Results are byte-identical
+    /// either way; this is the hook for tests and benchmarks that must pin
+    /// the engine (`0` forces every eligible cycle parallel, `usize::MAX`
+    /// serial).
+    pub fn set_parallel_threshold(&mut self, min_active: usize) {
+        self.par_min_active = min_active;
     }
 
     /// Sets how many parallel cycles pass between deterministic shard
@@ -765,12 +783,11 @@ impl Network {
                 .map(|h| h.capacity() * size_of::<Flit>())
                 .sum::<usize>()
             + self.held.capacity() * size_of::<VecDeque<Flit>>();
-        let engine_bytes = self.engines.iter().map(|e| e.heap_bytes()).sum();
-        let other_bytes = self.stats.heap_bytes()
+        let engine_bytes = self.engine.as_ref().map_or(0, |e| e.heap_bytes());
+        let other_bytes = self.acc.heap_bytes()
             + self.scratch.heap_bytes()
             + (self.out_chan.capacity() + self.in_chan.capacity())
                 * size_of::<DirMap<Option<usize>>>()
-            + self.nack_queue.capacity() * size_of::<(Cycle, Flit)>()
             + self.ack_queue.capacity() * size_of::<(Cycle, NodeId, PacketId)>()
             + self.fault_log.capacity() * size_of::<FaultEvent>()
             + self.fault_plane.heap_bytes()
@@ -809,7 +826,7 @@ impl Network {
     /// remains exact. The retransmit layer is fast-path-safe: timeouts are
     /// scanned every cycle regardless, and re-materialized copies re-mark
     /// their NI in the send set.
-    fn fast_path(&self) -> bool {
+    pub(crate) fn fast_path(&self) -> bool {
         !self.full_scan && (self.config.faults.is_empty() || self.config.faults.is_deterministic())
     }
 
@@ -837,7 +854,7 @@ impl Network {
             log.push((self.now, src, input));
         }
         self.ni_send_active.insert(src.index());
-        self.nis[src.index()].enqueue(desc, &mut self.stats);
+        self.nis[src.index()].enqueue(desc, &mut self.acc.stats);
         id
     }
 
@@ -881,20 +898,50 @@ impl Network {
     /// [`SimError::ProtocolViolation`] on router bugs.
     pub fn try_step(&mut self) -> Result<(), SimError> {
         let now = self.now;
-        let faults_active = !self.config.faults.is_empty();
-        let fast = self.fast_path();
+        let mut prof = PhaseProfile::default();
         let mut lap = self.phase_profile.is_some().then(std::time::Instant::now);
 
-        // Phase 0: deterministic fault/repair detection. Each alive-state
-        // transition of a link is reported a fixed number of cycles after
-        // it happens (the plan's detection delay — modeling a local
-        // credit/progress timeout without any wall clock). Kills go to the
-        // upstream router only; revivals go to *both* endpoints at the
-        // same cycle so the downstream end can run its half of the credit
-        // re-sync handshake (DESIGN.md §15) — the gossiped duplicate the
-        // downstream would otherwise relearn later is rejected by the
-        // epoch filter. Runs before the parallel gate so both engines
-        // share one dispatch path.
+        // The frame both engines share: link events, then the serial,
+        // order-sensitive head of phase 2a. Retiring the queues ahead of
+        // phase 1 is legal because they touch only NI and queue state,
+        // which link delivery never reads.
+        self.detect_link_events(now);
+        prof.other_ns += lap_ns(&mut lap);
+        self.retire_queues(now);
+        prof.ni_ns += lap_ns(&mut lap);
+
+        // Phases 1 (links deliver), 2a (NI timeouts), 2b (injection) and 3
+        // (router steps), on whichever engine the gate picks.
+        if crate::parallel::gate(self) {
+            crate::parallel::step_sharded(self)?;
+            prof.merge_ns += lap_ns(&mut lap);
+        } else {
+            self.step_serial(&mut prof, &mut lap)?;
+        }
+
+        self.collect_ni_sideband(now);
+        prof.ni_ns += lap_ns(&mut lap);
+        self.end_cycle()?;
+        if let Some(p) = self.phase_profile.as_deref_mut() {
+            p.channel_ns += prof.channel_ns;
+            p.ni_ns += prof.ni_ns;
+            p.router_ns += prof.router_ns;
+            p.merge_ns += prof.merge_ns;
+            p.other_ns += prof.other_ns + lap_ns(&mut lap);
+            p.cycles += 1;
+        }
+        Ok(())
+    }
+
+    /// Phase 0: deterministic fault/repair detection. Each alive-state
+    /// transition of a link is reported a fixed number of cycles after it
+    /// happens (the plan's detection delay — modeling a local
+    /// credit/progress timeout without any wall clock). Kills go to the
+    /// upstream router only; revivals go to *both* endpoints at the same
+    /// cycle so the downstream end can run its half of the credit re-sync
+    /// handshake (DESIGN.md §15) — the gossiped duplicate the downstream
+    /// would otherwise relearn later is rejected by the epoch filter.
+    fn detect_link_events(&mut self, now: Cycle) {
         while self.detect_next < self.detect_schedule.len()
             && self.detect_schedule[self.detect_next].detect_at <= now
         {
@@ -908,200 +955,188 @@ impl Network {
                         .note_link_event(ev.node, ev.dir, ev.epoch, ev.alive, now);
                     self.router_active.insert(down.index());
                 }
-                self.stats.links_revived += 1;
+                self.acc.stats.links_revived += 1;
             } else {
-                self.stats.links_failed += 1;
-                self.stats
+                self.acc.stats.links_failed += 1;
+                self.acc
+                    .stats
                     .fault_detection_latency
                     .record(self.config.faults.detection_delay);
             }
         }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.other_ns += lap_ns(&mut lap);
-        }
+    }
 
-        // Intra-run parallel engine (DESIGN.md §12): only on the fast path
-        // (the fault plane and recovery layer are inherently sequential),
-        // and only when enough components are active to amortize the
-        // per-cycle barrier cost. Gated cycles are then routed by the
-        // adaptive probe/commit controller, which picks a *thread count*
-        // — serial, 2, or the full budget — and commits to the fastest;
-        // any choice is legal because every engine configuration is
-        // byte-identical. Probe cycles time the chosen engine; a serial
-        // probe is timed to the end of this function (the `serial_probe`
-        // tail below).
-        let mut serial_probe: Option<std::time::Instant> = None;
-        if self.sim_threads > 1 && fast && crate::parallel::static_gate(self) {
-            let (threads, timed) = self.par_gate.decide();
-            if threads > 1 {
-                if let Some(p) = self.phase_profile.as_deref_mut() {
-                    p.other_ns += lap_ns(&mut lap);
+    /// Phase 2a, serial head: NACKs that have reached their source become
+    /// pending retransmissions and end-to-end acks retire outstanding
+    /// packets. Both scans retire entries with order-sensitive
+    /// `swap_remove`s, so no schedule shards them.
+    fn retire_queues(&mut self, now: Cycle) {
+        let recovery = self.config.retransmit.is_some();
+        let mut i = 0;
+        while i < self.acc.nack_queue.len() {
+            if self.acc.nack_queue[i].0 <= now {
+                let (_, flit) = self.acc.nack_queue.swap_remove(i);
+                let src = flit.src.index();
+                self.nis[src].nack(flit, now, &mut self.acc.stats);
+                if !recovery {
+                    // Without end-to-end recovery a NACK requeues the flit
+                    // directly; with it the copy is absorbed and the
+                    // timeout path re-materializes the packet.
+                    self.acc.retx_queued += 1;
                 }
-                if timed || lap.is_some() {
-                    // Thread-pool spawn must not be charged to the probe.
-                    crate::parallel::ensure_engine_for(self, threads);
-                    let t0 = std::time::Instant::now();
-                    let result = crate::parallel::step_parallel_with(self, threads);
-                    let ns = t0.elapsed().as_nanos() as f64;
-                    if timed {
-                        self.par_gate.feedback(threads, ns);
-                    }
-                    if let Some(p) = self.phase_profile.as_deref_mut() {
-                        p.merge_ns += ns as u64;
-                        p.cycles += 1;
-                    }
-                    return result;
-                }
-                return crate::parallel::step_parallel_with(self, threads);
-            }
-            if timed {
-                serial_probe = Some(std::time::Instant::now());
+                self.ni_send_active.insert(src);
+            } else {
+                i += 1;
             }
         }
+        let mut i = 0;
+        while i < self.ack_queue.len() {
+            if self.ack_queue[i].0 <= now {
+                let (_, src, id) = self.ack_queue.swap_remove(i);
+                self.nis[src.index()].acknowledge(id, &mut self.acc.stats);
+            } else {
+                i += 1;
+            }
+        }
+    }
 
-        // Phase 1: deliver what the link wheel has due this cycle. Arriving
-        // flits pass through the fault plane (drop/corrupt/kill) and are
-        // held back while the receiving router is stalled; credits cross
-        // the fault plane's credit-loss stage on their way upstream. An
+    /// Splits the network into the serial schedule's [`Cx`] — the cycle's
+    /// frame plus exclusive access to every component, set, lane and total
+    /// — and the fault hold-back queues with their flit count. The sharded
+    /// engine starts from the same view and hands node ranges of it to its
+    /// workers.
+    #[inline]
+    pub(crate) fn view(&mut self) -> (SerialCx<'_>, &mut [VecDeque<Flit>], &mut usize) {
+        let cx = Cx {
+            fr: Frame {
+                tick: self.wheel.tick(self.now),
+                ends: &self.ends,
+                out_chan: &self.out_chan,
+                in_chan: &self.in_chan,
+                mesh: &self.mesh,
+                faults: &self.fault_plane,
+                faults_active: !self.config.faults.is_empty(),
+                config: &self.config,
+                rng: &self.rng,
+            },
+            lo: 0,
+            routers: &mut self.routers,
+            nis: &mut self.nis,
+            accounted_upto: &mut self.accounted_upto,
+            modes_cache: &mut self.modes_cache,
+            acc: &mut self.acc,
+            scratch: &mut self.scratch,
+            fault_rng: &mut self.fault_rng,
+            router_active: &mut self.router_active,
+            chan_active: &mut self.chan_active,
+            ni_send_active: &mut self.ni_send_active,
+            ni_delivered: &mut self.ni_delivered,
+            lanes: &mut self.wheel,
+            fault_log: &mut self.fault_log,
+        };
+        (cx, &mut self.held, &mut self.held_flits)
+    }
+
+    /// The serial schedule: one ascending walk per phase over the whole
+    /// network. Off the fast path every walk is fed all-ones words and so
+    /// visits every component — the historical full scan; the bodies skip
+    /// stalled routers themselves.
+    fn step_serial(
+        &mut self,
+        prof: &mut PhaseProfile,
+        lap: &mut Option<std::time::Instant>,
+    ) -> Result<(), SimError> {
+        let fill = if self.fast_path() { 0 } else { !0u64 };
+        let (nodes, links) = (self.routers.len(), self.ends.len());
+        let (mut cx, held, held_flits) = self.view();
+
+        // Phase 1: deliver what the link wheel has due this cycle. An
         // inactive link has nothing due, so skipping it is unobservable.
-        let tick = self.wheel.tick(now);
-        if fast {
-            for wi in 0..self.chan_active.word_count() {
-                let mut w = self.chan_active.word(wi);
-                while w != 0 {
-                    let c = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.deliver_channel(c, &tick, faults_active)?;
-                }
-            }
-        } else {
-            for c in 0..self.ends.len() {
-                self.deliver_channel(c, &tick, faults_active)?;
-            }
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.channel_ns += lap_ns(&mut lap);
-        }
+        walk(
+            &mut cx,
+            0,
+            links,
+            |cx, wi| cx.chan_active.word(wi) | fill,
+            |cx, c| deliver_channel(cx, held, held_flits, c),
+        )?;
+        prof.channel_ns += lap_ns(lap);
 
-        // Phase 2a: NACKs that have reached their source become pending
-        // retransmissions; end-to-end acks retire outstanding packets; NI
-        // retransmit timeouts fire.
-        if !self.nack_queue.is_empty() {
-            let recovery = self.config.retransmit.is_some();
-            let mut i = 0;
-            while i < self.nack_queue.len() {
-                if self.nack_queue[i].0 <= now {
-                    let (_, flit) = self.nack_queue.swap_remove(i);
-                    let src = flit.src.index();
-                    self.nis[src].nack(flit, now, &mut self.stats);
-                    if !recovery {
-                        // Without end-to-end recovery a NACK requeues the
-                        // flit directly; with it the copy is absorbed and
-                        // the timeout path re-materializes the packet.
-                        self.retx_queued += 1;
-                    }
-                    self.ni_send_active.insert(src);
-                } else {
-                    i += 1;
-                }
+        // Phase 2a tail: NI retransmit timeouts, scanned every cycle.
+        if cx.fr.config.retransmit.is_some() {
+            for i in 0..nodes {
+                cx.check_timeouts(i);
             }
         }
-        if !self.ack_queue.is_empty() {
-            let mut i = 0;
-            while i < self.ack_queue.len() {
-                if self.ack_queue[i].0 <= now {
-                    let (_, src, id) = self.ack_queue.swap_remove(i);
-                    self.nis[src.index()].acknowledge(id, &mut self.stats);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if self.config.retransmit.is_some() {
-            let copies0 = self.stats.flits_retransmit_copies;
-            let abandoned0 = self.stats.flits_abandoned;
-            for i in 0..self.nis.len() {
-                let c0 = self.stats.flits_retransmit_copies;
-                self.nis[i].check_timeouts(now, &mut self.stats);
-                if self.stats.flits_retransmit_copies > c0 {
-                    // Re-materialized copies must be visible to the fast
-                    // path's masked injection walk.
-                    self.ni_send_active.insert(i);
-                }
-            }
-            self.retx_queued += (self.stats.flits_retransmit_copies - copies0) as usize;
-            // Copies purged when a packet was given up never inject.
-            self.retx_queued -= (self.stats.flits_abandoned - abandoned0) as usize;
-        }
+        // Phase 2b: injection attempts.
+        walk(
+            &mut cx,
+            0,
+            nodes,
+            |cx, wi| cx.ni_send_active.word(wi) | fill,
+            |cx, i| -> Result<(), SimError> {
+                cx.inject(i);
+                Ok(())
+            },
+        )?;
+        prof.ni_ns += lap_ns(lap);
 
-        // Phase 2b: injection attempts (stalled routers accept nothing).
-        if fast {
-            for wi in 0..self.ni_send_active.word_count() {
-                let mut w = self.ni_send_active.word(wi);
-                while w != 0 {
-                    let i = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.inject_at(i, now);
-                }
-            }
-        } else {
-            for i in 0..self.nis.len() {
-                if faults_active && self.fault_plane.router_stalled(i, now) {
-                    continue;
-                }
-                self.inject_at(i, now);
-            }
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.ni_ns += lap_ns(&mut lap);
-        }
+        // Phase 3: router pipeline steps.
+        walk(
+            &mut cx,
+            0,
+            nodes,
+            |cx, wi| cx.router_active.word(wi) | fill,
+            |cx, i| cx.step_one_router(i),
+        )?;
+        prof.router_ns += lap_ns(lap);
+        Ok(())
+    }
 
-        // Phase 3: router pipeline steps (stalled routers skip their step
-        // but still accrue mode residency via the cached mode counts).
-        if fast {
-            for wi in 0..self.router_active.word_count() {
-                let mut w = self.router_active.word(wi);
-                while w != 0 {
-                    let i = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.step_one_router(i, &tick)?;
-                }
+    /// Phase 3b, shared by both engines: corrupt arrivals join the NACK
+    /// circuit, fresh end-to-end acks start their trip back to the source,
+    /// given-up records join the run-wide log. Corrupt flits exist only
+    /// under the fault plane and the rest only under recovery, so the
+    /// phase is provably a no-op otherwise.
+    fn collect_ni_sideband(&mut self, now: Cycle) {
+        if self.config.faults.is_empty() && self.config.retransmit.is_none() {
+            return;
+        }
+        for i in 0..self.nis.len() {
+            if !self.nis[i].has_sideband() {
+                continue;
             }
-        } else {
-            for i in 0..self.routers.len() {
-                if faults_active && self.fault_plane.router_stalled(i, now) {
-                    // The stalled cycle is never accounted in the router's
-                    // counters (matching the historical engine), so mark it
-                    // handled without replaying it as idle.
-                    self.accounted_upto[i] = now + 1;
-                    continue;
-                }
-                self.step_one_router(i, &tick)?;
+            for flit in self.nis[i].take_corrupt() {
+                let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
+                let ready = now + dist * self.config.link_latency + 2;
+                self.acc.nack_queue.push((ready, flit));
             }
+            for (src, id) in self.nis[i].take_acks() {
+                let dist = self.mesh.distance(NodeId::new(i), src) as u64;
+                let ready = now + dist * self.config.link_latency;
+                self.ack_queue.push((ready, src, id));
+            }
+            self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
         }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.router_ns += lap_ns(&mut lap);
-        }
+        self.cap_unreachable_log();
+    }
 
-        // Phase 3b: NI sideband (corrupt arrivals, acks, give-up records).
-        self.collect_ni_sideband(now);
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.ni_ns += lap_ns(&mut lap);
-        }
-
+    /// The end-of-cycle block, shared by both engines: clock, mode
+    /// residency, debug audits of the incremental accounting, and the
+    /// stall watchdog.
+    fn end_cycle(&mut self) -> Result<(), SimError> {
         self.now += 1;
-        self.stats.cycles += 1;
-        self.stats.cycles_backpressured += self.mode_counts[0];
-        self.stats.cycles_backpressureless += self.mode_counts[1];
-        self.stats.cycles_transitioning += self.mode_counts[2];
-        self.stats.reassembly_high_water =
-            self.stats.reassembly_high_water.max(self.ni_high_water_max);
+        let stats = &mut self.acc.stats;
+        stats.cycles += 1;
+        stats.cycles_backpressured += self.acc.mode_counts[0] as u64;
+        stats.cycles_backpressureless += self.acc.mode_counts[1] as u64;
+        stats.cycles_transitioning += self.acc.mode_counts[2] as u64;
+        stats.reassembly_high_water = stats.reassembly_high_water.max(self.acc.ni_high_water_max);
 
         #[cfg(debug_assertions)]
         if self.check_conservation {
             debug_assert_eq!(
-                self.in_flight,
-                self.flits_in_network(),
+                self.acc.in_flight,
+                self.flits_in_network() as i64,
                 "incremental in-flight accounting diverged"
             );
             debug_assert_eq!(
@@ -1110,11 +1145,11 @@ impl Network {
                 "incremental held-flit accounting diverged"
             );
             debug_assert_eq!(
-                self.retx_queued,
+                self.acc.retx_queued,
                 self.nis
                     .iter()
                     .map(NodeInterface::pending_retransmits)
-                    .sum::<usize>(),
+                    .sum::<usize>() as i64,
                 "incremental retransmit-queue accounting diverged"
             );
         }
@@ -1127,8 +1162,8 @@ impl Network {
         // (monotone and bounded by the offered-packet count), so bounded
         // recovery winds a faulted run down cleanly instead of racing the
         // watchdog through its backoff tail.
-        let progress =
-            self.stats.flits_injected + self.stats.flits_delivered + self.stats.packets_unreachable;
+        let stats = &self.acc.stats;
+        let progress = stats.flits_injected + stats.flits_delivered + stats.packets_unreachable;
         if progress != self.last_progress {
             self.last_progress = progress;
             self.last_progress_cycle = self.now;
@@ -1143,256 +1178,6 @@ impl Network {
                     per_router_occupancy: self.routers.iter().map(|r| r.occupancy()).collect(),
                 });
             }
-        }
-        if let Some(t0) = serial_probe {
-            self.par_gate.feedback(1, t0.elapsed().as_nanos() as f64);
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.other_ns += lap_ns(&mut lap);
-            p.cycles += 1;
-        }
-        Ok(())
-    }
-
-    /// Phase-1 body for one channel: route what the wheel has due this
-    /// cycle (and any held-back flits) into the adjacent routers, then
-    /// settle the channel's activity bit.
-    fn deliver_channel(
-        &mut self,
-        c: usize,
-        tick: &Tick,
-        faults_active: bool,
-    ) -> Result<(), SimError> {
-        let now = tick.now;
-        let ends = self.ends[c];
-        if let Some(rev) = self.wheel.rev_at(tick, c).copied() {
-            for &credit in rev.credits() {
-                if faults_active && self.fault_plane.credit_lost(c, now, &mut self.fault_rng) {
-                    self.stats.credits_lost += 1;
-                    self.stats.faults_injected += 1;
-                    self.credits_faulted += 1;
-                    self.log_fault(FaultEvent {
-                        cycle: now,
-                        from: ends.from,
-                        dir: ends.dir,
-                        kind: FaultEventKind::CreditLost,
-                    });
-                    continue;
-                }
-                self.credits_delivered += 1;
-                self.router_active.insert(ends.from.index());
-                self.routers[ends.from.index()].receive_credit(PortId::Net(ends.dir), credit, now);
-            }
-            for &signal in rev.control() {
-                self.router_active.insert(ends.from.index());
-                self.routers[ends.from.index()].receive_control(PortId::Net(ends.dir), signal, now);
-            }
-        }
-        let arriving = self.wheel.flit_at(tick, c);
-        let stalled = faults_active && self.fault_plane.router_stalled(ends.to.index(), now);
-        // The hold-back queue is a bypass: an arrival goes straight to the
-        // receiver unless that router is frozen (arrivals then wait and
-        // drain one per cycle — the link's bandwidth — once the stall
-        // lifts) or older flits are still waiting ahead of it.
-        let mut holding = self.held_flits > 0 && !self.held[c].is_empty();
-        let flit = if stalled || holding {
-            if let Some(flit) = arriving {
-                self.held[c].push_back(flit);
-                self.held_flits += 1;
-            }
-            let released = if stalled {
-                None
-            } else {
-                self.held_flits -= 1;
-                self.held[c].pop_front()
-            };
-            holding = !self.held[c].is_empty();
-            released
-        } else {
-            arriving
-        };
-        if holding || !self.wheel.quiet_after(c, now) {
-            self.chan_active.insert(c);
-        } else {
-            self.chan_active.remove(c);
-        }
-        if let Some(mut flit) = flit {
-            if faults_active {
-                match self.fault_plane.flit_fate(c, now, &mut self.fault_rng) {
-                    FlitFate::Drop => {
-                        self.stats.flits_lost_to_faults += 1;
-                        self.stats.faults_injected += 1;
-                        self.in_flight -= 1;
-                        self.log_fault(FaultEvent::for_flit(now, ends.from, ends.dir, &flit, true));
-                        return Ok(());
-                    }
-                    FlitFate::Corrupt => {
-                        flit.corrupt();
-                        self.stats.faults_injected += 1;
-                        self.log_fault(FaultEvent::for_flit(
-                            now, ends.from, ends.dir, &flit, false,
-                        ));
-                    }
-                    FlitFate::Deliver => {}
-                }
-            }
-            if self.config.max_flit_age > 0 {
-                let age = now.saturating_sub(flit.injected_at);
-                if age > self.config.max_flit_age {
-                    return Err(SimError::FlitOverAge {
-                        cycle: now,
-                        limit: self.config.max_flit_age,
-                        age,
-                        node: ends.to,
-                        flit,
-                    });
-                }
-            }
-            self.router_active.insert(ends.to.index());
-            self.routers[ends.to.index()].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
-        }
-        Ok(())
-    }
-
-    /// Phase 3b, shared by both engines: corrupt arrivals join the NACK
-    /// circuit, fresh end-to-end acks start their trip back to the source,
-    /// given-up records join the run-wide log. Corrupt flits exist only
-    /// under the fault plane and the rest only under recovery, so the
-    /// phase is provably a no-op otherwise.
-    pub(crate) fn collect_ni_sideband(&mut self, now: Cycle) {
-        if self.config.faults.is_empty() && self.config.retransmit.is_none() {
-            return;
-        }
-        for i in 0..self.nis.len() {
-            if !self.nis[i].has_sideband() {
-                continue;
-            }
-            for flit in self.nis[i].take_corrupt() {
-                let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
-                let ready = now + dist * self.config.link_latency + 2;
-                self.nack_queue.push((ready, flit));
-            }
-            for (src, id) in self.nis[i].take_acks() {
-                let dist = self.mesh.distance(NodeId::new(i), src) as u64;
-                let ready = now + dist * self.config.link_latency;
-                self.ack_queue.push((ready, src, id));
-            }
-            self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
-        }
-        self.cap_unreachable_log();
-    }
-
-    /// Phase-2b body for one NI: one injection attempt plus incremental
-    /// in-flight/retransmit accounting and send-set maintenance.
-    fn inject_at(&mut self, i: usize, now: Cycle) {
-        let inj0 = self.stats.flits_injected;
-        let rtx0 = self.stats.flits_retransmitted;
-        self.nis[i].try_inject(self.routers[i].as_mut(), now, &mut self.stats);
-        let retransmitted = self.stats.flits_retransmitted - rtx0;
-        let entered = (self.stats.flits_injected - inj0) + retransmitted;
-        if entered > 0 {
-            self.in_flight += entered as usize;
-            self.router_active.insert(i);
-        }
-        self.retx_queued -= retransmitted as usize;
-        if self.nis[i].pending_packets() > 0 || self.nis[i].pending_retransmits() > 0 {
-            self.ni_send_active.insert(i);
-        } else {
-            self.ni_send_active.remove(i);
-        }
-    }
-
-    /// Phase-3 body for one router: replay pending idle cycles, step it,
-    /// and route its outputs into channels and the local NI.
-    fn step_one_router(&mut self, i: usize, tick: &Tick) -> Result<(), SimError> {
-        let now = tick.now;
-        let pending_idle = now - self.accounted_upto[i];
-        if pending_idle > 0 {
-            #[cfg(debug_assertions)]
-            let expected = self.routers[i].counters_view(pending_idle);
-            self.routers[i].note_idle_cycles(pending_idle);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                *self.routers[i].counters(),
-                expected,
-                "router {i}: note_idle_cycles disagrees with counters_view"
-            );
-        }
-        self.accounted_upto[i] = now + 1;
-
-        self.scratch.clear();
-        let mut rng = self.rng.fork((now << 16) ^ i as u64);
-        self.routers[i].step(now, &mut rng, &mut self.scratch);
-
-        for dir in Direction::ALL {
-            if let Some(flit) = self.scratch.flits[PortId::Net(dir)] {
-                let Some(chan) = self.out_chan[i][dir] else {
-                    return Err(SimError::Misrouted {
-                        cycle: now,
-                        node: NodeId::new(i),
-                        dir,
-                        flit,
-                    });
-                };
-                self.chan_active.insert(chan);
-                self.wheel.push_flit(tick, chan, flit);
-            }
-            for &credit in &self.scratch.credits[PortId::Net(dir)] {
-                if let Some(chan) = self.in_chan[i][dir] {
-                    self.chan_active.insert(chan);
-                    self.wheel.push_credit(tick, chan, credit);
-                    self.credits_pushed += 1;
-                }
-            }
-        }
-        if self.scratch.flits[PortId::Local].is_some() {
-            return Err(SimError::ProtocolViolation {
-                cycle: now,
-                node: NodeId::new(i),
-                what: "routers must use `ejected`, not the Local flit slot",
-            });
-        }
-        for &signal in &self.scratch.control {
-            for dir in Direction::ALL {
-                if let Some(chan) = self.in_chan[i][dir] {
-                    self.chan_active.insert(chan);
-                    self.wheel.push_control(tick, chan, signal);
-                }
-            }
-        }
-        if !self.scratch.ejected.is_empty() {
-            self.in_flight -= self.scratch.ejected.len();
-            self.nis[i].receive_flits(self.scratch.ejected.drain(..), now, &mut self.stats);
-            self.ni_high_water_max = self
-                .ni_high_water_max
-                .max(self.nis[i].reassembly_high_water());
-            if self.nis[i].has_delivered() {
-                self.ni_delivered.insert(i);
-            }
-        }
-
-        // Dropped flits ride the modeled NACK circuit back to their
-        // source: latency proportional to the Manhattan distance, plus a
-        // small fixed processing cost.
-        if !self.scratch.dropped.is_empty() {
-            self.in_flight -= self.scratch.dropped.len();
-            for flit in self.scratch.dropped.drain(..) {
-                let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
-                let ready = now + dist * self.config.link_latency + 2;
-                self.nack_queue.push((ready, flit));
-            }
-        }
-
-        let mode = self.routers[i].mode();
-        if mode != self.modes_cache[i] {
-            self.mode_counts[Self::mode_slot(self.modes_cache[i])] -= 1;
-            self.mode_counts[Self::mode_slot(mode)] += 1;
-            self.modes_cache[i] = mode;
-        }
-        if self.routers[i].is_quiescent() {
-            self.router_active.remove(i);
-        } else {
-            self.router_active.insert(i);
         }
         Ok(())
     }
@@ -1409,9 +1194,8 @@ impl Network {
     /// `out` (appended in NI index order), retaining `out`'s capacity — the
     /// allocation-free form of [`Network::take_delivered`].
     pub fn take_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
-        for wi in 0..self.ni_delivered.word_count() {
-            let mut w = self.ni_delivered.word(wi);
-            self.ni_delivered.words[wi] = 0;
+        for wi in 0..self.ni_delivered.words.len() {
+            let mut w = std::mem::take(&mut self.ni_delivered.words[wi]);
             while w != 0 {
                 let i = (wi << 6) + w.trailing_zeros() as usize;
                 w &= w - 1;
@@ -1441,8 +1225,8 @@ impl Network {
     /// O(1) whenever anything is in flight; the NI scan only runs on
     /// candidate-drained cycles.
     pub fn is_drained(&self) -> bool {
-        self.in_flight == 0
-            && self.nack_queue.is_empty()
+        self.acc.in_flight == 0
+            && self.acc.nack_queue.is_empty()
             && self.ack_queue.is_empty()
             && self.nis.iter().all(NodeInterface::is_idle)
     }
@@ -1452,8 +1236,8 @@ impl Network {
     /// chaos/soak tests use this to say *what* failed to drain.
     pub fn drain_residue(&self) -> (usize, usize, usize, usize) {
         (
-            self.in_flight,
-            self.nack_queue.len(),
+            self.acc.in_flight as usize,
+            self.acc.nack_queue.len(),
             self.ack_queue.len(),
             self.nis.iter().filter(|ni| !ni.is_idle()).count(),
         )
@@ -1480,13 +1264,7 @@ impl Network {
         if self.unreachable_packets.len() > Self::UNREACHABLE_LOG_CAP {
             let excess = self.unreachable_packets.len() - Self::UNREACHABLE_LOG_CAP;
             self.unreachable_packets.drain(..excess);
-            self.stats.unreachable_records_dropped += excess as u64;
-        }
-    }
-
-    pub(crate) fn log_fault(&mut self, ev: FaultEvent) {
-        if self.fault_log.len() < Self::FAULT_LOG_CAP {
-            self.fault_log.push(ev);
+            self.acc.stats.unreachable_records_dropped += excess as u64;
         }
     }
 
@@ -1510,7 +1288,7 @@ impl Network {
     /// Zeroes statistics and router activity counters (end-of-warmup reset).
     /// Simulation time and in-flight state are preserved.
     pub fn reset_metrics(&mut self) {
-        self.stats = NetworkStats::new();
+        self.acc.stats = NetworkStats::new();
         for i in 0..self.routers.len() {
             // Flush outstanding idle cycles first: the replay also advances
             // non-counter state (e.g. AFC's load monitor), which must not be
@@ -1537,9 +1315,9 @@ impl Network {
     ///
     /// Routers whose [`Router::reset`] declines are rebuilt through the
     /// factory; everything else clears in place. The parallel-engine
-    /// state (thread budget, shard plan, adaptive gate) is deliberately
-    /// carried over — it is wall-clock-only and never observable in
-    /// results, exactly as with snapshot restore (DESIGN.md §12).
+    /// state (thread budget, gate floor, shard plan) is deliberately
+    /// carried over — it is never observable in results, exactly as with
+    /// snapshot restore (DESIGN.md §12).
     /// Byte-identity to fresh construction is pinned by the arena test
     /// wall via [`Network::save_state`] fingerprints.
     pub fn reset_from_config(
@@ -1571,19 +1349,15 @@ impl Network {
         self.now = 0;
         self.rng = SimRng::seed_from(seed);
         self.fault_rng = self.rng.fork(0x00FA_0171);
-        self.stats.clear();
+        self.acc.clear();
         self.next_packet_id = 0;
         self.scratch.clear();
-        self.nack_queue.clear();
         self.ack_queue.clear();
         self.fault_log.clear();
         // `detect_schedule` is a pure function of the (equal) configuration
         // and stays; only the firing cursor rewinds.
         self.detect_next = 0;
         self.unreachable_packets.clear();
-        self.credits_pushed = 0;
-        self.credits_delivered = 0;
-        self.credits_faulted = 0;
         self.last_progress = 0;
         self.last_progress_cycle = 0;
         self.audit_baseline = 0;
@@ -1593,14 +1367,10 @@ impl Network {
         self.ni_send_active.fill_full(n);
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
-        self.mode_counts = [0u64; 3];
         for i in 0..n {
             self.modes_cache[i] = self.routers[i].mode();
-            self.mode_counts[Self::mode_slot(self.modes_cache[i])] += 1;
+            self.acc.mode_counts[Self::mode_slot(self.modes_cache[i])] += 1;
         }
-        self.in_flight = 0;
-        self.retx_queued = 0;
-        self.ni_high_water_max = 0;
         self.check_conservation = true;
         self.mem_high_water = 0;
         true
@@ -1610,7 +1380,7 @@ impl Network {
     /// routers/channels, riding the NACK circuit, or queued for
     /// retransmission. O(1) via the engine's incremental accounting.
     pub(crate) fn unaccounted_flits(&self) -> usize {
-        self.in_flight + self.nack_queue.len() + self.retx_queued
+        (self.acc.in_flight + self.acc.retx_queued) as usize + self.acc.nack_queue.len()
     }
 
     /// [`Network::unaccounted_flits`] recounted from actual component
@@ -1620,7 +1390,7 @@ impl Network {
     /// recount exposes the discrepancy.
     fn unaccounted_flits_recount(&self) -> usize {
         self.flits_in_network()
-            + self.nack_queue.len()
+            + self.acc.nack_queue.len()
             + self
                 .nis
                 .iter()
@@ -1646,15 +1416,15 @@ impl Network {
     /// Returns a human-readable description of the imbalance — which would
     /// indicate a router silently losing or duplicating flits.
     pub fn audit(&self) -> Result<(), String> {
-        let injected = self.stats.flits_injected as i128;
-        let copies = self.stats.flits_retransmit_copies as i128;
-        let delivered = self.stats.flits_delivered as i128;
+        let injected = self.acc.stats.flits_injected as i128;
+        let copies = self.acc.stats.flits_retransmit_copies as i128;
+        let delivered = self.acc.stats.flits_delivered as i128;
         let in_flight = self.unaccounted_flits_recount() as i128;
         let baseline = self.audit_baseline as i128;
-        let faulted = self.stats.flits_lost_to_faults as i128;
-        let duplicates = self.stats.duplicate_flits_discarded as i128;
-        let absorbed = self.stats.nacks_absorbed as i128;
-        let abandoned = self.stats.flits_abandoned as i128;
+        let faulted = self.acc.stats.flits_lost_to_faults as i128;
+        let duplicates = self.acc.stats.duplicate_flits_discarded as i128;
+        let absorbed = self.acc.stats.nacks_absorbed as i128;
+        let abandoned = self.acc.stats.flits_abandoned as i128;
         if injected + baseline + copies
             == delivered + in_flight + faulted + duplicates + absorbed + abandoned
         {
@@ -1679,15 +1449,15 @@ impl Network {
     /// Returns a human-readable description of the imbalance.
     pub fn credit_audit(&self) -> Result<(), String> {
         let on_wire = self.wheel.credits_in_flight(self.now);
-        let lhs = self.credits_pushed;
-        let rhs = self.credits_delivered + self.credits_faulted + on_wire as u64;
+        let lhs = self.acc.credits_pushed;
+        let rhs = self.acc.credits_delivered + self.acc.credits_faulted + on_wire as u64;
         if lhs == rhs {
             Ok(())
         } else {
             Err(format!(
                 "credit conservation violated: pushed {lhs} != delivered {} + faulted {} \
                  + on-wire {}",
-                self.credits_delivered, self.credits_faulted, on_wire
+                self.acc.credits_delivered, self.acc.credits_faulted, on_wire
             ))
         }
     }
@@ -1728,7 +1498,7 @@ impl Network {
         for word in self.fault_rng.state() {
             w.put_u64(word);
         }
-        self.stats.save(w);
+        self.acc.stats.save(w);
         w.put_u64(self.next_packet_id);
 
         for r in &self.routers {
@@ -1739,8 +1509,8 @@ impl Network {
         }
         self.wheel.save(w, self.now);
 
-        w.put_usize(self.nack_queue.len());
-        for (ready, flit) in &self.nack_queue {
+        w.put_usize(self.acc.nack_queue.len());
+        for (ready, flit) in &self.acc.nack_queue {
             w.put_u64(*ready);
             snapshot::write_flit(w, flit);
         }
@@ -1769,9 +1539,9 @@ impl Network {
             w.put_u64(u.gave_up_at);
         }
 
-        w.put_u64(self.credits_pushed);
-        w.put_u64(self.credits_delivered);
-        w.put_u64(self.credits_faulted);
+        w.put_u64(self.acc.credits_pushed);
+        w.put_u64(self.acc.credits_delivered);
+        w.put_u64(self.acc.credits_faulted);
         w.put_u64(self.last_progress);
         w.put_u64(self.last_progress_cycle);
         w.put_usize(self.audit_baseline);
@@ -1861,7 +1631,7 @@ impl Network {
             *word = r.get_u64("network fault rng state")?;
         }
         self.fault_rng = SimRng::from_state(fault_state);
-        self.stats = NetworkStats::load(r)?;
+        self.acc.stats = NetworkStats::load(r)?;
         self.next_packet_id = r.get_u64("network next packet id")?;
 
         for router in &mut self.routers {
@@ -1873,11 +1643,11 @@ impl Network {
         self.wheel.load(r, self.now)?;
 
         let nacks = r.get_usize("nack queue length")?;
-        self.nack_queue.clear();
+        self.acc.nack_queue.clear();
         for _ in 0..nacks {
             let ready = r.get_u64("nack ready cycle")?;
             let flit = snapshot::read_flit(r)?;
-            self.nack_queue.push((ready, flit));
+            self.acc.nack_queue.push((ready, flit));
         }
         let acks = r.get_usize("ack queue length")?;
         self.ack_queue.clear();
@@ -1926,9 +1696,9 @@ impl Network {
             });
         }
 
-        self.credits_pushed = r.get_u64("credits pushed")?;
-        self.credits_delivered = r.get_u64("credits delivered")?;
-        self.credits_faulted = r.get_u64("credits faulted")?;
+        self.acc.credits_pushed = r.get_u64("credits pushed")?;
+        self.acc.credits_delivered = r.get_u64("credits delivered")?;
+        self.acc.credits_faulted = r.get_u64("credits faulted")?;
         self.last_progress = r.get_u64("last progress")?;
         self.last_progress_cycle = r.get_u64("last progress cycle")?;
         self.audit_baseline = r.get_usize("audit baseline")?;
@@ -1958,17 +1728,17 @@ impl Network {
 
         // Derived accounting, recomputed from the restored components.
         self.modes_cache = self.routers.iter().map(|router| router.mode()).collect();
-        self.mode_counts = [0; 3];
+        self.acc.mode_counts = [0; 3];
         for m in &self.modes_cache {
-            self.mode_counts[Self::mode_slot(*m)] += 1;
+            self.acc.mode_counts[Self::mode_slot(*m)] += 1;
         }
-        self.in_flight = self.flits_in_network();
-        self.retx_queued = self
+        self.acc.in_flight = self.flits_in_network() as i64;
+        self.acc.retx_queued = self
             .nis
             .iter()
             .map(NodeInterface::pending_retransmits)
-            .sum();
-        self.ni_high_water_max = self
+            .sum::<usize>() as i64;
+        self.acc.ni_high_water_max = self
             .nis
             .iter()
             .map(NodeInterface::reassembly_high_water)

@@ -442,11 +442,9 @@ fn config_validator_agrees_with_construction_under_fuzz() {
         }
     }
 
-    let cases = if std::env::var("AFC_FULL_SCAN").is_ok() {
-        512u64
-    } else {
-        96
-    };
+    // The deep run rides on CI's `AFC_FULL_SCAN=1` leg.
+    let (full_scan, _) = afc_bench::engine_overrides();
+    let cases = if full_scan { 512u64 } else { 96 };
     for case in 0..cases {
         let mut p = SimRng::seed_from(0xC0F1_6000 + case);
         let vnets: Vec<VnetConfig> = (0..p.gen_index(4))
@@ -648,12 +646,12 @@ fn replanning_mid_run_preserves_snapshot_bytes() {
         );
         let mut sim = Simulation::new(network, traffic);
         sim.network.set_sim_threads(threads);
-        sim.network.set_parallel_adaptive(false);
+        sim.network.set_parallel_threshold(0);
         sim.network.set_replan_interval(replan_every);
         sim.run(400);
         // `AFC_FULL_SCAN=1` legally pins the engine serial; the comparison
         // then proves full-scan serial ≡ itself across replan settings.
-        if threads > 1 && std::env::var_os("AFC_FULL_SCAN").is_none() {
+        if threads > 1 && !sim.network.full_scan() {
             assert!(
                 sim.network.parallel_cycles() > 0,
                 "replan test must actually exercise the parallel engine"
