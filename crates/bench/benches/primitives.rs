@@ -4,11 +4,13 @@
 
 use afc_bench::microbench;
 use afc_netsim::config::NetworkConfig;
+use afc_netsim::counters::ActivityCounters;
 use afc_netsim::flit::{Flit, PacketId};
 use afc_netsim::geom::{Coord, NodeId};
 use afc_netsim::rng::SimRng;
+use afc_netsim::router::RouterOutputs;
 use afc_routers::arbiter::RoundRobin;
-use afc_routers::deflection::{DeflectionEngine, RankPolicy};
+use afc_routers::deflection::{LatchBank, Loser, RankPolicy};
 
 fn main() {
     let mut group = microbench::group("primitives");
@@ -26,13 +28,23 @@ fn main() {
         let cfg = NetworkConfig::paper_3x3();
         let mesh = cfg.mesh().unwrap();
         let node = mesh.node_at(Coord::new(1, 1)).unwrap();
-        let engine = DeflectionEngine::new(node, &mesh, RankPolicy::Random);
+        let mut bank = LatchBank::new(node, &mesh, RankPolicy::Random, cfg.eject_bandwidth);
         let mut rng = SimRng::seed_from(1);
-        let flits: Vec<Flit> = (0..4)
-            .map(|i| Flit::test_flit(PacketId(i), NodeId::new(0), NodeId::new(8)))
-            .collect();
+        let (mut out, mut counters) = (RouterOutputs::new(), ActivityCounters::new());
         group.bench("deflection_assign_4flits", || {
-            engine.assign(flits.clone(), &[], &mut rng)
+            for i in 0..4 {
+                bank.push(Flit::test_flit(PacketId(i), NodeId::new(0), NodeId::new(8)));
+            }
+            out.clear();
+            bank.step_with(
+                Loser::Deflect,
+                0,
+                0,
+                None,
+                &mut rng,
+                &mut out,
+                &mut counters,
+            )
         });
     }
 

@@ -32,13 +32,13 @@ use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
 use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
-use afc_netsim::geom::{DirMap, Direction, NodeId, PortId, PortMap};
+use afc_netsim::geom::{Coord, DirMap, Direction, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
 use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 use afc_routers::arbiter::RoundRobin;
-use afc_routers::deflection::{split_ejections_into, Assignment, DeflectionEngine};
+use afc_routers::deflection::{LatchBank, Loser};
 
 use crate::config::AfcConfig;
 use crate::contention::{ContentionMonitor, LoadLevel};
@@ -88,19 +88,20 @@ pub struct AfcSnapshot {
 /// The AFC router.
 pub struct AfcRouter {
     node: NodeId,
+    /// `node`'s coordinate, cached for route computation.
+    at: Coord,
     mesh: Mesh,
     cfg: AfcConfig,
     eject_bandwidth: usize,
     gossip_x: u64,
     transition_len: u64,
-    engine: DeflectionEngine,
     monitor: ContentionMonitor,
     mode: AfcMode,
     /// Flits received or injected since the last step (traffic-intensity
     /// sample).
     flits_this_cycle: u32,
-    /// Backpressureless-mode input latches.
-    latches: Vec<Flit>,
+    /// Backpressureless-mode input latches and the deflection kernel.
+    bank: LatchBank,
     /// Lazy one-flit VCs for all five ports as one contiguous slab: port
     /// `p`'s flat slot `s` lives at `p * total_slots + s` (flat slot order
     /// is vnet-major, matching `flat_decode`). Absent boundary ports keep
@@ -142,13 +143,8 @@ pub struct AfcRouter {
     /// Buffered-flit count across all banks (excludes latches), maintained
     /// incrementally so `occupancy`/`buffers_empty` are O(1) on the hot path.
     buffered: usize,
-    /// Reusable deflection-assignment buffer (capacity retained across
-    /// cycles; no steady-state allocation).
-    assign_scratch: Vec<Assignment>,
     /// Reusable stage-2 winner list `(input, flat slot, output)`.
     winners_scratch: Vec<(PortId, usize, PortId)>,
-    /// Reusable dead-direction mask for deflect-mode assignment.
-    blocked_scratch: Vec<Direction>,
     /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
     /// §13); clean-state steps are byte-identical to the fault-free build.
     fa: FaultAwareness,
@@ -217,15 +213,15 @@ impl AfcRouter {
         let always = cfg.always_backpressured;
         let mut router = AfcRouter {
             node,
+            at: mesh.coord(node),
             mesh: mesh.clone(),
             eject_bandwidth: net.eject_bandwidth,
             gossip_x: cfg.effective_gossip_threshold(net.link_latency),
             transition_len: cfg.transition_cycles(net.link_latency),
-            engine: DeflectionEngine::new(node, mesh, cfg.rank_policy),
             monitor,
             mode: AfcMode::Backpressureless,
             flits_this_cycle: 0,
-            latches: Vec::with_capacity(8),
+            bank: LatchBank::new(node, mesh, cfg.rank_policy, net.eject_bandwidth),
             slots: vec![filler; PORTS * total_slots].into_boxed_slice(),
             slot_route: vec![0; PORTS * total_slots].into_boxed_slice(),
             occ_bits: [0; PORTS],
@@ -241,9 +237,7 @@ impl AfcRouter {
             flat_decode,
             counters: ActivityCounters::new(),
             buffered: 0,
-            assign_scratch: Vec::with_capacity(8),
             winners_scratch: Vec::with_capacity(PortId::ALL.len() + 4),
-            blocked_scratch: Vec::with_capacity(4),
             fa: FaultAwareness::new(node, mesh.clone()),
             tolerate_faults: !net.faults.is_empty(),
             resync_wait: DirMap::default(),
@@ -318,7 +312,7 @@ impl AfcRouter {
             PortId::Local.index() as u8
         } else {
             self.mesh
-                .dor_route(self.node, flit.dest)
+                .dor_route_from(self.at, flit.dest)
                 .expect("non-local flit has a route")
                 .index() as u8
         }
@@ -407,17 +401,12 @@ impl AfcRouter {
         }
     }
 
-    /// Free output ports this cycle under backpressureless operation.
-    fn free_ports_after_ejection(&self) -> usize {
-        let local = self
-            .latches
-            .iter()
-            .filter(|f| f.dest == self.node)
-            .count()
-            .min(self.eject_bandwidth);
-        self.engine
-            .degree()
-            .saturating_sub(self.latches.len() - local)
+    /// Returns the credit pool toward `d` to full, in place (an empty
+    /// downstream bank).
+    fn refill_credits(&mut self, d: Direction) {
+        for (c, cap) in self.credits[d].iter_mut().zip(&self.vnet_capacity) {
+            *c = *cap as u64;
+        }
     }
 
     /// Initiates the forward mode switch (common to threshold- and
@@ -451,106 +440,35 @@ impl AfcRouter {
     }
 
     /// One cycle of deflection processing (backpressureless and transition
-    /// states).
+    /// states): the shared bufferless kernel, plus credit accounting toward
+    /// neighbors that track this router.
     fn step_deflect(&mut self, rng: &mut SimRng, out: &mut RouterOutputs) {
-        if self.latches.is_empty() {
+        if self.bank.is_empty() {
             return;
         }
-        let before = out.ejected.len();
-        split_ejections_into(
-            &mut self.latches,
-            self.node,
-            self.eject_bandwidth,
-            &mut out.ejected,
-        );
-        self.counters.ejections += (out.ejected.len() - before) as u64;
-
-        // Both vectors round-trip through locals (borrow split) and return
-        // with capacity intact: no allocation in steady state.
-        let mut flits = std::mem::take(&mut self.latches);
-        let mut assigns = std::mem::take(&mut self.assign_scratch);
-        let mut blocked = std::mem::take(&mut self.blocked_scratch);
-        blocked.clear();
-        if !self.fa.is_clean() {
-            // Degraded mode: terminate unreachable flits through the
-            // structured drop/NACK path (order-preserving removal keeps the
-            // ranking RNG sequence deterministic), then mask dead output
-            // links — relaxed if more flits remain than alive ports, in
-            // which case the overflow deliberately sinks into the dead link
-            // where the fault plane accounts for it and retransmission
-            // recovers it.
-            let mut i = 0;
-            while i < flits.len() {
-                if matches!(self.fa.route(flits[i].dest), RouteOutcome::Unreachable) {
-                    out.dropped.push(flits.remove(i));
-                    self.counters.drops += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            self.fa
-                .fill_blocked(self.engine.dirs(), flits.len(), &mut blocked);
-        }
-        // Hold revived links mid-handshake out of the deflection port set
-        // too (this runs even when the fault view is clean again — the
+        // Revived links mid-handshake are held out of the deflection port
+        // set like dead ones (even once the fault view is clean again — the
         // handshake outlives the healed state by a few cycles): their
         // credit pools are zeroed, so an arbitration there would be an
-        // uncredited send. Relaxed under the same overflow rule as dead
-        // links when more flits remain than open ports — the sink is then
-        // a real uncredited delivery that the downstream bank absorbs
-        // through its fault-tolerant overflow path.
-        for &d in self.engine.dirs() {
-            if self.resync_wait[d] && flits.len() + blocked.len() < self.engine.degree() {
-                blocked.push(d);
+        // uncredited send. When more flits remain than open ports the
+        // kernel relaxes the hold, and the sink is a real uncredited
+        // delivery that the downstream bank absorbs through its
+        // fault-tolerant overflow path.
+        let held = self.resync_wait.mask();
+        let (fa, counters) = (&mut self.fa, &mut self.counters);
+        let sent = self.bank.step(Loser::Deflect, fa, held, rng, out, counters);
+        for d in Direction::ALL {
+            // During a re-sync wait the pool is floored at zero and the
+            // rare forced send is accounted by the downstream overflow
+            // path, so the decrement (and its underflow assert) is skipped.
+            if sent >> d.index() & 1 == 0 || !self.tracking[d] || self.resync_wait[d] {
+                continue;
             }
+            let flit = out.flits[PortId::Net(d)].expect("the kernel sent one");
+            let c = &mut self.credits[d][flit.vnet.index()];
+            debug_assert!(*c > 0, "gossip threshold must prevent credit underflow");
+            *c = c.saturating_sub(1);
         }
-        self.counters.arbitrations += flits.len() as u64;
-        if self.fa.is_clean() {
-            self.engine
-                .assign_into(&mut flits, &blocked, rng, &mut assigns);
-        } else {
-            // Degraded mode: desire the alive-graph next hop, not the
-            // fault-blind DOR productive set (see `assign_with_into`).
-            let fa = &mut self.fa;
-            self.engine.assign_with_into(
-                &mut flits,
-                &blocked,
-                |f| match fa.route(f.dest) {
-                    RouteOutcome::Dir(d) => Some(d),
-                    RouteOutcome::Local | RouteOutcome::Unreachable => None,
-                },
-                rng,
-                &mut assigns,
-            );
-        }
-        self.blocked_scratch = blocked;
-        let clean = self.fa.is_clean();
-        for a in assigns.iter_mut() {
-            if !a.deflected && !clean && !self.engine.is_productive(&a.flit, a.dir) {
-                self.counters.reroutes += 1;
-            }
-            a.flit.hops += 1;
-            if a.deflected {
-                a.flit.deflections = a.flit.deflections.saturating_add(1);
-                self.counters.deflections += 1;
-            }
-            if self.tracking[a.dir] && !self.resync_wait[a.dir] {
-                // During a re-sync wait the pool is floored at zero and the
-                // rare forced send is accounted by the downstream overflow
-                // path, so the decrement (and its underflow assert) is
-                // skipped.
-                let c = &mut self.credits[a.dir][a.flit.vnet.index()];
-                debug_assert!(*c > 0, "gossip threshold must prevent credit underflow");
-                *c = c.saturating_sub(1);
-            }
-            self.counters.crossbar_traversals += 1;
-            self.counters.link_traversals += 1;
-            out.flits[PortId::Net(a.dir)] = Some(a.flit);
-        }
-        flits.clear();
-        self.latches = flits;
-        assigns.clear();
-        self.assign_scratch = assigns;
     }
 
     /// Removes buffered flits whose destinations have no alive path
@@ -741,7 +659,7 @@ impl AfcRouter {
                         debug_assert!(*c > 0, "eligibility checked credits");
                         *c = c.saturating_sub(1);
                     }
-                    if !clean && Some(d) != self.mesh.dor_route(self.node, flit.dest) {
+                    if !clean && Some(d) != self.mesh.dor_route_from(self.at, flit.dest) {
                         self.counters.reroutes += 1;
                     }
                     // Lazy allocation happens downstream: only the virtual
@@ -764,7 +682,7 @@ impl Router for AfcRouter {
         if self.buffering(now) {
             self.buffer_insert(input, flit);
         } else {
-            self.latches.push(flit);
+            self.bank.push(flit);
             self.counters.latch_writes += 1;
         }
     }
@@ -796,7 +714,7 @@ impl Router for AfcRouter {
                 // The switching neighbor's buffers start out empty — which
                 // also supersedes any credit re-sync still in flight for a
                 // revived link: a full pool over an empty bank is exact.
-                self.credits[d] = self.vnet_capacity.iter().map(|c| *c as u64).collect();
+                self.refill_credits(d);
                 self.resync_wait[d] = false;
             }
             ControlSignal::StopCreditTracking => {
@@ -813,7 +731,7 @@ impl Router for AfcRouter {
                     // The downstream bank is empty and nothing is in
                     // flight (the port sat out arbitration throughout the
                     // wait), so a full pool is exactly correct.
-                    self.credits[dir] = self.vnet_capacity.iter().map(|c| *c as u64).collect();
+                    self.refill_credits(dir);
                     self.resync_wait[dir] = false;
                 }
             }
@@ -843,7 +761,7 @@ impl Router for AfcRouter {
         if self.buffering(now) {
             (!self.occ_bits[PortId::Local.index()] & self.vnet_mask[flit.vnet.index()]) != 0
         } else {
-            self.free_ports_after_ejection() >= 1
+            self.bank.free_ports_after_ejection() >= 1
         }
     }
 
@@ -853,7 +771,7 @@ impl Router for AfcRouter {
         if self.buffering(now) {
             self.buffer_insert(PortId::Local, flit);
         } else {
-            self.latches.push(flit);
+            self.bank.push(flit);
             self.counters.latch_writes += 1;
         }
     }
@@ -901,7 +819,7 @@ impl Router for AfcRouter {
         // Complete an in-flight forward transition.
         if let AfcMode::SwitchingForward { complete_at, .. } = self.mode {
             if now >= complete_at {
-                debug_assert!(self.latches.is_empty(), "latches drain before switch");
+                debug_assert!(self.bank.is_empty(), "latches drain before switch");
                 self.mode = AfcMode::Backpressured;
                 self.reverse_allowed_at = now + self.cfg.reverse_dwell;
             }
@@ -970,14 +888,10 @@ impl Router for AfcRouter {
             + self.slot_route.len() * size_of::<u8>()
             + self.vnet_mask.len() * size_of::<u64>()
             + credits
-            + self.latches.capacity() * size_of::<Flit>()
             + self.vnet_capacity.capacity() * size_of::<usize>()
             + self.flat_decode.capacity() * size_of::<(u32, u32)>()
-            + self.assign_scratch.capacity() * size_of::<Assignment>()
             + self.winners_scratch.capacity() * size_of::<(PortId, usize, PortId)>()
-            + self.blocked_scratch.capacity() * size_of::<Direction>()
             + self.overflow_scratch.capacity() * size_of::<Flit>()
-            + self.engine.heap_bytes()
             + self.fa.heap_bytes()
     }
 
@@ -1005,7 +919,7 @@ impl Router for AfcRouter {
                 .map(|b| b.count_ones() as usize)
                 .sum::<usize>(),
         );
-        self.buffered + self.latches.len()
+        self.buffered + self.bank.len()
     }
 
     fn load_estimate(&self) -> Option<f64> {
@@ -1034,7 +948,7 @@ impl Router for AfcRouter {
             // on an all-zero window, so `level()` can never *become* `High`
             // while skipped.
             AfcMode::Backpressureless => {
-                self.latches.is_empty()
+                self.bank.is_empty()
                     && !self.gossip_pressure()
                     && self.monitor.level() != LoadLevel::High
             }
@@ -1044,7 +958,7 @@ impl Router for AfcRouter {
             // always-backpressured ablation — whose mode decisions are
             // suppressed entirely — can be skipped.
             AfcMode::Backpressured => {
-                self.cfg.always_backpressured && self.buffered == 0 && self.latches.is_empty()
+                self.cfg.always_backpressured && self.buffered == 0 && self.bank.is_empty()
             }
             AfcMode::SwitchingForward { .. } => false,
         }
@@ -1075,7 +989,7 @@ impl Router for AfcRouter {
         self.mode = AfcMode::Backpressureless;
         self.flits_this_cycle = 0;
         self.reverse_allowed_at = 0;
-        self.latches.clear();
+        self.bank.clear();
         // Stale slot/route contents behind a cleared occupancy bit are
         // never read, so zeroing the bitwords is the whole buffer reset.
         self.occ_bits = [0; PORTS];
@@ -1087,15 +1001,11 @@ impl Router for AfcRouter {
         }
         self.tracking = DirMap::default();
         for d in Direction::ALL {
-            for (c, cap) in self.credits[d].iter_mut().zip(self.vnet_capacity.iter()) {
-                *c = *cap as u64;
-            }
+            self.refill_credits(d);
         }
         self.counters = ActivityCounters::new();
         self.buffered = 0;
-        self.assign_scratch.clear();
         self.winners_scratch.clear();
-        self.blocked_scratch.clear();
         self.fa.reset();
         self.resync_wait = DirMap::default();
         self.resync_pending = DirMap::default();
@@ -1124,10 +1034,7 @@ impl Router for AfcRouter {
         w.put_u32(self.flits_this_cycle);
         w.put_u64(self.reverse_allowed_at);
         self.monitor.save(w);
-        w.put_usize(self.latches.len());
-        for f in &self.latches {
-            snapshot::write_flit(w, f);
-        }
+        self.bank.save(w);
         // Bank geometry (present ports, per-vnet capacities) is rebuilt from
         // configuration; only slot contents travel. Flat ascending slot
         // order is vnet-major, so the byte stream matches the pre-slab
@@ -1199,16 +1106,7 @@ impl Router for AfcRouter {
         self.flits_this_cycle = r.get_u32("afc flits this cycle")?;
         self.reverse_allowed_at = r.get_u64("afc reverse dwell")?;
         self.monitor.restore(r)?;
-        let n = r.get_usize("afc latch count")?;
-        if n > self.engine.degree() + 1 {
-            return Err(SnapshotError::Malformed {
-                what: "afc latch count",
-            });
-        }
-        self.latches.clear();
-        for _ in 0..n {
-            self.latches.push(snapshot::read_flit(r)?);
-        }
+        self.bank.load(r, "afc latch count")?;
         let mut buffered = 0usize;
         for port in PortId::ALL {
             let pi = port.index();

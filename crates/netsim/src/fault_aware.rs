@@ -292,21 +292,10 @@ impl FaultAwareness {
         }
     }
 
-    /// Fills `out` with the dead output directions from `dirs`, relaxed so
-    /// at least `flits` free ports remain: a bufferless router holding more
-    /// flits than alive ports must overflow into dead links (the fault
-    /// plane drops those flits with full accounting; the retransmit layer
-    /// recovers them) rather than violate its port-count invariant.
-    pub fn fill_blocked(&self, dirs: &[Direction], flits: usize, out: &mut Vec<Direction>) {
-        out.clear();
-        for &d in dirs {
-            if self.dead_out[d] {
-                out.push(d);
-            }
-        }
-        while !out.is_empty() && flits > dirs.len() - out.len() {
-            out.pop();
-        }
+    /// Believed-dead output links as a mask over [`Direction::index`] — the
+    /// blocked-port input of the bufferless latch kernel.
+    pub fn dead_out_mask(&self) -> u8 {
+        self.dead_out.mask()
     }
 
     /// Cycle the first local (output-link) fault was recorded, if any.
@@ -733,6 +722,7 @@ mod tests {
             "dedup"
         );
         assert!(fa.dead_out(Direction::East));
+        assert_eq!(fa.dead_out_mask(), 1 << Direction::East.index());
         assert!(fa.has_pending_gossip());
         assert_eq!(fa.first_fault_at(), Some(10));
         // Node 3 -> East feeds node 4's West input port.
@@ -842,27 +832,6 @@ mod tests {
         let mut fa = FaultAwareness::new(NodeId::new(0), mesh3());
         fa.learn(NodeId::new(8), Direction::North, 1, false, 0);
         assert_eq!(fa.route(NodeId::new(8)), RouteOutcome::Dir(Direction::East));
-    }
-
-    #[test]
-    fn blocked_dirs_relax_under_overflow() {
-        let mesh = mesh3();
-        let mut fa = FaultAwareness::new(NodeId::new(4), mesh);
-        fa.learn(NodeId::new(4), Direction::East, 1, false, 0);
-        fa.learn(NodeId::new(4), Direction::West, 1, false, 0);
-        let dirs = [
-            Direction::North,
-            Direction::South,
-            Direction::East,
-            Direction::West,
-        ];
-        let mut blocked = Vec::new();
-        fa.fill_blocked(&dirs, 2, &mut blocked);
-        assert_eq!(blocked, vec![Direction::East, Direction::West]);
-        fa.fill_blocked(&dirs, 3, &mut blocked);
-        assert_eq!(blocked, vec![Direction::East]);
-        fa.fill_blocked(&dirs, 4, &mut blocked);
-        assert!(blocked.is_empty());
     }
 
     #[test]

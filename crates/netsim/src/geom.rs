@@ -328,6 +328,13 @@ impl<T> DirMap<T> {
     }
 }
 
+impl DirMap<bool> {
+    /// The set directions as a bit mask over [`Direction::index`].
+    pub fn mask(&self) -> u8 {
+        (self.slots.iter().enumerate()).fold(0, |m, (i, set)| m | (*set as u8) << i)
+    }
+}
+
 impl<T> std::ops::Index<Direction> for DirMap<T> {
     type Output = T;
     fn index(&self, d: Direction) -> &T {
@@ -399,6 +406,8 @@ mod tests {
         m[Direction::West] = 9;
         assert_eq!(m[Direction::West], 9);
         assert_eq!(m.iter().filter(|(_, v)| **v == 0).count(), 3);
+        let flags = DirMap::from_fn(|d| d == Direction::South || d == Direction::West);
+        assert_eq!(flags.mask(), 0b1010);
     }
 
     #[test]

@@ -70,6 +70,8 @@ pub mod network;
 #[cfg(test)]
 mod network_tests;
 pub mod ni;
+#[cfg(test)]
+mod ni_tests;
 pub mod packet;
 pub(crate) mod parallel;
 #[doc(hidden)]

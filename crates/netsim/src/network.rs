@@ -571,11 +571,8 @@ impl Network {
         let detect_schedule = config.faults.event_schedule(&mesh);
         let links = ends.iter().map(|e| (e.from, e.dir));
         let fault_plane = Arc::new(FaultPlane::compile(&config.faults, &mesh, links));
-        let modes_cache: Vec<RouterMode> = routers.iter().map(|r| r.mode()).collect();
-        let mut acc = Accum::default();
-        for m in &modes_cache {
-            acc.mode_counts[Self::mode_slot(*m)] += 1;
-        }
+        let (mut modes_cache, mut acc) = (Vec::new(), Accum::default());
+        Self::recount_modes(&routers, &mut modes_cache, &mut acc.mode_counts);
         let chan_count = ends.len();
         let sim_threads = env.sim_threads.unwrap_or(config.sim_threads);
 
@@ -1182,6 +1179,21 @@ impl Network {
         Ok(())
     }
 
+    /// Rebuilds the cached router modes and their residency counts from the
+    /// routers themselves: construction, arena reset and snapshot restore.
+    fn recount_modes(
+        routers: &[Box<dyn Router>],
+        cache: &mut Vec<RouterMode>,
+        counts: &mut [i64; 3],
+    ) {
+        cache.clear();
+        cache.extend(routers.iter().map(|r| r.mode()));
+        *counts = [0; 3];
+        for m in cache.iter() {
+            counts[Self::mode_slot(*m)] += 1;
+        }
+    }
+
     pub(crate) fn mode_slot(mode: RouterMode) -> usize {
         match mode {
             RouterMode::Backpressured => 0,
@@ -1367,10 +1379,11 @@ impl Network {
         self.ni_send_active.fill_full(n);
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
-        for i in 0..n {
-            self.modes_cache[i] = self.routers[i].mode();
-            self.acc.mode_counts[Self::mode_slot(self.modes_cache[i])] += 1;
-        }
+        Self::recount_modes(
+            &self.routers,
+            &mut self.modes_cache,
+            &mut self.acc.mode_counts,
+        );
         self.check_conservation = true;
         self.mem_high_water = 0;
         true
@@ -1727,11 +1740,11 @@ impl Network {
         }
 
         // Derived accounting, recomputed from the restored components.
-        self.modes_cache = self.routers.iter().map(|router| router.mode()).collect();
-        self.acc.mode_counts = [0; 3];
-        for m in &self.modes_cache {
-            self.acc.mode_counts[Self::mode_slot(*m)] += 1;
-        }
+        Self::recount_modes(
+            &self.routers,
+            &mut self.modes_cache,
+            &mut self.acc.mode_counts,
+        );
         self.acc.in_flight = self.flits_in_network() as i64;
         self.acc.retx_queued = self
             .nis

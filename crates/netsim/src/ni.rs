@@ -16,7 +16,7 @@ use crate::packet::{DeliveredPacket, PacketDescriptor};
 use crate::router::Router;
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Structured record of a packet its source NI gave up on: after
 /// `max_attempts` retransmissions went unacknowledged the packet is retired
@@ -40,9 +40,20 @@ pub struct UnreachablePacket {
 /// In-progress injection of one packet on one virtual network.
 #[derive(Debug, Clone)]
 struct InjectProgress {
-    desc: PacketDescriptor,
-    next_seq: u16,
+    /// The next flit to inject, built (and checksummed) once however many
+    /// cycles the router refuses it; it carries the packet's descriptor.
+    /// `injected_at` is stamped at each attempt.
+    next: Flit,
     first_injected_at: Cycle,
+}
+
+/// The send side of one virtual network.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Packets waiting to start injection.
+    queue: VecDeque<PacketDescriptor>,
+    /// The packet currently being injected flit-by-flit.
+    progress: Option<InjectProgress>,
 }
 
 /// Source-side record of a fully injected packet awaiting its end-to-end
@@ -61,12 +72,15 @@ struct Outstanding {
 /// End-to-end detection + retransmission state, enabled by
 /// [`NodeInterface::enable_recovery`].
 ///
-/// Ordered maps keep timeout scans deterministic regardless of hash state.
+/// The timeout scan walks packets in ascending id order, which fixes the
+/// order retransmit copies queue in.
 #[derive(Debug, Default)]
 struct Recovery {
     cfg: RetransmitConfig,
-    /// Fully injected, not yet acknowledged packets sourced at this node.
-    outstanding: BTreeMap<PacketId, Outstanding>,
+    /// Fully injected, not yet acknowledged packets sourced at this node,
+    /// dense and sorted by packet id (a handful at a time; they finish
+    /// injecting nearly in id order, so inserts land at or near the end).
+    outstanding: Vec<Outstanding>,
     /// Packets fully reassembled at this node (dedup filter for late
     /// retransmitted copies).
     completed: BTreeSet<PacketId>,
@@ -77,11 +91,28 @@ struct Recovery {
     wake_at: Cycle,
 }
 
+impl Recovery {
+    fn outstanding_at(&self, id: PacketId) -> Result<usize, usize> {
+        self.outstanding.binary_search_by_key(&id, |o| o.desc.id)
+    }
+
+    fn insert_outstanding(&mut self, out: Outstanding) {
+        match self.outstanding_at(out.desc.id) {
+            Ok(at) => self.outstanding[at] = out,
+            Err(at) => self.outstanding.insert(at, out),
+        }
+    }
+}
+
 /// Reassembly state for one partially received packet.
 #[derive(Debug, Clone)]
 struct Reassembly {
     desc: PacketDescriptor,
-    received: Vec<bool>,
+    /// Arrival bits of flits 0..64, inline: paper packets are 1 or 5 flits.
+    got: u64,
+    /// Arrival words of flits 64.. (empty unless `desc.len > 64`, the one
+    /// case opening a buffer allocates).
+    got_more: Vec<u64>,
     received_count: u16,
     min_injected_at: Cycle,
     total_hops: u32,
@@ -89,6 +120,47 @@ struct Reassembly {
     /// Cycle of the most recent arrival; entries quiet past the recovery
     /// TTL are discarded by [`NodeInterface::check_timeouts`].
     last_arrival: Cycle,
+}
+
+impl Reassembly {
+    fn open(flit: &Flit, now: Cycle) -> Reassembly {
+        Reassembly {
+            desc: descriptor_of(flit),
+            got: 0,
+            got_more: vec![0; (flit.len as usize - 1) / 64],
+            received_count: 0,
+            min_injected_at: flit.injected_at,
+            total_hops: 0,
+            total_deflections: 0,
+            last_arrival: now,
+        }
+    }
+
+    /// Whether flit `seq` has arrived.
+    ///
+    /// # Panics
+    ///
+    /// Panics (as does [`Reassembly::mark`]) if `seq` is not a flit of
+    /// this packet.
+    fn has(&self, seq: u16) -> bool {
+        assert!(seq < self.desc.len, "flit seq {seq} of {}", self.desc.id);
+        let word = match seq / 64 {
+            0 => self.got,
+            w => self.got_more[w as usize - 1],
+        };
+        word >> (seq % 64) & 1 != 0
+    }
+
+    /// Records the arrival of flit `seq`.
+    fn mark(&mut self, seq: u16) {
+        assert!(seq < self.desc.len, "flit seq {seq} of {}", self.desc.id);
+        let word = match seq / 64 {
+            0 => &mut self.got,
+            w => &mut self.got_more[w as usize - 1],
+        };
+        *word |= 1 << (seq % 64);
+        self.received_count += 1;
+    }
 }
 
 /// The descriptor of the packet `flit` belongs to (every flit carries its
@@ -106,33 +178,26 @@ fn descriptor_of(flit: &Flit) -> PacketDescriptor {
     }
 }
 
-/// An empty arrival bitmap: a recycled one if any is spare.
-fn spare_bitmap(spares: &mut Vec<Vec<bool>>) -> Vec<bool> {
-    let mut bitmap = spares.pop().unwrap_or_default();
-    bitmap.clear();
-    bitmap
-}
-
 /// The per-node injection/ejection endpoint.
 #[derive(Debug)]
 pub struct NodeInterface {
     node: NodeId,
-    /// Per-vnet queues of packets waiting to start injection.
-    queues: Vec<VecDeque<PacketDescriptor>>,
-    /// Per-vnet packet currently being injected flit-by-flit.
-    in_progress: Vec<Option<InjectProgress>>,
+    /// The send side, one lane per virtual network.
+    lanes: Box<[Lane]>,
+    /// Packets queued or mid-injection across all lanes.
+    pending_packets: usize,
+    /// Flits those packets still owe the network.
+    pending_flits: usize,
     /// Round-robin pointer over vnets for injection fairness.
     rr_next: usize,
     /// Dropped flits awaiting retransmission (drop-based routers only);
     /// served ahead of fresh packets.
     retransmit: VecDeque<Flit>,
-    /// Open reassembly buffers.
-    reassembly: HashMap<PacketId, Reassembly>,
-    /// Arrival bitmaps of closed buffers, reused by the next buffer to open
-    /// so steady-state reassembly does not allocate. A bitmap is only ever
-    /// allocated when this list is empty, so open + spare never exceeds the
-    /// high-water mark of open buffers. Not simulation state.
-    spare_bitmaps: Vec<Vec<bool>>,
+    /// Open reassembly buffers, dense and unordered; `open_ids[i]` is the
+    /// packet of `open[i]`. A node has a dozen open at most, so finding a
+    /// flit's buffer is a scan of one or two cache lines of ids.
+    open: Vec<Reassembly>,
+    open_ids: Vec<PacketId>,
     /// Fully reassembled packets awaiting pickup by the traffic model.
     delivered: Vec<DeliveredPacket>,
     /// High-water mark of simultaneously open reassembly buffers.
@@ -154,12 +219,13 @@ impl NodeInterface {
     pub fn new(node: NodeId, vnet_count: usize) -> NodeInterface {
         NodeInterface {
             node,
-            queues: (0..vnet_count).map(|_| VecDeque::new()).collect(),
-            in_progress: (0..vnet_count).map(|_| None).collect(),
+            lanes: (0..vnet_count).map(|_| Lane::default()).collect(),
+            pending_packets: 0,
+            pending_flits: 0,
             rr_next: 0,
             retransmit: VecDeque::new(),
-            reassembly: HashMap::new(),
-            spare_bitmaps: Vec::new(),
+            open: Vec::new(),
+            open_ids: Vec::new(),
             delivered: Vec::new(),
             reassembly_high_water: 0,
             recovery: None,
@@ -172,34 +238,25 @@ impl NodeInterface {
     /// Returns the interface to its freshly constructed state in place:
     /// queues, in-flight injections, reassembly buffers, outboxes, and the
     /// recovery block are all emptied without freeing backing storage
-    /// (clearing a `Vec`/`VecDeque`/`HashMap` keeps its allocation;
-    /// dropping the empty `BTreeMap`/`BTreeSet` inside `Recovery` frees
-    /// nothing). The network re-enables recovery after a reset exactly as
-    /// it does after construction.
+    /// (clearing a `Vec`/`VecDeque` keeps its allocation; the recovery
+    /// block is dropped). The network re-enables recovery after a reset
+    /// exactly as it does after construction.
     pub fn reset(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
+        for lane in self.lanes.iter_mut() {
+            lane.queue.clear();
+            lane.progress = None;
         }
-        for slot in &mut self.in_progress {
-            *slot = None;
-        }
+        (self.pending_packets, self.pending_flits) = (0, 0);
         self.rr_next = 0;
         self.retransmit.clear();
-        self.close_reassemblies();
+        self.open.clear();
+        self.open_ids.clear();
         self.delivered.clear();
         self.reassembly_high_water = 0;
         self.recovery = None;
         self.corrupt_outbox.clear();
         self.acks_outbox.clear();
         self.unreachable_outbox.clear();
-    }
-
-    /// Discards every open reassembly buffer, keeping the bitmaps for reuse
-    /// (a restore or arena reset must not feed fresh bitmaps into
-    /// circulation each time it runs).
-    fn close_reassemblies(&mut self) {
-        let open = self.reassembly.drain().map(|(_, e)| e.received);
-        self.spare_bitmaps.extend(open);
     }
 
     /// Switches on end-to-end recovery: outstanding-packet tracking, timeout
@@ -225,35 +282,24 @@ impl NodeInterface {
     pub fn enqueue(&mut self, desc: PacketDescriptor, stats: &mut NetworkStats) {
         assert_eq!(desc.src, self.node, "packet source must match NI node");
         assert!(desc.len >= 1, "packets must have at least one flit");
-        let q = self
-            .queues
+        let lane = self
+            .lanes
             .get_mut(desc.vnet.index())
             .unwrap_or_else(|| panic!("vnet {} out of range", desc.vnet));
-        q.push_back(desc);
+        lane.queue.push_back(desc);
+        self.pending_packets += 1;
+        self.pending_flits += desc.len as usize;
         stats.packets_offered += 1;
     }
 
     /// Packets queued or mid-injection on the send side.
     pub fn pending_packets(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum::<usize>()
-            + self.in_progress.iter().flatten().count()
+        self.pending_packets
     }
 
     /// Flits still owed to the network by queued/in-progress packets.
     pub fn pending_flits(&self) -> usize {
-        let queued: usize = self
-            .queues
-            .iter()
-            .flat_map(|q| q.iter())
-            .map(|d| d.len as usize)
-            .sum();
-        let in_flight: usize = self
-            .in_progress
-            .iter()
-            .flatten()
-            .map(|p| (p.desc.len - p.next_seq) as usize)
-            .sum();
-        queued + in_flight
+        self.pending_flits
     }
 
     /// Queues a previously dropped flit for retransmission. Retransmissions
@@ -279,17 +325,18 @@ impl NodeInterface {
     /// Attempts to inject one flit into `router` this cycle, round-robin
     /// across virtual networks. Retransmissions go first.
     pub fn try_inject(&mut self, router: &mut dyn Router, now: Cycle, stats: &mut NetworkStats) {
-        if let Some(&flit) = self.retransmit.front() {
+        if let Some(flit) = self.retransmit.front() {
             // A retransmitted flit must not cut into a fresh packet's open
             // wormhole on the same vnet: VC routers route body flits by
             // their head's path, so interleaving would misroute them. Let
             // the fresh wormhole finish first (the fall-through below).
-            let wormhole_open = self.in_progress[flit.vnet.index()]
+            let wormhole_open = self.lanes[flit.vnet.index()]
+                .progress
                 .as_ref()
-                .is_some_and(|p| p.next_seq > 0);
+                .is_some_and(|p| p.next.seq > 0);
             if !wormhole_open {
-                if router.injection_ready(&flit, now) {
-                    router.inject(flit, now);
+                if router.injection_ready(flit, now) {
+                    router.inject(*flit, now);
                     self.retransmit.pop_front();
                     stats.flits_retransmitted += 1;
                 }
@@ -297,52 +344,57 @@ impl NodeInterface {
                 return;
             }
         }
-        let vnets = self.queues.len();
-        for offset in 0..vnets {
-            let v = (self.rr_next + offset) % vnets;
+        let vnets = self.lanes.len();
+        let mut next = self.rr_next;
+        for _ in 0..vnets {
+            let lane = &mut self.lanes[next];
+            next = if next + 1 == vnets { 0 } else { next + 1 };
             // Promote the next queued packet if this vnet is idle.
-            if self.in_progress[v].is_none() {
-                if let Some(desc) = self.queues[v].pop_front() {
-                    self.in_progress[v] = Some(InjectProgress {
-                        desc,
-                        next_seq: 0,
+            if lane.progress.is_none() {
+                if let Some(desc) = lane.queue.pop_front() {
+                    lane.progress = Some(InjectProgress {
+                        next: desc.flit(0, 0),
                         first_injected_at: 0,
                     });
                 }
             }
-            let Some(progress) = self.in_progress[v].as_mut() else {
+            let Some(progress) = lane.progress.as_mut() else {
                 continue;
             };
-            let flit = progress.desc.flit(progress.next_seq, now);
-            if !router.injection_ready(&flit, now) {
+            let flit = &mut progress.next;
+            flit.injected_at = now;
+            if !router.injection_ready(flit, now) {
                 continue;
             }
-            if progress.next_seq == 0 {
+            if flit.seq == 0 {
                 progress.first_injected_at = now;
                 stats.packets_injected += 1;
             }
-            router.inject(flit, now);
+            router.inject(*flit, now);
             stats.flits_injected += 1;
-            progress.next_seq += 1;
-            if progress.next_seq == progress.desc.len {
-                let done = self.in_progress[v].take().expect("progress just borrowed");
+            self.pending_flits -= 1;
+            flit.seq += 1;
+            if flit.seq < flit.len {
+                flit.repair();
+            } else {
+                let desc = descriptor_of(flit);
+                let first_injected_at = progress.first_injected_at;
+                lane.progress = None;
+                self.pending_packets -= 1;
                 if let Some(rec) = &mut self.recovery {
                     let next_deadline = now + rec.cfg.timeout;
                     rec.wake_at = rec.wake_at.min(next_deadline);
-                    rec.outstanding.insert(
-                        done.desc.id,
-                        Outstanding {
-                            desc: done.desc,
-                            first_injected_at: done.first_injected_at,
-                            attempts: 0,
-                            next_deadline,
-                        },
-                    );
+                    rec.insert_outstanding(Outstanding {
+                        desc,
+                        first_injected_at,
+                        attempts: 0,
+                        next_deadline,
+                    });
                 }
             }
             // One flit per cycle through the local port; resume fairness
             // from the next vnet.
-            self.rr_next = (v + 1) % vnets;
+            self.rr_next = next;
             return;
         }
     }
@@ -379,12 +431,15 @@ impl NodeInterface {
                 self.corrupt_outbox.push(flit);
                 continue;
             }
+            // A multi-flit packet's open buffer, if any. (A one-flit packet
+            // completes on arrival and never has one.)
+            let at = match flit.len {
+                1 => None,
+                _ => self.open_ids.iter().position(|id| *id == flit.packet),
+            };
             if let Some(rec) = &self.recovery {
                 let duplicate = rec.completed.contains(&flit.packet)
-                    || self
-                        .reassembly
-                        .get(&flit.packet)
-                        .is_some_and(|e| e.received[flit.seq as usize]);
+                    || at.is_some_and(|at| self.open[at].has(flit.seq));
                 if duplicate {
                     stats.duplicate_flits_discarded += 1;
                     continue;
@@ -394,9 +449,9 @@ impl NodeInterface {
             stats.flit_hops.record(flit.hops as u64);
             stats.flit_deflections.record(flit.deflections as u64);
             if flit.len == 1 {
-                // Complete on arrival: nothing to reassemble, so no buffer
-                // is opened (the high-water mark is sampled after the loop
-                // and never saw one-flit buffers anyway).
+                // Nothing to reassemble, so no buffer is opened (the
+                // high-water mark is sampled after the loop and never saw
+                // one-flit buffers anyway).
                 let delivered = DeliveredPacket {
                     descriptor: descriptor_of(&flit),
                     injected_at: flit.injected_at,
@@ -407,40 +462,27 @@ impl NodeInterface {
                 self.deliver(delivered, stats);
                 continue;
             }
-            let spares = &mut self.spare_bitmaps;
-            let recovery = &mut self.recovery;
-            let entry = self.reassembly.entry(flit.packet).or_insert_with(|| {
-                if let Some(rec) = recovery {
+            let at = at.unwrap_or_else(|| {
+                if let Some(rec) = &mut self.recovery {
                     rec.wake_at = rec
                         .wake_at
                         .min(now.saturating_add(rec.cfg.reassembly_ttl()));
                 }
-                let mut received = spare_bitmap(spares);
-                received.resize(flit.len as usize, false);
-                Reassembly {
-                    desc: descriptor_of(&flit),
-                    received,
-                    received_count: 0,
-                    min_injected_at: flit.injected_at,
-                    total_hops: 0,
-                    total_deflections: 0,
-                    last_arrival: now,
-                }
+                self.open_ids.push(flit.packet);
+                self.open.push(Reassembly::open(&flit, now));
+                self.open.len() - 1
             });
-            assert!(
-                !entry.received[flit.seq as usize],
-                "duplicate flit {flit} delivered"
-            );
-            entry.received[flit.seq as usize] = true;
-            entry.received_count += 1;
+            let entry = &mut self.open[at];
+            assert!(!entry.has(flit.seq), "duplicate flit {flit} delivered");
+            entry.mark(flit.seq);
             entry.last_arrival = now;
             entry.min_injected_at = entry.min_injected_at.min(flit.injected_at);
             entry.total_hops += flit.hops as u32;
             entry.total_deflections += flit.deflections as u32;
 
             if entry.received_count == entry.desc.len {
-                let entry = self.reassembly.remove(&flit.packet).expect("just inserted");
-                self.spare_bitmaps.push(entry.received);
+                let entry = self.open.swap_remove(at);
+                self.open_ids.swap_remove(at);
                 let delivered = DeliveredPacket {
                     descriptor: entry.desc,
                     injected_at: entry.min_injected_at,
@@ -451,7 +493,7 @@ impl NodeInterface {
                 self.deliver(delivered, stats);
             }
         }
-        self.reassembly_high_water = self.reassembly_high_water.max(self.reassembly.len());
+        self.reassembly_high_water = self.reassembly_high_water.max(self.open.len());
     }
 
     /// Hands a fully received packet to the traffic model's pickup list,
@@ -496,7 +538,8 @@ impl NodeInterface {
         }
         let mut wake_at = Cycle::MAX;
         let mut gave_up: Vec<PacketId> = Vec::new();
-        for (id, out) in rec.outstanding.iter_mut() {
+        for out in rec.outstanding.iter_mut() {
+            let id = &out.desc.id;
             if out.next_deadline > now {
                 wake_at = wake_at.min(out.next_deadline);
                 continue;
@@ -527,7 +570,8 @@ impl NodeInterface {
             wake_at = wake_at.min(out.next_deadline);
         }
         for id in gave_up {
-            let out = rec.outstanding.remove(&id).expect("collected above");
+            let at = rec.outstanding_at(id).expect("collected above");
+            let out = rec.outstanding.remove(at);
             let before = self.retransmit.len();
             self.retransmit.retain(|f| f.packet != id);
             stats.flits_abandoned += (before - self.retransmit.len()) as u64;
@@ -550,15 +594,18 @@ impl NodeInterface {
         // purged flits are fresh arrivals to an empty entry, not
         // conservation leaks — every copy still retires exactly once).
         let ttl = rec.cfg.reassembly_ttl();
-        let before = self.reassembly.len();
-        self.reassembly.retain(|_, e| {
-            let keep = now.saturating_sub(e.last_arrival) < ttl;
-            if keep {
-                wake_at = wake_at.min(e.last_arrival.saturating_add(ttl));
+        let mut at = 0;
+        while at < self.open.len() {
+            let last_arrival = self.open[at].last_arrival;
+            if now.saturating_sub(last_arrival) < ttl {
+                wake_at = wake_at.min(last_arrival.saturating_add(ttl));
+                at += 1;
+            } else {
+                self.open.swap_remove(at);
+                self.open_ids.swap_remove(at);
+                stats.reassemblies_expired += 1;
             }
-            keep
-        });
-        stats.reassemblies_expired += (before - self.reassembly.len()) as u64;
+        }
         rec.wake_at = wake_at;
     }
 
@@ -575,7 +622,8 @@ impl NodeInterface {
     pub fn nack(&mut self, flit: Flit, now: Cycle, stats: &mut NetworkStats) {
         assert_eq!(flit.src, self.node, "NACK must return to the source");
         if let Some(rec) = &mut self.recovery {
-            if let Some(out) = rec.outstanding.get_mut(&flit.packet) {
+            if let Ok(at) = rec.outstanding_at(flit.packet) {
+                let out = &mut rec.outstanding[at];
                 out.next_deadline = out.next_deadline.min(now);
                 rec.wake_at = rec.wake_at.min(now);
             }
@@ -596,8 +644,8 @@ impl NodeInterface {
         let Some(rec) = &mut self.recovery else {
             return;
         };
-        if let Some(out) = rec.outstanding.remove(&id) {
-            if out.attempts > 0 {
+        if let Ok(at) = rec.outstanding_at(id) {
+            if rec.outstanding.remove(at).attempts > 0 {
                 stats.recovered_packets += 1;
             }
         }
@@ -654,7 +702,7 @@ impl NodeInterface {
 
     /// Open (incomplete) reassembly buffers right now.
     pub fn open_reassemblies(&self) -> usize {
-        self.reassembly.len()
+        self.open.len()
     }
 
     /// High-water mark of simultaneously open reassembly buffers.
@@ -667,54 +715,49 @@ impl NodeInterface {
     /// buffers, outstanding retransmits), never with mesh size, which is
     /// what keeps 128×128 meshes affordable.
     pub fn heap_bytes(&self) -> usize {
-        let queues: usize = self
-            .queues
+        use std::mem::size_of;
+        let lanes: usize = self
+            .lanes
             .iter()
-            .map(|q| q.capacity() * std::mem::size_of::<PacketDescriptor>())
+            .map(|l| size_of::<Lane>() + l.queue.capacity() * size_of::<PacketDescriptor>())
             .sum();
-        let reassembly: usize = self.reassembly.capacity()
-            * (std::mem::size_of::<PacketId>() + std::mem::size_of::<Reassembly>())
-            + self
-                .reassembly
-                .values()
-                .map(|r| r.received.capacity())
-                .sum::<usize>()
-            + self.spare_bitmaps.capacity() * std::mem::size_of::<Vec<bool>>()
-            + self.spare_bitmaps.iter().map(Vec::capacity).sum::<usize>();
+        let reassembly = self.open.capacity() * size_of::<Reassembly>()
+            + self.open_ids.capacity() * size_of::<PacketId>()
+            + (self.open.iter())
+                .map(|e| e.got_more.capacity() * size_of::<u64>())
+                .sum::<usize>();
         let recovery = self.recovery.as_ref().map_or(0, |r| {
-            r.outstanding.len()
-                * (std::mem::size_of::<PacketId>() + std::mem::size_of::<Outstanding>())
-                + r.completed.len() * std::mem::size_of::<PacketId>()
+            r.outstanding.capacity() * size_of::<Outstanding>()
+                + r.completed.len() * size_of::<PacketId>()
         });
-        queues
-            + self.in_progress.capacity() * std::mem::size_of::<Option<InjectProgress>>()
-            + self.retransmit.capacity() * std::mem::size_of::<Flit>()
+        lanes
+            + self.retransmit.capacity() * size_of::<Flit>()
             + reassembly
-            + self.delivered.capacity() * std::mem::size_of::<DeliveredPacket>()
+            + self.delivered.capacity() * size_of::<DeliveredPacket>()
             + recovery
-            + self.corrupt_outbox.capacity() * std::mem::size_of::<Flit>()
-            + self.acks_outbox.capacity() * std::mem::size_of::<(NodeId, PacketId)>()
-            + self.unreachable_outbox.capacity() * std::mem::size_of::<UnreachablePacket>()
+            + self.corrupt_outbox.capacity() * size_of::<Flit>()
+            + self.acks_outbox.capacity() * size_of::<(NodeId, PacketId)>()
+            + self.unreachable_outbox.capacity() * size_of::<UnreachablePacket>()
     }
 
     /// Serializes all mutable interface state for a snapshot.
     ///
-    /// The reassembly map is written in sorted packet-id order so the byte
-    /// stream is independent of hash-map iteration order.
+    /// Open reassembly buffers are written in sorted packet-id order, so
+    /// the byte stream is independent of their (unordered) table position.
     pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.queues.len());
-        for q in &self.queues {
-            w.put_usize(q.len());
-            for d in q {
+        w.put_usize(self.lanes.len());
+        for lane in self.lanes.iter() {
+            w.put_usize(lane.queue.len());
+            for d in &lane.queue {
                 snapshot::write_descriptor(w, d);
             }
         }
-        for p in &self.in_progress {
-            match p {
+        for lane in self.lanes.iter() {
+            match &lane.progress {
                 Some(p) => {
                     w.put_bool(true);
-                    snapshot::write_descriptor(w, &p.desc);
-                    w.put_u16(p.next_seq);
+                    snapshot::write_descriptor(w, &descriptor_of(&p.next));
+                    w.put_u16(p.next.seq);
                     w.put_u64(p.first_injected_at);
                 }
                 None => w.put_bool(false),
@@ -725,14 +768,13 @@ impl NodeInterface {
         for f in &self.retransmit {
             snapshot::write_flit(w, f);
         }
-        let mut ids: Vec<PacketId> = self.reassembly.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_usize(ids.len());
-        for id in ids {
-            let e = &self.reassembly[&id];
+        let mut sorted: Vec<&Reassembly> = self.open.iter().collect();
+        sorted.sort_unstable_by_key(|e| e.desc.id);
+        w.put_usize(sorted.len());
+        for e in sorted {
             snapshot::write_descriptor(w, &e.desc);
-            for got in &e.received {
-                w.put_bool(*got);
+            for seq in 0..e.desc.len {
+                w.put_bool(e.has(seq));
             }
             w.put_u64(e.min_injected_at);
             w.put_u32(e.total_hops);
@@ -751,8 +793,8 @@ impl NodeInterface {
                 w.put_u32(rec.cfg.backoff_cap);
                 w.put_u32(rec.cfg.max_attempts);
                 w.put_usize(rec.outstanding.len());
-                for (id, out) in &rec.outstanding {
-                    w.put_u64(id.0);
+                for out in &rec.outstanding {
+                    w.put_u64(out.desc.id.0);
                     snapshot::write_descriptor(w, &out.desc);
                     w.put_u64(out.first_injected_at);
                     w.put_u32(out.attempts);
@@ -789,33 +831,38 @@ impl NodeInterface {
     /// count, as it is when the network is rebuilt from the same config).
     pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let vnets = r.get_usize("ni vnet count")?;
-        if vnets != self.queues.len() {
+        if vnets != self.lanes.len() {
             return Err(SnapshotError::ContextMismatch {
                 what: "ni vnet count",
                 snapshot: vnets.to_string(),
-                current: self.queues.len().to_string(),
+                current: self.lanes.len().to_string(),
             });
         }
-        for q in &mut self.queues {
-            q.clear();
+        (self.pending_packets, self.pending_flits) = (0, 0);
+        for lane in self.lanes.iter_mut() {
+            lane.queue.clear();
             let n = r.get_usize("ni queue length")?;
             for _ in 0..n {
-                q.push_back(snapshot::read_descriptor(r)?);
+                let desc = snapshot::read_descriptor(r)?;
+                self.pending_flits += desc.len as usize;
+                lane.queue.push_back(desc);
             }
+            self.pending_packets += n;
         }
-        for p in &mut self.in_progress {
-            *p = if r.get_bool("ni in-progress presence")? {
+        for lane in self.lanes.iter_mut() {
+            lane.progress = if r.get_bool("ni in-progress presence")? {
                 let desc = snapshot::read_descriptor(r)?;
                 let next_seq = r.get_u16("ni in-progress seq")?;
                 let first_injected_at = r.get_u64("ni in-progress injected_at")?;
-                if next_seq > desc.len {
+                if next_seq >= desc.len {
                     return Err(SnapshotError::Malformed {
                         what: "ni in-progress seq",
                     });
                 }
+                self.pending_packets += 1;
+                self.pending_flits += (desc.len - next_seq) as usize;
                 Some(InjectProgress {
-                    desc,
-                    next_seq,
+                    next: desc.flit(next_seq, 0),
                     first_injected_at,
                 })
             } else {
@@ -832,30 +879,27 @@ impl NodeInterface {
         for _ in 0..r.get_usize("ni retransmit length")? {
             self.retransmit.push_back(snapshot::read_flit(r)?);
         }
-        self.close_reassemblies();
+        self.open.clear();
+        self.open_ids.clear();
         for _ in 0..r.get_usize("ni reassembly count")? {
             let desc = snapshot::read_descriptor(r)?;
-            let mut received = spare_bitmap(&mut self.spare_bitmaps);
-            let mut received_count = 0u16;
-            for _ in 0..desc.len {
-                let got = r.get_bool("ni reassembly bitmap")?;
-                received_count += got as u16;
-                received.push(got);
-            }
-            let entry = Reassembly {
-                desc,
-                received,
-                received_count,
-                min_injected_at: r.get_u64("ni reassembly injected_at")?,
-                total_hops: r.get_u32("ni reassembly hops")?,
-                total_deflections: r.get_u32("ni reassembly deflections")?,
-                last_arrival: r.get_u64("ni reassembly last arrival")?,
-            };
-            if self.reassembly.insert(desc.id, entry).is_some() {
+            if desc.len == 0 || self.open_ids.contains(&desc.id) {
                 return Err(SnapshotError::Malformed {
                     what: "ni duplicate reassembly id",
                 });
             }
+            let mut entry = Reassembly::open(&desc.flit(0, 0), 0);
+            for seq in 0..desc.len {
+                if r.get_bool("ni reassembly bitmap")? {
+                    entry.mark(seq);
+                }
+            }
+            entry.min_injected_at = r.get_u64("ni reassembly injected_at")?;
+            entry.total_hops = r.get_u32("ni reassembly hops")?;
+            entry.total_deflections = r.get_u32("ni reassembly deflections")?;
+            entry.last_arrival = r.get_u64("ni reassembly last arrival")?;
+            self.open_ids.push(desc.id);
+            self.open.push(entry);
         }
         self.delivered.clear();
         for _ in 0..r.get_usize("ni delivered count")? {
@@ -868,7 +912,11 @@ impl NodeInterface {
                 backoff_cap: r.get_u32("ni recovery backoff cap")?,
                 max_attempts: r.get_u32("ni recovery max attempts")?,
             };
-            let mut outstanding = BTreeMap::new();
+            // The outstanding table keeps its storage across restores.
+            let mut rec = self.recovery.take().unwrap_or_default();
+            rec.outstanding.clear();
+            rec.completed.clear();
+            (rec.cfg, rec.wake_at) = (cfg, 0);
             for _ in 0..r.get_usize("ni outstanding count")? {
                 let id = PacketId(r.get_u64("ni outstanding id")?);
                 let out = Outstanding {
@@ -877,18 +925,18 @@ impl NodeInterface {
                     attempts: r.get_u32("ni outstanding attempts")?,
                     next_deadline: r.get_u64("ni outstanding deadline")?,
                 };
-                outstanding.insert(id, out);
+                if out.desc.id != id {
+                    return Err(SnapshotError::Malformed {
+                        what: "ni outstanding id",
+                    });
+                }
+                rec.insert_outstanding(out);
             }
-            let mut completed = BTreeSet::new();
             for _ in 0..r.get_usize("ni completed count")? {
-                completed.insert(PacketId(r.get_u64("ni completed id")?));
+                rec.completed
+                    .insert(PacketId(r.get_u64("ni completed id")?));
             }
-            Some(Recovery {
-                cfg,
-                outstanding,
-                completed,
-                wake_at: 0,
-            })
+            Some(rec)
         } else {
             None
         };
@@ -920,7 +968,7 @@ impl NodeInterface {
     pub fn is_idle(&self) -> bool {
         self.pending_packets() == 0
             && self.retransmit.is_empty()
-            && self.reassembly.is_empty()
+            && self.open.is_empty()
             && self.delivered.is_empty()
             && self.corrupt_outbox.is_empty()
             && self.acks_outbox.is_empty()

@@ -159,16 +159,22 @@ impl Plan {
 /// function of simulation state only, never of wall-clock timing.
 #[doc(hidden)]
 pub fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
+    let mut starts = Vec::new();
+    shard_boundaries_into(weights, shards, &mut starts);
+    starts
+}
+
+/// [`shard_boundaries`] into a reused vector: a re-plan point allocates
+/// nothing.
+fn shard_boundaries_into(weights: &[u64], shards: usize, starts: &mut Vec<usize>) {
     let n = weights.len();
     let shards = shards.min(n).max(1);
-    let mut starts = Vec::with_capacity(shards + 1);
+    starts.clear();
     starts.push(0usize);
     let total: u64 = weights.iter().sum();
     if total == 0 {
-        for k in 1..=shards {
-            starts.push(k * n / shards);
-        }
-        return starts;
+        starts.extend((1..=shards).map(|k| k * n / shards));
+        return;
     }
     let mut acc: u64 = 0;
     let mut k = 1usize;
@@ -188,17 +194,15 @@ pub fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
     }
     debug_assert_eq!(starts.len(), shards, "boundary cut invariant violated");
     starts.push(n);
-    starts
 }
 
 /// Per-node load weights derived from the activity bitmasks: an active
 /// router dominates (it pays the pipeline step), a sending NI and each
 /// live upstream channel add smaller shares, and every node keeps a floor
 /// of 1 so idle stretches still split evenly.
-fn shard_weights(net: &Network, plan: &Plan) -> Vec<u64> {
-    let n = net.routers.len();
-    let mut weights = vec![0u64; n];
-    for (j, w) in weights.iter_mut().enumerate() {
+fn shard_weights(net: &Network, plan: &Plan, weights: &mut Vec<u64>) {
+    weights.clear();
+    weights.extend((0..net.routers.len()).map(|j| {
         let mut wt = 1u64;
         if net.router_active.contains(j) {
             wt += 4;
@@ -211,16 +215,17 @@ fn shard_weights(net: &Network, plan: &Plan) -> Vec<u64> {
                 wt += 1;
             }
         }
-        *w = wt;
-    }
-    weights
+        wt
+    }));
 }
 
 /// Builds the boundary vectors a fresh engine would use right now — the
 /// test hook behind [`Network::debug_shard_plan`].
 pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<usize>) {
     let plan = Plan::build(net);
-    let node_start = shard_boundaries(&shard_weights(net, &plan), threads);
+    let mut weights = Vec::new();
+    shard_weights(net, &plan, &mut weights);
+    let node_start = shard_boundaries(&weights, threads);
     let chan_start = node_start
         .iter()
         .map(|&ns| plan.node_chan_start[ns])
@@ -543,6 +548,8 @@ pub(crate) struct Engine {
     plan: Plan,
     /// Current shard boundaries (`shards + 1` entries).
     node_start: Vec<usize>,
+    /// Per-node weight scratch of the re-plan points.
+    weights: Vec<u64>,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// Parallel cycles stepped by this engine instance — the deterministic
@@ -553,7 +560,9 @@ pub(crate) struct Engine {
 impl Engine {
     fn new(net: &Network, threads: usize) -> Engine {
         let plan = Plan::build(net);
-        let node_start = shard_boundaries(&shard_weights(net, &plan), threads);
+        let mut weights = Vec::new();
+        shard_weights(net, &plan, &mut weights);
+        let node_start = shard_boundaries(&weights, threads);
         let shards = node_start.len() - 1;
         let shared = Arc::new(Shared {
             barrier: SpinBarrier::new(shards),
@@ -578,6 +587,7 @@ impl Engine {
         Engine {
             plan,
             node_start,
+            weights,
             shared,
             workers,
             cycles: 0,
@@ -590,7 +600,8 @@ impl Engine {
     /// ascending partition produces the same output.
     fn replan(&mut self, net: &Network) {
         let shards = self.node_start.len() - 1;
-        self.node_start = shard_boundaries(&shard_weights(net, &self.plan), shards);
+        shard_weights(net, &self.plan, &mut self.weights);
+        shard_boundaries_into(&self.weights, shards, &mut self.node_start);
     }
 
     /// Heap bytes owned by the engine: plan tables (the only O(mesh)
@@ -600,7 +611,8 @@ impl Engine {
         let plan = self.plan.events.capacity() * size_of::<(u32, bool)>()
             + self.plan.ev_off.capacity() * size_of::<u32>()
             + self.plan.node_chan_start.capacity() * size_of::<usize>()
-            + self.node_start.capacity() * size_of::<usize>();
+            + self.node_start.capacity() * size_of::<usize>()
+            + self.weights.capacity() * size_of::<u64>();
         // SAFETY: called only from the exclusive window between cycles
         // (workers parked at the start barrier), where the owning thread
         // has sole access to every delta.
@@ -1008,43 +1020,50 @@ mod tests {
         );
     }
 
+    /// CPU time (user + system) of the `/proc` task directories `tasks`.
     #[cfg(target_os = "linux")]
-    fn process_cpu_ms() -> u64 {
-        // utime + stime from /proc/self/stat, fields 14/15 (1-indexed)
-        // after the parenthesised comm. USER_HZ is 100 on every supported
-        // Linux configuration; the test's margins are far wider than any
+    fn cpu_ms(tasks: &[std::path::PathBuf]) -> u64 {
+        // utime + stime from `stat`, fields 14/15 (1-indexed) after the
+        // parenthesised comm. USER_HZ is 100 on every supported Linux
+        // configuration; the test's margins are far wider than any
         // plausible deviation.
-        let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
-        let rest = &stat[stat.rfind(')').unwrap() + 2..];
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        let utime: u64 = fields[11].parse().unwrap();
-        let stime: u64 = fields[12].parse().unwrap();
-        (utime + stime) * 10
+        let ticks = |task: &std::path::PathBuf| {
+            let stat = std::fs::read_to_string(task.join("stat")).unwrap();
+            let rest = &stat[stat.rfind(')').unwrap() + 2..];
+            let fields: Vec<&str> = rest.split_whitespace().collect();
+            fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+        };
+        tasks.iter().map(ticks).sum::<u64>() * 10
     }
 
     /// Satellite regression: waiters parked at a barrier must not burn the
     /// host while the releaser is busy elsewhere — even when the pool is
-    /// oversubscribed (threads = 4× cores).
+    /// oversubscribed (threads = 4× cores). Only the waiters' own threads
+    /// are metered: sibling tests share the process and may be busy.
     #[test]
     #[cfg(target_os = "linux")]
     fn parked_barrier_waiters_burn_no_cpu() {
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         let total = 4 * cores + 1;
         let barrier = Arc::new(SpinBarrier::new(total));
+        let (tx, rx) = std::sync::mpsc::channel();
         let handles: Vec<_> = (0..total - 1)
             .map(|_| {
-                let b = Arc::clone(&barrier);
+                let (b, tx) = (Arc::clone(&barrier), tx.clone());
                 std::thread::spawn(move || {
+                    let task = std::fs::read_link("/proc/thread-self").unwrap();
+                    tx.send(std::path::Path::new("/proc").join(task)).unwrap();
                     b.wait(); // round 1: rendezvous
                     b.wait(); // round 2: park here while main sleeps
                 })
             })
             .collect();
+        let waiters: Vec<_> = rx.iter().take(total - 1).collect();
         barrier.wait(); // round 1 complete; workers move to round 2
         std::thread::sleep(std::time::Duration::from_millis(100));
-        let cpu0 = process_cpu_ms();
+        let cpu0 = cpu_ms(&waiters);
         std::thread::sleep(std::time::Duration::from_millis(400));
-        let cpu1 = process_cpu_ms();
+        let cpu1 = cpu_ms(&waiters);
         barrier.wait(); // release round 2
         for h in handles {
             h.join().unwrap();

@@ -72,6 +72,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -89,6 +90,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
         let mut x = self.next_u64();
@@ -110,6 +112,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `len == 0`.
+    #[inline]
     pub fn gen_index(&mut self, len: usize) -> usize {
         self.gen_range(len as u64) as usize
     }

@@ -38,6 +38,11 @@ pub enum RouterClass {
 pub struct Mesh {
     width: u16,
     height: u16,
+    /// `ceil(2^64 / width)`, or 0 when `width` is a power of two. The high
+    /// word of `recip * i` is `i / width` for every 32-bit `i` (Lemire,
+    /// Kaser & Kurz 2019); a power of two shifts instead. [`Mesh::coord`]
+    /// is on every per-flit routing path, so it never divides.
+    recip: u64,
 }
 
 impl Mesh {
@@ -50,7 +55,15 @@ impl Mesh {
         if width == 0 || height == 0 {
             return Err(ConfigError::EmptyMesh { width, height });
         }
-        Ok(Mesh { width, height })
+        let recip = match width.is_power_of_two() {
+            true => 0,
+            false => u64::MAX / width as u64 + 1,
+        };
+        Ok(Mesh {
+            width,
+            height,
+            recip,
+        })
     }
 
     /// Mesh width (number of columns).
@@ -78,10 +91,15 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if `node` is out of range for this mesh.
+    #[inline]
     pub fn coord(&self, node: NodeId) -> Coord {
         assert!(node.index() < self.node_count(), "node {node} out of range");
-        let w = self.width as usize;
-        Coord::new((node.index() % w) as u16, (node.index() / w) as u16)
+        let i = node.index() as u64;
+        let y = match self.recip {
+            0 => i >> self.width.trailing_zeros(),
+            m => ((m as u128 * i as u128) >> 64) as u64,
+        };
+        Coord::new((i - y * self.width as u64) as u16, y as u16)
     }
 
     /// Node at a coordinate, if in bounds.
@@ -146,7 +164,13 @@ impl Mesh {
     /// # Ok::<(), afc_netsim::error::ConfigError>(())
     /// ```
     pub fn dor_route(&self, at: NodeId, dest: NodeId) -> Option<Direction> {
-        let a = self.coord(at);
+        self.dor_route_from(self.coord(at), dest)
+    }
+
+    /// [`Mesh::dor_route`] from a coordinate the caller already holds — a
+    /// router caches its own, halving the per-flit coordinate work.
+    #[inline]
+    pub fn dor_route_from(&self, a: Coord, dest: NodeId) -> Option<Direction> {
         let d = self.coord(dest);
         if a.x < d.x {
             Some(Direction::East)
@@ -184,9 +208,9 @@ impl Mesh {
     ///
     /// Deflection routing prefers any productive port; this returns them in
     /// X-first order so the first entry equals [`Mesh::dor_route`]. The
-    /// result is a stack-allocated [`ProductiveDirs`]: this sits on the
-    /// per-flit-per-cycle path of every deflection-mode router, so it must
-    /// not touch the heap.
+    /// result is a stack-allocated [`ProductiveDirs`]. (The bufferless
+    /// routers' per-flit path computes the same set as port masks from a
+    /// cached own coordinate.)
     pub fn productive_dirs(&self, at: NodeId, dest: NodeId) -> ProductiveDirs {
         let a = self.coord(at);
         let d = self.coord(dest);
@@ -277,6 +301,32 @@ mod tests {
         let m = mesh3();
         for n in m.nodes() {
             assert_eq!(m.node_at(m.coord(n)), Some(n));
+        }
+    }
+
+    #[test]
+    fn coord_is_index_mod_and_div_width_for_every_width_and_node() {
+        // Every width 1..=130 (power-of-two shift and reciprocal paths) at
+        // a height that carries indices past 2^14, plus the u16 extremes.
+        let shapes = (1..=130u16).map(|w| (w, 130)).chain([
+            (255, 257),
+            (u16::MAX, 3),
+            (u16::MAX - 1, 2),
+            (32_768, 2),
+        ]);
+        for (w, h) in shapes {
+            let m = Mesh::new(w, h).unwrap();
+            for n in m.nodes() {
+                let (x, y) = (n.index() % w as usize, n.index() / w as usize);
+                assert_eq!(m.coord(n), Coord::new(x as u16, y as u16), "{w}x{h} {n}");
+            }
+        }
+        // The largest index a mesh can hold.
+        let m = Mesh::new(u16::MAX, u16::MAX).unwrap();
+        for i in [m.node_count() - 1, m.node_count() - 65_535, 0x8000_0000] {
+            let w = u16::MAX as usize;
+            let want = Coord::new((i % w) as u16, (i / w) as u16);
+            assert_eq!(m.coord(NodeId::new(i)), want);
         }
     }
 

@@ -1,6 +1,6 @@
-//! Round-robin arbitration primitives used by the switch allocators, plus
-//! the shared free-output-port list of the single-cycle allocators.
+//! Round-robin arbitration primitives used by the switch allocators.
 
+#[cfg(test)]
 use afc_netsim::geom::Direction;
 
 /// A rotating-priority (round-robin) arbiter over `n` requesters.
@@ -118,68 +118,39 @@ impl RoundRobin {
     }
 }
 
-/// An order-preserving list of free output directions for single-cycle
-/// output allocation, shared by the deflection and drop arbitration paths.
-///
-/// Fixed-size (a mesh router has at most 4 network ports) so the per-cycle
-/// hot loops never touch the heap. Iteration order follows insertion order
-/// and [`FreeDirs::take`] removal is order-preserving (`copy_within`),
-/// which keeps the RNG draw sequence of deflection ranking bit-identical
-/// to an equivalent `Vec::remove`-based implementation.
+/// Test reference for the latch kernel's free-port mask (`latch_tests`): the
+/// order-preserving free-direction list the bufferless routers used before
+/// it. Insertion order is iteration order and removal preserves it, which
+/// is what fixes the RNG draw a random deflection pick consumes.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct FreeDirs {
+pub(crate) struct FreeDirs {
     dirs: [Direction; 4],
     len: usize,
 }
 
-impl Default for FreeDirs {
-    fn default() -> FreeDirs {
-        FreeDirs::new()
-    }
-}
-
+#[cfg(test)]
 impl FreeDirs {
-    /// An empty list.
-    pub fn new() -> FreeDirs {
-        FreeDirs {
-            dirs: [Direction::North; 4],
-            len: 0,
-        }
-    }
-
     /// Collects the directions of `dirs` for which `usable` holds,
     /// preserving order.
     pub fn fill(
         dirs: impl IntoIterator<Item = Direction>,
         mut usable: impl FnMut(Direction) -> bool,
     ) -> FreeDirs {
-        let mut free = FreeDirs::new();
-        for d in dirs {
-            if usable(d) {
-                free.push(d);
-            }
+        let mut free = FreeDirs {
+            dirs: [Direction::North; 4],
+            len: 0,
+        };
+        for d in dirs.into_iter().filter(|d| usable(*d)) {
+            free.dirs[free.len] = d;
+            free.len += 1;
         }
         free
-    }
-
-    /// Appends a direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via the slice bound) past four entries.
-    pub fn push(&mut self, d: Direction) {
-        self.dirs[self.len] = d;
-        self.len += 1;
     }
 
     /// Number of free directions left.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no direction is free.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Whether `d` is still free.
@@ -189,8 +160,7 @@ impl FreeDirs {
 
     /// The `i`-th free direction in order (for the random deflection pick).
     pub fn get(&self, i: usize) -> Direction {
-        debug_assert!(i < self.len, "free-list index in range");
-        self.dirs[i]
+        self.dirs[..self.len][i]
     }
 
     /// The first of `candidates` that is still free.

@@ -63,7 +63,7 @@ use afc_netsim::counters::ActivityCounters;
 use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
 use afc_netsim::geom::Direction;
-use afc_netsim::geom::{DirMap, NodeId, PortId, PortMap};
+use afc_netsim::geom::{Coord, DirMap, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
 use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -162,6 +162,8 @@ fn range_mask(range: &std::ops::Range<usize>) -> u64 {
 /// The backpressured virtual-channel router.
 pub struct BackpressuredRouter {
     node: NodeId,
+    /// `node`'s coordinate, cached for route computation.
+    at: Coord,
     mesh: Mesh,
     layout: VcLayout,
     eject_bandwidth: usize,
@@ -294,6 +296,7 @@ impl BackpressuredRouter {
         let output_arb = PortMap::from_fn(|_| RoundRobin::new(PortId::ALL.len()));
         BackpressuredRouter {
             node,
+            at: mesh.coord(node),
             mesh: mesh.clone(),
             eject_bandwidth: config.eject_bandwidth,
             total,
@@ -445,7 +448,7 @@ impl BackpressuredRouter {
                         false => Some(match self.options.routing {
                             RoutingAlgorithm::XFirst => self
                                 .mesh
-                                .dor_route(self.node, hoq.dest)
+                                .dor_route_from(self.at, hoq.dest)
                                 .expect("non-local destination has a DOR direction"),
                             RoutingAlgorithm::YFirst => self
                                 .mesh

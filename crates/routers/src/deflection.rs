@@ -20,14 +20,12 @@ use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
 use afc_netsim::fault_aware::{FaultAwareness, RouteOutcome};
-use afc_netsim::flit::{Cycle, Flit};
-use afc_netsim::geom::{Direction, NodeId, PortId};
+use afc_netsim::flit::{Cycle, Flit, PacketId};
+use afc_netsim::geom::{Coord, Direction, NodeId, PortId};
 use afc_netsim::rng::SimRng;
 use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
-
-use crate::arbiter::FreeDirs;
 
 /// Flit width in bits for this mechanism (32-bit payload + 13 control bits,
 /// Section IV).
@@ -44,263 +42,379 @@ pub enum RankPolicy {
     OldestFirst,
 }
 
-/// One port assignment produced by the [`DeflectionEngine`].
+/// What becomes of a flit that wins no wanted output port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Assignment {
-    /// The flit (hop/deflection counts *not* yet updated).
-    pub flit: Flit,
-    /// Output direction it was assigned.
-    pub dir: Direction,
-    /// Whether the assignment is non-productive (a deflection).
-    pub deflected: bool,
+pub enum Loser {
+    /// It leaves on a random free port (BLESS/Chaos; AFC's
+    /// backpressureless mode).
+    Deflect,
+    /// It is dropped and NACKed back to its source (SCARAB).
+    Drop,
 }
 
-/// The core deflection port-assignment logic, shared with the AFC router's
-/// backpressureless mode.
+/// A mesh router latches at most one flit per input port plus one injection.
+const LATCHES: usize = 5;
+
+/// Oldest-first order, for ejection and [`RankPolicy::OldestFirst`].
+fn age_key(f: &Flit) -> (Cycle, PacketId, u16) {
+    (f.injected_at, f.packet, f.seq)
+}
+
+/// The lowest `k` set bits of `mask`.
+fn lowest_bits(mask: u8, k: usize) -> u8 {
+    let mut rest = mask;
+    for _ in 0..k.min(mask.count_ones() as usize) {
+        rest &= rest - 1;
+    }
+    mask & !rest
+}
+
+/// The input latches of a bufferless router and the single-cycle kernel
+/// that empties them — eject, rank, assign, emit — shared by the deflection
+/// router, the drop router and AFC's backpressureless mode.
+///
+/// Everything is inline and fixed-size: the latched flits, the router's own
+/// coordinate, and output ports as 4-bit masks over [`Direction::index`].
+/// Ranking permutes an index array instead of moving flits, and winners are
+/// written straight into [`RouterOutputs`]. The RNG draw sequence is that of
+/// the historical `Vec` implementation (kept as the test reference): the
+/// shuffle's draws depend only on the flit count, and the random deflection
+/// pick indexes the free ports in [`Direction::ALL`] order.
 #[derive(Debug, Clone)]
-pub struct DeflectionEngine {
+pub struct LatchBank {
     node: NodeId,
+    at: Coord,
     mesh: Mesh,
     policy: RankPolicy,
-    dirs: Vec<Direction>,
+    eject_bandwidth: usize,
+    /// Network output ports present at this node, and how many.
+    present: u8,
+    degree: u8,
+    len: u8,
+    flits: [Flit; LATCHES],
 }
 
-impl DeflectionEngine {
-    /// Creates the engine for `node`.
-    pub fn new(node: NodeId, mesh: &Mesh, policy: RankPolicy) -> DeflectionEngine {
-        DeflectionEngine {
+impl LatchBank {
+    /// Creates the empty bank of `node`.
+    pub fn new(node: NodeId, mesh: &Mesh, policy: RankPolicy, eject_bandwidth: usize) -> LatchBank {
+        let present = mesh
+            .neighbor_dirs(node)
+            .fold(0u8, |m, d| m | 1 << d.index());
+        LatchBank {
             node,
+            at: mesh.coord(node),
             mesh: mesh.clone(),
             policy,
-            dirs: mesh.neighbor_dirs(node).collect(),
+            eject_bandwidth,
+            present,
+            degree: present.count_ones() as u8,
+            len: 0,
+            flits: [Flit::test_flit(PacketId(0), node, node); LATCHES],
         }
     }
 
     /// Number of network output ports.
-    pub fn degree(&self) -> usize {
-        self.dirs.len()
+    fn degree(&self) -> usize {
+        self.degree as usize
     }
 
-    /// The network output directions present at this node.
-    pub fn dirs(&self) -> &[Direction] {
-        &self.dirs
+    /// The latched flits, in arrival order.
+    fn flits(&self) -> &[Flit] {
+        &self.flits[..self.len as usize]
     }
 
-    /// Heap bytes owned by the engine (the neighbor-direction list; the
-    /// mesh handle itself is a few words and mesh-size independent).
-    pub fn heap_bytes(&self) -> usize {
-        self.dirs.capacity() * std::mem::size_of::<Direction>()
+    /// Number of latched flits.
+    pub fn len(&self) -> usize {
+        self.len as usize
     }
 
-    /// Whether `dir` is a dimension-ordered productive hop for `flit` here
-    /// (reroute-stat classification for degraded-mode assignments).
-    pub fn is_productive(&self, flit: &Flit, dir: Direction) -> bool {
-        self.mesh
-            .productive_dirs(self.node, flit.dest)
-            .contains(dir)
+    /// True when nothing is latched.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    /// Orders flits by rank (mutates in place).
-    pub fn rank(&self, flits: &mut [Flit], rng: &mut SimRng) {
-        match self.policy {
-            RankPolicy::Random => rng.shuffle(flits),
-            RankPolicy::OldestFirst => {
-                flits.sort_by_key(|f| (f.injected_at, f.packet, f.seq));
-            }
-        }
+    /// Discards every latched flit.
+    pub fn clear(&mut self) {
+        self.len = 0;
     }
 
-    /// Assigns every flit a distinct output direction: a free productive
-    /// port if possible, otherwise a free port chosen at random (a
-    /// deflection). `blocked` directions are excluded entirely (used by AFC
-    /// to avoid credit-exhausted backpressured neighbors).
+    /// Latches `flit`.
     ///
     /// # Panics
     ///
-    /// Panics if there are more flits than usable output ports — the
-    /// injection-gating invariant was violated upstream.
-    pub fn assign(
-        &self,
-        mut flits: Vec<Flit>,
-        blocked: &[Direction],
-        rng: &mut SimRng,
-    ) -> Vec<Assignment> {
-        let mut out = Vec::with_capacity(flits.len());
-        self.assign_into(&mut flits, blocked, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`DeflectionEngine::assign`]: ranks
-    /// `flits` in place and writes the assignments into `out` (cleared
-    /// first). Routers keep both buffers as reusable scratch so the hot
-    /// loop never touches the heap. RNG draw order is identical to
-    /// [`DeflectionEngine::assign`].
-    pub fn assign_into(
-        &self,
-        flits: &mut [Flit],
-        blocked: &[Direction],
-        rng: &mut SimRng,
-        out: &mut Vec<Assignment>,
-    ) {
-        self.assign_with_into(flits, blocked, |_| None, rng, out);
-    }
-
-    /// [`DeflectionEngine::assign_into`] with a per-flit preferred
-    /// direction override. When `prefer` returns `Some(dir)` — degraded
-    /// mode's alive-graph next hop — that direction *replaces* the
-    /// dimension-ordered productive set: the flit takes it if free and
-    /// deflects otherwise. DOR's productive directions are fault-blind, so
-    /// near a dead node they forever pull a flit back toward the dead link
-    /// (a livelock orbit); following the alive-graph hop instead strictly
-    /// shrinks the flit's alive-distance whenever granted, restoring the
-    /// probabilistic delivery argument. With `prefer = |_| None` the RNG
-    /// draw sequence is bit-identical to the historical implementation.
-    pub fn assign_with_into(
-        &self,
-        flits: &mut [Flit],
-        blocked: &[Direction],
-        mut prefer: impl FnMut(&Flit) -> Option<Direction>,
-        rng: &mut SimRng,
-        out: &mut Vec<Assignment>,
-    ) {
-        out.clear();
-        // The shared fixed-size free list: this runs for every latched flit
-        // every cycle, so it must stay off the heap. Order matches
-        // `self.dirs` and removal is order-preserving, keeping the RNG draw
-        // sequence identical to the historical Vec-based implementation.
-        let mut free = FreeDirs::fill(self.dirs.iter().copied(), |d| !blocked.contains(&d));
+    /// Panics, in every build, past `degree + 1` flits: more arrived in one
+    /// cycle than the router has input ports.
+    #[inline]
+    pub fn push(&mut self, flit: Flit) {
+        let bound = self.degree() + 1;
         assert!(
-            flits.len() <= free.len(),
-            "deflection invariant violated at {}: {} flits, {} usable ports",
+            self.len() < bound,
+            "latch overflow at {}: {} flits already latched, bound {bound}",
             self.node,
-            flits.len(),
-            free.len()
+            self.len
         );
-        self.rank(flits, rng);
-        for &flit in flits.iter() {
-            let choice = match prefer(&flit) {
-                Some(d) => free.contains(d).then_some(d),
-                None => free.first_free(self.mesh.productive_dirs(self.node, flit.dest)),
+        self.flits[self.len as usize] = flit;
+        self.len += 1;
+    }
+
+    /// Output ports that would remain free this cycle after ejection,
+    /// assuming no further arrivals (the injection gate).
+    #[inline]
+    pub fn free_ports_after_ejection(&self) -> usize {
+        let local = self.flits().iter().filter(|f| f.dest == self.node).count();
+        let staying = self.len() - local.min(self.eject_bandwidth);
+        self.degree().saturating_sub(staying)
+    }
+
+    /// Runs [`LatchBank::step_with`] against a router's fault view: clean
+    /// means plain DOR; otherwise believed-dead output links are blocked
+    /// and flits follow the alive-graph next hop.
+    pub fn step(
+        &mut self,
+        loser: Loser,
+        fa: &mut FaultAwareness,
+        held: u8,
+        rng: &mut SimRng,
+        out: &mut RouterOutputs,
+        counters: &mut ActivityCounters,
+    ) -> u8 {
+        if fa.is_clean() {
+            return self.step_with(loser, 0, held, None, rng, out, counters);
+        }
+        let dead = fa.dead_out_mask();
+        let mut hop = |f: &Flit| fa.route(f.dest);
+        self.step_with(loser, dead, held, Some(&mut hop), rng, out, counters)
+    }
+
+    /// One cycle: every latched flit leaves. Up to the ejection bandwidth
+    /// of locally destined flits eject, oldest first; the rest are ranked
+    /// and each takes a free wanted port — a DOR-productive one, or under
+    /// `prefer` (degraded mode) the alive-graph next hop, which *replaces*
+    /// the fault-blind productive set so a flit is never pulled back toward
+    /// a dead link. One that gets none deflects onto a random free port or
+    /// is dropped, per `loser`. Returns the mask of output ports used.
+    ///
+    /// `dead` and `held` ports are blocked. A drop router simply loses them;
+    /// a deflecting one must find every flit a port, so it blocks only as
+    /// many as it can spare — `dead` ports first, then `held`, each in
+    /// [`Direction::ALL`] order — and the overflow sinks into a blocked
+    /// link, where the fault plane or the downstream bank accounts for it.
+    /// Deflection also retires flits `prefer` finds unreachable through
+    /// `out.dropped` before ranking.
+    ///
+    /// # Panics
+    ///
+    /// Panics when deflection holds more flits than output ports — the
+    /// injection gate was bypassed upstream.
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_with(
+        &mut self,
+        loser: Loser,
+        dead: u8,
+        held: u8,
+        prefer: Option<&mut dyn FnMut(&Flit) -> RouteOutcome>,
+        rng: &mut SimRng,
+        out: &mut RouterOutputs,
+        counters: &mut ActivityCounters,
+    ) -> u8 {
+        let mut n = std::mem::take(&mut self.len) as usize;
+        let flits = &self.flits;
+        // `order[..n]` is the working list, as indices into `flits`.
+        let mut order = [0u8, 1, 2, 3, 4];
+
+        // Eject. Removal is `swap_remove` from the highest index down, the
+        // historical residual order that ranking then starts from.
+        let mut local = [0u8; LATCHES];
+        let mut locals = 0;
+        for (i, f) in flits[..n].iter().enumerate() {
+            if f.dest == self.node {
+                local[locals] = i as u8;
+                locals += 1;
+            }
+        }
+        if locals > self.eject_bandwidth {
+            local[..locals].sort_by_key(|&i| age_key(&flits[i as usize]));
+            locals = self.eject_bandwidth;
+            local[..locals].sort_unstable();
+        }
+        for &i in &local[..locals] {
+            out.ejected.push(flits[i as usize]);
+        }
+        for &i in local[..locals].iter().rev() {
+            n -= 1;
+            order[i as usize] = order[n];
+        }
+        counters.ejections += locals as u64;
+
+        // Degraded mode: each flit's alive-graph hop (`Local` reads "use
+        // DOR", which is all a clean run ever wants).
+        let degraded = prefer.is_some();
+        let mut hop = [RouteOutcome::Local; LATCHES];
+        if let Some(prefer) = prefer {
+            let mut kept = 0;
+            for j in 0..n {
+                let i = order[j] as usize;
+                hop[i] = prefer(&flits[i]);
+                if loser == Loser::Deflect && hop[i] == RouteOutcome::Unreachable {
+                    out.dropped.push(flits[i]);
+                    counters.drops += 1;
+                } else {
+                    order[kept] = order[j];
+                    kept += 1;
+                }
+            }
+            n = kept;
+        }
+
+        let (mut free, mut free_n) = (self.present, self.degree());
+        if (dead | held) & free != 0 {
+            free &= !match loser {
+                Loser::Drop => dead | held,
+                Loser::Deflect => {
+                    let spare = free_n.saturating_sub(n);
+                    let dead = lowest_bits(dead & free, spare);
+                    let spare = spare - dead.count_ones() as usize;
+                    dead | lowest_bits(held & free & !dead, spare)
+                }
             };
-            let (dir, deflected) = match choice {
-                Some(d) => (d, false),
-                None => (free.get(rng.gen_index(free.len())), true),
+            free_n = free.count_ones() as usize;
+        }
+        assert!(
+            loser == Loser::Drop || n <= free_n,
+            "deflection invariant violated at {}: {n} flits, {free_n} usable ports",
+            self.node
+        );
+
+        match self.policy {
+            RankPolicy::Random => rng.shuffle(&mut order[..n]),
+            RankPolicy::OldestFirst => order[..n].sort_by_key(|&i| age_key(&flits[i as usize])),
+        }
+        counters.arbitrations += n as u64;
+
+        let (usable, mut sent) = (free_n, 0u8);
+        for &i in &order[..n] {
+            let flit = &flits[i as usize];
+            let (x, y) = self.productive(flit.dest);
+            let wanted = match hop[i as usize] {
+                RouteOutcome::Dir(d) => free & 1 << d.index(),
+                RouteOutcome::Local if free & x != 0 => x,
+                RouteOutcome::Local => free & y,
+                RouteOutcome::Unreachable => 0,
             };
-            free.take(dir);
-            out.push(Assignment {
-                flit,
-                dir,
-                deflected,
-            });
+            let port = match (wanted, loser) {
+                (0, Loser::Deflect) => {
+                    // The k-th free port in `Direction::ALL` order.
+                    let k = rng.gen_index(free_n);
+                    let rest = free & !lowest_bits(free, k);
+                    rest & rest.wrapping_neg()
+                }
+                (0, Loser::Drop) => {
+                    // Contention (or an unejectable local flit): the NACK
+                    // circuit triggers retransmission.
+                    counters.drops += 1;
+                    counters.retransmissions += 1;
+                    out.dropped.push(*flit);
+                    continue;
+                }
+                (port, _) => port,
+            };
+            free &= !port;
+            free_n -= 1;
+            sent |= port;
+            let dir = Direction::ALL[port.trailing_zeros() as usize];
+            let leaving = out.flits[PortId::Net(dir)].insert(*flit);
+            leaving.hops += 1;
+            if wanted == 0 {
+                leaving.deflections = leaving.deflections.saturating_add(1);
+                counters.deflections += 1;
+            } else if degraded && port & (x | y) == 0 {
+                counters.reroutes += 1;
+            }
+        }
+        let moved = (usable - free_n) as u64;
+        counters.crossbar_traversals += moved;
+        counters.link_traversals += moved;
+        sent
+    }
+
+    /// The DOR-productive ports toward `dest`, as an X and a Y one-bit mask
+    /// (0 where that dimension is already correct). X goes first.
+    fn productive(&self, dest: NodeId) -> (u8, u8) {
+        let (at, to) = (self.at, self.mesh.coord(dest));
+        let port = |toward: bool, dir: Direction| (toward as u8) << dir.index();
+        (
+            port(at.x < to.x, Direction::East) | port(at.x > to.x, Direction::West),
+            port(at.y < to.y, Direction::South) | port(at.y > to.y, Direction::North),
+        )
+    }
+
+    /// Writes the latched flits (count, then each flit).
+    pub fn save(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len());
+        for f in self.flits() {
+            snapshot::write_flit(w, f);
         }
     }
-}
 
-/// Splits this cycle's latched flits into ejections (up to `bandwidth`,
-/// oldest first) and the rest. Shared with the AFC router.
-pub fn split_ejections(latches: &mut Vec<Flit>, node: NodeId, bandwidth: usize) -> Vec<Flit> {
-    let mut ejected = Vec::new();
-    split_ejections_into(latches, node, bandwidth, &mut ejected);
-    ejected
-}
-
-/// Allocation-free form of [`split_ejections`]: appends the ejected flits
-/// to `out` (so routers can target the engine's reusable `ejected`
-/// buffer directly). Selection, output order, and the residual
-/// arrangement of `latches` are identical to [`split_ejections`].
-pub fn split_ejections_into(
-    latches: &mut Vec<Flit>,
-    node: NodeId,
-    bandwidth: usize,
-    out: &mut Vec<Flit>,
-) {
-    // A mesh router latches at most degree + 1 <= 5 flits per cycle, so
-    // the index scratch stays inline. (The capacity is generous; the
-    // assert documents the engine invariant rather than a soft limit.)
-    const IDX_CAP: usize = 8;
-    assert!(
-        latches.len() <= IDX_CAP,
-        "split_ejections: {} latched flits exceeds the engine bound {IDX_CAP}",
-        latches.len()
-    );
-    let mut idx = [0usize; IDX_CAP];
-    let mut n = 0usize;
-    for (i, f) in latches.iter().enumerate() {
-        if f.dest == node {
-            idx[n] = i;
-            n += 1;
+    /// Restores flits written by [`LatchBank::save`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] naming `what` when the count exceeds
+    /// `degree + 1`; decode errors otherwise.
+    pub fn load(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        what: &'static str,
+    ) -> Result<(), SnapshotError> {
+        let n = r.get_usize(what)?;
+        if n > self.degree() + 1 {
+            return Err(SnapshotError::Malformed { what });
         }
+        self.len = 0;
+        for _ in 0..n {
+            self.push(snapshot::read_flit(r)?);
+        }
+        Ok(())
     }
-    idx[..n].sort_by_key(|&i| (latches[i].injected_at, latches[i].packet, latches[i].seq));
-    let m = n.min(bandwidth);
-    idx[..m].sort_unstable();
-    let start = out.len();
-    for &i in idx[..m].iter().rev() {
-        out.push(latches.swap_remove(i));
-    }
-    out[start..].reverse();
 }
 
-/// The deflection router.
-pub struct DeflectionRouter {
-    node: NodeId,
-    engine: DeflectionEngine,
-    eject_bandwidth: usize,
-    latches: Vec<Flit>,
-    /// Reusable assignment buffer: the step loop must not allocate.
-    assign_scratch: Vec<Assignment>,
-    /// Reusable dead-direction mask handed to the assignment engine.
-    blocked_scratch: Vec<Direction>,
+/// A bufferless router: a [`LatchBank`] emptied every cycle, its losers
+/// deflected (`DROP = false`, [`DeflectionRouter`]) or dropped (`DROP =
+/// true`, [`DropRouter`](crate::drop::DropRouter)).
+pub struct Bufferless<const DROP: bool> {
+    bank: LatchBank,
     /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
     /// §13); clean-state steps are byte-identical to the fault-free build.
     fa: FaultAwareness,
     counters: ActivityCounters,
 }
 
-impl DeflectionRouter {
+/// The deflection router.
+pub type DeflectionRouter = Bufferless<false>;
+
+impl<const DROP: bool> Bufferless<DROP> {
+    const LOSER: Loser = if DROP { Loser::Drop } else { Loser::Deflect };
+    const LATCH_COUNT: &'static str = if DROP {
+        "drop router latch count"
+    } else {
+        "deflection router latch count"
+    };
+
     /// Builds the router for `node`.
-    pub fn new(
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        policy: RankPolicy,
-    ) -> DeflectionRouter {
-        DeflectionRouter {
-            node,
-            engine: DeflectionEngine::new(node, mesh, policy),
-            eject_bandwidth: config.eject_bandwidth,
-            latches: Vec::with_capacity(8),
-            assign_scratch: Vec::with_capacity(8),
-            blocked_scratch: Vec::with_capacity(4),
+    pub fn new(node: NodeId, mesh: &Mesh, config: &NetworkConfig, policy: RankPolicy) -> Self {
+        Bufferless {
+            bank: LatchBank::new(node, mesh, policy, config.eject_bandwidth),
             fa: FaultAwareness::new(node, mesh.clone()),
             counters: ActivityCounters::new(),
         }
     }
-
-    /// Output ports that would remain free this cycle after ejection,
-    /// assuming no further arrivals.
-    fn free_ports_after_ejection(&self) -> usize {
-        let local = self
-            .latches
-            .iter()
-            .filter(|f| f.dest == self.node)
-            .count()
-            .min(self.eject_bandwidth);
-        self.engine
-            .degree()
-            .saturating_sub(self.latches.len() - local)
-    }
 }
 
-impl Router for DeflectionRouter {
+impl<const DROP: bool> Router for Bufferless<DROP> {
     fn receive_flit(&mut self, _input: PortId, flit: Flit, _now: Cycle) {
-        self.latches.push(flit);
+        self.bank.push(flit);
         self.counters.latch_writes += 1;
-        debug_assert!(
-            self.latches.len() <= self.engine.degree() + 1,
-            "more latched flits than ports at {}",
-            self.node
-        );
     }
 
     fn receive_credit(&mut self, _output: PortId, _credit: Credit, _now: Cycle) {
@@ -322,110 +436,37 @@ impl Router for DeflectionRouter {
         now: Cycle,
     ) {
         // Bufferless and creditless: masks and the gossip flood are the
-        // whole reaction. A revival re-admits the direction into the
-        // deflection engine's usable port set via the cleared dead mask.
+        // whole reaction, for deaths and revivals alike.
         self.fa.learn(node, dir, epoch, alive, now);
     }
 
     fn injection_ready(&self, _flit: &Flit, _now: Cycle) -> bool {
-        self.free_ports_after_ejection() >= 1
+        // A drop router gates the same way; a losing injected flit is
+        // dropped and NACKed rather than refused.
+        self.bank.free_ports_after_ejection() >= 1
     }
 
     fn inject(&mut self, flit: Flit, _now: Cycle) {
-        self.latches.push(flit);
+        self.bank.push(flit);
         self.counters.latch_writes += 1;
         self.counters.injections += 1;
     }
 
     fn step(&mut self, _now: Cycle, rng: &mut SimRng, out: &mut RouterOutputs) {
         self.counters.cycles += 1;
-        let clean = self.fa.is_clean();
         if self.fa.has_pending_gossip() {
             // Revival facts keep flooding even after this router's own
             // fault view is all-alive (clean) again.
             self.fa.drain_gossip(out);
         }
-        if self.latches.is_empty() {
-            return;
+        if !self.bank.is_empty() {
+            let (fa, counters) = (&mut self.fa, &mut self.counters);
+            self.bank.step(Self::LOSER, fa, 0, rng, out, counters);
         }
-        let before = out.ejected.len();
-        split_ejections_into(
-            &mut self.latches,
-            self.node,
-            self.eject_bandwidth,
-            &mut out.ejected,
-        );
-        self.counters.ejections += (out.ejected.len() - before) as u64;
-
-        // Both buffers round-trip through locals (borrow split) and come
-        // back with their capacity intact: no allocation in steady state.
-        let mut flits = std::mem::take(&mut self.latches);
-        let mut assigns = std::mem::take(&mut self.assign_scratch);
-        let mut blocked = std::mem::take(&mut self.blocked_scratch);
-        blocked.clear();
-        if !clean {
-            // Degraded mode: terminate unreachable flits through the
-            // structured drop/NACK path (order-preserving removal keeps the
-            // ranking RNG sequence deterministic), then mask dead output
-            // links — relaxed if more flits remain than alive ports, in
-            // which case the overflow deliberately sinks into the dead link
-            // where the fault plane accounts for it and retransmission
-            // recovers it.
-            let mut i = 0;
-            while i < flits.len() {
-                if matches!(self.fa.route(flits[i].dest), RouteOutcome::Unreachable) {
-                    out.dropped.push(flits.remove(i));
-                    self.counters.drops += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            self.fa
-                .fill_blocked(self.engine.dirs(), flits.len(), &mut blocked);
-        }
-        self.counters.arbitrations += flits.len() as u64;
-        if clean {
-            self.engine
-                .assign_into(&mut flits, &blocked, rng, &mut assigns);
-        } else {
-            // Degraded mode: desire the alive-graph next hop, not the
-            // fault-blind DOR productive set (see `assign_with_into`).
-            let fa = &mut self.fa;
-            self.engine.assign_with_into(
-                &mut flits,
-                &blocked,
-                |f| match fa.route(f.dest) {
-                    RouteOutcome::Dir(d) => Some(d),
-                    RouteOutcome::Local | RouteOutcome::Unreachable => None,
-                },
-                rng,
-                &mut assigns,
-            );
-        }
-        self.blocked_scratch = blocked;
-        for a in &mut assigns {
-            if a.deflected {
-                a.flit.deflections = a.flit.deflections.saturating_add(1);
-                self.counters.deflections += 1;
-            } else if !clean && !self.engine.is_productive(&a.flit, a.dir) {
-                self.counters.reroutes += 1;
-            }
-            a.flit.hops += 1;
-            self.counters.crossbar_traversals += 1;
-            self.counters.link_traversals += 1;
-            out.flits[PortId::Net(a.dir)] = Some(a.flit);
-        }
-        flits.clear();
-        self.latches = flits;
-        self.assign_scratch = assigns;
     }
 
     fn heap_bytes(&self) -> usize {
-        self.latches.capacity() * std::mem::size_of::<Flit>()
-            + self.assign_scratch.capacity() * std::mem::size_of::<Assignment>()
-            + self.blocked_scratch.capacity() * std::mem::size_of::<Direction>()
-            + self.engine.heap_bytes()
-            + self.fa.heap_bytes()
+        self.fa.heap_bytes()
     }
 
     fn counters(&self) -> &ActivityCounters {
@@ -441,60 +482,48 @@ impl Router for DeflectionRouter {
     }
 
     fn occupancy(&self) -> usize {
-        self.latches.len()
+        self.bank.len()
     }
 
     fn is_quiescent(&self) -> bool {
         // An idle step is `cycles += 1` and an early return: no RNG, no
         // outputs, nothing `note_idle_cycles`'s default can't replay.
         // Pending fault gossip keeps the router live so the flood drains.
-        self.latches.is_empty() && !self.fa.has_pending_gossip()
+        self.bank.is_empty() && !self.fa.has_pending_gossip()
     }
 
     fn reset(&mut self) -> bool {
-        // Latches and scratch clear in place; the engine and eject
-        // bandwidth are pure configuration.
-        self.latches.clear();
-        self.assign_scratch.clear();
-        self.blocked_scratch.clear();
+        self.bank.clear();
         self.fa.reset();
         self.counters = ActivityCounters::new();
         true
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        w.put_usize(self.latches.len());
-        for f in &self.latches {
-            snapshot::write_flit(w, f);
-        }
+        self.bank.save(w);
         self.counters.save(w);
         self.fa.save(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_usize("deflection router latch count")?;
-        if n > self.engine.degree() + 1 {
-            return Err(SnapshotError::Malformed {
-                what: "deflection router latch count",
-            });
-        }
-        self.latches.clear();
-        for _ in 0..n {
-            self.latches.push(snapshot::read_flit(r)?);
-        }
+        self.bank.load(r, Self::LATCH_COUNT)?;
         self.counters = ActivityCounters::load(r)?;
         self.fa.load(r)?;
         Ok(())
     }
 }
 
-impl std::fmt::Debug for DeflectionRouter {
+impl<const DROP: bool> std::fmt::Debug for Bufferless<DROP> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeflectionRouter")
-            .field("node", &self.node)
-            .field("latched", &self.latches.len())
-            .finish_non_exhaustive()
+        f.debug_struct(if DROP {
+            "DropRouter"
+        } else {
+            "DeflectionRouter"
+        })
+        .field("node", &self.bank.node)
+        .field("latched", &self.bank.len())
+        .finish_non_exhaustive()
     }
 }
 
@@ -658,51 +687,75 @@ mod tests {
         assert_eq!(deflections, 2);
     }
 
-    #[test]
-    fn oldest_first_ranking_is_stable() {
+    /// The bank of 3x3 node `at` holding `flits`, stepped once on `seed`.
+    fn step_bank(
+        at: usize,
+        flits: &[Flit],
+        policy: RankPolicy,
+        dead: u8,
+        seed: u64,
+    ) -> RouterOutputs {
         let config = NetworkConfig::paper_3x3();
         let mesh = config.mesh().unwrap();
-        let node = mesh.node_at(Coord::new(1, 1)).unwrap();
-        let engine = DeflectionEngine::new(node, &mesh, RankPolicy::OldestFirst);
-        let dest = mesh.node_at(Coord::new(2, 1)).unwrap();
+        let node = NodeId::new(at);
+        let mut bank = LatchBank::new(node, &mesh, policy, config.eject_bandwidth);
+        flits.iter().for_each(|f| bank.push(*f));
+        let (mut out, mut counters) = (RouterOutputs::new(), ActivityCounters::new());
+        let mut rng = SimRng::seed_from(seed);
+        let loser = Loser::Deflect;
+        bank.step_with(loser, dead, 0, None, &mut rng, &mut out, &mut counters);
+        out
+    }
+
+    #[test]
+    fn oldest_first_ranking_is_stable() {
+        let dest = NodeId::new(5); // east of the centre
         let mut a = flit_to(1, dest);
         a.injected_at = 3;
         let mut b = flit_to(2, dest);
         b.injected_at = 1;
-        let mut rng = SimRng::seed_from(5);
-        let assignments = engine.assign(vec![a, b], &[], &mut rng);
+        let out = step_bank(4, &[a, b], RankPolicy::OldestFirst, 0, 5);
         // b is older: it wins the productive east port.
-        let winner = assignments.iter().find(|x| !x.deflected).unwrap();
-        assert_eq!(winner.flit.packet, PacketId(2));
-        assert_eq!(winner.dir, Direction::East);
+        let winner = out.flits[PortId::Net(Direction::East)].unwrap();
+        assert_eq!((winner.packet, winner.deflections), (PacketId(2), 0));
     }
 
     #[test]
     fn blocked_dirs_are_never_used() {
-        let config = NetworkConfig::paper_3x3();
-        let mesh = config.mesh().unwrap();
-        let node = mesh.node_at(Coord::new(1, 1)).unwrap();
-        let engine = DeflectionEngine::new(node, &mesh, RankPolicy::Random);
-        let dest = mesh.node_at(Coord::new(2, 1)).unwrap();
-        let mut rng = SimRng::seed_from(6);
-        for _ in 0..50 {
-            let assignments = engine.assign(vec![flit_to(1, dest)], &[Direction::East], &mut rng);
-            assert_ne!(assignments[0].dir, Direction::East);
-            assert!(assignments[0].deflected);
+        let east = 1 << Direction::East.index();
+        for seed in 0..50 {
+            let out = step_bank(
+                4,
+                &[flit_to(1, NodeId::new(5))],
+                RankPolicy::Random,
+                east,
+                seed,
+            );
+            assert!(out.flits[PortId::Net(Direction::East)].is_none());
+            let sent = Direction::ALL
+                .into_iter()
+                .find_map(|d| out.flits[PortId::Net(d)]);
+            assert_eq!(sent.unwrap().deflections, 1);
         }
     }
 
     #[test]
     #[should_panic(expected = "deflection invariant")]
     fn too_many_flits_panics() {
+        // A corner has two output ports.
+        let flits = [1, 2, 3].map(|i| flit_to(i, NodeId::new(8)));
+        step_bank(0, &flits, RankPolicy::Random, 0, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "latch overflow at n0: 3 flits already latched, bound 3")]
+    fn latch_overflow_is_a_named_assert_in_every_build() {
         let config = NetworkConfig::paper_3x3();
         let mesh = config.mesh().unwrap();
-        let node = mesh.node_at(Coord::new(0, 0)).unwrap(); // corner: degree 2
-        let engine = DeflectionEngine::new(node, &mesh, RankPolicy::Random);
-        let dest = mesh.node_at(Coord::new(2, 2)).unwrap();
-        let mut rng = SimRng::seed_from(7);
-        let flits = vec![flit_to(1, dest), flit_to(2, dest), flit_to(3, dest)];
-        let _ = engine.assign(flits, &[], &mut rng);
+        let mut r = DeflectionRouter::new(NodeId::new(0), &mesh, &config, RankPolicy::Random);
+        for i in 0..4 {
+            r.receive_flit(PortId::Net(Direction::East), flit_to(i, NodeId::new(8)), 0);
+        }
     }
 
     #[test]

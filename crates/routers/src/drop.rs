@@ -5,246 +5,28 @@
 //! with distance-proportional latency) and the source retransmits. The paper
 //! notes this variant saturates at even lower loads than deflection routing
 //! — this implementation exists as the comparison point for that claim.
+//!
+//! The datapath is the shared bufferless kernel
+//! ([`LatchBank`](crate::deflection::LatchBank)) with
+//! [`Loser::Drop`](crate::deflection::Loser): dead links are simply not
+//! output ports anymore, and in degraded mode a dead, contended,
+//! local-overflow or unreachable outcome all take the drop/NACK path — for
+//! an unreachable destination the source NI's bounded retransmit converts
+//! the repeated drops into a structured `Unreachable`.
 
-use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
-use afc_netsim::counters::ActivityCounters;
-use afc_netsim::fault_aware::{FaultAwareness, RouteOutcome};
-use afc_netsim::flit::{Cycle, Flit};
-use afc_netsim::geom::{Direction, NodeId, PortId};
-use afc_netsim::rng::SimRng;
-use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
-use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::geom::NodeId;
+use afc_netsim::router::{Router, RouterFactory};
 use afc_netsim::topology::Mesh;
 
-use crate::arbiter::FreeDirs;
-use crate::deflection::{split_ejections_into, RankPolicy};
+use crate::deflection::{Bufferless, RankPolicy};
 
 /// Flit width in bits (same control overhead class as the deflection
 /// variant).
 pub const FLIT_WIDTH_BITS: u32 = 45;
 
 /// The drop router.
-pub struct DropRouter {
-    node: NodeId,
-    mesh: Mesh,
-    dirs: Vec<Direction>,
-    policy: RankPolicy,
-    eject_bandwidth: usize,
-    latches: Vec<Flit>,
-    /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
-    /// §13); clean-state steps are byte-identical to the fault-free build.
-    fa: FaultAwareness,
-    counters: ActivityCounters,
-}
-
-impl DropRouter {
-    /// Builds the router for `node`.
-    pub fn new(
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        policy: RankPolicy,
-    ) -> DropRouter {
-        DropRouter {
-            node,
-            mesh: mesh.clone(),
-            dirs: mesh.neighbor_dirs(node).collect(),
-            policy,
-            eject_bandwidth: config.eject_bandwidth,
-            latches: Vec::with_capacity(8),
-            fa: FaultAwareness::new(node, mesh.clone()),
-            counters: ActivityCounters::new(),
-        }
-    }
-}
-
-impl Router for DropRouter {
-    fn receive_flit(&mut self, _input: PortId, flit: Flit, _now: Cycle) {
-        self.latches.push(flit);
-        self.counters.latch_writes += 1;
-    }
-
-    fn receive_credit(&mut self, _output: PortId, _credit: Credit, _now: Cycle) {}
-
-    fn receive_control(&mut self, _output: PortId, signal: ControlSignal, now: Cycle) {
-        if self.fa.on_control(signal, now).is_some() {
-            self.counters.fault_notices += 1;
-        }
-    }
-
-    fn note_link_event(
-        &mut self,
-        node: NodeId,
-        dir: Direction,
-        epoch: u32,
-        alive: bool,
-        now: Cycle,
-    ) {
-        // Bufferless and creditless: masks and the gossip flood are the
-        // whole reaction, for deaths and revivals alike.
-        self.fa.learn(node, dir, epoch, alive, now);
-    }
-
-    fn injection_ready(&self, _flit: &Flit, _now: Cycle) -> bool {
-        // Same free-port gating as the deflection router; a losing injected
-        // flit is dropped and NACKed rather than refused.
-        let local = self
-            .latches
-            .iter()
-            .filter(|f| f.dest == self.node)
-            .count()
-            .min(self.eject_bandwidth);
-        self.dirs.len().saturating_sub(self.latches.len() - local) >= 1
-    }
-
-    fn inject(&mut self, flit: Flit, _now: Cycle) {
-        self.latches.push(flit);
-        self.counters.latch_writes += 1;
-        self.counters.injections += 1;
-    }
-
-    fn step(&mut self, _now: Cycle, rng: &mut SimRng, out: &mut RouterOutputs) {
-        self.counters.cycles += 1;
-        let clean = self.fa.is_clean();
-        if self.fa.has_pending_gossip() {
-            // Gossip drains even when the fault view is all-alive again:
-            // revival facts must keep flooding after the router itself has
-            // reconverged to the clean fast path.
-            self.fa.drain_gossip(out);
-        }
-        if self.latches.is_empty() {
-            return;
-        }
-        let before = out.ejected.len();
-        split_ejections_into(
-            &mut self.latches,
-            self.node,
-            self.eject_bandwidth,
-            &mut out.ejected,
-        );
-        self.counters.ejections += (out.ejected.len() - before) as u64;
-
-        // Round-trips through a local (borrow split) and comes back with
-        // capacity intact: no allocation in steady state.
-        let mut flits = std::mem::take(&mut self.latches);
-        match self.policy {
-            RankPolicy::Random => rng.shuffle(&mut flits),
-            RankPolicy::OldestFirst => flits.sort_by_key(|f| (f.injected_at, f.packet, f.seq)),
-        }
-        // The shared fixed-size free list (at most 4 mesh ports): avoids a
-        // heap allocation per router per cycle on the hot arbitration path.
-        // Dead links are simply not output ports anymore; SCARAB-style
-        // contention for the surviving ports is unchanged.
-        let fa = &self.fa;
-        let mut free = FreeDirs::fill(self.dirs.iter().copied(), |d| clean || !fa.dead_out(d));
-        for mut flit in flits.iter().copied() {
-            self.counters.arbitrations += 1;
-            let choice = if clean {
-                free.first_free(self.mesh.productive_dirs(self.node, flit.dest))
-            } else {
-                // Degraded mode: follow the alive-graph next hop. A dead,
-                // contended, local-overflow or unreachable outcome all take
-                // the established drop/NACK path — for an unreachable
-                // destination the source NI's bounded retransmit converts
-                // the repeated drops into a structured `Unreachable`.
-                match self.fa.route(flit.dest) {
-                    RouteOutcome::Dir(d) if free.contains(d) => {
-                        if !self.mesh.productive_dirs(self.node, flit.dest).contains(d) {
-                            self.counters.reroutes += 1;
-                        }
-                        Some(d)
-                    }
-                    _ => None,
-                }
-            };
-            match choice {
-                Some(dir) => {
-                    free.take(dir);
-                    flit.hops += 1;
-                    self.counters.crossbar_traversals += 1;
-                    self.counters.link_traversals += 1;
-                    out.flits[PortId::Net(dir)] = Some(flit);
-                }
-                None => {
-                    // Contention (or an unejectable local flit): drop and
-                    // let the NACK circuit trigger retransmission.
-                    self.counters.drops += 1;
-                    self.counters.retransmissions += 1;
-                    out.dropped.push(flit);
-                }
-            }
-        }
-        flits.clear();
-        self.latches = flits;
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.dirs.capacity() * std::mem::size_of::<Direction>()
-            + self.latches.capacity() * std::mem::size_of::<Flit>()
-            + self.fa.heap_bytes()
-    }
-
-    fn counters(&self) -> &ActivityCounters {
-        &self.counters
-    }
-
-    fn counters_mut(&mut self) -> &mut ActivityCounters {
-        &mut self.counters
-    }
-
-    fn mode(&self) -> RouterMode {
-        RouterMode::Backpressureless
-    }
-
-    fn occupancy(&self) -> usize {
-        self.latches.len()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        // An idle step is `cycles += 1` and an early return: no RNG, no
-        // outputs, nothing `note_idle_cycles`'s default can't replay.
-        // Pending fault gossip keeps the router live so the flood drains.
-        self.latches.is_empty() && !self.fa.has_pending_gossip()
-    }
-
-    fn reset(&mut self) -> bool {
-        self.latches.clear();
-        self.fa.reset();
-        self.counters = ActivityCounters::new();
-        true
-    }
-
-    fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        w.put_usize(self.latches.len());
-        for f in &self.latches {
-            snapshot::write_flit(w, f);
-        }
-        self.counters.save(w);
-        self.fa.save(w);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_usize("drop router latch count")?;
-        self.latches.clear();
-        for _ in 0..n {
-            self.latches.push(snapshot::read_flit(r)?);
-        }
-        self.counters = ActivityCounters::load(r)?;
-        self.fa.load(r)?;
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for DropRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DropRouter")
-            .field("node", &self.node)
-            .field("latched", &self.latches.len())
-            .finish_non_exhaustive()
-    }
-}
+pub type DropRouter = Bufferless<true>;
 
 /// Factory for [`DropRouter`]s.
 #[derive(Debug, Clone, Copy, Default)]
@@ -281,8 +63,10 @@ impl RouterFactory for DropFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afc_netsim::flit::PacketId;
-    use afc_netsim::geom::Coord;
+    use afc_netsim::flit::{Flit, PacketId};
+    use afc_netsim::geom::{Coord, Direction, PortId};
+    use afc_netsim::rng::SimRng;
+    use afc_netsim::router::RouterOutputs;
 
     fn setup() -> (Mesh, NodeId, DropRouter) {
         let config = NetworkConfig::paper_3x3();
@@ -340,6 +124,21 @@ mod tests {
         assert_eq!(out.ejected.len(), 1);
         assert_eq!(out.dropped.len(), 1);
         assert_eq!(out.flits_sent(), 0);
+    }
+
+    #[test]
+    fn load_state_rejects_an_over_long_latch_count() {
+        use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+        let (_mesh, _node, mut r) = setup();
+        let mut w = SnapshotWriter::new();
+        w.put_usize(6); // a centre router latches at most 4 + 1
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            r.load_state(&mut SnapshotReader::new(&bytes)),
+            Err(SnapshotError::Malformed {
+                what: "drop router latch count"
+            })
+        ));
     }
 
     #[test]

@@ -23,10 +23,12 @@ pub mod arbiter;
 pub mod backpressured;
 pub mod deflection;
 pub mod drop;
+#[cfg(test)]
+mod latch_tests;
 
 pub use arbiter::RoundRobin;
 pub use backpressured::{
     BackpressuredFactory, BackpressuredOptions, BackpressuredRouter, RoutingAlgorithm,
 };
-pub use deflection::{DeflectionEngine, DeflectionFactory, DeflectionRouter, RankPolicy};
+pub use deflection::{DeflectionFactory, DeflectionRouter, LatchBank, Loser, RankPolicy};
 pub use drop::{DropFactory, DropRouter};
