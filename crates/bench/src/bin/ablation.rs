@@ -46,18 +46,12 @@ fn main() {
     // 1 + 2: backpressureless variants under open-loop sweep.
     println!("Ablation 1-2: backpressureless variants (uniform random open loop)\n");
     let variants = vec![
-        Mechanism {
-            label: "deflect-random",
-            factory: Box::new(DeflectionFactory::new()),
-        },
-        Mechanism {
-            label: "deflect-oldest",
-            factory: Box::new(DeflectionFactory::oldest_first()),
-        },
-        Mechanism {
-            label: "drop-nack",
-            factory: Box::new(DropFactory::new()),
-        },
+        Mechanism::new("deflect-random", Box::new(DeflectionFactory::new())),
+        Mechanism::new(
+            "deflect-oldest",
+            Box::new(DeflectionFactory::oldest_first()),
+        ),
+        Mechanism::new("drop-nack", Box::new(DropFactory::new())),
     ];
     let mut t = Table::new(vec![
         "variant", "lat@0.1", "lat@0.3", "lat@0.5", "lat@0.7", "sat thpt",
@@ -98,13 +92,13 @@ fn main() {
         "fwd switches",
     ]);
     let rows = afc_bench::sweep::run_sweep("ablation-thresholds", &[0.5, 1.0, 2.0], |_, &scale| {
-        let mech = Mechanism {
-            label: "afc",
-            factory: Box::new(AfcFactory::new(AfcConfig {
+        let mech = Mechanism::new(
+            "afc",
+            Box::new(AfcFactory::new(AfcConfig {
                 thresholds: scaled_thresholds(scale),
                 ..AfcConfig::paper()
             })),
-        };
+        );
         let rows = closed_loop_matrix(
             std::slice::from_ref(&mech),
             &[workloads::ocean()],
@@ -130,13 +124,13 @@ fn main() {
     println!("Ablation 4: EWMA weight (ocean)\n");
     let mut t = Table::new(vec!["weight", "fwd switches", "rev switches", "cycles"]);
     let rows = afc_bench::sweep::run_sweep("ablation-ewma", &[0.90, 0.99, 0.999], |_, &weight| {
-        let mech = Mechanism {
-            label: "afc",
-            factory: Box::new(AfcFactory::new(AfcConfig {
+        let mech = Mechanism::new(
+            "afc",
+            Box::new(AfcFactory::new(AfcConfig {
                 ewma_weight: weight,
                 ..AfcConfig::paper()
             })),
-        };
+        );
         let rows = closed_loop_matrix(
             std::slice::from_ref(&mech),
             &[workloads::ocean()],
@@ -175,10 +169,7 @@ fn main() {
             ..AfcConfig::paper()
         };
         let flits = afc_cfg.buffer_flits_per_port(&cfg);
-        let mech = Mechanism {
-            label: "afc-always-bp",
-            factory: Box::new(AfcFactory::new(afc_cfg)),
-        };
+        let mech = Mechanism::new("afc-always-bp", Box::new(AfcFactory::new(afc_cfg)));
         let rows = closed_loop_matrix(
             std::slice::from_ref(&mech),
             &[workloads::apache()],
@@ -223,10 +214,10 @@ fn main() {
     ];
     let rows =
         afc_bench::sweep::run_sweep("ablation-bp-options", &variants, |_, &(label, options)| {
-            let mech = Mechanism {
-                label: "backpressured",
-                factory: Box::new(BackpressuredFactory::with_options(options)),
-            };
+            let mech = Mechanism::new(
+                "backpressured",
+                Box::new(BackpressuredFactory::with_options(options)),
+            );
             let pts = latency_throughput_sweep(
                 &mech,
                 &[0.4],

@@ -45,7 +45,7 @@ fn main() {
             1,
         )
         .expect("valid configuration");
-        let energy = model.price_network(&out.network).total();
+        let energy = mechs[mi].price(&model, &out.network).total();
         let flits = out.stats.flits_delivered.max(1) as f64;
         energy / flits
     });

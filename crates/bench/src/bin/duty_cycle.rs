@@ -14,10 +14,7 @@ fn main() {
     afc_bench::sweep::parse_threads_arg_or_exit(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let (warmup, measure) = if quick { (100, 400) } else { (500, 2_000) };
-    let mechs = vec![Mechanism {
-        label: "afc",
-        factory: Box::new(AfcFactory::paper()),
-    }];
+    let mechs = vec![Mechanism::new("afc", Box::new(AfcFactory::paper()))];
     let rows = closed_loop_matrix(
         &mechs,
         &workloads::all(),

@@ -32,22 +32,10 @@ use afc_traffic::synthetic::Pattern;
 /// The four routers of the paper's comparison, in figure order.
 fn healing_mechanisms() -> Vec<Mechanism> {
     vec![
-        Mechanism {
-            label: "backpressured",
-            factory: Box::new(BackpressuredFactory::new()),
-        },
-        Mechanism {
-            label: "backpressureless",
-            factory: Box::new(DeflectionFactory::new()),
-        },
-        Mechanism {
-            label: "drop",
-            factory: Box::new(DropFactory::new()),
-        },
-        Mechanism {
-            label: "afc",
-            factory: Box::new(AfcFactory::paper()),
-        },
+        Mechanism::new("backpressured", Box::new(BackpressuredFactory::new())),
+        Mechanism::new("backpressureless", Box::new(DeflectionFactory::new())),
+        Mechanism::new("drop", Box::new(DropFactory::new())),
+        Mechanism::new("afc", Box::new(AfcFactory::paper())),
     ]
 }
 

@@ -13,6 +13,7 @@
 
 use std::path::Path;
 
+use afc_bench::experiments::open_loop_grid;
 use afc_bench::mechanisms::{all_mechanisms, MechanismId};
 use afc_bench::report::Table;
 use afc_bench::sweep::{self, RunKind, RunSpec, SweepSpec};
@@ -130,7 +131,8 @@ fn main() {
 
     // Tail-latency view at a light and a heavy (pre-saturation) load.
     // Percentiles need the latency histogram, which the flat sweep output
-    // does not carry, so these runs go straight through the executor.
+    // does not carry, so these runs reduce the outcome themselves (planned
+    // like the grid above: one simulation per network, not per mechanism).
     println!("\nLatency percentiles (cycles) at representative loads:\n");
     let mut t3 = Table::new(vec![
         "mechanism",
@@ -142,28 +144,24 @@ fn main() {
         "p99@0.45",
     ]);
     let all = all_mechanisms();
-    let jobs: Vec<(usize, f64)> = (0..all.len())
-        .flat_map(|mi| [0.10, 0.45].into_iter().map(move |r| (mi, r)))
-        .collect();
-    let percentile_cells = sweep::run_sweep("open-loop-percentiles", &jobs, |_, &(mi, rate)| {
-        let out = afc_traffic::runner::run_open_loop(
-            all[mi].factory.as_ref(),
-            &cfg,
-            afc_traffic::openloop::RateSpec::Uniform(rate),
-            Pattern::UniformRandom,
-            PacketMix::paper(),
-            warmup,
-            measure,
-            1,
-        )
-        .expect("valid configuration");
-        let hist = &out.stats.network_latency_hist;
-        [0.50, 0.95, 0.99].map(|p| {
-            hist.percentile(p)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".into())
-        })
-    });
+    let percentile_cells = open_loop_grid(
+        &all,
+        &[0.10, 0.45],
+        &cfg,
+        Pattern::UniformRandom,
+        PacketMix::paper(),
+        warmup,
+        measure,
+        1,
+        |_, _, out| {
+            let hist = &out.stats.network_latency_hist;
+            [0.50, 0.95, 0.99].map(|p| {
+                hist.percentile(p)
+                    .map(|v| v.to_string())
+                    .unwrap_or_else(|| "-".into())
+            })
+        },
+    );
     for (mi, m) in all.iter().enumerate() {
         let mut cells = vec![m.label.to_string()];
         for chunk in percentile_cells[mi * 2..mi * 2 + 2].iter() {

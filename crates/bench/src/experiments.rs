@@ -6,15 +6,16 @@ use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Cycle;
 use afc_netsim::network::Network;
 use afc_netsim::packet::DeliveredPacket;
+use afc_netsim::router::RouterFactory;
 use afc_netsim::sim::TrafficModel;
 use afc_netsim::stats::LatencyStats;
 use afc_traffic::closedloop::WorkloadParams;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
-use afc_traffic::runner::{run_closed_loop, run_open_loop};
+use afc_traffic::runner::{run_closed_loop, run_open_loop, RunOutcome};
 use afc_traffic::synthetic::{quadrant_of, Pattern};
 
 use crate::mechanisms::Mechanism;
-use crate::sweep::run_sweep;
+use crate::sweep::{run_planned, run_sweep, threads, Plan};
 
 /// Result of one (workload, mechanism) closed-loop cell.
 #[derive(Debug, Clone)]
@@ -37,47 +38,119 @@ pub struct ClosedLoopRow {
     pub mean_deflections: f64,
 }
 
-/// Runs one (workload, mechanism, seed) closed-loop cell.
-fn closed_loop_cell(
-    m: &Mechanism,
-    w: &WorkloadParams,
+/// Plans and runs a (… × mechanism) grid with [`threads`] workers. `cells`
+/// names each job's mechanism (an index into `mechanisms`) and the rest of
+/// its simulation key: standard mechanisms that share a network
+/// ([`MechanismId::simulated_as`]) share a unit, a custom variant is always
+/// simulated on its own. `simulate` runs once per unit, on the factory the
+/// unit is simulated as, and `reduce` reads each member's result off that
+/// one outcome (pricing it with the member's own [`Mechanism::price`]).
+///
+/// # Panics
+///
+/// As [`crate::sweep::run_sweep`]: a unit failing every attempt panics,
+/// after the pool has finished the others.
+///
+/// [`MechanismId::simulated_as`]: crate::mechanisms::MechanismId::simulated_as
+fn run_cells<K, R, S, D>(
+    name: &str,
+    mechanisms: &[Mechanism],
+    cells: impl IntoIterator<Item = (usize, K)>,
+    simulate: S,
+    reduce: D,
+) -> Vec<R>
+where
+    K: Eq + std::hash::Hash,
+    R: Send,
+    S: Fn(&dyn RouterFactory, usize) -> RunOutcome + Sync,
+    D: Fn(&Mechanism, usize, &RunOutcome) -> R + Sync,
+{
+    let (of_job, rest): (Vec<usize>, Vec<K>) = cells.into_iter().unzip();
+    let plan = Plan::by_key(of_job.iter().zip(rest).map(|(&mi, rest)| {
+        let network = match mechanisms[mi].id {
+            Some(id) => (Some(id.simulated_as()), 0),
+            None => (None, mi),
+        };
+        (network, rest)
+    }));
+    let unit = |members: &[usize]| {
+        let first = &mechanisms[of_job[members[0]]];
+        let simulated = first.id.map(|id| id.simulated_as().mechanism());
+        let factory = simulated.as_ref().map_or(&first.factory, |m| &m.factory);
+        let out = simulate(factory.as_ref(), members[0]);
+        members
+            .iter()
+            .map(|&job| reduce(&mechanisms[of_job[job]], job, &out))
+            .collect()
+    };
+    run_planned(name, &plan, |_| 0, &unit, threads(), |_, _| {})
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|fail| panic!("sweep '{name}': {fail}")))
+        .collect()
+}
+
+/// Runs the (seed x workload x mechanism) closed-loop grid, seed-major and
+/// mechanism-minor, one simulation per planned unit.
+#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
+fn closed_loop_cells(
+    name: &str,
+    mechanisms: &[Mechanism],
+    workloads: &[WorkloadParams],
     net_cfg: &NetworkConfig,
     warmup_txns: u64,
     measure_txns: u64,
     max_cycles: u64,
-    seed: u64,
-) -> ClosedLoopRow {
+    seeds: &[u64],
+) -> Vec<ClosedLoopRow> {
+    // Shard at (seed x workload x mechanism) granularity so even a
+    // single-seed matrix fills every worker.
+    let cells: Vec<(u64, usize, usize)> = seeds
+        .iter()
+        .flat_map(|&s| {
+            (0..workloads.len())
+                .flat_map(move |wi| (0..mechanisms.len()).map(move |mi| (s, wi, mi)))
+        })
+        .collect();
     let model = EnergyModel::new(EnergyParams::micro2010_70nm());
-    let out = run_closed_loop(
-        m.factory.as_ref(),
-        net_cfg,
-        *w,
-        warmup_txns,
-        measure_txns,
-        max_cycles,
-        seed,
+    run_cells(
+        name,
+        mechanisms,
+        cells.iter().map(|&(s, wi, mi)| (mi, (s, wi))),
+        |factory, job| {
+            let (seed, wi, _) = cells[job];
+            run_closed_loop(
+                factory,
+                net_cfg,
+                workloads[wi],
+                warmup_txns,
+                measure_txns,
+                max_cycles,
+                seed,
+            )
+            .expect("valid configuration")
+        },
+        |m, job, out| ClosedLoopRow {
+            workload: workloads[cells[job].1].name,
+            mechanism: m.label,
+            cycles: out.measured_cycles,
+            injection_rate: out.injection_rate(),
+            energy: m.price(&model, &out.network),
+            backpressured_fraction: out.stats.backpressured_fraction(),
+            mode_switches: (
+                out.counters.mode_switches_forward,
+                out.counters.mode_switches_reverse,
+                out.counters.mode_switches_gossip,
+            ),
+            mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
+        },
     )
-    .expect("valid configuration");
-    let energy = model.price_network(&out.network);
-    ClosedLoopRow {
-        workload: w.name,
-        mechanism: m.label,
-        cycles: out.measured_cycles,
-        injection_rate: out.injection_rate(),
-        energy,
-        backpressured_fraction: out.stats.backpressured_fraction(),
-        mode_switches: (
-            out.counters.mode_switches_forward,
-            out.counters.mode_switches_reverse,
-            out.counters.mode_switches_gossip,
-        ),
-        mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-    }
 }
 
 /// Runs the full (mechanism x workload) closed-loop matrix used by
-/// Figures 2 and 3. Cells run in parallel on the sweep engine; row order
-/// is workload-major, mechanism-minor regardless of thread count.
+/// Figures 2 and 3. Cells run in parallel on the sweep engine, mechanisms
+/// that share a network (the three backpressured accountings) as one
+/// simulation; row order is workload-major, mechanism-minor regardless of
+/// thread count.
 pub fn closed_loop_matrix(
     mechanisms: &[Mechanism],
     workloads: &[WorkloadParams],
@@ -87,20 +160,16 @@ pub fn closed_loop_matrix(
     max_cycles: u64,
     seed: u64,
 ) -> Vec<ClosedLoopRow> {
-    let cells: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|wi| (0..mechanisms.len()).map(move |mi| (wi, mi)))
-        .collect();
-    run_sweep("closed-loop-matrix", &cells, |_, &(wi, mi)| {
-        closed_loop_cell(
-            &mechanisms[mi],
-            &workloads[wi],
-            net_cfg,
-            warmup_txns,
-            measure_txns,
-            max_cycles,
-            seed,
-        )
-    })
+    closed_loop_cells(
+        "closed-loop-matrix",
+        mechanisms,
+        workloads,
+        net_cfg,
+        warmup_txns,
+        measure_txns,
+        max_cycles,
+        &[seed],
+    )
 }
 
 /// Looks up one cell of a matrix.
@@ -199,26 +268,16 @@ impl ReplicatedMatrix {
         seeds: &[u64],
     ) -> ReplicatedMatrix {
         assert!(!seeds.is_empty(), "need at least one seed");
-        // Shard at (seed x workload x mechanism) granularity so even a
-        // single-seed matrix fills every worker.
-        let cells: Vec<(u64, usize, usize)> = seeds
-            .iter()
-            .flat_map(|&s| {
-                (0..workloads.len())
-                    .flat_map(move |wi| (0..mechanisms.len()).map(move |mi| (s, wi, mi)))
-            })
-            .collect();
-        let rows = run_sweep("replicated-matrix", &cells, |_, &(s, wi, mi)| {
-            closed_loop_cell(
-                &mechanisms[mi],
-                &workloads[wi],
-                net_cfg,
-                warmup_txns,
-                measure_txns,
-                max_cycles,
-                s,
-            )
-        });
+        let rows = closed_loop_cells(
+            "replicated-matrix",
+            mechanisms,
+            workloads,
+            net_cfg,
+            warmup_txns,
+            measure_txns,
+            max_cycles,
+            seeds,
+        );
         let per_seed = workloads.len() * mechanisms.len();
         ReplicatedMatrix {
             matrices: rows
@@ -294,25 +353,66 @@ pub fn latency_throughput_sweep(
     measure_cycles: u64,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    run_sweep("latency-throughput", rates, |_, &offered| {
-        let out = run_open_loop(
-            mechanism.factory.as_ref(),
-            net_cfg,
-            RateSpec::Uniform(offered),
-            pattern.clone(),
-            mix,
-            warmup_cycles,
-            measure_cycles,
-            seed,
-        )
-        .expect("valid configuration");
-        SweepPoint {
+    open_loop_grid(
+        std::slice::from_ref(mechanism),
+        rates,
+        net_cfg,
+        pattern,
+        mix,
+        warmup_cycles,
+        measure_cycles,
+        seed,
+        |_, offered, out| SweepPoint {
             offered,
             throughput: out.stats.throughput(out.network.mesh().node_count()),
             latency: out.mean_latency(),
             mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-        }
-    })
+        },
+    )
+}
+
+/// Runs the (mechanism x rate) open-loop grid, mechanism-major, and
+/// reduces each cell with `reduce(mechanism, offered rate, outcome)`.
+/// Mechanisms that share a network are simulated once per rate, so
+/// `reduce` sees the counters their representative recorded: read timing
+/// and statistics off the outcome freely, but price energy through
+/// [`Mechanism::price`].
+#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
+pub fn open_loop_grid<R, D>(
+    mechanisms: &[Mechanism],
+    rates: &[f64],
+    net_cfg: &NetworkConfig,
+    pattern: Pattern,
+    mix: PacketMix,
+    warmup_cycles: u64,
+    measure_cycles: u64,
+    seed: u64,
+    reduce: D,
+) -> Vec<R>
+where
+    R: Send,
+    D: Fn(&Mechanism, f64, &RunOutcome) -> R + Sync,
+{
+    let cell = |job: usize| (job / rates.len(), job % rates.len());
+    run_cells(
+        "open-loop-grid",
+        mechanisms,
+        (0..mechanisms.len() * rates.len()).map(cell),
+        |factory, job| {
+            run_open_loop(
+                factory,
+                net_cfg,
+                RateSpec::Uniform(rates[cell(job).1]),
+                pattern.clone(),
+                mix,
+                warmup_cycles,
+                measure_cycles,
+                seed,
+            )
+            .expect("valid configuration")
+        },
+        |m, job, out| reduce(m, rates[cell(job).1], out),
+    )
 }
 
 /// Estimates saturation throughput: the highest accepted throughput over a
@@ -409,7 +509,7 @@ pub fn spatial_experiment(
     sim.run(measure_cycles);
 
     let model = EnergyModel::new(EnergyParams::micro2010_70nm());
-    let energy = model.price_network(&sim.network);
+    let energy = mechanism.price(&model, &sim.network);
     let latency_by_quadrant = [0, 1, 2, 3].map(|q| sim.traffic.latency_by_quadrant[q].mean());
     SpatialResult {
         mechanism: mechanism.label,

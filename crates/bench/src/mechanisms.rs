@@ -1,6 +1,8 @@
 //! The flow-control mechanisms under comparison.
 
 use afc_core::AfcFactory;
+use afc_energy::{BufferAccounting, EnergyBreakdown, EnergyModel};
+use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
 use afc_routers::{BackpressuredFactory, DeflectionFactory, DropFactory};
 
@@ -10,13 +12,36 @@ pub struct Mechanism {
     pub label: &'static str,
     /// The factory.
     pub factory: Box<dyn RouterFactory>,
+    /// Which standard mechanism this is, if any — what lets a sweep plan
+    /// simulate one network for several mechanisms
+    /// ([`MechanismId::simulated_as`]). A custom variant has none and is
+    /// always simulated on its own.
+    pub id: Option<MechanismId>,
 }
 
 impl Mechanism {
     /// Creates a mechanism from a label and factory (for custom ablation
     /// variants; the standard set lives in [`MechanismId`]).
     pub fn new(label: &'static str, factory: Box<dyn RouterFactory>) -> Mechanism {
-        Mechanism { label, factory }
+        Mechanism {
+            label,
+            factory,
+            id: None,
+        }
+    }
+
+    /// How this mechanism's buffer reads are charged.
+    pub fn accounting(&self) -> BufferAccounting {
+        self.id
+            .map_or_else(BufferAccounting::default, MechanismId::accounting)
+    }
+
+    /// Prices a run of this mechanism: `net` is a network built by its own
+    /// factory or by its [`MechanismId::simulated_as`] representative's.
+    /// The one way to price a [`Mechanism`] — `EnergyModel::price_network`
+    /// on the factory's network would price ideal bypass as the baseline.
+    pub fn price(&self, model: &EnergyModel, net: &Network) -> EnergyBreakdown {
+        model.price_network_as(net, self.accounting())
     }
 }
 
@@ -74,18 +99,51 @@ impl MechanismId {
         }
     }
 
-    /// Builds the labeled mechanism.
+    /// The mechanism whose network a sweep simulates on this one's behalf.
+    /// The three backpressured bars of Figure 2(b) are accountings of one
+    /// network (timing does not depend on `read_bypass`; pinned by
+    /// `crates/routers/tests/bypass_lockstep.rs`), and the read-bypass
+    /// router records the superset of what all three price, so it stands
+    /// for the class; every other mechanism stands for itself.
+    pub fn simulated_as(self) -> MechanismId {
+        match self {
+            MechanismId::Backpressured | MechanismId::BpReadBypass | MechanismId::BpIdealBypass => {
+                MechanismId::BpReadBypass
+            }
+            own => own,
+        }
+    }
+
+    /// How this mechanism's buffer reads are charged, whichever member of
+    /// its [`MechanismId::simulated_as`] class recorded them.
+    pub fn accounting(self) -> BufferAccounting {
+        match self {
+            MechanismId::Backpressured => BufferAccounting::Sram,
+            MechanismId::BpIdealBypass => BufferAccounting::IdealBypass,
+            // Read bypass proper, and the mechanisms without the option.
+            _ => BufferAccounting::ReadBypass,
+        }
+    }
+
+    /// Builds the labeled mechanism. The factory builds this mechanism's
+    /// own network — for ideal bypass the plain backpressured one, which
+    /// differs from the baseline only in [`MechanismId::accounting`].
     pub fn mechanism(self) -> Mechanism {
         let factory: Box<dyn RouterFactory> = match self {
-            MechanismId::Backpressured => Box::new(BackpressuredFactory::new()),
+            MechanismId::Backpressured | MechanismId::BpIdealBypass => {
+                Box::new(BackpressuredFactory::new())
+            }
             MechanismId::Backpressureless => Box::new(DeflectionFactory::new()),
             MechanismId::AfcAlwaysBp => Box::new(AfcFactory::always_backpressured()),
             MechanismId::Afc => Box::new(AfcFactory::paper()),
             MechanismId::BpReadBypass => Box::new(BackpressuredFactory::read_bypass()),
-            MechanismId::BpIdealBypass => Box::new(BackpressuredFactory::ideal_bypass()),
             MechanismId::Drop => Box::new(DropFactory::new()),
         };
-        Mechanism::new(self.label(), factory)
+        Mechanism {
+            label: self.label(),
+            factory,
+            id: Some(self),
+        }
     }
 }
 
@@ -124,9 +182,29 @@ mod tests {
 
     #[test]
     fn all_mechanisms_are_distinct() {
-        let mut names: Vec<&str> = all_mechanisms().iter().map(|m| m.factory.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 7);
+        let mut keys: Vec<(&str, BufferAccounting)> = all_mechanisms()
+            .iter()
+            .map(|m| (m.factory.name(), m.accounting()))
+            .collect();
+        keys.sort_by_key(|&(name, buffers)| (name, buffers as u8));
+        keys.dedup();
+        assert_eq!(keys.len(), 7, "network x accounting must tell all 7 apart");
+    }
+
+    #[test]
+    fn seven_mechanisms_simulate_five_networks() {
+        let mut simulated: Vec<&str> = MechanismId::ALL
+            .iter()
+            .map(|id| id.simulated_as().label())
+            .collect();
+        simulated.sort_unstable();
+        simulated.dedup();
+        assert_eq!(simulated.len(), 5);
+        for id in MechanismId::ALL {
+            // A representative stands for itself, as recorded.
+            let rep = id.simulated_as();
+            assert_eq!(rep.simulated_as(), rep);
+            assert_eq!(rep.accounting(), BufferAccounting::default());
+        }
     }
 }

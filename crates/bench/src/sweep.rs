@@ -13,6 +13,24 @@
 //! - [`SweepSpec`] / [`RunSpec`] describe a grid declaratively as plain
 //!   data, with a canonical serialization ([`SweepResults::serialize`])
 //!   used by the determinism regression tests.
+//! - A planning pass sits in front of the pool: jobs that would step the
+//!   same network through the same cycles are grouped into one *unit*,
+//!   simulated once, and each member's result is read off that one
+//!   simulation.
+//!
+//! # The planning pass
+//!
+//! Before anything is dispatched a sweep groups its runs by *simulation
+//! key* ([`RunSpec::sim_key`]): the mechanism whose network is simulated
+//! ([`MechanismId::simulated_as`]), the seed and the scenario. The three
+//! backpressured bars of Figure 2(b) — plain, read bypass, ideal bypass —
+//! are accountings of one network, so they share a key; so do exact
+//! duplicate specs. One representative per unit is simulated (for the
+//! backpressured class the read-bypass router, whose counters are a
+//! superset of the other two's) and every member's [`RunOutput`] is derived
+//! from it: own label, own [`afc_energy::BufferAccounting`] of the shared
+//! counters. A run nobody shares a key with is a unit of one on the same
+//! path — there is no un-planned mode.
 //!
 //! # Crash safety
 //!
@@ -44,7 +62,9 @@
 //! Setting `AFC_SWEEP_SELFCHECK=1` makes [`SweepSpec::execute`] re-run the
 //! whole spec serially and assert the serialized results are byte-identical
 //! to the parallel run — a cheap way to detect an accidental shared-state
-//! leak in a new experiment.
+//! leak in a new experiment — and makes every sweep re-execute each member
+//! of a coalesced unit on its own network ([`RunSpec::execute_alone`]) and
+//! assert the derived output matches it byte for byte.
 //!
 //! Thread count: `--threads N` (via [`parse_threads_arg`]) beats the
 //! `AFC_BENCH_THREADS` environment variable, which beats
@@ -53,6 +73,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -64,10 +85,11 @@ use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::faults::FaultPlan;
 use afc_netsim::network::Network;
 use afc_netsim::snapshot::fnv1a64;
+use afc_netsim::stats::NetworkStats;
 use afc_traffic::closedloop::WorkloadParams;
 use afc_traffic::openloop::{PacketMix, RateSpec};
 use afc_traffic::runner::{
-    run_closed_loop_with, run_fault_scenario_with, run_open_loop_with, WarmStore,
+    run_closed_loop_with, run_fault_scenario_with, run_open_loop_with, RunOutcome, WarmStore,
 };
 use afc_traffic::synthetic::Pattern;
 
@@ -92,6 +114,9 @@ struct TimingRecord {
 pub enum SweepError {
     /// A malformed command-line argument.
     BadArg(String),
+    /// An environment variable the engine reads holds a value it cannot
+    /// use (the message names the variable and the value).
+    BadEnv(String),
     /// A manifest file that exists but cannot be trusted, or does not
     /// match the sweep it is being resumed against.
     Manifest {
@@ -112,7 +137,7 @@ pub enum SweepError {
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SweepError::BadArg(msg) => write!(f, "{msg}"),
+            SweepError::BadArg(msg) | SweepError::BadEnv(msg) => write!(f, "{msg}"),
             SweepError::Manifest { path, message } => {
                 write!(f, "manifest {}: {message}", path.display())
             }
@@ -472,6 +497,97 @@ where
         .collect()
 }
 
+/// A sweep's planning pass: its jobs grouped into *units* of equal
+/// simulation key, one simulation each (see the module docs).
+///
+/// Grouping is a pure function of the keys: units are ordered by their
+/// first member and members ascend, so nothing downstream depends on
+/// hashing or timing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Plan {
+    units: Vec<Vec<usize>>,
+}
+
+impl Plan {
+    /// Plans jobs `0..n` from their simulation keys, in job order.
+    pub(crate) fn by_key<K: Eq + Hash>(keys: impl IntoIterator<Item = K>) -> Plan {
+        let mut unit_of: HashMap<K, usize> = HashMap::new();
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        for (job, key) in keys.into_iter().enumerate() {
+            let unit = *unit_of.entry(key).or_insert(units.len());
+            if unit == units.len() {
+                units.push(Vec::new());
+            }
+            units[unit].push(job);
+        }
+        Plan { units }
+    }
+
+    /// The units: each the job indices that share one simulation.
+    pub(crate) fn units(&self) -> &[Vec<usize>] {
+        &self.units
+    }
+}
+
+/// Runs a [`Plan`] on the pool: `f(members)` simulates a unit once
+/// and returns one result per member, in member order; the results come
+/// back one per *job*, in job order. Units are what the pool schedules,
+/// times (one row of the timing report per unit — per simulated network)
+/// and isolates: a unit that panics on every attempt yields a
+/// [`JobFailure`] for each of its members. `group` is the arena key of
+/// [`run_sweep_grouped`]; `progress` sees each unit as it completes.
+pub(crate) fn run_planned<R, F, K, P>(
+    name: &str,
+    plan: &Plan,
+    group: K,
+    f: &F,
+    threads: usize,
+    mut progress: P,
+) -> Vec<Result<R, JobFailure>>
+where
+    R: Send,
+    F: Fn(&[usize]) -> Vec<R> + Sync,
+    K: Fn(&[usize]) -> u64,
+    P: FnMut(&[usize], &Result<Vec<R>, JobFailure>),
+{
+    let units = plan.units();
+    let per_unit = run_sweep_grouped(
+        name,
+        units,
+        |_, members| group(members),
+        &|_, members: &Vec<usize>| {
+            let results = f(members);
+            assert_eq!(results.len(), members.len(), "one result per member");
+            results
+        },
+        threads,
+        |unit, result| progress(&units[unit], result),
+    );
+    let jobs = units.iter().map(Vec::len).sum();
+    let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs).map(|_| None).collect();
+    for (members, result) in units.iter().zip(per_unit) {
+        match result {
+            Ok(results) => {
+                for (&job, r) in members.iter().zip(results) {
+                    slots[job] = Some(Ok(r));
+                }
+            }
+            Err(fail) => {
+                for &job in members {
+                    slots[job] = Some(Err(JobFailure {
+                        index: job,
+                        ..fail.clone()
+                    }));
+                }
+            }
+        }
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every job belongs to exactly one unit"))
+        .collect()
+}
+
 /// Locks the timing registry, recovering from a poisoned lock: a panicking
 /// sweep job may cost its own timing record, never the whole report.
 fn timings() -> std::sync::MutexGuard<'static, Vec<TimingRecord>> {
@@ -704,6 +820,27 @@ struct WarmCacheInner {
     bytes: usize,
 }
 
+impl WarmCacheInner {
+    /// Files `bytes` under `key`, replacing any previous entry, then evicts
+    /// oldest-first until `cap_bytes` holds again (the newest entry always
+    /// stays) — the one way entries enter the map, from a put or from a
+    /// spill file read back.
+    fn insert(&mut self, key: u64, bytes: Arc<Vec<u8>>, cap_bytes: usize) {
+        self.bytes += bytes.len();
+        if let Some(old) = self.map.insert(key, bytes) {
+            self.bytes -= old.len();
+            self.order.retain(|&k| k != key);
+        }
+        self.order.push_back(key);
+        while self.bytes > cap_bytes && self.order.len() > 1 {
+            let victim = self.order.pop_front().expect("order non-empty");
+            if let Some(old) = self.map.remove(&victim) {
+                self.bytes -= old.len();
+            }
+        }
+    }
+}
+
 impl WarmCache {
     /// An empty cache with an explicit byte cap and optional disk spill
     /// directory (tests construct these directly; production code uses
@@ -720,16 +857,21 @@ impl WarmCache {
         }
     }
 
-    fn from_env() -> WarmCache {
-        let cap = std::env::var("AFC_SWEEP_WARM_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(256 << 20);
-        let dir = std::env::var("AFC_WARM_CACHE_DIR")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        WarmCache::with_limits(cap, dir)
+    /// The cache the environment asks for, from the raw values of
+    /// `AFC_SWEEP_WARM_CACHE_BYTES` and `AFC_WARM_CACHE_DIR` (unset or
+    /// empty: 256 MiB, no spill directory).
+    fn from_env_values(cap: Option<&str>, dir: Option<&str>) -> Result<WarmCache, SweepError> {
+        let cap = match cap.map(str::trim) {
+            None | Some("") => 256 << 20,
+            Some(v) => v.parse::<usize>().map_err(|_| {
+                SweepError::BadEnv(format!(
+                    "AFC_SWEEP_WARM_CACHE_BYTES={v:?} is not a byte count \
+                     (a non-negative integer)"
+                ))
+            })?,
+        };
+        let dir = dir.filter(|v| !v.is_empty()).map(PathBuf::from);
+        Ok(WarmCache::with_limits(cap, dir))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, WarmCacheInner> {
@@ -769,10 +911,7 @@ impl WarmStore for WarmCache {
         if let Some(path) = self.disk_path(key) {
             if let Ok(bytes) = std::fs::read(&path) {
                 let bytes = Arc::new(bytes);
-                let mut inner = self.lock();
-                inner.bytes += bytes.len();
-                inner.order.push_back(key);
-                inner.map.insert(key, Arc::clone(&bytes));
+                self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
                 WARM_HITS.fetch_add(1, Ordering::Relaxed);
                 return Some(bytes);
             }
@@ -784,21 +923,7 @@ impl WarmStore for WarmCache {
     fn put(&self, key: u64, bytes: Vec<u8>) {
         let disk = self.disk_path(key);
         let bytes = Arc::new(bytes);
-        {
-            let mut inner = self.lock();
-            if let Some(old) = inner.map.insert(key, Arc::clone(&bytes)) {
-                inner.bytes -= old.len();
-                inner.order.retain(|&k| k != key);
-            }
-            inner.bytes += bytes.len();
-            inner.order.push_back(key);
-            while inner.bytes > self.cap_bytes && inner.order.len() > 1 {
-                let victim = inner.order.pop_front().expect("order non-empty");
-                if let Some(old) = inner.map.remove(&victim) {
-                    inner.bytes -= old.len();
-                }
-            }
-        }
+        self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
         if let Some(path) = disk {
             // Spill failures are non-fatal: the in-memory entry still works.
             let _ = write_atomic_io(&path, &bytes);
@@ -821,9 +946,33 @@ impl WarmStore for WarmCache {
 
 /// The process-wide [`WarmCache`] singleton, configured from the
 /// environment on first use.
+///
+/// # Errors
+///
+/// [`SweepError::BadEnv`] when `AFC_SWEEP_WARM_CACHE_BYTES` is set to
+/// something other than a byte count — on every call, not just the first.
+pub fn try_warm_cache() -> Result<&'static WarmCache, SweepError> {
+    static WARM: OnceLock<Result<WarmCache, String>> = OnceLock::new();
+    WARM.get_or_init(|| {
+        let var = |name| std::env::var(name).ok();
+        WarmCache::from_env_values(
+            var("AFC_SWEEP_WARM_CACHE_BYTES").as_deref(),
+            var("AFC_WARM_CACHE_DIR").as_deref(),
+        )
+        .map_err(|e| e.to_string())
+    })
+    .as_ref()
+    .map_err(|message| SweepError::BadEnv(message.clone()))
+}
+
+/// [`try_warm_cache`] for callers with no error path.
+///
+/// # Panics
+///
+/// Panics with the [`SweepError::BadEnv`] message when the environment's
+/// cache configuration is malformed.
 pub fn warm_cache() -> &'static WarmCache {
-    static WARM: OnceLock<WarmCache> = OnceLock::new();
-    WARM.get_or_init(WarmCache::from_env)
+    try_warm_cache().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One simulation run, described as plain data. Workers rebuild the router
@@ -893,11 +1042,21 @@ impl RunSpec {
         format!("{}/{}@{}", self.mechanism.label(), scenario, self.seed)
     }
 
+    /// Simulation key: two runs with equal keys (under one sweep-level
+    /// `net_cfg`) step identical networks through identical cycles — same
+    /// simulated mechanism ([`MechanismId::simulated_as`]), seed and
+    /// scenario — so the planning pass simulates them once.
+    pub fn sim_key(&self) -> String {
+        let simulated = self.mechanism.simulated_as().label();
+        format!("{simulated}|{}|{:?}", self.seed, self.kind)
+    }
+
     /// Arena-compatibility group key: two runs with the same key (and the
     /// same sweep-level `net_cfg`) build identical networks, so one can
     /// reuse the other's pooled arena via [`Network::reset_from_config`].
-    /// Mechanism always discriminates; fault runs additionally fold in the
-    /// fault-plan parameters they patch into the configuration.
+    /// The simulated mechanism always discriminates; fault runs
+    /// additionally fold in the fault-plan parameters they patch into the
+    /// configuration.
     pub fn arena_group(&self) -> u64 {
         let detail = match &self.kind {
             RunKind::Fault {
@@ -907,7 +1066,8 @@ impl RunSpec {
             } => format!("fault|{drop_rate:?}|{corrupt_rate:?}"),
             RunKind::ClosedLoop { .. } | RunKind::OpenLoop { .. } => String::new(),
         };
-        fnv1a64(format!("{}|{detail}", self.mechanism.label()).as_bytes())
+        let simulated = self.mechanism.simulated_as().label();
+        fnv1a64(format!("{simulated}|{detail}").as_bytes())
     }
 
     /// Executes the run against `net_cfg` and reduces it to the flat
@@ -916,6 +1076,9 @@ impl RunSpec {
     /// `AFC_SWEEP_POOL=0` / `AFC_SWEEP_WARM_CACHE=0`. Both reuse paths are
     /// byte-identical to cold execution, so results do not depend on pool
     /// or cache state.
+    ///
+    /// This is a sweep of one: the run goes through the same
+    /// derive-from-representative path as a unit of a planned sweep.
     ///
     /// # Panics
     ///
@@ -930,159 +1093,177 @@ impl RunSpec {
     /// switches (benchmarks use this to compare fresh, pooled, and
     /// warm-cached execution on identical specs).
     pub fn execute_tuned(&self, net_cfg: &NetworkConfig, pool: bool, warm: bool) -> RunOutput {
-        let mechanism = self.mechanism.mechanism();
-        let factory = mechanism.factory.as_ref();
-        let model = EnergyModel::new(EnergyParams::micro2010_70nm());
-        let warm_store: Option<&dyn WarmStore> = if warm { Some(warm_cache()) } else { None };
-        match &self.kind {
-            RunKind::ClosedLoop {
-                workload,
-                warmup_txns,
-                measure_txns,
-                max_cycles,
-            } => {
-                let arena = if pool {
-                    pool_take(factory.name(), net_cfg)
-                } else {
-                    None
-                };
-                let out = run_closed_loop_with(
-                    arena,
-                    warm_store,
-                    factory,
-                    net_cfg,
-                    *workload,
-                    *warmup_txns,
-                    *measure_txns,
-                    *max_cycles,
-                    self.seed,
-                )
-                .expect("valid configuration");
-                let output = RunOutput {
-                    label: self.label(),
-                    cycles: out.measured_cycles,
-                    packets_delivered: out.stats.packets_delivered,
-                    flits_delivered: out.stats.flits_delivered,
-                    injection_rate: out.injection_rate(),
-                    throughput: out.stats.throughput(out.network.mesh().node_count()),
-                    mean_latency: out.mean_latency(),
-                    energy_pj: model.price_network(&out.network).total(),
-                    backpressured_fraction: out.stats.backpressured_fraction(),
-                    mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-                    delivered_fraction: delivered_fraction(&out.stats),
-                    outcome: "ok".to_string(),
-                };
-                if pool {
-                    pool_put(out.network);
-                }
-                output
-            }
-            RunKind::OpenLoop {
-                rate,
-                pattern,
-                mix,
-                warmup_cycles,
-                measure_cycles,
-            } => {
-                let arena = if pool {
-                    pool_take(factory.name(), net_cfg)
-                } else {
-                    None
-                };
-                let out = run_open_loop_with(
-                    arena,
-                    warm_store,
-                    factory,
-                    net_cfg,
-                    RateSpec::Uniform(*rate),
-                    pattern.clone(),
-                    *mix,
-                    *warmup_cycles,
-                    *measure_cycles,
-                    self.seed,
-                )
-                .expect("valid configuration");
-                let output = RunOutput {
-                    label: self.label(),
-                    cycles: out.measured_cycles,
-                    packets_delivered: out.stats.packets_delivered,
-                    flits_delivered: out.stats.flits_delivered,
-                    injection_rate: out.injection_rate(),
-                    throughput: out.stats.throughput(out.network.mesh().node_count()),
-                    mean_latency: out.mean_latency(),
-                    energy_pj: model.price_network(&out.network).total(),
-                    backpressured_fraction: out.stats.backpressured_fraction(),
-                    mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-                    delivered_fraction: delivered_fraction(&out.stats),
-                    outcome: "ok".to_string(),
-                };
-                if pool {
-                    pool_put(out.network);
-                }
-                output
-            }
-            RunKind::Fault {
-                rate,
-                drop_rate,
-                corrupt_rate,
-                inject_cycles,
-                drain_cycles,
-            } => {
-                let cfg = NetworkConfig {
-                    faults: FaultPlan::uniform_transient(*drop_rate, *corrupt_rate),
-                    retransmit: Some(RetransmitConfig::default()),
-                    ..net_cfg.clone()
-                };
-                let arena = if pool {
-                    pool_take(factory.name(), &cfg)
-                } else {
-                    None
-                };
-                let out = run_fault_scenario_with(
-                    arena,
-                    factory,
-                    &cfg,
-                    RateSpec::Uniform(*rate),
-                    Pattern::UniformRandom,
-                    PacketMix::paper(),
-                    *inject_cycles,
-                    *drain_cycles,
-                    self.seed,
-                )
-                .expect("valid configuration");
-                let outcome = match &out.error {
-                    Some(e) => format!("error: {e}"),
-                    None if out.drained => "drained".to_string(),
-                    None => "drain budget exhausted".to_string(),
-                };
-                let output = RunOutput {
-                    label: self.label(),
-                    cycles: out.ran_cycles,
-                    packets_delivered: out.stats.packets_delivered,
-                    flits_delivered: out.stats.flits_delivered,
-                    injection_rate: 0.0,
-                    throughput: 0.0,
-                    mean_latency: out.stats.network_latency.mean(),
-                    energy_pj: model.price_network(&out.network).total(),
-                    backpressured_fraction: out.stats.backpressured_fraction(),
-                    mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-                    delivered_fraction: out.delivered_fraction(),
-                    outcome,
-                };
-                if pool {
-                    pool_put(out.network);
-                }
-                output
-            }
-        }
+        let store = warm.then(|| warm_cache() as &dyn WarmStore);
+        let simulate = self.mechanism.simulated_as();
+        execute_unit(net_cfg, &[self], simulate, pool, store)
+            .pop()
+            .expect("one member, one output")
+    }
+
+    /// Executes the run on its own mechanism's network — no
+    /// representative, arena or warm cache: the reference the planner's
+    /// derived outputs are checked against (`AFC_SWEEP_SELFCHECK`, the
+    /// determinism wall).
+    pub fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
+        execute_unit(net_cfg, &[self], self.mechanism, false, None)
+            .pop()
+            .expect("one member, one output")
     }
 }
 
-fn delivered_fraction(stats: &afc_netsim::stats::NetworkStats) -> f64 {
-    if stats.packets_offered == 0 {
-        1.0
-    } else {
-        stats.packets_delivered as f64 / stats.packets_offered as f64
+/// One unit of a [`Plan`]: simulates `simulate`'s network once under
+/// `members[0]`'s seed and scenario — every member's, by their shared
+/// [`RunSpec::sim_key`] — and reads each member's [`RunOutput`] off it: its
+/// own label, its own [`MechanismId::accounting`] of the one set of
+/// counters.
+fn execute_unit(
+    net_cfg: &NetworkConfig,
+    members: &[&RunSpec],
+    simulate: MechanismId,
+    pool: bool,
+    warm: Option<&dyn WarmStore>,
+) -> Vec<RunOutput> {
+    let mechanism = simulate.mechanism();
+    let factory = mechanism.factory.as_ref();
+    let arena = |cfg: &NetworkConfig| {
+        if pool {
+            pool_take(factory.name(), cfg)
+        } else {
+            None
+        }
+    };
+    let spec = members[0];
+    let (network, measured) = match &spec.kind {
+        RunKind::ClosedLoop {
+            workload,
+            warmup_txns,
+            measure_txns,
+            max_cycles,
+        } => {
+            let out = run_closed_loop_with(
+                arena(net_cfg),
+                warm,
+                factory,
+                net_cfg,
+                *workload,
+                *warmup_txns,
+                *measure_txns,
+                *max_cycles,
+                spec.seed,
+            )
+            .expect("valid configuration");
+            let measured = window_output(&out);
+            (out.network, measured)
+        }
+        RunKind::OpenLoop {
+            rate,
+            pattern,
+            mix,
+            warmup_cycles,
+            measure_cycles,
+        } => {
+            let out = run_open_loop_with(
+                arena(net_cfg),
+                warm,
+                factory,
+                net_cfg,
+                RateSpec::Uniform(*rate),
+                pattern.clone(),
+                *mix,
+                *warmup_cycles,
+                *measure_cycles,
+                spec.seed,
+            )
+            .expect("valid configuration");
+            let measured = window_output(&out);
+            (out.network, measured)
+        }
+        RunKind::Fault {
+            rate,
+            drop_rate,
+            corrupt_rate,
+            inject_cycles,
+            drain_cycles,
+        } => {
+            let cfg = NetworkConfig {
+                faults: FaultPlan::uniform_transient(*drop_rate, *corrupt_rate),
+                retransmit: Some(RetransmitConfig::default()),
+                ..net_cfg.clone()
+            };
+            let out = run_fault_scenario_with(
+                arena(&cfg),
+                factory,
+                &cfg,
+                RateSpec::Uniform(*rate),
+                Pattern::UniformRandom,
+                PacketMix::paper(),
+                *inject_cycles,
+                *drain_cycles,
+                spec.seed,
+            )
+            .expect("valid configuration");
+            let outcome = match &out.error {
+                Some(e) => format!("error: {e}"),
+                None if out.drained => "drained".to_string(),
+                None => "drain budget exhausted".to_string(),
+            };
+            let measured = RunOutput {
+                cycles: out.ran_cycles,
+                outcome,
+                ..stats_output(&out.stats)
+            };
+            (out.network, measured)
+        }
+    };
+    let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+    let outputs = members
+        .iter()
+        .map(|member| RunOutput {
+            label: member.label(),
+            energy_pj: model
+                .price_network_as(&network, member.mechanism.accounting())
+                .total(),
+            ..measured.clone()
+        })
+        .collect();
+    if pool {
+        pool_put(network);
+    }
+    outputs
+}
+
+/// The fields of a [`RunOutput`] that are read straight off the statistics
+/// (the rest zeroed or empty, for the caller to fill).
+fn stats_output(stats: &NetworkStats) -> RunOutput {
+    RunOutput {
+        label: String::new(),
+        cycles: 0,
+        packets_delivered: stats.packets_delivered,
+        flits_delivered: stats.flits_delivered,
+        injection_rate: 0.0,
+        throughput: 0.0,
+        mean_latency: stats.network_latency.mean(),
+        energy_pj: 0.0,
+        backpressured_fraction: stats.backpressured_fraction(),
+        mean_deflections: stats.flit_deflections.mean().unwrap_or(0.0),
+        delivered_fraction: if stats.packets_offered == 0 {
+            1.0
+        } else {
+            stats.packets_delivered as f64 / stats.packets_offered as f64
+        },
+        outcome: String::new(),
+    }
+}
+
+/// What a closed- or open-loop measurement window shares between the
+/// members of a unit: everything but label and energy.
+fn window_output(out: &RunOutcome) -> RunOutput {
+    RunOutput {
+        cycles: out.measured_cycles,
+        injection_rate: out.injection_rate(),
+        throughput: out.stats.throughput(out.network.mesh().node_count()),
+        outcome: "ok".to_string(),
+        ..stats_output(&out.stats)
     }
 }
 
@@ -1135,12 +1316,14 @@ impl SweepSpec {
     /// thread budget divided by the runs' own `sim_threads`, so sweep-level
     /// and intra-run parallelism never oversubscribe the machine together.
     /// When [`selfcheck_enabled`], additionally re-runs serially and
-    /// asserts byte-identical results.
+    /// asserts byte-identical results (on top of the per-member check every
+    /// execution makes in that mode; the re-run, held to the bytes already
+    /// checked, skips it).
     pub fn execute(&self) -> SweepResults {
         let n = threads_for_sim(self.net_cfg.sim_threads);
         let results = self.execute_with_threads(n);
         if selfcheck_enabled() && n > 1 {
-            let serial = self.execute_with_threads(1);
+            let serial = self.execute_checked(1, pool_enabled(), warm_enabled(), false);
             assert_eq!(
                 serial.serialize(),
                 results.serialize(),
@@ -1169,24 +1352,82 @@ impl SweepSpec {
         pool: bool,
         warm: bool,
     ) -> SweepResults {
-        let results = run_sweep_grouped(
-            &self.name,
-            &self.runs,
-            |_, run: &RunSpec| run.arena_group(),
-            &|_, run: &RunSpec| run.execute_tuned(&self.net_cfg, pool, warm),
-            threads,
-            |_, _| {},
-        );
+        self.execute_checked(threads, pool, warm, selfcheck_enabled())
+    }
+
+    fn execute_checked(
+        &self,
+        threads: usize,
+        pool: bool,
+        warm: bool,
+        check_members: bool,
+    ) -> SweepResults {
+        let jobs: Vec<usize> = (0..self.runs.len()).collect();
+        let results = self.run_jobs(&jobs, threads, pool, warm, check_members, |_, _| {});
         let outputs = self
             .runs
             .iter()
             .zip(results)
-            .map(|(run, r)| match r {
-                Ok(o) => o,
-                Err(fail) => failure_output(run, &fail),
-            })
+            .map(|(run, r)| r.unwrap_or_else(|fail| failure_output(run, &fail)))
             .collect();
         SweepResults { outputs }
+    }
+
+    /// Plans and runs `jobs` (indices into `self.runs`), returning one
+    /// result per job in `jobs` order. `progress` sees each completed
+    /// unit: its members' spec indices and their outputs. `check_members`
+    /// is the `AFC_SWEEP_SELFCHECK` re-execution of every coalesced member.
+    fn run_jobs<P>(
+        &self,
+        jobs: &[usize],
+        threads: usize,
+        pool: bool,
+        warm: bool,
+        check_members: bool,
+        mut progress: P,
+    ) -> Vec<Result<RunOutput, JobFailure>>
+    where
+        P: FnMut(&[usize], &[RunOutput]),
+    {
+        let run = |job: usize| &self.runs[jobs[job]];
+        let plan = Plan::by_key((0..jobs.len()).map(|job| run(job).sim_key()));
+        let store = warm.then(|| warm_cache() as &dyn WarmStore);
+        let results = run_planned(
+            &self.name,
+            &plan,
+            |members| run(members[0]).arena_group(),
+            &|members: &[usize]| {
+                let specs: Vec<&RunSpec> = members.iter().map(|&job| run(job)).collect();
+                let simulate = specs[0].mechanism.simulated_as();
+                execute_unit(&self.net_cfg, &specs, simulate, pool, store)
+            },
+            threads,
+            |members, result| {
+                if let Ok(outputs) = result {
+                    let indices: Vec<usize> = members.iter().map(|&job| jobs[job]).collect();
+                    progress(&indices, outputs);
+                }
+            },
+        );
+        if check_members {
+            for members in plan.units().iter().filter(|m| m.len() > 1) {
+                for &job in members {
+                    let Ok(derived) = &results[job] else { continue };
+                    let alone = run(job).execute_alone(&self.net_cfg);
+                    assert_eq!(
+                        alone.serialize(),
+                        derived.serialize(),
+                        "sweep '{}': run {} derived from its unit's shared \
+                         simulation differs from the run executed on its own \
+                         — mechanisms sharing a simulation key are not \
+                         timing-identical",
+                        self.name,
+                        jobs[job]
+                    );
+                }
+            }
+        }
+        results
     }
 
     /// Executes the sweep with crash-safe checkpointing: every completed
@@ -1241,21 +1482,22 @@ impl SweepSpec {
         let missing: Vec<usize> = (0..self.runs.len())
             .filter(|i| !completed.contains_key(i))
             .collect();
+        if warm_enabled() {
+            try_warm_cache()?;
+        }
         let mut save_err: Option<SweepError> = None;
-        let results = run_sweep_grouped(
-            &self.name,
+        let results = self.run_jobs(
             &missing,
-            |_, &idx: &usize| self.runs[idx].arena_group(),
-            &|_, &idx: &usize| self.runs[idx].execute(&self.net_cfg),
             threads(),
-            |k, r| {
-                if let Ok(output) = r {
-                    manifest.record(missing[k], output);
-                    if let Err(e) = manifest.save(manifest_path) {
-                        if save_err.is_none() {
-                            save_err = Some(e);
-                        }
-                    }
+            pool_enabled(),
+            warm_enabled(),
+            selfcheck_enabled(),
+            |indices, outputs| {
+                for (&i, output) in indices.iter().zip(outputs) {
+                    manifest.record(i, output);
+                }
+                if let Err(e) = manifest.save(manifest_path) {
+                    save_err.get_or_insert(e);
                 }
             },
         );
@@ -1263,8 +1505,11 @@ impl SweepSpec {
             return Err(e);
         }
 
-        let mut fresh: HashMap<usize, Result<RunOutput, JobFailure>> =
-            missing.iter().copied().zip(results).collect();
+        let mut fresh = missing
+            .iter()
+            .copied()
+            .zip(results)
+            .collect::<HashMap<_, _>>();
         let outputs = self
             .runs
             .iter()
@@ -1780,6 +2025,88 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn plan_groups_equal_keys_in_first_member_order() {
+        let plan = Plan::by_key(["b", "a", "b", "c", "a", "b"]);
+        assert_eq!(plan.units(), [vec![0, 2, 5], vec![1, 4], vec![3]]);
+        assert!(Plan::by_key(Vec::<u8>::new()).units().is_empty());
+    }
+
+    #[test]
+    fn planned_results_land_per_job_and_a_failed_unit_fails_every_member() {
+        let plan = Plan::by_key([0, 1, 0, 2, 1]);
+        for workers in [1, 3] {
+            let mut seen = Vec::new();
+            let results = run_planned(
+                "planned",
+                &plan,
+                |_| 0,
+                &|members: &[usize]| {
+                    if members[0] == 1 {
+                        panic!("unit one always explodes");
+                    }
+                    members.iter().map(|&job| job * 10).collect()
+                },
+                workers,
+                |members, result| seen.push((members.to_vec(), result.is_ok())),
+            );
+            for (job, r) in results.iter().enumerate() {
+                if job == 1 || job == 4 {
+                    let fail = r.as_ref().unwrap_err();
+                    assert_eq!(fail.index, job, "each member reports its own index");
+                    assert_eq!(fail.attempts, JOB_ATTEMPTS);
+                    assert!(fail.message.contains("unit one"), "{}", fail.message);
+                } else {
+                    assert_eq!(*r.as_ref().unwrap(), job * 10, "workers={workers}");
+                }
+            }
+            seen.sort();
+            assert_eq!(
+                seen,
+                [(vec![0, 2], true), (vec![1, 4], false), (vec![3], true)]
+            );
+        }
+    }
+
+    #[test]
+    fn warm_cache_holds_its_cap_on_puts_and_on_spill_rereads() {
+        let dir = std::env::temp_dir().join(format!("afc-warm-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Room for exactly one 100-byte entry.
+        let cache = WarmCache::with_limits(100, Some(dir.clone()));
+        cache.put(1, vec![1; 100]);
+        cache.put(2, vec![2; 100]);
+        assert_eq!(cache.usage(), (1, 100), "put evicts the older entry");
+        // Entry 1 now lives only in its spill file: reading it back must
+        // evict entry 2, not stack on top of it.
+        assert_eq!(cache.get(1).expect("spilled entry")[0], 1);
+        assert_eq!(cache.usage(), (1, 100), "a re-read evicts like a put");
+        assert_eq!(cache.get(2).expect("spilled entry")[0], 2);
+        assert_eq!(cache.usage(), (1, 100));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_cache_environment_parses_strictly() {
+        let cache = |cap, dir| WarmCache::from_env_values(cap, dir);
+        let default = cache(None, None).unwrap();
+        assert_eq!(default.cap_bytes, 256 << 20);
+        assert!(default.disk_dir.is_none());
+        assert_eq!(cache(Some(""), Some("")).unwrap().cap_bytes, 256 << 20);
+        assert_eq!(cache(Some(" 4096 "), None).unwrap().cap_bytes, 4096);
+        let spilling = cache(None, Some("/tmp/warm")).unwrap();
+        assert_eq!(spilling.disk_dir.as_deref(), Some(Path::new("/tmp/warm")));
+        for bad in ["256M", "-1", "1e6", "lots"] {
+            let err = cache(Some(bad), None).err().expect(bad);
+            assert!(matches!(err, SweepError::BadEnv(_)), "{bad}: {err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("AFC_SWEEP_WARM_CACHE_BYTES") && msg.contains(bad),
+                "must name the variable and the value: {msg}"
+            );
         }
     }
 

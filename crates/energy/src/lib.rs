@@ -14,9 +14,10 @@
 //!   power gating (90% effective, paper Section IV) while a router runs
 //!   backpressureless;
 //! * non-buffer router leakage;
-//! * the "ideal buffer bypass" pricing mode that zeroes buffer dynamic
-//!   energy — the lower bound the paper uses to stand in for all
-//!   dynamic-energy buffer optimizations.
+//! * [`BufferAccounting`]: one backpressured simulation priced as plain
+//!   SRAM, with Wang et al.'s read bypass, or under the "ideal buffer
+//!   bypass" that zeroes buffer dynamic energy — the lower bound the paper
+//!   uses to stand in for all dynamic-energy buffer optimizations.
 //!
 //! ## Example
 //!
@@ -38,5 +39,5 @@
 pub mod model;
 pub mod params;
 
-pub use model::{EnergyBreakdown, EnergyModel, MechanismProfile};
+pub use model::{BufferAccounting, EnergyBreakdown, EnergyModel, MechanismProfile};
 pub use params::EnergyParams;

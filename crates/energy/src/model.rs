@@ -53,6 +53,45 @@ impl EnergyBreakdown {
     }
 }
 
+/// How reads out of the input buffers are charged — the three
+/// backpressured bars of Figure 2(b). The accountings price one and the
+/// same simulation: a backpressured router built with `read_bypass`
+/// records every read a bypass latch could have served as a `latch_writes`
+/// event and the rest as `buffer_reads` (the bypass latch is its only
+/// latch), and timing does not depend on the option, so its counters are a
+/// superset from which each accounting is read off by
+/// [`BufferAccounting::recount`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum BufferAccounting {
+    /// No bypass path: a read the router served from its bypass latch is
+    /// charged as the SRAM read it would have been. Only defined for
+    /// backpressured networks, where no other latch exists
+    /// ([`EnergyModel::price_network_as`] refuses any other).
+    Sram,
+    /// Wang et al.'s read bypass, and every network's own accounting:
+    /// charge what the routers recorded, SRAM reads as SRAM reads and
+    /// latch writes as latch writes.
+    #[default]
+    ReadBypass,
+    /// The "ideal-bypass" lower bound: as [`BufferAccounting::Sram`] with
+    /// all buffer read/write dynamic energy elided.
+    IdealBypass,
+}
+
+impl BufferAccounting {
+    /// `counters` as this accounting reads them.
+    pub fn recount(self, counters: &ActivityCounters) -> ActivityCounters {
+        match self {
+            BufferAccounting::ReadBypass => *counters,
+            BufferAccounting::Sram | BufferAccounting::IdealBypass => ActivityCounters {
+                buffer_reads: counters.buffer_reads + counters.latch_writes,
+                latch_writes: 0,
+                ..*counters
+            },
+        }
+    }
+}
+
 /// Mechanism-specific inputs to pricing that are not in the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MechanismProfile {
@@ -65,13 +104,13 @@ pub struct MechanismProfile {
     pub buffered_input_ports: usize,
     /// Number of routers.
     pub routers: usize,
-    /// Elide all buffer read/write dynamic energy — the "Backpressured
-    /// ideal-bypass" lower bound of Figure 2(b).
-    pub ideal_buffer_bypass: bool,
+    /// How buffer reads are charged.
+    pub buffers: BufferAccounting,
 }
 
 impl MechanismProfile {
-    /// Derives the profile from a built network.
+    /// Derives the profile from a built network, charging buffer reads as
+    /// its routers recorded them.
     pub fn of(net: &Network) -> MechanismProfile {
         let mesh = net.mesh();
         let buffered_input_ports = mesh.nodes().map(|n| mesh.degree(n) + 1).sum();
@@ -80,7 +119,7 @@ impl MechanismProfile {
             buffer_flits_per_port: net.buffer_flits_per_port(),
             buffered_input_ports,
             routers: mesh.node_count(),
-            ideal_buffer_bypass: net.mechanism() == "backpressured-ideal-bypass",
+            buffers: BufferAccounting::default(),
         }
     }
 
@@ -125,8 +164,9 @@ impl EnergyModel {
         profile: &MechanismProfile,
     ) -> EnergyBreakdown {
         let p = &self.params;
+        let counters = &profile.buffers.recount(counters);
         let w = profile.flit_width_bits as f64;
-        let buffer_dynamic = if profile.ideal_buffer_bypass {
+        let buffer_dynamic = if profile.buffers == BufferAccounting::IdealBypass {
             0.0
         } else {
             // SRAM access energy grows with array size: smaller buffers
@@ -175,7 +215,33 @@ impl EnergyModel {
     /// Convenience: prices a whole network run (its aggregated counters
     /// under its own mechanism profile).
     pub fn price_network(&self, net: &Network) -> EnergyBreakdown {
-        self.price(&net.total_counters(), &MechanismProfile::of(net))
+        self.price_network_as(net, BufferAccounting::default())
+    }
+
+    /// [`EnergyModel::price_network`] under an explicit buffer accounting:
+    /// how one simulated backpressured network yields all three of its
+    /// Figure 2(b) bars.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `buffers` is not the default and `net` is not a
+    /// backpressured network: anywhere else a latch write is a real event,
+    /// and recounting it as an SRAM read would misprice the run silently.
+    pub fn price_network_as(&self, net: &Network, buffers: BufferAccounting) -> EnergyBreakdown {
+        assert!(
+            buffers == BufferAccounting::default()
+                || matches!(
+                    net.mechanism(),
+                    "backpressured" | "backpressured-read-bypass"
+                ),
+            "{buffers:?} accounting is defined for backpressured networks, not {}",
+            net.mechanism()
+        );
+        let profile = MechanismProfile {
+            buffers,
+            ..MechanismProfile::of(net)
+        };
+        self.price(&net.total_counters(), &profile)
     }
 
     /// Prices each router separately (e.g. to render spatial energy maps).
@@ -207,7 +273,7 @@ mod tests {
             buffer_flits_per_port: 64,
             buffered_input_ports: 33,
             routers: 9,
-            ideal_buffer_bypass: false,
+            buffers: BufferAccounting::default(),
         }
     }
 
@@ -258,7 +324,7 @@ mod tests {
         let bypass = model.price(
             &counters,
             &MechanismProfile {
-                ideal_buffer_bypass: true,
+                buffers: BufferAccounting::IdealBypass,
                 ..profile()
             },
         );
@@ -266,6 +332,42 @@ mod tests {
         assert_eq!(bypass.buffer_dynamic, 0.0);
         assert_eq!(bypass.buffer_static, normal.buffer_static);
         assert_eq!(bypass.link, normal.link);
+    }
+
+    #[test]
+    fn read_bypass_counters_are_a_superset_of_the_other_accountings() {
+        let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+        // What one run records without and with the read bypass: 400 of
+        // its 1000 reads found the flit alone in its VC.
+        let plain = ActivityCounters {
+            cycles: 9_000,
+            buffer_writes: 1000,
+            buffer_reads: 1000,
+            link_traversals: 500,
+            ..ActivityCounters::new()
+        };
+        let bypass = ActivityCounters {
+            buffer_reads: 600,
+            latch_writes: 400,
+            ..plain
+        };
+        assert_eq!(BufferAccounting::Sram.recount(&bypass), plain);
+        assert_eq!(BufferAccounting::ReadBypass.recount(&bypass), bypass);
+        for buffers in [BufferAccounting::Sram, BufferAccounting::IdealBypass] {
+            let accounted = MechanismProfile {
+                buffers,
+                ..profile()
+            };
+            assert_eq!(
+                model.price(&bypass, &accounted),
+                model.price(&plain, &accounted),
+                "{buffers:?} must not depend on which run recorded the counters"
+            );
+        }
+        let real = model.price(&bypass, &profile());
+        let sram = model.price(&plain, &profile());
+        assert!(real.buffer_dynamic < sram.buffer_dynamic);
+        assert!(real.latch_dynamic > 0.0 && sram.latch_dynamic == 0.0);
     }
 
     #[test]
@@ -349,6 +451,22 @@ mod tests {
             (sum - total).abs() / total < 1e-9,
             "per-router sum {sum} vs network total {total}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "Sram accounting is defined for backpressured networks")]
+    fn recounting_another_mechanisms_latches_is_refused() {
+        use afc_netsim::config::NetworkConfig;
+        use afc_routers::DeflectionFactory;
+        let cfg = NetworkConfig::paper_3x3();
+        let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+        for ok in [BufferAccounting::Sram, BufferAccounting::IdealBypass] {
+            let bp = Network::new(cfg.clone(), &afc_routers::BackpressuredFactory::new(), 5);
+            model.price_network_as(&bp.unwrap(), ok);
+        }
+        // A deflection router's latch writes are its datapath.
+        let bless = Network::new(cfg, &DeflectionFactory::new(), 5).unwrap();
+        model.price_network_as(&bless, BufferAccounting::Sram);
     }
 
     #[test]

@@ -1259,9 +1259,6 @@ impl BackpressuredRouter {
 /// Factory for [`BackpressuredRouter`]s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BackpressuredFactory {
-    /// If true, the energy model elides all buffer dynamic energy — the
-    /// "Backpressured ideal-bypass" lower bound of Figure 2(b).
-    pub ideal_bypass: bool,
     /// Router design options (routing order, VC reallocation policy).
     pub options: BackpressuredOptions,
 }
@@ -1272,25 +1269,16 @@ impl BackpressuredFactory {
         BackpressuredFactory::default()
     }
 
-    /// Creates the ideal-bypass variant (identical timing; the energy model
-    /// zeroes buffer dynamic energy).
-    pub fn ideal_bypass() -> BackpressuredFactory {
-        BackpressuredFactory {
-            ideal_bypass: true,
-            ..BackpressuredFactory::default()
-        }
-    }
-
     /// Creates a factory with explicit design options.
     pub fn with_options(options: BackpressuredOptions) -> BackpressuredFactory {
-        BackpressuredFactory {
-            ideal_bypass: false,
-            options,
-        }
+        BackpressuredFactory { options }
     }
 
     /// Creates the buffer-read-bypass variant (Wang et al., the paper's
-    /// reference [1]): lone flits skip the SRAM read.
+    /// reference [1]): lone flits skip the SRAM read. Its routers record
+    /// what the plain and ideal-bypass accountings of Figure 2(b) need as
+    /// well (`afc_energy::BufferAccounting`), cycle for cycle the same
+    /// network — `tests/bypass_lockstep.rs` holds that equivalence.
     pub fn read_bypass() -> BackpressuredFactory {
         BackpressuredFactory::with_options(BackpressuredOptions {
             read_bypass: true,
@@ -1310,9 +1298,7 @@ impl RouterFactory for BackpressuredFactory {
     }
 
     fn name(&self) -> &'static str {
-        if self.ideal_bypass {
-            "backpressured-ideal-bypass"
-        } else if self.options.read_bypass {
+        if self.options.read_bypass {
             "backpressured-read-bypass"
         } else {
             "backpressured"
@@ -1732,8 +1718,8 @@ mod tests {
         assert_eq!(f.flit_width_bits(), 41);
         assert_eq!(f.buffer_flits_per_port(&NetworkConfig::paper_3x3()), 64);
         assert_eq!(
-            BackpressuredFactory::ideal_bypass().name(),
-            "backpressured-ideal-bypass"
+            BackpressuredFactory::read_bypass().name(),
+            "backpressured-read-bypass"
         );
     }
 }

@@ -204,9 +204,8 @@ pub fn run_closed_loop_with(
         sim.traffic.set_target(warmup_txns);
         assert!(
             sim.run_until_finished(max_cycles),
-            "warmup did not finish within {max_cycles} cycles ({} on {})",
-            workload.name,
-            sim.network.mechanism()
+            "warmup did not finish within {max_cycles} cycles ({})",
+            workload.name
         );
         if let Some(store) = warm {
             if let Ok(bytes) = sim.snapshot() {
@@ -221,9 +220,8 @@ pub fn run_closed_loop_with(
     sim.traffic.set_target(warmup_txns + measure_txns);
     assert!(
         sim.run_until_finished(max_cycles),
-        "measurement did not finish within {max_cycles} cycles ({} on {})",
-        workload.name,
-        sim.network.mechanism()
+        "measurement did not finish within {max_cycles} cycles ({})",
+        workload.name
     );
     let measured = sim.network.now() - start;
     Ok(RunOutcome::capture(sim.network, measured))

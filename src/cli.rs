@@ -159,7 +159,8 @@ pub fn mechanism_factory(name: &str) -> Result<Box<dyn RouterFactory>, String> {
     Ok(match name {
         "backpressured" => Box::new(BackpressuredFactory::new()),
         "bp-read-bypass" => Box::new(BackpressuredFactory::read_bypass()),
-        "bp-ideal-bypass" => Box::new(BackpressuredFactory::ideal_bypass()),
+        // The plain network; what differs is `mechanism_accounting`.
+        "bp-ideal-bypass" => Box::new(BackpressuredFactory::new()),
         "bless" => Box::new(DeflectionFactory::new()),
         "bless-oldest" => Box::new(DeflectionFactory::oldest_first()),
         "drop" => Box::new(DropFactory::new()),
@@ -167,6 +168,16 @@ pub fn mechanism_factory(name: &str) -> Result<Box<dyn RouterFactory>, String> {
         "afc-always-bp" => Box::new(AfcFactory::always_backpressured()),
         other => return Err(format!("unknown mechanism {other:?} (see `afc-noc list`)")),
     })
+}
+
+/// How a mechanism name's buffer reads are charged: ideal bypass is the
+/// backpressured network under another accounting, every other name is
+/// priced as its routers recorded.
+pub fn mechanism_accounting(name: &str) -> BufferAccounting {
+    match name {
+        "bp-ideal-bypass" => BufferAccounting::IdealBypass,
+        _ => BufferAccounting::default(),
+    }
 }
 
 /// Looks up a workload preset by name.

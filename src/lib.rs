@@ -49,7 +49,9 @@ pub use afc_traffic as traffic;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use afc_core::{AfcConfig, AfcFactory, AfcMode, AfcRouter, ClassThresholds};
-    pub use afc_energy::{EnergyBreakdown, EnergyModel, EnergyParams, MechanismProfile};
+    pub use afc_energy::{
+        BufferAccounting, EnergyBreakdown, EnergyModel, EnergyParams, MechanismProfile,
+    };
     pub use afc_netsim::prelude::*;
     pub use afc_routers::{BackpressuredFactory, DeflectionFactory, DropFactory, RankPolicy};
     pub use afc_traffic::{

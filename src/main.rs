@@ -2,8 +2,8 @@
 //! sweeps from the shell. See `afc-noc help`.
 
 use afc_noc::cli::{
-    mechanism_factory, pattern_by_name, workload_by_name, Cli, FaultArgs, InspectArgs, RunArgs,
-    SweepArgs, MECHANISMS, PATTERNS, USAGE, WORKLOADS,
+    mechanism_accounting, mechanism_factory, pattern_by_name, workload_by_name, Cli, FaultArgs,
+    InspectArgs, RunArgs, SweepArgs, MECHANISMS, PATTERNS, USAGE, WORKLOADS,
 };
 use afc_noc::netsim::config::RetransmitConfig;
 use afc_noc::prelude::*;
@@ -106,7 +106,8 @@ fn do_run(args: &RunArgs) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?
     };
-    let energy = EnergyModel::new(EnergyParams::micro2010_70nm()).price_network(&out.network);
+    let energy = EnergyModel::new(EnergyParams::micro2010_70nm())
+        .price_network_as(&out.network, mechanism_accounting(&args.mechanism));
     let nodes = out.network.mesh().node_count();
     println!(
         "mechanism={} workload={} mesh={}x{} seed={}",
