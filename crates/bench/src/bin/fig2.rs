@@ -209,7 +209,7 @@ fn main() {
     }
 
     // The deterministic artifact: identical bytes for identical flags,
-    // regardless of --threads / AFC_BENCH_THREADS.
+    // regardless of --threads.
     afc_bench::sweep::write_atomic(
         std::path::Path::new("results/fig2.csv"),
         csv_panels.join("\n").as_bytes(),

@@ -6,7 +6,7 @@
 //! offered loads, while backpressureless saturates earlier.
 //!
 //! The (mechanism x rate) grid runs as one declarative [`SweepSpec`] on
-//! the parallel sweep engine (`--threads N` / `AFC_BENCH_THREADS`). Every
+//! the parallel sweep engine (`--threads N`). Every
 //! completed run is checkpointed in `results/manifest.json`; rerunning
 //! with `--resume` after an interruption executes only the missing runs
 //! and produces byte-identical artifacts.

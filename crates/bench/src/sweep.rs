@@ -59,15 +59,20 @@
 //! 3. Wall-clock timing is observed by the engine (for the per-run timing
 //!    report) but never fed back into results.
 //!
-//! Setting `AFC_SWEEP_SELFCHECK=1` makes [`SweepSpec::execute`] re-run the
-//! whole spec serially and assert the serialized results are byte-identical
-//! to the parallel run — a cheap way to detect an accidental shared-state
-//! leak in a new experiment — and makes every sweep re-execute each member
-//! of a coalesced unit on its own network ([`RunSpec::execute_alone`]) and
-//! assert the derived output matches it byte for byte.
+//! # Environment
 //!
-//! Thread count: `--threads N` (via [`parse_threads_arg`]) beats the
-//! `AFC_BENCH_THREADS` environment variable, which beats
+//! The engine reads two variables, once per process and strictly (an
+//! unrecognised value is a [`SweepError::BadEnv`], never a guess).
+//! `AFC_SWEEP_SELFCHECK=1` makes [`SweepSpec::execute`] re-run the whole
+//! spec serially and assert the serialized results are byte-identical to
+//! the parallel run — a cheap way to detect an accidental shared-state leak
+//! in a new experiment — and makes every sweep re-execute each member of a
+//! coalesced unit on its own network ([`RunSpec::execute_alone`]) and
+//! assert the derived output matches it byte for byte.
+//! `AFC_WARM_CACHE_DIR=<dir>` spills the warm-start cache to disk (see
+//! [`WarmCache`]).
+//!
+//! Thread count: `--threads N` ([`parse_threads_arg_or_exit`]), else
 //! [`std::thread::available_parallelism`].
 
 use std::cell::RefCell;
@@ -84,6 +89,7 @@ use afc_energy::{EnergyModel, EnergyParams};
 use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::faults::FaultPlan;
 use afc_netsim::network::Network;
+use afc_netsim::router::RouterFactory;
 use afc_netsim::snapshot::fnv1a64;
 use afc_netsim::stats::NetworkStats;
 use afc_traffic::closedloop::WorkloadParams;
@@ -98,14 +104,9 @@ use crate::mechanisms::MechanismId;
 /// Explicit `--threads` override; 0 means unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Per-run wall-clock records, drained by [`write_timing_report`].
-static TIMINGS: Mutex<Vec<TimingRecord>> = Mutex::new(Vec::new());
-
-struct TimingRecord {
-    sweep: String,
-    run: usize,
-    micros: u128,
-}
+/// Per-run wall-clock records `(sweep, run, micros)`, drained by
+/// [`write_timing_report`].
+static TIMINGS: Mutex<Vec<(String, usize, u128)>> = Mutex::new(Vec::new());
 
 /// Structured errors from the sweep engine's argument parsing, manifest
 /// handling, and artifact plumbing. Binaries print these and exit nonzero
@@ -155,7 +156,7 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// Sets the worker-thread count explicitly (wins over the environment).
+/// Sets the worker-thread count explicitly.
 ///
 /// # Panics
 ///
@@ -183,68 +184,88 @@ pub fn parse_threads_value(args: &[String]) -> Result<Option<usize>, SweepError>
     }
 }
 
-/// Consumes a `--threads N` argument if present and applies it via
-/// [`set_threads`]. Call once from a binary's `main`.
-///
-/// # Errors
-///
-/// [`SweepError::BadArg`] when the value is missing or not a positive
-/// integer.
-pub fn parse_threads_arg(args: &[String]) -> Result<(), SweepError> {
-    if let Some(n) = parse_threads_value(args)? {
-        set_threads(n);
-    }
-    Ok(())
-}
-
-/// [`parse_threads_arg`] for binary `main`s: prints the error to stderr
-/// and exits with status 2 instead of returning it.
+/// Applies a `--threads N` argument, if present, via [`set_threads`]; a
+/// malformed one — or a malformed environment (module docs) — prints the
+/// error to stderr and exits with status 2. Call once from a binary's `main`.
 pub fn parse_threads_arg_or_exit(args: &[String]) {
-    if let Err(e) = parse_threads_arg(args) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    match SweepEnv::get().and_then(|_| parse_threads_value(args)) {
+        Ok(Some(n)) => set_threads(n),
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     }
 }
 
-/// Worker-thread count: `--threads` override, then `AFC_BENCH_THREADS`,
-/// then the machine's available parallelism.
+/// Worker-thread count: the `--threads` override, else the machine's
+/// available parallelism.
 pub fn threads() -> usize {
-    let explicit = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit;
+    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        explicit => explicit,
     }
-    if let Some(n) = std::env::var("AFC_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|n| *n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
-/// Sweep worker count when each run itself steps on `sim_threads`
-/// intra-run worker threads (the parallel cycle engine of DESIGN.md §12).
-/// The two levels of parallelism multiply, so the pool divides its budget
-/// to keep the total number of live threads near [`threads`]; one worker
-/// always survives so the sweep can make progress.
-pub fn threads_for_sim(sim_threads: usize) -> usize {
-    divide_budget(threads(), sim_threads)
-}
-
-/// The arbitration rule behind [`threads_for_sim`], kept pure for testing.
+/// Sweep worker count when each run itself steps on `sim_threads` engine
+/// threads (DESIGN.md §12). The two levels multiply, so the pool divides
+/// its budget to keep live threads near `budget`; one worker always
+/// survives so the sweep can make progress.
 fn divide_budget(budget: usize, sim_threads: usize) -> usize {
     (budget / sim_threads.max(1)).max(1)
 }
 
-/// Whether the determinism self-check mode is enabled
-/// (`AFC_SWEEP_SELFCHECK=1`).
-pub fn selfcheck_enabled() -> bool {
-    std::env::var("AFC_SWEEP_SELFCHECK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// What the process environment asks of the sweep engine: the one place
+/// under `crates/bench/src` that reads it, once per process.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SweepEnv {
+    /// `AFC_SWEEP_SELFCHECK`: re-execute and compare (module docs).
+    selfcheck: bool,
+    /// `AFC_WARM_CACHE_DIR`: where the warm cache spills, if anywhere.
+    warm_cache_dir: Option<PathBuf>,
+}
+
+impl SweepEnv {
+    /// Parses the raw values. The boolean is `AFC_FULL_SCAN`'s grammar made
+    /// strict: unset, empty or `0` is off; `1`, `true`, `yes` or `on` is on;
+    /// anything else, where a lenient reading would have to guess, is an
+    /// error naming variable and value. An empty directory is unset.
+    fn parse(selfcheck: Option<&str>, warm_cache_dir: Option<PathBuf>) -> Result<Self, SweepError> {
+        let selfcheck = match selfcheck.map(str::trim) {
+            None | Some("" | "0") => false,
+            Some("1" | "true" | "yes" | "on") => true,
+            Some(v) => {
+                return Err(SweepError::BadEnv(format!(
+                    "AFC_SWEEP_SELFCHECK={v:?} is not a boolean (1, true, yes or on; \
+                     0 or empty for off)"
+                )))
+            }
+        };
+        Ok(SweepEnv {
+            selfcheck,
+            warm_cache_dir: warm_cache_dir.filter(|dir| !dir.as_os_str().is_empty()),
+        })
+    }
+
+    /// The process environment's settings, parsed on first use; a malformed
+    /// one is [`SweepError::BadEnv`] on every call, not just the first.
+    fn get() -> Result<&'static SweepEnv, SweepError> {
+        static ENV: OnceLock<Result<SweepEnv, String>> = OnceLock::new();
+        ENV.get_or_init(|| {
+            let selfcheck = std::env::var_os("AFC_SWEEP_SELFCHECK");
+            let selfcheck = selfcheck.as_deref().map(|v| v.to_string_lossy());
+            let dir = std::env::var_os("AFC_WARM_CACHE_DIR").map(PathBuf::from);
+            SweepEnv::parse(selfcheck.as_deref(), dir).map_err(|e| e.to_string())
+        })
+        .as_ref()
+        .map_err(|message| SweepError::BadEnv(message.clone()))
+    }
+
+    /// [`SweepEnv::get`] for callers with no error path: panics with the
+    /// [`SweepError::BadEnv`] message.
+    fn get_or_panic() -> &'static SweepEnv {
+        SweepEnv::get().unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
 /// Attempts per job before a panic is reported as a [`JobFailure`].
@@ -314,104 +335,18 @@ where
 /// # Panics
 ///
 /// Panics — only after the pool has finished every other job — if a job
-/// fails all its [`JOB_ATTEMPTS`] attempts. Callers that must survive a
-/// failing job use [`run_sweep_failable`].
+/// fails all its [`JOB_ATTEMPTS`] attempts.
 pub fn run_sweep<J, R, F>(name: &str, jobs: &[J], f: F) -> Vec<R>
 where
     J: Sync,
     R: Send,
     F: Fn(usize, &J) -> R + Sync,
 {
-    run_sweep_on(name, jobs, &f, threads())
-}
-
-/// [`run_sweep`] with an explicit worker count (used by the determinism
-/// tests so they need not mutate global state).
-///
-/// # Panics
-///
-/// As [`run_sweep`]: a job failing every attempt panics, but only after
-/// the pool has completed all other jobs.
-pub fn run_sweep_on<J, R, F>(name: &str, jobs: &[J], f: &F, threads: usize) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-{
-    run_sweep_failable(name, jobs, f, threads)
+    let order = (0..jobs.len()).collect();
+    run_scheduled(name, jobs, order, 1, &f, threads(), |_, _| {})
         .into_iter()
         .map(|r| r.unwrap_or_else(|fail| panic!("sweep '{name}': {fail}")))
         .collect()
-}
-
-/// [`run_sweep_with_progress`] without a progress hook.
-pub fn run_sweep_failable<J, R, F>(
-    name: &str,
-    jobs: &[J],
-    f: &F,
-    threads: usize,
-) -> Vec<Result<R, JobFailure>>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-{
-    run_sweep_with_progress(name, jobs, f, threads, |_, _| {})
-}
-
-/// The panic-isolating core of the pool: each job runs under
-/// [`catch_unwind`] with [`JOB_ATTEMPTS`] tries, and a job that panics
-/// every time yields `Err(`[`JobFailure`]`)` in its slot instead of
-/// killing the pool. `progress` is invoked on the collector thread as each
-/// job finishes (completion order, not spec order); checkpointing callers
-/// use it to persist manifests incrementally.
-pub fn run_sweep_with_progress<J, R, F, P>(
-    name: &str,
-    jobs: &[J],
-    f: &F,
-    threads: usize,
-    progress: P,
-) -> Vec<Result<R, JobFailure>>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-    P: FnMut(usize, &Result<R, JobFailure>),
-{
-    let order: Vec<usize> = (0..jobs.len()).collect();
-    run_sweep_scheduled(name, jobs, order, 1, f, threads, progress)
-}
-
-/// [`run_sweep_with_progress`] with batched, group-aware scheduling: jobs
-/// are handed to workers as contiguous batches of a stable permutation
-/// sorted by `group` (a [`RunSpec::arena_group`]-style key), so a worker
-/// tends to see arena-compatible jobs back to back and its pooled
-/// simulation [`Network`] is reset instead of rebuilt. Results are still
-/// reassembled into spec-order slots, so output is byte-identical to the
-/// ungrouped scheduler at any worker count.
-pub fn run_sweep_grouped<J, R, F, K, P>(
-    name: &str,
-    jobs: &[J],
-    group: K,
-    f: &F,
-    threads: usize,
-    progress: P,
-) -> Vec<Result<R, JobFailure>>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-    K: Fn(usize, &J) -> u64,
-    P: FnMut(usize, &Result<R, JobFailure>),
-{
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    // Stable sort: spec order is preserved inside each group, and the
-    // group traversal order is a pure function of the keys — scheduling
-    // never depends on worker timing.
-    order.sort_by_key(|&i| group(i, &jobs[i]));
-    let workers = threads.max(1).min(jobs.len().max(1));
-    let batch = batch_size(jobs.len(), workers);
-    run_sweep_scheduled(name, jobs, order, batch, f, threads, progress)
 }
 
 /// Batch width for the grouped scheduler: large enough that a worker
@@ -421,12 +356,17 @@ fn batch_size(jobs: usize, workers: usize) -> usize {
     (jobs / (workers * 4).max(1)).clamp(1, 8)
 }
 
-/// The shared scheduler core: an atomic cursor hands out contiguous
-/// `batch`-sized windows of `order` (a permutation of job indices),
-/// workers report `(index, result)` over a channel, and the collector
-/// writes each result into its spec-index slot — output order is spec
-/// order by construction, independent of `order`, `batch`, and timing.
-fn run_sweep_scheduled<J, R, F, P>(
+/// The panic-isolating scheduler core: an atomic cursor hands out
+/// contiguous `batch`-sized windows of `order` (a permutation of job
+/// indices), each job runs under [`catch_unwind`] with [`JOB_ATTEMPTS`]
+/// tries — one that panics every time yields `Err(`[`JobFailure`]`)` in its
+/// slot instead of killing the pool — workers report `(index, result)` over
+/// a channel, and the collector writes each result into its spec-index slot:
+/// output order is spec order by construction, independent of `order`,
+/// `batch`, and timing. `progress` is invoked on the collector thread as
+/// each job finishes (completion order, not spec order); checkpointing
+/// callers use it to persist manifests incrementally.
+fn run_scheduled<J, R, F, P>(
     name: &str,
     jobs: &[J],
     order: Vec<usize>,
@@ -443,57 +383,49 @@ where
 {
     debug_assert_eq!(order.len(), jobs.len());
     let workers = threads.max(1).min(jobs.len());
-    if workers <= 1 {
-        // Serial path walks the grouped order too (so a single-threaded
-        // sweep still reuses its arena), but reassembles in spec order.
-        let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs.len()).map(|_| None).collect();
-        for &i in &order {
-            let start = Instant::now();
-            let r = run_guarded(name, i, &jobs[i], f);
-            record_timing(name, i, start.elapsed().as_micros());
-            progress(i, &r);
-            slots[i] = Some(r);
-        }
-        return slots
-            .into_iter()
-            .map(|r| r.expect("serial pass visits every job"))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let batch = batch.max(1);
-    let (tx, rx) = mpsc::channel();
     let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs.len()).map(|_| None).collect();
-    let order = &order;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            scope.spawn(move || 'steal: loop {
-                let from = cursor.fetch_add(batch, Ordering::Relaxed);
-                if from >= order.len() {
-                    break;
-                }
-                let to = (from + batch).min(order.len());
-                for &i in &order[from..to] {
-                    let start = Instant::now();
-                    let r = run_guarded(name, i, &jobs[i], f);
-                    if tx.send((i, r, start.elapsed().as_micros())).is_err() {
-                        break 'steal;
+    let mut land = |(i, r, micros): (usize, Result<R, JobFailure>, u128)| {
+        timings().push((name.to_string(), i, micros));
+        progress(i, &r);
+        slots[i] = Some(r);
+    };
+    let timed = |i: usize| {
+        let start = Instant::now();
+        let r = run_guarded(name, i, &jobs[i], f);
+        (i, r, start.elapsed().as_micros())
+    };
+    if workers <= 1 {
+        // The serial pass walks the grouped order too, on the calling
+        // thread, so a single-threaded sweep still reuses its arena.
+        order.iter().for_each(|&i| land(timed(i)));
+    } else {
+        let cursor = AtomicUsize::new(0);
+        let batch = batch.max(1);
+        let (tx, rx) = mpsc::channel();
+        let (order, cursor, timed) = (&order, &cursor, &timed);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                scope.spawn(move || 'steal: loop {
+                    let from = cursor.fetch_add(batch, Ordering::Relaxed);
+                    if from >= order.len() {
+                        break;
                     }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r, micros) in rx {
-            record_timing(name, i, micros);
-            progress(i, &r);
-            slots[i] = Some(r);
-        }
-    });
+                    let to = (from + batch).min(order.len());
+                    for &i in &order[from..to] {
+                        if tx.send(timed(i)).is_err() {
+                            break 'steal;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            rx.into_iter().for_each(&mut land);
+        });
+    }
     slots
         .into_iter()
-        .map(|r| r.expect("every job index was handed to exactly one worker"))
+        .map(|r| r.expect("every job index is visited exactly once"))
         .collect()
 }
 
@@ -505,6 +437,7 @@ where
 /// hashing or timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Plan {
+    /// The units: each the job indices that share one simulation.
     units: Vec<Vec<usize>>,
 }
 
@@ -522,11 +455,6 @@ impl Plan {
         }
         Plan { units }
     }
-
-    /// The units: each the job indices that share one simulation.
-    pub(crate) fn units(&self) -> &[Vec<usize>] {
-        &self.units
-    }
 }
 
 /// Runs a [`Plan`] on the pool: `f(members)` simulates a unit once
@@ -534,8 +462,15 @@ impl Plan {
 /// back one per *job*, in job order. Units are what the pool schedules,
 /// times (one row of the timing report per unit — per simulated network)
 /// and isolates: a unit that panics on every attempt yields a
-/// [`JobFailure`] for each of its members. `group` is the arena key of
-/// [`run_sweep_grouped`]; `progress` sees each unit as it completes.
+/// [`JobFailure`] for each of its members. `progress` sees each unit as it
+/// completes.
+///
+/// Workers take contiguous batches of a stable permutation sorted by
+/// `group` (an arena-compatibility key), so they tend to see
+/// arena-compatible units back to back and reset their pooled [`Network`]
+/// instead of rebuilding it. The traversal is a pure function of the keys,
+/// never of worker timing, and output is byte-identical to the ungrouped
+/// order at any worker count.
 pub(crate) fn run_planned<R, F, K, P>(
     name: &str,
     plan: &Plan,
@@ -550,11 +485,15 @@ where
     K: Fn(&[usize]) -> u64,
     P: FnMut(&[usize], &Result<Vec<R>, JobFailure>),
 {
-    let units = plan.units();
-    let per_unit = run_sweep_grouped(
+    let units = &plan.units;
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&unit| group(&units[unit]));
+    let workers = threads.max(1).min(units.len().max(1));
+    let per_unit = run_scheduled(
         name,
         units,
-        |_, members| group(members),
+        order,
+        batch_size(units.len(), workers),
         &|_, members: &Vec<usize>| {
             let results = f(members);
             assert_eq!(results.len(), members.len(), "one result per member");
@@ -566,20 +505,15 @@ where
     let jobs = units.iter().map(Vec::len).sum();
     let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs).map(|_| None).collect();
     for (members, result) in units.iter().zip(per_unit) {
-        match result {
-            Ok(results) => {
-                for (&job, r) in members.iter().zip(results) {
-                    slots[job] = Some(Ok(r));
-                }
-            }
-            Err(fail) => {
-                for &job in members {
-                    slots[job] = Some(Err(JobFailure {
-                        index: job,
-                        ..fail.clone()
-                    }));
-                }
-            }
+        let mut results = result.map(Vec::into_iter);
+        for &job in members {
+            slots[job] = Some(match &mut results {
+                Ok(results) => Ok(results.next().expect("one result per member")),
+                Err(fail) => Err(JobFailure {
+                    index: job,
+                    ..fail.clone()
+                }),
+            });
         }
     }
     slots
@@ -590,16 +524,8 @@ where
 
 /// Locks the timing registry, recovering from a poisoned lock: a panicking
 /// sweep job may cost its own timing record, never the whole report.
-fn timings() -> std::sync::MutexGuard<'static, Vec<TimingRecord>> {
+fn timings() -> std::sync::MutexGuard<'static, Vec<(String, usize, u128)>> {
     TIMINGS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn record_timing(sweep: &str, run: usize, micros: u128) {
-    timings().push(TimingRecord {
-        sweep: sweep.to_string(),
-        run,
-        micros,
-    });
 }
 
 /// Atomically replaces `path` with `contents`: write a sibling temp file,
@@ -611,67 +537,29 @@ fn record_timing(sweep: &str, run: usize, micros: u128) {
 ///
 /// [`SweepError::Io`] naming the target path.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), SweepError> {
-    write_atomic_io(path, contents).map_err(|source| SweepError::Io {
+    use std::io::Write;
+    let write = || {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+        tmp_name.push(".tmp");
+        let tmp = path.with_file_name(tmp_name);
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(contents)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    };
+    write().map_err(|source| SweepError::Io {
         path: path.to_path_buf(),
         source,
     })
 }
 
-fn write_atomic_io(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut tmp_name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// Rotated generations of each timing report kept on disk:
-/// `<binary>.tsv` is the latest, `<binary>.1.tsv` the previous run, up to
-/// `<binary>.{TIMING_REPORT_KEEP}.tsv`; older generations are deleted.
-pub const TIMING_REPORT_KEEP: usize = 5;
-
-/// Shifts existing `<binary>[.k].tsv` reports in `dir` up one generation,
-/// deleting anything past [`TIMING_REPORT_KEEP`], so repeated bench runs
-/// keep a bounded history instead of either clobbering the only report or
-/// accreting files forever.
-fn rotate_timing_reports(dir: &Path, binary: &str) -> std::io::Result<()> {
-    let generation = |k: usize| {
-        if k == 0 {
-            dir.join(format!("{binary}.tsv"))
-        } else {
-            dir.join(format!("{binary}.{k}.tsv"))
-        }
-    };
-    let oldest = generation(TIMING_REPORT_KEEP);
-    if oldest.exists() {
-        std::fs::remove_file(&oldest)?;
-    }
-    for k in (0..TIMING_REPORT_KEEP).rev() {
-        let from = generation(k);
-        if from.exists() {
-            std::fs::rename(&from, generation(k + 1))?;
-        }
-    }
-    Ok(())
-}
-
 /// Writes (and drains) the per-run timing report accumulated by every
-/// sweep since the last call, to `results/timing/<binary>.tsv`, rotating
-/// prior reports through `<binary>.<k>.tsv` up to [`TIMING_REPORT_KEEP`]
-/// generations.
+/// sweep since the last call to `results/timing/<binary>.tsv`, atomically
+/// replacing the previous run's.
 ///
 /// Wall-clock values are inherently nondeterministic, which is why they
 /// live outside the experiment's own `results/` artifacts: byte-identity
@@ -679,35 +567,22 @@ fn rotate_timing_reports(dir: &Path, binary: &str) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors from creating or writing the report.
-pub fn write_timing_report(binary: &str) -> std::io::Result<PathBuf> {
-    write_timing_report_in(Path::new("results"), binary)
-}
-
-/// [`write_timing_report`] against an explicit results root (tests point
-/// this at a temp directory to exercise the retention policy).
-pub fn write_timing_report_in(results_root: &Path, binary: &str) -> std::io::Result<PathBuf> {
-    let dir = results_root.join("timing");
-    std::fs::create_dir_all(&dir)?;
-    rotate_timing_reports(&dir, binary)?;
-    let path = dir.join(format!("{binary}.tsv"));
+/// [`SweepError::Io`] from creating or writing the report.
+pub fn write_timing_report(binary: &str) -> Result<PathBuf, SweepError> {
+    let path = Path::new("results/timing").join(format!("{binary}.tsv"));
     let records = std::mem::take(&mut *timings());
-    let total_ms = records.iter().map(|r| r.micros).sum::<u128>() as f64 / 1_000.0;
+    let total_ms = records.iter().map(|r| r.2).sum::<u128>() as f64 / 1_000.0;
     let mut out = String::new();
     out.push_str("# per-run wall-clock; nondeterministic by nature, not part of the\n");
     out.push_str("# byte-identical sweep results\n");
     out.push_str(&format!("# binary\t{binary}\n# threads\t{}\n", threads()));
     out.push_str("sweep\trun\tmillis\n");
-    for r in &records {
-        out.push_str(&format!(
-            "{}\t{}\t{:.3}\n",
-            r.sweep,
-            r.run,
-            r.micros as f64 / 1_000.0
-        ));
+    for (sweep, run, micros) in &records {
+        let millis = *micros as f64 / 1_000.0;
+        out.push_str(&format!("{sweep}\t{run}\t{millis:.3}\n"));
     }
     out.push_str(&format!("total\t{}\t{total_ms:.3}\n", records.len()));
-    write_atomic_io(&path, out.as_bytes())?;
+    write_atomic(&path, out.as_bytes())?;
     Ok(path)
 }
 
@@ -735,41 +610,23 @@ static WARM_HITS: AtomicU64 = AtomicU64::new(0);
 /// Warm-cache lookups that missed (the warmup was simulated and cached).
 static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Whether pooled arenas are in use; `AFC_SWEEP_POOL=0` disables them
-/// (every job constructs its network from scratch).
-pub fn pool_enabled() -> bool {
-    std::env::var("AFC_SWEEP_POOL").map_or(true, |v| v != "0")
-}
-
-/// Whether the warm-start snapshot cache is in use; `AFC_SWEEP_WARM_CACHE=0`
-/// disables it (every job re-simulates its warmup prefix).
-pub fn warm_enabled() -> bool {
-    std::env::var("AFC_SWEEP_WARM_CACHE").map_or(true, |v| v != "0")
-}
-
-/// Takes this worker's pooled network if it is arena-compatible with the
-/// requested mechanism and configuration (same check
-/// [`Network::reset_from_config`] enforces). An incompatible arena is
-/// dropped — the completed job's network replaces it via [`pool_put`] — so
-/// a worker holds at most one network at a time.
-fn pool_take(factory_name: &str, cfg: &NetworkConfig) -> Option<Network> {
-    let Some(net) = SIM_POOL.with(|p| p.borrow_mut().take()) else {
-        // Cold start: this worker has no arena yet.
-        POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-        return None;
-    };
-    if net.mechanism() == factory_name && net.config() == cfg {
-        POOL_HITS.fetch_add(1, Ordering::Relaxed);
-        Some(net)
+/// Takes this worker's pooled network if [`Network::arena_compatible`]
+/// — the judge [`Network::reset_from_config`] itself uses — accepts it for
+/// the requested factory and configuration. An incompatible arena is
+/// dropped (the completed job's network replaces it), so a
+/// worker holds at most one network at a time; a worker with no arena yet
+/// counts as a miss.
+fn pool_take(factory: &dyn RouterFactory, cfg: &NetworkConfig) -> Option<Network> {
+    let net = SIM_POOL
+        .with(|p| p.borrow_mut().take())
+        .filter(|net| net.arena_compatible(cfg, factory));
+    let outcome = if net.is_some() {
+        &POOL_HITS
     } else {
-        POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-}
-
-/// Returns a finished job's network to this worker's arena slot.
-fn pool_put(net: Network) {
-    SIM_POOL.with(|p| *p.borrow_mut() = Some(net));
+        &POOL_MISSES
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    net
 }
 
 /// Drops this worker's pooled arena (tests use it to force cold starts).
@@ -780,8 +637,7 @@ pub fn pool_clear() {
 /// Cumulative `(arena hits, arena misses, warm hits, warm misses)` across
 /// all sweeps in this process. A "hit" means the job reset a pooled
 /// network in place / restored a cached warmup snapshot; a "miss" means it
-/// constructed / simulated from scratch. First-job cold starts on each
-/// worker count as neither (there was no arena to offer).
+/// constructed / simulated from scratch.
 pub fn pool_stats() -> (u64, u64, u64, u64) {
     (
         POOL_HITS.load(Ordering::Relaxed),
@@ -793,20 +649,20 @@ pub fn pool_stats() -> (u64, u64, u64, u64) {
 
 /// Process-wide warm-start snapshot cache, keyed by
 /// [`afc_traffic::runner::warm_key`] — a fingerprint of the full network
-/// configuration (mesh, mechanism, fault plan, thresholds), the traffic
-/// description, the warmup length, and the seed. Values are sealed
+/// configuration (mesh, fault plan), the router factory's build key
+/// (mechanism, thresholds), the traffic description, the warmup length,
+/// and the seed. Values are sealed
 /// [`Simulation::snapshot`](afc_netsim::sim::Simulation::snapshot)
 /// containers taken immediately after the warmup phase; a later run with
 /// the same key restores the snapshot instead of re-simulating the
 /// warmup, and the runner verifies the container checksum and network
 /// fingerprint on restore, invalidating the entry on any mismatch.
 ///
-/// The cache is bounded (FIFO eviction once `cap_bytes` is exceeded;
-/// default 256 MiB, overridable via `AFC_SWEEP_WARM_CACHE_BYTES`) and can
-/// spill to disk: set `AFC_WARM_CACHE_DIR` to a directory and entries are
-/// also written there atomically, surviving process crashes — a resumed
-/// sweep re-reads them subject to the same checksum/fingerprint
-/// verification.
+/// The cache is bounded (FIFO eviction once [`WARM_CACHE_BYTES`] is
+/// exceeded) and can spill to disk: set `AFC_WARM_CACHE_DIR` to a directory
+/// and entries are also written there atomically, surviving process
+/// crashes — a resumed sweep re-reads them subject to the same
+/// checksum/fingerprint verification.
 pub struct WarmCache {
     inner: Mutex<WarmCacheInner>,
     cap_bytes: usize,
@@ -843,9 +699,8 @@ impl WarmCacheInner {
 
 impl WarmCache {
     /// An empty cache with an explicit byte cap and optional disk spill
-    /// directory (tests construct these directly; production code uses
-    /// the [`warm_cache`] singleton).
-    pub fn with_limits(cap_bytes: usize, disk_dir: Option<PathBuf>) -> WarmCache {
+    /// directory (tests construct these; the rest use [`warm_cache`]).
+    fn with_limits(cap_bytes: usize, disk_dir: Option<PathBuf>) -> WarmCache {
         WarmCache {
             inner: Mutex::new(WarmCacheInner {
                 map: HashMap::new(),
@@ -855,23 +710,6 @@ impl WarmCache {
             cap_bytes,
             disk_dir,
         }
-    }
-
-    /// The cache the environment asks for, from the raw values of
-    /// `AFC_SWEEP_WARM_CACHE_BYTES` and `AFC_WARM_CACHE_DIR` (unset or
-    /// empty: 256 MiB, no spill directory).
-    fn from_env_values(cap: Option<&str>, dir: Option<&str>) -> Result<WarmCache, SweepError> {
-        let cap = match cap.map(str::trim) {
-            None | Some("") => 256 << 20,
-            Some(v) => v.parse::<usize>().map_err(|_| {
-                SweepError::BadEnv(format!(
-                    "AFC_SWEEP_WARM_CACHE_BYTES={v:?} is not a byte count \
-                     (a non-negative integer)"
-                ))
-            })?,
-        };
-        let dir = dir.filter(|v| !v.is_empty()).map(PathBuf::from);
-        Ok(WarmCache::with_limits(cap, dir))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, WarmCacheInner> {
@@ -926,7 +764,7 @@ impl WarmStore for WarmCache {
         self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
         if let Some(path) = disk {
             // Spill failures are non-fatal: the in-memory entry still works.
-            let _ = write_atomic_io(&path, &bytes);
+            let _ = write_atomic(&path, &bytes);
         }
     }
 
@@ -944,35 +782,22 @@ impl WarmStore for WarmCache {
     }
 }
 
-/// The process-wide [`WarmCache`] singleton, configured from the
-/// environment on first use.
-///
-/// # Errors
-///
-/// [`SweepError::BadEnv`] when `AFC_SWEEP_WARM_CACHE_BYTES` is set to
-/// something other than a byte count — on every call, not just the first.
-pub fn try_warm_cache() -> Result<&'static WarmCache, SweepError> {
-    static WARM: OnceLock<Result<WarmCache, String>> = OnceLock::new();
-    WARM.get_or_init(|| {
-        let var = |name| std::env::var(name).ok();
-        WarmCache::from_env_values(
-            var("AFC_SWEEP_WARM_CACHE_BYTES").as_deref(),
-            var("AFC_WARM_CACHE_DIR").as_deref(),
-        )
-        .map_err(|e| e.to_string())
-    })
-    .as_ref()
-    .map_err(|message| SweepError::BadEnv(message.clone()))
-}
+/// In-memory byte cap of the process-wide [`WarmCache`] (256 MiB).
+pub const WARM_CACHE_BYTES: usize = 256 << 20;
 
-/// [`try_warm_cache`] for callers with no error path.
+/// The process-wide [`WarmCache`] singleton, created on first use: capped
+/// at [`WARM_CACHE_BYTES`], spilling to `AFC_WARM_CACHE_DIR` if set.
 ///
 /// # Panics
 ///
-/// Panics with the [`SweepError::BadEnv`] message when the environment's
-/// cache configuration is malformed.
+/// Panics with the [`SweepError::BadEnv`] message when the environment is
+/// malformed ([`SweepSpec::execute_resumable`] returns it instead).
 pub fn warm_cache() -> &'static WarmCache {
-    try_warm_cache().unwrap_or_else(|e| panic!("{e}"))
+    static WARM: OnceLock<WarmCache> = OnceLock::new();
+    WARM.get_or_init(|| {
+        let dir = SweepEnv::get_or_panic().warm_cache_dir.clone();
+        WarmCache::with_limits(WARM_CACHE_BYTES, dir)
+    })
 }
 
 /// One simulation run, described as plain data. Workers rebuild the router
@@ -1046,7 +871,7 @@ impl RunSpec {
     /// `net_cfg`) step identical networks through identical cycles — same
     /// simulated mechanism ([`MechanismId::simulated_as`]), seed and
     /// scenario — so the planning pass simulates them once.
-    pub fn sim_key(&self) -> String {
+    fn sim_key(&self) -> String {
         let simulated = self.mechanism.simulated_as().label();
         format!("{simulated}|{}|{:?}", self.seed, self.kind)
     }
@@ -1057,7 +882,7 @@ impl RunSpec {
     /// The simulated mechanism always discriminates; fault runs
     /// additionally fold in the fault-plan parameters they patch into the
     /// configuration.
-    pub fn arena_group(&self) -> u64 {
+    fn arena_group(&self) -> u64 {
         let detail = match &self.kind {
             RunKind::Fault {
                 drop_rate,
@@ -1072,8 +897,7 @@ impl RunSpec {
 
     /// Executes the run against `net_cfg` and reduces it to the flat
     /// deterministic metrics of [`RunOutput`], using this worker's pooled
-    /// arena and the process-wide warm-start cache unless disabled via
-    /// `AFC_SWEEP_POOL=0` / `AFC_SWEEP_WARM_CACHE=0`. Both reuse paths are
+    /// arena and the process-wide warm-start cache. Both reuse paths are
     /// byte-identical to cold execution, so results do not depend on pool
     /// or cache state.
     ///
@@ -1086,12 +910,12 @@ impl RunSpec {
     /// its cycle budget, mirroring the underlying runners. Inside a sweep
     /// the pool catches the unwind and reports a [`JobFailure`].
     pub fn execute(&self, net_cfg: &NetworkConfig) -> RunOutput {
-        self.execute_tuned(net_cfg, pool_enabled(), warm_enabled())
+        self.execute_tuned(net_cfg, true, true)
     }
 
     /// [`RunSpec::execute`] with explicit arena-pool and warm-cache
-    /// switches (benchmarks use this to compare fresh, pooled, and
-    /// warm-cached execution on identical specs).
+    /// switches: the fresh and cold paths the tests and `sweep_throughput`
+    /// hold the pooled and warm ones to.
     pub fn execute_tuned(&self, net_cfg: &NetworkConfig, pool: bool, warm: bool) -> RunOutput {
         let store = warm.then(|| warm_cache() as &dyn WarmStore);
         let simulate = self.mechanism.simulated_as();
@@ -1125,15 +949,9 @@ fn execute_unit(
 ) -> Vec<RunOutput> {
     let mechanism = simulate.mechanism();
     let factory = mechanism.factory.as_ref();
-    let arena = |cfg: &NetworkConfig| {
-        if pool {
-            pool_take(factory.name(), cfg)
-        } else {
-            None
-        }
-    };
+    let arena = |cfg: &NetworkConfig| pool.then(|| pool_take(factory, cfg)).flatten();
     let spec = members[0];
-    let (network, measured) = match &spec.kind {
+    let (measured, network) = match &spec.kind {
         RunKind::ClosedLoop {
             workload,
             warmup_txns,
@@ -1152,8 +970,7 @@ fn execute_unit(
                 spec.seed,
             )
             .expect("valid configuration");
-            let measured = window_output(&out);
-            (out.network, measured)
+            (window_output(&out), out.network)
         }
         RunKind::OpenLoop {
             rate,
@@ -1175,8 +992,7 @@ fn execute_unit(
                 spec.seed,
             )
             .expect("valid configuration");
-            let measured = window_output(&out);
-            (out.network, measured)
+            (window_output(&out), out.network)
         }
         RunKind::Fault {
             rate,
@@ -1212,7 +1028,7 @@ fn execute_unit(
                 outcome,
                 ..stats_output(&out.stats)
             };
-            (out.network, measured)
+            (measured, out.network)
         }
     };
     let model = EnergyModel::new(EnergyParams::micro2010_70nm());
@@ -1227,7 +1043,7 @@ fn execute_unit(
         })
         .collect();
     if pool {
-        pool_put(network);
+        SIM_POOL.with(|p| *p.borrow_mut() = Some(network));
     }
     outputs
 }
@@ -1236,14 +1052,9 @@ fn execute_unit(
 /// (the rest zeroed or empty, for the caller to fill).
 fn stats_output(stats: &NetworkStats) -> RunOutput {
     RunOutput {
-        label: String::new(),
-        cycles: 0,
         packets_delivered: stats.packets_delivered,
         flits_delivered: stats.flits_delivered,
-        injection_rate: 0.0,
-        throughput: 0.0,
         mean_latency: stats.network_latency.mean(),
-        energy_pj: 0.0,
         backpressured_fraction: stats.backpressured_fraction(),
         mean_deflections: stats.flit_deflections.mean().unwrap_or(0.0),
         delivered_fraction: if stats.packets_offered == 0 {
@@ -1251,7 +1062,7 @@ fn stats_output(stats: &NetworkStats) -> RunOutput {
         } else {
             stats.packets_delivered as f64 / stats.packets_offered as f64
         },
-        outcome: String::new(),
+        ..RunOutput::default()
     }
 }
 
@@ -1272,17 +1083,8 @@ fn window_output(out: &RunOutcome) -> RunOutput {
 fn failure_output(spec: &RunSpec, fail: &JobFailure) -> RunOutput {
     RunOutput {
         label: spec.label(),
-        cycles: 0,
-        packets_delivered: 0,
-        flits_delivered: 0,
-        injection_rate: 0.0,
-        throughput: 0.0,
-        mean_latency: None,
-        energy_pj: 0.0,
-        backpressured_fraction: 0.0,
-        mean_deflections: 0.0,
-        delivered_fraction: 0.0,
         outcome: format!("panic after {} attempts: {}", fail.attempts, fail.message),
+        ..RunOutput::default()
     }
 }
 
@@ -1312,18 +1114,18 @@ impl SweepSpec {
         fnv1a64(text.as_bytes())
     }
 
-    /// Executes the sweep with [`threads_for_sim`] workers — the global
-    /// thread budget divided by the runs' own `sim_threads`, so sweep-level
-    /// and intra-run parallelism never oversubscribe the machine together.
-    /// When [`selfcheck_enabled`], additionally re-runs serially and
-    /// asserts byte-identical results (on top of the per-member check every
+    /// Executes the sweep with the global thread budget ([`threads`])
+    /// divided by the runs' own `sim_threads`, so sweep-level and intra-run
+    /// parallelism never oversubscribe the machine together. Under
+    /// `AFC_SWEEP_SELFCHECK`, additionally re-runs serially and asserts
+    /// byte-identical results (on top of the per-member check every
     /// execution makes in that mode; the re-run, held to the bytes already
     /// checked, skips it).
     pub fn execute(&self) -> SweepResults {
-        let n = threads_for_sim(self.net_cfg.sim_threads);
+        let n = divide_budget(threads(), self.net_cfg.sim_threads);
         let results = self.execute_with_threads(n);
-        if selfcheck_enabled() && n > 1 {
-            let serial = self.execute_checked(1, pool_enabled(), warm_enabled(), false);
+        if SweepEnv::get_or_panic().selfcheck && n > 1 {
+            let serial = self.execute_checked(1, true, true, false);
             assert_eq!(
                 serial.serialize(),
                 results.serialize(),
@@ -1339,7 +1141,7 @@ impl SweepSpec {
     /// attempt becomes a zeroed [`RunOutput`] whose `outcome` records the
     /// failure; the other runs are unaffected.
     pub fn execute_with_threads(&self, threads: usize) -> SweepResults {
-        self.execute_with_threads_tuned(threads, pool_enabled(), warm_enabled())
+        self.execute_with_threads_tuned(threads, true, true)
     }
 
     /// [`SweepSpec::execute_with_threads`] with explicit arena-pool and
@@ -1352,7 +1154,7 @@ impl SweepSpec {
         pool: bool,
         warm: bool,
     ) -> SweepResults {
-        self.execute_checked(threads, pool, warm, selfcheck_enabled())
+        self.execute_checked(threads, pool, warm, SweepEnv::get_or_panic().selfcheck)
     }
 
     fn execute_checked(
@@ -1410,7 +1212,7 @@ impl SweepSpec {
             },
         );
         if check_members {
-            for members in plan.units().iter().filter(|m| m.len() > 1) {
+            for members in plan.units.iter().filter(|m| m.len() > 1) {
                 for &job in members {
                     let Ok(derived) = &results[job] else { continue };
                     let alone = run(job).execute_alone(&self.net_cfg);
@@ -1443,14 +1245,15 @@ impl SweepSpec {
     /// # Errors
     ///
     /// [`SweepError::Manifest`] for a corrupt or mismatched manifest,
-    /// [`SweepError::Io`] for filesystem failures.
+    /// [`SweepError::Io`] for filesystem failures, [`SweepError::BadEnv`]
+    /// for a malformed environment.
     pub fn execute_resumable(
         &self,
         manifest_path: &Path,
         resume: bool,
     ) -> Result<SweepResults, SweepError> {
         let mut manifest = SweepManifest::new(self);
-        let mut completed: HashMap<usize, RunOutput> = HashMap::new();
+        let mut outputs: Vec<Option<RunOutput>> = vec![None; self.runs.len()];
         if resume && manifest_path.exists() {
             let prior = SweepManifest::load(manifest_path)?;
             let mismatch = |message: String| SweepError::Manifest {
@@ -1474,24 +1277,22 @@ impl SweepSpec {
             for (i, line) in &prior.jobs {
                 let output =
                     RunOutput::deserialize(line).map_err(|e| mismatch(format!("job {i}: {e}")))?;
-                completed.insert(*i, output);
+                outputs[*i] = Some(output);
             }
             manifest = prior;
         }
 
         let missing: Vec<usize> = (0..self.runs.len())
-            .filter(|i| !completed.contains_key(i))
+            .filter(|&i| outputs[i].is_none())
             .collect();
-        if warm_enabled() {
-            try_warm_cache()?;
-        }
+        let selfcheck = SweepEnv::get()?.selfcheck;
         let mut save_err: Option<SweepError> = None;
         let results = self.run_jobs(
             &missing,
             threads(),
-            pool_enabled(),
-            warm_enabled(),
-            selfcheck_enabled(),
+            true,
+            true,
+            selfcheck,
             |indices, outputs| {
                 for (&i, output) in indices.iter().zip(outputs) {
                     manifest.record(i, output);
@@ -1505,26 +1306,13 @@ impl SweepSpec {
             return Err(e);
         }
 
-        let mut fresh = missing
-            .iter()
-            .copied()
-            .zip(results)
-            .collect::<HashMap<_, _>>();
-        let outputs = self
-            .runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| {
-                if let Some(done) = completed.remove(&i) {
-                    return done;
-                }
-                match fresh.remove(&i).expect("every missing job ran") {
-                    Ok(o) => o,
-                    Err(fail) => failure_output(run, &fail),
-                }
-            })
-            .collect();
-        Ok(SweepResults { outputs })
+        for (&i, result) in missing.iter().zip(results) {
+            outputs[i] = Some(result.unwrap_or_else(|fail| failure_output(&self.runs[i], &fail)));
+        }
+        let outputs = outputs.into_iter().map(|o| o.expect("recorded or run"));
+        Ok(SweepResults {
+            outputs: outputs.collect(),
+        })
     }
 }
 
@@ -1589,7 +1377,7 @@ impl SweepManifest {
     }
 
     /// The manifest's JSON encoding (one job object per line).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let checksum = fnv1a64(self.canonical_body().as_bytes());
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"version\": {},\n", self.version));
@@ -1704,16 +1492,21 @@ impl SweepManifest {
     }
 }
 
+/// `(character, its escape letter)`: the escapes a manifest writes and reads.
+const JSON_ESCAPES: [(char, char); 5] = [
+    ('\\', '\\'),
+    ('"', '"'),
+    ('\n', 'n'),
+    ('\t', 't'),
+    ('\r', 'r'),
+];
+
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
+        match JSON_ESCAPES.iter().find(|e| e.0 == c) {
+            Some(e) => out.extend(['\\', e.1]),
+            None => out.push(c),
         }
     }
     out
@@ -1727,17 +1520,12 @@ fn json_unescape(s: &str) -> Result<String, String> {
             out.push(c);
             continue;
         }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(format!(
-                    "bad escape \\{}",
-                    other.map(String::from).unwrap_or_default()
-                ))
+        let letter = chars.next();
+        match JSON_ESCAPES.iter().find(|e| Some(e.1) == letter) {
+            Some(e) => out.push(e.0),
+            None => {
+                let letter = letter.map(String::from).unwrap_or_default();
+                return Err(format!("bad escape \\{letter}"));
             }
         }
     }
@@ -1750,22 +1538,20 @@ fn parse_json_uint(v: &str) -> Result<u64, String> {
         .map_err(|_| format!("bad integer field {v:?}"))
 }
 
-fn parse_json_string(v: &str) -> Result<String, String> {
+/// The text between the quotes of a `"..."[,]` field value.
+fn unquote<'a>(v: &'a str, what: &str) -> Result<&'a str, String> {
     let v = v.trim().trim_end_matches(',').trim();
-    let inner = v
-        .strip_prefix('"')
+    v.strip_prefix('"')
         .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("bad string field {v:?}"))?;
-    json_unescape(inner)
+        .ok_or_else(|| format!("bad {what} field {v:?}"))
+}
+
+fn parse_json_string(v: &str) -> Result<String, String> {
+    json_unescape(unquote(v, "string")?)
 }
 
 fn parse_json_hex(v: &str) -> Result<u64, String> {
-    let v = v.trim().trim_end_matches(',').trim();
-    let inner = v
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("bad hex field {v:?}"))?;
-    u64::from_str_radix(inner, 16).map_err(|_| format!("bad hex field {v:?}"))
+    u64::from_str_radix(unquote(v, "hex")?, 16).map_err(|_| format!("bad hex field {v:?}"))
 }
 
 fn parse_job_line(line: &str) -> Result<(usize, String), String> {
@@ -1797,7 +1583,7 @@ fn parse_job_line(line: &str) -> Result<(usize, String), String> {
 
 /// Flat deterministic metrics of one run. Every field is a pure function
 /// of the spec; see [`RunOutput::serialize`] for the canonical encoding.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOutput {
     /// The spec's label.
     pub label: String,
@@ -1857,7 +1643,7 @@ impl RunOutput {
     /// # Errors
     ///
     /// A description of the malformed field.
-    pub fn deserialize(line: &str) -> Result<RunOutput, String> {
+    fn deserialize(line: &str) -> Result<RunOutput, String> {
         let fields: Vec<&str> = line.splitn(12, '\t').collect();
         if fields.len() != 12 {
             return Err(format!(
@@ -1916,47 +1702,17 @@ mod tests {
     use super::*;
     use crate::mechanisms::MechanismId;
 
-    #[test]
-    fn timing_reports_rotate_and_cap_retention() {
-        let root = std::env::temp_dir().join(format!("afc-timing-rot-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let binary = "rotation_probe";
-        // KEEP + 3 writes: the oldest two generations must fall off disk.
-        let total = TIMING_REPORT_KEEP + 3;
-        for g in 0..total {
-            timings().push(TimingRecord {
-                sweep: format!("gen-{g}"),
-                run: g,
-                micros: 1,
-            });
-            write_timing_report_in(&root, binary).expect("write report");
-        }
-        let dir = root.join("timing");
-        let path_for = |k: usize| {
-            if k == 0 {
-                dir.join(format!("{binary}.tsv"))
-            } else {
-                dir.join(format!("{binary}.{k}.tsv"))
-            }
-        };
-        // Exactly the latest report plus KEEP rotated generations survive,
-        // and generation k holds the write from k runs ago.
-        for k in 0..=TIMING_REPORT_KEEP {
-            let text = std::fs::read_to_string(path_for(k))
-                .unwrap_or_else(|e| panic!("generation {k} missing: {e}"));
-            let marker = format!("gen-{}", total - 1 - k);
-            assert!(
-                text.contains(&marker),
-                "generation {k} should hold {marker}: {text}"
-            );
-        }
-        for k in (TIMING_REPORT_KEEP + 1)..(TIMING_REPORT_KEEP + 4) {
-            assert!(
-                !path_for(k).exists(),
-                "generation {k} escaped the retention cap"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&root);
+    /// The scheduler core in spec order, one job per batch, no progress
+    /// hook: what `run_sweep` runs, with the worker count explicit and
+    /// failures returned instead of raised.
+    fn pool<J: Sync, R: Send>(
+        name: &str,
+        jobs: &[J],
+        f: impl Fn(usize, &J) -> R + Sync,
+        workers: usize,
+    ) -> Vec<Result<R, JobFailure>> {
+        let order = (0..jobs.len()).collect();
+        run_scheduled(name, jobs, order, 1, &f, workers, |_, _| {})
     }
 
     #[test]
@@ -1964,15 +1720,18 @@ mod tests {
         let jobs: Vec<u64> = (0..37).collect();
         let expect: Vec<u64> = jobs.iter().map(|j| j * j).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let got = run_sweep_on("order", &jobs, &|_, &j| j * j, workers);
+            let got: Vec<u64> = pool("order", &jobs, |_, &j| j * j, workers)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
             assert_eq!(got, expect, "worker count {workers}");
         }
     }
 
     #[test]
     fn thread_budget_divides_between_sweep_and_sim() {
-        // The pure arbitration rule (threads_for_sim applies it to the
-        // global budget, which other tests mutate concurrently).
+        // The pure arbitration rule (`SweepSpec::execute` applies it to
+        // the global budget, which other tests mutate concurrently).
         assert_eq!(divide_budget(8, 1), 8);
         assert_eq!(divide_budget(8, 2), 4);
         assert_eq!(divide_budget(8, 3), 2);
@@ -1982,24 +1741,25 @@ mod tests {
         // Degenerate sim_threads=0 behaves like 1.
         assert_eq!(divide_budget(8, 0), 8);
         assert_eq!(divide_budget(1, 4), 1);
-        assert!(threads_for_sim(1) >= 1);
+        // Whatever the budget's source (override or machine), it is usable.
+        assert!(threads() >= 1);
     }
 
     #[test]
     fn sweep_handles_empty_and_singleton_job_lists() {
         let empty: Vec<u64> = Vec::new();
-        assert!(run_sweep_on("empty", &empty, &|_, &j: &u64| j, 8).is_empty());
-        assert_eq!(run_sweep_on("one", &[7u64], &|_, &j| j + 1, 8), vec![8]);
+        assert!(pool("empty", &empty, |_, &j| j, 8).is_empty());
+        assert_eq!(pool("one", &[7u64], |_, &j| j + 1, 8), vec![Ok(8)]);
     }
 
     #[test]
     fn panicking_job_is_isolated_and_retried() {
         let jobs: Vec<u64> = (0..8).collect();
         for workers in [1, 4] {
-            let results = run_sweep_failable(
+            let results = pool(
                 "isolated",
                 &jobs,
-                &|_, &j| {
+                |_, &j| {
                     if j == 3 {
                         panic!("job three always explodes");
                     }
@@ -2031,8 +1791,8 @@ mod tests {
     #[test]
     fn plan_groups_equal_keys_in_first_member_order() {
         let plan = Plan::by_key(["b", "a", "b", "c", "a", "b"]);
-        assert_eq!(plan.units(), [vec![0, 2, 5], vec![1, 4], vec![3]]);
-        assert!(Plan::by_key(Vec::<u8>::new()).units().is_empty());
+        assert_eq!(plan.units, [vec![0, 2, 5], vec![1, 4], vec![3]]);
+        assert!(Plan::by_key(Vec::<u8>::new()).units.is_empty());
     }
 
     #[test]
@@ -2090,24 +1850,36 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_environment_parses_strictly() {
-        let cache = |cap, dir| WarmCache::from_env_values(cap, dir);
-        let default = cache(None, None).unwrap();
-        assert_eq!(default.cap_bytes, 256 << 20);
-        assert!(default.disk_dir.is_none());
-        assert_eq!(cache(Some(""), Some("")).unwrap().cap_bytes, 256 << 20);
-        assert_eq!(cache(Some(" 4096 "), None).unwrap().cap_bytes, 4096);
-        let spilling = cache(None, Some("/tmp/warm")).unwrap();
-        assert_eq!(spilling.disk_dir.as_deref(), Some(Path::new("/tmp/warm")));
-        for bad in ["256M", "-1", "1e6", "lots"] {
-            let err = cache(Some(bad), None).err().expect(bad);
+    fn sweep_env_parses_strictly() {
+        let env = |selfcheck, dir: Option<&str>| SweepEnv::parse(selfcheck, dir.map(PathBuf::from));
+        let off = SweepEnv {
+            selfcheck: false,
+            warm_cache_dir: None,
+        };
+        assert_eq!(env(None, None).unwrap(), off);
+        // Empty is unset, for both variables.
+        assert_eq!(env(Some(""), Some("")).unwrap(), off);
+        assert_eq!(env(Some("0"), None).unwrap(), off);
+        // Every spelling of "on" turns the check on, none silently off.
+        for on in ["1", " 1 ", "true", "yes", "on"] {
+            assert!(env(Some(on), None).unwrap().selfcheck, "{on:?}");
+        }
+        // No guessing: neither AFC_FULL_SCAN's "anything else is on" nor off.
+        for bad in ["2", "false", "no", "TRUE", "1 1"] {
+            let err = env(Some(bad), None).expect_err(bad);
             assert!(matches!(err, SweepError::BadEnv(_)), "{bad}: {err:?}");
             let msg = err.to_string();
             assert!(
-                msg.contains("AFC_SWEEP_WARM_CACHE_BYTES") && msg.contains(bad),
+                msg.contains("AFC_SWEEP_SELFCHECK") && msg.contains(bad),
                 "must name the variable and the value: {msg}"
             );
         }
+        let spilling = env(None, Some("/tmp/warm")).unwrap();
+        assert_eq!(
+            spilling.warm_cache_dir.as_deref(),
+            Some(Path::new("/tmp/warm"))
+        );
+        assert!(!spilling.selfcheck);
     }
 
     #[test]
@@ -2115,10 +1887,10 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let attempts = AtomicU32::new(0);
         let jobs = [1u64, 2, 3];
-        let results = run_sweep_failable(
+        let results = pool(
             "retry",
             &jobs,
-            &|_, &j| {
+            |_, &j| {
                 if j == 2 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("transient");
                 }
@@ -2134,7 +1906,8 @@ mod tests {
     fn progress_hook_sees_every_completion() {
         let jobs: Vec<u64> = (0..12).collect();
         let mut seen = Vec::new();
-        let results = run_sweep_with_progress("progress", &jobs, &|_, &j| j, 4, |i, r| {
+        let order = (0..jobs.len()).collect();
+        let results = run_scheduled("progress", &jobs, order, 1, &|_, &j| j, 4, |i, r| {
             assert!(r.is_ok());
             seen.push(i);
         });
@@ -2151,7 +1924,7 @@ mod tests {
         assert!(parse_threads_value(&argv("--threads")).is_err());
         assert!(parse_threads_value(&argv("--threads zero")).is_err());
         assert!(parse_threads_value(&argv("--threads 0")).is_err());
-        let err = parse_threads_arg(&argv("--threads -2")).unwrap_err();
+        let err = parse_threads_value(&argv("--threads -2")).unwrap_err();
         assert!(err.to_string().contains("positive integer"), "{err}");
     }
 
@@ -2297,12 +2070,5 @@ mod tests {
             "expected fingerprint mismatch: {err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn threads_env_and_override_precedence() {
-        // No override set by default in this test binary: the value is
-        // env- or machine-derived, but always at least 1.
-        assert!(threads() >= 1);
     }
 }

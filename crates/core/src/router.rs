@@ -30,7 +30,7 @@
 use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
-use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, RouteOutcome};
+use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, ResyncHandshake, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
 use afc_netsim::geom::{Coord, DirMap, Direction, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
@@ -152,15 +152,10 @@ pub struct AfcRouter {
     /// of a revived link can deliver an uncredited flit into a full bank,
     /// which is then retired through the NACK path instead of panicking.
     tolerate_faults: bool,
-    /// Tracked output ports whose credit pool is zeroed while the credit
-    /// re-sync handshake for a revived link is in flight (DESIGN.md §15).
-    /// The pool returns to full only on the downstream endpoint's
-    /// [`ControlSignal::CreditResync`].
-    resync_wait: DirMap<bool>,
-    /// Revived *input* links whose upstream endpoint still awaits our
-    /// `CreditResync` confirmation, keyed by input direction and carrying
-    /// the link epoch to echo. Sent once the port's bank is empty.
-    resync_pending: DirMap<Option<u32>>,
+    /// Credit re-sync handshake for revived links (DESIGN.md §15.3): a
+    /// held tracked output's pool is zeroed and returns to full only on
+    /// the downstream endpoint's confirmation.
+    resync: ResyncHandshake,
     /// Flits that arrived into a full bank during a re-sync window
     /// (fault-tolerant configs only); drained into the NACK path at the
     /// next step.
@@ -240,8 +235,7 @@ impl AfcRouter {
             winners_scratch: Vec::with_capacity(PortId::ALL.len() + 4),
             fa: FaultAwareness::new(node, mesh.clone()),
             tolerate_faults: !net.faults.is_empty(),
-            resync_wait: DirMap::default(),
-            resync_pending: DirMap::default(),
+            resync: ResyncHandshake::default(),
             overflow_scratch: Vec::new(),
             cfg,
         };
@@ -369,35 +363,15 @@ impl AfcRouter {
 
     /// Reacts to an alive-state transition of a link incident to this
     /// router (learned locally from the engine's detector or remotely via
-    /// gossip): runs this router's half of the credit re-sync handshake
-    /// (DESIGN.md §15). Mask updates and route rebuilds already happened
-    /// inside [`FaultAwareness`].
+    /// gossip). Mask updates and route rebuilds already happened inside
+    /// [`FaultAwareness`]; an own *tracked* output link that revived
+    /// starts the credit re-sync handshake with an empty pool. An
+    /// untracked link needs none: the next StartCreditTracking re-seeds
+    /// the pool from a provably empty bank.
     fn apply_link_update(&mut self, update: &LinkUpdate) {
-        if let Some((d, alive, _epoch)) = update.local_out {
-            if alive && self.tracking[d] {
-                // Own tracked output link revived: in-flight credits were
-                // lost with the link and the downstream bank may still
-                // hold pre-kill flits, so the pool is unknown. Zero it and
-                // hold the port out of arbitration until the downstream
-                // endpoint confirms its bank drained (CreditResync). An
-                // untracked link needs no handshake: the next
-                // StartCreditTracking re-seeds the pool from a provably
-                // empty bank.
-                for c in self.credits[d].iter_mut() {
-                    *c = 0;
-                }
-                self.resync_wait[d] = true;
-            } else if !alive {
-                // Killed (again): abandon any handshake in progress; the
-                // next revival restarts it under a higher epoch.
-                self.resync_wait[d] = false;
-            }
-        }
-        if let Some((d, alive, epoch)) = update.local_in {
-            // Link entering this router through input port `d`: on revival
-            // the upstream endpoint waits for our confirmation that its
-            // pre-kill flits drained from our bank before resuming.
-            self.resync_pending[d] = alive.then_some(epoch);
+        let tracking = &self.tracking;
+        if let Some(d) = self.resync.on_link_update(update, |d| tracking[d]) {
+            self.credits[d].fill(0);
         }
     }
 
@@ -454,14 +428,14 @@ impl AfcRouter {
         // kernel relaxes the hold, and the sink is a real uncredited
         // delivery that the downstream bank absorbs through its
         // fault-tolerant overflow path.
-        let held = self.resync_wait.mask();
+        let held = self.resync.wait_mask();
         let (fa, counters) = (&mut self.fa, &mut self.counters);
         let sent = self.bank.step(Loser::Deflect, fa, held, rng, out, counters);
         for d in Direction::ALL {
             // During a re-sync wait the pool is floored at zero and the
             // rare forced send is accounted by the downstream overflow
             // path, so the decrement (and its underflow assert) is skipped.
-            if sent >> d.index() & 1 == 0 || !self.tracking[d] || self.resync_wait[d] {
+            if sent >> d.index() & 1 == 0 || !self.tracking[d] || self.resync.waiting(d) {
                 continue;
             }
             let flit = out.flits[PortId::Net(d)].expect("the kernel sent one");
@@ -573,7 +547,7 @@ impl AfcRouter {
                     // CreditResync lands would break its
                     // nothing-in-flight precondition.
                     Some(&d) => {
-                        !self.resync_wait[d]
+                        !self.resync.waiting(d)
                             && (!self.tracking[d]
                                 || self.credits[d][self.flat_decode[flat].0 as usize] > 0)
                     }
@@ -715,24 +689,20 @@ impl Router for AfcRouter {
                 // also supersedes any credit re-sync still in flight for a
                 // revived link: a full pool over an empty bank is exact.
                 self.refill_credits(d);
-                self.resync_wait[d] = false;
+                self.resync.cancel(d);
             }
             ControlSignal::StopCreditTracking => {
                 self.tracking[d] = false;
                 // The neighbor only reverse-switches with empty buffers,
                 // so an in-flight re-sync handshake is moot.
-                self.resync_wait[d] = false;
+                self.resync.cancel(d);
             }
             ControlSignal::CreditResync { node, dir, epoch } => {
-                if node == self.node
-                    && self.resync_wait[dir]
-                    && epoch == self.fa.link_epoch(self.node, dir)
-                {
+                if self.resync.confirm(&self.fa, node, dir, epoch) {
                     // The downstream bank is empty and nothing is in
                     // flight (the port sat out arbitration throughout the
                     // wait), so a full pool is exactly correct.
                     self.refill_credits(dir);
-                    self.resync_wait[dir] = false;
                 }
             }
             ControlSignal::LinkFault { .. } => {
@@ -793,27 +763,10 @@ impl Router for AfcRouter {
             // flooding after the fault view empties.
             self.fa.drain_gossip(out);
         }
-        // Downstream half of the credit re-sync handshake: once a revived
-        // input port's bank has drained every pre-kill flit, tell the
-        // upstream endpoint its credit pool may return to full. One signal
-        // per cycle keeps the control lane within LANE_CAP.
-        for d in Direction::ALL {
-            let Some(epoch) = self.resync_pending[d] else {
-                continue;
-            };
-            if self.occ_bits[PortId::Net(d).index()] != 0 {
-                continue;
-            }
-            if let Some(up) = self.mesh.neighbor(self.node, d) {
-                out.control.push(ControlSignal::CreditResync {
-                    node: up,
-                    dir: d.opposite(),
-                    epoch,
-                });
-                self.counters.control_sends += 1;
-            }
-            self.resync_pending[d] = None;
-            break;
+        if self.resync.has_pending() {
+            let occ_bits = &self.occ_bits;
+            let drained = |d| occ_bits[PortId::Net(d).index()] == 0;
+            self.resync.emit(&self.fa, drained, out, &mut self.counters);
         }
 
         // Complete an in-flight forward transition.
@@ -932,7 +885,7 @@ impl Router for AfcRouter {
         }
         if self.fa.has_pending_gossip()
             || !self.overflow_scratch.is_empty()
-            || self.resync_pending.iter().any(|(_, p)| p.is_some())
+            || self.resync.has_pending()
         {
             // Pending fault gossip, an undrained overflow, or an unsent
             // credit re-sync keeps the router live so each reaches the
@@ -1007,8 +960,7 @@ impl Router for AfcRouter {
         self.buffered = 0;
         self.winners_scratch.clear();
         self.fa.reset();
-        self.resync_wait = DirMap::default();
-        self.resync_pending = DirMap::default();
+        self.resync.reset();
         self.overflow_scratch.clear();
         if self.cfg.always_backpressured {
             self.mode = AfcMode::Backpressured;
@@ -1069,16 +1021,7 @@ impl Router for AfcRouter {
                 w.put_u64(*c);
             }
         }
-        for d in Direction::ALL {
-            w.put_bool(self.resync_wait[d]);
-            match self.resync_pending[d] {
-                Some(e) => {
-                    w.put_bool(true);
-                    w.put_u32(e);
-                }
-                None => w.put_bool(false),
-            }
-        }
+        self.resync.save(w);
         w.put_usize(self.overflow_scratch.len());
         for f in &self.overflow_scratch {
             snapshot::write_flit(w, f);
@@ -1164,14 +1107,7 @@ impl Router for AfcRouter {
                 self.credits[d][v] = c;
             }
         }
-        for d in Direction::ALL {
-            self.resync_wait[d] = r.get_bool("afc resync wait")?;
-            self.resync_pending[d] = if r.get_bool("afc resync pending presence")? {
-                Some(r.get_u32("afc resync pending epoch")?)
-            } else {
-                None
-            };
-        }
+        self.resync.load(r)?;
         let n = r.get_usize("afc overflow count")?;
         if n > PortId::ALL.len() {
             return Err(SnapshotError::Malformed {
@@ -1239,6 +1175,10 @@ impl RouterFactory for AfcFactory {
         } else {
             "afc"
         }
+    }
+
+    fn build_key(&self) -> String {
+        format!("{self:?}")
     }
 
     fn flit_width_bits(&self) -> u32 {

@@ -5,171 +5,65 @@
 //! converts counts into joules under a technology preset. This separation
 //! lets one simulation run be re-priced under different energy parameters.
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-
-/// Event and state counts accumulated by one router over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActivityCounters {
-    /// Flits written into input buffers (backpressured operation).
-    pub buffer_writes: u64,
-    /// Flits read out of input buffers.
-    pub buffer_reads: u64,
-    /// Flits written into pipeline input latches (backpressureless
-    /// operation).
-    pub latch_writes: u64,
-    /// Flits that crossed the crossbar.
-    pub crossbar_traversals: u64,
-    /// Flits sent onto an outgoing link (counted at the sender).
-    pub link_traversals: u64,
-    /// Flits ejected to the local node interface.
-    pub ejections: u64,
-    /// Flits accepted from the local node interface.
-    pub injections: u64,
-    /// Arbitration operations performed (switch and port allocation).
-    pub arbitrations: u64,
-    /// Virtual-channel allocation operations (backpressured baseline only;
-    /// AFC's lazy allocation is folded into the buffer write).
-    pub vc_allocations: u64,
-    /// Credits sent upstream.
-    pub credits_sent: u64,
-    /// Control-signal transitions on the credit-tracking sideband line.
-    pub control_sends: u64,
-    /// Flits deflected to a non-productive output port.
-    pub deflections: u64,
-    /// Flits dropped (drop-based backpressureless router only).
-    pub drops: u64,
-    /// Retransmissions of previously dropped flits.
-    pub retransmissions: u64,
-    /// Total cycles simulated.
-    pub cycles: u64,
-    /// Cycles during which the input buffers were power-gated.
-    pub cycles_buffers_gated: u64,
-    /// Cycles in which buffered flits were present but none could compete
-    /// for the switch (all blocked on downstream credits).
-    pub credit_stall_cycles: u64,
-    /// Sum over cycles of buffered-flit occupancy (divide by `cycles` for
-    /// the mean).
-    pub buffer_occupancy_sum: u64,
-    /// Forward (backpressureless -> backpressured) mode switches.
-    pub mode_switches_forward: u64,
-    /// Reverse (backpressured -> backpressureless) mode switches.
-    pub mode_switches_reverse: u64,
-    /// Forward switches forced by gossip (neighbor credit exhaustion).
-    pub mode_switches_gossip: u64,
-    /// Flits routed away from their dimension-ordered productive direction
-    /// because a fault mask blocked it (fault-aware detours).
-    pub reroutes: u64,
-    /// New dead-link facts learned (locally detected or via gossip).
-    pub fault_notices: u64,
+crate::stats::field_table! {
+    /// Event and state counts accumulated by one router over a run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ActivityCounters {
+        /// Flits written into input buffers (backpressured operation).
+        pub buffer_writes: u64 = sum,
+        /// Flits read out of input buffers.
+        pub buffer_reads: u64 = sum,
+        /// Flits written into pipeline input latches (backpressureless
+        /// operation).
+        pub latch_writes: u64 = sum,
+        /// Flits that crossed the crossbar.
+        pub crossbar_traversals: u64 = sum,
+        /// Flits sent onto an outgoing link (counted at the sender).
+        pub link_traversals: u64 = sum,
+        /// Flits ejected to the local node interface.
+        pub ejections: u64 = sum,
+        /// Flits accepted from the local node interface.
+        pub injections: u64 = sum,
+        /// Arbitration operations performed (switch and port allocation).
+        pub arbitrations: u64 = sum,
+        /// Virtual-channel allocation operations (backpressured baseline only;
+        /// AFC's lazy allocation is folded into the buffer write).
+        pub vc_allocations: u64 = sum,
+        /// Credits sent upstream.
+        pub credits_sent: u64 = sum,
+        /// Control-signal transitions on the credit-tracking sideband line.
+        pub control_sends: u64 = sum,
+        /// Flits deflected to a non-productive output port.
+        pub deflections: u64 = sum,
+        /// Flits dropped (drop-based backpressureless router only).
+        pub drops: u64 = sum,
+        /// Retransmissions of previously dropped flits.
+        pub retransmissions: u64 = sum,
+        /// Total cycles simulated.
+        pub cycles: u64 = sum,
+        /// Cycles during which the input buffers were power-gated.
+        pub cycles_buffers_gated: u64 = sum,
+        /// Cycles in which buffered flits were present but none could compete
+        /// for the switch (all blocked on downstream credits).
+        pub credit_stall_cycles: u64 = sum,
+        /// Sum over cycles of buffered-flit occupancy (divide by `cycles` for
+        /// the mean).
+        pub buffer_occupancy_sum: u64 = sum,
+        /// Forward (backpressureless -> backpressured) mode switches.
+        pub mode_switches_forward: u64 = sum,
+        /// Reverse (backpressured -> backpressureless) mode switches.
+        pub mode_switches_reverse: u64 = sum,
+        /// Forward switches forced by gossip (neighbor credit exhaustion).
+        pub mode_switches_gossip: u64 = sum,
+        /// Flits routed away from their dimension-ordered productive direction
+        /// because a fault mask blocked it (fault-aware detours).
+        pub reroutes: u64 = sum,
+        /// New dead-link facts learned (locally detected or via gossip).
+        pub fault_notices: u64 = sum,
+    }
 }
 
 impl ActivityCounters {
-    /// Creates zeroed counters.
-    pub fn new() -> ActivityCounters {
-        ActivityCounters::default()
-    }
-
-    /// Adds `other` into `self` (used to aggregate network-wide totals).
-    pub fn merge(&mut self, other: &ActivityCounters) {
-        self.buffer_writes += other.buffer_writes;
-        self.buffer_reads += other.buffer_reads;
-        self.latch_writes += other.latch_writes;
-        self.crossbar_traversals += other.crossbar_traversals;
-        self.link_traversals += other.link_traversals;
-        self.ejections += other.ejections;
-        self.injections += other.injections;
-        self.arbitrations += other.arbitrations;
-        self.vc_allocations += other.vc_allocations;
-        self.credits_sent += other.credits_sent;
-        self.control_sends += other.control_sends;
-        self.deflections += other.deflections;
-        self.drops += other.drops;
-        self.retransmissions += other.retransmissions;
-        self.cycles += other.cycles;
-        self.cycles_buffers_gated += other.cycles_buffers_gated;
-        self.credit_stall_cycles += other.credit_stall_cycles;
-        self.buffer_occupancy_sum += other.buffer_occupancy_sum;
-        self.mode_switches_forward += other.mode_switches_forward;
-        self.mode_switches_reverse += other.mode_switches_reverse;
-        self.mode_switches_gossip += other.mode_switches_gossip;
-        self.reroutes += other.reroutes;
-        self.fault_notices += other.fault_notices;
-    }
-
-    /// All fields in declaration order — the single source of truth for
-    /// [`ActivityCounters::save`]/[`ActivityCounters::load`] layout.
-    fn fields(&self) -> [u64; 23] {
-        [
-            self.buffer_writes,
-            self.buffer_reads,
-            self.latch_writes,
-            self.crossbar_traversals,
-            self.link_traversals,
-            self.ejections,
-            self.injections,
-            self.arbitrations,
-            self.vc_allocations,
-            self.credits_sent,
-            self.control_sends,
-            self.deflections,
-            self.drops,
-            self.retransmissions,
-            self.cycles,
-            self.cycles_buffers_gated,
-            self.credit_stall_cycles,
-            self.buffer_occupancy_sum,
-            self.mode_switches_forward,
-            self.mode_switches_reverse,
-            self.mode_switches_gossip,
-            self.reroutes,
-            self.fault_notices,
-        ]
-    }
-
-    /// Serializes every counter in declaration order.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        for v in self.fields() {
-            w.put_u64(v);
-        }
-    }
-
-    /// Restores counters written by [`ActivityCounters::save`].
-    ///
-    /// # Errors
-    ///
-    /// Decode errors on a truncated payload.
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<ActivityCounters, SnapshotError> {
-        let mut f = [0u64; 23];
-        for v in &mut f {
-            *v = r.get_u64("activity counter")?;
-        }
-        Ok(ActivityCounters {
-            buffer_writes: f[0],
-            buffer_reads: f[1],
-            latch_writes: f[2],
-            crossbar_traversals: f[3],
-            link_traversals: f[4],
-            ejections: f[5],
-            injections: f[6],
-            arbitrations: f[7],
-            vc_allocations: f[8],
-            credits_sent: f[9],
-            control_sends: f[10],
-            deflections: f[11],
-            drops: f[12],
-            retransmissions: f[13],
-            cycles: f[14],
-            cycles_buffers_gated: f[15],
-            credit_stall_cycles: f[16],
-            buffer_occupancy_sum: f[17],
-            mode_switches_forward: f[18],
-            mode_switches_reverse: f[19],
-            mode_switches_gossip: f[20],
-            reroutes: f[21],
-            fault_notices: f[22],
-        })
-    }
-
     /// Fraction of cycles with buffers gated (0 if no cycles recorded).
     pub fn gated_fraction(&self) -> f64 {
         if self.cycles == 0 {
@@ -214,6 +108,20 @@ mod tests {
         assert_eq!(a.link_traversals, 6);
         assert_eq!(a.cycles, 20);
         assert!((a.gated_fraction() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_counter_survives_the_field_wall() {
+        let sample = ActivityCounters::wall_sample();
+        assert!(sample.buffer_writes != 0 && sample.fault_notices != 0);
+        assert_ne!(sample.buffer_writes, sample.fault_notices);
+        crate::stats::tests::assert_field_wall(
+            sample,
+            ActivityCounters::save,
+            ActivityCounters::load,
+            ActivityCounters::merge,
+            ActivityCounters::clear,
+        );
     }
 
     #[test]

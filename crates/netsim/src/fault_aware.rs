@@ -44,6 +44,7 @@
 //! retransmit → `Unreachable`).
 
 use crate::channel::ControlSignal;
+use crate::counters::ActivityCounters;
 use crate::flit::Cycle;
 use crate::geom::{DirMap, Direction, NodeId};
 use crate::router::RouterOutputs;
@@ -227,8 +228,8 @@ impl FaultAwareness {
 
     /// Handles a control-sideband signal; returns `Some` when it was a
     /// [`ControlSignal::LinkFault`] carrying new knowledge (see
-    /// [`FaultAwareness::learn`]). [`ControlSignal::CreditResync`] is a
-    /// router-level handshake, not a routing fact, and is ignored here.
+    /// [`FaultAwareness::learn`]). [`ControlSignal::CreditResync`] is the
+    /// [`ResyncHandshake`]'s, not a routing fact, and is ignored here.
     pub fn on_control(&mut self, signal: ControlSignal, now: Cycle) -> Option<LinkUpdate> {
         match signal {
             ControlSignal::LinkFault {
@@ -477,6 +478,172 @@ impl FaultAwareness {
         }
         self.dirty = !self.facts.is_empty();
         self.table.clear();
+        Ok(())
+    }
+}
+
+/// One router's half of the credit re-sync handshake (DESIGN.md §15.3),
+/// shared by every credit-tracking mechanism.
+///
+/// When a link revives, its in-flight credits are gone and the downstream
+/// buffers may still hold pre-kill flits, so the upstream credit pool is
+/// unknown. The upstream router zeroes the pool and holds the port out of
+/// arbitration ([`waiting`](Self::waiting)); the downstream router, once
+/// the revived input port has drained, sends one
+/// [`ControlSignal::CreditResync`] echoing the link epoch
+/// ([`emit`](Self::emit)); on a matching epoch the upstream router refills
+/// the pool ([`confirm`](Self::confirm)) — exact, because nothing was in
+/// flight while the port was held. Routers keep what differs: the pool,
+/// what "drained" means, and which outputs are credit-tracked at all.
+#[derive(Debug, Clone, Default)]
+pub struct ResyncHandshake {
+    /// Output ports held until the downstream endpoint confirms, as a mask
+    /// over [`Direction::index`].
+    wait: u8,
+    /// Revived *input* ports whose upstream endpoint awaits our
+    /// confirmation (same mask encoding) and the link epoch to echo.
+    pending: u8,
+    pending_epoch: DirMap<u32>,
+}
+
+impl ResyncHandshake {
+    /// Applies an alive-state transition of a link incident to this router.
+    /// Returns the output direction whose handshake just started — the
+    /// caller zeroes its credit pool toward it. `tracked(d)` says whether
+    /// output `d` has a credit pool to re-sync at all. A kill abandons a
+    /// handshake in progress; the next revival restarts it under a higher
+    /// epoch.
+    pub fn on_link_update(
+        &mut self,
+        update: &LinkUpdate,
+        tracked: impl FnOnce(Direction) -> bool,
+    ) -> Option<Direction> {
+        let mut started = None;
+        if let Some((d, alive, _)) = update.local_out {
+            if !alive {
+                self.cancel(d);
+            } else if tracked(d) {
+                self.wait |= 1 << d.index();
+                started = Some(d);
+            }
+        }
+        if let Some((d, alive, epoch)) = update.local_in {
+            self.pending &= !(1 << d.index());
+            if alive {
+                self.pending |= 1 << d.index();
+                self.pending_epoch[d] = epoch;
+            }
+        }
+        started
+    }
+
+    /// Whether output `d` is held mid-handshake. Sending there before the
+    /// confirmation lands would break its nothing-in-flight precondition.
+    #[inline]
+    pub fn waiting(&self, d: Direction) -> bool {
+        self.wait >> d.index() & 1 != 0
+    }
+
+    /// The held outputs as a mask over [`Direction::index`].
+    #[inline]
+    pub fn wait_mask(&self) -> u8 {
+        self.wait
+    }
+
+    /// Abandons the wait on output `d` (the link died again, or the
+    /// mechanism re-seeded the pool some other way).
+    pub fn cancel(&mut self, d: Direction) {
+        self.wait &= !(1 << d.index());
+    }
+
+    /// Receive check for a [`ControlSignal::CreditResync`] naming `node`'s
+    /// output `dir` under `epoch`. True — and the wait is over — when it
+    /// answers this router's current handshake: the caller then refills the
+    /// pool toward `dir`. Stale epochs and other nodes' signals are ignored.
+    pub fn confirm(
+        &mut self,
+        fa: &FaultAwareness,
+        node: NodeId,
+        dir: Direction,
+        epoch: u32,
+    ) -> bool {
+        let ours = node == fa.node && self.waiting(dir) && epoch == fa.link_epoch(node, dir);
+        if ours {
+            self.cancel(dir);
+        }
+        ours
+    }
+
+    /// True while a confirmation is owed upstream: the owning router must
+    /// not report itself quiescent, and its `step` calls [`emit`](Self::emit).
+    #[inline]
+    pub fn has_pending(&self) -> bool {
+        self.pending != 0
+    }
+
+    /// Sends the confirmation for the first revived input port that
+    /// `drained` reports empty of pre-kill flits. One signal per cycle
+    /// keeps the control lane within [`LANE_CAP`](crate::channel::LANE_CAP)
+    /// alongside gossip.
+    pub fn emit(
+        &mut self,
+        fa: &FaultAwareness,
+        drained: impl Fn(Direction) -> bool,
+        out: &mut RouterOutputs,
+        counters: &mut ActivityCounters,
+    ) {
+        for d in Direction::ALL {
+            if self.pending >> d.index() & 1 == 0 || !drained(d) {
+                continue;
+            }
+            if let Some(up) = fa.mesh.neighbor(fa.node, d) {
+                out.control.push(ControlSignal::CreditResync {
+                    node: up,
+                    dir: d.opposite(),
+                    epoch: self.pending_epoch[d],
+                });
+                counters.control_sends += 1;
+            }
+            self.pending &= !(1 << d.index());
+            break;
+        }
+    }
+
+    /// Forgets every handshake, as freshly constructed.
+    pub fn reset(&mut self) {
+        *self = ResyncHandshake::default();
+    }
+
+    /// Serializes the handshake: per direction the wait flag, then the
+    /// pending epoch behind a presence flag.
+    pub fn save(&self, w: &mut SnapshotWriter) {
+        for d in Direction::ALL {
+            let bit = 1 << d.index();
+            w.put_bool(self.wait & bit != 0);
+            w.put_bool(self.pending & bit != 0);
+            if self.pending & bit != 0 {
+                w.put_u32(self.pending_epoch[d]);
+            }
+        }
+    }
+
+    /// Restores state written by [`ResyncHandshake::save`].
+    ///
+    /// # Errors
+    ///
+    /// Decode errors on a truncated payload.
+    pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.reset();
+        for d in Direction::ALL {
+            let bit = 1 << d.index();
+            if r.get_bool("resync wait")? {
+                self.wait |= bit;
+            }
+            if r.get_bool("resync pending presence")? {
+                self.pending |= bit;
+                self.pending_epoch[d] = r.get_u32("resync pending epoch")?;
+            }
+        }
         Ok(())
     }
 }
@@ -856,6 +1023,140 @@ mod tests {
         assert_eq!(restored.link_epoch(NodeId::new(0), Direction::South), 2);
         assert!(!restored.is_clean());
         assert_eq!(restored.route(NodeId::new(5)), fa.route(NodeId::new(5)));
+    }
+
+    /// Every leg of the credit re-sync handshake, on the component alone:
+    /// the kill/revive system suites see a dropped start or confirmation,
+    /// but not a confirmation accepted from the wrong link or epoch, sent
+    /// before the port drained, or still owed to a link that died again.
+    #[test]
+    fn resync_handshake_runs_every_leg_and_refuses_every_stale_signal() {
+        use Direction::{East, North, West};
+        let mesh = mesh3();
+        let (up, down) = (NodeId::new(4), NodeId::new(5));
+        let mut fa_up = FaultAwareness::new(up, mesh.clone());
+        let mut fa_down = FaultAwareness::new(down, mesh.clone());
+        let (mut at_up, mut at_down) = (ResyncHandshake::default(), ResyncHandshake::default());
+        let mut out = RouterOutputs::new();
+        let mut counters = ActivityCounters::new();
+
+        // The link 4 -> East dies: no handshake, at either end.
+        let kill = fa_up.learn(up, East, 1, false, 10).unwrap();
+        assert_eq!(at_up.on_link_update(&kill, |_| true), None);
+        let kill = fa_down.learn(up, East, 1, false, 10).unwrap();
+        assert_eq!(at_down.on_link_update(&kill, |_| true), None);
+        assert!(!at_up.waiting(East) && !at_down.has_pending());
+
+        // It revives. Upstream, an untracked output starts nothing; a
+        // tracked one is held and reported so the caller zeroes its pool.
+        let revive = fa_up.learn(up, East, 2, true, 20).unwrap();
+        let mut untracked = ResyncHandshake::default();
+        assert_eq!(untracked.on_link_update(&revive, |_| false), None);
+        assert_eq!(untracked.wait_mask(), 0);
+        assert_eq!(at_up.on_link_update(&revive, |d| d == East), Some(East));
+        assert!(at_up.waiting(East) && !at_up.waiting(West));
+        assert_eq!(at_up.wait_mask(), 1 << East.index());
+        assert!(!at_up.has_pending(), "the upstream end owes nothing");
+        // Downstream, input port West owes the confirmation.
+        let revive = fa_down.learn(up, East, 2, true, 20).unwrap();
+        assert_eq!(at_down.on_link_update(&revive, |_| true), None);
+        assert!(at_down.has_pending() && at_down.wait_mask() == 0);
+
+        // Handshakes in flight survive a snapshot, byte for byte.
+        let bytes = |h: &ResyncHandshake| {
+            let mut w = SnapshotWriter::new();
+            h.save(&mut w);
+            w.into_bytes()
+        };
+        for (live, holds, owes) in [(&mut at_up, true, false), (&mut at_down, false, true)] {
+            let saved = bytes(live);
+            let mut restored = ResyncHandshake::default();
+            let mut r = SnapshotReader::new(&saved);
+            restored.load(&mut r).unwrap();
+            r.finish("resync").unwrap();
+            assert_eq!(bytes(&restored), saved);
+            assert_eq!(
+                (restored.waiting(East), restored.has_pending()),
+                (holds, owes)
+            );
+            *live = restored;
+        }
+
+        // Not before the port has drained its pre-kill flits.
+        at_down.emit(&fa_down, |_| false, &mut out, &mut counters);
+        assert!(out.control.is_empty() && at_down.has_pending());
+        at_down.emit(&fa_down, |d| d == West, &mut out, &mut counters);
+        let signal = ControlSignal::CreditResync {
+            node: up,
+            dir: East,
+            epoch: 2,
+        };
+        assert_eq!(out.control, [signal]);
+        assert_eq!(counters.control_sends, 1);
+        assert!(!at_down.has_pending(), "sent once");
+
+        // Upstream accepts only its own link's current epoch, once.
+        // (Node 3's East link is at epoch 2 in this router's view as well.)
+        let other = NodeId::new(3);
+        fa_up.learn(other, East, 1, false, 21);
+        fa_up.learn(other, East, 2, true, 22);
+        assert!(
+            !at_up.confirm(&fa_up, other, East, 2),
+            "another node's link"
+        );
+        assert!(!at_up.confirm(&fa_up, up, North, 0), "a port not held");
+        assert!(!at_up.confirm(&fa_up, up, East, 1), "a stale epoch");
+        assert!(at_up.waiting(East));
+        assert!(at_up.confirm(&fa_up, up, East, 2));
+        assert!(!at_up.waiting(East));
+        assert!(!at_up.confirm(&fa_up, up, East, 2), "already answered");
+
+        // A kill abandons a wait; `cancel` and `reset` do too.
+        for (epoch, alive) in [(3, false), (4, true)] {
+            let update = fa_up.learn(up, East, epoch, alive, 30).unwrap();
+            at_up.on_link_update(&update, |_| true);
+        }
+        assert!(at_up.waiting(East));
+        let mut cancelled = at_up.clone();
+        cancelled.cancel(East);
+        assert_eq!(cancelled.wait_mask(), 0);
+        let mut wiped = at_up.clone();
+        wiped.reset();
+        assert_eq!(bytes(&wiped), bytes(&ResyncHandshake::default()));
+        let kill = fa_up.learn(up, East, 5, false, 40).unwrap();
+        assert_eq!(at_up.on_link_update(&kill, |_| true), None);
+        assert!(!at_up.waiting(East));
+
+        // Two owed confirmations go out one per cycle, lowest direction
+        // first, and an input that dies again before its turn owes none.
+        let mut fa = FaultAwareness::new(up, mesh.clone());
+        let mut owed = ResyncHandshake::default();
+        for d in [West, North] {
+            let feeder = mesh.neighbor(up, d).unwrap();
+            for (epoch, alive) in [(1, false), (2, true)] {
+                let update = fa.learn(feeder, d.opposite(), epoch, alive, 1).unwrap();
+                owed.on_link_update(&update, |_| true);
+            }
+        }
+        out.clear();
+        owed.emit(&fa, |_| true, &mut out, &mut counters);
+        let north = mesh.neighbor(up, North).unwrap();
+        assert_eq!(
+            out.control,
+            [ControlSignal::CreditResync {
+                node: north,
+                dir: North.opposite(),
+                epoch: 2,
+            }]
+        );
+        assert!(owed.has_pending(), "West still owes its confirmation");
+        let mut wiped = owed.clone();
+        wiped.reset();
+        assert!(!wiped.has_pending());
+        let west = mesh.neighbor(up, West).unwrap();
+        let kill = fa.learn(west, East, 3, false, 2).unwrap();
+        owed.on_link_update(&kill, |_| true);
+        assert!(!owed.has_pending());
     }
 
     #[test]

@@ -383,6 +383,8 @@ pub struct Network {
     pub(crate) mesh: Mesh,
     pub(crate) config: NetworkConfig,
     mechanism: &'static str,
+    /// [`RouterFactory::build_key`] of the factory the routers came from.
+    build_key: String,
     flit_width_bits: u32,
     buffer_flits_per_port: usize,
     pub(crate) routers: Vec<Box<dyn Router>>,
@@ -580,6 +582,7 @@ impl Network {
             mesh,
             config,
             mechanism: factory.name(),
+            build_key: factory.build_key(),
             flit_width_bits: factory.flit_width_bits(),
             buffer_flits_per_port,
             routers,
@@ -1317,13 +1320,21 @@ impl Network {
         self.last_progress_cycle = self.now;
     }
 
+    /// The one judge of arena compatibility: whether this network, reset,
+    /// can stand in for `Network::new(config, factory, _)` — `factory`
+    /// would build the routers it has ([`RouterFactory::build_key`], its
+    /// options included) and `config` equals the network's own.
+    pub fn arena_compatible(&self, config: &NetworkConfig, factory: &dyn RouterFactory) -> bool {
+        factory.build_key() == self.build_key && *config == self.config
+    }
+
     /// Returns this network, in place, to the state
     /// `Network::new(config, factory, seed)` would produce — reusing every
     /// allocation (router buffers, link-wheel slabs, NI queues, activity
     /// bitmasks) instead of freeing and reacquiring them. Succeeds only
-    /// when the target is *arena-compatible*: the factory names the same
-    /// mechanism and `config` equals the network's own. On `false` the
-    /// network is untouched and the caller must construct fresh.
+    /// when the target is [arena-compatible](Network::arena_compatible).
+    /// On `false` the network is untouched and the caller must construct
+    /// fresh.
     ///
     /// Routers whose [`Router::reset`] declines are rebuilt through the
     /// factory; everything else clears in place. The parallel-engine
@@ -1338,7 +1349,7 @@ impl Network {
         factory: &dyn RouterFactory,
         seed: u64,
     ) -> bool {
-        if factory.name() != self.mechanism || *config != self.config {
+        if !self.arena_compatible(config, factory) {
             return false;
         }
         let n = self.mesh.node_count();

@@ -264,6 +264,16 @@ pub trait RouterFactory: Send + Sync {
     /// Short mechanism name (`"backpressured"`, `"bless"`, `"afc"`, ...).
     fn name(&self) -> &'static str;
 
+    /// Everything about this factory that decides what [`Self::build`]
+    /// constructs: equal keys build identical routers from equal
+    /// configurations. [`Network::reset_from_config`](crate::network::Network::reset_from_config)
+    /// judges arena compatibility on it, so a factory whose name does not
+    /// determine its options (thresholds, policies) must override the
+    /// default to include them.
+    fn build_key(&self) -> String {
+        self.name().to_string()
+    }
+
     /// Total flit width in bits (payload + control), used by the energy
     /// model: the paper reports 41 (backpressured), 45 (backpressureless)
     /// and 49 (AFC) bits for a 32-bit payload.

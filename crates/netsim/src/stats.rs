@@ -57,6 +57,11 @@ impl LatencyStats {
         self.max
     }
 
+    /// Empties the summary in place.
+    pub fn clear(&mut self) {
+        *self = LatencyStats::default();
+    }
+
     /// Serializes the summary for a snapshot.
     pub fn save(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.count);
@@ -469,226 +474,195 @@ impl SlidingWindow {
     }
 }
 
-/// Aggregate statistics for one simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct NetworkStats {
-    /// Packets enqueued at network interfaces.
-    pub packets_offered: u64,
-    /// Packets whose first flit entered the network.
-    pub packets_injected: u64,
-    /// Packets fully reassembled at their destination.
-    pub packets_delivered: u64,
-    /// Flits injected into the network.
-    pub flits_injected: u64,
-    /// Flits delivered (ejected and reassembled).
-    pub flits_delivered: u64,
-    /// Flits re-injected after being dropped (drop-based routers only).
-    pub flits_retransmitted: u64,
-    /// Flits that arrived at their destination NI with a mismatched
-    /// checksum (corrupted by a link fault) and were NACKed to the source.
-    pub flits_corrupted: u64,
-    /// Flits silently lost to injected link faults (transient drop or a
-    /// permanent kill).
-    pub flits_lost_to_faults: u64,
-    /// Credits lost to injected credit-channel faults.
-    pub credits_lost: u64,
-    /// NI retransmit timeouts that fired (each re-sends one whole packet).
-    pub retransmit_timeouts: u64,
-    /// Flits re-materialized by NI retransmit timeouts.
-    pub flits_retransmit_copies: u64,
-    /// Packets delivered only after at least one end-to-end retransmission.
-    pub recovered_packets: u64,
-    /// Redundant flit copies discarded at reassembly (a retransmitted copy
-    /// raced an original that eventually arrived).
-    pub duplicate_flits_discarded: u64,
-    /// NACKed flits retired at their source in favor of a full-packet
-    /// timeout retransmission (end-to-end recovery mode only).
-    pub nacks_absorbed: u64,
-    /// Total fault events injected by the fault plane.
-    pub faults_injected: u64,
-    /// Packets the NI gave up on after `max_attempts` retransmissions: the
-    /// structured `Unreachable` outcome of DESIGN.md §13 (the per-packet
-    /// records live in [`Network::unreachable_packets`]
-    /// (crate::network::Network::unreachable_packets)).
-    pub packets_unreachable: u64,
-    /// Retransmit-queue flit copies discarded (never injected) when their
-    /// packet was declared unreachable — the balancing term that keeps the
-    /// flit-conservation audit exact under bounded retransmission.
-    pub flits_abandoned: u64,
-    /// Partial reassembly buffers discarded after going quiet for the
-    /// recovery TTL — the destination-side cleanup for packets whose
-    /// source gave up (or whose remaining flits a kill made undeliverable);
-    /// without it a half-received packet would hold its NI non-idle
-    /// forever.
-    pub reassemblies_expired: u64,
-    /// Directed links whose death the engine's deterministic fault
-    /// detection has reported to the upstream router.
-    pub links_failed: u64,
-    /// Directed links whose revival the engine's deterministic repair
-    /// detection has reported to both endpoints (DESIGN.md §15).
-    pub links_revived: u64,
-    /// [`UnreachablePacket`](crate::ni::UnreachablePacket) records evicted
-    /// from the bounded unreachable log (oldest first) once it exceeded
-    /// [`Network::UNREACHABLE_LOG_CAP`](crate::network::Network::UNREACHABLE_LOG_CAP).
-    pub unreachable_records_dropped: u64,
-    /// Cycles from each link kill to its local detection (the fault plan's
-    /// configured detection delay; a distribution once plans mix delays).
-    pub fault_detection_latency: LatencyStats,
-    /// Network latency of delivered packets: first-flit injection to
-    /// last-flit delivery.
-    pub network_latency: LatencyStats,
-    /// Histogram of network latencies (for percentile reporting).
-    pub network_latency_hist: Histogram,
-    /// Total latency of delivered packets: enqueue (packet creation) to
-    /// last-flit delivery — includes source queueing delay.
-    pub total_latency: LatencyStats,
-    /// Hops taken by delivered flits.
-    pub flit_hops: LatencyStats,
-    /// Deflections suffered by delivered flits.
-    pub flit_deflections: LatencyStats,
-    /// Router-cycles spent in backpressured mode.
-    pub cycles_backpressured: u64,
-    /// Router-cycles spent in backpressureless mode.
-    pub cycles_backpressureless: u64,
-    /// Router-cycles spent transitioning between modes.
-    pub cycles_transitioning: u64,
-    /// High-water mark of simultaneously open reassembly buffers, across all
-    /// network interfaces.
-    pub reassembly_high_water: usize,
-    /// Cycles simulated.
-    pub cycles: Cycle,
+/// Declares a struct of mergeable measurements from one table. Each field
+/// names its fold — `sum` (a `u64` count, added), `max` (a `usize`
+/// high-water mark) or `dist` (a nested distribution with its own
+/// `clear`/`merge`/`save`/`load`) — and the struct, `clear`, `merge`, `save`
+/// and `load` are generated from that one list, in declaration order (which
+/// is the snapshot layout), as straight-line per-field code. Adding a field
+/// is one line here and cannot forget a fold.
+macro_rules! field_table {
+    (@clear dist $f:expr) => { $f.clear() };
+    (@clear $fold:ident $f:expr) => { $f = 0 };
+    (@merge sum $a:expr, $b:expr) => { $a += $b };
+    (@merge max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@merge dist $a:expr, $b:expr) => { $a.merge(&$b) };
+    (@save sum $f:expr, $w:ident) => { $w.put_u64($f) };
+    (@save max $f:expr, $w:ident) => { $w.put_usize($f) };
+    (@save dist $f:expr, $w:ident) => { $f.save($w) };
+    (@load sum $ty:ty, $r:ident, $what:expr) => { $r.get_u64($what)? };
+    (@load max $ty:ty, $r:ident, $what:expr) => { $r.get_usize($what)? };
+    (@load dist $ty:ty, $r:ident, $what:expr) => { <$ty>::load($r)? };
+    (@sample dist $f:expr, $n:expr) => { { $f.record($n); $f.record($n + 100) } };
+    (@sample $fold:ident $f:expr, $n:expr) => { $f = $n as _ };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty = $fold:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl $name {
+            /// Creates a zeroed table.
+            pub fn new() -> $name {
+                $name::default()
+            }
+
+            /// Zeroes every field in place, keeping any allocation a
+            /// nested distribution owns.
+            pub fn clear(&mut self) {
+                $( $crate::stats::field_table!(@clear $fold self.$field); )*
+            }
+
+            /// Folds `other` into `self`, each field by its declared fold.
+            pub fn merge(&mut self, other: &$name) {
+                $( $crate::stats::field_table!(@merge $fold self.$field, other.$field); )*
+            }
+
+            /// Serializes every field in declaration order.
+            pub fn save(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $( $crate::stats::field_table!(@save $fold self.$field, w); )*
+            }
+
+            /// Restores what `save` wrote.
+            ///
+            /// # Errors
+            ///
+            /// Decode errors on a truncated or malformed payload.
+            pub fn load(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<$name, $crate::snapshot::SnapshotError> {
+                Ok($name {
+                    $( $field: $crate::stats::field_table!(
+                        @load $fold $ty, r, concat!(stringify!($name), " ", stringify!($field))
+                    ), )*
+                })
+            }
+
+            /// Every field set to a distinct non-zero value (a distribution
+            /// gets two samples): the input of the field wall.
+            #[cfg(test)]
+            pub(crate) fn wall_sample() -> $name {
+                let mut sample = $name::default();
+                let mut n = 0u64;
+                $( n += 1; $crate::stats::field_table!(@sample $fold sample.$field, n); )*
+                sample
+            }
+        }
+    };
+}
+pub(crate) use field_table;
+
+field_table! {
+    /// Aggregate statistics for one simulation run.
+    ///
+    /// Every field is a sum-mergeable counter, a mergeable distribution or
+    /// a monotone high-water mark. Addition is commutative and associative,
+    /// and so are the distribution merges, so the parallel engine's
+    /// per-shard deltas fold to the exact bytes the serial engine would
+    /// have produced regardless of shard count — as long as deltas are
+    /// merged in a fixed order (they are: shard index). `cycles` is
+    /// advanced by the engine epilogue, never by shards, so a worker delta
+    /// always carries `cycles == 0`. `clear` keeps the histogram's bucket
+    /// allocation (the per-shard deltas are cleared every sharded cycle).
+    #[derive(Debug, Clone, Default)]
+    pub struct NetworkStats {
+        /// Packets enqueued at network interfaces.
+        pub packets_offered: u64 = sum,
+        /// Packets whose first flit entered the network.
+        pub packets_injected: u64 = sum,
+        /// Packets fully reassembled at their destination.
+        pub packets_delivered: u64 = sum,
+        /// Flits injected into the network.
+        pub flits_injected: u64 = sum,
+        /// Flits delivered (ejected and reassembled).
+        pub flits_delivered: u64 = sum,
+        /// Flits re-injected after being dropped (drop-based routers only).
+        pub flits_retransmitted: u64 = sum,
+        /// Flits that arrived at their destination NI with a mismatched
+        /// checksum (corrupted by a link fault) and were NACKed to the source.
+        pub flits_corrupted: u64 = sum,
+        /// Flits silently lost to injected link faults (transient drop or a
+        /// permanent kill).
+        pub flits_lost_to_faults: u64 = sum,
+        /// Credits lost to injected credit-channel faults.
+        pub credits_lost: u64 = sum,
+        /// NI retransmit timeouts that fired (each re-sends one whole packet).
+        pub retransmit_timeouts: u64 = sum,
+        /// Flits re-materialized by NI retransmit timeouts.
+        pub flits_retransmit_copies: u64 = sum,
+        /// Packets delivered only after at least one end-to-end retransmission.
+        pub recovered_packets: u64 = sum,
+        /// Redundant flit copies discarded at reassembly (a retransmitted copy
+        /// raced an original that eventually arrived).
+        pub duplicate_flits_discarded: u64 = sum,
+        /// NACKed flits retired at their source in favor of a full-packet
+        /// timeout retransmission (end-to-end recovery mode only).
+        pub nacks_absorbed: u64 = sum,
+        /// Total fault events injected by the fault plane.
+        pub faults_injected: u64 = sum,
+        /// Packets the NI gave up on after `max_attempts` retransmissions: the
+        /// structured `Unreachable` outcome of DESIGN.md §13 (the per-packet
+        /// records live in [`Network::unreachable_packets`]
+        /// (crate::network::Network::unreachable_packets)).
+        pub packets_unreachable: u64 = sum,
+        /// Retransmit-queue flit copies discarded (never injected) when their
+        /// packet was declared unreachable — the balancing term that keeps the
+        /// flit-conservation audit exact under bounded retransmission.
+        pub flits_abandoned: u64 = sum,
+        /// Partial reassembly buffers discarded after going quiet for the
+        /// recovery TTL — the destination-side cleanup for packets whose
+        /// source gave up (or whose remaining flits a kill made undeliverable);
+        /// without it a half-received packet would hold its NI non-idle
+        /// forever.
+        pub reassemblies_expired: u64 = sum,
+        /// Directed links whose death the engine's deterministic fault
+        /// detection has reported to the upstream router.
+        pub links_failed: u64 = sum,
+        /// Directed links whose revival the engine's deterministic repair
+        /// detection has reported to both endpoints (DESIGN.md §15).
+        pub links_revived: u64 = sum,
+        /// [`UnreachablePacket`](crate::ni::UnreachablePacket) records evicted
+        /// from the bounded unreachable log (oldest first) once it exceeded
+        /// [`Network::UNREACHABLE_LOG_CAP`](crate::network::Network::UNREACHABLE_LOG_CAP).
+        pub unreachable_records_dropped: u64 = sum,
+        /// Cycles from each link kill to its local detection (the fault plan's
+        /// configured detection delay; a distribution once plans mix delays).
+        pub fault_detection_latency: LatencyStats = dist,
+        /// Network latency of delivered packets: first-flit injection to
+        /// last-flit delivery.
+        pub network_latency: LatencyStats = dist,
+        /// Histogram of network latencies (for percentile reporting).
+        pub network_latency_hist: Histogram = dist,
+        /// Total latency of delivered packets: enqueue (packet creation) to
+        /// last-flit delivery — includes source queueing delay.
+        pub total_latency: LatencyStats = dist,
+        /// Hops taken by delivered flits.
+        pub flit_hops: LatencyStats = dist,
+        /// Deflections suffered by delivered flits.
+        pub flit_deflections: LatencyStats = dist,
+        /// Router-cycles spent in backpressured mode.
+        pub cycles_backpressured: u64 = sum,
+        /// Router-cycles spent in backpressureless mode.
+        pub cycles_backpressureless: u64 = sum,
+        /// Router-cycles spent transitioning between modes.
+        pub cycles_transitioning: u64 = sum,
+        /// High-water mark of simultaneously open reassembly buffers, across all
+        /// network interfaces.
+        pub reassembly_high_water: usize = max,
+        /// Cycles simulated.
+        pub cycles: Cycle = sum,
+    }
 }
 
 impl NetworkStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> NetworkStats {
-        NetworkStats::default()
-    }
-
-    /// Zeroes every counter and distribution in place, keeping the
-    /// histogram's bucket allocation (allocation-free reset for the
-    /// parallel engine's per-shard deltas). The exhaustive destructuring
-    /// makes adding a field without clearing it a compile error.
-    pub fn clear(&mut self) {
-        let NetworkStats {
-            packets_offered,
-            packets_injected,
-            packets_delivered,
-            flits_injected,
-            flits_delivered,
-            flits_retransmitted,
-            flits_corrupted,
-            flits_lost_to_faults,
-            credits_lost,
-            retransmit_timeouts,
-            flits_retransmit_copies,
-            recovered_packets,
-            duplicate_flits_discarded,
-            nacks_absorbed,
-            faults_injected,
-            packets_unreachable,
-            flits_abandoned,
-            reassemblies_expired,
-            links_failed,
-            links_revived,
-            unreachable_records_dropped,
-            fault_detection_latency,
-            network_latency,
-            network_latency_hist,
-            total_latency,
-            flit_hops,
-            flit_deflections,
-            cycles_backpressured,
-            cycles_backpressureless,
-            cycles_transitioning,
-            reassembly_high_water,
-            cycles,
-        } = self;
-        *packets_offered = 0;
-        *packets_injected = 0;
-        *packets_delivered = 0;
-        *flits_injected = 0;
-        *flits_delivered = 0;
-        *flits_retransmitted = 0;
-        *flits_corrupted = 0;
-        *flits_lost_to_faults = 0;
-        *credits_lost = 0;
-        *retransmit_timeouts = 0;
-        *flits_retransmit_copies = 0;
-        *recovered_packets = 0;
-        *duplicate_flits_discarded = 0;
-        *nacks_absorbed = 0;
-        *faults_injected = 0;
-        *packets_unreachable = 0;
-        *flits_abandoned = 0;
-        *reassemblies_expired = 0;
-        *links_failed = 0;
-        *links_revived = 0;
-        *unreachable_records_dropped = 0;
-        *fault_detection_latency = LatencyStats::default();
-        *network_latency = LatencyStats::default();
-        network_latency_hist.clear();
-        *total_latency = LatencyStats::default();
-        *flit_hops = LatencyStats::default();
-        *flit_deflections = LatencyStats::default();
-        *cycles_backpressured = 0;
-        *cycles_backpressureless = 0;
-        *cycles_transitioning = 0;
-        *reassembly_high_water = 0;
-        *cycles = 0;
-    }
-
     /// Bytes of heap owned by the statistics (histogram buckets).
     pub fn heap_bytes(&self) -> usize {
         self.network_latency_hist.heap_bytes()
-    }
-
-    /// Folds a worker shard's statistics delta into this accumulator.
-    ///
-    /// Every field is either a sum-mergeable counter, a mergeable
-    /// distribution ([`LatencyStats::merge`] / [`Histogram::merge`]), or a
-    /// monotone high-water mark (max). Addition is commutative and
-    /// associative, and `LatencyStats`/`Histogram` merges are too, so the
-    /// parallel engine's per-shard deltas fold to the exact bytes the
-    /// serial engine would have produced regardless of shard count — as
-    /// long as deltas are merged in a fixed order (they are: shard index).
-    ///
-    /// `cycles` is advanced by the engine epilogue, never by shards, so a
-    /// worker delta always carries `cycles == 0`.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        self.packets_offered += other.packets_offered;
-        self.packets_injected += other.packets_injected;
-        self.packets_delivered += other.packets_delivered;
-        self.flits_injected += other.flits_injected;
-        self.flits_delivered += other.flits_delivered;
-        self.flits_retransmitted += other.flits_retransmitted;
-        self.flits_corrupted += other.flits_corrupted;
-        self.flits_lost_to_faults += other.flits_lost_to_faults;
-        self.credits_lost += other.credits_lost;
-        self.retransmit_timeouts += other.retransmit_timeouts;
-        self.flits_retransmit_copies += other.flits_retransmit_copies;
-        self.recovered_packets += other.recovered_packets;
-        self.duplicate_flits_discarded += other.duplicate_flits_discarded;
-        self.nacks_absorbed += other.nacks_absorbed;
-        self.faults_injected += other.faults_injected;
-        self.packets_unreachable += other.packets_unreachable;
-        self.flits_abandoned += other.flits_abandoned;
-        self.reassemblies_expired += other.reassemblies_expired;
-        self.links_failed += other.links_failed;
-        self.links_revived += other.links_revived;
-        self.unreachable_records_dropped += other.unreachable_records_dropped;
-        self.fault_detection_latency
-            .merge(&other.fault_detection_latency);
-        self.network_latency.merge(&other.network_latency);
-        self.network_latency_hist.merge(&other.network_latency_hist);
-        self.total_latency.merge(&other.total_latency);
-        self.flit_hops.merge(&other.flit_hops);
-        self.flit_deflections.merge(&other.flit_deflections);
-        self.cycles_backpressured += other.cycles_backpressured;
-        self.cycles_backpressureless += other.cycles_backpressureless;
-        self.cycles_transitioning += other.cycles_transitioning;
-        self.reassembly_high_water = self.reassembly_high_water.max(other.reassembly_high_water);
-        self.cycles += other.cycles;
     }
 
     /// Delivered throughput in flits per node per cycle.
@@ -709,84 +683,6 @@ impl NetworkStats {
         }
     }
 
-    /// Serializes every counter and distribution for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        for v in [
-            self.packets_offered,
-            self.packets_injected,
-            self.packets_delivered,
-            self.flits_injected,
-            self.flits_delivered,
-            self.flits_retransmitted,
-            self.flits_corrupted,
-            self.flits_lost_to_faults,
-            self.credits_lost,
-            self.retransmit_timeouts,
-            self.flits_retransmit_copies,
-            self.recovered_packets,
-            self.duplicate_flits_discarded,
-            self.nacks_absorbed,
-            self.faults_injected,
-            self.packets_unreachable,
-            self.flits_abandoned,
-            self.reassemblies_expired,
-            self.links_failed,
-            self.links_revived,
-            self.unreachable_records_dropped,
-        ] {
-            w.put_u64(v);
-        }
-        self.fault_detection_latency.save(w);
-        self.network_latency.save(w);
-        self.network_latency_hist.save(w);
-        self.total_latency.save(w);
-        self.flit_hops.save(w);
-        self.flit_deflections.save(w);
-        w.put_u64(self.cycles_backpressured);
-        w.put_u64(self.cycles_backpressureless);
-        w.put_u64(self.cycles_transitioning);
-        w.put_usize(self.reassembly_high_water);
-        w.put_u64(self.cycles);
-    }
-
-    /// Restores statistics written by [`NetworkStats::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<NetworkStats, SnapshotError> {
-        Ok(NetworkStats {
-            packets_offered: r.get_u64("stats packets_offered")?,
-            packets_injected: r.get_u64("stats packets_injected")?,
-            packets_delivered: r.get_u64("stats packets_delivered")?,
-            flits_injected: r.get_u64("stats flits_injected")?,
-            flits_delivered: r.get_u64("stats flits_delivered")?,
-            flits_retransmitted: r.get_u64("stats flits_retransmitted")?,
-            flits_corrupted: r.get_u64("stats flits_corrupted")?,
-            flits_lost_to_faults: r.get_u64("stats flits_lost_to_faults")?,
-            credits_lost: r.get_u64("stats credits_lost")?,
-            retransmit_timeouts: r.get_u64("stats retransmit_timeouts")?,
-            flits_retransmit_copies: r.get_u64("stats flits_retransmit_copies")?,
-            recovered_packets: r.get_u64("stats recovered_packets")?,
-            duplicate_flits_discarded: r.get_u64("stats duplicate_flits_discarded")?,
-            nacks_absorbed: r.get_u64("stats nacks_absorbed")?,
-            faults_injected: r.get_u64("stats faults_injected")?,
-            packets_unreachable: r.get_u64("stats packets_unreachable")?,
-            flits_abandoned: r.get_u64("stats flits_abandoned")?,
-            reassemblies_expired: r.get_u64("stats reassemblies_expired")?,
-            links_failed: r.get_u64("stats links_failed")?,
-            links_revived: r.get_u64("stats links_revived")?,
-            unreachable_records_dropped: r.get_u64("stats unreachable_records_dropped")?,
-            fault_detection_latency: LatencyStats::load(r)?,
-            network_latency: LatencyStats::load(r)?,
-            network_latency_hist: Histogram::load(r)?,
-            total_latency: LatencyStats::load(r)?,
-            flit_hops: LatencyStats::load(r)?,
-            flit_deflections: LatencyStats::load(r)?,
-            cycles_backpressured: r.get_u64("stats cycles_backpressured")?,
-            cycles_backpressureless: r.get_u64("stats cycles_backpressureless")?,
-            cycles_transitioning: r.get_u64("stats cycles_transitioning")?,
-            reassembly_high_water: r.get_usize("stats reassembly_high_water")?,
-            cycles: r.get_u64("stats cycles")?,
-        })
-    }
-
     /// Fraction of router-cycles spent in backpressured mode (including
     /// transitions, which run backpressureless hardware but are attributed
     /// separately).
@@ -802,8 +698,63 @@ impl NetworkStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The wall every `field_table!` struct stands behind: `sample` (all
+    /// fields distinct and non-zero) survives `save → load → save` byte for
+    /// byte, `merge` into `default()` reproduces it, a second `merge` moves
+    /// it (the fold is not an overwrite), and `clear` returns `default()`.
+    pub(crate) fn assert_field_wall<T: Default + Clone>(
+        sample: T,
+        save: fn(&T, &mut SnapshotWriter),
+        load: fn(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
+        merge: fn(&mut T, &T),
+        clear: fn(&mut T),
+    ) {
+        let bytes = |value: &T| {
+            let mut w = SnapshotWriter::new();
+            save(value, &mut w);
+            w.into_bytes()
+        };
+        let saved = bytes(&sample);
+        let mut r = SnapshotReader::new(&saved);
+        let loaded = load(&mut r).expect("a saved table loads");
+        r.finish("field table")
+            .expect("load consumes what save wrote");
+        assert_eq!(bytes(&loaded), saved, "save -> load -> save");
+        let mut merged = T::default();
+        merge(&mut merged, &sample);
+        assert_eq!(bytes(&merged), saved, "merge into default()");
+        merge(&mut merged, &sample);
+        assert_ne!(bytes(&merged), saved, "a second merge accumulates");
+        let mut cleared = sample;
+        clear(&mut cleared);
+        assert_eq!(bytes(&cleared), bytes(&T::default()), "clear == default()");
+    }
+
+    #[test]
+    fn every_stats_field_survives_the_field_wall() {
+        let sample = NetworkStats::wall_sample();
+        // The sample really is set field by field: two counters differ and
+        // are non-zero, a nested distribution holds its two samples.
+        assert!(sample.packets_offered != 0 && sample.cycles != 0);
+        assert_ne!(sample.packets_offered, sample.cycles);
+        assert_eq!(sample.network_latency_hist.count(), 2);
+        assert_field_wall(
+            sample.clone(),
+            NetworkStats::save,
+            NetworkStats::load,
+            NetworkStats::merge,
+            NetworkStats::clear,
+        );
+        // The one non-additive fold: a high-water mark merges by max.
+        let mut twice = sample.clone();
+        twice.merge(&sample);
+        assert_eq!(twice.reassembly_high_water, sample.reassembly_high_water);
+        assert_eq!(twice.cycles_transitioning, 2 * sample.cycles_transitioning);
+        assert_eq!(twice.flit_hops.count(), 4);
+    }
 
     #[test]
     fn latency_stats_basic() {

@@ -60,10 +60,10 @@
 use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
-use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, RouteOutcome};
+use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, ResyncHandshake, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
 use afc_netsim::geom::Direction;
-use afc_netsim::geom::{Coord, DirMap, NodeId, PortId, PortMap};
+use afc_netsim::geom::{Coord, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
 use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -230,15 +230,10 @@ pub struct BackpressuredRouter {
     /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
     /// §13). While clean, routing stays on the historical DOR path.
     fa: FaultAwareness,
-    /// Output ports held ineligible while the credit re-sync handshake for
-    /// a revived link is in flight (DESIGN.md §15): the credit pool was
-    /// zeroed at the revival and is restored to full depth only by the
-    /// downstream endpoint's [`ControlSignal::CreditResync`].
-    resync_wait: DirMap<bool>,
-    /// Revived *input* links whose upstream endpoint still awaits our
-    /// `CreditResync` confirmation, keyed by input direction and carrying
-    /// the link epoch to echo. Sent once the port's buffers are empty.
-    resync_pending: DirMap<Option<u32>>,
+    /// Credit re-sync handshake for revived links (DESIGN.md §15.3): a
+    /// held output's pool was zeroed at the revival and returns to full
+    /// depth only on the downstream endpoint's confirmation.
+    resync: ResyncHandshake,
     counters: ActivityCounters,
 }
 
@@ -323,8 +318,7 @@ impl BackpressuredRouter {
             port_occ: PortMap::default(),
             winners_scratch: Vec::with_capacity(PortId::ALL.len() + 4),
             fa: FaultAwareness::new(node, mesh.clone()),
-            resync_wait: DirMap::default(),
-            resync_pending: DirMap::default(),
+            resync: ResyncHandshake::default(),
             counters: ActivityCounters::new(),
             layout,
         }
@@ -578,35 +572,15 @@ impl BackpressuredRouter {
 
     /// Reacts to an alive-state transition of a link incident to this
     /// router (learned locally from the engine's detector or remotely via
-    /// gossip): runs this router's half of the credit re-sync handshake
-    /// (DESIGN.md §15). Mask updates and route rebuilds already happened
-    /// inside [`FaultAwareness`].
+    /// gossip). Mask updates and route rebuilds already happened inside
+    /// [`FaultAwareness`]; an own output link that revived starts the
+    /// credit re-sync handshake with an empty pool.
     fn apply_link_update(&mut self, update: &LinkUpdate) {
-        if let Some((d, alive, _epoch)) = update.local_out {
-            if alive {
-                // Own output link revived: in-flight credits were lost with
-                // the link and the downstream buffers may still hold
-                // pre-kill flits, so the credit pool is unknown. Zero it
-                // and hold the port ineligible until the downstream
-                // endpoint confirms its buffers drained (CreditResync), at
-                // which point a full pool is exactly correct — nothing is
-                // in flight while the port is blocked.
-                let di = d.index();
-                if self.out_present[di] {
-                    self.credits[di * self.total..(di + 1) * self.total].fill(0);
-                }
-                self.resync_wait[d] = true;
-            } else {
-                // Killed (again): abandon any handshake in progress; the
-                // next revival restarts it under a higher epoch.
-                self.resync_wait[d] = false;
+        if let Some(d) = self.resync.on_link_update(update, |_| true) {
+            let di = d.index();
+            if self.out_present[di] {
+                self.credits[di * self.total..(di + 1) * self.total].fill(0);
             }
-        }
-        if let Some((d, alive, epoch)) = update.local_in {
-            // Link entering this router through input port `d`: on revival
-            // the upstream endpoint waits for our confirmation that its
-            // pre-kill flits drained from our buffers before resuming.
-            self.resync_pending[d] = alive.then_some(epoch);
         }
     }
 
@@ -627,7 +601,7 @@ impl BackpressuredRouter {
             let lane = pi * total + vc;
             let r = self.route[lane] as usize;
             if r < DIRS {
-                if self.resync_wait[Direction::ALL[r]] {
+                if self.resync.wait_mask() >> r & 1 != 0 {
                     continue;
                 }
                 let ovc = self.out_vc[lane];
@@ -685,10 +659,7 @@ impl Router for BackpressuredRouter {
         // backpressured network never sees them. Fault gossip and the
         // credit re-sync handshake, however, are mechanism-independent.
         if let ControlSignal::CreditResync { node, dir, epoch } = signal {
-            if node == self.node
-                && self.resync_wait[dir]
-                && epoch == self.fa.link_epoch(self.node, dir)
-            {
+            if self.resync.confirm(&self.fa, node, dir, epoch) {
                 // The downstream buffers are empty and nothing is in
                 // flight (the port was ineligible throughout the wait), so
                 // a full credit pool is exactly correct.
@@ -698,7 +669,6 @@ impl Router for BackpressuredRouter {
                         self.credits[di * self.total + v] = *depth as u16;
                     }
                 }
-                self.resync_wait[dir] = false;
             }
             return;
         }
@@ -781,27 +751,10 @@ impl Router for BackpressuredRouter {
             // router is already clean again when it re-gossips them).
             self.fa.drain_gossip(out);
         }
-        // Downstream half of the credit re-sync handshake: once a revived
-        // input port has drained every pre-kill flit, tell the upstream
-        // endpoint its credit pool may return to full. One signal per
-        // cycle keeps the control lane within LANE_CAP alongside gossip.
-        for d in Direction::ALL {
-            let Some(epoch) = self.resync_pending[d] else {
-                continue;
-            };
-            if self.port_occ[PortId::Net(d)] != 0 {
-                continue;
-            }
-            if let Some(up) = self.mesh.neighbor(self.node, d) {
-                out.control.push(ControlSignal::CreditResync {
-                    node: up,
-                    dir: d.opposite(),
-                    epoch,
-                });
-                self.counters.control_sends += 1;
-            }
-            self.resync_pending[d] = None;
-            break;
+        if self.resync.has_pending() {
+            let port_occ = &self.port_occ;
+            let drained = |d| port_occ[PortId::Net(d)] == 0;
+            self.resync.emit(&self.fa, drained, out, &mut self.counters);
         }
         self.allocate_routes_and_vcs();
 
@@ -992,9 +945,7 @@ impl Router for BackpressuredRouter {
         // `note_idle_cycles` replays it exactly. Pending fault gossip keeps
         // the router live: an idle step still drains the flood queue. A
         // pending credit re-sync likewise: the step must emit the signal.
-        self.occ == 0
-            && !self.fa.has_pending_gossip()
-            && self.resync_pending.iter().all(|(_, p)| p.is_none())
+        self.occ == 0 && !self.fa.has_pending_gossip() && !self.resync.has_pending()
     }
 
     fn reset(&mut self) -> bool {
@@ -1030,8 +981,7 @@ impl Router for BackpressuredRouter {
         self.port_occ = PortMap::default();
         self.winners_scratch.clear();
         self.fa.reset();
-        self.resync_wait = DirMap::default();
-        self.resync_pending = DirMap::default();
+        self.resync.reset();
         self.counters = ActivityCounters::new();
         true
     }
@@ -1097,16 +1047,7 @@ impl Router for BackpressuredRouter {
         for rr in &self.inject_rr {
             w.put_usize(*rr);
         }
-        for d in Direction::ALL {
-            w.put_bool(self.resync_wait[d]);
-            match self.resync_pending[d] {
-                Some(e) => {
-                    w.put_bool(true);
-                    w.put_u32(e);
-                }
-                None => w.put_bool(false),
-            }
-        }
+        self.resync.save(w);
         self.counters.save(w);
         self.fa.save(w);
         Ok(())
@@ -1218,14 +1159,7 @@ impl Router for BackpressuredRouter {
             }
             *rr = v;
         }
-        for d in Direction::ALL {
-            self.resync_wait[d] = r.get_bool("resync wait")?;
-            self.resync_pending[d] = if r.get_bool("resync pending presence")? {
-                Some(r.get_u32("resync pending epoch")?)
-            } else {
-                None
-            };
-        }
+        self.resync.load(r)?;
         self.counters = ActivityCounters::load(r)?;
         self.fa.load(r)?;
         self.occ = occ;
@@ -1303,6 +1237,10 @@ impl RouterFactory for BackpressuredFactory {
         } else {
             "backpressured"
         }
+    }
+
+    fn build_key(&self) -> String {
+        format!("{self:?}")
     }
 
     fn flit_width_bits(&self) -> u32 {

@@ -51,6 +51,10 @@ impl RouterFactory for DropFactory {
         "drop"
     }
 
+    fn build_key(&self) -> String {
+        format!("{self:?}")
+    }
+
     fn flit_width_bits(&self) -> u32 {
         FLIT_WIDTH_BITS
     }

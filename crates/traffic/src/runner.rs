@@ -78,13 +78,14 @@ pub trait WarmStore: Sync {
 }
 
 /// Warm-start fingerprint: FNV-1a over every input that determines the
-/// post-warmup state — phase label, full network config (mesh, thresholds,
-/// fault plan, retransmit), mechanism name, seed, and the traffic/warmup
-/// parameters rendered via `Debug`. Two runs with equal keys are
-/// guaranteed byte-identical through warmup; anything that could diverge
-/// them must be part of `detail`.
-pub fn warm_key(phase: &str, net_cfg: &NetworkConfig, mechanism: &str, detail: &str) -> u64 {
-    let repr = format!("{phase}|{net_cfg:?}|{mechanism}|{detail}");
+/// post-warmup state — phase label, full network config (mesh, fault plan,
+/// retransmit), the router factory's [`RouterFactory::build_key`] (its
+/// mechanism and private options such as thresholds), seed, and the
+/// traffic/warmup parameters rendered via `Debug`. Two runs with equal
+/// keys are guaranteed byte-identical through warmup; anything that could
+/// diverge them must be part of `detail`.
+pub fn warm_key(phase: &str, net_cfg: &NetworkConfig, build_key: &str, detail: &str) -> u64 {
+    let repr = format!("{phase}|{net_cfg:?}|{build_key}|{detail}");
     snapshot::fnv1a64(repr.as_bytes())
 }
 
@@ -174,7 +175,7 @@ pub fn run_closed_loop_with(
     let key = warm_key(
         "closed-loop",
         net_cfg,
-        factory.name(),
+        &factory.build_key(),
         &format!("{}|{warmup_txns}|{seed}", workload.name),
     );
 
@@ -281,7 +282,7 @@ pub fn run_open_loop_with(
     let key = warm_key(
         "open-loop",
         net_cfg,
-        factory.name(),
+        &factory.build_key(),
         &format!("{rates:?}|{pattern:?}|{mix:?}|{warmup_cycles}|{seed}"),
     );
 

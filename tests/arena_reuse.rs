@@ -134,6 +134,69 @@ fn reset_refuses_incompatible_configurations() {
     assert!(net.reset_from_config(&cfg, afc.factory.as_ref(), 0xFFFF_FFFF));
 }
 
+/// A factory's private options are in neither its name nor the network
+/// configuration. A same-named factory with different options must be
+/// refused — or reset to exactly what it would have built: either way the
+/// routers may not keep running the previous options.
+#[test]
+fn same_named_factory_with_other_options_never_inherits_the_old_routers() {
+    use afc_core::{AfcConfig, AfcFactory, ClassThresholds};
+    use afc_netsim::router::RouterFactory;
+    use afc_routers::backpressured::{
+        BackpressuredFactory, BackpressuredOptions, RoutingAlgorithm,
+    };
+    use afc_routers::deflection::RankPolicy;
+    use afc_routers::drop::DropFactory;
+
+    let eager = AfcFactory::new(AfcConfig {
+        thresholds: ClassThresholds {
+            corner: (0.2, 0.1),
+            edge: (0.2, 0.1),
+            center: (0.2, 0.1),
+        },
+        ..AfcConfig::paper()
+    });
+    let y_first = BackpressuredFactory::with_options(BackpressuredOptions {
+        routing: RoutingAlgorithm::YFirst,
+        ..BackpressuredOptions::default()
+    });
+    let oldest = DropFactory {
+        policy: RankPolicy::OldestFirst,
+    };
+    let pairs: [(&dyn RouterFactory, &dyn RouterFactory); 3] = [
+        (&AfcFactory::paper(), &eager),
+        (&BackpressuredFactory::new(), &y_first),
+        (&DropFactory::new(), &oldest),
+    ];
+    let cfg = NetworkConfig::paper_8x8();
+    const SEED: u64 = 0x0B7;
+    for (built_with, reset_with) in pairs {
+        assert_eq!(built_with.name(), reset_with.name(), "same name by design");
+        let run = |net: Network| {
+            let mut sim = Simulation::new(net, traffic(Pattern::Transpose, SEED));
+            sim.run(400);
+            state_fp(&sim)
+        };
+        let fresh = run(Network::new(cfg.clone(), reset_with, SEED).expect("valid"));
+        let own = run(Network::new(cfg.clone(), built_with, SEED).expect("valid"));
+        assert_ne!(fresh, own, "{}: the options must matter", built_with.name());
+        let mut arena = Network::new(cfg.clone(), built_with, 1).expect("valid");
+        if arena.reset_from_config(&cfg, reset_with, SEED) {
+            assert_eq!(
+                run(arena),
+                fresh,
+                "{}: reset accepted a differently-configured factory and \
+                 kept the old routers",
+                built_with.name()
+            );
+        }
+        // The same options are still arena-compatible.
+        let mut arena = Network::new(cfg.clone(), reset_with, 1).expect("valid");
+        assert!(arena.reset_from_config(&cfg, reset_with, SEED));
+        assert_eq!(run(arena), fresh);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SIGKILL smoke with a populated warm cache
 // ---------------------------------------------------------------------------
