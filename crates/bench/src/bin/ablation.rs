@@ -8,7 +8,9 @@
 //! 6. backpressured router design options (XY vs. YX routing, atomic vs.
 //!    back-to-back VC reallocation).
 
-use afc_bench::experiments::{closed_loop_matrix, latency_throughput_sweep, saturation_throughput};
+use afc_bench::experiments::{
+    closed_loop_matrix, open_loop_grid, saturation_throughput, SweepPoint,
+};
 use afc_bench::mechanisms::Mechanism;
 use afc_bench::report::{percent, ratio, Table};
 use afc_core::{AfcConfig, AfcFactory, ClassThresholds};
@@ -31,9 +33,7 @@ fn scaled_thresholds(scale: f64) -> ClassThresholds {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    afc_bench::sweep::parse_threads_arg_or_exit(&args);
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let cfg = NetworkConfig::paper_3x3();
     let (warmup, measure) = if quick { (100, 400) } else { (300, 1_500) };
     let (ol_warm, ol_meas) = if quick {
@@ -56,32 +56,39 @@ fn main() {
     let mut t = Table::new(vec![
         "variant", "lat@0.1", "lat@0.3", "lat@0.5", "lat@0.7", "sat thpt",
     ]);
-    let rows = afc_bench::sweep::run_sweep("ablation-variants", &variants, |_, m| {
-        let pts = latency_throughput_sweep(
-            m,
-            &rates,
+    let latency = |p: &SweepPoint| p.latency.map_or("-".into(), |l| format!("{l:.0}"));
+    let open_loop = |mechs: &[Mechanism], rates: &[f64], pattern| {
+        let mix = PacketMix::paper();
+        open_loop_grid(
+            mechs,
+            rates,
             &cfg,
-            Pattern::UniformRandom,
-            PacketMix::paper(),
+            pattern,
+            mix,
             ol_warm,
             ol_meas,
             1,
-        );
+            |_, r, out| SweepPoint::of(r, out),
+        )
+    };
+    let points = open_loop(&variants, &rates, Pattern::UniformRandom);
+    for (m, pts) in variants.iter().zip(points.chunks(rates.len())) {
         let mut cells = vec![m.label.to_string()];
-        for p in &pts {
-            cells.push(
-                p.latency
-                    .map(|l| format!("{l:.0}"))
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        cells.push(format!("{:.2}", saturation_throughput(&pts)));
-        cells
-    });
-    for row in rows {
-        t.row(row);
+        cells.extend(pts.iter().map(latency));
+        cells.push(format!("{:.2}", saturation_throughput(pts)));
+        t.row(cells);
     }
     println!("{}", t.render());
+
+    // 3-5: AFC variants, closed loop, one flat grid per workload.
+    let afc = |label, tweak: &dyn Fn(&mut AfcConfig)| {
+        let mut config = AfcConfig::paper();
+        tweak(&mut config);
+        Mechanism::new(label, Box::new(AfcFactory::new(config)))
+    };
+    let closed_loop = |mechs: &[Mechanism], workload| {
+        closed_loop_matrix(mechs, &[workload], &cfg, warmup, measure, 50_000_000, 1)
+    };
 
     // 3: threshold scaling on the mixed-load workload (ocean).
     println!("Ablation 3: AFC contention-threshold scaling (ocean)\n");
@@ -91,64 +98,30 @@ fn main() {
         "cycles",
         "fwd switches",
     ]);
-    let rows = afc_bench::sweep::run_sweep("ablation-thresholds", &[0.5, 1.0, 2.0], |_, &scale| {
-        let mech = Mechanism::new(
-            "afc",
-            Box::new(AfcFactory::new(AfcConfig {
-                thresholds: scaled_thresholds(scale),
-                ..AfcConfig::paper()
-            })),
-        );
-        let rows = closed_loop_matrix(
-            std::slice::from_ref(&mech),
-            &[workloads::ocean()],
-            &cfg,
-            warmup,
-            measure,
-            50_000_000,
-            1,
-        );
-        vec![
+    let scales = [0.5, 1.0, 2.0];
+    let mechs = scales.map(|scale| afc("afc", &|c| c.thresholds = scaled_thresholds(scale)));
+    for (scale, row) in scales.iter().zip(closed_loop(&mechs, workloads::ocean())) {
+        t.row(vec![
             format!("{scale:.1}x"),
-            percent(rows[0].backpressured_fraction),
-            rows[0].cycles.to_string(),
-            rows[0].mode_switches.0.to_string(),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+            percent(row.backpressured_fraction),
+            row.cycles.to_string(),
+            row.mode_switches.0.to_string(),
+        ]);
     }
     println!("{}", t.render());
 
     // 4: EWMA weight on ocean (smoothing vs. thrash).
     println!("Ablation 4: EWMA weight (ocean)\n");
     let mut t = Table::new(vec!["weight", "fwd switches", "rev switches", "cycles"]);
-    let rows = afc_bench::sweep::run_sweep("ablation-ewma", &[0.90, 0.99, 0.999], |_, &weight| {
-        let mech = Mechanism::new(
-            "afc",
-            Box::new(AfcFactory::new(AfcConfig {
-                ewma_weight: weight,
-                ..AfcConfig::paper()
-            })),
-        );
-        let rows = closed_loop_matrix(
-            std::slice::from_ref(&mech),
-            &[workloads::ocean()],
-            &cfg,
-            warmup,
-            measure,
-            50_000_000,
-            1,
-        );
-        vec![
+    let weights = [0.90, 0.99, 0.999];
+    let mechs = weights.map(|weight| afc("afc", &|c| c.ewma_weight = weight));
+    for (weight, row) in weights.iter().zip(closed_loop(&mechs, workloads::ocean())) {
+        t.row(vec![
             format!("{weight}"),
-            rows[0].mode_switches.0.to_string(),
-            rows[0].mode_switches.1.to_string(),
-            rows[0].cycles.to_string(),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+            row.mode_switches.0.to_string(),
+            row.mode_switches.1.to_string(),
+            row.cycles.to_string(),
+        ]);
     }
     println!("{}", t.render());
 
@@ -161,33 +134,20 @@ fn main() {
         "energy (uJ)",
     ]);
     let sizes = [(6, 8), (8, 16), (16, 32)];
-    let rows = afc_bench::sweep::run_sweep("ablation-buffers", &sizes, |_, &(c, d)| {
-        let afc_cfg = AfcConfig {
-            control_vcs: c,
-            data_vcs: d,
-            always_backpressured: true,
-            ..AfcConfig::paper()
-        };
-        let flits = afc_cfg.buffer_flits_per_port(&cfg);
-        let mech = Mechanism::new("afc-always-bp", Box::new(AfcFactory::new(afc_cfg)));
-        let rows = closed_loop_matrix(
-            std::slice::from_ref(&mech),
-            &[workloads::apache()],
-            &cfg,
-            warmup,
-            measure,
-            50_000_000,
-            1,
-        );
-        vec![
-            format!("{c}/{d}"),
-            flits.to_string(),
-            rows[0].cycles.to_string(),
-            ratio(rows[0].energy.total() / 1e6),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+    let sized = |&(control_vcs, data_vcs): &(usize, usize)| AfcConfig {
+        control_vcs,
+        data_vcs,
+        always_backpressured: true,
+        ..AfcConfig::paper()
+    };
+    let mechs = sizes.map(|size| afc("afc-always-bp", &|c| *c = sized(&size)));
+    for (size, row) in sizes.iter().zip(closed_loop(&mechs, workloads::apache())) {
+        t.row(vec![
+            format!("{}/{}", size.0, size.1),
+            sized(size).buffer_flits_per_port(&cfg).to_string(),
+            row.cycles.to_string(),
+            ratio(row.energy.total() / 1e6),
+        ]);
     }
     println!("{}", t.render());
 
@@ -212,33 +172,20 @@ fn main() {
             },
         ),
     ];
-    let rows =
-        afc_bench::sweep::run_sweep("ablation-bp-options", &variants, |_, &(label, options)| {
-            let mech = Mechanism::new(
-                "backpressured",
-                Box::new(BackpressuredFactory::with_options(options)),
-            );
-            let pts = latency_throughput_sweep(
-                &mech,
-                &[0.4],
-                &cfg,
-                Pattern::Transpose,
-                PacketMix::paper(),
-                ol_warm,
-                ol_meas,
-                1,
-            );
-            vec![
-                label.to_string(),
-                pts[0]
-                    .latency
-                    .map(|l| format!("{l:.0}"))
-                    .unwrap_or_else(|| "-".into()),
-                format!("{:.2}", pts[0].throughput),
-            ]
-        });
-    for row in rows {
-        t.row(row);
+    let mechs: Vec<Mechanism> = variants
+        .iter()
+        .map(|(_, options)| {
+            let factory = BackpressuredFactory::with_options(*options);
+            Mechanism::new("backpressured", Box::new(factory))
+        })
+        .collect();
+    let points = open_loop(&mechs, &[0.4], Pattern::Transpose);
+    for ((label, _), p) in variants.iter().zip(&points) {
+        t.row(vec![
+            label.to_string(),
+            latency(p),
+            format!("{:.2}", p.throughput),
+        ]);
     }
     println!("{}", t.render());
     let timing = afc_bench::sweep::write_timing_report("ablation").expect("writable results dir");

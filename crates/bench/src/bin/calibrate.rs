@@ -9,6 +9,7 @@ use afc_traffic::runner::run_closed_loop;
 use afc_traffic::workloads;
 
 fn main() {
+    afc_bench::sweep::HarnessArgs::from_env_or_exit(&[], &[]);
     let cfg = NetworkConfig::paper_3x3();
     let factory = BackpressuredFactory::new();
     let mut table = Table::new(vec![

@@ -19,7 +19,7 @@ use afc_traffic::synthetic::quadrant_of;
 use afc_traffic::workloads;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let (warmup_cycles, measure_cycles) = if quick {
         (3_000, 10_000)
     } else {

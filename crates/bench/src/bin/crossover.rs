@@ -6,18 +6,16 @@
 //! it, backpressured routing is. AFC's energy curve should hug the lower
 //! envelope of the two across the whole sweep.
 
+use afc_bench::experiments::open_loop_grid;
 use afc_bench::mechanisms::fig2_mechanisms;
 use afc_bench::report::Table;
 use afc_energy::{EnergyModel, EnergyParams};
 use afc_netsim::config::NetworkConfig;
-use afc_traffic::openloop::{PacketMix, RateSpec};
-use afc_traffic::runner::run_open_loop;
+use afc_traffic::openloop::PacketMix;
 use afc_traffic::synthetic::Pattern;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    afc_bench::sweep::parse_threads_arg_or_exit(&args);
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let (warmup, measure) = if quick {
         (1_500, 6_000)
     } else {
@@ -27,28 +25,20 @@ fn main() {
     let cfg = NetworkConfig::paper_3x3();
     let mechs = fig2_mechanisms();
 
-    // energy per delivered flit (pJ), per mechanism, per rate — one sweep
+    // energy per delivered flit (pJ), per mechanism, per rate — one grid
     // job per (mechanism, rate) point.
-    let jobs: Vec<(usize, f64)> = (0..mechs.len())
-        .flat_map(|mi| rates.iter().map(move |&r| (mi, r)))
-        .collect();
-    let points = afc_bench::sweep::run_sweep("crossover", &jobs, |_, &(mi, rate)| {
-        let model = EnergyModel::new(EnergyParams::micro2010_70nm());
-        let out = run_open_loop(
-            mechs[mi].factory.as_ref(),
-            &cfg,
-            RateSpec::Uniform(rate),
-            Pattern::UniformRandom,
-            PacketMix::paper(),
-            warmup,
-            measure,
-            1,
-        )
-        .expect("valid configuration");
-        let energy = mechs[mi].price(&model, &out.network).total();
-        let flits = out.stats.flits_delivered.max(1) as f64;
-        energy / flits
-    });
+    let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+    let points = open_loop_grid(
+        &mechs,
+        &rates,
+        &cfg,
+        Pattern::UniformRandom,
+        PacketMix::paper(),
+        warmup,
+        measure,
+        1,
+        |m, _, out| m.price(&model, &out.network).total() / out.stats.flits_delivered.max(1) as f64,
+    );
     let curves: Vec<(&str, Vec<f64>)> = mechs
         .iter()
         .zip(points.chunks(rates.len()))

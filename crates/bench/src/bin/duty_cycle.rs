@@ -10,9 +10,7 @@ use afc_netsim::config::NetworkConfig;
 use afc_traffic::workloads;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    afc_bench::sweep::parse_threads_arg_or_exit(&args);
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let (warmup, measure) = if quick { (100, 400) } else { (500, 2_000) };
     let mechs = vec![Mechanism::new("afc", Box::new(AfcFactory::paper()))];
     let rows = closed_loop_matrix(

@@ -119,9 +119,12 @@ fn panel(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    afc_bench::sweep::parse_threads_arg_or_exit(&args);
-    let explicit = |f: &str| args.iter().any(|a| a == f);
+    let switches = [
+        "--quick", "--low", "--high", "--perf", "--energy", "--csv", "--chart",
+    ];
+    let args =
+        afc_bench::sweep::HarnessArgs::from_env_or_exit(&switches, &["--svg", "--replicate"]);
+    let explicit = |f: &str| args.has(f);
     let want_load = |f: &str| (!explicit("--low") && !explicit("--high")) || explicit(f);
     let want_metric = |f: &str| (!explicit("--perf") && !explicit("--energy")) || explicit(f);
     let (warmup, measure) = if explicit("--quick") {
@@ -132,20 +135,11 @@ fn main() {
     let flags = OutputFlags {
         csv: explicit("--csv"),
         chart: explicit("--chart"),
-        svg_dir: args
-            .iter()
-            .position(|a| a == "--svg")
-            .and_then(|i| args.get(i + 1))
-            .cloned(),
+        svg_dir: args.value_or_exit("--svg"),
     };
     // `--replicate N` repeats every run across N seeds and reports
     // mean +/- standard deviation, like the paper's variance bars.
-    let replications: u64 = args
-        .iter()
-        .position(|a| a == "--replicate")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(1);
+    let replications: u64 = args.value_or_exit("--replicate").unwrap_or(1);
     let seeds: Vec<u64> = (1..=replications.max(1)).collect();
 
     let cfg = NetworkConfig::paper_3x3();

@@ -36,9 +36,9 @@ fn panel(title: &str, wls: &[WorkloadParams], warmup: u64, measure: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    afc_bench::sweep::parse_threads_arg_or_exit(&args);
-    let explicit = |f: &str| args.iter().any(|a| a == f);
+    let args =
+        afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick", "--low", "--high"], &[]);
+    let explicit = |f: &str| args.has(f);
     let want = |f: &str| (!explicit("--low") && !explicit("--high")) || explicit(f);
     let (warmup, measure) = if explicit("--quick") {
         (100, 400)

@@ -11,7 +11,7 @@ use afc_traffic::runner::run_open_loop;
 use afc_traffic::synthetic::Pattern;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let (warmup, measure) = if quick {
         (1_000, 8_000)
     } else {

@@ -60,15 +60,9 @@ impl HealingRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    afc_bench::sweep::parse_threads_arg_or_exit(&args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
+    let args = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &["--seed"]);
+    let quick = args.has("--quick");
+    let seed = args.value_or_exit("--seed").unwrap_or(1u64);
 
     // Timeline geometry. The settle margin after each transition keeps the
     // phase averages clear of the detection delay, the gossip wavefront,

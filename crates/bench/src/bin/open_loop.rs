@@ -22,17 +22,12 @@ use afc_traffic::openloop::PacketMix;
 use afc_traffic::synthetic::Pattern;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    sweep::parse_threads_arg_or_exit(&args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let resume = args.iter().any(|a| a == "--resume");
+    let args = sweep::HarnessArgs::from_env_or_exit(&["--quick", "--resume"], &["--svg"]);
+    let quick = args.has("--quick");
+    let resume = args.has("--resume");
     // `--svg <path>` additionally writes the latency-throughput curves as
     // an SVG figure.
-    let svg_path = args
-        .iter()
-        .position(|a| a == "--svg")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let svg_path: Option<String> = args.value_or_exit("--svg");
     let (warmup, measure) = if quick {
         (1_000, 4_000)
     } else {

@@ -61,7 +61,7 @@ fn energy_heatmap(mech: &afc_bench::Mechanism, warmup: u64, measure: u64) -> Str
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = afc_bench::sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let (warmup, measure) = if quick {
         (2_000, 8_000)
     } else {

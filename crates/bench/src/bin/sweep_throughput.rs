@@ -126,16 +126,7 @@ fn run_mode_best_of(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    match sweep::parse_threads_value(&args) {
-        Ok(Some(n)) => sweep::set_threads(n),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("sweep_throughput: {e}");
-            std::process::exit(2);
-        }
-    }
+    let quick = sweep::HarnessArgs::from_env_or_exit(&["--quick"], &[]).has("--quick");
     let threads = sweep::threads();
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())

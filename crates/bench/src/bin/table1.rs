@@ -151,8 +151,7 @@ fn table_workloads() -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    sweep::parse_threads_arg_or_exit(&args);
+    sweep::HarnessArgs::from_env_or_exit(&[], &[]);
     let sections = sweep::run_sweep("table1-sections", &[0usize, 1, 2], |_, &i| match i {
         0 => table_pipelines(),
         1 => table_machine(),

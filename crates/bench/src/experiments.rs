@@ -6,16 +6,15 @@ use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Cycle;
 use afc_netsim::network::Network;
 use afc_netsim::packet::DeliveredPacket;
-use afc_netsim::router::RouterFactory;
 use afc_netsim::sim::TrafficModel;
 use afc_netsim::stats::LatencyStats;
 use afc_traffic::closedloop::WorkloadParams;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
-use afc_traffic::runner::{run_closed_loop, run_open_loop, RunOutcome};
+use afc_traffic::runner::{RunKind, RunOutcome};
 use afc_traffic::synthetic::{quadrant_of, Pattern};
 
 use crate::mechanisms::Mechanism;
-use crate::sweep::{run_planned, run_sweep, threads, Plan};
+use crate::sweep::{run_grid, run_sweep, threads, Job, Tuning};
 
 /// Result of one (workload, mechanism) closed-loop cell.
 #[derive(Debug, Clone)]
@@ -38,112 +37,31 @@ pub struct ClosedLoopRow {
     pub mean_deflections: f64,
 }
 
-/// Plans and runs a (… × mechanism) grid with [`threads`] workers. `cells`
-/// names each job's mechanism (an index into `mechanisms`) and the rest of
-/// its simulation key: standard mechanisms that share a network
-/// ([`MechanismId::simulated_as`]) share a unit, a custom variant is always
-/// simulated on its own. `simulate` runs once per unit, on the factory the
-/// unit is simulated as, and `reduce` reads each member's result off that
-/// one outcome (pricing it with the member's own [`Mechanism::price`]).
+/// Runs `jobs` on the sweep engine's planner ([`run_grid`]) with [`threads`]
+/// workers and pooled arenas, sealing no warm-ups; `reduce` reads each
+/// job's result off its unit's outcome (pricing it with the job's own
+/// [`Mechanism::price`]).
 ///
 /// # Panics
 ///
 /// As [`crate::sweep::run_sweep`]: a unit failing every attempt panics,
 /// after the pool has finished the others.
-///
-/// [`MechanismId::simulated_as`]: crate::mechanisms::MechanismId::simulated_as
-fn run_cells<K, R, S, D>(
+fn grid<R: Send>(
     name: &str,
-    mechanisms: &[Mechanism],
-    cells: impl IntoIterator<Item = (usize, K)>,
-    simulate: S,
-    reduce: D,
-) -> Vec<R>
-where
-    K: Eq + std::hash::Hash,
-    R: Send,
-    S: Fn(&dyn RouterFactory, usize) -> RunOutcome + Sync,
-    D: Fn(&Mechanism, usize, &RunOutcome) -> R + Sync,
-{
-    let (of_job, rest): (Vec<usize>, Vec<K>) = cells.into_iter().unzip();
-    let plan = Plan::by_key(of_job.iter().zip(rest).map(|(&mi, rest)| {
-        let network = match mechanisms[mi].id {
-            Some(id) => (Some(id.simulated_as()), 0),
-            None => (None, mi),
-        };
-        (network, rest)
-    }));
-    let unit = |members: &[usize]| {
-        let first = &mechanisms[of_job[members[0]]];
-        let simulated = first.id.map(|id| id.simulated_as().mechanism());
-        let factory = simulated.as_ref().map_or(&first.factory, |m| &m.factory);
-        let out = simulate(factory.as_ref(), members[0]);
-        members
-            .iter()
-            .map(|&job| reduce(&mechanisms[of_job[job]], job, &out))
-            .collect()
+    net_cfg: &NetworkConfig,
+    jobs: &[Job<'_>],
+    reduce: impl Fn(&Job<'_>, usize, &RunOutcome) -> R + Sync,
+) -> Vec<R> {
+    let tuning = Tuning {
+        threads: threads(),
+        pool: true,
+        warm: false,
+        check_members: true,
     };
-    run_planned(name, &plan, |_| 0, &unit, threads(), |_, _| {})
+    run_grid(name, net_cfg, jobs, tuning, reduce, |_, _| {})
         .into_iter()
         .map(|r| r.unwrap_or_else(|fail| panic!("sweep '{name}': {fail}")))
         .collect()
-}
-
-/// Runs the (seed x workload x mechanism) closed-loop grid, seed-major and
-/// mechanism-minor, one simulation per planned unit.
-#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
-fn closed_loop_cells(
-    name: &str,
-    mechanisms: &[Mechanism],
-    workloads: &[WorkloadParams],
-    net_cfg: &NetworkConfig,
-    warmup_txns: u64,
-    measure_txns: u64,
-    max_cycles: u64,
-    seeds: &[u64],
-) -> Vec<ClosedLoopRow> {
-    // Shard at (seed x workload x mechanism) granularity so even a
-    // single-seed matrix fills every worker.
-    let cells: Vec<(u64, usize, usize)> = seeds
-        .iter()
-        .flat_map(|&s| {
-            (0..workloads.len())
-                .flat_map(move |wi| (0..mechanisms.len()).map(move |mi| (s, wi, mi)))
-        })
-        .collect();
-    let model = EnergyModel::new(EnergyParams::micro2010_70nm());
-    run_cells(
-        name,
-        mechanisms,
-        cells.iter().map(|&(s, wi, mi)| (mi, (s, wi))),
-        |factory, job| {
-            let (seed, wi, _) = cells[job];
-            run_closed_loop(
-                factory,
-                net_cfg,
-                workloads[wi],
-                warmup_txns,
-                measure_txns,
-                max_cycles,
-                seed,
-            )
-            .expect("valid configuration")
-        },
-        |m, job, out| ClosedLoopRow {
-            workload: workloads[cells[job].1].name,
-            mechanism: m.label,
-            cycles: out.measured_cycles,
-            injection_rate: out.injection_rate(),
-            energy: m.price(&model, &out.network),
-            backpressured_fraction: out.stats.backpressured_fraction(),
-            mode_switches: (
-                out.counters.mode_switches_forward,
-                out.counters.mode_switches_reverse,
-                out.counters.mode_switches_gossip,
-            ),
-            mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-        },
-    )
 }
 
 /// Runs the full (mechanism x workload) closed-loop matrix used by
@@ -160,8 +78,10 @@ pub fn closed_loop_matrix(
     max_cycles: u64,
     seed: u64,
 ) -> Vec<ClosedLoopRow> {
-    closed_loop_cells(
-        "closed-loop-matrix",
+    if mechanisms.is_empty() || workloads.is_empty() {
+        return Vec::new();
+    }
+    ReplicatedMatrix::run(
         mechanisms,
         workloads,
         net_cfg,
@@ -170,6 +90,8 @@ pub fn closed_loop_matrix(
         max_cycles,
         &[seed],
     )
+    .matrices
+    .remove(0)
 }
 
 /// Looks up one cell of a matrix.
@@ -256,8 +178,9 @@ pub struct ReplicatedMatrix {
 }
 
 impl ReplicatedMatrix {
-    /// Runs [`closed_loop_matrix`] once per seed.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the (seed x workload x mechanism) closed-loop grid — sharded at
+    /// that granularity, so even a single-seed matrix fills every worker —
+    /// into one workload-major, mechanism-minor matrix per seed.
     pub fn run(
         mechanisms: &[Mechanism],
         workloads: &[WorkloadParams],
@@ -268,16 +191,39 @@ impl ReplicatedMatrix {
         seeds: &[u64],
     ) -> ReplicatedMatrix {
         assert!(!seeds.is_empty(), "need at least one seed");
-        let rows = closed_loop_cells(
-            "replicated-matrix",
-            mechanisms,
-            workloads,
-            net_cfg,
-            warmup_txns,
-            measure_txns,
-            max_cycles,
-            seeds,
-        );
+        let cell = |seed, workload| {
+            mechanisms.iter().map(move |mechanism| Job {
+                mechanism,
+                seed,
+                kind: RunKind::ClosedLoop {
+                    workload,
+                    warmup_txns,
+                    measure_txns,
+                    max_cycles,
+                },
+            })
+        };
+        let jobs: Vec<Job<'_>> = seeds
+            .iter()
+            .flat_map(|&seed| workloads.iter().flat_map(move |&w| cell(seed, w)))
+            .collect();
+        let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+        let rows = grid("closed-loop-matrix", net_cfg, &jobs, |job, i, out| {
+            ClosedLoopRow {
+                workload: workloads[i / mechanisms.len() % workloads.len()].name,
+                mechanism: job.mechanism.label,
+                cycles: out.measured_cycles,
+                injection_rate: out.injection_rate(),
+                energy: job.mechanism.price(&model, &out.network),
+                backpressured_fraction: out.stats.backpressured_fraction(),
+                mode_switches: (
+                    out.counters.mode_switches_forward,
+                    out.counters.mode_switches_reverse,
+                    out.counters.mode_switches_gossip,
+                ),
+                mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
+            }
+        });
         let per_seed = workloads.len() * mechanisms.len();
         ReplicatedMatrix {
             matrices: rows
@@ -341,6 +287,18 @@ pub struct SweepPoint {
     pub mean_deflections: f64,
 }
 
+impl SweepPoint {
+    /// The point an open-loop run at `offered` load measured.
+    pub fn of(offered: f64, out: &RunOutcome) -> SweepPoint {
+        SweepPoint {
+            offered,
+            throughput: out.stats.throughput(out.network.mesh().node_count()),
+            latency: out.mean_latency(),
+            mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
+        }
+    }
+}
+
 /// Sweeps offered load for one mechanism under open-loop traffic.
 #[allow(clippy::too_many_arguments)]
 pub fn latency_throughput_sweep(
@@ -362,12 +320,7 @@ pub fn latency_throughput_sweep(
         warmup_cycles,
         measure_cycles,
         seed,
-        |_, offered, out| SweepPoint {
-            offered,
-            throughput: out.stats.throughput(out.network.mesh().node_count()),
-            latency: out.mean_latency(),
-            mean_deflections: out.stats.flit_deflections.mean().unwrap_or(0.0),
-        },
+        |_, offered, out| SweepPoint::of(offered, out),
     )
 }
 
@@ -393,26 +346,26 @@ where
     R: Send,
     D: Fn(&Mechanism, f64, &RunOutcome) -> R + Sync,
 {
-    let cell = |job: usize| (job / rates.len(), job % rates.len());
-    run_cells(
-        "open-loop-grid",
-        mechanisms,
-        (0..mechanisms.len() * rates.len()).map(cell),
-        |factory, job| {
-            run_open_loop(
-                factory,
-                net_cfg,
-                RateSpec::Uniform(rates[cell(job).1]),
-                pattern.clone(),
-                mix,
-                warmup_cycles,
-                measure_cycles,
+    let jobs: Vec<Job<'_>> = mechanisms
+        .iter()
+        .flat_map(|mechanism| {
+            let pattern = &pattern;
+            rates.iter().map(move |&rate| Job {
+                mechanism,
                 seed,
-            )
-            .expect("valid configuration")
-        },
-        |m, job, out| reduce(m, rates[cell(job).1], out),
-    )
+                kind: RunKind::OpenLoop {
+                    rate,
+                    pattern: pattern.clone(),
+                    mix,
+                    warmup_cycles,
+                    measure_cycles,
+                },
+            })
+        })
+        .collect();
+    grid("open-loop-grid", net_cfg, &jobs, |job, i, out| {
+        reduce(job.mechanism, rates[i % rates.len()], out)
+    })
 }
 
 /// Estimates saturation throughput: the highest accepted throughput over a
@@ -550,6 +503,12 @@ mod tests {
         assert!(
             e > 0.0 && e < 1.0,
             "bufferless must save energy at low load"
+        );
+        // An empty axis is an empty matrix, not a panic.
+        let cfg = NetworkConfig::paper_3x3();
+        assert!(closed_loop_matrix(&mechs, &[], &cfg, 20, 60, 3_000_000, 3).is_empty());
+        assert!(
+            closed_loop_matrix(&[], &[workloads::water()], &cfg, 20, 60, 3_000_000, 3).is_empty()
         );
     }
 

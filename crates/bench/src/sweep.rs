@@ -20,15 +20,18 @@
 //!
 //! # The planning pass
 //!
-//! Before anything is dispatched a sweep groups its runs by *simulation
-//! key* ([`RunSpec::sim_key`]): the mechanism whose network is simulated
-//! ([`MechanismId::simulated_as`]), the seed and the scenario. The three
+//! Before anything is dispatched a grid — a [`SweepSpec`] or one of the
+//! [`crate::experiments`] figures, both through `run_grid` — groups its jobs
+//! by *simulation key* (`Job::sim_key`): the mechanism whose network is
+//! simulated ([`MechanismId::simulated_as`]; a custom ablation variant is
+//! its own), the seed and the scenario. The three
 //! backpressured bars of Figure 2(b) — plain, read bypass, ideal bypass —
 //! are accountings of one network, so they share a key; so do exact
 //! duplicate specs. One representative per unit is simulated (for the
 //! backpressured class the read-bypass router, whose counters are a
-//! superset of the other two's) and every member's [`RunOutput`] is derived
-//! from it: own label, own [`afc_energy::BufferAccounting`] of the shared
+//! superset of the other two's) by one call of [`afc_traffic::runner::run`],
+//! and every member's result is read off its outcome: for a [`SweepSpec`]
+//! the flat [`RunOutput`] — own label, own [`Mechanism::price`] of the shared
 //! counters. A run nobody shares a key with is a unit of one on the same
 //! path — there is no un-planned mode.
 //!
@@ -66,13 +69,13 @@
 //! `AFC_SWEEP_SELFCHECK=1` makes [`SweepSpec::execute`] re-run the whole
 //! spec serially and assert the serialized results are byte-identical to
 //! the parallel run — a cheap way to detect an accidental shared-state leak
-//! in a new experiment — and makes every sweep re-execute each member of a
+//! in a new experiment — and makes every grid re-execute each member of a
 //! coalesced unit on its own network ([`RunSpec::execute_alone`]) and
 //! assert the derived output matches it byte for byte.
 //! `AFC_WARM_CACHE_DIR=<dir>` spills the warm-start cache to disk (see
 //! [`WarmCache`]).
 //!
-//! Thread count: `--threads N` ([`parse_threads_arg_or_exit`]), else
+//! Thread count: `--threads N` ([`HarnessArgs`]), else
 //! [`std::thread::available_parallelism`].
 
 use std::cell::RefCell;
@@ -86,20 +89,14 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use afc_energy::{EnergyModel, EnergyParams};
-use afc_netsim::config::{NetworkConfig, RetransmitConfig};
-use afc_netsim::faults::FaultPlan;
+use afc_netsim::config::NetworkConfig;
 use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
 use afc_netsim::snapshot::fnv1a64;
-use afc_netsim::stats::NetworkStats;
-use afc_traffic::closedloop::WorkloadParams;
-use afc_traffic::openloop::{PacketMix, RateSpec};
-use afc_traffic::runner::{
-    run_closed_loop_with, run_fault_scenario_with, run_open_loop_with, RunOutcome, WarmStore,
-};
-use afc_traffic::synthetic::Pattern;
+pub use afc_traffic::runner::RunKind;
+use afc_traffic::runner::{run, RunEnv, RunOutcome, WarmStore};
 
-use crate::mechanisms::MechanismId;
+use crate::mechanisms::{Mechanism, MechanismId};
 
 /// Explicit `--threads` override; 0 means unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -166,36 +163,83 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Extracts the value of a `--threads N` argument without applying it.
-///
-/// # Errors
-///
-/// [`SweepError::BadArg`] when `--threads` is present without a positive
-/// integer value.
-pub fn parse_threads_value(args: &[String]) -> Result<Option<usize>, SweepError> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-        Some(n) if n > 0 => Ok(Some(n)),
-        _ => Err(SweepError::BadArg(
-            "--threads requires a positive integer".to_string(),
-        )),
+/// A harness binary's command line, checked against the flags it names:
+/// a flag that is present must be well-formed, and nothing is ignored.
+#[derive(Debug)]
+pub struct HarnessArgs(Vec<String>);
+
+impl HarnessArgs {
+    /// Checks `args` (program name already skipped): each is one of
+    /// `switches`, or one of `valued` (or `--threads`) followed by its value.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::BadArg`] naming the unknown argument, the flag missing
+    /// its value, or a `--threads` that is not a positive integer.
+    pub fn parse(
+        args: Vec<String>,
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<HarnessArgs, SweepError> {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if valued.contains(&arg.as_str()) || arg == "--threads" {
+                if rest.next().is_none_or(|v| v.starts_with("--")) {
+                    return Err(SweepError::BadArg(format!("{arg} requires a value")));
+                }
+            } else if !switches.contains(&arg.as_str()) {
+                return Err(SweepError::BadArg(format!("unknown argument {arg:?}")));
+            }
+        }
+        let args = HarnessArgs(args);
+        match args.value::<usize>("--threads") {
+            Ok(Some(0)) | Err(_) => Err(SweepError::BadArg(
+                "--threads requires a positive integer".to_string(),
+            )),
+            Ok(_) => Ok(args),
+        }
+    }
+
+    /// The process's arguments through [`HarnessArgs::parse`], `--threads N`
+    /// applied via [`set_threads`]; a malformed command line — or a malformed
+    /// environment (module docs) — prints the error to stderr and exits with
+    /// status 2. Call first in a binary's `main`.
+    pub fn from_env_or_exit(switches: &[&str], valued: &[&str]) -> HarnessArgs {
+        let parsed = SweepEnv::get()
+            .and_then(|_| HarnessArgs::parse(std::env::args().skip(1).collect(), switches, valued));
+        let args = parsed.unwrap_or_else(|e| exit_with(&e));
+        if let Some(n) = args.value_or_exit("--threads") {
+            set_threads(n);
+        }
+        args
+    }
+
+    /// Whether `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.0.iter().any(|a| a == switch)
+    }
+
+    /// The value of `flag`, if given.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::BadArg`] when it does not parse as a `T`.
+    pub fn value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, SweepError> {
+        let raw = self.0.iter().skip_while(|a| *a != flag).nth(1);
+        let bad = |raw| SweepError::BadArg(format!("{flag}: cannot use {raw:?}"));
+        raw.map(|raw| raw.parse().map_err(|_| bad(raw))).transpose()
+    }
+
+    /// [`HarnessArgs::value`], exiting with status 2 on a malformed value.
+    pub fn value_or_exit<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).unwrap_or_else(|e| exit_with(&e))
     }
 }
 
-/// Applies a `--threads N` argument, if present, via [`set_threads`]; a
-/// malformed one — or a malformed environment (module docs) — prints the
-/// error to stderr and exits with status 2. Call once from a binary's `main`.
-pub fn parse_threads_arg_or_exit(args: &[String]) {
-    match SweepEnv::get().and_then(|_| parse_threads_value(args)) {
-        Ok(Some(n)) => set_threads(n),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+/// Prints `error: {e}` to stderr and exits with status 2.
+fn exit_with(e: &dyn fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2)
 }
 
 /// Worker-thread count: the `--threads` override, else the machine's
@@ -647,11 +691,12 @@ pub fn pool_stats() -> (u64, u64, u64, u64) {
     )
 }
 
-/// Process-wide warm-start snapshot cache, keyed by
-/// [`afc_traffic::runner::warm_key`] — a fingerprint of the full network
+/// Process-wide warm-start snapshot cache: the [`WarmStore`] sweeps hand to
+/// [`run`], which keys it by a fingerprint of the full network
 /// configuration (mesh, fault plan), the router factory's build key
-/// (mechanism, thresholds), the traffic description, the warmup length,
-/// and the seed. Values are sealed
+/// (mechanism, thresholds), the seed and the scenario
+/// ([`RunKind::identity`]: traffic description and warmup length). Values
+/// are sealed
 /// [`Simulation::snapshot`](afc_netsim::sim::Simulation::snapshot)
 /// containers taken immediately after the warmup phase; a later run with
 /// the same key restores the snapshot instead of re-simulating the
@@ -812,87 +857,31 @@ pub struct RunSpec {
     pub kind: RunKind,
 }
 
-/// The scenario of a [`RunSpec`].
-#[derive(Debug, Clone)]
-pub enum RunKind {
-    /// Closed-loop workload run ([`run_closed_loop_with`]).
-    ClosedLoop {
-        /// Workload preset.
-        workload: WorkloadParams,
-        /// Transactions to complete before measurement starts.
-        warmup_txns: u64,
-        /// Transactions measured.
-        measure_txns: u64,
-        /// Abort budget.
-        max_cycles: u64,
-    },
-    /// Open-loop synthetic-traffic run ([`run_open_loop_with`]).
-    OpenLoop {
-        /// Offered rate, flits/node/cycle.
-        rate: f64,
-        /// Traffic pattern.
-        pattern: Pattern,
-        /// Packet-length mix.
-        mix: PacketMix,
-        /// Warmup cycles.
-        warmup_cycles: u64,
-        /// Measured cycles.
-        measure_cycles: u64,
-    },
-    /// Fault-injection inject-then-drain run ([`run_fault_scenario_with`]).
-    Fault {
-        /// Offered rate, flits/node/cycle.
-        rate: f64,
-        /// Per-flit-hop drop probability.
-        drop_rate: f64,
-        /// Per-flit-hop corruption probability.
-        corrupt_rate: f64,
-        /// Cycles of live injection.
-        inject_cycles: u64,
-        /// Drain budget after sources stop.
-        drain_cycles: u64,
-    },
+/// A short deterministic label: `mechanism/scenario@seed`.
+fn run_label(mechanism: &str, kind: &RunKind, seed: u64) -> String {
+    let scenario = match kind {
+        RunKind::ClosedLoop { workload, .. } => workload.name.to_string(),
+        RunKind::OpenLoop { rate, .. } => format!("open@{rate:.3}"),
+        RunKind::Fault {
+            rate, drop_rate, ..
+        } => format!("fault@{rate:.3}/{drop_rate:e}"),
+    };
+    format!("{mechanism}/{scenario}@{seed}")
 }
 
 impl RunSpec {
     /// A short deterministic label: `mechanism/scenario@seed`.
     pub fn label(&self) -> String {
-        let scenario = match &self.kind {
-            RunKind::ClosedLoop { workload, .. } => workload.name.to_string(),
-            RunKind::OpenLoop { rate, .. } => format!("open@{rate:.3}"),
-            RunKind::Fault {
-                rate, drop_rate, ..
-            } => format!("fault@{rate:.3}/{drop_rate:e}"),
-        };
-        format!("{}/{}@{}", self.mechanism.label(), scenario, self.seed)
+        run_label(self.mechanism.label(), &self.kind, self.seed)
     }
 
-    /// Simulation key: two runs with equal keys (under one sweep-level
-    /// `net_cfg`) step identical networks through identical cycles — same
-    /// simulated mechanism ([`MechanismId::simulated_as`]), seed and
-    /// scenario — so the planning pass simulates them once.
-    fn sim_key(&self) -> String {
-        let simulated = self.mechanism.simulated_as().label();
-        format!("{simulated}|{}|{:?}", self.seed, self.kind)
-    }
-
-    /// Arena-compatibility group key: two runs with the same key (and the
-    /// same sweep-level `net_cfg`) build identical networks, so one can
-    /// reuse the other's pooled arena via [`Network::reset_from_config`].
-    /// The simulated mechanism always discriminates; fault runs
-    /// additionally fold in the fault-plan parameters they patch into the
-    /// configuration.
-    fn arena_group(&self) -> u64 {
-        let detail = match &self.kind {
-            RunKind::Fault {
-                drop_rate,
-                corrupt_rate,
-                ..
-            } => format!("fault|{drop_rate:?}|{corrupt_rate:?}"),
-            RunKind::ClosedLoop { .. } | RunKind::OpenLoop { .. } => String::new(),
-        };
-        let simulated = self.mechanism.simulated_as().label();
-        fnv1a64(format!("{simulated}|{detail}").as_bytes())
+    /// The run as a grid job of `mechanism` (this spec's, built).
+    fn job<'a>(&self, mechanism: &'a Mechanism) -> Job<'a> {
+        Job {
+            mechanism,
+            seed: self.seed,
+            kind: self.kind.clone(),
+        }
     }
 
     /// Executes the run against `net_cfg` and reduces it to the flat
@@ -906,9 +895,9 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or a closed-loop run blows
-    /// its cycle budget, mirroring the underlying runners. Inside a sweep
-    /// the pool catches the unwind and reports a [`JobFailure`].
+    /// With [`afc_traffic::runner::RunError`]'s text on an invalid
+    /// configuration or a blown closed-loop cycle budget (inside a sweep
+    /// the pool catches the unwind and reports a [`JobFailure`]).
     pub fn execute(&self, net_cfg: &NetworkConfig) -> RunOutput {
         self.execute_tuned(net_cfg, true, true)
     }
@@ -918,143 +907,133 @@ impl RunSpec {
     /// hold the pooled and warm ones to.
     pub fn execute_tuned(&self, net_cfg: &NetworkConfig, pool: bool, warm: bool) -> RunOutput {
         let store = warm.then(|| warm_cache() as &dyn WarmStore);
-        let simulate = self.mechanism.simulated_as();
-        execute_unit(net_cfg, &[self], simulate, pool, store)
-            .pop()
-            .expect("one member, one output")
+        let mechanism = self.mechanism.mechanism();
+        let job = self.job(&mechanism);
+        execute_unit(net_cfg, &job, pool, store, |out| flat_output(&job, out))
     }
 
-    /// Executes the run on its own mechanism's network — no
-    /// representative, arena or warm cache: the reference the planner's
-    /// derived outputs are checked against (`AFC_SWEEP_SELFCHECK`, the
-    /// determinism wall).
+    /// Executes the run on its own mechanism's network — no representative,
+    /// arena or warm cache: the reference the planner's derived outputs are
+    /// checked against (`AFC_SWEEP_SELFCHECK`, the determinism wall).
     pub fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
-        execute_unit(net_cfg, &[self], self.mechanism, false, None)
-            .pop()
-            .expect("one member, one output")
+        self.job(&self.mechanism.mechanism()).execute_alone(net_cfg)
     }
 }
 
-/// One unit of a [`Plan`]: simulates `simulate`'s network once under
-/// `members[0]`'s seed and scenario — every member's, by their shared
-/// [`RunSpec::sim_key`] — and reads each member's [`RunOutput`] off it: its
-/// own label, its own [`MechanismId::accounting`] of the one set of
-/// counters.
-fn execute_unit(
+/// One cell of a planned grid: a mechanism — standard or a custom ablation
+/// variant — a seed and a scenario.
+pub(crate) struct Job<'a> {
+    pub(crate) mechanism: &'a Mechanism,
+    pub(crate) seed: u64,
+    pub(crate) kind: RunKind,
+}
+
+impl Job<'_> {
+    /// Simulation key: two jobs with equal keys (under one grid-level
+    /// `net_cfg`) step identical networks through identical cycles — same
+    /// simulated mechanism, seed and scenario ([`RunKind::identity`] plus
+    /// the measure length: its whole `Debug`) — so the planning pass
+    /// simulates them once. A custom variant shares only with itself.
+    fn sim_key(&self) -> (Option<MechanismId>, usize, u64, String) {
+        let (class, own) = match self.mechanism.id {
+            Some(id) => (Some(id.simulated_as()), 0),
+            None => (None, std::ptr::from_ref(self.mechanism) as usize),
+        };
+        (class, own, self.seed, format!("{:?}", self.kind))
+    }
+
+    /// Arena-compatibility group key: two jobs with the same key (and the
+    /// same grid-level `net_cfg`) build identical networks, so one can
+    /// reuse the other's pooled arena via [`Network::reset_from_config`].
+    /// The simulated mechanism always discriminates (a custom variant by
+    /// its factory's build key); fault runs additionally fold in the
+    /// fault-plan parameters they patch into the configuration.
+    fn arena_group(&self) -> u64 {
+        let detail = match &self.kind {
+            RunKind::Fault {
+                drop_rate,
+                corrupt_rate,
+                ..
+            } => format!("fault|{drop_rate:?}|{corrupt_rate:?}"),
+            RunKind::ClosedLoop { .. } | RunKind::OpenLoop { .. } => String::new(),
+        };
+        let simulated = match self.mechanism.id {
+            Some(id) => id.simulated_as().label().to_string(),
+            None => self.mechanism.factory.build_key(),
+        };
+        fnv1a64(format!("{simulated}|{detail}").as_bytes())
+    }
+
+    /// [`run`]s the scenario on `factory`'s network (this worker's pooled
+    /// arena when `pool`), panicking with a `RunError`'s text.
+    fn simulate(
+        &self,
+        net_cfg: &NetworkConfig,
+        factory: &dyn RouterFactory,
+        pool: bool,
+        warm: Option<&dyn WarmStore>,
+    ) -> RunOutcome {
+        let arena = pool
+            .then(|| pool_take(factory, &self.kind.network_config(net_cfg)))
+            .flatten();
+        let env = RunEnv {
+            arena,
+            warm,
+            ..RunEnv::default()
+        };
+        run(&self.kind, factory, net_cfg, self.seed, env).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RunSpec::execute_alone`], for any mechanism.
+    fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
+        let factory = self.mechanism.factory.as_ref();
+        flat_output(self, &self.simulate(net_cfg, factory, false, None))
+    }
+}
+
+/// One unit of a [`Plan`]: simulates the network `first` — its first member
+/// — is simulated as, once, under its seed and scenario (every member's, by
+/// their [`Job::sim_key`]); `read` takes the results off the one outcome.
+fn execute_unit<V>(
     net_cfg: &NetworkConfig,
-    members: &[&RunSpec],
-    simulate: MechanismId,
+    first: &Job<'_>,
     pool: bool,
     warm: Option<&dyn WarmStore>,
-) -> Vec<RunOutput> {
-    let mechanism = simulate.mechanism();
-    let factory = mechanism.factory.as_ref();
-    let arena = |cfg: &NetworkConfig| pool.then(|| pool_take(factory, cfg)).flatten();
-    let spec = members[0];
-    let (measured, network) = match &spec.kind {
-        RunKind::ClosedLoop {
-            workload,
-            warmup_txns,
-            measure_txns,
-            max_cycles,
-        } => {
-            let out = run_closed_loop_with(
-                arena(net_cfg),
-                warm,
-                factory,
-                net_cfg,
-                *workload,
-                *warmup_txns,
-                *measure_txns,
-                *max_cycles,
-                spec.seed,
-            )
-            .expect("valid configuration");
-            (window_output(&out), out.network)
-        }
-        RunKind::OpenLoop {
-            rate,
-            pattern,
-            mix,
-            warmup_cycles,
-            measure_cycles,
-        } => {
-            let out = run_open_loop_with(
-                arena(net_cfg),
-                warm,
-                factory,
-                net_cfg,
-                RateSpec::Uniform(*rate),
-                pattern.clone(),
-                *mix,
-                *warmup_cycles,
-                *measure_cycles,
-                spec.seed,
-            )
-            .expect("valid configuration");
-            (window_output(&out), out.network)
-        }
-        RunKind::Fault {
-            rate,
-            drop_rate,
-            corrupt_rate,
-            inject_cycles,
-            drain_cycles,
-        } => {
-            let cfg = NetworkConfig {
-                faults: FaultPlan::uniform_transient(*drop_rate, *corrupt_rate),
-                retransmit: Some(RetransmitConfig::default()),
-                ..net_cfg.clone()
-            };
-            let out = run_fault_scenario_with(
-                arena(&cfg),
-                factory,
-                &cfg,
-                RateSpec::Uniform(*rate),
-                Pattern::UniformRandom,
-                PacketMix::paper(),
-                *inject_cycles,
-                *drain_cycles,
-                spec.seed,
-            )
-            .expect("valid configuration");
-            let outcome = match &out.error {
-                Some(e) => format!("error: {e}"),
-                None if out.drained => "drained".to_string(),
-                None => "drain budget exhausted".to_string(),
-            };
-            let measured = RunOutput {
-                cycles: out.ran_cycles,
-                outcome,
-                ..stats_output(&out.stats)
-            };
-            (measured, out.network)
-        }
-    };
-    let model = EnergyModel::new(EnergyParams::micro2010_70nm());
-    let outputs = members
-        .iter()
-        .map(|member| RunOutput {
-            label: member.label(),
-            energy_pj: model
-                .price_network_as(&network, member.mechanism.accounting())
-                .total(),
-            ..measured.clone()
-        })
-        .collect();
+    read: impl FnOnce(&RunOutcome) -> V,
+) -> V {
+    // A custom variant stands for itself.
+    let class = first.mechanism.id.map(|id| id.simulated_as().mechanism());
+    let factory = class.as_ref().unwrap_or(first.mechanism).factory.as_ref();
+    let out = first.simulate(net_cfg, factory, pool, warm);
+    let value = read(&out);
     if pool {
-        SIM_POOL.with(|p| *p.borrow_mut() = Some(network));
+        SIM_POOL.with(|p| *p.borrow_mut() = Some(out.network));
     }
-    outputs
+    value
 }
 
-/// The fields of a [`RunOutput`] that are read straight off the statistics
-/// (the rest zeroed or empty, for the caller to fill).
-fn stats_output(stats: &NetworkStats) -> RunOutput {
+/// The flat [`RunOutput`] of `job`, read off `out` — the outcome of its own
+/// network or of its representative's: own label, the one set of counters
+/// priced under the job's own [`Mechanism::price`].
+fn flat_output(job: &Job<'_>, out: &RunOutcome) -> RunOutput {
+    let stats = &out.stats;
+    let fault = matches!(job.kind, RunKind::Fault { .. });
+    let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+    let (injection_rate, throughput) = if fault {
+        (0.0, 0.0)
+    } else {
+        let nodes = out.network.mesh().node_count();
+        (out.injection_rate(), stats.throughput(nodes))
+    };
     RunOutput {
+        label: run_label(job.mechanism.label, &job.kind, job.seed),
+        cycles: out.measured_cycles,
         packets_delivered: stats.packets_delivered,
         flits_delivered: stats.flits_delivered,
+        injection_rate,
+        throughput,
         mean_latency: stats.network_latency.mean(),
+        energy_pj: job.mechanism.price(&model, &out.network).total(),
         backpressured_fraction: stats.backpressured_fraction(),
         mean_deflections: stats.flit_deflections.mean().unwrap_or(0.0),
         delivered_fraction: if stats.packets_offered == 0 {
@@ -1062,30 +1041,98 @@ fn stats_output(stats: &NetworkStats) -> RunOutput {
         } else {
             stats.packets_delivered as f64 / stats.packets_offered as f64
         },
-        ..RunOutput::default()
+        outcome: match &out.error {
+            Some(e) => format!("error: {e}"),
+            None if !fault => "ok".to_string(),
+            None if out.drained => "drained".to_string(),
+            None => "drain budget exhausted".to_string(),
+        },
     }
 }
 
-/// What a closed- or open-loop measurement window shares between the
-/// members of a unit: everything but label and energy.
-fn window_output(out: &RunOutcome) -> RunOutput {
-    RunOutput {
-        cycles: out.measured_cycles,
-        injection_rate: out.injection_rate(),
-        throughput: out.stats.throughput(out.network.mesh().node_count()),
-        outcome: "ok".to_string(),
-        ..stats_output(&out.stats)
-    }
+/// How a grid executes; none of it changes a result.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tuning {
+    pub(crate) threads: usize,
+    pub(crate) pool: bool,
+    pub(crate) warm: bool,
+    /// Whether `AFC_SWEEP_SELFCHECK` re-executes coalesced members (off
+    /// only for a re-run held to bytes that already passed the check).
+    pub(crate) check_members: bool,
 }
 
-/// The placeholder output of a job that panicked on every attempt: zeroed
-/// metrics with the failure recorded in `outcome`.
-fn failure_output(spec: &RunSpec, fail: &JobFailure) -> RunOutput {
-    RunOutput {
-        label: spec.label(),
-        outcome: format!("panic after {} attempts: {}", fail.attempts, fail.message),
-        ..RunOutput::default()
+/// Runs of [`Job::execute_alone`] made by the member self-check.
+static SELFCHECK_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Coalesced members `AFC_SWEEP_SELFCHECK` has re-executed in this process.
+pub fn selfcheck_runs() -> u64 {
+    SELFCHECK_RUNS.load(Ordering::Relaxed)
+}
+
+/// The one planner/executor: plans `jobs` by [`Job::sim_key`], simulates
+/// each unit once on the pool and returns `reduce(job, index, outcome)` per
+/// job, in job order. `progress` sees each completed unit: its members'
+/// indices and their results. Under `AFC_SWEEP_SELFCHECK` (a malformed
+/// environment panics with its [`SweepError::BadEnv`] text), every member of
+/// a coalesced unit is afterwards re-executed alone and its flat
+/// [`RunOutput`] — whatever `R` is — asserted equal to the derived one.
+pub(crate) fn run_grid<R, D, P>(
+    name: &str,
+    net_cfg: &NetworkConfig,
+    jobs: &[Job<'_>],
+    tuning: Tuning,
+    reduce: D,
+    mut progress: P,
+) -> Vec<Result<R, JobFailure>>
+where
+    R: Send,
+    D: Fn(&Job<'_>, usize, &RunOutcome) -> R + Sync,
+    P: FnMut(&[usize], &[R]),
+{
+    let plan = Plan::by_key(jobs.iter().map(Job::sim_key));
+    let store = tuning.warm.then(|| warm_cache() as &dyn WarmStore);
+    let selfcheck = tuning.check_members && SweepEnv::get_or_panic().selfcheck;
+    let derived: Mutex<Vec<(usize, RunOutput)>> = Mutex::new(Vec::new());
+    let results = run_planned(
+        name,
+        &plan,
+        |members| jobs[members[0]].arena_group(),
+        &|members: &[usize]| {
+            execute_unit(net_cfg, &jobs[members[0]], tuning.pool, store, |out| {
+                let results = members.iter().map(|&m| reduce(&jobs[m], m, out));
+                let results = results.collect();
+                if selfcheck && members.len() > 1 {
+                    // Priced before the lock is taken: pricing may panic.
+                    let flat = members.iter().map(|&m| (m, flat_output(&jobs[m], out)));
+                    let flat: Vec<(usize, RunOutput)> = flat.collect();
+                    derived
+                        .lock()
+                        .expect("no panic under the lock")
+                        .extend(flat);
+                }
+                results
+            })
+        },
+        tuning.threads,
+        |members, result| {
+            if let Ok(results) = result {
+                progress(members, results);
+            }
+        },
+    );
+    let mut derived = derived.into_inner().expect("no panic under the lock");
+    derived.sort_by_key(|(job, _)| *job);
+    for (job, derived) in derived {
+        SELFCHECK_RUNS.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(
+            jobs[job].execute_alone(net_cfg).serialize(),
+            derived.serialize(),
+            "sweep '{name}': run {job} derived from its unit's shared \
+             simulation differs from the run executed on its own — \
+             mechanisms sharing a simulation key are not timing-identical",
+        );
     }
+    results
 }
 
 /// A declarative grid of independent runs over one network configuration.
@@ -1125,7 +1172,12 @@ impl SweepSpec {
         let n = divide_budget(threads(), self.net_cfg.sim_threads);
         let results = self.execute_with_threads(n);
         if SweepEnv::get_or_panic().selfcheck && n > 1 {
-            let serial = self.execute_checked(1, true, true, false);
+            let serial = self.execute_all(Tuning {
+                threads: 1,
+                pool: true,
+                warm: true,
+                check_members: false,
+            });
             assert_eq!(
                 serial.serialize(),
                 results.serialize(),
@@ -1154,82 +1206,51 @@ impl SweepSpec {
         pool: bool,
         warm: bool,
     ) -> SweepResults {
-        self.execute_checked(threads, pool, warm, SweepEnv::get_or_panic().selfcheck)
+        self.execute_all(Tuning {
+            threads,
+            pool,
+            warm,
+            check_members: true,
+        })
     }
 
-    fn execute_checked(
-        &self,
-        threads: usize,
-        pool: bool,
-        warm: bool,
-        check_members: bool,
-    ) -> SweepResults {
+    fn execute_all(&self, tuning: Tuning) -> SweepResults {
         let jobs: Vec<usize> = (0..self.runs.len()).collect();
-        let results = self.run_jobs(&jobs, threads, pool, warm, check_members, |_, _| {});
-        let outputs = self
-            .runs
-            .iter()
-            .zip(results)
-            .map(|(run, r)| r.unwrap_or_else(|fail| failure_output(run, &fail)))
-            .collect();
+        let outputs = self.run_jobs(&jobs, tuning, |_, _| {});
         SweepResults { outputs }
     }
 
-    /// Plans and runs `jobs` (indices into `self.runs`), returning one
-    /// result per job in `jobs` order. `progress` sees each completed
-    /// unit: its members' spec indices and their outputs. `check_members`
-    /// is the `AFC_SWEEP_SELFCHECK` re-execution of every coalesced member.
-    fn run_jobs<P>(
-        &self,
-        jobs: &[usize],
-        threads: usize,
-        pool: bool,
-        warm: bool,
-        check_members: bool,
-        mut progress: P,
-    ) -> Vec<Result<RunOutput, JobFailure>>
+    /// Plans and runs `jobs` (indices into `self.runs`) on [`run_grid`]: one
+    /// flat output per job, in `jobs` order (a job that failed every attempt:
+    /// zeroed, the failure in `outcome`). `progress` sees each completed
+    /// unit: its members' spec indices and their outputs.
+    fn run_jobs<P>(&self, jobs: &[usize], tuning: Tuning, mut progress: P) -> Vec<RunOutput>
     where
         P: FnMut(&[usize], &[RunOutput]),
     {
-        let run = |job: usize| &self.runs[jobs[job]];
-        let plan = Plan::by_key((0..jobs.len()).map(|job| run(job).sim_key()));
-        let store = warm.then(|| warm_cache() as &dyn WarmStore);
-        let results = run_planned(
+        let runs = jobs.iter().map(|&i| &self.runs[i]);
+        let mechanisms: Vec<Mechanism> = runs.clone().map(|r| r.mechanism.mechanism()).collect();
+        let grid = runs.clone().zip(&mechanisms).map(|(r, m)| r.job(m));
+        let grid: Vec<Job<'_>> = grid.collect();
+        let results = run_grid(
             &self.name,
-            &plan,
-            |members| run(members[0]).arena_group(),
-            &|members: &[usize]| {
-                let specs: Vec<&RunSpec> = members.iter().map(|&job| run(job)).collect();
-                let simulate = specs[0].mechanism.simulated_as();
-                execute_unit(&self.net_cfg, &specs, simulate, pool, store)
-            },
-            threads,
-            |members, result| {
-                if let Ok(outputs) = result {
-                    let indices: Vec<usize> = members.iter().map(|&job| jobs[job]).collect();
-                    progress(&indices, outputs);
-                }
+            &self.net_cfg,
+            &grid,
+            tuning,
+            |job, _, out| flat_output(job, out),
+            |members, outputs| {
+                let indices: Vec<usize> = members.iter().map(|&job| jobs[job]).collect();
+                progress(&indices, outputs);
             },
         );
-        if check_members {
-            for members in plan.units.iter().filter(|m| m.len() > 1) {
-                for &job in members {
-                    let Ok(derived) = &results[job] else { continue };
-                    let alone = run(job).execute_alone(&self.net_cfg);
-                    assert_eq!(
-                        alone.serialize(),
-                        derived.serialize(),
-                        "sweep '{}': run {} derived from its unit's shared \
-                         simulation differs from the run executed on its own \
-                         — mechanisms sharing a simulation key are not \
-                         timing-identical",
-                        self.name,
-                        jobs[job]
-                    );
-                }
-            }
-        }
-        results
+        let failed = |run: &RunSpec, fail: JobFailure| RunOutput {
+            label: run.label(),
+            outcome: format!("panic after {} attempts: {}", fail.attempts, fail.message),
+            ..RunOutput::default()
+        };
+        runs.zip(results)
+            .map(|(run, r)| r.unwrap_or_else(|fail| failed(run, fail)))
+            .collect()
     }
 
     /// Executes the sweep with crash-safe checkpointing: every completed
@@ -1285,29 +1306,28 @@ impl SweepSpec {
         let missing: Vec<usize> = (0..self.runs.len())
             .filter(|&i| outputs[i].is_none())
             .collect();
-        let selfcheck = SweepEnv::get()?.selfcheck;
+        SweepEnv::get()?;
         let mut save_err: Option<SweepError> = None;
-        let results = self.run_jobs(
-            &missing,
-            threads(),
-            true,
-            true,
-            selfcheck,
-            |indices, outputs| {
-                for (&i, output) in indices.iter().zip(outputs) {
-                    manifest.record(i, output);
-                }
-                if let Err(e) = manifest.save(manifest_path) {
-                    save_err.get_or_insert(e);
-                }
-            },
-        );
+        let tuning = Tuning {
+            threads: threads(),
+            pool: true,
+            warm: true,
+            check_members: true,
+        };
+        let results = self.run_jobs(&missing, tuning, |indices, outputs| {
+            for (&i, output) in indices.iter().zip(outputs) {
+                manifest.record(i, output);
+            }
+            if let Err(e) = manifest.save(manifest_path) {
+                save_err.get_or_insert(e);
+            }
+        });
         if let Some(e) = save_err {
             return Err(e);
         }
 
-        for (&i, result) in missing.iter().zip(results) {
-            outputs[i] = Some(result.unwrap_or_else(|fail| failure_output(&self.runs[i], &fail)));
+        for (&i, output) in missing.iter().zip(results) {
+            outputs[i] = Some(output);
         }
         let outputs = outputs.into_iter().map(|o| o.expect("recorded or run"));
         Ok(SweepResults {
@@ -1700,7 +1720,8 @@ impl SweepResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::MechanismId;
+    use afc_traffic::openloop::PacketMix;
+    use afc_traffic::synthetic::Pattern;
 
     /// The scheduler core in spec order, one job per batch, no progress
     /// hook: what `run_sweep` runs, with the worker count explicit and
@@ -1917,15 +1938,85 @@ mod tests {
     }
 
     #[test]
-    fn threads_value_parsing() {
+    fn harness_args_are_parsed_strictly() {
         let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
-        assert_eq!(parse_threads_value(&argv("--quick")).unwrap(), None);
-        assert_eq!(parse_threads_value(&argv("--threads 3")).unwrap(), Some(3));
-        assert!(parse_threads_value(&argv("--threads")).is_err());
-        assert!(parse_threads_value(&argv("--threads zero")).is_err());
-        assert!(parse_threads_value(&argv("--threads 0")).is_err());
-        let err = parse_threads_value(&argv("--threads -2")).unwrap_err();
+        let parse =
+            |s: &str| HarnessArgs::parse(argv(s), &["--quick", "--csv"], &["--seed", "--svg"]);
+        let args = parse("--quick --seed 7 --threads 3 --svg out").unwrap();
+        assert!(args.has("--quick") && !args.has("--csv"));
+        assert_eq!(args.value::<u64>("--seed").unwrap(), Some(7));
+        assert_eq!(
+            args.value::<String>("--svg").unwrap().as_deref(),
+            Some("out")
+        );
+        assert_eq!(args.value::<u64>("--replicate").unwrap(), None);
+        assert_eq!(args.value("--threads").unwrap(), Some(3usize));
+        assert!(parse("").unwrap().value::<u64>("--seed").unwrap().is_none());
+        // A typo is not a full-size run; a flag without its value is not dropped.
+        for (bad, names) in [
+            ("--quik", "--quik"),
+            ("--quick extra", "extra"),
+            ("--svg", "--svg"),
+            ("--svg --quick", "--svg"),
+            ("--seed", "--seed"),
+            ("--threads", "--threads"),
+        ] {
+            let err = parse(bad).expect_err(bad).to_string();
+            assert!(err.contains(names), "{bad}: {err}");
+        }
+        // Present means well-formed: `--seed x` is not seed 1.
+        let err = parse("--seed x")
+            .unwrap()
+            .value::<u64>("--seed")
+            .unwrap_err();
+        assert!(matches!(err, SweepError::BadArg(_)), "{err:?}");
+        assert!(err.to_string().contains("--seed") && err.to_string().contains("\"x\""));
+    }
+
+    #[test]
+    fn threads_value_parsing() {
+        let threads = |s: &str| {
+            let argv = s.split_whitespace().map(String::from).collect();
+            HarnessArgs::parse(argv, &["--quick"], &[]).and_then(|args| args.value("--threads"))
+        };
+        assert_eq!(threads("--quick").unwrap(), None);
+        assert_eq!(threads("--threads 3").unwrap(), Some(3));
+        assert!(threads("--threads").is_err());
+        assert!(threads("--threads zero").is_err());
+        assert!(threads("--threads 0").is_err());
+        let err = threads("--threads -2").unwrap_err();
         assert!(err.to_string().contains("positive integer"), "{err}");
+    }
+
+    /// The warm cache keys a closed-loop warm-up by the workload's every
+    /// parameter, not its name: a same-named variant executed after the
+    /// stock workload (same seed, warm-up and config) must not restore the
+    /// stock warm-up.
+    #[test]
+    fn a_same_named_workload_variant_does_not_hit_the_stock_warm_entry() {
+        let stock = afc_traffic::workloads::ocean();
+        let run = |workload| RunSpec {
+            mechanism: MechanismId::Backpressured,
+            seed: 0x0CEA,
+            kind: RunKind::ClosedLoop {
+                workload,
+                warmup_txns: 100,
+                measure_txns: 400,
+                max_cycles: 50_000_000,
+            },
+        };
+        let variant = run(afc_traffic::closedloop::WorkloadParams {
+            think_mean: 4.0 * stock.think_mean,
+            ..stock
+        });
+        let cfg = NetworkConfig::paper_3x3();
+        let first = run(stock).execute(&cfg);
+        let alone = variant.execute_alone(&cfg);
+        assert_ne!(
+            first.cycles, alone.cycles,
+            "the variant must be a different run"
+        );
+        assert_eq!(variant.execute(&cfg), alone);
     }
 
     #[test]

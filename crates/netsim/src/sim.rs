@@ -105,49 +105,26 @@ impl<T: TrafficModel> Simulation<T> {
     /// Advances one cycle: traffic generation, network step, delivery
     /// callbacks.
     pub fn step(&mut self) {
-        let now = self.network.now();
-        self.traffic.pre_cycle(now, &mut self.network);
-        self.network.step();
-        let now = self.network.now();
-        let mut buf = std::mem::take(&mut self.delivered_buf);
-        self.network.take_delivered_into(&mut buf);
-        for packet in &buf {
-            self.traffic.on_delivered(packet, now, &mut self.network);
-        }
-        buf.clear();
-        self.delivered_buf = buf;
+        or_panic(self.try_step(), self.network.mechanism())
     }
 
     /// Runs exactly `cycles` cycles.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
+        or_panic(self.try_run(cycles), self.network.mechanism())
     }
 
     /// Runs until the traffic model reports completion or `max_cycles`
     /// elapse. Returns `true` if the model finished.
     pub fn run_until_finished(&mut self, max_cycles: u64) -> bool {
-        for _ in 0..max_cycles {
-            if self.traffic.is_finished(self.network.now()) {
-                return true;
-            }
-            self.step();
-        }
-        self.traffic.is_finished(self.network.now())
+        let finished = self.try_run_until_finished(max_cycles);
+        or_panic(finished, self.network.mechanism())
     }
 
     /// Stops offering new traffic is the caller's job; this runs until every
     /// in-flight flit has been delivered or `max_cycles` elapse. Returns
     /// `true` if fully drained.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        for _ in 0..max_cycles {
-            if self.network.is_drained() {
-                return true;
-            }
-            self.step();
-        }
-        self.network.is_drained()
+        or_panic(self.try_drain(max_cycles), self.network.mechanism())
     }
 
     /// Fallible [`Simulation::step`]: watchdog and protocol failures come
@@ -255,6 +232,11 @@ impl<T: TrafficModel> Simulation<T> {
         }
         Ok(self.network.is_drained())
     }
+}
+
+/// The panicking forms' one panic site, with [`Network::step`]'s text.
+fn or_panic<R>(result: Result<R, SimError>, mechanism: &str) -> R {
+    result.unwrap_or_else(|e| panic!("{e} (mechanism {mechanism})"))
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for Simulation<T> {

@@ -1,20 +1,28 @@
-//! End-to-end run orchestration: warmup, measurement, and result capture.
+//! End-to-end run orchestration: one protocol, written once.
 //!
-//! [`run_closed_loop_checkpointed`] additionally supports crash-safe
-//! mid-run checkpointing: the harness phase (warmup vs measurement) plus a
-//! full simulation snapshot are sealed into one checksummed container,
-//! written atomically every N cycles, and a later invocation resumes from
-//! it bit-identically to an uninterrupted run.
+//! Every result is *acquire a network → warm it up → zero the counters →
+//! measure a window → capture*. [`run`] holds the only copy, for a scenario
+//! described as data ([`RunKind`]); [`RunEnv`] carries what may shorten or
+//! protect a run — a recycled arena, a [`WarmStore`] of post-warm-up
+//! snapshots, a crash-safe [`CheckpointPolicy`] — without changing a byte
+//! of it. Warm entries and checkpoints are keyed by [`RunKind::identity`],
+//! so neither can be mistaken for another scenario's. [`run_closed_loop`],
+//! [`run_open_loop`] and [`run_fault_scenario`] are the same protocol with
+//! general traffic arguments, no environment, and a panic where [`run`]
+//! returns [`RunError::Budget`].
 
+use std::borrow::Cow;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::path::Path;
 
-use afc_netsim::config::NetworkConfig;
+use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::counters::ActivityCounters;
 use afc_netsim::error::{ConfigError, SimError};
+use afc_netsim::faults::FaultPlan;
 use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
-use afc_netsim::sim::Simulation;
+use afc_netsim::sim::{Simulation, TrafficModel};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotWriter};
 use afc_netsim::stats::NetworkStats;
 
@@ -28,23 +36,28 @@ pub struct RunOutcome {
     /// The network in its final state (counters and stats cover the
     /// measurement window only).
     pub network: Network,
-    /// Cycles in the measurement window.
+    /// Cycles in the measurement window (a fault scenario: every cycle
+    /// simulated, injection plus drain).
     pub measured_cycles: u64,
     /// Snapshot of network statistics over the measurement window.
     pub stats: NetworkStats,
     /// Aggregated router activity over the measurement window.
     pub counters: ActivityCounters,
+    /// Fault scenarios: [`FaultRunOutcome::error`] (other runs panic).
+    pub error: Option<SimError>,
+    /// Fault scenarios: [`FaultRunOutcome::drained`].
+    pub drained: bool,
 }
 
 impl RunOutcome {
     fn capture(network: Network, measured_cycles: u64) -> RunOutcome {
-        let stats = network.stats().clone();
-        let counters = network.total_counters();
         RunOutcome {
-            network,
             measured_cycles,
-            stats,
-            counters,
+            stats: network.stats().clone(),
+            counters: network.total_counters(),
+            network,
+            error: None,
+            drained: false,
         }
     }
 
@@ -59,9 +72,89 @@ impl RunOutcome {
     }
 }
 
-/// A store of post-warmup simulation snapshots, keyed by a warm-start
-/// fingerprint (see [`warm_key`]). Implemented by the sweep engine's
-/// warm cache; the runner only gets/puts sealed snapshot containers.
+/// A scenario, as plain data: what [`run`] executes and a sweep spec lists.
+#[derive(Debug, Clone)]
+pub enum RunKind {
+    /// Closed-loop workload run.
+    ClosedLoop {
+        /// Workload preset.
+        workload: WorkloadParams,
+        /// Transactions to complete before measurement starts.
+        warmup_txns: u64,
+        /// Transactions measured.
+        measure_txns: u64,
+        /// Abort budget.
+        max_cycles: u64,
+    },
+    /// Open-loop synthetic-traffic run.
+    OpenLoop {
+        /// Offered rate, flits/node/cycle.
+        rate: f64,
+        /// Traffic pattern.
+        pattern: Pattern,
+        /// Packet-length mix.
+        mix: PacketMix,
+        /// Warmup cycles.
+        warmup_cycles: u64,
+        /// Measured cycles.
+        measure_cycles: u64,
+    },
+    /// Fault-injection inject-then-drain run.
+    Fault {
+        /// Offered rate, flits/node/cycle.
+        rate: f64,
+        /// Per-flit-hop drop probability.
+        drop_rate: f64,
+        /// Per-flit-hop corruption probability.
+        corrupt_rate: f64,
+        /// Cycles of live injection.
+        inject_cycles: u64,
+        /// Drain budget after sources stop.
+        drain_cycles: u64,
+    },
+}
+
+impl RunKind {
+    /// The scenario's identity: the `Debug` of everything that determines
+    /// the post-warm-up state — the scenario with its measure length and
+    /// abort budget zeroed, so a field added later is covered by default.
+    /// Read by the warm key and the checkpoint header; the sweep planner's
+    /// simulation key is the same `Debug` with both left in.
+    pub fn identity(&self) -> String {
+        let mut warm = self.clone();
+        match &mut warm {
+            RunKind::ClosedLoop {
+                measure_txns: measure,
+                max_cycles,
+                ..
+            } => (*measure, *max_cycles) = (0, 0),
+            RunKind::OpenLoop { measure_cycles, .. } => *measure_cycles = 0,
+            RunKind::Fault { .. } => {}
+        }
+        format!("{warm:?}")
+    }
+
+    /// The configuration the scenario's network is built from: `base`,
+    /// with a fault scenario's fault plan and retransmit config patched in.
+    pub fn network_config<'a>(&self, base: &'a NetworkConfig) -> Cow<'a, NetworkConfig> {
+        let RunKind::Fault {
+            drop_rate,
+            corrupt_rate,
+            ..
+        } = *self
+        else {
+            return Cow::Borrowed(base);
+        };
+        Cow::Owned(NetworkConfig {
+            faults: FaultPlan::uniform_transient(drop_rate, corrupt_rate),
+            retransmit: Some(RetransmitConfig::default()),
+            ..base.clone()
+        })
+    }
+}
+
+/// A store of sealed post-warmup simulation snapshots, keyed by a
+/// warm-start fingerprint; implemented by the sweep engine's warm cache.
 ///
 /// Correctness does not rest on the store: a hit is restored through
 /// [`Simulation::restore`], whose container checksum and embedded network
@@ -77,39 +170,423 @@ pub trait WarmStore: Sync {
     fn invalidate(&self, key: u64);
 }
 
-/// Warm-start fingerprint: FNV-1a over every input that determines the
-/// post-warmup state — phase label, full network config (mesh, fault plan,
-/// retransmit), the router factory's [`RouterFactory::build_key`] (its
-/// mechanism and private options such as thresholds), seed, and the
-/// traffic/warmup parameters rendered via `Debug`. Two runs with equal
-/// keys are guaranteed byte-identical through warmup; anything that could
-/// diverge them must be part of `detail`.
-pub fn warm_key(phase: &str, net_cfg: &NetworkConfig, build_key: &str, detail: &str) -> u64 {
-    let repr = format!("{phase}|{net_cfg:?}|{build_key}|{detail}");
-    snapshot::fnv1a64(repr.as_bytes())
+/// Mid-run checkpoints for [`run`]: harness phase plus full simulation
+/// snapshot, sealed into one checksummed container.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CheckpointPolicy<'a> {
+    /// Cycles between periodic checkpoints; 0 disables them. When `file`
+    /// is set, a checkpoint is still written at the warmup/measurement
+    /// boundary, so a resume never redoes warmup.
+    pub every: u64,
+    /// Where checkpoints are written (atomically, temp file + fsync +
+    /// rename).
+    pub file: Option<&'a Path>,
+    /// An existing checkpoint to resume from before running.
+    pub resume_from: Option<&'a Path>,
 }
 
-/// Reuses `arena` when it is arena-compatible with the requested run
-/// (same mechanism and config — see [`Network::reset_from_config`]),
+/// What may shorten or protect a [`run`] without changing its result.
+/// `RunEnv::default()` is a cold, unprotected run.
+#[derive(Default)]
+pub struct RunEnv<'a> {
+    /// A network to recycle in place when [`Network::reset_from_config`]
+    /// accepts it (consumed either way; reclaim [`RunOutcome::network`]).
+    pub arena: Option<Network>,
+    /// Where the post-warm-up state — captured *before*
+    /// [`Network::reset_metrics`] — is looked up and, on a miss, sealed.
+    pub warm: Option<&'a dyn WarmStore>,
+    /// Crash-safe mid-run checkpointing.
+    pub checkpoint: CheckpointPolicy<'a>,
+}
+
+/// Errors from [`run`].
+#[derive(Debug)]
+pub enum RunError {
+    /// Invalid network configuration.
+    Config(ConfigError),
+    /// Snapshot serialization, checkpoint validation, or checkpoint-file
+    /// I/O failure.
+    Snapshot(SnapshotError),
+    /// A phase exceeded the cycle budget (a saturated or deadlocked
+    /// configuration). The last periodic checkpoint survives, so the run
+    /// can still be resumed with a larger budget.
+    Budget {
+        /// Which phase ran out ("warmup" or "measurement").
+        phase: &'static str,
+        /// The exhausted budget.
+        max_cycles: u64,
+        /// The workload that did not finish.
+        workload: &'static str,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Config(e) => e.fmt(f),
+            RunError::Snapshot(e) => e.fmt(f),
+            RunError::Budget {
+                phase,
+                max_cycles,
+                workload,
+            } => write!(
+                f,
+                "{phase} did not finish within {max_cycles} cycles ({workload})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RunError::Config(e) => Some(e),
+            RunError::Snapshot(e) => Some(e),
+            RunError::Budget { .. } => None,
+        }
+    }
+}
+
+impl From<ConfigError> for RunError {
+    fn from(e: ConfigError) -> Self {
+        RunError::Config(e)
+    }
+}
+
+impl From<SnapshotError> for RunError {
+    fn from(e: SnapshotError) -> Self {
+        RunError::Snapshot(e)
+    }
+}
+
+/// Reuses `arena` when it is arena-compatible with the requested run,
 /// falling back to fresh construction.
 fn acquire_network(
     arena: Option<Network>,
-    net_cfg: &NetworkConfig,
+    cfg: &NetworkConfig,
     factory: &dyn RouterFactory,
     seed: u64,
 ) -> Result<Network, ConfigError> {
     if let Some(mut net) = arena {
-        if net.reset_from_config(net_cfg, factory, seed) {
+        if net.reset_from_config(cfg, factory, seed) {
             return Ok(net);
         }
     }
-    Network::new(net_cfg.clone(), factory, seed)
+    Network::new(cfg.clone(), factory, seed)
+}
+
+/// A traffic model the protocol can run to a transaction count and name in
+/// an error (open-loop models have no such count: they run to a cycle).
+trait Steer: TrafficModel {
+    fn aim(&mut self, _txns: u64) {}
+    fn name(&self) -> &'static str {
+        "open loop"
+    }
+}
+
+impl Steer for OpenLoopTraffic {}
+
+impl Steer for ClosedLoopTraffic {
+    fn aim(&mut self, txns: u64) {
+        self.set_target(txns);
+    }
+    fn name(&self) -> &'static str {
+        self.params().name
+    }
+}
+
+/// Where a phase ends: once the model has completed `at` transactions,
+/// within `budget` cycles — or, with no budget, at absolute cycle `at` (so a
+/// resumed run ends where the uninterrupted one does).
+#[derive(Clone, Copy)]
+struct Goal {
+    at: u64,
+    budget: Option<u64>,
+}
+
+impl Goal {
+    fn cycle(at: u64) -> Goal {
+        Goal { at, budget: None }
+    }
+}
+
+/// Tag identifying the payload of a run checkpoint container.
+const CHECKPOINT_TAG: &str = "afc-run-checkpoint-v2";
+
+/// A checkpoint's invocation: identity, seed, the measure [`Goal::at`].
+struct CheckpointHeader<'a>(&'a str, u64, u64);
+
+impl CheckpointHeader<'_> {
+    /// Seals header, measurement-window origin (`None` = still warming up)
+    /// and simulation snapshot into one checkpoint file.
+    fn write<T: TrafficModel>(
+        &self,
+        path: &Path,
+        sim: &Simulation<T>,
+        start: Option<u64>,
+    ) -> Result<(), SnapshotError> {
+        let CheckpointHeader(identity, seed, measure_to) = *self;
+        let mut w = SnapshotWriter::new();
+        w.put_str(CHECKPOINT_TAG);
+        w.put_str(identity);
+        w.put_u64(seed);
+        w.put_u64(measure_to);
+        w.put_opt_u64(start);
+        w.put_blob(&sim.snapshot()?);
+        snapshot::write_file_atomic(path, &snapshot::seal(w))
+    }
+
+    /// Loads a checkpoint into `sim` after validating it belongs to this
+    /// exact invocation. Returns the measurement-window origin.
+    fn load<T: TrafficModel>(
+        &self,
+        path: &Path,
+        sim: &mut Simulation<T>,
+    ) -> Result<Option<u64>, SnapshotError> {
+        let bytes = snapshot::read_file(path)?;
+        let origin = path.display().to_string();
+        let mut r = snapshot::open(&bytes, &origin)?;
+        let expect = |what: &'static str, snapshot: String, current: &dyn fmt::Display| {
+            let current = current.to_string();
+            if snapshot == current {
+                return Ok(());
+            }
+            Err(SnapshotError::ContextMismatch {
+                what,
+                snapshot,
+                current,
+            })
+        };
+        let tag = r.get_str("checkpoint tag")?;
+        expect("checkpoint format", tag, &CHECKPOINT_TAG)?;
+        let CheckpointHeader(identity, seed, measure_to) = self;
+        expect("scenario", r.get_str("checkpoint scenario")?, identity)?;
+        expect("seed", r.get_u64("checkpoint seed")?.to_string(), seed)?;
+        let found = r.get_u64("checkpoint measurement target")?.to_string();
+        expect("measurement target", found, measure_to)?;
+        let start = r.get_opt_u64("measurement start cycle")?;
+        let blob = r.get_blob("embedded simulation snapshot")?;
+        r.finish("run checkpoint")?;
+        sim.restore(&blob, &origin)?;
+        Ok(start)
+    }
+}
+
+/// One phase: steps toward `goal`, calling `checkpoint` every `every`
+/// cycles.
+fn advance<T: Steer>(
+    sim: &mut Simulation<T>,
+    phase: &'static str,
+    goal: Goal,
+    every: u64,
+    mut checkpoint: impl FnMut(&Simulation<T>) -> Result<(), SnapshotError>,
+) -> Result<(), RunError> {
+    let mut remaining = match goal.budget {
+        Some(budget) => {
+            sim.traffic.aim(goal.at);
+            budget
+        }
+        None => goal.at.saturating_sub(sim.network.now()),
+    };
+    loop {
+        let chunk = every.min(remaining);
+        // `run_until_finished` checks the finish predicate before every
+        // step, so chunking is behavior-identical to one long call; a model
+        // that never finishes simply runs the chunk out.
+        if sim.run_until_finished(chunk) {
+            return Ok(());
+        }
+        remaining -= chunk;
+        if remaining == 0 {
+            return goal.budget.map_or(Ok(()), |max_cycles| {
+                Err(RunError::Budget {
+                    phase,
+                    max_cycles,
+                    workload: sim.traffic.name(),
+                })
+            });
+        }
+        checkpoint(sim)?;
+    }
+}
+
+/// The protocol of [`run`] for any steerable traffic model: `identity` keys
+/// warm entry and checkpoint, `goals` end the warm-up and the measurement.
+fn drive<T: Steer>(
+    factory: &dyn RouterFactory,
+    cfg: &NetworkConfig,
+    seed: u64,
+    identity: &str,
+    env: RunEnv<'_>,
+    traffic: impl Fn(usize) -> T,
+    goals: [Goal; 2],
+) -> Result<RunOutcome, RunError> {
+    let fresh = |arena| -> Result<Simulation<T>, ConfigError> {
+        let network = acquire_network(arena, cfg, factory, seed)?;
+        let traffic = traffic(network.mesh().node_count());
+        Ok(Simulation::new(network, traffic))
+    };
+    let mut sim = fresh(env.arena)?;
+    let policy = env.checkpoint;
+    // 0 = no periodic checkpoints.
+    let every = NonZeroU64::new(policy.every).map_or(u64::MAX, u64::from);
+    let header = CheckpointHeader(identity, seed, goals[1].at);
+    let save = |sim: &Simulation<T>, start| match policy.file {
+        Some(path) => header.write(path, sim, start),
+        None => Ok(()),
+    };
+    let resumed = match policy.resume_from {
+        Some(path) => header.load(path, &mut sim)?,
+        None => None,
+    };
+    let start = match resumed {
+        Some(start) => start,
+        None => {
+            // Warm-up: restored from the store when possible, simulated
+            // otherwise. The key covers every input that determines the
+            // post-warm-up state: full config (mesh, fault plan,
+            // retransmit), the factory's build key (mechanism and private
+            // options), seed and scenario identity.
+            let warm = env.warm.map(|store| {
+                let key = format!("{cfg:?}|{}|{seed}|{identity}", factory.build_key());
+                (store, snapshot::fnv1a64(key.as_bytes()))
+            });
+            let mut warmed = false;
+            if let Some((store, key)) = warm {
+                if let Some(bytes) = store.get(key) {
+                    warmed = sim.restore(&bytes, "<warm cache>").is_ok();
+                    if !warmed {
+                        // A partial restore leaves the simulation
+                        // indeterminate; rebuild and warm up cold.
+                        store.invalidate(key);
+                        sim = fresh(None)?;
+                    }
+                }
+            }
+            if !warmed {
+                advance(&mut sim, "warmup", goals[0], every, |s| save(s, None))?;
+                if let Some((store, key)) = warm {
+                    if let Ok(bytes) = sim.snapshot() {
+                        store.put(key, bytes);
+                    }
+                }
+            }
+            sim.network.reset_metrics();
+            let start = sim.network.now();
+            // Phase-boundary checkpoint: a resume never redoes warmup.
+            save(&sim, Some(start))?;
+            start
+        }
+    };
+    let save_measuring = |s: &Simulation<T>| save(s, Some(start));
+    advance(&mut sim, "measurement", goals[1], every, save_measuring)?;
+    let measured = sim.network.now() - start;
+    Ok(RunOutcome::capture(sim.network, measured))
+}
+
+/// [`drive`] for open-loop traffic at any [`RateSpec`]: warm up for
+/// `window[0]` cycles, measure `window[1]` more.
+#[allow(clippy::too_many_arguments)] // `drive`'s arguments plus the traffic's
+fn drive_open_loop(
+    factory: &dyn RouterFactory,
+    cfg: &NetworkConfig,
+    seed: u64,
+    identity: &str,
+    env: RunEnv<'_>,
+    rates: &RateSpec,
+    pattern: &Pattern,
+    mix: PacketMix,
+    window: [u64; 2],
+) -> Result<RunOutcome, RunError> {
+    let traffic = |_| OpenLoopTraffic::new(rates.clone(), pattern.clone(), mix, seed);
+    let goals = [window[0], window[0] + window[1]].map(Goal::cycle);
+    drive(factory, cfg, seed, identity, env, traffic, goals)
+}
+
+/// Runs `kind` on a network built by `factory` from `cfg` and `seed`:
+/// *acquire (arena or fresh) → resume from a checkpoint | restore the warm
+/// entry | simulate the warm-up → seal and checkpoint → zero the counters →
+/// measure → capture*, stepping in checkpoint-sized chunks. Whatever `env`
+/// holds, the outcome is byte-identical to `RunEnv::default()`'s. A fault
+/// scenario measures from cycle 0 with its own inject→drain protocol: it
+/// has no warm-up to cache and refuses a checkpoint policy.
+///
+/// # Errors
+///
+/// [`RunError::Config`] for an invalid network configuration;
+/// [`RunError::Snapshot`] for checkpoint I/O or validation failures — a
+/// checkpoint of another invocation ([`RunKind::identity`], seed, measure
+/// length) is a [`SnapshotError::ContextMismatch`]; [`RunError::Budget`]
+/// when a closed-loop phase blows its cycle budget.
+///
+/// # Panics
+///
+/// On a watchdog or protocol failure while stepping, like
+/// [`Simulation::step`] (a fault scenario returns it in the outcome).
+pub fn run(
+    kind: &RunKind,
+    factory: &dyn RouterFactory,
+    cfg: &NetworkConfig,
+    seed: u64,
+    env: RunEnv<'_>,
+) -> Result<RunOutcome, RunError> {
+    let (cfg, identity) = (&*kind.network_config(cfg), &kind.identity());
+    match kind {
+        RunKind::ClosedLoop {
+            workload,
+            warmup_txns,
+            measure_txns,
+            max_cycles,
+        } => {
+            let budget = Some(*max_cycles);
+            let goals = [*warmup_txns, warmup_txns + measure_txns].map(|at| Goal { at, budget });
+            let traffic = |nodes| ClosedLoopTraffic::new(*workload, nodes, seed);
+            drive(factory, cfg, seed, identity, env, traffic, goals)
+        }
+        RunKind::OpenLoop {
+            rate,
+            pattern,
+            mix,
+            warmup_cycles,
+            measure_cycles,
+        } => {
+            let (rates, window) = (RateSpec::Uniform(*rate), [*warmup_cycles, *measure_cycles]);
+            drive_open_loop(
+                factory, cfg, seed, identity, env, &rates, pattern, *mix, window,
+            )
+        }
+        RunKind::Fault {
+            rate,
+            inject_cycles,
+            drain_cycles,
+            ..
+        } => {
+            if env.checkpoint.file.or(env.checkpoint.resume_from).is_some() {
+                return Err(RunError::Snapshot(SnapshotError::Unsupported {
+                    what: "a fault scenario (no warm-up/measure boundary)",
+                }));
+            }
+            let network = acquire_network(env.arena, cfg, factory, seed)?;
+            let (rates, mix) = (RateSpec::Uniform(*rate), PacketMix::paper());
+            let traffic = OpenLoopTraffic::new(rates, Pattern::UniformRandom, mix, seed);
+            let out = inject_then_drain(network, traffic, *inject_cycles, *drain_cycles);
+            Ok(out)
+        }
+    }
+}
+
+/// The convenience signatures' error handling: a configuration error is
+/// returned, a blown budget panics (with no policy, nothing else can fail).
+fn or_panic(result: Result<RunOutcome, RunError>) -> Result<RunOutcome, ConfigError> {
+    result.map_err(|e| match e {
+        RunError::Config(e) => e,
+        other => panic!("{other}"),
+    })
 }
 
 /// Closed-loop run: warm up for `warmup_txns` completed transactions, then
-/// measure the cycles needed to complete `measure_txns` more.
-///
-/// Returns the outcome plus the workload handle (for completed counts).
+/// measure the cycles needed to complete `measure_txns` more — [`run`] on a
+/// [`RunKind::ClosedLoop`] with no environment.
 ///
 /// # Errors
 ///
@@ -117,8 +594,7 @@ fn acquire_network(
 ///
 /// # Panics
 ///
-/// Panics if the run exceeds `max_cycles` before finishing — a saturated or
-/// deadlocked configuration, which callers should treat as a bug.
+/// If a phase exceeds `max_cycles`: saturated or deadlocked — a bug.
 pub fn run_closed_loop(
     factory: &dyn RouterFactory,
     net_cfg: &NetworkConfig,
@@ -128,108 +604,17 @@ pub fn run_closed_loop(
     max_cycles: u64,
     seed: u64,
 ) -> Result<RunOutcome, ConfigError> {
-    run_closed_loop_with(
-        None,
-        None,
-        factory,
-        net_cfg,
+    let kind = RunKind::ClosedLoop {
         workload,
         warmup_txns,
         measure_txns,
         max_cycles,
-        seed,
-    )
-}
-
-/// [`run_closed_loop`] with optional arena reuse and warm-start caching.
-///
-/// `arena` is a network to recycle in place when arena-compatible (it is
-/// consumed either way; reclaim the one in the returned
-/// [`RunOutcome::network`]). `warm` keys the post-warmup state — captured
-/// *before* [`Network::reset_metrics`] — by workload name, warmup target,
-/// seed, mechanism, and full config; a hit restores instead of
-/// re-simulating the warmup, then proceeds identically, so results are
-/// byte-identical to the cold path (the restore machinery re-verifies
-/// checksum and fingerprint, and a refused entry is invalidated and
-/// re-warmed cold).
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`Network::new`].
-///
-/// # Panics
-///
-/// As [`run_closed_loop`], when a phase exceeds `max_cycles`.
-#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
-pub fn run_closed_loop_with(
-    arena: Option<Network>,
-    warm: Option<&dyn WarmStore>,
-    factory: &dyn RouterFactory,
-    net_cfg: &NetworkConfig,
-    workload: WorkloadParams,
-    warmup_txns: u64,
-    measure_txns: u64,
-    max_cycles: u64,
-    seed: u64,
-) -> Result<RunOutcome, ConfigError> {
-    let key = warm_key(
-        "closed-loop",
-        net_cfg,
-        &factory.build_key(),
-        &format!("{}|{warmup_txns}|{seed}", workload.name),
-    );
-
-    let network = acquire_network(arena, net_cfg, factory, seed)?;
-    let nodes = network.mesh().node_count();
-    let traffic = ClosedLoopTraffic::new(workload, nodes, seed);
-    let mut sim = Simulation::new(network, traffic);
-
-    // Warmup: restored from the cache when possible, simulated otherwise.
-    let mut warmed = false;
-    if let Some(store) = warm {
-        if let Some(bytes) = store.get(key) {
-            match sim.restore(&bytes, "<warm cache>") {
-                Ok(()) => warmed = true,
-                Err(_) => {
-                    // A partial restore leaves the simulation indeterminate;
-                    // rebuild from scratch and warm up cold.
-                    store.invalidate(key);
-                    let network = Network::new(net_cfg.clone(), factory, seed)?;
-                    let traffic = ClosedLoopTraffic::new(workload, nodes, seed);
-                    sim = Simulation::new(network, traffic);
-                }
-            }
-        }
-    }
-    if !warmed {
-        sim.traffic.set_target(warmup_txns);
-        assert!(
-            sim.run_until_finished(max_cycles),
-            "warmup did not finish within {max_cycles} cycles ({})",
-            workload.name
-        );
-        if let Some(store) = warm {
-            if let Ok(bytes) = sim.snapshot() {
-                store.put(key, bytes);
-            }
-        }
-    }
-    sim.network.reset_metrics();
-    let start = sim.network.now();
-
-    // Measurement.
-    sim.traffic.set_target(warmup_txns + measure_txns);
-    assert!(
-        sim.run_until_finished(max_cycles),
-        "measurement did not finish within {max_cycles} cycles ({})",
-        workload.name
-    );
-    let measured = sim.network.now() - start;
-    Ok(RunOutcome::capture(sim.network, measured))
+    };
+    or_panic(run(&kind, factory, net_cfg, seed, RunEnv::default()))
 }
 
 /// Open-loop run: warm up for `warmup_cycles`, then measure statistics over
-/// `measure_cycles`.
+/// `measure_cycles` — [`run`]'s protocol for any [`RateSpec`], no environment.
 ///
 /// # Errors
 ///
@@ -245,351 +630,11 @@ pub fn run_open_loop(
     measure_cycles: u64,
     seed: u64,
 ) -> Result<RunOutcome, ConfigError> {
-    run_open_loop_with(
-        None,
-        None,
-        factory,
-        net_cfg,
-        rates,
-        pattern,
-        mix,
-        warmup_cycles,
-        measure_cycles,
-        seed,
-    )
-}
-
-/// [`run_open_loop`] with optional arena reuse and warm-start caching;
-/// the contract is exactly [`run_closed_loop_with`]'s, with the warm key
-/// covering rate spec, pattern, mix, warmup length, and seed.
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`Network::new`].
-#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
-pub fn run_open_loop_with(
-    arena: Option<Network>,
-    warm: Option<&dyn WarmStore>,
-    factory: &dyn RouterFactory,
-    net_cfg: &NetworkConfig,
-    rates: RateSpec,
-    pattern: Pattern,
-    mix: PacketMix,
-    warmup_cycles: u64,
-    measure_cycles: u64,
-    seed: u64,
-) -> Result<RunOutcome, ConfigError> {
-    let key = warm_key(
-        "open-loop",
-        net_cfg,
-        &factory.build_key(),
-        &format!("{rates:?}|{pattern:?}|{mix:?}|{warmup_cycles}|{seed}"),
-    );
-
-    let network = acquire_network(arena, net_cfg, factory, seed)?;
-    let traffic = OpenLoopTraffic::new(rates.clone(), pattern.clone(), mix, seed);
-    let mut sim = Simulation::new(network, traffic);
-
-    let mut warmed = false;
-    if let Some(store) = warm {
-        if let Some(bytes) = store.get(key) {
-            match sim.restore(&bytes, "<warm cache>") {
-                Ok(()) => warmed = true,
-                Err(_) => {
-                    store.invalidate(key);
-                    let network = Network::new(net_cfg.clone(), factory, seed)?;
-                    let traffic = OpenLoopTraffic::new(rates, pattern, mix, seed);
-                    sim = Simulation::new(network, traffic);
-                }
-            }
-        }
-    }
-    if !warmed {
-        sim.run(warmup_cycles);
-        if let Some(store) = warm {
-            if let Ok(bytes) = sim.snapshot() {
-                store.put(key, bytes);
-            }
-        }
-    }
-    sim.network.reset_metrics();
-    sim.run(measure_cycles);
-    Ok(RunOutcome::capture(sim.network, measure_cycles))
-}
-
-/// Tag identifying the payload of a closed-loop checkpoint container.
-const CHECKPOINT_TAG: &str = "afc-closed-loop-checkpoint-v1";
-
-/// Mid-run checkpoint policy for [`run_closed_loop_checkpointed`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheckpointPolicy<'a> {
-    /// Cycles between periodic checkpoints; 0 disables them. When `file`
-    /// is set, a checkpoint is still written at the warmup/measurement
-    /// boundary, so a resume never redoes warmup.
-    pub every: u64,
-    /// Where checkpoints are written (atomically, temp file + fsync +
-    /// rename).
-    pub file: Option<&'a Path>,
-    /// An existing checkpoint to resume from before running.
-    pub resume_from: Option<&'a Path>,
-}
-
-/// Errors from [`run_closed_loop_checkpointed`].
-#[derive(Debug)]
-pub enum CheckpointedRunError {
-    /// Invalid network configuration.
-    Config(ConfigError),
-    /// Snapshot serialization, checkpoint validation, or checkpoint-file
-    /// I/O failure.
-    Snapshot(SnapshotError),
-    /// A phase exceeded the cycle budget (a saturated or deadlocked
-    /// configuration).
-    Budget {
-        /// Which phase ran out ("warmup" or "measurement").
-        phase: &'static str,
-        /// The exhausted budget.
-        max_cycles: u64,
-    },
-}
-
-impl fmt::Display for CheckpointedRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointedRunError::Config(e) => write!(f, "{e}"),
-            CheckpointedRunError::Snapshot(e) => write!(f, "{e}"),
-            CheckpointedRunError::Budget { phase, max_cycles } => {
-                write!(f, "{phase} did not finish within {max_cycles} cycles")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointedRunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointedRunError::Config(e) => Some(e),
-            CheckpointedRunError::Snapshot(e) => Some(e),
-            CheckpointedRunError::Budget { .. } => None,
-        }
-    }
-}
-
-impl From<ConfigError> for CheckpointedRunError {
-    fn from(e: ConfigError) -> Self {
-        CheckpointedRunError::Config(e)
-    }
-}
-
-impl From<SnapshotError> for CheckpointedRunError {
-    fn from(e: SnapshotError) -> Self {
-        CheckpointedRunError::Snapshot(e)
-    }
-}
-
-/// Seals harness phase + simulation snapshot into one checkpoint file.
-#[allow(clippy::too_many_arguments)] // mirrors the checkpoint layout
-fn write_checkpoint(
-    path: &Path,
-    sim: &Simulation<ClosedLoopTraffic>,
-    workload: &WorkloadParams,
-    seed: u64,
-    warmup_txns: u64,
-    measure_txns: u64,
-    phase: u8,
-    measure_start: u64,
-) -> Result<(), SnapshotError> {
-    let mut w = SnapshotWriter::new();
-    w.put_str(CHECKPOINT_TAG);
-    w.put_str(workload.name);
-    w.put_u64(seed);
-    w.put_u64(warmup_txns);
-    w.put_u64(measure_txns);
-    w.put_u8(phase);
-    w.put_u64(measure_start);
-    w.put_blob(&sim.snapshot()?);
-    snapshot::write_file_atomic(path, &snapshot::seal(w))
-}
-
-/// Loads a checkpoint into `sim` after validating it belongs to this exact
-/// invocation. Returns `(phase, measure_start)`.
-fn load_checkpoint(
-    path: &Path,
-    sim: &mut Simulation<ClosedLoopTraffic>,
-    workload: &WorkloadParams,
-    seed: u64,
-    warmup_txns: u64,
-    measure_txns: u64,
-) -> Result<(u8, u64), SnapshotError> {
-    let bytes = snapshot::read_file(path)?;
-    let origin = path.display().to_string();
-    let mut r = snapshot::open(&bytes, &origin)?;
-    let tag = r.get_str("checkpoint tag")?;
-    if tag != CHECKPOINT_TAG {
-        return Err(SnapshotError::Malformed {
-            what: "not a closed-loop checkpoint",
-        });
-    }
-    let mismatch = |what: &'static str, snapshot: String, current: String| {
-        Err(SnapshotError::ContextMismatch {
-            what,
-            snapshot,
-            current,
-        })
-    };
-    let name = r.get_str("checkpoint workload")?;
-    if name != workload.name {
-        return mismatch("workload", name, workload.name.to_string());
-    }
-    let ck_seed = r.get_u64("checkpoint seed")?;
-    if ck_seed != seed {
-        return mismatch("seed", ck_seed.to_string(), seed.to_string());
-    }
-    let ck_warmup = r.get_u64("checkpoint warmup target")?;
-    if ck_warmup != warmup_txns {
-        return mismatch(
-            "warmup transactions",
-            ck_warmup.to_string(),
-            warmup_txns.to_string(),
-        );
-    }
-    let ck_measure = r.get_u64("checkpoint measurement target")?;
-    if ck_measure != measure_txns {
-        return mismatch(
-            "measured transactions",
-            ck_measure.to_string(),
-            measure_txns.to_string(),
-        );
-    }
-    let phase = r.get_u8("checkpoint phase")?;
-    if phase > 1 {
-        return Err(SnapshotError::Malformed {
-            what: "checkpoint phase tag",
-        });
-    }
-    let measure_start = r.get_u64("measurement start cycle")?;
-    let blob = r.get_blob("embedded simulation snapshot")?;
-    r.finish("closed-loop checkpoint")?;
-    sim.restore(&blob, &origin)?;
-    Ok((phase, measure_start))
-}
-
-/// One phase of a checkpointed run: steps until the traffic model reports
-/// completion, writing a checkpoint every `every` cycles. Returns whether
-/// the phase finished within `max_cycles`.
-fn run_phase(
-    sim: &mut Simulation<ClosedLoopTraffic>,
-    max_cycles: u64,
-    every: u64,
-    mut checkpoint: impl FnMut(&Simulation<ClosedLoopTraffic>) -> Result<(), SnapshotError>,
-) -> Result<bool, CheckpointedRunError> {
-    let mut remaining = max_cycles;
-    loop {
-        let chunk = if every == 0 {
-            remaining
-        } else {
-            every.min(remaining)
-        };
-        // `run_until_finished` checks the finish predicate before every
-        // step, so chunking is behavior-identical to one long call.
-        if sim.run_until_finished(chunk) {
-            return Ok(true);
-        }
-        remaining -= chunk;
-        if remaining == 0 {
-            return Ok(false);
-        }
-        checkpoint(sim)?;
-    }
-}
-
-/// [`run_closed_loop`] with crash-safe checkpointing: every
-/// [`CheckpointPolicy::every`] cycles (and at the warmup/measurement
-/// boundary) the full harness state — phase, measurement window origin,
-/// and a complete simulation snapshot — is written atomically to
-/// [`CheckpointPolicy::file`]. A later invocation with the same arguments
-/// and [`CheckpointPolicy::resume_from`] continues from the checkpoint and
-/// finishes bit-identically to an uninterrupted run.
-///
-/// A checkpoint records the invocation it belongs to (workload, seed,
-/// warmup/measurement targets); resuming under different arguments is
-/// refused with a [`SnapshotError::ContextMismatch`].
-///
-/// # Errors
-///
-/// [`CheckpointedRunError::Config`] for an invalid network configuration,
-/// [`CheckpointedRunError::Snapshot`] for checkpoint I/O or validation
-/// failures, and [`CheckpointedRunError::Budget`] — instead of the panic
-/// in [`run_closed_loop`] — when a phase blows its cycle budget (the last
-/// periodic checkpoint survives, so the run can still be resumed with a
-/// larger budget).
-#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
-pub fn run_closed_loop_checkpointed(
-    factory: &dyn RouterFactory,
-    net_cfg: &NetworkConfig,
-    workload: WorkloadParams,
-    warmup_txns: u64,
-    measure_txns: u64,
-    max_cycles: u64,
-    seed: u64,
-    policy: CheckpointPolicy<'_>,
-) -> Result<RunOutcome, CheckpointedRunError> {
-    let network = Network::new(net_cfg.clone(), factory, seed)?;
-    let nodes = network.mesh().node_count();
-    let traffic = ClosedLoopTraffic::new(workload, nodes, seed);
-    let mut sim = Simulation::new(network, traffic);
-    let mut phase = 0u8;
-    let mut measure_start = 0u64;
-
-    if let Some(path) = policy.resume_from {
-        (phase, measure_start) =
-            load_checkpoint(path, &mut sim, &workload, seed, warmup_txns, measure_txns)?;
-    }
-
-    let save = |sim: &Simulation<ClosedLoopTraffic>,
-                phase: u8,
-                measure_start: u64|
-     -> Result<(), SnapshotError> {
-        match policy.file {
-            Some(path) => write_checkpoint(
-                path,
-                sim,
-                &workload,
-                seed,
-                warmup_txns,
-                measure_txns,
-                phase,
-                measure_start,
-            ),
-            None => Ok(()),
-        }
-    };
-
-    if phase == 0 {
-        sim.traffic.set_target(warmup_txns);
-        if !run_phase(&mut sim, max_cycles, policy.every, |s| save(s, 0, 0))? {
-            return Err(CheckpointedRunError::Budget {
-                phase: "warmup",
-                max_cycles,
-            });
-        }
-        sim.network.reset_metrics();
-        phase = 1;
-        measure_start = sim.network.now();
-        // Phase-boundary checkpoint: a resume never redoes warmup.
-        save(&sim, phase, measure_start)?;
-    }
-
-    sim.traffic.set_target(warmup_txns + measure_txns);
-    if !run_phase(&mut sim, max_cycles, policy.every, |s| {
-        save(s, 1, measure_start)
-    })? {
-        return Err(CheckpointedRunError::Budget {
-            phase: "measurement",
-            max_cycles,
-        });
-    }
-    let measured = sim.network.now() - measure_start;
-    Ok(RunOutcome::capture(sim.network, measured))
+    // No store or checkpoint file in the environment: nothing reads an identity.
+    let (env, window) = (RunEnv::default(), [warmup_cycles, measure_cycles]);
+    or_panic(drive_open_loop(
+        factory, net_cfg, seed, "", env, &rates, &pattern, mix, window,
+    ))
 }
 
 /// Outcome of a fault-injection scenario: the run may end early with a
@@ -620,15 +665,34 @@ impl FaultRunOutcome {
     }
 }
 
-/// Fault-injection scenario: open-loop traffic for `inject_cycles`, then
-/// sources stop and the network gets `drain_cycles` to deliver everything
-/// still in flight. Faults and recovery come from `net_cfg` (its
-/// [`faults`](NetworkConfig::faults) plan and
-/// [`retransmit`](NetworkConfig::retransmit) config).
-///
-/// Unlike [`run_open_loop`], this uses the fallible stepping API: a stall
+/// The fault scenario's own protocol, on the fallible stepping API: a stall
 /// or livelock watchdog firing ends the run with `error = Some(..)` rather
 /// than panicking, so fault sweeps can report "STALLED" as a data point.
+fn inject_then_drain(
+    network: Network,
+    traffic: OpenLoopTraffic,
+    inject_cycles: u64,
+    drain_cycles: u64,
+) -> RunOutcome {
+    let mut sim = Simulation::new(network, traffic);
+    let ended = sim.try_run(inject_cycles).and_then(|()| {
+        sim.traffic.stop();
+        sim.try_drain(drain_cycles)
+    });
+    let ran_cycles = sim.network.now();
+    RunOutcome {
+        drained: ended == Ok(true),
+        error: ended.err(),
+        ..RunOutcome::capture(sim.network, ran_cycles)
+    }
+}
+
+/// Fault-injection scenario: open-loop traffic for `inject_cycles`, then
+/// sources stop and the network gets `drain_cycles` to deliver everything
+/// still in flight — what [`run`] does for a [`RunKind::Fault`], for any
+/// traffic, with faults and recovery taken from `net_cfg`'s
+/// [`faults`](NetworkConfig::faults) and
+/// [`retransmit`](NetworkConfig::retransmit).
 ///
 /// # Errors
 ///
@@ -645,71 +709,28 @@ pub fn run_fault_scenario(
     drain_cycles: u64,
     seed: u64,
 ) -> Result<FaultRunOutcome, ConfigError> {
-    run_fault_scenario_with(
-        None,
-        factory,
-        net_cfg,
-        rates,
-        pattern,
-        mix,
-        inject_cycles,
-        drain_cycles,
-        seed,
-    )
-}
-
-/// [`run_fault_scenario`] with optional arena reuse. No warm-start option:
-/// a fault scenario measures from cycle 0, so there is no warmup prefix to
-/// cache.
-///
-/// # Errors
-///
-/// As [`run_fault_scenario`].
-#[allow(clippy::too_many_arguments)] // a flat argument list mirrors the experiment's knobs
-pub fn run_fault_scenario_with(
-    arena: Option<Network>,
-    factory: &dyn RouterFactory,
-    net_cfg: &NetworkConfig,
-    rates: RateSpec,
-    pattern: Pattern,
-    mix: PacketMix,
-    inject_cycles: u64,
-    drain_cycles: u64,
-    seed: u64,
-) -> Result<FaultRunOutcome, ConfigError> {
-    let network = acquire_network(arena, net_cfg, factory, seed)?;
+    let network = Network::new(net_cfg.clone(), factory, seed)?;
     let traffic = OpenLoopTraffic::new(rates, pattern, mix, seed);
-    let mut sim = Simulation::new(network, traffic);
-
-    let outcome = |sim: Simulation<OpenLoopTraffic>, error, drained| {
-        let stats = sim.network.stats().clone();
-        let ran_cycles = sim.network.now();
-        FaultRunOutcome {
-            stats,
-            error,
-            drained,
-            ran_cycles,
-            network: sim.network,
-        }
-    };
-
-    if let Err(e) = sim.try_run(inject_cycles) {
-        return Ok(outcome(sim, Some(e), false));
-    }
-    sim.traffic.stop();
-    match sim.try_drain(drain_cycles) {
-        Ok(drained) => Ok(outcome(sim, None, drained)),
-        Err(e) => Ok(outcome(sim, Some(e), false)),
-    }
+    let out = inject_then_drain(network, traffic, inject_cycles, drain_cycles);
+    Ok(FaultRunOutcome {
+        network: out.network,
+        stats: out.stats,
+        error: out.error,
+        drained: out.drained,
+        ran_cycles: out.measured_cycles,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads;
-    use afc_netsim::config::RetransmitConfig;
-    use afc_netsim::faults::FaultPlan;
+    use afc_netsim::snapshot::fnv1a64;
     use afc_routers::{BackpressuredFactory, DeflectionFactory};
+    use std::collections::HashMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::path::PathBuf;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn closed_loop_runner_measures_cycles() {
@@ -771,153 +792,277 @@ mod tests {
         out.network.audit().expect("flit conservation under faults");
     }
 
-    fn outcome_key(out: &RunOutcome) -> (u64, u64, u64, u64, Option<u64>) {
+    /// An in-memory [`WarmStore`] that counts its hits.
+    #[derive(Default)]
+    struct Store {
+        map: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
+        hits: Mutex<u32>,
+    }
+
+    impl WarmStore for Store {
+        fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
+            let hit = self.map.lock().unwrap().get(&key).cloned();
+            *self.hits.lock().unwrap() += u32::from(hit.is_some());
+            hit
+        }
+        fn put(&self, key: u64, bytes: Vec<u8>) {
+            self.map.lock().unwrap().insert(key, Arc::new(bytes));
+        }
+        fn invalidate(&self, key: u64) {
+            self.map.lock().unwrap().remove(&key);
+        }
+    }
+
+    /// A store that kills the run the moment it seals its warm-up.
+    struct DyingStore;
+
+    impl WarmStore for DyingStore {
+        fn get(&self, _key: u64) -> Option<Arc<Vec<u8>>> {
+            None
+        }
+        fn put(&self, _key: u64, _bytes: Vec<u8>) {
+            panic!("killed while sealing the warm-up");
+        }
+        fn invalidate(&self, _key: u64) {}
+    }
+
+    const SEED: u64 = 11;
+
+    fn closed(workload: WorkloadParams, max_cycles: u64) -> RunKind {
+        RunKind::ClosedLoop {
+            workload,
+            warmup_txns: 50,
+            measure_txns: 100,
+            max_cycles,
+        }
+    }
+
+    fn open(measure_cycles: u64) -> RunKind {
+        RunKind::OpenLoop {
+            rate: 0.15,
+            pattern: Pattern::UniformRandom,
+            mix: PacketMix::paper(),
+            warmup_cycles: 600,
+            measure_cycles,
+        }
+    }
+
+    fn fault() -> RunKind {
+        RunKind::Fault {
+            rate: 0.10,
+            drop_rate: 1e-3,
+            corrupt_rate: 1e-3,
+            inject_cycles: 500,
+            drain_cycles: 100_000,
+        }
+    }
+
+    fn run_in(kind: &RunKind, env: RunEnv<'_>) -> Result<RunOutcome, RunError> {
+        let cfg = NetworkConfig::paper_3x3();
+        run(kind, &BackpressuredFactory::new(), &cfg, SEED, env)
+    }
+
+    /// Everything a leg must reproduce: the window, every statistic and
+    /// counter, and the network's complete end state.
+    fn fingerprint(out: &RunOutcome) -> (u64, String, String, u64) {
+        let mut w = SnapshotWriter::new();
+        out.network.save_state(&mut w).expect("snapshot-capable");
         (
             out.measured_cycles,
-            out.network.now(),
-            out.stats.packets_delivered,
-            out.stats.flits_delivered,
-            out.mean_latency().map(f64::to_bits),
+            format!("{:?}|{:?}|{}", out.stats, out.error, out.drained),
+            format!("{:?}", out.counters),
+            fnv1a64(&snapshot::seal(w)),
         )
     }
 
-    #[test]
-    fn checkpointed_run_without_checkpoints_matches_plain_run() {
-        let cfg = NetworkConfig::paper_3x3();
-        let plain = run_closed_loop(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            2_000_000,
-            11,
-        )
-        .unwrap();
-        let checkpointed = run_closed_loop_checkpointed(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            2_000_000,
-            11,
-            CheckpointPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome_key(&plain), outcome_key(&checkpointed));
+    /// An environment with nothing but a checkpoint policy.
+    fn policy<'a>(every: u64, file: Option<&'a Path>, resume_from: Option<&'a Path>) -> RunEnv<'a> {
+        RunEnv {
+            checkpoint: CheckpointPolicy {
+                every,
+                file,
+                resume_from,
+            },
+            ..RunEnv::default()
+        }
     }
 
-    #[test]
-    fn interrupted_run_resumes_bit_identically() {
-        let cfg = NetworkConfig::paper_3x3();
-        let dir = std::env::temp_dir().join(format!("afc-ckpt-{}", std::process::id()));
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("afc-run-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A network left dirty by an unrelated run: what a sweep worker's
+    /// arena looks like.
+    fn dirty_arena(kind: &RunKind) -> Option<Network> {
+        let cfg = NetworkConfig::paper_3x3();
+        let cfg = kind.network_config(&cfg);
+        let factory = BackpressuredFactory::new();
+        let out = run(&open(300), &factory, &cfg, 99, RunEnv::default()).unwrap();
+        Some(out.network)
+    }
+
+    /// The protocol's table: every scenario x every way of getting through
+    /// it — fresh, on a recycled arena, from a warm hit, resumed from a
+    /// mid-warm-up checkpoint, resumed from a mid-measure checkpoint, and
+    /// with a do-nothing checkpoint policy — ends in the same outcome.
+    #[test]
+    fn every_kind_reaches_one_outcome_by_every_road() {
+        let dir = scratch_dir("table");
         let file = dir.join("run.ckpt");
+        for kind in [closed(workloads::water(), 2_000_000), open(1_800), fault()] {
+            let fresh = fingerprint(&run_in(&kind, RunEnv::default()).unwrap());
 
-        let reference = run_closed_loop(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            2_000_000,
-            11,
-        )
-        .unwrap();
+            let arena = RunEnv {
+                arena: dirty_arena(&kind),
+                ..RunEnv::default()
+            };
+            assert_eq!(
+                fingerprint(&run_in(&kind, arena).unwrap()),
+                fresh,
+                "{kind:?}: arena"
+            );
 
-        // "Crash" mid-run: a per-phase budget of a quarter of the full
-        // run cannot cover the measurement phase, so the run aborts with
-        // the last periodic checkpoint on disk — exactly like a SIGKILL.
+            // A miss seals, a hit restores — on a recycled arena too.
+            let store = Store::default();
+            for arena in [None, dirty_arena(&kind)] {
+                let warm = RunEnv {
+                    arena,
+                    warm: Some(&store),
+                    ..RunEnv::default()
+                };
+                assert_eq!(
+                    fingerprint(&run_in(&kind, warm).unwrap()),
+                    fresh,
+                    "{kind:?}: warm"
+                );
+            }
+            let hits = *store.hits.lock().unwrap();
+
+            if matches!(kind, RunKind::Fault { .. }) {
+                // No warm-up to cache, no boundary to checkpoint.
+                assert_eq!(hits, 0);
+                let refused = run_in(&kind, policy(100, Some(&file), None)).unwrap_err();
+                assert!(
+                    matches!(
+                        refused,
+                        RunError::Snapshot(SnapshotError::Unsupported { .. })
+                    ),
+                    "{refused}"
+                );
+                continue;
+            }
+            assert_eq!(hits, 1, "{kind:?}: the second run restores its warm-up");
+            let unprotected = run_in(&kind, policy(0, None, None)).unwrap();
+            assert_eq!(fingerprint(&unprotected), fresh, "{kind:?}: no-op policy");
+
+            // Killed mid-warm-up: the process dies (here: the store
+            // panics) as it seals the warm-up, after two periodic
+            // checkpoints and before the boundary one.
+            let total = unprotected.network.now();
+            let warmup_end = total - unprotected.measured_cycles;
+            let dying = RunEnv {
+                warm: Some(&DyingStore),
+                ..policy(warmup_end / 3, Some(&file), None)
+            };
+            let killed = catch_unwind(AssertUnwindSafe(|| run_in(&kind, dying)));
+            assert!(
+                killed.is_err() && file.exists(),
+                "{kind:?}: died mid-warm-up"
+            );
+            let resumed = run_in(&kind, policy(1_000, Some(&file), Some(&file)));
+            assert_eq!(
+                fingerprint(&resumed.unwrap()),
+                fresh,
+                "{kind:?}: resumed mid-warm-up"
+            );
+
+            // Killed mid-measure: what a finished run leaves on disk is its
+            // last periodic checkpoint, two thirds into the window.
+            std::fs::remove_file(&file).unwrap();
+            let every = unprotected.measured_cycles / 3;
+            run_in(&kind, policy(every, Some(&file), None)).unwrap();
+            let resumed = run_in(&kind, policy(0, None, Some(&file))).unwrap();
+            assert_eq!(
+                fingerprint(&resumed),
+                fresh,
+                "{kind:?}: resumed mid-measure"
+            );
+            let replayed = resumed.network.now() - (warmup_end + 2 * every);
+            assert!(
+                replayed <= every + 1,
+                "{kind:?}: {replayed} cycles replayed"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    #[test]
+    fn a_blown_budget_is_an_error_whose_checkpoint_resumes() {
+        let dir = scratch_dir("budget");
+        let file = dir.join("run.ckpt");
+        let kind = closed(workloads::water(), 2_000_000);
+        let reference = run_in(&kind, RunEnv::default()).unwrap();
+
+        // A per-phase budget of a quarter of the full run cannot cover even
+        // the warm-up: one structured error, the last periodic
+        // checkpoint on disk, and a resume with a larger budget finishes
+        // bit-identically.
         let quarter = (reference.network.now() / 4).max(4);
-        let interrupted = run_closed_loop_checkpointed(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            quarter,
-            11,
-            CheckpointPolicy {
-                every: (quarter / 4).max(1),
-                file: Some(&file),
-                resume_from: None,
-            },
-        );
-        assert!(
-            matches!(interrupted, Err(CheckpointedRunError::Budget { .. })),
-            "{quarter} cycles must not complete this workload"
-        );
+        let every = (quarter / 4).max(1);
+        let short = closed(workloads::water(), quarter);
+        let err = run_in(&short, policy(every, Some(&file), None)).unwrap_err();
+        assert!(matches!(err, RunError::Budget { .. }), "{err}");
+        let text = format!("warmup did not finish within {quarter} cycles (water)");
+        assert_eq!(err.to_string(), text);
         assert!(file.exists(), "a periodic checkpoint must survive");
+        let resumed = run_in(&kind, policy(1_000, Some(&file), Some(&file))).unwrap();
+        assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 
-        let resumed = run_closed_loop_checkpointed(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            2_000_000,
-            11,
-            CheckpointPolicy {
-                every: 1_000,
-                file: Some(&file),
-                resume_from: Some(&file),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            outcome_key(&reference),
-            outcome_key(&resumed),
-            "resumed run must be bit-identical to the uninterrupted one"
-        );
-
-        // Resuming under different arguments is refused.
-        let err = run_closed_loop_checkpointed(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            2_000_000,
-            12, // different seed
-            CheckpointPolicy {
-                every: 0,
-                file: None,
-                resume_from: Some(&file),
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointedRunError::Snapshot(SnapshotError::ContextMismatch { .. })
-            ),
-            "got {err}"
-        );
+        // Resuming under different arguments is refused: another seed,
+        // another measure length, and — same name, same everything else —
+        // another workload.
+        let refused = |kind: &RunKind, seed| {
+            let cfg = NetworkConfig::paper_3x3();
+            let env = policy(0, None, Some(&file));
+            match run(kind, &BackpressuredFactory::new(), &cfg, seed, env) {
+                Err(RunError::Snapshot(SnapshotError::ContextMismatch { what, .. })) => what,
+                other => panic!("expected a context mismatch, got {other:?}"),
+            }
+        };
+        assert_eq!(refused(&kind, SEED + 1), "seed");
+        let longer = RunKind::ClosedLoop {
+            workload: workloads::water(),
+            warmup_txns: 50,
+            measure_txns: 101,
+            max_cycles: 2_000_000,
+        };
+        assert_eq!(refused(&longer, SEED), "measurement target");
+        let variant = WorkloadParams {
+            think_mean: 4.0 * workloads::water().think_mean,
+            ..workloads::water()
+        };
+        assert_eq!(refused(&closed(variant, 2_000_000), SEED), "scenario");
 
         // A corrupt checkpoint is refused with the file named.
-        let mut bytes = std::fs::read(&file).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
+        let good = std::fs::read(&file).unwrap();
+        let mut bytes = good.clone();
+        bytes[good.len() / 2] ^= 0x10;
         std::fs::write(&file, &bytes).unwrap();
-        let err = run_closed_loop_checkpointed(
-            &BackpressuredFactory::new(),
-            &cfg,
-            workloads::water(),
-            50,
-            100,
-            2_000_000,
-            11,
-            CheckpointPolicy {
-                every: 0,
-                file: None,
-                resume_from: Some(&file),
-            },
-        )
-        .unwrap_err();
+        let err = run_in(&kind, policy(0, None, Some(&file))).unwrap_err();
+        assert!(err.to_string().contains("run.ckpt"), "{err}");
+
+        // So is a checkpoint of the `-v1` layout, by its tag.
+        let mut w = SnapshotWriter::new();
+        w.put_str("afc-closed-loop-checkpoint-v1");
+        w.put_str("water");
+        [SEED, 50, 100].into_iter().for_each(|v| w.put_u64(v));
+        std::fs::write(&file, snapshot::seal(w)).unwrap();
+        let err = run_in(&kind, policy(0, None, Some(&file))).unwrap_err();
+        let text = err.to_string();
         assert!(
-            err.to_string().contains("run.ckpt"),
-            "error must name the corrupt file: {err}"
+            text.contains("checkpoint format") && text.contains("-v1"),
+            "{text}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

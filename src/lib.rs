@@ -55,8 +55,8 @@ pub mod prelude {
     pub use afc_netsim::prelude::*;
     pub use afc_routers::{BackpressuredFactory, DeflectionFactory, DropFactory, RankPolicy};
     pub use afc_traffic::{
-        run_closed_loop, run_closed_loop_checkpointed, run_fault_scenario, run_open_loop,
-        workloads, CheckpointPolicy, CheckpointedRunError, ClosedLoopTraffic, FaultRunOutcome,
-        OpenLoopTraffic, PacketMix, Pattern, RateSpec, RunOutcome, WorkloadParams,
+        run, run_closed_loop, run_fault_scenario, run_open_loop, workloads, CheckpointPolicy,
+        ClosedLoopTraffic, FaultRunOutcome, OpenLoopTraffic, PacketMix, Pattern, RateSpec, RunEnv,
+        RunError, RunKind, RunOutcome, WorkloadParams,
     };
 }

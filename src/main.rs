@@ -7,6 +7,7 @@ use afc_noc::cli::{
 };
 use afc_noc::netsim::config::RetransmitConfig;
 use afc_noc::prelude::*;
+use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,37 +76,21 @@ fn do_run(args: &RunArgs) -> Result<(), String> {
     let factory = mechanism_factory(&args.mechanism)?;
     let workload = workload_by_name(&args.workload)?;
     let cfg = net_config_threaded(args.mesh, args.sim_threads);
-    let out = if args.checkpoint_every > 0 || args.resume_from.is_some() {
-        let ckpt_file = std::path::PathBuf::from(&args.checkpoint_file);
-        let resume = args.resume_from.as_ref().map(std::path::PathBuf::from);
-        let policy = CheckpointPolicy {
-            every: args.checkpoint_every,
-            file: (args.checkpoint_every > 0).then_some(ckpt_file.as_path()),
-            resume_from: resume.as_deref(),
-        };
-        run_closed_loop_checkpointed(
-            factory.as_ref(),
-            &cfg,
-            workload,
-            args.warmup,
-            args.txns,
-            500_000_000,
-            args.seed,
-            policy,
-        )
-        .map_err(|e| e.to_string())?
-    } else {
-        run_closed_loop(
-            factory.as_ref(),
-            &cfg,
-            workload,
-            args.warmup,
-            args.txns,
-            500_000_000,
-            args.seed,
-        )
-        .map_err(|e| e.to_string())?
+    let kind = RunKind::ClosedLoop {
+        workload,
+        warmup_txns: args.warmup,
+        measure_txns: args.txns,
+        max_cycles: 500_000_000,
     };
+    let env = RunEnv {
+        checkpoint: CheckpointPolicy {
+            every: args.checkpoint_every,
+            file: (args.checkpoint_every > 0).then_some(Path::new(&args.checkpoint_file)),
+            resume_from: args.resume_from.as_deref().map(Path::new),
+        },
+        ..RunEnv::default()
+    };
+    let out = run(&kind, factory.as_ref(), &cfg, args.seed, env).map_err(|e| e.to_string())?;
     let energy = EnergyModel::new(EnergyParams::micro2010_70nm())
         .price_network_as(&out.network, mechanism_accounting(&args.mechanism));
     let nodes = out.network.mesh().node_count();
