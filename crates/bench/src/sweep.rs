@@ -72,13 +72,13 @@
 //! in a new experiment — and makes every grid re-execute each member of a
 //! coalesced unit on its own network ([`RunSpec::execute_alone`]) and
 //! assert the derived output matches it byte for byte.
-//! `AFC_WARM_CACHE_DIR=<dir>` spills the warm-start cache to disk (see
-//! [`WarmCache`]).
+//! `AFC_WARM_CACHE_DIR=<dir>` spills the warm-start cache to disk and makes
+//! every warm-up seal (see [`WarmCache`]).
 //!
 //! Thread count: `--threads N` ([`HarnessArgs`]), else
 //! [`std::thread::available_parallelism`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
@@ -94,16 +94,16 @@ use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
 use afc_netsim::snapshot::fnv1a64;
 pub use afc_traffic::runner::RunKind;
-use afc_traffic::runner::{run, RunEnv, RunOutcome, WarmStore};
+use afc_traffic::runner::{run, RunEnv, RunOutcome, Warm, WarmStore};
 
 use crate::mechanisms::{Mechanism, MechanismId};
 
 /// Explicit `--threads` override; 0 means unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Per-run wall-clock records `(sweep, run, micros)`, drained by
-/// [`write_timing_report`].
-static TIMINGS: Mutex<Vec<(String, usize, u128)>> = Mutex::new(Vec::new());
+/// Per-run records `(sweep, run, micros, what the warm cache did)`, drained
+/// by [`write_timing_report`].
+static TIMINGS: Mutex<Vec<(String, usize, u128, &'static str)>> = Mutex::new(Vec::new());
 
 /// Structured errors from the sweep engine's argument parsing, manifest
 /// handling, and artifact plumbing. Binaries print these and exit nonzero
@@ -428,15 +428,16 @@ where
     debug_assert_eq!(order.len(), jobs.len());
     let workers = threads.max(1).min(jobs.len());
     let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs.len()).map(|_| None).collect();
-    let mut land = |(i, r, micros): (usize, Result<R, JobFailure>, u128)| {
-        timings().push((name.to_string(), i, micros));
+    let mut land = |(i, r, micros, warm): (usize, Result<R, JobFailure>, u128, _)| {
+        timings().push((name.to_string(), i, micros, warm));
         progress(i, &r);
         slots[i] = Some(r);
     };
     let timed = |i: usize| {
         let start = Instant::now();
+        WARM_SEEN.set("-");
         let r = run_guarded(name, i, &jobs[i], f);
-        (i, r, start.elapsed().as_micros())
+        (i, r, start.elapsed().as_micros(), WARM_SEEN.get())
     };
     if workers <= 1 {
         // The serial pass walks the grouped order too, on the calling
@@ -568,7 +569,7 @@ where
 
 /// Locks the timing registry, recovering from a poisoned lock: a panicking
 /// sweep job may cost its own timing record, never the whole report.
-fn timings() -> std::sync::MutexGuard<'static, Vec<(String, usize, u128)>> {
+fn timings() -> std::sync::MutexGuard<'static, Vec<(String, usize, u128, &'static str)>> {
     TIMINGS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -603,7 +604,9 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), SweepError> {
 
 /// Writes (and drains) the per-run timing report accumulated by every
 /// sweep since the last call to `results/timing/<binary>.tsv`, atomically
-/// replacing the previous run's.
+/// replacing the previous run's. Its `warm` column says what the warm cache
+/// did for the unit — `cold` (simulated, nothing sealed), `sealed`, `hit`,
+/// or `-` (no store passed, or no warm-up) — and the `total` row counts each.
 ///
 /// Wall-clock values are inherently nondeterministic, which is why they
 /// live outside the experiment's own `results/` artifacts: byte-identity
@@ -620,12 +623,16 @@ pub fn write_timing_report(binary: &str) -> Result<PathBuf, SweepError> {
     out.push_str("# per-run wall-clock; nondeterministic by nature, not part of the\n");
     out.push_str("# byte-identical sweep results\n");
     out.push_str(&format!("# binary\t{binary}\n# threads\t{}\n", threads()));
-    out.push_str("sweep\trun\tmillis\n");
-    for (sweep, run, micros) in &records {
+    out.push_str("sweep\trun\tmillis\twarm\n");
+    for (sweep, run, micros, warm) in &records {
         let millis = *micros as f64 / 1_000.0;
-        out.push_str(&format!("{sweep}\t{run}\t{millis:.3}\n"));
+        out.push_str(&format!("{sweep}\t{run}\t{millis:.3}\t{warm}\n"));
     }
-    out.push_str(&format!("total\t{}\t{total_ms:.3}\n", records.len()));
+    let count = |what| records.iter().filter(|r| r.3 == what).count();
+    let (n, [cold, sealed, hit]) = (records.len(), ["cold", "sealed", "hit"].map(count));
+    out.push_str(&format!(
+        "total\t{n}\t{total_ms:.3}\tcold {cold} sealed {sealed} hit {hit}\n"
+    ));
     write_atomic(&path, out.as_bytes())?;
     Ok(path)
 }
@@ -643,6 +650,8 @@ pub fn write_timing_report(binary: &str) -> Result<PathBuf, SweepError> {
 // sweep, so arenas are reclaimed when the sweep ends.
 thread_local! {
     static SIM_POOL: RefCell<Option<Network>> = const { RefCell::new(None) };
+    /// What the [`WarmCache`] last did on this thread, for the timing report.
+    static WARM_SEEN: Cell<&'static str> = const { Cell::new("-") };
 }
 
 /// Arena jobs whose pooled network matched the incoming job (reset path).
@@ -651,7 +660,8 @@ static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 /// Warm-cache lookups that found a usable post-warmup snapshot.
 static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-/// Warm-cache lookups that missed (the warmup was simulated and cached).
+/// Warm-cache lookups that missed (the warmup was simulated; cached only
+/// where the [`WarmCache`] admitted it).
 static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Takes this worker's pooled network if [`Network::arena_compatible`]
@@ -681,7 +691,8 @@ pub fn pool_clear() {
 /// Cumulative `(arena hits, arena misses, warm hits, warm misses)` across
 /// all sweeps in this process. A "hit" means the job reset a pooled
 /// network in place / restored a cached warmup snapshot; a "miss" means it
-/// constructed / simulated from scratch.
+/// constructed / simulated from scratch (a warm miss seals only on the
+/// [`WarmCache`]'s say-so).
 pub fn pool_stats() -> (u64, u64, u64, u64) {
     (
         POOL_HITS.load(Ordering::Relaxed),
@@ -698,19 +709,24 @@ pub fn pool_stats() -> (u64, u64, u64, u64) {
 /// ([`RunKind::identity`]: traffic description and warmup length). Values
 /// are sealed
 /// [`Simulation::snapshot`](afc_netsim::sim::Simulation::snapshot)
-/// containers taken immediately after the warmup phase; a later run with
-/// the same key restores the snapshot instead of re-simulating the
-/// warmup, and the runner verifies the container checksum and network
-/// fingerprint on restore, invalidating the entry on any mismatch.
+/// containers taken immediately after the warmup phase; the runner verifies
+/// the container checksum and network fingerprint on restore, invalidating
+/// the entry on any mismatch.
 ///
-/// The cache is bounded (FIFO eviction once [`WARM_CACHE_BYTES`] is
-/// exceeded) and can spill to disk: set `AFC_WARM_CACHE_DIR` to a directory
-/// and entries are also written there atomically, surviving process
-/// crashes — a resumed sweep re-reads them subject to the same
-/// checksum/fingerprint verification.
+/// Admission is by what the cache observes: a key's *first* miss is answered
+/// `seal: false` and only remembered (8 bytes, at most [`MISSED_KEYS`],
+/// oldest forgotten first), every later miss `seal: true` — so a sweep of
+/// distinct warm-ups serialises and holds nothing, and a repeated one
+/// restores from its third pass on. An evicted or invalidated key stays
+/// remembered. Entries are bounded too (FIFO eviction once
+/// [`WARM_CACHE_BYTES`] is exceeded). Setting `AFC_WARM_CACHE_DIR` names a
+/// reader — a resumed process — so then *every* miss seals and the entry is
+/// also written there atomically; a later lookup re-reads it subject to the
+/// same checksum/fingerprint verification.
 pub struct WarmCache {
     inner: Mutex<WarmCacheInner>,
     cap_bytes: usize,
+    missed_cap: usize,
     disk_dir: Option<PathBuf>,
 }
 
@@ -719,6 +735,8 @@ struct WarmCacheInner {
     /// Insertion order, for FIFO eviction.
     order: VecDeque<u64>,
     bytes: usize,
+    /// Keys that have missed, oldest first: what admits a second miss.
+    missed: VecDeque<u64>,
 }
 
 impl WarmCacheInner {
@@ -743,16 +761,18 @@ impl WarmCacheInner {
 }
 
 impl WarmCache {
-    /// An empty cache with an explicit byte cap and optional disk spill
-    /// directory (tests construct these; the rest use [`warm_cache`]).
-    fn with_limits(cap_bytes: usize, disk_dir: Option<PathBuf>) -> WarmCache {
+    /// An empty cache with explicit caps and optional disk spill directory
+    /// (tests construct these; the rest use [`warm_cache`]).
+    fn with_limits(cap_bytes: usize, missed_cap: usize, disk_dir: Option<PathBuf>) -> WarmCache {
         WarmCache {
             inner: Mutex::new(WarmCacheInner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
                 bytes: 0,
+                missed: VecDeque::new(),
             }),
             cap_bytes,
+            missed_cap,
             disk_dir,
         }
     }
@@ -773,37 +793,48 @@ impl WarmCache {
         (inner.map.len(), inner.bytes)
     }
 
-    /// Empties the in-memory cache (disk spill files are left alone).
+    /// Empties the in-memory cache and forgets which keys have missed
+    /// (disk spill files are left alone).
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.map.clear();
         inner.order.clear();
+        inner.missed.clear();
         inner.bytes = 0;
     }
 }
 
 impl WarmStore for WarmCache {
-    fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
-        if let Some(bytes) = self.lock().map.get(&key).cloned() {
-            WARM_HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(bytes);
-        }
+    fn lookup(&self, key: u64) -> Warm {
+        let resident = self.lock().map.get(&key).cloned();
         // Miss in memory: a crash-surviving spill file may still have it.
         // The runner re-verifies checksum and fingerprint on restore, so a
         // torn or stale file degrades to a re-warmed run, never a wrong one.
-        if let Some(path) = self.disk_path(key) {
-            if let Ok(bytes) = std::fs::read(&path) {
-                let bytes = Arc::new(bytes);
-                self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
-                WARM_HITS.fetch_add(1, Ordering::Relaxed);
-                return Some(bytes);
-            }
+        let found = resident.or_else(|| {
+            let bytes = Arc::new(std::fs::read(self.disk_path(key)?).ok()?);
+            self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
+            Some(bytes)
+        });
+        if let Some(bytes) = found {
+            WARM_HITS.fetch_add(1, Ordering::Relaxed);
+            WARM_SEEN.set("hit");
+            return Warm::Hit(bytes);
         }
         WARM_MISSES.fetch_add(1, Ordering::Relaxed);
-        None
+        WARM_SEEN.set("cold");
+        let mut inner = self.lock();
+        let seal = self.disk_dir.is_some() || inner.missed.contains(&key);
+        if !seal {
+            if inner.missed.len() >= self.missed_cap {
+                inner.missed.pop_front();
+            }
+            inner.missed.push_back(key);
+        }
+        Warm::Cold { seal }
     }
 
     fn put(&self, key: u64, bytes: Vec<u8>) {
+        WARM_SEEN.set("sealed");
         let disk = self.disk_path(key);
         let bytes = Arc::new(bytes);
         self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
@@ -830,6 +861,9 @@ impl WarmStore for WarmCache {
 /// In-memory byte cap of the process-wide [`WarmCache`] (256 MiB).
 pub const WARM_CACHE_BYTES: usize = 256 << 20;
 
+/// How many missed keys the process-wide [`WarmCache`] remembers (512 KiB).
+const MISSED_KEYS: usize = 1 << 16;
+
 /// The process-wide [`WarmCache`] singleton, created on first use: capped
 /// at [`WARM_CACHE_BYTES`], spilling to `AFC_WARM_CACHE_DIR` if set.
 ///
@@ -841,7 +875,7 @@ pub fn warm_cache() -> &'static WarmCache {
     static WARM: OnceLock<WarmCache> = OnceLock::new();
     WARM.get_or_init(|| {
         let dir = SweepEnv::get_or_panic().warm_cache_dir.clone();
-        WarmCache::with_limits(WARM_CACHE_BYTES, dir)
+        WarmCache::with_limits(WARM_CACHE_BYTES, MISSED_KEYS, dir)
     })
 }
 
@@ -1167,7 +1201,9 @@ impl SweepSpec {
     /// `AFC_SWEEP_SELFCHECK`, additionally re-runs serially and asserts
     /// byte-identical results (on top of the per-member check every
     /// execution makes in that mode; the re-run, held to the bytes already
-    /// checked, skips it).
+    /// checked, skips it). The re-run is each warm key's second miss, so it
+    /// re-simulates — and seals — the warm-ups rather than restoring the
+    /// first pass's: slower by the warm-ups, and a more independent check.
     pub fn execute(&self) -> SweepResults {
         let n = divide_budget(threads(), self.net_cfg.sim_threads);
         let results = self.execute_with_threads(n);
@@ -1852,22 +1888,72 @@ mod tests {
         }
     }
 
+    /// What `cache` answers `key`: a hit's first byte, or whether the miss
+    /// is asked to seal.
+    fn answer(cache: &WarmCache, key: u64) -> Result<u8, bool> {
+        match cache.lookup(key) {
+            Warm::Hit(bytes) => Ok(bytes[0]),
+            Warm::Cold { seal } => Err(seal),
+        }
+    }
+
     #[test]
     fn warm_cache_holds_its_cap_on_puts_and_on_spill_rereads() {
         let dir = std::env::temp_dir().join(format!("afc-warm-cap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Room for exactly one 100-byte entry.
-        let cache = WarmCache::with_limits(100, Some(dir.clone()));
+        let cache = WarmCache::with_limits(100, 4, Some(dir.clone()));
+        // A directory names a reader: the very first miss seals, and spills.
+        assert_eq!(answer(&cache, 1), Err(true));
         cache.put(1, vec![1; 100]);
+        assert!(cache.disk_path(1).expect("has a directory").exists());
         cache.put(2, vec![2; 100]);
         assert_eq!(cache.usage(), (1, 100), "put evicts the older entry");
         // Entry 1 now lives only in its spill file: reading it back must
         // evict entry 2, not stack on top of it.
-        assert_eq!(cache.get(1).expect("spilled entry")[0], 1);
+        assert_eq!(answer(&cache, 1), Ok(1), "spilled entry");
         assert_eq!(cache.usage(), (1, 100), "a re-read evicts like a put");
-        assert_eq!(cache.get(2).expect("spilled entry")[0], 2);
+        assert_eq!(answer(&cache, 2), Ok(2), "spilled entry");
         assert_eq!(cache.usage(), (1, 100));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_cache_admits_a_key_on_its_second_miss() {
+        // Room for one 100-byte entry and two missed keys; no directory.
+        let cache = WarmCache::with_limits(100, 2, None);
+        assert_eq!(answer(&cache, 1), Err(false), "first miss: only remembered");
+        assert_eq!(cache.usage(), (0, 0));
+        assert_eq!(answer(&cache, 1), Err(true), "second miss: sealed");
+        cache.put(1, vec![7; 100]);
+        assert_eq!(answer(&cache, 1), Ok(7));
+
+        // An invalidated key stays remembered, and so does an evicted one:
+        // the next miss re-seals.
+        cache.invalidate(1);
+        assert_eq!(answer(&cache, 1), Err(true), "invalidated");
+        cache.put(1, vec![7; 100]);
+        assert_eq!(answer(&cache, 2), Err(false));
+        assert_eq!(answer(&cache, 2), Err(true));
+        cache.put(2, vec![8; 100]);
+        assert_eq!(cache.usage(), (1, 100), "entry 1 evicted");
+        assert_eq!(answer(&cache, 1), Err(true), "evicted");
+
+        // The missed-key memory holds its bound, oldest forgotten first.
+        assert_eq!(answer(&cache, 3), Err(false), "pushes key 1 out");
+        assert_eq!(cache.lock().missed, [2, 3]);
+        assert_eq!(answer(&cache, 1), Err(false), "forgotten, so a first miss");
+        assert_eq!(answer(&cache, 3), Err(true), "still remembered");
+        assert_eq!(cache.lock().missed, [3, 1]);
+
+        // `clear()` forgets the missed keys with the entries: a caller that
+        // clears between passes (the benchmark's rounds) never seals.
+        for _ in 0..3 {
+            cache.clear();
+            assert_eq!(cache.lock().missed.len(), 0);
+            assert_eq!(answer(&cache, 9), Err(false));
+            assert_eq!(cache.usage(), (0, 0));
+        }
     }
 
     #[test]
@@ -1988,12 +2074,17 @@ mod tests {
         assert!(err.to_string().contains("positive integer"), "{err}");
     }
 
+    /// Serialises the tests that read [`pool_stats`] deltas of the
+    /// process-wide warm cache against the others that use it.
+    static WARM_CACHE_USERS: Mutex<()> = Mutex::new(());
+
     /// The warm cache keys a closed-loop warm-up by the workload's every
     /// parameter, not its name: a same-named variant executed after the
-    /// stock workload (same seed, warm-up and config) must not restore the
-    /// stock warm-up.
+    /// stock workload's entry exists (same seed, warm-up and config) must
+    /// not restore the stock warm-up.
     #[test]
     fn a_same_named_workload_variant_does_not_hit_the_stock_warm_entry() {
+        let _serial = WARM_CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let stock = afc_traffic::workloads::ocean();
         let run = |workload| RunSpec {
             mechanism: MechanismId::Backpressured,
@@ -2010,7 +2101,18 @@ mod tests {
             ..stock
         });
         let cfg = NetworkConfig::paper_3x3();
+        // The stock entry is sealed on its second miss; prove it is there
+        // — the third execute restores it — before asking the question.
         let first = run(stock).execute(&cfg);
+        assert_eq!(run(stock).execute(&cfg), first);
+        let (_, _, hits, misses) = pool_stats();
+        assert_eq!(run(stock).execute(&cfg), first);
+        let (_, _, hits_after, misses_after) = pool_stats();
+        assert_eq!(
+            (hits_after - hits, misses_after - misses),
+            (1, 0),
+            "the stock warm entry must exist"
+        );
         let alone = variant.execute_alone(&cfg);
         assert_ne!(
             first.cycles, alone.cycles,
@@ -2130,6 +2232,7 @@ mod tests {
 
     #[test]
     fn resumable_execution_completes_missing_jobs_only() {
+        let _serial = WARM_CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let spec = tiny_spec(9);
         let dir = std::env::temp_dir().join(format!("afc-resume-{}", std::process::id()));
         let path = dir.join("manifest.json");

@@ -153,17 +153,30 @@ impl RunKind {
     }
 }
 
+/// A [`WarmStore`]'s answer to a lookup; admission is the store's.
+#[derive(Debug)]
+pub enum Warm {
+    /// The sealed post-warm-up snapshot: restore it.
+    Hit(std::sync::Arc<Vec<u8>>),
+    /// Nothing stored: simulate the warm-up, and snapshot it for
+    /// [`WarmStore::put`] only if the store wants it sealed.
+    Cold {
+        /// Whether the store admits this warm-up's snapshot.
+        seal: bool,
+    },
+}
+
 /// A store of sealed post-warmup simulation snapshots, keyed by a
 /// warm-start fingerprint; implemented by the sweep engine's warm cache.
 ///
 /// Correctness does not rest on the store: a hit is restored through
 /// [`Simulation::restore`], whose container checksum and embedded network
 /// fingerprint re-verify the bytes, and any refusal sends the run back to
-/// a cold warmup after [`WarmStore::invalidate`] — so a stale or corrupt
-/// entry can cost time, never bytes.
+/// a cold warmup after [`WarmStore::invalidate`] (and re-seals it) — so a
+/// stale or corrupt entry can cost time, never bytes.
 pub trait WarmStore: Sync {
     /// Looks up the sealed snapshot for `key`.
-    fn get(&self, key: u64) -> Option<std::sync::Arc<Vec<u8>>>;
+    fn lookup(&self, key: u64) -> Warm;
     /// Stores the sealed snapshot for `key`.
     fn put(&self, key: u64, bytes: Vec<u8>);
     /// Drops the entry for `key` (it failed re-verification).
@@ -193,7 +206,7 @@ pub struct RunEnv<'a> {
     /// accepts it (consumed either way; reclaim [`RunOutcome::network`]).
     pub arena: Option<Network>,
     /// Where the post-warm-up state — captured *before*
-    /// [`Network::reset_metrics`] — is looked up and, on a miss, sealed.
+    /// [`Network::reset_metrics`] — is looked up and, if admitted, sealed.
     pub warm: Option<&'a dyn WarmStore>,
     /// Crash-safe mid-run checkpointing.
     pub checkpoint: CheckpointPolicy<'a>,
@@ -451,21 +464,28 @@ fn drive<T: Steer>(
                 let key = format!("{cfg:?}|{}|{seed}|{identity}", factory.build_key());
                 (store, snapshot::fnv1a64(key.as_bytes()))
             });
-            let mut warmed = false;
+            // Where a simulated warm-up is sealed: nowhere, unless the
+            // store asks — a cold run neither serialises nor allocates for it.
+            let (mut warmed, mut seal_to) = (false, None);
             if let Some((store, key)) = warm {
-                if let Some(bytes) = store.get(key) {
-                    warmed = sim.restore(&bytes, "<warm cache>").is_ok();
-                    if !warmed {
-                        // A partial restore leaves the simulation
-                        // indeterminate; rebuild and warm up cold.
-                        store.invalidate(key);
-                        sim = fresh(None)?;
+                match store.lookup(key) {
+                    Warm::Hit(bytes) => {
+                        warmed = sim.restore(&bytes, "<warm cache>").is_ok();
+                        if !warmed {
+                            // A partial restore leaves the simulation
+                            // indeterminate; rebuild, warm up cold and
+                            // replace the entry that failed.
+                            store.invalidate(key);
+                            sim = fresh(None)?;
+                            seal_to = warm;
+                        }
                     }
+                    Warm::Cold { seal } => seal_to = warm.filter(|_| seal),
                 }
             }
             if !warmed {
                 advance(&mut sim, "warmup", goals[0], every, |s| save(s, None))?;
-                if let Some((store, key)) = warm {
+                if let Some((store, key)) = seal_to {
                     if let Ok(bytes) = sim.snapshot() {
                         store.put(key, bytes);
                     }
@@ -800,10 +820,10 @@ mod tests {
     }
 
     impl WarmStore for Store {
-        fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
+        fn lookup(&self, key: u64) -> Warm {
             let hit = self.map.lock().unwrap().get(&key).cloned();
             *self.hits.lock().unwrap() += u32::from(hit.is_some());
-            hit
+            hit.map_or(Warm::Cold { seal: true }, Warm::Hit)
         }
         fn put(&self, key: u64, bytes: Vec<u8>) {
             self.map.lock().unwrap().insert(key, Arc::new(bytes));
@@ -813,12 +833,15 @@ mod tests {
         }
     }
 
-    /// A store that kills the run the moment it seals its warm-up.
-    struct DyingStore;
+    /// A store that kills the run the moment it seals its warm-up —
+    /// which a run does only when `seal` asks for it.
+    struct DyingStore {
+        seal: bool,
+    }
 
     impl WarmStore for DyingStore {
-        fn get(&self, _key: u64) -> Option<Arc<Vec<u8>>> {
-            None
+        fn lookup(&self, _key: u64) -> Warm {
+            Warm::Cold { seal: self.seal }
         }
         fn put(&self, _key: u64, _bytes: Vec<u8>) {
             panic!("killed while sealing the warm-up");
@@ -939,6 +962,16 @@ mod tests {
                 );
             }
             let hits = *store.hits.lock().unwrap();
+            // A miss the store does not admit seals nothing.
+            let unadmitted = RunEnv {
+                warm: Some(&DyingStore { seal: false }),
+                ..RunEnv::default()
+            };
+            assert_eq!(
+                fingerprint(&run_in(&kind, unadmitted).unwrap()),
+                fresh,
+                "{kind:?}: unadmitted"
+            );
 
             if matches!(kind, RunKind::Fault { .. }) {
                 // No warm-up to cache, no boundary to checkpoint.
@@ -963,7 +996,7 @@ mod tests {
             let total = unprotected.network.now();
             let warmup_end = total - unprotected.measured_cycles;
             let dying = RunEnv {
-                warm: Some(&DyingStore),
+                warm: Some(&DyingStore { seal: true }),
                 ..policy(warmup_end / 3, Some(&file), None)
             };
             let killed = catch_unwind(AssertUnwindSafe(|| run_in(&kind, dying)));
