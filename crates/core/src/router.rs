@@ -31,10 +31,10 @@ use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
 use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, ResyncHandshake, RouteOutcome};
-use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
+use afc_netsim::flit::{Cycle, Flit, VcId};
 use afc_netsim::geom::{Coord, DirMap, Direction, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
-use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
+use afc_netsim::router::{alloc_rings, Router, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 use afc_routers::arbiter::RoundRobin;
@@ -171,6 +171,18 @@ impl AfcRouter {
     /// factory validates once per network, so this only fires on direct
     /// misuse.
     pub fn new(node: NodeId, mesh: &Mesh, net: &NetworkConfig, cfg: AfcConfig) -> AfcRouter {
+        let slots = alloc_rings(cfg.buffer_flits_per_port(net));
+        Self::with_rings(node, mesh, net, cfg, slots)
+    }
+
+    /// [`Self::new`] around caller-allocated `slots`.
+    fn with_rings(
+        node: NodeId,
+        mesh: &Mesh,
+        net: &NetworkConfig,
+        cfg: AfcConfig,
+        slots: Box<[Flit]>,
+    ) -> AfcRouter {
         cfg.validate(net).expect("AFC configuration must be valid");
         let vnet_capacity: Vec<usize> = net.vnets.iter().map(|v| cfg.lazy_vcs(v.class)).collect();
         let total_slots: usize = vnet_capacity.iter().sum();
@@ -178,6 +190,8 @@ impl AfcRouter {
             total_slots <= 64,
             "occupancy bitwords hold at most 64 lazy VCs per port"
         );
+        let expected = PORTS * total_slots;
+        assert_eq!(slots.len(), expected, "rings must hold {expected} flits");
         let mut vnet_mask = Vec::with_capacity(vnet_capacity.len());
         let mut flat_decode = Vec::with_capacity(total_slots);
         let mut off = 0usize;
@@ -200,7 +214,6 @@ impl AfcRouter {
                 PortId::Local => true,
                 PortId::Net(d) => mesh.neighbor(node, d).is_some(),
             });
-        let filler = Flit::test_flit(PacketId(0), NodeId::new(0), NodeId::new(0));
         let input_arb = PortMap::from_fn(|p| match p {
             PortId::Local => Some(RoundRobin::new(total_slots)),
             PortId::Net(d) => mesh.neighbor(node, d).map(|_| RoundRobin::new(total_slots)),
@@ -217,7 +230,7 @@ impl AfcRouter {
             mode: AfcMode::Backpressureless,
             flits_this_cycle: 0,
             bank: LatchBank::new(node, mesh, cfg.rank_policy, net.eject_bandwidth),
-            slots: vec![filler; PORTS * total_slots].into_boxed_slice(),
+            slots,
             slot_route: vec![0; PORTS * total_slots].into_boxed_slice(),
             occ_bits: [0; PORTS],
             vnet_mask: vnet_mask.into_boxed_slice(),
@@ -1165,8 +1178,15 @@ impl AfcFactory {
 }
 
 impl RouterFactory for AfcFactory {
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
-        Box::new(AfcRouter::new(node, mesh, config, self.cfg.clone()))
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
+        let router = AfcRouter::with_rings(node, mesh, config, self.cfg.clone(), rings);
+        Box::new(router)
     }
 
     fn name(&self) -> &'static str {

@@ -27,7 +27,7 @@ use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame, Lanes};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
-use crate::router::{Router, RouterFactory, RouterMode, RouterOutputs};
+use crate::router::{alloc_rings, Router, RouterFactory, RouterMode, RouterOutputs};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
@@ -534,9 +534,16 @@ impl Network {
         let n = mesh.node_count();
         let buffer_flits_per_port = factory.buffer_flits_per_port(&config);
 
+        // Every node's flit rings before any router's control state: built
+        // node by node, each 17 920 / 8 960-byte (bp / AFC) ring sat between
+        // two routers' ~2.5 KB of structs and side slabs, so 32×32 router
+        // structs lay 20 464 / 11 264 bytes apart, a page each; now they pack
+        // at ~2.5 KB (EXPERIMENTS.md "Router state placement").
+        let rings: Vec<Box<[Flit]>> = (0..n).map(|_| alloc_rings(buffer_flits_per_port)).collect();
         let routers: Vec<Box<dyn Router>> = mesh
             .nodes()
-            .map(|node| factory.build(node, &mesh, &config))
+            .zip(rings)
+            .map(|(node, rings)| factory.build_with(node, &mesh, &config, rings))
             .collect();
         let nis: Vec<NodeInterface> = mesh
             .nodes()

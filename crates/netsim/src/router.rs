@@ -251,6 +251,13 @@ pub trait Router: Send {
     }
 }
 
+/// One router's flit rings: `PORTS × flits_per_port` filler slots, never
+/// read before written (no allocation for a bufferless mechanism's 0).
+pub fn alloc_rings(flits_per_port: usize) -> Box<[Flit]> {
+    let filler = Flit::test_flit(crate::flit::PacketId(0), NodeId::new(0), NodeId::new(0));
+    vec![filler; PortId::ALL.len() * flits_per_port].into_boxed_slice()
+}
+
 /// Builds one router per node; implemented by each mechanism and handed to
 /// [`Network::new`](crate::network::Network::new).
 ///
@@ -258,13 +265,26 @@ pub trait Router: Send {
 /// `Send + Sync`: harnesses share one factory set across worker threads
 /// when replicating runs over seeds.
 pub trait RouterFactory: Send + Sync {
-    /// Constructs the router for `node`.
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router>;
+    /// Constructs the router for `node` around caller-placed `rings` from
+    /// [`alloc_rings`]`(self.buffer_flits_per_port(config))`.
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Box<[Flit]>,
+    ) -> Box<dyn Router>;
+
+    /// Constructs the router for `node` with rings of its own.
+    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
+        let rings = alloc_rings(self.buffer_flits_per_port(config));
+        self.build_with(node, mesh, config, rings)
+    }
 
     /// Short mechanism name (`"backpressured"`, `"bless"`, `"afc"`, ...).
     fn name(&self) -> &'static str;
 
-    /// Everything about this factory that decides what [`Self::build`]
+    /// Everything about this factory that decides what [`Self::build_with`]
     /// constructs: equal keys build identical routers from equal
     /// configurations. [`Network::reset_from_config`](crate::network::Network::reset_from_config)
     /// judges arena compatibility on it, so a factory whose name does not

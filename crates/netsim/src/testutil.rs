@@ -79,7 +79,13 @@ pub(crate) struct FifoFactory {
 }
 
 impl RouterFactory for FifoFactory {
-    fn build(&self, node: NodeId, mesh: &Mesh, _config: &NetworkConfig) -> Box<dyn Router> {
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        _config: &NetworkConfig,
+        _rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
         Box::new(FifoRouter {
             node,
             mesh: mesh.clone(),

@@ -155,11 +155,12 @@ mod tests {
 
     struct IdleFactory;
     impl crate::router::RouterFactory for IdleFactory {
-        fn build(
+        fn build_with(
             &self,
             _node: NodeId,
             _mesh: &crate::topology::Mesh,
             _config: &NetworkConfig,
+            _rings: Box<[crate::flit::Flit]>,
         ) -> Box<dyn crate::router::Router> {
             Box::new(Idle {
                 counters: ActivityCounters::new(),

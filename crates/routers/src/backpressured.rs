@@ -65,7 +65,7 @@ use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
 use afc_netsim::geom::Direction;
 use afc_netsim::geom::{Coord, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
-use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
+use afc_netsim::router::{alloc_rings, Router, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 
@@ -250,6 +250,18 @@ impl BackpressuredRouter {
         config: &NetworkConfig,
         options: BackpressuredOptions,
     ) -> BackpressuredRouter {
+        let rings = alloc_rings(config.buffer_flits_per_port());
+        Self::with_rings(node, mesh, config, options, rings)
+    }
+
+    /// [`Self::with_options`] around caller-allocated `flits`.
+    fn with_rings(
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        options: BackpressuredOptions,
+        flits: Box<[Flit]>,
+    ) -> BackpressuredRouter {
         let layout = VcLayout::new(config);
         let total = layout.total();
         assert!(
@@ -275,7 +287,8 @@ impl BackpressuredRouter {
         // The slab is sized for all five ports even on edge routers whose
         // boundary ports are absent: the waste is a few KiB per edge node
         // and keeps lane addressing a single multiply-add everywhere.
-        let filler = Flit::test_flit(PacketId(0), NodeId::new(0), NodeId::new(0));
+        let expected = PORTS * port_span;
+        assert_eq!(flits.len(), expected, "rings must hold {expected} flits");
         let mut credits = vec![0u16; DIRS * total];
         for di in 0..DIRS {
             if out_present[di] {
@@ -299,7 +312,7 @@ impl BackpressuredRouter {
             vc_base: vc_base.into_boxed_slice(),
             in_present,
             out_present,
-            flits: vec![filler; PORTS * port_span].into_boxed_slice(),
+            flits,
             head: vec![0; lanes].into_boxed_slice(),
             len: vec![0; lanes].into_boxed_slice(),
             route: vec![NONE8; lanes].into_boxed_slice(),
@@ -1222,13 +1235,15 @@ impl BackpressuredFactory {
 }
 
 impl RouterFactory for BackpressuredFactory {
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
-        Box::new(BackpressuredRouter::with_options(
-            node,
-            mesh,
-            config,
-            self.options,
-        ))
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
+        let router = BackpressuredRouter::with_rings(node, mesh, config, self.options, rings);
+        Box::new(router)
     }
 
     fn name(&self) -> &'static str {

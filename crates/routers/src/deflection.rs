@@ -549,7 +549,13 @@ impl DeflectionFactory {
 }
 
 impl RouterFactory for DeflectionFactory {
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        _rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
         Box::new(DeflectionRouter::new(node, mesh, config, self.policy))
     }
 

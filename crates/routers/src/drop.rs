@@ -15,6 +15,7 @@
 //! the repeated drops into a structured `Unreachable`.
 
 use afc_netsim::config::NetworkConfig;
+use afc_netsim::flit::Flit;
 use afc_netsim::geom::NodeId;
 use afc_netsim::router::{Router, RouterFactory};
 use afc_netsim::topology::Mesh;
@@ -43,7 +44,13 @@ impl DropFactory {
 }
 
 impl RouterFactory for DropFactory {
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        _rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
         Box::new(DropRouter::new(node, mesh, config, self.policy))
     }
 

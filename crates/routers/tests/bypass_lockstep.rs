@@ -25,8 +25,14 @@ use afc_routers::BackpressuredFactory;
 struct BypassAsPlain;
 
 impl RouterFactory for BypassAsPlain {
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
-        BackpressuredFactory::read_bypass().build(node, mesh, config)
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
+        BackpressuredFactory::read_bypass().build_with(node, mesh, config, rings)
     }
     fn name(&self) -> &'static str {
         BackpressuredFactory::new().name()
