@@ -34,7 +34,9 @@ use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, ResyncHandshake, Route
 use afc_netsim::flit::{Cycle, Flit, VcId};
 use afc_netsim::geom::{Coord, DirMap, Direction, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
-use afc_netsim::router::{alloc_rings, Router, RouterFactory, RouterMode, RouterOutputs};
+use afc_netsim::router::{
+    alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs,
+};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 use afc_routers::arbiter::RoundRobin;
@@ -1187,6 +1189,18 @@ impl RouterFactory for AfcFactory {
     ) -> Box<dyn Router> {
         let router = AfcRouter::with_rings(node, mesh, config, self.cfg.clone(), rings);
         Box::new(router)
+    }
+
+    fn build_bank(
+        &self,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        let bank: Vec<AfcRouter> = (mesh.nodes().zip(rings))
+            .map(|(node, rings)| AfcRouter::with_rings(node, mesh, config, self.cfg.clone(), rings))
+            .collect();
+        Box::new(bank)
     }
 
     fn name(&self) -> &'static str {

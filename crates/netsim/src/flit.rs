@@ -134,6 +134,7 @@ pub struct Flit {
 impl Flit {
     /// The checksum a pristine copy of this flit would carry, derived from
     /// its immutable identity fields (packet, sequence, endpoints, tag).
+    #[inline]
     pub fn expected_checksum(&self) -> u16 {
         checksum(self.packet, self.seq, self.src, self.dest, self.tag)
     }
@@ -152,6 +153,7 @@ impl Flit {
 
     /// Restores the pristine checksum (a source retransmitting a flit sends
     /// fresh, uncorrupted data).
+    #[inline]
     pub fn repair(&mut self) {
         self.checksum = self.expected_checksum();
     }
@@ -215,6 +217,7 @@ impl Flit {
 /// A folded FNV-1a over the fields a retransmitting source would re-send
 /// verbatim; 16 bits is plenty for a simulator (we only ever need "matches /
 /// does not match", never collision resistance).
+#[inline]
 pub fn checksum(packet: PacketId, seq: u16, src: NodeId, dest: NodeId, tag: u64) -> u16 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for word in [

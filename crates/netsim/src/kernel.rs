@@ -12,7 +12,8 @@
 //! ([`FaultLog`]). The serial schedule plugs in the network's own sets,
 //! wheel, log and totals; a shard plugs in atomic bitmask words, raw slot
 //! pointers and its per-cycle delta. Both are monomorphised, so neither
-//! pays for the other.
+//! pays for the other — and so is the router type `R` of the network's
+//! bank, so a body calls its routers directly, not through a vtable.
 
 use crate::channel::{ControlSignal, Credit, RevSlot, Tick};
 use crate::config::NetworkConfig;
@@ -157,10 +158,10 @@ impl Frame<'_> {
 /// A schedule's view of the state it owns for one cycle (see the module
 /// docs). Per-node slices cover nodes `lo..lo + routers.len()`; bodies take
 /// global indices.
-pub(crate) struct Cx<'a, B, L, F> {
+pub(crate) struct Cx<'a, R, B, L, F> {
     pub(crate) fr: Frame<'a>,
     pub(crate) lo: usize,
-    pub(crate) routers: &'a mut [Box<dyn Router>],
+    pub(crate) routers: &'a mut [R],
     pub(crate) nis: &'a mut [NodeInterface],
     pub(crate) accounted_upto: &'a mut [Cycle],
     pub(crate) modes_cache: &'a mut [RouterMode],
@@ -177,7 +178,7 @@ pub(crate) struct Cx<'a, B, L, F> {
     pub(crate) fault_log: F,
 }
 
-impl<B: Bits, L: Lanes, F: FaultLog> Cx<'_, B, L, F> {
+impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
     /// Phase 1, reverse side of link `c`: each credit crosses the fault
     /// plane's credit-loss stage on its way to the upstream router; control
     /// signals are sideband and always cross.
@@ -271,7 +272,7 @@ impl<B: Bits, L: Lanes, F: FaultLog> Cx<'_, B, L, F> {
         let ni = &mut self.nis[i - self.lo];
         let stats = &mut self.acc.stats;
         let (inj0, rtx0) = (stats.flits_injected, stats.flits_retransmitted);
-        ni.try_inject(self.routers[i - self.lo].as_mut(), now, stats);
+        ni.try_inject(&mut self.routers[i - self.lo], now, stats);
         let retransmitted = stats.flits_retransmitted - rtx0;
         let entered = (stats.flits_injected - inj0) + retransmitted;
         if entered > 0 {

@@ -15,6 +15,8 @@
 //! mode can be toggled mid-run and must produce byte-identical results —
 //! the self-check the golden tests pin. The third schedule, one node range
 //! per thread, is `parallel.rs`; [`crate::parallel::gate`] picks per cycle.
+//! Both are compiled against the router type of the network's bank
+//! ([`RouterFactory::build_bank`]), chosen once at construction.
 
 use crate::channel::{ControlSignal, Credit, LinkWheel, RevSlot, Tick};
 use crate::config::NetworkConfig;
@@ -27,7 +29,7 @@ use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame, Lanes};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
-use crate::router::{alloc_rings, Router, RouterFactory, RouterMode, RouterOutputs};
+use crate::router::{alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
@@ -188,13 +190,18 @@ impl FaultLog for &mut Vec<FaultEvent> {
 }
 
 /// The serial schedule's view: the whole network, touched directly.
-type SerialCx<'a> = Cx<'a, &'a mut ActiveSet, &'a mut LinkWheel, &'a mut Vec<FaultEvent>>;
+type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, &'a mut LinkWheel, &'a mut Vec<FaultEvent>>;
+
+/// Phases 1–3 of one cycle compiled against one router type: what a bank
+/// hands the network at construction ([`Network::cycle_phases`]).
+pub(crate) type Kernel =
+    fn(&mut Network, &mut PhaseProfile, &mut Option<std::time::Instant>) -> Result<(), SimError>;
 
 /// Phase 1 of the serial schedule for link `c`: the reverse side, the flit
 /// (through the fault hold-back queue when one is in play), then the link's
 /// activity bit — settled here, before the cycle's pushes re-mark it.
-fn deliver_channel(
-    cx: &mut SerialCx<'_>,
+fn deliver_channel<R: Router>(
+    cx: &mut SerialCx<'_, R>,
     held: &mut [VecDeque<Flit>],
     held_flits: &mut usize,
     c: usize,
@@ -297,7 +304,8 @@ fn read_fault_event(r: &mut SnapshotReader<'_>) -> Result<FaultEvent, SnapshotEr
 /// — rather than exact accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
-    /// Routers: buffers, latches, scratch, fault state.
+    /// Routers: the bank's router structs, and their buffers, latches,
+    /// scratch and fault state.
     pub router_bytes: usize,
     /// Network interfaces: queues, reassembly, retransmit state.
     pub ni_bytes: usize,
@@ -387,7 +395,10 @@ pub struct Network {
     build_key: String,
     flit_width_bits: u32,
     buffer_flits_per_port: usize,
-    pub(crate) routers: Vec<Box<dyn Router>>,
+    /// One router per node, by value ([`RouterFactory::build_bank`]).
+    pub(crate) routers: Box<dyn RouterBank>,
+    /// [`Network::cycle_phases`] for the bank's router type.
+    kernel: Kernel,
     pub(crate) nis: Vec<NodeInterface>,
     /// Every link's forward and reverse lane (indexed like `ends`).
     pub(crate) wheel: LinkWheel,
@@ -523,6 +534,11 @@ impl Network {
     /// Propagates [`ConfigError`](crate::error::ConfigError) from
     /// [`NetworkConfig::validate`]; a malformed `AFC_SIM_THREADS` is
     /// [`ConfigError::OutOfRange`](crate::error::ConfigError::OutOfRange).
+    ///
+    /// # Panics
+    ///
+    /// If [`RouterFactory::build_bank`] builds other than one router per
+    /// node.
     pub fn new(
         config: NetworkConfig,
         factory: &dyn RouterFactory,
@@ -533,18 +549,7 @@ impl Network {
         let mesh = config.mesh()?;
         let n = mesh.node_count();
         let buffer_flits_per_port = factory.buffer_flits_per_port(&config);
-
-        // Every node's flit rings before any router's control state: built
-        // node by node, each 17 920 / 8 960-byte (bp / AFC) ring sat between
-        // two routers' ~2.5 KB of structs and side slabs, so 32×32 router
-        // structs lay 20 464 / 11 264 bytes apart, a page each; now they pack
-        // at ~2.5 KB (EXPERIMENTS.md "Router state placement").
-        let rings: Vec<Box<[Flit]>> = (0..n).map(|_| alloc_rings(buffer_flits_per_port)).collect();
-        let routers: Vec<Box<dyn Router>> = mesh
-            .nodes()
-            .zip(rings)
-            .map(|(node, rings)| factory.build_with(node, &mesh, &config, rings))
-            .collect();
+        let routers = Self::build_routers(factory, &mesh, &config);
         let nis: Vec<NodeInterface> = mesh
             .nodes()
             .map(|node| {
@@ -581,7 +586,7 @@ impl Network {
         let links = ends.iter().map(|e| (e.from, e.dir));
         let fault_plane = Arc::new(FaultPlane::compile(&config.faults, &mesh, links));
         let (mut modes_cache, mut acc) = (Vec::new(), Accum::default());
-        Self::recount_modes(&routers, &mut modes_cache, &mut acc.mode_counts);
+        Self::recount_modes(&*routers, &mut modes_cache, &mut acc.mode_counts);
         let chan_count = ends.len();
         let sim_threads = env.sim_threads.unwrap_or(config.sim_threads);
 
@@ -592,6 +597,7 @@ impl Network {
             build_key: factory.build_key(),
             flit_width_bits: factory.flit_width_bits(),
             buffer_flits_per_port,
+            kernel: routers.kernel(),
             routers,
             nis,
             wheel,
@@ -640,6 +646,24 @@ impl Network {
         })
     }
 
+    /// Every node's router from `factory`: every node's flit rings first,
+    /// then the bank. Built node by node, each 17 920 / 8 960-byte (bp /
+    /// AFC) ring sat between two routers' ~2.5 KB of structs and side
+    /// slabs, a page per 32×32 router (EXPERIMENTS.md "Router state
+    /// placement"); the bank holds the structs in one slab after them.
+    fn build_routers(
+        factory: &dyn RouterFactory,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+    ) -> Box<dyn RouterBank> {
+        let n = mesh.node_count();
+        let flits_per_port = factory.buffer_flits_per_port(config);
+        let rings: Vec<Box<[Flit]>> = (0..n).map(|_| alloc_rings(flits_per_port)).collect();
+        let bank = factory.build_bank(mesh, config, rings);
+        assert_eq!(bank.len(), n, "{}: one router per node", factory.name());
+        bank
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
         self.now
@@ -678,7 +702,7 @@ impl Network {
 
     /// Read access to a node's router (e.g. for mode inspection).
     pub fn router(&self, node: NodeId) -> &dyn Router {
-        self.routers[node.index()].as_ref()
+        self.routers.router(node.index())
     }
 
     /// Read access to a node's network interface.
@@ -774,8 +798,8 @@ impl Network {
     /// themselves. O(n) walk; call it between runs, not per cycle.
     pub fn memory_footprint(&mut self) -> MemoryFootprint {
         use std::mem::size_of;
-        let router_bytes: usize = self.routers.iter().map(|r| r.heap_bytes()).sum::<usize>()
-            + self.routers.capacity() * size_of::<Box<dyn Router>>();
+        let router_bytes: usize =
+            self.routers.iter().map(|r| r.heap_bytes()).sum::<usize>() + self.routers.slab_bytes();
         let ni_bytes: usize = self
             .nis
             .iter()
@@ -812,7 +836,7 @@ impl Network {
             channel_bytes,
             engine_bytes,
             other_bytes,
-            nodes: self.routers.len(),
+            nodes: self.nis.len(),
         };
         self.mem_high_water = self.mem_high_water.max(fp.total_bytes());
         fp
@@ -833,6 +857,7 @@ impl Network {
     /// remains exact. The retransmit layer is fast-path-safe: timeouts are
     /// scanned every cycle regardless, and re-materialized copies re-mark
     /// their NI in the send set.
+    #[inline]
     pub(crate) fn fast_path(&self) -> bool {
         !self.full_scan && (self.config.faults.is_empty() || self.config.faults.is_deterministic())
     }
@@ -917,14 +942,7 @@ impl Network {
         self.retire_queues(now);
         prof.ni_ns += lap_ns(&mut lap);
 
-        // Phases 1 (links deliver), 2a (NI timeouts), 2b (injection) and 3
-        // (router steps), on whichever engine the gate picks.
-        if crate::parallel::gate(self) {
-            crate::parallel::step_sharded(self)?;
-            prof.merge_ns += lap_ns(&mut lap);
-        } else {
-            self.step_serial(&mut prof, &mut lap)?;
-        }
+        (self.kernel)(self, &mut prof, &mut lap)?;
 
         self.collect_ni_sideband(now);
         prof.ni_ns += lap_ns(&mut lap);
@@ -954,11 +972,14 @@ impl Network {
         {
             let ev = self.detect_schedule[self.detect_next];
             self.detect_next += 1;
-            self.routers[ev.node.index()].note_link_event(ev.node, ev.dir, ev.epoch, ev.alive, now);
+            self.routers
+                .router_mut(ev.node.index())
+                .note_link_event(ev.node, ev.dir, ev.epoch, ev.alive, now);
             self.router_active.insert(ev.node.index());
             if ev.alive {
                 if let Some(down) = self.mesh.neighbor(ev.node, ev.dir) {
-                    self.routers[down.index()]
+                    self.routers
+                        .router_mut(down.index())
                         .note_link_event(ev.node, ev.dir, ev.epoch, ev.alive, now);
                     self.router_active.insert(down.index());
                 }
@@ -1007,13 +1028,35 @@ impl Network {
         }
     }
 
+    /// Phases 1 (links deliver), 2a (NI timeouts), 2b (injection) and 3
+    /// (router steps), on whichever engine the gate picks, compiled against
+    /// the bank's router type `R`: the network's [`Kernel`].
+    pub(crate) fn cycle_phases<R: Router + 'static>(
+        &mut self,
+        prof: &mut PhaseProfile,
+        lap: &mut Option<std::time::Instant>,
+    ) -> Result<(), SimError> {
+        if crate::parallel::gate(self) {
+            crate::parallel::step_sharded::<R>(self)?;
+            prof.merge_ns += lap_ns(lap);
+            Ok(())
+        } else {
+            self.step_serial::<R>(prof, lap)
+        }
+    }
+
     /// Splits the network into the serial schedule's [`Cx`] — the cycle's
     /// frame plus exclusive access to every component, set, lane and total
-    /// — and the fault hold-back queues with their flit count. The sharded
+    /// — and the fault hold-back queues with their flit count. The routers
+    /// are the bank's `Vec<R>`, reached through one downcast. The sharded
     /// engine starts from the same view and hands node ranges of it to its
     /// workers.
     #[inline]
-    pub(crate) fn view(&mut self) -> (SerialCx<'_>, &mut [VecDeque<Flit>], &mut usize) {
+    pub(crate) fn view<R: Router + 'static>(
+        &mut self,
+    ) -> (SerialCx<'_, R>, &mut [VecDeque<Flit>], &mut usize) {
+        let routers: &mut Vec<R> = (self.routers.as_any_mut().downcast_mut())
+            .expect("the kernel is compiled for its own bank's router type");
         let cx = Cx {
             fr: Frame {
                 tick: self.wheel.tick(self.now),
@@ -1027,7 +1070,7 @@ impl Network {
                 rng: &self.rng,
             },
             lo: 0,
-            routers: &mut self.routers,
+            routers,
             nis: &mut self.nis,
             accounted_upto: &mut self.accounted_upto,
             modes_cache: &mut self.modes_cache,
@@ -1048,14 +1091,14 @@ impl Network {
     /// network. Off the fast path every walk is fed all-ones words and so
     /// visits every component — the historical full scan; the bodies skip
     /// stalled routers themselves.
-    fn step_serial(
+    fn step_serial<R: Router + 'static>(
         &mut self,
         prof: &mut PhaseProfile,
         lap: &mut Option<std::time::Instant>,
     ) -> Result<(), SimError> {
         let fill = if self.fast_path() { 0 } else { !0u64 };
-        let (nodes, links) = (self.routers.len(), self.ends.len());
-        let (mut cx, held, held_flits) = self.view();
+        let (nodes, links) = (self.nis.len(), self.ends.len());
+        let (mut cx, held, held_flits) = self.view::<R>();
 
         // Phase 1: deliver what the link wheel has due this cycle. An
         // inactive link has nothing due, so skipping it is unobservable.
@@ -1191,11 +1234,7 @@ impl Network {
 
     /// Rebuilds the cached router modes and their residency counts from the
     /// routers themselves: construction, arena reset and snapshot restore.
-    fn recount_modes(
-        routers: &[Box<dyn Router>],
-        cache: &mut Vec<RouterMode>,
-        counts: &mut [i64; 3],
-    ) {
+    fn recount_modes(routers: &dyn RouterBank, cache: &mut Vec<RouterMode>, counts: &mut [i64; 3]) {
         cache.clear();
         cache.extend(routers.iter().map(|r| r.mode()));
         *counts = [0; 3];
@@ -1294,8 +1333,8 @@ impl Network {
     /// not yet replayed into skipped routers.
     pub fn total_counters(&self) -> ActivityCounters {
         let mut total = ActivityCounters::new();
-        for (i, r) in self.routers.iter().enumerate() {
-            total.merge(&r.counters_view(self.now - self.accounted_upto[i]));
+        for (r, &upto) in self.routers.iter().zip(&self.accounted_upto) {
+            total.merge(&r.counters_view(self.now - upto));
         }
         total
     }
@@ -1304,7 +1343,9 @@ impl Network {
     /// are folded in, so the view always reads as if fully stepped).
     pub fn router_counters(&self, node: NodeId) -> ActivityCounters {
         let i = node.index();
-        self.routers[i].counters_view(self.now - self.accounted_upto[i])
+        self.routers
+            .router(i)
+            .counters_view(self.now - self.accounted_upto[i])
     }
 
     /// Zeroes statistics and router activity counters (end-of-warmup reset).
@@ -1315,12 +1356,13 @@ impl Network {
             // Flush outstanding idle cycles first: the replay also advances
             // non-counter state (e.g. AFC's load monitor), which must not be
             // lost when the counters are zeroed.
+            let router = self.routers.router_mut(i);
             let pending_idle = self.now - self.accounted_upto[i];
             if pending_idle > 0 {
-                self.routers[i].note_idle_cycles(pending_idle);
+                router.note_idle_cycles(pending_idle);
             }
             self.accounted_upto[i] = self.now;
-            *self.routers[i].counters_mut() = ActivityCounters::new();
+            *router.counters_mut() = ActivityCounters::new();
         }
         self.audit_baseline = self.unaccounted_flits_recount();
         self.last_progress = 0;
@@ -1343,11 +1385,11 @@ impl Network {
     /// On `false` the network is untouched and the caller must construct
     /// fresh.
     ///
-    /// Routers whose [`Router::reset`] declines are rebuilt through the
-    /// factory; everything else clears in place. The parallel-engine
-    /// state (thread budget, gate floor, shard plan) is deliberately
-    /// carried over — it is never observable in results, exactly as with
-    /// snapshot restore (DESIGN.md §12).
+    /// Routers reset in place; if one's [`Router::reset`] declines, the
+    /// whole bank is rebuilt through the factory. Everything else clears
+    /// in place. The parallel-engine state (thread budget, gate floor,
+    /// shard plan) is deliberately carried over — it is never observable
+    /// in results, exactly as with snapshot restore (DESIGN.md §12).
     /// Byte-identity to fresh construction is pinned by the arena test
     /// wall via [`Network::save_state`] fingerprints.
     pub fn reset_from_config(
@@ -1360,10 +1402,9 @@ impl Network {
             return false;
         }
         let n = self.mesh.node_count();
-        for (i, r) in self.routers.iter_mut().enumerate() {
-            if !r.reset() {
-                *r = factory.build(NodeId::new(i), &self.mesh, &self.config);
-            }
+        if !(0..n).all(|i| self.routers.router_mut(i).reset()) {
+            self.routers = Self::build_routers(factory, &self.mesh, &self.config);
+            self.kernel = self.routers.kernel();
         }
         for ni in &mut self.nis {
             ni.reset();
@@ -1398,7 +1439,7 @@ impl Network {
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
         Self::recount_modes(
-            &self.routers,
+            &*self.routers,
             &mut self.modes_cache,
             &mut self.acc.mode_counts,
         );
@@ -1532,7 +1573,7 @@ impl Network {
         self.acc.stats.save(w);
         w.put_u64(self.next_packet_id);
 
-        for r in &self.routers {
+        for r in self.routers.iter() {
             r.save_state(w)?;
         }
         for ni in &self.nis {
@@ -1665,8 +1706,8 @@ impl Network {
         self.acc.stats = NetworkStats::load(r)?;
         self.next_packet_id = r.get_u64("network next packet id")?;
 
-        for router in &mut self.routers {
-            router.load_state(r)?;
+        for i in 0..self.routers.len() {
+            self.routers.router_mut(i).load_state(r)?;
         }
         for ni in &mut self.nis {
             ni.load(r)?;
@@ -1748,7 +1789,7 @@ impl Network {
             None
         };
 
-        let n = self.routers.len();
+        let n = self.nis.len();
         self.router_active = ActiveSet::load(r, n)?;
         self.chan_active = ActiveSet::load(r, self.ends.len())?;
         self.ni_send_active = ActiveSet::load(r, n)?;
@@ -1759,7 +1800,7 @@ impl Network {
 
         // Derived accounting, recomputed from the restored components.
         Self::recount_modes(
-            &self.routers,
+            &*self.routers,
             &mut self.modes_cache,
             &mut self.acc.mode_counts,
         );

@@ -324,7 +324,12 @@ impl NodeInterface {
 
     /// Attempts to inject one flit into `router` this cycle, round-robin
     /// across virtual networks. Retransmissions go first.
-    pub fn try_inject(&mut self, router: &mut dyn Router, now: Cycle, stats: &mut NetworkStats) {
+    pub fn try_inject<R: Router + ?Sized>(
+        &mut self,
+        router: &mut R,
+        now: Cycle,
+        stats: &mut NetworkStats,
+    ) {
         if let Some(flit) = self.retransmit.front() {
             // A retransmitted flit must not cut into a fresh packet's open
             // wormhole on the same vnet: VC routers route body flits by

@@ -33,6 +33,7 @@ impl PacketDescriptor {
     /// # Panics
     ///
     /// Panics if `seq >= self.len`.
+    #[inline]
     pub fn flit(&self, seq: u16, injected_at: Cycle) -> Flit {
         assert!(
             seq < self.len,

@@ -110,7 +110,7 @@ struct Plan {
 
 impl Plan {
     fn build(net: &Network) -> Plan {
-        let n = net.routers.len();
+        let n = net.nis.len();
         let chan_count = net.ends.len();
 
         // Channels are created grouped by their upstream node in ascending
@@ -202,7 +202,7 @@ fn shard_boundaries_into(weights: &[u64], shards: usize, starts: &mut Vec<usize>
 /// of 1 so idle stretches still split evenly.
 fn shard_weights(net: &Network, plan: &Plan, weights: &mut Vec<u64>) {
     weights.clear();
-    weights.extend((0..net.routers.len()).map(|j| {
+    weights.extend((0..net.nis.len()).map(|j| {
         let mut wt = 1u64;
         if net.router_active.contains(j) {
             wt += 4;
@@ -334,20 +334,23 @@ impl FaultLog for &mut TaggedFaults {
     }
 }
 
-type ShardCx<'a> = Cx<'a, &'a [AtomicU64], RawLanes, &'a mut TaggedFaults>;
+type ShardCx<'a, R> = Cx<'a, R, &'a [AtomicU64], RawLanes, &'a mut TaggedFaults>;
 
 /// What the main thread publishes before each cycle: the frame, the plan
 /// with its current boundaries (shard `k` owns nodes
-/// `node_start[k]..node_start[k + 1]`), and the network's state as shards may reach it — bases of the per-node
-/// arrays (each shard slices out its own range), the wheel slabs, and the
-/// bitmasks as atomic words. Derived afresh every cycle from
-/// [`Network::view`], so snapshot restores and struct moves are both safe.
+/// `node_start[k]..node_start[k + 1]`), and the network's state as shards
+/// may reach it — bases of the per-node arrays (each shard slices out its
+/// own range), the wheel slabs, and the bitmasks as atomic words. Derived
+/// afresh every cycle from [`Network::view`], so snapshot restores and
+/// struct moves are both safe. `routers` is the base of the bank's `Vec<R>`
+/// with `R` erased; `run` is [`run_shard`] compiled for that `R`.
 struct Job<'a> {
     seq: u64,
     plan: &'a Plan,
     node_start: &'a [usize],
     fr: Frame<'a>,
-    routers: *mut Box<dyn Router>,
+    run: fn(&Shared, &Job<'_>, usize),
+    routers: *mut (),
     nis: *mut NodeInterface,
     accounted_upto: *mut Cycle,
     modes_cache: *mut RouterMode,
@@ -368,13 +371,14 @@ impl<'a> Job<'a> {
     /// of the cycle the job was published for and that shard's ready flag.
     /// Node ranges of distinct shards are disjoint, so the slices formed
     /// here never overlap another thread's.
-    unsafe fn shard_cx(&'a self, shard: usize, delta: &'a mut ShardDelta) -> ShardCx<'a> {
+    /// `R` must be the bank's router type, the one `run` was compiled for.
+    unsafe fn shard_cx<R>(&'a self, shard: usize, delta: &'a mut ShardDelta) -> ShardCx<'a, R> {
         let lo = self.node_start[shard];
         let len = self.node_start[shard + 1] - lo;
         Cx {
             fr: self.fr,
             lo,
-            routers: std::slice::from_raw_parts_mut(self.routers.add(lo), len),
+            routers: std::slice::from_raw_parts_mut(self.routers.cast::<R>().add(lo), len),
             nis: std::slice::from_raw_parts_mut(self.nis.add(lo), len),
             accounted_upto: std::slice::from_raw_parts_mut(self.accounted_upto.add(lo), len),
             modes_cache: std::slice::from_raw_parts_mut(self.modes_cache.add(lo), len),
@@ -627,19 +631,21 @@ impl Engine {
             + self.shared.ready.capacity() * size_of::<CachePadded<AtomicU64>>()
     }
 
-    /// One cycle's region, merge tree and epilogue (see the module docs).
-    fn run(&self, net: &mut Network, seq: u64) -> Result<(), SimError> {
+    /// One cycle's region, merge tree and epilogue (see the module docs),
+    /// on a bank of `R`.
+    fn run<R: Router + 'static>(&self, net: &mut Network, seq: u64) -> Result<(), SimError> {
         let shared = &*self.shared;
         // The exclusive view of the whole network. Everything the shards
         // touch during the region is derived from it, and it is not used
         // again until the root merge has retired every shard.
-        let (mut cx, _, _) = net.view();
+        let (mut cx, _, _) = net.view::<R>();
         let job = Job {
             seq,
             plan: &self.plan,
             node_start: &self.node_start,
             fr: cx.fr,
-            routers: cx.routers.as_mut_ptr(),
+            run: run_shard::<R>,
+            routers: cx.routers.as_mut_ptr().cast(),
             nis: cx.nis.as_mut_ptr(),
             accounted_upto: cx.accounted_upto.as_mut_ptr(),
             modes_cache: cx.modes_cache.as_mut_ptr(),
@@ -663,7 +669,7 @@ impl Engine {
             &*cell.insert(std::mem::transmute::<Job<'_>, Job<'static>>(job))
         };
         shared.barrier.wait(); // start barrier
-        run_shard(shared, job, 0);
+        run_shard::<R>(shared, job, 0);
 
         // Epilogue (exclusive again: the root merge waited on every shard).
         // The tree already folded all deltas into shard 0's in ascending
@@ -734,11 +740,11 @@ impl Drop for Engine {
 /// # Safety
 ///
 /// As for [`Job::shard_cx`].
-unsafe fn region(job: &Job<'_>, shard: usize, delta: &mut ShardDelta) {
+unsafe fn region<R: Router>(job: &Job<'_>, shard: usize, delta: &mut ShardDelta) {
     let (lo, hi) = (job.node_start[shard], job.node_start[shard + 1]);
     let plan = job.plan;
     let mut error = None;
-    let mut cx = job.shard_cx(shard, delta);
+    let mut cx = job.shard_cx::<R>(shard, delta);
     let fr = cx.fr;
 
     for j in lo..hi {
@@ -804,17 +810,17 @@ unsafe fn region(job: &Job<'_>, shard: usize, delta: &mut ShardDelta) {
 
 /// Shard `shard`'s whole cycle: reset its delta, run the region (a panic
 /// is caught and rides up in the delta), then its part of the merge tree.
-fn run_shard(shared: &Shared, job: &Job<'_>, shard: usize) {
+/// `R` is the bank's router type; workers reach this through `Job::run`.
+fn run_shard<R: Router>(shared: &Shared, job: &Job<'_>, shard: usize) {
     // SAFETY: each delta is written only by its shard until the shard's
     // ready flag is set (which `merge_subtree` does last).
     let delta = unsafe { &mut *shared.deltas[shard].0.get() };
     let result = catch_unwind(AssertUnwindSafe(|| {
         delta.reset();
-        // SAFETY: after the start barrier, on this shard, once.
-        unsafe { region(job, shard, delta) }
+        // SAFETY: after the start barrier, on this shard, once; `job` was
+        // published by `Engine::run::<R>`.
+        unsafe { region::<R>(job, shard, delta) }
     }));
-    // SAFETY: as above (the closure's borrow ended with the call).
-    let delta = unsafe { &mut *shared.deltas[shard].0.get() };
     if let Err(payload) = result {
         delta.panic.get_or_insert(payload);
     }
@@ -876,7 +882,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
         // mutated again until every shard's ready flag retires the cycle;
         // reading it here is data-race free.
         let job = unsafe { (*shared.job.get()).as_ref().expect("job published") };
-        run_shard(shared, job, shard);
+        (job.run)(shared, job, shard);
     }
 }
 
@@ -887,8 +893,9 @@ fn worker_loop(shared: &Shared, shard: usize) {
 /// serial schedule's), and enough active components to amortize the
 /// barrier. Runs after phase 0 and queue retirement, whose marks it
 /// therefore sees.
+#[inline]
 pub(crate) fn gate(net: &Network) -> bool {
-    let threads = net.sim_threads.min(net.routers.len());
+    let threads = net.sim_threads.min(net.nis.len());
     if threads < 2 || !net.fast_path() || net.held_flits != 0 {
         return false;
     }
@@ -897,9 +904,10 @@ pub(crate) fn gate(net: &Network) -> bool {
     active >= net.par_min_active
 }
 
-/// Steps phases 1–3 of one cycle on the parallel engine, building it
-/// (plan + worker pool) on first use. Callers must have passed [`gate`].
-pub(crate) fn step_sharded(net: &mut Network) -> Result<(), SimError> {
+/// Steps phases 1–3 of one cycle on the parallel engine over a bank of
+/// `R`, building the engine (plan + worker pool) on first use. Callers
+/// must have passed [`gate`].
+pub(crate) fn step_sharded<R: Router + 'static>(net: &mut Network) -> Result<(), SimError> {
     let mut engine = match net.engine.take() {
         Some(engine) => engine,
         None => Engine::new(net, net.sim_threads),
@@ -909,7 +917,7 @@ pub(crate) fn step_sharded(net: &mut Network) -> Result<(), SimError> {
         engine.replan(net);
     }
     net.parallel_cycles += 1;
-    let result = engine.run(net, engine.cycles);
+    let result = engine.run::<R>(net, engine.cycles);
     net.engine = Some(engine);
     result
 }

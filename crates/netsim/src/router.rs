@@ -53,6 +53,7 @@ impl RouterOutputs {
     }
 
     /// Clears all outputs for reuse in the next cycle.
+    #[inline]
     pub fn clear(&mut self) {
         for (_, f) in self.flits.iter_mut() {
             *f = None;
@@ -251,6 +252,141 @@ pub trait Router: Send {
     }
 }
 
+/// A boxed router is a router: the boxed fallback bank of
+/// [`RouterFactory::build_bank`] runs on the same generic kernel as a typed
+/// one, paying the vtable call per router the typed banks save.
+impl Router for Box<dyn Router> {
+    fn receive_flit(&mut self, input: PortId, flit: Flit, now: Cycle) {
+        (**self).receive_flit(input, flit, now);
+    }
+    fn receive_credit(&mut self, output: PortId, credit: Credit, now: Cycle) {
+        (**self).receive_credit(output, credit, now);
+    }
+    fn receive_control(&mut self, output: PortId, signal: ControlSignal, now: Cycle) {
+        (**self).receive_control(output, signal, now);
+    }
+    fn injection_ready(&self, flit: &Flit, now: Cycle) -> bool {
+        (**self).injection_ready(flit, now)
+    }
+    fn inject(&mut self, flit: Flit, now: Cycle) {
+        (**self).inject(flit, now);
+    }
+    fn step(&mut self, now: Cycle, rng: &mut SimRng, out: &mut RouterOutputs) {
+        (**self).step(now, rng, out);
+    }
+    fn counters(&self) -> &ActivityCounters {
+        (**self).counters()
+    }
+    fn counters_mut(&mut self) -> &mut ActivityCounters {
+        (**self).counters_mut()
+    }
+    fn mode(&self) -> RouterMode {
+        (**self).mode()
+    }
+    fn occupancy(&self) -> usize {
+        (**self).occupancy()
+    }
+    fn load_estimate(&self) -> Option<f64> {
+        (**self).load_estimate()
+    }
+    fn heap_bytes(&self) -> usize {
+        (**self).heap_bytes()
+    }
+    fn note_link_event(
+        &mut self,
+        node: NodeId,
+        dir: crate::geom::Direction,
+        epoch: u32,
+        alive: bool,
+        now: Cycle,
+    ) {
+        (**self).note_link_event(node, dir, epoch, alive, now);
+    }
+    fn is_quiescent(&self) -> bool {
+        (**self).is_quiescent()
+    }
+    fn note_idle_cycles(&mut self, idle: u64) {
+        (**self).note_idle_cycles(idle);
+    }
+    fn counters_view(&self, pending_idle: u64) -> ActivityCounters {
+        (**self).counters_view(pending_idle)
+    }
+    fn reset(&mut self) -> bool {
+        (**self).reset()
+    }
+    fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        (**self).save_state(w)
+    }
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        (**self).load_state(r)
+    }
+}
+
+/// A network's routers, one per node in node order, held by value in one
+/// `Vec<R>` — what [`RouterFactory::build_bank`] returns. `Vec<R>`, for
+/// any router type `R`, is the only implementation: the engine compiles
+/// its cycle kernel against `R` through it (DESIGN.md §8), and reaches
+/// single routers through these accessors only on cold paths (snapshots,
+/// counters, audits, link events).
+pub trait RouterBank: bank::Typed {
+    /// Router `i` (node index).
+    fn router(&self, i: usize) -> &dyn Router;
+
+    /// Router `i` (node index), mutably.
+    fn router_mut(&mut self, i: usize) -> &mut dyn Router;
+}
+
+impl<'b> dyn RouterBank + 'b {
+    /// Every router, in node order (the cold paths).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &dyn Router> {
+        (0..self.len()).map(move |i| self.router(i))
+    }
+}
+
+/// The engine's side of a bank, sealed in a module no other crate can
+/// name.
+pub(crate) mod bank {
+    use crate::network::{Kernel, Network};
+    use crate::router::Router;
+    use std::any::Any;
+
+    /// What the engine needs of a bank beyond [`super::RouterBank`].
+    pub trait Typed: Send {
+        /// Routers in the bank.
+        fn len(&self) -> usize;
+        /// The bank as `Vec<R>`, for the kernel's downcast.
+        fn as_any_mut(&mut self) -> &mut dyn Any;
+        /// Phases 1–3 of a cycle, compiled against `R`.
+        fn kernel(&self) -> Kernel;
+        /// Bytes of the bank's slab: the router structs themselves.
+        fn slab_bytes(&self) -> usize;
+    }
+
+    impl<R: Router + 'static> Typed for Vec<R> {
+        fn len(&self) -> usize {
+            Vec::len(self)
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn kernel(&self) -> Kernel {
+            Network::cycle_phases::<R>
+        }
+        fn slab_bytes(&self) -> usize {
+            self.capacity() * std::mem::size_of::<R>()
+        }
+    }
+}
+
+impl<R: Router + 'static> RouterBank for Vec<R> {
+    fn router(&self, i: usize) -> &dyn Router {
+        &self[i]
+    }
+    fn router_mut(&mut self, i: usize) -> &mut dyn Router {
+        &mut self[i]
+    }
+}
+
 /// One router's flit rings: `PORTS × flits_per_port` filler slots, never
 /// read before written (no allocation for a bufferless mechanism's 0).
 pub fn alloc_rings(flits_per_port: usize) -> Box<[Flit]> {
@@ -279,6 +415,25 @@ pub trait RouterFactory: Send + Sync {
     fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
         let rings = alloc_rings(self.buffer_flits_per_port(config));
         self.build_with(node, mesh, config, rings)
+    }
+
+    /// Constructs every node's router, in node order, around `rings` (one
+    /// [`alloc_rings`] slab per node, all allocated before this call).
+    /// A mechanism returns its routers by value as a `Vec` of its own
+    /// router type, collected in one allocation; the default boxes each
+    /// [`Self::build_with`] result, which serves any factory unchanged.
+    fn build_bank(
+        &self,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        let bank: Vec<Box<dyn Router>> = mesh
+            .nodes()
+            .zip(rings)
+            .map(|(node, rings)| self.build_with(node, mesh, config, rings))
+            .collect();
+        Box::new(bank)
     }
 
     /// Short mechanism name (`"backpressured"`, `"bless"`, `"afc"`, ...).

@@ -144,6 +144,7 @@ impl Mesh {
     }
 
     /// Manhattan distance between two nodes.
+    #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         self.coord(a).manhattan(self.coord(b))
     }

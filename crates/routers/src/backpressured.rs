@@ -65,7 +65,9 @@ use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
 use afc_netsim::geom::Direction;
 use afc_netsim::geom::{Coord, NodeId, PortId, PortMap};
 use afc_netsim::rng::SimRng;
-use afc_netsim::router::{alloc_rings, Router, RouterFactory, RouterMode, RouterOutputs};
+use afc_netsim::router::{
+    alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs,
+};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 
@@ -1244,6 +1246,20 @@ impl RouterFactory for BackpressuredFactory {
     ) -> Box<dyn Router> {
         let router = BackpressuredRouter::with_rings(node, mesh, config, self.options, rings);
         Box::new(router)
+    }
+
+    fn build_bank(
+        &self,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        let bank: Vec<BackpressuredRouter> = (mesh.nodes().zip(rings))
+            .map(|(node, rings)| {
+                BackpressuredRouter::with_rings(node, mesh, config, self.options, rings)
+            })
+            .collect();
+        Box::new(bank)
     }
 
     fn name(&self) -> &'static str {

@@ -23,7 +23,7 @@ use afc_netsim::fault_aware::{FaultAwareness, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, PacketId};
 use afc_netsim::geom::{Coord, Direction, NodeId, PortId};
 use afc_netsim::rng::SimRng;
-use afc_netsim::router::{Router, RouterFactory, RouterMode, RouterOutputs};
+use afc_netsim::router::{Router, RouterBank, RouterFactory, RouterMode, RouterOutputs};
 use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 
@@ -557,6 +557,19 @@ impl RouterFactory for DeflectionFactory {
         _rings: Box<[Flit]>,
     ) -> Box<dyn Router> {
         Box::new(DeflectionRouter::new(node, mesh, config, self.policy))
+    }
+
+    fn build_bank(
+        &self,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        _rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        let bank: Vec<DeflectionRouter> = mesh
+            .nodes()
+            .map(|node| DeflectionRouter::new(node, mesh, config, self.policy))
+            .collect();
+        Box::new(bank)
     }
 
     fn name(&self) -> &'static str {

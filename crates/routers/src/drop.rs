@@ -17,7 +17,7 @@
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Flit;
 use afc_netsim::geom::NodeId;
-use afc_netsim::router::{Router, RouterFactory};
+use afc_netsim::router::{Router, RouterBank, RouterFactory};
 use afc_netsim::topology::Mesh;
 
 use crate::deflection::{Bufferless, RankPolicy};
@@ -52,6 +52,19 @@ impl RouterFactory for DropFactory {
         _rings: Box<[Flit]>,
     ) -> Box<dyn Router> {
         Box::new(DropRouter::new(node, mesh, config, self.policy))
+    }
+
+    fn build_bank(
+        &self,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        _rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        let bank: Vec<DropRouter> = mesh
+            .nodes()
+            .map(|node| DropRouter::new(node, mesh, config, self.policy))
+            .collect();
+        Box::new(bank)
     }
 
     fn name(&self) -> &'static str {

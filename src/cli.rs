@@ -327,6 +327,20 @@ fn parse_threads(s: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// Parses an injection rate (flits/node/cycle) given to `--{flag}`: any
+/// finite value `>= 0`. Rates above 1 stay legal — the packet probability
+/// saturates at 1 — but a negative, NaN or infinite rate would run and
+/// print a meaningless offered load.
+fn parse_rate(flag: &str, s: &str) -> Result<f64, String> {
+    let s = s.trim();
+    match s.parse::<f64>() {
+        Ok(rate) if rate.is_finite() && rate >= 0.0 => Ok(rate),
+        _ => Err(format!(
+            "bad --{flag} {s:?} (an injection rate must be a finite number >= 0)"
+        )),
+    }
+}
+
 fn parse_mesh(s: &str) -> Result<(u16, u16), String> {
     let (w, h) = s
         .split_once(['x', 'X'])
@@ -408,11 +422,7 @@ impl Cli {
                 };
                 let rates = get("rates", "0.1,0.3,0.5,0.7")
                     .split(',')
-                    .map(|r| {
-                        r.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad rate {r:?}"))
-                    })
+                    .map(|r| parse_rate("rates", r))
                     .collect::<Result<Vec<f64>, String>>()?;
                 Ok(Cli::Sweep(SweepArgs {
                     mechanism: get("mechanism", "afc"),
@@ -435,7 +445,7 @@ impl Cli {
                 Ok(Cli::Faults(FaultArgs {
                     mechanism: get("mechanism", "afc"),
                     mesh: parse_mesh(&get("mesh", "3x3"))?,
-                    rate: rate_flag("rate", "0.10")?,
+                    rate: parse_rate("rate", &get("rate", "0.10"))?,
                     drop: rate_flag("drop", "5e-4")?,
                     corrupt: rate_flag("corrupt", "5e-4")?,
                     credit_loss: rate_flag("credit-loss", "0")?,
@@ -629,6 +639,37 @@ mod tests {
         };
         assert_eq!(a.rates, vec![0.1, 0.2]);
         assert_eq!(a.pattern, "tornado");
+        // Above 1 saturates rather than erring; zero offers nothing.
+        let Cli::Sweep(a) = Cli::parse(&argv("sweep --rates 0,1.5")) else {
+            panic!("expected sweep")
+        };
+        assert_eq!(a.rates, vec![0.0, 1.5]);
+    }
+
+    #[test]
+    fn rejects_invalid_injection_rates() {
+        for (args, flag, value) in [
+            ("sweep --rates -0.1", "rates", "-0.1"),
+            ("sweep --rates 0.1,nan", "rates", "nan"),
+            ("sweep --rates inf", "rates", "inf"),
+            ("sweep --rates 0.2,-inf", "rates", "-inf"),
+            ("sweep --rates 0.1,,0.2", "rates", ""),
+            ("faults --rate nan", "rate", "nan"),
+            ("faults --rate -1", "rate", "-1"),
+            ("faults --rate infinity", "rate", "infinity"),
+        ] {
+            let Cli::Help(Some(msg)) = Cli::parse(&argv(args)) else {
+                panic!("{args} should be rejected")
+            };
+            assert!(
+                msg.contains(&format!("--{flag} {value:?}")),
+                "{args}: the error must name the flag and value: {msg}"
+            );
+        }
+        let Cli::Faults(a) = Cli::parse(&argv("faults --rate 2")) else {
+            panic!("expected faults")
+        };
+        assert_eq!(a.rate, 2.0);
     }
 
     #[test]

@@ -318,43 +318,61 @@ fn afc_duty_cycle_tracks_load_class() {
 
 #[test]
 fn table1_all_mechanisms_have_two_stage_pipelines() {
-    // Zero-load per-hop latency must be (2 + L) for every mechanism: one
+    // Zero-load latency is exactly `hops × (2 + L)` for the head — one
     // arbitration stage, one switch stage, L wire cycles (buffer write
-    // overlapped). Measured end to end through an idle network.
-    let cfg = NetworkConfig::paper_3x3();
-    let per_hop = 2 + cfg.link_latency;
+    // overlapped) — plus one cycle per trailing flit, for every mechanism,
+    // every ordered pair of a 4×4, link latency 1–3, 1- and 5-flit packets
+    // on a request and a response vnet. One packet is in flight at a time,
+    // 20 idle cycles apart, so it never queues at its source either.
+    use afc_netsim::flit::VirtualNetwork;
+    use afc_netsim::packet::{PacketInput, PacketKind};
     for mech in all_mechanisms() {
-        let mut net =
-            afc_netsim::network::Network::new(cfg.clone(), mech.factory.as_ref(), 9).unwrap();
-        let mesh = net.mesh().clone();
-        let src = mesh.node_at(Coord::new(0, 0)).unwrap();
-        let dest = mesh.node_at(Coord::new(2, 1)).unwrap();
-        net.offer_packet(
-            src,
-            afc_netsim::packet::PacketInput {
-                dest,
-                vnet: afc_netsim::flit::VirtualNetwork(0),
-                len: 1,
-                kind: afc_netsim::packet::PacketKind::Synthetic,
-                tag: 0,
-            },
-        );
-        let mut got = None;
-        for _ in 0..100 {
-            net.step();
-            if let Some(p) = net.take_delivered().first() {
-                got = Some(*p);
-                break;
+        for link_latency in 1..=3u64 {
+            let cfg = NetworkConfig {
+                width: 4,
+                height: 4,
+                link_latency,
+                ..NetworkConfig::paper_3x3()
+            };
+            for (len, vnet) in [(1u16, 0u8), (1, 2), (5, 0), (5, 2)] {
+                let case = format!("{} L={link_latency} {len}-flit vnet {vnet}", mech.label);
+                let mut net =
+                    afc_netsim::network::Network::new(cfg.clone(), mech.factory.as_ref(), 9)
+                        .unwrap();
+                let mesh = net.mesh().clone();
+                for (src, dest) in mesh.nodes().flat_map(|s| mesh.nodes().map(move |d| (s, d))) {
+                    if src == dest {
+                        continue;
+                    }
+                    let input = PacketInput {
+                        dest,
+                        vnet: VirtualNetwork(vnet),
+                        len,
+                        kind: PacketKind::Synthetic,
+                        tag: 0,
+                    };
+                    net.offer_packet(src, input);
+                    let mut got = None;
+                    for _ in 0..200 {
+                        net.step();
+                        if let Some(p) = net.take_delivered().first() {
+                            got = Some(*p);
+                            break;
+                        }
+                    }
+                    let p = got.unwrap_or_else(|| panic!("{case}: {src}->{dest} lost"));
+                    let hops = mesh.distance(src, dest) as u64;
+                    let expected = hops * (2 + link_latency) + u64::from(len) - 1;
+                    assert_eq!(
+                        (p.network_latency(), p.total_latency()),
+                        (expected, expected),
+                        "{case}: {src}->{dest} ({hops} hops)"
+                    );
+                    for _ in 0..20 {
+                        net.step();
+                    }
+                }
             }
         }
-        let p = got.unwrap_or_else(|| panic!("{}: packet lost", mech.label));
-        let hops = mesh.distance(src, dest) as u64;
-        let latency = p.network_latency();
-        assert!(
-            (hops * per_hop..=hops * per_hop + 2).contains(&latency),
-            "{}: zero-load latency {latency} for {hops} hops (expected ~{})",
-            mech.label,
-            hops * per_hop
-        );
     }
 }

@@ -1,24 +1,27 @@
 //! Router state placement (DESIGN.md §16.2): `Network::new` allocates every
-//! node's flit rings before any router's control state, so a large mesh
-//! packs the small, hot control state (router structs and their side
-//! slabs) densely instead of giving each buffered router a page between
-//! two rings. And `RouterFactory::build` (rings of its own, the standalone
-//! path afc-perf's router probe and the unit tests use) builds exactly the
-//! router `build_with` builds around caller-allocated rings.
+//! node's flit rings first and then the network's router bank — every
+//! router struct by value, in one slab — so a large mesh packs the small,
+//! hot control state densely instead of giving each buffered router a page
+//! between two rings. The typed bank a mechanism returns steps exactly as
+//! the boxed fallback every other factory gets. And `RouterFactory::build`
+//! (rings of its own, the standalone path afc-perf's router probe and the
+//! unit tests use) builds exactly the router `build_with` builds around
+//! caller-allocated rings.
 //!
 //! A recording [`GlobalAlloc`] logs the size of every request the test
 //! thread makes inside `Network::new`. The assertions are about *order*,
-//! not addresses, so they hold under any allocator; the router-struct
-//! stride is printed as information only (`--nocapture`).
+//! not addresses, so they hold under any allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::mem::size_of;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use afc_bench::MechanismId;
 use afc_core::AfcRouter;
+use afc_netsim::packet::PacketInput;
 use afc_netsim::prelude::*;
 use afc_netsim::router::alloc_rings;
 use afc_routers::{BackpressuredRouter, DeflectionRouter, DropRouter};
@@ -27,7 +30,6 @@ use afc_routers::{BackpressuredRouter, DeflectionRouter, DropRouter};
 const LOG_CAP: usize = 1 << 17;
 
 static LOG_SIZE: [AtomicUsize; LOG_CAP] = [const { AtomicUsize::new(0) }; LOG_CAP];
-static LOG_ADDR: [AtomicUsize; LOG_CAP] = [const { AtomicUsize::new(0) }; LOG_CAP];
 static LOG_LEN: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -42,15 +44,13 @@ struct RecordingAlloc;
 // atomics (never allocating) on the recording thread's allocation path.
 unsafe impl GlobalAlloc for RecordingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
         if RECORDING.try_with(Cell::get).unwrap_or(false) {
             let i = LOG_LEN.fetch_add(1, Ordering::Relaxed);
             if i < LOG_CAP {
                 LOG_SIZE[i].store(layout.size(), Ordering::Relaxed);
-                LOG_ADDR[i].store(ptr as usize, Ordering::Relaxed);
             }
         }
-        ptr
+        System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -63,8 +63,8 @@ static GLOBAL: RecordingAlloc = RecordingAlloc;
 
 const PORTS: usize = PortId::ALL.len();
 
-/// `(size, address)` of every request `Network::new` makes on this thread.
-fn record_new(cfg: &NetworkConfig, factory: &dyn RouterFactory) -> Vec<(usize, usize)> {
+/// The size of every request `Network::new` makes on this thread.
+fn record_new(cfg: &NetworkConfig, factory: &dyn RouterFactory) -> Vec<usize> {
     LOG_LEN.store(0, Ordering::Relaxed);
     RECORDING.with(|r| r.set(true));
     let net = Network::new(cfg.clone(), factory, 1).expect("valid configuration");
@@ -75,32 +75,15 @@ fn record_new(cfg: &NetworkConfig, factory: &dyn RouterFactory) -> Vec<(usize, u
         "{len} requests overflow the {LOG_CAP}-entry log"
     );
     let log = (0..len)
-        .map(|i| {
-            let size = LOG_SIZE[i].load(Ordering::Relaxed);
-            (size, LOG_ADDR[i].load(Ordering::Relaxed))
-        })
+        .map(|i| LOG_SIZE[i].load(Ordering::Relaxed))
         .collect();
     drop(net);
     log
 }
 
 /// Positions in `log` of requests of exactly `size` bytes.
-fn positions(log: &[(usize, usize)], size: usize) -> Vec<usize> {
-    (0..log.len()).filter(|&i| log[i].0 == size).collect()
-}
-
-/// Median address stride and distinct 4 KiB pages of the given requests.
-fn stride(log: &[(usize, usize)], at: &[usize]) -> (usize, usize) {
-    let mut addrs: Vec<usize> = at.iter().map(|&i| log[i].1).collect();
-    let mut steps: Vec<usize> = addrs.windows(2).map(|w| w[1].abs_diff(w[0])).collect();
-    steps.sort_unstable();
-    addrs.iter_mut().for_each(|a| *a >>= 12);
-    addrs.sort_unstable();
-    addrs.dedup();
-    (
-        steps.get(steps.len() / 2).copied().unwrap_or(0),
-        addrs.len(),
-    )
+fn positions(log: &[usize], size: usize) -> Vec<usize> {
+    (0..log.len()).filter(|&i| log[i] == size).collect()
 }
 
 #[test]
@@ -123,7 +106,7 @@ fn network_new_allocates_every_ring_before_router_state() {
         ring_sizes.push(ring);
         let log = record_new(&cfg, factory.as_ref());
         let rings = positions(&log, ring);
-        let structs = positions(&log, struct_size);
+        let banks = positions(&log, n * struct_size);
         assert_eq!(
             rings.len(),
             n,
@@ -131,22 +114,14 @@ fn network_new_allocates_every_ring_before_router_state() {
             id.label()
         );
         assert_eq!(
-            structs.len(),
-            n,
-            "{}: one router struct per node",
+            banks.len(),
+            1,
+            "{}: one bank of {n} × {struct_size}-byte routers",
             id.label()
         );
-        let (first, last) = (structs[0], structs[n - 1]);
-        let between = rings.iter().filter(|&&i| first < i && i < last).count();
-        assert_eq!(
-            between,
-            0,
-            "{}: {between} rings were allocated among the router structs",
-            id.label()
-        );
-        let (step, pages) = stride(&log, &structs);
-        println!(
-            "{}: {n} router structs of {struct_size} B at a median {step}-byte stride on {pages} pages",
+        assert!(
+            banks[0] > rings[n - 1],
+            "{}: the bank was allocated before the last ring",
             id.label()
         );
     }
@@ -159,15 +134,93 @@ fn network_new_allocates_every_ring_before_router_state() {
         assert_eq!(factory.buffer_flits_per_port(&cfg), 0, "{}", id.label());
         let log = record_new(&cfg, factory.as_ref());
         assert!(
-            log.iter().all(|(size, _)| !ring_sizes.contains(size)),
+            log.iter().all(|size| !ring_sizes.contains(size)),
             "{}: a bufferless network made a ring-sized request",
             id.label()
         );
-        let (step, pages) = stride(&log, &positions(&log, struct_size));
-        println!(
-            "{}: router structs of {struct_size} B at a median {step}-byte stride on {pages} pages",
+        assert_eq!(
+            positions(&log, n * struct_size).len(),
+            1,
+            "{}: one bank of {n} × {struct_size}-byte routers",
             id.label()
         );
+    }
+}
+
+/// A mechanism's routers through the default `build_bank`: everything but
+/// `build_with` and the metadata is left to the trait, so the network
+/// holds the boxed fallback bank.
+struct Boxed(Box<dyn RouterFactory>);
+
+impl RouterFactory for Boxed {
+    fn build_with(
+        &self,
+        node: NodeId,
+        mesh: &Mesh,
+        config: &NetworkConfig,
+        rings: Box<[Flit]>,
+    ) -> Box<dyn Router> {
+        self.0.build_with(node, mesh, config, rings)
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn flit_width_bits(&self) -> u32 {
+        self.0.flit_width_bits()
+    }
+    fn buffer_flits_per_port(&self, config: &NetworkConfig) -> usize {
+        self.0.buffer_flits_per_port(config)
+    }
+}
+
+/// Delivered `(packet, cycle)` pairs and the final snapshot of 400 cycles
+/// of seeded uniform traffic on an 8×8 at ~0.3 flits/node/cycle.
+fn drive(factory: &dyn RouterFactory, threads: usize) -> (BTreeSet<(u64, Cycle)>, Vec<u8>) {
+    let cfg = NetworkConfig::paper_8x8();
+    let mut net = Network::new(cfg, factory, 11).expect("valid configuration");
+    net.set_sim_threads(threads);
+    net.set_parallel_threshold(0);
+    let nodes = net.mesh().node_count();
+    let mut rng = SimRng::seed_from(0x7E57);
+    let mut delivered = BTreeSet::new();
+    for _ in 0..400 {
+        for src in 0..nodes {
+            if rng.gen_bool(0.1) {
+                let dest = NodeId::new((src + 1 + rng.gen_index(nodes - 1)) % nodes);
+                let input = PacketInput {
+                    dest,
+                    vnet: VirtualNetwork(2),
+                    len: if rng.gen_bool(0.5) { 1 } else { 5 },
+                    kind: PacketKind::Synthetic,
+                    tag: 0,
+                };
+                net.offer_packet(NodeId::new(src), input);
+            }
+        }
+        net.step();
+        for p in net.take_delivered() {
+            delivered.insert((p.descriptor.id.0, p.delivered_at));
+        }
+    }
+    // The full-scan self-check (`AFC_FULL_SCAN`) keeps every cycle serial.
+    let sharded = threads > 1 && !net.full_scan();
+    assert_eq!(net.parallel_cycles() > 0, sharded, "{threads} threads");
+    let mut w = SnapshotWriter::new();
+    net.save_state(&mut w).expect("every mechanism snapshots");
+    (delivered, w.into_bytes())
+}
+
+#[test]
+fn typed_banks_step_exactly_as_the_boxed_fallback() {
+    for id in MechanismId::ALL {
+        for threads in [1, 2] {
+            let (typed, typed_bytes) = drive(id.mechanism().factory.as_ref(), threads);
+            let (boxed, boxed_bytes) = drive(&Boxed(id.mechanism().factory), threads);
+            let at = format!("{} at {threads} thread(s)", id.label());
+            assert!(typed.len() > 1000, "{at}: only {} deliveries", typed.len());
+            assert_eq!(typed, boxed, "{at}: deliveries differ");
+            assert!(typed_bytes == boxed_bytes, "{at}: snapshots differ");
+        }
     }
 }
 
