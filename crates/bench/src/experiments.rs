@@ -14,7 +14,7 @@ use afc_traffic::runner::{RunKind, RunOutcome};
 use afc_traffic::synthetic::{quadrant_of, Pattern};
 
 use crate::mechanisms::Mechanism;
-use crate::sweep::{run_grid, run_sweep, threads, Job, Tuning};
+use crate::sweep::{run_grid, threads, Job, Tuning};
 
 /// Result of one (workload, mechanism) closed-loop cell.
 #[derive(Debug, Clone)]
@@ -155,18 +155,6 @@ impl std::fmt::Display for Replicated {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:.2}±{:.2}", self.mean, self.stdev)
     }
-}
-
-/// Runs `f` once per seed on the sweep engine's work-stealing pool and
-/// collects results in seed order. The simulator itself is single-threaded
-/// and deterministic; this parallelizes *independent* runs (replications,
-/// sweep points).
-pub fn parallel_over_seeds<R, F>(seeds: &[u64], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    run_sweep("seeds", seeds, |_, &seed| f(seed))
 }
 
 /// A closed-loop matrix replicated across seeds, with normalized metrics
@@ -510,13 +498,6 @@ mod tests {
         assert!(
             closed_loop_matrix(&[], &[workloads::water()], &cfg, 20, 60, 3_000_000, 3).is_empty()
         );
-    }
-
-    #[test]
-    fn parallel_over_seeds_preserves_order_and_results() {
-        let serial: Vec<u64> = [3u64, 1, 4, 1, 5].iter().map(|s| s * s).collect();
-        let parallel = parallel_over_seeds(&[3, 1, 4, 1, 5], |s| s * s);
-        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::flit::{Cycle, Flit, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId};
+use crate::kernel::Lanes;
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// A buffer-release token flowing upstream.
@@ -403,21 +404,50 @@ pub(crate) struct Tick {
     pub(crate) now: Cycle,
     pub(crate) fwd_due: Cycle,
     pub(crate) rev_due: Cycle,
-    pub(crate) fwd_rd: usize,
-    pub(crate) fwd_wr: usize,
-    pub(crate) rev_rd: usize,
-    pub(crate) rev_wr: usize,
+    fwd_rd: usize,
+    fwd_wr: usize,
+    rev_rd: usize,
+    rev_wr: usize,
+}
+
+/// Slab indices of link `c`'s slots this cycle — the stripe layout, known
+/// only to this module: arrivals are read at `*_read`, pushes land at
+/// `*_write`.
+impl Tick {
+    #[inline]
+    pub(crate) fn fwd_read(&self, c: usize) -> usize {
+        self.fwd_rd + c
+    }
+    #[inline]
+    pub(crate) fn fwd_write(&self, c: usize) -> usize {
+        self.fwd_wr + c
+    }
+    #[inline]
+    pub(crate) fn rev_read(&self, c: usize) -> usize {
+        self.rev_rd + c
+    }
+    #[inline]
+    pub(crate) fn rev_write(&self, c: usize) -> usize {
+        self.rev_wr + c
+    }
+}
+
+/// The arrival cycles of the newest pushes onto one link's forward and
+/// reverse lanes (0 = never): the whole of a lane's occupancy bookkeeping,
+/// each half written only by that lane's single writer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LastDue {
+    pub(crate) fwd: Cycle,
+    pub(crate) rev: Cycle,
 }
 
 /// Every link of a network as two slot slabs (see the module docs).
 ///
 /// Slabs are stripe-major — slot `s` of link `c` lives at `s * links + c` —
 /// so a cycle's arrivals are one contiguous stripe walked in ascending
-/// link order. `last_due[2c]` / `last_due[2c + 1]` hold the arrival cycle
-/// of the newest push onto link `c`'s forward / reverse lane (0 = never):
-/// the whole of a lane's occupancy bookkeeping, written only by that
-/// lane's single writer. Fields are crate-visible for the parallel engine,
-/// which pushes through raw slot pointers.
+/// link order; `last_due[c]` is link `c`'s [`LastDue`]. Fields are
+/// crate-visible for the parallel engine, which pushes through raw slot
+/// pointers at the [`Tick`] indices.
 #[derive(Debug, Clone)]
 pub(crate) struct LinkWheel {
     links: usize,
@@ -425,7 +455,7 @@ pub(crate) struct LinkWheel {
     rev_delay: u64,
     pub(crate) fwd: Vec<FwdSlot>,
     pub(crate) rev: Vec<RevSlot>,
-    pub(crate) last_due: Vec<Cycle>,
+    pub(crate) last_due: Vec<LastDue>,
 }
 
 impl LinkWheel {
@@ -440,7 +470,7 @@ impl LinkWheel {
             rev_delay,
             fwd: vec![FwdSlot::EMPTY; links * (fwd_delay as usize + 1)],
             rev: vec![RevSlot::EMPTY; links * (rev_delay as usize + 1)],
-            last_due: vec![0; 2 * links],
+            last_due: vec![LastDue::default(); links],
         }
     }
 
@@ -479,44 +509,17 @@ impl LinkWheel {
         }
     }
 
-    /// Sends a flit down link `c` (at most one per link per cycle).
-    #[inline]
-    pub(crate) fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
-        self.fwd[t.fwd_wr + c].push(t.fwd_due, flit);
-        self.last_due[2 * c] = t.fwd_due;
-    }
-
-    /// Sends a credit up link `c`.
-    #[inline]
-    pub(crate) fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
-        self.rev[t.rev_wr + c].push_credit(t.rev_due, credit);
-        self.last_due[2 * c + 1] = t.rev_due;
-    }
-
-    /// Sends a control signal up link `c`.
-    #[inline]
-    pub(crate) fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
-        self.rev[t.rev_wr + c].push_control(t.rev_due, signal);
-        self.last_due[2 * c + 1] = t.rev_due;
-    }
-
     /// The flit arriving on link `c` this cycle, if any.
     #[inline]
     pub(crate) fn flit_at(&self, t: &Tick, c: usize) -> Option<Flit> {
-        self.fwd[t.fwd_rd + c].arrival(t.now)
-    }
-
-    /// The credits/control arriving on link `c` this cycle, if any.
-    #[inline]
-    pub(crate) fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
-        self.rev[t.rev_rd + c].arrival(t.now)
+        self.fwd[t.fwd_read(c)].arrival(t.now)
     }
 
     /// Whether nothing on link `c` is due after cycle `now` — the link's
     /// activity bit may drop once this cycle's arrivals are delivered.
     #[inline]
     pub(crate) fn quiet_after(&self, c: usize, now: Cycle) -> bool {
-        self.last_due[2 * c].max(self.last_due[2 * c + 1]) <= now
+        self.last_due[c].fwd.max(self.last_due[c].rev) <= now
     }
 
     /// Flits not yet delivered at cycle `now`, recounted from the slab.
@@ -539,7 +542,7 @@ impl LinkWheel {
         use std::mem::size_of;
         self.fwd.capacity() * size_of::<FwdSlot>()
             + self.rev.capacity() * size_of::<RevSlot>()
-            + self.last_due.capacity() * size_of::<Cycle>()
+            + self.last_due.capacity() * size_of::<LastDue>()
     }
 
     /// Empties every link in place. Stamps must go: a reused wheel's clock
@@ -551,7 +554,7 @@ impl LinkWheel {
         for s in &mut self.rev {
             s.due = NEVER;
         }
-        self.last_due.fill(0);
+        self.last_due.fill(LastDue::default());
     }
 
     /// The ticks of the cycles anything on the wires before cycle `now`
@@ -597,11 +600,11 @@ impl LinkWheel {
         for c in 0..self.links {
             for t in &ticks {
                 if r.get_bool("link flit presence")? {
-                    self.fwd[t.fwd_rd + c] = FwdSlot {
+                    self.fwd[t.fwd_read(c)] = FwdSlot {
                         due: t.now,
                         flit: Some(snapshot::read_flit(r)?),
                     };
-                    self.last_due[2 * c] = t.now;
+                    self.last_due[c].fwd = t.now;
                 }
             }
             for t in &ticks[..self.rev_delay as usize] {
@@ -618,16 +621,38 @@ impl LinkWheel {
                     read_control,
                 )?;
                 if !(credits.is_empty() && control.is_empty()) {
-                    self.rev[t.rev_rd + c] = RevSlot {
+                    self.rev[t.rev_read(c)] = RevSlot {
                         due: t.now,
                         credits,
                         control,
                     };
-                    self.last_due[2 * c + 1] = t.now;
+                    self.last_due[c].rev = t.now;
                 }
             }
         }
         Ok(())
+    }
+}
+
+impl Lanes for LinkWheel {
+    #[inline]
+    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
+        self.rev[t.rev_read(c)].arrival(t.now)
+    }
+    #[inline]
+    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
+        self.fwd[t.fwd_write(c)].push(t.fwd_due, flit);
+        self.last_due[c].fwd = t.fwd_due;
+    }
+    #[inline]
+    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
+        self.rev[t.rev_write(c)].push_credit(t.rev_due, credit);
+        self.last_due[c].rev = t.rev_due;
+    }
+    #[inline]
+    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
+        self.rev[t.rev_write(c)].push_control(t.rev_due, signal);
+        self.last_due[c].rev = t.rev_due;
     }
 }
 

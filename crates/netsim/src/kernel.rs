@@ -174,7 +174,7 @@ pub(crate) struct Cx<'a, R, B, L, F> {
     pub(crate) chan_active: B,
     pub(crate) ni_send_active: B,
     pub(crate) ni_delivered: B,
-    pub(crate) lanes: L,
+    pub(crate) lanes: &'a mut L,
     pub(crate) fault_log: F,
 }
 

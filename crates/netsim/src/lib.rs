@@ -50,8 +50,9 @@
 //! ```
 
 // `unsafe` is denied everywhere except the intra-run parallel engine
-// (`parallel.rs`), which needs raw-pointer shard views and atomic bitmask
-// words to step disjoint regions of the mesh on worker threads. Every
+// (`parallel.rs`), which needs raw-pointer shard views of the per-node
+// arrays and the link wheel to step disjoint regions of the mesh on worker
+// threads (the activity bitmasks are safe `AtomicU64` words). Every
 // unsafe block there is justified by the shard-ownership argument of
 // DESIGN.md §12; the rest of the crate stays safe Rust.
 #![deny(unsafe_code)]

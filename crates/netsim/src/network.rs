@@ -18,14 +18,14 @@
 //! Both are compiled against the router type of the network's bank
 //! ([`RouterFactory::build_bank`]), chosen once at construction.
 
-use crate::channel::{ControlSignal, Credit, LinkWheel, RevSlot, Tick};
+use crate::channel::LinkWheel;
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId};
-use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame, Lanes};
+use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
@@ -34,6 +34,7 @@ use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Endpoints of one directed channel.
@@ -51,17 +52,18 @@ pub(crate) struct ChannelEnds {
 /// full `0..n` scan. Inserting an already-present member or removing an
 /// absent one is a no-op, so the sets may safely be conservative
 /// supersets of the truly active components.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ActiveSet {
-    /// Raw bitmask words. Crate-visible so the parallel engine can reborrow
-    /// them as `&[AtomicU64]` during a sharded cycle (see `parallel.rs`).
-    pub(crate) words: Vec<u64>,
+    /// Bitmask words. Atomic so the shards of a sharded cycle can share them
+    /// (`parallel.rs`); through `&mut` they are plain words (`get_mut`), and
+    /// a `Relaxed` load is a plain load.
+    pub(crate) words: Box<[AtomicU64]>,
 }
 
 impl ActiveSet {
     fn empty(len: usize) -> ActiveSet {
         ActiveSet {
-            words: vec![0; len.div_ceil(64)],
+            words: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -73,12 +75,12 @@ impl ActiveSet {
 
     #[inline]
     pub(crate) fn insert(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
+        *self.words[i >> 6].get_mut() |= 1u64 << (i & 63);
     }
 
     /// Heap bytes of the bitmask (1 bit per component).
     fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
+        self.words.len() * std::mem::size_of::<AtomicU64>()
     }
 
     /// Refills the set to all-members-present in place (the arena-reuse
@@ -86,55 +88,56 @@ impl ActiveSet {
     /// the set was built for.
     fn fill_full(&mut self, len: usize) {
         debug_assert_eq!(self.words.len(), len.div_ceil(64));
-        self.words.fill(!0u64);
+        self.words.iter_mut().for_each(|w| *w.get_mut() = !0u64);
         if !len.is_multiple_of(64) {
             if let Some(last) = self.words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
+                *last.get_mut() = (1u64 << (len % 64)) - 1;
             }
         }
     }
 
     /// Empties the set in place.
     fn fill_empty(&mut self) {
-        self.words.fill(0);
+        self.words.iter_mut().for_each(|w| *w.get_mut() = 0);
     }
 
     #[inline]
     pub(crate) fn remove(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1u64 << (i & 63));
+        *self.words[i >> 6].get_mut() &= !(1u64 << (i & 63));
     }
 
     #[inline]
     pub(crate) fn contains(&self, i: usize) -> bool {
         self.words
             .get(i >> 6)
-            .is_some_and(|w| w & (1u64 << (i & 63)) != 0)
+            .is_some_and(|w| w.load(Relaxed) & (1u64 << (i & 63)) != 0)
     }
 
     /// Number of set bits (activity-threshold heuristic for the parallel
     /// engine's serial fallback).
     #[inline]
     pub(crate) fn popcount(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words
+            .iter()
+            .map(|w| w.load(Relaxed).count_ones() as usize)
+            .sum()
     }
 
     fn save(&self, w: &mut SnapshotWriter) {
-        for &word in &self.words {
-            w.put_u64(word);
+        for word in &self.words {
+            w.put_u64(word.load(Relaxed));
         }
     }
 
     /// Reads a set over `len` members written by [`ActiveSet::save`],
     /// rejecting stray bits beyond the member range.
     fn load(r: &mut SnapshotReader<'_>, len: usize) -> Result<ActiveSet, SnapshotError> {
-        let word_count = len.div_ceil(64);
-        let mut words = Vec::with_capacity(word_count);
-        for _ in 0..word_count {
-            words.push(r.get_u64("active-set word")?);
-        }
+        let words = (0..len.div_ceil(64))
+            .map(|_| r.get_u64("active-set word").map(AtomicU64::new))
+            .collect::<Result<Box<[_]>, _>>()?;
         if !len.is_multiple_of(64) {
-            if let Some(&last) = words.last() {
-                if last & !((1u64 << (len % 64)) - 1) != 0 {
+            if let Some(last) = words.last() {
+                if last.load(Relaxed) & !((1u64 << (len % 64)) - 1) != 0 {
                     return Err(SnapshotError::Malformed {
                         what: "active-set tail bits",
                     });
@@ -156,26 +159,7 @@ impl Bits for &mut ActiveSet {
     }
     #[inline]
     fn word(&self, wi: usize) -> u64 {
-        self.words[wi]
-    }
-}
-
-impl Lanes for &mut LinkWheel {
-    #[inline]
-    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
-        LinkWheel::rev_at(self, t, c)
-    }
-    #[inline]
-    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
-        LinkWheel::push_flit(self, t, c, flit);
-    }
-    #[inline]
-    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
-        LinkWheel::push_credit(self, t, c, credit);
-    }
-    #[inline]
-    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
-        LinkWheel::push_control(self, t, c, signal);
+        self.words[wi].load(Relaxed)
     }
 }
 
@@ -190,7 +174,7 @@ impl FaultLog for &mut Vec<FaultEvent> {
 }
 
 /// The serial schedule's view: the whole network, touched directly.
-type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, &'a mut LinkWheel, &'a mut Vec<FaultEvent>>;
+type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, LinkWheel, &'a mut Vec<FaultEvent>>;
 
 /// Phases 1–3 of one cycle compiled against one router type: what a bank
 /// hands the network at construction ([`Network::cycle_phases`]).
@@ -343,8 +327,9 @@ impl MemoryFootprint {
 /// covers link-wheel delivery (phase 1 — pushes are part of the router
 /// walk, and nothing advances); `ni_ns` covers the
 /// NACK/ack/timeout plumbing and injection (phases 2a/2b/3b); `router_ns`
-/// is the router pipeline walk (phase 3); `merge_ns` is time spent inside
-/// the parallel engine (shard step + merge tree — zero on serial runs);
+/// is the router pipeline walk (phase 3); `merge_ns` is the whole of a
+/// sharded cycle's phases 1–3 — the region, both barrier crossings and the
+/// epilogue's fold, unsplit (zero on serial runs);
 /// `other_ns` is fault detection, stats and watchdog bookkeeping.
 ///
 /// This is an observer, not simulation state: it is never snapshotted and
@@ -360,7 +345,7 @@ pub struct PhaseProfile {
     pub ni_ns: u64,
     /// Router pipeline steps (phase 3).
     pub router_ns: u64,
-    /// Parallel engine cycles: shard stepping plus output merge (0 serial).
+    /// Sharded cycles' phases 1–3: region, barriers and fold (0 serial).
     pub merge_ns: u64,
     /// Fault detection, stats, watchdog, and remaining bookkeeping.
     pub other_ns: u64,
@@ -487,9 +472,6 @@ pub struct Network {
     /// Activity floor of the engine gate (see
     /// [`Network::set_parallel_threshold`]).
     pub(crate) par_min_active: usize,
-    /// Parallel cycles between deterministic shard re-plan points
-    /// (see [`Network::set_replan_interval`]; 0 disables re-planning).
-    pub(crate) replan_every: u64,
     /// High-water mark of [`Network::memory_footprint`] samples.
     pub(crate) mem_high_water: usize,
     /// Per-phase wall-clock attribution (see [`PhaseProfile`]); `None`
@@ -640,7 +622,6 @@ impl Network {
                 Some(_) => crate::parallel::FORCED_MIN_ACTIVE,
                 None => crate::parallel::MIN_ACTIVE,
             },
-            replan_every: crate::parallel::DEFAULT_REPLAN_INTERVAL,
             mem_high_water: 0,
             phase_profile: None,
         })
@@ -770,14 +751,6 @@ impl Network {
     /// serial).
     pub fn set_parallel_threshold(&mut self, min_active: usize) {
         self.par_min_active = min_active;
-    }
-
-    /// Sets how many parallel cycles pass between deterministic shard
-    /// re-plan points (load-proportional boundary recomputation from the
-    /// activity bitmasks); `0` disables re-planning. Output-neutral: any
-    /// contiguous partition yields byte-identical results.
-    pub fn set_replan_interval(&mut self, cycles: u64) {
-        self.replan_every = cycles;
     }
 
     /// The shard boundaries (node starts, channel starts) a fresh engine
@@ -1256,7 +1229,7 @@ impl Network {
     /// allocation-free form of [`Network::take_delivered`].
     pub fn take_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
         for wi in 0..self.ni_delivered.words.len() {
-            let mut w = std::mem::take(&mut self.ni_delivered.words[wi]);
+            let mut w = std::mem::take(self.ni_delivered.words[wi].get_mut());
             while w != 0 {
                 let i = (wi << 6) + w.trailing_zeros() as usize;
                 w &= w - 1;
@@ -1838,7 +1811,7 @@ mod tests {
 
     #[test]
     fn unreachable_log_is_capped_with_oldest_evicted() {
-        let mut net = Network::new(NetworkConfig::paper_3x3(), &FifoFactory { lossy: false }, 1)
+        let mut net = Network::new(NetworkConfig::paper_3x3(), &FifoFactory::default(), 1)
             .expect("valid config");
         let record = |i: u64| UnreachablePacket {
             id: crate::flit::PacketId(i),

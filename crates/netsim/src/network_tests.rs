@@ -2,14 +2,21 @@
 //! routers (independent of the real mechanisms in downstream crates).
 
 use crate::config::NetworkConfig;
+use crate::error::SimError;
 use crate::flit::{PacketKind, VirtualNetwork};
 use crate::geom::{Coord, NodeId};
 use crate::network::Network;
 use crate::packet::PacketInput;
 use crate::testutil::FifoFactory;
+use std::panic::AssertUnwindSafe;
+use std::time::Duration;
 
 fn build(lossy: bool) -> Network {
-    Network::new(NetworkConfig::paper_3x3(), &FifoFactory { lossy }, 1).expect("valid")
+    let factory = FifoFactory {
+        lossy,
+        ..FifoFactory::default()
+    };
+    Network::new(NetworkConfig::paper_3x3(), &factory, 1).expect("valid")
 }
 
 fn offer(net: &mut Network, src: (u16, u16), dest: (u16, u16), len: u16) {
@@ -121,7 +128,7 @@ fn watchdog_catches_ancient_flits() {
         max_flit_age: 10,
         ..NetworkConfig::paper_3x3()
     };
-    let mut net = Network::new(config, &FifoFactory { lossy: false }, 1).expect("valid");
+    let mut net = Network::new(config, &FifoFactory::default(), 1).expect("valid");
     offer(&mut net, (0, 0), (2, 2), 1);
     // Advance past the watchdog bound while the flit crosses several links.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -145,7 +152,7 @@ fn stream_through_stall(stall: u64) -> (Vec<(u64, u64)>, usize) {
     if stall > 0 {
         config.faults = FaultPlan::none().with_stall(middle, 6, stall);
     }
-    let mut net = Network::new(config, &FifoFactory { lossy: false }, 1).expect("valid");
+    let mut net = Network::new(config, &FifoFactory::default(), 1).expect("valid");
     for _ in 0..8 {
         offer(&mut net, (0, 0), (2, 0), 1);
     }
@@ -201,5 +208,99 @@ fn stalled_receiver_releases_held_flits_in_order_one_per_cycle() {
         // tail is shifted by the stall length.
         let delay = if k < first_held { 0 } else { 3 };
         assert_eq!(*s, (c.0, c.1 + delay), "packet {k}");
+    }
+}
+
+/// A 6×6 network of `factory`'s routers on `threads` threads with the
+/// engine gate wide open.
+fn sharded_6x6(factory: &FifoFactory, max_flit_age: u64, threads: usize) -> Network {
+    let config = NetworkConfig {
+        width: 6,
+        height: 6,
+        max_flit_age,
+        ..NetworkConfig::paper_8x8()
+    };
+    let mut net = Network::new(config, factory, 1).expect("valid");
+    net.set_sim_threads(threads);
+    net.set_parallel_threshold(0);
+    net
+}
+
+/// Two scenarios, each with flits going over age in one cycle on several
+/// links: every node sending four 4-flit packets to its mirror image (on
+/// links of every shard), and two one-flit packets crossing between (2,0)
+/// and (3,0) — router (2,0) pulls the larger link before router (3,0)
+/// pulls the smaller, so the shard's minimum is not its first error.
+#[test]
+fn sharded_flit_over_age_is_the_serial_error_at_the_serial_cycle() {
+    let first_error = |crossing: bool, threads| {
+        let mut net = sharded_6x6(
+            &FifoFactory::default(),
+            if crossing { 1 } else { 12 },
+            threads,
+        );
+        if crossing {
+            offer(&mut net, (2, 0), (5, 0), 1);
+            offer(&mut net, (3, 0), (0, 0), 1);
+        } else {
+            for x in 0..6 {
+                for y in 0..6 {
+                    for _ in 0..4 {
+                        offer(&mut net, (x, y), (5 - x, 5 - y), 4);
+                    }
+                }
+            }
+        }
+        let err = loop {
+            if let Err(e) = net.try_step() {
+                break e;
+            }
+            assert!(net.now() < 500, "the age watchdog never fired");
+        };
+        assert!(matches!(err, SimError::FlitOverAge { .. }), "{err:?}");
+        // `AFC_FULL_SCAN=1` legally pins every run serial.
+        if threads > 1 && !net.full_scan() {
+            assert!(net.parallel_cycles() > 0, "x{threads} never sharded");
+        }
+        (net.now(), format!("{err:?}"))
+    };
+    for crossing in [false, true] {
+        let serial = first_error(crossing, 1);
+        for threads in [2, 3, 4] {
+            let sharded = first_error(crossing, threads);
+            assert_eq!(sharded, serial, "crossing {crossing} x{threads}");
+        }
+    }
+}
+
+#[test]
+fn a_panicking_shard_unwinds_on_the_caller_and_the_pool_shuts_down() {
+    for threads in [2, 4] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            // The last node lies in the last shard at any thread count ≥ 2.
+            let factory = FifoFactory {
+                panic_at: Some((NodeId::new(35), 5)),
+                ..FifoFactory::default()
+            };
+            let mut net = sharded_6x6(&factory, 0, threads);
+            let run = AssertUnwindSafe(|| (0..20).for_each(|_| net.step()));
+            let payload = std::panic::catch_unwind(run).expect_err("the router panics");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let sharded = !net.full_scan();
+            drop(net); // joins every worker
+            tx.send((msg, sharded)).unwrap();
+        });
+        let (msg, sharded) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("x{threads}: step or drop hung after a shard panicked"));
+        caller.join().unwrap();
+        assert!(msg.starts_with("scripted panic at cycle 5"), "{msg}");
+        if sharded {
+            assert!(msg.contains("afc-sim-"), "raised on a worker thread: {msg}");
+        }
     }
 }

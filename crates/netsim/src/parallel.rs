@@ -6,27 +6,27 @@
 //!
 //! The mesh is cut into `T` contiguous **shards** — a node range plus each
 //! node's NI and the links whose upstream end lies in the range — at
-//! load-proportional boundaries, re-planned at deterministic points. Each
-//! cycle the main thread, workers parked, publishes a `Job`, and then:
+//! load-proportional boundaries, re-planned every [`REPLAN_INTERVAL`]
+//! parallel cycles. Each cycle the main thread, workers parked, publishes a
+//! `Job`, and then every thread crosses one [`SpinBarrier`] twice:
 //!
-//! * **Region** (one barrier release, persistent `std::thread` pool): each
-//!   shard builds a [`Cx`] over its node range and runs phase 1 for the
-//!   links incident on its routers, the NI timeout scan, the injection
-//!   walk and the router walk. One shard writes each link lane, and the
-//!   wheel contract ([`crate::channel`]) keeps a cycle's read slots apart
-//!   from its write slots, so phase 1 fuses with phase 3.
-//! * **Merge tree**: per-shard deltas fold up a binomial tree on
-//!   generation-tagged ready flags; shard 0's root merge transitively
-//!   waits on every shard, so there is one barrier per cycle, and vectors
-//!   concatenate in ascending shard order.
-//! * **Epilogue** (main thread, exclusive again): the root delta's
-//!   [`Accum`] merges into the network's totals, the tagged fault events
-//!   are sorted into the serial log order, and the activity bit of every
-//!   link with nothing due after this cycle drops. The serial schedule
-//!   settles that bit in phase 1, before the cycle's pushes; here one
-//!   shard's phase 1 runs alongside another's phase 3, so a clear there
-//!   would race a push's set — after the merge every push has landed and
-//!   the same predicate (`LinkWheel::quiet_after`) yields the same bits.
+//! * **Region** (between the crossings, on a persistent `std::thread`
+//!   pool): each shard locks its own delta, builds a [`Cx`] over its node
+//!   range and runs phase 1 for the links incident on its routers, the NI
+//!   timeout scan, the injection walk and the router walk. One shard writes
+//!   each link lane, and the wheel contract ([`crate::channel`]) keeps a
+//!   cycle's read slots apart from its write slots, so phase 1 fuses with
+//!   phase 3.
+//! * **Epilogue** (main thread, after the end crossing — exclusive again):
+//!   the deltas fold in ascending shard order — each [`Accum`] merges into
+//!   the network's totals, the tagged fault events are sorted into the
+//!   serial log order, the minimal error and the first panic are kept —
+//!   and the activity bit of every link with nothing due after this cycle
+//!   drops. The serial schedule settles that bit in phase 1, before the
+//!   cycle's pushes; here one shard's phase 1 runs alongside another's
+//!   phase 3, so a clear there would race a push's set — after the end
+//!   crossing every push has landed and the same predicate
+//!   (`LinkWheel::quiet_after`) yields the same bits.
 //!
 //! Output is byte-identical at any thread count because every mutation in
 //! a cycle either targets state owned by exactly one shard, whose
@@ -43,7 +43,7 @@
 //! results.
 #![allow(unsafe_code)]
 
-use crate::channel::{ControlSignal, Credit, FwdSlot, RevSlot, Tick};
+use crate::channel::{ControlSignal, Credit, FwdSlot, LastDue, RevSlot, Tick};
 use crate::error::SimError;
 use crate::faults::FaultEvent;
 use crate::flit::{Cycle, Flit};
@@ -56,7 +56,7 @@ use std::cell::UnsafeCell;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// The gate's floor: active components (routers + channels + sending NIs)
@@ -73,20 +73,18 @@ pub(crate) const MIN_ACTIVE: usize = 1536;
 /// about coverage, so small meshes must engage too.
 pub(crate) const FORCED_MIN_ACTIVE: usize = 16;
 
-/// Default re-plan period: every this many parallel cycles the shard
-/// boundaries are recomputed from the activity bitmasks (see
-/// [`Network::set_replan_interval`]).
-pub(crate) const DEFAULT_REPLAN_INTERVAL: u64 = 64;
+/// Parallel cycles between deterministic re-plan points, where the shard
+/// boundaries are recomputed from the activity bitmasks (output-neutral:
+/// any contiguous partition yields the same bytes).
+const REPLAN_INTERVAL: u64 = 64;
 
-/// Spins before a barrier/merge waiter starts yielding its timeslice.
+/// Spins before a barrier waiter starts yielding its timeslice.
 const SPIN_LIMIT: u32 = 128;
-/// Yields before a barrier waiter parks on the condvar (merge waits never
-/// park — they are bounded by a fraction of one cycle).
+/// Yields before a barrier waiter parks on the condvar.
 const YIELD_LIMIT: u32 = 64;
 
 /// Pads hot per-shard state to its own cache line pair so neighbouring
-/// shards' writes (delta accumulation, ready flags, barrier counters)
-/// never false-share.
+/// shards' writes (delta accumulation, barrier counters) never false-share.
 #[repr(align(128))]
 struct CachePadded<T>(T);
 
@@ -237,12 +235,12 @@ pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<us
 // Per-cycle job, shard handles, per-shard delta
 // ---------------------------------------------------------------------------
 
-/// The link wheel as a shard reaches it: slab bases and per-lane
-/// `last_due` words.
+/// The link wheel as a shard reaches it: slab bases and the per-link
+/// [`LastDue`] pairs, indexed where the cycle's [`Tick`] says.
 ///
 /// Soundness of every access below: a shard reads only this cycle's read
 /// slots of links incident on its own routers and writes only the write
-/// slots (and `last_due` words) of the lanes its routers drive — the
+/// slots (and `last_due` halves) of the lanes its routers drive — the
 /// forward lane of their outgoing links, the reverse lane of their
 /// incoming ones. Read and write stripes are different slots of every lane
 /// (`W = delay + 1`) and each lane has one writer, so no two threads touch
@@ -251,7 +249,7 @@ pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<us
 struct RawLanes {
     fwd: *mut FwdSlot,
     rev: *mut RevSlot,
-    last_due: *mut Cycle,
+    last_due: *mut LastDue,
 }
 
 impl RawLanes {
@@ -259,7 +257,7 @@ impl RawLanes {
     #[inline]
     fn flit_at(&self, t: &Tick, c: usize) -> Option<Flit> {
         // SAFETY: a read slot of a link incident on this shard's routers.
-        unsafe { (*self.fwd.add(t.fwd_rd + c)).arrival(t.now) }
+        unsafe { (*self.fwd.add(t.fwd_read(c))).arrival(t.now) }
     }
 }
 
@@ -267,38 +265,38 @@ impl Lanes for RawLanes {
     #[inline]
     fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
         // SAFETY: as above; nothing writes a read slot during the region.
-        unsafe { (*self.rev.add(t.rev_rd + c)).arrival(t.now) }
+        unsafe { (*self.rev.add(t.rev_read(c))).arrival(t.now) }
     }
     #[inline]
     fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
         // SAFETY: the forward lane of an outgoing link of an own router.
         unsafe {
-            (*self.fwd.add(t.fwd_wr + c)).push(t.fwd_due, flit);
-            *self.last_due.add(2 * c) = t.fwd_due;
+            (*self.fwd.add(t.fwd_write(c))).push(t.fwd_due, flit);
+            (*self.last_due.add(c)).fwd = t.fwd_due;
         }
     }
     #[inline]
     fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
         // SAFETY: the reverse lane of an incoming link of an own router.
         unsafe {
-            (*self.rev.add(t.rev_wr + c)).push_credit(t.rev_due, credit);
-            *self.last_due.add(2 * c + 1) = t.rev_due;
+            (*self.rev.add(t.rev_write(c))).push_credit(t.rev_due, credit);
+            (*self.last_due.add(c)).rev = t.rev_due;
         }
     }
     #[inline]
     fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
         // SAFETY: as for `push_credit`.
         unsafe {
-            (*self.rev.add(t.rev_wr + c)).push_control(t.rev_due, signal);
-            *self.last_due.add(2 * c + 1) = t.rev_due;
+            (*self.rev.add(t.rev_write(c))).push_control(t.rev_due, signal);
+            (*self.last_due.add(c)).rev = t.rev_due;
         }
     }
 }
 
 /// An activity bitmask shared by every shard: each bit has one writer per
 /// phase, but bits of different shards share words, so updates are
-/// word-level atomic RMWs. `Relaxed` suffices — the start barrier and the
-/// merge-tree flags order them against everything outside the region.
+/// word-level atomic RMWs. `Relaxed` suffices — the barrier's two crossings
+/// order them against everything outside the region.
 impl Bits for &[AtomicU64] {
     #[inline]
     fn set(&mut self, i: usize) {
@@ -312,14 +310,6 @@ impl Bits for &[AtomicU64] {
     fn word(&self, wi: usize) -> u64 {
         self[wi].load(Ordering::Relaxed)
     }
-}
-
-/// Reborrows a bitmask's words as atomics for the duration of a region.
-fn atomic_words(words: &mut [u64]) -> &[AtomicU64] {
-    // SAFETY: the exclusive borrow becomes a shared one of the same
-    // memory; `u64` and `AtomicU64` share size and (on the 64-bit targets
-    // this engine supports) alignment.
-    unsafe { &*(std::ptr::from_mut(words) as *const [AtomicU64]) }
 }
 
 /// Fault-plane events tagged `(channel, is_flit_event)`. The epilogue
@@ -340,12 +330,11 @@ type ShardCx<'a, R> = Cx<'a, R, &'a [AtomicU64], RawLanes, &'a mut TaggedFaults>
 /// with its current boundaries (shard `k` owns nodes
 /// `node_start[k]..node_start[k + 1]`), and the network's state as shards
 /// may reach it — bases of the per-node arrays (each shard slices out its
-/// own range), the wheel slabs, and the bitmasks as atomic words. Derived
+/// own range), the wheel slabs, and the bitmasks' atomic words. Derived
 /// afresh every cycle from [`Network::view`], so snapshot restores and
 /// struct moves are both safe. `routers` is the base of the bank's `Vec<R>`
 /// with `R` erased; `run` is [`run_shard`] compiled for that `R`.
 struct Job<'a> {
-    seq: u64,
     plan: &'a Plan,
     node_start: &'a [usize],
     fr: Frame<'a>,
@@ -362,26 +351,38 @@ struct Job<'a> {
 }
 
 impl<'a> Job<'a> {
-    /// Shard `shard`'s [`Cx`]: its node range of the per-node arrays, the
-    /// shared handles, and `delta` to count into.
-    ///
-    /// # Safety
-    ///
-    /// Only shard `shard` may call this, once, between the start barrier
-    /// of the cycle the job was published for and that shard's ready flag.
-    /// Node ranges of distinct shards are disjoint, so the slices formed
-    /// here never overlap another thread's.
-    /// `R` must be the bank's router type, the one `run` was compiled for.
-    unsafe fn shard_cx<R>(&'a self, shard: usize, delta: &'a mut ShardDelta) -> ShardCx<'a, R> {
+    /// Shard `shard`'s [`Cx`], ready for [`region`]: its node range of the
+    /// per-node arrays, the shared handles, and `delta` to count into. The
+    /// one place raw node-array pointers become slices; `R` is the bank's
+    /// router type, which only [`run_shard`] (`run`) knows.
+    fn shard_cx<R>(
+        &'a self,
+        shard: usize,
+        delta: &'a mut ShardDelta,
+        lanes: &'a mut RawLanes,
+    ) -> ShardCx<'a, R> {
         let lo = self.node_start[shard];
         let len = self.node_start[shard + 1] - lo;
+        // SAFETY: the job is live from the start crossing to the end
+        // crossing of the cycle `Engine::run::<R>` published it for, and
+        // each shard calls this for its own index, once per cycle, holding
+        // its delta's lock. Node ranges of distinct shards are disjoint, so
+        // these slices never overlap another thread's.
+        let (routers, nis, accounted_upto, modes_cache) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.routers.cast::<R>().add(lo), len),
+                std::slice::from_raw_parts_mut(self.nis.add(lo), len),
+                std::slice::from_raw_parts_mut(self.accounted_upto.add(lo), len),
+                std::slice::from_raw_parts_mut(self.modes_cache.add(lo), len),
+            )
+        };
         Cx {
             fr: self.fr,
             lo,
-            routers: std::slice::from_raw_parts_mut(self.routers.cast::<R>().add(lo), len),
-            nis: std::slice::from_raw_parts_mut(self.nis.add(lo), len),
-            accounted_upto: std::slice::from_raw_parts_mut(self.accounted_upto.add(lo), len),
-            modes_cache: std::slice::from_raw_parts_mut(self.modes_cache.add(lo), len),
+            routers,
+            nis,
+            accounted_upto,
+            modes_cache,
             acc: &mut delta.acc,
             scratch: &mut delta.scratch,
             fault_rng: &mut delta.fault_rng,
@@ -389,14 +390,13 @@ impl<'a> Job<'a> {
             chan_active: self.chan_active,
             ni_send_active: self.ni_send_active,
             ni_delivered: self.ni_delivered,
-            lanes: self.lanes,
+            lanes,
             fault_log: &mut delta.fault_events,
         }
     }
 }
 
-/// Everything a shard accumulates during a cycle, folded by the merge
-/// tree and the epilogue.
+/// Everything a shard accumulates during a cycle, folded by the epilogue.
 struct ShardDelta {
     acc: Accum,
     fault_events: TaggedFaults,
@@ -432,21 +432,6 @@ impl ShardDelta {
         self.acc.heap_bytes()
             + self.fault_events.capacity() * std::mem::size_of::<(u32, bool, FaultEvent)>()
             + self.scratch.heap_bytes()
-    }
-}
-
-/// Folds `src` into `dst`, preserving the ascending-shard concatenation
-/// order for the vectors and the `(phase, index)` minimum for errors. The
-/// binomial tree calls this bottom-up, so `dst`'s contents always cover a
-/// contiguous shard range ending right where `src`'s begins.
-fn merge_deltas(dst: &mut ShardDelta, src: &mut ShardDelta) {
-    dst.acc.merge(&mut src.acc);
-    dst.fault_events.append(&mut src.fault_events);
-    if let Some((p, i, e)) = src.error.take() {
-        min_error(&mut dst.error, p, i, e);
-    }
-    if dst.panic.is_none() {
-        dst.panic = src.panic.take();
     }
 }
 
@@ -528,24 +513,28 @@ impl SpinBarrier {
 struct Shared {
     barrier: SpinBarrier,
     job: UnsafeCell<Option<Job<'static>>>,
-    deltas: Vec<CachePadded<UnsafeCell<ShardDelta>>>,
-    /// Merge-tree ready flags: shard `k` stores the cycle's `seq` after its
-    /// last access to `deltas[k]`; a parent spin-waits the child's flag up
-    /// to `seq` before merging. Generation-tagging (instead of a reset
-    /// boolean) removes any cross-cycle reset race.
-    ready: Vec<CachePadded<AtomicU64>>,
+    /// Shard `k`'s delta: locked by shard `k` for its region and by the
+    /// main thread for the fold after the end crossing, so never contended.
+    deltas: Vec<CachePadded<Mutex<ShardDelta>>>,
     shutdown: AtomicBool,
 }
 
 // SAFETY: the published `Job` (its raw pointers, and its borrows whose
 // `'static` is a fiction bounded by `Engine::run`) is only used between the
-// barrier that publishes it and the merge-tree flag store that retires each
-// shard's access, and only on shard-owned elements or through word atomics
-// — see `RawLanes` and `Job::shard_cx`. The deltas are single-writer (their
-// shard) until the shard's ready flag is set, after which only the unique
-// tree parent touches them.
+// two barrier crossings of the cycle it was published for, and only on
+// shard-owned elements or through word atomics — see `RawLanes` and
+// `Job::shard_cx`. The barrier, the deltas' mutexes and the shutdown flag
+// are thread-safe on their own.
 unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
+
+/// Locks a shard's delta. Recovering a poisoned guard is sound because
+/// every region starts by resetting its delta; and poisoning cannot happen
+/// while the engine lives: a region's panic is caught before its guard
+/// drops, and a panic in the fold drops the engine on its way out.
+fn lock(delta: &CachePadded<Mutex<ShardDelta>>) -> MutexGuard<'_, ShardDelta> {
+    delta.0.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Persistent shard plan + worker pool attached to a [`Network`].
 pub(crate) struct Engine {
@@ -572,10 +561,7 @@ impl Engine {
             barrier: SpinBarrier::new(shards),
             job: UnsafeCell::new(None),
             deltas: (0..shards)
-                .map(|_| CachePadded(UnsafeCell::new(ShardDelta::new())))
-                .collect(),
-            ready: (0..shards)
-                .map(|_| CachePadded(AtomicU64::new(0)))
+                .map(|_| CachePadded(Mutex::new(ShardDelta::new())))
                 .collect(),
             shutdown: AtomicBool::new(false),
         });
@@ -610,6 +596,7 @@ impl Engine {
 
     /// Heap bytes owned by the engine: plan tables (the only O(mesh)
     /// terms, ≤ ~32 bytes per node/channel) plus the per-shard deltas.
+    /// Called between cycles, when no shard holds its delta.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let plan = self.plan.events.capacity() * size_of::<(u32, bool)>()
@@ -617,30 +604,20 @@ impl Engine {
             + self.plan.node_chan_start.capacity() * size_of::<usize>()
             + self.node_start.capacity() * size_of::<usize>()
             + self.weights.capacity() * size_of::<u64>();
-        // SAFETY: called only from the exclusive window between cycles
-        // (workers parked at the start barrier), where the owning thread
-        // has sole access to every delta.
-        let deltas: usize = self
-            .shared
-            .deltas
-            .iter()
-            .map(|d| unsafe { (*d.0.get()).heap_bytes() })
-            .sum();
-        plan + deltas
-            + self.shared.deltas.capacity() * size_of::<CachePadded<UnsafeCell<ShardDelta>>>()
-            + self.shared.ready.capacity() * size_of::<CachePadded<AtomicU64>>()
+        let deltas = &self.shared.deltas;
+        plan + deltas.iter().map(|d| lock(d).heap_bytes()).sum::<usize>()
+            + deltas.capacity() * size_of::<CachePadded<Mutex<ShardDelta>>>()
     }
 
-    /// One cycle's region, merge tree and epilogue (see the module docs),
-    /// on a bank of `R`.
-    fn run<R: Router + 'static>(&self, net: &mut Network, seq: u64) -> Result<(), SimError> {
+    /// One cycle's region and epilogue (see the module docs), on a bank of
+    /// `R`.
+    fn run<R: Router + 'static>(&self, net: &mut Network) -> Result<(), SimError> {
         let shared = &*self.shared;
         // The exclusive view of the whole network. Everything the shards
         // touch during the region is derived from it, and it is not used
-        // again until the root merge has retired every shard.
+        // again until the end crossing.
         let (mut cx, _, _) = net.view::<R>();
         let job = Job {
-            seq,
             plan: &self.plan,
             node_start: &self.node_start,
             fr: cx.fr,
@@ -654,41 +631,51 @@ impl Engine {
                 rev: cx.lanes.rev.as_mut_ptr(),
                 last_due: cx.lanes.last_due.as_mut_ptr(),
             },
-            router_active: atomic_words(&mut cx.router_active.words),
-            chan_active: atomic_words(&mut cx.chan_active.words),
-            ni_send_active: atomic_words(&mut cx.ni_send_active.words),
-            ni_delivered: atomic_words(&mut cx.ni_delivered.words),
+            router_active: &cx.router_active.words,
+            chan_active: &cx.chan_active.words,
+            ni_send_active: &cx.ni_send_active.words,
+            ni_delivered: &cx.ni_delivered.words,
         };
         // SAFETY: workers are parked at the start barrier and every prior
-        // cycle's accesses were retired by its merge-tree flags, so main is
-        // the sole accessor of the job cell. The lifetime extension is
-        // sound because nothing reads the job after shard 0's root merge
-        // below returns, which happens inside the borrows it erases.
+        // cycle's accesses ended at its end crossing, so main is the sole
+        // accessor of the job cell. The lifetime extension is sound because
+        // nothing reads the job after this cycle's end crossing below,
+        // which happens inside the borrows it erases.
         let job = unsafe {
             let cell = &mut *shared.job.get();
             &*cell.insert(std::mem::transmute::<Job<'_>, Job<'static>>(job))
         };
-        shared.barrier.wait(); // start barrier
+        shared.barrier.wait(); // start crossing
         run_shard::<R>(shared, job, 0);
+        shared.barrier.wait(); // end crossing: every shard's region is over
 
-        // Epilogue (exclusive again: the root merge waited on every shard).
-        // The tree already folded all deltas into shard 0's in ascending
-        // shard order — the serial schedule's accumulation order.
-        // SAFETY: all ready flags reached `seq`; main is the sole accessor.
-        let d = unsafe { &mut *shared.deltas[0].0.get() };
-        cx.acc.merge(&mut d.acc);
+        // Epilogue (exclusive again): fold the deltas in ascending shard
+        // order — the serial schedule's accumulation order.
+        let mut d0 = lock(&shared.deltas[0]);
+        let (mut error, mut panic) = (d0.error.take(), d0.panic.take());
+        cx.acc.merge(&mut d0.acc);
+        for delta in &shared.deltas[1..] {
+            let mut d = lock(delta);
+            cx.acc.merge(&mut d.acc);
+            d0.fault_events.append(&mut d.fault_events);
+            if let Some((p, i, e)) = d.error.take() {
+                min_error(&mut error, p, i, e);
+            }
+            panic = panic.or_else(|| d.panic.take());
+        }
         // Serial fault-log order: ascending channel, a channel's lost
         // credits before its dropped flit (one flit per channel per cycle,
-        // so the key is a total order up to same-channel credits, whose
-        // relative order the stable sort preserves).
-        d.fault_events.sort_by_key(|&(c, is_flit, _)| (c, is_flit));
-        for (c, is_flit, ev) in d.fault_events.drain(..) {
+        // so the key is a total order up to same-channel credits, which one
+        // shard raised in order and the stable sort keeps).
+        d0.fault_events.sort_by_key(|&(c, is_flit, _)| (c, is_flit));
+        for (c, is_flit, ev) in d0.fault_events.drain(..) {
             cx.fault_log.log(c as usize, is_flit, ev);
         }
-        if let Some(payload) = d.panic.take() {
+        drop(d0);
+        if let Some(payload) = panic {
             resume_unwind(payload);
         }
-        if let Some((_, _, e)) = d.error.take() {
+        if let Some((_, _, e)) = error {
             return Err(e);
         }
         // Every push of the cycle has landed: drop the activity bit of
@@ -730,22 +717,16 @@ impl Drop for Engine {
 // The region: phases 1, 2a-scan, 2b and 3 over one shard
 // ---------------------------------------------------------------------------
 
-/// Runs the kernel bodies over shard `shard`'s node range. The schedule's
-/// own rules live here: each router pulls its incident links in ascending
-/// order; after a terminal error the shard stops mutating and only keeps
+/// Runs the kernel bodies over the node range of a ready shard [`Cx`] and
+/// returns the shard's minimal terminal error. The schedule's own rules
+/// live here: each router pulls its incident links in ascending order;
+/// after a terminal error the shard stops mutating and only keeps
 /// age-checking arrivals, so that the minimal erroring link — the serial
 /// walk's first — is the one reported; a shard with a phase-1 error skips
 /// the later phases (any phase-3 error sorts after it).
-///
-/// # Safety
-///
-/// As for [`Job::shard_cx`].
-unsafe fn region<R: Router>(job: &Job<'_>, shard: usize, delta: &mut ShardDelta) {
-    let (lo, hi) = (job.node_start[shard], job.node_start[shard + 1]);
-    let plan = job.plan;
+fn region<R: Router>(mut cx: ShardCx<'_, R>, plan: &Plan) -> Option<(u8, u32, SimError)> {
+    let (lo, hi, fr) = (cx.lo, cx.lo + cx.routers.len(), cx.fr);
     let mut error = None;
-    let mut cx = job.shard_cx::<R>(shard, delta);
-    let fr = cx.fr;
 
     for j in lo..hi {
         for &(c32, is_fwd) in &plan.events[plan.ev_off[j] as usize..plan.ev_off[j + 1] as usize] {
@@ -801,88 +782,41 @@ unsafe fn region<R: Router>(job: &Job<'_>, shard: usize, delta: &mut ShardDelta)
             error = Some((3, i as u32, e));
         }
     }
-    delta.error = error;
+    error
 }
 
 // ---------------------------------------------------------------------------
-// Worker loop + merge tree + main-thread orchestration
+// Worker loop + main-thread orchestration
 // ---------------------------------------------------------------------------
 
-/// Shard `shard`'s whole cycle: reset its delta, run the region (a panic
-/// is caught and rides up in the delta), then its part of the merge tree.
-/// `R` is the bank's router type; workers reach this through `Job::run`.
+/// Shard `shard`'s part of a cycle: lock and reset its delta, then run the
+/// region over it. A panic is caught and rides to the fold in the delta, so
+/// the shard still reaches the end crossing. `R` is the bank's router type;
+/// workers reach this through `Job::run`.
 fn run_shard<R: Router>(shared: &Shared, job: &Job<'_>, shard: usize) {
-    // SAFETY: each delta is written only by its shard until the shard's
-    // ready flag is set (which `merge_subtree` does last).
-    let delta = unsafe { &mut *shared.deltas[shard].0.get() };
+    let mut delta = lock(&shared.deltas[shard]);
+    delta.reset();
+    let mut lanes = job.lanes;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        delta.reset();
-        // SAFETY: after the start barrier, on this shard, once; `job` was
-        // published by `Engine::run::<R>`.
-        unsafe { region::<R>(job, shard, delta) }
+        region(job.shard_cx::<R>(shard, &mut delta, &mut lanes), job.plan)
     }));
-    if let Err(payload) = result {
-        delta.panic.get_or_insert(payload);
+    match result {
+        Ok(error) => delta.error = error,
+        Err(payload) => delta.panic = Some(payload),
     }
-    merge_subtree(shared, shard, job.seq);
-}
-
-/// Spin-waits (bounded, then yielding — merge waits are shorter than a
-/// cycle, so they never park) until `flag` reaches `seq`.
-fn wait_ready(flag: &AtomicU64, seq: u64) {
-    let mut spins = 0u32;
-    while flag.load(Ordering::Acquire) < seq {
-        spins = spins.saturating_add(1);
-        if spins < SPIN_LIMIT {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Binomial-tree fold: shard `k` merges shard `k + s` for
-/// `s = 1, 2, 4, …` while `k mod 2s == 0`, then publishes its own ready
-/// flag — *unconditionally*, even if a merge panicked (the payload rides
-/// up in the delta), so the tree can never deadlock. Shard 0's return
-/// therefore means every shard's full delta (and last `Job` access) is
-/// complete: the tree replaces both the final barrier and the serial
-/// shard-order fold, with an identical ascending concatenation order.
-fn merge_subtree(shared: &Shared, shard: usize, seq: u64) {
-    let shards = shared.deltas.len();
-    let mut stride = 1usize;
-    while shard.is_multiple_of(stride * 2) && shard + stride < shards {
-        let child = shard + stride;
-        wait_ready(&shared.ready[child].0, seq);
-        // SAFETY: the child's flag at `seq` retires its (and its whole
-        // subtree's) delta accesses for this cycle; this shard is the
-        // unique tree parent of `child`, so it is the sole accessor of
-        // both deltas right now.
-        let (dst, src) = unsafe {
-            (
-                &mut *shared.deltas[shard].0.get(),
-                &mut *shared.deltas[child].0.get(),
-            )
-        };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| merge_deltas(dst, src))) {
-            dst.panic.get_or_insert(payload);
-        }
-        stride *= 2;
-    }
-    shared.ready[shard].0.store(seq, Ordering::Release);
 }
 
 fn worker_loop(shared: &Shared, shard: usize) {
     loop {
-        shared.barrier.wait(); // start barrier: job published (or shutdown)
+        shared.barrier.wait(); // start crossing: job published (or shutdown)
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // SAFETY: the job is published before the start barrier and not
-        // mutated again until every shard's ready flag retires the cycle;
-        // reading it here is data-race free.
+        // SAFETY: the job is published before the start crossing and not
+        // touched again until after the end crossing.
         let job = unsafe { (*shared.job.get()).as_ref().expect("job published") };
         (job.run)(shared, job, shard);
+        shared.barrier.wait(); // end crossing
     }
 }
 
@@ -913,11 +847,11 @@ pub(crate) fn step_sharded<R: Router + 'static>(net: &mut Network) -> Result<(),
         None => Engine::new(net, net.sim_threads),
     };
     engine.cycles += 1;
-    if net.replan_every > 0 && engine.cycles.is_multiple_of(net.replan_every) {
+    if engine.cycles.is_multiple_of(REPLAN_INTERVAL) {
         engine.replan(net);
     }
     net.parallel_cycles += 1;
-    let result = engine.run::<R>(net, engine.cycles);
+    let result = engine.run::<R>(net);
     net.engine = Some(engine);
     result
 }
@@ -964,7 +898,8 @@ mod tests {
         for &b in &bits {
             words[b >> 6] |= 1 << (b & 63);
         }
-        let mut atomics = atomic_words(&mut words);
+        let words: Vec<AtomicU64> = words.into_iter().map(AtomicU64::new).collect();
+        let mut atomics = &words[..];
         for (lo, hi) in [(0, 256), (1, 255), (64, 128), (63, 65), (65, 65), (5, 6)] {
             let mut got = Vec::new();
             let visit = |_: &mut _, i| {

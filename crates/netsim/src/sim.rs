@@ -290,8 +290,8 @@ mod tests {
     }
 
     fn sim(count: u64) -> Simulation<Burst> {
-        let net = Network::new(NetworkConfig::paper_3x3(), &FifoFactory { lossy: false }, 1)
-            .expect("valid");
+        let net =
+            Network::new(NetworkConfig::paper_3x3(), &FifoFactory::default(), 1).expect("valid");
         Simulation::new(
             net,
             Burst {

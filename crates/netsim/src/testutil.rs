@@ -20,6 +20,8 @@ pub(crate) struct FifoRouter {
     pub(crate) counters: ActivityCounters,
     /// When true, silently discards every arriving flit (for audit tests).
     pub(crate) lossy: bool,
+    /// Panics when stepped at this `(node, cycle)` (for engine tests).
+    pub(crate) panic_at: Option<(NodeId, Cycle)>,
 }
 
 impl Router for FifoRouter {
@@ -38,7 +40,11 @@ impl Router for FifoRouter {
             self.queue.push_back(flit);
         }
     }
-    fn step(&mut self, _now: Cycle, _rng: &mut SimRng, out: &mut RouterOutputs) {
+    fn step(&mut self, now: Cycle, _rng: &mut SimRng, out: &mut RouterOutputs) {
+        if self.panic_at == Some((self.node, now)) {
+            let thread = std::thread::current();
+            panic!("scripted panic at cycle {now} on {:?}", thread.name());
+        }
         self.counters.cycles += 1;
         let mut kept = VecDeque::new();
         while let Some(mut flit) = self.queue.pop_front() {
@@ -74,8 +80,10 @@ impl Router for FifoRouter {
 }
 
 /// Factory for [`FifoRouter`]s.
+#[derive(Default)]
 pub(crate) struct FifoFactory {
     pub(crate) lossy: bool,
+    pub(crate) panic_at: Option<(NodeId, Cycle)>,
 }
 
 impl RouterFactory for FifoFactory {
@@ -92,6 +100,7 @@ impl RouterFactory for FifoFactory {
             queue: VecDeque::new(),
             counters: ActivityCounters::new(),
             lossy: self.lossy,
+            panic_at: self.panic_at,
         })
     }
     fn name(&self) -> &'static str {
