@@ -6,10 +6,10 @@
 //! offered loads, while backpressureless saturates earlier.
 //!
 //! The (mechanism x rate) grid runs as one declarative [`SweepSpec`] on
-//! the parallel sweep engine (`--threads N`). Every
-//! completed run is checkpointed in `results/manifest.json`; rerunning
-//! with `--resume` after an interruption executes only the missing runs
-//! and produces byte-identical artifacts.
+//! the parallel sweep engine (`--threads N`). Every completed run is
+//! recorded in `results/open_loop.manifest` (a sealed snapshot container);
+//! rerunning with `--resume` after an interruption executes only the
+//! missing runs and produces byte-identical artifacts.
 
 use std::path::Path;
 
@@ -61,7 +61,7 @@ fn main() {
             })
             .collect(),
     };
-    let manifest = Path::new("results").join("manifest.json");
+    let manifest = Path::new("results").join("open_loop.manifest");
     let results = spec
         .execute_resumable(&manifest, resume)
         .unwrap_or_else(|e| {

@@ -56,7 +56,6 @@ fn grid<R: Send>(
         threads: threads(),
         pool: true,
         warm: false,
-        check_members: true,
     };
     run_grid(name, net_cfg, jobs, tuning, reduce, |_, _| {})
         .into_iter()

@@ -44,12 +44,14 @@
 //!    that panics every time yields a structured [`JobFailure`] in its own
 //!    result slot; the pool and every other job are unaffected.
 //! 2. **Manifests** — [`SweepSpec::execute_resumable`] records each
-//!    completed job in a checksummed JSON manifest ([`SweepManifest`]),
-//!    rewritten atomically after every completion, so an interrupted
-//!    process resumes exactly the missing jobs (`--resume`).
-//! 3. **Atomic artifacts** — [`write_atomic`] writes result files via a
-//!    fsynced sibling temp file plus rename, so a crash mid-write never
-//!    leaves a torn CSV.
+//!    completed job in a manifest ([`SweepManifest`], a sealed
+//!    [`afc_netsim::snapshot`] container), rewritten atomically after every
+//!    completion, so an interrupted process resumes exactly the missing
+//!    jobs (`--resume`).
+//! 3. **Atomic artifacts** — [`write_atomic`] writes result files through
+//!    the container's writer ([`snapshot::write_file_atomic`]: fsynced
+//!    sibling temp file plus rename), so a crash mid-write never leaves a
+//!    torn CSV.
 //!
 //! # Determinism contract
 //!
@@ -64,22 +66,17 @@
 //!
 //! # Environment
 //!
-//! The engine reads two variables, once per process and strictly (an
-//! unrecognised value is a [`SweepError::BadEnv`], never a guess).
-//! `AFC_SWEEP_SELFCHECK=1` makes [`SweepSpec::execute`] re-run the whole
-//! spec serially and assert the serialized results are byte-identical to
-//! the parallel run — a cheap way to detect an accidental shared-state leak
-//! in a new experiment — and makes every grid re-execute each member of a
+//! The engine reads one variable, once per process and strictly (an
+//! unrecognised value is a [`SweepError::BadEnv`], never a guess):
+//! `AFC_SWEEP_SELFCHECK=1` makes every grid re-execute each member of a
 //! coalesced unit on its own network ([`RunSpec::execute_alone`]) and
 //! assert the derived output matches it byte for byte.
-//! `AFC_WARM_CACHE_DIR=<dir>` spills the warm-start cache to disk and makes
-//! every warm-up seal (see [`WarmCache`]).
 //!
 //! Thread count: `--threads N` ([`HarnessArgs`]), else
 //! [`std::thread::available_parallelism`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,7 +89,7 @@ use afc_energy::{EnergyModel, EnergyParams};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
-use afc_netsim::snapshot::fnv1a64;
+use afc_netsim::snapshot::{self, fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use afc_traffic::runner::RunKind;
 use afc_traffic::runner::{run, RunEnv, RunOutcome, Warm, WarmStore};
 
@@ -251,30 +248,20 @@ pub fn threads() -> usize {
     }
 }
 
-/// Sweep worker count when each run itself steps on `sim_threads` engine
-/// threads (DESIGN.md §12). The two levels multiply, so the pool divides
-/// its budget to keep live threads near `budget`; one worker always
-/// survives so the sweep can make progress.
-fn divide_budget(budget: usize, sim_threads: usize) -> usize {
-    (budget / sim_threads.max(1)).max(1)
-}
-
 /// What the process environment asks of the sweep engine: the one place
 /// under `crates/bench/src` that reads it, once per process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SweepEnv {
     /// `AFC_SWEEP_SELFCHECK`: re-execute and compare (module docs).
     selfcheck: bool,
-    /// `AFC_WARM_CACHE_DIR`: where the warm cache spills, if anywhere.
-    warm_cache_dir: Option<PathBuf>,
 }
 
 impl SweepEnv {
-    /// Parses the raw values. The boolean is `AFC_FULL_SCAN`'s grammar made
-    /// strict: unset, empty or `0` is off; `1`, `true`, `yes` or `on` is on;
-    /// anything else, where a lenient reading would have to guess, is an
-    /// error naming variable and value. An empty directory is unset.
-    fn parse(selfcheck: Option<&str>, warm_cache_dir: Option<PathBuf>) -> Result<Self, SweepError> {
+    /// Parses the raw value: `AFC_FULL_SCAN`'s grammar made strict. Unset,
+    /// empty or `0` is off; `1`, `true`, `yes` or `on` is on; anything else,
+    /// where a lenient reading would have to guess, is an error naming
+    /// variable and value.
+    fn parse(selfcheck: Option<&str>) -> Result<Self, SweepError> {
         let selfcheck = match selfcheck.map(str::trim) {
             None | Some("" | "0") => false,
             Some("1" | "true" | "yes" | "on") => true,
@@ -285,10 +272,7 @@ impl SweepEnv {
                 )))
             }
         };
-        Ok(SweepEnv {
-            selfcheck,
-            warm_cache_dir: warm_cache_dir.filter(|dir| !dir.as_os_str().is_empty()),
-        })
+        Ok(SweepEnv { selfcheck })
     }
 
     /// The process environment's settings, parsed on first use; a malformed
@@ -298,8 +282,7 @@ impl SweepEnv {
         ENV.get_or_init(|| {
             let selfcheck = std::env::var_os("AFC_SWEEP_SELFCHECK");
             let selfcheck = selfcheck.as_deref().map(|v| v.to_string_lossy());
-            let dir = std::env::var_os("AFC_WARM_CACHE_DIR").map(PathBuf::from);
-            SweepEnv::parse(selfcheck.as_deref(), dir).map_err(|e| e.to_string())
+            SweepEnv::parse(selfcheck.as_deref()).map_err(|e| e.to_string())
         })
         .as_ref()
         .map_err(|message| SweepError::BadEnv(message.clone()))
@@ -573,32 +556,26 @@ fn timings() -> std::sync::MutexGuard<'static, Vec<(String, usize, u128, &'stati
     TIMINGS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Atomically replaces `path` with `contents`: write a sibling temp file,
-/// fsync it, and rename over the target, so a crash mid-write leaves
-/// either the old artifact or the new one — never a torn file. Parent
-/// directories are created as needed.
+/// Atomically replaces `path` with `contents` through the container's
+/// writer, [`snapshot::write_file_atomic`]: a sibling temp file, fsynced,
+/// renamed over the target — so a crash mid-write leaves either the old
+/// artifact or the new one, never a torn file. Parent directories are
+/// created as needed.
 ///
 /// # Errors
 ///
 /// [`SweepError::Io`] naming the target path.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), SweepError> {
-    use std::io::Write;
-    let write = || {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
+    snapshot::write_file_atomic(path, contents).map_err(|e| {
+        let message = match e {
+            // The step that failed may be on the temp file: name it.
+            SnapshotError::Io { path: at, message } => format!("{at}: {message}"),
+            other => other.to_string(),
+        };
+        SweepError::Io {
+            path: path.to_path_buf(),
+            source: std::io::Error::other(message),
         }
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)
-    };
-    write().map_err(|source| SweepError::Io {
-        path: path.to_path_buf(),
-        source,
     })
 }
 
@@ -719,15 +696,12 @@ pub fn pool_stats() -> (u64, u64, u64, u64) {
 /// distinct warm-ups serialises and holds nothing, and a repeated one
 /// restores from its third pass on. An evicted or invalidated key stays
 /// remembered. Entries are bounded too (FIFO eviction once
-/// [`WARM_CACHE_BYTES`] is exceeded). Setting `AFC_WARM_CACHE_DIR` names a
-/// reader — a resumed process — so then *every* miss seals and the entry is
-/// also written there atomically; a later lookup re-reads it subject to the
-/// same checksum/fingerprint verification.
+/// [`WARM_CACHE_BYTES`] is exceeded). The cache lives in memory only: it
+/// dies with the process.
 pub struct WarmCache {
     inner: Mutex<WarmCacheInner>,
     cap_bytes: usize,
     missed_cap: usize,
-    disk_dir: Option<PathBuf>,
 }
 
 struct WarmCacheInner {
@@ -742,8 +716,7 @@ struct WarmCacheInner {
 impl WarmCacheInner {
     /// Files `bytes` under `key`, replacing any previous entry, then evicts
     /// oldest-first until `cap_bytes` holds again (the newest entry always
-    /// stays) — the one way entries enter the map, from a put or from a
-    /// spill file read back.
+    /// stays).
     fn insert(&mut self, key: u64, bytes: Arc<Vec<u8>>, cap_bytes: usize) {
         self.bytes += bytes.len();
         if let Some(old) = self.map.insert(key, bytes) {
@@ -761,9 +734,9 @@ impl WarmCacheInner {
 }
 
 impl WarmCache {
-    /// An empty cache with explicit caps and optional disk spill directory
-    /// (tests construct these; the rest use [`warm_cache`]).
-    fn with_limits(cap_bytes: usize, missed_cap: usize, disk_dir: Option<PathBuf>) -> WarmCache {
+    /// An empty cache with explicit caps (tests construct these; the rest
+    /// use [`warm_cache`]).
+    fn with_limits(cap_bytes: usize, missed_cap: usize) -> WarmCache {
         WarmCache {
             inner: Mutex::new(WarmCacheInner {
                 map: HashMap::new(),
@@ -773,18 +746,11 @@ impl WarmCache {
             }),
             cap_bytes,
             missed_cap,
-            disk_dir,
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, WarmCacheInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn disk_path(&self, key: u64) -> Option<PathBuf> {
-        self.disk_dir
-            .as_ref()
-            .map(|d| d.join(format!("warm-{key:016x}.snap")))
     }
 
     /// Current `(entries, bytes)` resident in memory.
@@ -793,8 +759,7 @@ impl WarmCache {
         (inner.map.len(), inner.bytes)
     }
 
-    /// Empties the in-memory cache and forgets which keys have missed
-    /// (disk spill files are left alone).
+    /// Empties the cache and forgets which keys have missed.
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.map.clear();
@@ -806,24 +771,15 @@ impl WarmCache {
 
 impl WarmStore for WarmCache {
     fn lookup(&self, key: u64) -> Warm {
-        let resident = self.lock().map.get(&key).cloned();
-        // Miss in memory: a crash-surviving spill file may still have it.
-        // The runner re-verifies checksum and fingerprint on restore, so a
-        // torn or stale file degrades to a re-warmed run, never a wrong one.
-        let found = resident.or_else(|| {
-            let bytes = Arc::new(std::fs::read(self.disk_path(key)?).ok()?);
-            self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
-            Some(bytes)
-        });
-        if let Some(bytes) = found {
+        let mut inner = self.lock();
+        if let Some(bytes) = inner.map.get(&key) {
             WARM_HITS.fetch_add(1, Ordering::Relaxed);
             WARM_SEEN.set("hit");
-            return Warm::Hit(bytes);
+            return Warm::Hit(Arc::clone(bytes));
         }
         WARM_MISSES.fetch_add(1, Ordering::Relaxed);
         WARM_SEEN.set("cold");
-        let mut inner = self.lock();
-        let seal = self.disk_dir.is_some() || inner.missed.contains(&key);
+        let seal = inner.missed.contains(&key);
         if !seal {
             if inner.missed.len() >= self.missed_cap {
                 inner.missed.pop_front();
@@ -835,25 +791,14 @@ impl WarmStore for WarmCache {
 
     fn put(&self, key: u64, bytes: Vec<u8>) {
         WARM_SEEN.set("sealed");
-        let disk = self.disk_path(key);
-        let bytes = Arc::new(bytes);
-        self.lock().insert(key, Arc::clone(&bytes), self.cap_bytes);
-        if let Some(path) = disk {
-            // Spill failures are non-fatal: the in-memory entry still works.
-            let _ = write_atomic(&path, &bytes);
-        }
+        self.lock().insert(key, Arc::new(bytes), self.cap_bytes);
     }
 
     fn invalidate(&self, key: u64) {
-        {
-            let mut inner = self.lock();
-            if let Some(old) = inner.map.remove(&key) {
-                inner.bytes -= old.len();
-                inner.order.retain(|&k| k != key);
-            }
-        }
-        if let Some(path) = self.disk_path(key) {
-            let _ = std::fs::remove_file(path);
+        let mut inner = self.lock();
+        if let Some(old) = inner.map.remove(&key) {
+            inner.bytes -= old.len();
+            inner.order.retain(|&k| k != key);
         }
     }
 }
@@ -864,19 +809,11 @@ pub const WARM_CACHE_BYTES: usize = 256 << 20;
 /// How many missed keys the process-wide [`WarmCache`] remembers (512 KiB).
 const MISSED_KEYS: usize = 1 << 16;
 
-/// The process-wide [`WarmCache`] singleton, created on first use: capped
-/// at [`WARM_CACHE_BYTES`], spilling to `AFC_WARM_CACHE_DIR` if set.
-///
-/// # Panics
-///
-/// Panics with the [`SweepError::BadEnv`] message when the environment is
-/// malformed ([`SweepSpec::execute_resumable`] returns it instead).
+/// The process-wide [`WarmCache`] singleton, created on first use and
+/// capped at [`WARM_CACHE_BYTES`].
 pub fn warm_cache() -> &'static WarmCache {
     static WARM: OnceLock<WarmCache> = OnceLock::new();
-    WARM.get_or_init(|| {
-        let dir = SweepEnv::get_or_panic().warm_cache_dir.clone();
-        WarmCache::with_limits(WARM_CACHE_BYTES, MISSED_KEYS, dir)
-    })
+    WARM.get_or_init(|| WarmCache::with_limits(WARM_CACHE_BYTES, MISSED_KEYS))
 }
 
 /// One simulation run, described as plain data. Workers rebuild the router
@@ -1090,9 +1027,6 @@ pub(crate) struct Tuning {
     pub(crate) threads: usize,
     pub(crate) pool: bool,
     pub(crate) warm: bool,
-    /// Whether `AFC_SWEEP_SELFCHECK` re-executes coalesced members (off
-    /// only for a re-run held to bytes that already passed the check).
-    pub(crate) check_members: bool,
 }
 
 /// Runs of [`Job::execute_alone`] made by the member self-check.
@@ -1125,7 +1059,7 @@ where
 {
     let plan = Plan::by_key(jobs.iter().map(Job::sim_key));
     let store = tuning.warm.then(|| warm_cache() as &dyn WarmStore);
-    let selfcheck = tuning.check_members && SweepEnv::get_or_panic().selfcheck;
+    let selfcheck = SweepEnv::get_or_panic().selfcheck;
     let derived: Mutex<Vec<(usize, RunOutput)>> = Mutex::new(Vec::new());
     let results = run_planned(
         name,
@@ -1195,36 +1129,6 @@ impl SweepSpec {
         fnv1a64(text.as_bytes())
     }
 
-    /// Executes the sweep with the global thread budget ([`threads`])
-    /// divided by the runs' own `sim_threads`, so sweep-level and intra-run
-    /// parallelism never oversubscribe the machine together. Under
-    /// `AFC_SWEEP_SELFCHECK`, additionally re-runs serially and asserts
-    /// byte-identical results (on top of the per-member check every
-    /// execution makes in that mode; the re-run, held to the bytes already
-    /// checked, skips it). The re-run is each warm key's second miss, so it
-    /// re-simulates — and seals — the warm-ups rather than restoring the
-    /// first pass's: slower by the warm-ups, and a more independent check.
-    pub fn execute(&self) -> SweepResults {
-        let n = divide_budget(threads(), self.net_cfg.sim_threads);
-        let results = self.execute_with_threads(n);
-        if SweepEnv::get_or_panic().selfcheck && n > 1 {
-            let serial = self.execute_all(Tuning {
-                threads: 1,
-                pool: true,
-                warm: true,
-                check_members: false,
-            });
-            assert_eq!(
-                serial.serialize(),
-                results.serialize(),
-                "sweep '{}' produced thread-count-dependent results — a run \
-                 is sharing mutable state",
-                self.name
-            );
-        }
-        results
-    }
-
     /// Executes with an explicit worker count. A run that panics on every
     /// attempt becomes a zeroed [`RunOutput`] whose `outcome` records the
     /// failure; the other runs are unaffected.
@@ -1242,16 +1146,12 @@ impl SweepSpec {
         pool: bool,
         warm: bool,
     ) -> SweepResults {
-        self.execute_all(Tuning {
+        let jobs: Vec<usize> = (0..self.runs.len()).collect();
+        let tuning = Tuning {
             threads,
             pool,
             warm,
-            check_members: true,
-        })
-    }
-
-    fn execute_all(&self, tuning: Tuning) -> SweepResults {
-        let jobs: Vec<usize> = (0..self.runs.len()).collect();
+        };
         let outputs = self.run_jobs(&jobs, tuning, |_, _| {});
         SweepResults { outputs }
     }
@@ -1331,10 +1231,8 @@ impl SweepSpec {
                         .to_string(),
                 ));
             }
-            for (i, line) in &prior.jobs {
-                let output =
-                    RunOutput::deserialize(line).map_err(|e| mismatch(format!("job {i}: {e}")))?;
-                outputs[*i] = Some(output);
+            for (i, output) in &prior.jobs {
+                outputs[*i] = Some(output.clone());
             }
             manifest = prior;
         }
@@ -1348,7 +1246,6 @@ impl SweepSpec {
             threads: threads(),
             pool: true,
             warm: true,
-            check_members: true,
         };
         let results = self.run_jobs(&missing, tuning, |indices, outputs| {
             for (&i, output) in indices.iter().zip(outputs) {
@@ -1372,37 +1269,34 @@ impl SweepSpec {
     }
 }
 
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Tag opening a manifest's payload, as [`afc_traffic::runner`]'s
+/// checkpoint tag opens a checkpoint's: the container says the bytes are
+/// intact, the tag says what they are.
+const MANIFEST_TAG: &str = "afc-sweep-manifest-v2";
 
-/// Crash-safe record of which sweep jobs have completed, persisted as a
-/// small checksummed JSON file (`results/manifest.json` by convention)
-/// after every completion so an interrupted sweep resumes exactly the
-/// missing jobs.
+/// Crash-safe record of which sweep jobs have completed, persisted after
+/// every completion (`results/open_loop.manifest` by convention) so an
+/// interrupted sweep resumes exactly the missing jobs.
 ///
-/// Writes go through [`write_atomic`]; [`SweepManifest::load`] refuses a
-/// file whose embedded checksum does not match its contents, naming the
-/// corrupt file in the error.
+/// The file is a sealed [`snapshot`] container written by [`write_atomic`];
+/// [`SweepManifest::load`] refuses one that fails the container's checks
+/// (magic, version, length, checksum) or its own, naming the file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepManifest {
-    /// Format version ([`MANIFEST_VERSION`]).
-    pub version: u32,
     /// Name of the sweep the manifest belongs to.
     pub sweep: String,
     /// [`SweepSpec::fingerprint`] of the sweep definition.
     pub fingerprint: u64,
     /// Total job count in the sweep.
     pub total: usize,
-    /// Completed jobs as `(spec index, serialized RunOutput line)`,
-    /// sorted by index.
-    pub jobs: Vec<(usize, String)>,
+    /// Completed jobs as `(spec index, output)`, sorted by index.
+    pub jobs: Vec<(usize, RunOutput)>,
 }
 
 impl SweepManifest {
     /// An empty manifest for `spec`.
     pub fn new(spec: &SweepSpec) -> SweepManifest {
         SweepManifest {
-            version: MANIFEST_VERSION,
             sweep: spec.name.clone(),
             fingerprint: spec.fingerprint(),
             total: spec.runs.len(),
@@ -1412,229 +1306,81 @@ impl SweepManifest {
 
     /// Records a completed job, keeping the list sorted by index.
     pub fn record(&mut self, index: usize, output: &RunOutput) {
-        let line = output.serialize();
         match self.jobs.binary_search_by_key(&index, |(i, _)| *i) {
-            Ok(pos) => self.jobs[pos].1 = line,
-            Err(pos) => self.jobs.insert(pos, (index, line)),
+            Ok(pos) => self.jobs[pos].1 = output.clone(),
+            Err(pos) => self.jobs.insert(pos, (index, output.clone())),
         }
     }
 
-    /// The byte string the checksum covers: every field and every job
-    /// line, in file order.
-    fn canonical_body(&self) -> String {
-        let mut body = format!(
-            "{}\n{}\n{:016x}\n{}\n",
-            self.version, self.sweep, self.fingerprint, self.total
-        );
-        for (i, line) in &self.jobs {
-            body.push_str(&format!("{i}\t{line}\n"));
-        }
-        body
-    }
-
-    /// The manifest's JSON encoding (one job object per line).
-    fn to_json(&self) -> String {
-        let checksum = fnv1a64(self.canonical_body().as_bytes());
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!("  \"sweep\": \"{}\",\n", json_escape(&self.sweep)));
-        out.push_str(&format!(
-            "  \"fingerprint\": \"{:016x}\",\n",
-            self.fingerprint
-        ));
-        out.push_str(&format!("  \"total\": {},\n", self.total));
-        out.push_str(&format!("  \"checksum\": \"{checksum:016x}\",\n"));
-        out.push_str("  \"jobs\": [\n");
-        for (k, (i, line)) in self.jobs.iter().enumerate() {
-            let comma = if k + 1 == self.jobs.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"index\": {i}, \"output\": \"{}\"}}{comma}\n",
-                json_escape(line)
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the manifest atomically.
+    /// Seals the manifest and writes it atomically.
     ///
     /// # Errors
     ///
     /// [`SweepError::Io`] naming the manifest path.
     pub fn save(&self, path: &Path) -> Result<(), SweepError> {
-        write_atomic(path, self.to_json().as_bytes())
+        let mut w = SnapshotWriter::new();
+        w.put_str(MANIFEST_TAG);
+        w.put_str(&self.sweep);
+        w.put_u64(self.fingerprint);
+        w.put_usize(self.total);
+        w.put_usize(self.jobs.len());
+        for (i, output) in &self.jobs {
+            w.put_usize(*i);
+            output.write_to(&mut w);
+        }
+        write_atomic(path, &snapshot::seal(w))
     }
 
     /// Loads and verifies a manifest written by [`SweepManifest::save`].
     ///
     /// # Errors
     ///
-    /// [`SweepError::Io`] if the file cannot be read;
-    /// [`SweepError::Manifest`] — always naming the file — if it is
-    /// malformed, an unsupported version, or fails its checksum.
+    /// [`SweepError::Manifest`] — always naming the file — if it cannot be
+    /// read, fails a container check, is some other container, or lists a
+    /// job index out of range, twice or out of order.
     pub fn load(path: &Path) -> Result<SweepManifest, SweepError> {
-        let text = std::fs::read_to_string(path).map_err(|source| SweepError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
         let bad = |message: String| SweepError::Manifest {
             path: path.to_path_buf(),
             message,
         };
-        let (manifest, stored) = Self::parse(&text).map_err(&bad)?;
-        let actual = fnv1a64(manifest.canonical_body().as_bytes());
-        if stored != actual {
-            return Err(bad(format!(
-                "checksum mismatch (file says {stored:016x}, contents hash to \
-                 {actual:016x}) — refusing corrupt manifest"
-            )));
+        let corrupt = |e: SnapshotError| bad(e.to_string());
+        let bytes = snapshot::read_file(path).map_err(corrupt)?;
+        let mut r = snapshot::open(&bytes, &path.display().to_string()).map_err(corrupt)?;
+        let tag = r.get_str("manifest tag").map_err(corrupt)?;
+        if tag != MANIFEST_TAG {
+            return Err(bad(format!("holds {tag:?}, not {MANIFEST_TAG:?}")));
+        }
+        let manifest = SweepManifest::read(r).map_err(corrupt)?;
+        if let Some(w) = manifest.jobs.windows(2).find(|w| w[0].0 >= w[1].0) {
+            let i = w[1].0;
+            return Err(bad(format!("job index {i} repeated or out of order")));
+        }
+        if let Some((i, _)) = manifest.jobs.last().filter(|(i, _)| *i >= manifest.total) {
+            let total = manifest.total;
+            return Err(bad(format!("job index {i} out of range (total {total})")));
         }
         Ok(manifest)
     }
 
-    /// Parses the JSON encoding, returning the manifest and its stored
-    /// checksum (verified by the caller).
-    fn parse(text: &str) -> Result<(SweepManifest, u64), String> {
-        let mut version = None;
-        let mut sweep = None;
-        let mut fingerprint = None;
-        let mut total = None;
-        let mut checksum = None;
+    /// Decodes the payload after its tag, to its last byte.
+    fn read(mut r: SnapshotReader<'_>) -> Result<SweepManifest, SnapshotError> {
+        let sweep = r.get_str("manifest sweep")?;
+        let fingerprint = r.get_u64("manifest fingerprint")?;
+        let total = r.get_usize("manifest total")?;
+        let count = r.get_usize("manifest job count")?;
         let mut jobs = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if let Some(v) = line.strip_prefix("\"version\":") {
-                version = Some(parse_json_uint(v)? as u32);
-            } else if let Some(v) = line.strip_prefix("\"sweep\":") {
-                sweep = Some(parse_json_string(v)?);
-            } else if let Some(v) = line.strip_prefix("\"fingerprint\":") {
-                fingerprint = Some(parse_json_hex(v)?);
-            } else if let Some(v) = line.strip_prefix("\"total\":") {
-                total = Some(parse_json_uint(v)? as usize);
-            } else if let Some(v) = line.strip_prefix("\"checksum\":") {
-                checksum = Some(parse_json_hex(v)?);
-            } else if line.starts_with("{\"index\":") {
-                jobs.push(parse_job_line(line)?);
-            }
+        for _ in 0..count {
+            let index = r.get_usize("manifest job index")?;
+            jobs.push((index, RunOutput::read_from(&mut r)?));
         }
-        let manifest = SweepManifest {
-            version: version.ok_or("missing \"version\" field")?,
-            sweep: sweep.ok_or("missing \"sweep\" field")?,
-            fingerprint: fingerprint.ok_or("missing \"fingerprint\" field")?,
-            total: total.ok_or("missing \"total\" field")?,
+        r.finish("sweep manifest")?;
+        Ok(SweepManifest {
+            sweep,
+            fingerprint,
+            total,
             jobs,
-        };
-        let checksum = checksum.ok_or("missing \"checksum\" field")?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(format!(
-                "unsupported manifest version {} (this build reads version \
-                 {MANIFEST_VERSION})",
-                manifest.version
-            ));
-        }
-        let mut seen = HashSet::new();
-        for (i, _) in &manifest.jobs {
-            if *i >= manifest.total {
-                return Err(format!(
-                    "job index {i} out of range (total {})",
-                    manifest.total
-                ));
-            }
-            if !seen.insert(*i) {
-                return Err(format!("duplicate job index {i}"));
-            }
-        }
-        Ok((manifest, checksum))
+        })
     }
-}
-
-/// `(character, its escape letter)`: the escapes a manifest writes and reads.
-const JSON_ESCAPES: [(char, char); 5] = [
-    ('\\', '\\'),
-    ('"', '"'),
-    ('\n', 'n'),
-    ('\t', 't'),
-    ('\r', 'r'),
-];
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match JSON_ESCAPES.iter().find(|e| e.0 == c) {
-            Some(e) => out.extend(['\\', e.1]),
-            None => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        let letter = chars.next();
-        match JSON_ESCAPES.iter().find(|e| Some(e.1) == letter) {
-            Some(e) => out.push(e.0),
-            None => {
-                let letter = letter.map(String::from).unwrap_or_default();
-                return Err(format!("bad escape \\{letter}"));
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn parse_json_uint(v: &str) -> Result<u64, String> {
-    let v = v.trim().trim_end_matches(',').trim();
-    v.parse::<u64>()
-        .map_err(|_| format!("bad integer field {v:?}"))
-}
-
-/// The text between the quotes of a `"..."[,]` field value.
-fn unquote<'a>(v: &'a str, what: &str) -> Result<&'a str, String> {
-    let v = v.trim().trim_end_matches(',').trim();
-    v.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("bad {what} field {v:?}"))
-}
-
-fn parse_json_string(v: &str) -> Result<String, String> {
-    json_unescape(unquote(v, "string")?)
-}
-
-fn parse_json_hex(v: &str) -> Result<u64, String> {
-    u64::from_str_radix(unquote(v, "hex")?, 16).map_err(|_| format!("bad hex field {v:?}"))
-}
-
-fn parse_job_line(line: &str) -> Result<(usize, String), String> {
-    let err = || format!("bad job entry {line:?}");
-    let after_idx = line.split_once("\"index\":").ok_or_else(err)?.1;
-    let num: String = after_idx
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    let index: usize = num.parse().map_err(|_| err())?;
-    let after_out = line.split_once("\"output\":").ok_or_else(err)?.1;
-    let after_quote = after_out.trim_start().strip_prefix('"').ok_or_else(err)?;
-    let mut raw = String::new();
-    let mut chars = after_quote.chars();
-    loop {
-        match chars.next() {
-            None => return Err(err()),
-            Some('"') => break,
-            Some('\\') => {
-                raw.push('\\');
-                raw.push(chars.next().ok_or_else(err)?);
-            }
-            Some(c) => raw.push(c),
-        }
-    }
-    Ok((index, json_unescape(&raw)?))
 }
 
 /// Flat deterministic metrics of one run. Every field is a pure function
@@ -1692,40 +1438,38 @@ impl RunOutput {
         )
     }
 
-    /// Decodes one [`RunOutput::serialize`] line (used by manifest
-    /// resume). The last field absorbs any remaining tabs, so outcome
-    /// text round-trips verbatim.
-    ///
-    /// # Errors
-    ///
-    /// A description of the malformed field.
-    fn deserialize(line: &str) -> Result<RunOutput, String> {
-        let fields: Vec<&str> = line.splitn(12, '\t').collect();
-        if fields.len() != 12 {
-            return Err(format!(
-                "expected 12 tab-separated fields, got {}",
-                fields.len()
-            ));
-        }
-        let uint = |s: &str, what: &str| s.parse::<u64>().map_err(|_| format!("bad {what} {s:?}"));
-        let float = |s: &str, what: &str| s.parse::<f64>().map_err(|_| format!("bad {what} {s:?}"));
+    /// Writes every field as a typed value — floats as their bits — for a
+    /// manifest.
+    fn write_to(&self, w: &mut SnapshotWriter) {
+        w.put_str(&self.label);
+        w.put_u64(self.cycles);
+        w.put_u64(self.packets_delivered);
+        w.put_u64(self.flits_delivered);
+        w.put_f64(self.injection_rate);
+        w.put_f64(self.throughput);
+        w.put_opt_u64(self.mean_latency.map(f64::to_bits));
+        w.put_f64(self.energy_pj);
+        w.put_f64(self.backpressured_fraction);
+        w.put_f64(self.mean_deflections);
+        w.put_f64(self.delivered_fraction);
+        w.put_str(&self.outcome);
+    }
+
+    /// Reads what [`RunOutput::write_to`] wrote, bit for bit.
+    fn read_from(r: &mut SnapshotReader<'_>) -> Result<RunOutput, SnapshotError> {
         Ok(RunOutput {
-            label: fields[0].to_string(),
-            cycles: uint(fields[1], "cycle count")?,
-            packets_delivered: uint(fields[2], "packet count")?,
-            flits_delivered: uint(fields[3], "flit count")?,
-            injection_rate: float(fields[4], "injection rate")?,
-            throughput: float(fields[5], "throughput")?,
-            mean_latency: if fields[6] == "-" {
-                None
-            } else {
-                Some(float(fields[6], "latency")?)
-            },
-            energy_pj: float(fields[7], "energy")?,
-            backpressured_fraction: float(fields[8], "backpressured fraction")?,
-            mean_deflections: float(fields[9], "deflection count")?,
-            delivered_fraction: float(fields[10], "delivered fraction")?,
-            outcome: fields[11].to_string(),
+            label: r.get_str("run label")?,
+            cycles: r.get_u64("run cycles")?,
+            packets_delivered: r.get_u64("run packets delivered")?,
+            flits_delivered: r.get_u64("run flits delivered")?,
+            injection_rate: r.get_f64("run injection rate")?,
+            throughput: r.get_f64("run throughput")?,
+            mean_latency: r.get_opt_u64("run mean latency")?.map(f64::from_bits),
+            energy_pj: r.get_f64("run energy")?,
+            backpressured_fraction: r.get_f64("run backpressured fraction")?,
+            mean_deflections: r.get_f64("run mean deflections")?,
+            delivered_fraction: r.get_f64("run delivered fraction")?,
+            outcome: r.get_str("run outcome")?,
         })
     }
 }
@@ -1783,23 +1527,6 @@ mod tests {
                 .collect();
             assert_eq!(got, expect, "worker count {workers}");
         }
-    }
-
-    #[test]
-    fn thread_budget_divides_between_sweep_and_sim() {
-        // The pure arbitration rule (`SweepSpec::execute` applies it to
-        // the global budget, which other tests mutate concurrently).
-        assert_eq!(divide_budget(8, 1), 8);
-        assert_eq!(divide_budget(8, 2), 4);
-        assert_eq!(divide_budget(8, 3), 2);
-        // Sim threads at or beyond the budget: one sweep worker survives.
-        assert_eq!(divide_budget(8, 8), 1);
-        assert_eq!(divide_budget(8, 64), 1);
-        // Degenerate sim_threads=0 behaves like 1.
-        assert_eq!(divide_budget(8, 0), 8);
-        assert_eq!(divide_budget(1, 4), 1);
-        // Whatever the budget's source (override or machine), it is usable.
-        assert!(threads() >= 1);
     }
 
     #[test]
@@ -1898,30 +1625,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_holds_its_cap_on_puts_and_on_spill_rereads() {
-        let dir = std::env::temp_dir().join(format!("afc-warm-cap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Room for exactly one 100-byte entry.
-        let cache = WarmCache::with_limits(100, 4, Some(dir.clone()));
-        // A directory names a reader: the very first miss seals, and spills.
-        assert_eq!(answer(&cache, 1), Err(true));
-        cache.put(1, vec![1; 100]);
-        assert!(cache.disk_path(1).expect("has a directory").exists());
-        cache.put(2, vec![2; 100]);
-        assert_eq!(cache.usage(), (1, 100), "put evicts the older entry");
-        // Entry 1 now lives only in its spill file: reading it back must
-        // evict entry 2, not stack on top of it.
-        assert_eq!(answer(&cache, 1), Ok(1), "spilled entry");
-        assert_eq!(cache.usage(), (1, 100), "a re-read evicts like a put");
-        assert_eq!(answer(&cache, 2), Ok(2), "spilled entry");
-        assert_eq!(cache.usage(), (1, 100));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn warm_cache_admits_a_key_on_its_second_miss() {
-        // Room for one 100-byte entry and two missed keys; no directory.
-        let cache = WarmCache::with_limits(100, 2, None);
+        // Room for one 100-byte entry and two missed keys.
+        let cache = WarmCache::with_limits(100, 2);
         assert_eq!(answer(&cache, 1), Err(false), "first miss: only remembered");
         assert_eq!(cache.usage(), (0, 0));
         assert_eq!(answer(&cache, 1), Err(true), "second miss: sealed");
@@ -1958,22 +1664,18 @@ mod tests {
 
     #[test]
     fn sweep_env_parses_strictly() {
-        let env = |selfcheck, dir: Option<&str>| SweepEnv::parse(selfcheck, dir.map(PathBuf::from));
-        let off = SweepEnv {
-            selfcheck: false,
-            warm_cache_dir: None,
-        };
-        assert_eq!(env(None, None).unwrap(), off);
-        // Empty is unset, for both variables.
-        assert_eq!(env(Some(""), Some("")).unwrap(), off);
-        assert_eq!(env(Some("0"), None).unwrap(), off);
+        let off = SweepEnv { selfcheck: false };
+        // Unset, empty and `0` are off.
+        for unset in [None, Some(""), Some("0")] {
+            assert_eq!(SweepEnv::parse(unset).unwrap(), off, "{unset:?}");
+        }
         // Every spelling of "on" turns the check on, none silently off.
         for on in ["1", " 1 ", "true", "yes", "on"] {
-            assert!(env(Some(on), None).unwrap().selfcheck, "{on:?}");
+            assert!(SweepEnv::parse(Some(on)).unwrap().selfcheck, "{on:?}");
         }
         // No guessing: neither AFC_FULL_SCAN's "anything else is on" nor off.
         for bad in ["2", "false", "no", "TRUE", "1 1"] {
-            let err = env(Some(bad), None).expect_err(bad);
+            let err = SweepEnv::parse(Some(bad)).expect_err(bad);
             assert!(matches!(err, SweepError::BadEnv(_)), "{bad}: {err:?}");
             let msg = err.to_string();
             assert!(
@@ -1981,12 +1683,6 @@ mod tests {
                 "must name the variable and the value: {msg}"
             );
         }
-        let spilling = env(None, Some("/tmp/warm")).unwrap();
-        assert_eq!(
-            spilling.warm_cache_dir.as_deref(),
-            Some(Path::new("/tmp/warm"))
-        );
-        assert!(!spilling.selfcheck);
     }
 
     #[test]
@@ -2161,24 +1857,29 @@ mod tests {
     }
 
     #[test]
-    fn run_output_round_trips_through_deserialize() {
+    fn run_output_round_trips_bit_for_bit() {
+        let mut odd = sample_output("drop/water@3", Some(-0.0), "drain budget exhausted");
+        odd.throughput = f64::from_bits(f64::NAN.to_bits() | 1);
         for out in [
             sample_output("afc/open@0.150@7", Some(31.5), "ok"),
-            sample_output("bless/fault@0.1/5e-4@1", None, "error: stall at (1,1)"),
-            sample_output("drop/water@3", Some(12.25), "drain budget exhausted"),
+            sample_output(
+                "bless/fault@0.1/5e-4@1",
+                None,
+                "error: stall\tat \"(1,1)\"\n",
+            ),
+            odd,
         ] {
-            let line = out.serialize();
-            let back = RunOutput::deserialize(&line).unwrap();
-            assert_eq!(back, out);
-            assert_eq!(back.serialize(), line);
+            let mut w = SnapshotWriter::new();
+            out.write_to(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapshotReader::new(&bytes);
+            let back = RunOutput::read_from(&mut r).unwrap();
+            r.finish("one output").unwrap();
+            assert_eq!(back.serialize(), out.serialize());
+            assert_eq!(back.throughput.to_bits(), out.throughput.to_bits());
+            let bits = |o: &RunOutput| o.mean_latency.map(f64::to_bits);
+            assert_eq!(bits(&back), bits(&out));
         }
-        assert!(RunOutput::deserialize("too\tfew\tfields").is_err());
-        assert!(RunOutput::deserialize(
-            &sample_output("x", None, "ok")
-                .serialize()
-                .replace("10000", "ten")
-        )
-        .is_err());
     }
 
     fn tiny_spec(seed: u64) -> SweepSpec {
@@ -2203,30 +1904,41 @@ mod tests {
         }
     }
 
+    /// A manifest whose payload is well sealed but breaks a rule of its own
+    /// is refused by that rule, naming the file.
     #[test]
-    fn manifest_round_trips_and_refuses_corruption() {
-        let spec = tiny_spec(5);
-        let mut manifest = SweepManifest::new(&spec);
-        manifest.record(2, &sample_output("afc/open@0.150@5", Some(9.5), "ok"));
-        manifest.record(
-            0,
-            &sample_output("afc/open@0.050@5", None, "with\ttab \"quote\"\n"),
-        );
+    fn manifest_refuses_bad_indices_and_foreign_containers() {
         let dir = std::env::temp_dir().join(format!("afc-manifest-{}", std::process::id()));
-        let path = dir.join("manifest.json");
-        manifest.save(&path).unwrap();
-        let loaded = SweepManifest::load(&path).unwrap();
-        assert_eq!(loaded, manifest);
-        assert_eq!(loaded.jobs[0].0, 0, "jobs stay sorted by index");
-
-        // A flipped byte in the body must be refused, naming the file.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] = bytes[mid].wrapping_add(1);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = SweepManifest::load(&path).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("manifest.json"), "must name the file: {msg}");
+        let path = dir.join("tiny.manifest");
+        let mut manifest = SweepManifest::new(&tiny_spec(5));
+        let out = sample_output("afc/open@0.150@5", Some(9.5), "ok");
+        for (jobs, refusal) in [
+            (
+                vec![(1, out.clone()), (1, out.clone())],
+                "job index 1 repeated",
+            ),
+            (
+                vec![(2, out.clone()), (0, out.clone())],
+                "job index 0 repeated",
+            ),
+            (
+                vec![(0, out.clone()), (3, out.clone())],
+                "job index 3 out of range",
+            ),
+        ] {
+            manifest.jobs = jobs;
+            manifest.save(&path).unwrap();
+            let err = SweepManifest::load(&path).unwrap_err().to_string();
+            assert!(
+                err.contains(refusal) && err.contains("tiny.manifest"),
+                "{err}"
+            );
+        }
+        let mut w = SnapshotWriter::new();
+        w.put_str("afc-run-checkpoint-v2");
+        write_atomic(&path, &snapshot::seal(w)).unwrap();
+        let err = SweepManifest::load(&path).unwrap_err().to_string();
+        assert!(err.contains("afc-run-checkpoint-v2"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2235,7 +1947,7 @@ mod tests {
         let _serial = WARM_CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let spec = tiny_spec(9);
         let dir = std::env::temp_dir().join(format!("afc-resume-{}", std::process::id()));
-        let path = dir.join("manifest.json");
+        let path = dir.join("tiny.manifest");
         set_threads(2);
 
         // Uninterrupted reference.
@@ -2250,8 +1962,7 @@ mod tests {
         // Simulate an interruption: keep only job 1 in the manifest, then
         // resume. The final bytes must match the uninterrupted reference.
         let mut partial = SweepManifest::new(&spec);
-        let kept = RunOutput::deserialize(&full.jobs[1].1).unwrap();
-        partial.record(1, &kept);
+        partial.record(1, &full.jobs[1].1);
         partial.save(&path).unwrap();
         let resumed = spec.execute_resumable(&path, true).unwrap();
         assert_eq!(resumed.serialize(), reference);

@@ -264,7 +264,7 @@ fn resume_completes_a_half_recorded_class_unit_to_the_same_bytes() {
     );
     let reference = spec.execute_with_threads(1);
     let dir = std::env::temp_dir().join(format!("afc-plan-resume-{}", std::process::id()));
-    let path = dir.join("manifest.json");
+    let path = dir.join("planner-resume.manifest");
     set_threads(2);
     // As if the process died after writing one member of the backpressured
     // unit: only the read-bypass row is on record.

@@ -72,15 +72,6 @@ impl ActivityCounters {
             self.cycles_buffers_gated as f64 / self.cycles as f64
         }
     }
-
-    /// Mean buffered-flit occupancy per cycle (0 if no cycles recorded).
-    pub fn mean_buffer_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.buffer_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]

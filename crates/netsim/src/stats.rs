@@ -299,15 +299,6 @@ impl Ewma {
         self.value
     }
 
-    /// Whether the average sits exactly at zero, the fixed point of
-    /// all-zero input: `update(0.0)` computes `weight * 0.0 + (1 -
-    /// weight) * 0.0 == 0.0` bit-exactly, so once settled, any number of
-    /// idle updates is a no-op. The activity-tracked engine uses this to
-    /// skip idle replays without perturbing the estimate.
-    pub fn is_settled(&self) -> bool {
-        self.value == 0.0
-    }
-
     /// Applies `count` zero-sample updates, bit-identical to calling
     /// `update(0.0)` `count` times: since the value is never negative,
     /// `weight * value + (1 - weight) * 0.0 == weight * value` at the bit

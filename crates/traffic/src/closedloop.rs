@@ -177,11 +177,6 @@ impl ClosedLoopTraffic {
         }
     }
 
-    /// The workload parameters of node `node`.
-    pub fn params_of(&self, node: usize) -> &WorkloadParams {
-        &self.params[node]
-    }
-
     /// The workload parameters (first node — all nodes in homogeneous
     /// runs).
     pub fn params(&self) -> &WorkloadParams {

@@ -6,21 +6,24 @@
 //! fingerprints of full [`Simulation::snapshot`] containers across all
 //! four snapshot-capable mechanisms and three traffic patterns.
 //!
-//! Also pins the crash story: a sweep SIGKILLed mid-flight with a
-//! disk-backed warm cache populated must resume to byte-identical
-//! results, and corrupted cache entries must be detected (checksum /
-//! fingerprint verification), invalidated, and re-warmed — never trusted.
+//! Also pins the crash story: a warm entry that fails verification
+//! (checksum or network fingerprint) is invalidated, re-warmed and
+//! re-sealed — never trusted — and a sweep SIGKILLed mid-flight resumes
+//! from its manifest to byte-identical results.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use afc_bench::sweep::{warm_cache, RunKind, RunSpec, SweepSpec};
+use afc_bench::sweep::{RunKind, RunSpec, SweepSpec};
 use afc_bench::MechanismId;
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::network::Network;
 use afc_netsim::sim::Simulation;
 use afc_netsim::snapshot::{self, fnv1a64};
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
+use afc_traffic::runner::{run, RunEnv, RunOutcome, Warm, WarmStore};
 use afc_traffic::synthetic::Pattern;
 
 const MECHANISMS: [MechanismId; 4] = [
@@ -198,11 +201,132 @@ fn same_named_factory_with_other_options_never_inherits_the_old_routers() {
 }
 
 // ---------------------------------------------------------------------------
-// SIGKILL smoke with a populated warm cache
+// A warm entry that fails verification
 // ---------------------------------------------------------------------------
 
-/// The sweep used for the crash smoke: long warmups so the warm cache has
-/// real value and jobs take long enough that a kill lands mid-sweep.
+/// An in-memory [`WarmStore`] that answers every lookup with `answer` — a
+/// hit, or with none a miss asked to seal — and records what the runner
+/// seals and invalidates.
+struct FakeStore {
+    answer: Option<Arc<Vec<u8>>>,
+    sealed: Mutex<Vec<Vec<u8>>>,
+    invalidated: AtomicUsize,
+}
+
+impl FakeStore {
+    fn answering(answer: Option<Vec<u8>>) -> FakeStore {
+        FakeStore {
+            answer: answer.map(Arc::new),
+            sealed: Mutex::new(Vec::new()),
+            invalidated: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl WarmStore for FakeStore {
+    fn lookup(&self, _key: u64) -> Warm {
+        match &self.answer {
+            Some(bytes) => Warm::Hit(Arc::clone(bytes)),
+            None => Warm::Cold { seal: true },
+        }
+    }
+    fn put(&self, _key: u64, bytes: Vec<u8>) {
+        self.sealed.lock().unwrap().push(bytes);
+    }
+    fn invalidate(&self, _key: u64) {
+        self.invalidated.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Everything a run must reproduce: its window, statistics, counters and
+/// the network's complete end state.
+fn outcome_fp(out: &RunOutcome) -> (u64, String, String, u64) {
+    let mut w = snapshot::SnapshotWriter::new();
+    out.network.save_state(&mut w).expect("snapshot-capable");
+    (
+        out.measured_cycles,
+        format!("{:?}", out.stats),
+        format!("{:?}", out.counters),
+        fnv1a64(&snapshot::seal(w)),
+    )
+}
+
+/// The runner's restore-failure path: a hit whose bytes fail the
+/// container checksum, pass it but belong to another mechanism's network,
+/// or fail only after the network was restored, is invalidated once, the
+/// warm-up is simulated on a rebuilt network and re-sealed — to the bytes
+/// a clean miss seals — and the outcome is the cold run's.
+#[test]
+fn a_corrupt_warm_hit_is_invalidated_rewarmed_and_resealed() {
+    let cfg = NetworkConfig::paper_8x8();
+    let kind = RunKind::OpenLoop {
+        rate: 0.10,
+        pattern: Pattern::UniformRandom,
+        mix: PacketMix::paper(),
+        warmup_cycles: 300,
+        measure_cycles: 300,
+    };
+    const SEED: u64 = 0x5EA1;
+    let go = |id: MechanismId, store: &FakeStore| {
+        let env = RunEnv {
+            warm: Some(store),
+            ..RunEnv::default()
+        };
+        let factory = id.mechanism().factory;
+        outcome_fp(&run(&kind, factory.as_ref(), &cfg, SEED, env).expect("runs"))
+    };
+    let sealed: Vec<Vec<u8>> = MECHANISMS
+        .iter()
+        .map(|&id| {
+            let store = FakeStore::answering(None);
+            go(id, &store);
+            store
+                .sealed
+                .into_inner()
+                .unwrap()
+                .pop()
+                .expect("a miss asked to seal seals")
+        })
+        .collect();
+    for (m, &id) in MECHANISMS.iter().enumerate() {
+        let factory = id.mechanism().factory;
+        let cold = run(&kind, factory.as_ref(), &cfg, SEED, RunEnv::default()).expect("runs");
+        let cold = outcome_fp(&cold);
+        let good = &sealed[m];
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0xFF;
+        let foreign = sealed[(m + 1) % MECHANISMS.len()].clone();
+        // Well sealed but cut short: the network restores and the traffic
+        // decode fails — a partial restore. The payload sits between the
+        // 20-byte header and the 8-byte checksum (DESIGN.md §11).
+        let mut short = snapshot::SnapshotWriter::new();
+        for &b in &good[20..good.len() - 16] {
+            short.put_u8(b);
+        }
+        let short = snapshot::seal(short);
+        for (bad, what) in [
+            (flipped, "flipped byte"),
+            (foreign, "another mechanism's"),
+            (short, "cut short"),
+        ] {
+            let label = format!("{}: {what}", id.label());
+            let store = FakeStore::answering(Some(bad));
+            assert_eq!(go(id, &store), cold, "{label}: outcome");
+            assert_eq!(store.invalidated.load(Ordering::Relaxed), 1, "{label}");
+            let resealed = store.sealed.into_inner().unwrap();
+            assert_eq!(resealed.len(), 1, "{label}: re-sealed once");
+            snapshot::open(&resealed[0], "<re-sealed>").expect("the re-sealed entry verifies");
+            assert_eq!(&resealed[0], good, "{label}: re-sealed bytes");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SIGKILL mid-sweep, resumed from the manifest
+// ---------------------------------------------------------------------------
+
+/// The sweep used for the crash smoke: jobs long enough that a kill lands
+/// mid-sweep.
 fn crash_spec() -> SweepSpec {
     let runs = (0..12u64)
         .map(|i| RunSpec {
@@ -228,27 +352,8 @@ fn crash_spec() -> SweepSpec {
     }
 }
 
-fn warm_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.extension().is_some_and(|x| x == "snap")
-                        && p.file_name()
-                            .and_then(|n| n.to_str())
-                            .is_some_and(|n| n.starts_with("warm-"))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    files.sort();
-    files
-}
-
-/// Child entry point: runs the resumable sweep (with the disk-backed warm
-/// cache inherited from the parent's environment) until the parent kills
-/// it. Never returns normally in the killed case.
+/// Child entry point: runs the resumable sweep until the parent kills it.
+/// Never returns normally in the killed case.
 fn crash_child(manifest: &Path) {
     let spec = crash_spec();
     spec.execute_resumable(manifest, true)
@@ -256,7 +361,7 @@ fn crash_child(manifest: &Path) {
 }
 
 #[test]
-fn sigkill_mid_sweep_resumes_and_reverifies_warm_cache_entries() {
+fn sigkill_mid_sweep_resumes_to_byte_identical_results() {
     if std::env::var("AFC_ARENA_CHAOS_CHILD").is_ok() {
         // Re-entered as the sacrificial child (the parent passes the
         // manifest path through the environment).
@@ -267,12 +372,7 @@ fn sigkill_mid_sweep_resumes_and_reverifies_warm_cache_entries() {
     let dir = std::env::temp_dir().join(format!("afc-arena-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let manifest = dir.join("manifest.json");
-    let cache_dir = dir.join("warm");
-    std::fs::create_dir_all(&cache_dir).expect("cache dir");
-    // The parent's own process-wide warm cache must also point at the
-    // shared spill directory *before* its first use below.
-    std::env::set_var("AFC_WARM_CACHE_DIR", &cache_dir);
+    let manifest = dir.join("crash.manifest");
 
     // Phase 0: the reference result, computed cold (no pool, no cache).
     let spec = crash_spec();
@@ -282,12 +382,11 @@ fn sigkill_mid_sweep_resumes_and_reverifies_warm_cache_entries() {
     // the manifest proves at least one job completed.
     let exe = std::env::current_exe().expect("test binary path");
     let mut child = Command::new(exe)
-        .arg("sigkill_mid_sweep_resumes_and_reverifies_warm_cache_entries")
+        .arg("sigkill_mid_sweep_resumes_to_byte_identical_results")
         .arg("--exact")
         .arg("--nocapture")
         .env("AFC_ARENA_CHAOS_CHILD", "1")
         .env("AFC_ARENA_CHAOS_MANIFEST", &manifest)
-        .env("AFC_WARM_CACHE_DIR", &cache_dir)
         .spawn()
         .expect("spawn child");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
@@ -307,7 +406,7 @@ fn sigkill_mid_sweep_resumes_and_reverifies_warm_cache_entries() {
     let _ = child.kill(); // SIGKILL on unix
     let _ = child.wait();
 
-    // Phase 2: resume in this process, warm cache and manifest intact.
+    // Phase 2: resume in this process from the manifest the kill left.
     let resumed = spec
         .execute_resumable(&manifest, true)
         .expect("resume after SIGKILL")
@@ -316,37 +415,6 @@ fn sigkill_mid_sweep_resumes_and_reverifies_warm_cache_entries() {
         resumed, clean,
         "results after SIGKILL + resume diverged from a clean run"
     );
-    assert!(
-        !warm_files(&cache_dir).is_empty(),
-        "the killed sweep never spilled a warm snapshot — the crash smoke \
-         is vacuous"
-    );
-
-    // Phase 3: corrupt every spilled cache entry, drop the in-memory
-    // copies, and rerun the sweep from scratch. Every entry must fail
-    // verification, be invalidated, and be re-warmed — results stay
-    // byte-identical and the rewritten spill files verify cleanly.
-    for file in warm_files(&cache_dir) {
-        let mut bytes = std::fs::read(&file).expect("readable spill file");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&file, bytes).expect("writable spill file");
-    }
-    warm_cache().clear();
-    std::fs::remove_file(&manifest).expect("manifest removable");
-    let rerun = spec
-        .execute_resumable(&manifest, true)
-        .expect("rerun over corrupted cache")
-        .serialize();
-    assert_eq!(
-        rerun, clean,
-        "corrupted warm-cache entries leaked into sweep results"
-    );
-    for file in warm_files(&cache_dir) {
-        let bytes = std::fs::read(&file).expect("readable spill file");
-        snapshot::open(&bytes, &file.display().to_string())
-            .expect("every cache entry was re-verified or rewritten after corruption");
-    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

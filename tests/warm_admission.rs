@@ -84,10 +84,6 @@ fn paper_shaped() -> [(SweepSpec, usize); 2] {
 
 #[test]
 fn a_sweep_seals_on_its_second_pass_and_restores_on_its_third() {
-    if std::env::var_os("AFC_WARM_CACHE_DIR").is_some() {
-        eprintln!("skipped: AFC_WARM_CACHE_DIR makes every miss seal, by design");
-        return;
-    }
     let specs = paper_shaped();
     let units: usize = specs.iter().map(|(_, units)| units).sum();
     let reference: Vec<String> = specs
