@@ -89,7 +89,7 @@ use afc_energy::{EnergyModel, EnergyParams};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
-use afc_netsim::snapshot::{self, fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{self, fnv1a64, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use afc_traffic::runner::RunKind;
 use afc_traffic::runner::{run, RunEnv, RunOutcome, Warm, WarmStore};
 
@@ -1320,14 +1320,9 @@ impl SweepManifest {
     pub fn save(&self, path: &Path) -> Result<(), SweepError> {
         let mut w = SnapshotWriter::new();
         w.put_str(MANIFEST_TAG);
-        w.put_str(&self.sweep);
-        w.put_u64(self.fingerprint);
-        w.put_usize(self.total);
-        w.put_usize(self.jobs.len());
-        for (i, output) in &self.jobs {
-            w.put_usize(*i);
-            output.write_to(&mut w);
-        }
+        self.sweep.put(&mut w);
+        (self.fingerprint, self.total).put(&mut w);
+        self.jobs.put(&mut w);
         write_atomic(path, &snapshot::seal(w))
     }
 
@@ -1364,22 +1359,14 @@ impl SweepManifest {
 
     /// Decodes the payload after its tag, to its last byte.
     fn read(mut r: SnapshotReader<'_>) -> Result<SweepManifest, SnapshotError> {
-        let sweep = r.get_str("manifest sweep")?;
-        let fingerprint = r.get_u64("manifest fingerprint")?;
-        let total = r.get_usize("manifest total")?;
-        let count = r.get_usize("manifest job count")?;
-        let mut jobs = Vec::new();
-        for _ in 0..count {
-            let index = r.get_usize("manifest job index")?;
-            jobs.push((index, RunOutput::read_from(&mut r)?));
-        }
+        let manifest = SweepManifest {
+            sweep: Codec::get(&mut r)?,
+            fingerprint: Codec::get(&mut r)?,
+            total: Codec::get(&mut r)?,
+            jobs: Codec::get(&mut r)?,
+        };
         r.finish("sweep manifest")?;
-        Ok(SweepManifest {
-            sweep,
-            fingerprint,
-            total,
-            jobs,
-        })
+        Ok(manifest)
     }
 }
 
@@ -1437,40 +1424,27 @@ impl RunOutput {
             self.outcome,
         )
     }
+}
 
-    /// Writes every field as a typed value — floats as their bits — for a
-    /// manifest.
-    fn write_to(&self, w: &mut SnapshotWriter) {
-        w.put_str(&self.label);
-        w.put_u64(self.cycles);
-        w.put_u64(self.packets_delivered);
-        w.put_u64(self.flits_delivered);
-        w.put_f64(self.injection_rate);
-        w.put_f64(self.throughput);
-        w.put_opt_u64(self.mean_latency.map(f64::to_bits));
-        w.put_f64(self.energy_pj);
-        w.put_f64(self.backpressured_fraction);
-        w.put_f64(self.mean_deflections);
-        w.put_f64(self.delivered_fraction);
-        w.put_str(&self.outcome);
+/// Every field as a typed value — floats as their bits — for a manifest.
+impl Codec for RunOutput {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.label.put(w);
+        (self.cycles, self.packets_delivered, self.flits_delivered).put(w);
+        (self.injection_rate, self.throughput).put(w);
+        (self.mean_latency, self.energy_pj).put(w);
+        (self.backpressured_fraction, self.mean_deflections).put(w);
+        self.delivered_fraction.put(w);
+        self.outcome.put(w);
     }
-
-    /// Reads what [`RunOutput::write_to`] wrote, bit for bit.
-    fn read_from(r: &mut SnapshotReader<'_>) -> Result<RunOutput, SnapshotError> {
-        Ok(RunOutput {
-            label: r.get_str("run label")?,
-            cycles: r.get_u64("run cycles")?,
-            packets_delivered: r.get_u64("run packets delivered")?,
-            flits_delivered: r.get_u64("run flits delivered")?,
-            injection_rate: r.get_f64("run injection rate")?,
-            throughput: r.get_f64("run throughput")?,
-            mean_latency: r.get_opt_u64("run mean latency")?.map(f64::from_bits),
-            energy_pj: r.get_f64("run energy")?,
-            backpressured_fraction: r.get_f64("run backpressured fraction")?,
-            mean_deflections: r.get_f64("run mean deflections")?,
-            delivered_fraction: r.get_f64("run delivered fraction")?,
-            outcome: r.get_str("run outcome")?,
-        })
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.label.load(r)?;
+        (self.cycles, self.packets_delivered, self.flits_delivered) = Codec::get(r)?;
+        (self.injection_rate, self.throughput) = Codec::get(r)?;
+        (self.mean_latency, self.energy_pj) = Codec::get(r)?;
+        (self.backpressured_fraction, self.mean_deflections) = Codec::get(r)?;
+        self.delivered_fraction.load(r)?;
+        self.outcome.load(r)
     }
 }
 
@@ -1870,10 +1844,10 @@ mod tests {
             odd,
         ] {
             let mut w = SnapshotWriter::new();
-            out.write_to(&mut w);
+            out.put(&mut w);
             let bytes = w.into_bytes();
             let mut r = SnapshotReader::new(&bytes);
-            let back = RunOutput::read_from(&mut r).unwrap();
+            let back = RunOutput::get(&mut r).unwrap();
             r.finish("one output").unwrap();
             assert_eq!(back.serialize(), out.serialize());
             assert_eq!(back.throughput.to_bits(), out.throughput.to_bits());

@@ -7,7 +7,7 @@
 //! thresholds form a hysteresis band that prevents mode thrashing when load
 //! hovers near a single threshold (Section III-C).
 
-use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::stats::{Ewma, SlidingWindow};
 
 /// The verdict of a threshold comparison.
@@ -119,23 +119,18 @@ impl ContentionMonitor {
         self.window.reset();
         self.ewma.reset();
     }
+}
 
-    /// Serializes the monitor's mutable measurement state (window + EWMA;
-    /// thresholds are configuration and stay with the constructor).
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        self.window.save(w);
-        self.ewma.save(w);
+/// The mutable measurement state (window + EWMA); thresholds are
+/// configuration and stay with the constructor.
+impl Codec for ContentionMonitor {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.window.put(w);
+        self.ewma.put(w);
     }
-
-    /// Restores state written by [`ContentionMonitor::save`].
-    ///
-    /// # Errors
-    ///
-    /// Decode errors on a malformed payload.
-    pub fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.window = SlidingWindow::load(r)?;
-        self.ewma = Ewma::load(r)?;
-        Ok(())
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.window.load(r)?;
+        self.ewma.load(r)
     }
 }
 

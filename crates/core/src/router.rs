@@ -37,7 +37,7 @@ use afc_netsim::rng::SimRng;
 use afc_netsim::router::{
     alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs,
 };
-use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 use afc_routers::arbiter::RoundRobin;
 use afc_routers::deflection::{LatchBank, Loser};
@@ -67,6 +67,32 @@ pub enum AfcMode {
     },
     /// Credit-based operation over lazy one-flit VCs.
     Backpressured,
+}
+
+impl Codec for AfcMode {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            AfcMode::Backpressureless => 0u8.put(w),
+            AfcMode::SwitchingForward { since, complete_at } => (1u8, since, complete_at).put(w),
+            AfcMode::Backpressured => 2u8.put(w),
+        }
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = match r.get_u8("afc mode tag")? {
+            0 => AfcMode::Backpressureless,
+            1 => {
+                let (since, complete_at) = Codec::get(r)?;
+                AfcMode::SwitchingForward { since, complete_at }
+            }
+            2 => AfcMode::Backpressured,
+            _ => {
+                return Err(SnapshotError::Malformed {
+                    what: "afc mode tag",
+                })
+            }
+        };
+        Ok(())
+    }
 }
 
 /// A point-in-time view of an AFC router's adaptive state, for tooling and
@@ -989,153 +1015,82 @@ impl Router for AfcRouter {
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        match self.mode {
-            AfcMode::Backpressureless => w.put_u8(0),
-            AfcMode::SwitchingForward { since, complete_at } => {
-                w.put_u8(1);
-                w.put_u64(since);
-                w.put_u64(complete_at);
-            }
-            AfcMode::Backpressured => w.put_u8(2),
-        }
-        w.put_u32(self.flits_this_cycle);
-        w.put_u64(self.reverse_allowed_at);
-        self.monitor.save(w);
-        self.bank.save(w);
+        (self.mode, self.flits_this_cycle, self.reverse_allowed_at).put(w);
+        self.monitor.put(w);
+        self.bank.put(w);
         // Bank geometry (present ports, per-vnet capacities) is rebuilt from
         // configuration; only slot contents travel. Flat ascending slot
         // order is vnet-major, so the byte stream matches the pre-slab
         // per-vnet layout exactly.
-        for port in PortId::ALL {
-            let pi = port.index();
-            if !self.in_present[pi] {
-                continue;
-            }
+        for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
             for flat in 0..self.total_slots {
-                if self.occ_bits[pi] >> flat & 1 != 0 {
-                    w.put_bool(true);
-                    snapshot::write_flit(w, &self.slots[pi * self.total_slots + flat]);
-                } else {
-                    w.put_bool(false);
-                }
+                let slot = self.slots[pi * self.total_slots + flat];
+                (self.occ_bits[pi] >> flat & 1 != 0).then_some(slot).put(w);
             }
         }
-        for port in PortId::ALL {
-            if let Some(arb) = self.input_arb[port].as_ref() {
-                w.put_usize(arb.cursor());
-            }
+        for arb in self.input_arb.iter().flat_map(|(_, arb)| arb) {
+            arb.put(w);
         }
-        for port in PortId::ALL {
-            w.put_usize(self.output_arb[port].cursor());
+        self.output_arb.put(w);
+        for d in Direction::ALL {
+            self.tracking[d].put(w);
         }
         for d in Direction::ALL {
-            w.put_bool(self.tracking[d]);
+            self.credits[d][..].put(w);
         }
-        for d in Direction::ALL {
-            for c in &self.credits[d] {
-                w.put_u64(*c);
-            }
-        }
-        self.resync.save(w);
-        w.put_usize(self.overflow_scratch.len());
-        for f in &self.overflow_scratch {
-            snapshot::write_flit(w, f);
-        }
-        self.counters.save(w);
-        self.fa.save(w);
+        self.resync.put(w);
+        self.overflow_scratch.put(w);
+        self.counters.put(w);
+        self.fa.put(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.mode = match r.get_u8("afc mode tag")? {
-            0 => AfcMode::Backpressureless,
-            1 => {
-                let since = r.get_u64("afc switch since")?;
-                let complete_at = r.get_u64("afc switch complete_at")?;
-                AfcMode::SwitchingForward { since, complete_at }
-            }
-            2 => AfcMode::Backpressured,
-            _ => {
-                return Err(SnapshotError::Malformed {
-                    what: "afc mode tag",
-                })
-            }
-        };
-        self.flits_this_cycle = r.get_u32("afc flits this cycle")?;
-        self.reverse_allowed_at = r.get_u64("afc reverse dwell")?;
-        self.monitor.restore(r)?;
+        self.mode.load(r)?;
+        self.flits_this_cycle.load(r)?;
+        self.reverse_allowed_at.load(r)?;
+        Codec::load(&mut self.monitor, r)?;
         self.bank.load(r, "afc latch count")?;
-        let mut buffered = 0usize;
-        for port in PortId::ALL {
-            let pi = port.index();
-            if !self.in_present[pi] {
-                continue;
-            }
-            let mut occ = 0u64;
+        self.buffered = 0;
+        for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
+            self.occ_bits[pi] = 0;
             for flat in 0..self.total_slots {
                 if r.get_bool("afc buffer slot occupancy")? {
-                    let f = snapshot::read_flit(r)?;
                     let lane = pi * self.total_slots + flat;
+                    self.slots[lane].load(r)?;
                     // The clean-route cache is derived state: recompute it
                     // rather than persist it.
-                    self.slot_route[lane] = self.clean_route8(&f);
-                    self.slots[lane] = f;
-                    occ |= 1u64 << flat;
-                    buffered += 1;
+                    self.slot_route[lane] = self.clean_route8(&self.slots[lane]);
+                    self.occ_bits[pi] |= 1 << flat;
+                    self.buffered += 1;
                 }
             }
-            self.occ_bits[pi] = occ;
         }
-        self.buffered = buffered;
-        for port in PortId::ALL {
-            if let Some(arb) = self.input_arb[port].as_mut() {
-                let c = r.get_usize("afc input arbiter cursor")?;
-                if c >= arb.len() {
-                    return Err(SnapshotError::Malformed {
-                        what: "afc input arbiter cursor",
-                    });
-                }
-                arb.set_cursor(c);
-            }
+        for arb in self.input_arb.iter_mut().flat_map(|(_, arb)| arb) {
+            arb.load(r)?;
         }
-        for port in PortId::ALL {
-            let c = r.get_usize("afc output arbiter cursor")?;
-            let arb = &mut self.output_arb[port];
-            if c >= arb.len() {
+        self.output_arb.load(r)?;
+        for d in Direction::ALL {
+            self.tracking[d].load(r)?;
+        }
+        for d in Direction::ALL {
+            self.credits[d][..].load(r)?;
+            let over = |(c, cap): (&u64, &usize)| *c > *cap as u64;
+            if self.credits[d].iter().zip(&self.vnet_capacity).any(over) {
                 return Err(SnapshotError::Malformed {
-                    what: "afc output arbiter cursor",
+                    what: "afc credit count",
                 });
-            }
-            arb.set_cursor(c);
-        }
-        for d in Direction::ALL {
-            self.tracking[d] = r.get_bool("afc tracking flag")?;
-        }
-        for d in Direction::ALL {
-            for v in 0..self.vnet_capacity.len() {
-                let c = r.get_u64("afc credit count")?;
-                if c > self.vnet_capacity[v] as u64 {
-                    return Err(SnapshotError::Malformed {
-                        what: "afc credit count",
-                    });
-                }
-                self.credits[d][v] = c;
             }
         }
         self.resync.load(r)?;
-        let n = r.get_usize("afc overflow count")?;
-        if n > PortId::ALL.len() {
+        self.overflow_scratch.load(r)?;
+        if self.overflow_scratch.len() > PortId::ALL.len() {
             return Err(SnapshotError::Malformed {
                 what: "afc overflow count",
             });
         }
-        self.overflow_scratch.clear();
-        for _ in 0..n {
-            self.overflow_scratch.push(snapshot::read_flit(r)?);
-        }
-        self.counters = ActivityCounters::load(r)?;
-        self.fa.load(r)?;
-        Ok(())
+        self.counters.load(r)?;
+        self.fa.load(r)
     }
 }
 

@@ -29,7 +29,7 @@
 use crate::flit::{Cycle, Flit, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId};
 use crate::kernel::Lanes;
-use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// A buffer-release token flowing upstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,115 +171,81 @@ impl Delivery {
     }
 }
 
-fn write_credit(w: &mut SnapshotWriter, c: Credit) {
-    match c {
-        Credit::Vc(vc) => {
-            w.put_u8(0);
-            w.put_u8(vc.0);
+impl Codec for Credit {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            Credit::Vc(vc) => (0u8, vc).put(w),
+            Credit::Vnet(vnet) => (1u8, vnet).put(w),
         }
-        Credit::Vnet(vn) => {
-            w.put_u8(1);
-            w.put_u8(vn.0);
-        }
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = match r.get_u8("credit tag")? {
+            0 => Credit::Vc(Codec::get(r)?),
+            1 => Credit::Vnet(Codec::get(r)?),
+            _ => return Err(SnapshotError::Malformed { what: "credit tag" }),
+        };
+        Ok(())
     }
 }
 
-fn read_credit(r: &mut SnapshotReader<'_>) -> Result<Credit, SnapshotError> {
-    Ok(match r.get_u8("credit tag")? {
-        0 => Credit::Vc(VcId(r.get_u8("credit vc")?)),
-        1 => Credit::Vnet(VirtualNetwork(r.get_u8("credit vnet")?)),
-        _ => return Err(SnapshotError::Malformed { what: "credit tag" }),
-    })
-}
-
-fn write_control(w: &mut SnapshotWriter, s: ControlSignal) {
-    match s {
-        ControlSignal::StartCreditTracking => w.put_u8(0),
-        ControlSignal::StopCreditTracking => w.put_u8(1),
-        ControlSignal::LinkFault {
-            node,
-            dir,
-            epoch,
-            alive,
-        } => {
-            w.put_u8(2);
-            w.put_usize(node.index());
-            w.put_u8(dir.index() as u8);
-            w.put_u32(epoch);
-            w.put_bool(alive);
-        }
-        ControlSignal::CreditResync { node, dir, epoch } => {
-            w.put_u8(3);
-            w.put_usize(node.index());
-            w.put_u8(dir.index() as u8);
-            w.put_u32(epoch);
-        }
-    }
-}
-
-fn read_control(r: &mut SnapshotReader<'_>) -> Result<ControlSignal, SnapshotError> {
-    Ok(match r.get_u8("control tag")? {
-        0 => ControlSignal::StartCreditTracking,
-        1 => ControlSignal::StopCreditTracking,
-        2 => {
-            let node = NodeId::new(r.get_usize("control fault node")?);
-            let dir = Direction::from_index(r.get_u8("control fault direction")? as usize).ok_or(
-                SnapshotError::Malformed {
-                    what: "control fault direction",
-                },
-            )?;
-            let epoch = r.get_u32("control fault epoch")?;
-            let alive = r.get_bool("control fault alive")?;
+/// A link fact's body is `(node, dir, epoch, alive)`, as the fault
+/// awareness stores it ([`FaultAwareness`](crate::fault_aware::FaultAwareness)).
+impl Codec for ControlSignal {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            ControlSignal::StartCreditTracking => 0u8.put(w),
+            ControlSignal::StopCreditTracking => 1u8.put(w),
             ControlSignal::LinkFault {
                 node,
                 dir,
                 epoch,
                 alive,
+            } => (2u8, (node, dir, epoch, alive)).put(w),
+            ControlSignal::CreditResync { node, dir, epoch } => (3u8, (node, dir, epoch)).put(w),
+        }
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = match r.get_u8("control tag")? {
+            0 => ControlSignal::StartCreditTracking,
+            1 => ControlSignal::StopCreditTracking,
+            2 => {
+                let (node, dir, epoch, alive) = Codec::get(r)?;
+                ControlSignal::LinkFault {
+                    node,
+                    dir,
+                    epoch,
+                    alive,
+                }
             }
-        }
-        3 => {
-            let node = NodeId::new(r.get_usize("control resync node")?);
-            let dir = Direction::from_index(r.get_u8("control resync direction")? as usize).ok_or(
-                SnapshotError::Malformed {
-                    what: "control resync direction",
-                },
-            )?;
-            let epoch = r.get_u32("control resync epoch")?;
-            ControlSignal::CreditResync { node, dir, epoch }
-        }
-        _ => {
-            return Err(SnapshotError::Malformed {
-                what: "control tag",
-            })
-        }
-    })
-}
-
-fn write_slot<T: Copy>(
-    w: &mut SnapshotWriter,
-    slot: &LaneSlot<T>,
-    put: fn(&mut SnapshotWriter, T),
-) {
-    w.put_u8(slot.len);
-    for &item in slot.as_slice() {
-        put(w, item);
+            3 => {
+                let (node, dir, epoch) = Codec::get(r)?;
+                ControlSignal::CreditResync { node, dir, epoch }
+            }
+            _ => {
+                return Err(SnapshotError::Malformed {
+                    what: "control tag",
+                })
+            }
+        };
+        Ok(())
     }
 }
 
-fn read_slot<T: Copy>(
-    r: &mut SnapshotReader<'_>,
-    mut slot: LaneSlot<T>,
-    what: &'static str,
-    get: fn(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<LaneSlot<T>, SnapshotError> {
-    let n = r.get_u8(what)?;
-    if n as usize > LANE_CAP {
-        return Err(SnapshotError::Malformed { what });
+/// One byte of length, then the items.
+impl<T: Codec + Copy> Codec for LaneSlot<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.len.put(w);
+        self.as_slice().put(w);
     }
-    for _ in 0..n {
-        slot.push(get(r)?);
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.len = r.get_u8("lane slot length")?;
+        let items = self.items.get_mut(..self.len as usize);
+        items
+            .ok_or(SnapshotError::Malformed {
+                what: "lane slot length",
+            })?
+            .load(r)
     }
-    Ok(slot)
 }
 
 /// `due` stamp of a slot that has never been written (or was reset): no
@@ -572,18 +538,11 @@ impl LinkWheel {
         let ticks = self.arrival_ticks(now);
         for c in 0..self.links {
             for t in &ticks {
-                match self.flit_at(t, c) {
-                    Some(f) => {
-                        w.put_bool(true);
-                        snapshot::write_flit(w, &f);
-                    }
-                    None => w.put_bool(false),
-                }
+                self.flit_at(t, c).put(w);
             }
             for t in &ticks[..self.rev_delay as usize] {
                 let slot = self.rev_at(t, c).unwrap_or(&RevSlot::EMPTY);
-                write_slot(w, &slot.credits, write_credit);
-                write_slot(w, &slot.control, write_control);
+                (slot.credits, slot.control).put(w);
             }
         }
     }
@@ -599,33 +558,19 @@ impl LinkWheel {
         let ticks = self.arrival_ticks(now);
         for c in 0..self.links {
             for t in &ticks {
-                if r.get_bool("link flit presence")? {
-                    self.fwd[t.fwd_read(c)] = FwdSlot {
-                        due: t.now,
-                        flit: Some(snapshot::read_flit(r)?),
-                    };
+                let slot = &mut self.fwd[t.fwd_read(c)];
+                slot.flit.load(r)?;
+                if slot.flit.is_some() {
+                    slot.due = t.now;
                     self.last_due[c].fwd = t.now;
                 }
             }
             for t in &ticks[..self.rev_delay as usize] {
-                let credits = read_slot(
-                    r,
-                    LaneSlot::<Credit>::EMPTY,
-                    "credit slot length",
-                    read_credit,
-                )?;
-                let control = read_slot(
-                    r,
-                    LaneSlot::<ControlSignal>::EMPTY,
-                    "control slot length",
-                    read_control,
-                )?;
-                if !(credits.is_empty() && control.is_empty()) {
-                    self.rev[t.rev_read(c)] = RevSlot {
-                        due: t.now,
-                        credits,
-                        control,
-                    };
+                let slot = &mut self.rev[t.rev_read(c)];
+                slot.credits.load(r)?;
+                slot.control.load(r)?;
+                if !(slot.credits.is_empty() && slot.control.is_empty()) {
+                    slot.due = t.now;
                     self.last_due[c].rev = t.now;
                 }
             }

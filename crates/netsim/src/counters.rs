@@ -108,8 +108,6 @@ mod tests {
         assert_ne!(sample.buffer_writes, sample.fault_notices);
         crate::stats::tests::assert_field_wall(
             sample,
-            ActivityCounters::save,
-            ActivityCounters::load,
             ActivityCounters::merge,
             ActivityCounters::clear,
         );

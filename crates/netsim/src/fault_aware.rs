@@ -48,7 +48,7 @@ use crate::counters::ActivityCounters;
 use crate::flit::Cycle;
 use crate::geom::{DirMap, Direction, NodeId};
 use crate::router::RouterOutputs;
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::topology::Mesh;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -394,90 +394,49 @@ impl FaultAwareness {
         });
         self.dirty = false;
     }
+}
 
-    /// Serializes the fault state (fact map, gossip queue, first-fault
-    /// cycle). The routing table and cached masks are derived state and are
-    /// rebuilt on load.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.facts.len());
-        for (&(node, dir), fact) in &self.facts {
-            w.put_usize(node);
-            w.put_u8(dir);
-            w.put_u32(fact.epoch);
-            w.put_bool(fact.alive);
+/// The fault state: the fact map and the gossip queue as `(node, dir,
+/// epoch, alive)` link facts — the body of a [`ControlSignal::LinkFault`] —
+/// then the first-fault cycle. The routing table and the cached masks are
+/// derived: a load recomputes the masks and marks the table for rebuild.
+impl Codec for FaultAwareness {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.facts.len().put(w);
+        for (&(node, dir), f) in &self.facts {
+            let fact = (
+                NodeId::new(node),
+                Direction::ALL[dir as usize],
+                f.epoch,
+                f.alive,
+            );
+            fact.put(w);
         }
-        w.put_usize(self.pending_gossip.len());
-        for &(node, dir, epoch, alive) in &self.pending_gossip {
-            w.put_usize(node.index());
-            w.put_u8(dir.index() as u8);
-            w.put_u32(epoch);
-            w.put_bool(alive);
-        }
-        match self.first_fault_at {
-            Some(cycle) => {
-                w.put_bool(true);
-                w.put_u64(cycle);
-            }
-            None => w.put_bool(false),
-        }
+        self.pending_gossip.put(w);
+        self.first_fault_at.put(w);
     }
 
-    /// Restores state written by [`FaultAwareness::save`], recomputing the
-    /// derived masks and marking the routing table for rebuild.
-    pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let nodes = self.mesh.node_count();
-        let known = r.get_usize("fault-awareness fact count")?;
-        self.facts.clear();
-        self.dead_count = 0;
-        self.dead_out = DirMap::default();
-        self.dead_in = DirMap::default();
-        self.pending_gossip.clear();
-        self.first_fault_at = None;
-        for _ in 0..known {
-            let node = r.get_usize("fault-awareness fact node")?;
-            let dir = r.get_u8("fault-awareness fact direction")?;
-            let epoch = r.get_u32("fault-awareness fact epoch")?;
-            let alive = r.get_bool("fault-awareness fact alive")?;
-            if node >= nodes || Direction::from_index(dir as usize).is_none() || epoch == 0 {
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.reset();
+        for _ in 0..r.get_u64("fault-awareness fact count")? {
+            let (node, d, epoch, alive): (NodeId, Direction, u32, bool) = Codec::get(r)?;
+            let key = (node.index(), d.index() as u8);
+            if epoch == 0 || self.facts.insert(key, LinkFact { epoch, alive }).is_some() {
                 return Err(SnapshotError::Malformed {
                     what: "fault-awareness fact",
                 });
             }
-            self.facts.insert((node, dir), LinkFact { epoch, alive });
-            if !alive {
-                self.dead_count += 1;
-            }
-            let d = Direction::from_index(dir as usize).expect("checked above");
-            if node == self.node.index() {
+            self.dead_count += !alive as usize;
+            if node == self.node {
                 self.dead_out[d] = !alive;
             }
-            if self.mesh.neighbor(NodeId::new(node), d) == Some(self.node) {
+            if self.mesh.neighbor(node, d) == Some(self.node) {
                 self.dead_in[d.opposite()] = !alive;
             }
         }
-        for _ in 0..r.get_usize("fault-awareness gossip count")? {
-            let node = r.get_usize("fault-awareness gossip node")?;
-            let dir = r.get_u8("fault-awareness gossip direction")?;
-            let epoch = r.get_u32("fault-awareness gossip epoch")?;
-            let alive = r.get_bool("fault-awareness gossip alive")?;
-            let Some(d) = Direction::from_index(dir as usize) else {
-                return Err(SnapshotError::Malformed {
-                    what: "fault-awareness gossip direction",
-                });
-            };
-            if node >= nodes {
-                return Err(SnapshotError::Malformed {
-                    what: "fault-awareness gossip node",
-                });
-            }
-            self.pending_gossip
-                .push_back((NodeId::new(node), d, epoch, alive));
-        }
-        if r.get_bool("fault-awareness first-fault presence")? {
-            self.first_fault_at = Some(r.get_u64("fault-awareness first-fault cycle")?);
-        }
+        self.pending_gossip.load(r)?;
+        self.first_fault_at.load(r)?;
         self.dirty = !self.facts.is_empty();
-        self.table.clear();
         Ok(())
     }
 }
@@ -613,35 +572,26 @@ impl ResyncHandshake {
     pub fn reset(&mut self) {
         *self = ResyncHandshake::default();
     }
+}
 
-    /// Serializes the handshake: per direction the wait flag, then the
-    /// pending epoch behind a presence flag.
-    pub fn save(&self, w: &mut SnapshotWriter) {
+/// Per direction the wait flag, then the pending epoch as an `Option`.
+impl Codec for ResyncHandshake {
+    fn put(&self, w: &mut SnapshotWriter) {
         for d in Direction::ALL {
             let bit = 1 << d.index();
-            w.put_bool(self.wait & bit != 0);
-            w.put_bool(self.pending & bit != 0);
-            if self.pending & bit != 0 {
-                w.put_u32(self.pending_epoch[d]);
-            }
+            let pending = (self.pending & bit != 0).then_some(self.pending_epoch[d]);
+            (self.wait & bit != 0, pending).put(w);
         }
     }
 
-    /// Restores state written by [`ResyncHandshake::save`].
-    ///
-    /// # Errors
-    ///
-    /// Decode errors on a truncated payload.
-    pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.reset();
         for d in Direction::ALL {
-            let bit = 1 << d.index();
-            if r.get_bool("resync wait")? {
-                self.wait |= bit;
-            }
-            if r.get_bool("resync pending presence")? {
-                self.pending |= bit;
-                self.pending_epoch[d] = r.get_u32("resync pending epoch")?;
+            let (wait, pending): (bool, Option<u32>) = Codec::get(r)?;
+            self.wait |= (wait as u8) << d.index();
+            if let Some(epoch) = pending {
+                self.pending |= 1 << d.index();
+                self.pending_epoch[d] = epoch;
             }
         }
         Ok(())
@@ -1009,14 +959,14 @@ mod tests {
         fa.learn(NodeId::new(0), Direction::South, 1, false, 9);
         fa.learn(NodeId::new(0), Direction::South, 2, true, 20);
         let mut w = SnapshotWriter::new();
-        fa.save(&mut w);
+        fa.put(&mut w);
         let bytes = w.into_bytes();
         let mut restored = FaultAwareness::new(NodeId::new(4), mesh);
         let mut r = SnapshotReader::new(&bytes);
         restored.load(&mut r).unwrap();
         r.finish("fault awareness").unwrap();
         let mut w2 = SnapshotWriter::new();
-        restored.save(&mut w2);
+        restored.put(&mut w2);
         assert_eq!(bytes, w2.into_bytes());
         assert!(restored.dead_out(Direction::East));
         assert!(restored.has_pending_gossip());
@@ -1065,7 +1015,7 @@ mod tests {
         // Handshakes in flight survive a snapshot, byte for byte.
         let bytes = |h: &ResyncHandshake| {
             let mut w = SnapshotWriter::new();
-            h.save(&mut w);
+            h.put(&mut w);
             w.into_bytes()
         };
         for (live, holds, owes) in [(&mut at_up, true, false), (&mut at_down, false, true)] {

@@ -831,7 +831,7 @@ pub enum FlitFate {
 }
 
 /// One injected fault, as recorded in the network's fault log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultEvent {
     /// Cycle of the event.
     pub cycle: Cycle,
@@ -844,7 +844,7 @@ pub struct FaultEvent {
 }
 
 /// The kind of an injected fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultEventKind {
     /// A flit was dropped on the link.
     FlitDropped {
@@ -861,6 +861,7 @@ pub enum FaultEventKind {
         seq: u16,
     },
     /// A credit was lost on the reverse lane.
+    #[default]
     CreditLost,
 }
 

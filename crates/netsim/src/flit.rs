@@ -14,7 +14,7 @@ use std::fmt;
 pub type Cycle = u64;
 
 /// Globally unique packet identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -63,9 +63,10 @@ impl fmt::Display for VcId {
 }
 
 /// Semantic class of a packet, used by closed-loop traffic models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PacketKind {
     /// Coherence/memory request (expected reply).
+    #[default]
     Request,
     /// Reply carrying data or acknowledgement.
     Response,
@@ -93,7 +94,7 @@ pub enum FlitPosition {
 /// Flits are small, `Copy`, and self-contained: any flit can be routed on its
 /// own (flit-by-flit routing), reassembled at the destination via
 /// (`packet`, `seq`, `len`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,

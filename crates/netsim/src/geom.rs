@@ -14,7 +14,7 @@ use std::fmt;
 /// let n = NodeId::new(4);
 /// assert_eq!(n.index(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -87,9 +87,10 @@ impl fmt::Display for Coord {
 }
 
 /// One of the four mesh directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Direction {
     /// Toward decreasing `y`.
+    #[default]
     North,
     /// Toward increasing `y`.
     South,

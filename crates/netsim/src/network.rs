@@ -22,7 +22,7 @@ use crate::channel::LinkWheel;
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, LinkEvent};
+use crate::faults::{FaultEvent, FaultPlane, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId};
 use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame};
@@ -30,7 +30,7 @@ use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
 use crate::router::{alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs};
-use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
 use std::collections::VecDeque;
@@ -123,28 +123,23 @@ impl ActiveSet {
             .sum()
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        for word in &self.words {
-            w.put_u64(word.load(Relaxed));
-        }
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.words.iter().for_each(|word| word.load(Relaxed).put(w));
     }
 
-    /// Reads a set over `len` members written by [`ActiveSet::save`],
-    /// rejecting stray bits beyond the member range.
-    fn load(r: &mut SnapshotReader<'_>, len: usize) -> Result<ActiveSet, SnapshotError> {
-        let words = (0..len.div_ceil(64))
-            .map(|_| r.get_u64("active-set word").map(AtomicU64::new))
-            .collect::<Result<Box<[_]>, _>>()?;
-        if !len.is_multiple_of(64) {
-            if let Some(last) = words.last() {
-                if last.load(Relaxed) & !((1u64 << (len % 64)) - 1) != 0 {
-                    return Err(SnapshotError::Malformed {
-                        what: "active-set tail bits",
-                    });
-                }
-            }
+    /// Loads in place what [`ActiveSet::put`] wrote for a set over `len`
+    /// members, rejecting stray bits beyond the member range.
+    fn load(&mut self, r: &mut SnapshotReader<'_>, len: usize) -> Result<(), SnapshotError> {
+        for word in self.words.iter_mut() {
+            word.get_mut().load(r)?;
         }
-        Ok(ActiveSet { words })
+        let last = self.words.last().map_or(0, |word| word.load(Relaxed));
+        match len.is_multiple_of(64) || last >> (len % 64) == 0 {
+            true => Ok(()),
+            false => Err(SnapshotError::Malformed {
+                what: "active-set tail bits",
+            }),
+        }
     }
 }
 
@@ -225,58 +220,6 @@ fn deliver_channel<R: Router>(
         Some(flit) => cx.deliver_flit(c, flit),
         None => Ok(()),
     }
-}
-
-fn write_fault_event(w: &mut SnapshotWriter, ev: &FaultEvent) {
-    w.put_u64(ev.cycle);
-    w.put_usize(ev.from.index());
-    w.put_u8(ev.dir.index() as u8);
-    match ev.kind {
-        FaultEventKind::FlitDropped { packet, seq } => {
-            w.put_u8(0);
-            w.put_u64(packet.0);
-            w.put_u16(seq);
-        }
-        FaultEventKind::FlitCorrupted { packet, seq } => {
-            w.put_u8(1);
-            w.put_u64(packet.0);
-            w.put_u16(seq);
-        }
-        FaultEventKind::CreditLost => w.put_u8(2),
-    }
-}
-
-fn read_fault_event(r: &mut SnapshotReader<'_>) -> Result<FaultEvent, SnapshotError> {
-    let cycle = r.get_u64("fault event cycle")?;
-    let from = NodeId::new(r.get_usize("fault event node")?);
-    let dir = Direction::from_index(r.get_u8("fault event direction")? as usize).ok_or(
-        SnapshotError::Malformed {
-            what: "fault event direction",
-        },
-    )?;
-    let kind = match r.get_u8("fault event kind")? {
-        tag @ (0 | 1) => {
-            let packet = PacketId(r.get_u64("fault event packet")?);
-            let seq = r.get_u16("fault event seq")?;
-            if tag == 0 {
-                FaultEventKind::FlitDropped { packet, seq }
-            } else {
-                FaultEventKind::FlitCorrupted { packet, seq }
-            }
-        }
-        2 => FaultEventKind::CreditLost,
-        _ => {
-            return Err(SnapshotError::Malformed {
-                what: "fault event kind",
-            })
-        }
-    };
-    Ok(FaultEvent {
-        cycle,
-        from,
-        dir,
-        kind,
-    })
 }
 
 /// Approximate heap usage of a [`Network`], broken down by component
@@ -1531,86 +1474,35 @@ impl Network {
     pub fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         // Fingerprint: everything restore() verifies before touching state.
         w.put_str(self.mechanism);
-        w.put_u16(self.mesh.width());
-        w.put_u16(self.mesh.height());
-        w.put_u32(self.config.vnet_count() as u32);
-        w.put_u64(self.config.link_latency);
+        (self.mesh.width(), self.mesh.height()).put(w);
+        (self.config.vnet_count() as u32, self.config.link_latency).put(w);
 
-        w.put_u64(self.now);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        for word in self.fault_rng.state() {
-            w.put_u64(word);
-        }
-        self.acc.stats.save(w);
-        w.put_u64(self.next_packet_id);
-
+        self.now.put(w);
+        self.rng.put(w);
+        self.fault_rng.put(w);
+        self.acc.stats.put(w);
+        self.next_packet_id.put(w);
         for r in self.routers.iter() {
             r.save_state(w)?;
         }
-        for ni in &self.nis {
-            ni.save(w);
-        }
+        self.nis[..].put(w);
         self.wheel.save(w, self.now);
-
-        w.put_usize(self.acc.nack_queue.len());
-        for (ready, flit) in &self.acc.nack_queue {
-            w.put_u64(*ready);
-            snapshot::write_flit(w, flit);
-        }
-        w.put_usize(self.ack_queue.len());
-        for (ready, src, id) in &self.ack_queue {
-            w.put_u64(*ready);
-            w.put_usize(src.index());
-            w.put_u64(id.0);
-        }
-        for held in &self.held {
-            w.put_usize(held.len());
-            for flit in held {
-                snapshot::write_flit(w, flit);
-            }
-        }
-        w.put_usize(self.fault_log.len());
-        for ev in &self.fault_log {
-            write_fault_event(w, ev);
-        }
-        w.put_usize(self.unreachable_packets.len());
-        for u in &self.unreachable_packets {
-            w.put_u64(u.id.0);
-            w.put_usize(u.src.index());
-            w.put_usize(u.dest.index());
-            w.put_u32(u.attempts);
-            w.put_u64(u.gave_up_at);
-        }
-
-        w.put_u64(self.acc.credits_pushed);
-        w.put_u64(self.acc.credits_delivered);
-        w.put_u64(self.acc.credits_faulted);
-        w.put_u64(self.last_progress);
-        w.put_u64(self.last_progress_cycle);
-        w.put_usize(self.audit_baseline);
-
-        match &self.offer_log {
-            Some(log) => {
-                w.put_bool(true);
-                w.put_usize(log.len());
-                for (cycle, src, input) in log {
-                    w.put_u64(*cycle);
-                    w.put_usize(src.index());
-                    snapshot::write_packet_input(w, input);
-                }
-            }
-            None => w.put_bool(false),
-        }
-
-        self.router_active.save(w);
-        self.chan_active.save(w);
-        self.ni_send_active.save(w);
-        self.ni_delivered.save(w);
-        for &upto in &self.accounted_upto {
-            w.put_u64(upto);
-        }
+        self.acc.nack_queue.put(w);
+        self.ack_queue.put(w);
+        self.held[..].put(w);
+        self.fault_log.put(w);
+        self.unreachable_packets.put(w);
+        self.acc.credits_pushed.put(w);
+        self.acc.credits_delivered.put(w);
+        self.acc.credits_faulted.put(w);
+        (self.last_progress, self.last_progress_cycle).put(w);
+        self.audit_baseline.put(w);
+        self.offer_log.put(w);
+        self.router_active.put(w);
+        self.chan_active.put(w);
+        self.ni_send_active.put(w);
+        self.ni_delivered.put(w);
+        self.accounted_upto[..].put(w);
         Ok(())
     }
 
@@ -1620,7 +1512,8 @@ impl Network {
     /// cache, retransmit-queue depth, NI high-water max) is recomputed
     /// from the restored components rather than trusted from the payload,
     /// so a decoding bug surfaces as a conservation-audit failure instead
-    /// of silent drift.
+    /// of silent drift. Every node id decoded from here on is checked
+    /// against this mesh.
     ///
     /// On error the network may be partially overwritten and must be
     /// discarded; restore into a freshly constructed network.
@@ -1631,145 +1524,60 @@ impl Network {
     /// with this network; decode errors on a malformed payload;
     /// [`SnapshotError::Unsupported`] if a router lacks state capture.
     pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let mechanism = r.get_str("fingerprint mechanism")?;
-        if mechanism != self.mechanism {
-            return Err(SnapshotError::ContextMismatch {
-                what: "mechanism",
-                snapshot: mechanism,
-                current: self.mechanism.to_string(),
-            });
-        }
-        let width = r.get_u16("fingerprint mesh width")?;
-        let height = r.get_u16("fingerprint mesh height")?;
-        if (width, height) != (self.mesh.width(), self.mesh.height()) {
-            return Err(SnapshotError::ContextMismatch {
-                what: "mesh dimensions",
-                snapshot: format!("{width}x{height}"),
-                current: format!("{}x{}", self.mesh.width(), self.mesh.height()),
-            });
-        }
-        let vnets = r.get_u32("fingerprint vnet count")?;
-        if vnets as usize != self.config.vnet_count() {
-            return Err(SnapshotError::ContextMismatch {
-                what: "vnet count",
-                snapshot: vnets.to_string(),
-                current: self.config.vnet_count().to_string(),
-            });
-        }
-        let link_latency = r.get_u64("fingerprint link latency")?;
-        if link_latency != self.config.link_latency {
-            return Err(SnapshotError::ContextMismatch {
-                what: "link latency",
-                snapshot: link_latency.to_string(),
-                current: self.config.link_latency.to_string(),
-            });
-        }
+        let expect = |what, snapshot: String, current: String| match snapshot == current {
+            true => Ok(()),
+            false => Err(SnapshotError::ContextMismatch {
+                what,
+                snapshot,
+                current,
+            }),
+        };
+        expect("mechanism", String::get(r)?, self.mechanism.to_string())?;
+        let (width, height): (u16, u16) = Codec::get(r)?;
+        let mesh = (self.mesh.width(), self.mesh.height());
+        let dims = |(w, h): (u16, u16)| format!("{w}x{h}");
+        expect("mesh dimensions", dims((width, height)), dims(mesh))?;
+        let vnets = self.config.vnet_count().to_string();
+        expect("vnet count", u32::get(r)?.to_string(), vnets)?;
+        let latency = self.config.link_latency.to_string();
+        expect("link latency", u64::get(r)?.to_string(), latency)?;
 
-        self.now = r.get_u64("network now")?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64("network rng state")?;
-        }
-        self.rng = SimRng::from_state(rng_state);
-        let mut fault_state = [0u64; 4];
-        for word in &mut fault_state {
-            *word = r.get_u64("network fault rng state")?;
-        }
-        self.fault_rng = SimRng::from_state(fault_state);
-        self.acc.stats = NetworkStats::load(r)?;
-        self.next_packet_id = r.get_u64("network next packet id")?;
-
+        r.set_node_count(self.nis.len());
+        self.now.load(r)?;
+        self.rng.load(r)?;
+        self.fault_rng.load(r)?;
+        self.acc.stats.load(r)?;
+        self.next_packet_id.load(r)?;
         for i in 0..self.routers.len() {
             self.routers.router_mut(i).load_state(r)?;
         }
-        for ni in &mut self.nis {
-            ni.load(r)?;
-        }
+        self.nis[..].load(r)?;
         self.wheel.load(r, self.now)?;
-
-        let nacks = r.get_usize("nack queue length")?;
-        self.acc.nack_queue.clear();
-        for _ in 0..nacks {
-            let ready = r.get_u64("nack ready cycle")?;
-            let flit = snapshot::read_flit(r)?;
-            self.acc.nack_queue.push((ready, flit));
-        }
-        let acks = r.get_usize("ack queue length")?;
-        self.ack_queue.clear();
-        for _ in 0..acks {
-            let ready = r.get_u64("ack ready cycle")?;
-            let src = NodeId::new(r.get_usize("ack source")?);
-            if src.index() >= self.nis.len() {
-                return Err(SnapshotError::Malformed { what: "ack source" });
-            }
-            let id = PacketId(r.get_u64("ack packet id")?);
-            self.ack_queue.push((ready, src, id));
-        }
-        self.held_flits = 0;
-        for held in &mut self.held {
-            let n = r.get_usize("held flit count")?;
-            held.clear();
-            for _ in 0..n {
-                held.push_back(snapshot::read_flit(r)?);
-            }
-            self.held_flits += n;
-        }
-        let faults = r.get_usize("fault log length")?;
-        if faults > Self::FAULT_LOG_CAP {
+        self.acc.nack_queue.load(r)?;
+        self.ack_queue.load(r)?;
+        self.held[..].load(r)?;
+        self.held_flits = self.held.iter().map(VecDeque::len).sum();
+        self.fault_log.load(r)?;
+        self.unreachable_packets.load(r)?;
+        if self.fault_log.len() > Self::FAULT_LOG_CAP
+            || self.unreachable_packets.len() > Self::UNREACHABLE_LOG_CAP
+        {
             return Err(SnapshotError::Malformed {
-                what: "fault log length",
+                what: "fault or unreachable log length",
             });
         }
-        self.fault_log.clear();
-        for _ in 0..faults {
-            self.fault_log.push(read_fault_event(r)?);
-        }
-        self.unreachable_packets.clear();
-        let unreachable = r.get_usize("unreachable log length")?;
-        if unreachable > Self::UNREACHABLE_LOG_CAP {
-            return Err(SnapshotError::Malformed {
-                what: "unreachable log length",
-            });
-        }
-        for _ in 0..unreachable {
-            self.unreachable_packets.push(UnreachablePacket {
-                id: PacketId(r.get_u64("unreachable packet id")?),
-                src: NodeId::new(r.get_usize("unreachable src")?),
-                dest: NodeId::new(r.get_usize("unreachable dest")?),
-                attempts: r.get_u32("unreachable attempts")?,
-                gave_up_at: r.get_u64("unreachable cycle")?,
-            });
-        }
-
-        self.acc.credits_pushed = r.get_u64("credits pushed")?;
-        self.acc.credits_delivered = r.get_u64("credits delivered")?;
-        self.acc.credits_faulted = r.get_u64("credits faulted")?;
-        self.last_progress = r.get_u64("last progress")?;
-        self.last_progress_cycle = r.get_u64("last progress cycle")?;
-        self.audit_baseline = r.get_usize("audit baseline")?;
-
-        self.offer_log = if r.get_bool("offer log presence")? {
-            let n = r.get_usize("offer log length")?;
-            let mut log = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let cycle = r.get_u64("offer log cycle")?;
-                let src = NodeId::new(r.get_usize("offer log source")?);
-                let input = snapshot::read_packet_input(r)?;
-                log.push((cycle, src, input));
-            }
-            Some(log)
-        } else {
-            None
-        };
-
+        self.acc.credits_pushed.load(r)?;
+        self.acc.credits_delivered.load(r)?;
+        self.acc.credits_faulted.load(r)?;
+        (self.last_progress, self.last_progress_cycle) = Codec::get(r)?;
+        self.audit_baseline.load(r)?;
+        self.offer_log.load(r)?;
         let n = self.nis.len();
-        self.router_active = ActiveSet::load(r, n)?;
-        self.chan_active = ActiveSet::load(r, self.ends.len())?;
-        self.ni_send_active = ActiveSet::load(r, n)?;
-        self.ni_delivered = ActiveSet::load(r, n)?;
-        for upto in &mut self.accounted_upto {
-            *upto = r.get_u64("accounted-upto cycle")?;
-        }
+        self.router_active.load(r, n)?;
+        self.chan_active.load(r, self.ends.len())?;
+        self.ni_send_active.load(r, n)?;
+        self.ni_delivered.load(r, n)?;
+        self.accounted_upto[..].load(r)?;
 
         // Derived accounting, recomputed from the restored components.
         Self::recount_modes(

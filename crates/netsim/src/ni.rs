@@ -14,7 +14,7 @@ use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::NodeId;
 use crate::packet::{DeliveredPacket, PacketDescriptor};
 use crate::router::Router;
-use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{record_codec, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -23,7 +23,7 @@ use std::collections::{BTreeSet, VecDeque};
 /// with this outcome instead of retrying forever (DESIGN.md §13). The
 /// network accumulates these in
 /// [`Network::unreachable_packets`](crate::network::Network::unreachable_packets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UnreachablePacket {
     /// The retired packet.
     pub id: PacketId,
@@ -38,7 +38,7 @@ pub struct UnreachablePacket {
 }
 
 /// In-progress injection of one packet on one virtual network.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct InjectProgress {
     /// The next flit to inject, built (and checksummed) once however many
     /// cycles the router refuses it; it carries the packet's descriptor.
@@ -58,7 +58,7 @@ struct Lane {
 
 /// Source-side record of a fully injected packet awaiting its end-to-end
 /// acknowledgement (recovery mode only).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Outstanding {
     desc: PacketDescriptor,
     /// Cycle the packet's first flit entered the network.
@@ -105,7 +105,7 @@ impl Recovery {
 }
 
 /// Reassembly state for one partially received packet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Reassembly {
     desc: PacketDescriptor,
     /// Arrival bits of flits 0..64, inline: paper packets are 1 or 5 flits.
@@ -745,229 +745,6 @@ impl NodeInterface {
             + self.unreachable_outbox.capacity() * size_of::<UnreachablePacket>()
     }
 
-    /// Serializes all mutable interface state for a snapshot.
-    ///
-    /// Open reassembly buffers are written in sorted packet-id order, so
-    /// the byte stream is independent of their (unordered) table position.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.lanes.len());
-        for lane in self.lanes.iter() {
-            w.put_usize(lane.queue.len());
-            for d in &lane.queue {
-                snapshot::write_descriptor(w, d);
-            }
-        }
-        for lane in self.lanes.iter() {
-            match &lane.progress {
-                Some(p) => {
-                    w.put_bool(true);
-                    snapshot::write_descriptor(w, &descriptor_of(&p.next));
-                    w.put_u16(p.next.seq);
-                    w.put_u64(p.first_injected_at);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        w.put_usize(self.rr_next);
-        w.put_usize(self.retransmit.len());
-        for f in &self.retransmit {
-            snapshot::write_flit(w, f);
-        }
-        let mut sorted: Vec<&Reassembly> = self.open.iter().collect();
-        sorted.sort_unstable_by_key(|e| e.desc.id);
-        w.put_usize(sorted.len());
-        for e in sorted {
-            snapshot::write_descriptor(w, &e.desc);
-            for seq in 0..e.desc.len {
-                w.put_bool(e.has(seq));
-            }
-            w.put_u64(e.min_injected_at);
-            w.put_u32(e.total_hops);
-            w.put_u32(e.total_deflections);
-            w.put_u64(e.last_arrival);
-        }
-        w.put_usize(self.delivered.len());
-        for d in &self.delivered {
-            snapshot::write_delivered(w, d);
-        }
-        w.put_usize(self.reassembly_high_water);
-        match &self.recovery {
-            Some(rec) => {
-                w.put_bool(true);
-                w.put_u64(rec.cfg.timeout);
-                w.put_u32(rec.cfg.backoff_cap);
-                w.put_u32(rec.cfg.max_attempts);
-                w.put_usize(rec.outstanding.len());
-                for out in &rec.outstanding {
-                    w.put_u64(out.desc.id.0);
-                    snapshot::write_descriptor(w, &out.desc);
-                    w.put_u64(out.first_injected_at);
-                    w.put_u32(out.attempts);
-                    w.put_u64(out.next_deadline);
-                }
-                w.put_usize(rec.completed.len());
-                for id in &rec.completed {
-                    w.put_u64(id.0);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.corrupt_outbox.len());
-        for f in &self.corrupt_outbox {
-            snapshot::write_flit(w, f);
-        }
-        w.put_usize(self.acks_outbox.len());
-        for (node, id) in &self.acks_outbox {
-            w.put_usize(node.index());
-            w.put_u64(id.0);
-        }
-        w.put_usize(self.unreachable_outbox.len());
-        for u in &self.unreachable_outbox {
-            w.put_u64(u.id.0);
-            w.put_usize(u.src.index());
-            w.put_usize(u.dest.index());
-            w.put_u32(u.attempts);
-            w.put_u64(u.gave_up_at);
-        }
-    }
-
-    /// Restores state written by [`NodeInterface::save`] into this
-    /// interface (which must have been constructed with the same vnet
-    /// count, as it is when the network is rebuilt from the same config).
-    pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let vnets = r.get_usize("ni vnet count")?;
-        if vnets != self.lanes.len() {
-            return Err(SnapshotError::ContextMismatch {
-                what: "ni vnet count",
-                snapshot: vnets.to_string(),
-                current: self.lanes.len().to_string(),
-            });
-        }
-        (self.pending_packets, self.pending_flits) = (0, 0);
-        for lane in self.lanes.iter_mut() {
-            lane.queue.clear();
-            let n = r.get_usize("ni queue length")?;
-            for _ in 0..n {
-                let desc = snapshot::read_descriptor(r)?;
-                self.pending_flits += desc.len as usize;
-                lane.queue.push_back(desc);
-            }
-            self.pending_packets += n;
-        }
-        for lane in self.lanes.iter_mut() {
-            lane.progress = if r.get_bool("ni in-progress presence")? {
-                let desc = snapshot::read_descriptor(r)?;
-                let next_seq = r.get_u16("ni in-progress seq")?;
-                let first_injected_at = r.get_u64("ni in-progress injected_at")?;
-                if next_seq >= desc.len {
-                    return Err(SnapshotError::Malformed {
-                        what: "ni in-progress seq",
-                    });
-                }
-                self.pending_packets += 1;
-                self.pending_flits += (desc.len - next_seq) as usize;
-                Some(InjectProgress {
-                    next: desc.flit(next_seq, 0),
-                    first_injected_at,
-                })
-            } else {
-                None
-            };
-        }
-        self.rr_next = r.get_usize("ni round-robin cursor")?;
-        if self.rr_next >= vnets {
-            return Err(SnapshotError::Malformed {
-                what: "ni round-robin cursor",
-            });
-        }
-        self.retransmit.clear();
-        for _ in 0..r.get_usize("ni retransmit length")? {
-            self.retransmit.push_back(snapshot::read_flit(r)?);
-        }
-        self.open.clear();
-        self.open_ids.clear();
-        for _ in 0..r.get_usize("ni reassembly count")? {
-            let desc = snapshot::read_descriptor(r)?;
-            if desc.len == 0 || self.open_ids.contains(&desc.id) {
-                return Err(SnapshotError::Malformed {
-                    what: "ni duplicate reassembly id",
-                });
-            }
-            let mut entry = Reassembly::open(&desc.flit(0, 0), 0);
-            for seq in 0..desc.len {
-                if r.get_bool("ni reassembly bitmap")? {
-                    entry.mark(seq);
-                }
-            }
-            entry.min_injected_at = r.get_u64("ni reassembly injected_at")?;
-            entry.total_hops = r.get_u32("ni reassembly hops")?;
-            entry.total_deflections = r.get_u32("ni reassembly deflections")?;
-            entry.last_arrival = r.get_u64("ni reassembly last arrival")?;
-            self.open_ids.push(desc.id);
-            self.open.push(entry);
-        }
-        self.delivered.clear();
-        for _ in 0..r.get_usize("ni delivered count")? {
-            self.delivered.push(snapshot::read_delivered(r)?);
-        }
-        self.reassembly_high_water = r.get_usize("ni reassembly high water")?;
-        self.recovery = if r.get_bool("ni recovery presence")? {
-            let cfg = RetransmitConfig {
-                timeout: r.get_u64("ni recovery timeout")?,
-                backoff_cap: r.get_u32("ni recovery backoff cap")?,
-                max_attempts: r.get_u32("ni recovery max attempts")?,
-            };
-            // The outstanding table keeps its storage across restores.
-            let mut rec = self.recovery.take().unwrap_or_default();
-            rec.outstanding.clear();
-            rec.completed.clear();
-            (rec.cfg, rec.wake_at) = (cfg, 0);
-            for _ in 0..r.get_usize("ni outstanding count")? {
-                let id = PacketId(r.get_u64("ni outstanding id")?);
-                let out = Outstanding {
-                    desc: snapshot::read_descriptor(r)?,
-                    first_injected_at: r.get_u64("ni outstanding injected_at")?,
-                    attempts: r.get_u32("ni outstanding attempts")?,
-                    next_deadline: r.get_u64("ni outstanding deadline")?,
-                };
-                if out.desc.id != id {
-                    return Err(SnapshotError::Malformed {
-                        what: "ni outstanding id",
-                    });
-                }
-                rec.insert_outstanding(out);
-            }
-            for _ in 0..r.get_usize("ni completed count")? {
-                rec.completed
-                    .insert(PacketId(r.get_u64("ni completed id")?));
-            }
-            Some(rec)
-        } else {
-            None
-        };
-        self.corrupt_outbox.clear();
-        for _ in 0..r.get_usize("ni corrupt outbox length")? {
-            self.corrupt_outbox.push(snapshot::read_flit(r)?);
-        }
-        self.acks_outbox.clear();
-        for _ in 0..r.get_usize("ni ack outbox length")? {
-            let node = NodeId::new(r.get_usize("ni ack node")?);
-            let id = PacketId(r.get_u64("ni ack packet")?);
-            self.acks_outbox.push((node, id));
-        }
-        self.unreachable_outbox.clear();
-        for _ in 0..r.get_usize("ni unreachable outbox length")? {
-            self.unreachable_outbox.push(UnreachablePacket {
-                id: PacketId(r.get_u64("ni unreachable packet")?),
-                src: NodeId::new(r.get_usize("ni unreachable src")?),
-                dest: NodeId::new(r.get_usize("ni unreachable dest")?),
-                attempts: r.get_u32("ni unreachable attempts")?,
-                gave_up_at: r.get_u64("ni unreachable cycle")?,
-            });
-        }
-        Ok(())
-    }
-
     /// True when the send side is fully drained and no packet is partially
     /// reassembled or undelivered.
     pub fn is_idle(&self) -> bool {
@@ -979,6 +756,171 @@ impl NodeInterface {
             && self.acks_outbox.is_empty()
             && self.unreachable_outbox.is_empty()
             && self.outstanding_packets() == 0
+    }
+}
+
+record_codec!(RetransmitConfig {
+    timeout,
+    backoff_cap,
+    max_attempts
+});
+
+/// The packet's descriptor, the next flit's sequence number and the first
+/// flit's injection cycle; the flit is rebuilt from them.
+impl Codec for InjectProgress {
+    fn put(&self, w: &mut SnapshotWriter) {
+        descriptor_of(&self.next).put(w);
+        (self.next.seq, self.first_injected_at).put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let (desc, seq, first_injected_at): (PacketDescriptor, u16, Cycle) = Codec::get(r)?;
+        if seq >= desc.len {
+            return Err(SnapshotError::Malformed {
+                what: "ni in-progress seq",
+            });
+        }
+        *self = InjectProgress {
+            next: desc.flit(seq, 0),
+            first_injected_at,
+        };
+        Ok(())
+    }
+}
+
+/// The descriptor, one arrival flag per flit, then the running totals.
+impl Codec for Reassembly {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.desc.put(w);
+        (0..self.desc.len).for_each(|seq| self.has(seq).put(w));
+        let totals = (self.total_hops, self.total_deflections);
+        (self.min_injected_at, totals, self.last_arrival).put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let desc = PacketDescriptor::get(r)?;
+        if desc.len == 0 {
+            return Err(SnapshotError::Malformed {
+                what: "ni reassembly length",
+            });
+        }
+        *self = Reassembly::open(&desc.flit(0, 0), 0);
+        for seq in 0..desc.len {
+            if r.get_bool("ni reassembly bitmap")? {
+                self.mark(seq);
+            }
+        }
+        let totals: (u32, u32);
+        (self.min_injected_at, totals, self.last_arrival) = Codec::get(r)?;
+        (self.total_hops, self.total_deflections) = totals;
+        Ok(())
+    }
+}
+
+/// The packet id (the table's sort key) leads the record.
+impl Codec for Outstanding {
+    fn put(&self, w: &mut SnapshotWriter) {
+        (self.desc.id, self.desc).put(w);
+        (self.first_injected_at, self.attempts, self.next_deadline).put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let id: PacketId;
+        (id, self.desc) = Codec::get(r)?;
+        (self.first_injected_at, self.attempts, self.next_deadline) = Codec::get(r)?;
+        match id == self.desc.id {
+            true => Ok(()),
+            false => Err(SnapshotError::Malformed {
+                what: "ni outstanding id",
+            }),
+        }
+    }
+}
+
+/// `wake_at` is derived: 0 after a load, the first scan settles it.
+impl Codec for Recovery {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.cfg.put(w);
+        self.outstanding.put(w);
+        self.completed.put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.cfg.load(r)?;
+        self.outstanding.load(r)?;
+        self.completed.load(r)?;
+        self.wake_at = 0;
+        match self.outstanding.is_sorted_by(|a, b| a.desc.id < b.desc.id) {
+            true => Ok(()),
+            false => Err(SnapshotError::Malformed {
+                what: "ni outstanding order",
+            }),
+        }
+    }
+}
+
+/// Open reassembly buffers travel in packet-id order, so the bytes do not
+/// depend on their (unordered) table positions. The send side's packet
+/// and flit debts are derived from the loaded queues.
+impl Codec for NodeInterface {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.lanes.len().put(w);
+        self.lanes.iter().for_each(|lane| lane.queue.put(w));
+        self.lanes.iter().for_each(|lane| lane.progress.put(w));
+        self.rr_next.put(w);
+        self.retransmit.put(w);
+        let mut open: Vec<&Reassembly> = self.open.iter().collect();
+        open.sort_unstable_by_key(|e| e.desc.id);
+        open.len().put(w);
+        open.iter().for_each(|e| e.put(w));
+        self.delivered.put(w);
+        self.reassembly_high_water.put(w);
+        self.recovery.put(w);
+        self.corrupt_outbox.put(w);
+        self.acks_outbox.put(w);
+        self.unreachable_outbox.put(w);
+    }
+
+    /// Loads into an interface built with the same vnet count, as the
+    /// network's are when it is rebuilt from the same config.
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let vnets = r.get_usize("ni vnet count")?;
+        if vnets != self.lanes.len() {
+            return Err(SnapshotError::ContextMismatch {
+                what: "ni vnet count",
+                snapshot: vnets.to_string(),
+                current: self.lanes.len().to_string(),
+            });
+        }
+        for lane in self.lanes.iter_mut() {
+            lane.queue.load(r)?;
+        }
+        for lane in self.lanes.iter_mut() {
+            lane.progress.load(r)?;
+        }
+        self.rr_next = r.get_index(vnets, "ni round-robin cursor")?;
+        self.retransmit.load(r)?;
+        self.open.load(r)?;
+        self.open_ids.clear();
+        self.open_ids.extend(self.open.iter().map(|e| e.desc.id));
+        if !self.open_ids.is_sorted_by(|a, b| a < b) {
+            return Err(SnapshotError::Malformed {
+                what: "ni duplicate reassembly id",
+            });
+        }
+        self.delivered.load(r)?;
+        self.reassembly_high_water.load(r)?;
+        self.recovery.load(r)?;
+        self.corrupt_outbox.load(r)?;
+        self.acks_outbox.load(r)?;
+        self.unreachable_outbox.load(r)?;
+        (self.pending_packets, self.pending_flits) = (0, 0);
+        for lane in self.lanes.iter() {
+            let owed = lane
+                .progress
+                .as_ref()
+                .map_or(0, |p| p.next.len - p.next.seq);
+            self.pending_packets += lane.queue.len() + lane.progress.is_some() as usize;
+            let queued: usize = lane.queue.iter().map(|d| d.len as usize).sum();
+            self.pending_flits += queued + owed as usize;
+        }
+        Ok(())
     }
 }
 
@@ -1289,8 +1231,8 @@ mod tests {
     /// NI state and stats as snapshot bytes.
     fn state_bytes(ni: &NodeInterface, stats: &NetworkStats) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        ni.save(&mut w);
-        stats.save(&mut w);
+        ni.put(&mut w);
+        stats.put(&mut w);
         w.into_bytes()
     }
 
@@ -1410,7 +1352,7 @@ mod tests {
         ni.receive_flits([arriving], 8, &mut stats);
 
         let mut w = SnapshotWriter::new();
-        ni.save(&mut w);
+        ni.put(&mut w);
         let bytes = w.into_bytes();
         let mut restored = NodeInterface::new(NodeId::new(0), 2);
         let mut r = SnapshotReader::new(&bytes);
@@ -1418,7 +1360,7 @@ mod tests {
         r.finish("ni").unwrap();
         // Re-serializing the restored interface must reproduce the bytes.
         let mut w2 = SnapshotWriter::new();
-        restored.save(&mut w2);
+        restored.put(&mut w2);
         assert_eq!(bytes, w2.into_bytes());
         assert_eq!(restored.pending_flits(), ni.pending_flits());
         assert_eq!(restored.pending_retransmits(), ni.pending_retransmits());
@@ -1429,7 +1371,7 @@ mod tests {
     fn ni_load_rejects_vnet_count_mismatch() {
         let ni = NodeInterface::new(NodeId::new(0), 2);
         let mut w = SnapshotWriter::new();
-        ni.save(&mut w);
+        ni.put(&mut w);
         let bytes = w.into_bytes();
         let mut other = NodeInterface::new(NodeId::new(0), 3);
         let mut r = SnapshotReader::new(&bytes);

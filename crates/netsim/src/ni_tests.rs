@@ -14,7 +14,7 @@ use crate::geom::NodeId;
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor};
 use crate::router::Router;
-use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -464,14 +464,14 @@ impl RefInterface {
         for q in &self.queues {
             w.put_usize(q.len());
             for d in q {
-                snapshot::write_descriptor(w, d);
+                d.put(w);
             }
         }
         for p in &self.in_progress {
             match p {
                 Some(p) => {
                     w.put_bool(true);
-                    snapshot::write_descriptor(w, &p.desc);
+                    p.desc.put(w);
                     w.put_u16(p.next_seq);
                     w.put_u64(p.first_injected_at);
                 }
@@ -481,14 +481,14 @@ impl RefInterface {
         w.put_usize(self.rr_next);
         w.put_usize(self.retransmit.len());
         for f in &self.retransmit {
-            snapshot::write_flit(w, f);
+            f.put(w);
         }
         let mut ids: Vec<PacketId> = self.reassembly.keys().copied().collect();
         ids.sort_unstable();
         w.put_usize(ids.len());
         for id in ids {
             let e = &self.reassembly[&id];
-            snapshot::write_descriptor(w, &e.desc);
+            e.desc.put(w);
             for got in &e.received {
                 w.put_bool(*got);
             }
@@ -499,7 +499,7 @@ impl RefInterface {
         }
         w.put_usize(self.delivered.len());
         for d in &self.delivered {
-            snapshot::write_delivered(w, d);
+            d.put(w);
         }
         w.put_usize(self.reassembly_high_water);
         match &self.recovery {
@@ -511,7 +511,7 @@ impl RefInterface {
                 w.put_usize(rec.outstanding.len());
                 for (id, out) in &rec.outstanding {
                     w.put_u64(id.0);
-                    snapshot::write_descriptor(w, &out.desc);
+                    out.desc.put(w);
                     w.put_u64(out.first_injected_at);
                     w.put_u32(out.attempts);
                     w.put_u64(out.next_deadline);
@@ -525,7 +525,7 @@ impl RefInterface {
         }
         w.put_usize(self.corrupt_outbox.len());
         for f in &self.corrupt_outbox {
-            snapshot::write_flit(w, f);
+            f.put(w);
         }
         w.put_usize(self.acks_outbox.len());
         for (node, id) in &self.acks_outbox {
@@ -555,12 +555,12 @@ impl RefInterface {
             q.clear();
             let n = r.get_usize("ni queue length")?;
             for _ in 0..n {
-                q.push_back(snapshot::read_descriptor(r)?);
+                q.push_back(PacketDescriptor::get(r)?);
             }
         }
         for p in &mut self.in_progress {
             *p = if r.get_bool("ni in-progress presence")? {
-                let desc = snapshot::read_descriptor(r)?;
+                let desc = PacketDescriptor::get(r)?;
                 let next_seq = r.get_u16("ni in-progress seq")?;
                 let first_injected_at = r.get_u64("ni in-progress injected_at")?;
                 if next_seq > desc.len {
@@ -585,11 +585,11 @@ impl RefInterface {
         }
         self.retransmit.clear();
         for _ in 0..r.get_usize("ni retransmit length")? {
-            self.retransmit.push_back(snapshot::read_flit(r)?);
+            self.retransmit.push_back(Flit::get(r)?);
         }
         self.close_reassemblies();
         for _ in 0..r.get_usize("ni reassembly count")? {
-            let desc = snapshot::read_descriptor(r)?;
+            let desc = PacketDescriptor::get(r)?;
             let mut received = spare_bitmap(&mut self.spare_bitmaps);
             let mut received_count = 0u16;
             for _ in 0..desc.len {
@@ -614,7 +614,7 @@ impl RefInterface {
         }
         self.delivered.clear();
         for _ in 0..r.get_usize("ni delivered count")? {
-            self.delivered.push(snapshot::read_delivered(r)?);
+            self.delivered.push(DeliveredPacket::get(r)?);
         }
         self.reassembly_high_water = r.get_usize("ni reassembly high water")?;
         self.recovery = if r.get_bool("ni recovery presence")? {
@@ -627,7 +627,7 @@ impl RefInterface {
             for _ in 0..r.get_usize("ni outstanding count")? {
                 let id = PacketId(r.get_u64("ni outstanding id")?);
                 let out = Outstanding {
-                    desc: snapshot::read_descriptor(r)?,
+                    desc: PacketDescriptor::get(r)?,
                     first_injected_at: r.get_u64("ni outstanding injected_at")?,
                     attempts: r.get_u32("ni outstanding attempts")?,
                     next_deadline: r.get_u64("ni outstanding deadline")?,
@@ -649,7 +649,7 @@ impl RefInterface {
         };
         self.corrupt_outbox.clear();
         for _ in 0..r.get_usize("ni corrupt outbox length")? {
-            self.corrupt_outbox.push(snapshot::read_flit(r)?);
+            self.corrupt_outbox.push(Flit::get(r)?);
         }
         self.acks_outbox.clear();
         for _ in 0..r.get_usize("ni ack outbox length")? {
@@ -741,7 +741,7 @@ macro_rules! both {
 fn bytes(save: impl FnOnce(&mut SnapshotWriter), stats: &NetworkStats) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     save(&mut w);
-    stats.save(&mut w);
+    stats.put(&mut w);
     w.into_bytes()
 }
 
@@ -873,7 +873,7 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
                 "seed {seed} cycle {now}"
             );
             assert!(
-                bytes(|w| new.save(w), new_stats) == bytes(|w| old.save(w), old_stats),
+                bytes(|w| new.put(w), new_stats) == bytes(|w| old.save(w), old_stats),
                 "snapshot or stats bytes differ: seed {seed} cycle {now}"
             );
             assert_eq!(
@@ -918,7 +918,7 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
             // save again; or reset both in place.
             if rng.gen_bool(0.01) {
                 let (mut wa, mut wb) = (SnapshotWriter::new(), SnapshotWriter::new());
-                new.save(&mut wa);
+                new.put(&mut wa);
                 old.save(&mut wb);
                 let (from_new, from_old) = (wa.into_bytes(), wb.into_bytes());
                 let mut r = SnapshotReader::new(&from_old);
@@ -928,7 +928,7 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
                 old.load(&mut r).unwrap();
                 r.finish("ni").unwrap();
                 let (mut wa, mut wb) = (SnapshotWriter::new(), SnapshotWriter::new());
-                new.save(&mut wa);
+                new.put(&mut wa);
                 old.save(&mut wb);
                 assert!(wa.into_bytes() == from_new && wb.into_bytes() == from_new);
                 restores += 1;

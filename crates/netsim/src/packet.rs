@@ -6,7 +6,7 @@ use crate::geom::NodeId;
 pub use crate::flit::PacketKind;
 
 /// A packet as seen by traffic models and network interfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketDescriptor {
     /// Unique id (assigned by the network at enqueue time).
     pub id: PacketId,
@@ -61,7 +61,7 @@ impl PacketDescriptor {
 
 /// A packet request handed to the network for injection; the network assigns
 /// the id and creation timestamp, producing a [`PacketDescriptor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketInput {
     /// Destination node.
     pub dest: NodeId,
@@ -76,7 +76,7 @@ pub struct PacketInput {
 }
 
 /// A fully reassembled packet together with its delivery timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeliveredPacket {
     /// The packet.
     pub descriptor: PacketDescriptor,

@@ -6,6 +6,8 @@
 //! are exactly reproducible from a seed — a property asserted by the
 //! integration test suite.
 
+use crate::snapshot::record_codec;
+
 /// Deterministic PRNG (xoshiro256**).
 ///
 /// # Examples
@@ -42,18 +44,11 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Returns the raw xoshiro256** state words, for snapshotting.
-    ///
-    /// Together with [`SimRng::from_state`] this gives an exact round trip:
-    /// a restored generator produces the identical output stream.
+    /// Returns the raw xoshiro256** state words — all a snapshot holds of
+    /// a generator (its [`Codec`](crate::snapshot::Codec) is these four
+    /// words), so a restored generator produces the identical stream.
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Reconstructs a generator from state words captured by
-    /// [`SimRng::state`].
-    pub fn from_state(s: [u64; 4]) -> SimRng {
-        SimRng { s }
     }
 
     /// Derives an independent stream for a sub-component.
@@ -154,6 +149,8 @@ impl SimRng {
         v.max(1.0).min(u64::MAX as f64) as u64
     }
 }
+
+record_codec!(SimRng { s });
 
 #[cfg(test)]
 mod tests {

@@ -5,6 +5,12 @@
 //!
 //! * [`SnapshotWriter`]/[`SnapshotReader`] — a hand-rolled little-endian
 //!   binary encoder/decoder (no external serialization dependency),
+//! * [`Codec`] — the one encoding of each piece of saved state: scalars,
+//!   options, tuples, sequences and every simulator record implement it
+//!   once, and a composite's `put`/`load` are its fields' in order. The
+//!   reader range-checks what a payload cannot be trusted with: cursors
+//!   and counts ([`SnapshotReader::get_index`]) and node ids, bounded by
+//!   the node count the network sets before decoding its state,
 //! * a sealed **container format** ([`seal`]/[`open`]): magic, format
 //!   version, payload length, payload, and an FNV-1a-64 checksum over
 //!   everything preceding it,
@@ -34,9 +40,12 @@
 //! 20+P    8     FNV-1a-64 checksum over bytes [0, 20+P) (u64 LE)
 //! ```
 
+use crate::faults::{FaultEvent, FaultEventKind};
 use crate::flit::{Flit, PacketId, VcId, VirtualNetwork};
-use crate::geom::NodeId;
+use crate::geom::{Direction, NodeId, PortMap};
+use crate::ni::UnreachablePacket;
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketKind};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -259,18 +268,6 @@ impl SnapshotWriter {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
     }
-
-    /// Writes an `Option<u64>` as a presence byte plus (if present) the
-    /// value.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_u64(x);
-            }
-            None => self.put_bool(false),
-        }
-    }
 }
 
 /// Position-tracked little-endian binary decoder over a payload slice.
@@ -278,12 +275,18 @@ impl SnapshotWriter {
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Exclusive bound of a decoded [`NodeId`].
+    nodes: usize,
 }
 
 impl<'a> SnapshotReader<'a> {
     /// Creates a reader over raw payload bytes (already unsealed).
     pub fn new(buf: &'a [u8]) -> SnapshotReader<'a> {
-        SnapshotReader { buf, pos: 0 }
+        SnapshotReader {
+            buf,
+            pos: 0,
+            nodes: u32::MAX as usize,
+        }
     }
 
     /// Number of bytes not yet consumed.
@@ -359,13 +362,22 @@ impl<'a> SnapshotReader<'a> {
         Ok(self.take(len, what)?.to_vec())
     }
 
-    /// Reads an `Option<u64>` written by [`SnapshotWriter::put_opt_u64`].
-    pub fn get_opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, SnapshotError> {
-        if self.get_bool(what)? {
-            Ok(Some(self.get_u64(what)?))
+    /// Reads an index stored as a `usize`, refusing one at or beyond
+    /// `bound` as [`SnapshotError::Malformed`] — the one range check every
+    /// decoded cursor, count and node id goes through.
+    pub fn get_index(&mut self, bound: usize, what: &'static str) -> Result<usize, SnapshotError> {
+        let i = self.get_usize(what)?;
+        if i < bound {
+            Ok(i)
         } else {
-            Ok(None)
+            Err(SnapshotError::Malformed { what })
         }
+    }
+
+    /// Bounds every [`NodeId`] decoded from here on to `0..nodes` (the
+    /// network sets its node count before decoding its own state).
+    pub(crate) fn set_node_count(&mut self, nodes: usize) {
+        self.nodes = nodes;
     }
 
     /// Asserts that the payload was consumed exactly — catches layout skew
@@ -484,143 +496,351 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     Ok(bytes)
 }
 
-fn kind_tag(kind: PacketKind) -> u8 {
-    match kind {
-        PacketKind::Request => 0,
-        PacketKind::Response => 1,
-        PacketKind::Writeback => 2,
-        PacketKind::Synthetic => 3,
+/// One piece of saved state, encoded once.
+///
+/// [`Codec::put`] writes the value; [`Codec::load`] reads what `put` wrote
+/// back *into* an existing value, so a restore reuses the allocations the
+/// target already owns (a `Vec` is cleared and refilled, an `Option`'s
+/// payload is loaded in place). A composite is its fields' codecs in
+/// order — there is no separate layout to keep in step.
+///
+/// Sequences (`Vec`, `VecDeque`, `BTreeSet`) are a `u64` length, then the
+/// items. A decoded length never sizes an allocation: items are pushed one
+/// by one (growing the container exactly as the simulation would), and
+/// every item takes at least one byte, so a length past the payload ends
+/// in [`SnapshotError::Truncated`]. Slices and arrays are their items
+/// alone: their length is the receiver's schema, not data. `Option<T>` is
+/// a presence byte, then the value.
+pub trait Codec {
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Overwrites `self` with the value `put` encoded.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the bytes run out,
+    /// [`SnapshotError::Malformed`] when they decode to an impossible value.
+    /// `self` is then partially overwritten and must be discarded.
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
+
+    /// Decodes a fresh value.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::load`].
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>
+    where
+        Self: Default,
+    {
+        let mut value = Self::default();
+        value.load(r)?;
+        Ok(value)
     }
 }
 
-fn kind_from_tag(tag: u8) -> Result<PacketKind, SnapshotError> {
-    Ok(match tag {
-        0 => PacketKind::Request,
-        1 => PacketKind::Response,
-        2 => PacketKind::Writeback,
-        3 => PacketKind::Synthetic,
-        _ => {
-            return Err(SnapshotError::Malformed {
-                what: "packet kind tag",
-            })
+macro_rules! scalar_codec {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {$(
+        impl Codec for $ty {
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.$put(*self);
+            }
+            fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+                *self = r.$get(stringify!($ty))?;
+                Ok(())
+            }
         }
-    })
+    )*};
 }
 
-/// Writes a [`Flit`] field-by-field (fixed layout, version-gated by the
-/// container). Shared by the router crates so every mechanism serializes
-/// flits identically.
-pub fn write_flit(w: &mut SnapshotWriter, f: &Flit) {
-    w.put_u64(f.packet.0);
-    w.put_u16(f.seq);
-    w.put_u16(f.len);
-    w.put_usize(f.src.index());
-    w.put_usize(f.dest.index());
-    w.put_u8(f.vnet.0);
-    match f.vc {
-        Some(vc) => {
-            w.put_bool(true);
-            w.put_u8(vc.0);
-        }
-        None => w.put_bool(false),
+scalar_codec! {
+    u8 => put_u8, get_u8;
+    bool => put_bool, get_bool;
+    u16 => put_u16, get_u16;
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    usize => put_usize, get_usize;
+    f64 => put_f64, get_f64;
+}
+
+impl Codec for String {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_str(self);
     }
-    w.put_u64(f.created_at);
-    w.put_u64(f.injected_at);
-    w.put_u16(f.hops);
-    w.put_u16(f.deflections);
-    w.put_u8(kind_tag(f.kind));
-    w.put_u64(f.tag);
-    w.put_u16(f.checksum);
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = r.get_str("string")?;
+        Ok(())
+    }
 }
 
-/// Reads a [`Flit`] written by [`write_flit`].
-pub fn read_flit(r: &mut SnapshotReader<'_>) -> Result<Flit, SnapshotError> {
-    Ok(Flit {
-        packet: PacketId(r.get_u64("flit packet id")?),
-        seq: r.get_u16("flit seq")?,
-        len: r.get_u16("flit len")?,
-        src: NodeId::new(r.get_usize("flit src")?),
-        dest: NodeId::new(r.get_usize("flit dest")?),
-        vnet: VirtualNetwork(r.get_u8("flit vnet")?),
-        vc: if r.get_bool("flit vc presence")? {
-            Some(VcId(r.get_u8("flit vc")?))
-        } else {
-            None
-        },
-        created_at: r.get_u64("flit created_at")?,
-        injected_at: r.get_u64("flit injected_at")?,
-        hops: r.get_u16("flit hops")?,
-        deflections: r.get_u16("flit deflections")?,
-        kind: kind_from_tag(r.get_u8("flit kind")?)?,
-        tag: r.get_u64("flit tag")?,
-        checksum: r.get_u16("flit checksum")?,
-    })
+impl<T: Codec + Default> Codec for Option<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.is_some().put(w);
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        match r.get_bool("option presence")? {
+            true => self.get_or_insert_with(T::default).load(r),
+            false => {
+                *self = None;
+                Ok(())
+            }
+        }
+    }
 }
 
-/// Writes a [`PacketDescriptor`] field-by-field.
-pub fn write_descriptor(w: &mut SnapshotWriter, d: &PacketDescriptor) {
-    w.put_u64(d.id.0);
-    w.put_usize(d.src.index());
-    w.put_usize(d.dest.index());
-    w.put_u8(d.vnet.0);
-    w.put_u16(d.len);
-    w.put_u64(d.created_at);
-    w.put_u8(kind_tag(d.kind));
-    w.put_u64(d.tag);
+macro_rules! tuple_codec {
+    ($($name:ident . $i:tt),+) => {
+        impl<$($name: Codec),+> Codec for ($($name,)+) {
+            fn put(&self, w: &mut SnapshotWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+                $(self.$i.load(r)?;)+
+                Ok(())
+            }
+        }
+    };
 }
 
-/// Reads a [`PacketDescriptor`] written by [`write_descriptor`].
-pub fn read_descriptor(r: &mut SnapshotReader<'_>) -> Result<PacketDescriptor, SnapshotError> {
-    Ok(PacketDescriptor {
-        id: PacketId(r.get_u64("descriptor id")?),
-        src: NodeId::new(r.get_usize("descriptor src")?),
-        dest: NodeId::new(r.get_usize("descriptor dest")?),
-        vnet: VirtualNetwork(r.get_u8("descriptor vnet")?),
-        len: r.get_u16("descriptor len")?,
-        created_at: r.get_u64("descriptor created_at")?,
-        kind: kind_from_tag(r.get_u8("descriptor kind")?)?,
-        tag: r.get_u64("descriptor tag")?,
-    })
+tuple_codec!(A.0, B.1);
+tuple_codec!(A.0, B.1, C.2);
+tuple_codec!(A.0, B.1, C.2, D.3);
+
+impl<T: Codec> Codec for [T] {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.iter().for_each(|item| item.put(w));
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.iter_mut().try_for_each(|item| item.load(r))
+    }
 }
 
-/// Writes a [`PacketInput`] field-by-field.
-pub fn write_packet_input(w: &mut SnapshotWriter, p: &PacketInput) {
-    w.put_usize(p.dest.index());
-    w.put_u8(p.vnet.0);
-    w.put_u16(p.len);
-    w.put_u8(kind_tag(p.kind));
-    w.put_u64(p.tag);
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self[..].put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self[..].load(r)
+    }
 }
 
-/// Reads a [`PacketInput`] written by [`write_packet_input`].
-pub fn read_packet_input(r: &mut SnapshotReader<'_>) -> Result<PacketInput, SnapshotError> {
-    Ok(PacketInput {
-        dest: NodeId::new(r.get_usize("packet input dest")?),
-        vnet: VirtualNetwork(r.get_u8("packet input vnet")?),
-        len: r.get_u16("packet input len")?,
-        kind: kind_from_tag(r.get_u8("packet input kind")?)?,
-        tag: r.get_u64("packet input tag")?,
-    })
+impl<T: Codec + Default> Codec for Vec<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.len().put(w);
+        self[..].put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_u64("sequence length")?;
+        self.clear();
+        for _ in 0..n {
+            self.push(T::get(r)?);
+        }
+        Ok(())
+    }
 }
 
-/// Writes a [`DeliveredPacket`] field-by-field.
-pub fn write_delivered(w: &mut SnapshotWriter, d: &DeliveredPacket) {
-    write_descriptor(w, &d.descriptor);
-    w.put_u64(d.injected_at);
-    w.put_u64(d.delivered_at);
-    w.put_u32(d.total_hops);
-    w.put_u32(d.total_deflections);
+impl<T: Codec + Default> Codec for VecDeque<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.len().put(w);
+        self.iter().for_each(|item| item.put(w));
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_u64("sequence length")?;
+        self.clear();
+        for _ in 0..n {
+            self.push_back(T::get(r)?);
+        }
+        Ok(())
+    }
 }
 
-/// Reads a [`DeliveredPacket`] written by [`write_delivered`].
-pub fn read_delivered(r: &mut SnapshotReader<'_>) -> Result<DeliveredPacket, SnapshotError> {
-    Ok(DeliveredPacket {
-        descriptor: read_descriptor(r)?,
-        injected_at: r.get_u64("delivered injected_at")?,
-        delivered_at: r.get_u64("delivered delivered_at")?,
-        total_hops: r.get_u32("delivered hops")?,
-        total_deflections: r.get_u32("delivered deflections")?,
-    })
+impl<T: Codec + Default + Ord> Codec for BTreeSet<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.len().put(w);
+        self.iter().for_each(|item| item.put(w));
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_u64("sequence length")?;
+        self.clear();
+        for _ in 0..n {
+            if !self.insert(T::get(r)?) {
+                return Err(SnapshotError::Malformed {
+                    what: "repeated set member",
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Implements [`Codec`] for a struct as the listed fields, in order; a
+/// trailing `valid "what": check` refuses a loaded value failing `check`.
+macro_rules! record_codec {
+    ($ty:ty { $($field:tt),+ $(,)? } $(valid $what:literal: $check:expr)?) => {
+        impl $crate::snapshot::Codec for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $($crate::snapshot::Codec::put(&self.$field, w);)+
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapshotError> {
+                $($crate::snapshot::Codec::load(&mut self.$field, r)?;)+
+                $(if !($check)(&*self) {
+                    return Err($crate::snapshot::SnapshotError::Malformed { what: $what });
+                })?
+                Ok(())
+            }
+        }
+    };
+}
+pub(crate) use record_codec;
+
+/// A node id is its dense index, below the reader's node count.
+impl Codec for NodeId {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.index().put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = NodeId::new(r.get_index(r.nodes, "node id")?);
+        Ok(())
+    }
+}
+
+impl Codec for Direction {
+    fn put(&self, w: &mut SnapshotWriter) {
+        (self.index() as u8).put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let i = r.get_u8("direction")?;
+        *self = Direction::from_index(i as usize)
+            .ok_or(SnapshotError::Malformed { what: "direction" })?;
+        Ok(())
+    }
+}
+
+/// A port map is its values in [`PortId::ALL`](crate::geom::PortId::ALL) order.
+impl<T: Codec> Codec for PortMap<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.iter().for_each(|(_, v)| v.put(w));
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.iter_mut().try_for_each(|(_, v)| v.load(r))
+    }
+}
+
+record_codec!(PacketId { 0 });
+record_codec!(VcId { 0 });
+record_codec!(VirtualNetwork { 0 });
+
+impl Codec for PacketKind {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_u8(match self {
+            PacketKind::Request => 0,
+            PacketKind::Response => 1,
+            PacketKind::Writeback => 2,
+            PacketKind::Synthetic => 3,
+        });
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = match r.get_u8("packet kind tag")? {
+            0 => PacketKind::Request,
+            1 => PacketKind::Response,
+            2 => PacketKind::Writeback,
+            3 => PacketKind::Synthetic,
+            _ => {
+                return Err(SnapshotError::Malformed {
+                    what: "packet kind tag",
+                })
+            }
+        };
+        Ok(())
+    }
+}
+
+record_codec!(Flit {
+    packet,
+    seq,
+    len,
+    src,
+    dest,
+    vnet,
+    vc,
+    created_at,
+    injected_at,
+    hops,
+    deflections,
+    kind,
+    tag,
+    checksum,
+});
+record_codec!(PacketDescriptor {
+    id,
+    src,
+    dest,
+    vnet,
+    len,
+    created_at,
+    kind,
+    tag,
+});
+record_codec!(PacketInput {
+    dest,
+    vnet,
+    len,
+    kind,
+    tag
+});
+record_codec!(DeliveredPacket {
+    descriptor,
+    injected_at,
+    delivered_at,
+    total_hops,
+    total_deflections,
+});
+record_codec!(UnreachablePacket {
+    id,
+    src,
+    dest,
+    attempts,
+    gave_up_at,
+});
+record_codec!(FaultEvent {
+    cycle,
+    from,
+    dir,
+    kind
+});
+
+impl Codec for FaultEventKind {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            FaultEventKind::FlitDropped { packet, seq } => (0u8, packet, seq).put(w),
+            FaultEventKind::FlitCorrupted { packet, seq } => (1u8, packet, seq).put(w),
+            FaultEventKind::CreditLost => 2u8.put(w),
+        }
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = match r.get_u8("fault event kind")? {
+            tag @ (0 | 1) => {
+                let (packet, seq) = Codec::get(r)?;
+                match tag {
+                    0 => FaultEventKind::FlitDropped { packet, seq },
+                    _ => FaultEventKind::FlitCorrupted { packet, seq },
+                }
+            }
+            2 => FaultEventKind::CreditLost,
+            _ => {
+                return Err(SnapshotError::Malformed {
+                    what: "fault event kind",
+                })
+            }
+        };
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -638,8 +858,8 @@ mod tests {
         w.put_usize(12345);
         w.put_f64(-0.125);
         w.put_str("afc");
-        w.put_opt_u64(Some(42));
-        w.put_opt_u64(None);
+        Some(42u64).put(&mut w);
+        None::<u64>.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
         assert_eq!(r.get_u8("t").unwrap(), 7);
@@ -650,8 +870,8 @@ mod tests {
         assert_eq!(r.get_usize("t").unwrap(), 12345);
         assert_eq!(r.get_f64("t").unwrap(), -0.125);
         assert_eq!(r.get_str("t").unwrap(), "afc");
-        assert_eq!(r.get_opt_u64("t").unwrap(), Some(42));
-        assert_eq!(r.get_opt_u64("t").unwrap(), None);
+        assert_eq!(Option::<u64>::get(&mut r).unwrap(), Some(42));
+        assert_eq!(Option::<u64>::get(&mut r).unwrap(), None);
         r.finish("t").unwrap();
     }
 
@@ -812,15 +1032,41 @@ mod tests {
             total_deflections: 2,
         };
         let mut w = SnapshotWriter::new();
-        write_flit(&mut w, &f);
-        write_descriptor(&mut w, &d);
-        write_delivered(&mut w, &del);
+        (f, d, del).put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(read_flit(&mut r).unwrap(), f);
-        assert_eq!(read_descriptor(&mut r).unwrap(), d);
-        assert_eq!(read_delivered(&mut r).unwrap(), del);
+        assert_eq!(Flit::get(&mut r).unwrap(), f);
+        assert_eq!(PacketDescriptor::get(&mut r).unwrap(), d);
+        assert_eq!(DeliveredPacket::get(&mut r).unwrap(), del);
         r.finish("flits").unwrap();
+    }
+
+    #[test]
+    fn sequences_load_in_place_and_refuse_impossible_lengths() {
+        let mut w = SnapshotWriter::new();
+        vec![3u16, 4].put(&mut w);
+        let bytes = w.into_bytes();
+        let mut v: Vec<u16> = Vec::with_capacity(64);
+        v.push(9);
+        v.load(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!((v.as_slice(), v.capacity()), (&[3u16, 4][..], 64));
+        for len in [3u64, 1 << 40, u64::MAX] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(len);
+            w.put_u64(0);
+            let bytes = w.into_bytes();
+            let err = Vec::<Flit>::get(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Truncated { .. }),
+                "{len}: {err}"
+            );
+            let mut set = BTreeSet::<u16>::new();
+            let err = set.load(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Malformed { .. }),
+                "{len}: {err}"
+            );
+        }
     }
 
     #[test]

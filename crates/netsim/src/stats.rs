@@ -3,7 +3,7 @@
 //! aggregate [`NetworkStats`] snapshot.
 
 use crate::flit::Cycle;
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::record_codec;
 
 /// Streaming summary of a latency (or any nonnegative) distribution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,24 +62,6 @@ impl LatencyStats {
         *self = LatencyStats::default();
     }
 
-    /// Serializes the summary for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.count);
-        w.put_u64(self.sum);
-        w.put_opt_u64(self.min);
-        w.put_opt_u64(self.max);
-    }
-
-    /// Restores a summary written by [`LatencyStats::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<LatencyStats, SnapshotError> {
-        Ok(LatencyStats {
-            count: r.get_u64("latency stats count")?,
-            sum: r.get_u64("latency stats sum")?,
-            min: r.get_opt_u64("latency stats min")?,
-            max: r.get_opt_u64("latency stats max")?,
-        })
-    }
-
     /// Merges another summary into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.count += other.count;
@@ -94,6 +76,13 @@ impl LatencyStats {
         };
     }
 }
+
+record_codec!(LatencyStats {
+    count,
+    sum,
+    min,
+    max
+});
 
 /// A fixed-bucket latency histogram with percentile queries.
 ///
@@ -186,38 +175,6 @@ impl Histogram {
             .map(|(i, c)| (i as u64 * self.bucket_width, *c))
     }
 
-    /// Serializes the histogram (geometry and contents) for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.bucket_width);
-        w.put_usize(self.buckets.len());
-        for b in &self.buckets {
-            w.put_u64(*b);
-        }
-        w.put_u64(self.overflow);
-        w.put_u64(self.count);
-    }
-
-    /// Restores a histogram written by [`Histogram::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Histogram, SnapshotError> {
-        let bucket_width = r.get_u64("histogram bucket width")?;
-        let n = r.get_usize("histogram bucket count")?;
-        if bucket_width == 0 || n == 0 {
-            return Err(SnapshotError::Malformed {
-                what: "histogram geometry",
-            });
-        }
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            buckets.push(r.get_u64("histogram bucket")?);
-        }
-        Ok(Histogram {
-            bucket_width,
-            buckets,
-            overflow: r.get_u64("histogram overflow")?,
-            count: r.get_u64("histogram count")?,
-        })
-    }
-
     /// Zeroes all counts in place, keeping the geometry and the bucket
     /// allocation (the parallel engine resets per-shard deltas every
     /// cycle; reallocating here would be per-cycle churn).
@@ -254,6 +211,9 @@ impl Histogram {
         self.count += other.count;
     }
 }
+
+record_codec!(Histogram { bucket_width, buckets, overflow, count }
+    valid "histogram geometry": |h: &Histogram| h.bucket_width > 0 && !h.buckets.is_empty());
 
 impl Default for Histogram {
     /// 256 buckets of width 8 cycles — covers latencies up to 2048 cycles
@@ -320,24 +280,11 @@ impl Ewma {
     pub fn reset(&mut self) {
         self.value = 0.0;
     }
-
-    /// Serializes the average for a snapshot (bit-exact: the value is
-    /// written as its IEEE-754 pattern).
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.weight);
-        w.put_f64(self.value);
-    }
-
-    /// Restores an average written by [`Ewma::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Ewma, SnapshotError> {
-        let weight = r.get_f64("ewma weight")?;
-        let value = r.get_f64("ewma value")?;
-        if !(0.0..1.0).contains(&weight) || !value.is_finite() {
-            return Err(SnapshotError::Malformed { what: "ewma state" });
-        }
-        Ok(Ewma { weight, value })
-    }
 }
+
+// Bit-exact: `f64`s travel as their IEEE-754 patterns.
+record_codec!(Ewma { weight, value }
+    valid "ewma state": |e: &Ewma| (0.0..1.0).contains(&e.weight) && e.value.is_finite());
 
 /// Fixed-length sliding window over integer samples, reporting their mean.
 ///
@@ -424,66 +371,27 @@ impl SlidingWindow {
         self.sum = 0;
         self.filled = 0;
     }
-
-    /// Serializes the window (contents and cursor) for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.buf.len());
-        for s in &self.buf {
-            w.put_u32(*s);
-        }
-        w.put_usize(self.next);
-        w.put_u64(self.sum);
-        w.put_usize(self.filled);
-    }
-
-    /// Restores a window written by [`SlidingWindow::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<SlidingWindow, SnapshotError> {
-        let len = r.get_usize("sliding window length")?;
-        if len == 0 {
-            return Err(SnapshotError::Malformed {
-                what: "sliding window length",
-            });
-        }
-        let mut buf = Vec::with_capacity(len);
-        for _ in 0..len {
-            buf.push(r.get_u32("sliding window sample")?);
-        }
-        let next = r.get_usize("sliding window cursor")?;
-        let sum = r.get_u64("sliding window sum")?;
-        let filled = r.get_usize("sliding window fill")?;
-        if next >= len || filled > len || sum != buf.iter().map(|s| *s as u64).sum::<u64>() {
-            return Err(SnapshotError::Malformed {
-                what: "sliding window invariants",
-            });
-        }
-        Ok(SlidingWindow {
-            buf,
-            next,
-            sum,
-            filled,
-        })
-    }
 }
+
+record_codec!(SlidingWindow { buf, next, sum, filled }
+valid "sliding window invariants": |s: &SlidingWindow| {
+    let len = s.buf.len();
+    s.next < len && s.filled <= len && s.sum == s.buf.iter().map(|&x| x as u64).sum::<u64>()
+});
 
 /// Declares a struct of mergeable measurements from one table. Each field
 /// names its fold — `sum` (a `u64` count, added), `max` (a `usize`
 /// high-water mark) or `dist` (a nested distribution with its own
-/// `clear`/`merge`/`save`/`load`) — and the struct, `clear`, `merge`, `save`
-/// and `load` are generated from that one list, in declaration order (which
-/// is the snapshot layout), as straight-line per-field code. Adding a field
-/// is one line here and cannot forget a fold.
+/// `clear`/`merge`) — and the struct, `clear`, `merge` and its [`Codec`]
+/// (crate::snapshot::Codec) are generated from that one list, in
+/// declaration order (which is the snapshot layout), as straight-line
+/// per-field code. Adding a field is one line here and cannot forget a fold.
 macro_rules! field_table {
     (@clear dist $f:expr) => { $f.clear() };
     (@clear $fold:ident $f:expr) => { $f = 0 };
     (@merge sum $a:expr, $b:expr) => { $a += $b };
     (@merge max $a:expr, $b:expr) => { $a = $a.max($b) };
     (@merge dist $a:expr, $b:expr) => { $a.merge(&$b) };
-    (@save sum $f:expr, $w:ident) => { $w.put_u64($f) };
-    (@save max $f:expr, $w:ident) => { $w.put_usize($f) };
-    (@save dist $f:expr, $w:ident) => { $f.save($w) };
-    (@load sum $ty:ty, $r:ident, $what:expr) => { $r.get_u64($what)? };
-    (@load max $ty:ty, $r:ident, $what:expr) => { $r.get_usize($what)? };
-    (@load dist $ty:ty, $r:ident, $what:expr) => { <$ty>::load($r)? };
     (@sample dist $f:expr, $n:expr) => { { $f.record($n); $f.record($n + 100) } };
     (@sample $fold:ident $f:expr, $n:expr) => { $f = $n as _ };
     (
@@ -514,26 +422,6 @@ macro_rules! field_table {
                 $( $crate::stats::field_table!(@merge $fold self.$field, other.$field); )*
             }
 
-            /// Serializes every field in declaration order.
-            pub fn save(&self, w: &mut $crate::snapshot::SnapshotWriter) {
-                $( $crate::stats::field_table!(@save $fold self.$field, w); )*
-            }
-
-            /// Restores what `save` wrote.
-            ///
-            /// # Errors
-            ///
-            /// Decode errors on a truncated or malformed payload.
-            pub fn load(
-                r: &mut $crate::snapshot::SnapshotReader<'_>,
-            ) -> Result<$name, $crate::snapshot::SnapshotError> {
-                Ok($name {
-                    $( $field: $crate::stats::field_table!(
-                        @load $fold $ty, r, concat!(stringify!($name), " ", stringify!($field))
-                    ), )*
-                })
-            }
-
             /// Every field set to a distinct non-zero value (a distribution
             /// gets two samples): the input of the field wall.
             #[cfg(test)]
@@ -544,6 +432,8 @@ macro_rules! field_table {
                 sample
             }
         }
+
+        $crate::snapshot::record_codec!($name { $($field),* });
     };
 }
 pub(crate) use field_table;
@@ -691,26 +581,25 @@ impl NetworkStats {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
     /// The wall every `field_table!` struct stands behind: `sample` (all
-    /// fields distinct and non-zero) survives `save → load → save` byte for
+    /// fields distinct and non-zero) survives `put → load → put` byte for
     /// byte, `merge` into `default()` reproduces it, a second `merge` moves
     /// it (the fold is not an overwrite), and `clear` returns `default()`.
-    pub(crate) fn assert_field_wall<T: Default + Clone>(
+    pub(crate) fn assert_field_wall<T: Codec + Default + Clone>(
         sample: T,
-        save: fn(&T, &mut SnapshotWriter),
-        load: fn(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
         merge: fn(&mut T, &T),
         clear: fn(&mut T),
     ) {
         let bytes = |value: &T| {
             let mut w = SnapshotWriter::new();
-            save(value, &mut w);
+            value.put(&mut w);
             w.into_bytes()
         };
         let saved = bytes(&sample);
         let mut r = SnapshotReader::new(&saved);
-        let loaded = load(&mut r).expect("a saved table loads");
+        let loaded = T::get(&mut r).expect("a saved table loads");
         r.finish("field table")
             .expect("load consumes what save wrote");
         assert_eq!(bytes(&loaded), saved, "save -> load -> save");
@@ -732,13 +621,7 @@ pub(crate) mod tests {
         assert!(sample.packets_offered != 0 && sample.cycles != 0);
         assert_ne!(sample.packets_offered, sample.cycles);
         assert_eq!(sample.network_latency_hist.count(), 2);
-        assert_field_wall(
-            sample.clone(),
-            NetworkStats::save,
-            NetworkStats::load,
-            NetworkStats::merge,
-            NetworkStats::clear,
-        );
+        assert_field_wall(sample.clone(), NetworkStats::merge, NetworkStats::clear);
         // The one non-additive fold: a high-water mark merges by max.
         let mut twice = sample.clone();
         twice.merge(&sample);
@@ -859,13 +742,13 @@ pub(crate) mod tests {
         s.reassembly_high_water = 7;
         s.cycles = 400;
         let mut hw = SnapshotWriter::new();
-        s.save(&mut hw);
+        s.put(&mut hw);
         let bytes = hw.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
-        let restored = NetworkStats::load(&mut r).unwrap();
+        let restored = NetworkStats::get(&mut r).unwrap();
         r.finish("stats").unwrap();
         let mut w2 = SnapshotWriter::new();
-        restored.save(&mut w2);
+        restored.put(&mut w2);
         assert_eq!(bytes, w2.into_bytes());
         assert_eq!(restored.packets_offered, 10);
         assert_eq!(restored.network_latency.mean(), Some(12.0));
@@ -880,15 +763,44 @@ pub(crate) mod tests {
         win.push(3);
         win.push(0);
         let mut lw = SnapshotWriter::new();
-        e.save(&mut lw);
-        win.save(&mut lw);
+        e.put(&mut lw);
+        win.put(&mut lw);
         let bytes = lw.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
-        let e2 = Ewma::load(&mut r).unwrap();
-        let w2 = SlidingWindow::load(&mut r).unwrap();
+        let mut e2 = Ewma::new(0.5);
+        e2.load(&mut r).unwrap();
+        let mut w2 = SlidingWindow::new(1);
+        w2.load(&mut r).unwrap();
         r.finish("measurement").unwrap();
         assert_eq!(e2, e);
         assert_eq!(w2, win);
+    }
+
+    /// A decoded length never sizes an allocation: a bucket or sample
+    /// count far past the payload is `Truncated`, not an abort.
+    #[test]
+    fn huge_decoded_lengths_are_truncated_not_allocated() {
+        for count in [1u64 << 40, 1 << 61, u64::MAX] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(8); // bucket width
+            w.put_u64(count);
+            w.put_u64(0);
+            let bytes = w.into_bytes();
+            let err = Histogram::default()
+                .load(&mut SnapshotReader::new(&bytes))
+                .unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Truncated { .. }),
+                "{count}: {err}"
+            );
+            let err = SlidingWindow::new(4)
+                .load(&mut SnapshotReader::new(&bytes[8..]))
+                .unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Truncated { .. }),
+                "{count}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Round-robin arbitration primitives used by the switch allocators.
 
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
+
 #[cfg(test)]
 use afc_netsim::geom::Direction;
 
@@ -115,6 +117,17 @@ impl RoundRobin {
             }
         }
         None
+    }
+}
+
+/// An arbiter's state is its cursor, which a load keeps below `len()`.
+impl Codec for RoundRobin {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.next.put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.next = r.get_index(self.n, "arbiter cursor")?;
+        Ok(())
     }
 }
 

@@ -68,7 +68,7 @@ use afc_netsim::rng::SimRng;
 use afc_netsim::router::{
     alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs,
 };
-use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 
 use crate::arbiter::RoundRobin;
@@ -1005,180 +1005,104 @@ impl Router for BackpressuredRouter {
         // Identical byte stream to the pre-slab layout: lanes visit in the
         // same (port, vc) order the per-VC vectors iterated, flits in FIFO
         // order from each ring's head.
-        for port in PortId::ALL {
-            let pi = port.index();
-            if !self.in_present[pi] {
-                continue;
-            }
+        let some = |v: u8| (v != NONE8).then_some(v);
+        for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
             for vc in 0..self.total {
                 let lane = pi * self.total + vc;
                 let (base, depth) = self.ring(pi, vc);
-                let h = self.head[lane] as usize;
-                let n = self.len[lane] as usize;
-                w.put_usize(n);
-                for k in 0..n {
-                    let mut idx = h + k;
-                    if idx >= depth {
-                        idx -= depth;
-                    }
-                    snapshot::write_flit(w, &self.flits[base + idx]);
-                }
-                match self.route[lane] {
-                    NONE8 => w.put_bool(false),
-                    p => {
-                        w.put_bool(true);
-                        w.put_u8(p);
-                    }
-                }
-                w.put_opt_u64(match self.out_vc[lane] {
-                    NONE8 => None,
-                    v => Some(v as u64),
-                });
-                w.put_opt_u64(self.route_packet[lane].map(|p| p.0));
+                let (h, n) = (self.head[lane] as usize, self.len[lane] as usize);
+                n.put(w);
+                (0..n).for_each(|k| self.flits[base + (h + k) % depth].put(w));
+                some(self.route[lane]).put(w);
+                some(self.out_vc[lane]).map(u64::from).put(w);
+                self.route_packet[lane].put(w);
             }
         }
-        for port in PortId::ALL {
-            let PortId::Net(d) = port else { continue };
-            let di = d.index();
-            if !self.out_present[di] {
-                continue;
-            }
+        for di in (0..DIRS).filter(|&di| self.out_present[di]) {
             for vc in 0..self.total {
-                w.put_bool(self.alloc_bits[di] >> vc & 1 != 0);
-                w.put_usize(self.credits[di * self.total + vc] as usize);
+                let credits = self.credits[di * self.total + vc] as usize;
+                (self.alloc_bits[di] >> vc & 1 != 0, credits).put(w);
             }
         }
-        for port in PortId::ALL {
-            if let Some(arb) = self.input_arb[port].as_ref() {
-                w.put_usize(arb.cursor());
-            }
+        for arb in self.input_arb.iter().flat_map(|(_, arb)| arb) {
+            arb.put(w);
         }
-        for port in PortId::ALL {
-            w.put_usize(self.output_arb[port].cursor());
-        }
-        for vc in &self.inject_vc {
-            w.put_opt_u64(vc.map(|v| v as u64));
-        }
-        for rr in &self.inject_rr {
-            w.put_usize(*rr);
-        }
-        self.resync.save(w);
-        self.counters.save(w);
-        self.fa.save(w);
+        self.output_arb.put(w);
+        self.inject_vc[..].put(w);
+        self.inject_rr[..].put(w);
+        self.resync.put(w);
+        self.counters.put(w);
+        self.fa.put(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let total = self.total;
-        let mut occ = 0usize;
+        self.occ = 0;
         self.port_occ = PortMap::default();
         self.occ_bits = [0; PORTS];
-        for port in PortId::ALL {
+        for port in PortId::ALL
+            .into_iter()
+            .filter(|p| self.in_present[p.index()])
+        {
             let pi = port.index();
-            if !self.in_present[pi] {
-                continue;
-            }
             for vc in 0..total {
                 let lane = pi * total + vc;
                 let (base, depth) = self.ring(pi, vc);
-                let n = r.get_usize("input vc queue length")?;
-                if n > depth {
-                    return Err(SnapshotError::Malformed {
-                        what: "input vc queue length",
-                    });
-                }
-                self.head[lane] = 0;
-                for k in 0..n {
-                    self.flits[base + k] = snapshot::read_flit(r)?;
-                }
-                self.len[lane] = n as u16;
-                if n > 0 {
-                    self.occ_bits[pi] |= 1u64 << vc;
-                }
-                occ += n;
+                let n = r.get_index(depth + 1, "input vc queue length")?;
+                self.flits[base..base + n].load(r)?;
+                (self.head[lane], self.len[lane]) = (0, n as u16);
+                self.occ_bits[pi] |= ((n > 0) as u64) << vc;
+                self.occ += n;
                 self.port_occ[port] += n;
-                self.route[lane] = if r.get_bool("input vc route presence")? {
-                    let p = r.get_u8("input vc route")?;
-                    PortId::from_index(p as usize).ok_or(SnapshotError::Malformed {
-                        what: "input vc route",
-                    })?;
-                    p
-                } else {
-                    NONE8
-                };
-                self.out_vc[lane] = match r.get_opt_u64("input vc out-vc")? {
-                    Some(v) if (v as usize) < total => v as u8,
+                self.route[lane] = match Option::<u8>::get(r)? {
+                    None => NONE8,
+                    Some(p) if (p as usize) < PORTS => p,
                     Some(_) => {
                         return Err(SnapshotError::Malformed {
-                            what: "input vc out-vc",
+                            what: "input vc route",
                         })
                     }
-                    None => NONE8,
                 };
-                self.route_packet[lane] = r.get_opt_u64("input vc route packet")?.map(PacketId);
+                self.out_vc[lane] = get_vc(r, total, "input vc out-vc")?.map_or(NONE8, |v| v as u8);
+                self.route_packet[lane].load(r)?;
             }
         }
         self.alloc_bits = [0; DIRS];
-        for port in PortId::ALL {
-            let PortId::Net(d) = port else { continue };
-            let di = d.index();
-            if !self.out_present[di] {
-                continue;
-            }
+        for di in (0..DIRS).filter(|&di| self.out_present[di]) {
             for vc in 0..total {
-                if r.get_bool("output vc allocated")? {
-                    self.alloc_bits[di] |= 1u64 << vc;
-                }
-                let credits = r.get_usize("output vc credits")?;
-                if credits > self.layout.depth_of[vc] {
-                    return Err(SnapshotError::Malformed {
-                        what: "output vc credits",
-                    });
-                }
+                self.alloc_bits[di] |= (r.get_bool("output vc allocated")? as u64) << vc;
+                let credits = r.get_index(self.layout.depth_of[vc] + 1, "output vc credits")?;
                 self.credits[di * total + vc] = credits as u16;
             }
         }
-        for port in PortId::ALL {
-            if let Some(arb) = self.input_arb[port].as_mut() {
-                let c = r.get_usize("input arbiter cursor")?;
-                if c >= arb.len() {
-                    return Err(SnapshotError::Malformed {
-                        what: "input arbiter cursor",
-                    });
-                }
-                arb.set_cursor(c);
-            }
+        for arb in self.input_arb.iter_mut().flat_map(|(_, arb)| arb) {
+            arb.load(r)?;
         }
-        for port in PortId::ALL {
-            let c = r.get_usize("output arbiter cursor")?;
-            if c >= self.output_arb[port].len() {
-                return Err(SnapshotError::Malformed {
-                    what: "output arbiter cursor",
-                });
-            }
-            self.output_arb[port].set_cursor(c);
-        }
+        self.output_arb.load(r)?;
         for vc in &mut self.inject_vc {
-            *vc = match r.get_opt_u64("inject vc")? {
-                Some(v) if (v as usize) < total => Some(v as usize),
-                Some(_) => return Err(SnapshotError::Malformed { what: "inject vc" }),
-                None => None,
-            };
+            *vc = get_vc(r, total, "inject vc")?;
         }
         for (vnet, rr) in self.inject_rr.iter_mut().enumerate() {
-            let v = r.get_usize("inject round-robin cursor")?;
-            if v >= self.layout.range_of[vnet].len() {
-                return Err(SnapshotError::Malformed {
-                    what: "inject round-robin cursor",
-                });
-            }
-            *rr = v;
+            let vcs = self.layout.range_of[vnet].len();
+            *rr = r.get_index(vcs, "inject round-robin cursor")?;
         }
         self.resync.load(r)?;
-        self.counters = ActivityCounters::load(r)?;
-        self.fa.load(r)?;
-        self.occ = occ;
-        Ok(())
+        self.counters.load(r)?;
+        self.fa.load(r)
+    }
+}
+
+/// A VC index below `total` behind a presence flag (an `Option<usize>`'s
+/// encoding, range-checked).
+fn get_vc(
+    r: &mut SnapshotReader<'_>,
+    total: usize,
+    what: &'static str,
+) -> Result<Option<usize>, SnapshotError> {
+    match r.get_bool(what)? {
+        true => r.get_index(total, what).map(Some),
+        false => Ok(None),
     }
 }
 

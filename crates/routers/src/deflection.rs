@@ -24,7 +24,7 @@ use afc_netsim::flit::{Cycle, Flit, PacketId};
 use afc_netsim::geom::{Coord, Direction, NodeId, PortId};
 use afc_netsim::rng::SimRng;
 use afc_netsim::router::{Router, RouterBank, RouterFactory, RouterMode, RouterOutputs};
-use afc_netsim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 
 /// Flit width in bits for this mechanism (32-bit payload + 13 control bits,
@@ -349,14 +349,12 @@ impl LatchBank {
     }
 
     /// Writes the latched flits (count, then each flit).
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.len());
-        for f in self.flits() {
-            snapshot::write_flit(w, f);
-        }
+    pub fn put(&self, w: &mut SnapshotWriter) {
+        self.len().put(w);
+        self.flits().put(w);
     }
 
-    /// Restores flits written by [`LatchBank::save`].
+    /// Restores, in place, flits written by [`LatchBank::put`].
     ///
     /// # Errors
     ///
@@ -367,15 +365,8 @@ impl LatchBank {
         r: &mut SnapshotReader<'_>,
         what: &'static str,
     ) -> Result<(), SnapshotError> {
-        let n = r.get_usize(what)?;
-        if n > self.degree() + 1 {
-            return Err(SnapshotError::Malformed { what });
-        }
-        self.len = 0;
-        for _ in 0..n {
-            self.push(snapshot::read_flit(r)?);
-        }
-        Ok(())
+        self.len = r.get_index(self.degree() + 2, what)? as u8;
+        self.flits[..self.len as usize].load(r)
     }
 }
 
@@ -500,17 +491,16 @@ impl<const DROP: bool> Router for Bufferless<DROP> {
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        self.bank.save(w);
-        self.counters.save(w);
-        self.fa.save(w);
+        self.bank.put(w);
+        self.counters.put(w);
+        self.fa.put(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.bank.load(r, Self::LATCH_COUNT)?;
-        self.counters = ActivityCounters::load(r)?;
-        self.fa.load(r)?;
-        Ok(())
+        self.counters.load(r)?;
+        self.fa.load(r)
     }
 }
 

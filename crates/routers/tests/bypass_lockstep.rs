@@ -17,7 +17,7 @@
 use afc_energy::BufferAccounting;
 use afc_netsim::packet::{DeliveredPacket, PacketInput};
 use afc_netsim::prelude::*;
-use afc_netsim::snapshot::fnv1a64;
+use afc_netsim::snapshot::{fnv1a64, Codec};
 use afc_routers::BackpressuredFactory;
 
 /// Read-bypass routers under the plain factory's name: the mechanism name
@@ -148,7 +148,7 @@ fn network_bytes(net: &Network) -> Vec<u8> {
 
 fn stats_bytes(net: &Network) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
-    net.stats().save(&mut w);
+    net.stats().put(&mut w);
     w.into_bytes()
 }
 

@@ -23,7 +23,7 @@ use afc_netsim::network::Network;
 use afc_netsim::packet::{DeliveredPacket, PacketInput, PacketKind};
 use afc_netsim::rng::SimRng;
 use afc_netsim::sim::TrafficModel;
-use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Parameters of one closed-loop workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +93,7 @@ pub mod vnets {
 }
 
 /// A pending L2 bank response.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingReply {
     ready_at: Cycle,
     bank: NodeId,
@@ -373,106 +373,49 @@ impl TrafficModel for ClosedLoopTraffic {
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         // Workload parameters are construction-time configuration; only the
         // mutable execution state travels.
-        for word in self.rng.state() {
-            w.put_u64(word);
+        self.rng.put(w);
+        (self.completed, self.issued, self.target).put(w);
+        self.cores.len().put(w);
+        for (core, done) in self.cores.iter().zip(&self.completed_by_node) {
+            core.outstanding.put(w);
+            core.ready_at.put(w);
+            done.put(w);
         }
-        w.put_u64(self.completed);
-        w.put_u64(self.issued);
-        w.put_opt_u64(self.target);
-        w.put_usize(self.cores.len());
-        for (node, core) in self.cores.iter().enumerate() {
-            w.put_usize(core.outstanding);
-            w.put_usize(core.ready_at.len());
-            for t in &core.ready_at {
-                w.put_u64(*t);
-            }
-            w.put_u64(self.completed_by_node[node]);
-        }
-        w.put_usize(self.pending_replies.len());
-        for p in &self.pending_replies {
-            w.put_u64(p.ready_at);
-            w.put_usize(p.bank.index());
-            w.put_usize(p.requester.index());
-            w.put_u64(p.tag);
-        }
-        w.put_usize(self.pending_local.len());
-        for (ready_at, node, tag) in &self.pending_local {
-            w.put_u64(*ready_at);
-            w.put_usize(node.index());
-            w.put_u64(*tag);
-        }
+        self.pending_replies.put(w);
+        self.pending_local.put(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.get_u64("closed-loop rng state")?;
-        }
-        self.rng = SimRng::from_state(state);
-        self.completed = r.get_u64("closed-loop completed count")?;
-        self.issued = r.get_u64("closed-loop issued count")?;
-        self.target = r.get_opt_u64("closed-loop target")?;
-        let nodes = r.get_usize("closed-loop node count")?;
-        if nodes != self.cores.len() {
+        self.rng.load(r)?;
+        (self.completed, self.issued, self.target) = Codec::get(r)?;
+        if r.get_usize("closed-loop node count")? != self.cores.len() {
             return Err(SnapshotError::Malformed {
                 what: "closed-loop node count",
             });
         }
-        for node in 0..nodes {
-            let outstanding = r.get_usize("closed-loop outstanding count")?;
-            if outstanding > self.params[node].mshrs {
-                return Err(SnapshotError::Malformed {
-                    what: "closed-loop outstanding count",
-                });
-            }
-            let threads = r.get_usize("closed-loop thread count")?;
-            if threads != self.params[node].threads {
+        for (node, core) in self.cores.iter_mut().enumerate() {
+            let params = &self.params[node];
+            core.outstanding = r.get_index(params.mshrs + 1, "closed-loop outstanding count")?;
+            core.ready_at.load(r)?;
+            if core.ready_at.len() != params.threads {
                 return Err(SnapshotError::Malformed {
                     what: "closed-loop thread count",
                 });
             }
-            let core = &mut self.cores[node];
-            core.outstanding = outstanding;
-            core.ready_at.clear();
-            for _ in 0..threads {
-                core.ready_at
-                    .push(r.get_u64("closed-loop thread ready cycle")?);
-            }
-            self.completed_by_node[node] = r.get_u64("closed-loop node completions")?;
+            self.completed_by_node[node].load(r)?;
         }
-        let n = r.get_usize("closed-loop pending reply count")?;
-        self.pending_replies.clear();
-        for _ in 0..n {
-            let ready_at = r.get_u64("closed-loop reply ready cycle")?;
-            let bank = r.get_usize("closed-loop reply bank")?;
-            let requester = r.get_usize("closed-loop reply requester")?;
-            let tag = r.get_u64("closed-loop reply tag")?;
-            if bank >= nodes || requester >= nodes {
-                return Err(SnapshotError::Malformed {
-                    what: "closed-loop reply node index",
-                });
-            }
-            self.pending_replies.push(PendingReply {
-                ready_at,
-                bank: NodeId::new(bank),
-                requester: NodeId::new(requester),
-                tag,
-            });
-        }
-        let n = r.get_usize("closed-loop pending local count")?;
-        self.pending_local.clear();
-        for _ in 0..n {
-            let ready_at = r.get_u64("closed-loop local ready cycle")?;
-            let node = r.get_usize("closed-loop local node")?;
-            let tag = r.get_u64("closed-loop local tag")?;
-            if node >= nodes {
-                return Err(SnapshotError::Malformed {
-                    what: "closed-loop local node index",
-                });
-            }
-            self.pending_local.push((ready_at, NodeId::new(node), tag));
-        }
+        self.pending_replies.load(r)?;
+        self.pending_local.load(r)
+    }
+}
+
+impl Codec for PendingReply {
+    fn put(&self, w: &mut SnapshotWriter) {
+        (self.ready_at, self.bank, self.requester, self.tag).put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        (self.ready_at, self.bank, self.requester, self.tag) = Codec::get(r)?;
         Ok(())
     }
 }

@@ -10,7 +10,7 @@ use afc_netsim::network::Network;
 use afc_netsim::packet::{DeliveredPacket, PacketInput, PacketKind};
 use afc_netsim::rng::SimRng;
 use afc_netsim::sim::TrafficModel;
-use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::synthetic::Pattern;
 
@@ -171,22 +171,14 @@ impl TrafficModel for OpenLoopTraffic {
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         // Rates, pattern, and mix are construction-time configuration; only
         // the mutable injection state travels.
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_bool(self.stopped);
-        w.put_u64(self.delivered);
+        self.rng.put(w);
+        (self.stopped, self.delivered).put(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.get_u64("open-loop rng state")?;
-        }
-        self.rng = SimRng::from_state(state);
-        self.stopped = r.get_bool("open-loop stopped flag")?;
-        self.delivered = r.get_u64("open-loop delivered count")?;
+        self.rng.load(r)?;
+        (self.stopped, self.delivered) = Codec::get(r)?;
         Ok(())
     }
 }

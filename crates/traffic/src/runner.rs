@@ -23,7 +23,7 @@ use afc_netsim::faults::FaultPlan;
 use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
 use afc_netsim::sim::{Simulation, TrafficModel};
-use afc_netsim::snapshot::{self, SnapshotError, SnapshotWriter};
+use afc_netsim::snapshot::{self, Codec, SnapshotError, SnapshotWriter};
 use afc_netsim::stats::NetworkStats;
 
 use crate::closedloop::{ClosedLoopTraffic, WorkloadParams};
@@ -342,9 +342,7 @@ impl CheckpointHeader<'_> {
         let mut w = SnapshotWriter::new();
         w.put_str(CHECKPOINT_TAG);
         w.put_str(identity);
-        w.put_u64(seed);
-        w.put_u64(measure_to);
-        w.put_opt_u64(start);
+        (seed, measure_to, start).put(&mut w);
         w.put_blob(&sim.snapshot()?);
         snapshot::write_file_atomic(path, &snapshot::seal(w))
     }
@@ -374,10 +372,13 @@ impl CheckpointHeader<'_> {
         expect("checkpoint format", tag, &CHECKPOINT_TAG)?;
         let CheckpointHeader(identity, seed, measure_to) = self;
         expect("scenario", r.get_str("checkpoint scenario")?, identity)?;
-        expect("seed", r.get_u64("checkpoint seed")?.to_string(), seed)?;
-        let found = r.get_u64("checkpoint measurement target")?.to_string();
-        expect("measurement target", found, measure_to)?;
-        let start = r.get_opt_u64("measurement start cycle")?;
+        expect("seed", u64::get(&mut r)?.to_string(), seed)?;
+        expect(
+            "measurement target",
+            u64::get(&mut r)?.to_string(),
+            measure_to,
+        )?;
+        let start = Codec::get(&mut r)?;
         let blob = r.get_blob("embedded simulation snapshot")?;
         r.finish("run checkpoint")?;
         sim.restore(&blob, &origin)?;

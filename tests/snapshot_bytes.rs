@@ -1,0 +1,272 @@
+//! Snapshot bytes, pinned: `(length, FNV-1a-64)` of every kind of saved
+//! state the suite writes — a full simulation for each of the seven
+//! mechanisms, the fault plane mid-churn, the closed-loop memory model, a
+//! run checkpoint file and a sweep manifest. Any change to what a type
+//! encodes, or in what order, moves a pin; such a change is a new
+//! `FORMAT_VERSION`, so the version is pinned alongside. On a mismatch the
+//! test prints the whole column of new values for the engine it ran on.
+
+use afc_bench::sweep::{RunKind as SweepKind, RunOutput, RunSpec, SweepManifest, SweepSpec};
+use afc_bench::MechanismId;
+use afc_netsim::snapshot::{fnv1a64, FORMAT_VERSION};
+use afc_noc::prelude::*;
+
+fn pin(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fnv1a64(bytes))
+}
+
+fn open_loop(
+    cfg: &NetworkConfig,
+    id: MechanismId,
+    rate: f64,
+    seed: u64,
+) -> Simulation<OpenLoopTraffic> {
+    let factory = id.mechanism().factory;
+    let network = Network::new(cfg.clone(), factory.as_ref(), seed).expect("valid config");
+    let traffic = OpenLoopTraffic::new(
+        RateSpec::Uniform(rate),
+        Pattern::UniformRandom,
+        PacketMix::paper(),
+        seed,
+    );
+    Simulation::new(network, traffic)
+}
+
+/// Every mechanism on an 8×8 mesh at uniform 0.30, after 400 cycles.
+fn mesh8_saturated() -> Vec<(String, (usize, u64))> {
+    let cfg = NetworkConfig {
+        width: 8,
+        height: 8,
+        ..NetworkConfig::paper_3x3()
+    };
+    MechanismId::ALL
+        .iter()
+        .map(|&id| {
+            let mut sim = open_loop(&cfg, id, 0.30, 11);
+            sim.run(400);
+            let snap = sim.snapshot().expect("snapshot");
+            (format!("mesh8/{}", id.label()), pin(&snap))
+        })
+        .collect()
+}
+
+/// bp, drop and afc on a 6×6 mesh under link churn, a router stall window
+/// and transient corruption, with bounded retransmission on: fault log,
+/// pending NACKs/acks and unreachable records are all in the bytes.
+fn mesh6_faulted() -> Vec<(String, (usize, u64))> {
+    let mesh = Mesh::new(6, 6).expect("valid mesh");
+    let plan = FaultPlan::uniform_transient(0.0, 4e-3)
+        .with_churn(&mesh, 0xC0DEC, 90, 0.5, 700)
+        .with_stall(NodeId::new(14), 200, 60);
+    let cfg = NetworkConfig {
+        width: 6,
+        height: 6,
+        faults: plan,
+        retransmit: Some(RetransmitConfig {
+            timeout: 120,
+            backoff_cap: 1,
+            max_attempts: 2,
+        }),
+        ..NetworkConfig::paper_3x3()
+    };
+    let mut unreachable = 0;
+    let pins = [
+        MechanismId::Backpressured,
+        MechanismId::Drop,
+        MechanismId::Afc,
+    ]
+    .iter()
+    .map(|&id| {
+        let mut sim = open_loop(&cfg, id, 0.20, 5);
+        sim.run(600);
+        let (_, nacks, acks, _) = sim.network.drain_residue();
+        assert!(!sim.network.fault_log().is_empty(), "{id:?}: no faults");
+        assert!(nacks + acks > 0, "{id:?}: no pending NACKs or acks");
+        unreachable += sim.network.unreachable_packets().len();
+        let snap = sim.snapshot().expect("snapshot");
+        (format!("mesh6-faults/{}", id.label()), pin(&snap))
+    })
+    .collect();
+    assert!(unreachable > 0, "no packet was given up as unreachable");
+    pins
+}
+
+/// A 3×3 closed-loop AFC run in the middle of its measurement window.
+fn closed_loop() -> (usize, u64) {
+    let factory = AfcFactory::paper();
+    let network = Network::new(NetworkConfig::paper_3x3(), &factory, 7).expect("valid config");
+    let mut sim = Simulation::new(network, ClosedLoopTraffic::new(workloads::apache(), 9, 7));
+    sim.run(1_500);
+    sim.network.reset_metrics();
+    sim.run(700);
+    pin(&sim.snapshot().expect("snapshot"))
+}
+
+/// The checkpoint file `run` leaves behind for a closed-loop scenario.
+fn checkpoint_file(dir: &std::path::Path) -> (usize, u64) {
+    let path = dir.join("run.ckpt");
+    let kind = RunKind::ClosedLoop {
+        workload: workloads::water(),
+        warmup_txns: 60,
+        measure_txns: 200,
+        max_cycles: 1_000_000,
+    };
+    let env = RunEnv {
+        checkpoint: CheckpointPolicy {
+            every: 500,
+            file: Some(&path),
+            resume_from: None,
+        },
+        ..RunEnv::default()
+    };
+    run(
+        &kind,
+        &AfcFactory::paper(),
+        &NetworkConfig::paper_3x3(),
+        3,
+        env,
+    )
+    .expect("run");
+    pin(&std::fs::read(&path).expect("checkpoint written"))
+}
+
+/// A two-job manifest of a four-job sweep.
+fn manifest_file(dir: &std::path::Path) -> (usize, u64) {
+    let runs = [0.05, 0.10, 0.15, 0.20]
+        .iter()
+        .map(|&rate| RunSpec {
+            mechanism: MechanismId::Drop,
+            seed: 9,
+            kind: SweepKind::OpenLoop {
+                rate,
+                pattern: Pattern::Transpose,
+                mix: PacketMix::single_flit(),
+                warmup_cycles: 20,
+                measure_cycles: 80,
+            },
+        })
+        .collect();
+    let spec = SweepSpec {
+        name: "pinned".to_string(),
+        net_cfg: NetworkConfig::paper_3x3(),
+        runs,
+    };
+    let output = |label: &str, mean_latency: Option<f64>| RunOutput {
+        label: label.to_string(),
+        cycles: 80,
+        packets_delivered: 17,
+        flits_delivered: 17,
+        injection_rate: 0.1,
+        throughput: 0.0925,
+        mean_latency,
+        energy_pj: 98.765,
+        backpressured_fraction: 0.0,
+        mean_deflections: 0.125,
+        delivered_fraction: 1.0,
+        outcome: "ok".to_string(),
+    };
+    let mut manifest = SweepManifest::new(&spec);
+    manifest.record(2, &output("drop/open@0.150@9", None));
+    manifest.record(0, &output("drop/open@0.050@9", Some(7.75)));
+    let path = dir.join("pinned.manifest");
+    manifest.save(&path).expect("manifest saved");
+    pin(&std::fs::read(&path).expect("manifest written"))
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    assert_eq!(
+        FORMAT_VERSION, 4,
+        "a layout change bumps FORMAT_VERSION and re-pins this table"
+    );
+    let dir = std::env::temp_dir().join(format!("afc-snapshot-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut got = mesh8_saturated();
+    got.extend(mesh6_faulted());
+    got.push(("closed-loop/afc".to_string(), closed_loop()));
+    got.push(("checkpoint".to_string(), checkpoint_file(&dir)));
+    got.push(("manifest".to_string(), manifest_file(&dir)));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Columns: payload length, then the hash under the activity-tracked
+    // walk (which the sharded engine matches) and under `AFC_FULL_SCAN`.
+    // The full scan settles idle router cycles eagerly where the tracked
+    // walk defers them, so a quiescent router's cycle counter and the
+    // network's idle-accounting cursors differ in the bytes.
+    let pins: &[(&str, usize, u64, u64)] = &[
+        (
+            "mesh8/backpressured",
+            141631,
+            0xd37800b66ce43db1,
+            0x9269f9854ba49880,
+        ),
+        (
+            "mesh8/backpressureless",
+            81319,
+            0xa8b955ddf9b2c5ab,
+            0xb78bc27bb23f5aab,
+        ),
+        (
+            "mesh8/afc-always-bp",
+            119260,
+            0x12ab4d1eeb1cac36,
+            0xbe2767b3e72f973f,
+        ),
+        ("mesh8/afc", 116513, 0xf2b15dc94897586e, 0xd9239664498f1077),
+        (
+            "mesh8/bp-read-bypass",
+            141643,
+            0xd9195d943d498b89,
+            0xda312b66d0ced066,
+        ),
+        (
+            "mesh8/bp-ideal-bypass",
+            141631,
+            0xd37800b66ce43db1,
+            0x9269f9854ba49880,
+        ),
+        ("mesh8/drop", 97358, 0xc77f139a55cbff70, 0xc77f139a55cbff70),
+        (
+            "mesh6-faults/backpressured",
+            75416,
+            0xbfb5df130c42b6c0,
+            0xbfb5df130c42b6c0,
+        ),
+        (
+            "mesh6-faults/drop",
+            72853,
+            0x3445ee3502788d90,
+            0x3445ee3502788d90,
+        ),
+        (
+            "mesh6-faults/afc",
+            74370,
+            0xa65a2b075e1677ca,
+            0xa65a2b075e1677ca,
+        ),
+        (
+            "closed-loop/afc",
+            30658,
+            0x7b010fbab63e34e3,
+            0x7b010fbab63e34e3,
+        ),
+        ("checkpoint", 11364, 0x0a16672fc8bc7d15, 0x717e14c209f01917),
+        ("manifest", 311, 0xa72f24fda386bc01, 0xa72f24fda386bc01),
+    ];
+    let factory = BackpressuredFactory::new();
+    let full_scan = Network::new(NetworkConfig::paper_3x3(), &factory, 0)
+        .expect("valid config")
+        .full_scan();
+    let expected: Vec<(&str, (usize, u64))> = pins
+        .iter()
+        .map(|&(k, len, walk, scan)| (k, (len, if full_scan { scan } else { walk })))
+        .collect();
+    let got_ref: Vec<(&str, (usize, u64))> = got.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    if got_ref != expected {
+        let table: String = got
+            .iter()
+            .map(|(k, (len, sum))| format!("        ({k:?}, {len}, 0x{sum:016x}),\n"))
+            .collect();
+        panic!("snapshot bytes moved (full scan: {full_scan}); new pins:\n{table}");
+    }
+}

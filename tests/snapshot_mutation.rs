@@ -1,0 +1,235 @@
+//! Mutation walls for saved state: a snapshot or checkpoint whose bytes
+//! were changed is answered with a structured error — or, where the
+//! change still decodes to a possible state, restored — never with a
+//! panic or an abort.
+//!
+//! * Every third payload byte of a 4×4 snapshot with flits in flight, for
+//!   the backpressured, deflection, drop and AFC routers, is changed and
+//!   the container re-sealed (so the checksum no longer guards it).
+//!   Restoring into a fresh simulation returns `Ok` or a `SnapshotError`;
+//!   an `Ok` simulation snapshots again.
+//! * A buffered AFC flit whose destination is outside the mesh is
+//!   `Malformed`, refused while decoding the node id.
+//! * Every single-byte flip and every truncation of a run checkpoint file
+//!   is `RunError::Snapshot`, naming the file.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use afc_netsim::packet::PacketInput;
+use afc_netsim::snapshot::{fnv1a64, FORMAT_VERSION, MAGIC};
+use afc_noc::prelude::*;
+
+const SEED: u64 = 0x3D17;
+
+/// Payload bytes between two mutated ones (every byte costs ~8 s in the
+/// dev profile across the four mechanisms).
+const STRIDE: usize = 3;
+
+fn mesh4() -> NetworkConfig {
+    NetworkConfig {
+        width: 4,
+        height: 4,
+        ..NetworkConfig::paper_3x3()
+    }
+}
+
+fn traffic(rate: f64) -> OpenLoopTraffic {
+    OpenLoopTraffic::new(
+        RateSpec::Uniform(rate),
+        Pattern::UniformRandom,
+        PacketMix::paper(),
+        SEED,
+    )
+}
+
+fn sim(factory: &dyn RouterFactory, rate: f64) -> Simulation<OpenLoopTraffic> {
+    let network = Network::new(mesh4(), factory, SEED).expect("valid config");
+    Simulation::new(network, traffic(rate))
+}
+
+/// The sealed container around `payload`, as `seal` would write it.
+fn reseal(payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    let sum = fnv1a64(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// The payload of a sealed container.
+fn payload(sealed: &[u8]) -> &[u8] {
+    &sealed[20..sealed.len() - 8]
+}
+
+#[test]
+fn every_mutated_payload_byte_restores_or_is_refused() {
+    let mechanisms: [(&str, Box<dyn RouterFactory>); 4] = [
+        ("backpressured", Box::new(BackpressuredFactory::new())),
+        ("deflection", Box::new(DeflectionFactory::new())),
+        ("drop", Box::new(DropFactory::new())),
+        ("afc", Box::new(AfcFactory::paper())),
+    ];
+    let mut panicked = Vec::new();
+    for (name, factory) in &mechanisms {
+        let factory = factory.as_ref();
+        let mut live = sim(factory, 0.3);
+        live.run(120);
+        assert!(
+            live.network.flits_in_network() > 0,
+            "{name}: nothing in flight"
+        );
+        let sealed = live.snapshot().expect("snapshot");
+        assert_eq!(reseal(payload(&sealed)), sealed);
+        let mut target = sim(factory, 0.3);
+        let (mut accepted, mut refused) = (0, 0);
+        for at in (0..payload(&sealed).len()).step_by(STRIDE) {
+            // Alternately every bit of a byte, and its value plus one (a
+            // count or cursor one past its bound).
+            let mut bytes = payload(&sealed).to_vec();
+            bytes[at] = match at / STRIDE % 2 {
+                0 => !bytes[at],
+                _ => bytes[at].wrapping_add(1),
+            };
+            let mutant = reseal(&bytes);
+            assert!(target.reset_from_config(&mesh4(), factory, SEED, traffic(0.3)));
+            let restored = catch_unwind(AssertUnwindSafe(|| {
+                let ok = target.restore(&mutant, "mutant").is_ok();
+                if ok {
+                    target.snapshot().expect("a restored simulation snapshots");
+                }
+                ok
+            }));
+            match restored {
+                Ok(true) => accepted += 1,
+                Ok(false) => refused += 1,
+                Err(_) => {
+                    panicked.push(format!("{name} byte {at}"));
+                    target = sim(factory, 0.3);
+                }
+            }
+        }
+        eprintln!("{name}: {accepted} mutants restored, {refused} refused");
+        assert!(refused > 0 && accepted > 0, "{name}: a vacuous wall");
+    }
+    assert!(panicked.is_empty(), "panicked: {panicked:?}");
+}
+
+/// Offsets of `needle` in `hay`.
+fn find_all(hay: &[u8], needle: &[u8]) -> Vec<usize> {
+    (0..=hay.len().saturating_sub(needle.len()))
+        .filter(|&i| hay[i..].starts_with(needle))
+        .collect()
+}
+
+#[test]
+fn a_buffered_flit_bound_outside_the_mesh_is_malformed() {
+    // Always-backpressured AFC buffers a flit that loses arbitration in a
+    // lazy VC, whose route cache is recomputed from the flit's destination
+    // on restore. Nodes 0 and 1 both send to node 3, so they contend for
+    // router 1's east port.
+    let factory = AfcFactory::always_backpressured();
+    let mut live = sim(&factory, 0.0);
+    let dest = NodeId::new(3);
+    let input = PacketInput {
+        dest,
+        vnet: VirtualNetwork(0),
+        len: 1,
+        kind: PacketKind::Synthetic,
+        tag: 0,
+    };
+    let mut sent = Vec::new();
+    for _ in 0..8 {
+        for src in [NodeId::new(0), NodeId::new(1)] {
+            sent.push((live.network.offer_packet(src, input), src));
+        }
+    }
+    let holder = (0..40)
+        .find_map(|_| {
+            live.step();
+            (0..16)
+                .map(NodeId::new)
+                .find(|&n| live.network.router(n).occupancy() > 0)
+        })
+        .expect("a flit waits in a buffer");
+    let mut w = SnapshotWriter::new();
+    live.network.router(holder).save_state(&mut w).unwrap();
+    let router = w.into_bytes();
+    // A flit encodes its packet, seq, len, source, then its destination.
+    let head = |(id, src): &(PacketId, NodeId)| {
+        let mut head = id.0.to_le_bytes().to_vec();
+        head.extend_from_slice(&[0, 0, 1, 0]);
+        head.extend_from_slice(&(src.index() as u64).to_le_bytes());
+        head.extend_from_slice(&(dest.index() as u64).to_le_bytes());
+        head
+    };
+    let (in_router, head) = (sent.iter().map(head))
+        .find_map(|head| Some((*find_all(&router, &head).first()?, head)))
+        .expect("the buffered flit is one of those sent");
+    let sealed = live.snapshot().expect("snapshot");
+    let mut bytes = payload(&sealed).to_vec();
+    let base = find_all(&bytes, &router);
+    assert_eq!(base.len(), 1, "the router's state is in the payload once");
+    let dest_at = base[0] + in_router + head.len() - 8;
+    bytes[dest_at..dest_at + 8].copy_from_slice(&16u64.to_le_bytes());
+    let mut fresh = sim(&factory, 0.0);
+    match fresh.restore(&reseal(&bytes), "mutant") {
+        Err(SnapshotError::Malformed { what }) => assert_eq!(what, "node id"),
+        other => panic!("expected a malformed node id, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_flipped_or_truncated_checkpoint_byte_is_refused_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("afc-ckpt-mutation-{}", std::process::id()));
+    let path = dir.join("mutation.ckpt");
+    let kind = RunKind::OpenLoop {
+        rate: 0.05,
+        pattern: Pattern::UniformRandom,
+        mix: PacketMix::single_flit(),
+        warmup_cycles: 40,
+        measure_cycles: 60,
+    };
+    let cfg = NetworkConfig::paper_3x3();
+    let factory = BackpressuredFactory::new();
+    let resume = |file: Option<&std::path::Path>, from: Option<&std::path::Path>| {
+        let checkpoint = CheckpointPolicy {
+            every: 0,
+            file,
+            resume_from: from,
+        };
+        let env = RunEnv {
+            checkpoint,
+            ..RunEnv::default()
+        };
+        run(&kind, &factory, &cfg, SEED, env)
+    };
+    let clean = resume(Some(&path), None).expect("a checkpointed run");
+    let saved = std::fs::read(&path).unwrap();
+    let mutants = (0..saved.len())
+        .map(|at| {
+            let mut flipped = saved.clone();
+            flipped[at] ^= 0x20;
+            (flipped, format!("byte {at} flipped"))
+        })
+        .chain((0..saved.len()).map(|len| (saved[..len].to_vec(), format!("cut to {len}"))));
+    for (bytes, what) in mutants {
+        std::fs::write(&path, &bytes).unwrap();
+        match resume(None, Some(&path)) {
+            Err(RunError::Snapshot(e)) => {
+                let msg = e.to_string();
+                assert!(msg.contains("mutation.ckpt"), "{what}: {msg}");
+            }
+            Err(other) => panic!("{what}: not a snapshot error: {other}"),
+            Ok(_) => panic!("{what}: accepted"),
+        }
+    }
+    std::fs::write(&path, &saved).unwrap();
+    let resumed = resume(None, Some(&path)).expect("the intact checkpoint resumes");
+    assert_eq!(
+        resumed.stats.packets_delivered,
+        clean.stats.packets_delivered
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
