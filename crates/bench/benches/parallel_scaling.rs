@@ -11,11 +11,10 @@
 //!   single-core container the multi-thread rows measure barrier/handoff
 //!   overhead, not speedup — read them together with `host_cores`.
 //! * Every row is measured twice. `ns_per_cycle` / `parallel_cycles` are
-//!   the engine *forced*: the gate's floor lowered to the 16 active
-//!   components that `AFC_SIM_THREADS` uses, so the multi-thread rows
-//!   measure the engine itself. `default_ns_per_cycle` /
-//!   `default_parallel_cycles` are the same run with nothing forced — what
-//!   a user gets. The default gate is calibrated from these pairs: it must
+//!   the engine *forced*: the gate's floor lowered to 16 active
+//!   components, so the multi-thread rows measure the engine itself.
+//!   `default_ns_per_cycle` / `default_parallel_cycles` are the same run
+//!   with nothing forced — what a user gets. The default gate is calibrated from these pairs: it must
 //!   stay serial (`default_parallel_cycles` 0) wherever the forced row
 //!   loses to 1 thread, and engage wherever it wins.
 //! * At idle the floor keeps even the forced engine serial, so those rows
@@ -60,7 +59,7 @@ struct MeshCase {
     low_load_rows: bool,
 }
 
-/// The floor `AFC_SIM_THREADS` runs under (active components).
+/// The forced rows' gate floor (active components).
 const FORCED_FLOOR: usize = 16;
 
 const MESH_CASES: [MeshCase; 5] = [

@@ -1,22 +1,9 @@
 //! # afc-bench — the experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md's per-experiment index):
-//!
-//! | binary       | paper artifact |
-//! |--------------|----------------|
-//! | `table1`     | Table I router pipelines + Tables II-IV configuration |
-//! | `fig2`       | Figure 2(a-d): performance & energy, low & high load |
-//! | `fig3`       | Figure 3(a,b): network energy breakdown |
-//! | `duty_cycle` | Section V-A mode duty cycle |
-//! | `open_loop`  | "Other results": latency-throughput sweep |
-//! | `spatial`    | Section V-B open-loop spatial variation (8x8 quadrants) |
-//! | `gossip`     | Section V-A gossip observation (open-loop hotspots) |
-//! | `ablation`   | Design-choice ablations (ranking policy, thresholds, buffers) |
-//! | `calibrate`  | Workload-calibration report (Table III injection rates) |
-//!
-//! The library half hosts the reusable experiment drivers so binaries stay
-//! thin and the integration tests can assert on the same numbers the
-//! binaries print.
+//! One binary per paper artifact or experiment (`fig2`, `open_loop`,
+//! `faults`, …); DESIGN.md §4 indexes them. The library half holds the
+//! reusable experiment code so binaries stay thin and the integration
+//! tests can assert on the same numbers the binaries print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,16 +22,39 @@ pub use sweep::{
     SweepResults, SweepSpec,
 };
 
-/// What the process environment does to every fresh network, as the engine
-/// itself parsed it: `(full_scan, threads_forced)`. `AFC_FULL_SCAN` pins
-/// every cycle to the serial full walk; `AFC_SIM_THREADS` overrides the
-/// thread budget and lowers the engine gate's floor. The engine-equivalence
-/// suites run under both in CI and ask here which of their asserts apply,
-/// rather than re-parsing the variables (`AFC_FULL_SCAN=0` is *off*).
-pub fn engine_overrides() -> (bool, bool) {
-    use afc_netsim::{config::NetworkConfig, network::Network};
-    let factory = MechanismId::Afc.mechanism().factory;
-    let probe =
-        Network::new(NetworkConfig::paper_3x3(), factory.as_ref(), 0).expect("valid config");
-    (probe.full_scan(), probe.sim_threads() != 1)
+use afc_netsim::network::Network;
+
+/// The simulator's three schedules, set through the network's own setters,
+/// for the suites that prove a result independent of which one ran.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The activity-tracked serial walk, a new network's schedule.
+    Tracked,
+    /// The serial walk over every component.
+    FullScan,
+    /// The sharded engine on four threads, engine gate floor 0.
+    Sharded,
+}
+
+impl Engine {
+    /// Tracked, full scan, and four threads.
+    pub const ALL: [Engine; 3] = [Engine::Tracked, Engine::FullScan, Engine::Sharded];
+
+    /// Puts `net` on this schedule.
+    pub fn apply(self, net: &mut Network) {
+        net.set_full_scan(self == Engine::FullScan);
+        net.set_sim_threads(if self == Engine::Sharded { 4 } else { 1 });
+        net.set_parallel_threshold(0);
+    }
+
+    /// Panics unless `net` ran on this schedule: no leg passes vacuously.
+    pub fn assert_ran(self, net: &Network) {
+        let ran = match self {
+            Engine::Tracked => !net.full_scan() && net.parallel_cycles() == 0,
+            Engine::FullScan => net.full_scan(),
+            Engine::Sharded => net.parallel_cycles() > 0,
+        };
+        assert!(ran, "{self:?}: the network did not run on this engine");
+    }
 }

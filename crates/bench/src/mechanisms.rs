@@ -79,7 +79,7 @@ impl MechanismId {
     ];
 
     /// The four bars of Figure 2, in paper order.
-    pub const FIG2: [MechanismId; 4] = [
+    pub(crate) const FIG2: [MechanismId; 4] = [
         MechanismId::Backpressured,
         MechanismId::Backpressureless,
         MechanismId::AfcAlwaysBp,

@@ -40,7 +40,7 @@
 //! Three layers make long sweeps survivable:
 //!
 //! 1. **Panic isolation** — every job runs under
-//!    [`std::panic::catch_unwind`] and gets [`JOB_ATTEMPTS`] tries. A job
+//!    [`std::panic::catch_unwind`] and gets `JOB_ATTEMPTS` tries. A job
 //!    that panics every time yields a structured [`JobFailure`] in its own
 //!    result slot; the pool and every other job are unaffected.
 //! 2. **Manifests** — [`SweepSpec::execute_resumable`] records each
@@ -257,10 +257,9 @@ struct SweepEnv {
 }
 
 impl SweepEnv {
-    /// Parses the raw value: `AFC_FULL_SCAN`'s grammar made strict. Unset,
-    /// empty or `0` is off; `1`, `true`, `yes` or `on` is on; anything else,
-    /// where a lenient reading would have to guess, is an error naming
-    /// variable and value.
+    /// Parses the raw value strictly. Unset, empty or `0` is off; `1`,
+    /// `true`, `yes` or `on` is on; anything else, where a lenient reading
+    /// would have to guess, is an error naming variable and value.
     fn parse(selfcheck: Option<&str>) -> Result<Self, SweepError> {
         let selfcheck = match selfcheck.map(str::trim) {
             None | Some("" | "0") => false,
@@ -296,7 +295,7 @@ impl SweepEnv {
 }
 
 /// Attempts per job before a panic is reported as a [`JobFailure`].
-pub const JOB_ATTEMPTS: u32 = 2;
+pub(crate) const JOB_ATTEMPTS: u32 = 2;
 
 /// A job that panicked on every attempt. The pool survives; the failure
 /// occupies the job's result slot instead of killing the process.
@@ -362,7 +361,7 @@ where
 /// # Panics
 ///
 /// Panics — only after the pool has finished every other job — if a job
-/// fails all its [`JOB_ATTEMPTS`] attempts.
+/// fails all its `JOB_ATTEMPTS` attempts.
 pub fn run_sweep<J, R, F>(name: &str, jobs: &[J], f: F) -> Vec<R>
 where
     J: Sync,
@@ -385,7 +384,7 @@ fn batch_size(jobs: usize, workers: usize) -> usize {
 
 /// The panic-isolating scheduler core: an atomic cursor hands out
 /// contiguous `batch`-sized windows of `order` (a permutation of job
-/// indices), each job runs under [`catch_unwind`] with [`JOB_ATTEMPTS`]
+/// indices), each job runs under [`catch_unwind`] with `JOB_ATTEMPTS`
 /// tries — one that panics every time yields `Err(`[`JobFailure`]`)` in its
 /// slot instead of killing the pool — workers report `(index, result)` over
 /// a channel, and the collector writes each result into its spec-index slot:
@@ -696,7 +695,7 @@ pub fn pool_stats() -> (u64, u64, u64, u64) {
 /// distinct warm-ups serialises and holds nothing, and a repeated one
 /// restores from its third pass on. An evicted or invalidated key stays
 /// remembered. Entries are bounded too (FIFO eviction once
-/// [`WARM_CACHE_BYTES`] is exceeded). The cache lives in memory only: it
+/// `WARM_CACHE_BYTES` is exceeded). The cache lives in memory only: it
 /// dies with the process.
 pub struct WarmCache {
     inner: Mutex<WarmCacheInner>,
@@ -804,13 +803,13 @@ impl WarmStore for WarmCache {
 }
 
 /// In-memory byte cap of the process-wide [`WarmCache`] (256 MiB).
-pub const WARM_CACHE_BYTES: usize = 256 << 20;
+pub(crate) const WARM_CACHE_BYTES: usize = 256 << 20;
 
 /// How many missed keys the process-wide [`WarmCache`] remembers (512 KiB).
 const MISSED_KEYS: usize = 1 << 16;
 
 /// The process-wide [`WarmCache`] singleton, created on first use and
-/// capped at [`WARM_CACHE_BYTES`].
+/// capped at `WARM_CACHE_BYTES`.
 pub fn warm_cache() -> &'static WarmCache {
     static WARM: OnceLock<WarmCache> = OnceLock::new();
     WARM.get_or_init(|| WarmCache::with_limits(WARM_CACHE_BYTES, MISSED_KEYS))
@@ -1647,7 +1646,7 @@ mod tests {
         for on in ["1", " 1 ", "true", "yes", "on"] {
             assert!(SweepEnv::parse(Some(on)).unwrap().selfcheck, "{on:?}");
         }
-        // No guessing: neither AFC_FULL_SCAN's "anything else is on" nor off.
+        // No guessing: anything else is neither on nor off.
         for bad in ["2", "false", "no", "TRUE", "1 1"] {
             let err = SweepEnv::parse(Some(bad)).expect_err(bad);
             assert!(matches!(err, SweepError::BadEnv(_)), "{bad}: {err:?}");

@@ -75,10 +75,7 @@ pub struct NetworkConfig {
     pub retransmit: Option<RetransmitConfig>,
     /// Worker threads for the intra-run parallel cycle engine (DESIGN.md
     /// §12). `1` (the presets' value) steps serially; any value produces
-    /// byte-identical results, so this is purely a wall-clock knob. The
-    /// `AFC_SIM_THREADS` environment variable overrides it at
-    /// `Network::new` time (a value that is not an integer ≥ 1 is a
-    /// [`ConfigError::OutOfRange`]).
+    /// byte-identical results, so this is purely a wall-clock knob.
     pub sim_threads: usize,
 }
 
@@ -267,81 +264,9 @@ impl Default for NetworkConfig {
     }
 }
 
-/// The engine overrides the environment carries — the one place
-/// `AFC_FULL_SCAN` and `AFC_SIM_THREADS` are read, once per process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EngineEnv {
-    /// `AFC_FULL_SCAN` is set to something other than empty or `0`.
-    pub(crate) full_scan: bool,
-    /// `AFC_SIM_THREADS=<n>`: forces every network's thread budget.
-    pub(crate) sim_threads: Option<usize>,
-}
-
-impl EngineEnv {
-    fn parse(full_scan: Option<&str>, sim_threads: Option<&str>) -> Result<Self, ConfigError> {
-        let sim_threads = match sim_threads.map(str::trim) {
-            None | Some("") => None,
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Some(n),
-                _ => {
-                    return Err(ConfigError::OutOfRange {
-                        what: "AFC_SIM_THREADS",
-                        range: "an integer >= 1",
-                    })
-                }
-            },
-        };
-        Ok(EngineEnv {
-            full_scan: full_scan.is_some_and(|v| !v.is_empty() && v != "0"),
-            sim_threads,
-        })
-    }
-
-    /// The process environment's overrides, parsed on first use.
-    pub(crate) fn get() -> Result<EngineEnv, ConfigError> {
-        static ENV: std::sync::OnceLock<Result<EngineEnv, ConfigError>> =
-            std::sync::OnceLock::new();
-        ENV.get_or_init(|| {
-            let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-            EngineEnv::parse(
-                var("AFC_FULL_SCAN").as_deref(),
-                var("AFC_SIM_THREADS").as_deref(),
-            )
-        })
-        .clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_env_parses_strictly() {
-        let env = |fs, st| EngineEnv::parse(fs, st);
-        let off = EngineEnv {
-            full_scan: false,
-            sim_threads: None,
-        };
-        assert_eq!(env(None, None), Ok(off));
-        assert_eq!(env(Some(""), Some("")), Ok(off));
-        assert_eq!(env(Some("0"), Some(" 4 ")).unwrap().sim_threads, Some(4));
-        assert!(!env(Some("0"), None).unwrap().full_scan);
-        assert!(env(Some("1"), None).unwrap().full_scan);
-        assert!(env(Some("yes"), None).unwrap().full_scan);
-        for bad in ["four", "0", "-1", "2.5"] {
-            assert!(
-                matches!(
-                    env(None, Some(bad)),
-                    Err(ConfigError::OutOfRange {
-                        what: "AFC_SIM_THREADS",
-                        ..
-                    })
-                ),
-                "AFC_SIM_THREADS={bad}"
-            );
-        }
-    }
 
     #[test]
     fn paper_preset_matches_table_ii() {

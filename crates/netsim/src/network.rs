@@ -9,12 +9,11 @@
 //! collection, the end-of-cycle block — and the serial *schedule*: one walk
 //! per phase over the dirty bitmasks (routers, channels, sending NIs) in
 //! ascending index order, skipping quiescent routers and replaying their
-//! idle cycles in bulk when they re-activate. `AFC_FULL_SCAN` (or
-//! [`Network::set_full_scan`]) feeds the same walk all-ones words instead;
-//! the bodies maintain the activity sets identically either way, so the
-//! mode can be toggled mid-run and must produce byte-identical results —
-//! the self-check the golden tests pin. The third schedule, one node range
-//! per thread, is `parallel.rs`; [`crate::parallel::gate`] picks per cycle.
+//! idle cycles in bulk when they re-activate. [`Network::set_full_scan`]
+//! feeds the same walk all-ones words — the activity sets' self-check:
+//! same results, not the same snapshot bytes (it settles idle cycles
+//! eagerly). The third schedule, one node range per thread, is
+//! `parallel.rs`; [`crate::parallel::gate`] picks per cycle.
 //! Both are compiled against the router type of the network's bank
 //! ([`RouterFactory::build_bank`]), chosen once at construction.
 
@@ -381,7 +380,7 @@ pub struct Network {
     /// When enabled, every offered packet is logged for trace capture.
     offer_log: Option<Vec<(Cycle, NodeId, PacketInput)>>,
     /// Force the historical walk over every component each cycle
-    /// (`AFC_FULL_SCAN` self-check mode).
+    /// (the full-scan self-check).
     full_scan: bool,
     /// Routers that must be stepped: everything not proven quiescent.
     pub(crate) router_active: ActiveSet,
@@ -404,13 +403,11 @@ pub struct Network {
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) check_conservation: bool,
     /// Worker-thread budget for the intra-run parallel engine; `1` steps
-    /// serially. Not part of snapshots: a restored run may use any value
-    /// (results are byte-identical regardless — DESIGN.md §12).
+    /// serially. Not part of snapshots (DESIGN.md §12).
     pub(crate) sim_threads: usize,
     /// Lazily-built shard plan + thread pool for the current budget.
     pub(crate) engine: Option<crate::parallel::Engine>,
-    /// Cycles stepped by the parallel engine (diagnostic only: lets tests
-    /// assert which engine ran; excluded from snapshots and stats).
+    /// Cycles stepped by the parallel engine (diagnostic, never saved).
     pub(crate) parallel_cycles: u64,
     /// Activity floor of the engine gate (see
     /// [`Network::set_parallel_threshold`]).
@@ -444,21 +441,13 @@ impl Network {
     pub const UNREACHABLE_LOG_CAP: usize = 16_384;
 
     /// Builds a network from a validated configuration, a router factory and
-    /// an RNG seed.
-    ///
-    /// The `AFC_FULL_SCAN` environment variable (any value other than empty
-    /// or `0`) starts the network in full-scan self-check mode; see
-    /// [`Network::set_full_scan`]. `AFC_SIM_THREADS=<n>` overrides
-    /// `config.sim_threads` and lowers the engine gate's floor to
-    /// `FORCED_MIN_ACTIVE` (16, see `parallel.rs`), so whole
-    /// test suites can be forced through the parallel engine — it is
-    /// byte-identical to the serial one — without touching their configs.
+    /// an RNG seed. It starts on the tracked walk with `config.sim_threads`
+    /// and the default engine gate; the setters below change that.
     ///
     /// # Errors
     ///
     /// Propagates [`ConfigError`](crate::error::ConfigError) from
-    /// [`NetworkConfig::validate`]; a malformed `AFC_SIM_THREADS` is
-    /// [`ConfigError::OutOfRange`](crate::error::ConfigError::OutOfRange).
+    /// [`NetworkConfig::validate`].
     ///
     /// # Panics
     ///
@@ -470,7 +459,6 @@ impl Network {
         seed: u64,
     ) -> Result<Network, crate::error::ConfigError> {
         config.validate()?;
-        let env = crate::config::EngineEnv::get()?;
         let mesh = config.mesh()?;
         let n = mesh.node_count();
         let buffer_flits_per_port = factory.buffer_flits_per_port(&config);
@@ -513,7 +501,7 @@ impl Network {
         let (mut modes_cache, mut acc) = (Vec::new(), Accum::default());
         Self::recount_modes(&*routers, &mut modes_cache, &mut acc.mode_counts);
         let chan_count = ends.len();
-        let sim_threads = env.sim_threads.unwrap_or(config.sim_threads);
+        let sim_threads = config.sim_threads;
 
         Ok(Network {
             mesh,
@@ -547,7 +535,7 @@ impl Network {
             last_progress_cycle: 0,
             audit_baseline: 0,
             offer_log: None,
-            full_scan: env.full_scan,
+            full_scan: false,
             // Conservative starts: every router/channel/NI walks until it
             // proves itself inactive (unknown implementations default to
             // never-quiescent and simply stay on the always-step path).
@@ -561,10 +549,7 @@ impl Network {
             sim_threads,
             engine: None,
             parallel_cycles: 0,
-            par_min_active: match env.sim_threads {
-                Some(_) => crate::parallel::FORCED_MIN_ACTIVE,
-                None => crate::parallel::MIN_ACTIVE,
-            },
+            par_min_active: crate::parallel::MIN_ACTIVE,
             mem_high_water: 0,
             phase_profile: None,
         })
@@ -634,9 +619,9 @@ impl Network {
         &self.nis[node.index()]
     }
 
-    /// Forces (or releases) the historical full-component walk. The active
-    /// sets are maintained identically in both modes, so this may be
-    /// toggled mid-run; results must be byte-identical either way.
+    /// Forces (or releases) the historical full-component walk, mid-run
+    /// too: stats, deliveries and counter views are the same either way,
+    /// snapshot bytes are not (it settles idle router cycles eagerly).
     pub fn set_full_scan(&mut self, on: bool) {
         self.full_scan = on;
     }
@@ -660,11 +645,9 @@ impl Network {
         self.phase_profile.as_deref().copied()
     }
 
-    /// Sets the intra-run parallel engine's thread budget (`1` = serial).
-    ///
-    /// May be changed mid-run: the parallel engine is byte-identical to the
-    /// serial one, so this only affects wall-clock time. The old thread
-    /// pool is torn down; the next sharded cycle builds the new one.
+    /// Sets the intra-run parallel engine's thread budget (`1` = serial),
+    /// mid-run too: only wall-clock time changes. The old thread pool is
+    /// torn down; the next sharded cycle builds the new one.
     pub fn set_sim_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         if threads != self.sim_threads {
@@ -673,25 +656,16 @@ impl Network {
         }
     }
 
-    /// Current intra-run thread budget.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// Cycles stepped by the parallel engine so far (0 when serial). Never
-    /// part of simulation state, stats, or snapshots, but — the engine gate
-    /// being a function of simulation state only — identical across runs of
-    /// the same configuration, seed, budget and floor.
+    /// Cycles stepped by the parallel engine so far: not simulation state,
+    /// but — the gate reading only simulation state — the same across runs
+    /// of one configuration, seed, budget and floor.
     pub fn parallel_cycles(&self) -> u64 {
         self.parallel_cycles
     }
 
-    /// Overrides the engine gate's activity floor: a cycle is stepped in
-    /// parallel only when at least `min_active` components (routers +
-    /// channels + sending NIs) are active. Results are byte-identical
-    /// either way; this is the hook for tests and benchmarks that must pin
-    /// the engine (`0` forces every eligible cycle parallel, `usize::MAX`
-    /// serial).
+    /// Overrides the engine gate's floor: a cycle shards only when at
+    /// least `min_active` routers, channels and sending NIs are active
+    /// (`0`: every eligible cycle, `usize::MAX`: none). Results are the same.
     pub fn set_parallel_threshold(&mut self, min_active: usize) {
         self.par_min_active = min_active;
     }
@@ -1466,7 +1440,8 @@ impl Network {
     /// link latency) catches mismatches. Engine-mode toggles
     /// ([`Network::set_full_scan`], conservation checking) are
     /// deliberately excluded — they are observer settings, not simulation
-    /// state, and both engine paths are byte-identical by construction.
+    /// state. The full scan's bytes differ from the tracked walk's: it
+    /// settles idle router cycles eagerly.
     ///
     /// # Errors
     ///

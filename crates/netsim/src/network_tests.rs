@@ -144,8 +144,9 @@ fn watchdog_catches_ancient_flits() {
 
 /// Delivery cycles of eight one-flit packets streamed (0,0) → (2,0), with
 /// router (1,0) optionally frozen for `stall` cycles from cycle 6 — while
-/// the stream is crossing it. Also returns the peak of the held-flit count.
-fn stream_through_stall(stall: u64) -> (Vec<(u64, u64)>, usize) {
+/// the stream is crossing it — on the tracked walk or the full scan. Also
+/// returns the peak of the held-flit count.
+fn stream_through_stall(stall: u64, full_scan: bool) -> (Vec<(u64, u64)>, usize) {
     use crate::faults::FaultPlan;
     let mut config = NetworkConfig::paper_3x3();
     let middle = config.mesh().unwrap().node_at(Coord::new(1, 0)).unwrap();
@@ -153,6 +154,7 @@ fn stream_through_stall(stall: u64) -> (Vec<(u64, u64)>, usize) {
         config.faults = FaultPlan::none().with_stall(middle, 6, stall);
     }
     let mut net = Network::new(config, &FifoFactory::default(), 1).expect("valid");
+    net.set_full_scan(full_scan);
     for _ in 0..8 {
         offer(&mut net, (0, 0), (2, 0), 1);
     }
@@ -170,6 +172,7 @@ fn stream_through_stall(stall: u64) -> (Vec<(u64, u64)>, usize) {
     net.audit().expect("conservation");
     assert!(net.is_drained());
     assert_eq!(net.held_flits, 0);
+    assert_eq!(net.full_scan(), full_scan);
     if stall == 0 {
         // The hold-back queues are a bypass: a fault-free run never
         // touches, let alone allocates, one.
@@ -180,7 +183,13 @@ fn stream_through_stall(stall: u64) -> (Vec<(u64, u64)>, usize) {
 
 #[test]
 fn stalled_receiver_releases_held_flits_in_order_one_per_cycle() {
-    let (clean, clean_peak) = stream_through_stall(0);
+    for full_scan in [false, true] {
+        stalled_stream_on(full_scan);
+    }
+}
+
+fn stalled_stream_on(full_scan: bool) {
+    let (clean, clean_peak) = stream_through_stall(0, full_scan);
     assert_eq!(clean_peak, 0);
     assert_eq!(
         clean.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
@@ -189,7 +198,7 @@ fn stalled_receiver_releases_held_flits_in_order_one_per_cycle() {
     // One flit per cycle end to end when nothing stalls.
     assert!(clean.windows(2).all(|w| w[1].1 == w[0].1 + 1));
 
-    let (stalled, peak) = stream_through_stall(3);
+    let (stalled, peak) = stream_through_stall(3, full_scan);
     // Three flits reach the frozen router during its three-cycle stall.
     assert_eq!(peak, 3);
     let first_held = stalled
@@ -258,8 +267,7 @@ fn sharded_flit_over_age_is_the_serial_error_at_the_serial_cycle() {
             assert!(net.now() < 500, "the age watchdog never fired");
         };
         assert!(matches!(err, SimError::FlitOverAge { .. }), "{err:?}");
-        // `AFC_FULL_SCAN=1` legally pins every run serial.
-        if threads > 1 && !net.full_scan() {
+        if threads > 1 {
             assert!(net.parallel_cycles() > 0, "x{threads} never sharded");
         }
         (net.now(), format!("{err:?}"))
@@ -290,17 +298,14 @@ fn a_panicking_shard_unwinds_on_the_caller_and_the_pool_shuts_down() {
                 .downcast_ref::<String>()
                 .cloned()
                 .unwrap_or_default();
-            let sharded = !net.full_scan();
             drop(net); // joins every worker
-            tx.send((msg, sharded)).unwrap();
+            tx.send(msg).unwrap();
         });
-        let (msg, sharded) = rx
+        let msg = rx
             .recv_timeout(Duration::from_secs(60))
             .unwrap_or_else(|_| panic!("x{threads}: step or drop hung after a shard panicked"));
         caller.join().unwrap();
         assert!(msg.starts_with("scripted panic at cycle 5"), "{msg}");
-        if sharded {
-            assert!(msg.contains("afc-sim-"), "raised on a worker thread: {msg}");
-        }
+        assert!(msg.contains("afc-sim-"), "raised on a worker thread: {msg}");
     }
 }

@@ -69,10 +69,6 @@ use std::thread::JoinHandle;
 /// floor sits between, just above what a 16×16 can ever reach.
 pub(crate) const MIN_ACTIVE: usize = 1536;
 
-/// The floor under `AFC_SIM_THREADS`: forcing a suite through the engine is
-/// about coverage, so small meshes must engage too.
-pub(crate) const FORCED_MIN_ACTIVE: usize = 16;
-
 /// Parallel cycles between deterministic re-plan points, where the shard
 /// boundaries are recomputed from the activity bitmasks (output-neutral:
 /// any contiguous partition yields the same bytes).

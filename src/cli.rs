@@ -350,21 +350,96 @@ fn parse_mesh(s: &str) -> Result<(u16, u16), String> {
     Ok((w, h))
 }
 
-fn take_flags(args: &[String]) -> Result<std::collections::HashMap<String, String>, String> {
-    let mut map = std::collections::HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = &args[i];
-        if !key.starts_with("--") {
-            return Err(format!("expected a --flag, got {key:?}"));
+/// Flags `afc-noc run` accepts.
+const RUN_FLAGS: &[&str] = &[
+    "mechanism",
+    "workload",
+    "mesh",
+    "seed",
+    "warmup",
+    "txns",
+    "checkpoint-every",
+    "checkpoint-file",
+    "resume-from",
+    "sim-threads",
+];
+/// Flags `afc-noc inspect` accepts.
+const INSPECT_FLAGS: &[&str] = &["workload", "mesh", "cycles", "seed"];
+/// Flags `afc-noc sweep` accepts.
+const SWEEP_FLAGS: &[&str] = &[
+    "mechanism",
+    "pattern",
+    "rates",
+    "mesh",
+    "cycles",
+    "seed",
+    "sim-threads",
+];
+/// Flags `afc-noc faults` accepts.
+const FAULT_FLAGS: &[&str] = &[
+    "mechanism",
+    "mesh",
+    "rate",
+    "drop",
+    "corrupt",
+    "credit-loss",
+    "kill",
+    "kill-node",
+    "kill-row",
+    "kill-column",
+    "kill-region",
+    "revive-after",
+    "fault-churn",
+    "cycles",
+    "drain",
+    "timeout",
+    "max-retransmit",
+    "seed",
+];
+
+/// A subcommand's `--key value` pairs: every key one the subcommand
+/// accepts, none given twice.
+struct Flags(std::collections::HashMap<&'static str, String>);
+
+impl Flags {
+    fn take(cmd: &str, args: &[String], allowed: &[&'static str]) -> Result<Flags, String> {
+        let mut map = std::collections::HashMap::new();
+        let mut rest = args;
+        while let [key, tail @ ..] = rest {
+            let name = key
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected a --flag, got {key:?}"))?;
+            let name = allowed
+                .iter()
+                .find(|&&a| a == name)
+                .ok_or_else(|| format!("unknown flag {key} for `afc-noc {cmd}`"))?;
+            let [value, tail @ ..] = tail else {
+                return Err(format!("flag {key} needs a value"));
+            };
+            if map.insert(*name, value.clone()).is_some() {
+                return Err(format!("flag {key} given twice to `afc-noc {cmd}`"));
+            }
+            rest = tail;
         }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag {key} needs a value"))?;
-        map.insert(key[2..].to_string(), value.clone());
-        i += 2;
+        Ok(Flags(map))
     }
-    Ok(map)
+
+    /// The value of `--key`, or `default`.
+    fn get(&self, key: &str, default: &str) -> String {
+        self.opt(key).map_or(default, String::as_str).to_string()
+    }
+
+    /// `--key` parsed as a number, or `default`.
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.opt(key).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("bad --{key} {v:?}"))
+        })
+    }
+
+    /// The value of `--key`, if given.
+    fn opt(&self, key: &str) -> Option<&String> {
+        self.0.get(key)
+    }
 }
 
 impl Cli {
@@ -380,107 +455,87 @@ impl Cli {
         let Some(cmd) = args.first() else {
             return Ok(Cli::Help(None));
         };
+        let flags = |allowed| Flags::take(cmd, &args[1..], allowed);
         match cmd.as_str() {
             "list" => Ok(Cli::List),
             "help" | "--help" | "-h" => Ok(Cli::Help(None)),
             "run" => {
-                let flags = take_flags(&args[1..])?;
-                let get = |k: &str, default: &str| {
-                    flags.get(k).cloned().unwrap_or_else(|| default.to_string())
-                };
+                let f = flags(RUN_FLAGS)?;
                 Ok(Cli::Run(RunArgs {
-                    mechanism: get("mechanism", "afc"),
-                    workload: get("workload", "apache"),
-                    mesh: parse_mesh(&get("mesh", "3x3"))?,
-                    seed: get("seed", "1").parse().map_err(|_| "bad --seed")?,
-                    warmup: get("warmup", "500").parse().map_err(|_| "bad --warmup")?,
-                    txns: get("txns", "2000").parse().map_err(|_| "bad --txns")?,
-                    checkpoint_every: get("checkpoint-every", "0")
-                        .parse()
-                        .map_err(|_| "bad --checkpoint-every")?,
-                    checkpoint_file: get("checkpoint-file", "results/afc-noc.ckpt"),
-                    resume_from: flags.get("resume-from").cloned(),
-                    sim_threads: parse_threads(&get("sim-threads", "1"))?,
+                    mechanism: f.get("mechanism", "afc"),
+                    workload: f.get("workload", "apache"),
+                    mesh: parse_mesh(&f.get("mesh", "3x3"))?,
+                    seed: f.num("seed", 1)?,
+                    warmup: f.num("warmup", 500)?,
+                    txns: f.num("txns", 2_000)?,
+                    checkpoint_every: f.num("checkpoint-every", 0)?,
+                    checkpoint_file: f.get("checkpoint-file", "results/afc-noc.ckpt"),
+                    resume_from: f.opt("resume-from").cloned(),
+                    sim_threads: parse_threads(&f.get("sim-threads", "1"))?,
                 }))
             }
             "inspect" => {
-                let flags = take_flags(&args[1..])?;
-                let get = |k: &str, default: &str| {
-                    flags.get(k).cloned().unwrap_or_else(|| default.to_string())
-                };
+                let f = flags(INSPECT_FLAGS)?;
                 Ok(Cli::Inspect(InspectArgs {
-                    workload: get("workload", "ocean"),
-                    mesh: parse_mesh(&get("mesh", "3x3"))?,
-                    cycles: get("cycles", "20000").parse().map_err(|_| "bad --cycles")?,
-                    seed: get("seed", "1").parse().map_err(|_| "bad --seed")?,
+                    workload: f.get("workload", "ocean"),
+                    mesh: parse_mesh(&f.get("mesh", "3x3"))?,
+                    cycles: f.num("cycles", 20_000)?,
+                    seed: f.num("seed", 1)?,
                 }))
             }
             "sweep" => {
-                let flags = take_flags(&args[1..])?;
-                let get = |k: &str, default: &str| {
-                    flags.get(k).cloned().unwrap_or_else(|| default.to_string())
-                };
-                let rates = get("rates", "0.1,0.3,0.5,0.7")
+                let f = flags(SWEEP_FLAGS)?;
+                let rates = f
+                    .get("rates", "0.1,0.3,0.5,0.7")
                     .split(',')
                     .map(|r| parse_rate("rates", r))
                     .collect::<Result<Vec<f64>, String>>()?;
                 Ok(Cli::Sweep(SweepArgs {
-                    mechanism: get("mechanism", "afc"),
-                    pattern: get("pattern", "uniform"),
+                    mechanism: f.get("mechanism", "afc"),
+                    pattern: f.get("pattern", "uniform"),
                     rates,
-                    mesh: parse_mesh(&get("mesh", "3x3"))?,
-                    cycles: get("cycles", "10000").parse().map_err(|_| "bad --cycles")?,
-                    seed: get("seed", "1").parse().map_err(|_| "bad --seed")?,
-                    sim_threads: parse_threads(&get("sim-threads", "1"))?,
+                    mesh: parse_mesh(&f.get("mesh", "3x3"))?,
+                    cycles: f.num("cycles", 10_000)?,
+                    seed: f.num("seed", 1)?,
+                    sim_threads: parse_threads(&f.get("sim-threads", "1"))?,
                 }))
             }
             "faults" => {
-                let flags = take_flags(&args[1..])?;
-                let get = |k: &str, default: &str| {
-                    flags.get(k).cloned().unwrap_or_else(|| default.to_string())
-                };
-                let rate_flag = |k: &str, default: &str| -> Result<f64, String> {
-                    get(k, default).parse().map_err(|_| format!("bad --{k}"))
-                };
+                let f = flags(FAULT_FLAGS)?;
                 Ok(Cli::Faults(FaultArgs {
-                    mechanism: get("mechanism", "afc"),
-                    mesh: parse_mesh(&get("mesh", "3x3"))?,
-                    rate: parse_rate("rate", &get("rate", "0.10"))?,
-                    drop: rate_flag("drop", "5e-4")?,
-                    corrupt: rate_flag("corrupt", "5e-4")?,
-                    credit_loss: rate_flag("credit-loss", "0")?,
-                    kill: flags.get("kill").map(|s| parse_kill(s)).transpose()?,
-                    kill_node: flags
-                        .get("kill-node")
-                        .map(|s| parse_kill_node(s))
-                        .transpose()?,
-                    kill_row: flags
-                        .get("kill-row")
+                    mechanism: f.get("mechanism", "afc"),
+                    mesh: parse_mesh(&f.get("mesh", "3x3"))?,
+                    rate: parse_rate("rate", &f.get("rate", "0.10"))?,
+                    drop: f.num("drop", 5e-4)?,
+                    corrupt: f.num("corrupt", 5e-4)?,
+                    credit_loss: f.num("credit-loss", 0.0)?,
+                    kill: f.opt("kill").map(|s| parse_kill(s)).transpose()?,
+                    kill_node: f.opt("kill-node").map(|s| parse_kill_node(s)).transpose()?,
+                    kill_row: f
+                        .opt("kill-row")
                         .map(|s| parse_kill_line("kill-row", s))
                         .transpose()?,
-                    kill_column: flags
-                        .get("kill-column")
+                    kill_column: f
+                        .opt("kill-column")
                         .map(|s| parse_kill_line("kill-column", s))
                         .transpose()?,
-                    kill_region: flags
-                        .get("kill-region")
+                    kill_region: f
+                        .opt("kill-region")
                         .map(|s| parse_kill_region(s))
                         .transpose()?,
-                    revive_after: flags
-                        .get("revive-after")
+                    revive_after: f
+                        .opt("revive-after")
                         .map(|s| s.parse().map_err(|_| format!("bad --revive-after {s:?}")))
                         .transpose()?,
-                    fault_churn: flags
-                        .get("fault-churn")
+                    fault_churn: f
+                        .opt("fault-churn")
                         .map(|s| parse_fault_churn(s))
                         .transpose()?,
-                    cycles: get("cycles", "5000").parse().map_err(|_| "bad --cycles")?,
-                    drain: get("drain", "300000").parse().map_err(|_| "bad --drain")?,
-                    timeout: get("timeout", "600").parse().map_err(|_| "bad --timeout")?,
-                    max_retransmit: get("max-retransmit", "0")
-                        .parse()
-                        .map_err(|_| "bad --max-retransmit")?,
-                    seed: get("seed", "1").parse().map_err(|_| "bad --seed")?,
+                    cycles: f.num("cycles", 5_000)?,
+                    drain: f.num("drain", 300_000)?,
+                    timeout: f.num("timeout", 600)?,
+                    max_retransmit: f.num("max-retransmit", 0)?,
+                    seed: f.num("seed", 1)?,
                 }))
             }
             other => Err(format!("unknown command {other:?}")),
@@ -541,8 +596,9 @@ a fully healed network reconverges to the exact clean fast path
 
 --sim-threads N steps each cycle on N worker threads (spatially sharded;
 see DESIGN.md §12). Results are byte-identical at any thread count, so
-the flag only changes wall-clock time. The AFC_SIM_THREADS environment
-variable overrides it.
+the flag only changes wall-clock time.
+
+An unknown or repeated flag is an error (exit 2).
 ";
 
 #[cfg(test)]
@@ -802,6 +858,136 @@ mod tests {
             Cli::Help(Some(_))
         ));
         assert!(matches!(Cli::parse(&[]), Cli::Help(None)));
+    }
+
+    /// A value each flag accepts, for building command lines from `USAGE`.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "mechanism" => "bless",
+            "workload" => "water",
+            "pattern" => "tornado",
+            "mesh" => "4x3",
+            "rates" => "0.1,0.3",
+            "checkpoint-file" | "resume-from" => "run.ckpt",
+            "rate" | "drop" | "corrupt" | "credit-loss" => "0.01",
+            "kill" => "1,1:E:100",
+            "kill-node" => "1,1:100",
+            "kill-row" | "kill-column" => "1:100",
+            "kill-region" => "0,0,1,1:100",
+            "fault-churn" => "7,400,0.5",
+            _ => "3",
+        }
+    }
+
+    /// The command lines `USAGE` shows: each subcommand with every flag it
+    /// lists (continuation lines joined), values filled in by [`sample`].
+    fn usage_lines() -> Vec<(String, Vec<String>)> {
+        let synopsis = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let synopsis = synopsis.split("\n\n").next().unwrap();
+        let mut lines: Vec<String> = Vec::new();
+        for line in synopsis.lines() {
+            match line.trim_start().strip_prefix("afc-noc ") {
+                Some(cmd) => lines.push(cmd.to_string()),
+                None => lines.last_mut().unwrap().push_str(line),
+            }
+        }
+        lines
+            .iter()
+            .map(|line| {
+                let cmd = line.split_whitespace().next().unwrap().to_string();
+                let flags: Vec<String> = line
+                    .split("[--")
+                    .skip(1)
+                    .map(|g| g.split([' ', ']']).next().unwrap().to_string())
+                    .collect();
+                (cmd, flags)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_usage_line_parses_and_lists_every_accepted_flag() {
+        let lines = usage_lines();
+        assert_eq!(lines.len(), 6, "{lines:?}");
+        for (cmd, flags) in lines {
+            let allowed: &[&str] = match cmd.as_str() {
+                "run" => RUN_FLAGS,
+                "inspect" => INSPECT_FLAGS,
+                "sweep" => SWEEP_FLAGS,
+                "faults" => FAULT_FLAGS,
+                _ => &[],
+            };
+            assert_eq!(flags, allowed, "USAGE and the parser disagree on {cmd}");
+            let mut args = vec![cmd.clone()];
+            for f in &flags {
+                args.extend([format!("--{f}"), sample(f).to_string()]);
+            }
+            let cli = Cli::parse(&args);
+            assert!(!matches!(cli, Cli::Help(Some(_))), "{args:?}: {cli:?}");
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_and_repeated_flags() {
+        for (cmd, known) in [
+            ("run", "sim-threads"),
+            ("inspect", "cycles"),
+            ("sweep", "sim-threads"),
+            ("faults", "seed"),
+        ] {
+            // One letter short of a real flag.
+            let typo = &known[..known.len() - 1];
+            let Cli::Help(Some(msg)) = Cli::parse(&argv(&format!("{cmd} --{typo} 4"))) else {
+                panic!("{cmd} --{typo} should be rejected")
+            };
+            assert!(
+                msg.contains(&format!("--{typo} ")) && msg.contains(cmd),
+                "{msg}"
+            );
+            let twice = format!("{cmd} --{known} 4 --{known} 2");
+            let Cli::Help(Some(msg)) = Cli::parse(&argv(&twice)) else {
+                panic!("{twice} should be rejected")
+            };
+            assert!(msg.contains("twice") && msg.contains(known), "{msg}");
+        }
+    }
+
+    /// Dropping, duplicating or swapping tokens of valid command lines
+    /// never panics the parser: each mutant is a command or an error.
+    #[test]
+    fn mutated_command_lines_never_panic() {
+        let valid = [
+            "run --mechanism bless --workload water --mesh 5x4 --seed 9 --txns 100",
+            "run --checkpoint-every 5000 --checkpoint-file ck.bin --resume-from old.bin",
+            "run --sim-threads 4 --warmup 10",
+            "inspect --workload apache --cycles 500 --mesh 2x2",
+            "sweep --rates 0.1,0.2 --pattern tornado --sim-threads 2",
+            "faults --kill 1,1:E:1000 --drop 1e-3 --timeout 0",
+            "faults --kill-node 2,1:500 --kill-region 1,1,2,3:1200 --max-retransmit 3",
+            "faults --revive-after 2000 --fault-churn 7,4000,0.75 --rate 0.2",
+            "list",
+        ];
+        let mut mutants = 0;
+        for line in valid {
+            let tokens = argv(line);
+            assert!(!matches!(Cli::parse(&tokens), Cli::Help(_)), "{line}");
+            for i in 0..tokens.len() {
+                let mut dropped = tokens.clone();
+                dropped.remove(i);
+                let mut doubled = tokens.clone();
+                doubled.insert(i, tokens[i].clone());
+                let mut swapped = tokens.clone();
+                if i + 1 < tokens.len() {
+                    swapped.swap(i, i + 1);
+                }
+                for mutant in [dropped, doubled, swapped] {
+                    let parsed = std::panic::catch_unwind(|| Cli::parse(&mutant));
+                    assert!(parsed.is_ok(), "{mutant:?} panicked the parser");
+                    mutants += 1;
+                }
+            }
+        }
+        assert!(mutants > 150, "{mutants} mutants");
     }
 
     #[test]

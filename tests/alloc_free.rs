@@ -24,7 +24,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use afc_bench::MechanismId;
+use afc_bench::{Engine, MechanismId};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::network::Network;
 use afc_netsim::sim::Simulation;
@@ -67,14 +67,14 @@ const MECHANISMS: [MechanismId; 4] = [
     MechanismId::Afc,
 ];
 
-fn warmed_sim(id: MechanismId, rate: f64, full_scan: bool) -> Simulation<OpenLoopTraffic> {
+fn warmed_sim(id: MechanismId, rate: f64, engine: Engine) -> Simulation<OpenLoopTraffic> {
     let mut network = Network::new(
         NetworkConfig::paper_8x8(),
         id.mechanism().factory.as_ref(),
         0xFEED,
     )
     .expect("valid config");
-    network.set_full_scan(full_scan);
+    engine.apply(&mut network);
     let traffic = OpenLoopTraffic::new(
         RateSpec::Uniform(rate),
         Pattern::UniformRandom,
@@ -94,19 +94,19 @@ fn warmed_sim(id: MechanismId, rate: f64, full_scan: bool) -> Simulation<OpenLoo
 /// threads' allocations out of the window.
 #[test]
 fn steady_state_step_loop_is_allocation_free() {
-    for full_scan in [false, true] {
+    for engine in Engine::ALL {
         for id in MECHANISMS {
-            // Idle steady state: zero allocations allowed, on both the
-            // activity-tracked fast path and the forced full scan.
-            let mut sim = warmed_sim(id, 0.0, full_scan);
+            // Idle steady state: zero allocations allowed, on every engine.
+            let mut sim = warmed_sim(id, 0.0, engine);
             sim.run(100); // settle the measurement harness itself
             let before = allocations();
             sim.run(2_000);
             let after = allocations();
+            engine.assert_ran(&sim.network);
             assert_eq!(
                 after - before,
                 0,
-                "{} (full_scan={full_scan}): idle steady-state step loop \
+                "{} ({engine:?}): idle steady-state step loop \
                  allocated {} times in 2000 cycles",
                 id.label(),
                 after - before
@@ -116,16 +116,18 @@ fn steady_state_step_loop_is_allocation_free() {
             // modes and the drop router retransmits): the second pass over
             // an identical segment allocates exactly nothing.
             for rate in [0.05, 0.30] {
-                let mut sim = warmed_sim(id, rate, full_scan);
+                let mut sim = warmed_sim(id, rate, engine);
                 let start = sim.snapshot().expect("snapshot");
                 sim.run(2_000);
                 sim.restore(&start, "<memory>").expect("restore");
                 let before = allocations();
                 sim.run(2_000);
+                let allocated = allocations() - before;
+                engine.assert_ran(&sim.network);
                 assert_eq!(
-                    allocations() - before,
+                    allocated,
                     0,
-                    "{} (full_scan={full_scan}, rate {rate}): a per-flit, \
+                    "{} ({engine:?}, rate {rate}): a per-flit, \
                      per-packet or per-component path allocates under load",
                     id.label()
                 );

@@ -20,6 +20,7 @@
 //! dead windows — and a separate property test proves a fully healed
 //! network behaves identically to one that was never faulted.
 
+use afc_bench::Engine;
 use afc_noc::prelude::*;
 
 /// Seeded schedules in the soak. The acceptance floor is 100; raise via
@@ -330,7 +331,7 @@ fn kill_revive_soak_cross_engine_identity() {
 /// idle, so the subsequent identical traffic must produce byte-identical
 /// delivery behavior: same stats (minus the fault-event counters that
 /// record history), same latency distributions, same (empty) unreachable
-/// log.
+/// log — on every engine.
 #[test]
 fn healed_network_matches_never_faulted() {
     const HEAL_SETTLE: u64 = 1_500;
@@ -355,14 +356,17 @@ fn healed_network_matches_never_faulted() {
         ),
     ];
     // Runs the same traffic on a network that idles through `plan`'s fault
-    // window first, and returns the delivery-behavior fingerprint.
+    // window first, on `engine`, and returns the delivery-behavior
+    // fingerprint.
     let fingerprint = |factory: &dyn afc_netsim::router::RouterFactory,
                        plan: &FaultPlan,
+                       engine: Engine,
                        label: &str|
      -> String {
         let cfg = storm_config(plan.clone());
         cfg.validate().expect("valid plan");
         let mut network = Network::new(cfg, factory, 0x4EA7).expect("validated config");
+        engine.apply(&mut network);
         while network.now() < HEAL_SETTLE {
             network
                 .try_step()
@@ -388,6 +392,7 @@ fn healed_network_matches_never_faulted() {
         sim.network
             .credit_audit()
             .unwrap_or_else(|e| panic!("{label}: credit audit failed: {e}"));
+        engine.assert_ran(&sim.network);
         let mut s = sim.network.stats().clone();
         if label.starts_with("healed") {
             assert!(s.links_failed > 0, "{label}: plan never killed a link");
@@ -407,18 +412,21 @@ fn healed_network_matches_never_faulted() {
         )
     };
     for (name, factory) in &mechanisms() {
-        let clean = fingerprint(
-            factory.as_ref(),
-            &FaultPlan::none(),
-            &format!("clean x {name}"),
-        );
-        for (desc, plan) in &plans {
-            let label = format!("healed ({desc}) x {name}");
-            let healed = fingerprint(factory.as_ref(), plan, &label);
-            assert_eq!(
-                clean, healed,
-                "{label}: healed network diverged from never-faulted"
+        for engine in Engine::ALL {
+            let clean = fingerprint(
+                factory.as_ref(),
+                &FaultPlan::none(),
+                engine,
+                &format!("clean x {name} x {engine:?}"),
             );
+            for (desc, plan) in &plans {
+                let label = format!("healed ({desc}) x {name} x {engine:?}");
+                let healed = fingerprint(factory.as_ref(), plan, engine, &label);
+                assert_eq!(
+                    clean, healed,
+                    "{label}: healed network diverged from never-faulted"
+                );
+            }
         }
     }
 }

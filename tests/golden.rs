@@ -3,28 +3,48 @@
 //! These pin down the simulator's cycle-level behavior. An intentional
 //! behavioral change (new arbitration order, pipeline tweak, RNG change)
 //! WILL move these numbers — update them deliberately, with the diff in
-//! review, rather than loosening the assertions.
+//! review, rather than loosening the assertions. Every run is made on the
+//! tracked walk, the full scan and the sharded engine.
 
+use afc_bench::Engine;
 use afc_noc::prelude::*;
 
+/// One canonical run on each engine; all three must give the tuple the
+/// tests below pin.
 fn golden_run(factory: &dyn afc_netsim::router::RouterFactory) -> (u64, u64, u64, u64) {
-    let out = run_open_loop(
-        factory,
-        &NetworkConfig::paper_3x3(),
-        RateSpec::Uniform(0.20),
-        Pattern::UniformRandom,
-        PacketMix::paper(),
-        1_000,
-        4_000,
-        0xC0FFEE,
-    )
-    .unwrap();
-    (
-        out.stats.flits_delivered,
-        out.stats.network_latency.sum(),
-        out.counters.link_traversals,
-        out.counters.deflections + out.counters.drops,
-    )
+    let (cfg, seed) = (NetworkConfig::paper_3x3(), 0xC0FFEE);
+    let kind = RunKind::OpenLoop {
+        rate: 0.20,
+        pattern: Pattern::UniformRandom,
+        mix: PacketMix::paper(),
+        warmup_cycles: 1_000,
+        measure_cycles: 4_000,
+    };
+    let runs: Vec<_> = Engine::ALL
+        .iter()
+        .map(|&engine| {
+            // The runner recycles an arena network with its engine settings.
+            let mut arena = Network::new(cfg.clone(), factory, seed).unwrap();
+            engine.apply(&mut arena);
+            let env = RunEnv {
+                arena: Some(arena),
+                ..RunEnv::default()
+            };
+            let out = run(&kind, factory, &cfg, seed, env).unwrap();
+            engine.assert_ran(&out.network);
+            (
+                out.stats.flits_delivered,
+                out.stats.network_latency.sum(),
+                out.counters.link_traversals,
+                out.counters.deflections + out.counters.drops,
+            )
+        })
+        .collect();
+    assert!(
+        runs.iter().all(|r| *r == runs[0]),
+        "engines disagree: {runs:?}"
+    );
+    runs[0]
 }
 
 #[test]

@@ -13,6 +13,9 @@
 //! - in-order per-(src, dest, vnet) delivery where the mechanism actually
 //!   guarantees it — see [`backpressured_single_vc_delivers_in_order`].
 //!
+//! Every case runs on the tracked walk, the full scan and the sharded
+//! engine, which must deliver the same packets at the same cycles.
+//!
 //! On ordering: with multiple VCs per vnet, even the deterministic-XY
 //! backpressured router legally reorders same-pair packets (a later packet
 //! can win a different VC and overtake at switch allocation); deflection
@@ -25,6 +28,7 @@
 //! violations across all patterns and loads.
 
 use afc_bench::mechanisms::{Mechanism, MechanismId};
+use afc_bench::Engine;
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Cycle;
 use afc_netsim::network::Network;
@@ -76,10 +80,8 @@ fn run_case(mech: &Mechanism, pattern: Pattern, rate: f64, context: &str) -> Cas
     run_case_with(mech, NetworkConfig::paper_3x3(), pattern, rate, context)
 }
 
-/// Injects for 1500 cycles, stops the sources, drains completely, and runs
-/// the mechanism-independent audits. Panics (with `context`) on any
-/// violation; returns the recorded deliveries for mechanism-specific
-/// checks.
+/// Runs [`run_on`] on every engine; all three must deliver the same
+/// packets at the same cycles.
 fn run_case_with(
     mech: &Mechanism,
     cfg: NetworkConfig,
@@ -87,8 +89,33 @@ fn run_case_with(
     rate: f64,
     context: &str,
 ) -> CaseOutcome {
+    let [tracked, rest @ ..] =
+        Engine::ALL.map(|engine| run_on(engine, mech, &cfg, pattern.clone(), rate, context));
+    for other in rest {
+        assert!(
+            other.delivered == tracked.delivered,
+            "{context}: the engines deliver differently"
+        );
+    }
+    tracked
+}
+
+/// Injects for 1500 cycles, stops the sources, drains completely, and runs
+/// the mechanism-independent audits. Panics (with `context`) on any
+/// violation; returns the recorded deliveries for mechanism-specific
+/// checks.
+fn run_on(
+    engine: Engine,
+    mech: &Mechanism,
+    cfg: &NetworkConfig,
+    pattern: Pattern,
+    rate: f64,
+    context: &str,
+) -> CaseOutcome {
+    let context = &format!("{context} on {engine:?}");
     let seed = 0xA11CE;
-    let network = Network::new(cfg, mech.factory.as_ref(), seed).expect("valid config");
+    let mut network = Network::new(cfg.clone(), mech.factory.as_ref(), seed).expect("valid config");
+    engine.apply(&mut network);
     let inner = OpenLoopTraffic::new(RateSpec::Uniform(rate), pattern, PacketMix::paper(), seed);
     let mut sim = Simulation::new(
         network,
@@ -104,6 +131,7 @@ fn run_case_with(
         .try_drain(500_000)
         .unwrap_or_else(|e| panic!("{context}: watchdog during drain: {e}"));
     assert!(drained, "{context}: network failed to drain");
+    engine.assert_ran(&sim.network);
 
     let stats = sim.network.stats().clone();
     sim.network

@@ -16,7 +16,7 @@
 //! Every case, the 64×64 and 128×128 ones included, runs under plain
 //! `cargo test` (tier 1).
 
-use afc_bench::MechanismId;
+use afc_bench::{Engine, MechanismId};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Cycle;
 use afc_netsim::network::Network;
@@ -100,7 +100,7 @@ fn make_sim(
     // These tests assert `parallel_cycles > 0`: the default gate keeps
     // meshes this small serial (that is `parallel_payoff.rs`'s subject),
     // which would make every comparison vacuous, so the floor is lowered
-    // to the forced-coverage value `AFC_SIM_THREADS` uses.
+    // to 16 active components.
     sim.network.set_parallel_threshold(16);
     sim
 }
@@ -158,7 +158,7 @@ fn thread_count_never_changes_the_outcome() {
                 let (fp, log, parallel) =
                     run_case(&config, id, 0.30, pattern.clone(), 0xA11CE, threads, 500);
                 assert!(
-                    parallel > 0 || !parallel_expected(),
+                    parallel > 0,
                     "{} {pattern:?} x{threads}: parallel engine never engaged \
                      (gate too strict for this load?)",
                     id.label()
@@ -197,7 +197,7 @@ fn more_threads_than_routers_clamps_and_matches() {
         sim.network.audit().expect("flit conservation");
         sim.network.credit_audit().expect("credit conservation");
         assert!(
-            sim.network.parallel_cycles() > 0 || !parallel_expected(),
+            sim.network.parallel_cycles() > 0,
             "{}: threshold 0 must engage the parallel engine",
             id.label()
         );
@@ -220,7 +220,7 @@ fn retargeting_thread_count_mid_run_changes_nothing() {
             sim.run(100);
         }
         sim.drain(5_000);
-        assert!(sim.network.parallel_cycles() > 0 || !parallel_expected());
+        assert!(sim.network.parallel_cycles() > 0);
         assert_eq!(base_fp, fingerprint_of(&sim), "{}", id.label());
         assert_eq!(base_log, sim.traffic.log, "{}", id.label());
     }
@@ -253,18 +253,9 @@ fn mesh_config(side: u16) -> NetworkConfig {
     }
 }
 
-/// Under `AFC_FULL_SCAN=1` the engine legally stays serial (the full
-/// historical walk is the self-check being exercised), so the
-/// non-vacuity asserts relax: the comparison then proves full-scan
-/// serial ≡ fast-path serial instead, which is exactly that mode's
-/// contract.
-fn parallel_expected() -> bool {
-    !afc_bench::engine_overrides().0
-}
-
 /// 32×32: the smallest mesh where sharding pays. All four mechanisms,
-/// serial vs {2, 4, 8} threads, full fingerprint + delivery-stream
-/// byte-identity.
+/// serial vs {2, 4, 8} threads and vs the full scan, full fingerprint +
+/// delivery-stream byte-identity.
 #[test]
 fn mesh_32x32_thread_count_never_changes_the_outcome() {
     let config = mesh_config(32);
@@ -279,7 +270,7 @@ fn mesh_32x32_thread_count_never_changes_the_outcome() {
         for threads in THREAD_COUNTS {
             let (fp, log, parallel) = run_fixed(&config, id, 0.08, 0xA11CE, threads, 250);
             assert!(
-                parallel > 0 || !parallel_expected(),
+                parallel > 0,
                 "{} x{threads}: parallel engine never engaged at 32x32 saturation",
                 id.label()
             );
@@ -291,6 +282,13 @@ fn mesh_32x32_thread_count_never_changes_the_outcome() {
                 id.label()
             );
         }
+        let mut sim = make_sim(&config, id, 0.08, Pattern::UniformRandom, 0xA11CE, 1);
+        Engine::FullScan.apply(&mut sim.network);
+        sim.run(250);
+        Engine::FullScan.assert_ran(&sim.network);
+        sim.network.audit().expect("flit conservation");
+        assert_eq!(base_fp, fingerprint_of(&sim), "{}: full scan", id.label());
+        assert_eq!(base_log, sim.traffic.log, "{}: full scan", id.label());
     }
 }
 
@@ -311,7 +309,7 @@ fn mesh_64x64_thread_count_never_changes_the_outcome() {
         for threads in THREAD_COUNTS {
             let (fp, log, parallel) = run_fixed(&config, id, 0.04, 0xB0B, threads, 100);
             assert!(
-                parallel > 0 || !parallel_expected(),
+                parallel > 0,
                 "{} x{threads}: parallel engine never engaged at 64x64 saturation",
                 id.label()
             );
@@ -343,10 +341,7 @@ fn mesh_128x128_smoke_within_budget() {
         "vacuous comparison (nothing delivered)"
     );
     let (fp, log, parallel) = run_fixed(&config, MechanismId::Afc, 0.02, 0x5CA1E, 4, 40);
-    assert!(
-        parallel > 0 || !parallel_expected(),
-        "parallel engine never engaged at 128x128"
-    );
+    assert!(parallel > 0, "parallel engine never engaged at 128x128");
     assert_eq!(base_fp, fp, "128x128 x4: stats diverge");
     assert_eq!(base_log, log, "128x128 x4: delivery streams diverge");
     let elapsed = t0.elapsed();
@@ -371,7 +366,7 @@ fn snapshots_are_thread_count_invariant() {
 
         let mut parallel = make_sim(&config, id, 0.30, Pattern::UniformRandom, 0x5EED, 4);
         parallel.run(300);
-        assert!(parallel.network.parallel_cycles() > 0 || !parallel_expected());
+        assert!(parallel.network.parallel_cycles() > 0);
         let parallel_snap = parallel.snapshot().expect("parallel snapshot");
         assert_eq!(
             serial_snap,

@@ -10,6 +10,7 @@
 //! is enforced by panics inside the routers themselves, so every property
 //! here doubles as a fuzz of those assertions.
 
+use afc_bench::Engine;
 use afc_noc::prelude::*;
 
 fn mechanism(idx: usize) -> Box<dyn afc_netsim::router::RouterFactory> {
@@ -30,8 +31,34 @@ fn small_config(w: u16, h: u16) -> NetworkConfig {
     }
 }
 
+/// The engine case `case` runs on: the three rotate.
+fn engine(case: u64) -> Engine {
+    Engine::ALL[case as usize % Engine::ALL.len()]
+}
+
+/// `kind` on `engine`: the runner recycles an arena network with its
+/// engine settings.
+fn run_on(
+    engine: Engine,
+    kind: &RunKind,
+    factory: &dyn afc_netsim::router::RouterFactory,
+    seed: u64,
+) -> RunOutcome {
+    let cfg = NetworkConfig::paper_3x3();
+    let mut arena = Network::new(cfg.clone(), factory, seed).unwrap();
+    engine.apply(&mut arena);
+    let env = RunEnv {
+        arena: Some(arena),
+        ..RunEnv::default()
+    };
+    let out = run(kind, factory, &cfg, seed, env).unwrap();
+    engine.assert_ran(&out.network);
+    out
+}
+
 /// Everything offered below saturation is eventually delivered, exactly
-/// once (duplicates panic inside the NI), on any mesh and mechanism.
+/// once (duplicates panic inside the NI), on any mesh, mechanism and
+/// engine.
 #[test]
 fn conservation_all_offered_packets_are_delivered() {
     for case in 0..12u64 {
@@ -44,7 +71,8 @@ fn conservation_all_offered_packets_are_delivered() {
 
         let cfg = small_config(w, h);
         let factory = mechanism(mech);
-        let network = Network::new(cfg, factory.as_ref(), seed).unwrap();
+        let mut network = Network::new(cfg, factory.as_ref(), seed).unwrap();
+        engine(case).apply(&mut network);
         let traffic = OpenLoopTraffic::new(
             RateSpec::Uniform(rate),
             Pattern::UniformRandom,
@@ -66,6 +94,7 @@ fn conservation_all_offered_packets_are_delivered() {
         assert!(sim.network.is_drained());
         sim.network.audit().expect("flit conservation");
         sim.network.credit_audit().expect("credit conservation");
+        engine(case).assert_ran(&sim.network);
     }
 }
 
@@ -80,22 +109,17 @@ fn closed_loop_requests_match_replies() {
         let think = 10.0 + p.gen_f64() * 390.0;
         let threads = 1 + p.gen_index(5);
 
-        let params = WorkloadParams {
-            think_mean: think,
-            threads,
-            ..workloads::barnes()
+        let kind = RunKind::ClosedLoop {
+            workload: WorkloadParams {
+                think_mean: think,
+                threads,
+                ..workloads::barnes()
+            },
+            warmup_txns: 10,
+            measure_txns: 60,
+            max_cycles: 10_000_000,
         };
-        let factory = mechanism(mech);
-        let out = run_closed_loop(
-            factory.as_ref(),
-            &NetworkConfig::paper_3x3(),
-            params,
-            10,
-            60,
-            10_000_000,
-            seed,
-        )
-        .unwrap();
+        let out = run_on(engine(case), &kind, mechanism(mech).as_ref(), seed);
         assert!(
             out.stats.packets_delivered > 0,
             "case {case}: mech {mech} seed {seed}"
@@ -108,7 +132,8 @@ fn closed_loop_requests_match_replies() {
     }
 }
 
-/// Deterministic replay: identical seeds give identical statistics.
+/// Deterministic replay: identical seeds give identical statistics on the
+/// same engine.
 #[test]
 fn identical_seeds_replay_identically() {
     for case in 0..10u64 {
@@ -117,18 +142,15 @@ fn identical_seeds_replay_identically() {
         let seed = p.gen_range(100);
 
         let factory = mechanism(mech);
-        let run = || {
-            let out = run_open_loop(
-                factory.as_ref(),
-                &NetworkConfig::paper_3x3(),
-                RateSpec::Uniform(0.12),
-                Pattern::Transpose,
-                PacketMix::paper(),
-                500,
-                1_500,
-                seed,
-            )
-            .unwrap();
+        let kind = RunKind::OpenLoop {
+            rate: 0.12,
+            pattern: Pattern::Transpose,
+            mix: PacketMix::paper(),
+            warmup_cycles: 500,
+            measure_cycles: 1_500,
+        };
+        let replay = || {
+            let out = run_on(engine(case), &kind, factory.as_ref(), seed);
             (
                 out.stats.flits_delivered,
                 out.stats.network_latency.sum(),
@@ -136,7 +158,7 @@ fn identical_seeds_replay_identically() {
                 out.counters.deflections,
             )
         };
-        assert_eq!(run(), run(), "case {case}: mech {mech} seed {seed}");
+        assert_eq!(replay(), replay(), "case {case}: mech {mech} seed {seed}");
     }
 }
 
@@ -153,6 +175,7 @@ fn hops_are_at_least_manhattan_distance() {
         let cfg = NetworkConfig::paper_3x3();
         let factory = mechanism(mech);
         let mut net = Network::new(cfg, factory.as_ref(), seed).unwrap();
+        engine(case).apply(&mut net);
         let mesh = net.mesh().clone();
         let mut rng = SimRng::seed_from(seed);
         let mut expected = Vec::new();
@@ -183,6 +206,7 @@ fn hops_are_at_least_manhattan_distance() {
             }
         }
         assert_eq!(delivered.len(), expected.len());
+        engine(case).assert_ran(&net);
         for pkt in delivered {
             let (_, dist) = expected
                 .iter()
@@ -332,7 +356,8 @@ fn neighbor_and_port_maps_are_involutive() {
 }
 
 /// AFC under violently varying load never violates its internal credit
-/// assertions and still delivers everything (mode-switch safety fuzz).
+/// assertions and still delivers everything, on every engine (mode-switch
+/// safety fuzz).
 #[test]
 fn afc_mode_churn_is_safe() {
     struct Churn {
@@ -399,7 +424,8 @@ fn afc_mode_churn_is_safe() {
         let hot_fraction = 0.3 + p.gen_f64() * 0.6;
 
         let cfg = NetworkConfig::paper_3x3();
-        let network = Network::new(cfg, &AfcFactory::paper(), seed).unwrap();
+        let mut network = Network::new(cfg, &AfcFactory::paper(), seed).unwrap();
+        engine(case).apply(&mut network);
         let mut sim = Simulation::new(
             network,
             Churn {
@@ -418,6 +444,7 @@ fn afc_mode_churn_is_safe() {
         let stats = sim.network.stats();
         assert_eq!(stats.packets_delivered, stats.packets_offered);
         sim.network.credit_audit().expect("credit conservation");
+        engine(case).assert_ran(&sim.network);
     }
 }
 
@@ -426,8 +453,8 @@ fn afc_mode_churn_is_safe() {
 /// empty vnet lists, zero-depth buffers and zero timeouts — `validate()`
 /// and `Network::new` must agree exactly. Accepted configurations build
 /// under every mechanism drawn and survive a short traffic burst without
-/// panicking; rejected ones surface the *same* structured [`ConfigError`]
-/// from construction, never a panic.
+/// panicking, on an engine that rotates per case; rejected ones surface
+/// the *same* structured [`ConfigError`] from construction, never a panic.
 #[test]
 fn config_validator_agrees_with_construction_under_fuzz() {
     use afc_netsim::config::{RetransmitConfig, VnetClass, VnetConfig};
@@ -442,10 +469,8 @@ fn config_validator_agrees_with_construction_under_fuzz() {
         }
     }
 
-    // The deep run rides on CI's `AFC_FULL_SCAN=1` leg.
-    let (full_scan, _) = afc_bench::engine_overrides();
-    let cases = if full_scan { 512u64 } else { 96 };
-    for case in 0..cases {
+    for case in 0..512u64 {
+        let engine = engine(case);
         let mut p = SimRng::seed_from(0xC0F1_6000 + case);
         let vnets: Vec<VnetConfig> = (0..p.gen_index(4))
             .map(|i| VnetConfig {
@@ -477,7 +502,8 @@ fn config_validator_agrees_with_construction_under_fuzz() {
         let mech = p.gen_index(5);
         let seed = p.gen_range(1_000);
         match Network::new(cfg.clone(), mechanism(mech).as_ref(), seed) {
-            Ok(network) => {
+            Ok(mut network) => {
+                engine.apply(&mut network);
                 assert_eq!(
                     verdict,
                     Ok(()),
@@ -504,6 +530,7 @@ fn config_validator_agrees_with_construction_under_fuzz() {
                 sim.try_run(300).unwrap_or_else(|e| {
                     panic!("accepted config must step cleanly (case {case}: {e}; {cfg:?})")
                 });
+                engine.assert_ran(&sim.network);
             }
             Err(e) => {
                 assert_eq!(
@@ -649,9 +676,7 @@ fn replanning_mid_run_preserves_snapshot_bytes() {
         sim.network.set_sim_threads(threads);
         sim.network.set_parallel_threshold(0);
         sim.run(400);
-        // `AFC_FULL_SCAN=1` legally pins the engine serial; the comparison
-        // then proves full-scan serial ≡ itself.
-        if threads > 1 && !sim.network.full_scan() {
+        if threads > 1 {
             assert!(
                 sim.network.parallel_cycles() >= 6 * 64,
                 "replan test must cross six re-plan points"

@@ -202,9 +202,7 @@ fn drive(factory: &dyn RouterFactory, threads: usize) -> (BTreeSet<(u64, Cycle)>
             delivered.insert((p.descriptor.id.0, p.delivered_at));
         }
     }
-    // The full-scan self-check (`AFC_FULL_SCAN`) keeps every cycle serial.
-    let sharded = threads > 1 && !net.full_scan();
-    assert_eq!(net.parallel_cycles() > 0, sharded, "{threads} threads");
+    assert_eq!(net.parallel_cycles() > 0, threads > 1, "{threads} threads");
     let mut w = SnapshotWriter::new();
     net.save_state(&mut w).expect("every mechanism snapshots");
     (delivered, w.into_bytes())

@@ -3,11 +3,12 @@
 //! mechanisms, the fault plane mid-churn, the closed-loop memory model, a
 //! run checkpoint file and a sweep manifest. Any change to what a type
 //! encodes, or in what order, moves a pin; such a change is a new
-//! `FORMAT_VERSION`, so the version is pinned alongside. On a mismatch the
-//! test prints the whole column of new values for the engine it ran on.
+//! `FORMAT_VERSION`, so the version is pinned alongside. Every state is
+//! written on each engine; on a mismatch the test prints the whole column
+//! of new values for the engine that moved.
 
 use afc_bench::sweep::{RunKind as SweepKind, RunOutput, RunSpec, SweepManifest, SweepSpec};
-use afc_bench::MechanismId;
+use afc_bench::{Engine, MechanismId};
 use afc_netsim::snapshot::{fnv1a64, FORMAT_VERSION};
 use afc_noc::prelude::*;
 
@@ -20,9 +21,11 @@ fn open_loop(
     id: MechanismId,
     rate: f64,
     seed: u64,
+    engine: Engine,
 ) -> Simulation<OpenLoopTraffic> {
     let factory = id.mechanism().factory;
-    let network = Network::new(cfg.clone(), factory.as_ref(), seed).expect("valid config");
+    let mut network = Network::new(cfg.clone(), factory.as_ref(), seed).expect("valid config");
+    engine.apply(&mut network);
     let traffic = OpenLoopTraffic::new(
         RateSpec::Uniform(rate),
         Pattern::UniformRandom,
@@ -33,7 +36,7 @@ fn open_loop(
 }
 
 /// Every mechanism on an 8×8 mesh at uniform 0.30, after 400 cycles.
-fn mesh8_saturated() -> Vec<(String, (usize, u64))> {
+fn mesh8_saturated(engine: Engine) -> Vec<(String, (usize, u64))> {
     let cfg = NetworkConfig {
         width: 8,
         height: 8,
@@ -42,8 +45,9 @@ fn mesh8_saturated() -> Vec<(String, (usize, u64))> {
     MechanismId::ALL
         .iter()
         .map(|&id| {
-            let mut sim = open_loop(&cfg, id, 0.30, 11);
+            let mut sim = open_loop(&cfg, id, 0.30, 11, engine);
             sim.run(400);
+            engine.assert_ran(&sim.network);
             let snap = sim.snapshot().expect("snapshot");
             (format!("mesh8/{}", id.label()), pin(&snap))
         })
@@ -52,8 +56,9 @@ fn mesh8_saturated() -> Vec<(String, (usize, u64))> {
 
 /// bp, drop and afc on a 6×6 mesh under link churn, a router stall window
 /// and transient corruption, with bounded retransmission on: fault log,
-/// pending NACKs/acks and unreachable records are all in the bytes.
-fn mesh6_faulted() -> Vec<(String, (usize, u64))> {
+/// pending NACKs/acks and unreachable records are all in the bytes. The
+/// probabilistic plan keeps every engine on the serial full walk.
+fn mesh6_faulted(engine: Engine) -> Vec<(String, (usize, u64))> {
     let mesh = Mesh::new(6, 6).expect("valid mesh");
     let plan = FaultPlan::uniform_transient(0.0, 4e-3)
         .with_churn(&mesh, 0xC0DEC, 90, 0.5, 700)
@@ -77,7 +82,7 @@ fn mesh6_faulted() -> Vec<(String, (usize, u64))> {
     ]
     .iter()
     .map(|&id| {
-        let mut sim = open_loop(&cfg, id, 0.20, 5);
+        let mut sim = open_loop(&cfg, id, 0.20, 5, engine);
         sim.run(600);
         let (_, nacks, acks, _) = sim.network.drain_residue();
         assert!(!sim.network.fault_log().is_empty(), "{id:?}: no faults");
@@ -92,18 +97,21 @@ fn mesh6_faulted() -> Vec<(String, (usize, u64))> {
 }
 
 /// A 3×3 closed-loop AFC run in the middle of its measurement window.
-fn closed_loop() -> (usize, u64) {
+fn closed_loop(engine: Engine) -> (usize, u64) {
     let factory = AfcFactory::paper();
-    let network = Network::new(NetworkConfig::paper_3x3(), &factory, 7).expect("valid config");
+    let mut network = Network::new(NetworkConfig::paper_3x3(), &factory, 7).expect("valid config");
+    engine.apply(&mut network);
     let mut sim = Simulation::new(network, ClosedLoopTraffic::new(workloads::apache(), 9, 7));
     sim.run(1_500);
+    engine.assert_ran(&sim.network);
     sim.network.reset_metrics();
     sim.run(700);
     pin(&sim.snapshot().expect("snapshot"))
 }
 
-/// The checkpoint file `run` leaves behind for a closed-loop scenario.
-fn checkpoint_file(dir: &std::path::Path) -> (usize, u64) {
+/// The checkpoint file `run` leaves behind for a closed-loop scenario, on
+/// an arena network that carries the engine.
+fn checkpoint_file(dir: &std::path::Path, engine: Engine) -> (usize, u64) {
     let path = dir.join("run.ckpt");
     let kind = RunKind::ClosedLoop {
         workload: workloads::water(),
@@ -111,7 +119,11 @@ fn checkpoint_file(dir: &std::path::Path) -> (usize, u64) {
         measure_txns: 200,
         max_cycles: 1_000_000,
     };
+    let (factory, cfg) = (AfcFactory::paper(), NetworkConfig::paper_3x3());
+    let mut arena = Network::new(cfg.clone(), &factory, 3).expect("valid config");
+    engine.apply(&mut arena);
     let env = RunEnv {
+        arena: Some(arena),
         checkpoint: CheckpointPolicy {
             every: 500,
             file: Some(&path),
@@ -119,14 +131,8 @@ fn checkpoint_file(dir: &std::path::Path) -> (usize, u64) {
         },
         ..RunEnv::default()
     };
-    run(
-        &kind,
-        &AfcFactory::paper(),
-        &NetworkConfig::paper_3x3(),
-        3,
-        env,
-    )
-    .expect("run");
+    let out = run(&kind, &factory, &cfg, 3, env).expect("run");
+    engine.assert_ran(&out.network);
     pin(&std::fs::read(&path).expect("checkpoint written"))
 }
 
@@ -179,17 +185,8 @@ fn snapshot_bytes_are_pinned() {
         FORMAT_VERSION, 4,
         "a layout change bumps FORMAT_VERSION and re-pins this table"
     );
-    let dir = std::env::temp_dir().join(format!("afc-snapshot-bytes-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut got = mesh8_saturated();
-    got.extend(mesh6_faulted());
-    got.push(("closed-loop/afc".to_string(), closed_loop()));
-    got.push(("checkpoint".to_string(), checkpoint_file(&dir)));
-    got.push(("manifest".to_string(), manifest_file(&dir)));
-    std::fs::remove_dir_all(&dir).unwrap();
-
     // Columns: payload length, then the hash under the activity-tracked
-    // walk (which the sharded engine matches) and under `AFC_FULL_SCAN`.
+    // walk (which the sharded engine matches) and under the full scan.
     // The full scan settles idle router cycles eagerly where the tracked
     // walk defers them, so a quiescent router's cycle counter and the
     // network's idle-accounting cursors differ in the bytes.
@@ -253,20 +250,34 @@ fn snapshot_bytes_are_pinned() {
         ("checkpoint", 11364, 0x0a16672fc8bc7d15, 0x717e14c209f01917),
         ("manifest", 311, 0xa72f24fda386bc01, 0xa72f24fda386bc01),
     ];
-    let factory = BackpressuredFactory::new();
-    let full_scan = Network::new(NetworkConfig::paper_3x3(), &factory, 0)
-        .expect("valid config")
-        .full_scan();
-    let expected: Vec<(&str, (usize, u64))> = pins
-        .iter()
-        .map(|&(k, len, walk, scan)| (k, (len, if full_scan { scan } else { walk })))
-        .collect();
-    let got_ref: Vec<(&str, (usize, u64))> = got.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    if got_ref != expected {
-        let table: String = got
+    let dir = std::env::temp_dir().join(format!("afc-snapshot-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for engine in Engine::ALL {
+        let mut got = mesh8_saturated(engine);
+        got.extend(mesh6_faulted(engine));
+        got.push(("closed-loop/afc".to_string(), closed_loop(engine)));
+        got.push(("checkpoint".to_string(), checkpoint_file(&dir, engine)));
+        got.push(("manifest".to_string(), manifest_file(&dir)));
+        let expected: Vec<(&str, (usize, u64))> = pins
             .iter()
-            .map(|(k, (len, sum))| format!("        ({k:?}, {len}, 0x{sum:016x}),\n"))
+            .map(|&(k, len, walk, scan)| {
+                let hash = if engine == Engine::FullScan {
+                    scan
+                } else {
+                    walk
+                };
+                (k, (len, hash))
+            })
             .collect();
-        panic!("snapshot bytes moved (full scan: {full_scan}); new pins:\n{table}");
+        let got_ref: Vec<(&str, (usize, u64))> =
+            got.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        if got_ref != expected {
+            let table: String = got
+                .iter()
+                .map(|(k, (len, sum))| format!("        ({k:?}, {len}, 0x{sum:016x}),\n"))
+                .collect();
+            panic!("snapshot bytes moved on {engine:?}; new pins:\n{table}");
+        }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

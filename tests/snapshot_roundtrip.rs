@@ -10,10 +10,10 @@
 //! lane, NI queue, RNG stream, counter, and statistic in one comparison.
 //!
 //! Variants cover the fault plane (retransmissions, held flits, fault
-//! logs), the closed-loop memory-system workload, and the forced full-scan
-//! engine path (`Network::set_full_scan`; CI additionally reruns this whole
-//! suite under `AFC_FULL_SCAN=1`).
+//! logs) and the closed-loop memory-system workload; every case runs on
+//! the tracked walk, the full scan and the sharded engine.
 
+use afc_bench::Engine;
 use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::faults::FaultPlan;
 use afc_netsim::flit::Cycle;
@@ -85,18 +85,17 @@ fn open_loop_sim(
     pattern: Pattern,
     rate: f64,
     seed: u64,
-    full_scan: bool,
+    engine: Engine,
 ) -> Simulation<Recorder> {
     let mut network = Network::new(cfg.clone(), factory, seed).expect("valid config");
-    if full_scan {
-        network.set_full_scan(true);
-    }
+    engine.apply(&mut network);
     let traffic = OpenLoopTraffic::new(RateSpec::Uniform(rate), pattern, PacketMix::paper(), seed);
     Simulation::new(network, Recorder::new(traffic))
 }
 
-/// Core round-trip check: warm up, snapshot, restore into a fresh sim, run
-/// both for `tail` cycles, compare delivered streams and second snapshots.
+/// Core round-trip check on every engine: warm up, snapshot, restore into a
+/// fresh sim, run both for `tail` cycles, compare delivered streams and
+/// second snapshots.
 #[allow(clippy::too_many_arguments)]
 fn assert_round_trip(
     cfg: &NetworkConfig,
@@ -106,16 +105,44 @@ fn assert_round_trip(
     seed: u64,
     warm: u64,
     tail: u64,
-    full_scan: bool,
     ctx: &str,
 ) {
-    let mut original = open_loop_sim(cfg, factory, pattern.clone(), rate, seed, full_scan);
+    for engine in Engine::ALL {
+        let ctx = &format!("{ctx} on {engine:?}");
+        round_trip_on(
+            engine,
+            cfg,
+            factory,
+            pattern.clone(),
+            rate,
+            seed,
+            warm,
+            tail,
+            ctx,
+        );
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn round_trip_on(
+    engine: Engine,
+    cfg: &NetworkConfig,
+    factory: &dyn RouterFactory,
+    pattern: Pattern,
+    rate: f64,
+    seed: u64,
+    warm: u64,
+    tail: u64,
+    ctx: &str,
+) {
+    let mut original = open_loop_sim(cfg, factory, pattern.clone(), rate, seed, engine);
     original.run(warm);
+    engine.assert_ran(&original.network);
     let snap = original
         .snapshot()
         .unwrap_or_else(|e| panic!("{ctx}: snapshot failed: {e}"));
 
-    let mut restored = open_loop_sim(cfg, factory, pattern, rate, seed, full_scan);
+    let mut restored = open_loop_sim(cfg, factory, pattern, rate, seed, engine);
     restored
         .restore(&snap, "<memory>")
         .unwrap_or_else(|e| panic!("{ctx}: restore failed: {e}"));
@@ -169,21 +196,22 @@ fn open_loop_round_trip_all_mechanisms_and_patterns() {
                 0xC0FFEE,
                 warm,
                 400,
-                false,
                 &ctx,
             );
         }
     }
 }
 
-/// Round trip under the forced full-component-scan engine path.
+/// Round trip under the forced full-component-scan engine path, at a
+/// fixed warm-up.
 #[test]
 fn open_loop_round_trip_full_scan_engine() {
     let cfg = NetworkConfig::paper_3x3();
     for m in 0..5 {
         let (mname, factory) = mechanism(m);
         let ctx = format!("{mname}/uniform/full-scan");
-        assert_round_trip(
+        round_trip_on(
+            Engine::FullScan,
             &cfg,
             factory.as_ref(),
             Pattern::UniformRandom,
@@ -191,14 +219,15 @@ fn open_loop_round_trip_full_scan_engine() {
             0xC0FFEE,
             500,
             400,
-            true,
             &ctx,
         );
     }
 }
 
 /// Round trip with the fault plane enabled: retransmit machinery, held
-/// flits, NACK/ack queues, and the fault log all survive the snapshot.
+/// flits, NACK/ack queues, and the fault log all survive the snapshot. A
+/// probabilistic fault plan steps every cycle on the serial walk, so there
+/// is no sharded leg.
 #[test]
 fn open_loop_round_trip_under_faults() {
     let cfg = NetworkConfig {
@@ -208,18 +237,20 @@ fn open_loop_round_trip_under_faults() {
     };
     for m in 0..5 {
         let (mname, factory) = mechanism(m);
-        let ctx = format!("{mname}/uniform/faults");
-        assert_round_trip(
-            &cfg,
-            factory.as_ref(),
-            Pattern::UniformRandom,
-            0.10,
-            0xFA017,
-            600,
-            600,
-            false,
-            &ctx,
-        );
+        for engine in [Engine::Tracked, Engine::FullScan] {
+            let ctx = format!("{mname}/uniform/faults on {engine:?}");
+            round_trip_on(
+                engine,
+                &cfg,
+                factory.as_ref(),
+                Pattern::UniformRandom,
+                0.10,
+                0xFA017,
+                600,
+                600,
+                &ctx,
+            );
+        }
     }
 }
 
@@ -243,7 +274,6 @@ fn open_loop_round_trip_rectangular_mesh() {
             0xAB1E,
             350,
             350,
-            false,
             &ctx,
         );
     }
@@ -254,17 +284,20 @@ fn open_loop_round_trip_rectangular_mesh() {
 #[test]
 fn closed_loop_round_trip() {
     let cfg = NetworkConfig::paper_3x3();
-    for m in 0..5 {
+    for (m, engine) in (0..5).flat_map(|m| Engine::ALL.map(|e| (m, e))) {
         let (mname, factory) = mechanism(m);
-        let network = Network::new(cfg.clone(), factory.as_ref(), 7).expect("valid config");
-        let traffic = ClosedLoopTraffic::new(workloads::water(), 9, 7);
-        let mut original = Simulation::new(network, traffic);
+        let mname = format!("{mname} on {engine:?}");
+        let sim = || {
+            let mut network = Network::new(cfg.clone(), factory.as_ref(), 7).expect("valid config");
+            engine.apply(&mut network);
+            Simulation::new(network, ClosedLoopTraffic::new(workloads::water(), 9, 7))
+        };
+        let mut original = sim();
         original.run(2_000);
+        engine.assert_ran(&original.network);
         let snap = original.snapshot().expect("snapshot");
 
-        let network = Network::new(cfg.clone(), factory.as_ref(), 7).expect("valid config");
-        let traffic = ClosedLoopTraffic::new(workloads::water(), 9, 7);
-        let mut restored = Simulation::new(network, traffic);
+        let mut restored = sim();
         restored.restore(&snap, "<memory>").expect("restore");
 
         original.run(2_000);
@@ -292,7 +325,14 @@ fn closed_loop_round_trip() {
 fn restore_rejects_corrupt_and_mismatched_snapshots() {
     let cfg = NetworkConfig::paper_3x3();
     let (_, afc) = mechanism(3);
-    let mut sim = open_loop_sim(&cfg, afc.as_ref(), Pattern::UniformRandom, 0.1, 1, false);
+    let mut sim = open_loop_sim(
+        &cfg,
+        afc.as_ref(),
+        Pattern::UniformRandom,
+        0.1,
+        1,
+        Engine::Tracked,
+    );
     sim.run(100);
     let snap = sim.snapshot().expect("snapshot");
 
@@ -312,7 +352,14 @@ fn restore_rejects_corrupt_and_mismatched_snapshots() {
 
     // Mechanism mismatch.
     let (_, bp) = mechanism(0);
-    let mut other = open_loop_sim(&cfg, bp.as_ref(), Pattern::UniformRandom, 0.1, 1, false);
+    let mut other = open_loop_sim(
+        &cfg,
+        bp.as_ref(),
+        Pattern::UniformRandom,
+        0.1,
+        1,
+        Engine::Tracked,
+    );
     let err = other.restore(&snap, "<memory>").unwrap_err();
     assert!(
         matches!(err, SnapshotError::ContextMismatch { .. }),
@@ -325,7 +372,14 @@ fn restore_rejects_corrupt_and_mismatched_snapshots() {
         height: 2,
         ..NetworkConfig::paper_3x3()
     };
-    let mut other = open_loop_sim(&wide, afc.as_ref(), Pattern::UniformRandom, 0.1, 1, false);
+    let mut other = open_loop_sim(
+        &wide,
+        afc.as_ref(),
+        Pattern::UniformRandom,
+        0.1,
+        1,
+        Engine::Tracked,
+    );
     let err = other.restore(&snap, "<memory>").unwrap_err();
     assert!(
         matches!(err, SnapshotError::ContextMismatch { .. }),
