@@ -139,7 +139,7 @@ fn main() {
     // cold start, at every worker count up to the host's. `--quick` runs
     // fewer jobs; the per-job cycle budget is the same either way because
     // it *is* the workload under test: many short repeated measurement
-    // passes (selfcheck re-runs, resume, mutation neighborhoods) are the
+    // passes (re-runs, resume, mutation neighborhoods) are the
     // regime the arena pool exists for. As measure windows grow, setup
     // amortization fades and all three modes converge — by design.
     let jobs = (threads * 6).max(if quick { 12 } else { 24 });

@@ -64,14 +64,6 @@
 //! 3. Wall-clock timing is observed by the engine (for the per-run timing
 //!    report) but never fed back into results.
 //!
-//! # Environment
-//!
-//! The engine reads one variable, once per process and strictly (an
-//! unrecognised value is a [`SweepError::BadEnv`], never a guess):
-//! `AFC_SWEEP_SELFCHECK=1` makes every grid re-execute each member of a
-//! coalesced unit on its own network ([`RunSpec::execute_alone`]) and
-//! assert the derived output matches it byte for byte.
-//!
 //! Thread count: `--threads N` ([`HarnessArgs`]), else
 //! [`std::thread::available_parallelism`].
 
@@ -109,9 +101,6 @@ static TIMINGS: Mutex<Vec<(String, usize, u128, &'static str)>> = Mutex::new(Vec
 pub enum SweepError {
     /// A malformed command-line argument.
     BadArg(String),
-    /// An environment variable the engine reads holds a value it cannot
-    /// use (the message names the variable and the value).
-    BadEnv(String),
     /// A manifest file that exists but cannot be trusted, or does not
     /// match the sweep it is being resumed against.
     Manifest {
@@ -132,7 +121,7 @@ pub enum SweepError {
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SweepError::BadArg(msg) | SweepError::BadEnv(msg) => write!(f, "{msg}"),
+            SweepError::BadArg(msg) => write!(f, "{msg}"),
             SweepError::Manifest { path, message } => {
                 write!(f, "manifest {}: {message}", path.display())
             }
@@ -167,17 +156,20 @@ pub struct HarnessArgs(Vec<String>);
 
 impl HarnessArgs {
     /// Checks `args` (program name already skipped): each is one of
-    /// `switches`, or one of `valued` (or `--threads`) followed by its value.
+    /// `switches`, or one of `valued` (or `--threads`) followed by its value,
+    /// and none is given twice.
     ///
     /// # Errors
     ///
     /// [`SweepError::BadArg`] naming the unknown argument, the flag missing
-    /// its value, or a `--threads` that is not a positive integer.
+    /// its value, the flag given twice, or a `--threads` that is not a
+    /// positive integer.
     pub fn parse(
         args: Vec<String>,
         switches: &[&str],
         valued: &[&str],
     ) -> Result<HarnessArgs, SweepError> {
+        let mut seen = Vec::new();
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
             if valued.contains(&arg.as_str()) || arg == "--threads" {
@@ -187,6 +179,10 @@ impl HarnessArgs {
             } else if !switches.contains(&arg.as_str()) {
                 return Err(SweepError::BadArg(format!("unknown argument {arg:?}")));
             }
+            if seen.contains(&arg) {
+                return Err(SweepError::BadArg(format!("{arg} is given more than once")));
+            }
+            seen.push(arg);
         }
         let args = HarnessArgs(args);
         match args.value::<usize>("--threads") {
@@ -198,12 +194,11 @@ impl HarnessArgs {
     }
 
     /// The process's arguments through [`HarnessArgs::parse`], `--threads N`
-    /// applied via [`set_threads`]; a malformed command line — or a malformed
-    /// environment (module docs) — prints the error to stderr and exits with
-    /// status 2. Call first in a binary's `main`.
+    /// applied via [`set_threads`]; a malformed command line prints the
+    /// error to stderr and exits with status 2. Call first in a binary's
+    /// `main`.
     pub fn from_env_or_exit(switches: &[&str], valued: &[&str]) -> HarnessArgs {
-        let parsed = SweepEnv::get()
-            .and_then(|_| HarnessArgs::parse(std::env::args().skip(1).collect(), switches, valued));
+        let parsed = HarnessArgs::parse(std::env::args().skip(1).collect(), switches, valued);
         let args = parsed.unwrap_or_else(|e| exit_with(&e));
         if let Some(n) = args.value_or_exit("--threads") {
             set_threads(n);
@@ -245,52 +240,6 @@ pub fn threads() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         explicit => explicit,
-    }
-}
-
-/// What the process environment asks of the sweep engine: the one place
-/// under `crates/bench/src` that reads it, once per process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SweepEnv {
-    /// `AFC_SWEEP_SELFCHECK`: re-execute and compare (module docs).
-    selfcheck: bool,
-}
-
-impl SweepEnv {
-    /// Parses the raw value strictly. Unset, empty or `0` is off; `1`,
-    /// `true`, `yes` or `on` is on; anything else, where a lenient reading
-    /// would have to guess, is an error naming variable and value.
-    fn parse(selfcheck: Option<&str>) -> Result<Self, SweepError> {
-        let selfcheck = match selfcheck.map(str::trim) {
-            None | Some("" | "0") => false,
-            Some("1" | "true" | "yes" | "on") => true,
-            Some(v) => {
-                return Err(SweepError::BadEnv(format!(
-                    "AFC_SWEEP_SELFCHECK={v:?} is not a boolean (1, true, yes or on; \
-                     0 or empty for off)"
-                )))
-            }
-        };
-        Ok(SweepEnv { selfcheck })
-    }
-
-    /// The process environment's settings, parsed on first use; a malformed
-    /// one is [`SweepError::BadEnv`] on every call, not just the first.
-    fn get() -> Result<&'static SweepEnv, SweepError> {
-        static ENV: OnceLock<Result<SweepEnv, String>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            let selfcheck = std::env::var_os("AFC_SWEEP_SELFCHECK");
-            let selfcheck = selfcheck.as_deref().map(|v| v.to_string_lossy());
-            SweepEnv::parse(selfcheck.as_deref()).map_err(|e| e.to_string())
-        })
-        .as_ref()
-        .map_err(|message| SweepError::BadEnv(message.clone()))
-    }
-
-    /// [`SweepEnv::get`] for callers with no error path: panics with the
-    /// [`SweepError::BadEnv`] message.
-    fn get_or_panic() -> &'static SweepEnv {
-        SweepEnv::get().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -884,7 +833,7 @@ impl RunSpec {
 
     /// Executes the run on its own mechanism's network — no representative,
     /// arena or warm cache: the reference the planner's derived outputs are
-    /// checked against (`AFC_SWEEP_SELFCHECK`, the determinism wall).
+    /// checked against (the determinism and one-engine walls).
     pub fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
         self.job(&self.mechanism.mechanism()).execute_alone(net_cfg)
     }
@@ -1028,21 +977,10 @@ pub(crate) struct Tuning {
     pub(crate) warm: bool,
 }
 
-/// Runs of [`Job::execute_alone`] made by the member self-check.
-static SELFCHECK_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Coalesced members `AFC_SWEEP_SELFCHECK` has re-executed in this process.
-pub fn selfcheck_runs() -> u64 {
-    SELFCHECK_RUNS.load(Ordering::Relaxed)
-}
-
 /// The one planner/executor: plans `jobs` by [`Job::sim_key`], simulates
 /// each unit once on the pool and returns `reduce(job, index, outcome)` per
 /// job, in job order. `progress` sees each completed unit: its members'
-/// indices and their results. Under `AFC_SWEEP_SELFCHECK` (a malformed
-/// environment panics with its [`SweepError::BadEnv`] text), every member of
-/// a coalesced unit is afterwards re-executed alone and its flat
-/// [`RunOutput`] — whatever `R` is — asserted equal to the derived one.
+/// indices and their results.
 pub(crate) fn run_grid<R, D, P>(
     name: &str,
     net_cfg: &NetworkConfig,
@@ -1058,26 +996,13 @@ where
 {
     let plan = Plan::by_key(jobs.iter().map(Job::sim_key));
     let store = tuning.warm.then(|| warm_cache() as &dyn WarmStore);
-    let selfcheck = SweepEnv::get_or_panic().selfcheck;
-    let derived: Mutex<Vec<(usize, RunOutput)>> = Mutex::new(Vec::new());
-    let results = run_planned(
+    run_planned(
         name,
         &plan,
         |members| jobs[members[0]].arena_group(),
         &|members: &[usize]| {
             execute_unit(net_cfg, &jobs[members[0]], tuning.pool, store, |out| {
-                let results = members.iter().map(|&m| reduce(&jobs[m], m, out));
-                let results = results.collect();
-                if selfcheck && members.len() > 1 {
-                    // Priced before the lock is taken: pricing may panic.
-                    let flat = members.iter().map(|&m| (m, flat_output(&jobs[m], out)));
-                    let flat: Vec<(usize, RunOutput)> = flat.collect();
-                    derived
-                        .lock()
-                        .expect("no panic under the lock")
-                        .extend(flat);
-                }
-                results
+                members.iter().map(|&m| reduce(&jobs[m], m, out)).collect()
             })
         },
         tuning.threads,
@@ -1086,20 +1011,7 @@ where
                 progress(members, results);
             }
         },
-    );
-    let mut derived = derived.into_inner().expect("no panic under the lock");
-    derived.sort_by_key(|(job, _)| *job);
-    for (job, derived) in derived {
-        SELFCHECK_RUNS.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(
-            jobs[job].execute_alone(net_cfg).serialize(),
-            derived.serialize(),
-            "sweep '{name}': run {job} derived from its unit's shared \
-             simulation differs from the run executed on its own — \
-             mechanisms sharing a simulation key are not timing-identical",
-        );
-    }
-    results
+    )
 }
 
 /// A declarative grid of independent runs over one network configuration.
@@ -1201,8 +1113,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// [`SweepError::Manifest`] for a corrupt or mismatched manifest,
-    /// [`SweepError::Io`] for filesystem failures, [`SweepError::BadEnv`]
-    /// for a malformed environment.
+    /// [`SweepError::Io`] for filesystem failures.
     pub fn execute_resumable(
         &self,
         manifest_path: &Path,
@@ -1239,7 +1150,6 @@ impl SweepSpec {
         let missing: Vec<usize> = (0..self.runs.len())
             .filter(|&i| outputs[i].is_none())
             .collect();
-        SweepEnv::get()?;
         let mut save_err: Option<SweepError> = None;
         let tuning = Tuning {
             threads: threads(),
@@ -1636,29 +1546,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_env_parses_strictly() {
-        let off = SweepEnv { selfcheck: false };
-        // Unset, empty and `0` are off.
-        for unset in [None, Some(""), Some("0")] {
-            assert_eq!(SweepEnv::parse(unset).unwrap(), off, "{unset:?}");
-        }
-        // Every spelling of "on" turns the check on, none silently off.
-        for on in ["1", " 1 ", "true", "yes", "on"] {
-            assert!(SweepEnv::parse(Some(on)).unwrap().selfcheck, "{on:?}");
-        }
-        // No guessing: anything else is neither on nor off.
-        for bad in ["2", "false", "no", "TRUE", "1 1"] {
-            let err = SweepEnv::parse(Some(bad)).expect_err(bad);
-            assert!(matches!(err, SweepError::BadEnv(_)), "{bad}: {err:?}");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("AFC_SWEEP_SELFCHECK") && msg.contains(bad),
-                "must name the variable and the value: {msg}"
-            );
-        }
-    }
-
-    #[test]
     fn transient_panic_succeeds_on_retry() {
         use std::sync::atomic::AtomicU32;
         let attempts = AtomicU32::new(0);
@@ -1715,6 +1602,10 @@ mod tests {
             ("--svg --quick", "--svg"),
             ("--seed", "--seed"),
             ("--threads", "--threads"),
+            // A repeated flag is not "the first one wins".
+            ("--quick --quick", "--quick"),
+            ("--seed 1 --seed 2", "--seed"),
+            ("--threads 1 --threads 0", "--threads"),
         ] {
             let err = parse(bad).expect_err(bad).to_string();
             assert!(err.contains(names), "{bad}: {err}");

@@ -24,12 +24,17 @@ use afc_bench::Engine;
 use afc_noc::prelude::*;
 
 /// Seeded schedules in the soak. The acceptance floor is 100; raise via
-/// `AFC_CHAOS_SCHEDULES` for longer local soaks.
+/// `AFC_CHAOS_SCHEDULES` for longer local soaks. Unset means 100; any value
+/// that is not an integer of at least 100 panics rather than being guessed.
 fn schedule_count() -> u64 {
-    std::env::var("AFC_CHAOS_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100)
+    let Some(raw) = std::env::var_os("AFC_CHAOS_SCHEDULES") else {
+        return 100;
+    };
+    let raw = raw.to_string_lossy();
+    match raw.parse() {
+        Ok(n) if n >= 100 => n,
+        _ => panic!("AFC_CHAOS_SCHEDULES={raw:?} is not an integer of at least 100"),
+    }
 }
 
 const MESH_W: u16 = 4;
