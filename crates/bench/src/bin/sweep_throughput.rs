@@ -1,8 +1,9 @@
 //! `sweep_throughput`: end-to-end sweep-engine throughput with and
-//! without the reuse machinery of DESIGN.md §14 — per-worker simulation
-//! arenas ([`Network::reset_from_config`]) and the warm-start snapshot
-//! cache — measured as whole-sweep jobs/sec on repeated-configuration
-//! workloads from 8×8 up to 64×64.
+//! without the reuse machinery of DESIGN.md §7 — per-worker simulation
+//! arenas
+//! ([`Network::reset_from_config`](afc_netsim::network::Network::reset_from_config))
+//! and the warm-start snapshot cache — measured as whole-sweep jobs/sec on
+//! repeated-configuration workloads from 8×8 up to 64×64.
 //!
 //! Three modes run the *same* sweep specs:
 //!

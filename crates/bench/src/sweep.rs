@@ -639,7 +639,7 @@ pub fn pool_stats() -> (u64, u64, u64, u64) {
 /// the entry on any mismatch.
 ///
 /// Admission is by what the cache observes: a key's *first* miss is answered
-/// `seal: false` and only remembered (8 bytes, at most [`MISSED_KEYS`],
+/// `seal: false` and only remembered (8 bytes, at most `MISSED_KEYS`,
 /// oldest forgotten first), every later miss `seal: true` — so a sweep of
 /// distinct warm-ups serialises and holds nothing, and a repeated one
 /// restores from its third pass on. An evicted or invalidated key stays

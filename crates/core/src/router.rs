@@ -1135,17 +1135,6 @@ impl AfcFactory {
 }
 
 impl RouterFactory for AfcFactory {
-    fn build_with(
-        &self,
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        rings: Box<[Flit]>,
-    ) -> Box<dyn Router> {
-        let router = AfcRouter::with_rings(node, mesh, config, self.cfg.clone(), rings);
-        Box::new(router)
-    }
-
     fn build_bank(
         &self,
         mesh: &Mesh,
@@ -1164,10 +1153,6 @@ impl RouterFactory for AfcFactory {
         } else {
             "afc"
         }
-    }
-
-    fn build_key(&self) -> String {
-        format!("{self:?}")
     }
 
     fn flit_width_bits(&self) -> u32 {

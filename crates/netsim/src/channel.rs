@@ -10,7 +10,7 @@
 //! themselves — nothing is rotated, popped, cleared or staged, and there is
 //! no per-cycle heap traffic (DESIGN.md §8).
 //!
-//! All links of a network share one [`LinkWheel`]: a forward slab of
+//! All links of a network share one `LinkWheel`: a forward slab of
 //! cache-line `{due, flit}` slots and a reverse slab of
 //! `{due, credits, control}` slots, `W = delay + 1` stripes of one slot per
 //! link each. With `W = delay + 1` the stripe read at `t` and the stripe
@@ -602,7 +602,7 @@ impl Lanes for LinkWheel {
 }
 
 /// A single directed link between two adjacent routers: a one-link
-/// [`LinkWheel`] with its own clock, advanced by [`Channel::advance`].
+/// `LinkWheel` with its own clock, advanced by [`Channel::advance`].
 ///
 /// # Examples
 ///

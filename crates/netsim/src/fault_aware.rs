@@ -10,15 +10,16 @@
 //!
 //! Each directed link carries a monotonic **epoch**: the 1-based index of
 //! its alive-state transitions in the fault plan (epoch 0 is the implicit
-//! initial alive state; see [`FaultPlan::link_timeline`]
-//! (crate::faults::FaultPlan::link_timeline)). A fault fact is the triple
-//! `(link, epoch, alive)`; a router accepts a fact only when its epoch
-//! exceeds the stored one, so a revival supersedes a kill — and vice versa —
-//! regardless of gossip arrival order. Stale facts still in flight when a
-//! link revives are rejected on arrival instead of resurrecting the dead
-//! state. Accepted alive facts are *retained* (never purged): purging would
-//! reset the link's epoch floor to 0 and let a delayed low-epoch kill fact
-//! be re-accepted, permanently wedging the router in degraded mode.
+//! initial alive state; see
+//! [`FaultPlan::link_timeline`](crate::faults::FaultPlan::link_timeline)).
+//! A fault fact is the triple `(link, epoch, alive)`; a router accepts a
+//! fact only when its epoch exceeds the stored one, so a revival supersedes
+//! a kill — and vice versa — regardless of gossip arrival order. Stale
+//! facts still in flight when a link revives are rejected on arrival
+//! instead of resurrecting the dead state. Accepted alive facts are
+//! *retained* (never purged): purging would reset the link's epoch floor
+//! to 0 and let a delayed low-epoch kill fact be re-accepted, permanently
+//! wedging the router in degraded mode.
 //!
 //! ## Determinism contract
 //!
@@ -275,10 +276,11 @@ impl FaultAwareness {
 
     /// Fault-aware next hop toward `dest` over the alive graph.
     ///
-    /// Callers must keep the historical DOR path while [`is_clean`]
-    /// (FaultAwareness::is_clean) holds; this method is the degraded-mode
-    /// replacement, not a DOR re-implementation (on a clean table it agrees
-    /// with DOR's dimension order anyway, but costs a table rebuild).
+    /// Callers must keep the historical DOR path while
+    /// [`is_clean`](FaultAwareness::is_clean) holds; this method is the
+    /// degraded-mode replacement, not a DOR re-implementation (on a clean
+    /// table it agrees with DOR's dimension order anyway, but costs a table
+    /// rebuild).
     pub fn route(&mut self, dest: NodeId) -> RouteOutcome {
         if dest == self.node {
             return RouteOutcome::Local;

@@ -320,24 +320,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a revival of every link leaving row `y` at `at`.
-    pub fn revive_row(mut self, y: u16, at: Cycle) -> FaultPlan {
-        self.link_faults.push(LinkFault {
-            selector: LinkSelector::Row { y },
-            kind: LinkFaultKind::ReviveAt { at },
-        });
-        self
-    }
-
-    /// Adds a revival of every link leaving column `x` at `at`.
-    pub fn revive_column(mut self, x: u16, at: Cycle) -> FaultPlan {
-        self.link_faults.push(LinkFault {
-            selector: LinkSelector::Column { x },
-            kind: LinkFaultKind::ReviveAt { at },
-        });
-        self
-    }
-
     /// Adds a revival of every link leaving the inclusive rectangle
     /// `[x0, x1] × [y0, y1]` at `at`.
     pub fn revive_region(mut self, x0: u16, y0: u16, x1: u16, y1: u16, at: Cycle) -> FaultPlan {

@@ -75,8 +75,6 @@ pub mod ni;
 mod ni_tests;
 pub mod packet;
 pub(crate) mod parallel;
-#[doc(hidden)]
-pub use parallel::shard_boundaries;
 pub mod rng;
 pub mod router;
 pub mod sim;

@@ -4,7 +4,7 @@
 //! ## One kernel, three schedules (DESIGN.md §8)
 //!
 //! What happens to a link, an NI or a router when a cycle visits it is
-//! written once, in [`crate::kernel`]. This file owns the *frame* every
+//! written once, in `kernel.rs`. This file owns the *frame* every
 //! cycle shares — fault detection, NACK/ack queue retirement, NI sideband
 //! collection, the end-of-cycle block — and the serial *schedule*: one walk
 //! per phase over the dirty bitmasks (routers, channels, sending NIs) in
@@ -13,7 +13,7 @@
 //! feeds the same walk all-ones words — the activity sets' self-check:
 //! same results, not the same snapshot bytes (it settles idle cycles
 //! eagerly). The third schedule, one node range per thread, is
-//! `parallel.rs`; [`crate::parallel::gate`] picks per cycle.
+//! `parallel.rs`; `parallel::gate` picks per cycle.
 //! Both are compiled against the router type of the network's bank
 //! ([`RouterFactory::build_bank`]), chosen once at construction.
 
@@ -560,8 +560,8 @@ impl Network {
     /// AFC) ring sat between two routers' ~2.5 KB of structs and side
     /// slabs, a page per 32×32 router (EXPERIMENTS.md "Router state
     /// placement"); the bank holds the structs in one slab after them.
-    fn build_routers(
-        factory: &dyn RouterFactory,
+    pub(crate) fn build_routers<F: RouterFactory + ?Sized>(
+        factory: &F,
         mesh: &Mesh,
         config: &NetworkConfig,
     ) -> Box<dyn RouterBank> {
@@ -668,14 +668,6 @@ impl Network {
     /// (`0`: every eligible cycle, `usize::MAX`: none). Results are the same.
     pub fn set_parallel_threshold(&mut self, min_active: usize) {
         self.par_min_active = min_active;
-    }
-
-    /// The shard boundaries (node starts, channel starts) a fresh engine
-    /// would use right now for the given thread budget. Test hook for the
-    /// shard-planner property suite.
-    #[doc(hidden)]
-    pub fn debug_shard_plan(&self, threads: usize) -> (Vec<usize>, Vec<usize>) {
-        crate::parallel::plan_preview(self, threads)
     }
 
     /// Walks every component and totals approximate heap usage, updating

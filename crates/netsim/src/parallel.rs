@@ -151,8 +151,7 @@ impl Plan {
 /// increasing). Pure and deterministic: same inputs, same cuts — the
 /// engine's re-plan points feed it bitmask-derived weights, so plans are a
 /// function of simulation state only, never of wall-clock timing.
-#[doc(hidden)]
-pub fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
+fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
     let mut starts = Vec::new();
     shard_boundaries_into(weights, shards, &mut starts);
     starts
@@ -211,20 +210,6 @@ fn shard_weights(net: &Network, plan: &Plan, weights: &mut Vec<u64>) {
         }
         wt
     }));
-}
-
-/// Builds the boundary vectors a fresh engine would use right now — the
-/// test hook behind [`Network::debug_shard_plan`].
-pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<usize>) {
-    let plan = Plan::build(net);
-    let mut weights = Vec::new();
-    shard_weights(net, &plan, &mut weights);
-    let node_start = shard_boundaries(&weights, threads);
-    let chan_start = node_start
-        .iter()
-        .map(|&ns| plan.node_chan_start[ns])
-        .collect();
-    (node_start, chan_start)
 }
 
 // ---------------------------------------------------------------------------
@@ -939,8 +924,35 @@ mod tests {
                 let mut skew = vec![0u64; n];
                 skew[(rand() % n as u64) as usize] = 1 << 40;
                 check_partition(&shard_boundaries(&skew, shards), n, eff);
+                // Each node in its own regime: zero, small, heavy-tailed.
+                let mixed: Vec<u64> = (0..n)
+                    .map(|_| match rand() % 3 {
+                        0 => 0,
+                        1 => 1 + rand() % 8,
+                        _ => rand() % 10_000,
+                    })
+                    .collect();
+                check_partition(&shard_boundaries(&mixed, shards), n, eff);
             }
         }
+    }
+
+    /// Boundaries of `weights` cut into 4 shards, none heavier than an
+    /// even share plus the largest single weight (each cut lands at or just
+    /// past its even share).
+    fn balanced_quarters(weights: &[u64]) -> Vec<usize> {
+        let starts = shard_boundaries(weights, 4);
+        check_partition(&starts, weights.len(), 4);
+        let total: u64 = weights.iter().sum();
+        let max = weights.iter().copied().max().unwrap_or(0);
+        for k in 0..4 {
+            let load: u64 = weights[starts[k]..starts[k + 1]].iter().sum();
+            assert!(
+                load <= total / 4 + max + 1,
+                "shard {k} overloaded: {load} of {total} ({starts:?})"
+            );
+        }
+        starts
     }
 
     #[test]
@@ -951,12 +963,91 @@ mod tests {
         for w in weights.iter_mut().take(10) {
             *w = 100;
         }
-        let starts = shard_boundaries(&weights, 4);
-        check_partition(&starts, 100, 4);
+        let starts = balanced_quarters(&weights);
         assert!(
             starts[1] <= 13,
             "first shard should hug the hot region: {starts:?}"
         );
+        // All the load in the last quarter: the busy nodes must not all
+        // land in one shard.
+        let weights: Vec<u64> = (0..256).map(|i| if i >= 192 { 100 } else { 1 }).collect();
+        let starts = balanced_quarters(&weights);
+        assert!(starts[3] > 192, "planner ignored the load skew: {starts:?}");
+    }
+
+    /// The boundary vectors (node starts, channel starts) a fresh engine
+    /// would use right now for `threads`.
+    fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<usize>) {
+        let plan = Plan::build(net);
+        let mut weights = Vec::new();
+        shard_weights(net, &plan, &mut weights);
+        let node_start = shard_boundaries(&weights, threads);
+        let chan_start = node_start
+            .iter()
+            .map(|&ns| plan.node_chan_start[ns])
+            .collect();
+        (node_start, chan_start)
+    }
+
+    /// On live networks of any shape, thread count and load, the node plan
+    /// partitions routers/NIs and the channel plan partitions channels,
+    /// channel ranges following node ownership (channels are grouped by
+    /// upstream node).
+    #[test]
+    fn live_shard_plans_partition_routers_and_channels() {
+        use crate::config::NetworkConfig;
+        use crate::flit::{PacketKind, VirtualNetwork};
+        use crate::geom::NodeId;
+        use crate::packet::PacketInput;
+        use crate::rng::SimRng;
+        use crate::testutil::FifoFactory;
+
+        for case in 0..8u64 {
+            let mut p = SimRng::seed_from(0x91A + case);
+            let (w, h) = (2 + p.gen_index(9), 2 + p.gen_index(9));
+            let threads = [1usize, 2, 3, 4, 8, 16][p.gen_index(6)];
+            let rate = p.gen_f64() * 0.2;
+            let cfg = NetworkConfig {
+                width: w as u16,
+                height: h as u16,
+                ..NetworkConfig::paper_3x3()
+            };
+            let mut net = Network::new(cfg, &FifoFactory::default(), case).unwrap();
+            let n = w * h;
+            let chan_count = 2 * ((w - 1) * h + w * (h - 1));
+            let k = threads.min(n);
+            // Plans must partition at cold start, mid-burst, and after the
+            // burst drains back to idle.
+            for (phase, offering) in [true, false, false].into_iter().enumerate() {
+                let (node_start, chan_start) = plan_preview(&net, threads);
+                let at = format!("case {case} phase {phase}");
+                check_partition(&node_start, n, k);
+                assert_eq!(chan_start.len(), k + 1, "{at}");
+                assert_eq!(chan_start[0], 0, "{at}");
+                assert_eq!(chan_start[k], chan_count, "{at}: every channel");
+                assert!(
+                    chan_start.windows(2).all(|v| v[0] <= v[1]),
+                    "{at}: channel ranges overlap: {chan_start:?}"
+                );
+                for _ in 0..120 {
+                    for src in 0..n {
+                        if !offering || !p.gen_bool(rate) {
+                            continue;
+                        }
+                        let input = PacketInput {
+                            dest: NodeId::new((src + 1 + p.gen_index(n - 1)) % n),
+                            vnet: VirtualNetwork(0),
+                            len: 1 + p.gen_index(5) as u16,
+                            kind: PacketKind::Synthetic,
+                            tag: 0,
+                        };
+                        net.offer_packet(NodeId::new(src), input);
+                    }
+                    net.step();
+                    net.take_delivered();
+                }
+            }
+        }
     }
 
     /// CPU time (user + system) of the `/proc` task directories `tasks`.

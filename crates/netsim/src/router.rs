@@ -1,4 +1,6 @@
-//! The [`Router`] abstraction implemented by every flow-control mechanism.
+//! The [`Router`] abstraction implemented by every flow-control mechanism,
+//! and the [`RouterFactory`] that builds a network's routers as one typed
+//! [`RouterBank`].
 
 use crate::channel::{ControlSignal, Credit};
 use crate::config::NetworkConfig;
@@ -252,76 +254,6 @@ pub trait Router: Send {
     }
 }
 
-/// A boxed router is a router: the boxed fallback bank of
-/// [`RouterFactory::build_bank`] runs on the same generic kernel as a typed
-/// one, paying the vtable call per router the typed banks save.
-impl Router for Box<dyn Router> {
-    fn receive_flit(&mut self, input: PortId, flit: Flit, now: Cycle) {
-        (**self).receive_flit(input, flit, now);
-    }
-    fn receive_credit(&mut self, output: PortId, credit: Credit, now: Cycle) {
-        (**self).receive_credit(output, credit, now);
-    }
-    fn receive_control(&mut self, output: PortId, signal: ControlSignal, now: Cycle) {
-        (**self).receive_control(output, signal, now);
-    }
-    fn injection_ready(&self, flit: &Flit, now: Cycle) -> bool {
-        (**self).injection_ready(flit, now)
-    }
-    fn inject(&mut self, flit: Flit, now: Cycle) {
-        (**self).inject(flit, now);
-    }
-    fn step(&mut self, now: Cycle, rng: &mut SimRng, out: &mut RouterOutputs) {
-        (**self).step(now, rng, out);
-    }
-    fn counters(&self) -> &ActivityCounters {
-        (**self).counters()
-    }
-    fn counters_mut(&mut self) -> &mut ActivityCounters {
-        (**self).counters_mut()
-    }
-    fn mode(&self) -> RouterMode {
-        (**self).mode()
-    }
-    fn occupancy(&self) -> usize {
-        (**self).occupancy()
-    }
-    fn load_estimate(&self) -> Option<f64> {
-        (**self).load_estimate()
-    }
-    fn heap_bytes(&self) -> usize {
-        (**self).heap_bytes()
-    }
-    fn note_link_event(
-        &mut self,
-        node: NodeId,
-        dir: crate::geom::Direction,
-        epoch: u32,
-        alive: bool,
-        now: Cycle,
-    ) {
-        (**self).note_link_event(node, dir, epoch, alive, now);
-    }
-    fn is_quiescent(&self) -> bool {
-        (**self).is_quiescent()
-    }
-    fn note_idle_cycles(&mut self, idle: u64) {
-        (**self).note_idle_cycles(idle);
-    }
-    fn counters_view(&self, pending_idle: u64) -> ActivityCounters {
-        (**self).counters_view(pending_idle)
-    }
-    fn reset(&mut self) -> bool {
-        (**self).reset()
-    }
-    fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        (**self).save_state(w)
-    }
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        (**self).load_state(r)
-    }
-}
-
 /// A network's routers, one per node in node order, held by value in one
 /// `Vec<R>` — what [`RouterFactory::build_bank`] returns. `Vec<R>`, for
 /// any router type `R`, is the only implementation: the engine compiles
@@ -360,6 +292,8 @@ pub(crate) mod bank {
         fn kernel(&self) -> Kernel;
         /// Bytes of the bank's slab: the router structs themselves.
         fn slab_bytes(&self) -> usize;
+        /// Router `i`, taken out of the bank.
+        fn into_router(self: Box<Self>, i: usize) -> Box<dyn Router>;
     }
 
     impl<R: Router + 'static> Typed for Vec<R> {
@@ -374,6 +308,9 @@ pub(crate) mod bank {
         }
         fn slab_bytes(&self) -> usize {
             self.capacity() * std::mem::size_of::<R>()
+        }
+        fn into_router(mut self: Box<Self>, i: usize) -> Box<dyn Router> {
+            Box::new(self.swap_remove(i))
         }
     }
 }
@@ -399,54 +336,37 @@ pub fn alloc_rings(flits_per_port: usize) -> Box<[Flit]> {
 ///
 /// Factories are plain configuration data, so the trait requires
 /// `Send + Sync`: harnesses share one factory set across worker threads
-/// when replicating runs over seeds.
-pub trait RouterFactory: Send + Sync {
-    /// Constructs the router for `node` around caller-placed `rings` from
-    /// [`alloc_rings`]`(self.buffer_flits_per_port(config))`.
-    fn build_with(
-        &self,
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        rings: Box<[Flit]>,
-    ) -> Box<dyn Router>;
-
-    /// Constructs the router for `node` with rings of its own.
-    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
-        let rings = alloc_rings(self.buffer_flits_per_port(config));
-        self.build_with(node, mesh, config, rings)
-    }
-
-    /// Constructs every node's router, in node order, around `rings` (one
-    /// [`alloc_rings`] slab per node, all allocated before this call).
-    /// A mechanism returns its routers by value as a `Vec` of its own
-    /// router type, collected in one allocation; the default boxes each
-    /// [`Self::build_with`] result, which serves any factory unchanged.
+/// when replicating runs over seeds. Their `Debug` form is their
+/// [`Self::build_key`].
+pub trait RouterFactory: std::fmt::Debug + Send + Sync {
+    /// Constructs every node's router, one per node in node order, around
+    /// `rings` (one [`alloc_rings`]`(self.buffer_flits_per_port(config))`
+    /// slab per node, all allocated before this call). A mechanism returns
+    /// its routers by value as a `Vec` of its own router type, collected
+    /// in one allocation.
     fn build_bank(
         &self,
         mesh: &Mesh,
         config: &NetworkConfig,
         rings: Vec<Box<[Flit]>>,
-    ) -> Box<dyn RouterBank> {
-        let bank: Vec<Box<dyn Router>> = mesh
-            .nodes()
-            .zip(rings)
-            .map(|(node, rings)| self.build_with(node, mesh, config, rings))
-            .collect();
-        Box::new(bank)
+    ) -> Box<dyn RouterBank>;
+
+    /// Constructs the router for `node` alone: router `node` of a freshly
+    /// built bank.
+    fn build(&self, node: NodeId, mesh: &Mesh, config: &NetworkConfig) -> Box<dyn Router> {
+        crate::network::Network::build_routers(self, mesh, config).into_router(node.index())
     }
 
     /// Short mechanism name (`"backpressured"`, `"bless"`, `"afc"`, ...).
     fn name(&self) -> &'static str;
 
-    /// Everything about this factory that decides what [`Self::build_with`]
+    /// Everything about this factory that decides what [`Self::build_bank`]
     /// constructs: equal keys build identical routers from equal
     /// configurations. [`Network::reset_from_config`](crate::network::Network::reset_from_config)
-    /// judges arena compatibility on it, so a factory whose name does not
-    /// determine its options (thresholds, policies) must override the
-    /// default to include them.
+    /// judges arena compatibility on it. It is the factory's `Debug` form,
+    /// so every option a factory holds is part of it.
     fn build_key(&self) -> String {
-        self.name().to_string()
+        format!("{self:?}")
     }
 
     /// Total flit width in bits (payload + control), used by the energy

@@ -488,8 +488,8 @@ field_table! {
         pub faults_injected: u64 = sum,
         /// Packets the NI gave up on after `max_attempts` retransmissions: the
         /// structured `Unreachable` outcome of DESIGN.md §13 (the per-packet
-        /// records live in [`Network::unreachable_packets`]
-        /// (crate::network::Network::unreachable_packets)).
+        /// records live in
+        /// [`Network::unreachable_packets`](crate::network::Network::unreachable_packets)).
         pub packets_unreachable: u64 = sum,
         /// Retransmit-queue flit copies discarded (never injected) when their
         /// packet was declared unreachable — the balancing term that keeps the

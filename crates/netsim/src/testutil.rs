@@ -7,7 +7,7 @@ use crate::counters::ActivityCounters;
 use crate::flit::{Cycle, Flit};
 use crate::geom::{NodeId, PortId};
 use crate::rng::SimRng;
-use crate::router::{Router, RouterFactory, RouterMode, RouterOutputs};
+use crate::router::{Router, RouterBank, RouterFactory, RouterMode, RouterOutputs};
 use crate::topology::Mesh;
 use std::collections::VecDeque;
 
@@ -80,28 +80,31 @@ impl Router for FifoRouter {
 }
 
 /// Factory for [`FifoRouter`]s.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct FifoFactory {
     pub(crate) lossy: bool,
     pub(crate) panic_at: Option<(NodeId, Cycle)>,
 }
 
 impl RouterFactory for FifoFactory {
-    fn build_with(
+    fn build_bank(
         &self,
-        node: NodeId,
         mesh: &Mesh,
         _config: &NetworkConfig,
-        _rings: Box<[Flit]>,
-    ) -> Box<dyn Router> {
-        Box::new(FifoRouter {
-            node,
-            mesh: mesh.clone(),
-            queue: VecDeque::new(),
-            counters: ActivityCounters::new(),
-            lossy: self.lossy,
-            panic_at: self.panic_at,
-        })
+        _rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        let bank: Vec<FifoRouter> = mesh
+            .nodes()
+            .map(|node| FifoRouter {
+                node,
+                mesh: mesh.clone(),
+                queue: VecDeque::new(),
+                counters: ActivityCounters::new(),
+                lossy: self.lossy,
+                panic_at: self.panic_at,
+            })
+            .collect();
+        Box::new(bank)
     }
     fn name(&self) -> &'static str {
         "fifo-test"

@@ -153,18 +153,22 @@ mod tests {
         }
     }
 
+    #[derive(Debug)]
     struct IdleFactory;
     impl crate::router::RouterFactory for IdleFactory {
-        fn build_with(
+        fn build_bank(
             &self,
-            _node: NodeId,
-            _mesh: &crate::topology::Mesh,
+            mesh: &crate::topology::Mesh,
             _config: &NetworkConfig,
-            _rings: Box<[crate::flit::Flit]>,
-        ) -> Box<dyn crate::router::Router> {
-            Box::new(Idle {
-                counters: ActivityCounters::new(),
-            })
+            _rings: Vec<Box<[crate::flit::Flit]>>,
+        ) -> Box<dyn crate::router::RouterBank> {
+            let bank: Vec<Idle> = mesh
+                .nodes()
+                .map(|_| Idle {
+                    counters: ActivityCounters::new(),
+                })
+                .collect();
+            Box::new(bank)
         }
         fn name(&self) -> &'static str {
             "idle"

@@ -105,7 +105,7 @@ pub struct BackpressuredOptions {
     /// VC is reallocatable as soon as the previous packet's tail has been
     /// *sent*, letting packets queue back-to-back.
     pub atomic_vc_reallocation: bool,
-    /// Wang et al.'s buffer-read bypass (the paper's reference [1]): when a
+    /// Wang et al.'s buffer-read bypass (the paper's reference \[1\]): when a
     /// departing flit is alone in its VC, the read comes from the bypass
     /// latch instead of the SRAM, eliding the buffer-read energy. Timing is
     /// unchanged; only the energy accounting differs.
@@ -1148,7 +1148,7 @@ impl BackpressuredFactory {
     }
 
     /// Creates the buffer-read-bypass variant (Wang et al., the paper's
-    /// reference [1]): lone flits skip the SRAM read. Its routers record
+    /// reference \[1\]): lone flits skip the SRAM read. Its routers record
     /// what the plain and ideal-bypass accountings of Figure 2(b) need as
     /// well (`afc_energy::BufferAccounting`), cycle for cycle the same
     /// network — `tests/bypass_lockstep.rs` holds that equivalence.
@@ -1161,17 +1161,6 @@ impl BackpressuredFactory {
 }
 
 impl RouterFactory for BackpressuredFactory {
-    fn build_with(
-        &self,
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        rings: Box<[Flit]>,
-    ) -> Box<dyn Router> {
-        let router = BackpressuredRouter::with_rings(node, mesh, config, self.options, rings);
-        Box::new(router)
-    }
-
     fn build_bank(
         &self,
         mesh: &Mesh,
@@ -1192,10 +1181,6 @@ impl RouterFactory for BackpressuredFactory {
         } else {
             "backpressured"
         }
-    }
-
-    fn build_key(&self) -> String {
-        format!("{self:?}")
     }
 
     fn flit_width_bits(&self) -> u32 {

@@ -539,16 +539,6 @@ impl DeflectionFactory {
 }
 
 impl RouterFactory for DeflectionFactory {
-    fn build_with(
-        &self,
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        _rings: Box<[Flit]>,
-    ) -> Box<dyn Router> {
-        Box::new(DeflectionRouter::new(node, mesh, config, self.policy))
-    }
-
     fn build_bank(
         &self,
         mesh: &Mesh,

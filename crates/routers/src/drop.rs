@@ -16,8 +16,7 @@
 
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Flit;
-use afc_netsim::geom::NodeId;
-use afc_netsim::router::{Router, RouterBank, RouterFactory};
+use afc_netsim::router::{RouterBank, RouterFactory};
 use afc_netsim::topology::Mesh;
 
 use crate::deflection::{Bufferless, RankPolicy};
@@ -44,16 +43,6 @@ impl DropFactory {
 }
 
 impl RouterFactory for DropFactory {
-    fn build_with(
-        &self,
-        node: NodeId,
-        mesh: &Mesh,
-        config: &NetworkConfig,
-        _rings: Box<[Flit]>,
-    ) -> Box<dyn Router> {
-        Box::new(DropRouter::new(node, mesh, config, self.policy))
-    }
-
     fn build_bank(
         &self,
         mesh: &Mesh,
@@ -71,10 +60,6 @@ impl RouterFactory for DropFactory {
         "drop"
     }
 
-    fn build_key(&self) -> String {
-        format!("{self:?}")
-    }
-
     fn flit_width_bits(&self) -> u32 {
         FLIT_WIDTH_BITS
     }
@@ -88,9 +73,9 @@ impl RouterFactory for DropFactory {
 mod tests {
     use super::*;
     use afc_netsim::flit::{Flit, PacketId};
-    use afc_netsim::geom::{Coord, Direction, PortId};
+    use afc_netsim::geom::{Coord, Direction, NodeId, PortId};
     use afc_netsim::rng::SimRng;
-    use afc_netsim::router::RouterOutputs;
+    use afc_netsim::router::{Router, RouterOutputs};
 
     fn setup() -> (Mesh, NodeId, DropRouter) {
         let config = NetworkConfig::paper_3x3();

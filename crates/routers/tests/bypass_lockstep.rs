@@ -17,22 +17,23 @@
 use afc_energy::BufferAccounting;
 use afc_netsim::packet::{DeliveredPacket, PacketInput};
 use afc_netsim::prelude::*;
+use afc_netsim::router::RouterBank;
 use afc_netsim::snapshot::{fnv1a64, Codec};
 use afc_routers::BackpressuredFactory;
 
 /// Read-bypass routers under the plain factory's name: the mechanism name
 /// is part of a snapshot, and the two networks' bytes are compared whole.
+#[derive(Debug)]
 struct BypassAsPlain;
 
 impl RouterFactory for BypassAsPlain {
-    fn build_with(
+    fn build_bank(
         &self,
-        node: NodeId,
         mesh: &Mesh,
         config: &NetworkConfig,
-        rings: Box<[Flit]>,
-    ) -> Box<dyn Router> {
-        BackpressuredFactory::read_bypass().build_with(node, mesh, config, rings)
+        rings: Vec<Box<[Flit]>>,
+    ) -> Box<dyn RouterBank> {
+        BackpressuredFactory::read_bypass().build_bank(mesh, config, rings)
     }
     fn name(&self) -> &'static str {
         BackpressuredFactory::new().name()

@@ -1,4 +1,4 @@
-//! The arena/warm-cache byte-identity wall (DESIGN.md §14): executing a
+//! The arena/warm-cache byte-identity wall (DESIGN.md §7): executing a
 //! run on (a) a freshly constructed network, (b) a dirty pooled network
 //! reinitialized in place by [`Network::reset_from_config`], and (c) a
 //! fresh network fast-forwarded by restoring a cached post-warmup

@@ -1,4 +1,4 @@
-//! Allocation discipline of the sweep arena pool (DESIGN.md §14): the
+//! Allocation discipline of the sweep arena pool (DESIGN.md §7): the
 //! second and later jobs a pooled worker executes must not pay network
 //! construction — [`Network::reset_from_config`] reinitializes the arena
 //! in place with (near-)zero heap traffic, and the job's remaining

@@ -545,117 +545,8 @@ fn config_validator_agrees_with_construction_under_fuzz() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard planner (DESIGN.md §12: load-proportional spatial sharding)
+// Shard planner (DESIGN.md §12; its partition tests are in netsim's parallel.rs)
 // ---------------------------------------------------------------------------
-
-/// `shard_boundaries` is a pure partition function: for *any* weight
-/// vector and shard request, the boundaries are strictly increasing from
-/// 0 to n — which is exactly the "every node owned by exactly one shard"
-/// property, since shard `k` owns `[b[k], b[k+1])`.
-#[test]
-fn shard_boundaries_partition_for_arbitrary_inputs() {
-    for case in 0..40u64 {
-        let mut p = SimRng::seed_from(0x5AAD + case);
-        let n = 1 + p.gen_index(300);
-        let shards = 1 + p.gen_index(24);
-        // Mix of weight regimes: zero, uniform, heavy-tailed.
-        let weights: Vec<u64> = (0..n)
-            .map(|_| match p.gen_index(3) {
-                0 => 0,
-                1 => 1 + p.gen_range(8),
-                _ => p.gen_range(10_000),
-            })
-            .collect();
-        let b = afc_netsim::shard_boundaries(&weights, shards);
-        let k = shards.min(n).max(1);
-        assert_eq!(b.len(), k + 1, "case {case}: wrong boundary count");
-        assert_eq!(b[0], 0, "case {case}: must start at 0");
-        assert_eq!(*b.last().unwrap(), n, "case {case}: must end at n");
-        assert!(
-            b.windows(2).all(|w| w[0] < w[1]),
-            "case {case}: boundaries not strictly increasing: {b:?} \
-             (weights len {n}, shards {shards})"
-        );
-    }
-}
-
-/// The planner balances: with heavily skewed weights, no shard's weight
-/// share may exceed what a greedy even cut allows (each cut lands at or
-/// past its even share, so a shard holds at most one node more than the
-/// ideal plus the largest single weight).
-#[test]
-fn shard_boundaries_track_skewed_load() {
-    // All the load in the last quarter of the mesh: an even node split
-    // would put ~all weight in the last shard; the load-proportional cut
-    // must move boundaries right.
-    let n = 256usize;
-    let weights: Vec<u64> = (0..n).map(|i| if i >= 192 { 100 } else { 1 }).collect();
-    let total: u64 = weights.iter().sum();
-    let b = afc_netsim::shard_boundaries(&weights, 4);
-    let shard_weight = |k: usize| -> u64 { weights[b[k]..b[k + 1]].iter().sum() };
-    for k in 0..4 {
-        assert!(
-            shard_weight(k) <= total / 4 + 100 + 1,
-            "shard {k} overloaded: {} of {total} (boundaries {b:?})",
-            shard_weight(k)
-        );
-    }
-    // The busy quarter must not all land in one shard.
-    assert!(b[3] > 192, "planner ignored the load skew: {b:?}");
-}
-
-/// `Network::debug_shard_plan` on live networks: for arbitrary mesh
-/// shapes, thread counts and activity states (driven by real traffic),
-/// the node plan partitions routers/NIs and the channel plan partitions
-/// channels, with shard channel ranges exactly following node ownership
-/// (channels are grouped by upstream node).
-#[test]
-fn live_shard_plans_partition_routers_and_channels() {
-    for case in 0..8u64 {
-        let mut p = SimRng::seed_from(0x91A + case);
-        let w = 2 + p.gen_range(9) as u16;
-        let h = 2 + p.gen_range(9) as u16;
-        let threads = [1usize, 2, 3, 4, 8, 16][p.gen_index(6)];
-        let rate = p.gen_f64() * 0.2;
-        let cfg = small_config(w, h);
-        let network = Network::new(cfg, mechanism(p.gen_index(5)).as_ref(), case).unwrap();
-        let traffic = OpenLoopTraffic::new(
-            RateSpec::Uniform(rate),
-            Pattern::UniformRandom,
-            PacketMix::paper(),
-            case,
-        );
-        let mut sim = Simulation::new(network, traffic);
-        // Vary activity: plans must partition at cold start, mid-burst,
-        // and after the burst drains back to idle.
-        for phase in 0..3 {
-            let n = (w as usize) * (h as usize);
-            let chan_count = 2 * ((w as usize - 1) * h as usize + w as usize * (h as usize - 1));
-            let (node_start, chan_start) = sim.network.debug_shard_plan(threads);
-            let k = threads.min(n).max(1);
-            assert_eq!(node_start.len(), k + 1);
-            assert_eq!(chan_start.len(), k + 1);
-            assert_eq!(node_start[0], 0);
-            assert_eq!(*node_start.last().unwrap(), n);
-            assert!(
-                node_start.windows(2).all(|v| v[0] < v[1]),
-                "case {case} phase {phase}: node ranges must be non-empty \
-                 and disjoint: {node_start:?}"
-            );
-            assert_eq!(chan_start[0], 0);
-            assert_eq!(
-                *chan_start.last().unwrap(),
-                chan_count,
-                "case {case} phase {phase}: channel plan must cover every channel"
-            );
-            assert!(
-                chan_start.windows(2).all(|v| v[0] <= v[1]),
-                "case {case} phase {phase}: channel ranges overlap: {chan_start:?}"
-            );
-            sim.run(120);
-        }
-    }
-}
 
 /// Mid-run re-planning is output-neutral: 400 parallel cycles under 4
 /// threads cross six re-plan points (one every `REPLAN_INTERVAL` = 64
