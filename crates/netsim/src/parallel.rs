@@ -924,16 +924,27 @@ mod tests {
                 let mut skew = vec![0u64; n];
                 skew[(rand() % n as u64) as usize] = 1 << 40;
                 check_partition(&shard_boundaries(&skew, shards), n, eff);
-                // Each node in its own regime: zero, small, heavy-tailed.
-                let mixed: Vec<u64> = (0..n)
-                    .map(|_| match rand() % 3 {
-                        0 => 0,
-                        1 => 1 + rand() % 8,
-                        _ => rand() % 10_000,
-                    })
-                    .collect();
-                check_partition(&shard_boundaries(&mixed, shards), n, eff);
             }
+        }
+    }
+
+    /// Random mesh sizes and shard requests, each node's weight drawn from
+    /// its own regime (zero, small, heavy-tailed): the cuts still partition.
+    #[test]
+    fn shard_boundaries_partition_for_arbitrary_inputs() {
+        use crate::rng::SimRng;
+        for case in 0..40u64 {
+            let mut p = SimRng::seed_from(0x5AAD + case);
+            let n = 1 + p.gen_index(300);
+            let shards = 1 + p.gen_index(24);
+            let weights: Vec<u64> = (0..n)
+                .map(|_| match p.gen_index(3) {
+                    0 => 0,
+                    1 => 1 + p.gen_range(8),
+                    _ => p.gen_range(10_000),
+                })
+                .collect();
+            check_partition(&shard_boundaries(&weights, shards), n, shards.min(n));
         }
     }
 
@@ -968,8 +979,12 @@ mod tests {
             starts[1] <= 13,
             "first shard should hug the hot region: {starts:?}"
         );
-        // All the load in the last quarter: the busy nodes must not all
-        // land in one shard.
+    }
+
+    #[test]
+    fn shard_boundaries_track_skewed_load() {
+        // All the load in the last quarter: an even node split would put
+        // almost all of it in the last shard, so the cuts must move right.
         let weights: Vec<u64> = (0..256).map(|i| if i >= 192 { 100 } else { 1 }).collect();
         let starts = balanced_quarters(&weights);
         assert!(starts[3] > 192, "planner ignored the load skew: {starts:?}");
