@@ -27,5 +27,4 @@ fn main() {
             sim.network.now()
         });
     }
-    group.finish();
 }

@@ -236,7 +236,6 @@ fn main() {
             }
         }
     }
-    group.finish();
 
     let within_budget = budget_128_used <= MESH_128_BUDGET_S;
     let json = format!(

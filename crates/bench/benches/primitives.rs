@@ -57,6 +57,4 @@ fn main() {
         let mut rng = SimRng::seed_from(3);
         group.bench("rng_gen_bool", || rng.gen_bool(0.3));
     }
-
-    group.finish();
 }

@@ -109,6 +109,4 @@ fn main() {
             out.flits_sent()
         });
     }
-
-    group.finish();
 }

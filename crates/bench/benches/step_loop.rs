@@ -216,7 +216,6 @@ fn main() {
             ),
         });
     }
-    group.finish();
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())

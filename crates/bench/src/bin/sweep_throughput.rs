@@ -1,40 +1,29 @@
 //! `sweep_throughput`: end-to-end sweep-engine throughput with and
-//! without the reuse machinery of DESIGN.md §7 — per-worker simulation
-//! arenas
-//! ([`Network::reset_from_config`](afc_netsim::network::Network::reset_from_config))
-//! and the warm-start snapshot cache — measured as whole-sweep jobs/sec on
-//! repeated-configuration workloads from 8×8 up to 64×64.
+//! without the per-worker simulation arenas of DESIGN.md §7
+//! ([`Network::reset_from_config`](afc_netsim::network::Network::reset_from_config)),
+//! measured as whole-sweep jobs/sec on repeated-configuration workloads
+//! from 8×8 up to 64×64.
 //!
-//! Three modes run the *same* sweep specs:
+//! Two modes run the *same* sweep specs:
 //!
-//! * `fresh`  — pool off, warm cache off: every job constructs its
-//!   network from scratch and re-simulates its warmup.
-//! * `pooled` — arenas on, warm cache off: jobs reset a pooled network
-//!   in place; warmups still simulate.
-//! * `warm`   — arenas on, warm cache on, cache pre-populated: jobs also
-//!   restore their post-warmup snapshot instead of re-simulating.
+//! * `fresh`  — pool off: every job constructs its network from scratch.
+//! * `pooled` — arenas on: jobs reset a pooled network in place.
 //!
-//! All three are byte-identical by contract (asserted here on the
-//! serialized results), so the modes differ in wall-clock only.
+//! Both are byte-identical by contract (asserted here on the serialized
+//! results), so the modes differ in wall-clock only.
 //!
 //! Honesty notes:
 //!
 //! * `host_cores` is recorded; on a single-core container multi-worker
 //!   rows measure scheduling overhead, not speedup.
 //! * `vm_hwm_kb` is the process-wide peak RSS (`VmHWM`), which is
-//!   monotonic: modes run fresh → pooled → warm precisely so that a
-//!   *larger* value for a later mode is attributable to that mode.
-//! * The warm-cache comparison re-runs an identical warmup-heavy spec,
-//!   which is the workload the cache exists for (resumed or repeated
-//!   sweeps). A first pass seals nothing; the first repeat re-warms and
-//!   seals (each key's second miss), and restores begin on the third
-//!   pass — so `warm_restore_speedup`, which times that first repeat,
-//!   reads ≈ 1× (0.97× when last measured), not a restore speed-up.
+//!   monotonic: modes run fresh → pooled precisely so that a *larger*
+//!   value for the later mode is attributable to it.
 //!
 //! Writes machine-readable `results/BENCH_sweep.json` next to the other
 //! bench artifacts; EXPERIMENTS.md carries the before/after table.
 
-use afc_bench::sweep::{self, pool_clear, pool_stats, warm_cache, RunKind, RunSpec, SweepSpec};
+use afc_bench::sweep::{self, pool_clear, pool_stats, RunKind, RunSpec, SweepSpec};
 use afc_bench::MechanismId;
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::snapshot::fnv1a64;
@@ -95,21 +84,16 @@ fn repeated_spec(case: &MeshCase, name: &str) -> SweepSpec {
     }
 }
 
-/// Times one execution of `spec` under explicit pool/warm switches,
-/// returning `(seconds, serialized results)`. Arenas are cleared first so
-/// every mode starts cold with respect to *this process's* pool state.
-fn run_mode(spec: &SweepSpec, threads: usize, pool: bool, warm: bool) -> (f64, String) {
-    run_mode_best_of(spec, threads, pool, warm, 1)
-}
-
-/// Best-of-`attempts` variant: wall-clock is the minimum over attempts
-/// (standard noise discipline for throughput numbers on shared hosts);
-/// every attempt must serialize identically or the bench aborts.
+/// Times `attempts` executions of `spec` with the arena pool on or off,
+/// returning `(seconds, serialized results)`: wall-clock is the minimum
+/// over attempts (standard noise discipline for throughput numbers on
+/// shared hosts), and every attempt must serialize identically or the
+/// bench aborts. Arenas are cleared before each attempt, so every one
+/// starts cold with respect to *this process's* pool state.
 fn run_mode_best_of(
     spec: &SweepSpec,
     threads: usize,
     pool: bool,
-    warm: bool,
     attempts: usize,
 ) -> (f64, String) {
     let mut best = f64::INFINITY;
@@ -117,7 +101,7 @@ fn run_mode_best_of(
     for attempt in 0..attempts.max(1) {
         pool_clear();
         let start = Instant::now();
-        let results = spec.execute_with_threads_tuned(threads, pool, warm);
+        let results = spec.execute_with_threads_tuned(threads, pool);
         best = best.min(start.elapsed().as_secs_f64());
         let s = results.serialize();
         if attempt == 0 {
@@ -142,7 +126,7 @@ fn main() {
     // it *is* the workload under test: many short repeated measurement
     // passes (re-runs, resume, mutation neighborhoods) are the
     // regime the arena pool exists for. As measure windows grow, setup
-    // amortization fades and all three modes converge — by design.
+    // amortization fades and the two modes converge — by design.
     let jobs = (threads * 6).max(if quick { 12 } else { 24 });
     let mesh_cases: Vec<MeshCase> = [8u16, 16, 32, 64]
         .iter()
@@ -159,23 +143,13 @@ fn main() {
     for case in &mesh_cases {
         let spec = repeated_spec(case, &format!("sweep_throughput_{0}x{0}", case.mesh));
         let attempts = if quick { 1 } else { 3 };
-        let (fresh_s, fresh_out) = run_mode_best_of(&spec, threads, false, false, attempts);
+        let (fresh_s, fresh_out) = run_mode_best_of(&spec, threads, false, attempts);
         let hwm_fresh = vm_kb("VmHWM:");
-        let (pooled_s, pooled_out) = run_mode_best_of(&spec, threads, true, false, attempts);
+        let (pooled_s, pooled_out) = run_mode_best_of(&spec, threads, true, attempts);
         let hwm_pooled = vm_kb("VmHWM:");
-        // Populate the cache once (untimed), then time the warm re-run:
-        // the cache's unit of value is a *repeated* warmup prefix.
-        let _ = run_mode(&spec, threads, true, true);
-        let (warm_s, warm_out) = run_mode_best_of(&spec, threads, true, true, attempts);
-        let hwm_warm = vm_kb("VmHWM:");
         assert_eq!(
             fresh_out, pooled_out,
             "{0}x{0}: pooled sweep output diverged from fresh",
-            case.mesh
-        );
-        assert_eq!(
-            fresh_out, warm_out,
-            "{0}x{0}: warm-cached sweep output diverged from fresh",
             case.mesh
         );
         let n = case.jobs as f64;
@@ -186,73 +160,35 @@ fn main() {
         rows.push(format!(
             "    {{\"mesh\": \"{m}x{m}\", \"jobs\": {jobs}, \"threads\": {threads}, \
              \"fresh_jobs_per_s\": {fj:.2}, \"pooled_jobs_per_s\": {pj:.2}, \
-             \"warm_jobs_per_s\": {wj:.2}, \"pooled_speedup\": {ps:.3}, \
-             \"warm_speedup\": {ws:.3}, \"vm_hwm_kb_fresh\": {hf}, \
-             \"vm_hwm_kb_pooled\": {hp}, \"vm_hwm_kb_warm\": {hw}, \
+             \"pooled_speedup\": {ps:.3}, \"vm_hwm_kb_fresh\": {hf}, \
+             \"vm_hwm_kb_pooled\": {hp}, \
              \"results_fingerprint\": \"{fp:016x}\"}}",
             m = case.mesh,
             jobs = case.jobs,
             fj = n / fresh_s,
             pj = n / pooled_s,
-            wj = n / warm_s,
             ps = pooled_speedup,
-            ws = fresh_s / warm_s,
             hf = hwm_fresh,
             hp = hwm_pooled,
-            hw = hwm_warm,
             fp = fnv1a64(fresh_out.as_bytes()),
         ));
         println!(
-            "{0}x{0}: fresh {1:.2} j/s, pooled {2:.2} j/s ({3:.2}x), warm {4:.2} j/s ({5:.2}x)",
+            "{0}x{0}: fresh {1:.2} j/s, pooled {2:.2} j/s ({3:.2}x)",
             case.mesh,
             n / fresh_s,
             n / pooled_s,
             pooled_speedup,
-            n / warm_s,
-            fresh_s / warm_s,
         );
     }
 
-    // Warmup-heavy spec, the regime the warm cache targets: an untimed first
-    // pass, then re-warmup (warm off) vs the first repeat (re-warms, seals).
-    let heavy = repeated_spec(
-        &MeshCase {
-            mesh: 16,
-            jobs: jobs.min(16),
-            warmup: if quick { 2_000 } else { 5_000 },
-            measure: if quick { 100 } else { 200 },
-        },
-        "sweep_throughput_warmup_heavy",
-    );
-    let _ = run_mode(&heavy, threads, true, true);
-    let (rewarm_s, rewarm_out) = run_mode(&heavy, threads, true, false);
-    let (restore_s, restore_out) = run_mode(&heavy, threads, true, true);
-    assert_eq!(
-        rewarm_out, restore_out,
-        "warmup-heavy: warm-restored sweep output diverged from re-warmed"
-    );
-    let warm_restore_speedup = rewarm_s / restore_s;
-    let heavy_jobs = heavy.runs.len() as f64;
-    println!(
-        "warmup-heavy 16x16: re-warmup {:.2} j/s, warm restore {:.2} j/s ({:.2}x)",
-        heavy_jobs / rewarm_s,
-        heavy_jobs / restore_s,
-        warm_restore_speedup,
-    );
-
-    let (pool_hits, pool_misses, warm_hits, warm_misses) = pool_stats();
-    let (warm_entries, warm_bytes) = warm_cache().usage();
+    let (pool_hits, pool_misses, ..) = pool_stats();
     let json = format!(
         "{{\n  \"bench\": \"sweep_throughput\",\n  \
          \"host_cores\": {host_cores},\n  \"threads\": {threads},\n  \
          \"quick\": {quick},\n  \
          \"pooled_vs_fresh_32x32\": {pooled_vs_fresh_32:.3},\n  \
-         \"warm_restore_speedup\": {warm_restore_speedup:.3},\n  \
          \"pool_hits\": {pool_hits},\n  \"pool_misses\": {pool_misses},\n  \
-         \"warm_hits\": {warm_hits},\n  \"warm_misses\": {warm_misses},\n  \
-         \"warm_cache_entries\": {warm_entries},\n  \
-         \"warm_cache_bytes\": {warm_bytes},\n  \
-         \"note\": \"vm_hwm_kb is process-wide peak RSS and monotonic; modes run fresh->pooled->warm\",\n  \
+         \"note\": \"vm_hwm_kb is process-wide peak RSS and monotonic; modes run fresh->pooled\",\n  \
          \"unit\": \"jobs_per_s\",\n  \"cases\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -38,9 +38,8 @@ pub struct ClosedLoopRow {
 }
 
 /// Runs `jobs` on the sweep engine's planner ([`run_grid`]) with [`threads`]
-/// workers and pooled arenas, sealing no warm-ups; `reduce` reads each
-/// job's result off its unit's outcome (pricing it with the job's own
-/// [`Mechanism::price`]).
+/// workers and pooled arenas; `reduce` reads each job's result off its
+/// unit's outcome (pricing it with the job's own [`Mechanism::price`]).
 ///
 /// # Panics
 ///
@@ -55,7 +54,6 @@ fn grid<R: Send>(
     let tuning = Tuning {
         threads: threads(),
         pool: true,
-        warm: false,
     };
     run_grid(name, net_cfg, jobs, tuning, reduce, |_, _| {})
         .into_iter()

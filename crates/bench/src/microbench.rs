@@ -95,7 +95,4 @@ impl Group {
         }
         best
     }
-
-    /// Ends the group (kept for symmetry with the old Criterion API).
-    pub fn finish(self) {}
 }

@@ -67,14 +67,14 @@
 //! Thread count: `--threads N` ([`HarnessArgs`]), else
 //! [`std::thread::available_parallelism`].
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use afc_energy::{EnergyModel, EnergyParams};
@@ -83,16 +83,16 @@ use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
 use afc_netsim::snapshot::{self, fnv1a64, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use afc_traffic::runner::RunKind;
-use afc_traffic::runner::{run, RunEnv, RunOutcome, Warm, WarmStore};
+use afc_traffic::runner::{run, RunEnv, RunOutcome};
 
 use crate::mechanisms::{Mechanism, MechanismId};
 
 /// Explicit `--threads` override; 0 means unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Per-run records `(sweep, run, micros, what the warm cache did)`, drained
-/// by [`write_timing_report`].
-static TIMINGS: Mutex<Vec<(String, usize, u128, &'static str)>> = Mutex::new(Vec::new());
+/// Per-run records `(sweep, run, micros)`, drained by
+/// [`write_timing_report`].
+static TIMINGS: Mutex<Vec<(String, usize, u128)>> = Mutex::new(Vec::new());
 
 /// Structured errors from the sweep engine's argument parsing, manifest
 /// handling, and artifact plumbing. Binaries print these and exit nonzero
@@ -359,16 +359,15 @@ where
     debug_assert_eq!(order.len(), jobs.len());
     let workers = threads.max(1).min(jobs.len());
     let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs.len()).map(|_| None).collect();
-    let mut land = |(i, r, micros, warm): (usize, Result<R, JobFailure>, u128, _)| {
-        timings().push((name.to_string(), i, micros, warm));
+    let mut land = |(i, r, micros): (usize, Result<R, JobFailure>, u128)| {
+        timings().push((name.to_string(), i, micros));
         progress(i, &r);
         slots[i] = Some(r);
     };
     let timed = |i: usize| {
         let start = Instant::now();
-        WARM_SEEN.set("-");
         let r = run_guarded(name, i, &jobs[i], f);
-        (i, r, start.elapsed().as_micros(), WARM_SEEN.get())
+        (i, r, start.elapsed().as_micros())
     };
     if workers <= 1 {
         // The serial pass walks the grouped order too, on the calling
@@ -500,7 +499,7 @@ where
 
 /// Locks the timing registry, recovering from a poisoned lock: a panicking
 /// sweep job may cost its own timing record, never the whole report.
-fn timings() -> std::sync::MutexGuard<'static, Vec<(String, usize, u128, &'static str)>> {
+fn timings() -> std::sync::MutexGuard<'static, Vec<(String, usize, u128)>> {
     TIMINGS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -529,9 +528,8 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), SweepError> {
 
 /// Writes (and drains) the per-run timing report accumulated by every
 /// sweep since the last call to `results/timing/<binary>.tsv`, atomically
-/// replacing the previous run's. Its `warm` column says what the warm cache
-/// did for the unit — `cold` (simulated, nothing sealed), `sealed`, `hit`,
-/// or `-` (no store passed, or no warm-up) — and the `total` row counts each.
+/// replacing the previous run's: one row per simulated network, and a
+/// `total` row.
 ///
 /// Wall-clock values are inherently nondeterministic, which is why they
 /// live outside the experiment's own `results/` artifacts: byte-identity
@@ -548,22 +546,18 @@ pub fn write_timing_report(binary: &str) -> Result<PathBuf, SweepError> {
     out.push_str("# per-run wall-clock; nondeterministic by nature, not part of the\n");
     out.push_str("# byte-identical sweep results\n");
     out.push_str(&format!("# binary\t{binary}\n# threads\t{}\n", threads()));
-    out.push_str("sweep\trun\tmillis\twarm\n");
-    for (sweep, run, micros, warm) in &records {
+    out.push_str("sweep\trun\tmillis\n");
+    for (sweep, run, micros) in &records {
         let millis = *micros as f64 / 1_000.0;
-        out.push_str(&format!("{sweep}\t{run}\t{millis:.3}\t{warm}\n"));
+        out.push_str(&format!("{sweep}\t{run}\t{millis:.3}\n"));
     }
-    let count = |what| records.iter().filter(|r| r.3 == what).count();
-    let (n, [cold, sealed, hit]) = (records.len(), ["cold", "sealed", "hit"].map(count));
-    out.push_str(&format!(
-        "total\t{n}\t{total_ms:.3}\tcold {cold} sealed {sealed} hit {hit}\n"
-    ));
+    out.push_str(&format!("total\t{}\t{total_ms:.3}\n", records.len()));
     write_atomic(&path, out.as_bytes())?;
     Ok(path)
 }
 
 // ---------------------------------------------------------------------------
-// Simulation arenas and the warm-start snapshot cache
+// Simulation arenas
 // ---------------------------------------------------------------------------
 
 // Per-worker simulation arena: each sweep worker thread keeps its most
@@ -575,19 +569,12 @@ pub fn write_timing_report(binary: &str) -> Result<PathBuf, SweepError> {
 // sweep, so arenas are reclaimed when the sweep ends.
 thread_local! {
     static SIM_POOL: RefCell<Option<Network>> = const { RefCell::new(None) };
-    /// What the [`WarmCache`] last did on this thread, for the timing report.
-    static WARM_SEEN: Cell<&'static str> = const { Cell::new("-") };
 }
 
 /// Arena jobs whose pooled network matched the incoming job (reset path).
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 /// Arena jobs that found no compatible pooled network (fresh construction).
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-/// Warm-cache lookups that found a usable post-warmup snapshot.
-static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-/// Warm-cache lookups that missed (the warmup was simulated; cached only
-/// where the [`WarmCache`] admitted it).
-static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Takes this worker's pooled network if [`Network::arena_compatible`]
 /// — the judge [`Network::reset_from_config`] itself uses — accepts it for
@@ -613,155 +600,38 @@ pub fn pool_clear() {
     SIM_POOL.with(|p| *p.borrow_mut() = None);
 }
 
-/// Cumulative `(arena hits, arena misses, warm hits, warm misses)` across
-/// all sweeps in this process. A "hit" means the job reset a pooled
-/// network in place / restored a cached warmup snapshot; a "miss" means it
-/// constructed / simulated from scratch (a warm miss seals only on the
-/// [`WarmCache`]'s say-so).
+/// Cumulative `(arena hits, arena misses, 0, 0)` across all sweeps in this
+/// process. A hit means the job reset a pooled network in place, a miss
+/// that it constructed one. The last two fields, once the warm-start
+/// cache's hits and misses, stay until ROADMAP item 7 drops afc-perf's
+/// probe of them.
 pub fn pool_stats() -> (u64, u64, u64, u64) {
     (
         POOL_HITS.load(Ordering::Relaxed),
         POOL_MISSES.load(Ordering::Relaxed),
-        WARM_HITS.load(Ordering::Relaxed),
-        WARM_MISSES.load(Ordering::Relaxed),
+        0,
+        0,
     )
 }
 
-/// Process-wide warm-start snapshot cache: the [`WarmStore`] sweeps hand to
-/// [`run`], which keys it by a fingerprint of the full network
-/// configuration (mesh, fault plan), the router factory's build key
-/// (mechanism, thresholds), the seed and the scenario
-/// ([`RunKind::identity`]: traffic description and warmup length). Values
-/// are sealed
-/// [`Simulation::snapshot`](afc_netsim::sim::Simulation::snapshot)
-/// containers taken immediately after the warmup phase; the runner verifies
-/// the container checksum and network fingerprint on restore, invalidating
-/// the entry on any mismatch.
-///
-/// Admission is by what the cache observes: a key's *first* miss is answered
-/// `seal: false` and only remembered (8 bytes, at most `MISSED_KEYS`,
-/// oldest forgotten first), every later miss `seal: true` — so a sweep of
-/// distinct warm-ups serialises and holds nothing, and a repeated one
-/// restores from its third pass on. An evicted or invalidated key stays
-/// remembered. Entries are bounded too (FIFO eviction once
-/// `WARM_CACHE_BYTES` is exceeded). The cache lives in memory only: it
-/// dies with the process.
-pub struct WarmCache {
-    inner: Mutex<WarmCacheInner>,
-    cap_bytes: usize,
-    missed_cap: usize,
-}
-
-struct WarmCacheInner {
-    map: HashMap<u64, Arc<Vec<u8>>>,
-    /// Insertion order, for FIFO eviction.
-    order: VecDeque<u64>,
-    bytes: usize,
-    /// Keys that have missed, oldest first: what admits a second miss.
-    missed: VecDeque<u64>,
-}
-
-impl WarmCacheInner {
-    /// Files `bytes` under `key`, replacing any previous entry, then evicts
-    /// oldest-first until `cap_bytes` holds again (the newest entry always
-    /// stays).
-    fn insert(&mut self, key: u64, bytes: Arc<Vec<u8>>, cap_bytes: usize) {
-        self.bytes += bytes.len();
-        if let Some(old) = self.map.insert(key, bytes) {
-            self.bytes -= old.len();
-            self.order.retain(|&k| k != key);
-        }
-        self.order.push_back(key);
-        while self.bytes > cap_bytes && self.order.len() > 1 {
-            let victim = self.order.pop_front().expect("order non-empty");
-            if let Some(old) = self.map.remove(&victim) {
-                self.bytes -= old.len();
-            }
-        }
-    }
-}
+/// What is left of the warm-start cache: afc-perf clears it and reads its
+/// usage, so it stays, holding nothing, until ROADMAP item 7 drops that
+/// probe. Every run simulates its own warm-up.
+pub struct WarmCache;
 
 impl WarmCache {
-    /// An empty cache with explicit caps (tests construct these; the rest
-    /// use [`warm_cache`]).
-    fn with_limits(cap_bytes: usize, missed_cap: usize) -> WarmCache {
-        WarmCache {
-            inner: Mutex::new(WarmCacheInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                bytes: 0,
-                missed: VecDeque::new(),
-            }),
-            cap_bytes,
-            missed_cap,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WarmCacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Current `(entries, bytes)` resident in memory.
+    /// `(entries, bytes)` held: always `(0, 0)`.
     pub fn usage(&self) -> (usize, usize) {
-        let inner = self.lock();
-        (inner.map.len(), inner.bytes)
+        (0, 0)
     }
 
-    /// Empties the cache and forgets which keys have missed.
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.order.clear();
-        inner.missed.clear();
-        inner.bytes = 0;
-    }
+    /// Does nothing: there is nothing to forget.
+    pub fn clear(&self) {}
 }
 
-impl WarmStore for WarmCache {
-    fn lookup(&self, key: u64) -> Warm {
-        let mut inner = self.lock();
-        if let Some(bytes) = inner.map.get(&key) {
-            WARM_HITS.fetch_add(1, Ordering::Relaxed);
-            WARM_SEEN.set("hit");
-            return Warm::Hit(Arc::clone(bytes));
-        }
-        WARM_MISSES.fetch_add(1, Ordering::Relaxed);
-        WARM_SEEN.set("cold");
-        let seal = inner.missed.contains(&key);
-        if !seal {
-            if inner.missed.len() >= self.missed_cap {
-                inner.missed.pop_front();
-            }
-            inner.missed.push_back(key);
-        }
-        Warm::Cold { seal }
-    }
-
-    fn put(&self, key: u64, bytes: Vec<u8>) {
-        WARM_SEEN.set("sealed");
-        self.lock().insert(key, Arc::new(bytes), self.cap_bytes);
-    }
-
-    fn invalidate(&self, key: u64) {
-        let mut inner = self.lock();
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.len();
-            inner.order.retain(|&k| k != key);
-        }
-    }
-}
-
-/// In-memory byte cap of the process-wide [`WarmCache`] (256 MiB).
-pub(crate) const WARM_CACHE_BYTES: usize = 256 << 20;
-
-/// How many missed keys the process-wide [`WarmCache`] remembers (512 KiB).
-const MISSED_KEYS: usize = 1 << 16;
-
-/// The process-wide [`WarmCache`] singleton, created on first use and
-/// capped at `WARM_CACHE_BYTES`.
+/// The inert [`WarmCache`]; see there.
 pub fn warm_cache() -> &'static WarmCache {
-    static WARM: OnceLock<WarmCache> = OnceLock::new();
-    WARM.get_or_init(|| WarmCache::with_limits(WARM_CACHE_BYTES, MISSED_KEYS))
+    &WarmCache
 }
 
 /// One simulation run, described as plain data. Workers rebuild the router
@@ -805,9 +675,8 @@ impl RunSpec {
 
     /// Executes the run against `net_cfg` and reduces it to the flat
     /// deterministic metrics of [`RunOutput`], using this worker's pooled
-    /// arena and the process-wide warm-start cache. Both reuse paths are
-    /// byte-identical to cold execution, so results do not depend on pool
-    /// or cache state.
+    /// arena. A pooled run is byte-identical to a fresh one, so results do
+    /// not depend on pool state.
     ///
     /// This is a sweep of one: the run goes through the same
     /// derive-from-representative path as a unit of a planned sweep.
@@ -818,21 +687,19 @@ impl RunSpec {
     /// configuration or a blown closed-loop cycle budget (inside a sweep
     /// the pool catches the unwind and reports a [`JobFailure`]).
     pub fn execute(&self, net_cfg: &NetworkConfig) -> RunOutput {
-        self.execute_tuned(net_cfg, true, true)
+        self.execute_tuned(net_cfg, true)
     }
 
-    /// [`RunSpec::execute`] with explicit arena-pool and warm-cache
-    /// switches: the fresh and cold paths the tests and `sweep_throughput`
-    /// hold the pooled and warm ones to.
-    pub fn execute_tuned(&self, net_cfg: &NetworkConfig, pool: bool, warm: bool) -> RunOutput {
-        let store = warm.then(|| warm_cache() as &dyn WarmStore);
+    /// [`RunSpec::execute`] with an explicit arena-pool switch: the fresh
+    /// path the tests and `sweep_throughput` hold the pooled one to.
+    pub fn execute_tuned(&self, net_cfg: &NetworkConfig, pool: bool) -> RunOutput {
         let mechanism = self.mechanism.mechanism();
         let job = self.job(&mechanism);
-        execute_unit(net_cfg, &job, pool, store, |out| flat_output(&job, out))
+        execute_unit(net_cfg, &job, pool, |out| flat_output(&job, out))
     }
 
-    /// Executes the run on its own mechanism's network — no representative,
-    /// arena or warm cache: the reference the planner's derived outputs are
+    /// Executes the run on its own mechanism's network — no representative
+    /// or arena: the reference the planner's derived outputs are
     /// checked against (the determinism and one-engine walls).
     pub fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
         self.job(&self.mechanism.mechanism()).execute_alone(net_cfg)
@@ -890,14 +757,12 @@ impl Job<'_> {
         net_cfg: &NetworkConfig,
         factory: &dyn RouterFactory,
         pool: bool,
-        warm: Option<&dyn WarmStore>,
     ) -> RunOutcome {
         let arena = pool
             .then(|| pool_take(factory, &self.kind.network_config(net_cfg)))
             .flatten();
         let env = RunEnv {
             arena,
-            warm,
             ..RunEnv::default()
         };
         run(&self.kind, factory, net_cfg, self.seed, env).unwrap_or_else(|e| panic!("{e}"))
@@ -906,7 +771,7 @@ impl Job<'_> {
     /// [`RunSpec::execute_alone`], for any mechanism.
     fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
         let factory = self.mechanism.factory.as_ref();
-        flat_output(self, &self.simulate(net_cfg, factory, false, None))
+        flat_output(self, &self.simulate(net_cfg, factory, false))
     }
 }
 
@@ -917,13 +782,12 @@ fn execute_unit<V>(
     net_cfg: &NetworkConfig,
     first: &Job<'_>,
     pool: bool,
-    warm: Option<&dyn WarmStore>,
     read: impl FnOnce(&RunOutcome) -> V,
 ) -> V {
     // A custom variant stands for itself.
     let class = first.mechanism.id.map(|id| id.simulated_as().mechanism());
     let factory = class.as_ref().unwrap_or(first.mechanism).factory.as_ref();
-    let out = first.simulate(net_cfg, factory, pool, warm);
+    let out = first.simulate(net_cfg, factory, pool);
     let value = read(&out);
     if pool {
         SIM_POOL.with(|p| *p.borrow_mut() = Some(out.network));
@@ -974,7 +838,6 @@ fn flat_output(job: &Job<'_>, out: &RunOutcome) -> RunOutput {
 pub(crate) struct Tuning {
     pub(crate) threads: usize,
     pub(crate) pool: bool,
-    pub(crate) warm: bool,
 }
 
 /// The one planner/executor: plans `jobs` by [`Job::sim_key`], simulates
@@ -995,13 +858,12 @@ where
     P: FnMut(&[usize], &[R]),
 {
     let plan = Plan::by_key(jobs.iter().map(Job::sim_key));
-    let store = tuning.warm.then(|| warm_cache() as &dyn WarmStore);
     run_planned(
         name,
         &plan,
         |members| jobs[members[0]].arena_group(),
         &|members: &[usize]| {
-            execute_unit(net_cfg, &jobs[members[0]], tuning.pool, store, |out| {
+            execute_unit(net_cfg, &jobs[members[0]], tuning.pool, |out| {
                 members.iter().map(|&m| reduce(&jobs[m], m, out)).collect()
             })
         },
@@ -1044,25 +906,15 @@ impl SweepSpec {
     /// attempt becomes a zeroed [`RunOutput`] whose `outcome` records the
     /// failure; the other runs are unaffected.
     pub fn execute_with_threads(&self, threads: usize) -> SweepResults {
-        self.execute_with_threads_tuned(threads, true, true)
+        self.execute_with_threads_tuned(threads, true)
     }
 
-    /// [`SweepSpec::execute_with_threads`] with explicit arena-pool and
-    /// warm-cache switches; the `sweep_throughput` benchmark uses this to
-    /// time fresh, pooled, and warm-cached execution of identical sweeps
-    /// within one process.
-    pub fn execute_with_threads_tuned(
-        &self,
-        threads: usize,
-        pool: bool,
-        warm: bool,
-    ) -> SweepResults {
+    /// [`SweepSpec::execute_with_threads`] with an explicit arena-pool
+    /// switch; the `sweep_throughput` benchmark uses this to time fresh and
+    /// pooled execution of identical sweeps within one process.
+    pub fn execute_with_threads_tuned(&self, threads: usize, pool: bool) -> SweepResults {
         let jobs: Vec<usize> = (0..self.runs.len()).collect();
-        let tuning = Tuning {
-            threads,
-            pool,
-            warm,
-        };
+        let tuning = Tuning { threads, pool };
         let outputs = self.run_jobs(&jobs, tuning, |_, _| {});
         SweepResults { outputs }
     }
@@ -1154,7 +1006,6 @@ impl SweepSpec {
         let tuning = Tuning {
             threads: threads(),
             pool: true,
-            warm: true,
         };
         let results = self.run_jobs(&missing, tuning, |indices, outputs| {
             for (&i, output) in indices.iter().zip(outputs) {
@@ -1498,53 +1349,6 @@ mod tests {
         }
     }
 
-    /// What `cache` answers `key`: a hit's first byte, or whether the miss
-    /// is asked to seal.
-    fn answer(cache: &WarmCache, key: u64) -> Result<u8, bool> {
-        match cache.lookup(key) {
-            Warm::Hit(bytes) => Ok(bytes[0]),
-            Warm::Cold { seal } => Err(seal),
-        }
-    }
-
-    #[test]
-    fn warm_cache_admits_a_key_on_its_second_miss() {
-        // Room for one 100-byte entry and two missed keys.
-        let cache = WarmCache::with_limits(100, 2);
-        assert_eq!(answer(&cache, 1), Err(false), "first miss: only remembered");
-        assert_eq!(cache.usage(), (0, 0));
-        assert_eq!(answer(&cache, 1), Err(true), "second miss: sealed");
-        cache.put(1, vec![7; 100]);
-        assert_eq!(answer(&cache, 1), Ok(7));
-
-        // An invalidated key stays remembered, and so does an evicted one:
-        // the next miss re-seals.
-        cache.invalidate(1);
-        assert_eq!(answer(&cache, 1), Err(true), "invalidated");
-        cache.put(1, vec![7; 100]);
-        assert_eq!(answer(&cache, 2), Err(false));
-        assert_eq!(answer(&cache, 2), Err(true));
-        cache.put(2, vec![8; 100]);
-        assert_eq!(cache.usage(), (1, 100), "entry 1 evicted");
-        assert_eq!(answer(&cache, 1), Err(true), "evicted");
-
-        // The missed-key memory holds its bound, oldest forgotten first.
-        assert_eq!(answer(&cache, 3), Err(false), "pushes key 1 out");
-        assert_eq!(cache.lock().missed, [2, 3]);
-        assert_eq!(answer(&cache, 1), Err(false), "forgotten, so a first miss");
-        assert_eq!(answer(&cache, 3), Err(true), "still remembered");
-        assert_eq!(cache.lock().missed, [3, 1]);
-
-        // `clear()` forgets the missed keys with the entries: a caller that
-        // clears between passes (the benchmark's rounds) never seals.
-        for _ in 0..3 {
-            cache.clear();
-            assert_eq!(cache.lock().missed.len(), 0);
-            assert_eq!(answer(&cache, 9), Err(false));
-            assert_eq!(cache.usage(), (0, 0));
-        }
-    }
-
     #[test]
     fn transient_panic_succeeds_on_retry() {
         use std::sync::atomic::AtomicU32;
@@ -1632,53 +1436,6 @@ mod tests {
         assert!(threads("--threads 0").is_err());
         let err = threads("--threads -2").unwrap_err();
         assert!(err.to_string().contains("positive integer"), "{err}");
-    }
-
-    /// Serialises the tests that read [`pool_stats`] deltas of the
-    /// process-wide warm cache against the others that use it.
-    static WARM_CACHE_USERS: Mutex<()> = Mutex::new(());
-
-    /// The warm cache keys a closed-loop warm-up by the workload's every
-    /// parameter, not its name: a same-named variant executed after the
-    /// stock workload's entry exists (same seed, warm-up and config) must
-    /// not restore the stock warm-up.
-    #[test]
-    fn a_same_named_workload_variant_does_not_hit_the_stock_warm_entry() {
-        let _serial = WARM_CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
-        let stock = afc_traffic::workloads::ocean();
-        let run = |workload| RunSpec {
-            mechanism: MechanismId::Backpressured,
-            seed: 0x0CEA,
-            kind: RunKind::ClosedLoop {
-                workload,
-                warmup_txns: 100,
-                measure_txns: 400,
-                max_cycles: 50_000_000,
-            },
-        };
-        let variant = run(afc_traffic::closedloop::WorkloadParams {
-            think_mean: 4.0 * stock.think_mean,
-            ..stock
-        });
-        let cfg = NetworkConfig::paper_3x3();
-        // The stock entry is sealed on its second miss; prove it is there
-        // — the third execute restores it — before asking the question.
-        let first = run(stock).execute(&cfg);
-        assert_eq!(run(stock).execute(&cfg), first);
-        let (_, _, hits, misses) = pool_stats();
-        assert_eq!(run(stock).execute(&cfg), first);
-        let (_, _, hits_after, misses_after) = pool_stats();
-        assert_eq!(
-            (hits_after - hits, misses_after - misses),
-            (1, 0),
-            "the stock warm entry must exist"
-        );
-        let alone = variant.execute_alone(&cfg);
-        assert_ne!(
-            first.cycles, alone.cycles,
-            "the variant must be a different run"
-        );
-        assert_eq!(variant.execute(&cfg), alone);
     }
 
     #[test]
@@ -1808,7 +1565,6 @@ mod tests {
 
     #[test]
     fn resumable_execution_completes_missing_jobs_only() {
-        let _serial = WARM_CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let spec = tiny_spec(9);
         let dir = std::env::temp_dir().join(format!("afc-resume-{}", std::process::id()));
         let path = dir.join("tiny.manifest");

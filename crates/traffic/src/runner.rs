@@ -3,13 +3,12 @@
 //! Every result is *acquire a network → warm it up → zero the counters →
 //! measure a window → capture*. [`run`] holds the only copy, for a scenario
 //! described as data ([`RunKind`]); [`RunEnv`] carries what may shorten or
-//! protect a run — a recycled arena, a [`WarmStore`] of post-warm-up
-//! snapshots, a crash-safe [`CheckpointPolicy`] — without changing a byte
-//! of it. Warm entries and checkpoints are keyed by [`RunKind::identity`],
-//! so neither can be mistaken for another scenario's. [`run_closed_loop`],
-//! [`run_open_loop`] and [`run_fault_scenario`] are the same protocol with
-//! general traffic arguments, no environment, and a panic where [`run`]
-//! returns [`RunError::Budget`].
+//! protect a run — a recycled arena, a crash-safe [`CheckpointPolicy`] —
+//! without changing a byte of it. Checkpoints are keyed by
+//! [`RunKind::identity`], so none can be mistaken for another scenario's.
+//! [`run_closed_loop`], [`run_open_loop`] and [`run_fault_scenario`] are
+//! the same protocol with general traffic arguments, no environment, and
+//! a panic where [`run`] returns [`RunError::Budget`].
 
 use std::borrow::Cow;
 use std::fmt;
@@ -118,11 +117,11 @@ impl RunKind {
     /// The scenario's identity: the `Debug` of everything that determines
     /// the post-warm-up state — the scenario with its measure length and
     /// abort budget zeroed, so a field added later is covered by default.
-    /// Read by the warm key and the checkpoint header; the sweep planner's
-    /// simulation key is the same `Debug` with both left in.
+    /// Read by the checkpoint header; the sweep planner's simulation key is
+    /// the same `Debug` with both left in.
     pub fn identity(&self) -> String {
-        let mut warm = self.clone();
-        match &mut warm {
+        let mut scenario = self.clone();
+        match &mut scenario {
             RunKind::ClosedLoop {
                 measure_txns: measure,
                 max_cycles,
@@ -131,7 +130,7 @@ impl RunKind {
             RunKind::OpenLoop { measure_cycles, .. } => *measure_cycles = 0,
             RunKind::Fault { .. } => {}
         }
-        format!("{warm:?}")
+        format!("{scenario:?}")
     }
 
     /// The configuration the scenario's network is built from: `base`,
@@ -153,36 +152,6 @@ impl RunKind {
     }
 }
 
-/// A [`WarmStore`]'s answer to a lookup; admission is the store's.
-#[derive(Debug)]
-pub enum Warm {
-    /// The sealed post-warm-up snapshot: restore it.
-    Hit(std::sync::Arc<Vec<u8>>),
-    /// Nothing stored: simulate the warm-up, and snapshot it for
-    /// [`WarmStore::put`] only if the store wants it sealed.
-    Cold {
-        /// Whether the store admits this warm-up's snapshot.
-        seal: bool,
-    },
-}
-
-/// A store of sealed post-warmup simulation snapshots, keyed by a
-/// warm-start fingerprint; implemented by the sweep engine's warm cache.
-///
-/// Correctness does not rest on the store: a hit is restored through
-/// [`Simulation::restore`], whose container checksum and embedded network
-/// fingerprint re-verify the bytes, and any refusal sends the run back to
-/// a cold warmup after [`WarmStore::invalidate`] (and re-seals it) — so a
-/// stale or corrupt entry can cost time, never bytes.
-pub trait WarmStore: Sync {
-    /// Looks up the sealed snapshot for `key`.
-    fn lookup(&self, key: u64) -> Warm;
-    /// Stores the sealed snapshot for `key`.
-    fn put(&self, key: u64, bytes: Vec<u8>);
-    /// Drops the entry for `key` (it failed re-verification).
-    fn invalidate(&self, key: u64);
-}
-
 /// Mid-run checkpoints for [`run`]: harness phase plus full simulation
 /// snapshot, sealed into one checksummed container.
 #[derive(Debug, Clone, Copy, Default)]
@@ -199,15 +168,12 @@ pub struct CheckpointPolicy<'a> {
 }
 
 /// What may shorten or protect a [`run`] without changing its result.
-/// `RunEnv::default()` is a cold, unprotected run.
+/// `RunEnv::default()` is a fresh, unprotected run.
 #[derive(Default)]
 pub struct RunEnv<'a> {
     /// A network to recycle in place when [`Network::reset_from_config`]
     /// accepts it (consumed either way; reclaim [`RunOutcome::network`]).
     pub arena: Option<Network>,
-    /// Where the post-warm-up state — captured *before*
-    /// [`Network::reset_metrics`] — is looked up and, if admitted, sealed.
-    pub warm: Option<&'a dyn WarmStore>,
     /// Crash-safe mid-run checkpointing.
     pub checkpoint: CheckpointPolicy<'a>,
 }
@@ -425,22 +391,19 @@ fn advance<T: Steer>(
 }
 
 /// The protocol of [`run`] for any steerable traffic model: `identity` keys
-/// warm entry and checkpoint, `goals` end the warm-up and the measurement.
+/// the checkpoint, `goals` end the warm-up and the measurement.
 fn drive<T: Steer>(
     factory: &dyn RouterFactory,
     cfg: &NetworkConfig,
     seed: u64,
     identity: &str,
     env: RunEnv<'_>,
-    traffic: impl Fn(usize) -> T,
+    traffic: impl FnOnce(usize) -> T,
     goals: [Goal; 2],
 ) -> Result<RunOutcome, RunError> {
-    let fresh = |arena| -> Result<Simulation<T>, ConfigError> {
-        let network = acquire_network(arena, cfg, factory, seed)?;
-        let traffic = traffic(network.mesh().node_count());
-        Ok(Simulation::new(network, traffic))
-    };
-    let mut sim = fresh(env.arena)?;
+    let network = acquire_network(env.arena, cfg, factory, seed)?;
+    let traffic = traffic(network.mesh().node_count());
+    let mut sim = Simulation::new(network, traffic);
     let policy = env.checkpoint;
     // 0 = no periodic checkpoints.
     let every = NonZeroU64::new(policy.every).map_or(u64::MAX, u64::from);
@@ -456,42 +419,7 @@ fn drive<T: Steer>(
     let start = match resumed {
         Some(start) => start,
         None => {
-            // Warm-up: restored from the store when possible, simulated
-            // otherwise. The key covers every input that determines the
-            // post-warm-up state: full config (mesh, fault plan,
-            // retransmit), the factory's build key (mechanism and private
-            // options), seed and scenario identity.
-            let warm = env.warm.map(|store| {
-                let key = format!("{cfg:?}|{}|{seed}|{identity}", factory.build_key());
-                (store, snapshot::fnv1a64(key.as_bytes()))
-            });
-            // Where a simulated warm-up is sealed: nowhere, unless the
-            // store asks — a cold run neither serialises nor allocates for it.
-            let (mut warmed, mut seal_to) = (false, None);
-            if let Some((store, key)) = warm {
-                match store.lookup(key) {
-                    Warm::Hit(bytes) => {
-                        warmed = sim.restore(&bytes, "<warm cache>").is_ok();
-                        if !warmed {
-                            // A partial restore leaves the simulation
-                            // indeterminate; rebuild, warm up cold and
-                            // replace the entry that failed.
-                            store.invalidate(key);
-                            sim = fresh(None)?;
-                            seal_to = warm;
-                        }
-                    }
-                    Warm::Cold { seal } => seal_to = warm.filter(|_| seal),
-                }
-            }
-            if !warmed {
-                advance(&mut sim, "warmup", goals[0], every, |s| save(s, None))?;
-                if let Some((store, key)) = seal_to {
-                    if let Ok(bytes) = sim.snapshot() {
-                        store.put(key, bytes);
-                    }
-                }
-            }
+            advance(&mut sim, "warmup", goals[0], every, |s| save(s, None))?;
             sim.network.reset_metrics();
             let start = sim.network.now();
             // Phase-boundary checkpoint: a resume never redoes warmup.
@@ -525,12 +453,12 @@ fn drive_open_loop(
 }
 
 /// Runs `kind` on a network built by `factory` from `cfg` and `seed`:
-/// *acquire (arena or fresh) → resume from a checkpoint | restore the warm
-/// entry | simulate the warm-up → seal and checkpoint → zero the counters →
-/// measure → capture*, stepping in checkpoint-sized chunks. Whatever `env`
-/// holds, the outcome is byte-identical to `RunEnv::default()`'s. A fault
-/// scenario measures from cycle 0 with its own inject→drain protocol: it
-/// has no warm-up to cache and refuses a checkpoint policy.
+/// *acquire (arena or fresh) → resume from a checkpoint | simulate the
+/// warm-up → checkpoint → zero the counters → measure → capture*, stepping
+/// in checkpoint-sized chunks. Whatever `env` holds, the outcome is
+/// byte-identical to `RunEnv::default()`'s. A fault scenario measures from
+/// cycle 0 with its own inject→drain protocol: it has no warm-up and
+/// refuses a checkpoint policy.
 ///
 /// # Errors
 ///
@@ -651,7 +579,7 @@ pub fn run_open_loop(
     measure_cycles: u64,
     seed: u64,
 ) -> Result<RunOutcome, ConfigError> {
-    // No store or checkpoint file in the environment: nothing reads an identity.
+    // No checkpoint file in the environment: nothing reads an identity.
     let (env, window) = (RunEnv::default(), [warmup_cycles, measure_cycles]);
     or_panic(drive_open_loop(
         factory, net_cfg, seed, "", env, &rates, &pattern, mix, window,
@@ -748,10 +676,7 @@ mod tests {
     use crate::workloads;
     use afc_netsim::snapshot::fnv1a64;
     use afc_routers::{BackpressuredFactory, DeflectionFactory};
-    use std::collections::HashMap;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::PathBuf;
-    use std::sync::{Arc, Mutex};
 
     #[test]
     fn closed_loop_runner_measures_cycles() {
@@ -811,43 +736,6 @@ mod tests {
         assert_eq!(out.stats.packets_delivered, out.stats.packets_offered);
         assert!((out.delivered_fraction() - 1.0).abs() < f64::EPSILON);
         out.network.audit().expect("flit conservation under faults");
-    }
-
-    /// An in-memory [`WarmStore`] that counts its hits.
-    #[derive(Default)]
-    struct Store {
-        map: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
-        hits: Mutex<u32>,
-    }
-
-    impl WarmStore for Store {
-        fn lookup(&self, key: u64) -> Warm {
-            let hit = self.map.lock().unwrap().get(&key).cloned();
-            *self.hits.lock().unwrap() += u32::from(hit.is_some());
-            hit.map_or(Warm::Cold { seal: true }, Warm::Hit)
-        }
-        fn put(&self, key: u64, bytes: Vec<u8>) {
-            self.map.lock().unwrap().insert(key, Arc::new(bytes));
-        }
-        fn invalidate(&self, key: u64) {
-            self.map.lock().unwrap().remove(&key);
-        }
-    }
-
-    /// A store that kills the run the moment it seals its warm-up —
-    /// which a run does only when `seal` asks for it.
-    struct DyingStore {
-        seal: bool,
-    }
-
-    impl WarmStore for DyingStore {
-        fn lookup(&self, _key: u64) -> Warm {
-            Warm::Cold { seal: self.seal }
-        }
-        fn put(&self, _key: u64, _bytes: Vec<u8>) {
-            panic!("killed while sealing the warm-up");
-        }
-        fn invalidate(&self, _key: u64) {}
     }
 
     const SEED: u64 = 11;
@@ -927,10 +815,55 @@ mod tests {
         Some(out.network)
     }
 
+    /// Writes the checkpoint a run of `kind` leaves when it is killed
+    /// `cycles` into its warm-up: a periodic one, with no measurement
+    /// origin yet, of the simulation `drive` steps.
+    fn checkpoint_mid_warmup(kind: &RunKind, cycles: u64, file: &Path) {
+        fn write<T: TrafficModel>(
+            mut sim: Simulation<T>,
+            cycles: u64,
+            header: CheckpointHeader<'_>,
+            file: &Path,
+        ) {
+            sim.run(cycles);
+            header.write(file, &sim, None).unwrap();
+        }
+        let cfg = NetworkConfig::paper_3x3();
+        let network = Network::new(cfg, &BackpressuredFactory::new(), SEED).unwrap();
+        let identity = kind.identity();
+        match *kind {
+            RunKind::ClosedLoop {
+                workload,
+                warmup_txns,
+                measure_txns,
+                ..
+            } => {
+                let nodes = network.mesh().node_count();
+                let mut traffic = ClosedLoopTraffic::new(workload, nodes, SEED);
+                traffic.set_target(warmup_txns);
+                let header = CheckpointHeader(&identity, SEED, warmup_txns + measure_txns);
+                write(Simulation::new(network, traffic), cycles, header, file);
+            }
+            RunKind::OpenLoop {
+                rate,
+                ref pattern,
+                mix,
+                warmup_cycles,
+                measure_cycles,
+            } => {
+                let rates = RateSpec::Uniform(rate);
+                let traffic = OpenLoopTraffic::new(rates, pattern.clone(), mix, SEED);
+                let header = CheckpointHeader(&identity, SEED, warmup_cycles + measure_cycles);
+                write(Simulation::new(network, traffic), cycles, header, file);
+            }
+            RunKind::Fault { .. } => unreachable!("a fault scenario has no warm-up"),
+        }
+    }
+
     /// The protocol's table: every scenario x every way of getting through
-    /// it — fresh, on a recycled arena, from a warm hit, resumed from a
-    /// mid-warm-up checkpoint, resumed from a mid-measure checkpoint, and
-    /// with a do-nothing checkpoint policy — ends in the same outcome.
+    /// it — fresh, on a recycled arena, resumed from a mid-warm-up
+    /// checkpoint, resumed from a mid-measure checkpoint, and with a
+    /// do-nothing checkpoint policy — ends in the same outcome.
     #[test]
     fn every_kind_reaches_one_outcome_by_every_road() {
         let dir = scratch_dir("table");
@@ -948,35 +881,8 @@ mod tests {
                 "{kind:?}: arena"
             );
 
-            // A miss seals, a hit restores — on a recycled arena too.
-            let store = Store::default();
-            for arena in [None, dirty_arena(&kind)] {
-                let warm = RunEnv {
-                    arena,
-                    warm: Some(&store),
-                    ..RunEnv::default()
-                };
-                assert_eq!(
-                    fingerprint(&run_in(&kind, warm).unwrap()),
-                    fresh,
-                    "{kind:?}: warm"
-                );
-            }
-            let hits = *store.hits.lock().unwrap();
-            // A miss the store does not admit seals nothing.
-            let unadmitted = RunEnv {
-                warm: Some(&DyingStore { seal: false }),
-                ..RunEnv::default()
-            };
-            assert_eq!(
-                fingerprint(&run_in(&kind, unadmitted).unwrap()),
-                fresh,
-                "{kind:?}: unadmitted"
-            );
-
             if matches!(kind, RunKind::Fault { .. }) {
-                // No warm-up to cache, no boundary to checkpoint.
-                assert_eq!(hits, 0);
+                // No boundary to checkpoint.
                 let refused = run_in(&kind, policy(100, Some(&file), None)).unwrap_err();
                 assert!(
                     matches!(
@@ -987,24 +893,15 @@ mod tests {
                 );
                 continue;
             }
-            assert_eq!(hits, 1, "{kind:?}: the second run restores its warm-up");
             let unprotected = run_in(&kind, policy(0, None, None)).unwrap();
             assert_eq!(fingerprint(&unprotected), fresh, "{kind:?}: no-op policy");
 
-            // Killed mid-warm-up: the process dies (here: the store
-            // panics) as it seals the warm-up, after two periodic
-            // checkpoints and before the boundary one.
+            // Killed mid-warm-up: what is on disk is the second periodic
+            // checkpoint of a run that writes one every third of its
+            // warm-up, and no boundary one.
             let total = unprotected.network.now();
             let warmup_end = total - unprotected.measured_cycles;
-            let dying = RunEnv {
-                warm: Some(&DyingStore { seal: true }),
-                ..policy(warmup_end / 3, Some(&file), None)
-            };
-            let killed = catch_unwind(AssertUnwindSafe(|| run_in(&kind, dying)));
-            assert!(
-                killed.is_err() && file.exists(),
-                "{kind:?}: died mid-warm-up"
-            );
+            checkpoint_mid_warmup(&kind, 2 * (warmup_end / 3), &file);
             let resumed = run_in(&kind, policy(1_000, Some(&file), Some(&file)));
             assert_eq!(
                 fingerprint(&resumed.unwrap()),
@@ -1031,6 +928,38 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A checkpoint is keyed by the workload's every parameter, not its
+    /// name: a same-named variant (same seed, warm-up and measure length)
+    /// may not resume from the stock workload's checkpoint.
+    #[test]
+    fn a_same_named_workload_variant_refuses_the_stock_checkpoint() {
+        let dir = scratch_dir("variant");
+        let file = dir.join("run.ckpt");
+        let stock = closed(workloads::water(), 2_000_000);
+        let variant = closed(
+            WorkloadParams {
+                think_mean: 4.0 * workloads::water().think_mean,
+                ..workloads::water()
+            },
+            2_000_000,
+        );
+        let alone = |kind| run_in(kind, RunEnv::default()).unwrap().measured_cycles;
+        assert_ne!(
+            alone(&stock),
+            alone(&variant),
+            "the variant must be another run"
+        );
+        run_in(&stock, policy(1_000, Some(&file), None)).unwrap();
+        match run_in(&variant, policy(0, None, Some(&file))) {
+            Err(RunError::Snapshot(SnapshotError::ContextMismatch { what, .. })) => {
+                assert_eq!(what, "scenario");
+            }
+            other => panic!("expected a scenario mismatch, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn a_blown_budget_is_an_error_whose_checkpoint_resumes() {
         let dir = scratch_dir("budget");
@@ -1053,9 +982,8 @@ mod tests {
         let resumed = run_in(&kind, policy(1_000, Some(&file), Some(&file))).unwrap();
         assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 
-        // Resuming under different arguments is refused: another seed,
-        // another measure length, and — same name, same everything else —
-        // another workload.
+        // Resuming under different arguments is refused: another seed or
+        // another measure length.
         let refused = |kind: &RunKind, seed| {
             let cfg = NetworkConfig::paper_3x3();
             let env = policy(0, None, Some(&file));
@@ -1072,11 +1000,6 @@ mod tests {
             max_cycles: 2_000_000,
         };
         assert_eq!(refused(&longer, SEED), "measurement target");
-        let variant = WorkloadParams {
-            think_mean: 4.0 * workloads::water().think_mean,
-            ..workloads::water()
-        };
-        assert_eq!(refused(&closed(variant, 2_000_000), SEED), "scenario");
 
         // A corrupt checkpoint is refused with the file named.
         let good = std::fs::read(&file).unwrap();

@@ -1,29 +1,24 @@
-//! The arena/warm-cache byte-identity wall (DESIGN.md §7): executing a
-//! run on (a) a freshly constructed network, (b) a dirty pooled network
-//! reinitialized in place by [`Network::reset_from_config`], and (c) a
-//! fresh network fast-forwarded by restoring a cached post-warmup
-//! snapshot must all be indistinguishable — pinned here by comparing
-//! fingerprints of full [`Simulation::snapshot`] containers across all
-//! four snapshot-capable mechanisms and three traffic patterns.
+//! The arena byte-identity wall (DESIGN.md §7): executing a run on (a) a
+//! freshly constructed network, (b) a dirty pooled network reinitialized
+//! in place by [`Network::reset_from_config`], and (c) a fresh network
+//! fast-forwarded by restoring a post-warmup snapshot must all be
+//! indistinguishable — pinned here by comparing fingerprints of full
+//! [`Simulation::snapshot`] containers across all four snapshot-capable
+//! mechanisms and three traffic patterns.
 //!
-//! Also pins the crash story: a warm entry that fails verification
-//! (checksum or network fingerprint) is invalidated, re-warmed and
-//! re-sealed — never trusted — and a sweep SIGKILLed mid-flight resumes
-//! from its manifest to byte-identical results.
+//! Also pins the crash story: a sweep SIGKILLed mid-flight resumes from
+//! its manifest to byte-identical results.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use afc_bench::sweep::{RunKind, RunSpec, SweepSpec};
 use afc_bench::MechanismId;
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::network::Network;
 use afc_netsim::sim::Simulation;
-use afc_netsim::snapshot::{self, fnv1a64};
+use afc_netsim::snapshot::fnv1a64;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
-use afc_traffic::runner::{run, RunEnv, RunOutcome, Warm, WarmStore};
 use afc_traffic::synthetic::Pattern;
 
 const MECHANISMS: [MechanismId; 4] = [
@@ -98,19 +93,19 @@ fn reset_and_warm_restore_are_byte_identical_to_fresh_construction() {
                 id.label()
             );
 
-            // (c) Warm restore: a fresh simulation fast-forwarded by the
-            // cached post-warmup snapshot must land on the same final
-            // state as simulating the warmup.
+            // (c) Restore: a fresh simulation fast-forwarded by the
+            // post-warmup snapshot must land on the same final state as
+            // simulating the warmup.
             let net = Network::new(cfg.clone(), factory, SEED).expect("valid");
             let mut warmed = Simulation::new(net, traffic(pattern.clone(), SEED));
             warmed
-                .restore(&warm_bytes, "<warm cache>")
+                .restore(&warm_bytes, "<post-warmup>")
                 .expect("self-consistent snapshot");
             warmed.run(MEASURE);
             assert_eq!(
                 state_fp(&warmed),
                 fp_final,
-                "{}/{pattern:?}: final state after warm-restore diverged \
+                "{}/{pattern:?}: final state after restore diverged \
                  from simulating the warmup",
                 id.label()
             );
@@ -201,127 +196,6 @@ fn same_named_factory_with_other_options_never_inherits_the_old_routers() {
 }
 
 // ---------------------------------------------------------------------------
-// A warm entry that fails verification
-// ---------------------------------------------------------------------------
-
-/// An in-memory [`WarmStore`] that answers every lookup with `answer` — a
-/// hit, or with none a miss asked to seal — and records what the runner
-/// seals and invalidates.
-struct FakeStore {
-    answer: Option<Arc<Vec<u8>>>,
-    sealed: Mutex<Vec<Vec<u8>>>,
-    invalidated: AtomicUsize,
-}
-
-impl FakeStore {
-    fn answering(answer: Option<Vec<u8>>) -> FakeStore {
-        FakeStore {
-            answer: answer.map(Arc::new),
-            sealed: Mutex::new(Vec::new()),
-            invalidated: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl WarmStore for FakeStore {
-    fn lookup(&self, _key: u64) -> Warm {
-        match &self.answer {
-            Some(bytes) => Warm::Hit(Arc::clone(bytes)),
-            None => Warm::Cold { seal: true },
-        }
-    }
-    fn put(&self, _key: u64, bytes: Vec<u8>) {
-        self.sealed.lock().unwrap().push(bytes);
-    }
-    fn invalidate(&self, _key: u64) {
-        self.invalidated.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Everything a run must reproduce: its window, statistics, counters and
-/// the network's complete end state.
-fn outcome_fp(out: &RunOutcome) -> (u64, String, String, u64) {
-    let mut w = snapshot::SnapshotWriter::new();
-    out.network.save_state(&mut w).expect("snapshot-capable");
-    (
-        out.measured_cycles,
-        format!("{:?}", out.stats),
-        format!("{:?}", out.counters),
-        fnv1a64(&snapshot::seal(w)),
-    )
-}
-
-/// The runner's restore-failure path: a hit whose bytes fail the
-/// container checksum, pass it but belong to another mechanism's network,
-/// or fail only after the network was restored, is invalidated once, the
-/// warm-up is simulated on a rebuilt network and re-sealed — to the bytes
-/// a clean miss seals — and the outcome is the cold run's.
-#[test]
-fn a_corrupt_warm_hit_is_invalidated_rewarmed_and_resealed() {
-    let cfg = NetworkConfig::paper_8x8();
-    let kind = RunKind::OpenLoop {
-        rate: 0.10,
-        pattern: Pattern::UniformRandom,
-        mix: PacketMix::paper(),
-        warmup_cycles: 300,
-        measure_cycles: 300,
-    };
-    const SEED: u64 = 0x5EA1;
-    let go = |id: MechanismId, store: &FakeStore| {
-        let env = RunEnv {
-            warm: Some(store),
-            ..RunEnv::default()
-        };
-        let factory = id.mechanism().factory;
-        outcome_fp(&run(&kind, factory.as_ref(), &cfg, SEED, env).expect("runs"))
-    };
-    let sealed: Vec<Vec<u8>> = MECHANISMS
-        .iter()
-        .map(|&id| {
-            let store = FakeStore::answering(None);
-            go(id, &store);
-            store
-                .sealed
-                .into_inner()
-                .unwrap()
-                .pop()
-                .expect("a miss asked to seal seals")
-        })
-        .collect();
-    for (m, &id) in MECHANISMS.iter().enumerate() {
-        let factory = id.mechanism().factory;
-        let cold = run(&kind, factory.as_ref(), &cfg, SEED, RunEnv::default()).expect("runs");
-        let cold = outcome_fp(&cold);
-        let good = &sealed[m];
-        let mut flipped = good.clone();
-        flipped[good.len() / 2] ^= 0xFF;
-        let foreign = sealed[(m + 1) % MECHANISMS.len()].clone();
-        // Well sealed but cut short: the network restores and the traffic
-        // decode fails — a partial restore. The payload sits between the
-        // 20-byte header and the 8-byte checksum (DESIGN.md §11).
-        let mut short = snapshot::SnapshotWriter::new();
-        for &b in &good[20..good.len() - 16] {
-            short.put_u8(b);
-        }
-        let short = snapshot::seal(short);
-        for (bad, what) in [
-            (flipped, "flipped byte"),
-            (foreign, "another mechanism's"),
-            (short, "cut short"),
-        ] {
-            let label = format!("{}: {what}", id.label());
-            let store = FakeStore::answering(Some(bad));
-            assert_eq!(go(id, &store), cold, "{label}: outcome");
-            assert_eq!(store.invalidated.load(Ordering::Relaxed), 1, "{label}");
-            let resealed = store.sealed.into_inner().unwrap();
-            assert_eq!(resealed.len(), 1, "{label}: re-sealed once");
-            snapshot::open(&resealed[0], "<re-sealed>").expect("the re-sealed entry verifies");
-            assert_eq!(&resealed[0], good, "{label}: re-sealed bytes");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SIGKILL mid-sweep, resumed from the manifest
 // ---------------------------------------------------------------------------
 
@@ -374,9 +248,9 @@ fn sigkill_mid_sweep_resumes_to_byte_identical_results() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let manifest = dir.join("crash.manifest");
 
-    // Phase 0: the reference result, computed cold (no pool, no cache).
+    // Phase 0: the reference result, computed fresh (no pool).
     let spec = crash_spec();
-    let clean = spec.execute_with_threads_tuned(1, false, false).serialize();
+    let clean = spec.execute_with_threads_tuned(1, false).serialize();
 
     // Phase 1: spawn this test as a child and SIGKILL it mid-sweep, once
     // the manifest proves at least one job completed.

@@ -22,14 +22,12 @@ use afc_traffic::synthetic::Pattern;
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: defers entirely to the system allocator; the wrapper only
 // increments atomic counters on the allocation paths.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -39,7 +37,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,11 +46,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Bytes requested so far (a `realloc` counts its whole new size).
-fn bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }
 
 fn job(seed: u64) -> RunSpec {
@@ -114,14 +106,14 @@ fn pooled_worker_reuses_its_arena_without_allocating() {
     // O(mesh) network construction.
     pool_clear();
     let before = allocations();
-    let _ = job(10).execute_tuned(&cfg, false, false);
+    let _ = job(10).execute_tuned(&cfg, false);
     let fresh = allocations() - before;
-    let _ = job(11).execute_tuned(&cfg, true, false); // stocks the arena
+    let _ = job(11).execute_tuned(&cfg, true); // stocks the arena
     let before = allocations();
-    let _ = job(12).execute_tuned(&cfg, true, false);
+    let _ = job(12).execute_tuned(&cfg, true);
     let second = allocations() - before;
     let before = allocations();
-    let _ = job(13).execute_tuned(&cfg, true, false);
+    let _ = job(13).execute_tuned(&cfg, true);
     let third = allocations() - before;
     for (label, pooled) in [("second", second), ("third", third)] {
         assert!(
@@ -135,23 +127,5 @@ fn pooled_worker_reuses_its_arena_without_allocating() {
              traffic-model construction and output formatting only"
         );
     }
-
-    // A warm store costs a cold job nothing but its lookup: the job's first
-    // lookup of its key is a miss the cache only remembers, so it neither
-    // serialises its post-warm-up network (some 180 KB of allocation at
-    // 8x8, the buffer's growth included) nor keeps it. The allowance covers
-    // the key string, the remembered key and the cache's first-use setup.
-    const LOOKUP_BYTES: u64 = 8 << 10;
-    let before = bytes();
-    let _ = job(14).execute_tuned(&cfg, true, false);
-    let storeless = bytes() - before;
-    let before = bytes();
-    let _ = job(14).execute_tuned(&cfg, true, true);
-    let cold = bytes() - before;
-    assert!(
-        cold <= storeless + LOOKUP_BYTES,
-        "a cold job with a warm store allocated {cold} bytes vs {storeless} \
-         without one — it paid for a snapshot nobody asked for"
-    );
     pool_clear();
 }

@@ -129,7 +129,6 @@ fn checkpoint_file(dir: &std::path::Path, engine: Engine) -> (usize, u64) {
             file: Some(&path),
             resume_from: None,
         },
-        ..RunEnv::default()
     };
     let out = run(&kind, &factory, &cfg, 3, env).expect("run");
     engine.assert_ran(&out.network);
