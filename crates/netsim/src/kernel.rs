@@ -25,6 +25,7 @@ use crate::network::{ChannelEnds, Network};
 use crate::ni::NodeInterface;
 use crate::rng::SimRng;
 use crate::router::{Router, RouterMode, RouterOutputs};
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
 
@@ -80,9 +81,9 @@ pub(crate) struct Accum {
     pub(crate) mode_counts: [i64; 3],
     /// Max over NIs of their (monotone) reassembly high-water marks.
     pub(crate) ni_high_water_max: usize,
-    /// Dropped flits riding the modeled NACK circuit back to their source:
-    /// `(retransmission-ready cycle, flit)`, in router-walk order.
-    pub(crate) nack_queue: Vec<(Cycle, Flit)>,
+    /// Dropped flits riding the modeled NACK circuit back to their source,
+    /// due at their retransmission-ready cycle, in router-walk order.
+    pub(crate) nack_queue: DueQueue<Flit>,
 }
 
 impl Accum {
@@ -116,7 +117,93 @@ impl Accum {
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.stats.heap_bytes() + self.nack_queue.capacity() * std::mem::size_of::<(Cycle, Flit)>()
+        self.stats.heap_bytes() + self.nack_queue.heap_bytes()
+    }
+}
+
+/// Entries riding a fixed-latency circuit (the NACK and ack circuits) until
+/// their due cycle, as two columns: the retirement scan reads only the
+/// 8-byte `due` column, and touches an item only when it retires.
+#[derive(Debug)]
+pub(crate) struct DueQueue<T> {
+    due: Vec<Cycle>,
+    items: Vec<T>,
+}
+
+impl<T> Default for DueQueue<T> {
+    fn default() -> Self {
+        DueQueue {
+            due: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> DueQueue<T> {
+    pub(crate) fn push(&mut self, due: Cycle, item: T) {
+        self.due.push(due);
+        self.items.push(item);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.due.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.due.is_empty()
+    }
+
+    /// Empties the queue, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.due.clear();
+        self.items.clear();
+    }
+
+    /// Moves every entry of `src` behind this queue's, in order.
+    pub(crate) fn append(&mut self, src: &mut DueQueue<T>) {
+        self.due.append(&mut src.due);
+        self.items.append(&mut src.items);
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.due.capacity() * std::mem::size_of::<Cycle>()
+            + self.items.capacity() * std::mem::size_of::<T>()
+    }
+
+    /// Hands every entry due at or before `now` to `f`, in a fixed order:
+    /// the first due entry at or after index `i` is `swap_remove`d (the
+    /// last entry moves into its hole) and index `i` is re-checked.
+    /// Per-source NACK order feeds the retransmit queues, so this order is
+    /// part of the simulated result.
+    pub(crate) fn retire(&mut self, now: Cycle, mut f: impl FnMut(T)) {
+        let mut i = 0;
+        while let Some(k) = self.due[i..].iter().position(|&d| d <= now) {
+            i += k;
+            self.due.swap_remove(i);
+            f(self.items.swap_remove(i));
+        }
+    }
+}
+
+/// Encoded as a `Vec<(Cycle, T)>` (snapshot format 4): the length, then
+/// `(due, item)` pairs in queue order.
+impl<T: Codec + Default> Codec for DueQueue<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.len().put(w);
+        for (due, item) in self.due.iter().zip(&self.items) {
+            due.put(w);
+            item.put(w);
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_u64("sequence length")?;
+        self.clear();
+        for _ in 0..n {
+            let due = Cycle::get(r)?;
+            self.push(due, T::get(r)?);
+        }
+        Ok(())
     }
 }
 
@@ -374,7 +461,7 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
             for flit in out.dropped.drain(..) {
                 let dist = fr.mesh.distance(NodeId::new(i), flit.src) as u64;
                 let ready = now + dist * fr.config.link_latency + 2;
-                self.acc.nack_queue.push((ready, flit));
+                self.acc.nack_queue.push(ready, flit);
             }
         }
 
@@ -431,7 +518,11 @@ pub(crate) fn walk<C, E>(
 
 #[cfg(test)]
 mod tests {
-    use super::walk;
+    use super::{walk, DueQueue};
+    use crate::flit::{Cycle, Flit, PacketId};
+    use crate::geom::NodeId;
+    use crate::rng::SimRng;
+    use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
     /// Walks `[lo, hi)` of `words` (all-ones words when `full`); visiting
     /// member 10 sets 3 (behind the cursor), 20 (ahead, same word) and 70
@@ -485,6 +576,124 @@ mod tests {
         ] {
             let seen = visited(&mut [0u64; 3], lo, hi, true, usize::MAX);
             assert_eq!(seen, (lo..hi).collect::<Vec<_>>(), "{lo}..{hi}");
+        }
+    }
+
+    /// The circuit queue [`DueQueue`] replaced: a `Vec<(Cycle, T)>` retired
+    /// by a whole-vector scan that `swap_remove`s each due entry and
+    /// re-checks its index.
+    fn reference_retire<T>(queue: &mut Vec<(Cycle, T)>, now: Cycle, out: &mut Vec<T>) {
+        let mut i = 0;
+        while i < queue.len() {
+            if queue[i].0 <= now {
+                out.push(queue.swap_remove(i).1);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    fn pairs<T: Copy>(q: &DueQueue<T>) -> Vec<(Cycle, T)> {
+        assert_eq!(q.due.len(), q.items.len(), "columns out of step");
+        q.due.iter().copied().zip(q.items.iter().copied()).collect()
+    }
+
+    fn bytes(value: &impl Codec) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        value.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Retires both queues at `now` and requires the same flits in the same
+    /// order, and the same survivors in the same order.
+    fn retire_both(q: &mut DueQueue<Flit>, reference: &mut Vec<(Cycle, Flit)>, now: Cycle) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        q.retire(now, |f| got.push(f));
+        reference_retire(reference, now, &mut want);
+        assert_eq!(got, want, "retire order at cycle {now}");
+        assert_eq!(pairs(q), *reference, "survivors at cycle {now}");
+    }
+
+    /// Checks `put` against `Vec<(Cycle, Flit)>`'s encoding, the round trip,
+    /// and that every strict prefix of the stream is `Truncated`.
+    fn check_codec(q: &DueQueue<Flit>, reference: &[(Cycle, Flit)], truncations: bool) {
+        let encoded = bytes(q);
+        assert_eq!(encoded, bytes(&reference.to_vec()), "put bytes");
+        let mut back = DueQueue::default();
+        back.push(7, Flit::default()); // load overwrites, never appends
+        back.load(&mut SnapshotReader::new(&encoded)).unwrap();
+        assert_eq!(pairs(&back), reference, "round trip");
+        if truncations {
+            for cut in 0..encoded.len() {
+                let mut r = SnapshotReader::new(&encoded[..cut]);
+                let err = DueQueue::<Flit>::default().load(&mut r).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Truncated { .. }),
+                    "cut at {cut}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn due_queue_retires_in_the_swap_remove_scan_order_with_the_vec_bytes() {
+        let mut next = 0u64;
+        let mut flit = |rng: &mut SimRng| {
+            next += 1;
+            let src = NodeId::new(rng.gen_index(16));
+            let mut f = Flit::test_flit(PacketId(next), src, NodeId::new(0));
+            f.tag = next;
+            f
+        };
+        for case in 0..48u64 {
+            let mut rng = SimRng::seed_from(0xD0E_0000 + case);
+            let mut q = DueQueue::default();
+            let mut reference: Vec<(Cycle, Flit)> = Vec::new();
+            // An empty queue retires nothing and encodes as an empty Vec.
+            retire_both(&mut q, &mut reference, 0);
+            check_codec(&q, &reference, true);
+            let mut now: Cycle = 0;
+            for step in 0..160 {
+                match rng.gen_index(5) {
+                    // A burst of pushes; a due window of 6 cycles makes
+                    // ties common.
+                    0 | 1 => {
+                        for _ in 0..rng.gen_index(6) {
+                            let due = now + rng.gen_range(6);
+                            let f = flit(&mut rng);
+                            q.push(due, f);
+                            reference.push((due, f));
+                        }
+                    }
+                    // A sharded cycle: per-shard queues appended in
+                    // ascending shard order, some of them empty.
+                    2 => {
+                        for _ in 0..1 + rng.gen_index(4) {
+                            let mut shard = DueQueue::default();
+                            for _ in 0..rng.gen_index(4) {
+                                let due = now + rng.gen_range(6);
+                                let f = flit(&mut rng);
+                                shard.push(due, f);
+                                reference.push((due, f));
+                            }
+                            q.append(&mut shard);
+                            assert!(shard.is_empty(), "append drains the shard");
+                        }
+                    }
+                    _ => {
+                        now += rng.gen_range(4);
+                        retire_both(&mut q, &mut reference, now);
+                    }
+                }
+                assert_eq!(q.len(), reference.len());
+                if step % 16 == 0 {
+                    check_codec(&q, &reference, case < 4);
+                }
+            }
+            check_codec(&q, &reference, case < 4);
+            // An all-due queue drains completely, in the reference order.
+            retire_both(&mut q, &mut reference, Cycle::MAX);
+            assert!(q.is_empty());
         }
     }
 }

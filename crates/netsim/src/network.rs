@@ -24,7 +24,7 @@ use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultPlane, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId};
-use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame};
+use crate::kernel::{walk, Accum, Bits, Cx, DueQueue, FaultLog, Frame};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
@@ -349,9 +349,9 @@ pub struct Network {
     pub(crate) acc: Accum,
     next_packet_id: u64,
     scratch: RouterOutputs,
-    /// End-to-end acknowledgements riding back to packet sources:
-    /// `(arrival cycle, source node, packet)`.
-    pub(crate) ack_queue: Vec<(Cycle, NodeId, PacketId)>,
+    /// End-to-end acknowledgements riding back to packet sources, due at
+    /// their arrival cycle: `(source node, packet)`.
+    pub(crate) ack_queue: DueQueue<(NodeId, PacketId)>,
     /// Per-channel flits held back at the receiving end while the receiver
     /// is stalled by a fault (released one per cycle once the stall lifts).
     /// Bypassed — never touched, never allocated — on a fault-free run.
@@ -524,7 +524,7 @@ impl Network {
             acc,
             next_packet_id: 0,
             scratch: RouterOutputs::new(),
-            ack_queue: Vec::new(),
+            ack_queue: DueQueue::default(),
             held,
             held_flits: 0,
             fault_log: Vec::new(),
@@ -701,7 +701,7 @@ impl Network {
             + self.scratch.heap_bytes()
             + (self.out_chan.capacity() + self.in_chan.capacity())
                 * size_of::<DirMap<Option<usize>>>()
-            + self.ack_queue.capacity() * size_of::<(Cycle, NodeId, PacketId)>()
+            + self.ack_queue.heap_bytes()
             + self.fault_log.capacity() * size_of::<FaultEvent>()
             + self.fault_plane.heap_bytes()
             + self.detect_schedule.capacity() * size_of::<LinkEvent>()
@@ -878,36 +878,24 @@ impl Network {
 
     /// Phase 2a, serial head: NACKs that have reached their source become
     /// pending retransmissions and end-to-end acks retire outstanding
-    /// packets. Both scans retire entries with order-sensitive
-    /// `swap_remove`s, so no schedule shards them.
+    /// packets. Both queues retire entries with order-sensitive
+    /// `swap_remove`s ([`DueQueue::retire`]), so no schedule shards them.
     fn retire_queues(&mut self, now: Cycle) {
         let recovery = self.config.retransmit.is_some();
-        let mut i = 0;
-        while i < self.acc.nack_queue.len() {
-            if self.acc.nack_queue[i].0 <= now {
-                let (_, flit) = self.acc.nack_queue.swap_remove(i);
-                let src = flit.src.index();
-                self.nis[src].nack(flit, now, &mut self.acc.stats);
-                if !recovery {
-                    // Without end-to-end recovery a NACK requeues the flit
-                    // directly; with it the copy is absorbed and the
-                    // timeout path re-materializes the packet.
-                    self.acc.retx_queued += 1;
-                }
-                self.ni_send_active.insert(src);
-            } else {
-                i += 1;
+        self.acc.nack_queue.retire(now, |flit| {
+            let src = flit.src.index();
+            self.nis[src].nack(flit, now, &mut self.acc.stats);
+            if !recovery {
+                // Without end-to-end recovery a NACK requeues the flit
+                // directly; with it the copy is absorbed and the timeout
+                // path re-materializes the packet.
+                self.acc.retx_queued += 1;
             }
-        }
-        let mut i = 0;
-        while i < self.ack_queue.len() {
-            if self.ack_queue[i].0 <= now {
-                let (_, src, id) = self.ack_queue.swap_remove(i);
-                self.nis[src.index()].acknowledge(id, &mut self.acc.stats);
-            } else {
-                i += 1;
-            }
-        }
+            self.ni_send_active.insert(src);
+        });
+        self.ack_queue.retire(now, |(src, id)| {
+            self.nis[src.index()].acknowledge(id, &mut self.acc.stats);
+        });
     }
 
     /// Phases 1 (links deliver), 2a (NI timeouts), 2b (injection) and 3
@@ -1040,12 +1028,12 @@ impl Network {
             for flit in self.nis[i].take_corrupt() {
                 let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
                 let ready = now + dist * self.config.link_latency + 2;
-                self.acc.nack_queue.push((ready, flit));
+                self.acc.nack_queue.push(ready, flit);
             }
             for (src, id) in self.nis[i].take_acks() {
                 let dist = self.mesh.distance(NodeId::new(i), src) as u64;
                 let ready = now + dist * self.config.link_latency;
-                self.ack_queue.push((ready, src, id));
+                self.ack_queue.push(ready, (src, id));
             }
             self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
         }

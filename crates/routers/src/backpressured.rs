@@ -171,19 +171,24 @@ pub struct BackpressuredRouter {
     eject_bandwidth: usize,
     /// `layout.total()`, cached for lane index math.
     total: usize,
-    /// Sum of all VC depths — the flit-slab span of one port.
-    port_span: usize,
-    /// Slab offset of each VC's ring within a port span (prefix sums of
-    /// `layout.depth_of`).
-    vc_base: Box<[u32]>,
+    /// Shallowest VC depth: the number of slab rows every lane owns a slot
+    /// in (see [`Self::slot`]).
+    d_min: u16,
+    /// Flits in one port's tail region: `Σ (depth_of[v] - d_min)`, zero
+    /// under uniform depth.
+    tail_span: u32,
+    /// Offset of each VC's tail (its positions `d_min..depth`) within its
+    /// port's tail region: prefix sums of `depth_of[v] - d_min`.
+    tail_off: Box<[u32]>,
     /// Which input ports exist (Local always; `Net(d)` iff neighbor).
     in_present: [bool; PORTS],
     /// Which network output directions exist.
     out_present: [bool; DIRS],
-    /// Flit ring storage for all lanes: port `p`, VC `v` occupies
-    /// `[p * port_span + vc_base[v] ..][..depth_of[v]]`.
+    /// Flit ring storage for all lanes, addressed by [`Self::slot`]: row
+    /// `k` holds slot `k` of every lane, deeper VCs' extra slots follow.
     flits: Box<[Flit]>,
-    /// Per-lane ring head index (into the lane's own ring).
+    /// Per-lane ring head index (a ring position, `0..depth`); rewound to
+    /// 0 whenever the lane empties.
     head: Box<[u16]>,
     /// Per-lane ring occupancy.
     len: Box<[u16]>,
@@ -270,14 +275,17 @@ impl BackpressuredRouter {
             total <= 64,
             "occupancy bitwords hold at most 64 VCs per port"
         );
-        let mut vc_base = Vec::with_capacity(total);
-        let mut span = 0u32;
+        assert!(
+            layout.depth_of.iter().all(|&d| d <= u16::MAX as usize),
+            "ring indices are u16"
+        );
+        let d_min = layout.depth_of.iter().copied().min().unwrap_or(0);
+        let mut tail_off = Vec::with_capacity(total);
+        let mut tail_span = 0u32;
         for d in &layout.depth_of {
-            assert!(*d <= u16::MAX as usize, "ring indices are u16");
-            vc_base.push(span);
-            span += *d as u32;
+            tail_off.push(tail_span);
+            tail_span += (*d - d_min) as u32;
         }
-        let port_span = span as usize;
         let in_present: [bool; PORTS] =
             std::array::from_fn(|i| match PortId::from_index(i).expect("port index") {
                 PortId::Local => true,
@@ -289,7 +297,7 @@ impl BackpressuredRouter {
         // The slab is sized for all five ports even on edge routers whose
         // boundary ports are absent: the waste is a few KiB per edge node
         // and keeps lane addressing a single multiply-add everywhere.
-        let expected = PORTS * port_span;
+        let expected = lanes * d_min + PORTS * tail_span as usize;
         assert_eq!(flits.len(), expected, "rings must hold {expected} flits");
         let mut credits = vec![0u16; DIRS * total];
         for di in 0..DIRS {
@@ -310,8 +318,9 @@ impl BackpressuredRouter {
             mesh: mesh.clone(),
             eject_bandwidth: config.eject_bandwidth,
             total,
-            port_span,
-            vc_base: vc_base.into_boxed_slice(),
+            d_min: d_min as u16,
+            tail_span,
+            tail_off: tail_off.into_boxed_slice(),
             in_present,
             out_present,
             flits,
@@ -344,13 +353,21 @@ impl BackpressuredRouter {
         self.node
     }
 
-    /// Slab offset of lane `(port, vc)`'s ring plus its capacity.
+    /// Slab index of ring position `k` of lane `lane` (DESIGN.md §16.1).
+    /// The first `d_min` positions of every lane are row-major — position
+    /// `k` of all `L = 5·total` lanes forms row `k` — so the live flits of
+    /// a lightly loaded router share the first rows. A deeper VC's
+    /// positions `d_min..` sit in its port's tail region after the rows.
     #[inline]
-    fn ring(&self, pi: usize, vc: usize) -> (usize, usize) {
-        (
-            pi * self.port_span + self.vc_base[vc] as usize,
-            self.layout.depth_of[vc],
-        )
+    fn slot(&self, lane: usize, k: usize) -> usize {
+        let d_min = self.d_min as usize;
+        if k < d_min {
+            k * PORTS * self.total + lane
+        } else {
+            let (pi, vc) = (lane / self.total, lane % self.total);
+            let rows = d_min * PORTS * self.total;
+            rows + pi * self.tail_span as usize + self.tail_off[vc] as usize + (k - d_min)
+        }
     }
 
     /// Copy of the head-of-queue flit of a non-empty lane.
@@ -358,38 +375,44 @@ impl BackpressuredRouter {
     fn front(&self, pi: usize, vc: usize) -> Flit {
         let lane = pi * self.total + vc;
         debug_assert!(self.len[lane] > 0, "front of empty lane");
-        let (base, _) = self.ring(pi, vc);
-        self.flits[base + self.head[lane] as usize]
+        self.flits[self.slot(lane, self.head[lane] as usize)]
     }
 
     /// Appends to a lane's ring; the caller has already checked depth.
     #[inline]
     fn push_lane(&mut self, pi: usize, vc: usize, flit: Flit) {
         let lane = pi * self.total + vc;
-        let (base, depth) = self.ring(pi, vc);
+        let depth = self.layout.depth_of[vc];
         let l = self.len[lane] as usize;
         debug_assert!(l < depth, "lane overflow");
-        let mut idx = self.head[lane] as usize + l;
-        if idx >= depth {
-            idx -= depth;
+        let mut k = self.head[lane] as usize + l;
+        if k >= depth {
+            k -= depth;
         }
-        self.flits[base + idx] = flit;
+        let i = self.slot(lane, k);
+        self.flits[i] = flit;
         self.len[lane] = (l + 1) as u16;
         self.occ_bits[pi] |= 1 << vc;
     }
 
-    /// Pops a lane's head flit, maintaining the occupancy bitword.
+    /// Pops a lane's head flit, maintaining the occupancy bitword. A lane
+    /// that empties rewinds its head to position 0, the first row.
     #[inline]
     fn pop_lane(&mut self, pi: usize, vc: usize) -> Flit {
         let lane = pi * self.total + vc;
-        let (base, depth) = self.ring(pi, vc);
         let h = self.head[lane] as usize;
-        let f = self.flits[base + h];
-        self.head[lane] = if h + 1 >= depth { 0 } else { (h + 1) as u16 };
+        let f = self.flits[self.slot(lane, h)];
         let l = self.len[lane] as usize - 1;
         self.len[lane] = l as u16;
         if l == 0 {
+            self.head[lane] = 0;
             self.occ_bits[pi] &= !(1u64 << vc);
+        } else {
+            self.head[lane] = if h + 1 >= self.layout.depth_of[vc] {
+                0
+            } else {
+                (h + 1) as u16
+            };
         }
         f
     }
@@ -894,7 +917,7 @@ impl Router for BackpressuredRouter {
         self.layout.vnet_of.capacity()
             + self.layout.depth_of.capacity() * size_of::<usize>()
             + self.layout.range_of.capacity() * size_of::<std::ops::Range<usize>>()
-            + self.vc_base.len() * size_of::<u32>()
+            + self.tail_off.len() * size_of::<u32>()
             + self.flits.len() * size_of::<Flit>()
             + self.head.len() * size_of::<u16>()
             + self.len.len() * size_of::<u16>()
@@ -1009,10 +1032,10 @@ impl Router for BackpressuredRouter {
         for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
             for vc in 0..self.total {
                 let lane = pi * self.total + vc;
-                let (base, depth) = self.ring(pi, vc);
+                let depth = self.layout.depth_of[vc];
                 let (h, n) = (self.head[lane] as usize, self.len[lane] as usize);
                 n.put(w);
-                (0..n).for_each(|k| self.flits[base + (h + k) % depth].put(w));
+                (0..n).for_each(|k| self.flits[self.slot(lane, (h + k) % depth)].put(w));
                 some(self.route[lane]).put(w);
                 some(self.out_vc[lane]).map(u64::from).put(w);
                 self.route_packet[lane].put(w);
@@ -1048,9 +1071,12 @@ impl Router for BackpressuredRouter {
             let pi = port.index();
             for vc in 0..total {
                 let lane = pi * total + vc;
-                let (base, depth) = self.ring(pi, vc);
+                let depth = self.layout.depth_of[vc];
                 let n = r.get_index(depth + 1, "input vc queue length")?;
-                self.flits[base..base + n].load(r)?;
+                for k in 0..n {
+                    let i = self.slot(lane, k);
+                    self.flits[i].load(r)?;
+                }
                 (self.head[lane], self.len[lane]) = (0, n as u16);
                 self.occ_bits[pi] |= ((n > 0) as u64) << vc;
                 self.occ += n;
@@ -1127,6 +1153,20 @@ impl BackpressuredRouter {
     fn lane_depth(&self, vc: usize) -> usize {
         self.layout.depth_of[vc]
     }
+
+    /// Ring position of one input lane's head flit.
+    fn lane_head(&self, port: PortId, vc: usize) -> usize {
+        self.head[port.index() * self.total + vc] as usize
+    }
+
+    /// One input lane's flits in FIFO order, read through [`Self::slot`].
+    fn lane_flits(&self, port: PortId, vc: usize) -> Vec<Flit> {
+        let lane = port.index() * self.total + vc;
+        let (h, depth) = (self.head[lane] as usize, self.layout.depth_of[vc]);
+        (0..self.len[lane] as usize)
+            .map(|k| self.flits[self.slot(lane, (h + k) % depth)])
+            .collect()
+    }
 }
 
 /// Factory for [`BackpressuredRouter`]s.
@@ -1198,6 +1238,7 @@ mod tests {
     use afc_netsim::config::NetworkConfig;
     use afc_netsim::flit::{PacketId, VirtualNetwork};
     use afc_netsim::geom::{Coord, Direction};
+    use std::collections::VecDeque;
 
     fn setup() -> (Mesh, NetworkConfig, BackpressuredRouter) {
         let config = NetworkConfig::paper_3x3();
@@ -1545,30 +1586,43 @@ mod tests {
     #[test]
     fn wraparound_ring_preserves_fifo_order_and_snapshot_bytes() {
         // Drive one lane through enough push/pop cycles that its ring head
-        // wraps, then check FIFO order survives and a snapshot of the
-        // wrapped ring round-trips to identical bytes (the snapshot stream
-        // is logical FIFO content, independent of head position).
+        // wraps while the lane holds flits, then check FIFO order survives
+        // and a snapshot of the wrapped ring round-trips to identical bytes
+        // (the snapshot stream is logical FIFO content, independent of head
+        // position). A lane that empties rewinds its head, so a one-in /
+        // one-out stream alone would never wrap: two arrivals per cycle for
+        // the first `depth / 2` cycles leave a standing backlog first.
         let (mesh, cfg, mut r) = setup();
+        let west = PortId::Net(Direction::West);
         let dest = mesh.node_at(Coord::new(2, 1)).unwrap();
         let depth = cfg.vnets[0].buffer_depth;
         let mut rng = SimRng::seed_from(0);
         let mut out = RouterOutputs::new();
         let mut sent: Vec<u64> = Vec::new();
         let mut next = 0u64;
-        for now in 0..(3 * depth as u64) {
-            if r.lane_len(PortId::Net(Direction::West), 0) < depth {
-                let mut f = flit_to(dest, 0, 0, 1);
-                f.packet = PacketId(next);
-                next += 1;
-                r.receive_flit(PortId::Net(Direction::West), f, now);
+        let mut wrapped = false;
+        for now in 0..(4 * depth as u64) {
+            let arrivals = if now < depth as u64 / 2 { 2 } else { 1 };
+            for _ in 0..arrivals {
+                if r.lane_len(west, 0) < depth {
+                    let mut f = flit_to(dest, 0, 0, 1);
+                    f.packet = PacketId(next);
+                    next += 1;
+                    r.receive_flit(west, f, now);
+                }
             }
+            let before = r.lane_head(west, 0);
             out.clear();
             r.step(now, &mut rng, &mut out);
             if let Some(f) = out.flits[PortId::Net(Direction::East)] {
                 sent.push(f.packet.0);
                 r.receive_credit(PortId::Net(Direction::East), Credit::Vc(f.vc.unwrap()), now);
             }
+            // The head left position `depth - 1` for 0 by a pop that kept
+            // the lane non-empty: a true wrap, not a rewind.
+            wrapped |= before == depth - 1 && r.lane_head(west, 0) == 0 && r.lane_len(west, 0) > 0;
         }
+        assert!(wrapped, "the head must wrap while the lane holds flits");
         assert!(sent.len() >= depth, "ring must have wrapped");
         assert!(sent.windows(2).all(|w| w[1] == w[0] + 1), "FIFO violated");
         // Leave a partially-filled wrapped lane, then snapshot round-trip.
@@ -1587,6 +1641,201 @@ mod tests {
         r2.save_state(&mut w2).unwrap();
         assert_eq!(bytes, w2.into_bytes(), "snapshot bytes must round-trip");
         assert_eq!(r.occupancy(), r2.occupancy());
+    }
+
+    /// A 3×3 paper configuration whose vnets have these `(vcs, depth)`.
+    fn depths_config(vnets: &[(usize, usize)]) -> NetworkConfig {
+        use afc_netsim::config::{VnetClass, VnetConfig};
+        NetworkConfig {
+            vnets: vnets
+                .iter()
+                .map(|&(vcs, buffer_depth)| VnetConfig {
+                    class: VnetClass::Control,
+                    vcs,
+                    buffer_depth,
+                })
+                .collect(),
+            ..NetworkConfig::paper_3x3()
+        }
+    }
+
+    /// The lane section of `save_state`'s stream, written from per-lane
+    /// reference queues plus the router's route state.
+    fn reference_lane_bytes(r: &BackpressuredRouter, reference: &[VecDeque<Flit>]) -> Vec<u8> {
+        let some = |v: u8| (v != NONE8).then_some(v);
+        let mut w = SnapshotWriter::new();
+        for pi in (0..PORTS).filter(|&pi| r.in_present[pi]) {
+            for vc in 0..r.total {
+                let lane = pi * r.total + vc;
+                reference[lane].len().put(&mut w);
+                reference[lane].iter().for_each(|f| f.put(&mut w));
+                some(r.route[lane]).put(&mut w);
+                some(r.out_vc[lane]).map(u64::from).put(&mut w);
+                r.route_packet[lane].put(&mut w);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Every lane of `r` holds exactly its reference queue, in FIFO order,
+    /// with matching length and occupancy bit; a drained lane's head is 0.
+    fn assert_lanes_match(r: &BackpressuredRouter, reference: &[VecDeque<Flit>], at: &str) {
+        for port in PortId::ALL {
+            let pi = port.index();
+            for vc in 0..r.total {
+                let want = &reference[pi * r.total + vc];
+                assert_eq!(
+                    r.lane_len(port, vc),
+                    want.len(),
+                    "{at}: {port} vc {vc} length"
+                );
+                assert_eq!(
+                    r.occ_bits[pi] >> vc & 1 != 0,
+                    !want.is_empty(),
+                    "{at}: {port} vc {vc} occupancy bit"
+                );
+                assert_eq!(
+                    r.lane_flits(port, vc),
+                    want.iter().copied().collect::<Vec<_>>(),
+                    "{at}: {port} vc {vc} FIFO content"
+                );
+                if want.is_empty() {
+                    assert_eq!(r.lane_head(port, vc), 0, "{at}: drained lane rewinds");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_addressing_matches_per_lane_fifos_under_random_traffic() {
+        // Uniform depth 8 (the paper's 2+2+4 VCs), non-uniform 2/5/8 and
+        // 1/3 (tail regions), and depth 1 everywhere.
+        let configs = [
+            NetworkConfig::paper_3x3(),
+            depths_config(&[(2, 2), (1, 5), (2, 8)]),
+            depths_config(&[(2, 1), (3, 3)]),
+            depths_config(&[(2, 1), (2, 1)]),
+        ];
+        for (ci, cfg) in configs.iter().enumerate() {
+            let mesh = cfg.mesh().unwrap();
+            let node = mesh.node_at(Coord::new(1, 1)).unwrap();
+            let mut r = BackpressuredRouter::new(node, &mesh, cfg);
+            let total = r.total;
+            let lanes = PORTS * total;
+
+            // Layout pin: position 0 of every lane is row 0, slab index
+            // `lane`; under uniform depth every position `k` is row `k`;
+            // and the slots of all lanes tile the slab exactly once.
+            let mut owner = vec![None; r.flits.len()];
+            for lane in 0..lanes {
+                assert_eq!(r.slot(lane, 0), lane, "config {ci}: row 0");
+                for k in 0..r.layout.depth_of[lane % total] {
+                    let i = r.slot(lane, k);
+                    if r.tail_span == 0 {
+                        assert_eq!(i, k * lanes + lane, "config {ci}: uniform rows");
+                    }
+                    assert_eq!(
+                        owner[i].replace((lane, k)),
+                        None,
+                        "config {ci}: slot {i} reused"
+                    );
+                }
+            }
+            assert!(
+                owner.iter().all(Option::is_some),
+                "config {ci}: slab has unused slots"
+            );
+
+            let mut rng = SimRng::seed_from(0x51_07 + ci as u64);
+            let mut out = RouterOutputs::new();
+            let mut reference = vec![VecDeque::new(); lanes];
+            // Open packet per lane: (packet, next seq, len, dest).
+            let mut open: Vec<Option<(u64, u16, u16, NodeId)>> = vec![None; lanes];
+            let mut lane_of_tag: Vec<usize> = Vec::new();
+            let mut withheld: Vec<(Direction, VcId)> = Vec::new();
+            let mut next_packet = 0u64;
+            // Coverage: some lane's head wrapped while it held flits, and
+            // (non-uniform depths) some lane reached its tail region.
+            let (mut wrapped, mut deepest) = (false, 0);
+            for now in 0..600u64 {
+                for _ in 0..rng.gen_index(4) {
+                    let port = PortId::ALL[rng.gen_index(PORTS)];
+                    let vc = rng.gen_index(total);
+                    let lane = port.index() * total + vc;
+                    if reference[lane].len() == r.layout.depth_of[vc] {
+                        continue;
+                    }
+                    let (packet, seq, len, dest) = *open[lane].get_or_insert_with(|| {
+                        next_packet += 1;
+                        let len = 1 + rng.gen_index(3) as u16;
+                        (next_packet, 0, len, NodeId::new(rng.gen_index(9)))
+                    });
+                    let mut f = Flit::test_flit(PacketId(packet), node, dest);
+                    (f.seq, f.len, f.vc) = (seq, len, Some(VcId(vc as u8)));
+                    f.vnet = VirtualNetwork(r.layout.vnet_of[vc]);
+                    f.tag = lane_of_tag.len() as u64;
+                    lane_of_tag.push(lane);
+                    open[lane] = (seq + 1 < len).then_some((packet, seq + 1, len, dest));
+                    r.receive_flit(port, f, now);
+                    reference[lane].push_back(f);
+                }
+                assert_lanes_match(&r, &reference, &format!("config {ci} cycle {now} arrivals"));
+
+                let heads: Vec<u16> = r.head.to_vec();
+                deepest = deepest.max(r.len.iter().copied().max().unwrap_or(0) as usize);
+                out.clear();
+                r.step(now, &mut rng, &mut out);
+                wrapped |= (0..lanes).any(|l| r.head[l] < heads[l] && r.len[l] > 0);
+                let mut left: Vec<Flit> = out.ejected.clone();
+                for d in Direction::ALL {
+                    if let Some(f) = out.flits[PortId::Net(d)] {
+                        withheld.push((d, f.vc.unwrap()));
+                        left.push(f);
+                    }
+                }
+                for f in left {
+                    let popped = reference[lane_of_tag[f.tag as usize]].pop_front();
+                    assert_eq!(
+                        popped.map(|p| p.tag),
+                        Some(f.tag),
+                        "config {ci}: FIFO order"
+                    );
+                }
+                // Downstream frees slots at random, so lanes back up.
+                withheld.retain(|&(d, vc)| {
+                    let keep = rng.gen_bool(0.6);
+                    if !keep {
+                        r.receive_credit(PortId::Net(d), Credit::Vc(vc), now);
+                    }
+                    keep
+                });
+                let at = format!("config {ci} cycle {now} step");
+                assert_lanes_match(&r, &reference, &at);
+
+                let mut w = SnapshotWriter::new();
+                r.save_state(&mut w).unwrap();
+                let bytes = w.into_bytes();
+                assert!(
+                    bytes.starts_with(&reference_lane_bytes(&r, &reference)),
+                    "{at}: save_state lane bytes"
+                );
+                if now % 50 == 0 {
+                    let mut back = BackpressuredRouter::new(node, &mesh, cfg);
+                    back.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+                    assert_lanes_match(&back, &reference, &format!("{at} restored"));
+                    let mut w = SnapshotWriter::new();
+                    back.save_state(&mut w).unwrap();
+                    assert_eq!(w.into_bytes(), bytes, "{at}: restored bytes");
+                }
+            }
+            assert!(lane_of_tag.len() > 300, "config {ci}: too little traffic");
+            let max_depth = r.layout.depth_of.iter().copied().max().unwrap_or(0);
+            assert!(wrapped || max_depth == 1, "config {ci}: no head wrapped");
+            assert!(
+                deepest > r.d_min as usize || r.tail_span == 0,
+                "config {ci}: tails unused"
+            );
+        }
     }
 
     #[test]
