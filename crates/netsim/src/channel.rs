@@ -11,7 +11,7 @@
 //! no per-cycle heap traffic (DESIGN.md §8).
 //!
 //! All links of a network share one `LinkWheel`: a forward slab of
-//! cache-line `{due, flit}` slots and a reverse slab of
+//! 40-byte `{due, flit}` slots and a reverse slab of
 //! `{due, credits, control}` slots, `W = delay + 1` stripes of one slot per
 //! link each. With `W = delay + 1` the stripe read at `t` and the stripe
 //! written at `t` are never the same, and each lane has exactly one writer
@@ -258,10 +258,10 @@ fn live(due: Cycle, now: Cycle) -> bool {
     due != NEVER && due >= now
 }
 
-/// One forward-wheel slot: a flit stamped with its arrival cycle. Exactly
-/// one cache line, so a phase-1 read or a phase-3 push touches one line.
+/// One forward-wheel slot: a 32-byte flit stamped with its arrival cycle,
+/// 40 bytes, deliberately not padded to a 64-byte line: the slab is 5/8
+/// the size, at the cost of some slots straddling two lines.
 #[derive(Debug, Clone, Copy)]
-#[repr(align(64))]
 pub(crate) struct FwdSlot {
     due: Cycle,
     flit: Option<Flit>,
@@ -708,9 +708,9 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_cache_line_sized() {
-        assert_eq!(std::mem::size_of::<FwdSlot>(), 64);
-        assert_eq!(std::mem::align_of::<FwdSlot>(), 64);
+    fn forward_slots_are_a_flit_and_a_stamp() {
+        assert_eq!(std::mem::size_of::<FwdSlot>(), 40);
+        assert_eq!(std::mem::align_of::<FwdSlot>(), 8);
         assert!(std::mem::size_of::<RevSlot>() <= 128);
     }
 

@@ -16,9 +16,9 @@
 //!   per-flit-hop probability inside the window. Recovery requires the
 //!   NI-level retransmit timeout (see
 //!   [`RetransmitConfig`](crate::config::RetransmitConfig)).
-//! * **Transient corruption** — an arriving flit's checksum is damaged; the
-//!   destination NI detects the mismatch at reassembly and NACKs the flit
-//!   back to its source for retransmission.
+//! * **Transient corruption** — an arriving flit's payload is damaged (its
+//!   `corrupted` flag toggles); the destination NI detects it on arrival
+//!   and NACKs the flit back to its source for retransmission.
 //! * **Kill** — from cycle `at` onward the link delivers nothing; every
 //!   flit pushed onto it is lost (counted as a fault drop).
 //! * **Router stall** — the router freezes for a window: it neither
@@ -130,7 +130,7 @@ pub enum LinkFaultKind {
         /// Active interval.
         window: FaultWindow,
     },
-    /// Corrupt each arriving flit's checksum with probability `rate`.
+    /// Corrupt each arriving flit's payload with probability `rate`.
     TransientCorrupt {
         /// Per-flit corruption probability in `[0, 1]`.
         rate: f64,
@@ -808,7 +808,7 @@ pub enum FlitFate {
     Deliver,
     /// Silently lost on the link.
     Drop,
-    /// Delivered with a damaged checksum.
+    /// Delivered with a damaged payload.
     Corrupt,
 }
 

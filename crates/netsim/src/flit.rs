@@ -91,73 +91,72 @@ pub enum FlitPosition {
 
 /// The atomic unit of transfer: one flit.
 ///
-/// Flits are small, `Copy`, and self-contained: any flit can be routed on its
-/// own (flit-by-flit routing), reassembled at the destination via
-/// (`packet`, `seq`, `len`).
+/// Flits are small (32 bytes), `Copy`, and self-contained for routing: any
+/// flit can be routed on its own (flit-by-flit routing) and reassembled at
+/// the destination via (`packet`, `seq`, `len`). What only the destination
+/// reads, once per packet — creation cycle, kind and tag — lives in the
+/// network's [`PacketTable`](crate::packet::PacketTable), not in the flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,
+    /// Cycle at which this flit first entered the network (left the NI).
+    pub injected_at: Cycle,
     /// Sequence number within the packet (`0..len`).
     pub seq: u16,
     /// Total number of flits in the packet.
     pub len: u16,
-    /// Source node.
+    /// Number of router-to-router hops taken so far.
+    pub hops: u16,
+    /// Number of deflections (non-productive hops) suffered so far.
+    pub deflections: u16,
+    /// Source node (where a NACK returns the flit).
     pub src: NodeId,
     /// Destination node.
     pub dest: NodeId,
-    /// Virtual network (message class).
-    pub vnet: VirtualNetwork,
     /// Virtual channel currently assigned to the flit, if any.
     ///
     /// Backpressured routers assign this during VC allocation; AFC routers in
     /// backpressureless mode *propagate* it unchanged (Section III-A), and
     /// AFC's lazy VC allocation overwrites it at the downstream buffer write.
     pub vc: Option<VcId>,
-    /// Cycle at which the packet entered the source injection queue.
-    pub created_at: Cycle,
-    /// Cycle at which this flit first entered the network (left the NI).
-    pub injected_at: Cycle,
-    /// Number of router-to-router hops taken so far.
-    pub hops: u16,
-    /// Number of deflections (non-productive hops) suffered so far.
-    pub deflections: u16,
-    /// Semantic class inherited from the packet descriptor.
-    pub kind: PacketKind,
-    /// Opaque tag propagated from the packet descriptor (traffic-model use).
-    pub tag: u64,
-    /// End-to-end payload checksum, stamped at injection and verified at
-    /// reassembly. Link-level corruption faults flip bits here; a mismatch
-    /// against [`Flit::expected_checksum`] marks the flit as corrupt.
-    pub checksum: u16,
+    /// Virtual network (message class).
+    pub vnet: VirtualNetwork,
+    /// Whether a link fault corrupted the payload in flight; the destination
+    /// NI refuses a corrupt flit and NACKs it back to its source.
+    pub corrupted: bool,
 }
 
 impl Flit {
-    /// The checksum a pristine copy of this flit would carry, derived from
-    /// its immutable identity fields (packet, sequence, endpoints, tag).
+    /// Whether the payload was corrupted in flight.
     #[inline]
-    pub fn expected_checksum(&self) -> u16 {
-        checksum(self.packet, self.seq, self.src, self.dest, self.tag)
-    }
-
-    /// Whether the payload checksum no longer matches — i.e. the flit was
-    /// corrupted in flight.
     pub fn is_corrupt(&self) -> bool {
-        self.checksum != self.expected_checksum()
+        self.corrupted
     }
 
-    /// Flips checksum bits, simulating payload corruption on a link. The
-    /// resulting flit always fails [`Flit::is_corrupt`].
+    /// Corrupts the payload, as a link fault does. Two corruptions cancel,
+    /// as flipping the same payload bits twice restores them.
+    ///
+    /// ```
+    /// # use afc_netsim::flit::{Flit, PacketId};
+    /// # use afc_netsim::geom::NodeId;
+    /// let mut f = Flit::test_flit(PacketId(1), NodeId::new(0), NodeId::new(1));
+    /// f.corrupt();
+    /// assert!(f.is_corrupt());
+    /// f.corrupt();
+    /// assert!(!f.is_corrupt());
+    /// ```
     pub fn corrupt(&mut self) {
-        self.checksum ^= 0xBEEF;
+        self.corrupted = !self.corrupted;
     }
 
-    /// Restores the pristine checksum (a source retransmitting a flit sends
+    /// Restores a pristine payload (a source retransmitting a flit sends
     /// fresh, uncorrupted data).
     #[inline]
     pub fn repair(&mut self) {
-        self.checksum = self.expected_checksum();
+        self.corrupted = false;
     }
+
     /// Position of this flit within its packet.
     ///
     /// ```
@@ -200,38 +199,9 @@ impl Flit {
             len: 1,
             src,
             dest,
-            vnet: VirtualNetwork(0),
-            vc: None,
-            created_at: 0,
-            injected_at: 0,
-            hops: 0,
-            deflections: 0,
-            kind: PacketKind::Synthetic,
-            tag: 0,
-            checksum: checksum(packet, 0, src, dest, 0),
+            ..Flit::default()
         }
     }
-}
-
-/// Computes the end-to-end checksum over a flit's identity fields.
-///
-/// A folded FNV-1a over the fields a retransmitting source would re-send
-/// verbatim; 16 bits is plenty for a simulator (we only ever need "matches /
-/// does not match", never collision resistance).
-#[inline]
-pub fn checksum(packet: PacketId, seq: u16, src: NodeId, dest: NodeId, tag: u64) -> u16 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [
-        packet.0,
-        seq as u64,
-        src.index() as u64,
-        dest.index() as u64,
-        tag,
-    ] {
-        h ^= word;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
 }
 
 impl fmt::Display for Flit {
@@ -268,6 +238,52 @@ mod tests {
         assert!(flit(0, 1).is_head() && flit(0, 1).is_tail());
         assert!(flit(0, 3).is_head() && !flit(0, 3).is_tail());
         assert!(!flit(2, 3).is_head() && flit(2, 3).is_tail());
+    }
+
+    #[test]
+    fn flits_are_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Flit>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Flit>>(), 32);
+    }
+
+    /// The flag is the XOR checksum it replaced (`checksum ^= 0xBEEF` on
+    /// corruption, a recomputed checksum on repair, corrupt while the two
+    /// differ), kept here as the reference and driven alongside it.
+    #[test]
+    fn the_corruption_flag_behaves_as_the_checksum_did() {
+        const PRISTINE: u16 = 0x5A17;
+        let mut f = flit(0, 1);
+        let mut checksum = PRISTINE;
+        assert!(!f.is_corrupt());
+        f.corrupt();
+        checksum ^= 0xBEEF;
+        assert!(
+            f.is_corrupt() && checksum != PRISTINE,
+            "corrupt once: corrupt"
+        );
+        f.corrupt();
+        checksum ^= 0xBEEF;
+        assert!(!f.is_corrupt() && checksum == PRISTINE, "twice: clean");
+        f.corrupt();
+        f.repair();
+        assert!(!f.is_corrupt(), "repair: clean");
+        f.repair();
+        assert!(!f.is_corrupt(), "repairing a clean flit keeps it clean");
+        // Any sequence of corruptions and repairs agrees with the checksum.
+        let mut rng = crate::rng::SimRng::seed_from(0xBEEF);
+        for _ in 0..1_000 {
+            match rng.gen_index(3) {
+                0 => {
+                    f.repair();
+                    checksum = PRISTINE;
+                }
+                _ => {
+                    f.corrupt();
+                    checksum ^= 0xBEEF;
+                }
+            }
+            assert_eq!(f.is_corrupt(), checksum != PRISTINE);
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@ use std::fmt;
 /// Identifies a node (router + network interface) in the network.
 ///
 /// Node ids are dense indices assigned in row-major order by
-/// [`Mesh`](crate::topology::Mesh).
+/// [`Mesh`](crate::topology::Mesh), 16 bits wide: a mesh has at most
+/// [`NodeId::LIMIT`] nodes.
 ///
 /// # Examples
 ///
@@ -15,12 +16,16 @@ use std::fmt;
 /// assert_eq!(n.index(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct NodeId(u32);
+pub struct NodeId(u16);
 
 impl NodeId {
-    /// Creates a node id from a dense index.
+    /// Number of distinct node ids: the largest mesh has this many nodes.
+    pub const LIMIT: usize = 1 << 16;
+
+    /// Creates a node id from a dense index below [`NodeId::LIMIT`].
     pub const fn new(index: usize) -> Self {
-        NodeId(index as u32)
+        debug_assert!(index < Self::LIMIT, "node index beyond 16 bits");
+        NodeId(index as u16)
     }
 
     /// Returns the dense index of this node.

@@ -23,6 +23,7 @@ use crate::flit::{Cycle, Flit};
 use crate::geom::{DirMap, Direction, NodeId, PortId};
 use crate::network::{ChannelEnds, Network};
 use crate::ni::NodeInterface;
+use crate::packet::PacketTable;
 use crate::rng::SimRng;
 use crate::router::{Router, RouterMode, RouterOutputs};
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -221,6 +222,9 @@ pub(crate) struct Frame<'a> {
     pub(crate) config: &'a NetworkConfig,
     /// Parent of the per-`(cycle, router)` step streams.
     pub(crate) rng: &'a SimRng,
+    /// The end-to-end data of every undelivered packet, read by the NIs a
+    /// packet's first flit reaches; only the serial frame writes it.
+    pub(crate) packets: &'a PacketTable,
 }
 
 impl Frame<'_> {
@@ -447,7 +451,8 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
         if !out.ejected.is_empty() {
             let ni = &mut self.nis[i - self.lo];
             self.acc.in_flight -= out.ejected.len() as i64;
-            ni.receive_flits(out.ejected.drain(..), now, &mut self.acc.stats);
+            let stats = &mut self.acc.stats;
+            ni.receive_flits(out.ejected.drain(..), fr.packets, now, stats);
             self.acc.ni_high_water_max = self.acc.ni_high_water_max.max(ni.reassembly_high_water());
             if ni.has_delivered() {
                 self.ni_delivered.set(i);
@@ -640,10 +645,9 @@ mod tests {
         let mut next = 0u64;
         let mut flit = |rng: &mut SimRng| {
             next += 1;
+            // Packet ids are distinct, so every flit is told apart.
             let src = NodeId::new(rng.gen_index(16));
-            let mut f = Flit::test_flit(PacketId(next), src, NodeId::new(0));
-            f.tag = next;
-            f
+            Flit::test_flit(PacketId(next), src, NodeId::new(0))
         };
         for case in 0..48u64 {
             let mut rng = SimRng::seed_from(0xD0E_0000 + case);

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::geom::{Coord, Direction, NodeId, PortId, PortMap};
     pub use crate::network::{MemoryFootprint, Network};
     pub use crate::ni::{NodeInterface, UnreachablePacket};
-    pub use crate::packet::{PacketDescriptor, PacketKind};
+    pub use crate::packet::{PacketDescriptor, PacketKind, PacketMeta, PacketTable};
     pub use crate::rng::SimRng;
     pub use crate::router::{Router, RouterFactory, RouterMode, RouterOutputs};
     pub use crate::sim::{Simulation, TrafficModel};

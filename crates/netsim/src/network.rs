@@ -26,7 +26,7 @@ use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId};
 use crate::kernel::{walk, Accum, Bits, Cx, DueQueue, FaultLog, Frame};
 use crate::ni::{NodeInterface, UnreachablePacket};
-use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
+use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketTable};
 use crate::rng::SimRng;
 use crate::router::{alloc_rings, Router, RouterBank, RouterFactory, RouterMode, RouterOutputs};
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -347,7 +347,11 @@ pub struct Network {
     /// residency counts and the NACK circuit. The serial schedule's bodies
     /// fill it directly; a sharded cycle merges its shard deltas into it.
     pub(crate) acc: Accum,
-    next_packet_id: u64,
+    /// Creation cycle, kind and tag of every offered, undelivered packet
+    /// (DESIGN.md §16.7); its window's end is the next packet id. Written by
+    /// `offer_packet`, delivery pickup and the give-up log, all serial; the
+    /// cycle's phases read it through their frame.
+    pub(crate) packets: PacketTable,
     scratch: RouterOutputs,
     /// End-to-end acknowledgements riding back to packet sources, due at
     /// their arrival cycle: `(source node, packet)`.
@@ -522,7 +526,7 @@ impl Network {
             fault_rng,
             fault_plane,
             acc,
-            next_packet_id: 0,
+            packets: PacketTable::default(),
             scratch: RouterOutputs::new(),
             ack_queue: DueQueue::default(),
             held,
@@ -702,6 +706,7 @@ impl Network {
             + (self.out_chan.capacity() + self.in_chan.capacity())
                 * size_of::<DirMap<Option<usize>>>()
             + self.ack_queue.heap_bytes()
+            + self.packets.heap_bytes()
             + self.fault_log.capacity() * size_of::<FaultEvent>()
             + self.fault_plane.heap_bytes()
             + self.detect_schedule.capacity() * size_of::<LinkEvent>()
@@ -752,8 +757,7 @@ impl Network {
     /// Panics if `input.len == 0` or the vnet is out of range (both
     /// indicate traffic-model bugs).
     pub fn offer_packet(&mut self, src: NodeId, input: PacketInput) -> PacketId {
-        let id = PacketId(self.next_packet_id);
-        self.next_packet_id += 1;
+        let id = PacketId(self.packets.end());
         let desc = PacketDescriptor {
             id,
             src,
@@ -767,6 +771,7 @@ impl Network {
         if let Some(log) = &mut self.offer_log {
             log.push((self.now, src, input));
         }
+        self.packets.push(desc.meta());
         self.ni_send_active.insert(src.index());
         self.nis[src.index()].enqueue(desc, &mut self.acc.stats);
         id
@@ -938,6 +943,7 @@ impl Network {
                 faults_active: !self.config.faults.is_empty(),
                 config: &self.config,
                 rng: &self.rng,
+                packets: &self.packets,
             },
             lo: 0,
             routers,
@@ -1035,7 +1041,13 @@ impl Network {
                 let ready = now + dist * self.config.link_latency;
                 self.ack_queue.push(ready, (src, id));
             }
+            // A given-up packet may never be delivered: its entry leaves the
+            // table's window (a copy still in flight may yet deliver it).
+            let from = self.unreachable_packets.len();
             self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
+            for rec in &self.unreachable_packets[from..] {
+                self.packets.orphan(rec.id);
+            }
         }
         self.cap_unreachable_log();
     }
@@ -1123,8 +1135,10 @@ impl Network {
 
     /// Drains all completed packets from every network interface into
     /// `out` (appended in NI index order), retaining `out`'s capacity — the
-    /// allocation-free form of [`Network::take_delivered`].
+    /// allocation-free form of [`Network::take_delivered`]. Their entries
+    /// leave the [packet table](Network::packet_table).
     pub fn take_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
+        let from = out.len();
         for wi in 0..self.ni_delivered.words.len() {
             let mut w = std::mem::take(self.ni_delivered.words[wi].get_mut());
             while w != 0 {
@@ -1133,6 +1147,15 @@ impl Network {
                 self.nis[i].drain_delivered_into(out);
             }
         }
+        for p in &out[from..] {
+            self.packets.retire(p.descriptor.id);
+        }
+    }
+
+    /// The end-to-end data (creation cycle, kind, tag) of every offered
+    /// packet not yet taken as delivered.
+    pub fn packet_table(&self) -> &PacketTable {
+        &self.packets
     }
 
     /// Drains all completed packets from every network interface.
@@ -1291,7 +1314,7 @@ impl Network {
         self.rng = SimRng::seed_from(seed);
         self.fault_rng = self.rng.fork(0x00FA_0171);
         self.acc.clear();
-        self.next_packet_id = 0;
+        self.packets.clear();
         self.scratch.clear();
         self.ack_queue.clear();
         self.fault_log.clear();
@@ -1410,9 +1433,9 @@ impl Network {
     }
 
     /// Serializes the network's complete mutable state — fingerprint,
-    /// clock, RNG streams, stats, routers, NIs, the link wheel, NACK/ack
-    /// circuits, held flits, fault log, audit
-    /// counters, and activity sets — into `w`.
+    /// clock, RNG streams, stats, the next packet id and the packet table,
+    /// routers, NIs, the link wheel, NACK/ack circuits, held flits, fault
+    /// log, audit counters, and activity sets — into `w`.
     ///
     /// Static topology and configuration are *not* written: restore
     /// targets a network freshly built from the same configuration, and
@@ -1436,7 +1459,8 @@ impl Network {
         self.rng.put(w);
         self.fault_rng.put(w);
         self.acc.stats.put(w);
-        self.next_packet_id.put(w);
+        self.packets.end().put(w);
+        self.packets.put(w);
         for r in self.routers.iter() {
             r.save_state(w)?;
         }
@@ -1459,6 +1483,27 @@ impl Network {
         self.ni_delivered.put(w);
         self.accounted_upto[..].put(w);
         Ok(())
+    }
+
+    /// Refuses restored state that names a packet the table does not hold,
+    /// which would otherwise panic when its flit reached its destination.
+    /// Every restored flit (`flits`: packet and destination) must have a
+    /// live entry, unless it is a late copy its destination already
+    /// completed; every packet an NI holds undelivered must have one.
+    fn check_packet_refs(&self, flits: Vec<(PacketId, NodeId)>) -> Result<(), SnapshotError> {
+        let live = |id| self.packets.get(id).is_some();
+        let flits_ok = (flits.into_iter())
+            .all(|(id, dest)| live(id) || self.nis[dest.index()].has_completed(id));
+        let mut nis_ok = true;
+        for ni in &self.nis {
+            ni.undelivered_packets(|id| nis_ok &= live(id));
+        }
+        match flits_ok && nis_ok {
+            true => Ok(()),
+            false => Err(SnapshotError::Malformed {
+                what: "packet without a table entry",
+            }),
+        }
     }
 
     /// Restores state written by [`Network::save_state`] into this network,
@@ -1502,7 +1547,14 @@ impl Network {
         self.rng.load(r)?;
         self.fault_rng.load(r)?;
         self.acc.stats.load(r)?;
-        self.next_packet_id.load(r)?;
+        let next_packet_id = u64::get(r)?;
+        self.packets.load(r)?;
+        if self.packets.end() != next_packet_id {
+            return Err(SnapshotError::Malformed {
+                what: "packet table window",
+            });
+        }
+        r.watch_flit_packets();
         for i in 0..self.routers.len() {
             self.routers.router_mut(i).load_state(r)?;
         }
@@ -1533,6 +1585,7 @@ impl Network {
         self.ni_send_active.load(r, n)?;
         self.ni_delivered.load(r, n)?;
         self.accounted_upto[..].load(r)?;
+        self.check_packet_refs(r.take_flit_packets())?;
 
         // Derived accounting, recomputed from the restored components.
         Self::recount_modes(

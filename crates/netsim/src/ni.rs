@@ -12,7 +12,7 @@
 use crate::config::RetransmitConfig;
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::NodeId;
-use crate::packet::{DeliveredPacket, PacketDescriptor};
+use crate::packet::{DeliveredPacket, PacketDescriptor, PacketTable};
 use crate::router::Router;
 use crate::snapshot::{record_codec, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
@@ -40,9 +40,11 @@ pub struct UnreachablePacket {
 /// In-progress injection of one packet on one virtual network.
 #[derive(Debug, Clone, Default)]
 struct InjectProgress {
-    /// The next flit to inject, built (and checksummed) once however many
-    /// cycles the router refuses it; it carries the packet's descriptor.
-    /// `injected_at` is stamped at each attempt.
+    /// The packet: the source keeps its own descriptor, so it never reads
+    /// the network's packet table.
+    desc: PacketDescriptor,
+    /// The next flit to inject, built once however many cycles the router
+    /// refuses it. `injected_at` is stamped at each attempt.
     next: Flit,
     first_injected_at: Cycle,
 }
@@ -123,13 +125,13 @@ struct Reassembly {
 }
 
 impl Reassembly {
-    fn open(flit: &Flit, now: Cycle) -> Reassembly {
+    fn open(desc: PacketDescriptor, injected_at: Cycle, now: Cycle) -> Reassembly {
         Reassembly {
-            desc: descriptor_of(flit),
+            desc,
             got: 0,
-            got_more: vec![0; (flit.len as usize - 1) / 64],
+            got_more: vec![0; (desc.len as usize - 1) / 64],
             received_count: 0,
-            min_injected_at: flit.injected_at,
+            min_injected_at: injected_at,
             total_hops: 0,
             total_deflections: 0,
             last_arrival: now,
@@ -163,18 +165,17 @@ impl Reassembly {
     }
 }
 
-/// The descriptor of the packet `flit` belongs to (every flit carries its
-/// packet's full identity).
-fn descriptor_of(flit: &Flit) -> PacketDescriptor {
-    PacketDescriptor {
-        id: flit.packet,
-        src: flit.src,
-        dest: flit.dest,
-        vnet: flit.vnet,
-        len: flit.len,
-        created_at: flit.created_at,
-        kind: flit.kind,
-        tag: flit.tag,
+/// The descriptor of the packet `flit` belongs to: its identity from the
+/// flit, its end-to-end data from the packet's table entry.
+///
+/// # Panics
+///
+/// Panics if the packet has no live entry: it was delivered already, so
+/// only a duplicate (which the caller discards first) can name it.
+fn descriptor_of(flit: &Flit, packets: &PacketTable) -> PacketDescriptor {
+    match packets.get(flit.packet) {
+        Some(&meta) => PacketDescriptor::of(flit, meta),
+        None => panic!("flit {flit} names no undelivered packet"),
     }
 }
 
@@ -312,7 +313,7 @@ impl NodeInterface {
     pub fn enqueue_retransmit(&mut self, mut flit: Flit) {
         assert_eq!(flit.src, self.node, "retransmit must return to the source");
         // A retransmitting source sends fresh data: a copy NACKed for
-        // corruption goes back out with a pristine checksum.
+        // corruption goes back out clean.
         flit.repair();
         self.retransmit.push_back(flit);
     }
@@ -358,6 +359,7 @@ impl NodeInterface {
             if lane.progress.is_none() {
                 if let Some(desc) = lane.queue.pop_front() {
                     lane.progress = Some(InjectProgress {
+                        desc,
                         next: desc.flit(0, 0),
                         first_injected_at: 0,
                     });
@@ -379,10 +381,8 @@ impl NodeInterface {
             stats.flits_injected += 1;
             self.pending_flits -= 1;
             flit.seq += 1;
-            if flit.seq < flit.len {
-                flit.repair();
-            } else {
-                let desc = descriptor_of(flit);
+            if flit.seq == flit.len {
+                let desc = progress.desc;
                 let first_injected_at = progress.first_injected_at;
                 lane.progress = None;
                 self.pending_packets -= 1;
@@ -404,12 +404,14 @@ impl NodeInterface {
         }
     }
 
-    /// Receives ejected flits from the router, reassembling packets.
+    /// Receives ejected flits from the router, reassembling packets; the
+    /// first clean, fresh flit of a packet reads the packet's entry in
+    /// `packets`.
     ///
-    /// A flit whose checksum no longer matches (corrupted by a link fault)
-    /// is never counted as delivered: it lands in the corrupt outbox, from
-    /// which the network NACKs it back to its source for retransmission —
-    /// the drop router's NACK circuit generalized to every mechanism.
+    /// A flit corrupted by a link fault is never counted as delivered: it
+    /// lands in the corrupt outbox, from which the network NACKs it back to
+    /// its source for retransmission — the drop router's NACK circuit
+    /// generalized to every mechanism.
     ///
     /// With recovery enabled, redundant copies (a retransmission racing an
     /// original) are silently discarded and counted; without it a duplicate
@@ -417,11 +419,13 @@ impl NodeInterface {
     ///
     /// # Panics
     ///
-    /// Panics on flits not addressed to this node, or on duplicate flits
-    /// when recovery is disabled.
+    /// Panics on flits not addressed to this node, on duplicate flits
+    /// when recovery is disabled, and on a fresh packet with no entry in
+    /// `packets`.
     pub fn receive_flits(
         &mut self,
         flits: impl IntoIterator<Item = Flit>,
+        packets: &PacketTable,
         now: Cycle,
         stats: &mut NetworkStats,
     ) {
@@ -458,7 +462,7 @@ impl NodeInterface {
                 // high-water mark is sampled after the loop and never saw
                 // one-flit buffers anyway).
                 let delivered = DeliveredPacket {
-                    descriptor: descriptor_of(&flit),
+                    descriptor: descriptor_of(&flit, packets),
                     injected_at: flit.injected_at,
                     delivered_at: now,
                     total_hops: flit.hops as u32,
@@ -474,7 +478,9 @@ impl NodeInterface {
                         .min(now.saturating_add(rec.cfg.reassembly_ttl()));
                 }
                 self.open_ids.push(flit.packet);
-                self.open.push(Reassembly::open(&flit, now));
+                let desc = descriptor_of(&flit, packets);
+                self.open
+                    .push(Reassembly::open(desc, flit.injected_at, now));
                 self.open.len() - 1
             });
             let entry = &mut self.open[at];
@@ -715,6 +721,26 @@ impl NodeInterface {
         self.reassembly_high_water
     }
 
+    /// Whether packet `id` was fully reassembled here (recovery mode only:
+    /// a late copy of it is discarded as a duplicate).
+    pub(crate) fn has_completed(&self, id: PacketId) -> bool {
+        self.recovery
+            .as_ref()
+            .is_some_and(|rec| rec.completed.contains(&id))
+    }
+
+    /// Calls `f` with every packet this interface holds that cannot have
+    /// been delivered yet: queued or mid-injection here, partly reassembled
+    /// here, or delivered here and not yet taken.
+    pub(crate) fn undelivered_packets(&self, mut f: impl FnMut(PacketId)) {
+        for lane in self.lanes.iter() {
+            lane.queue.iter().for_each(|d| f(d.id));
+            lane.progress.iter().for_each(|p| f(p.desc.id));
+        }
+        self.open_ids.iter().copied().for_each(&mut f);
+        self.delivered.iter().for_each(|d| f(d.descriptor.id));
+    }
+
     /// Approximate heap bytes owned by this interface. Every term scales
     /// with *traffic through this node* (queued packets, open reassembly
     /// buffers, outstanding retransmits), never with mesh size, which is
@@ -769,7 +795,7 @@ record_codec!(RetransmitConfig {
 /// flit's injection cycle; the flit is rebuilt from them.
 impl Codec for InjectProgress {
     fn put(&self, w: &mut SnapshotWriter) {
-        descriptor_of(&self.next).put(w);
+        self.desc.put(w);
         (self.next.seq, self.first_injected_at).put(w);
     }
     fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
@@ -780,6 +806,7 @@ impl Codec for InjectProgress {
             });
         }
         *self = InjectProgress {
+            desc,
             next: desc.flit(seq, 0),
             first_injected_at,
         };
@@ -802,7 +829,7 @@ impl Codec for Reassembly {
                 what: "ni reassembly length",
             });
         }
-        *self = Reassembly::open(&desc.flit(0, 0), 0);
+        *self = Reassembly::open(desc, 0, 0);
         for seq in 0..desc.len {
             if r.get_bool("ni reassembly bitmap")? {
                 self.mark(seq);
@@ -967,6 +994,18 @@ mod tests {
         }
     }
 
+    /// A packet table holding `descs` (ids below the largest not among
+    /// them hold placeholder entries: ids are dense).
+    fn table(descs: &[PacketDescriptor]) -> PacketTable {
+        let mut t = PacketTable::default();
+        let end = descs.iter().map(|d| d.id.0 + 1).max().unwrap_or(0);
+        for id in 0..end {
+            let d = descs.iter().find(|d| d.id.0 == id);
+            t.push(d.map(PacketDescriptor::meta).unwrap_or_default());
+        }
+        t
+    }
+
     fn desc(id: u64, src: usize, dest: usize, vnet: u8, len: u16) -> PacketDescriptor {
         PacketDescriptor {
             id: PacketId(id),
@@ -1038,20 +1077,27 @@ mod tests {
     fn reassembles_out_of_order_flits() {
         let mut ni = NodeInterface::new(NodeId::new(5), 1);
         let mut stats = NetworkStats::new();
-        let d = desc(9, 0, 5, 0, 3);
+        let d = PacketDescriptor {
+            created_at: 4,
+            kind: PacketKind::Writeback,
+            tag: 0x7A6,
+            ..desc(9, 0, 5, 0, 3)
+        };
+        let packets = table(&[d]);
         let mut f0 = d.flit(0, 10);
         let mut f1 = d.flit(1, 11);
         let f2 = d.flit(2, 12);
         f0.hops = 2;
         f1.deflections = 1;
-        ni.receive_flits([f2, f0], 20, &mut stats);
+        ni.receive_flits([f2, f0], &packets, 20, &mut stats);
         assert_eq!(ni.open_reassemblies(), 1);
         assert!(ni.take_delivered().is_empty());
-        ni.receive_flits([f1], 25, &mut stats);
+        ni.receive_flits([f1], &packets, 25, &mut stats);
         let delivered = ni.take_delivered();
         assert_eq!(delivered.len(), 1);
         let p = delivered[0];
-        assert_eq!(p.descriptor.id, PacketId(9));
+        // The table supplied what the flits no longer carry.
+        assert_eq!(p.descriptor, d);
         assert_eq!(p.injected_at, 10);
         assert_eq!(p.delivered_at, 25);
         assert_eq!(p.total_hops, 2);
@@ -1068,7 +1114,18 @@ mod tests {
         let mut stats = NetworkStats::new();
         let d = desc(9, 0, 5, 0, 2);
         let f = d.flit(0, 0);
-        ni.receive_flits([f, f], 1, &mut stats);
+        ni.receive_flits([f, f], &table(&[d]), 1, &mut stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "names no undelivered packet")]
+    fn a_fresh_packet_without_a_table_entry_panics() {
+        let mut ni = NodeInterface::new(NodeId::new(5), 1);
+        let mut stats = NetworkStats::new();
+        let d = desc(9, 0, 5, 0, 1);
+        let mut packets = table(&[d]);
+        packets.retire(d.id);
+        ni.receive_flits([d.flit(0, 0)], &packets, 1, &mut stats);
     }
 
     #[test]
@@ -1077,7 +1134,7 @@ mod tests {
         let mut ni = NodeInterface::new(NodeId::new(4), 1);
         let mut stats = NetworkStats::new();
         let d = desc(9, 0, 5, 0, 1);
-        ni.receive_flits([d.flit(0, 0)], 1, &mut stats);
+        ni.receive_flits([d.flit(0, 0)], &table(&[d]), 1, &mut stats);
     }
 
     #[test]
@@ -1257,6 +1314,7 @@ mod tests {
             let mut routers = [SinkRouter::default(), SinkRouter::default()];
             let mut rng = SimRng::seed_from(0x77A6 + seed);
             let (mut next_id, mut scans_skipped) = (0u64, 0u32);
+            let packets = table(&[desc(10_039, 3, 0, 0, 4)]);
             for now in 0..1_500u64 {
                 // Offers come in bursts so the source side falls quiet for
                 // longer than a reassembly TTL while arrivals continue.
@@ -1294,7 +1352,7 @@ mod tests {
                         ni.acknowledge(router.injected[recent].packet, st);
                     }
                     if let Some(f) = arrival {
-                        ni.receive_flits([f], now, st);
+                        ni.receive_flits([f], &packets, now, st);
                     }
                     let rec = ni.recovery.as_mut().unwrap();
                     if k == 1 {
@@ -1349,7 +1407,7 @@ mod tests {
         let mut arriving = inbound.flit(0, 4);
         arriving.dest = NodeId::new(0);
         arriving.src = NodeId::new(3);
-        ni.receive_flits([arriving], 8, &mut stats);
+        ni.receive_flits([arriving], &table(&[inbound]), 8, &mut stats);
 
         let mut w = SnapshotWriter::new();
         ni.put(&mut w);
@@ -1387,9 +1445,10 @@ mod tests {
         let mut stats = NetworkStats::new();
         let d1 = desc(1, 0, 5, 0, 2);
         let d2 = desc(2, 1, 5, 0, 2);
-        ni.receive_flits([d1.flit(0, 0), d2.flit(0, 0)], 1, &mut stats);
+        let packets = table(&[d1, d2]);
+        ni.receive_flits([d1.flit(0, 0), d2.flit(0, 0)], &packets, 1, &mut stats);
         assert_eq!(ni.reassembly_high_water(), 2);
-        ni.receive_flits([d1.flit(1, 0), d2.flit(1, 0)], 2, &mut stats);
+        ni.receive_flits([d1.flit(1, 0), d2.flit(1, 0)], &packets, 2, &mut stats);
         assert_eq!(ni.open_reassemblies(), 0);
         assert_eq!(ni.reassembly_high_water(), 2);
     }

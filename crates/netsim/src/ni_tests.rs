@@ -1,8 +1,9 @@
 //! Differential wall for the NI's dense tables: the implementation they
 //! replaced — `HashMap` reassembly with recycled `Vec<bool>` bitmaps, a
 //! `BTreeMap` of outstanding packets, per-vnet `Vec`s of queues and
-//! progress slots, a candidate flit and checksum rebuilt on every attempt
-//! — kept verbatim (comments and unused accessors dropped) as
+//! progress slots, a candidate flit rebuilt on every attempt — kept
+//! (comments and unused accessors dropped; like the NI, it reads a
+//! packet's creation cycle, kind and tag from the packet table) as
 //! [`RefInterface`] and driven side by side with [`NodeInterface`] through
 //! seeded traffic. Equal means equal delivered-packet streams, outboxes,
 //! stats and snapshot bytes after every cycle; each side also restores
@@ -12,7 +13,7 @@ use crate::config::RetransmitConfig;
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::NodeId;
 use crate::ni::{NodeInterface, UnreachablePacket};
-use crate::packet::{DeliveredPacket, PacketDescriptor};
+use crate::packet::{DeliveredPacket, PacketDescriptor, PacketTable};
 use crate::router::Router;
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
@@ -52,16 +53,17 @@ struct Reassembly {
     last_arrival: Cycle,
 }
 
-fn descriptor_of(flit: &Flit) -> PacketDescriptor {
+fn descriptor_of(flit: &Flit, packets: &PacketTable) -> PacketDescriptor {
+    let meta = packets.get(flit.packet).expect("a live packet");
     PacketDescriptor {
         id: flit.packet,
         src: flit.src,
         dest: flit.dest,
         vnet: flit.vnet,
         len: flit.len,
-        created_at: flit.created_at,
-        kind: flit.kind,
-        tag: flit.tag,
+        created_at: meta.created_at,
+        kind: meta.kind,
+        tag: meta.tag,
     }
 }
 
@@ -243,6 +245,7 @@ impl RefInterface {
     pub fn receive_flits(
         &mut self,
         flits: impl IntoIterator<Item = Flit>,
+        packets: &PacketTable,
         now: Cycle,
         stats: &mut NetworkStats,
     ) {
@@ -273,7 +276,7 @@ impl RefInterface {
             stats.flit_deflections.record(flit.deflections as u64);
             if flit.len == 1 {
                 let delivered = DeliveredPacket {
-                    descriptor: descriptor_of(&flit),
+                    descriptor: descriptor_of(&flit, packets),
                     injected_at: flit.injected_at,
                     delivered_at: now,
                     total_hops: flit.hops as u32,
@@ -293,7 +296,7 @@ impl RefInterface {
                 let mut received = spare_bitmap(spares);
                 received.resize(flit.len as usize, false);
                 Reassembly {
-                    desc: descriptor_of(&flit),
+                    desc: descriptor_of(&flit, packets),
                     received,
                     received_count: 0,
                     min_injected_at: flit.injected_at,
@@ -780,6 +783,11 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
         // Some are abandoned part-way, some resend flits already sent.
         let mut inbound: Vec<(PacketDescriptor, Vec<u16>)> = Vec::new();
         let mut sent: Vec<Flit> = Vec::new();
+        // Every packet's creation cycle, kind and tag, by id (ids start at 1).
+        // `offered[id]` is packet `id` as offered.
+        let mut packets = PacketTable::default();
+        packets.push(Default::default());
+        let mut offered = vec![PacketDescriptor::default()];
         let mut next_id = 0u64;
         let mut desc = |src: usize, dest: usize, vnet: u8, len: u16| {
             next_id += 1;
@@ -790,7 +798,12 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
                 vnet: VirtualNetwork(vnet),
                 len,
                 created_at: next_id % 7,
-                kind: PacketKind::Synthetic,
+                kind: [
+                    PacketKind::Request,
+                    PacketKind::Response,
+                    PacketKind::Writeback,
+                    PacketKind::Synthetic,
+                ][next_id as usize % 4],
                 tag: next_id * 3,
             }
         };
@@ -800,6 +813,8 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
             if now / 400 % 2 == 0 && rng.gen_bool(0.2) {
                 let len = [1, 1, 2, 5, 5, 9][rng.gen_index(6)];
                 let d = desc(0, 1 + rng.gen_index(8), rng.gen_index(VNETS) as u8, len);
+                assert_eq!(packets.push(d.meta()), d.id);
+                offered.push(d);
                 both!(pair, |ni, stats, _r| ni.enqueue(d, stats));
             }
             let (accept, nack, ack) = (rng.gen_bool(0.75), rng.gen_bool(0.05), rng.gen_bool(0.3));
@@ -825,6 +840,8 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
                 };
                 wide += (len > 64) as u32;
                 let d = desc(1 + rng.gen_index(8), 0, rng.gen_index(VNETS) as u8, len);
+                assert_eq!(packets.push(d.meta()), d.id);
+                offered.push(d);
                 let mut seqs: Vec<u16> = (0..len).collect();
                 rng.shuffle(&mut seqs);
                 if rng.gen_bool(0.2) {
@@ -856,6 +873,7 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
             }
             both!(pair, |ni, stats, _r| ni.receive_flits(
                 arriving.iter().copied(),
+                &packets,
                 now,
                 stats
             ));
@@ -906,6 +924,9 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
                 new.drain_delivered_into(&mut a);
                 old.drain_delivered_into(&mut b);
                 assert_eq!(a, b, "seed {seed} cycle {now}");
+                for p in &a {
+                    assert_eq!(p.descriptor, offered[p.descriptor.id.0 as usize]);
+                }
                 assert_eq!(new.take_corrupt(), old.take_corrupt());
                 assert_eq!(new.take_acks(), old.take_acks());
                 let (mut a, mut b): (Vec<UnreachablePacket>, Vec<_>) = (Vec::new(), Vec::new());

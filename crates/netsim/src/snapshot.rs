@@ -44,7 +44,7 @@ use crate::faults::{FaultEvent, FaultEventKind};
 use crate::flit::{Flit, PacketId, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId, PortMap};
 use crate::ni::UnreachablePacket;
-use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketKind};
+use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketKind, PacketMeta};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fs;
@@ -67,7 +67,11 @@ pub const MAGIC: [u8; 8] = *b"AFCSNAP\0";
 // v4: link-wheel channel section — per link, what is on the wires in arrival
 // order relative to `now`; no ring heads, no staged-delivery block
 // (DESIGN.md §8).
-pub const FORMAT_VERSION: u32 = 4;
+// v5: the 32-byte flit — a flit record drops `created_at`, `kind`, `tag` and
+// the checksum for a `corrupted` flag, and the network writes its packet
+// table (window base, entries, orphans) after `next_packet_id`
+// (DESIGN.md §16.7).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Errors raised while encoding, sealing, opening, or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -277,6 +281,9 @@ pub struct SnapshotReader<'a> {
     pos: usize,
     /// Exclusive bound of a decoded [`NodeId`].
     nodes: usize,
+    /// `(packet, destination)` of every flit decoded since
+    /// [`SnapshotReader::watch_flit_packets`], if watching.
+    flit_packets: Option<Vec<(PacketId, NodeId)>>,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -285,7 +292,8 @@ impl<'a> SnapshotReader<'a> {
         SnapshotReader {
             buf,
             pos: 0,
-            nodes: u32::MAX as usize,
+            nodes: NodeId::LIMIT,
+            flit_packets: None,
         }
     }
 
@@ -378,6 +386,17 @@ impl<'a> SnapshotReader<'a> {
     /// network sets its node count before decoding its own state).
     pub(crate) fn set_node_count(&mut self, nodes: usize) {
         self.nodes = nodes;
+    }
+
+    /// Starts noting the packet and destination of every decoded flit.
+    pub(crate) fn watch_flit_packets(&mut self) {
+        self.flit_packets = Some(Vec::new());
+    }
+
+    /// Stops watching and returns what was noted since
+    /// [`SnapshotReader::watch_flit_packets`].
+    pub(crate) fn take_flit_packets(&mut self) -> Vec<(PacketId, NodeId)> {
+        self.flit_packets.take().unwrap_or_default()
     }
 
     /// Asserts that the payload was consumed exactly — catches layout skew
@@ -761,21 +780,41 @@ impl Codec for PacketKind {
     }
 }
 
-record_codec!(Flit {
-    packet,
-    seq,
-    len,
-    src,
-    dest,
-    vnet,
-    vc,
+/// A flit record leads with its packet, sequence number, length, source
+/// and destination. While a network restores its state, the reader notes
+/// every decoded flit's packet and destination, so the network can refuse
+/// a flit of a packet its table no longer holds.
+impl Codec for Flit {
+    fn put(&self, w: &mut SnapshotWriter) {
+        (self.packet, self.seq, self.len, self.src).put(w);
+        (self.dest, self.vnet, self.vc).put(w);
+        (
+            self.injected_at,
+            self.hops,
+            self.deflections,
+            self.corrupted,
+        )
+            .put(w);
+    }
+    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        (self.packet, self.seq, self.len, self.src) = Codec::get(r)?;
+        (self.dest, self.vnet, self.vc) = Codec::get(r)?;
+        (
+            self.injected_at,
+            self.hops,
+            self.deflections,
+            self.corrupted,
+        ) = Codec::get(r)?;
+        if let Some(refs) = &mut r.flit_packets {
+            refs.push((self.packet, self.dest));
+        }
+        Ok(())
+    }
+}
+record_codec!(PacketMeta {
     created_at,
-    injected_at,
-    hops,
-    deflections,
-    kind,
     tag,
-    checksum,
+    kind
 });
 record_codec!(PacketDescriptor {
     id,
@@ -952,12 +991,12 @@ mod tests {
 
     #[test]
     fn open_refuses_previous_format_version() {
-        // A v3 (ring-channel) container must be refused outright, not
-        // half-decoded: v4 writes each link as its in-flight items in
-        // arrival order, where v3 had ring contents, heads and a
-        // staged-delivery block.
+        // A v4 container must be refused outright, not half-decoded: its
+        // flit records carry a creation cycle, kind, tag and checksum where
+        // v5 has one corruption flag, and it has no packet table.
+        assert_eq!(FORMAT_VERSION, 5);
         let mut old = seal(SnapshotWriter::new());
-        old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+        old[8..12].copy_from_slice(&4u32.to_le_bytes());
         let body_len = old.len() - 8;
         let sum = fnv1a64(&old[..body_len]);
         old[body_len..].copy_from_slice(&sum.to_le_bytes());
@@ -965,10 +1004,48 @@ mod tests {
             Err(SnapshotError::BadVersion {
                 found, expected, ..
             }) => {
-                assert_eq!(found, FORMAT_VERSION - 1);
-                assert_eq!(expected, FORMAT_VERSION);
+                assert_eq!(found, 4);
+                assert_eq!(expected, 5);
             }
             other => panic!("expected BadVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flit_records_carry_the_corruption_flag_last() {
+        let mut f = Flit::test_flit(PacketId(3), NodeId::new(1), NodeId::new(2));
+        let encode = |f: &Flit| {
+            let mut w = SnapshotWriter::new();
+            f.put(&mut w);
+            w.into_bytes()
+        };
+        let clean = encode(&f);
+        // packet 8, seq 2, len 2, src 8, dest 8, vnet 1, vc 1 (absent),
+        // injected_at 8, hops 2, deflections 2, corrupted 1.
+        assert_eq!(clean.len(), 43);
+        f.corrupt();
+        let corrupt = encode(&f);
+        assert_eq!(clean[..42], corrupt[..42]);
+        assert_eq!((clean[42], corrupt[42]), (0, 1));
+        let mut bad = corrupt.clone();
+        bad[42] = 2;
+        let err = Flit::get(&mut SnapshotReader::new(&bad)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn decoded_node_ids_are_bounded_to_sixteen_bits() {
+        // Before a network sets its node count, a node id is still refused
+        // past the 16 bits a `NodeId` holds, never truncated.
+        for (index, ok) in [(NodeId::LIMIT - 1, true), (NodeId::LIMIT, false)] {
+            let mut w = SnapshotWriter::new();
+            w.put_usize(index);
+            let bytes = w.into_bytes();
+            let got = NodeId::get(&mut SnapshotReader::new(&bytes));
+            match ok {
+                true => assert_eq!(got.unwrap().index(), index),
+                false => assert!(matches!(got, Err(SnapshotError::Malformed { .. }))),
+            }
         }
     }
 
@@ -1012,8 +1089,9 @@ mod tests {
         f.len = 4;
         f.vc = Some(VcId(3));
         f.hops = 9;
-        f.kind = PacketKind::Writeback;
-        f.tag = 0xABCD;
+        f.deflections = 2;
+        f.injected_at = 0xABCD;
+        f.corrupt();
         let d = PacketDescriptor {
             id: PacketId(77),
             src: NodeId::new(2),

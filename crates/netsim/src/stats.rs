@@ -464,8 +464,8 @@ field_table! {
         pub flits_delivered: u64 = sum,
         /// Flits re-injected after being dropped (drop-based routers only).
         pub flits_retransmitted: u64 = sum,
-        /// Flits that arrived at their destination NI with a mismatched
-        /// checksum (corrupted by a link fault) and were NACKed to the source.
+        /// Flits that arrived at their destination NI corrupted by a link
+        /// fault and were NACKed to the source.
         pub flits_corrupted: u64 = sum,
         /// Flits silently lost to injected link faults (transient drop or a
         /// permanent kill).

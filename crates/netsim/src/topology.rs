@@ -50,10 +50,18 @@ impl Mesh {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyMesh`] if either dimension is zero.
+    /// Returns [`ConfigError::EmptyMesh`] if either dimension is zero, and
+    /// [`ConfigError::OutOfRange`] for a mesh of more than
+    /// [`NodeId::LIMIT`] nodes (node ids are 16 bits).
     pub fn new(width: u16, height: u16) -> Result<Mesh, ConfigError> {
         if width == 0 || height == 0 {
             return Err(ConfigError::EmptyMesh { width, height });
+        }
+        if width as usize * height as usize > NodeId::LIMIT {
+            return Err(ConfigError::OutOfRange {
+                what: "mesh size",
+                range: "at most 65536 nodes",
+            });
         }
         let recip = match width.is_power_of_two() {
             true => 0,
@@ -308,12 +316,15 @@ mod tests {
     #[test]
     fn coord_is_index_mod_and_div_width_for_every_width_and_node() {
         // Every width 1..=130 (power-of-two shift and reciprocal paths) at
-        // a height that carries indices past 2^14, plus the u16 extremes.
+        // a height that carries indices past 2^14, plus the extremes the
+        // 16-bit node cap allows: the widest meshes and the last index.
         let shapes = (1..=130u16).map(|w| (w, 130)).chain([
             (255, 257),
-            (u16::MAX, 3),
-            (u16::MAX - 1, 2),
+            (u16::MAX, 1),
+            (u16::MAX - 1, 1),
             (32_768, 2),
+            (3, 21_845),
+            (256, 256),
         ]);
         for (w, h) in shapes {
             let m = Mesh::new(w, h).unwrap();
@@ -322,12 +333,21 @@ mod tests {
                 assert_eq!(m.coord(n), Coord::new(x as u16, y as u16), "{w}x{h} {n}");
             }
         }
-        // The largest index a mesh can hold.
-        let m = Mesh::new(u16::MAX, u16::MAX).unwrap();
-        for i in [m.node_count() - 1, m.node_count() - 65_535, 0x8000_0000] {
-            let w = u16::MAX as usize;
-            let want = Coord::new((i % w) as u16, (i / w) as u16);
-            assert_eq!(m.coord(NodeId::new(i)), want);
+    }
+
+    #[test]
+    fn meshes_beyond_sixteen_bit_node_ids_are_refused() {
+        for (w, h) in [(256, 256), (32_768, 2), (u16::MAX, 1), (1, u16::MAX)] {
+            let m = Mesh::new(w, h).unwrap();
+            assert!(m.node_count() <= NodeId::LIMIT);
+            let last = m.nodes().last().unwrap();
+            assert_eq!(last.index(), m.node_count() - 1, "{w}x{h}: no truncation");
+        }
+        for (w, h) in [(256, 257), (257, 256), (32_769, 2), (u16::MAX, u16::MAX)] {
+            match Mesh::new(w, h) {
+                Err(ConfigError::OutOfRange { what, .. }) => assert_eq!(what, "mesh size"),
+                other => panic!("{w}x{h}: expected a mesh-size error, got {other:?}"),
+            }
         }
     }
 

@@ -1444,22 +1444,22 @@ mod tests {
         let mut rng = SimRng::seed_from(1);
         let mut out = RouterOutputs::new();
         let mut wins = [0u32; 2];
-        let mut next = 0u64;
+        // `port_of[id]`: the input port packet `id` arrived on.
+        let mut port_of: Vec<usize> = Vec::new();
         for now in 0..400 {
             // Keep both ports' VC 0 topped up.
             for (i, d) in [Direction::West, Direction::North].into_iter().enumerate() {
                 if r.lane_len(PortId::Net(d), 0) < r.lane_depth(0) {
                     let mut f = flit_to(dest, 0, 0, 1);
-                    f.packet = PacketId(next);
-                    f.tag = i as u64;
-                    next += 1;
+                    f.packet = PacketId(port_of.len() as u64);
+                    port_of.push(i);
                     r.receive_flit(PortId::Net(d), f, now);
                 }
             }
             out.clear();
             r.step(now, &mut rng, &mut out);
             if let Some(f) = out.flits[PortId::Net(Direction::East)] {
-                wins[f.tag as usize] += 1;
+                wins[port_of[f.packet.0 as usize]] += 1;
                 // Downstream drains instantly: return the credit.
                 r.receive_credit(PortId::Net(Direction::East), Credit::Vc(f.vc.unwrap()), now);
             }
@@ -1751,7 +1751,9 @@ mod tests {
             let mut reference = vec![VecDeque::new(); lanes];
             // Open packet per lane: (packet, next seq, len, dest).
             let mut open: Vec<Option<(u64, u16, u16, NodeId)>> = vec![None; lanes];
-            let mut lane_of_tag: Vec<usize> = Vec::new();
+            // `lane_of[id]`: the lane packet `id` is written to (ids from 1).
+            let mut lane_of: Vec<usize> = vec![usize::MAX];
+            let mut received = 0usize;
             let mut withheld: Vec<(Direction, VcId)> = Vec::new();
             let mut next_packet = 0u64;
             // Coverage: some lane's head wrapped while it held flits, and
@@ -1767,17 +1769,17 @@ mod tests {
                     }
                     let (packet, seq, len, dest) = *open[lane].get_or_insert_with(|| {
                         next_packet += 1;
+                        lane_of.push(lane);
                         let len = 1 + rng.gen_index(3) as u16;
                         (next_packet, 0, len, NodeId::new(rng.gen_index(9)))
                     });
                     let mut f = Flit::test_flit(PacketId(packet), node, dest);
                     (f.seq, f.len, f.vc) = (seq, len, Some(VcId(vc as u8)));
                     f.vnet = VirtualNetwork(r.layout.vnet_of[vc]);
-                    f.tag = lane_of_tag.len() as u64;
-                    lane_of_tag.push(lane);
                     open[lane] = (seq + 1 < len).then_some((packet, seq + 1, len, dest));
                     r.receive_flit(port, f, now);
                     reference[lane].push_back(f);
+                    received += 1;
                 }
                 assert_lanes_match(&r, &reference, &format!("config {ci} cycle {now} arrivals"));
 
@@ -1793,11 +1795,12 @@ mod tests {
                         left.push(f);
                     }
                 }
+                // A flit is told apart by its packet and sequence number.
                 for f in left {
-                    let popped = reference[lane_of_tag[f.tag as usize]].pop_front();
+                    let popped = reference[lane_of[f.packet.0 as usize]].pop_front();
                     assert_eq!(
-                        popped.map(|p| p.tag),
-                        Some(f.tag),
+                        popped.map(|p| (p.packet, p.seq)),
+                        Some((f.packet, f.seq)),
                         "config {ci}: FIFO order"
                     );
                 }
@@ -1828,7 +1831,7 @@ mod tests {
                     assert_eq!(w.into_bytes(), bytes, "{at}: restored bytes");
                 }
             }
-            assert!(lane_of_tag.len() > 300, "config {ci}: too little traffic");
+            assert!(received > 300, "config {ci}: too little traffic");
             let max_depth = r.layout.depth_of.iter().copied().max().unwrap_or(0);
             assert!(wrapped || max_depth == 1, "config {ci}: no head wrapped");
             assert!(

@@ -192,3 +192,39 @@ fn little_law_holds_in_open_loop_steady_state() {
         "Little's law: in-flight {mean_in_flight:.1} vs lambda*W {littles:.1} ({err:.2})"
     );
 }
+
+/// Node ids are 16 bits: a mesh of more than 65 536 nodes is a
+/// configuration error, from the library and from the command line (exit
+/// status 2), never a run over truncated ids.
+#[test]
+fn meshes_beyond_sixteen_bit_node_ids_are_refused() {
+    for (width, height, ok) in [(256, 256, true), (257, 256, false), (300, 300, false)] {
+        let cfg = NetworkConfig {
+            width,
+            height,
+            ..NetworkConfig::paper_3x3()
+        };
+        match cfg.mesh() {
+            Ok(mesh) => assert!(ok && mesh.node_count() == 65_536),
+            Err(e) => {
+                assert!(!ok, "{width}x{height}: {e}");
+                let ConfigError::OutOfRange { what, .. } = e else {
+                    panic!("{width}x{height}: {e}")
+                };
+                assert_eq!(what, "mesh size");
+                let err = Network::new(cfg, &BackpressuredFactory::new(), 1).unwrap_err();
+                assert!(err.to_string().contains("mesh size"), "{err}");
+            }
+        }
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_afc-noc"))
+        .args(["run", "--mesh", "300x300", "--txns", "10"])
+        .output()
+        .expect("afc-noc runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("mesh size out of range"),
+        "{stderr}"
+    );
+}

@@ -15,7 +15,7 @@
 //! bitword arbitration kernels) against the full-scan golden across three
 //! traffic patterns and both other schedules — the fast path and the
 //! 4-thread sharded engine ([`Network::set_sim_threads`]) — and a fifth proves the snapshot byte format survived the slab rewrite:
-//! save → restore → save round-trips to identical `FORMAT_VERSION` 4
+//! save → restore → save round-trips to identical `FORMAT_VERSION` 5
 //! bytes with buffered flits in every mechanism's slabs.
 
 use afc_bench::MechanismId;
@@ -230,7 +230,7 @@ fn slab_routers_match_golden_across_patterns_and_engines() {
 /// save (buffered flits sitting in every mechanism's lane slabs) must
 /// restore into a fresh simulation and re-save to *identical* bytes — the
 /// occupancy bitwords, ring indices, and route caches are derived state
-/// that never leaks into the `FORMAT_VERSION` 4 container — and the
+/// that never leaks into the `FORMAT_VERSION` 5 container — and the
 /// restored run must continue exactly like the original.
 #[test]
 fn slab_state_round_trips_snapshot_bytes_unchanged() {
@@ -263,8 +263,8 @@ fn slab_state_round_trips_snapshot_bytes_unchanged() {
         let bytes = sim.snapshot().expect("snapshot");
         assert_eq!(
             bytes[8..12],
-            4u32.to_le_bytes(),
-            "{}: snapshot container is not FORMAT_VERSION 4",
+            5u32.to_le_bytes(),
+            "{}: snapshot container is not FORMAT_VERSION 5",
             id.label()
         );
         let mut restored = make(0xBEA7);

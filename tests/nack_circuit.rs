@@ -146,3 +146,94 @@ fn drain_order_is_deterministic_across_replays() {
     // A different seed must not replay the same schedule.
     assert_ne!(run(3), run(4));
 }
+
+/// Packets whose flits a link corrupts in flight: the destination refuses
+/// a corrupt flit, the NACK circuit returns it to its source, and the
+/// resent copy goes out clean — on the drop router's native circuit (one
+/// flit resent) and under end-to-end recovery (the whole packet resent).
+/// Every packet arrives once, exactly as offered, and the run's totals are
+/// pinned to those of the 16-bit-checksum flit the corruption flag
+/// replaced.
+#[test]
+fn corrupted_flits_are_nacked_and_delivered_clean() {
+    let kinds = [
+        PacketKind::Request,
+        PacketKind::Response,
+        PacketKind::Writeback,
+        PacketKind::Synthetic,
+    ];
+    let cases: [(&str, Box<dyn RouterFactory>, Option<RetransmitConfig>, _); 2] = [
+        (
+            "drop",
+            Box::new(DropFactory::new()),
+            None,
+            (32, 32, 32, 0, 0, 2_456, 614),
+        ),
+        (
+            "afc",
+            Box::new(AfcFactory::paper()),
+            Some(RetransmitConfig::default()),
+            (33, 33, 128, 32, 33, 2_460, 615),
+        ),
+    ];
+    for (name, factory, retransmit, pinned) in cases {
+        let cfg = NetworkConfig {
+            faults: FaultPlan::uniform_transient(0.0, 0.02),
+            retransmit,
+            ..NetworkConfig::paper_3x3()
+        };
+        let mut net = Network::new(cfg, factory.as_ref(), 5).unwrap();
+        let mut offered = Vec::new();
+        let mut delivered = Vec::new();
+        for now in 0..20_000u64 {
+            let (src, dest) = ((now % 9) as usize, (now * 5 % 9) as usize);
+            if now < 600 && now % 2 == 0 && src != dest {
+                let input = PacketInput {
+                    dest: NodeId::new(dest),
+                    vnet: VirtualNetwork((now % 3) as u8),
+                    len: [1, 5][(now / 2 % 2) as usize],
+                    kind: kinds[(now / 4 % 4) as usize],
+                    tag: now * 1_000 + src as u64,
+                };
+                let id = net.offer_packet(NodeId::new(src), input);
+                offered.push((id, NodeId::new(src), input, now));
+            }
+            net.step();
+            delivered.extend(net.take_delivered());
+            if now >= 600 && net.is_drained() {
+                break;
+            }
+        }
+        assert_eq!(
+            delivered.len(),
+            offered.len(),
+            "{name}: every packet arrives"
+        );
+        delivered.sort_by_key(|p| p.descriptor.id);
+        for (p, (id, src, input, at)) in delivered.iter().zip(&offered) {
+            let d = p.descriptor;
+            assert_eq!(
+                (d.id, d.src, d.dest, d.vnet),
+                (*id, *src, input.dest, input.vnet)
+            );
+            assert_eq!(
+                (d.len, d.kind, d.tag, d.created_at),
+                (input.len, input.kind, input.tag, *at)
+            );
+        }
+        let s = net.stats();
+        let got = (
+            s.flits_corrupted,
+            s.faults_injected,
+            s.flits_retransmitted,
+            s.retransmit_timeouts,
+            s.nacks_absorbed,
+            s.network_latency.sum(),
+            net.now(),
+        );
+        assert!(s.flits_corrupted > 0, "{name}: no corruption");
+        assert_eq!(got, pinned, "{name}: got {got:?}");
+        net.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(net.packet_table().live(), 0, "{name}");
+    }
+}

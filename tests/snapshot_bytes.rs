@@ -181,7 +181,7 @@ fn manifest_file(dir: &std::path::Path) -> (usize, u64) {
 #[test]
 fn snapshot_bytes_are_pinned() {
     assert_eq!(
-        FORMAT_VERSION, 4,
+        FORMAT_VERSION, 5,
         "a layout change bumps FORMAT_VERSION and re-pins this table"
     );
     // Columns: payload length, then the hash under the activity-tracked
@@ -192,62 +192,62 @@ fn snapshot_bytes_are_pinned() {
     let pins: &[(&str, usize, u64, u64)] = &[
         (
             "mesh8/backpressured",
-            141631,
-            0xd37800b66ce43db1,
-            0x9269f9854ba49880,
+            127582,
+            0x07f6f0e36c74b46f,
+            0x029024d2c1892b12,
         ),
         (
             "mesh8/backpressureless",
-            81319,
-            0xa8b955ddf9b2c5ab,
-            0xb78bc27bb23f5aab,
+            70900,
+            0xedb6c3c81f80108b,
+            0x801f9cc2ef70127e,
         ),
         (
             "mesh8/afc-always-bp",
-            119260,
-            0x12ab4d1eeb1cac36,
-            0xbe2767b3e72f973f,
+            104081,
+            0x3762e36b9809527e,
+            0x2811d7df7a6011b9,
         ),
-        ("mesh8/afc", 116513, 0xf2b15dc94897586e, 0xd9239664498f1077),
+        ("mesh8/afc", 102291, 0x6db774f96b3332a5, 0xee4ce1c237874de5),
         (
             "mesh8/bp-read-bypass",
-            141643,
-            0xd9195d943d498b89,
-            0xda312b66d0ced066,
+            127594,
+            0x2770dfd5ae120f7e,
+            0x92bfb958b622d024,
         ),
         (
             "mesh8/bp-ideal-bypass",
-            141631,
-            0xd37800b66ce43db1,
-            0x9269f9854ba49880,
+            127582,
+            0x07f6f0e36c74b46f,
+            0x029024d2c1892b12,
         ),
-        ("mesh8/drop", 97358, 0xc77f139a55cbff70, 0xc77f139a55cbff70),
+        ("mesh8/drop", 85321, 0xeeb79826c10ac79c, 0xeeb79826c10ac79c),
         (
             "mesh6-faults/backpressured",
-            75416,
-            0xbfb5df130c42b6c0,
-            0xbfb5df130c42b6c0,
+            71498,
+            0x432bcee14aea5cd5,
+            0x432bcee14aea5cd5,
         ),
         (
             "mesh6-faults/drop",
-            72853,
-            0x3445ee3502788d90,
-            0x3445ee3502788d90,
+            69710,
+            0xed5602798e528ee6,
+            0xed5602798e528ee6,
         ),
         (
             "mesh6-faults/afc",
-            74370,
-            0xa65a2b075e1677ca,
-            0xa65a2b075e1677ca,
+            68058,
+            0xffa8a54cac5ab97f,
+            0xffa8a54cac5ab97f,
         ),
         (
             "closed-loop/afc",
-            30658,
-            0x7b010fbab63e34e3,
-            0x7b010fbab63e34e3,
+            27586,
+            0x27848e50d43f300b,
+            0x27848e50d43f300b,
         ),
-        ("checkpoint", 11364, 0x0a16672fc8bc7d15, 0x717e14c209f01917),
-        ("manifest", 311, 0xa72f24fda386bc01, 0xa72f24fda386bc01),
+        ("checkpoint", 11191, 0xe85ca5af5fb68376, 0x8d36322174a70190),
+        ("manifest", 311, 0x6d2952f071a9444c, 0x6d2952f071a9444c),
     ];
     let dir = std::env::temp_dir().join(format!("afc-snapshot-bytes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -10,6 +10,9 @@
 //!   an `Ok` simulation snapshots again.
 //! * A buffered AFC flit whose destination is outside the mesh is
 //!   `Malformed`, refused while decoding the node id.
+//! * A packet table whose window stops short of the next packet id, or
+//!   that lost the entry of a packet still in the network, is `Malformed`
+//!   at restore — never a panic when that packet reaches its destination.
 //! * Every single-byte flip and every truncation of a run checkpoint file
 //!   is `RunError::Snapshot`, naming the file.
 
@@ -177,6 +180,75 @@ fn a_buffered_flit_bound_outside_the_mesh_is_malformed() {
     match fresh.restore(&reseal(&bytes), "mutant") {
         Err(SnapshotError::Malformed { what }) => assert_eq!(what, "node id"),
         other => panic!("expected a malformed node id, got {other:?}"),
+    }
+}
+
+/// A mid-run snapshot of a 4×4 backpressured network and where its packet
+/// table sits in the payload: the offset of the window's entries, and each
+/// entry's `(offset, encoded length)`.
+fn table_layout() -> (Vec<u8>, Vec<(usize, usize)>, usize) {
+    let mut live = sim(&BackpressuredFactory::new(), 0.3);
+    live.run(150);
+    let table = live.network.packet_table();
+    assert!(table.window_len() > 2, "a window to mutate");
+    // `next_packet_id`, then the table: `base` and the window's length.
+    let mut head = table.end().to_le_bytes().to_vec();
+    head.extend_from_slice(&table.base().to_le_bytes());
+    head.extend_from_slice(&(table.window_len() as u64).to_le_bytes());
+    let sealed = live.snapshot().expect("snapshot");
+    let bytes = payload(&sealed).to_vec();
+    let at = find_all(&bytes, &head);
+    assert_eq!(at.len(), 1, "the table header is in the payload once");
+    let len_at = at[0] + 16;
+    // An entry is a presence byte, then creation cycle, tag and kind.
+    let mut entries = Vec::new();
+    let mut pos = len_at + 8;
+    for _ in 0..table.window_len() {
+        let size = if bytes[pos] == 1 { 18 } else { 1 };
+        entries.push((pos, size));
+        pos += size;
+    }
+    (bytes, entries, len_at)
+}
+
+fn restore_mutant(bytes: &[u8]) -> Result<(), SnapshotError> {
+    let mut fresh = sim(&BackpressuredFactory::new(), 0.3);
+    fresh.restore(&reseal(bytes), "mutant")
+}
+
+#[test]
+fn a_truncated_packet_table_window_is_malformed() {
+    let (bytes, entries, len_at) = table_layout();
+    assert!(restore_mutant(&bytes).is_ok());
+    // Drop the window's last entry: it now ends one short of the next id.
+    let (last, size) = *entries.last().unwrap();
+    let mut cut = bytes[..last].to_vec();
+    cut.extend_from_slice(&bytes[last + size..]);
+    let len = entries.len() as u64 - 1;
+    cut[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    match restore_mutant(&cut) {
+        Err(SnapshotError::Malformed { what }) => assert_eq!(what, "packet table window"),
+        other => panic!("expected a malformed window, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_packet_missing_from_the_table_is_malformed() {
+    // Retire the entry of a packet still queued, injecting or in flight
+    // (nothing is delivered untaken and no fault loses a flit here).
+    let (bytes, entries, _) = table_layout();
+    let &(at, size) = entries[1..]
+        .iter()
+        .find(|&&(_, size)| size == 18)
+        .expect("a live entry behind the front");
+    let mut cut = bytes[..at].to_vec();
+    cut.push(0);
+    cut.extend_from_slice(&bytes[at + size..]);
+    match restore_mutant(&cut) {
+        Err(SnapshotError::Malformed { what }) => {
+            assert_eq!(what, "packet without a table entry")
+        }
+        other => panic!("expected a missing table entry, got {other:?}"),
     }
 }
 
