@@ -39,7 +39,7 @@ use afc_netsim::router::{
 };
 use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
-use afc_routers::arbiter::RoundRobin;
+use afc_routers::arbiter::{Nominations, RoundRobin};
 use afc_routers::deflection::{LatchBank, Loser};
 
 use crate::config::AfcConfig;
@@ -51,6 +51,8 @@ pub const FLIT_WIDTH_BITS: u32 = 49;
 /// Port count (4 directions + local); slab stripes are sized for all five
 /// even on edge routers whose boundary ports are absent.
 const PORTS: usize = PortId::ALL.len();
+const DIRS: usize = Direction::ALL.len();
+const LOCAL: usize = PortId::Local.index();
 
 /// The AFC-internal mode, including the forward-transition window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,18 +134,19 @@ pub struct AfcRouter {
     bank: LatchBank,
     /// Lazy one-flit VCs for all five ports as one contiguous slab: port
     /// `p`'s flat slot `s` lives at `p * total_slots + s` (flat slot order
-    /// is vnet-major, matching `flat_decode`). Absent boundary ports keep
-    /// their always-empty stripe so addressing stays a single multiply-add.
+    /// is vnet-major). Absent boundary ports keep their always-empty stripe
+    /// so addressing stays a single multiply-add.
     slots: Box<[Flit]>,
-    /// Clean-mode output of each occupied slot (`Direction` index, or 4
-    /// for local ejection), stamped at buffer-write time: DOR against a
-    /// static mesh never changes over a flit's buffered lifetime, so the
-    /// arbitration hot loop replaces a per-cycle route computation with a
-    /// byte load. Degraded (faulty) cycles ignore the cache and ask the
-    /// alive-graph table per flit.
-    slot_route: Box<[u8]>,
     /// Per-port slot-occupancy bitword (bit = flat slot index).
     occ_bits: [u64; PORTS],
+    /// Per-port, per-route occupancy words: bit `s` of
+    /// `route_bits[p][r]` is set ⇔ slot `s` of port `p` holds a flit whose
+    /// clean (DOR) output is `r` (`Direction` index, or 4 for local
+    /// ejection). DOR against a static mesh never changes over a flit's
+    /// buffered lifetime, so the route is stamped once, at buffer write; a
+    /// port's five words partition its `occ_bits`. Degraded (faulty)
+    /// cycles ignore them and ask the alive-graph table per flit.
+    route_bits: [[u64; PORTS]; PORTS],
     /// Flat-slot mask of each vnet's stripe.
     vnet_mask: Box<[u64]>,
     /// Which ports exist (local always; boundary dirs vary).
@@ -153,17 +156,15 @@ pub struct AfcRouter {
     total_slots: usize,
     /// Per-vnet lazy VC capacity.
     vnet_capacity: Vec<usize>,
-    /// Flat slot index -> `(vnet, slot)`, precomputed so the arbitration
-    /// inner loop decodes in O(1).
-    flat_decode: Vec<(u32, u32)>,
     /// Per-input-port slot arbiters (over a flat (vnet, vc) index).
     input_arb: PortMap<Option<RoundRobin>>,
     /// Per-output-port input arbiters.
     output_arb: PortMap<RoundRobin>,
     /// Whether each downstream neighbor currently requires credit tracking.
     tracking: DirMap<bool>,
-    /// Downstream free slots per vnet (meaningful while tracking).
-    credits: DirMap<Vec<u64>>,
+    /// Downstream free slots per vnet (meaningful while tracking), one pool
+    /// per direction: `credits[dir * vnets + vnet]` (see [`Self::pool`]).
+    credits: Box<[u64]>,
     /// Earliest cycle a reverse switch may fire (dwell after the last
     /// forward transition completes).
     reverse_allowed_at: Cycle,
@@ -171,8 +172,6 @@ pub struct AfcRouter {
     /// Buffered-flit count across all banks (excludes latches), maintained
     /// incrementally so `occupancy`/`buffers_empty` are O(1) on the hot path.
     buffered: usize,
-    /// Reusable stage-2 winner list `(input, flat slot, output)`.
-    winners_scratch: Vec<(PortId, usize, PortId)>,
     /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
     /// §13); clean-state steps are byte-identical to the fault-free build.
     fa: FaultAwareness,
@@ -221,17 +220,13 @@ impl AfcRouter {
         let expected = PORTS * total_slots;
         assert_eq!(slots.len(), expected, "rings must hold {expected} flits");
         let mut vnet_mask = Vec::with_capacity(vnet_capacity.len());
-        let mut flat_decode = Vec::with_capacity(total_slots);
         let mut off = 0usize;
-        for (v, cap) in vnet_capacity.iter().enumerate() {
+        for cap in &vnet_capacity {
             vnet_mask.push(if *cap == 0 {
                 0
             } else {
                 (u64::MAX >> (64 - *cap)) << off
             });
-            for slot in 0..*cap {
-                flat_decode.push((v as u32, slot as u32));
-            }
             off += cap;
         }
         let class = mesh.router_class(node);
@@ -259,21 +254,21 @@ impl AfcRouter {
             flits_this_cycle: 0,
             bank: LatchBank::new(node, mesh, cfg.rank_policy, net.eject_bandwidth),
             slots,
-            slot_route: vec![0; PORTS * total_slots].into_boxed_slice(),
             occ_bits: [0; PORTS],
+            route_bits: [[0; PORTS]; PORTS],
             vnet_mask: vnet_mask.into_boxed_slice(),
             in_present,
             total_slots,
             input_arb,
             output_arb: PortMap::from_fn(|_| RoundRobin::new(PortId::ALL.len())),
             tracking: DirMap::default(),
-            credits: DirMap::from_fn(|_| vnet_capacity.iter().map(|c| *c as u64).collect()),
+            credits: (0..DIRS)
+                .flat_map(|_| vnet_capacity.iter().map(|c| *c as u64))
+                .collect(),
             reverse_allowed_at: 0,
             vnet_capacity,
-            flat_decode,
             counters: ActivityCounters::new(),
             buffered: 0,
-            winners_scratch: Vec::with_capacity(PortId::ALL.len() + 4),
             fa: FaultAwareness::new(node, mesh.clone()),
             tolerate_faults: !net.faults.is_empty(),
             resync: ResyncHandshake::default(),
@@ -317,7 +312,7 @@ impl AfcRouter {
             neighbors: Direction::ALL
                 .into_iter()
                 .filter(|d| self.mesh.neighbor(self.node, *d).is_some())
-                .map(|d| (d, self.tracking[d], self.credits[d].clone()))
+                .map(|d| (d, self.tracking[d], self.pool(d).to_vec()))
                 .collect(),
             occupancy: self.occupancy(),
             gossip_threshold: self.gossip_x,
@@ -340,8 +335,22 @@ impl AfcRouter {
         self.buffered == 0
     }
 
+    /// The credit pool toward `d`: free downstream slots per vnet.
+    #[inline]
+    fn pool(&self, d: Direction) -> &[u64] {
+        let n = self.vnet_capacity.len();
+        &self.credits[d.index() * n..(d.index() + 1) * n]
+    }
+
+    /// Mutable [`Self::pool`].
+    #[inline]
+    fn pool_mut(&mut self, d: Direction) -> &mut [u64] {
+        let n = self.vnet_capacity.len();
+        &mut self.credits[d.index() * n..(d.index() + 1) * n]
+    }
+
     /// Clean-mode output of `flit` from this node (`Direction` index, or 4
-    /// for local ejection) — the value cached in `slot_route`.
+    /// for local ejection) — the route word its slot bit goes into.
     fn clean_route8(&self, flit: &Flit) -> u8 {
         if flit.dest == self.node {
             PortId::Local.index() as u8
@@ -394,10 +403,10 @@ impl AfcRouter {
         let flat = free.trailing_zeros() as usize;
         let mut flit = flit;
         flit.vc = Some(VcId(flat as u8));
-        let lane = pi * self.total_slots + flat;
-        self.slot_route[lane] = self.clean_route8(&flit);
-        self.slots[lane] = flit;
+        let route = self.clean_route8(&flit) as usize;
+        self.slots[pi * self.total_slots + flat] = flit;
         self.occ_bits[pi] |= 1 << flat;
+        self.route_bits[pi][route] |= 1 << flat;
         self.counters.buffer_writes += 1;
         self.buffered += 1;
     }
@@ -412,14 +421,16 @@ impl AfcRouter {
     fn apply_link_update(&mut self, update: &LinkUpdate) {
         let tracking = &self.tracking;
         if let Some(d) = self.resync.on_link_update(update, |d| tracking[d]) {
-            self.credits[d].fill(0);
+            self.pool_mut(d).fill(0);
         }
     }
 
     /// Returns the credit pool toward `d` to full, in place (an empty
     /// downstream bank).
     fn refill_credits(&mut self, d: Direction) {
-        for (c, cap) in self.credits[d].iter_mut().zip(&self.vnet_capacity) {
+        let n = self.vnet_capacity.len();
+        let pool = &mut self.credits[d.index() * n..(d.index() + 1) * n];
+        for (c, cap) in pool.iter_mut().zip(&self.vnet_capacity) {
             *c = *cap as u64;
         }
     }
@@ -445,7 +456,7 @@ impl AfcRouter {
     fn credit_pressure(&self, threshold: u64) -> bool {
         Direction::ALL
             .into_iter()
-            .any(|d| self.tracking[d] && self.credits[d].iter().any(|c| *c <= threshold))
+            .any(|d| self.tracking[d] && self.pool(d).iter().any(|c| *c <= threshold))
     }
 
     /// True when any tracked neighbor's free buffering has fallen to the
@@ -480,7 +491,7 @@ impl AfcRouter {
                 continue;
             }
             let flit = out.flits[PortId::Net(d)].expect("the kernel sent one");
-            let c = &mut self.credits[d][flit.vnet.index()];
+            let c = &mut self.pool_mut(d)[flit.vnet.index()];
             debug_assert!(*c > 0, "gossip threshold must prevent credit underflow");
             *c = c.saturating_sub(1);
         }
@@ -520,8 +531,7 @@ impl AfcRouter {
                     // Remaining unreachable flits drain next cycle.
                     break;
                 }
-                self.occ_bits[pi] &= !(1u64 << flat);
-                self.buffered -= 1;
+                self.take_slot(pi, flat);
                 self.counters.buffer_reads += 1;
                 self.counters.drops += 1;
                 if port.is_network() {
@@ -534,23 +544,76 @@ impl AfcRouter {
         }
     }
 
-    /// One cycle of lazy-VC backpressured processing.
-    fn step_backpressured(&mut self, out: &mut RouterOutputs) {
-        self.counters.buffer_occupancy_sum += self.occupancy() as u64;
-        let clean = self.fa.is_clean();
-        if !clean {
-            self.sweep_unreachable_buffers(out);
+    /// Empties slot `flat` of port `pi`: its occupancy bit and its bit in
+    /// whichever route word holds it.
+    #[inline]
+    fn take_slot(&mut self, pi: usize, flat: usize) {
+        let keep = !(1u64 << flat);
+        self.occ_bits[pi] &= keep;
+        for w in &mut self.route_bits[pi] {
+            *w &= keep;
         }
+        self.buffered -= 1;
+    }
 
-        // Stage 1: each input port nominates one eligible slot, resolved
-        // as a bitword kernel: walk the port's occupancy word, test each
-        // flit's cached route for credit/handshake eligibility, and hand
-        // the resulting request mask to the arbiter. Ports with an empty
-        // word are skipped outright — identical to the full scan, which
-        // would find no eligible slot and `continue` before touching the
-        // arbiter or the arbitration counter.
-        let mut any_candidate = false;
-        let mut candidates: PortMap<Option<(usize, PortId)>> = PortMap::default();
+    /// Stage 1 of the lazy-VC switch allocator: each input port nominates
+    /// one slot whose flit may leave this cycle. Clean cycles read the
+    /// route words ([`Self::nominate_words`]); degraded ones route every
+    /// flit through the alive-graph table ([`Self::nominate_per_slot`]).
+    fn nominate(&mut self) -> Nominations {
+        if self.fa.is_clean() {
+            self.nominate_words()
+        } else {
+            self.nominate_per_slot()
+        }
+    }
+
+    /// Clean stage 1 from the route words: a port's request word is
+    /// `rb[Local] | Σ_d (rb[d] & ok[d])`, where `ok[d]` — computed once per
+    /// step — holds the slots of every vnet with credit toward `d`, every
+    /// slot when `d` is not credit-tracked, and none while `d` re-syncs
+    /// (sending before the CreditResync lands would break its
+    /// nothing-in-flight precondition). The granted slot's route is the
+    /// word its bit sits in.
+    fn nominate_words(&mut self) -> Nominations {
+        let ok: [u64; DIRS] = std::array::from_fn(|di| {
+            let d = Direction::ALL[di];
+            if self.resync.waiting(d) {
+                0
+            } else if !self.tracking[d] {
+                u64::MAX
+            } else {
+                let credited = self.pool(d).iter().zip(self.vnet_mask.iter());
+                credited.fold(0, |m, (c, mask)| if *c > 0 { m | mask } else { m })
+            }
+        });
+        let mut noms = Nominations::default();
+        for (pi, port) in PortId::ALL.into_iter().enumerate() {
+            let rb = self.route_bits[pi];
+            let mask =
+                rb[LOCAL] | (rb[0] & ok[0]) | (rb[1] & ok[1]) | (rb[2] & ok[2]) | (rb[3] & ok[3]);
+            if mask == 0 {
+                continue;
+            }
+            let arb = self.input_arb[port].as_mut().expect("arb exists with port");
+            let flat = arb.grant_masked(mask).expect("a slot requests");
+            let route = rb.iter().position(|w| w >> flat & 1 != 0);
+            self.counters.arbitrations += 1;
+            noms.nominate(pi, flat, route.expect("an occupied slot has a route"));
+        }
+        noms
+    }
+
+    /// Per-slot stage 1: walk each port's occupancy word, route every flit
+    /// — through the alive-graph table on degraded cycles (AFC routes
+    /// statelessly, so masking is this simple), by DOR on clean ones, where
+    /// only the lockstep tests call it — and test it for credit/handshake
+    /// eligibility. Ports with an empty word are skipped outright —
+    /// identical to the full scan, which would find no eligible slot and
+    /// `continue` before touching the arbiter or the arbitration counter.
+    fn nominate_per_slot(&mut self) -> Nominations {
+        let clean = self.fa.is_clean();
+        let mut noms = Nominations::default();
         for port in PortId::ALL {
             let pi = port.index();
             let occ = self.occ_bits[pi];
@@ -564,33 +627,26 @@ impl AfcRouter {
             while w != 0 {
                 let flat = w.trailing_zeros() as usize;
                 w &= w - 1;
+                let flit = self.slots[base + flat];
                 let route = if clean {
-                    self.slot_route[base + flat]
+                    self.clean_route8(&flit)
+                } else if flit.dest == self.node {
+                    PortId::Local.index() as u8
                 } else {
-                    // Degraded mode: per-flit alive-graph next hop (AFC
-                    // routes statelessly, so masking is this simple). A
-                    // doomed flit the budget-limited sweep has not reached
-                    // yet simply sits out arbitration until a later sweep
-                    // retires it.
-                    let flit = &self.slots[base + flat];
-                    if flit.dest == self.node {
-                        PortId::Local.index() as u8
-                    } else {
-                        match self.fa.route(flit.dest) {
-                            RouteOutcome::Dir(d) => d.index() as u8,
-                            RouteOutcome::Local | RouteOutcome::Unreachable => continue,
-                        }
+                    // A doomed flit the budget-limited sweep has not
+                    // reached yet simply sits out arbitration until a
+                    // later sweep retires it.
+                    match self.fa.route(flit.dest) {
+                        RouteOutcome::Dir(d) => d.index() as u8,
+                        RouteOutcome::Local | RouteOutcome::Unreachable => continue,
                     }
                 };
                 let ok = match Direction::ALL.get(route as usize) {
                     // A port mid-handshake is ineligible even if stale
-                    // drain credits trickled in: sending before the
-                    // CreditResync lands would break its
-                    // nothing-in-flight precondition.
+                    // drain credits trickled in.
                     Some(&d) => {
                         !self.resync.waiting(d)
-                            && (!self.tracking[d]
-                                || self.credits[d][self.flat_decode[flat].0 as usize] > 0)
+                            && (!self.tracking[d] || self.pool(d)[flit.vnet.index()] > 0)
                     }
                     // Route 4: local ejection, always eligible.
                     None => true,
@@ -605,72 +661,55 @@ impl AfcRouter {
             }
             let arb = self.input_arb[port].as_mut().expect("arb exists with port");
             if let Some(flat) = arb.grant_masked(mask) {
-                let route = match Direction::ALL.get(routes[flat] as usize) {
-                    Some(&d) => PortId::Net(d),
-                    None => PortId::Local,
-                };
-                candidates[port] = Some((flat, route));
-                any_candidate = true;
+                noms.nominate(pi, flat, routes[flat] as usize);
                 self.counters.arbitrations += 1;
             }
         }
-        if !any_candidate && self.occupancy() > 0 {
+        noms
+    }
+
+    /// One cycle of lazy-VC backpressured processing around the stage-1
+    /// kernel `nominate`, then the shared stage-2 kernel and traversal.
+    #[inline]
+    fn step_backpressured(
+        &mut self,
+        out: &mut RouterOutputs,
+        nominate: impl FnOnce(&mut Self) -> Nominations,
+    ) {
+        self.counters.buffer_occupancy_sum += self.occupancy() as u64;
+        let clean = self.fa.is_clean();
+        if !clean {
+            self.sweep_unreachable_buffers(out);
+        }
+
+        let noms = nominate(self);
+        if noms.is_empty() && self.occupancy() > 0 {
             self.counters.credit_stall_cycles += 1;
         }
-
-        // Stage 2: output ports grant among nominating inputs (a 5-bit
-        // request mask per output port); the local port grants up to the
-        // ejection bandwidth, clearing each winner's request bit.
-        let mut requests = [0u64; PORTS];
-        for port in PortId::ALL {
-            if let Some((_, route)) = candidates[port] {
-                requests[route.index()] |= 1 << port.index();
-            }
-        }
-        let mut winners = std::mem::take(&mut self.winners_scratch);
-        for out_port in PortId::ALL {
-            let oi = out_port.index();
-            if out_port.is_network() && !self.in_present[oi] {
-                continue;
-            }
-            let grants = if out_port == PortId::Local {
-                self.eject_bandwidth
-            } else {
-                1
-            };
-            for _ in 0..grants {
-                let Some(i) = self.output_arb[out_port].grant_masked(requests[oi]) else {
-                    break;
-                };
-                self.counters.arbitrations += 1;
-                requests[oi] &= !(1u64 << i);
-                let in_port = PortId::from_index(i).expect("valid index");
-                let (flat, _) = candidates[in_port].take().expect("granted candidate");
-                winners.push((in_port, flat, out_port));
-            }
-        }
+        let present = (0..PORTS).fold(0, |m, pi| m | (self.in_present[pi] as u8) << pi);
+        let grants = noms.grant(&mut self.output_arb, present, self.eject_bandwidth);
+        self.counters.arbitrations += grants.as_slice().len() as u64;
 
         // Traversal.
-        for &(in_port, flat, out_port) in &winners {
-            let pi = in_port.index();
-            self.occ_bits[pi] &= !(1u64 << flat);
+        for &(i, flat, o) in grants.as_slice() {
+            let (pi, flat) = (i as usize, flat as usize);
+            let in_port = PortId::ALL[pi];
             let mut flit = self.slots[pi * self.total_slots + flat];
-            self.buffered -= 1;
+            self.take_slot(pi, flat);
             self.counters.buffer_reads += 1;
             self.counters.crossbar_traversals += 1;
             if in_port.is_network() {
                 out.credits[in_port].push(Credit::Vnet(flit.vnet));
                 self.counters.credits_sent += 1;
             }
-            match out_port {
+            match PortId::ALL[o as usize] {
                 PortId::Local => {
                     out.ejected.push(flit);
                     self.counters.ejections += 1;
                 }
-                PortId::Net(d) => {
+                out_port @ PortId::Net(d) => {
                     if self.tracking[d] {
-                        let vnet = self.flat_decode[flat].0 as usize;
-                        let c = &mut self.credits[d][vnet];
+                        let c = &mut self.pool_mut(d)[flit.vnet.index()];
                         debug_assert!(*c > 0, "eligibility checked credits");
                         *c = c.saturating_sub(1);
                     }
@@ -686,8 +725,99 @@ impl AfcRouter {
                 }
             }
         }
-        winners.clear();
-        self.winners_scratch = winners;
+    }
+
+    /// One router cycle, with `nominate` as the backpressured datapath's
+    /// stage 1 (the lockstep tests swap in the per-slot reference).
+    #[inline]
+    fn step_with(
+        &mut self,
+        now: Cycle,
+        rng: &mut SimRng,
+        out: &mut RouterOutputs,
+        nominate: impl FnOnce(&mut Self) -> Nominations,
+    ) {
+        self.counters.cycles += 1;
+        let sample = self.flits_this_cycle;
+        self.flits_this_cycle = 0;
+        self.monitor.record_cycle(sample);
+        if !self.overflow_scratch.is_empty() {
+            // Re-sync-window arrivals that found a full bank: hand them to
+            // the engine's NACK circuit for retransmission.
+            out.dropped.append(&mut self.overflow_scratch);
+        }
+        if self.fa.has_pending_gossip() {
+            // At most 2 fault facts + 1 mode signal + 1 credit re-sync per
+            // cycle fit the 4-slot control lane exactly. Gossip is gated
+            // on the queue, not on cleanliness: revival facts keep
+            // flooding after the fault view empties.
+            self.fa.drain_gossip(out);
+        }
+        if self.resync.has_pending() {
+            let occ_bits = &self.occ_bits;
+            let drained = |d| occ_bits[PortId::Net(d).index()] == 0;
+            self.resync.emit(&self.fa, drained, out, &mut self.counters);
+        }
+
+        // Complete an in-flight forward transition.
+        if let AfcMode::SwitchingForward { complete_at, .. } = self.mode {
+            if now >= complete_at {
+                debug_assert!(self.bank.is_empty(), "latches drain before switch");
+                self.mode = AfcMode::Backpressured;
+                self.reverse_allowed_at = now + self.cfg.reverse_dwell;
+            }
+        }
+
+        // Mode decisions (suppressed for the always-backpressured ablation).
+        if !self.cfg.always_backpressured {
+            match self.mode {
+                AfcMode::Backpressureless => {
+                    let gossip = self.gossip_pressure();
+                    if gossip || self.monitor.level() == LoadLevel::High {
+                        self.initiate_forward_switch(now, gossip, out);
+                    }
+                }
+                AfcMode::Backpressured => {
+                    // The reverse switch needs empty local buffers (paper,
+                    // Section III-C) and — a corner case the overflow-freedom
+                    // argument requires — no tracked neighbor already at or
+                    // below the gossip threshold (otherwise the router would
+                    // gossip-switch right back, and the transition window's
+                    // uncredited deflections could overflow that neighbor).
+                    // The dwell timer damps switch ping-pong during drain
+                    // transients without affecting safety: staying
+                    // backpressured longer is always safe.
+                    if self.monitor.level() == LoadLevel::Low
+                        && self.buffers_empty()
+                        && !self.gossip_pressure()
+                        && now >= self.reverse_allowed_at
+                    {
+                        self.mode = AfcMode::Backpressureless;
+                        out.control.push(ControlSignal::StopCreditTracking);
+                        self.counters.control_sends += 1;
+                        self.counters.mode_switches_reverse += 1;
+                    }
+                }
+                AfcMode::SwitchingForward { .. } => {}
+            }
+        }
+
+        // Datapath.
+        match self.mode {
+            AfcMode::Backpressureless | AfcMode::SwitchingForward { .. } => {
+                self.step_deflect(rng, out);
+            }
+            AfcMode::Backpressured => {
+                self.step_backpressured(out, nominate);
+            }
+        }
+
+        // Power gating: buffers are gated at the granularity of whole ports
+        // whenever the router operates backpressureless; they are woken
+        // during the transition window so they are usable at its end.
+        if matches!(self.mode, AfcMode::Backpressureless) {
+            self.counters.cycles_buffers_gated += 1;
+        }
     }
 }
 
@@ -711,7 +841,7 @@ impl Router for AfcRouter {
         };
         if self.tracking[d] {
             let cap = self.vnet_capacity[vnet.index()] as u64;
-            let c = &mut self.credits[d][vnet.index()];
+            let c = &mut self.pool_mut(d)[vnet.index()];
             *c = (*c + 1).min(cap);
         }
         // Credits arriving after a StopCreditTracking are stale; ignoring
@@ -788,103 +918,15 @@ impl Router for AfcRouter {
     }
 
     fn step(&mut self, now: Cycle, rng: &mut SimRng, out: &mut RouterOutputs) {
-        self.counters.cycles += 1;
-        let sample = self.flits_this_cycle;
-        self.flits_this_cycle = 0;
-        self.monitor.record_cycle(sample);
-        if !self.overflow_scratch.is_empty() {
-            // Re-sync-window arrivals that found a full bank: hand them to
-            // the engine's NACK circuit for retransmission.
-            out.dropped.append(&mut self.overflow_scratch);
-        }
-        if self.fa.has_pending_gossip() {
-            // At most 2 fault facts + 1 mode signal + 1 credit re-sync per
-            // cycle fit the 4-slot control lane exactly. Gossip is gated
-            // on the queue, not on cleanliness: revival facts keep
-            // flooding after the fault view empties.
-            self.fa.drain_gossip(out);
-        }
-        if self.resync.has_pending() {
-            let occ_bits = &self.occ_bits;
-            let drained = |d| occ_bits[PortId::Net(d).index()] == 0;
-            self.resync.emit(&self.fa, drained, out, &mut self.counters);
-        }
-
-        // Complete an in-flight forward transition.
-        if let AfcMode::SwitchingForward { complete_at, .. } = self.mode {
-            if now >= complete_at {
-                debug_assert!(self.bank.is_empty(), "latches drain before switch");
-                self.mode = AfcMode::Backpressured;
-                self.reverse_allowed_at = now + self.cfg.reverse_dwell;
-            }
-        }
-
-        // Mode decisions (suppressed for the always-backpressured ablation).
-        if !self.cfg.always_backpressured {
-            match self.mode {
-                AfcMode::Backpressureless => {
-                    let gossip = self.gossip_pressure();
-                    if gossip || self.monitor.level() == LoadLevel::High {
-                        self.initiate_forward_switch(now, gossip, out);
-                    }
-                }
-                AfcMode::Backpressured => {
-                    // The reverse switch needs empty local buffers (paper,
-                    // Section III-C) and — a corner case the overflow-freedom
-                    // argument requires — no tracked neighbor already at or
-                    // below the gossip threshold (otherwise the router would
-                    // gossip-switch right back, and the transition window's
-                    // uncredited deflections could overflow that neighbor).
-                    // The dwell timer damps switch ping-pong during drain
-                    // transients without affecting safety: staying
-                    // backpressured longer is always safe.
-                    if self.monitor.level() == LoadLevel::Low
-                        && self.buffers_empty()
-                        && !self.gossip_pressure()
-                        && now >= self.reverse_allowed_at
-                    {
-                        self.mode = AfcMode::Backpressureless;
-                        out.control.push(ControlSignal::StopCreditTracking);
-                        self.counters.control_sends += 1;
-                        self.counters.mode_switches_reverse += 1;
-                    }
-                }
-                AfcMode::SwitchingForward { .. } => {}
-            }
-        }
-
-        // Datapath.
-        match self.mode {
-            AfcMode::Backpressureless | AfcMode::SwitchingForward { .. } => {
-                self.step_deflect(rng, out);
-            }
-            AfcMode::Backpressured => {
-                self.step_backpressured(out);
-            }
-        }
-
-        // Power gating: buffers are gated at the granularity of whole ports
-        // whenever the router operates backpressureless; they are woken
-        // during the transition window so they are usable at its end.
-        if matches!(self.mode, AfcMode::Backpressureless) {
-            self.counters.cycles_buffers_gated += 1;
-        }
+        self.step_with(now, rng, out, Self::nominate);
     }
 
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let credits: usize = self
-            .credits
-            .iter()
-            .map(|(_, c)| c.capacity() * size_of::<u64>())
-            .sum();
         self.slots.len() * size_of::<Flit>()
-            + self.slot_route.len() * size_of::<u8>()
             + self.vnet_mask.len() * size_of::<u64>()
-            + credits
+            + self.credits.len() * size_of::<u64>()
             + self.vnet_capacity.capacity() * size_of::<usize>()
-            + self.flat_decode.capacity() * size_of::<(u32, u32)>()
-            + self.winners_scratch.capacity() * size_of::<(PortId, usize, PortId)>()
             + self.overflow_scratch.capacity() * size_of::<Flit>()
             + self.fa.heap_bytes()
     }
@@ -912,6 +954,16 @@ impl Router for AfcRouter {
                 .iter()
                 .map(|b| b.count_ones() as usize)
                 .sum::<usize>(),
+        );
+        debug_assert!(
+            (0..PORTS).all(|pi| {
+                let words = &self.route_bits[pi];
+                let ones: u32 = words.iter().map(|w| w.count_ones()).sum();
+                words.iter().fold(0, |m, w| m | w) == self.occ_bits[pi]
+                    && ones == self.occ_bits[pi].count_ones()
+            }),
+            "route words must partition the occupancy words at {}",
+            self.node
         );
         self.buffered + self.bank.len()
     }
@@ -984,9 +1036,10 @@ impl Router for AfcRouter {
         self.flits_this_cycle = 0;
         self.reverse_allowed_at = 0;
         self.bank.clear();
-        // Stale slot/route contents behind a cleared occupancy bit are
-        // never read, so zeroing the bitwords is the whole buffer reset.
+        // Stale slot contents behind a cleared occupancy bit are never
+        // read, so zeroing the bitwords is the whole buffer reset.
         self.occ_bits = [0; PORTS];
+        self.route_bits = [[0; PORTS]; PORTS];
         for port in PortId::ALL {
             if let Some(arb) = self.input_arb[port].as_mut() {
                 arb.set_cursor(0);
@@ -999,7 +1052,6 @@ impl Router for AfcRouter {
         }
         self.counters = ActivityCounters::new();
         self.buffered = 0;
-        self.winners_scratch.clear();
         self.fa.reset();
         self.resync.reset();
         self.overflow_scratch.clear();
@@ -1036,7 +1088,7 @@ impl Router for AfcRouter {
             self.tracking[d].put(w);
         }
         for d in Direction::ALL {
-            self.credits[d][..].put(w);
+            self.pool(d).put(w);
         }
         self.resync.put(w);
         self.overflow_scratch.put(w);
@@ -1054,13 +1106,15 @@ impl Router for AfcRouter {
         self.buffered = 0;
         for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
             self.occ_bits[pi] = 0;
+            self.route_bits[pi] = [0; PORTS];
             for flat in 0..self.total_slots {
                 if r.get_bool("afc buffer slot occupancy")? {
                     let lane = pi * self.total_slots + flat;
                     self.slots[lane].load(r)?;
-                    // The clean-route cache is derived state: recompute it
-                    // rather than persist it.
-                    self.slot_route[lane] = self.clean_route8(&self.slots[lane]);
+                    // The route words are derived state: recompute them
+                    // rather than persist them.
+                    let route = self.clean_route8(&self.slots[lane]) as usize;
+                    self.route_bits[pi][route] |= 1 << flat;
                     self.occ_bits[pi] |= 1 << flat;
                     self.buffered += 1;
                 }
@@ -1074,9 +1128,9 @@ impl Router for AfcRouter {
             self.tracking[d].load(r)?;
         }
         for d in Direction::ALL {
-            self.credits[d][..].load(r)?;
+            self.pool_mut(d).load(r)?;
             let over = |(c, cap): (&u64, &usize)| *c > *cap as u64;
-            if self.credits[d].iter().zip(&self.vnet_capacity).any(over) {
+            if self.pool(d).iter().zip(&self.vnet_capacity).any(over) {
                 return Err(SnapshotError::Malformed {
                     what: "afc credit count",
                 });
@@ -1305,7 +1359,7 @@ mod tests {
             ControlSignal::StartCreditTracking,
             7,
         );
-        r.credits[Direction::East] = vec![0, 0, 0];
+        r.pool_mut(Direction::East).fill(0);
         r.receive_flit(PortId::Net(Direction::West), flit(1, dest, 0), 7);
         // Drive the load down.
         for _ in 0..5000 {
@@ -1338,7 +1392,7 @@ mod tests {
         );
         // Once the neighbor's buffers free up past the threshold, the
         // switch goes through.
-        r.credits[Direction::East] = vec![8, 8, 16];
+        r.pool_mut(Direction::East).copy_from_slice(&[8, 8, 16]);
         out.clear();
         r.step(10, &mut rng, &mut out);
         assert_eq!(r.afc_mode(), AfcMode::Backpressureless);
@@ -1377,7 +1431,7 @@ mod tests {
         // slots reach 6 (after 2 uncredited sends); that same cycle still
         // deflects one more flit — exactly the first of the 6 transition
         // sends the X = 2L + 2 budget reserves room for.
-        assert_eq!(r.credits[Direction::East][0], 5);
+        assert_eq!(r.pool(Direction::East)[0], 5);
     }
 
     #[test]
@@ -1418,7 +1472,7 @@ mod tests {
             ControlSignal::StartCreditTracking,
             7,
         );
-        r.credits[Direction::East][0] = 1;
+        r.pool_mut(Direction::East)[0] = 1;
         let dest = mesh.node_at(Coord::new(2, 1)).unwrap();
         r.receive_flit(PortId::Net(Direction::West), flit(1, dest, 0), 7);
         r.receive_flit(PortId::Net(Direction::West), flit(2, dest, 0), 7);
@@ -1496,7 +1550,7 @@ mod tests {
         // tracking all dirs with zero credits.
         for d in Direction::ALL {
             r.receive_control(PortId::Net(d), ControlSignal::StartCreditTracking, 7);
-            r.credits[d] = vec![0, 0, 0];
+            r.pool_mut(d).fill(0);
         }
         for i in 0..8 {
             assert!(r.injection_ready(&probe, 7));
@@ -1524,7 +1578,7 @@ mod tests {
             ControlSignal::StartCreditTracking,
             0,
         );
-        r.credits[Direction::East][0] -= 2;
+        r.pool_mut(Direction::East)[0] -= 2;
         let snap = r.snapshot();
         let east = snap
             .neighbors
@@ -1554,7 +1608,7 @@ mod tests {
             ControlSignal::StartCreditTracking,
             7,
         );
-        r.credits[Direction::East][0] = 1;
+        r.pool_mut(Direction::East)[0] = 1;
         let dest = mesh.node_at(Coord::new(2, 1)).unwrap();
         r.receive_flit(PortId::Net(Direction::West), flit(1, dest, 0), 7);
         r.receive_flit(PortId::Net(Direction::West), flit(2, dest, 2), 7);
@@ -1607,6 +1661,213 @@ mod tests {
             restored.load_state(&mut rd),
             Err(SnapshotError::Malformed { .. })
         ));
+    }
+
+    fn state_bytes(r: &AfcRouter) -> Vec<u8> {
+        use afc_netsim::snapshot::SnapshotWriter;
+        let mut w = SnapshotWriter::new();
+        r.save_state(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    /// What one lockstep run exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        grants: u64,
+        stalls: u64,
+        reroutes: u64,
+        dropped: usize,
+        resync_waits: u64,
+        untracked_sends: u64,
+    }
+
+    /// Drives an always-backpressured router stepping with the route-word
+    /// stage 1 ([`AfcRouter::nominate`]) beside a twin stepping with the
+    /// per-slot reference walk, through the same random arrivals,
+    /// injections, withheld credits, per-direction credit-tracking starts
+    /// and stops and (with `faults`) link kills and revivals with their
+    /// re-sync handshakes. Every step's outputs, counters and `save_state`
+    /// bytes must be equal.
+    fn lockstep_route_words(cfg: AfcConfig, at: Coord, faults: bool, seed: u64) -> Coverage {
+        let net = NetworkConfig::paper_3x3();
+        let mesh = net.mesh().unwrap();
+        let node = mesh.node_at(at).unwrap();
+        let build = || {
+            let mut r = AfcRouter::new(node, &mesh, &net, cfg.clone());
+            r.tolerate_faults = faults;
+            r
+        };
+        let (mut a, mut b) = (build(), build());
+        let dirs: Vec<Direction> = Direction::ALL
+            .into_iter()
+            .filter(|d| a.in_present[PortId::Net(*d).index()])
+            .collect();
+        let links: Vec<(NodeId, Direction)> = mesh
+            .nodes()
+            .flat_map(|n| Direction::ALL.map(|d| (n, d)))
+            .filter(|&(n, d)| mesh.neighbor(n, d).is_some())
+            .collect();
+        // Kills hit this router's own outputs or the links into the far
+        // corner, whose loss cuts it off.
+        let far = mesh.node_at(Coord::new(2, 2)).unwrap();
+        let own: Vec<usize> = (0..links.len()).filter(|&i| links[i].0 == node).collect();
+        let into_far: Vec<usize> = (0..links.len())
+            .filter(|&i| mesh.neighbor(links[i].0, links[i].1) == Some(far))
+            .collect();
+        let mut epoch = vec![0u32; links.len()];
+        let mut rng = SimRng::seed_from(seed);
+        let (mut out_a, mut out_b) = (RouterOutputs::new(), RouterOutputs::new());
+        let mut withheld: Vec<(Direction, VirtualNetwork)> = Vec::new();
+        let mut cov = Coverage::default();
+        let mut next_packet = 0u64;
+        for now in 0..3000u64 {
+            let at = format!("{at:?} faults={faults} cycle {now}");
+            for _ in 0..rng.gen_index(6) {
+                let port = match rng.gen_index(dirs.len() + 1) {
+                    i if i < dirs.len() => PortId::Net(dirs[i]),
+                    _ => PortId::Local,
+                };
+                let vnet = rng.gen_index(net.vnets.len());
+                if a.bank_free_in(port, vnet) == 0 {
+                    continue;
+                }
+                next_packet += 1;
+                let dest = NodeId::new(rng.gen_index(mesh.node_count()));
+                let f = flit(next_packet, dest, vnet as u8);
+                if port == PortId::Local {
+                    assert!(a.injection_ready(&f, now) && b.injection_ready(&f, now));
+                    a.inject(f, now);
+                    b.inject(f, now);
+                } else {
+                    a.receive_flit(port, f, now);
+                    b.receive_flit(port, f, now);
+                }
+            }
+            if rng.gen_bool(0.02) {
+                let d = dirs[rng.gen_index(dirs.len())];
+                let signal = if a.tracking[d] {
+                    ControlSignal::StopCreditTracking
+                } else {
+                    ControlSignal::StartCreditTracking
+                };
+                a.receive_control(PortId::Net(d), signal, now);
+                b.receive_control(PortId::Net(d), signal, now);
+            }
+            if faults {
+                // Up to three links are down at once, each revived at 1.5 % a
+                // cycle, so clean spells follow every revival. Odd epochs
+                // kill, even ones revive.
+                let dead: Vec<usize> = (0..links.len())
+                    .filter(|&i| !epoch[i].is_multiple_of(2))
+                    .collect();
+                let mut flips: Vec<usize> = dead
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.015))
+                    .collect();
+                if dead.len() < 3 && rng.gen_bool(0.02) {
+                    let i = match rng.gen_bool(0.5) {
+                        true => own[rng.gen_index(own.len())],
+                        false => into_far[rng.gen_index(into_far.len())],
+                    };
+                    if epoch[i].is_multiple_of(2) {
+                        flips.push(i);
+                    }
+                }
+                for i in flips {
+                    let (n, d) = links[i];
+                    epoch[i] += 1;
+                    let alive = epoch[i].is_multiple_of(2);
+                    a.note_link_event(n, d, epoch[i], alive, now);
+                    b.note_link_event(n, d, epoch[i], alive, now);
+                }
+            }
+            for &d in &dirs {
+                if a.resync.waiting(d) {
+                    cov.resync_waits += 1;
+                    if rng.gen_bool(0.1) {
+                        let i = links.iter().position(|&l| l == (node, d)).unwrap();
+                        let signal = ControlSignal::CreditResync {
+                            node,
+                            dir: d,
+                            epoch: epoch[i],
+                        };
+                        a.receive_control(PortId::Net(d), signal, now);
+                        b.receive_control(PortId::Net(d), signal, now);
+                        // Credits still owed from before the revival trickle
+                        // in during the wait; the confirmation refills the
+                        // pool instead.
+                        withheld.retain(|&(w, _)| w != d);
+                    }
+                }
+            }
+
+            out_a.clear();
+            out_b.clear();
+            let (mut rng_a, mut rng_b) = (SimRng::seed_from(now), SimRng::seed_from(now));
+            a.step_with(now, &mut rng_a, &mut out_a, AfcRouter::nominate);
+            b.step_with(now, &mut rng_b, &mut out_b, AfcRouter::nominate_per_slot);
+            assert_eq!(a.afc_mode(), AfcMode::Backpressured, "{at}");
+            assert_eq!(out_a.flits, out_b.flits, "{at}: flits");
+            assert_eq!(out_a.credits, out_b.credits, "{at}: credits");
+            assert_eq!(out_a.control, out_b.control, "{at}: control");
+            assert_eq!(out_a.ejected, out_b.ejected, "{at}: ejected");
+            assert_eq!(out_a.dropped, out_b.dropped, "{at}: dropped");
+            assert_eq!(a.counters(), b.counters(), "{at}: counters");
+            assert_eq!(state_bytes(&a), state_bytes(&b), "{at}: state bytes");
+            cov.dropped += out_a.dropped.len();
+            for &d in &dirs {
+                if let Some(f) = out_a.flits[PortId::Net(d)] {
+                    if a.tracking[d] {
+                        withheld.push((d, f.vnet));
+                    } else {
+                        cov.untracked_sends += 1;
+                    }
+                }
+            }
+            // Downstream frees slots at random, and not at all in every
+            // third hundred-cycle window, so banks back up to stalls.
+            let starved = now % 300 >= 200;
+            withheld.retain(|&(d, vnet)| {
+                // A dead link's reverse wire carries no credits.
+                let keep = starved || a.fa.dead_out(d) || rng.gen_bool(0.6);
+                if !keep {
+                    a.receive_credit(PortId::Net(d), Credit::Vnet(vnet), now);
+                    b.receive_credit(PortId::Net(d), Credit::Vnet(vnet), now);
+                }
+                keep
+            });
+        }
+        let c = a.counters();
+        (cov.grants, cov.stalls, cov.reroutes) =
+            (c.crossbar_traversals, c.credit_stall_cycles, c.reroutes);
+        cov
+    }
+
+    #[test]
+    fn route_word_stage1_matches_per_slot_reference() {
+        let paper = AfcConfig::paper_always_backpressured();
+        let narrow = AfcConfig {
+            control_vcs: 7,
+            data_vcs: 12,
+            ..paper.clone()
+        };
+        let cases = [
+            (paper.clone(), Coord::new(1, 1), false),
+            (narrow.clone(), Coord::new(0, 0), false),
+            (paper.clone(), Coord::new(1, 0), true),
+            (narrow, Coord::new(1, 1), true),
+        ];
+        for (i, (cfg, at, faults)) in cases.into_iter().enumerate() {
+            let cov = lockstep_route_words(cfg, at, faults, 0xaf_c0 + i as u64);
+            let label = format!("case {i}: {cov:?}");
+            assert!(cov.grants > 1000 && cov.stalls > 0, "{label}");
+            assert!(cov.untracked_sends > 0, "{label}");
+            if faults {
+                assert!(cov.reroutes > 0 && cov.dropped > 0, "{label}");
+                assert!(cov.resync_waits > 0, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! Round-robin arbitration primitives used by the switch allocators.
+//! Round-robin arbitration primitives used by the switch allocators, and
+//! the separable allocator's stage 2 ([`Nominations::grant`]) that both
+//! buffered routers share.
 
+use afc_netsim::geom::{PortId, PortMap};
 use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 #[cfg(test)]
@@ -106,18 +109,6 @@ impl RoundRobin {
         self.next = (i + 1) % self.n;
         Some(i)
     }
-
-    /// Like [`RoundRobin::grant`] but does not rotate priority — useful for
-    /// "peek" style eligibility checks.
-    pub fn peek(&self, mut requesting: impl FnMut(usize) -> bool) -> Option<usize> {
-        for offset in 0..self.n {
-            let i = (self.next + offset) % self.n;
-            if requesting(i) {
-                return Some(i);
-            }
-        }
-        None
-    }
 }
 
 /// An arbiter's state is its cursor, which a load keeps below `len()`.
@@ -128,6 +119,95 @@ impl Codec for RoundRobin {
     fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.next = r.get_index(self.n, "arbiter cursor")?;
         Ok(())
+    }
+}
+
+const PORTS: usize = PortId::ALL.len();
+const LOCAL: usize = PortId::Local.index();
+
+/// One switch grant: `(input port, that input's buffer slot, output port)`,
+/// ports as [`PortId::index`], the slot a VC or lazy-VC index below 64.
+pub type Grant = (u8, u8, u8);
+
+/// Stage 1 of a separable switch allocator, as stage 2 reads it: the
+/// buffer slot each input port nominated and, per output port, a request
+/// word over the nominating inputs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Nominations {
+    slot: [u8; PORTS],
+    requests: [u8; PORTS],
+    /// Outputs with at least one request.
+    outputs: u8,
+}
+
+impl Nominations {
+    /// Input port `input` nominates its buffer slot `slot`, which requests
+    /// output port `output`. An input nominates at most once per cycle.
+    #[inline]
+    pub fn nominate(&mut self, input: usize, slot: usize, output: usize) {
+        debug_assert!(slot < 64 && output < PORTS, "slot or output out of range");
+        debug_assert!(
+            self.requests.iter().all(|r| r >> input & 1 == 0),
+            "input {input} nominated twice"
+        );
+        self.slot[input] = slot as u8;
+        self.requests[output] |= 1 << input;
+        self.outputs |= 1 << output;
+    }
+
+    /// True when no input nominated.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.outputs == 0
+    }
+
+    /// Stage 2: each requested output port in `present` (a mask over
+    /// [`PortId::index`]) grants one of its requesting inputs through its
+    /// round-robin arbiter, in ascending port order; the Local (ejection)
+    /// port grants up to `eject_bandwidth` inputs. Each grant is one
+    /// output arbitration. An output with no request is never visited, so
+    /// its arbiter keeps its cursor — as a grant over an empty mask would.
+    #[inline]
+    pub fn grant(
+        mut self,
+        output_arb: &mut PortMap<RoundRobin>,
+        present: u8,
+        eject_bandwidth: usize,
+    ) -> Grants {
+        let mut grants = Grants::default();
+        let mut outputs = self.outputs & present;
+        while outputs != 0 {
+            let o = outputs.trailing_zeros() as usize;
+            outputs &= outputs - 1;
+            let arb = &mut output_arb[PortId::ALL[o]];
+            let rounds = if o == LOCAL { eject_bandwidth } else { 1 };
+            for _ in 0..rounds {
+                let Some(i) = arb.grant_masked(u64::from(self.requests[o])) else {
+                    break;
+                };
+                self.requests[o] &= !(1 << i);
+                grants.list[grants.len as usize] = (i as u8, self.slot[i], o as u8);
+                grants.len += 1;
+            }
+        }
+        grants
+    }
+}
+
+/// Stage 2's winners in grant order (ascending output port; the Local
+/// port's in arbitration order). Each input wins at most once, so five
+/// entries always suffice.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Grants {
+    list: [Grant; PORTS],
+    len: u8,
+}
+
+impl Grants {
+    /// The grants made, in order.
+    #[inline]
+    pub fn as_slice(&self) -> &[Grant] {
+        &self.list[..self.len as usize]
     }
 }
 
@@ -224,15 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_rotate() {
-        let mut arb = RoundRobin::new(3);
-        assert_eq!(arb.peek(|_| true), Some(0));
-        assert_eq!(arb.peek(|_| true), Some(0));
-        assert_eq!(arb.grant(|_| true), Some(0));
-        assert_eq!(arb.peek(|_| true), Some(1));
-    }
-
-    #[test]
     fn no_starvation_with_competing_requesters() {
         let mut arb = RoundRobin::new(5);
         let mut wins = [0u32; 5];
@@ -300,6 +371,98 @@ mod tests {
         assert_eq!(arb.grant_masked(1 << 63), Some(63));
         assert_eq!(arb.cursor(), 0);
         assert_eq!(arb.grant_masked(1), Some(0));
+    }
+
+    /// The per-router stage-2 loop both buffered routers ran before
+    /// [`Nominations::grant`]: every present output in `PortId::ALL` order,
+    /// Local up to the ejection bandwidth, winners pushed to a `Vec`.
+    fn reference_stage2(
+        candidates: &mut PortMap<Option<(usize, PortId)>>,
+        output_arb: &mut PortMap<RoundRobin>,
+        present: u8,
+        eject_bandwidth: usize,
+    ) -> Vec<(PortId, usize, PortId)> {
+        let mut requests = [0u64; PORTS];
+        for port in PortId::ALL {
+            if let Some((_, route)) = candidates[port] {
+                requests[route.index()] |= 1 << port.index();
+            }
+        }
+        let mut winners = Vec::new();
+        for out_port in PortId::ALL {
+            let oi = out_port.index();
+            if present >> oi & 1 == 0 {
+                continue;
+            }
+            let grants = if out_port == PortId::Local {
+                eject_bandwidth
+            } else {
+                1
+            };
+            for _ in 0..grants {
+                let Some(i) = output_arb[out_port].grant_masked(requests[oi]) else {
+                    break;
+                };
+                requests[oi] &= !(1u64 << i);
+                let in_port = PortId::ALL[i];
+                let (slot, _) = candidates[in_port].take().expect("granted candidate");
+                winners.push((in_port, slot, out_port));
+            }
+        }
+        winners
+    }
+
+    #[test]
+    fn stage2_kernel_matches_the_per_router_loop() {
+        use afc_netsim::rng::SimRng;
+        let mut rng = SimRng::seed_from(0x5747);
+        let mut arbs_a = PortMap::from_fn(|_| RoundRobin::new(PORTS));
+        let mut arbs_b = arbs_a.clone();
+        let mut local_multi = 0;
+        for case in 0..20_000 {
+            // A random cursor state every few cases, kept otherwise so the
+            // rotation history carries across grants.
+            if case % 7 == 0 {
+                for p in PortId::ALL {
+                    let c = rng.gen_index(PORTS);
+                    arbs_a[p].set_cursor(c);
+                    arbs_b[p].set_cursor(c);
+                }
+            }
+            let present = (rng.gen_index(16) as u8) | 1 << LOCAL;
+            let eject_bandwidth = 1 + rng.gen_index(3);
+            let mut noms = Nominations::default();
+            let mut candidates: PortMap<Option<(usize, PortId)>> = PortMap::default();
+            for input in 0..PORTS {
+                if rng.gen_bool(0.6) {
+                    let (slot, output) = (rng.gen_index(64), rng.gen_index(PORTS));
+                    noms.nominate(input, slot, output);
+                    candidates[PortId::ALL[input]] = Some((slot, PortId::ALL[output]));
+                }
+            }
+            let nominated = candidates.iter().any(|(_, c)| c.is_some());
+            assert_eq!(noms.is_empty(), !nominated, "case {case}");
+            let want = reference_stage2(&mut candidates, &mut arbs_b, present, eject_bandwidth);
+            let got: Vec<_> = noms
+                .grant(&mut arbs_a, present, eject_bandwidth)
+                .as_slice()
+                .iter()
+                .map(|&(i, s, o)| (PortId::ALL[i as usize], s as usize, PortId::ALL[o as usize]))
+                .collect();
+            assert_eq!(got, want, "case {case}: winners");
+            for p in PortId::ALL {
+                assert_eq!(
+                    arbs_a[p].cursor(),
+                    arbs_b[p].cursor(),
+                    "case {case}: {p} cursor"
+                );
+            }
+            local_multi += (want.iter().filter(|w| w.2 == PortId::Local).count() > 1) as u32;
+        }
+        assert!(
+            local_multi > 100,
+            "Local multi-grant exercised {local_multi} times"
+        );
     }
 
     #[test]

@@ -23,19 +23,23 @@
 //!
 //! # Data-oriented layout (DESIGN.md §16)
 //!
-//! All per-port/per-VC state lives in flat structure-of-arrays slabs rather
-//! than a `Vec` of per-VC structs: one contiguous flit ring slab for all
-//! `5 × total` lanes (`lane = port_index * total + vc`), parallel
-//! `head`/`len` ring indices, `route`/`out_vc` byte arrays (`0xFF` = none),
-//! a flat `credits` array for the four network output ports, and one
-//! occupancy bitword per input port (bit `vc` set ⇔ lane non-empty) plus an
-//! allocation bitword per output port. Stage-1 eligibility and both
-//! round-robin stages are mask kernels ([`RoundRobin::grant_masked`])
-//! walking those bitwords, so an arbitration cycle touches a handful of
-//! cache lines instead of chasing `VecDeque` headers across the heap.
-//! Snapshot bytes, arbitration outcomes and counters are bit-identical to
-//! the previous array-of-structs layout: every loop below visits lanes in
-//! the same ascending (port, vc) order the old per-VC vectors did.
+//! Per-port/per-VC state lives in flat slabs over `5 × total` lanes
+//! (`lane = port_index * total + vc`): one contiguous flit ring slab, one
+//! 8-byte `Lane` record per lane (ring head, length and depth, the head
+//! packet's route and downstream VC, `0xFF` = none), a flat `credits`
+//! array for the four network output ports, one occupancy bitword per
+//! input port (bit `vc` set ⇔ lane non-empty) and one allocation bitword
+//! per output port. Stage 1 is **one pass** per input port over its
+//! occupancy word: each lane gets its route and downstream VC if it still
+//! lacks them — the only time its head flit is read, besides the
+//! orphan-tolerant and degraded paths — and sets its request bit when it
+//! may compete; the port's round-robin arbiter then grants over that word
+//! ([`RoundRobin::grant_masked`]). Stage 2 is the shared
+//! [`Nominations::grant`] kernel. Snapshot bytes, arbitration outcomes and
+//! counters are bit-identical to the two-pass allocator (allocate every
+//! lane, then test eligibility): a lane's eligibility reads only its own
+//! route, its own VC's credits and the re-sync wait mask, none of which a
+//! later lane's allocation changes.
 //!
 //! Key properties:
 //!
@@ -71,7 +75,7 @@ use afc_netsim::router::{
 use afc_netsim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 
-use crate::arbiter::RoundRobin;
+use crate::arbiter::{Nominations, RoundRobin};
 
 /// Flit width in bits for this mechanism (32-bit payload + 9 control bits,
 /// Section IV).
@@ -149,6 +153,44 @@ impl VcLayout {
     }
 }
 
+/// One input lane's ring indices and its head packet's allocation.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// Ring position of the head flit (`0..depth`); rewound to 0 whenever
+    /// the lane empties.
+    head: u16,
+    /// Buffered flits.
+    len: u16,
+    /// The VC's buffer depth (ring capacity).
+    depth: u16,
+    /// Output port of the packet at the head of the queue ([`PortId`]
+    /// index, [`NONE8`] when unrouted).
+    route: u8,
+    /// Downstream VC allocated to that packet (network routes only;
+    /// [`NONE8`] when unallocated).
+    out_vc: u8,
+}
+
+impl Lane {
+    /// An empty, unrouted lane of a `depth`-deep VC.
+    fn empty(depth: usize) -> Lane {
+        Lane {
+            head: 0,
+            len: 0,
+            depth: depth as u16,
+            route: NONE8,
+            out_vc: NONE8,
+        }
+    }
+
+    /// Whether allocation still has work here: no route yet, or a network
+    /// route without a downstream VC.
+    #[inline]
+    fn unallocated(&self) -> bool {
+        self.route == NONE8 || ((self.route as usize) < DIRS && self.out_vc == NONE8)
+    }
+}
+
 /// Bit mask covering a contiguous VC range (for the ≤64-lane bitwords).
 #[inline]
 fn range_mask(range: &std::ops::Range<usize>) -> u64 {
@@ -187,17 +229,8 @@ pub struct BackpressuredRouter {
     /// Flit ring storage for all lanes, addressed by [`Self::slot`]: row
     /// `k` holds slot `k` of every lane, deeper VCs' extra slots follow.
     flits: Box<[Flit]>,
-    /// Per-lane ring head index (a ring position, `0..depth`); rewound to
-    /// 0 whenever the lane empties.
-    head: Box<[u16]>,
-    /// Per-lane ring occupancy.
-    len: Box<[u16]>,
-    /// Per-lane output port of the packet at the head of the queue
-    /// ([`PortId`] index, [`NONE8`] when unrouted).
-    route: Box<[u8]>,
-    /// Per-lane downstream VC allocated to that packet (network routes
-    /// only; [`NONE8`] when unallocated).
-    out_vc: Box<[u8]>,
+    /// Per-lane ring indices and head-packet allocation.
+    lanes: Box<[Lane]>,
     /// Packet that owns the open route. In a fault-free run the tail always
     /// closes the route, so ownership is implied; under fault injection a
     /// dropped tail leaves the route open, and the mismatch with the packet
@@ -232,8 +265,6 @@ pub struct BackpressuredRouter {
     /// allocation and stage-1 nomination skip empty ports entirely (the
     /// dominant case at low load, where most cycles see one busy port).
     port_occ: PortMap<usize>,
-    /// Reusable stage-2 winner list `(in, vc, out)`.
-    winners_scratch: Vec<(PortId, usize, PortId)>,
     /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
     /// §13). While clean, routing stays on the historical DOR path.
     fa: FaultAwareness,
@@ -324,10 +355,9 @@ impl BackpressuredRouter {
             in_present,
             out_present,
             flits,
-            head: vec![0; lanes].into_boxed_slice(),
-            len: vec![0; lanes].into_boxed_slice(),
-            route: vec![NONE8; lanes].into_boxed_slice(),
-            out_vc: vec![NONE8; lanes].into_boxed_slice(),
+            lanes: (0..lanes)
+                .map(|l| Lane::empty(layout.depth_of[l % total]))
+                .collect(),
             route_packet: vec![None; lanes].into_boxed_slice(),
             occ_bits: [0; PORTS],
             alloc_bits: [0; DIRS],
@@ -340,7 +370,6 @@ impl BackpressuredRouter {
             tolerate_orphans: !config.faults.is_empty(),
             occ: 0,
             port_occ: PortMap::default(),
-            winners_scratch: Vec::with_capacity(PortId::ALL.len() + 4),
             fa: FaultAwareness::new(node, mesh.clone()),
             resync: ResyncHandshake::default(),
             counters: ActivityCounters::new(),
@@ -374,24 +403,25 @@ impl BackpressuredRouter {
     #[inline]
     fn front(&self, pi: usize, vc: usize) -> Flit {
         let lane = pi * self.total + vc;
-        debug_assert!(self.len[lane] > 0, "front of empty lane");
-        self.flits[self.slot(lane, self.head[lane] as usize)]
+        debug_assert!(self.lanes[lane].len > 0, "front of empty lane");
+        self.flits[self.slot(lane, self.lanes[lane].head as usize)]
     }
 
     /// Appends to a lane's ring; the caller has already checked depth.
     #[inline]
     fn push_lane(&mut self, pi: usize, vc: usize, flit: Flit) {
         let lane = pi * self.total + vc;
-        let depth = self.layout.depth_of[vc];
-        let l = self.len[lane] as usize;
-        debug_assert!(l < depth, "lane overflow");
-        let mut k = self.head[lane] as usize + l;
-        if k >= depth {
-            k -= depth;
+        let Lane {
+            head, len, depth, ..
+        } = self.lanes[lane];
+        debug_assert!(len < depth, "lane overflow");
+        let mut k = (head + len) as usize;
+        if k >= depth as usize {
+            k -= depth as usize;
         }
         let i = self.slot(lane, k);
         self.flits[i] = flit;
-        self.len[lane] = (l + 1) as u16;
+        self.lanes[lane].len = len + 1;
         self.occ_bits[pi] |= 1 << vc;
     }
 
@@ -400,19 +430,17 @@ impl BackpressuredRouter {
     #[inline]
     fn pop_lane(&mut self, pi: usize, vc: usize) -> Flit {
         let lane = pi * self.total + vc;
-        let h = self.head[lane] as usize;
-        let f = self.flits[self.slot(lane, h)];
-        let l = self.len[lane] as usize - 1;
-        self.len[lane] = l as u16;
-        if l == 0 {
-            self.head[lane] = 0;
+        let Lane {
+            head, len, depth, ..
+        } = self.lanes[lane];
+        let f = self.flits[self.slot(lane, head as usize)];
+        let l = &mut self.lanes[lane];
+        l.len = len - 1;
+        if l.len == 0 {
+            l.head = 0;
             self.occ_bits[pi] &= !(1u64 << vc);
         } else {
-            self.head[lane] = if h + 1 >= self.layout.depth_of[vc] {
-                0
-            } else {
-                (h + 1) as u16
-            };
+            l.head = if head + 1 >= depth { 0 } else { head + 1 };
         }
         f
     }
@@ -421,130 +449,163 @@ impl BackpressuredRouter {
     /// any) and clears the route/out-VC/owner fields.
     #[inline]
     fn release_lane_route(&mut self, lane: usize) {
-        let r = self.route[lane];
-        if (r as usize) < DIRS {
-            let ovc = self.out_vc[lane];
-            if ovc != NONE8 {
-                self.alloc_bits[r as usize] &= !(1u64 << ovc);
-            }
+        let Lane { route, out_vc, .. } = self.lanes[lane];
+        if (route as usize) < DIRS && out_vc != NONE8 {
+            self.alloc_bits[route as usize] &= !(1u64 << out_vc);
         }
-        self.route[lane] = NONE8;
-        self.out_vc[lane] = NONE8;
+        self.lanes[lane].route = NONE8;
+        self.lanes[lane].out_vc = NONE8;
         self.route_packet[lane] = None;
     }
 
-    /// Zero-cycle VC allocation + route computation for every head-of-queue
-    /// flit; returns nothing, marks route/out-VC state in the lane arrays.
-    fn allocate_routes_and_vcs(&mut self) {
+    /// Stage 1 of separable switch allocation, one pass per input port
+    /// over its occupancy word. Each occupied lane that lacks a route or a
+    /// downstream VC gets them here (zero-cycle VC allocation); off the
+    /// clean, orphan-free path every lane re-checks its open route. A lane
+    /// then requests the switch when its route is Local, or a network route
+    /// whose allocated downstream VC has credits — unless that output is
+    /// mid-resync-handshake, where sending before the CreditResync lands
+    /// would break its nothing-in-flight precondition. Each port with a
+    /// request nominates one lane through its round-robin arbiter.
+    fn nominate(&mut self) -> Nominations {
         let clean = self.fa.is_clean();
+        let recheck = self.tolerate_orphans || !clean;
+        let wait = self.resync.wait_mask();
         let total = self.total;
-        for pi in 0..PORTS {
-            // A zero occupancy word ⇔ every VC queue of this port is empty:
-            // the body below only visits set bits, so the skip (and the
-            // bit-walk itself) is byte-identical to the dense VC loop the
-            // old layout ran, which `continue`d on every `None` head.
+        let mut noms = Nominations::default();
+        for (pi, port) in PortId::ALL.into_iter().enumerate() {
             let mut occ = self.occ_bits[pi];
+            let mut mask = 0u64;
             while occ != 0 {
                 let vc = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
-                let lane = pi * total + vc;
-                let hoq = self.front(pi, vc);
-                if self.tolerate_orphans
-                    && self.route[lane] != NONE8
-                    && self.route_packet[lane] != Some(hoq.packet)
-                {
-                    // A dropped tail left the route open for a packet that
-                    // has already drained: release the stale downstream VC
-                    // (otherwise the next packet would follow the old route,
-                    // possibly into a wrong Local ejection) and re-route by
-                    // the flit now at HoQ.
-                    self.release_lane_route(lane);
+                let l = pi * total + vc;
+                if (recheck || self.lanes[l].unallocated()) && !self.allocate_lane(pi, vc, clean) {
+                    continue;
                 }
-                if !clean {
-                    let r = self.route[lane];
-                    if (r as usize) < DIRS && self.fa.dead_out(Direction::ALL[r as usize]) {
-                        // The packet's allocated output link died under
-                        // it: release the downstream VC (its credits are
-                        // lost with the link anyway) and re-route the
-                        // remaining flits around the fault.
-                        self.release_lane_route(lane);
-                    }
-                }
-                if self.route[lane] == NONE8 {
-                    debug_assert!(
-                        self.tolerate_orphans || hoq.is_head(),
-                        "non-head flit {hoq} at HoQ without a route (VC hold violated)"
-                    );
-                    let dor = match hoq.dest == self.node {
-                        true => None,
-                        false => Some(match self.options.routing {
-                            RoutingAlgorithm::XFirst => self
-                                .mesh
-                                .dor_route_from(self.at, hoq.dest)
-                                .expect("non-local destination has a DOR direction"),
-                            RoutingAlgorithm::YFirst => self
-                                .mesh
-                                .dor_route_yx(self.node, hoq.dest)
-                                .expect("non-local destination has a DOR direction"),
-                        }),
-                    };
-                    let dir = if clean {
-                        dor
-                    } else {
-                        match self.fa.route(hoq.dest) {
-                            RouteOutcome::Local => None,
-                            RouteOutcome::Dir(d) => {
-                                if Some(d) != dor {
-                                    self.counters.reroutes += 1;
-                                }
-                                Some(d)
-                            }
-                            // No alive path: leave the route unset so the
-                            // VC stays ineligible; the unreachable sweep at
-                            // the top of the next step drops the packet into
-                            // the structured NACK/retransmit path.
-                            RouteOutcome::Unreachable => continue,
-                        }
-                    };
-                    self.route[lane] = match dir {
-                        Some(d) => d.index() as u8,
-                        None => PortId::Local.index() as u8,
-                    };
-                    self.route_packet[lane] = Some(hoq.packet);
-                }
-                let r = self.route[lane] as usize;
-                if r < DIRS && self.out_vc[lane] == NONE8 {
-                    let vnet = hoq.vnet.index();
-                    let range = &self.layout.range_of[vnet];
-                    debug_assert!(self.out_present[r], "route goes to an existing neighbor");
-                    // First unallocated VC of the vnet range (ascending, the
-                    // order the old `range.find` scanned); atomic buffers
-                    // additionally require a full credit pool.
-                    let mut free = !self.alloc_bits[r] & range_mask(range);
-                    let found = if self.options.atomic_vc_reallocation {
-                        let mut found = None;
-                        while free != 0 {
-                            let i = free.trailing_zeros() as usize;
-                            free &= free - 1;
-                            if self.credits[r * total + i] as usize == self.layout.depth_of[i] {
-                                found = Some(i);
-                                break;
-                            }
-                        }
-                        found
-                    } else if free != 0 {
-                        Some(free.trailing_zeros() as usize)
-                    } else {
-                        None
-                    };
-                    if let Some(i) = found {
-                        self.alloc_bits[r] |= 1u64 << i;
-                        self.out_vc[lane] = i as u8;
-                        self.counters.vc_allocations += 1;
-                    }
-                }
+                let Lane { route, out_vc, .. } = self.lanes[l];
+                let r = route as usize;
+                let request = if r < DIRS {
+                    wait >> r & 1 == 0
+                        && out_vc != NONE8
+                        && self.credits[r * total + out_vc as usize] > 0
+                } else {
+                    debug_assert_eq!(r, PortId::Local.index(), "an allocated lane has a route");
+                    true
+                };
+                mask |= (request as u64) << vc;
+            }
+            if mask != 0 {
+                let arb = self.input_arb[port].as_mut().expect("arb exists with port");
+                let vc = arb.grant_masked(mask).expect("a lane requests");
+                self.counters.arbitrations += 1;
+                noms.nominate(pi, vc, self.lanes[pi * total + vc].route as usize);
             }
         }
+        noms
+    }
+
+    /// Route computation and zero-cycle VC allocation for one occupied
+    /// lane, from the flit at its head. False when that flit's destination
+    /// has no alive path: the lane stays unrouted, out of arbitration,
+    /// until the unreachable sweep at the top of a later step drops the
+    /// packet into the structured NACK/retransmit path.
+    fn allocate_lane(&mut self, pi: usize, vc: usize, clean: bool) -> bool {
+        let lane = pi * self.total + vc;
+        let hoq = self.front(pi, vc);
+        if self.tolerate_orphans
+            && self.lanes[lane].route != NONE8
+            && self.route_packet[lane] != Some(hoq.packet)
+        {
+            // A dropped tail left the route open for a packet that has
+            // already drained: release the stale downstream VC (otherwise
+            // the next packet would follow the old route, possibly into a
+            // wrong Local ejection) and re-route by the flit now at HoQ.
+            self.release_lane_route(lane);
+        }
+        if !clean {
+            let r = self.lanes[lane].route;
+            if (r as usize) < DIRS && self.fa.dead_out(Direction::ALL[r as usize]) {
+                // The packet's allocated output link died under it:
+                // release the downstream VC (its credits are lost with the
+                // link anyway) and re-route the remaining flits around the
+                // fault.
+                self.release_lane_route(lane);
+            }
+        }
+        if self.lanes[lane].route == NONE8 {
+            debug_assert!(
+                self.tolerate_orphans || hoq.is_head(),
+                "non-head flit {hoq} at HoQ without a route (VC hold violated)"
+            );
+            let Some(route) = self.route_of(&hoq, clean) else {
+                return false;
+            };
+            self.lanes[lane].route = route;
+            self.route_packet[lane] = Some(hoq.packet);
+        }
+        let r = self.lanes[lane].route as usize;
+        if r < DIRS && self.lanes[lane].out_vc == NONE8 {
+            debug_assert!(self.out_present[r], "route goes to an existing neighbor");
+            if let Some(i) = self.free_out_vc(r, hoq.vnet.index()) {
+                self.alloc_bits[r] |= 1u64 << i;
+                self.lanes[lane].out_vc = i as u8;
+                self.counters.vc_allocations += 1;
+            }
+        }
+        true
+    }
+
+    /// Output port ([`PortId`] index) of `flit` from this node: DOR while
+    /// the fault view is clean, the alive-graph table otherwise (counting a
+    /// detour off DOR as a reroute); `None` when no alive path exists.
+    fn route_of(&mut self, flit: &Flit, clean: bool) -> Option<u8> {
+        let dor = match flit.dest == self.node {
+            true => None,
+            false => Some(match self.options.routing {
+                RoutingAlgorithm::XFirst => self
+                    .mesh
+                    .dor_route_from(self.at, flit.dest)
+                    .expect("non-local destination has a DOR direction"),
+                RoutingAlgorithm::YFirst => self
+                    .mesh
+                    .dor_route_yx(self.node, flit.dest)
+                    .expect("non-local destination has a DOR direction"),
+            }),
+        };
+        let dir = if clean {
+            dor
+        } else {
+            match self.fa.route(flit.dest) {
+                RouteOutcome::Local => None,
+                RouteOutcome::Dir(d) => {
+                    if Some(d) != dor {
+                        self.counters.reroutes += 1;
+                    }
+                    Some(d)
+                }
+                RouteOutcome::Unreachable => return None,
+            }
+        };
+        Some(dir.map_or(PortId::Local.index(), Direction::index) as u8)
+    }
+
+    /// First unallocated downstream VC of `vnet`'s range toward output
+    /// direction `r` (ascending); atomic buffers additionally require a
+    /// full credit pool.
+    fn free_out_vc(&self, r: usize, vnet: usize) -> Option<usize> {
+        let mut free = !self.alloc_bits[r] & range_mask(&self.layout.range_of[vnet]);
+        if !self.options.atomic_vc_reallocation {
+            return (free != 0).then(|| free.trailing_zeros() as usize);
+        }
+        while free != 0 {
+            let i = free.trailing_zeros() as usize;
+            free &= free - 1;
+            if self.credits[r * self.total + i] as usize == self.layout.depth_of[i] {
+                return Some(i);
+            }
+        }
+        None
     }
 
     /// Drops head-of-queue packets whose destinations have no alive path
@@ -574,7 +635,7 @@ impl BackpressuredRouter {
             };
             'port: for vci in 0..total {
                 let lane = pi * total + vci;
-                while self.len[lane] > 0 {
+                while self.lanes[lane].len > 0 {
                     if budget == 0 {
                         break 'port;
                     }
@@ -586,7 +647,7 @@ impl BackpressuredRouter {
                     if self.route_packet[lane] == Some(packet) {
                         self.release_lane_route(lane);
                     }
-                    while self.len[lane] > 0 && self.front(pi, vci).packet == packet {
+                    while self.lanes[lane].len > 0 && self.front(pi, vci).packet == packet {
                         if budget == 0 {
                             // Mid-packet cutoff is safe: the remaining body
                             // flits stay unreachable and drain next cycle.
@@ -622,35 +683,92 @@ impl BackpressuredRouter {
         }
     }
 
-    /// Stage-1 eligibility word for input port `pi`: bit `vc` set ⇔ that
-    /// lane may compete for the switch this cycle. A lane is eligible when
-    /// it is non-empty and its head packet's route is Local, or a network
-    /// route whose allocated downstream VC has credits — unless the output
-    /// port is mid-resync-handshake, where sending before the CreditResync
-    /// lands would break its nothing-in-flight precondition.
+    /// One router cycle around the stage-1 kernel `nominate` (the lockstep
+    /// tests swap in the two-pass reference): the fault prologue, stage 1,
+    /// the shared stage-2 kernel, then switch traversal of the winners.
     #[inline]
-    fn eligible_mask(&self, pi: usize) -> u64 {
+    fn step_with(
+        &mut self,
+        out: &mut RouterOutputs,
+        nominate: impl FnOnce(&mut Self) -> Nominations,
+    ) {
+        self.counters.cycles += 1;
+        self.counters.buffer_occupancy_sum += self.occupancy() as u64;
+        if !self.fa.is_clean() {
+            self.sweep_unreachable(out);
+        }
+        if self.fa.has_pending_gossip() {
+            // Gossip is gated on the queue, not on cleanliness: revival
+            // facts must keep flooding after the fault view empties (the
+            // router is already clean again when it re-gossips them).
+            self.fa.drain_gossip(out);
+        }
+        if self.resync.has_pending() {
+            let port_occ = &self.port_occ;
+            let drained = |d| port_occ[PortId::Net(d)] == 0;
+            self.resync.emit(&self.fa, drained, out, &mut self.counters);
+        }
+
+        let noms = nominate(self);
+        if noms.is_empty() && self.occupancy() > 0 {
+            // Flits are buffered, but every one of them is blocked on
+            // downstream credits.
+            self.counters.credit_stall_cycles += 1;
+        }
+        let present = (0..DIRS).fold(1 << PortId::Local.index(), |m, di| {
+            m | (self.out_present[di] as u8) << di
+        });
+        let grants = noms.grant(&mut self.output_arb, present, self.eject_bandwidth);
+        self.counters.arbitrations += grants.as_slice().len() as u64;
+
+        // Traversal: pop winners, emit flits/credits, update VC state.
         let total = self.total;
-        let mut mask = 0u64;
-        let mut occ = self.occ_bits[pi];
-        while occ != 0 {
-            let vc = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
+        for &(i, vc, o) in grants.as_slice() {
+            let (pi, vc) = (i as usize, vc as usize);
+            let in_port = PortId::ALL[pi];
             let lane = pi * total + vc;
-            let r = self.route[lane] as usize;
-            if r < DIRS {
-                if self.resync.wait_mask() >> r & 1 != 0 {
-                    continue;
+            let was_alone = self.lanes[lane].len == 1;
+            let mut flit = self.pop_lane(pi, vc);
+            self.occ -= 1;
+            self.port_occ[in_port] -= 1;
+            let out_vc = self.lanes[lane].out_vc;
+            if flit.is_tail() {
+                self.lanes[lane].route = NONE8;
+                self.lanes[lane].out_vc = NONE8;
+                self.route_packet[lane] = None;
+            }
+            if self.options.read_bypass && was_alone {
+                // Lone flit: served from the bypass latch, SRAM read elided.
+                self.counters.latch_writes += 1;
+            } else {
+                self.counters.buffer_reads += 1;
+            }
+            self.counters.crossbar_traversals += 1;
+            if in_port.is_network() {
+                out.credits[in_port].push(Credit::Vc(VcId(vc as u8)));
+                self.counters.credits_sent += 1;
+            }
+            match PortId::ALL[o as usize] {
+                PortId::Local => {
+                    out.ejected.push(flit);
+                    self.counters.ejections += 1;
                 }
-                let ovc = self.out_vc[lane];
-                if ovc != NONE8 && self.credits[r * total + ovc as usize] > 0 {
-                    mask |= 1u64 << vc;
+                out_port @ PortId::Net(d) => {
+                    debug_assert!(out_vc != NONE8, "network route has an allocated VC");
+                    let di = d.index();
+                    let ci = di * total + out_vc as usize;
+                    debug_assert!(self.credits[ci] > 0, "eligibility checked credits");
+                    self.credits[ci] -= 1;
+                    if flit.is_tail() {
+                        self.alloc_bits[di] &= !(1u64 << out_vc);
+                    }
+                    flit.vc = Some(VcId(out_vc));
+                    flit.hops += 1;
+                    out.flits[out_port] = Some(flit);
+                    self.counters.link_traversals += 1;
                 }
-            } else if r == PortId::Local.index() {
-                mask |= 1u64 << vc;
             }
         }
-        mask
     }
 }
 
@@ -664,9 +782,9 @@ impl Router for BackpressuredRouter {
         if !self.in_present[pi] {
             panic!("flit {flit} arrived on absent port {input}");
         }
-        let lane = pi * self.total + vc;
+        let lane = self.lanes[pi * self.total + vc];
         assert!(
-            (self.len[lane] as usize) < self.layout.depth_of[vc],
+            lane.len < lane.depth,
             "credit violation: VC {vc} overflow at {} port {input}",
             self.node
         );
@@ -732,8 +850,10 @@ impl Router for BackpressuredRouter {
     fn injection_ready(&self, flit: &Flit, _now: Cycle) -> bool {
         let pi = PortId::Local.index();
         let vnet = flit.vnet.index();
-        let lane_free =
-            |vc: usize| (self.len[pi * self.total + vc] as usize) < self.layout.depth_of[vc];
+        let lane_free = |vc: usize| {
+            let lane = self.lanes[pi * self.total + vc];
+            lane.len < lane.depth
+        };
         match self.inject_vc[vnet] {
             Some(vc) => lane_free(vc),
             None => {
@@ -761,7 +881,8 @@ impl Router for BackpressuredRouter {
                 let vc = (0..n)
                     .map(|i| range.start + (start + i) % n)
                     .find(|vc| {
-                        (self.len[pi * self.total + vc] as usize) < self.layout.depth_of[*vc]
+                        let lane = self.lanes[pi * self.total + vc];
+                        lane.len < lane.depth
                     })
                     .expect("injection_ready checked");
                 self.inject_rr[vnet] = (vc - range.start + 1) % n;
@@ -778,138 +899,7 @@ impl Router for BackpressuredRouter {
     }
 
     fn step(&mut self, _now: Cycle, _rng: &mut SimRng, out: &mut RouterOutputs) {
-        self.counters.cycles += 1;
-        self.counters.buffer_occupancy_sum += self.occupancy() as u64;
-        if !self.fa.is_clean() {
-            self.sweep_unreachable(out);
-        }
-        if self.fa.has_pending_gossip() {
-            // Gossip is gated on the queue, not on cleanliness: revival
-            // facts must keep flooding after the fault view empties (the
-            // router is already clean again when it re-gossips them).
-            self.fa.drain_gossip(out);
-        }
-        if self.resync.has_pending() {
-            let port_occ = &self.port_occ;
-            let drained = |d| port_occ[PortId::Net(d)] == 0;
-            self.resync.emit(&self.fa, drained, out, &mut self.counters);
-        }
-        self.allocate_routes_and_vcs();
-
-        // Stage 1 of separable switch allocation: each input port nominates
-        // one eligible VC (a mask kernel over the occupancy bitword).
-        let total = self.total;
-        let mut any_candidate = false;
-        let mut candidates: PortMap<Option<usize>> = PortMap::default();
-        for port in PortId::ALL {
-            let pi = port.index();
-            if self.occ_bits[pi] == 0 {
-                // An empty (or absent) port nominates nothing: eligibility
-                // is zero for every VC, which would `continue` before the
-                // arbiter is consulted or the arbitration counter bumped —
-                // so the skip is byte-identical to evaluating it.
-                continue;
-            }
-            let mask = self.eligible_mask(pi);
-            if mask == 0 {
-                continue;
-            }
-            let arb = self.input_arb[port].as_mut().expect("arb exists with port");
-            candidates[port] = arb.grant_masked(mask);
-            any_candidate |= candidates[port].is_some();
-            self.counters.arbitrations += 1;
-        }
-        if !any_candidate && self.occupancy() > 0 {
-            // Flits are buffered, but every one of them is blocked on
-            // downstream credits.
-            self.counters.credit_stall_cycles += 1;
-        }
-
-        // Stage 2: each output port grants among nominating input ports.
-        // Each input's candidate requests exactly its routed output, so the
-        // per-output request sets are 5-bit words built once; a grant
-        // clears the winner's bit (the old `candidates.take()`).
-        let mut requests = [0u64; PORTS];
-        for port in PortId::ALL {
-            if let Some(vc) = candidates[port] {
-                let r = self.route[port.index() * total + vc] as usize;
-                debug_assert!(r < PORTS, "candidate lane has a route");
-                requests[r] |= 1u64 << port.index();
-            }
-        }
-        // The local (ejection) port can grant up to `eject_bandwidth` times.
-        let mut winners = std::mem::take(&mut self.winners_scratch); // (in, vc, out)
-        for out_port in PortId::ALL {
-            let oi = out_port.index();
-            if out_port.is_network() && !self.out_present[oi] {
-                continue;
-            }
-            let grants = if out_port == PortId::Local {
-                self.eject_bandwidth
-            } else {
-                1
-            };
-            for _ in 0..grants {
-                let granted = self.output_arb[out_port].grant_masked(requests[oi]);
-                let Some(i) = granted else { break };
-                self.counters.arbitrations += 1;
-                requests[oi] &= !(1u64 << i);
-                let in_port = PortId::from_index(i).expect("valid index");
-                let vc = candidates[in_port]
-                    .take()
-                    .expect("granted implies candidate");
-                winners.push((in_port, vc, out_port));
-            }
-        }
-
-        // Traversal: pop winners, emit flits/credits, update VC state.
-        for &(in_port, vc, out_port) in &winners {
-            let pi = in_port.index();
-            let lane = pi * total + vc;
-            let was_alone = self.len[lane] == 1;
-            let mut flit = self.pop_lane(pi, vc);
-            self.occ -= 1;
-            self.port_occ[in_port] -= 1;
-            let out_vc = self.out_vc[lane];
-            if flit.is_tail() {
-                self.route[lane] = NONE8;
-                self.out_vc[lane] = NONE8;
-                self.route_packet[lane] = None;
-            }
-            if self.options.read_bypass && was_alone {
-                // Lone flit: served from the bypass latch, SRAM read elided.
-                self.counters.latch_writes += 1;
-            } else {
-                self.counters.buffer_reads += 1;
-            }
-            self.counters.crossbar_traversals += 1;
-            if in_port.is_network() {
-                out.credits[in_port].push(Credit::Vc(VcId(vc as u8)));
-                self.counters.credits_sent += 1;
-            }
-            match out_port {
-                PortId::Local => {
-                    out.ejected.push(flit);
-                    self.counters.ejections += 1;
-                }
-                PortId::Net(d) => {
-                    debug_assert!(out_vc != NONE8, "network route has an allocated VC");
-                    let di = d.index();
-                    let ci = di * total + out_vc as usize;
-                    debug_assert!(self.credits[ci] > 0, "eligibility checked credits");
-                    self.credits[ci] -= 1;
-                    if flit.is_tail() {
-                        self.alloc_bits[di] &= !(1u64 << out_vc);
-                    }
-                    flit.vc = Some(VcId(out_vc));
-                    flit.hops += 1;
-                    out.flits[out_port] = Some(flit);
-                    self.counters.link_traversals += 1;
-                }
-            }
-        }
-        winners.clear();
-        self.winners_scratch = winners;
+        self.step_with(out, Self::nominate);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -919,15 +909,11 @@ impl Router for BackpressuredRouter {
             + self.layout.range_of.capacity() * size_of::<std::ops::Range<usize>>()
             + self.tail_off.len() * size_of::<u32>()
             + self.flits.len() * size_of::<Flit>()
-            + self.head.len() * size_of::<u16>()
-            + self.len.len() * size_of::<u16>()
-            + self.route.len()
-            + self.out_vc.len()
+            + self.lanes.len() * size_of::<Lane>()
             + self.route_packet.len() * size_of::<Option<PacketId>>()
             + self.credits.len() * size_of::<u16>()
             + self.inject_vc.capacity() * size_of::<Option<usize>>()
             + self.inject_rr.capacity() * size_of::<usize>()
-            + self.winners_scratch.capacity() * size_of::<(PortId, usize, PortId)>()
             + self.fa.heap_bytes()
     }
 
@@ -946,7 +932,7 @@ impl Router for BackpressuredRouter {
     fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.occ,
-            self.len.iter().map(|l| *l as usize).sum::<usize>(),
+            self.lanes.iter().map(|l| l.len as usize).sum::<usize>(),
             "incremental occupancy out of sync at {}",
             self.node
         );
@@ -954,9 +940,9 @@ impl Router for BackpressuredRouter {
             PortId::ALL.into_iter().all(|p| {
                 let pi = p.index();
                 self.port_occ[p]
-                    == self.len[pi * self.total..(pi + 1) * self.total]
+                    == self.lanes[pi * self.total..(pi + 1) * self.total]
                         .iter()
-                        .map(|l| *l as usize)
+                        .map(|l| l.len as usize)
                         .sum::<usize>()
             }),
             "incremental per-port occupancy out of sync at {}",
@@ -965,7 +951,7 @@ impl Router for BackpressuredRouter {
         debug_assert!(
             (0..PORTS).all(|pi| {
                 (0..self.total).all(|vc| {
-                    (self.occ_bits[pi] >> vc & 1 != 0) == (self.len[pi * self.total + vc] > 0)
+                    (self.occ_bits[pi] >> vc & 1 != 0) == (self.lanes[pi * self.total + vc].len > 0)
                 })
             }),
             "occupancy bitword out of sync at {}",
@@ -991,10 +977,9 @@ impl Router for BackpressuredRouter {
         // (layout, options, eject bandwidth, tolerate_orphans), so the
         // result is indistinguishable from `with_options` on the same
         // configuration — and no backing storage is freed.
-        self.head.fill(0);
-        self.len.fill(0);
-        self.route.fill(NONE8);
-        self.out_vc.fill(NONE8);
+        for lane in self.lanes.iter_mut() {
+            *lane = Lane::empty(lane.depth as usize);
+        }
         self.route_packet.fill(None);
         self.occ_bits = [0; PORTS];
         self.alloc_bits = [0; DIRS];
@@ -1017,7 +1002,6 @@ impl Router for BackpressuredRouter {
         self.inject_rr.fill(0);
         self.occ = 0;
         self.port_occ = PortMap::default();
-        self.winners_scratch.clear();
         self.fa.reset();
         self.resync.reset();
         self.counters = ActivityCounters::new();
@@ -1032,12 +1016,18 @@ impl Router for BackpressuredRouter {
         for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
             for vc in 0..self.total {
                 let lane = pi * self.total + vc;
-                let depth = self.layout.depth_of[vc];
-                let (h, n) = (self.head[lane] as usize, self.len[lane] as usize);
+                let Lane {
+                    head,
+                    len,
+                    depth,
+                    route,
+                    out_vc,
+                } = self.lanes[lane];
+                let (h, n, depth) = (head as usize, len as usize, depth as usize);
                 n.put(w);
                 (0..n).for_each(|k| self.flits[self.slot(lane, (h + k) % depth)].put(w));
-                some(self.route[lane]).put(w);
-                some(self.out_vc[lane]).map(u64::from).put(w);
+                some(route).put(w);
+                some(out_vc).map(u64::from).put(w);
                 self.route_packet[lane].put(w);
             }
         }
@@ -1071,17 +1061,17 @@ impl Router for BackpressuredRouter {
             let pi = port.index();
             for vc in 0..total {
                 let lane = pi * total + vc;
-                let depth = self.layout.depth_of[vc];
+                let depth = self.lanes[lane].depth as usize;
                 let n = r.get_index(depth + 1, "input vc queue length")?;
                 for k in 0..n {
                     let i = self.slot(lane, k);
                     self.flits[i].load(r)?;
                 }
-                (self.head[lane], self.len[lane]) = (0, n as u16);
+                (self.lanes[lane].head, self.lanes[lane].len) = (0, n as u16);
                 self.occ_bits[pi] |= ((n > 0) as u64) << vc;
                 self.occ += n;
                 self.port_occ[port] += n;
-                self.route[lane] = match Option::<u8>::get(r)? {
+                self.lanes[lane].route = match Option::<u8>::get(r)? {
                     None => NONE8,
                     Some(p) if (p as usize) < PORTS => p,
                     Some(_) => {
@@ -1090,7 +1080,8 @@ impl Router for BackpressuredRouter {
                         })
                     }
                 };
-                self.out_vc[lane] = get_vc(r, total, "input vc out-vc")?.map_or(NONE8, |v| v as u8);
+                self.lanes[lane].out_vc =
+                    get_vc(r, total, "input vc out-vc")?.map_or(NONE8, |v| v as u8);
                 self.route_packet[lane].load(r)?;
             }
         }
@@ -1146,7 +1137,7 @@ impl BackpressuredRouter {
     /// Buffered flit count of one input lane (test observability — the
     /// slab layout has no per-VC struct to peek at).
     fn lane_len(&self, port: PortId, vc: usize) -> usize {
-        self.len[port.index() * self.total + vc] as usize
+        self.lanes[port.index() * self.total + vc].len as usize
     }
 
     /// Ring capacity of VC `vc` (identical across ports).
@@ -1156,16 +1147,154 @@ impl BackpressuredRouter {
 
     /// Ring position of one input lane's head flit.
     fn lane_head(&self, port: PortId, vc: usize) -> usize {
-        self.head[port.index() * self.total + vc] as usize
+        self.lanes[port.index() * self.total + vc].head as usize
     }
 
     /// One input lane's flits in FIFO order, read through [`Self::slot`].
     fn lane_flits(&self, port: PortId, vc: usize) -> Vec<Flit> {
         let lane = port.index() * self.total + vc;
-        let (h, depth) = (self.head[lane] as usize, self.layout.depth_of[vc]);
-        (0..self.len[lane] as usize)
-            .map(|k| self.flits[self.slot(lane, (h + k) % depth)])
+        let Lane {
+            head, len, depth, ..
+        } = self.lanes[lane];
+        (0..len as usize)
+            .map(|k| self.flits[self.slot(lane, (head as usize + k) % depth as usize)])
             .collect()
+    }
+
+    /// Reference stage 1: the two-pass allocator the one-pass
+    /// [`Self::nominate`] replaced — route and VC allocation for every
+    /// head-of-queue flit, then an eligibility mask per port — for the
+    /// lockstep tests.
+    fn nominate_two_pass(&mut self) -> Nominations {
+        self.allocate_routes_and_vcs();
+        let mut noms = Nominations::default();
+        for port in PortId::ALL {
+            let pi = port.index();
+            if self.occ_bits[pi] == 0 {
+                continue;
+            }
+            let mask = self.eligible_mask(pi);
+            if mask == 0 {
+                continue;
+            }
+            let arb = self.input_arb[port].as_mut().expect("arb exists with port");
+            if let Some(vc) = arb.grant_masked(mask) {
+                noms.nominate(pi, vc, self.lanes[pi * self.total + vc].route as usize);
+            }
+            self.counters.arbitrations += 1;
+        }
+        noms
+    }
+
+    /// Zero-cycle VC allocation + route computation for every head-of-queue
+    /// flit (reference pass 1).
+    fn allocate_routes_and_vcs(&mut self) {
+        let clean = self.fa.is_clean();
+        let total = self.total;
+        for pi in 0..PORTS {
+            let mut occ = self.occ_bits[pi];
+            while occ != 0 {
+                let vc = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let lane = pi * total + vc;
+                let hoq = self.front(pi, vc);
+                if self.tolerate_orphans
+                    && self.lanes[lane].route != NONE8
+                    && self.route_packet[lane] != Some(hoq.packet)
+                {
+                    self.release_lane_route(lane);
+                }
+                if !clean {
+                    let r = self.lanes[lane].route;
+                    if (r as usize) < DIRS && self.fa.dead_out(Direction::ALL[r as usize]) {
+                        self.release_lane_route(lane);
+                    }
+                }
+                if self.lanes[lane].route == NONE8 {
+                    let dor = match hoq.dest == self.node {
+                        true => None,
+                        false => Some(match self.options.routing {
+                            RoutingAlgorithm::XFirst => {
+                                self.mesh.dor_route_from(self.at, hoq.dest).unwrap()
+                            }
+                            RoutingAlgorithm::YFirst => {
+                                self.mesh.dor_route_yx(self.node, hoq.dest).unwrap()
+                            }
+                        }),
+                    };
+                    let dir = if clean {
+                        dor
+                    } else {
+                        match self.fa.route(hoq.dest) {
+                            RouteOutcome::Local => None,
+                            RouteOutcome::Dir(d) => {
+                                if Some(d) != dor {
+                                    self.counters.reroutes += 1;
+                                }
+                                Some(d)
+                            }
+                            RouteOutcome::Unreachable => continue,
+                        }
+                    };
+                    self.lanes[lane].route = match dir {
+                        Some(d) => d.index() as u8,
+                        None => PortId::Local.index() as u8,
+                    };
+                    self.route_packet[lane] = Some(hoq.packet);
+                }
+                let r = self.lanes[lane].route as usize;
+                if r < DIRS && self.lanes[lane].out_vc == NONE8 {
+                    let range = &self.layout.range_of[hoq.vnet.index()];
+                    let mut free = !self.alloc_bits[r] & range_mask(range);
+                    let found = if self.options.atomic_vc_reallocation {
+                        let mut found = None;
+                        while free != 0 {
+                            let i = free.trailing_zeros() as usize;
+                            free &= free - 1;
+                            if self.credits[r * total + i] as usize == self.layout.depth_of[i] {
+                                found = Some(i);
+                                break;
+                            }
+                        }
+                        found
+                    } else if free != 0 {
+                        Some(free.trailing_zeros() as usize)
+                    } else {
+                        None
+                    };
+                    if let Some(i) = found {
+                        self.alloc_bits[r] |= 1u64 << i;
+                        self.lanes[lane].out_vc = i as u8;
+                        self.counters.vc_allocations += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stage-1 eligibility word for input port `pi` (reference pass 2).
+    fn eligible_mask(&self, pi: usize) -> u64 {
+        let total = self.total;
+        let mut mask = 0u64;
+        let mut occ = self.occ_bits[pi];
+        while occ != 0 {
+            let vc = occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            let lane = pi * total + vc;
+            let r = self.lanes[lane].route as usize;
+            if r < DIRS {
+                if self.resync.wait_mask() >> r & 1 != 0 {
+                    continue;
+                }
+                let ovc = self.lanes[lane].out_vc;
+                if ovc != NONE8 && self.credits[r * total + ovc as usize] > 0 {
+                    mask |= 1u64 << vc;
+                }
+            } else if r == PortId::Local.index() {
+                mask |= 1u64 << vc;
+            }
+        }
+        mask
     }
 }
 
@@ -1669,8 +1798,8 @@ mod tests {
                 let lane = pi * r.total + vc;
                 reference[lane].len().put(&mut w);
                 reference[lane].iter().for_each(|f| f.put(&mut w));
-                some(r.route[lane]).put(&mut w);
-                some(r.out_vc[lane]).map(u64::from).put(&mut w);
+                some(r.lanes[lane].route).put(&mut w);
+                some(r.lanes[lane].out_vc).map(u64::from).put(&mut w);
                 r.route_packet[lane].put(&mut w);
             }
         }
@@ -1783,11 +1912,11 @@ mod tests {
                 }
                 assert_lanes_match(&r, &reference, &format!("config {ci} cycle {now} arrivals"));
 
-                let heads: Vec<u16> = r.head.to_vec();
-                deepest = deepest.max(r.len.iter().copied().max().unwrap_or(0) as usize);
+                let heads: Vec<u16> = r.lanes.iter().map(|l| l.head).collect();
+                deepest = deepest.max(r.lanes.iter().map(|l| l.len).max().unwrap_or(0) as usize);
                 out.clear();
                 r.step(now, &mut rng, &mut out);
-                wrapped |= (0..lanes).any(|l| r.head[l] < heads[l] && r.len[l] > 0);
+                wrapped |= (0..lanes).any(|l| r.lanes[l].head < heads[l] && r.lanes[l].len > 0);
                 let mut left: Vec<Flit> = out.ejected.clone();
                 for d in Direction::ALL {
                     if let Some(f) = out.flits[PortId::Net(d)] {
@@ -1838,6 +1967,276 @@ mod tests {
                 deepest > r.d_min as usize || r.tail_span == 0,
                 "config {ci}: tails unused"
             );
+        }
+    }
+
+    /// `a` and `b` emitted the same outputs this cycle.
+    fn assert_outputs_eq(a: &RouterOutputs, b: &RouterOutputs, at: &str) {
+        assert_eq!(a.flits, b.flits, "{at}: flits");
+        assert_eq!(a.credits, b.credits, "{at}: credits");
+        assert_eq!(a.control, b.control, "{at}: control");
+        assert_eq!(a.ejected, b.ejected, "{at}: ejected");
+        assert_eq!(a.dropped, b.dropped, "{at}: dropped");
+    }
+
+    fn state_bytes(r: &BackpressuredRouter) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        r.save_state(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    /// What one lockstep run exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        grants: u64,
+        stalls: u64,
+        reroutes: u64,
+        dropped: usize,
+        resync_waits: u64,
+        stale_routes: u64,
+    }
+
+    /// Drives a router stepping with the one-pass [`BackpressuredRouter::nominate`]
+    /// beside a twin stepping with the two-pass reference, through the same
+    /// random arrivals, injections, withheld credits and (with `faults`)
+    /// link kills and revivals with their re-sync handshakes, orphaned
+    /// body flits and abandoned packets. Every step's outputs, counters
+    /// and `save_state` bytes must be equal.
+    fn lockstep_one_pass(
+        cfg: &NetworkConfig,
+        at: Coord,
+        options: BackpressuredOptions,
+        faults: bool,
+        seed: u64,
+    ) -> Coverage {
+        let mesh = cfg.mesh().unwrap();
+        let node = mesh.node_at(at).unwrap();
+        let build = || {
+            let mut r = BackpressuredRouter::with_options(node, &mesh, cfg, options);
+            r.tolerate_orphans = faults;
+            r
+        };
+        let (mut a, mut b) = (build(), build());
+        let total = a.total;
+        // Local lanes fill through `inject`, which picks their VCs.
+        let ports: Vec<PortId> = PortId::ALL
+            .into_iter()
+            .filter(|p| p.is_network() && a.in_present[p.index()])
+            .collect();
+        let links: Vec<(NodeId, Direction)> = mesh
+            .nodes()
+            .flat_map(|n| Direction::ALL.map(|d| (n, d)))
+            .filter(|&(n, d)| mesh.neighbor(n, d).is_some())
+            .collect();
+        // Kills hit this router's own outputs or the links into the far
+        // corner, whose loss cuts it off.
+        let far = mesh.node_at(Coord::new(2, 2)).unwrap();
+        let own: Vec<usize> = (0..links.len()).filter(|&i| links[i].0 == node).collect();
+        let into_far: Vec<usize> = (0..links.len())
+            .filter(|&i| mesh.neighbor(links[i].0, links[i].1) == Some(far))
+            .collect();
+        let mut epoch = vec![0u32; links.len()];
+        let mut rng = SimRng::seed_from(seed);
+        let (mut out_a, mut out_b) = (RouterOutputs::new(), RouterOutputs::new());
+        // Open packet per input lane and per injection vnet: (packet, next
+        // seq, len, dest).
+        let mut open: Vec<Option<(u64, u16, u16, NodeId)>> = vec![None; PORTS * total];
+        let mut inject_open: Vec<Option<(u64, u16, u16, NodeId)>> = vec![None; cfg.vnets.len()];
+        let mut next_packet = 0u64;
+        let mut withheld: Vec<(Direction, VcId)> = Vec::new();
+        let mut cov = Coverage::default();
+        let mut new_packet = |rng: &mut SimRng| {
+            next_packet += 1;
+            let len = 1 + rng.gen_index(4) as u16;
+            (
+                next_packet,
+                0,
+                len,
+                NodeId::new(rng.gen_index(mesh.node_count())),
+            )
+        };
+        let flit_of = |(packet, seq, len, dest): (u64, u16, u16, NodeId)| {
+            let mut f = Flit::test_flit(PacketId(packet), node, dest);
+            (f.seq, f.len) = (seq, len);
+            f
+        };
+        for now in 0..3000u64 {
+            let at = format!("{at:?} {options:?} faults={faults} cycle {now}");
+            for _ in 0..rng.gen_index(5) {
+                let port = ports[rng.gen_index(ports.len())];
+                let vc = rng.gen_index(total);
+                let lane = port.index() * total + vc;
+                if a.lanes[lane].len == a.lanes[lane].depth {
+                    continue;
+                }
+                if faults && open[lane].is_some() && rng.gen_bool(0.1) {
+                    // The rest of this packet was lost upstream: its route
+                    // stays open behind the next packet.
+                    open[lane] = None;
+                }
+                let mut p = *open[lane].get_or_insert_with(|| new_packet(&mut rng));
+                if faults && p.1 == 0 && rng.gen_bool(0.05) {
+                    // A lost head: the packet arrives as an orphan body.
+                    p.1 = 1;
+                    p.2 = p.2.max(2);
+                }
+                let mut f = flit_of(p);
+                (f.vc, f.vnet) = (Some(VcId(vc as u8)), VirtualNetwork(a.layout.vnet_of[vc]));
+                open[lane] = (p.1 + 1 < p.2).then_some((p.0, p.1 + 1, p.2, p.3));
+                a.receive_flit(port, f, now);
+                b.receive_flit(port, f, now);
+            }
+            for (vnet, slot) in inject_open.iter_mut().enumerate() {
+                if !rng.gen_bool(0.3) {
+                    continue;
+                }
+                let p = slot.unwrap_or_else(|| new_packet(&mut rng));
+                let mut f = flit_of(p);
+                f.vnet = VirtualNetwork(vnet as u8);
+                let ready = a.injection_ready(&f, now);
+                assert_eq!(ready, b.injection_ready(&f, now), "{at}: injection_ready");
+                if ready {
+                    a.inject(f, now);
+                    b.inject(f, now);
+                    *slot = (p.1 + 1 < p.2).then_some((p.0, p.1 + 1, p.2, p.3));
+                } else {
+                    *slot = Some(p);
+                }
+            }
+            if faults {
+                // Up to three links are down at once, each revived at 1.5 % a
+                // cycle, so clean spells follow every revival. Odd epochs
+                // kill, even ones revive.
+                let dead: Vec<usize> = (0..links.len())
+                    .filter(|&i| !epoch[i].is_multiple_of(2))
+                    .collect();
+                let mut flips: Vec<usize> = dead
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.015))
+                    .collect();
+                if dead.len() < 3 && rng.gen_bool(0.02) {
+                    let i = match rng.gen_bool(0.5) {
+                        true => own[rng.gen_index(own.len())],
+                        false => into_far[rng.gen_index(into_far.len())],
+                    };
+                    if epoch[i].is_multiple_of(2) {
+                        flips.push(i);
+                    }
+                }
+                for i in flips {
+                    let (n, d) = links[i];
+                    epoch[i] += 1;
+                    let alive = epoch[i].is_multiple_of(2);
+                    a.note_link_event(n, d, epoch[i], alive, now);
+                    b.note_link_event(n, d, epoch[i], alive, now);
+                }
+            }
+            for d in Direction::ALL {
+                if a.resync.waiting(d) {
+                    cov.resync_waits += 1;
+                    if rng.gen_bool(0.1) {
+                        let i = links.iter().position(|&l| l == (node, d)).unwrap();
+                        let signal = ControlSignal::CreditResync {
+                            node,
+                            dir: d,
+                            epoch: epoch[i],
+                        };
+                        a.receive_control(PortId::Net(d), signal, now);
+                        b.receive_control(PortId::Net(d), signal, now);
+                        // Credits still owed from before the revival trickle
+                        // in during the wait; the confirmation refills the
+                        // pool instead.
+                        withheld.retain(|&(w, _)| w != d);
+                    }
+                }
+            }
+            cov.stale_routes += (0..PORTS * total)
+                .filter(|&l| {
+                    let (pi, vc) = (l / total, l % total);
+                    a.lanes[l].len > 0
+                        && a.lanes[l].route != NONE8
+                        && a.route_packet[l] != Some(a.front(pi, vc).packet)
+                })
+                .count() as u64;
+
+            out_a.clear();
+            out_b.clear();
+            a.step_with(&mut out_a, BackpressuredRouter::nominate);
+            b.step_with(&mut out_b, BackpressuredRouter::nominate_two_pass);
+            assert_outputs_eq(&out_a, &out_b, &at);
+            assert_eq!(a.counters(), b.counters(), "{at}: counters");
+            assert_eq!(state_bytes(&a), state_bytes(&b), "{at}: state bytes");
+            cov.dropped += out_a.dropped.len();
+            for d in Direction::ALL {
+                if let Some(f) = out_a.flits[PortId::Net(d)] {
+                    withheld.push((d, f.vc.unwrap()));
+                }
+            }
+            // Downstream frees slots at random, and not at all in every
+            // third hundred-cycle window, so lanes back up to stalls.
+            let starved = now % 300 >= 200;
+            withheld.retain(|&(d, vc)| {
+                // A dead link's reverse wire carries no credits.
+                let keep = starved || a.fa.dead_out(d) || rng.gen_bool(0.6);
+                if !keep {
+                    a.receive_credit(PortId::Net(d), Credit::Vc(vc), now);
+                    b.receive_credit(PortId::Net(d), Credit::Vc(vc), now);
+                }
+                keep
+            });
+        }
+        let c = a.counters();
+        (cov.grants, cov.stalls, cov.reroutes) =
+            (c.crossbar_traversals, c.credit_stall_cycles, c.reroutes);
+        cov
+    }
+
+    #[test]
+    fn one_pass_allocator_matches_two_pass_reference() {
+        let uneven = depths_config(&[(2, 2), (1, 5), (2, 8)]);
+        let paper = NetworkConfig::paper_3x3();
+        let atomic = BackpressuredOptions {
+            atomic_vc_reallocation: true,
+            ..BackpressuredOptions::default()
+        };
+        let yx = BackpressuredOptions {
+            routing: RoutingAlgorithm::YFirst,
+            ..BackpressuredOptions::default()
+        };
+        let centre = Coord::new(1, 1);
+        let cases = [
+            (&paper, centre, BackpressuredOptions::default(), false),
+            (&paper, Coord::new(0, 0), atomic, false),
+            (&paper, centre, yx, false),
+            (
+                &uneven,
+                Coord::new(2, 1),
+                BackpressuredOptions::default(),
+                false,
+            ),
+            (&uneven, centre, atomic, true),
+            (&paper, centre, yx, true),
+            (
+                &paper,
+                Coord::new(1, 0),
+                BackpressuredOptions::default(),
+                true,
+            ),
+        ];
+        for (i, &(cfg, at, options, faults)) in cases.iter().enumerate() {
+            let cov = lockstep_one_pass(cfg, at, options, faults, 0x1a_5e + i as u64);
+            let label = format!("case {i}: {cov:?}");
+            assert!(cov.grants > 1000 && cov.stalls > 0, "{label}");
+            if faults {
+                assert!(cov.reroutes > 0 && cov.dropped > 0, "{label}");
+                assert!(cov.resync_waits > 0 && cov.stale_routes > 0, "{label}");
+            } else {
+                assert_eq!(
+                    cov.stale_routes, 0,
+                    "{label}: a clean run closes every route"
+                );
+            }
         }
     }
 

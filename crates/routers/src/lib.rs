@@ -12,9 +12,9 @@
 //!   one contending flit and relies on source retransmission via a modeled
 //!   NACK circuit.
 //!
-//! The shared building blocks — round-robin arbiters and the deflection
-//! port-assignment engine — are exported for reuse by the AFC router in
-//! `afc-core`.
+//! The shared building blocks — round-robin arbiters, the separable switch
+//! allocator's stage 2 and the deflection port-assignment engine — are
+//! exported for reuse by the AFC router in `afc-core`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

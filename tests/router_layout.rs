@@ -9,6 +9,10 @@
 //! A recording [`GlobalAlloc`] logs the size of every request the test
 //! thread makes inside `Network::new`. The assertions are about *order*,
 //! not addresses, so they hold under any allocator.
+//!
+//! The buffered routers' per-node footprint is pinned too: word-wise
+//! arbitration (DESIGN.md §16.1–16.3) may not cost a 32×32 network more
+//! router bytes than the per-lane and per-slot designs it replaced.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -194,5 +198,33 @@ fn build_returns_the_router_a_network_holds() {
                 id.label()
             );
         }
+    }
+}
+
+/// Per-node `memory_footprint().router_bytes` of a 32×32 paper network
+/// under the two-pass backpressured allocator and AFC's per-slot stage 1
+/// (992- and 1 320-byte router structs, plus each router's heap).
+const ROUTER_BYTES_PER_NODE_PIN: [(MechanismId, usize); 2] = [
+    (MechanismId::Backpressured, 12_560),
+    (MechanismId::Afc, 7_144),
+];
+
+#[test]
+fn buffered_router_footprint_stays_within_its_pin() {
+    let cfg = NetworkConfig {
+        width: 32,
+        height: 32,
+        ..NetworkConfig::paper_8x8()
+    };
+    for (id, pin) in ROUTER_BYTES_PER_NODE_PIN {
+        let factory = id.mechanism().factory;
+        let mut net = Network::new(cfg.clone(), factory.as_ref(), 1).expect("valid configuration");
+        let fp = net.memory_footprint();
+        let per_node = fp.router_bytes / fp.nodes;
+        assert!(
+            per_node <= pin,
+            "{}: {per_node} router bytes per node exceed the {pin}-byte pin",
+            id.label()
+        );
     }
 }
