@@ -52,7 +52,7 @@ use crate::router::RouterOutputs;
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::topology::Mesh;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fault notifications rebroadcast per router per cycle. The reverse-lane
 /// slot capacity is [`LANE_CAP`](crate::channel::LANE_CAP) = 4 and a router
@@ -130,10 +130,13 @@ pub struct FaultAwareness {
     /// is what makes orphaned-wormhole cleanup on these ports provably
     /// safe.
     dead_in: DirMap<bool>,
-    /// Highest-epoch fact per directed link, network-wide. Ordered so
-    /// snapshots and table rebuilds are deterministic. Alive facts are
-    /// retained to keep the epoch floor monotonic (module docs).
-    facts: BTreeMap<(usize, u8), LinkFact>,
+    /// Highest-epoch fact per directed link `(node, dir)`, network-wide,
+    /// sorted by link so snapshots and table rebuilds are deterministic.
+    /// Alive facts are retained to keep the epoch floor monotonic (module
+    /// docs). A sorted `Vec`, not a map: clearing it for a reset or a
+    /// restore keeps its capacity, so relearning the same facts allocates
+    /// nothing.
+    facts: Vec<((usize, u8), LinkFact)>,
     /// Number of facts whose state is dead — `is_clean()` is this reaching
     /// zero, which re-enables the exact legacy-DOR fast path.
     dead_count: usize,
@@ -156,7 +159,7 @@ impl FaultAwareness {
             mesh,
             dead_out: DirMap::default(),
             dead_in: DirMap::default(),
-            facts: BTreeMap::new(),
+            facts: Vec::new(),
             dead_count: 0,
             pending_gossip: VecDeque::new(),
             table: Vec::new(),
@@ -185,6 +188,17 @@ impl FaultAwareness {
         self.dead_in[dir]
     }
 
+    /// Where the fact about link `key` is in `facts`, or would be inserted.
+    fn fact_at(&self, key: (usize, u8)) -> Result<usize, usize> {
+        self.facts.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// The fact held about the directed link `node -> dir`, if any.
+    fn fact(&self, node: NodeId, dir: Direction) -> Option<LinkFact> {
+        let at = self.fact_at((node.index(), dir.index() as u8)).ok()?;
+        Some(self.facts[at].1)
+    }
+
     /// Records an epoch-versioned fact about the directed link
     /// `node -> dir`. Returns `Some` when the fact's epoch exceeds the
     /// stored one (new knowledge: it is applied, queued for gossip, and
@@ -199,12 +213,17 @@ impl FaultAwareness {
         now: Cycle,
     ) -> Option<LinkUpdate> {
         let key = (node.index(), dir.index() as u8);
-        let prev = self.facts.get(&key).copied();
+        let at = self.fact_at(key);
+        let prev = at.ok().map(|i| self.facts[i].1);
         if epoch <= prev.map_or(0, |f| f.epoch) {
             return None;
         }
         let was_alive = prev.is_none_or(|f| f.alive);
-        self.facts.insert(key, LinkFact { epoch, alive });
+        let fact = LinkFact { epoch, alive };
+        match at {
+            Ok(i) => self.facts[i].1 = fact,
+            Err(i) => self.facts.insert(i, (key, fact)),
+        }
         match (was_alive, alive) {
             (true, false) => self.dead_count += 1,
             (false, true) => self.dead_count -= 1,
@@ -246,9 +265,7 @@ impl FaultAwareness {
     /// The epoch stored for the directed link `node -> dir` (0 when no fact
     /// is held — the implicit initial alive state).
     pub fn link_epoch(&self, node: NodeId, dir: Direction) -> u32 {
-        self.facts
-            .get(&(node.index(), dir.index() as u8))
-            .map_or(0, |f| f.epoch)
+        self.fact(node, dir).map_or(0, |f| f.epoch)
     }
 
     /// True while fault facts await rebroadcast (the owning router must not
@@ -310,16 +327,16 @@ impl FaultAwareness {
     /// the only O(mesh) piece and stays unallocated until the first fault
     /// is learned, so clean runs cost O(1) per router here.
     pub fn heap_bytes(&self) -> usize {
-        self.facts.len() * std::mem::size_of::<((usize, u8), LinkFact)>()
+        self.facts.capacity() * std::mem::size_of::<((usize, u8), LinkFact)>()
             + self.pending_gossip.capacity() * std::mem::size_of::<(NodeId, Direction, u32, bool)>()
             + self.table.capacity()
     }
 
     /// Returns the awareness state to clean (fault-free) in place: every
-    /// mask, the fact map, the gossip queue, and the first-fault anchor are
-    /// cleared, exactly as freshly constructed. The next-hop table keeps
-    /// its allocation but is emptied (it is rebuilt lazily and never
-    /// consulted while clean).
+    /// mask, the facts, the gossip queue, and the first-fault anchor are
+    /// cleared, exactly as freshly constructed. The facts, the queue and
+    /// the next-hop table keep their allocations; the table is emptied (it
+    /// is rebuilt lazily and never consulted while clean).
     pub fn reset(&mut self) {
         self.dead_out = DirMap::default();
         self.dead_in = DirMap::default();
@@ -346,7 +363,7 @@ impl FaultAwareness {
             let BfsScratch { dead, dist, queue } = scratch;
             dead.clear();
             dead.resize(n, 0);
-            for (&(node, dir), _) in self.facts.iter().filter(|(_, f)| !f.alive) {
+            for &((node, dir), _) in self.facts.iter().filter(|(_, f)| !f.alive) {
                 dead[node] |= 1 << dir;
             }
             dist.clear();
@@ -405,7 +422,7 @@ impl FaultAwareness {
 impl Codec for FaultAwareness {
     fn put(&self, w: &mut SnapshotWriter) {
         self.facts.len().put(w);
-        for (&(node, dir), f) in &self.facts {
+        for &((node, dir), f) in &self.facts {
             let fact = (
                 NodeId::new(node),
                 Direction::ALL[dir as usize],
@@ -423,10 +440,13 @@ impl Codec for FaultAwareness {
         for _ in 0..r.get_u64("fault-awareness fact count")? {
             let (node, d, epoch, alive): (NodeId, Direction, u32, bool) = Codec::get(r)?;
             let key = (node.index(), d.index() as u8);
-            if epoch == 0 || self.facts.insert(key, LinkFact { epoch, alive }).is_some() {
-                return Err(SnapshotError::Malformed {
-                    what: "fault-awareness fact",
-                });
+            match self.fact_at(key) {
+                Err(at) if epoch > 0 => self.facts.insert(at, (key, LinkFact { epoch, alive })),
+                _ => {
+                    return Err(SnapshotError::Malformed {
+                        what: "fault-awareness fact",
+                    })
+                }
             }
             self.dead_count += !alive as usize;
             if node == self.node {
@@ -605,6 +625,7 @@ mod tests {
     use super::*;
 
     use crate::rng::SimRng;
+    use std::collections::BTreeMap;
 
     fn mesh3() -> Mesh {
         Mesh::new(3, 3).unwrap()
@@ -636,11 +657,8 @@ mod tests {
         /// (every edge a `facts` probe), then the same tie-broken argmin.
         fn reference_table(&self) -> Vec<u8> {
             let n = self.mesh.node_count();
-            let link_dead = |from: NodeId, dir: Direction| {
-                self.facts
-                    .get(&(from.index(), dir.index() as u8))
-                    .is_some_and(|f| !f.alive)
-            };
+            let link_dead =
+                |from: NodeId, dir: Direction| self.fact(from, dir).is_some_and(|f| !f.alive);
             let mut table = vec![HOP_UNREACHABLE; n];
             table[self.node.index()] = HOP_LOCAL;
             for dest in self.mesh.nodes().filter(|&d| d != self.node) {

@@ -1031,12 +1031,12 @@ impl Network {
             if !self.nis[i].has_sideband() {
                 continue;
             }
-            for flit in self.nis[i].take_corrupt() {
+            for flit in self.nis[i].drain_corrupt() {
                 let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
                 let ready = now + dist * self.config.link_latency + 2;
                 self.acc.nack_queue.push(ready, flit);
             }
-            for (src, id) in self.nis[i].take_acks() {
+            for (src, id) in self.nis[i].drain_acks() {
                 let dist = self.mesh.distance(NodeId::new(i), src) as u64;
                 let ready = now + dist * self.config.link_latency;
                 self.ack_queue.push(ready, (src, id));
@@ -1488,12 +1488,16 @@ impl Network {
     /// Refuses restored state that names a packet the table does not hold,
     /// which would otherwise panic when its flit reached its destination.
     /// Every restored flit (`flits`: packet and destination) must have a
-    /// live entry, unless it is a late copy its destination already
-    /// completed; every packet an NI holds undelivered must have one.
+    /// live entry, unless it is a late copy of a delivered packet — an id
+    /// the table has issued, headed for an NI that runs recovery and so
+    /// discards it on arrival; every packet an NI holds undelivered must
+    /// have one.
     fn check_packet_refs(&self, flits: Vec<(PacketId, NodeId)>) -> Result<(), SnapshotError> {
         let live = |id| self.packets.get(id).is_some();
-        let flits_ok = (flits.into_iter())
-            .all(|(id, dest)| live(id) || self.nis[dest.index()].has_completed(id));
+        let late_copy = |id: PacketId, dest: NodeId| {
+            id.0 < self.packets.end() && self.nis[dest.index()].has_recovery()
+        };
+        let flits_ok = (flits.into_iter()).all(|(id, dest)| live(id) || late_copy(id, dest));
         let mut nis_ok = true;
         for ni in &self.nis {
             ni.undelivered_packets(|id| nis_ok &= live(id));

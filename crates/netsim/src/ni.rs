@@ -16,7 +16,7 @@ use crate::packet::{DeliveredPacket, PacketDescriptor, PacketTable};
 use crate::router::Router;
 use crate::snapshot::{record_codec, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Structured record of a packet its source NI gave up on: after
 /// `max_attempts` retransmissions went unacknowledged the packet is retired
@@ -83,9 +83,6 @@ struct Recovery {
     /// dense and sorted by packet id (a handful at a time; they finish
     /// injecting nearly in id order, so inserts land at or near the end).
     outstanding: Vec<Outstanding>,
-    /// Packets fully reassembled at this node (dedup filter for late
-    /// retransmitted copies).
-    completed: BTreeSet<PacketId>,
     /// No outstanding deadline and no reassembly expiry falls before this
     /// cycle, so [`NodeInterface::check_timeouts`] is a no-op until then.
     /// A lower bound, only ever lowered outside the scan that recomputes
@@ -415,7 +412,11 @@ impl NodeInterface {
     ///
     /// With recovery enabled, redundant copies (a retransmission racing an
     /// original) are silently discarded and counted; without it a duplicate
-    /// still indicates a router bug and panics.
+    /// still indicates a router bug and panics. A copy is redundant when its
+    /// packet has no live entry in `packets` (delivered and taken: ids are
+    /// dense and an entry leaves only by retiring), waits here delivered
+    /// and untaken, or already has this flit in its open buffer — so the NI
+    /// keeps nothing per packet it ever delivered.
     ///
     /// # Panics
     ///
@@ -446,9 +447,15 @@ impl NodeInterface {
                 1 => None,
                 _ => self.open_ids.iter().position(|id| *id == flit.packet),
             };
-            if let Some(rec) = &self.recovery {
-                let duplicate = rec.completed.contains(&flit.packet)
-                    || at.is_some_and(|at| self.open[at].has(flit.seq));
+            if self.recovery.is_some() {
+                let duplicate = packets.get(flit.packet).is_none()
+                    || match at {
+                        Some(at) => self.open[at].has(flit.seq),
+                        None => self
+                            .delivered
+                            .iter()
+                            .any(|d| d.descriptor.id == flit.packet),
+                    };
                 if duplicate {
                     stats.duplicate_flits_discarded += 1;
                     continue;
@@ -517,9 +524,8 @@ impl NodeInterface {
             .record(delivered.network_latency());
         stats.total_latency.record(delivered.total_latency());
         self.delivered.push(delivered);
-        if let Some(rec) = &mut self.recovery {
+        if self.recovery.is_some() {
             let PacketDescriptor { id, src, .. } = delivered.descriptor;
-            rec.completed.insert(id);
             self.acks_outbox.push((src, id));
         }
     }
@@ -677,15 +683,17 @@ impl NodeInterface {
             && self.unreachable_outbox.is_empty())
     }
 
-    /// Takes the corrupt arrivals collected since the last call (the
-    /// network routes them onto the NACK circuit).
-    pub fn take_corrupt(&mut self) -> Vec<Flit> {
-        std::mem::take(&mut self.corrupt_outbox)
+    /// Drains the corrupt arrivals collected since the last drain (the
+    /// network routes them onto the NACK circuit); the outbox keeps its
+    /// capacity.
+    pub(crate) fn drain_corrupt(&mut self) -> std::vec::Drain<'_, Flit> {
+        self.corrupt_outbox.drain(..)
     }
 
-    /// Takes the pending end-to-end acknowledgements `(source, packet)`.
-    pub fn take_acks(&mut self) -> Vec<(NodeId, PacketId)> {
-        std::mem::take(&mut self.acks_outbox)
+    /// Drains the pending end-to-end acknowledgements `(source, packet)`,
+    /// keeping the outbox's capacity.
+    pub(crate) fn drain_acks(&mut self) -> std::vec::Drain<'_, (NodeId, PacketId)> {
+        self.acks_outbox.drain(..)
     }
 
     /// Appends the given-up-packet records produced since the last drain to
@@ -694,19 +702,17 @@ impl NodeInterface {
         out.append(&mut self.unreachable_outbox);
     }
 
-    /// Takes the packets completed since the last call.
-    pub fn take_delivered(&mut self) -> Vec<DeliveredPacket> {
-        std::mem::take(&mut self.delivered)
-    }
-
     /// True when completed packets are waiting to be taken.
     pub fn has_delivered(&self) -> bool {
         !self.delivered.is_empty()
     }
 
     /// Appends the packets completed since the last drain to `out`,
-    /// retaining both buffers' capacities (the allocation-free form of
-    /// [`NodeInterface::take_delivered`]).
+    /// retaining both buffers' capacities. Under recovery the caller
+    /// retires their table entries (as
+    /// [`Network::take_delivered_into`](crate::network::Network::take_delivered_into)
+    /// does): a packet neither live in the table nor waiting here is what
+    /// marks a later copy of it as a duplicate.
     pub fn drain_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
         out.append(&mut self.delivered);
     }
@@ -721,12 +727,10 @@ impl NodeInterface {
         self.reassembly_high_water
     }
 
-    /// Whether packet `id` was fully reassembled here (recovery mode only:
-    /// a late copy of it is discarded as a duplicate).
-    pub(crate) fn has_completed(&self, id: PacketId) -> bool {
-        self.recovery
-            .as_ref()
-            .is_some_and(|rec| rec.completed.contains(&id))
+    /// Whether end-to-end recovery is on here (a flit of a packet with no
+    /// live table entry is then a late copy, discarded on arrival).
+    pub(crate) fn has_recovery(&self) -> bool {
+        self.recovery.is_some()
     }
 
     /// Calls `f` with every packet this interface holds that cannot have
@@ -757,10 +761,8 @@ impl NodeInterface {
             + (self.open.iter())
                 .map(|e| e.got_more.capacity() * size_of::<u64>())
                 .sum::<usize>();
-        let recovery = self.recovery.as_ref().map_or(0, |r| {
-            r.outstanding.capacity() * size_of::<Outstanding>()
-                + r.completed.len() * size_of::<PacketId>()
-        });
+        let recovery = (self.recovery.as_ref())
+            .map_or(0, |r| r.outstanding.capacity() * size_of::<Outstanding>());
         lanes
             + self.retransmit.capacity() * size_of::<Flit>()
             + reassembly
@@ -866,12 +868,10 @@ impl Codec for Recovery {
     fn put(&self, w: &mut SnapshotWriter) {
         self.cfg.put(w);
         self.outstanding.put(w);
-        self.completed.put(w);
     }
     fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.cfg.load(r)?;
         self.outstanding.load(r)?;
-        self.completed.load(r)?;
         self.wake_at = 0;
         match self.outstanding.is_sorted_by(|a, b| a.desc.id < b.desc.id) {
             true => Ok(()),
@@ -1091,9 +1091,10 @@ mod tests {
         f1.deflections = 1;
         ni.receive_flits([f2, f0], &packets, 20, &mut stats);
         assert_eq!(ni.open_reassemblies(), 1);
-        assert!(ni.take_delivered().is_empty());
+        assert!(!ni.has_delivered());
         ni.receive_flits([f1], &packets, 25, &mut stats);
-        let delivered = ni.take_delivered();
+        let mut delivered = Vec::new();
+        ni.drain_delivered_into(&mut delivered);
         assert_eq!(delivered.len(), 1);
         let p = delivered[0];
         // The table supplied what the flits no longer carry.
@@ -1126,6 +1127,80 @@ mod tests {
         let mut packets = table(&[d]);
         packets.retire(d.id);
         ni.receive_flits([d.flit(0, 0)], &packets, 1, &mut stats);
+    }
+
+    /// A recovering NI at node 5 and two packets headed there from node
+    /// 0: one of one flit, one of two.
+    fn recovering_receiver() -> (NodeInterface, [PacketDescriptor; 2], PacketTable) {
+        let mut ni = NodeInterface::new(NodeId::new(5), 1);
+        ni.enable_recovery(RetransmitConfig {
+            timeout: 100,
+            backoff_cap: 0,
+            max_attempts: 0,
+        });
+        let descs = [desc(1, 0, 5, 0, 1), desc(2, 0, 5, 0, 2)];
+        let packets = table(&descs);
+        (ni, descs, packets)
+    }
+
+    /// Takes what `ni` delivered, retiring it from `packets` as the
+    /// network's `take_delivered_into` does; returns the ids.
+    fn take(ni: &mut NodeInterface, packets: &mut PacketTable) -> Vec<u64> {
+        let mut out = Vec::new();
+        ni.drain_delivered_into(&mut out);
+        out.iter().for_each(|p| packets.retire(p.descriptor.id));
+        out.iter().map(|p| p.descriptor.id.0).collect()
+    }
+
+    #[test]
+    fn a_late_copy_of_a_taken_packet_is_discarded() {
+        let (mut ni, [one, two], mut packets) = recovering_receiver();
+        let mut stats = NetworkStats::new();
+        let flits = [one.flit(0, 0), two.flit(0, 0), two.flit(1, 0)];
+        ni.receive_flits(flits, &packets, 10, &mut stats);
+        assert_eq!(take(&mut ni, &mut packets), [1, 2]);
+        assert_eq!(packets.live(), 1, "only the placeholder id 0 is live");
+        // Retransmitted copies arrive after their packets were taken: no
+        // live entry, so every one is a duplicate (and none panics for
+        // want of a descriptor).
+        ni.receive_flits(flits, &packets, 20, &mut stats);
+        assert_eq!(stats.duplicate_flits_discarded, 3);
+        assert_eq!((stats.packets_delivered, stats.flits_delivered), (2, 3));
+        assert_eq!(ni.open_reassemblies(), 0);
+        assert!(!ni.has_delivered());
+    }
+
+    #[test]
+    fn a_copy_of_a_packet_waiting_untaken_is_discarded() {
+        let (mut ni, [one, two], mut packets) = recovering_receiver();
+        let mut stats = NetworkStats::new();
+        ni.receive_flits([one.flit(0, 0), two.flit(1, 0)], &packets, 10, &mut stats);
+        ni.receive_flits([two.flit(0, 0)], &packets, 11, &mut stats);
+        // Both delivered, neither taken: their entries are still live, so
+        // the untaken list is what marks the next copies as late.
+        assert!(packets.get(one.id).is_some() && packets.get(two.id).is_some());
+        let copies = [two.flit(0, 0), one.flit(0, 0), two.flit(1, 0)];
+        ni.receive_flits(copies, &packets, 12, &mut stats);
+        assert_eq!(stats.duplicate_flits_discarded, 3);
+        assert_eq!(ni.open_reassemblies(), 0);
+        assert_eq!(take(&mut ni, &mut packets), [1, 2]);
+        assert_eq!(stats.packets_delivered, 2);
+    }
+
+    #[test]
+    fn an_orphan_delivers_once_and_its_second_copy_is_discarded() {
+        let (mut ni, [_, two], mut packets) = recovering_receiver();
+        let mut stats = NetworkStats::new();
+        // Packet 2's source gave up: its entry leaves the window but stays
+        // live, so a copy still in flight delivers it.
+        packets.orphan(two.id);
+        assert_eq!(packets.orphans(), 1);
+        ni.receive_flits([two.flit(1, 0), two.flit(0, 0)], &packets, 10, &mut stats);
+        assert_eq!(take(&mut ni, &mut packets), [2]);
+        assert_eq!(packets.orphans(), 0);
+        ni.receive_flits([two.flit(0, 0), two.flit(1, 0)], &packets, 20, &mut stats);
+        assert_eq!(stats.duplicate_flits_discarded, 2);
+        assert_eq!((stats.packets_delivered, ni.open_reassemblies()), (1, 0));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::flit::{Flit, PacketId, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId, PortMap};
 use crate::ni::UnreachablePacket;
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketKind, PacketMeta};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -71,7 +71,11 @@ pub const MAGIC: [u8; 8] = *b"AFCSNAP\0";
 // the checksum for a `corrupted` flag, and the network writes its packet
 // table (window base, entries, orphans) after `next_packet_id`
 // (DESIGN.md §16.7).
-pub const FORMAT_VERSION: u32 = 5;
+// v6: dedup from the packet table — an NI's recovery record drops the set
+// of completed packets (a late copy is one whose packet has no live table
+// entry, or waits untaken in the NI), and a fault-free backpressured router
+// drops its per-lane route-owner column (DESIGN.md §6.2, §11).
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Errors raised while encoding, sealing, opening, or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -523,7 +527,7 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
 /// payload is loaded in place). A composite is its fields' codecs in
 /// order — there is no separate layout to keep in step.
 ///
-/// Sequences (`Vec`, `VecDeque`, `BTreeSet`) are a `u64` length, then the
+/// Sequences (`Vec`, `VecDeque`) are a `u64` length, then the
 /// items. A decoded length never sizes an allocation: items are pushed one
 /// by one (growing the container exactly as the simulation would), and
 /// every item takes at least one byte, so a length past the payload ends
@@ -671,25 +675,6 @@ impl<T: Codec + Default> Codec for VecDeque<T> {
         self.clear();
         for _ in 0..n {
             self.push_back(T::get(r)?);
-        }
-        Ok(())
-    }
-}
-
-impl<T: Codec + Default + Ord> Codec for BTreeSet<T> {
-    fn put(&self, w: &mut SnapshotWriter) {
-        self.len().put(w);
-        self.iter().for_each(|item| item.put(w));
-    }
-    fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_u64("sequence length")?;
-        self.clear();
-        for _ in 0..n {
-            if !self.insert(T::get(r)?) {
-                return Err(SnapshotError::Malformed {
-                    what: "repeated set member",
-                });
-            }
         }
         Ok(())
     }
@@ -991,12 +976,13 @@ mod tests {
 
     #[test]
     fn open_refuses_previous_format_version() {
-        // A v4 container must be refused outright, not half-decoded: its
-        // flit records carry a creation cycle, kind, tag and checksum where
-        // v5 has one corruption flag, and it has no packet table.
-        assert_eq!(FORMAT_VERSION, 5);
+        // A v5 container must be refused outright, not half-decoded: its NI
+        // recovery records carry a completed-packet set that v6 derives
+        // from the packet table, and its fault-free backpressured routers
+        // a route-owner column v6 does not keep.
+        assert_eq!(FORMAT_VERSION, 6);
         let mut old = seal(SnapshotWriter::new());
-        old[8..12].copy_from_slice(&4u32.to_le_bytes());
+        old[8..12].copy_from_slice(&5u32.to_le_bytes());
         let body_len = old.len() - 8;
         let sum = fnv1a64(&old[..body_len]);
         old[body_len..].copy_from_slice(&sum.to_le_bytes());
@@ -1004,8 +990,8 @@ mod tests {
             Err(SnapshotError::BadVersion {
                 found, expected, ..
             }) => {
-                assert_eq!(found, 4);
-                assert_eq!(expected, 5);
+                assert_eq!(found, 5);
+                assert_eq!(expected, 6);
             }
             other => panic!("expected BadVersion, got {other:?}"),
         }
@@ -1138,10 +1124,9 @@ mod tests {
                 matches!(err, SnapshotError::Truncated { .. }),
                 "{len}: {err}"
             );
-            let mut set = BTreeSet::<u16>::new();
-            let err = set.load(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            let err = <VecDeque<Flit> as Codec>::get(&mut SnapshotReader::new(&bytes)).unwrap_err();
             assert!(
-                matches!(err, SnapshotError::Malformed { .. }),
+                matches!(err, SnapshotError::Truncated { .. }),
                 "{len}: {err}"
             );
         }

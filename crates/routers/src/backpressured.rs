@@ -231,7 +231,9 @@ pub struct BackpressuredRouter {
     flits: Box<[Flit]>,
     /// Per-lane ring indices and head-packet allocation.
     lanes: Box<[Lane]>,
-    /// Packet that owns the open route. In a fault-free run the tail always
+    /// Packet that owns each lane's open route, kept only when the network
+    /// injects link faults (empty otherwise; see
+    /// [`Self::tolerate_orphans`]). In a fault-free run the tail always
     /// closes the route, so ownership is implied; under fault injection a
     /// dropped tail leaves the route open, and the mismatch with the packet
     /// now at HoQ is how the stale hold is detected.
@@ -254,10 +256,6 @@ pub struct BackpressuredRouter {
     /// Round-robin start for choosing a local VC for new packets, per vnet.
     inject_rr: Vec<usize>,
     options: BackpressuredOptions,
-    /// Set when the network injects link faults: a dropped head or tail
-    /// orphans the rest of its wormhole, so HoQ body flits may legally
-    /// need a fresh route (every flit carries its destination).
-    tolerate_orphans: bool,
     /// Buffered flits across all input VCs, maintained incrementally so
     /// [`Router::occupancy`] and the per-step occupancy integral are O(1).
     occ: usize,
@@ -358,7 +356,8 @@ impl BackpressuredRouter {
             lanes: (0..lanes)
                 .map(|l| Lane::empty(layout.depth_of[l % total]))
                 .collect(),
-            route_packet: vec![None; lanes].into_boxed_slice(),
+            route_packet: vec![None; if config.faults.is_empty() { 0 } else { lanes }]
+                .into_boxed_slice(),
             occ_bits: [0; PORTS],
             alloc_bits: [0; DIRS],
             credits: credits.into_boxed_slice(),
@@ -367,7 +366,6 @@ impl BackpressuredRouter {
             inject_vc: vec![None; config.vnet_count()],
             inject_rr: vec![0; config.vnet_count()],
             options,
-            tolerate_orphans: !config.faults.is_empty(),
             occ: 0,
             port_occ: PortMap::default(),
             fa: FaultAwareness::new(node, mesh.clone()),
@@ -445,6 +443,25 @@ impl BackpressuredRouter {
         f
     }
 
+    /// Whether the network injects link faults: a dropped head or tail
+    /// orphans the rest of its wormhole, so HoQ body flits may legally
+    /// need a fresh route (every flit carries its destination), and each
+    /// lane's route owner is kept to detect the stale hold a dropped tail
+    /// leaves. Faults are also the only way into the degraded paths.
+    #[inline]
+    fn tolerate_orphans(&self) -> bool {
+        !self.route_packet.is_empty()
+    }
+
+    /// Records `owner` as the packet holding `lane`'s route (a no-op
+    /// without faults, where no owner is kept).
+    #[inline]
+    fn set_route_owner(&mut self, lane: usize, owner: Option<PacketId>) {
+        if let Some(slot) = self.route_packet.get_mut(lane) {
+            *slot = owner;
+        }
+    }
+
     /// Releases a lane's open route: frees the downstream VC allocation (if
     /// any) and clears the route/out-VC/owner fields.
     #[inline]
@@ -455,7 +472,7 @@ impl BackpressuredRouter {
         }
         self.lanes[lane].route = NONE8;
         self.lanes[lane].out_vc = NONE8;
-        self.route_packet[lane] = None;
+        self.set_route_owner(lane, None);
     }
 
     /// Stage 1 of separable switch allocation, one pass per input port
@@ -469,7 +486,7 @@ impl BackpressuredRouter {
     /// request nominates one lane through its round-robin arbiter.
     fn nominate(&mut self) -> Nominations {
         let clean = self.fa.is_clean();
-        let recheck = self.tolerate_orphans || !clean;
+        let recheck = self.tolerate_orphans() || !clean;
         let wait = self.resync.wait_mask();
         let total = self.total;
         let mut noms = Nominations::default();
@@ -513,7 +530,7 @@ impl BackpressuredRouter {
     fn allocate_lane(&mut self, pi: usize, vc: usize, clean: bool) -> bool {
         let lane = pi * self.total + vc;
         let hoq = self.front(pi, vc);
-        if self.tolerate_orphans
+        if self.tolerate_orphans()
             && self.lanes[lane].route != NONE8
             && self.route_packet[lane] != Some(hoq.packet)
         {
@@ -535,14 +552,14 @@ impl BackpressuredRouter {
         }
         if self.lanes[lane].route == NONE8 {
             debug_assert!(
-                self.tolerate_orphans || hoq.is_head(),
+                self.tolerate_orphans() || hoq.is_head(),
                 "non-head flit {hoq} at HoQ without a route (VC hold violated)"
             );
             let Some(route) = self.route_of(&hoq, clean) else {
                 return false;
             };
             self.lanes[lane].route = route;
-            self.route_packet[lane] = Some(hoq.packet);
+            self.set_route_owner(lane, Some(hoq.packet));
         }
         let r = self.lanes[lane].route as usize;
         if r < DIRS && self.lanes[lane].out_vc == NONE8 {
@@ -735,7 +752,7 @@ impl BackpressuredRouter {
             if flit.is_tail() {
                 self.lanes[lane].route = NONE8;
                 self.lanes[lane].out_vc = NONE8;
-                self.route_packet[lane] = None;
+                self.set_route_owner(lane, None);
             }
             if self.options.read_bypass && was_alone {
                 // Lone flit: served from the bypass latch, SRAM read elided.
@@ -861,7 +878,7 @@ impl Router for BackpressuredRouter {
                 // configured re-injects a lone mid-packet flit; it routes by
                 // its own destination like any other orphan.
                 debug_assert!(
-                    flit.is_head() || self.tolerate_orphans,
+                    flit.is_head() || self.tolerate_orphans(),
                     "mid-packet injection without open VC"
                 );
                 self.layout.range_of[vnet].clone().any(lane_free)
@@ -974,9 +991,9 @@ impl Router for BackpressuredRouter {
 
     fn reset(&mut self) -> bool {
         // Everything below is either cleared in place or config-derived
-        // (layout, options, eject bandwidth, tolerate_orphans), so the
-        // result is indistinguishable from `with_options` on the same
-        // configuration — and no backing storage is freed.
+        // (layout, options, eject bandwidth, whether the route-owner column
+        // exists), so the result is indistinguishable from `with_options`
+        // on the same configuration — and no backing storage is freed.
         for lane in self.lanes.iter_mut() {
             *lane = Lane::empty(lane.depth as usize);
         }
@@ -1028,7 +1045,9 @@ impl Router for BackpressuredRouter {
                 (0..n).for_each(|k| self.flits[self.slot(lane, (h + k) % depth)].put(w));
                 some(route).put(w);
                 some(out_vc).map(u64::from).put(w);
-                self.route_packet[lane].put(w);
+                if self.tolerate_orphans() {
+                    self.route_packet[lane].put(w);
+                }
             }
         }
         for di in (0..DIRS).filter(|&di| self.out_present[di]) {
@@ -1082,7 +1101,9 @@ impl Router for BackpressuredRouter {
                 };
                 self.lanes[lane].out_vc =
                     get_vc(r, total, "input vc out-vc")?.map_or(NONE8, |v| v as u8);
-                self.route_packet[lane].load(r)?;
+                if let Some(owner) = self.route_packet.get_mut(lane) {
+                    owner.load(r)?;
+                }
             }
         }
         self.alloc_bits = [0; DIRS];
@@ -1198,7 +1219,7 @@ impl BackpressuredRouter {
                 occ &= occ - 1;
                 let lane = pi * total + vc;
                 let hoq = self.front(pi, vc);
-                if self.tolerate_orphans
+                if self.tolerate_orphans()
                     && self.lanes[lane].route != NONE8
                     && self.route_packet[lane] != Some(hoq.packet)
                 {
@@ -1240,7 +1261,7 @@ impl BackpressuredRouter {
                         Some(d) => d.index() as u8,
                         None => PortId::Local.index() as u8,
                     };
-                    self.route_packet[lane] = Some(hoq.packet);
+                    self.set_route_owner(lane, Some(hoq.packet));
                 }
                 let r = self.lanes[lane].route as usize;
                 if r < DIRS && self.lanes[lane].out_vc == NONE8 {
@@ -1800,7 +1821,9 @@ mod tests {
                 reference[lane].iter().for_each(|f| f.put(&mut w));
                 some(r.lanes[lane].route).put(&mut w);
                 some(r.lanes[lane].out_vc).map(u64::from).put(&mut w);
-                r.route_packet[lane].put(&mut w);
+                if r.tolerate_orphans() {
+                    r.route_packet[lane].put(&mut w);
+                }
             }
         }
         w.into_bytes()
@@ -2013,7 +2036,9 @@ mod tests {
         let node = mesh.node_at(at).unwrap();
         let build = || {
             let mut r = BackpressuredRouter::with_options(node, &mesh, cfg, options);
-            r.tolerate_orphans = faults;
+            // Fault handling as the network's fault plan would switch it on.
+            let owners = if faults { r.lanes.len() } else { 0 };
+            r.route_packet = vec![None; owners].into_boxed_slice();
             r
         };
         let (mut a, mut b) = (build(), build());
@@ -2154,9 +2179,10 @@ mod tests {
             cov.stale_routes += (0..PORTS * total)
                 .filter(|&l| {
                     let (pi, vc) = (l / total, l % total);
+                    let owner = a.route_packet.get(l).copied();
                     a.lanes[l].len > 0
                         && a.lanes[l].route != NONE8
-                        && a.route_packet[l] != Some(a.front(pi, vc).packet)
+                        && owner.is_some_and(|p| p != Some(a.front(pi, vc).packet))
                 })
                 .count() as u64;
 
@@ -2234,7 +2260,7 @@ mod tests {
             } else {
                 assert_eq!(
                     cov.stale_routes, 0,
-                    "{label}: a clean run closes every route"
+                    "{label}: a clean router keeps no route owner to go stale"
                 );
             }
         }

@@ -20,12 +20,18 @@
 //! exactly nothing. Latches, link slots, reassembly bitwords and candidate
 //! flits are all inline, so nothing is left that allocates per flit, per
 //! packet or per component; anything that did would do so on every pass.
+//!
+//! The same second-pass rule holds under rolling link churn with
+//! end-to-end retransmission on: NACKs, acks, timeouts, duplicate copies,
+//! fault-aware rerouting and credit re-syncs all reuse what the first
+//! pass grew.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use afc_bench::{Engine, MechanismId};
-use afc_netsim::config::NetworkConfig;
+use afc_netsim::config::{NetworkConfig, RetransmitConfig};
+use afc_netsim::faults::FaultPlan;
 use afc_netsim::network::Network;
 use afc_netsim::sim::Simulation;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
@@ -67,13 +73,30 @@ const MECHANISMS: [MechanismId; 4] = [
     MechanismId::Afc,
 ];
 
-fn warmed_sim(id: MechanismId, rate: f64, engine: Engine) -> Simulation<OpenLoopTraffic> {
-    let mut network = Network::new(
-        NetworkConfig::paper_8x8(),
-        id.mechanism().factory.as_ref(),
-        0xFEED,
-    )
-    .expect("valid config");
+/// An 8×8 network with end-to-end retransmission and a link killed for
+/// 250 of every 500 cycles through the whole measurement.
+fn churned_config() -> NetworkConfig {
+    let mut cfg = NetworkConfig {
+        retransmit: Some(RetransmitConfig {
+            timeout: 300,
+            backoff_cap: 2,
+            max_attempts: 0,
+        }),
+        ..NetworkConfig::paper_8x8()
+    };
+    let mesh = cfg.mesh().expect("8x8 mesh");
+    cfg.faults = FaultPlan::none().with_churn(&mesh, 0xFEED, 500, 0.5, 10_000);
+    cfg
+}
+
+fn warmed_sim(
+    cfg: NetworkConfig,
+    id: MechanismId,
+    rate: f64,
+    engine: Engine,
+) -> Simulation<OpenLoopTraffic> {
+    let mut network =
+        Network::new(cfg, id.mechanism().factory.as_ref(), 0xFEED).expect("valid config");
     engine.apply(&mut network);
     let traffic = OpenLoopTraffic::new(
         RateSpec::Uniform(rate),
@@ -97,7 +120,7 @@ fn steady_state_step_loop_is_allocation_free() {
     for engine in Engine::ALL {
         for id in MECHANISMS {
             // Idle steady state: zero allocations allowed, on every engine.
-            let mut sim = warmed_sim(id, 0.0, engine);
+            let mut sim = warmed_sim(NetworkConfig::paper_8x8(), id, 0.0, engine);
             sim.run(100); // settle the measurement harness itself
             let before = allocations();
             sim.run(2_000);
@@ -113,21 +136,28 @@ fn steady_state_step_loop_is_allocation_free() {
             );
 
             // Loaded steady state, light and saturated (where AFC switches
-            // modes and the drop router retransmits): the second pass over
-            // an identical segment allocates exactly nothing.
-            for rate in [0.05, 0.30] {
-                let mut sim = warmed_sim(id, rate, engine);
+            // modes and the drop router retransmits), and under churn with
+            // retransmission: the second pass over an identical segment
+            // allocates exactly nothing. The churned segment is long enough
+            // for every router to learn a dozen new link facts.
+            let loaded = [
+                (NetworkConfig::paper_8x8(), 0.05, "light", 2_000),
+                (NetworkConfig::paper_8x8(), 0.30, "saturated", 2_000),
+                (churned_config(), 0.10, "churned", 6_000),
+            ];
+            for (cfg, rate, case, segment) in loaded {
+                let mut sim = warmed_sim(cfg, id, rate, engine);
                 let start = sim.snapshot().expect("snapshot");
-                sim.run(2_000);
+                sim.run(segment);
                 sim.restore(&start, "<memory>").expect("restore");
                 let before = allocations();
-                sim.run(2_000);
+                sim.run(segment);
                 let allocated = allocations() - before;
                 engine.assert_ran(&sim.network);
                 assert_eq!(
                     allocated,
                     0,
-                    "{} ({engine:?}, rate {rate}): a per-flit, \
+                    "{} ({engine:?}, {case} at {rate}): a per-flit, \
                      per-packet or per-component path allocates under load",
                     id.label()
                 );

@@ -201,11 +201,12 @@ fn build_returns_the_router_a_network_holds() {
     }
 }
 
-/// Per-node `memory_footprint().router_bytes` of a 32×32 paper network
-/// under the two-pass backpressured allocator and AFC's per-slot stage 1
-/// (992- and 1 320-byte router structs, plus each router's heap).
+/// Per-node `memory_footprint().router_bytes` of a fault-free 32×32 paper
+/// network under the one-pass backpressured allocator and AFC's per-slot
+/// stage 1 (each router struct plus its heap). Without a fault plan the
+/// backpressured router keeps no per-lane route-owner column.
 const ROUTER_BYTES_PER_NODE_PIN: [(MechanismId, usize); 2] = [
-    (MechanismId::Backpressured, 12_560),
+    (MechanismId::Backpressured, 11_784),
     (MechanismId::Afc, 7_144),
 ];
 

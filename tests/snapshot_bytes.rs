@@ -181,7 +181,7 @@ fn manifest_file(dir: &std::path::Path) -> (usize, u64) {
 #[test]
 fn snapshot_bytes_are_pinned() {
     assert_eq!(
-        FORMAT_VERSION, 5,
+        FORMAT_VERSION, 6,
         "a layout change bumps FORMAT_VERSION and re-pins this table"
     );
     // Columns: payload length, then the hash under the activity-tracked
@@ -192,62 +192,62 @@ fn snapshot_bytes_are_pinned() {
     let pins: &[(&str, usize, u64, u64)] = &[
         (
             "mesh8/backpressured",
-            127582,
-            0x07f6f0e36c74b46f,
-            0x029024d2c1892b12,
+            122814,
+            0x09f9262f59ac5a24,
+            0x08762caaee99d4f2,
         ),
         (
             "mesh8/backpressureless",
             70900,
-            0xedb6c3c81f80108b,
-            0x801f9cc2ef70127e,
+            0x7f642a623d95d0ed,
+            0x4552337e16403f5b,
         ),
         (
             "mesh8/afc-always-bp",
             104081,
-            0x3762e36b9809527e,
-            0x2811d7df7a6011b9,
+            0xa027e065b220a465,
+            0xa101ffac8fbf92bd,
         ),
-        ("mesh8/afc", 102291, 0x6db774f96b3332a5, 0xee4ce1c237874de5),
+        ("mesh8/afc", 102291, 0x11eb72261dc2b735, 0x8798b7b555d13511),
         (
             "mesh8/bp-read-bypass",
-            127594,
-            0x2770dfd5ae120f7e,
-            0x92bfb958b622d024,
+            122826,
+            0xbee7fa51f3a99c5a,
+            0x5dfc646724a21aca,
         ),
         (
             "mesh8/bp-ideal-bypass",
-            127582,
-            0x07f6f0e36c74b46f,
-            0x029024d2c1892b12,
+            122814,
+            0x09f9262f59ac5a24,
+            0x08762caaee99d4f2,
         ),
-        ("mesh8/drop", 85321, 0xeeb79826c10ac79c, 0xeeb79826c10ac79c),
+        ("mesh8/drop", 85321, 0xaa58a9bf66738735, 0xaa58a9bf66738735),
         (
             "mesh6-faults/backpressured",
-            71498,
-            0x432bcee14aea5cd5,
-            0x432bcee14aea5cd5,
+            67418,
+            0x95b388563a338853,
+            0x95b388563a338853,
         ),
         (
             "mesh6-faults/drop",
-            69710,
-            0xed5602798e528ee6,
-            0xed5602798e528ee6,
+            66798,
+            0xcf7f08311dd04531,
+            0xcf7f08311dd04531,
         ),
         (
             "mesh6-faults/afc",
-            68058,
-            0xffa8a54cac5ab97f,
-            0xffa8a54cac5ab97f,
+            64090,
+            0x24257e3396ec491e,
+            0x24257e3396ec491e,
         ),
         (
             "closed-loop/afc",
             27586,
-            0x27848e50d43f300b,
-            0x27848e50d43f300b,
+            0x5a8602d26c369b65,
+            0x5a8602d26c369b65,
         ),
-        ("checkpoint", 11191, 0xe85ca5af5fb68376, 0x8d36322174a70190),
-        ("manifest", 311, 0x6d2952f071a9444c, 0x6d2952f071a9444c),
+        ("checkpoint", 11191, 0x432ac9c7e0c45b4c, 0x8bb1d9452f9c3cd5),
+        ("manifest", 311, 0x757f959cefcf8ab8, 0x757f959cefcf8ab8),
     ];
     let dir = std::env::temp_dir().join(format!("afc-snapshot-bytes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -13,6 +13,10 @@
 //! * A packet table whose window stops short of the next packet id, or
 //!   that lost the entry of a packet still in the network, is `Malformed`
 //!   at restore — never a panic when that packet reaches its destination.
+//! * A buffered flit naming a packet with no live entry restores only as
+//!   a late copy: an id the table issued, headed for an NI that runs
+//!   recovery (which discards it on arrival). At an NI without recovery,
+//!   or with an id the table never issued, it is `Malformed`.
 //! * Every single-byte flip and every truncation of a run checkpoint file
 //!   is `RunError::Snapshot`, naming the file.
 
@@ -126,63 +130,6 @@ fn find_all(hay: &[u8], needle: &[u8]) -> Vec<usize> {
         .collect()
 }
 
-#[test]
-fn a_buffered_flit_bound_outside_the_mesh_is_malformed() {
-    // Always-backpressured AFC buffers a flit that loses arbitration in a
-    // lazy VC, whose route cache is recomputed from the flit's destination
-    // on restore. Nodes 0 and 1 both send to node 3, so they contend for
-    // router 1's east port.
-    let factory = AfcFactory::always_backpressured();
-    let mut live = sim(&factory, 0.0);
-    let dest = NodeId::new(3);
-    let input = PacketInput {
-        dest,
-        vnet: VirtualNetwork(0),
-        len: 1,
-        kind: PacketKind::Synthetic,
-        tag: 0,
-    };
-    let mut sent = Vec::new();
-    for _ in 0..8 {
-        for src in [NodeId::new(0), NodeId::new(1)] {
-            sent.push((live.network.offer_packet(src, input), src));
-        }
-    }
-    let holder = (0..40)
-        .find_map(|_| {
-            live.step();
-            (0..16)
-                .map(NodeId::new)
-                .find(|&n| live.network.router(n).occupancy() > 0)
-        })
-        .expect("a flit waits in a buffer");
-    let mut w = SnapshotWriter::new();
-    live.network.router(holder).save_state(&mut w).unwrap();
-    let router = w.into_bytes();
-    // A flit encodes its packet, seq, len, source, then its destination.
-    let head = |(id, src): &(PacketId, NodeId)| {
-        let mut head = id.0.to_le_bytes().to_vec();
-        head.extend_from_slice(&[0, 0, 1, 0]);
-        head.extend_from_slice(&(src.index() as u64).to_le_bytes());
-        head.extend_from_slice(&(dest.index() as u64).to_le_bytes());
-        head
-    };
-    let (in_router, head) = (sent.iter().map(head))
-        .find_map(|head| Some((*find_all(&router, &head).first()?, head)))
-        .expect("the buffered flit is one of those sent");
-    let sealed = live.snapshot().expect("snapshot");
-    let mut bytes = payload(&sealed).to_vec();
-    let base = find_all(&bytes, &router);
-    assert_eq!(base.len(), 1, "the router's state is in the payload once");
-    let dest_at = base[0] + in_router + head.len() - 8;
-    bytes[dest_at..dest_at + 8].copy_from_slice(&16u64.to_le_bytes());
-    let mut fresh = sim(&factory, 0.0);
-    match fresh.restore(&reseal(&bytes), "mutant") {
-        Err(SnapshotError::Malformed { what }) => assert_eq!(what, "node id"),
-        other => panic!("expected a malformed node id, got {other:?}"),
-    }
-}
-
 /// A mid-run snapshot of a 4×4 backpressured network and where its packet
 /// table sits in the payload: the offset of the window's entries, and each
 /// entry's `(offset, encoded length)`.
@@ -249,6 +196,122 @@ fn a_packet_missing_from_the_table_is_malformed() {
             assert_eq!(what, "packet without a table entry")
         }
         other => panic!("expected a missing table entry, got {other:?}"),
+    }
+}
+
+/// A 4×4 network built by `factory` from `cfg` in which packet 0 was
+/// delivered and taken, so its entry is retired, and a one-flit packet to
+/// node 3 waits in a router buffer: the snapshot payload, and the offset
+/// in it of that flit's record — its packet id, seq, len, source, then
+/// its destination at offset 20.
+fn buffered_flit(cfg: NetworkConfig, factory: &dyn RouterFactory) -> (Vec<u8>, usize) {
+    let network = Network::new(cfg, factory, SEED).expect("valid config");
+    let mut live = Simulation::new(network, traffic(0.0));
+    let dest = NodeId::new(3);
+    let input = PacketInput {
+        dest,
+        vnet: VirtualNetwork(0),
+        len: 1,
+        kind: PacketKind::Synthetic,
+        tag: 0,
+    };
+    let first = live.network.offer_packet(NodeId::new(0), input);
+    live.run(30);
+    assert!(
+        live.network.packet_table().get(first).is_none(),
+        "delivered and taken"
+    );
+    // Nodes 0 and 1 both send to node 3, so they contend for router 1's
+    // east port.
+    let mut sent = Vec::new();
+    for _ in 0..8 {
+        for src in [NodeId::new(0), NodeId::new(1)] {
+            sent.push((live.network.offer_packet(src, input), src));
+        }
+    }
+    let holder = (0..40)
+        .find_map(|_| {
+            live.step();
+            (0..16)
+                .map(NodeId::new)
+                .find(|&n| live.network.router(n).occupancy() > 0)
+        })
+        .expect("a flit waits in a buffer");
+    let mut w = SnapshotWriter::new();
+    live.network.router(holder).save_state(&mut w).unwrap();
+    let router = w.into_bytes();
+    let head = |(id, src): &(PacketId, NodeId)| {
+        let mut head = id.0.to_le_bytes().to_vec();
+        head.extend_from_slice(&[0, 0, 1, 0]);
+        head.extend_from_slice(&(src.index() as u64).to_le_bytes());
+        head.extend_from_slice(&(dest.index() as u64).to_le_bytes());
+        head
+    };
+    let in_router = (sent.iter().map(head))
+        .find_map(|head| find_all(&router, &head).first().copied())
+        .expect("the buffered flit is one of those sent");
+    let sealed = live.snapshot().expect("snapshot");
+    let bytes = payload(&sealed).to_vec();
+    let base = find_all(&bytes, &router);
+    assert_eq!(base.len(), 1, "the router's state is in the payload once");
+    (bytes, base[0] + in_router)
+}
+
+#[test]
+fn a_buffered_flit_bound_outside_the_mesh_is_malformed() {
+    // Always-backpressured AFC buffers a flit that loses arbitration in a
+    // lazy VC, whose route cache is recomputed from the flit's destination
+    // on restore.
+    let factory = AfcFactory::always_backpressured();
+    let (mut bytes, at) = buffered_flit(mesh4(), &factory);
+    bytes[at + 20..at + 28].copy_from_slice(&16u64.to_le_bytes());
+    let mut fresh = sim(&factory, 0.0);
+    match fresh.restore(&reseal(&bytes), "mutant") {
+        Err(SnapshotError::Malformed { what }) => assert_eq!(what, "node id"),
+        other => panic!("expected a malformed node id, got {other:?}"),
+    }
+}
+
+/// Restores the snapshot of [`buffered_flit`] on a backpressured network
+/// (with `retransmit`) after renaming the buffered flit's packet to `id`.
+fn restore_renamed(retransmit: Option<RetransmitConfig>, id: u64) -> Result<(), SnapshotError> {
+    let cfg = NetworkConfig {
+        retransmit,
+        ..mesh4()
+    };
+    let factory = BackpressuredFactory::new();
+    let (mut bytes, at) = buffered_flit(cfg.clone(), &factory);
+    bytes[at..at + 8].copy_from_slice(&id.to_le_bytes());
+    let network = Network::new(cfg, &factory, SEED).expect("valid config");
+    Simulation::new(network, traffic(0.0)).restore(&reseal(&bytes), "mutant")
+}
+
+#[test]
+fn a_flit_without_a_live_entry_restores_only_as_a_late_copy() {
+    let recovery = Some(RetransmitConfig {
+        timeout: 300,
+        backoff_cap: 2,
+        max_attempts: 0,
+    });
+    // `buffered_flit` issues packet 0, then eight from each of two nodes.
+    let end = 17;
+    // The flit renamed to retired packet 0: a late copy where the
+    // destination runs recovery, an impossible state where it does not.
+    assert_eq!(restore_renamed(recovery, 0), Ok(()));
+    match restore_renamed(None, 0) {
+        Err(SnapshotError::Malformed { what }) => {
+            assert_eq!(what, "packet without a table entry")
+        }
+        other => panic!("expected a missing table entry, got {other:?}"),
+    }
+    // Renamed to an id the table never issued: refused even under recovery.
+    for id in [end, end + 5, u64::MAX] {
+        match restore_renamed(recovery, id) {
+            Err(SnapshotError::Malformed { what }) => {
+                assert_eq!(what, "packet without a table entry", "id {id}")
+            }
+            other => panic!("id {id}: expected a missing table entry, got {other:?}"),
+        }
     }
 }
 
