@@ -13,12 +13,14 @@
 //! All links of a network share one `LinkWheel`: a forward slab of
 //! 40-byte `{due, flit}` slots and a reverse slab of
 //! `{due, credits, control}` slots, `W = delay + 1` stripes of one slot per
-//! link each. With `W = delay + 1` the stripe read at `t` and the stripe
+//! lane each. With `W = delay + 1` the stripe read at `t` and the stripe
 //! written at `t` are never the same, and each lane has exactly one writer
 //! (the upstream router pushes flits, the downstream router pushes
-//! credits/control) — the ownership split the parallel engine relies on
-//! (DESIGN.md §12). [`Channel`] is the same kernel as a standalone
-//! one-link wheel with its own clock.
+//! credits/control). Schedules reach the wheel only through a `Lanes`
+//! view — read stripes shared, a node range's write slots exclusive — which
+//! the sharded engine cuts into one view per shard (DESIGN.md §12).
+//! [`Channel`] is the same kernel as a standalone one-link wheel with its
+//! own clock.
 //!
 //! The forward lane has delay `L + 2`: one cycle of switch traversal at the
 //! sender, `L` cycles of wire, with the downstream buffer write overlapped
@@ -28,7 +30,6 @@
 
 use crate::flit::{Cycle, Flit, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId};
-use crate::kernel::Lanes;
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// A buffer-release token flowing upstream.
@@ -361,73 +362,73 @@ impl RevSlot {
     }
 }
 
-/// Where one cycle reads and writes the wheel: slab offsets of the stripes
-/// `now % W` (arrivals) and `(now + delay) % W` (pushes) of each lane, and
-/// the `due` stamps pushes carry. A pure function of the clock, computed
-/// once per cycle.
+/// Where cycle `now` reads and writes the wheel: the stripes `now % W`
+/// (arrivals) and `(now + delay) % W` (pushes) of each slab, and the `due`
+/// stamps pushes carry. A pure function of the clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Tick {
-    pub(crate) now: Cycle,
-    pub(crate) fwd_due: Cycle,
-    pub(crate) rev_due: Cycle,
+struct Tick {
+    now: Cycle,
+    fwd_due: Cycle,
+    rev_due: Cycle,
     fwd_rd: usize,
     fwd_wr: usize,
     rev_rd: usize,
     rev_wr: usize,
 }
 
-/// Slab indices of link `c`'s slots this cycle — the stripe layout, known
-/// only to this module: arrivals are read at `*_read`, pushes land at
-/// `*_write`.
-impl Tick {
-    #[inline]
-    pub(crate) fn fwd_read(&self, c: usize) -> usize {
-        self.fwd_rd + c
-    }
-    #[inline]
-    pub(crate) fn fwd_write(&self, c: usize) -> usize {
-        self.fwd_wr + c
-    }
-    #[inline]
-    pub(crate) fn rev_read(&self, c: usize) -> usize {
-        self.rev_rd + c
-    }
-    #[inline]
-    pub(crate) fn rev_write(&self, c: usize) -> usize {
-        self.rev_wr + c
-    }
-}
-
-/// The arrival cycles of the newest pushes onto one link's forward and
-/// reverse lanes (0 = never): the whole of a lane's occupancy bookkeeping,
-/// each half written only by that lane's single writer.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LastDue {
-    pub(crate) fwd: Cycle,
-    pub(crate) rev: Cycle,
-}
-
 /// Every link of a network as two slot slabs (see the module docs).
 ///
-/// Slabs are stripe-major — slot `s` of link `c` lives at `s * links + c` —
-/// so a cycle's arrivals are one contiguous stripe walked in ascending
-/// link order; `last_due[c]` is link `c`'s [`LastDue`]. Fields are
-/// crate-visible for the parallel engine, which pushes through raw slot
-/// pointers at the [`Tick`] indices.
+/// Slabs are stripe-major — slot `s` of lane `l` lives at `s * links + l` —
+/// so a cycle's arrivals are one contiguous stripe. A forward lane is
+/// numbered like its link (by upstream node: `Network::new` creates links
+/// node by node), a reverse lane by its link's downstream node, so the
+/// lanes one router drives — the forward lanes of its outgoing links, the
+/// reverse lanes of its incoming ones — and so those of any node range are
+/// one contiguous run of each stripe. [`Lanes`] is the only way in.
 #[derive(Debug, Clone)]
 pub(crate) struct LinkWheel {
     links: usize,
     fwd_delay: u64,
     rev_delay: u64,
-    pub(crate) fwd: Vec<FwdSlot>,
-    pub(crate) rev: Vec<RevSlot>,
-    pub(crate) last_due: Vec<LastDue>,
+    fwd: Vec<FwdSlot>,
+    rev: Vec<RevSlot>,
+    /// Which lanes are whose: link `c`'s reverse lane is `rev_lane[c]`, and
+    /// node `j` drives forward lanes `start[j][0]..start[j + 1][0]` and
+    /// reverse lanes `start[j][1]..start[j + 1][1]`.
+    rev_lane: Vec<u32>,
+    start: Vec<[u32; 2]>,
+    /// Arrival cycle of the newest push onto each forward / reverse lane
+    /// (0 = never): the whole of a lane's occupancy bookkeeping.
+    last_fwd: Vec<Cycle>,
+    last_rev: Vec<Cycle>,
 }
 
 impl LinkWheel {
-    /// A wheel of `links` empty links of wire latency `link_latency`.
-    pub(crate) fn new(links: usize, link_latency: u64) -> LinkWheel {
+    /// A wheel of empty links of wire latency `link_latency` between
+    /// `nodes` nodes: link `c` runs from node `ends[c].0` to node
+    /// `ends[c].1`, and links are numbered by upstream node.
+    pub(crate) fn new(nodes: usize, ends: &[(usize, usize)], link_latency: u64) -> LinkWheel {
         assert!(link_latency >= 1, "link latency must be >= 1");
+        assert!(
+            ends.is_sorted_by_key(|e| e.0),
+            "links are numbered by upstream node"
+        );
+        let mut start = vec![[0u32; 2]; nodes + 1];
+        for &(from, to) in ends {
+            start[from + 1][0] += 1;
+            start[to + 1][1] += 1;
+        }
+        for j in 0..nodes {
+            start[j + 1] = [start[j + 1][0] + start[j][0], start[j + 1][1] + start[j][1]];
+        }
+        let mut next: Vec<u32> = start.iter().map(|s| s[1]).collect();
+        let rev_lane = (ends.iter())
+            .map(|&(_, to)| {
+                next[to] += 1;
+                next[to] - 1
+            })
+            .collect();
+        let links = ends.len();
         let fwd_delay = link_latency + Channel::ROUTER_OVERHEAD;
         let rev_delay = link_latency;
         LinkWheel {
@@ -436,13 +437,16 @@ impl LinkWheel {
             rev_delay,
             fwd: vec![FwdSlot::EMPTY; links * (fwd_delay as usize + 1)],
             rev: vec![RevSlot::EMPTY; links * (rev_delay as usize + 1)],
-            last_due: vec![LastDue::default(); links],
+            rev_lane,
+            start,
+            last_fwd: vec![0; links],
+            last_rev: vec![0; links],
         }
     }
 
-    /// The stripe offsets and stamps for cycle `now`.
-    pub(crate) fn tick(&self, now: Cycle) -> Tick {
-        let stripe = |t: Cycle, delay: u64| (t % (delay + 1)) as usize * self.links;
+    /// The stripes and stamps of cycle `now`.
+    fn tick(&self, now: Cycle) -> Tick {
+        let stripe = |t: Cycle, delay: u64| (t % (delay + 1)) as usize;
         Tick {
             now,
             fwd_due: now + self.fwd_delay,
@@ -457,35 +461,36 @@ impl LinkWheel {
     /// `self.tick(t.now + 1)` without the divisions: every stripe moves up
     /// one, so next cycle writes where this one read.
     fn next_tick(&self, t: &Tick) -> Tick {
-        let up = |rd: usize, len: usize| {
-            if rd + self.links == len {
-                0
-            } else {
-                rd + self.links
-            }
-        };
+        let up = |rd: usize, delay: u64| if rd as u64 == delay { 0 } else { rd + 1 };
         Tick {
             now: t.now + 1,
             fwd_due: t.fwd_due + 1,
             rev_due: t.rev_due + 1,
-            fwd_rd: up(t.fwd_rd, self.fwd.len()),
+            fwd_rd: up(t.fwd_rd, self.fwd_delay),
             fwd_wr: t.fwd_rd,
-            rev_rd: up(t.rev_rd, self.rev.len()),
+            rev_rd: up(t.rev_rd, self.rev_delay),
             rev_wr: t.rev_rd,
         }
     }
 
-    /// The flit arriving on link `c` this cycle, if any.
-    #[inline]
-    pub(crate) fn flit_at(&self, t: &Tick, c: usize) -> Option<Flit> {
-        self.fwd[t.fwd_read(c)].arrival(t.now)
+    /// Every lane as cycle `now` reaches it.
+    pub(crate) fn lanes(&mut self, now: Cycle) -> Lanes<'_> {
+        let t = self.tick(now);
+        self.lanes_at(&t)
     }
 
-    /// Whether nothing on link `c` is due after cycle `now` — the link's
-    /// activity bit may drop once this cycle's arrivals are delivered.
-    #[inline]
-    pub(crate) fn quiet_after(&self, c: usize, now: Cycle) -> bool {
-        self.last_due[c].fwd.max(self.last_due[c].rev) <= now
+    fn lanes_at(&mut self, t: &Tick) -> Lanes<'_> {
+        let (fwd_in, fwd) = stripes(&mut self.fwd, &mut self.last_fwd, t.fwd_rd, t.fwd_wr);
+        let (rev_in, rev) = stripes(&mut self.rev, &mut self.last_rev, t.rev_rd, t.rev_wr);
+        Lanes {
+            rev_lane: &self.rev_lane,
+            start: &self.start,
+            t: *t,
+            fwd_in,
+            rev_in,
+            fwd,
+            rev,
+        }
     }
 
     /// Flits not yet delivered at cycle `now`, recounted from the slab.
@@ -503,12 +508,15 @@ impl LinkWheel {
             .sum()
     }
 
-    /// Heap bytes of the slabs: a function of link count and latency only.
+    /// Heap bytes of the slabs and tables: a function of the link count,
+    /// node count and latency only.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.fwd.capacity() * size_of::<FwdSlot>()
             + self.rev.capacity() * size_of::<RevSlot>()
-            + self.last_due.capacity() * size_of::<LastDue>()
+            + self.rev_lane.capacity() * size_of::<u32>()
+            + self.start.capacity() * size_of::<[u32; 2]>()
+            + (self.last_fwd.capacity() + self.last_rev.capacity()) * size_of::<Cycle>()
     }
 
     /// Empties every link in place. Stamps must go: a reused wheel's clock
@@ -520,7 +528,8 @@ impl LinkWheel {
         for s in &mut self.rev {
             s.due = NEVER;
         }
-        self.last_due.fill(LastDue::default());
+        self.last_fwd.fill(0);
+        self.last_rev.fill(0);
     }
 
     /// The ticks of the cycles anything on the wires before cycle `now`
@@ -533,22 +542,25 @@ impl LinkWheel {
     /// Serializes what is on the wires between cycles `now - 1` and `now`,
     /// link by link in arrival order relative to `now`: `fwd_delay`
     /// optional flits, then `rev_delay` credit/control slot pairs. Slot
-    /// positions, stale contents and `last_due` are not state.
+    /// positions, lane numbers, stale contents and the newest-push stamps
+    /// are not state.
     pub(crate) fn save(&self, w: &mut SnapshotWriter, now: Cycle) {
         let ticks = self.arrival_ticks(now);
         for c in 0..self.links {
             for t in &ticks {
-                self.flit_at(t, c).put(w);
+                self.fwd[t.fwd_rd * self.links + c].arrival(t.now).put(w);
             }
+            let lane = self.rev_lane[c] as usize;
             for t in &ticks[..self.rev_delay as usize] {
-                let slot = self.rev_at(t, c).unwrap_or(&RevSlot::EMPTY);
+                let slot = self.rev[t.rev_rd * self.links + lane].arrival(t.now);
+                let slot = slot.unwrap_or(&RevSlot::EMPTY);
                 (slot.credits, slot.control).put(w);
             }
         }
     }
 
     /// Restores, in place, a wheel written by [`LinkWheel::save`] at the
-    /// same `now` for the same link count and latency.
+    /// same `now` for the same links and latency.
     pub(crate) fn load(
         &mut self,
         r: &mut SnapshotReader<'_>,
@@ -557,21 +569,22 @@ impl LinkWheel {
         self.reset();
         let ticks = self.arrival_ticks(now);
         for c in 0..self.links {
+            let lane = self.rev_lane[c] as usize;
             for t in &ticks {
-                let slot = &mut self.fwd[t.fwd_read(c)];
+                let slot = &mut self.fwd[t.fwd_rd * self.links + c];
                 slot.flit.load(r)?;
                 if slot.flit.is_some() {
                     slot.due = t.now;
-                    self.last_due[c].fwd = t.now;
+                    self.last_fwd[c] = t.now;
                 }
             }
             for t in &ticks[..self.rev_delay as usize] {
-                let slot = &mut self.rev[t.rev_read(c)];
+                let slot = &mut self.rev[t.rev_rd * self.links + lane];
                 slot.credits.load(r)?;
                 slot.control.load(r)?;
                 if !(slot.credits.is_empty() && slot.control.is_empty()) {
                     slot.due = t.now;
-                    self.last_due[c].rev = t.now;
+                    self.last_rev[lane] = t.now;
                 }
             }
         }
@@ -579,25 +592,122 @@ impl LinkWheel {
     }
 }
 
-impl Lanes for LinkWheel {
+/// One cycle of the link wheel as a schedule reaches it: every lane's
+/// arrival slot, and the write slots and newest-push stamps of the lanes a
+/// node range drives. The serial schedule takes the view over every node;
+/// the sharded engine cuts it at its shard boundaries with
+/// [`Lanes::split_front`], so two shards never hold the same write slot.
+/// The read and write stripes are different slots of every lane (`W =
+/// delay + 1`), so all views share the read stripes.
+pub(crate) struct Lanes<'a> {
+    rev_lane: &'a [u32],
+    start: &'a [[u32; 2]],
+    t: Tick,
+    fwd_in: &'a [FwdSlot],
+    rev_in: &'a [RevSlot],
+    fwd: Run<'a, FwdSlot>,
+    rev: Run<'a, RevSlot>,
+}
+
+/// The write slots and newest-push stamps of lanes `lo..lo + slots.len()`.
+struct Run<'a, S> {
+    lo: usize,
+    slots: &'a mut [S],
+    last: &'a mut [Cycle],
+}
+
+/// Stripe `rd` of a stripe-major slab, shared, and stripe `wr != rd` as a
+/// run of every lane; stripes are `last.len()` slots long.
+fn stripes<'a, S>(
+    slab: &'a mut [S],
+    last: &'a mut [Cycle],
+    rd: usize,
+    wr: usize,
+) -> (&'a [S], Run<'a, S>) {
+    let len = last.len();
+    let (head, tail) = slab.split_at_mut(rd.max(wr) * len);
+    let (low, high) = (&mut head[rd.min(wr) * len..][..len], &mut tail[..len]);
+    let (read, slots) = if rd < wr { (low, high) } else { (high, low) };
+    (read, Run { lo: 0, slots, last })
+}
+
+impl<'a, S> Run<'a, S> {
+    /// Lane `lane`'s write slot, stamped as pushed for arrival at `due`.
     #[inline]
-    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
-        self.rev[t.rev_read(c)].arrival(t.now)
+    fn push(&mut self, lane: usize, due: Cycle) -> &mut S {
+        self.last[lane - self.lo] = due;
+        &mut self.slots[lane - self.lo]
     }
-    #[inline]
-    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
-        self.fwd[t.fwd_write(c)].push(t.fwd_due, flit);
-        self.last_due[c].fwd = t.fwd_due;
+
+    /// Splits off the lanes below `lane`, keeping the rest.
+    fn split_front(&mut self, lane: usize) -> Run<'a, S> {
+        let k = lane - self.lo;
+        Run {
+            lo: std::mem::replace(&mut self.lo, lane),
+            slots: self.slots.split_off_mut(..k).expect("lane in the run"),
+            last: self.last.split_off_mut(..k).expect("lane in the run"),
+        }
     }
+}
+
+impl<'a> Lanes<'a> {
+    /// The flit arriving on link `c` this cycle, if any.
     #[inline]
-    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
-        self.rev[t.rev_write(c)].push_credit(t.rev_due, credit);
-        self.last_due[c].rev = t.rev_due;
+    pub(crate) fn flit_at(&self, c: usize) -> Option<Flit> {
+        self.fwd_in[c].arrival(self.t.now)
     }
+
+    /// The credits/control arriving on link `c` this cycle, if any.
     #[inline]
-    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
-        self.rev[t.rev_write(c)].push_control(t.rev_due, signal);
-        self.last_due[c].rev = t.rev_due;
+    pub(crate) fn rev_at(&self, c: usize) -> Option<&'a RevSlot> {
+        let rev_in: &'a [RevSlot] = self.rev_in;
+        rev_in[self.rev_lane[c] as usize].arrival(self.t.now)
+    }
+
+    /// Sends a flit down link `c`, an outgoing link of the view's nodes.
+    #[inline]
+    pub(crate) fn push_flit(&mut self, c: usize, flit: Flit) {
+        let due = self.t.fwd_due;
+        self.fwd.push(c, due).push(due, flit);
+    }
+
+    /// Sends a credit up link `c`, an incoming link of the view's nodes.
+    #[inline]
+    pub(crate) fn push_credit(&mut self, c: usize, credit: Credit) {
+        let due = self.t.rev_due;
+        self.rev
+            .push(self.rev_lane[c] as usize, due)
+            .push_credit(due, credit);
+    }
+
+    /// Sends a control signal up link `c`, an incoming link of the view's
+    /// nodes.
+    #[inline]
+    pub(crate) fn push_control(&mut self, c: usize, signal: ControlSignal) {
+        let due = self.t.rev_due;
+        self.rev
+            .push(self.rev_lane[c] as usize, due)
+            .push_control(due, signal);
+    }
+
+    /// Whether nothing on link `c` is due after this cycle — its activity
+    /// bit may drop once this cycle's arrivals are delivered. Reads both of
+    /// `c`'s stamps, so it takes a view over every node.
+    #[inline]
+    pub(crate) fn quiet_after(&self, c: usize) -> bool {
+        let (fwd, rev, now) = (&self.fwd, &self.rev, self.t.now);
+        fwd.last[c - fwd.lo] <= now && rev.last[self.rev_lane[c] as usize - rev.lo] <= now
+    }
+
+    /// Splits off the lanes driven by the nodes below `mid`, keeping the
+    /// rest.
+    pub(crate) fn split_front(&mut self, mid: usize) -> Lanes<'a> {
+        let [fwd, rev] = self.start[mid];
+        Lanes {
+            fwd: self.fwd.split_front(fwd as usize),
+            rev: self.rev.split_front(rev as usize),
+            ..*self
+        }
     }
 }
 
@@ -641,7 +751,7 @@ impl Channel {
     /// Panics if `link_latency` is zero (validated earlier by
     /// [`NetworkConfig::validate`](crate::config::NetworkConfig::validate)).
     pub fn new(link_latency: u64) -> Channel {
-        let wheel = LinkWheel::new(1, link_latency);
+        let wheel = LinkWheel::new(2, &[(0, 1)], link_latency);
         let tick = wheel.tick(0);
         Channel { wheel, tick }
     }
@@ -659,25 +769,26 @@ impl Channel {
     /// Panics if a flit was already pushed this cycle — that would mean two
     /// flits crossed the same link in the same cycle, a router bug.
     pub fn push_flit(&mut self, flit: Flit) {
-        self.wheel.push_flit(&self.tick, 0, flit);
+        self.wheel.lanes_at(&self.tick).push_flit(0, flit);
     }
 
     /// Sends a credit upstream.
     pub fn push_credit(&mut self, credit: Credit) {
-        self.wheel.push_credit(&self.tick, 0, credit);
+        self.wheel.lanes_at(&self.tick).push_credit(0, credit);
     }
 
     /// Sends a control signal upstream.
     pub fn push_control(&mut self, signal: ControlSignal) {
-        self.wheel.push_control(&self.tick, 0, signal);
+        self.wheel.lanes_at(&self.tick).push_control(0, signal);
     }
 
     /// Advances the clock one cycle and returns what arrives.
     pub fn advance(&mut self) -> Delivery {
         self.tick = self.wheel.next_tick(&self.tick);
-        let rev = self.wheel.rev_at(&self.tick, 0).unwrap_or(&RevSlot::EMPTY);
+        let lanes = self.wheel.lanes_at(&self.tick);
+        let rev = lanes.rev_at(0).unwrap_or(&RevSlot::EMPTY);
         Delivery {
-            flit: self.wheel.flit_at(&self.tick, 0),
+            flit: lanes.flit_at(0),
             credits: rev.credits,
             control: rev.control,
         }
@@ -703,8 +814,17 @@ mod tests {
         )
     }
 
-    fn is_drained(ch: &Channel) -> bool {
-        ch.wheel.quiet_after(0, ch.tick.now)
+    fn is_drained(ch: &mut Channel) -> bool {
+        let t = ch.tick;
+        ch.wheel.lanes_at(&t).quiet_after(0)
+    }
+
+    /// A wheel of `links` links between `links` nodes whose downstream
+    /// order reverses their upstream order, so every link's reverse lane
+    /// number differs from its own (for odd `links`, all but the middle).
+    fn reversed_wheel(links: usize, link_latency: u64) -> LinkWheel {
+        let ends: Vec<_> = (0..links).map(|c| (c, links - 1 - c)).collect();
+        LinkWheel::new(links, &ends, link_latency)
     }
 
     #[test]
@@ -718,7 +838,7 @@ mod tests {
     fn next_tick_is_tick_of_the_next_cycle() {
         for link_latency in 1..=4 {
             for links in [1, 3] {
-                let wheel = LinkWheel::new(links, link_latency);
+                let wheel = reversed_wheel(links, link_latency);
                 let mut t = wheel.tick(0);
                 for now in 1..60 {
                     t = wheel.next_tick(&t);
@@ -813,7 +933,7 @@ mod tests {
         // iteration `i + 3`.
         assert_eq!(received, 20 - 3);
         assert_eq!(in_flight(&ch), (3, 0));
-        assert!(!is_drained(&ch));
+        assert!(!is_drained(&mut ch));
     }
 
     #[test]
@@ -825,7 +945,7 @@ mod tests {
         for _ in 0..10 {
             ch.advance();
         }
-        assert!(is_drained(&ch));
+        assert!(is_drained(&mut ch));
         assert_eq!(in_flight(&ch), (0, 0));
     }
 
@@ -930,7 +1050,7 @@ mod tests {
     fn differential(link_latency: u64, seed: u64) {
         const LINKS: usize = 3;
         let mut rng = XorShift(seed | 1);
-        let mut wheel = LinkWheel::new(LINKS, link_latency);
+        let mut wheel = reversed_wheel(LINKS, link_latency);
         let (fd, rd) = (wheel.fwd_delay, wheel.rev_delay);
         let mut refs: [RefLink; LINKS] = Default::default();
         let mut active = [false; LINKS];
@@ -938,16 +1058,16 @@ mod tests {
         let mut next_flit = 0u64;
         let mut delivered = 0usize;
         for now in 0..(40 * (fd + 1)) {
-            let t = wheel.tick(now);
+            let mut lanes = wheel.lanes(now);
             for c in 0..LINKS {
                 if active[c] {
                     let r = &mut refs[c];
                     assert_eq!(
-                        wheel.flit_at(&t, c).into_iter().collect::<Vec<_>>(),
+                        lanes.flit_at(c).into_iter().collect::<Vec<_>>(),
                         take_due(&mut r.flits, now),
                         "L={link_latency} seed={seed} link {c} cycle {now}: flit"
                     );
-                    let rev = wheel.rev_at(&t, c);
+                    let rev = lanes.rev_at(c);
                     let got_credits = rev.map_or(&[][..], RevSlot::credits);
                     let got_control = rev.map_or(&[][..], RevSlot::control);
                     delivered += got_credits.len() + got_control.len();
@@ -961,12 +1081,8 @@ mod tests {
                         take_due(&mut r.control, now),
                         "cycle {now}: control"
                     );
-                    assert_eq!(
-                        wheel.quiet_after(c, now),
-                        r.is_empty(),
-                        "cycle {now}: occupancy"
-                    );
-                    if wheel.quiet_after(c, now) {
+                    assert_eq!(lanes.quiet_after(c), r.is_empty(), "cycle {now}: occupancy");
+                    if lanes.quiet_after(c) {
                         active[c] = false;
                         if rng.below(3) == 0 {
                             // Longer than either lane's wheel.
@@ -982,7 +1098,7 @@ mod tests {
                 if rng.below(2) == 0 {
                     let f = flit(next_flit);
                     next_flit += 1;
-                    wheel.push_flit(&t, c, f);
+                    lanes.push_flit(c, f);
                     refs[c].flits.push_back((now + fd, f));
                     active[c] = true;
                 }
@@ -1003,7 +1119,7 @@ mod tests {
                     } else {
                         Credit::Vnet(VirtualNetwork(rng.below(3) as u8))
                     };
-                    wheel.push_credit(&t, c, credit);
+                    lanes.push_credit(c, credit);
                     refs[c].credits.push_back((now + rd, credit));
                     active[c] = true;
                 }
@@ -1018,7 +1134,7 @@ mod tests {
                         break;
                     }
                     let signal = arbitrary_control(&mut rng);
-                    wheel.push_control(&t, c, signal);
+                    lanes.push_control(c, signal);
                     refs[c].control.push_back((now + rd, signal));
                     active[c] = true;
                 }
@@ -1069,25 +1185,25 @@ mod tests {
     #[test]
     fn wheel_snapshot_round_trip_is_exact() {
         for link_latency in 1..=4 {
-            let mut wheel = LinkWheel::new(2, link_latency);
+            let mut wheel = reversed_wheel(2, link_latency);
             // Lap the wheel first so the save has stale slots to ignore.
             let mut now = 0;
             for i in 0..17u64 {
-                let t = wheel.tick(now);
+                let mut lanes = wheel.lanes(now);
                 if i % 3 != 1 {
-                    wheel.push_flit(&t, (i % 2) as usize, flit(i));
+                    lanes.push_flit((i % 2) as usize, flit(i));
                 }
-                wheel.push_credit(&t, 0, Credit::Vc(VcId(i as u8)));
+                lanes.push_credit(0, Credit::Vc(VcId(i as u8)));
                 if i % 4 == 0 {
-                    wheel.push_credit(&t, 1, Credit::Vnet(VirtualNetwork(2)));
-                    wheel.push_control(&t, 1, ControlSignal::StopCreditTracking);
+                    lanes.push_credit(1, Credit::Vnet(VirtualNetwork(2)));
+                    lanes.push_control(1, ControlSignal::StopCreditTracking);
                 }
                 now += 1;
             }
             let mut w = SnapshotWriter::new();
             wheel.save(&mut w, now);
             let bytes = w.into_bytes();
-            let mut restored = LinkWheel::new(2, link_latency);
+            let mut restored = reversed_wheel(2, link_latency);
             let mut r = SnapshotReader::new(&bytes);
             restored.load(&mut r, now).unwrap();
             r.finish("wheel").unwrap();
@@ -1105,31 +1221,93 @@ mod tests {
             );
             // Draining both must produce identical arrivals.
             for now in now..now + 10 {
-                let t = wheel.tick(now);
+                let (a, b) = (wheel.lanes(now), restored.lanes(now));
                 for c in 0..2 {
-                    assert_eq!(wheel.flit_at(&t, c), restored.flit_at(&t, c));
-                    let (a, b) = (wheel.rev_at(&t, c), restored.rev_at(&t, c));
-                    assert_eq!(a.map(RevSlot::credits), b.map(RevSlot::credits));
-                    assert_eq!(a.map(RevSlot::control), b.map(RevSlot::control));
-                    assert_eq!(wheel.quiet_after(c, now), restored.quiet_after(c, now));
+                    assert_eq!(a.flit_at(c), b.flit_at(c));
+                    let (ra, rb) = (a.rev_at(c), b.rev_at(c));
+                    assert_eq!(ra.map(RevSlot::credits), rb.map(RevSlot::credits));
+                    assert_eq!(ra.map(RevSlot::control), rb.map(RevSlot::control));
+                    assert_eq!(a.quiet_after(c), b.quiet_after(c));
                 }
             }
             assert_eq!(restored.flits_in_flight(now + 10), 0);
         }
     }
 
+    /// Random link sets (links numbered by upstream node, any downstream
+    /// node, self-loops and parallel links included) pushed through views
+    /// cut at random node boundaries — each push through the view of the
+    /// node that drives the lane — leave the wheel exactly as the same
+    /// pushes through the whole view do, and every cut view reads the
+    /// whole view's arrivals.
+    #[test]
+    fn split_views_write_what_the_whole_view_writes() {
+        for case in 1..=40u64 {
+            let mut rng = XorShift(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let nodes = 1 + rng.below(8) as usize;
+            let mut ends = Vec::new();
+            for from in 0..nodes {
+                for _ in 0..rng.below(4) {
+                    ends.push((from, rng.below(nodes as u64) as usize));
+                }
+            }
+            let latency = 1 + rng.below(4);
+            let mut whole = LinkWheel::new(nodes, &ends, latency);
+            let mut cut = whole.clone();
+            for now in 0..24 {
+                let cuts: Vec<usize> = (1..nodes).filter(|_| rng.below(2) == 0).collect();
+                // (link, 0 = flit / 1 = credit / 2 = control)
+                let pushes: Vec<(usize, u64)> = (0..ends.len())
+                    .flat_map(|c| (0..3).map(move |kind| (c, kind)))
+                    .filter(|_| rng.below(3) == 0)
+                    .collect();
+                let push = |lanes: &mut Lanes<'_>, c: usize, kind: u64| match kind {
+                    0 => lanes.push_flit(c, flit(now * 64 + c as u64)),
+                    1 => lanes.push_credit(c, Credit::Vc(VcId(c as u8))),
+                    _ => lanes.push_control(c, ControlSignal::StopCreditTracking),
+                };
+                let mut all = whole.lanes(now);
+                let mut rest = cut.lanes(now);
+                let mut views: Vec<_> = cuts.iter().map(|&mid| rest.split_front(mid)).collect();
+                views.push(rest);
+                let owner = |node: usize| cuts.partition_point(|&mid| mid <= node);
+                for view in &views {
+                    for c in 0..ends.len() {
+                        assert_eq!(view.flit_at(c), all.flit_at(c), "case {case} cycle {now}");
+                        let (a, b) = (view.rev_at(c), all.rev_at(c));
+                        assert_eq!(a.map(RevSlot::credits), b.map(RevSlot::credits));
+                        assert_eq!(a.map(RevSlot::control), b.map(RevSlot::control));
+                    }
+                }
+                for &(c, kind) in &pushes {
+                    push(&mut all, c, kind);
+                    let driver = if kind == 0 { ends[c].0 } else { ends[c].1 };
+                    push(&mut views[owner(driver)], c, kind);
+                }
+                drop(views);
+                for c in 0..ends.len() {
+                    assert_eq!(all.quiet_after(c), cut.lanes(now).quiet_after(c));
+                }
+                let (mut a, mut b) = (SnapshotWriter::new(), SnapshotWriter::new());
+                whole.save(&mut a, now + 1);
+                cut.save(&mut b, now + 1);
+                assert_eq!(a.into_bytes(), b.into_bytes(), "case {case} cycle {now}");
+            }
+        }
+    }
+
     #[test]
     fn reset_forgets_old_stamps() {
-        let mut wheel = LinkWheel::new(1, 1);
-        let t = wheel.tick(0);
-        wheel.push_flit(&t, 0, flit(7));
-        wheel.push_credit(&t, 0, Credit::Vc(VcId(0)));
+        let mut wheel = reversed_wheel(1, 1);
+        let mut lanes = wheel.lanes(0);
+        lanes.push_flit(0, flit(7));
+        lanes.push_credit(0, Credit::Vc(VcId(0)));
         wheel.reset();
         // The restarted clock passes the old arrival cycles and sees nothing.
         for now in 0..8 {
-            let t = wheel.tick(now);
-            assert!(wheel.flit_at(&t, 0).is_none() && wheel.rev_at(&t, 0).is_none());
-            assert!(wheel.quiet_after(0, now));
+            let lanes = wheel.lanes(now);
+            assert!(lanes.flit_at(0).is_none() && lanes.rev_at(0).is_none());
+            assert!(lanes.quiet_after(0));
         }
         assert_eq!(
             (wheel.flits_in_flight(0), wheel.credits_in_flight(0)),

@@ -2,6 +2,7 @@
 
 use crate::error::ConfigError;
 use crate::faults::FaultPlan;
+pub use crate::parallel::MAX_SIM_THREADS;
 use crate::topology::Mesh;
 
 /// Message class carried by a virtual network.
@@ -75,7 +76,8 @@ pub struct NetworkConfig {
     pub retransmit: Option<RetransmitConfig>,
     /// Worker threads for the intra-run parallel cycle engine (DESIGN.md
     /// §12). `1` (the presets' value) steps serially; any value produces
-    /// byte-identical results, so this is purely a wall-clock knob.
+    /// byte-identical results, so this is purely a wall-clock knob. At most
+    /// [`MAX_SIM_THREADS`].
     pub sim_threads: usize,
 }
 
@@ -239,10 +241,10 @@ impl NetworkConfig {
                 range: ">= 1",
             });
         }
-        if self.sim_threads == 0 {
+        if !(1..=MAX_SIM_THREADS).contains(&self.sim_threads) {
             return Err(ConfigError::OutOfRange {
                 what: "sim_threads",
-                range: ">= 1",
+                range: "1..=64",
             });
         }
         self.faults.validate(self.width, self.height)?;
@@ -316,6 +318,23 @@ mod tests {
         ));
         (cfg.width, cfg.height) = (1, 4);
         assert!(cfg.validate().is_ok());
+
+        // The thread budget is bounded on both sides.
+        for (threads, ok) in [(0, false), (1, true), (MAX_SIM_THREADS, true)]
+            .into_iter()
+            .chain([(MAX_SIM_THREADS + 1, false), (100_000, false)])
+        {
+            let cfg = NetworkConfig {
+                sim_threads: threads,
+                ..NetworkConfig::paper_3x3()
+            };
+            let want = Err(ConfigError::OutOfRange {
+                what: "sim_threads",
+                range: "1..=64",
+            });
+            assert_eq!(cfg.validate(), if ok { Ok(()) } else { want }, "{threads}");
+        }
+        assert_eq!(MAX_SIM_THREADS, 64, "the range text names the ceiling");
     }
 
     #[test]

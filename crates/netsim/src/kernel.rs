@@ -6,16 +6,19 @@
 //! visited. The serial engine (`network.rs`) and the sharded engine
 //! (`parallel.rs`) are schedules over the bodies below. A body reaches
 //! simulation state only through a [`Cx`]: the node range of routers, NIs
-//! and per-node bookkeeping its schedule owns, the [`Accum`] its counts go
-//! to, and three handles saying how shared structures are touched —
-//! activity bits ([`Bits`]), link-wheel slots ([`Lanes`]) and the fault log
-//! ([`FaultLog`]). The serial schedule plugs in the network's own sets,
-//! wheel, log and totals; a shard plugs in atomic bitmask words, raw slot
-//! pointers and its per-cycle delta. Both are monomorphised, so neither
-//! pays for the other — and so is the router type `R` of the network's
-//! bank, so a body calls its routers directly, not through a vtable.
+//! and per-node bookkeeping its schedule owns with the link-wheel view
+//! ([`Lanes`]) of the lanes those routers drive ([`Nodes`]), the [`Accum`]
+//! its counts go to, and two handles saying how shared structures are
+//! touched — activity bits ([`Bits`]) and the fault log ([`FaultLog`]).
+//! The serial schedule takes every node and plugs in the network's own
+//! sets, log and totals; a shard takes its node range, split off the same
+//! view by safe slice splits ([`Nodes::split_front`]), and plugs in atomic
+//! bitmask words and its per-cycle delta. Both are monomorphised, so
+//! neither pays for the other — and so is the router type `R` of the
+//! network's bank, so a body calls its routers directly, not through a
+//! vtable.
 
-use crate::channel::{ControlSignal, Credit, RevSlot, Tick};
+use crate::channel::Lanes;
 use crate::config::NetworkConfig;
 use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultEventKind, FaultPlane, FlitFate};
@@ -38,19 +41,6 @@ pub(crate) trait Bits {
     fn clear(&mut self, i: usize);
     /// Snapshot of word `wi` (members `64·wi ..`).
     fn word(&self, wi: usize) -> u64;
-}
-
-/// The link wheel as the bodies reach it: this cycle's reverse arrivals and
-/// the write slots of the lanes their routers drive.
-pub(crate) trait Lanes {
-    /// The credits/control arriving on link `c` this cycle, if any.
-    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot>;
-    /// Sends a flit down link `c`.
-    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit);
-    /// Sends a credit up link `c`.
-    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit);
-    /// Sends a control signal up link `c`.
-    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal);
 }
 
 /// Where fault-plane events go.
@@ -101,8 +91,9 @@ impl Accum {
         self.nack_queue.clear();
     }
 
-    /// Folds `src` into `self`. Sums and maxima commute; the NACK queue
-    /// concatenates, so callers merge in ascending shard order.
+    /// Folds `src` into `self` and zeroes `src`. Sums and maxima commute;
+    /// the NACK queue concatenates, so callers merge in ascending shard
+    /// order.
     pub(crate) fn merge(&mut self, src: &mut Accum) {
         self.stats.merge(&src.stats);
         self.credits_pushed += src.credits_pushed;
@@ -115,6 +106,7 @@ impl Accum {
         }
         self.ni_high_water_max = self.ni_high_water_max.max(src.ni_high_water_max);
         self.nack_queue.append(&mut src.nack_queue);
+        src.clear();
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -211,7 +203,7 @@ impl<T: Codec + Default> Codec for DueQueue<T> {
 /// What every body of one cycle reads and nobody writes.
 #[derive(Clone, Copy)]
 pub(crate) struct Frame<'a> {
-    pub(crate) tick: Tick,
+    pub(crate) now: Cycle,
     pub(crate) ends: &'a [ChannelEnds],
     pub(crate) out_chan: &'a [DirMap<Option<usize>>],
     pub(crate) in_chan: &'a [DirMap<Option<usize>>],
@@ -231,7 +223,7 @@ impl Frame<'_> {
     /// The age watchdog: a flit arriving at `node` older than
     /// `max_flit_age` is a terminal error.
     pub(crate) fn check_age(&self, node: NodeId, flit: Flit) -> Result<(), SimError> {
-        let (now, limit) = (self.tick.now, self.config.max_flit_age);
+        let (now, limit) = (self.now, self.config.max_flit_age);
         let age = now.saturating_sub(flit.injected_at);
         if limit > 0 && age > limit {
             return Err(SimError::FlitOverAge {
@@ -246,16 +238,41 @@ impl Frame<'_> {
     }
 }
 
-/// A schedule's view of the state it owns for one cycle (see the module
-/// docs). Per-node slices cover nodes `lo..lo + routers.len()`; bodies take
-/// global indices.
-pub(crate) struct Cx<'a, R, B, L, F> {
-    pub(crate) fr: Frame<'a>,
+/// What a schedule owns of the nodes `lo..lo + routers.len()` for one
+/// cycle: their routers, NIs and per-node bookkeeping, and the link lanes
+/// their routers drive. The serial schedule owns every node; the sharded
+/// engine cuts the range at its shard boundaries with
+/// [`Nodes::split_front`], so two shards never share an element.
+pub(crate) struct Nodes<'a, R> {
     pub(crate) lo: usize,
     pub(crate) routers: &'a mut [R],
     pub(crate) nis: &'a mut [NodeInterface],
     pub(crate) accounted_upto: &'a mut [Cycle],
     pub(crate) modes_cache: &'a mut [RouterMode],
+    pub(crate) lanes: Lanes<'a>,
+}
+
+impl<'a, R> Nodes<'a, R> {
+    /// Splits off the nodes below `mid`, keeping the rest.
+    pub(crate) fn split_front(&mut self, mid: usize) -> Nodes<'a, R> {
+        let k = mid - self.lo;
+        let inside = "boundary inside the range";
+        Nodes {
+            lo: std::mem::replace(&mut self.lo, mid),
+            routers: self.routers.split_off_mut(..k).expect(inside),
+            nis: self.nis.split_off_mut(..k).expect(inside),
+            accounted_upto: self.accounted_upto.split_off_mut(..k).expect(inside),
+            modes_cache: self.modes_cache.split_off_mut(..k).expect(inside),
+            lanes: self.lanes.split_front(mid),
+        }
+    }
+}
+
+/// A schedule's view of the state it touches for one cycle (see the module
+/// docs). Bodies take global node indices.
+pub(crate) struct Cx<'a, R, B, F> {
+    pub(crate) fr: Frame<'a>,
+    pub(crate) own: Nodes<'a, R>,
     pub(crate) acc: &'a mut Accum,
     pub(crate) scratch: &'a mut RouterOutputs,
     /// The fault plane's stream. Only probabilistic plans draw from it and
@@ -265,20 +282,19 @@ pub(crate) struct Cx<'a, R, B, L, F> {
     pub(crate) chan_active: B,
     pub(crate) ni_send_active: B,
     pub(crate) ni_delivered: B,
-    pub(crate) lanes: &'a mut L,
     pub(crate) fault_log: F,
 }
 
-impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
+impl<R: Router, B: Bits, F: FaultLog> Cx<'_, R, B, F> {
     /// Phase 1, reverse side of link `c`: each credit crosses the fault
     /// plane's credit-loss stage on its way to the upstream router; control
     /// signals are sideband and always cross.
     #[inline]
     pub(crate) fn deliver_reverse(&mut self, c: usize) {
-        let Some(rev) = self.lanes.rev_at(&self.fr.tick, c) else {
+        let Some(rev) = self.own.lanes.rev_at(c) else {
             return;
         };
-        let now = self.fr.tick.now;
+        let now = self.fr.now;
         let ends = self.fr.ends[c];
         let up = ends.from.index();
         for &credit in rev.credits() {
@@ -297,11 +313,11 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
             }
             self.acc.credits_delivered += 1;
             self.router_active.set(up);
-            self.routers[up - self.lo].receive_credit(PortId::Net(ends.dir), credit, now);
+            self.own.routers[up - self.own.lo].receive_credit(PortId::Net(ends.dir), credit, now);
         }
         for &signal in rev.control() {
             self.router_active.set(up);
-            self.routers[up - self.lo].receive_control(PortId::Net(ends.dir), signal, now);
+            self.own.routers[up - self.own.lo].receive_control(PortId::Net(ends.dir), signal, now);
         }
     }
 
@@ -309,7 +325,7 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
     /// then the downstream router's input port.
     #[inline]
     pub(crate) fn deliver_flit(&mut self, c: usize, mut flit: Flit) -> Result<(), SimError> {
-        let now = self.fr.tick.now;
+        let now = self.fr.now;
         let ends = self.fr.ends[c];
         if self.fr.faults_active {
             match self.fr.faults.flit_fate(c, now, self.fault_rng) {
@@ -333,7 +349,8 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
         self.fr.check_age(ends.to, flit)?;
         let down = ends.to.index();
         self.router_active.set(down);
-        self.routers[down - self.lo].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
+        let port = PortId::Net(ends.dir.opposite());
+        self.own.routers[down - self.own.lo].receive_flit(port, flit, now);
         Ok(())
     }
 
@@ -344,7 +361,7 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
     pub(crate) fn check_timeouts(&mut self, i: usize) {
         let stats = &mut self.acc.stats;
         let (copies0, abandoned0) = (stats.flits_retransmit_copies, stats.flits_abandoned);
-        self.nis[i - self.lo].check_timeouts(self.fr.tick.now, stats);
+        self.own.nis[i - self.own.lo].check_timeouts(self.fr.now, stats);
         let copies = stats.flits_retransmit_copies - copies0;
         if copies > 0 {
             self.ni_send_active.set(i);
@@ -356,14 +373,14 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
     /// nothing), in-flight/retransmit accounting, send-set maintenance.
     #[inline]
     pub(crate) fn inject(&mut self, i: usize) {
-        let now = self.fr.tick.now;
+        let now = self.fr.now;
         if self.fr.faults_active && self.fr.faults.router_stalled(i, now) {
             return;
         }
-        let ni = &mut self.nis[i - self.lo];
+        let ni = &mut self.own.nis[i - self.own.lo];
         let stats = &mut self.acc.stats;
         let (inj0, rtx0) = (stats.flits_injected, stats.flits_retransmitted);
-        ni.try_inject(&mut self.routers[i - self.lo], now, stats);
+        ni.try_inject(&mut self.own.routers[i - self.own.lo], now, stats);
         let retransmitted = stats.flits_retransmitted - rtx0;
         let entered = (stats.flits_injected - inj0) + retransmitted;
         if entered > 0 {
@@ -383,9 +400,9 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
     /// the local NI and the NACK circuit.
     pub(crate) fn step_one_router(&mut self, i: usize) -> Result<(), SimError> {
         let fr = &self.fr;
-        let (now, tick) = (fr.tick.now, &fr.tick);
-        let router = &mut self.routers[i - self.lo];
-        let accounted = &mut self.accounted_upto[i - self.lo];
+        let now = fr.now;
+        let router = &mut self.own.routers[i - self.own.lo];
+        let accounted = &mut self.own.accounted_upto[i - self.own.lo];
         if fr.faults_active && fr.faults.router_stalled(i, now) {
             // A stalled cycle is never accounted in the router's counters,
             // so mark it handled without replaying it as idle; mode
@@ -423,12 +440,12 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
                     });
                 };
                 self.chan_active.set(chan);
-                self.lanes.push_flit(tick, chan, flit);
+                self.own.lanes.push_flit(chan, flit);
             }
             for &credit in &out.credits[PortId::Net(dir)] {
                 if let Some(chan) = fr.in_chan[i][dir] {
                     self.chan_active.set(chan);
-                    self.lanes.push_credit(tick, chan, credit);
+                    self.own.lanes.push_credit(chan, credit);
                     self.acc.credits_pushed += 1;
                 }
             }
@@ -444,12 +461,12 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
             for dir in Direction::ALL {
                 if let Some(chan) = fr.in_chan[i][dir] {
                     self.chan_active.set(chan);
-                    self.lanes.push_control(tick, chan, signal);
+                    self.own.lanes.push_control(chan, signal);
                 }
             }
         }
         if !out.ejected.is_empty() {
-            let ni = &mut self.nis[i - self.lo];
+            let ni = &mut self.own.nis[i - self.own.lo];
             self.acc.in_flight -= out.ejected.len() as i64;
             let stats = &mut self.acc.stats;
             ni.receive_flits(out.ejected.drain(..), fr.packets, now, stats);
@@ -471,7 +488,7 @@ impl<R: Router, B: Bits, L: Lanes, F: FaultLog> Cx<'_, R, B, L, F> {
         }
 
         let mode = router.mode();
-        let cached = &mut self.modes_cache[i - self.lo];
+        let cached = &mut self.own.modes_cache[i - self.own.lo];
         if mode != *cached {
             self.acc.mode_counts[Network::mode_slot(*cached)] -= 1;
             self.acc.mode_counts[Network::mode_slot(mode)] += 1;

@@ -49,12 +49,11 @@
 //! assert_eq!(mesh.router_class(center), RouterClass::Center);
 //! ```
 
-// `unsafe` is denied everywhere except the intra-run parallel engine
-// (`parallel.rs`), which needs raw-pointer shard views of the per-node
-// arrays and the link wheel to step disjoint regions of the mesh on worker
-// threads (the activity bitmasks are safe `AtomicU64` words). Every
-// unsafe block there is justified by the shard-ownership argument of
-// DESIGN.md §12; the rest of the crate stays safe Rust.
+// `unsafe` is denied. The one exception is a single function of the
+// intra-run parallel engine (`parallel::publish`): the shard views of a
+// cycle are ordinary slice borrows split off one view, and only handing them to the
+// persistent worker pool needs their lifetime erased (DESIGN.md §12).
+// `tests/unsafe_budget.rs` holds the line.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

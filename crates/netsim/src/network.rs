@@ -24,7 +24,7 @@ use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultPlane, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId};
-use crate::kernel::{walk, Accum, Bits, Cx, DueQueue, FaultLog, Frame};
+use crate::kernel::{walk, Accum, Bits, Cx, DueQueue, FaultLog, Frame, Nodes};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketTable};
 use crate::rng::SimRng;
@@ -168,7 +168,7 @@ impl FaultLog for &mut Vec<FaultEvent> {
 }
 
 /// The serial schedule's view: the whole network, touched directly.
-type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, LinkWheel, &'a mut Vec<FaultEvent>>;
+type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, &'a mut Vec<FaultEvent>>;
 
 /// Phases 1–3 of one cycle compiled against one router type: what a bank
 /// hands the network at construction ([`Network::cycle_phases`]).
@@ -184,9 +184,9 @@ fn deliver_channel<R: Router>(
     held_flits: &mut usize,
     c: usize,
 ) -> Result<(), SimError> {
-    let now = cx.fr.tick.now;
+    let now = cx.fr.now;
     cx.deliver_reverse(c);
-    let arriving = cx.lanes.flit_at(&cx.fr.tick, c);
+    let arriving = cx.own.lanes.flit_at(c);
     let to = cx.fr.ends[c].to.index();
     let stalled = cx.fr.faults_active && cx.fr.faults.router_stalled(to, now);
     // The hold-back queue is a bypass: an arrival goes straight to the
@@ -210,7 +210,7 @@ fn deliver_channel<R: Router>(
     } else {
         arriving
     };
-    if holding || !cx.lanes.quiet_after(c, now) {
+    if holding || !cx.own.lanes.quiet_after(c) {
         cx.chan_active.insert(c);
     } else {
         cx.chan_active.remove(c);
@@ -495,7 +495,10 @@ impl Network {
                 }
             }
         }
-        let wheel = LinkWheel::new(ends.len(), config.link_latency);
+        let lane_ends: Vec<_> = (ends.iter())
+            .map(|e| (e.from.index(), e.to.index()))
+            .collect();
+        let wheel = LinkWheel::new(n, &lane_ends, config.link_latency);
         let held = vec![VecDeque::new(); ends.len()];
         let rng = SimRng::seed_from(seed);
         let fault_rng = rng.fork(0x00FA_0171);
@@ -650,10 +653,11 @@ impl Network {
     }
 
     /// Sets the intra-run parallel engine's thread budget (`1` = serial),
-    /// mid-run too: only wall-clock time changes. The old thread pool is
-    /// torn down; the next sharded cycle builds the new one.
+    /// mid-run too: only wall-clock time changes. The budget is clamped to
+    /// `1..=`[`MAX_SIM_THREADS`](crate::config::MAX_SIM_THREADS). The old
+    /// thread pool is torn down; the next sharded cycle builds the new one.
     pub fn set_sim_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
+        let threads = threads.clamp(1, crate::parallel::MAX_SIM_THREADS);
         if threads != self.sim_threads {
             self.sim_threads = threads;
             self.engine = None;
@@ -934,7 +938,7 @@ impl Network {
             .expect("the kernel is compiled for its own bank's router type");
         let cx = Cx {
             fr: Frame {
-                tick: self.wheel.tick(self.now),
+                now: self.now,
                 ends: &self.ends,
                 out_chan: &self.out_chan,
                 in_chan: &self.in_chan,
@@ -945,11 +949,14 @@ impl Network {
                 rng: &self.rng,
                 packets: &self.packets,
             },
-            lo: 0,
-            routers,
-            nis: &mut self.nis,
-            accounted_upto: &mut self.accounted_upto,
-            modes_cache: &mut self.modes_cache,
+            own: Nodes {
+                lo: 0,
+                routers,
+                nis: &mut self.nis,
+                accounted_upto: &mut self.accounted_upto,
+                modes_cache: &mut self.modes_cache,
+                lanes: self.wheel.lanes(self.now),
+            },
             acc: &mut self.acc,
             scratch: &mut self.scratch,
             fault_rng: &mut self.fault_rng,
@@ -957,7 +964,6 @@ impl Network {
             chan_active: &mut self.chan_active,
             ni_send_active: &mut self.ni_send_active,
             ni_delivered: &mut self.ni_delivered,
-            lanes: &mut self.wheel,
             fault_log: &mut self.fault_log,
         };
         (cx, &mut self.held, &mut self.held_flits)

@@ -110,6 +110,27 @@ fn total_counters_aggregate_all_routers() {
     assert_eq!(one.cycles, 10);
 }
 
+/// The thread budget setter clamps to `1..=MAX_SIM_THREADS` rather than
+/// sizing a pool from whatever it is handed; no cycle is stepped, so no
+/// thread is spawned.
+#[test]
+fn sim_thread_budget_is_clamped() {
+    use crate::config::MAX_SIM_THREADS;
+    let mut net = build(false);
+    for (asked, got) in [
+        (0, 1),
+        (3, 3),
+        (MAX_SIM_THREADS, MAX_SIM_THREADS),
+        (MAX_SIM_THREADS + 1, MAX_SIM_THREADS),
+        (100_000, MAX_SIM_THREADS),
+        (usize::MAX, MAX_SIM_THREADS),
+    ] {
+        net.set_sim_threads(asked);
+        assert_eq!(net.sim_threads, got, "asked for {asked}");
+        assert!(net.engine.is_none());
+    }
+}
+
 #[test]
 fn mechanism_metadata_is_exposed() {
     let net = build(false);

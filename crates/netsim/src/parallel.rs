@@ -4,19 +4,22 @@
 //! runs; this file only decides who visits what on which thread, and folds
 //! the per-thread counts.
 //!
-//! The mesh is cut into `T` contiguous **shards** — a node range plus each
-//! node's NI and the links whose upstream end lies in the range — at
-//! load-proportional boundaries, re-planned every [`REPLAN_INTERVAL`]
-//! parallel cycles. Each cycle the main thread, workers parked, publishes a
-//! `Job`, and then every thread crosses one [`SpinBarrier`] twice:
+//! The mesh is cut into `T` contiguous **shards** — a node range with its
+//! routers, NIs and per-node bookkeeping, and the link lanes those routers
+//! drive — at load-proportional boundaries, re-planned every
+//! [`REPLAN_INTERVAL`] parallel cycles. Each cycle the main thread takes the
+//! serial schedule's view of the network ([`Network::view`]) and cuts its
+//! node range at the shard boundaries ([`Nodes::split_front`], which cuts
+//! the lanes too); each worker's piece and delta go into its slot of the
+//! persistent pool ([`publish`]), and then every thread crosses one
+//! [`SpinBarrier`] twice:
 //!
 //! * **Region** (between the crossings, on a persistent `std::thread`
-//!   pool): each shard locks its own delta, builds a [`Cx`] over its node
-//!   range and runs phase 1 for the links incident on its routers, the NI
-//!   timeout scan, the injection walk and the router walk. One shard writes
-//!   each link lane, and the wheel contract ([`crate::channel`]) keeps a
-//!   cycle's read slots apart from its write slots, so phase 1 fuses with
-//!   phase 3.
+//!   pool): each shard builds a [`Cx`] from its piece and its delta and
+//!   runs phase 1 for the links incident on its routers, the NI timeout
+//!   scan, the injection walk and the router walk. All shards read the
+//!   wheel's read stripes, each writes only its own lanes' write slots, so
+//!   phase 1 fuses with phase 3.
 //! * **Epilogue** (main thread, after the end crossing — exclusive again):
 //!   the deltas fold in ascending shard order — each [`Accum`] merges into
 //!   the network's totals, the tagged fault events are sorted into the
@@ -26,7 +29,7 @@
 //!   cycle's pushes; here one shard's phase 1 runs alongside another's
 //!   phase 3, so a clear there would race a push's set — after the end
 //!   crossing every push has landed and the same predicate
-//!   (`LinkWheel::quiet_after`) yields the same bits.
+//!   ([`Lanes::quiet_after`]) yields the same bits.
 //!
 //! Output is byte-identical at any thread count because every mutation in
 //! a cycle either targets state owned by exactly one shard, whose
@@ -41,18 +44,14 @@
 //! Whether a cycle runs here at all is [`gate`]'s call — a pure function
 //! of simulation state, so *which engine ran* is as reproducible as the
 //! results.
-#![allow(unsafe_code)]
 
-use crate::channel::{ControlSignal, Credit, FwdSlot, LastDue, RevSlot, Tick};
 use crate::error::SimError;
 use crate::faults::FaultEvent;
-use crate::flit::{Cycle, Flit};
-use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame, Lanes};
+use crate::kernel::{walk, Accum, Bits, Cx, FaultLog, Frame, Nodes};
 use crate::network::Network;
-use crate::ni::NodeInterface;
 use crate::rng::SimRng;
-use crate::router::{Router, RouterMode, RouterOutputs};
-use std::cell::UnsafeCell;
+use crate::router::{Router, RouterOutputs};
+use std::any::Any;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,6 +67,12 @@ use std::thread::JoinHandle;
 /// (≥ 1 680) and 32×32 at 0.08 (≥ 3 150) up, at 2–8 threads alike — so the
 /// floor sits between, just above what a 16×16 can ever reach.
 pub(crate) const MIN_ACTIVE: usize = 1536;
+
+/// The most threads a network steps on: the engine spawns one OS thread
+/// per shard beyond the caller's, so the budget is bounded far below what
+/// a host could be asked to spawn, and well above the 2–8 threads where
+/// sharding was measured to pay (EXPERIMENTS.md, "The engine gate").
+pub const MAX_SIM_THREADS: usize = 64;
 
 /// Parallel cycles between deterministic re-plan points, where the shard
 /// boundaries are recomputed from the activity bitmasks (output-neutral:
@@ -88,7 +93,7 @@ struct CachePadded<T>(T);
 // Shard plan
 // ---------------------------------------------------------------------------
 
-/// The boundary-independent tables of an engine, built once — re-planning
+/// The boundary-independent table of an engine, built once — re-planning
 /// only recomputes the small boundary vector (`Engine::node_start`).
 struct Plan {
     /// Flattened per-router phase-1 pull lists: `(channel, is_fwd)` pairs,
@@ -97,68 +102,34 @@ struct Plan {
     /// end (receives credits/control).
     events: Vec<(u32, bool)>,
     ev_off: Vec<u32>,
-    /// Prefix sums of per-node outgoing-channel counts: node `j` owns
-    /// channels `[node_chan_start[j], node_chan_start[j+1])`.
-    node_chan_start: Vec<usize>,
 }
 
 impl Plan {
     fn build(net: &Network) -> Plan {
         let n = net.nis.len();
-        let chan_count = net.ends.len();
-
-        // Channels are created grouped by their upstream node in ascending
-        // node order (Network::new), so per-node channel ranges are
-        // contiguous; the engine's channel-ownership ranges follow the
-        // node ranges directly.
-        debug_assert!(net
-            .ends
-            .windows(2)
-            .all(|w| w[0].from.index() <= w[1].from.index()));
-        let mut node_chan_start = vec![0usize; n + 1];
-        for e in &net.ends {
-            node_chan_start[e.from.index() + 1] += 1;
-        }
-        for i in 0..n {
-            node_chan_start[i + 1] += node_chan_start[i];
-        }
-        debug_assert_eq!(node_chan_start[n], chan_count);
-
         let mut per: Vec<Vec<(u32, bool)>> = vec![Vec::new(); n];
         for (c, e) in net.ends.iter().enumerate() {
             per[e.from.index()].push((c as u32, false));
             per[e.to.index()].push((c as u32, true));
         }
-        let mut events = Vec::with_capacity(2 * chan_count);
+        let mut events = Vec::with_capacity(2 * net.ends.len());
         let mut ev_off = vec![0u32; n + 1];
         for (j, mut list) in per.into_iter().enumerate() {
             list.sort_unstable_by_key(|&(c, _)| c);
             events.extend_from_slice(&list);
             ev_off[j + 1] = events.len() as u32;
         }
-
-        Plan {
-            events,
-            ev_off,
-            node_chan_start,
-        }
+        Plan { events, ev_off }
     }
 }
 
 /// Splits `weights.len()` nodes into `shards` contiguous non-empty ranges
-/// whose weight sums are as even as a greedy left-to-right cut allows.
-/// Returns the `shards + 1` boundary vector (`[0, …, n]`, strictly
-/// increasing). Pure and deterministic: same inputs, same cuts — the
-/// engine's re-plan points feed it bitmask-derived weights, so plans are a
-/// function of simulation state only, never of wall-clock timing.
-fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
-    let mut starts = Vec::new();
-    shard_boundaries_into(weights, shards, &mut starts);
-    starts
-}
-
-/// [`shard_boundaries`] into a reused vector: a re-plan point allocates
-/// nothing.
+/// whose weight sums are as even as a greedy left-to-right cut allows,
+/// writing the `shards + 1` boundary vector (`[0, …, n]`, strictly
+/// increasing) into `starts` (a re-plan point allocates nothing). Pure and
+/// deterministic: same inputs, same cuts — the engine's re-plan points
+/// feed it bitmask-derived weights, so plans are a function of simulation
+/// state only, never of wall-clock timing.
 fn shard_boundaries_into(weights: &[u64], shards: usize, starts: &mut Vec<usize>) {
     let n = weights.len();
     let shards = shards.min(n).max(1);
@@ -191,9 +162,9 @@ fn shard_boundaries_into(weights: &[u64], shards: usize, starts: &mut Vec<usize>
 
 /// Per-node load weights derived from the activity bitmasks: an active
 /// router dominates (it pays the pipeline step), a sending NI and each
-/// live upstream channel add smaller shares, and every node keeps a floor
+/// live outgoing channel add smaller shares, and every node keeps a floor
 /// of 1 so idle stretches still split evenly.
-fn shard_weights(net: &Network, plan: &Plan, weights: &mut Vec<u64>) {
+fn shard_weights(net: &Network, weights: &mut Vec<u64>) {
     weights.clear();
     weights.extend((0..net.nis.len()).map(|j| {
         let mut wt = 1u64;
@@ -203,8 +174,8 @@ fn shard_weights(net: &Network, plan: &Plan, weights: &mut Vec<u64>) {
         if net.ni_send_active.contains(j) {
             wt += 2;
         }
-        for c in plan.node_chan_start[j]..plan.node_chan_start[j + 1] {
-            if net.chan_active.contains(c) {
+        for (_, &c) in net.out_chan[j].iter() {
+            if c.is_some_and(|c| net.chan_active.contains(c)) {
                 wt += 1;
             }
         }
@@ -213,65 +184,48 @@ fn shard_weights(net: &Network, plan: &Plan, weights: &mut Vec<u64>) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-cycle job, shard handles, per-shard delta
+// Per-cycle shard views, per-shard delta
 // ---------------------------------------------------------------------------
 
-/// The link wheel as a shard reaches it: slab bases and the per-link
-/// [`LastDue`] pairs, indexed where the cycle's [`Tick`] says.
-///
-/// Soundness of every access below: a shard reads only this cycle's read
-/// slots of links incident on its own routers and writes only the write
-/// slots (and `last_due` halves) of the lanes its routers drive — the
-/// forward lane of their outgoing links, the reverse lane of their
-/// incoming ones. Read and write stripes are different slots of every lane
-/// (`W = delay + 1`) and each lane has one writer, so no two threads touch
-/// the same slot or word in a cycle and no overlapping `&mut` is formed.
-#[derive(Clone, Copy)]
-struct RawLanes {
-    fwd: *mut FwdSlot,
-    rev: *mut RevSlot,
-    last_due: *mut LastDue,
+/// One shard's cycle: what every shard reads (the frame, the plan, the
+/// activity bitmasks' atomic words) and its own node range.
+struct Job<'a, R> {
+    fr: Frame<'a>,
+    plan: &'a Plan,
+    router_active: &'a [AtomicU64],
+    chan_active: &'a [AtomicU64],
+    ni_send_active: &'a [AtomicU64],
+    ni_delivered: &'a [AtomicU64],
+    nodes: Nodes<'a, R>,
 }
 
-impl RawLanes {
-    /// The flit arriving on link `c` this cycle, if any.
-    #[inline]
-    fn flit_at(&self, t: &Tick, c: usize) -> Option<Flit> {
-        // SAFETY: a read slot of a link incident on this shard's routers.
-        unsafe { (*self.fwd.add(t.fwd_read(c))).arrival(t.now) }
-    }
+/// A worker's job and delta for the cycle in flight; empty between cycles.
+type Slot<R> = CachePadded<Mutex<Option<(Job<'static, R>, &'static mut ShardDelta)>>>;
+
+/// Puts a worker's job and delta for this cycle into its slot of the
+/// persistent pool, whose type cannot name the cycle's borrows.
+#[allow(unsafe_code)]
+fn publish<'a, R: Router>(slot: &Slot<R>, job: Job<'a, R>, delta: &'a mut ShardDelta) {
+    // SAFETY: only the lifetime changes. `Engine::run` publishes before
+    // the start crossing, inside its borrows of the network and the deltas,
+    // and waits at the end crossing before they end. In between, the
+    // slot's worker — and nothing else — takes the pair out and drops it
+    // before it reaches the end crossing (`worker_loop`). So nothing
+    // published outlives the real lifetime.
+    let work = unsafe {
+        std::mem::transmute::<
+            (Job<'a, R>, &'a mut ShardDelta),
+            (Job<'static, R>, &'static mut ShardDelta),
+        >((job, delta))
+    };
+    *lock(slot) = Some(work);
 }
 
-impl Lanes for RawLanes {
-    #[inline]
-    fn rev_at(&self, t: &Tick, c: usize) -> Option<&RevSlot> {
-        // SAFETY: as above; nothing writes a read slot during the region.
-        unsafe { (*self.rev.add(t.rev_read(c))).arrival(t.now) }
-    }
-    #[inline]
-    fn push_flit(&mut self, t: &Tick, c: usize, flit: Flit) {
-        // SAFETY: the forward lane of an outgoing link of an own router.
-        unsafe {
-            (*self.fwd.add(t.fwd_write(c))).push(t.fwd_due, flit);
-            (*self.last_due.add(c)).fwd = t.fwd_due;
-        }
-    }
-    #[inline]
-    fn push_credit(&mut self, t: &Tick, c: usize, credit: Credit) {
-        // SAFETY: the reverse lane of an incoming link of an own router.
-        unsafe {
-            (*self.rev.add(t.rev_write(c))).push_credit(t.rev_due, credit);
-            (*self.last_due.add(c)).rev = t.rev_due;
-        }
-    }
-    #[inline]
-    fn push_control(&mut self, t: &Tick, c: usize, signal: ControlSignal) {
-        // SAFETY: as for `push_credit`.
-        unsafe {
-            (*self.rev.add(t.rev_write(c))).push_control(t.rev_due, signal);
-            (*self.last_due.add(c)).rev = t.rev_due;
-        }
-    }
+/// Locks a job slot. Recovering a poisoned guard is sound because a slot
+/// holds nothing between cycles, and no code that can panic runs under
+/// the lock.
+fn lock<T>(m: &CachePadded<Mutex<T>>) -> MutexGuard<'_, T> {
+    m.0.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An activity bitmask shared by every shard: each bit has one writer per
@@ -305,79 +259,8 @@ impl FaultLog for &mut TaggedFaults {
     }
 }
 
-type ShardCx<'a, R> = Cx<'a, R, &'a [AtomicU64], RawLanes, &'a mut TaggedFaults>;
-
-/// What the main thread publishes before each cycle: the frame, the plan
-/// with its current boundaries (shard `k` owns nodes
-/// `node_start[k]..node_start[k + 1]`), and the network's state as shards
-/// may reach it — bases of the per-node arrays (each shard slices out its
-/// own range), the wheel slabs, and the bitmasks' atomic words. Derived
-/// afresh every cycle from [`Network::view`], so snapshot restores and
-/// struct moves are both safe. `routers` is the base of the bank's `Vec<R>`
-/// with `R` erased; `run` is [`run_shard`] compiled for that `R`.
-struct Job<'a> {
-    plan: &'a Plan,
-    node_start: &'a [usize],
-    fr: Frame<'a>,
-    run: fn(&Shared, &Job<'_>, usize),
-    routers: *mut (),
-    nis: *mut NodeInterface,
-    accounted_upto: *mut Cycle,
-    modes_cache: *mut RouterMode,
-    lanes: RawLanes,
-    router_active: &'a [AtomicU64],
-    chan_active: &'a [AtomicU64],
-    ni_send_active: &'a [AtomicU64],
-    ni_delivered: &'a [AtomicU64],
-}
-
-impl<'a> Job<'a> {
-    /// Shard `shard`'s [`Cx`], ready for [`region`]: its node range of the
-    /// per-node arrays, the shared handles, and `delta` to count into. The
-    /// one place raw node-array pointers become slices; `R` is the bank's
-    /// router type, which only [`run_shard`] (`run`) knows.
-    fn shard_cx<R>(
-        &'a self,
-        shard: usize,
-        delta: &'a mut ShardDelta,
-        lanes: &'a mut RawLanes,
-    ) -> ShardCx<'a, R> {
-        let lo = self.node_start[shard];
-        let len = self.node_start[shard + 1] - lo;
-        // SAFETY: the job is live from the start crossing to the end
-        // crossing of the cycle `Engine::run::<R>` published it for, and
-        // each shard calls this for its own index, once per cycle, holding
-        // its delta's lock. Node ranges of distinct shards are disjoint, so
-        // these slices never overlap another thread's.
-        let (routers, nis, accounted_upto, modes_cache) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.routers.cast::<R>().add(lo), len),
-                std::slice::from_raw_parts_mut(self.nis.add(lo), len),
-                std::slice::from_raw_parts_mut(self.accounted_upto.add(lo), len),
-                std::slice::from_raw_parts_mut(self.modes_cache.add(lo), len),
-            )
-        };
-        Cx {
-            fr: self.fr,
-            lo,
-            routers,
-            nis,
-            accounted_upto,
-            modes_cache,
-            acc: &mut delta.acc,
-            scratch: &mut delta.scratch,
-            fault_rng: &mut delta.fault_rng,
-            router_active: self.router_active,
-            chan_active: self.chan_active,
-            ni_send_active: self.ni_send_active,
-            ni_delivered: self.ni_delivered,
-            lanes,
-            fault_log: &mut delta.fault_events,
-        }
-    }
-}
-
-/// Everything a shard accumulates during a cycle, folded by the epilogue.
+/// Everything a shard accumulates during a cycle. The epilogue's fold
+/// takes all of it, leaving the delta empty for the next cycle.
 struct ShardDelta {
     acc: Accum,
     fault_events: TaggedFaults,
@@ -387,7 +270,7 @@ struct ShardDelta {
     fault_rng: SimRng,
     /// First/minimal terminal error: `(phase, component index, error)`.
     error: Option<(u8, u32, SimError)>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl ShardDelta {
@@ -400,13 +283,6 @@ impl ShardDelta {
             error: None,
             panic: None,
         }
-    }
-
-    fn reset(&mut self) {
-        self.acc.clear();
-        self.fault_events.clear();
-        self.error = None;
-        self.panic = None;
     }
 
     fn heap_bytes(&self) -> usize {
@@ -493,28 +369,11 @@ impl SpinBarrier {
 
 struct Shared {
     barrier: SpinBarrier,
-    job: UnsafeCell<Option<Job<'static>>>,
-    /// Shard `k`'s delta: locked by shard `k` for its region and by the
-    /// main thread for the fold after the end crossing, so never contended.
-    deltas: Vec<CachePadded<Mutex<ShardDelta>>>,
     shutdown: AtomicBool,
-}
-
-// SAFETY: the published `Job` (its raw pointers, and its borrows whose
-// `'static` is a fiction bounded by `Engine::run`) is only used between the
-// two barrier crossings of the cycle it was published for, and only on
-// shard-owned elements or through word atomics — see `RawLanes` and
-// `Job::shard_cx`. The barrier, the deltas' mutexes and the shutdown flag
-// are thread-safe on their own.
-unsafe impl Send for Shared {}
-unsafe impl Sync for Shared {}
-
-/// Locks a shard's delta. Recovering a poisoned guard is sound because
-/// every region starts by resetting its delta; and poisoning cannot happen
-/// while the engine lives: a region's panic is caught before its guard
-/// drops, and a panic in the fold drops the engine on its way out.
-fn lock(delta: &CachePadded<Mutex<ShardDelta>>) -> MutexGuard<'_, ShardDelta> {
-    delta.0.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The workers' job slots, by shard: a `Vec<Slot<R>>` for the bank's
+    /// router type `R` (shard 0 is the main thread's and leaves its slot
+    /// empty).
+    jobs: Box<dyn Any + Send + Sync>,
 }
 
 /// Persistent shard plan + worker pool attached to a [`Network`].
@@ -524,45 +383,43 @@ pub(crate) struct Engine {
     node_start: Vec<usize>,
     /// Per-node weight scratch of the re-plan points.
     weights: Vec<u64>,
+    /// Shard `k`'s delta, lent to shard `k` for each region.
+    deltas: Vec<CachePadded<ShardDelta>>,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Parallel cycles stepped by this engine instance — the deterministic
-    /// clock for re-plan points.
-    cycles: u64,
 }
 
 impl Engine {
-    fn new(net: &Network, threads: usize) -> Engine {
-        let plan = Plan::build(net);
-        let mut weights = Vec::new();
-        shard_weights(net, &plan, &mut weights);
-        let node_start = shard_boundaries(&weights, threads);
-        let shards = node_start.len() - 1;
+    /// An engine for a bank of `R`: its workers are compiled for it.
+    fn new<R: Router + 'static>(net: &Network, threads: usize) -> Engine {
+        let shards = threads.min(net.nis.len());
+        let slots: Vec<Slot<R>> = (0..shards).map(|_| CachePadded(Mutex::new(None))).collect();
         let shared = Arc::new(Shared {
             barrier: SpinBarrier::new(shards),
-            job: UnsafeCell::new(None),
-            deltas: (0..shards)
-                .map(|_| CachePadded(Mutex::new(ShardDelta::new())))
-                .collect(),
             shutdown: AtomicBool::new(false),
+            jobs: Box::new(slots),
         });
         let workers = (1..shards)
             .map(|shard| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("afc-sim-{shard}"))
-                    .spawn(move || worker_loop(&sh, shard))
+                    .spawn(move || worker_loop::<R>(&sh, shard))
                     .expect("failed to spawn sim worker thread")
             })
             .collect();
-        Engine {
-            plan,
-            node_start,
-            weights,
+        let mut engine = Engine {
+            plan: Plan::build(net),
+            node_start: vec![0; shards + 1],
+            weights: Vec::new(),
+            deltas: (0..shards)
+                .map(|_| CachePadded(ShardDelta::new()))
+                .collect(),
             shared,
             workers,
-            cycles: 0,
-        }
+        };
+        engine.replan(net);
+        engine
     }
 
     /// Recomputes load-proportional boundaries from the current activity
@@ -571,78 +428,69 @@ impl Engine {
     /// ascending partition produces the same output.
     fn replan(&mut self, net: &Network) {
         let shards = self.node_start.len() - 1;
-        shard_weights(net, &self.plan, &mut self.weights);
+        shard_weights(net, &mut self.weights);
         shard_boundaries_into(&self.weights, shards, &mut self.node_start);
     }
 
     /// Heap bytes owned by the engine: plan tables (the only O(mesh)
-    /// terms, ≤ ~32 bytes per node/channel) plus the per-shard deltas.
-    /// Called between cycles, when no shard holds its delta.
+    /// terms, ≤ ~16 bytes per node/channel) plus the per-shard deltas.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let plan = self.plan.events.capacity() * size_of::<(u32, bool)>()
             + self.plan.ev_off.capacity() * size_of::<u32>()
-            + self.plan.node_chan_start.capacity() * size_of::<usize>()
             + self.node_start.capacity() * size_of::<usize>()
             + self.weights.capacity() * size_of::<u64>();
-        let deltas = &self.shared.deltas;
-        plan + deltas.iter().map(|d| lock(d).heap_bytes()).sum::<usize>()
-            + deltas.capacity() * size_of::<CachePadded<Mutex<ShardDelta>>>()
+        let deltas = self.deltas.iter().map(|d| d.0.heap_bytes()).sum::<usize>();
+        plan + deltas + self.deltas.capacity() * size_of::<CachePadded<ShardDelta>>()
     }
 
     /// One cycle's region and epilogue (see the module docs), on a bank of
     /// `R`.
-    fn run<R: Router + 'static>(&self, net: &mut Network) -> Result<(), SimError> {
+    fn run<R: Router + 'static>(&mut self, net: &mut Network) -> Result<(), SimError> {
         let shared = &*self.shared;
-        // The exclusive view of the whole network. Everything the shards
-        // touch during the region is derived from it, and it is not used
-        // again until the end crossing.
-        let (mut cx, _, _) = net.view::<R>();
-        let job = Job {
-            plan: &self.plan,
-            node_start: &self.node_start,
-            fr: cx.fr,
-            run: run_shard::<R>,
-            routers: cx.routers.as_mut_ptr().cast(),
-            nis: cx.nis.as_mut_ptr(),
-            accounted_upto: cx.accounted_upto.as_mut_ptr(),
-            modes_cache: cx.modes_cache.as_mut_ptr(),
-            lanes: RawLanes {
-                fwd: cx.lanes.fwd.as_mut_ptr(),
-                rev: cx.lanes.rev.as_mut_ptr(),
-                last_due: cx.lanes.last_due.as_mut_ptr(),
-            },
-            router_active: &cx.router_active.words,
-            chan_active: &cx.chan_active.words,
-            ni_send_active: &cx.ni_send_active.words,
-            ni_delivered: &cx.ni_delivered.words,
-        };
-        // SAFETY: workers are parked at the start barrier and every prior
-        // cycle's accesses ended at its end crossing, so main is the sole
-        // accessor of the job cell. The lifetime extension is sound because
-        // nothing reads the job after this cycle's end crossing below,
-        // which happens inside the borrows it erases.
-        let job = unsafe {
-            let cell = &mut *shared.job.get();
-            &*cell.insert(std::mem::transmute::<Job<'_>, Job<'static>>(job))
-        };
-        shared.barrier.wait(); // start crossing
-        run_shard::<R>(shared, job, 0);
-        shared.barrier.wait(); // end crossing: every shard's region is over
+        let slots: &Vec<Slot<R>> = shared.jobs.downcast_ref().expect("built for this bank");
+        {
+            // The exclusive view of the whole network, cut into one piece
+            // per shard: workers' pieces go to their slots, shard 0's stays.
+            let (cx, _, _) = net.view::<R>();
+            let (fr, plan) = (cx.fr, &self.plan);
+            let (router_active, chan_active) = (&cx.router_active.words, &cx.chan_active.words);
+            let (ni_send_active, ni_delivered) = (&cx.ni_send_active.words, &cx.ni_delivered.words);
+            let job = |nodes| Job {
+                fr,
+                plan,
+                router_active,
+                chan_active,
+                ni_send_active,
+                ni_delivered,
+                nodes,
+            };
+            let mut rest = cx.own;
+            let mine = rest.split_front(self.node_start[1]);
+            let (own, others) = self.deltas.split_first_mut().expect("one shard at least");
+            for ((slot, &end), delta) in slots[1..].iter().zip(&self.node_start[2..]).zip(others) {
+                publish(slot, job(rest.split_front(end)), &mut delta.0);
+            }
+            shared.barrier.wait(); // start crossing
+            run_shard(job(mine), &mut own.0);
+            shared.barrier.wait(); // end crossing: every shard's region is over
+        }
 
         // Epilogue (exclusive again): fold the deltas in ascending shard
         // order — the serial schedule's accumulation order.
-        let mut d0 = lock(&shared.deltas[0]);
+        let (mut cx, _, _) = net.view::<R>();
+        let (d0, rest) = self.deltas.split_first_mut().expect("one shard at least");
+        let d0 = &mut d0.0;
         let (mut error, mut panic) = (d0.error.take(), d0.panic.take());
         cx.acc.merge(&mut d0.acc);
-        for delta in &shared.deltas[1..] {
-            let mut d = lock(delta);
+        for CachePadded(d) in rest {
             cx.acc.merge(&mut d.acc);
             d0.fault_events.append(&mut d.fault_events);
             if let Some((p, i, e)) = d.error.take() {
                 min_error(&mut error, p, i, e);
             }
-            panic = panic.or_else(|| d.panic.take());
+            let p = d.panic.take();
+            panic = panic.or(p);
         }
         // Serial fault-log order: ascending channel, a channel's lost
         // credits before its dropped flit (one flit per channel per cycle,
@@ -652,7 +500,6 @@ impl Engine {
         for (c, is_flit, ev) in d0.fault_events.drain(..) {
             cx.fault_log.log(c as usize, is_flit, ev);
         }
-        drop(d0);
         if let Some(payload) = panic {
             resume_unwind(payload);
         }
@@ -662,14 +509,14 @@ impl Engine {
         // Every push of the cycle has landed: drop the activity bit of
         // links with nothing due after it (`held` is empty — the gate
         // checked).
-        let (now, links) = (cx.fr.tick.now, cx.fr.ends.len());
+        let links = cx.fr.ends.len();
         let Ok(()) = walk(
             &mut cx,
             0,
             links,
             |cx, wi| cx.chan_active.word(wi),
             |cx, c| {
-                if cx.lanes.quiet_after(c, now) {
+                if cx.own.lanes.quiet_after(c) {
                     cx.chan_active.remove(c);
                 }
                 Ok::<(), Infallible>(())
@@ -681,13 +528,12 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
         // Workers are parked at the start barrier between cycles; one
         // crossing releases them to observe the shutdown flag and exit.
-        self.shared.barrier.wait();
+        self.shared.shutdown.store(true, Ordering::Release);
+        if !self.workers.is_empty() {
+            self.shared.barrier.wait();
+        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -698,15 +544,30 @@ impl Drop for Engine {
 // The region: phases 1, 2a-scan, 2b and 3 over one shard
 // ---------------------------------------------------------------------------
 
-/// Runs the kernel bodies over the node range of a ready shard [`Cx`] and
+/// Runs the kernel bodies over a shard's job, counting into `delta`, and
 /// returns the shard's minimal terminal error. The schedule's own rules
 /// live here: each router pulls its incident links in ascending order;
 /// after a terminal error the shard stops mutating and only keeps
 /// age-checking arrivals, so that the minimal erroring link — the serial
 /// walk's first — is the one reported; a shard with a phase-1 error skips
 /// the later phases (any phase-3 error sorts after it).
-fn region<R: Router>(mut cx: ShardCx<'_, R>, plan: &Plan) -> Option<(u8, u32, SimError)> {
-    let (lo, hi, fr) = (cx.lo, cx.lo + cx.routers.len(), cx.fr);
+fn region<R: Router>(job: Job<'_, R>, delta: &mut ShardDelta) -> Option<(u8, u32, SimError)> {
+    let Job {
+        fr, plan, nodes, ..
+    } = job;
+    let (lo, hi) = (nodes.lo, nodes.lo + nodes.routers.len());
+    let mut cx = Cx {
+        fr,
+        own: nodes,
+        acc: &mut delta.acc,
+        scratch: &mut delta.scratch,
+        fault_rng: &mut delta.fault_rng,
+        router_active: job.router_active,
+        chan_active: job.chan_active,
+        ni_send_active: job.ni_send_active,
+        ni_delivered: job.ni_delivered,
+        fault_log: &mut delta.fault_events,
+    };
     let mut error = None;
 
     for j in lo..hi {
@@ -718,12 +579,12 @@ fn region<R: Router>(mut cx: ShardCx<'_, R>, plan: &Plan) -> Option<(u8, u32, Si
                 }
                 continue;
             }
-            let Some(flit) = cx.lanes.flit_at(&fr.tick, c) else {
+            let Some(flit) = cx.own.lanes.flit_at(c) else {
                 continue;
             };
             let result = if error.is_none() {
                 cx.deliver_flit(c, flit)
-            } else if fr.faults_active && fr.faults.link_dead(c, fr.tick.now) {
+            } else if fr.faults_active && fr.faults.link_dead(c, fr.now) {
                 Ok(()) // eaten before the age check, as in `deliver_flit`
             } else {
                 fr.check_age(fr.ends[c].to, flit)
@@ -770,33 +631,26 @@ fn region<R: Router>(mut cx: ShardCx<'_, R>, plan: &Plan) -> Option<(u8, u32, Si
 // Worker loop + main-thread orchestration
 // ---------------------------------------------------------------------------
 
-/// Shard `shard`'s part of a cycle: lock and reset its delta, then run the
-/// region over it. A panic is caught and rides to the fold in the delta, so
-/// the shard still reaches the end crossing. `R` is the bank's router type;
-/// workers reach this through `Job::run`.
-fn run_shard<R: Router>(shared: &Shared, job: &Job<'_>, shard: usize) {
-    let mut delta = lock(&shared.deltas[shard]);
-    delta.reset();
-    let mut lanes = job.lanes;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        region(job.shard_cx::<R>(shard, &mut delta, &mut lanes), job.plan)
-    }));
-    match result {
+/// One shard's part of a cycle: run the region into its delta, which the
+/// last fold left empty. A panic is caught and rides to the fold in the
+/// delta, so the shard still reaches the end crossing; either way the job
+/// is gone by then.
+fn run_shard<R: Router>(job: Job<'_, R>, delta: &mut ShardDelta) {
+    match catch_unwind(AssertUnwindSafe(|| region(job, delta))) {
         Ok(error) => delta.error = error,
         Err(payload) => delta.panic = Some(payload),
     }
 }
 
-fn worker_loop(shared: &Shared, shard: usize) {
+fn worker_loop<R: Router + 'static>(shared: &Shared, shard: usize) {
+    let slots: &Vec<Slot<R>> = shared.jobs.downcast_ref().expect("built for this bank");
     loop {
-        shared.barrier.wait(); // start crossing: job published (or shutdown)
+        shared.barrier.wait(); // start crossing: work published, or shutdown
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // SAFETY: the job is published before the start crossing and not
-        // touched again until after the end crossing.
-        let job = unsafe { (*shared.job.get()).as_ref().expect("job published") };
-        (job.run)(shared, job, shard);
+        let (job, delta) = lock(&slots[shard]).take().expect("work published");
+        run_shard(job, delta);
         shared.barrier.wait(); // end crossing
     }
 }
@@ -821,17 +675,17 @@ pub(crate) fn gate(net: &Network) -> bool {
 
 /// Steps phases 1–3 of one cycle on the parallel engine over a bank of
 /// `R`, building the engine (plan + worker pool) on first use. Callers
-/// must have passed [`gate`].
+/// must have passed [`gate`]. Re-plan points fall on the network's
+/// parallel-cycle clock.
 pub(crate) fn step_sharded<R: Router + 'static>(net: &mut Network) -> Result<(), SimError> {
     let mut engine = match net.engine.take() {
-        Some(engine) => engine,
-        None => Engine::new(net, net.sim_threads),
+        Some(engine) if engine.shared.jobs.is::<Vec<Slot<R>>>() => engine,
+        _ => Engine::new::<R>(net, net.sim_threads),
     };
-    engine.cycles += 1;
-    if engine.cycles.is_multiple_of(REPLAN_INTERVAL) {
+    net.parallel_cycles += 1;
+    if net.parallel_cycles.is_multiple_of(REPLAN_INTERVAL) {
         engine.replan(net);
     }
-    net.parallel_cycles += 1;
     let result = engine.run::<R>(net);
     net.engine = Some(engine);
     result
@@ -840,6 +694,12 @@ pub(crate) fn step_sharded<R: Router + 'static>(net: &mut Network) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
+        let mut starts = Vec::new();
+        shard_boundaries_into(weights, shards, &mut starts);
+        starts
+    }
 
     #[test]
     fn barrier_is_all_to_all() {
@@ -993,13 +853,11 @@ mod tests {
     /// The boundary vectors (node starts, channel starts) a fresh engine
     /// would use right now for `threads`.
     fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<usize>) {
-        let plan = Plan::build(net);
         let mut weights = Vec::new();
-        shard_weights(net, &plan, &mut weights);
+        shard_weights(net, &mut weights);
         let node_start = shard_boundaries(&weights, threads);
-        let chan_start = node_start
-            .iter()
-            .map(|&ns| plan.node_chan_start[ns])
+        let chan_start = (node_start.iter())
+            .map(|&ns| net.ends.partition_point(|e| e.from.index() < ns))
             .collect();
         (node_start, chan_start)
     }

@@ -4,6 +4,7 @@
 //! every decision testable through [`Cli::parse`].
 
 use crate::prelude::*;
+use afc_netsim::config::MAX_SIM_THREADS;
 use afc_netsim::router::RouterFactory;
 
 /// Parsed command line.
@@ -321,8 +322,8 @@ fn parse_kill_region(s: &str) -> Result<(u16, u16, u16, u16, u64), String> {
 
 fn parse_threads(s: &str) -> Result<usize, String> {
     let n: usize = s.parse().map_err(|_| format!("bad --sim-threads {s:?}"))?;
-    if n == 0 {
-        return Err("--sim-threads must be >= 1".into());
+    if !(1..=MAX_SIM_THREADS).contains(&n) {
+        return Err(format!("--sim-threads must be in 1..={MAX_SIM_THREADS}"));
     }
     Ok(n)
 }
@@ -594,9 +595,9 @@ credit re-sync handshake restores the revived link's flow control, and
 a fully healed network reconverges to the exact clean fast path
 (DESIGN.md §15).
 
---sim-threads N steps each cycle on N worker threads (spatially sharded;
-see DESIGN.md §12). Results are byte-identical at any thread count, so
-the flag only changes wall-clock time.
+--sim-threads N steps each cycle on N worker threads, 1 to 64 (spatially
+sharded; see DESIGN.md §12). Results are byte-identical at any thread
+count, so the flag only changes wall-clock time.
 
 An unknown or repeated flag is an error (exit 2).
 ";
@@ -642,6 +643,18 @@ mod tests {
             Cli::parse(&argv("run --sim-threads lots")),
             Cli::Help(Some(_))
         ));
+        let Cli::Run(a) = Cli::parse(&argv(&format!("run --sim-threads {MAX_SIM_THREADS}"))) else {
+            panic!("expected run")
+        };
+        assert_eq!(a.sim_threads, MAX_SIM_THREADS);
+        for over in [MAX_SIM_THREADS + 1, 100_000] {
+            for cmd in ["run", "sweep"] {
+                assert!(matches!(
+                    Cli::parse(&argv(&format!("{cmd} --sim-threads {over}"))),
+                    Cli::Help(Some(_))
+                ));
+            }
+        }
     }
 
     #[test]
