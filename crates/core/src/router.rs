@@ -30,6 +30,7 @@
 use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
+use afc_netsim::error::ConfigError;
 use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, ResyncHandshake, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, VcId};
 use afc_netsim::geom::{Coord, DirMap, Direction, NodeId, PortId, PortMap};
@@ -1216,6 +1217,10 @@ impl RouterFactory for AfcFactory {
     fn buffer_flits_per_port(&self, config: &NetworkConfig) -> usize {
         self.cfg.buffer_flits_per_port(config)
     }
+
+    fn validate(&self, config: &NetworkConfig) -> Result<(), ConfigError> {
+        self.cfg.validate(config)
+    }
 }
 
 #[cfg(test)]
@@ -1236,6 +1241,29 @@ mod tests {
         let mut f = Flit::test_flit(PacketId(id), NodeId::new(0), dest);
         f.vnet = VirtualNetwork(vnet);
         f
+    }
+
+    #[test]
+    fn network_new_returns_the_afc_config_error_instead_of_panicking() {
+        // L = 4 needs X = 2L + 2 = 10 lazy slots; a control vnet has 8.
+        let net = NetworkConfig {
+            link_latency: 4,
+            ..NetworkConfig::paper_3x3()
+        };
+        let err = afc_netsim::network::Network::new(net.clone(), &AfcFactory::paper(), 1)
+            .expect_err("an invalid AFC configuration must be refused");
+        assert_eq!(
+            err,
+            ConfigError::BufferTooSmallForGossip {
+                vnet: 0,
+                capacity: 8,
+                required: 10,
+            }
+        );
+        assert_eq!(AfcFactory::paper().validate(&net), Err(err));
+        AfcFactory::paper()
+            .validate(&NetworkConfig::paper_3x3())
+            .expect("the paper preset is valid");
     }
 
     fn run_idle(r: &mut AfcRouter, from: Cycle, cycles: u64) -> Cycle {

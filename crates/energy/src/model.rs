@@ -46,11 +46,6 @@ impl EnergyBreakdown {
     pub fn rest_of_router(&self) -> f64 {
         self.latch_dynamic + self.crossbar + self.arbitration + self.router_static
     }
-
-    /// Ratio of this breakdown's total to another's.
-    pub fn relative_to(&self, baseline: &EnergyBreakdown) -> f64 {
-        self.total() / baseline.total()
-    }
 }
 
 /// How reads out of the input buffers are charged — the three
@@ -410,7 +405,6 @@ mod tests {
         let e = model.price(&counters, &profile());
         let regrouped = e.buffer() + e.link + e.rest_of_router();
         assert!((regrouped - e.total()).abs() < 1e-9);
-        assert!(e.relative_to(&e) - 1.0 < 1e-12);
     }
 
     #[test]

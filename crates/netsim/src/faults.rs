@@ -1,7 +1,7 @@
 //! Deterministic fault injection: the configured *fault plane*.
 //!
 //! A [`FaultPlan`] describes every fault a run should experience — transient
-//! flit drop/corruption on links, permanent link kills, router stalls, and
+//! flit drop/corruption on links, permanent link kills and revivals, and
 //! credit loss on the reverse lanes. The plan lives in
 //! [`NetworkConfig`](crate::config::NetworkConfig) and is evaluated by the
 //! network engine with a dedicated RNG stream forked from the run seed, so a
@@ -21,9 +21,6 @@
 //!   and NACKs the flit back to its source for retransmission.
 //! * **Kill** — from cycle `at` onward the link delivers nothing; every
 //!   flit pushed onto it is lost (counted as a fault drop).
-//! * **Router stall** — the router freezes for a window: it neither
-//!   arbitrates nor accepts injections, and its incoming links hold their
-//!   flits (delivered one per cycle once the stall lifts).
 //! * **Credit loss** — an arriving credit vanishes with the given
 //!   probability, modeling a glitched reverse lane. Exercised by the
 //!   credit-conservation audit
@@ -171,24 +168,6 @@ pub struct LinkFault {
     pub kind: LinkFaultKind,
 }
 
-/// A router frozen for `cycles` cycles starting at `from`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterStall {
-    /// Stalled node.
-    pub node: NodeId,
-    /// First stalled cycle.
-    pub from: Cycle,
-    /// Stall length in cycles.
-    pub cycles: u64,
-}
-
-impl RouterStall {
-    /// Whether the stall covers `now`.
-    pub fn contains(&self, now: Cycle) -> bool {
-        self.from <= now && now < self.from.saturating_add(self.cycles)
-    }
-}
-
 /// The complete fault schedule for one run.
 ///
 /// An empty plan (the default) injects nothing and costs nothing on the hot
@@ -197,8 +176,6 @@ impl RouterStall {
 pub struct FaultPlan {
     /// Link-level faults, evaluated in order for every matching arrival.
     pub link_faults: Vec<LinkFault>,
-    /// Router stall windows.
-    pub router_stalls: Vec<RouterStall>,
     /// Cycles between a link kill taking effect and the upstream router
     /// *detecting* it (modeling a credit/progress timeout). Deterministic:
     /// the engine dispatches the detection exactly `kill_at +
@@ -210,7 +187,6 @@ impl Default for FaultPlan {
     fn default() -> FaultPlan {
         FaultPlan {
             link_faults: Vec::new(),
-            router_stalls: Vec::new(),
             detection_delay: FaultPlan::DEFAULT_DETECTION_DELAY,
         }
     }
@@ -227,7 +203,7 @@ impl FaultPlan {
 
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.link_faults.is_empty() && self.router_stalls.is_empty()
+        self.link_faults.is_empty()
     }
 
     /// Uniform transient faults on every link for the whole run: flits drop
@@ -405,18 +381,16 @@ impl FaultPlan {
 
     /// True when the plan's entire effect is a pure function of the cycle
     /// counter: only permanent link kills and revivals, no probabilistic
-    /// faults, no router stalls. Deterministic plans never draw from the
-    /// fault RNG and never create held-back flits, which is what lets the
-    /// engine keep the activity-tracked and intra-run-parallel paths
-    /// enabled under them.
+    /// link faults. Deterministic plans never draw from the fault RNG,
+    /// which is what lets the sharded engine (whose shards own no fault
+    /// RNG) run under them.
     pub fn is_deterministic(&self) -> bool {
-        self.router_stalls.is_empty()
-            && self.link_faults.iter().all(|f| {
-                matches!(
-                    f.kind,
-                    LinkFaultKind::KillAt { .. } | LinkFaultKind::ReviveAt { .. }
-                )
-            })
+        self.link_faults.iter().all(|f| {
+            matches!(
+                f.kind,
+                LinkFaultKind::KillAt { .. } | LinkFaultKind::ReviveAt { .. }
+            )
+        })
     }
 
     /// True when any fault in the plan is a revival (the repair plane is
@@ -552,12 +526,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a router stall window.
-    pub fn with_stall(mut self, node: NodeId, from: Cycle, cycles: u64) -> FaultPlan {
-        self.router_stalls.push(RouterStall { node, from, cycles });
-        self
-    }
-
     /// Validates rates, windows, and selector bounds against the mesh
     /// dimensions.
     ///
@@ -642,8 +610,8 @@ enum Armed {
     CreditLoss(f64, FaultWindow),
 }
 
-/// A [`FaultPlan`] compiled against one network's links and nodes: what
-/// the engines consult per arriving flit and credit. Each link holds the
+/// A [`FaultPlan`] compiled against one network's links: what the engines
+/// consult per arriving flit and credit. Each link holds the
 /// plan entries that cover it, in plan order, so a probabilistic entry draws
 /// from the fault RNG exactly when the plan-scanning queries it replaced
 /// would (they survive in the unit tests as the specification). An empty
@@ -653,9 +621,6 @@ pub(crate) struct FaultPlane {
     /// `armed[link_off[c]..link_off[c + 1]]`: link `c`'s entries.
     armed: Vec<Armed>,
     link_off: Vec<u32>,
-    /// `stalls[stall_off[i]..stall_off[i + 1]]`: node `i`'s stall windows.
-    stalls: Vec<FaultWindow>,
-    stall_off: Vec<u32>,
 }
 
 /// Row `i` of a flattened table (`off` is empty when the table is).
@@ -709,27 +674,7 @@ impl FaultPlane {
                 plane.link_off.push(plane.armed.len() as u32);
             }
         }
-        if !plan.router_stalls.is_empty() {
-            plane.stall_off.reserve_exact(mesh.node_count() + 1);
-            plane.stall_off.push(0);
-            for node in mesh.nodes() {
-                let of_node = plan.router_stalls.iter().filter(|s| s.node == node);
-                plane.stalls.extend(of_node.map(|s| FaultWindow {
-                    start: s.from,
-                    end: s.from.saturating_add(s.cycles),
-                }));
-                plane.stall_off.push(plane.stalls.len() as u32);
-            }
-        }
         plane
-    }
-
-    /// Whether node `node` is frozen at `now`.
-    #[inline]
-    pub(crate) fn router_stalled(&self, node: usize, now: Cycle) -> bool {
-        row(&self.stalls, &self.stall_off, node)
-            .iter()
-            .any(|w| w.contains(now))
     }
 
     /// Whether link `c` is inside a kill's dead window at `now` — all a
@@ -776,9 +721,7 @@ impl FaultPlane {
     /// Heap bytes owned by the compiled tables.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.armed.capacity() * size_of::<Armed>()
-            + self.stalls.capacity() * size_of::<FaultWindow>()
-            + (self.link_off.capacity() + self.stall_off.capacity()) * size_of::<u32>()
+        self.armed.capacity() * size_of::<Armed>() + self.link_off.capacity() * size_of::<u32>()
     }
 }
 
@@ -817,9 +760,9 @@ pub enum FlitFate {
 pub struct FaultEvent {
     /// Cycle of the event.
     pub cycle: Cycle,
-    /// Upstream endpoint of the affected link (or the stalled node).
+    /// Upstream endpoint of the affected link.
     pub from: NodeId,
-    /// Direction of the affected link (meaningless for stalls).
+    /// Direction of the affected link.
     pub dir: Direction,
     /// What happened.
     pub kind: FaultEventKind,
@@ -935,13 +878,6 @@ mod tests {
                 windows.push((start, Cycle::MAX));
             }
             windows
-        }
-
-        /// Whether `node` is frozen at `now`.
-        pub fn router_stalled(&self, node: NodeId, now: Cycle) -> bool {
-            self.router_stalls
-                .iter()
-                .any(|s| s.node == node && s.contains(now))
         }
 
         /// Decides the fate of a flit arriving over the link `from -> dir` at
@@ -1083,10 +1019,6 @@ mod tests {
                 kind,
             });
         }
-        for _ in 0..rng.gen_range(4) {
-            let node = NodeId::new(rng.gen_index(mesh.node_count()));
-            plan = plan.with_stall(node, rng.gen_range(horizon), rng.gen_range(horizon / 2));
-        }
         plan
     }
 
@@ -1125,13 +1057,6 @@ mod tests {
                             assert_eq!(plane.link_dead(c, now), dead, "dead window, {what}");
                         }
                     }
-                    for node in mesh.nodes() {
-                        assert_eq!(
-                            plane.router_stalled(node.index(), now),
-                            plan.router_stalled(node, now),
-                            "stall, node {node:?} cycle {now}"
-                        );
-                    }
                 }
             }
         }
@@ -1146,13 +1071,8 @@ mod tests {
         let before = rng.clone();
         assert_eq!(plane.flit_fate(5, 9, &mut rng), FlitFate::Deliver);
         assert!(!plane.credit_lost(5, 9, &mut rng));
-        assert!(!plane.link_dead(5, 9) && !plane.router_stalled(4, 9));
+        assert!(!plane.link_dead(5, 9));
         assert_eq!(rng, before);
-        // Stalls alone build no link table, and the other way round.
-        let stalls = FaultPlan::none().with_stall(NodeId::new(4), 3, 5);
-        let plane = FaultPlane::compile(&stalls, &mesh, links(&mesh).into_iter());
-        assert!(plane.link_off.is_empty() && plane.router_stalled(4, 7));
-        assert_eq!(plane.flit_fate(5, 4, &mut rng), FlitFate::Deliver);
     }
 
     #[test]
@@ -1216,7 +1136,6 @@ mod tests {
                     window: FaultWindow { start: 10, end: 20 },
                 },
             }],
-            router_stalls: vec![],
             detection_delay: FaultPlan::DEFAULT_DETECTION_DELAY,
         };
         let mesh = mesh3();
@@ -1233,16 +1152,6 @@ mod tests {
             plan.flit_fate(&mesh, NodeId::new(0), Direction::East, 20, &mut rng),
             FlitFate::Deliver
         );
-    }
-
-    #[test]
-    fn stall_windows() {
-        let plan = FaultPlan::none().with_stall(NodeId::new(4), 100, 10);
-        assert!(!plan.router_stalled(NodeId::new(4), 99));
-        assert!(plan.router_stalled(NodeId::new(4), 100));
-        assert!(plan.router_stalled(NodeId::new(4), 109));
-        assert!(!plan.router_stalled(NodeId::new(4), 110));
-        assert!(!plan.router_stalled(NodeId::new(5), 105));
     }
 
     #[test]
@@ -1336,9 +1245,7 @@ mod tests {
         );
         assert!(plan.is_deterministic());
         assert!(!FaultPlan::uniform_transient(0.1, 0.0).is_deterministic());
-        assert!(!FaultPlan::none()
-            .with_stall(NodeId::new(1), 5, 5)
-            .is_deterministic());
+        assert!(!FaultPlan::none().with_credit_loss(0.1).is_deterministic());
         assert_eq!(
             plan.first_kill_at(&mesh, NodeId::new(4), Direction::East),
             Some(100)

@@ -64,7 +64,7 @@ pub(crate) struct Accum {
     pub(crate) credits_pushed: u64,
     pub(crate) credits_delivered: u64,
     pub(crate) credits_faulted: u64,
-    /// Flits inside routers, on links, or held back at a stalled receiver.
+    /// Flits inside routers or on links.
     pub(crate) in_flight: i64,
     /// Flits sitting in NI retransmit queues.
     pub(crate) retx_queued: i64,
@@ -369,14 +369,11 @@ impl<R: Router, B: Bits, F: FaultLog> Cx<'_, R, B, F> {
         self.acc.retx_queued += copies as i64 - (stats.flits_abandoned - abandoned0) as i64;
     }
 
-    /// Phase 2b, per NI: one injection attempt (a stalled router accepts
-    /// nothing), in-flight/retransmit accounting, send-set maintenance.
+    /// Phase 2b, per NI: one injection attempt, in-flight/retransmit
+    /// accounting, send-set maintenance.
     #[inline]
     pub(crate) fn inject(&mut self, i: usize) {
         let now = self.fr.now;
-        if self.fr.faults_active && self.fr.faults.router_stalled(i, now) {
-            return;
-        }
         let ni = &mut self.own.nis[i - self.own.lo];
         let stats = &mut self.acc.stats;
         let (inj0, rtx0) = (stats.flits_injected, stats.flits_retransmitted);
@@ -403,13 +400,6 @@ impl<R: Router, B: Bits, F: FaultLog> Cx<'_, R, B, F> {
         let now = fr.now;
         let router = &mut self.own.routers[i - self.own.lo];
         let accounted = &mut self.own.accounted_upto[i - self.own.lo];
-        if fr.faults_active && fr.faults.router_stalled(i, now) {
-            // A stalled cycle is never accounted in the router's counters,
-            // so mark it handled without replaying it as idle; mode
-            // residency still accrues through the cached counts.
-            *accounted = now + 1;
-            return Ok(());
-        }
         let pending_idle = now - *accounted;
         if pending_idle > 0 {
             #[cfg(debug_assertions)]

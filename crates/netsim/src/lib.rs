@@ -93,7 +93,6 @@ pub mod prelude {
     pub use crate::fault_aware::{FaultAwareness, RouteOutcome};
     pub use crate::faults::{
         FaultEvent, FaultEventKind, FaultPlan, FaultWindow, LinkFault, LinkFaultKind, LinkSelector,
-        RouterStall,
     };
     pub use crate::flit::{Cycle, Flit, PacketId, VcId, VirtualNetwork};
     pub use crate::geom::{Coord, Direction, NodeId, PortId, PortMap};

@@ -9,7 +9,9 @@
 //! collection, the end-of-cycle block — and the serial *schedule*: one walk
 //! per phase over the dirty bitmasks (routers, channels, sending NIs) in
 //! ascending index order, skipping quiescent routers and replaying their
-//! idle cycles in bulk when they re-activate. [`Network::set_full_scan`]
+//! idle cycles in bulk when they re-activate. Every fault plan runs on it:
+//! the fault RNG is drawn only as a flit or credit arrives, in ascending
+//! link order either way. [`Network::set_full_scan`], and nothing else,
 //! feeds the same walk all-ones words — the activity sets' self-check:
 //! same results, not the same snapshot bytes (it settles idle cycles
 //! eagerly). The third schedule, one node range per thread, is
@@ -32,7 +34,6 @@ use crate::router::{alloc_rings, Router, RouterBank, RouterFactory, RouterMode, 
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -175,45 +176,16 @@ type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, &'a mut Vec<FaultEvent>>;
 pub(crate) type Kernel =
     fn(&mut Network, &mut PhaseProfile, &mut Option<std::time::Instant>) -> Result<(), SimError>;
 
-/// Phase 1 of the serial schedule for link `c`: the reverse side, the flit
-/// (through the fault hold-back queue when one is in play), then the link's
-/// activity bit — settled here, before the cycle's pushes re-mark it.
-fn deliver_channel<R: Router>(
-    cx: &mut SerialCx<'_, R>,
-    held: &mut [VecDeque<Flit>],
-    held_flits: &mut usize,
-    c: usize,
-) -> Result<(), SimError> {
-    let now = cx.fr.now;
+/// Phase 1 of the serial schedule for link `c`: the reverse side, the flit,
+/// then the link's activity bit — settled here, before the cycle's pushes
+/// re-mark it.
+fn deliver_channel<R: Router>(cx: &mut SerialCx<'_, R>, c: usize) -> Result<(), SimError> {
     cx.deliver_reverse(c);
-    let arriving = cx.own.lanes.flit_at(c);
-    let to = cx.fr.ends[c].to.index();
-    let stalled = cx.fr.faults_active && cx.fr.faults.router_stalled(to, now);
-    // The hold-back queue is a bypass: an arrival goes straight to the
-    // receiver unless that router is frozen (arrivals then wait and drain
-    // one per cycle — the link's bandwidth — once the stall lifts) or older
-    // flits are still waiting ahead of it.
-    let mut holding = *held_flits > 0 && !held[c].is_empty();
-    let flit = if stalled || holding {
-        if let Some(flit) = arriving {
-            held[c].push_back(flit);
-            *held_flits += 1;
-        }
-        let released = if stalled {
-            None
-        } else {
-            *held_flits -= 1;
-            held[c].pop_front()
-        };
-        holding = !held[c].is_empty();
-        released
-    } else {
-        arriving
-    };
-    if holding || !cx.own.lanes.quiet_after(c) {
-        cx.chan_active.insert(c);
-    } else {
+    let flit = cx.own.lanes.flit_at(c);
+    if cx.own.lanes.quiet_after(c) {
         cx.chan_active.remove(c);
+    } else {
+        cx.chan_active.insert(c);
     }
     match flit {
         Some(flit) => cx.deliver_flit(c, flit),
@@ -235,7 +207,7 @@ pub struct MemoryFootprint {
     pub router_bytes: usize,
     /// Network interfaces: queues, reassembly, retransmit state.
     pub ni_bytes: usize,
-    /// Channels: the link-wheel slabs plus fault hold-back queues.
+    /// Channels: the link-wheel slabs and the channel endpoint table.
     pub channel_bytes: usize,
     /// Parallel engine: plan tables and per-shard deltas (0 when serial).
     pub engine_bytes: usize,
@@ -356,13 +328,6 @@ pub struct Network {
     /// End-to-end acknowledgements riding back to packet sources, due at
     /// their arrival cycle: `(source node, packet)`.
     pub(crate) ack_queue: DueQueue<(NodeId, PacketId)>,
-    /// Per-channel flits held back at the receiving end while the receiver
-    /// is stalled by a fault (released one per cycle once the stall lifts).
-    /// Bypassed — never touched, never allocated — on a fault-free run.
-    pub(crate) held: Vec<VecDeque<Flit>>,
-    /// Total flits across `held`, maintained where flits enter and leave
-    /// it (cross-checked against a recount in debug builds).
-    pub(crate) held_flits: usize,
     /// Log of injected faults (capped at [`Network::FAULT_LOG_CAP`]).
     pub(crate) fault_log: Vec<FaultEvent>,
     /// Deterministic fault-detection schedule derived from the fault plan's
@@ -388,7 +353,7 @@ pub struct Network {
     full_scan: bool,
     /// Routers that must be stepped: everything not proven quiescent.
     pub(crate) router_active: ActiveSet,
-    /// Channels with anything still due on a lane, or held.
+    /// Channels with anything still due on a lane.
     pub(crate) chan_active: ActiveSet,
     /// NIs with send-side work (queued packets or pending retransmits).
     pub(crate) ni_send_active: ActiveSet,
@@ -451,7 +416,8 @@ impl Network {
     /// # Errors
     ///
     /// Propagates [`ConfigError`](crate::error::ConfigError) from
-    /// [`NetworkConfig::validate`].
+    /// [`NetworkConfig::validate`], then from the factory's
+    /// [`RouterFactory::validate`].
     ///
     /// # Panics
     ///
@@ -463,6 +429,7 @@ impl Network {
         seed: u64,
     ) -> Result<Network, crate::error::ConfigError> {
         config.validate()?;
+        factory.validate(&config)?;
         let mesh = config.mesh()?;
         let n = mesh.node_count();
         let buffer_flits_per_port = factory.buffer_flits_per_port(&config);
@@ -499,7 +466,6 @@ impl Network {
             .map(|e| (e.from.index(), e.to.index()))
             .collect();
         let wheel = LinkWheel::new(n, &lane_ends, config.link_latency);
-        let held = vec![VecDeque::new(); ends.len()];
         let rng = SimRng::seed_from(seed);
         let fault_rng = rng.fork(0x00FA_0171);
         let detect_schedule = config.faults.event_schedule(&mesh);
@@ -532,8 +498,6 @@ impl Network {
             packets: PacketTable::default(),
             scratch: RouterOutputs::new(),
             ack_queue: DueQueue::default(),
-            held,
-            held_flits: 0,
             fault_log: Vec::new(),
             detect_schedule,
             detect_next: 0,
@@ -696,14 +660,8 @@ impl Network {
             .map(NodeInterface::heap_bytes)
             .sum::<usize>()
             + self.nis.capacity() * size_of::<NodeInterface>();
-        let channel_bytes: usize = self.wheel.heap_bytes()
-            + self.ends.capacity() * size_of::<ChannelEnds>()
-            + self
-                .held
-                .iter()
-                .map(|h| h.capacity() * size_of::<Flit>())
-                .sum::<usize>()
-            + self.held.capacity() * size_of::<VecDeque<Flit>>();
+        let channel_bytes: usize =
+            self.wheel.heap_bytes() + self.ends.capacity() * size_of::<ChannelEnds>();
         let engine_bytes = self.engine.as_ref().map_or(0, |e| e.heap_bytes());
         let other_bytes = self.acc.heap_bytes()
             + self.scratch.heap_bytes()
@@ -736,21 +694,6 @@ impl Network {
     /// Largest [`Network::memory_footprint`] total sampled so far.
     pub fn memory_high_water(&self) -> usize {
         self.mem_high_water
-    }
-
-    /// True when this step may take the activity-tracked fast path.
-    ///
-    /// A *probabilistic* fault plane forces the full walk: its per-channel
-    /// RNG draws depend on visiting every channel every cycle. Deterministic
-    /// plans (permanent kills only — [`FaultPlan::is_deterministic`]
-    /// (crate::faults::FaultPlan::is_deterministic)) draw no randomness and
-    /// only act on channels actually carrying traffic, so activity tracking
-    /// remains exact. The retransmit layer is fast-path-safe: timeouts are
-    /// scanned every cycle regardless, and re-materialized copies re-mark
-    /// their NI in the send set.
-    #[inline]
-    pub(crate) fn fast_path(&self) -> bool {
-        !self.full_scan && (self.config.faults.is_empty() || self.config.faults.is_deterministic())
     }
 
     /// Enqueues a packet for injection at `src`, assigning its id and
@@ -924,19 +867,16 @@ impl Network {
         }
     }
 
-    /// Splits the network into the serial schedule's [`Cx`] — the cycle's
-    /// frame plus exclusive access to every component, set, lane and total
-    /// — and the fault hold-back queues with their flit count. The routers
-    /// are the bank's `Vec<R>`, reached through one downcast. The sharded
-    /// engine starts from the same view and hands node ranges of it to its
+    /// The serial schedule's [`Cx`]: the cycle's frame plus exclusive
+    /// access to every component, set, lane and total. The routers are the
+    /// bank's `Vec<R>`, reached through one downcast. The sharded engine
+    /// starts from the same view and hands node ranges of it to its
     /// workers.
     #[inline]
-    pub(crate) fn view<R: Router + 'static>(
-        &mut self,
-    ) -> (SerialCx<'_, R>, &mut [VecDeque<Flit>], &mut usize) {
+    pub(crate) fn view<R: Router + 'static>(&mut self) -> SerialCx<'_, R> {
         let routers: &mut Vec<R> = (self.routers.as_any_mut().downcast_mut())
             .expect("the kernel is compiled for its own bank's router type");
-        let cx = Cx {
+        Cx {
             fr: Frame {
                 now: self.now,
                 ends: &self.ends,
@@ -965,22 +905,23 @@ impl Network {
             ni_send_active: &mut self.ni_send_active,
             ni_delivered: &mut self.ni_delivered,
             fault_log: &mut self.fault_log,
-        };
-        (cx, &mut self.held, &mut self.held_flits)
+        }
     }
 
     /// The serial schedule: one ascending walk per phase over the whole
-    /// network. Off the fast path every walk is fed all-ones words and so
-    /// visits every component — the historical full scan; the bodies skip
-    /// stalled routers themselves.
+    /// network, fed the activity sets' words. Under
+    /// [`Network::set_full_scan`] every walk is fed all-ones words instead
+    /// and so visits every component — the historical full scan. Fault
+    /// plans need neither: the fault RNG is drawn only when a flit or a
+    /// credit arrives, and both walks visit arrivals in ascending link order.
     fn step_serial<R: Router + 'static>(
         &mut self,
         prof: &mut PhaseProfile,
         lap: &mut Option<std::time::Instant>,
     ) -> Result<(), SimError> {
-        let fill = if self.fast_path() { 0 } else { !0u64 };
+        let fill = if self.full_scan { !0u64 } else { 0 };
         let (nodes, links) = (self.nis.len(), self.ends.len());
-        let (mut cx, held, held_flits) = self.view::<R>();
+        let mut cx = self.view::<R>();
 
         // Phase 1: deliver what the link wheel has due this cycle. An
         // inactive link has nothing due, so skipping it is unobservable.
@@ -989,7 +930,7 @@ impl Network {
             0,
             links,
             |cx, wi| cx.chan_active.word(wi) | fill,
-            |cx, c| deliver_channel(cx, held, held_flits, c),
+            |cx, c| deliver_channel(cx, c),
         )?;
         prof.channel_ns += lap_ns(lap);
 
@@ -1076,11 +1017,6 @@ impl Network {
                 self.acc.in_flight,
                 self.flits_in_network() as i64,
                 "incremental in-flight accounting diverged"
-            );
-            debug_assert_eq!(
-                self.held_flits,
-                self.held.iter().map(VecDeque::len).sum::<usize>(),
-                "incremental held-flit accounting diverged"
             );
             debug_assert_eq!(
                 self.acc.retx_queued,
@@ -1177,8 +1113,7 @@ impl Network {
     /// audits and external callers.
     pub fn flits_in_network(&self) -> usize {
         let in_routers: usize = self.routers.iter().map(|r| r.occupancy()).sum();
-        let held: usize = self.held.iter().map(VecDeque::len).sum();
-        in_routers + self.wheel.flits_in_flight(self.now) + held
+        in_routers + self.wheel.flits_in_flight(self.now)
     }
 
     /// True when no flit is anywhere in the system and all NIs are idle.
@@ -1312,10 +1247,6 @@ impl Network {
             }
         }
         self.wheel.reset();
-        for h in &mut self.held {
-            h.clear();
-        }
-        self.held_flits = 0;
         self.now = 0;
         self.rng = SimRng::seed_from(seed);
         self.fault_rng = self.rng.fork(0x00FA_0171);
@@ -1440,8 +1371,8 @@ impl Network {
 
     /// Serializes the network's complete mutable state — fingerprint,
     /// clock, RNG streams, stats, the next packet id and the packet table,
-    /// routers, NIs, the link wheel, NACK/ack circuits, held flits, fault
-    /// log, audit counters, and activity sets — into `w`.
+    /// routers, NIs, the link wheel, NACK/ack circuits, fault log, audit
+    /// counters, and activity sets — into `w`.
     ///
     /// Static topology and configuration are *not* written: restore
     /// targets a network freshly built from the same configuration, and
@@ -1474,7 +1405,6 @@ impl Network {
         self.wheel.save(w, self.now);
         self.acc.nack_queue.put(w);
         self.ack_queue.put(w);
-        self.held[..].put(w);
         self.fault_log.put(w);
         self.unreachable_packets.put(w);
         self.acc.credits_pushed.put(w);
@@ -1572,8 +1502,6 @@ impl Network {
         self.wheel.load(r, self.now)?;
         self.acc.nack_queue.load(r)?;
         self.ack_queue.load(r)?;
-        self.held[..].load(r)?;
-        self.held_flits = self.held.iter().map(VecDeque::len).sum();
         self.fault_log.load(r)?;
         self.unreachable_packets.load(r)?;
         if self.fault_log.len() > Self::FAULT_LOG_CAP

@@ -178,84 +178,6 @@ fn watchdog_catches_ancient_flits() {
     assert!(result.is_err(), "watchdog should have panicked");
 }
 
-/// Delivery cycles of eight one-flit packets streamed (0,0) → (2,0), with
-/// router (1,0) optionally frozen for `stall` cycles from cycle 6 — while
-/// the stream is crossing it — on the tracked walk or the full scan. Also
-/// returns the peak of the held-flit count.
-fn stream_through_stall(stall: u64, full_scan: bool) -> (Vec<(u64, u64)>, usize) {
-    use crate::faults::FaultPlan;
-    let mut config = NetworkConfig::paper_3x3();
-    let middle = config.mesh().unwrap().node_at(Coord::new(1, 0)).unwrap();
-    if stall > 0 {
-        config.faults = FaultPlan::none().with_stall(middle, 6, stall);
-    }
-    let mut net = Network::new(config, &FifoFactory::default(), 1).expect("valid");
-    net.set_full_scan(full_scan);
-    for _ in 0..8 {
-        offer(&mut net, (0, 0), (2, 0), 1);
-    }
-    let mut delivered = Vec::new();
-    let mut peak_held = 0;
-    for _ in 0..60 {
-        net.step();
-        peak_held = peak_held.max(net.held_flits);
-        delivered.extend(
-            net.take_delivered()
-                .iter()
-                .map(|d| (d.descriptor.id.0, d.delivered_at)),
-        );
-    }
-    net.audit().expect("conservation");
-    assert!(net.is_drained());
-    assert_eq!(net.held_flits, 0);
-    assert_eq!(net.full_scan(), full_scan);
-    if stall == 0 {
-        // The hold-back queues are a bypass: a fault-free run never
-        // touches, let alone allocates, one.
-        assert!(net.held.iter().all(|h| h.capacity() == 0));
-    }
-    (delivered, peak_held)
-}
-
-#[test]
-fn stalled_receiver_releases_held_flits_in_order_one_per_cycle() {
-    for full_scan in [false, true] {
-        stalled_stream_on(full_scan);
-    }
-}
-
-fn stalled_stream_on(full_scan: bool) {
-    let (clean, clean_peak) = stream_through_stall(0, full_scan);
-    assert_eq!(clean_peak, 0);
-    assert_eq!(
-        clean.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-        (0..8).collect::<Vec<_>>()
-    );
-    // One flit per cycle end to end when nothing stalls.
-    assert!(clean.windows(2).all(|w| w[1].1 == w[0].1 + 1));
-
-    let (stalled, peak) = stream_through_stall(3, full_scan);
-    // Three flits reach the frozen router during its three-cycle stall.
-    assert_eq!(peak, 3);
-    let first_held = stalled
-        .iter()
-        .zip(&clean)
-        .position(|(s, c)| s != c)
-        .expect("the stall must delay something");
-    assert!(
-        first_held > 0,
-        "the head of the stream passes before the stall"
-    );
-    for (k, (s, c)) in stalled.iter().zip(&clean).enumerate() {
-        // FIFO: same packet order. Every flit from the first held one on —
-        // including those that arrive after the stall lifted but behind
-        // older held flits — leaves exactly one per cycle, i.e. the whole
-        // tail is shifted by the stall length.
-        let delay = if k < first_held { 0 } else { 3 };
-        assert_eq!(*s, (c.0, c.1 + delay), "packet {k}");
-    }
-}
-
 /// A 6×6 network of `factory`'s routers on `threads` threads with the
 /// engine gate wide open.
 fn sharded_6x6(factory: &FifoFactory, max_flit_age: u64, threads: usize) -> Network {

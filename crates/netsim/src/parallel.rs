@@ -452,7 +452,7 @@ impl Engine {
         {
             // The exclusive view of the whole network, cut into one piece
             // per shard: workers' pieces go to their slots, shard 0's stays.
-            let (cx, _, _) = net.view::<R>();
+            let cx = net.view::<R>();
             let (fr, plan) = (cx.fr, &self.plan);
             let (router_active, chan_active) = (&cx.router_active.words, &cx.chan_active.words);
             let (ni_send_active, ni_delivered) = (&cx.ni_send_active.words, &cx.ni_delivered.words);
@@ -478,7 +478,7 @@ impl Engine {
 
         // Epilogue (exclusive again): fold the deltas in ascending shard
         // order — the serial schedule's accumulation order.
-        let (mut cx, _, _) = net.view::<R>();
+        let mut cx = net.view::<R>();
         let (d0, rest) = self.deltas.split_first_mut().expect("one shard at least");
         let d0 = &mut d0.0;
         let (mut error, mut panic) = (d0.error.take(), d0.panic.take());
@@ -507,8 +507,7 @@ impl Engine {
             return Err(e);
         }
         // Every push of the cycle has landed: drop the activity bit of
-        // links with nothing due after it (`held` is empty — the gate
-        // checked).
+        // links with nothing due after it.
         let links = cx.fr.ends.len();
         let Ok(()) = walk(
             &mut cx,
@@ -656,16 +655,14 @@ fn worker_loop<R: Router + 'static>(shared: &Shared, shard: usize) {
 }
 
 /// The engine gate: whether this cycle runs sharded. A pure function of
-/// simulation state — the thread budget, the fast path (a probabilistic
-/// fault plane and the full-scan self-check are inherently serial walks),
-/// no flits held back at a stalled receiver (the hold-back queues are the
-/// serial schedule's), and enough active components to amortize the
-/// barrier. Runs after phase 0 and queue retirement, whose marks it
-/// therefore sees.
+/// simulation state — the thread budget, the tracked walk (the full-scan
+/// self-check is a serial walk), a deterministic fault plan (shards own no
+/// fault RNG), and enough active components to amortize the barrier. Runs
+/// after phase 0 and queue retirement, whose marks it therefore sees.
 #[inline]
 pub(crate) fn gate(net: &Network) -> bool {
     let threads = net.sim_threads.min(net.nis.len());
-    if threads < 2 || !net.fast_path() || net.held_flits != 0 {
+    if threads < 2 || net.full_scan() || !net.config.faults.is_deterministic() {
         return false;
     }
     let active =

@@ -5,6 +5,7 @@
 use crate::channel::{ControlSignal, Credit};
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
+use crate::error::ConfigError;
 use crate::flit::{Cycle, Flit};
 use crate::geom::{NodeId, PortId, PortMap};
 use crate::rng::SimRng;
@@ -377,6 +378,19 @@ pub trait RouterFactory: std::fmt::Debug + Send + Sync {
     /// Buffer capacity in flits per input port that this mechanism actually
     /// instantiates (0 for bufferless; AFC halves the baseline).
     fn buffer_flits_per_port(&self, config: &NetworkConfig) -> usize;
+
+    /// Checks what this mechanism needs of `config` beyond
+    /// [`NetworkConfig::validate`]. [`Network::new`](crate::network::Network::new)
+    /// calls it before building any router and returns its error. The
+    /// default needs nothing.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] that names what the mechanism cannot build.
+    fn validate(&self, config: &NetworkConfig) -> Result<(), ConfigError> {
+        let _ = config;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -75,7 +75,9 @@ pub const MAGIC: [u8; 8] = *b"AFCSNAP\0";
 // of completed packets (a late copy is one whose packet has no live table
 // entry, or waits untaken in the NI), and a fault-free backpressured router
 // drops its per-lane route-owner column (DESIGN.md §6.2, §11).
-pub const FORMAT_VERSION: u32 = 6;
+// v7: no router stalls — the network drops its per-link section of flits
+// held back at a stalled receiver (DESIGN.md §6.1, §11).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Errors raised while encoding, sealing, opening, or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -976,13 +978,11 @@ mod tests {
 
     #[test]
     fn open_refuses_previous_format_version() {
-        // A v5 container must be refused outright, not half-decoded: its NI
-        // recovery records carry a completed-packet set that v6 derives
-        // from the packet table, and its fault-free backpressured routers
-        // a route-owner column v6 does not keep.
-        assert_eq!(FORMAT_VERSION, 6);
+        // A v6 container must be refused outright, not half-decoded: its
+        // network state carries a per-link hold-back section v7 does not.
+        assert_eq!(FORMAT_VERSION, 7);
         let mut old = seal(SnapshotWriter::new());
-        old[8..12].copy_from_slice(&5u32.to_le_bytes());
+        old[8..12].copy_from_slice(&6u32.to_le_bytes());
         let body_len = old.len() - 8;
         let sum = fnv1a64(&old[..body_len]);
         old[body_len..].copy_from_slice(&sum.to_le_bytes());
@@ -990,8 +990,8 @@ mod tests {
             Err(SnapshotError::BadVersion {
                 found, expected, ..
             }) => {
-                assert_eq!(found, 5);
-                assert_eq!(expected, 6);
+                assert_eq!(found, 6);
+                assert_eq!(expected, 7);
             }
             other => panic!("expected BadVersion, got {other:?}"),
         }

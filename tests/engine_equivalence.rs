@@ -1,4 +1,4 @@
-//! Activity-tracking equivalence: the fast path (dirty-set walk with
+//! Activity-tracking equivalence: the tracked walk (dirty-set walk with
 //! quiescent-router skipping) must give *identical* results to the
 //! historical full-component scan ([`Network::set_full_scan`]); snapshot
 //! bytes differ, since the full scan settles idle cycles eagerly.
@@ -7,19 +7,24 @@
 //! and asserts equal `NetworkStats` (via `{:?}`, so every counter and
 //! histogram bucket participates), equal aggregated router counters, and
 //! an equal delivered-packet stream (ids, routes, hop counts, and exact
-//! delivery timestamps). A third family toggles the mode *mid-run* at
+//! delivery timestamps). A second family does so under probabilistic fault
+//! plans, comparing the fault log too: the fault RNG is drawn per arriving
+//! flit and credit, so a walk that skipped or reordered an active link
+//! would draw differently. A third family toggles the mode *mid-run* at
 //! varying periods, which catches any state the two walks maintain
 //! differently.
 //!
 //! A fourth family pins the SoA slab routers (flat lane/credit state and
 //! bitword arbitration kernels) against the full-scan golden across three
-//! traffic patterns and both other schedules — the fast path and the
-//! 4-thread sharded engine ([`Network::set_sim_threads`]) — and a fifth proves the snapshot byte format survived the slab rewrite:
-//! save → restore → save round-trips to identical `FORMAT_VERSION` 6
-//! bytes with buffered flits in every mechanism's slabs.
+//! traffic patterns and both other schedules — the tracked walk and the
+//! 4-thread sharded engine ([`Network::set_sim_threads`]) — and a fifth
+//! proves the snapshot byte format survived the slab rewrite: save →
+//! restore → save round-trips to identical `FORMAT_VERSION` 7 bytes with
+//! buffered flits in every mechanism's slabs.
 
 use afc_bench::MechanismId;
-use afc_netsim::config::NetworkConfig;
+use afc_netsim::config::{NetworkConfig, RetransmitConfig};
+use afc_netsim::faults::FaultPlan;
 use afc_netsim::flit::Cycle;
 use afc_netsim::network::Network;
 use afc_netsim::packet::DeliveredPacket;
@@ -84,13 +89,16 @@ fn fingerprint(
     seed: u64,
     scan: Scan,
 ) -> (String, Vec<DeliveredPacket>) {
-    fingerprint_with(id, rate, Pattern::UniformRandom, seed, scan, 1)
+    let cfg = NetworkConfig::paper_3x3();
+    fingerprint_with(&cfg, id, rate, Pattern::UniformRandom, seed, scan, 1)
 }
 
-/// [`fingerprint`] with an explicit traffic pattern and intra-run thread
-/// budget (`threads > 1` is the sharded engine, forced past the activity
-/// gate, which would keep a 3×3 serial).
+/// [`fingerprint`] on `cfg` with an explicit traffic pattern and intra-run
+/// thread budget (`threads > 1` is the sharded engine, forced past the
+/// activity gate, which would keep a 3×3 serial). The fingerprint ends
+/// with the fault log and the unreachable-packet records.
 fn fingerprint_with(
+    cfg: &NetworkConfig,
     id: MechanismId,
     rate: f64,
     pattern: Pattern,
@@ -98,12 +106,8 @@ fn fingerprint_with(
     scan: Scan,
     threads: usize,
 ) -> (String, Vec<DeliveredPacket>) {
-    let network = Network::new(
-        NetworkConfig::paper_3x3(),
-        id.mechanism().factory.as_ref(),
-        seed,
-    )
-    .expect("valid config");
+    let network =
+        Network::new(cfg.clone(), id.mechanism().factory.as_ref(), seed).expect("valid config");
     let traffic = Recording {
         inner: OpenLoopTraffic::new(
             RateSpec::Uniform(rate),
@@ -142,18 +146,20 @@ fn fingerprint_with(
         );
     }
     let fp = format!(
-        "stats={:?} counters={:?} now={} drained={} modes={:?}",
+        "stats={:?} counters={:?} now={} drained={} modes={:?} faults={:?} unreachable={:?}",
         sim.network.stats(),
         sim.network.total_counters(),
         sim.network.now(),
         sim.network.is_drained(),
         sim.network.modes(),
+        sim.network.fault_log(),
+        sim.network.unreachable_packets(),
     );
     (fp, sim.traffic.log)
 }
 
 #[test]
-fn fast_path_matches_full_scan_for_all_mechanisms_and_loads() {
+fn tracked_walk_matches_full_scan_for_all_mechanisms_and_loads() {
     for id in MECHANISMS {
         for rate in LOADS {
             let (full_fp, full_log) = fingerprint(id, rate, 0xA11CE, Scan::Full);
@@ -161,7 +167,7 @@ fn fast_path_matches_full_scan_for_all_mechanisms_and_loads() {
             assert_eq!(
                 full_fp,
                 fast_fp,
-                "{} at load {rate}: stats diverge between full scan and fast path",
+                "{} at load {rate}: stats diverge between full scan and tracked walk",
                 id.label()
             );
             assert_eq!(
@@ -179,9 +185,60 @@ fn fast_path_matches_full_scan_for_all_mechanisms_and_loads() {
     }
 }
 
+/// Probabilistic fault plans run on the tracked walk: transient drop plus
+/// corruption, and credit loss, each with and without end-to-end
+/// retransmission, on a 4×4 mesh — credit loss at saturation, where AFC
+/// runs backpressured and sends credits. Both walks must draw the
+/// fault RNG identically, so stats, total counters, the delivered stream,
+/// the fault log and the unreachable records all agree.
+#[test]
+fn tracked_walk_matches_full_scan_under_probabilistic_faults() {
+    let plans = [
+        (
+            "drop+corrupt",
+            FaultPlan::uniform_transient(4e-3, 4e-3),
+            0.12,
+        ),
+        (
+            "credit-loss",
+            FaultPlan::none().with_credit_loss(2e-3),
+            0.30,
+        ),
+    ];
+    for (name, faults, rate) in plans {
+        for retransmit in [None, Some(RetransmitConfig::default())] {
+            let cfg = NetworkConfig {
+                width: 4,
+                height: 4,
+                faults: faults.clone(),
+                retransmit,
+                ..NetworkConfig::paper_3x3()
+            };
+            for id in MECHANISMS {
+                let what = format!("{} {name} retransmit={}", id.label(), retransmit.is_some());
+                let run = |scan| {
+                    fingerprint_with(&cfg, id, rate, Pattern::UniformRandom, 0xFA17, scan, 1)
+                };
+                let (full_fp, full_log) = run(Scan::Full);
+                let (fast_fp, fast_log) = run(Scan::Fast);
+                assert!(!full_log.is_empty(), "{what}: nothing delivered");
+                // Bufferless routers send no credits, so none can be lost.
+                let creditless = name == "credit-loss"
+                    && matches!(id, MechanismId::Backpressureless | MechanismId::Drop);
+                assert!(
+                    creditless || !full_fp.contains("faults=[]"),
+                    "{what}: vacuous comparison (no fault fired)"
+                );
+                assert_eq!(full_fp, fast_fp, "{what}: the walks diverge");
+                assert_eq!(full_log, fast_log, "{what}: delivered streams diverge");
+            }
+        }
+    }
+}
+
 /// The slab routers against the full-scan golden, across traffic shapes
 /// and scheduling disciplines: for each mechanism and pattern, the serial
-/// fast path and the 4-thread engine must both reproduce the full-scan
+/// tracked walk and the 4-thread engine must both reproduce the full-scan
 /// fingerprint bit-for-bit. Transpose and Quadrant skew port and vnet
 /// occupancy in ways uniform traffic never does (persistent single-output
 /// contention, quadrant-local hot lanes), so they exercise bitword
@@ -193,28 +250,29 @@ fn slab_routers_match_golden_across_patterns_and_engines() {
         Pattern::Transpose,
         Pattern::Quadrant,
     ];
+    let cfg = NetworkConfig::paper_3x3();
     for id in MECHANISMS {
         for pattern in PATTERNS {
             let (gold_fp, gold_log) =
-                fingerprint_with(id, 0.30, pattern.clone(), 0x50A0, Scan::Full, 1);
+                fingerprint_with(&cfg, id, 0.30, pattern.clone(), 0x50A0, Scan::Full, 1);
             assert!(
                 !gold_log.is_empty(),
                 "{} {pattern:?}: vacuous comparison (nothing delivered)",
                 id.label()
             );
             let (fast_fp, fast_log) =
-                fingerprint_with(id, 0.30, pattern.clone(), 0x50A0, Scan::Fast, 1);
+                fingerprint_with(&cfg, id, 0.30, pattern.clone(), 0x50A0, Scan::Fast, 1);
             assert_eq!(
                 gold_fp,
                 fast_fp,
-                "{} {pattern:?}: fast path diverges from the full-scan golden",
+                "{} {pattern:?}: tracked walk diverges from the full-scan golden",
                 id.label()
             );
             assert_eq!(gold_log, fast_log);
-            // The parallel engine only runs on the fast path (full scan
+            // The parallel engine only runs on the tracked walk (full scan
             // forces the serial walk), so the threaded leg uses Scan::Fast.
             let (par_fp, par_log) =
-                fingerprint_with(id, 0.30, pattern.clone(), 0x50A0, Scan::Fast, 4);
+                fingerprint_with(&cfg, id, 0.30, pattern.clone(), 0x50A0, Scan::Fast, 4);
             assert_eq!(
                 gold_fp,
                 par_fp,
@@ -230,7 +288,7 @@ fn slab_routers_match_golden_across_patterns_and_engines() {
 /// save (buffered flits sitting in every mechanism's lane slabs) must
 /// restore into a fresh simulation and re-save to *identical* bytes — the
 /// occupancy bitwords, ring indices, and route caches are derived state
-/// that never leaks into the `FORMAT_VERSION` 6 container — and the
+/// that never leaks into the `FORMAT_VERSION` 7 container — and the
 /// restored run must continue exactly like the original.
 #[test]
 fn slab_state_round_trips_snapshot_bytes_unchanged() {
@@ -263,8 +321,8 @@ fn slab_state_round_trips_snapshot_bytes_unchanged() {
         let bytes = sim.snapshot().expect("snapshot");
         assert_eq!(
             bytes[8..12],
-            6u32.to_le_bytes(),
-            "{}: snapshot container is not FORMAT_VERSION 6",
+            7u32.to_le_bytes(),
+            "{}: snapshot container is not FORMAT_VERSION 7",
             id.label()
         );
         let mut restored = make(0xBEA7);

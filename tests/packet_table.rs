@@ -160,15 +160,15 @@ fn a_destination_cut_off_for_good_does_not_pin_the_base() {
 
 #[test]
 fn a_copy_delivered_after_its_source_gave_up_keeps_its_packet_data() {
-    // The destination router is frozen while its source times out,
-    // retransmits once and gives up; the held copies are delivered when
-    // the freeze lifts, and the packet arrives as it was offered.
+    // The retransmit timeout is shorter than the six-hop path: the source
+    // times out, retransmits once and gives up while both copies are still
+    // on their way, and the first to arrive delivers the packet as it was
+    // offered.
     let (src, dest) = (NodeId::new(0), NodeId::new(15));
     for (name, factory) in mechanisms() {
         let cfg = NetworkConfig {
-            faults: FaultPlan::none().with_stall(dest, 10, 600),
             retransmit: Some(RetransmitConfig {
-                timeout: 60,
+                timeout: 4,
                 backoff_cap: 0,
                 max_attempts: 1,
             }),
@@ -197,9 +197,10 @@ fn a_copy_delivered_after_its_source_gave_up_keeps_its_packet_data() {
             }
             delivered.extend(net.take_delivered());
         }
-        assert!(orphaned_at.is_some_and(|at| at < 610), "{name}: no give-up");
         assert_eq!(net.stats().packets_unreachable, 1, "{name}");
-        assert_eq!(delivered.len(), 1, "{name}: the held copy arrives");
+        assert_eq!(delivered.len(), 1, "{name}: one copy delivers the packet");
+        let gave_up = orphaned_at.expect("the source gives up");
+        assert!(gave_up < delivered[0].delivered_at, "{name}: {gave_up}");
         let d = delivered[0].descriptor;
         assert_eq!((d.id, d.src, d.dest, d.len), (id, src, dest, 5), "{name}");
         assert_eq!(

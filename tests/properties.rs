@@ -450,11 +450,15 @@ fn afc_mode_churn_is_safe() {
 
 /// Fuzz of the configuration validator against real construction: for any
 /// randomized [`NetworkConfig`] — including degenerate zero dimensions,
-/// empty vnet lists, zero-depth buffers and zero timeouts — `validate()`
+/// empty vnet lists, zero-depth buffers, zero timeouts and link latencies
+/// 0 to 4 — `validate()` followed by the mechanism's
+/// [`RouterFactory::validate`](afc_netsim::router::RouterFactory::validate)
 /// and `Network::new` must agree exactly. Accepted configurations build
 /// under every mechanism drawn and survive a short traffic burst without
 /// panicking, on an engine that rotates per case; rejected ones surface
 /// the *same* structured [`ConfigError`] from construction, never a panic.
+/// At latency 4 AFC's gossip window outgrows a control vnet's 8 lazy
+/// slots, so the factory's own rejection path is drawn too.
 #[test]
 fn config_validator_agrees_with_construction_under_fuzz() {
     use afc_netsim::config::{RetransmitConfig, VnetClass, VnetConfig};
@@ -469,6 +473,7 @@ fn config_validator_agrees_with_construction_under_fuzz() {
         }
     }
 
+    let mut factory_rejections = 0;
     for case in 0..512u64 {
         let engine = engine(case);
         let mut p = SimRng::seed_from(0xC0F1_6000 + case);
@@ -486,7 +491,7 @@ fn config_validator_agrees_with_construction_under_fuzz() {
         let cfg = NetworkConfig {
             width: dim(&mut p),
             height: dim(&mut p),
-            link_latency: p.gen_range(4),
+            link_latency: p.gen_range(5),
             vnets,
             eject_bandwidth: p.gen_index(3),
             retransmit: p.gen_bool(0.3).then(|| RetransmitConfig {
@@ -496,12 +501,16 @@ fn config_validator_agrees_with_construction_under_fuzz() {
             ..NetworkConfig::paper_3x3()
         };
 
-        let verdict = cfg.validate();
-        assert_eq!(cfg.validate(), verdict, "validate must be deterministic");
+        let checked = cfg.validate();
+        assert_eq!(cfg.validate(), checked, "validate must be deterministic");
+        let factory = mechanism(p.gen_index(5));
+        let verdict = checked.clone().and_then(|()| factory.validate(&cfg));
+        if checked.is_ok() && verdict.is_err() {
+            factory_rejections += 1;
+        }
 
-        let mech = p.gen_index(5);
         let seed = p.gen_range(1_000);
-        match Network::new(cfg.clone(), mechanism(mech).as_ref(), seed) {
+        match Network::new(cfg.clone(), factory.as_ref(), seed) {
             Ok(mut network) => {
                 engine.apply(&mut network);
                 assert_eq!(
@@ -542,6 +551,10 @@ fn config_validator_agrees_with_construction_under_fuzz() {
             }
         }
     }
+    assert!(
+        factory_rejections > 0,
+        "no draw reached a factory's rejection"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@
 //! identical second snapshot, which covers every router register, channel
 //! lane, NI queue, RNG stream, counter, and statistic in one comparison.
 //!
-//! Variants cover the fault plane (retransmissions, held flits, fault
-//! logs) and the closed-loop memory-system workload; every case runs on
+//! Variants cover the fault plane (retransmissions, fault logs) and the closed-loop memory-system workload; every case runs on
 //! the tracked walk, the full scan and the sharded engine.
 
 use afc_bench::Engine;
@@ -224,8 +223,8 @@ fn open_loop_round_trip_full_scan_engine() {
     }
 }
 
-/// Round trip with the fault plane enabled: retransmit machinery, held
-/// flits, NACK/ack queues, and the fault log all survive the snapshot. A
+/// Round trip with the fault plane enabled: retransmit machinery,
+/// NACK/ack queues, and the fault log all survive the snapshot. A
 /// probabilistic fault plan steps every cycle on the serial walk, so there
 /// is no sharded leg.
 #[test]
