@@ -176,7 +176,8 @@ fn main() {
 /// headline column is throughput retained relative to the same mechanism's
 /// own fault-free (`k = 0`) run, so the curve isolates degradation from
 /// baseline throughput differences. Results land in
-/// `results/BENCH_degradation.json` and `results/degradation.csv`.
+/// `results/BENCH_degradation.json` and `results/degradation.csv` under the
+/// current directory.
 fn degradation_sweep(quick: bool, seed: u64) {
     use afc_netsim::rng::SimRng;
 
@@ -312,13 +313,10 @@ fn degradation_sweep(quick: bool, seed: u64) {
          \"quick\": {quick},\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
-    let json_path = root.join("results").join("BENCH_degradation.json");
+    let results = std::path::Path::new("results");
+    let json_path = results.join("BENCH_degradation.json");
     afc_bench::sweep::write_atomic(&json_path, json.as_bytes()).expect("writable results dir");
-    let csv_path = root.join("results").join("degradation.csv");
+    let csv_path = results.join("degradation.csv");
     afc_bench::sweep::write_atomic(&csv_path, t.to_csv().as_bytes()).expect("writable results dir");
     println!("(wrote {} and {})", json_path.display(), csv_path.display());
 }

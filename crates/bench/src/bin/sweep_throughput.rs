@@ -20,8 +20,9 @@
 //!   monotonic: modes run fresh → pooled precisely so that a *larger*
 //!   value for the later mode is attributable to it.
 //!
-//! Writes machine-readable `results/BENCH_sweep.json` next to the other
-//! bench artifacts; EXPERIMENTS.md carries the before/after table.
+//! Writes machine-readable `results/BENCH_sweep.json` under the current
+//! directory, like the other bench artifacts; EXPERIMENTS.md carries the
+//! before/after table.
 
 use afc_bench::sweep::{self, pool_clear, pool_stats, RunKind, RunSpec, SweepSpec};
 use afc_bench::MechanismId;
@@ -192,11 +193,7 @@ fn main() {
          \"unit\": \"jobs_per_s\",\n  \"cases\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
-    let out = root.join("results").join("BENCH_sweep.json");
+    let out = std::path::Path::new("results").join("BENCH_sweep.json");
     sweep::write_atomic(&out, json.as_bytes()).expect("writable results dir");
     let timing = sweep::write_timing_report("sweep_throughput").expect("writable results dir");
     println!("\nwrote {} and {}", out.display(), timing.display());

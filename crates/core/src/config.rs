@@ -131,7 +131,9 @@ impl AfcConfig {
     /// # Errors
     ///
     /// * [`ConfigError::OutOfRange`] for a bad EWMA weight, window length,
-    ///   VC count or threshold ordering;
+    ///   VC count (none, or more than 64 per port over all vnets: the
+    ///   router keeps a port's occupancy in one 64-bit word) or threshold
+    ///   ordering;
     /// * [`ConfigError::BufferTooSmallForGossip`] when a vnet's lazy
     ///   buffering cannot absorb a full transition window of in-flight
     ///   flits.
@@ -173,6 +175,12 @@ impl AfcConfig {
                     required: x,
                 });
             }
+        }
+        if self.buffer_flits_per_port(net) > 64 {
+            return Err(ConfigError::OutOfRange {
+                what: "lazy VCs per port, all vnets",
+                range: "<= 64",
+            });
         }
         Ok(())
     }

@@ -1266,6 +1266,29 @@ mod tests {
             .expect("the paper preset is valid");
     }
 
+    #[test]
+    fn network_new_refuses_more_lazy_vcs_than_an_occupancy_word_holds() {
+        // 2 control vnets x 8 + 1 data vnet x 64 = 80 slots per port.
+        let net = NetworkConfig::paper_3x3();
+        let wide = |data_vcs| {
+            AfcFactory::new(AfcConfig {
+                data_vcs,
+                ..AfcConfig::paper()
+            })
+        };
+        let err = afc_netsim::network::Network::new(net.clone(), &wide(64), 1)
+            .expect_err("80 lazy VCs per port must be refused");
+        assert_eq!(
+            err,
+            ConfigError::OutOfRange {
+                what: "lazy VCs per port, all vnets",
+                range: "<= 64",
+            }
+        );
+        // 2 x 8 + 48 = 64 slots: the largest layout that fits.
+        afc_netsim::network::Network::new(net, &wide(48), 1).expect("64 slots fit");
+    }
+
     fn run_idle(r: &mut AfcRouter, from: Cycle, cycles: u64) -> Cycle {
         let mut rng = SimRng::seed_from(0);
         let mut out = RouterOutputs::new();

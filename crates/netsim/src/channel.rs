@@ -16,9 +16,15 @@
 //! lane each. With `W = delay + 1` the stripe read at `t` and the stripe
 //! written at `t` are never the same, and each lane has exactly one writer
 //! (the upstream router pushes flits, the downstream router pushes
-//! credits/control). Schedules reach the wheel only through a `Lanes`
-//! view — read stripes shared, a node range's write slots exclusive — which
-//! the sharded engine cuts into one view per shard (DESIGN.md §12).
+//! credits/control). Beside each slab the wheel keeps one arrival bitmask
+//! per stripe, indexed by link: a push sets its link's bit in the write
+//! stripe, phase 1 visits the links whose bit is set in the read stripe and
+//! then zeroes that stripe's masks, which the next cycle writes. So a link
+//! with nothing arriving is never touched, and a link is busy — has
+//! anything on the wires — iff its bit is set in some stripe. Schedules
+//! reach the wheel only through a `Lanes` view — read stripes shared, a node
+//! range's write slots exclusive — which the sharded engine cuts into one
+//! view per shard (DESIGN.md §12).
 //! [`Channel`] is the same kernel as a standalone one-link wheel with its
 //! own clock.
 //!
@@ -30,7 +36,9 @@
 
 use crate::flit::{Cycle, Flit, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId};
+use crate::kernel::Bits;
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// A buffer-release token flowing upstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -376,7 +384,8 @@ struct Tick {
     rev_wr: usize,
 }
 
-/// Every link of a network as two slot slabs (see the module docs).
+/// Every link of a network as two slot slabs and their arrival masks (see
+/// the module docs).
 ///
 /// Slabs are stripe-major — slot `s` of lane `l` lives at `s * links + l` —
 /// so a cycle's arrivals are one contiguous stripe. A forward lane is
@@ -385,7 +394,7 @@ struct Tick {
 /// lanes one router drives — the forward lanes of its outgoing links, the
 /// reverse lanes of its incoming ones — and so those of any node range are
 /// one contiguous run of each stripe. [`Lanes`] is the only way in.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LinkWheel {
     links: usize,
     fwd_delay: u64,
@@ -397,10 +406,28 @@ pub(crate) struct LinkWheel {
     /// reverse lanes `start[j][1]..start[j + 1][1]`.
     rev_lane: Vec<u32>,
     start: Vec<[u32; 2]>,
-    /// Arrival cycle of the newest push onto each forward / reverse lane
-    /// (0 = never): the whole of a lane's occupancy bookkeeping.
-    last_fwd: Vec<Cycle>,
-    last_rev: Vec<Cycle>,
+    /// The arrival masks, `words` per stripe, stripe-major: the forward
+    /// slab's `fwd_delay + 1` stripes, then the reverse slab's. Bit `c` of
+    /// a stripe is set iff link `c`'s slot in that stripe holds an arrival
+    /// not yet delivered. Atomic so the shards of a sharded cycle can set
+    /// bits of shared words; through `&mut` they are plain words.
+    masks: Box<[AtomicU64]>,
+    words: usize,
+}
+
+impl Clone for LinkWheel {
+    fn clone(&self) -> LinkWheel {
+        LinkWheel {
+            fwd: self.fwd.clone(),
+            rev: self.rev.clone(),
+            rev_lane: self.rev_lane.clone(),
+            start: self.start.clone(),
+            masks: (self.masks.iter())
+                .map(|m| AtomicU64::new(m.load(Relaxed)))
+                .collect(),
+            ..*self
+        }
+    }
 }
 
 impl LinkWheel {
@@ -431,6 +458,7 @@ impl LinkWheel {
         let links = ends.len();
         let fwd_delay = link_latency + Channel::ROUTER_OVERHEAD;
         let rev_delay = link_latency;
+        let (words, stripes) = (links.div_ceil(64), (fwd_delay + rev_delay) as usize + 2);
         LinkWheel {
             links,
             fwd_delay,
@@ -439,8 +467,8 @@ impl LinkWheel {
             rev: vec![RevSlot::EMPTY; links * (rev_delay as usize + 1)],
             rev_lane,
             start,
-            last_fwd: vec![0; links],
-            last_rev: vec![0; links],
+            masks: (0..words * stripes).map(|_| AtomicU64::new(0)).collect(),
+            words,
         }
     }
 
@@ -474,23 +502,52 @@ impl LinkWheel {
     }
 
     /// Every lane as cycle `now` reaches it.
-    pub(crate) fn lanes(&mut self, now: Cycle) -> Lanes<'_> {
+    pub(crate) fn lanes(&mut self, now: Cycle) -> Lanes<'_, &mut [AtomicU64]> {
         let t = self.tick(now);
         self.lanes_at(&t)
     }
 
-    fn lanes_at(&mut self, t: &Tick) -> Lanes<'_> {
-        let (fwd_in, fwd) = stripes(&mut self.fwd, &mut self.last_fwd, t.fwd_rd, t.fwd_wr);
-        let (rev_in, rev) = stripes(&mut self.rev, &mut self.last_rev, t.rev_rd, t.rev_wr);
+    fn lanes_at(&mut self, t: &Tick) -> Lanes<'_, &mut [AtomicU64]> {
+        let (links, words) = (self.links, self.words);
+        let (fwd_in, fwd) = stripes(&mut self.fwd, links, t.fwd_rd, t.fwd_wr);
+        let (rev_in, rev) = stripes(&mut self.rev, links, t.rev_rd, t.rev_wr);
+        let fwd_masks = (self.fwd_delay as usize + 1) * words;
+        let (fwd_masks, rev_masks) = self.masks.split_at_mut(fwd_masks);
+        let (fwd_arrived, fwd_sent) = stripes(fwd_masks, words, t.fwd_rd, t.fwd_wr);
+        let (rev_arrived, rev_sent) = stripes(rev_masks, words, t.rev_rd, t.rev_wr);
         Lanes {
             rev_lane: &self.rev_lane,
             start: &self.start,
             t: *t,
             fwd_in,
             rev_in,
-            fwd,
-            rev,
+            fwd_arrived,
+            rev_arrived,
+            fwd_sent,
+            rev_sent,
+            fwd: Run { lo: 0, slots: fwd },
+            rev: Run { lo: 0, slots: rev },
         }
+    }
+
+    /// Word `wi` of the busy links: those with a bit set in any stripe of
+    /// either mask. Between cycles `now - 1` and `now`, the links with
+    /// anything due at or after `now`.
+    pub(crate) fn busy_word(&self, wi: usize) -> u64 {
+        let column = self.masks[wi..].iter().step_by(self.words);
+        column.fold(0, |busy, m| busy | m.load(Relaxed))
+    }
+
+    /// Whether link `c` is busy (see [`LinkWheel::busy_word`]).
+    pub(crate) fn busy(&self, c: usize) -> bool {
+        self.busy_word(c >> 6) & (1u64 << (c & 63)) != 0
+    }
+
+    /// The number of busy links.
+    pub(crate) fn busy_links(&self) -> usize {
+        (0..self.words)
+            .map(|wi| self.busy_word(wi).count_ones() as usize)
+            .sum()
     }
 
     /// Flits not yet delivered at cycle `now`, recounted from the slab.
@@ -516,7 +573,7 @@ impl LinkWheel {
             + self.rev.capacity() * size_of::<RevSlot>()
             + self.rev_lane.capacity() * size_of::<u32>()
             + self.start.capacity() * size_of::<[u32; 2]>()
-            + (self.last_fwd.capacity() + self.last_rev.capacity()) * size_of::<Cycle>()
+            + self.masks.len() * size_of::<AtomicU64>()
     }
 
     /// Empties every link in place. Stamps must go: a reused wheel's clock
@@ -528,8 +585,7 @@ impl LinkWheel {
         for s in &mut self.rev {
             s.due = NEVER;
         }
-        self.last_fwd.fill(0);
-        self.last_rev.fill(0);
+        self.masks.iter_mut().for_each(|m| *m.get_mut() = 0);
     }
 
     /// The ticks of the cycles anything on the wires before cycle `now`
@@ -542,8 +598,8 @@ impl LinkWheel {
     /// Serializes what is on the wires between cycles `now - 1` and `now`,
     /// link by link in arrival order relative to `now`: `fwd_delay`
     /// optional flits, then `rev_delay` credit/control slot pairs. Slot
-    /// positions, lane numbers, stale contents and the newest-push stamps
-    /// are not state.
+    /// positions, lane numbers, stale contents and the masks are not
+    /// state.
     pub(crate) fn save(&self, w: &mut SnapshotWriter, now: Cycle) {
         let ticks = self.arrival_ticks(now);
         for c in 0..self.links {
@@ -560,7 +616,7 @@ impl LinkWheel {
     }
 
     /// Restores, in place, a wheel written by [`LinkWheel::save`] at the
-    /// same `now` for the same links and latency.
+    /// same `now` for the same links and latency, masks rebuilt.
     pub(crate) fn load(
         &mut self,
         r: &mut SnapshotReader<'_>,
@@ -568,23 +624,28 @@ impl LinkWheel {
     ) -> Result<(), SnapshotError> {
         self.reset();
         let ticks = self.arrival_ticks(now);
-        for c in 0..self.links {
+        let (links, words) = (self.links, self.words);
+        let rev_masks = (self.fwd_delay as usize + 1) * words;
+        let mut mark = |stripe_start: usize, c: usize| {
+            *self.masks[stripe_start + (c >> 6)].get_mut() |= 1u64 << (c & 63);
+        };
+        for c in 0..links {
             let lane = self.rev_lane[c] as usize;
             for t in &ticks {
-                let slot = &mut self.fwd[t.fwd_rd * self.links + c];
+                let slot = &mut self.fwd[t.fwd_rd * links + c];
                 slot.flit.load(r)?;
                 if slot.flit.is_some() {
                     slot.due = t.now;
-                    self.last_fwd[c] = t.now;
+                    mark(t.fwd_rd * words, c);
                 }
             }
             for t in &ticks[..self.rev_delay as usize] {
-                let slot = &mut self.rev[t.rev_rd * self.links + lane];
+                let slot = &mut self.rev[t.rev_rd * links + lane];
                 slot.credits.load(r)?;
                 slot.control.load(r)?;
                 if !(slot.credits.is_empty() && slot.control.is_empty()) {
                     slot.due = t.now;
-                    self.last_rev[lane] = t.now;
+                    mark(rev_masks + t.rev_rd * words, c);
                 }
             }
         }
@@ -593,49 +654,51 @@ impl LinkWheel {
 }
 
 /// One cycle of the link wheel as a schedule reaches it: every lane's
-/// arrival slot, and the write slots and newest-push stamps of the lanes a
-/// node range drives. The serial schedule takes the view over every node;
-/// the sharded engine cuts it at its shard boundaries with
-/// [`Lanes::split_front`], so two shards never hold the same write slot.
-/// The read and write stripes are different slots of every lane (`W =
-/// delay + 1`), so all views share the read stripes.
-pub(crate) struct Lanes<'a> {
+/// arrival slot and both arrival masks, and the write slots of the lanes a
+/// node range drives with the masks they set. `B` is how mask words are
+/// reached ([`Bits`]): the serial schedule's view, over every node, holds
+/// them through `&mut` and zeroes the read masks after phase 1
+/// ([`Lanes::clear_arrivals`]); the sharded engine [`shares`](Lanes::share)
+/// it and cuts it at its shard boundaries with [`Lanes::split_front`], so
+/// two shards never hold the same write slot and set shared mask words
+/// atomically. The read and write stripes are different slots of every
+/// lane (`W = delay + 1`), so all views share the read stripes.
+pub(crate) struct Lanes<'a, B> {
     rev_lane: &'a [u32],
     start: &'a [[u32; 2]],
     t: Tick,
     fwd_in: &'a [FwdSlot],
     rev_in: &'a [RevSlot],
+    fwd_arrived: B,
+    rev_arrived: B,
+    fwd_sent: B,
+    rev_sent: B,
     fwd: Run<'a, FwdSlot>,
     rev: Run<'a, RevSlot>,
 }
 
-/// The write slots and newest-push stamps of lanes `lo..lo + slots.len()`.
+/// The write slots of lanes `lo..lo + slots.len()`.
 struct Run<'a, S> {
     lo: usize,
     slots: &'a mut [S],
-    last: &'a mut [Cycle],
 }
 
-/// Stripe `rd` of a stripe-major slab, shared, and stripe `wr != rd` as a
-/// run of every lane; stripes are `last.len()` slots long.
-fn stripes<'a, S>(
-    slab: &'a mut [S],
-    last: &'a mut [Cycle],
-    rd: usize,
-    wr: usize,
-) -> (&'a [S], Run<'a, S>) {
-    let len = last.len();
+/// Stripes `rd` and `wr != rd` of a stripe-major slab of `len`-long
+/// stripes.
+fn stripes<T>(slab: &mut [T], len: usize, rd: usize, wr: usize) -> (&mut [T], &mut [T]) {
     let (head, tail) = slab.split_at_mut(rd.max(wr) * len);
     let (low, high) = (&mut head[rd.min(wr) * len..][..len], &mut tail[..len]);
-    let (read, slots) = if rd < wr { (low, high) } else { (high, low) };
-    (read, Run { lo: 0, slots, last })
+    if rd < wr {
+        (low, high)
+    } else {
+        (high, low)
+    }
 }
 
 impl<'a, S> Run<'a, S> {
-    /// Lane `lane`'s write slot, stamped as pushed for arrival at `due`.
+    /// Lane `lane`'s write slot.
     #[inline]
-    fn push(&mut self, lane: usize, due: Cycle) -> &mut S {
-        self.last[lane - self.lo] = due;
+    fn slot(&mut self, lane: usize) -> &mut S {
         &mut self.slots[lane - self.lo]
     }
 
@@ -645,63 +708,104 @@ impl<'a, S> Run<'a, S> {
         Run {
             lo: std::mem::replace(&mut self.lo, lane),
             slots: self.slots.split_off_mut(..k).expect("lane in the run"),
-            last: self.last.split_off_mut(..k).expect("lane in the run"),
         }
     }
 }
 
-impl<'a> Lanes<'a> {
-    /// The flit arriving on link `c` this cycle, if any.
+impl<'a, B: Bits> Lanes<'a, B> {
+    /// The flit arriving on link `c` this cycle, if any, by its stamp.
     #[inline]
     pub(crate) fn flit_at(&self, c: usize) -> Option<Flit> {
         self.fwd_in[c].arrival(self.t.now)
     }
 
-    /// The credits/control arriving on link `c` this cycle, if any.
+    /// The credits/control arriving on link `c` this cycle, if any, by
+    /// their stamp.
     #[inline]
     pub(crate) fn rev_at(&self, c: usize) -> Option<&'a RevSlot> {
         let rev_in: &'a [RevSlot] = self.rev_in;
         rev_in[self.rev_lane[c] as usize].arrival(self.t.now)
     }
 
+    /// Whether a flit arrives on link `c` this cycle, by the mask.
+    #[inline]
+    pub(crate) fn has_fwd(&self, c: usize) -> bool {
+        self.fwd_arrived.word(c >> 6) & (1u64 << (c & 63)) != 0
+    }
+
+    /// Whether credits or control arrive on link `c` this cycle, by the
+    /// mask.
+    #[inline]
+    pub(crate) fn has_rev(&self, c: usize) -> bool {
+        self.rev_arrived.word(c >> 6) & (1u64 << (c & 63)) != 0
+    }
+
+    /// Word `wi` of the links with anything arriving this cycle.
+    #[inline]
+    pub(crate) fn arrivals(&self, wi: usize) -> u64 {
+        self.fwd_arrived.word(wi) | self.rev_arrived.word(wi)
+    }
+
     /// Sends a flit down link `c`, an outgoing link of the view's nodes.
     #[inline]
     pub(crate) fn push_flit(&mut self, c: usize, flit: Flit) {
-        let due = self.t.fwd_due;
-        self.fwd.push(c, due).push(due, flit);
+        self.fwd_sent.set(c);
+        self.fwd.slot(c).push(self.t.fwd_due, flit);
     }
 
     /// Sends a credit up link `c`, an incoming link of the view's nodes.
     #[inline]
     pub(crate) fn push_credit(&mut self, c: usize, credit: Credit) {
-        let due = self.t.rev_due;
-        self.rev
-            .push(self.rev_lane[c] as usize, due)
-            .push_credit(due, credit);
+        self.rev_sent.set(c);
+        let lane = self.rev_lane[c] as usize;
+        self.rev.slot(lane).push_credit(self.t.rev_due, credit);
     }
 
     /// Sends a control signal up link `c`, an incoming link of the view's
     /// nodes.
     #[inline]
     pub(crate) fn push_control(&mut self, c: usize, signal: ControlSignal) {
-        let due = self.t.rev_due;
-        self.rev
-            .push(self.rev_lane[c] as usize, due)
-            .push_control(due, signal);
+        self.rev_sent.set(c);
+        let lane = self.rev_lane[c] as usize;
+        self.rev.slot(lane).push_control(self.t.rev_due, signal);
+    }
+}
+
+impl<'a> Lanes<'a, &'a mut [AtomicU64]> {
+    /// Zeroes this cycle's arrival masks once its arrivals are delivered:
+    /// they are the write stripes of the next cycle.
+    pub(crate) fn clear_arrivals(&mut self) {
+        for m in self
+            .fwd_arrived
+            .iter_mut()
+            .chain(self.rev_arrived.iter_mut())
+        {
+            *m.get_mut() = 0;
+        }
     }
 
-    /// Whether nothing on link `c` is due after this cycle — its activity
-    /// bit may drop once this cycle's arrivals are delivered. Reads both of
-    /// `c`'s stamps, so it takes a view over every node.
-    #[inline]
-    pub(crate) fn quiet_after(&self, c: usize) -> bool {
-        let (fwd, rev, now) = (&self.fwd, &self.rev, self.t.now);
-        fwd.last[c - fwd.lo] <= now && rev.last[self.rev_lane[c] as usize - rev.lo] <= now
+    /// The same view with its mask words shared, to be cut into shards.
+    pub(crate) fn share(self) -> Lanes<'a, &'a [AtomicU64]> {
+        Lanes {
+            rev_lane: self.rev_lane,
+            start: self.start,
+            t: self.t,
+            fwd_in: self.fwd_in,
+            rev_in: self.rev_in,
+            fwd_arrived: self.fwd_arrived,
+            rev_arrived: self.rev_arrived,
+            fwd_sent: self.fwd_sent,
+            rev_sent: self.rev_sent,
+            fwd: self.fwd,
+            rev: self.rev,
+        }
     }
+}
 
+impl<'a> Lanes<'a, &'a [AtomicU64]> {
     /// Splits off the lanes driven by the nodes below `mid`, keeping the
     /// rest.
-    pub(crate) fn split_front(&mut self, mid: usize) -> Lanes<'a> {
+    pub(crate) fn split_front(&mut self, mid: usize) -> Lanes<'a, &'a [AtomicU64]> {
         let [fwd, rev] = self.start[mid];
         Lanes {
             fwd: self.fwd.split_front(fwd as usize),
@@ -785,13 +889,15 @@ impl Channel {
     /// Advances the clock one cycle and returns what arrives.
     pub fn advance(&mut self) -> Delivery {
         self.tick = self.wheel.next_tick(&self.tick);
-        let lanes = self.wheel.lanes_at(&self.tick);
+        let mut lanes = self.wheel.lanes_at(&self.tick);
         let rev = lanes.rev_at(0).unwrap_or(&RevSlot::EMPTY);
-        Delivery {
+        let delivery = Delivery {
             flit: lanes.flit_at(0),
             credits: rev.credits,
             control: rev.control,
-        }
+        };
+        lanes.clear_arrivals();
+        delivery
     }
 }
 
@@ -814,9 +920,13 @@ mod tests {
         )
     }
 
-    fn is_drained(ch: &mut Channel) -> bool {
-        let t = ch.tick;
-        ch.wheel.lanes_at(&t).quiet_after(0)
+    fn is_drained(ch: &Channel) -> bool {
+        !ch.wheel.busy(0)
+    }
+
+    /// Every arrival-mask word of `wheel`, stripe-major.
+    fn mask_words(wheel: &LinkWheel) -> Vec<u64> {
+        wheel.masks.iter().map(|m| m.load(Relaxed)).collect()
     }
 
     /// A wheel of `links` links between `links` nodes whose downstream
@@ -933,7 +1043,7 @@ mod tests {
         // iteration `i + 3`.
         assert_eq!(received, 20 - 3);
         assert_eq!(in_flight(&ch), (3, 0));
-        assert!(!is_drained(&mut ch));
+        assert!(!is_drained(&ch));
     }
 
     #[test]
@@ -945,7 +1055,7 @@ mod tests {
         for _ in 0..10 {
             ch.advance();
         }
-        assert!(is_drained(&mut ch));
+        assert!(is_drained(&ch));
         assert_eq!(in_flight(&ch), (0, 0));
     }
 
@@ -1041,105 +1151,134 @@ mod tests {
         }
     }
 
+    /// One push onto a link, whichever lane it takes.
+    #[derive(Clone, Copy)]
+    enum Push {
+        Flit(Flit),
+        Credit(Credit),
+        Control(ControlSignal),
+    }
+
+    fn push<B: Bits>(lanes: &mut Lanes<'_, B>, c: usize, item: Push) {
+        match item {
+            Push::Flit(f) => lanes.push_flit(c, f),
+            Push::Credit(credit) => lanes.push_credit(c, credit),
+            Push::Control(signal) => lanes.push_control(c, signal),
+        }
+    }
+
     /// Drives a three-link wheel and three reference links through the
-    /// same seeded schedule, the way the engine does: each cycle, for every
-    /// *active* link, deliver arrivals (compared item by item), drop the
-    /// activity flag when the wheel says the link is quiet, then push. A
-    /// link whose flag is down is not read at all — for idle gaps forced
-    /// longer than the wheel, so re-activation lands on stale slots.
+    /// same seeded schedule, the way the engine does: each cycle, every
+    /// link's arrivals are delivered (compared item by item, and with the
+    /// arrival masks), the read masks are zeroed, then the cycle pushes —
+    /// through the whole view, or through views cut at random nodes, each
+    /// push through the view of the node that drives its lane, as shards
+    /// do. Between cycles, a link is busy iff its reference holds traffic,
+    /// and a save → load rebuilds the same masks. Links fall idle for gaps
+    /// longer than the wheel, so pushes land on stale slots.
     fn differential(link_latency: u64, seed: u64) {
         const LINKS: usize = 3;
         let mut rng = XorShift(seed | 1);
         let mut wheel = reversed_wheel(LINKS, link_latency);
         let (fd, rd) = (wheel.fwd_delay, wheel.rev_delay);
         let mut refs: [RefLink; LINKS] = Default::default();
-        let mut active = [false; LINKS];
         let mut idle_until = [0 as Cycle; LINKS];
         let mut next_flit = 0u64;
         let mut delivered = 0usize;
+        let mut pushes = Vec::new();
         for now in 0..(40 * (fd + 1)) {
+            let at = format!("L={link_latency} seed={seed} cycle {now}");
             let mut lanes = wheel.lanes(now);
+            for (c, r) in refs.iter_mut().enumerate() {
+                let flit = lanes.flit_at(c);
+                assert_eq!(lanes.has_fwd(c), flit.is_some(), "{at} link {c}: flit bit");
+                assert_eq!(
+                    flit.into_iter().collect::<Vec<_>>(),
+                    take_due(&mut r.flits, now),
+                    "{at} link {c}: flit"
+                );
+                let rev = lanes.rev_at(c);
+                assert_eq!(
+                    lanes.has_rev(c),
+                    rev.is_some(),
+                    "{at} link {c}: reverse bit"
+                );
+                let got_credits = rev.map_or(&[][..], RevSlot::credits);
+                let got_control = rev.map_or(&[][..], RevSlot::control);
+                delivered += got_credits.len() + got_control.len();
+                assert_eq!(got_credits, take_due(&mut r.credits, now), "{at}: credits");
+                assert_eq!(got_control, take_due(&mut r.control, now), "{at}: control");
+                let bit = 1u64 << c;
+                assert_eq!(
+                    lanes.arrivals(0) & bit != 0,
+                    flit.is_some() || rev.is_some()
+                );
+            }
+            lanes.clear_arrivals();
+
+            pushes.clear();
             for c in 0..LINKS {
-                if active[c] {
-                    let r = &mut refs[c];
-                    assert_eq!(
-                        lanes.flit_at(c).into_iter().collect::<Vec<_>>(),
-                        take_due(&mut r.flits, now),
-                        "L={link_latency} seed={seed} link {c} cycle {now}: flit"
-                    );
-                    let rev = lanes.rev_at(c);
-                    let got_credits = rev.map_or(&[][..], RevSlot::credits);
-                    let got_control = rev.map_or(&[][..], RevSlot::control);
-                    delivered += got_credits.len() + got_control.len();
-                    assert_eq!(
-                        got_credits,
-                        take_due(&mut r.credits, now),
-                        "cycle {now}: credits"
-                    );
-                    assert_eq!(
-                        got_control,
-                        take_due(&mut r.control, now),
-                        "cycle {now}: control"
-                    );
-                    assert_eq!(lanes.quiet_after(c), r.is_empty(), "cycle {now}: occupancy");
-                    if lanes.quiet_after(c) {
-                        active[c] = false;
-                        if rng.below(3) == 0 {
-                            // Longer than either lane's wheel.
-                            idle_until[c] = now + fd + 2 + rng.below(2 * fd);
-                        }
-                    }
-                } else {
-                    assert!(refs[c].is_empty(), "an inactive link held traffic");
-                }
                 if now < idle_until[c] {
+                    continue;
+                }
+                if refs[c].is_empty() && rng.below(6) == 0 {
+                    // Longer than either lane's wheel.
+                    idle_until[c] = now + fd + 2 + rng.below(2 * fd);
                     continue;
                 }
                 if rng.below(2) == 0 {
                     let f = flit(next_flit);
                     next_flit += 1;
-                    lanes.push_flit(c, f);
+                    pushes.push((c, Push::Flit(f)));
                     refs[c].flits.push_back((now + fd, f));
-                    active[c] = true;
                 }
                 // Up to LANE_CAP credits and LANE_CAP control signals in
                 // one cycle: both halves of a slot filled to the brim.
                 for _ in 0..rng.below(LANE_CAP as u64 + 3).saturating_sub(2) {
-                    if refs[c]
-                        .credits
-                        .iter()
-                        .filter(|&&(due, _)| due == now + rd)
-                        .count()
-                        == LANE_CAP
-                    {
-                        break;
-                    }
                     let credit = if rng.below(2) == 0 {
                         Credit::Vc(VcId(rng.below(8) as u8))
                     } else {
                         Credit::Vnet(VirtualNetwork(rng.below(3) as u8))
                     };
-                    lanes.push_credit(c, credit);
+                    pushes.push((c, Push::Credit(credit)));
                     refs[c].credits.push_back((now + rd, credit));
-                    active[c] = true;
                 }
                 for _ in 0..rng.below(LANE_CAP as u64 + 4).saturating_sub(3) {
-                    if refs[c]
-                        .control
-                        .iter()
-                        .filter(|&&(due, _)| due == now + rd)
-                        .count()
-                        == LANE_CAP
-                    {
-                        break;
-                    }
                     let signal = arbitrary_control(&mut rng);
-                    lanes.push_control(c, signal);
+                    pushes.push((c, Push::Control(signal)));
                     refs[c].control.push_back((now + rd, signal));
-                    active[c] = true;
                 }
             }
-            // Between-cycle recounts (what the audits and snapshots see).
+            if rng.below(2) == 0 {
+                for &(c, item) in &pushes {
+                    push(&mut lanes, c, item);
+                }
+            } else {
+                // Nodes 1 and 2 start a view each or not; link `c` runs
+                // from node `c` to node `LINKS - 1 - c`.
+                let cuts: Vec<usize> = (1..LINKS).filter(|_| rng.below(2) == 0).collect();
+                let mut rest = lanes.share();
+                let mut views: Vec<_> = cuts.iter().map(|&mid| rest.split_front(mid)).collect();
+                views.push(rest);
+                let owner = |node: usize| cuts.partition_point(|&mid| mid <= node);
+                for &(c, item) in &pushes {
+                    let driver = if let Push::Flit(_) = item {
+                        c
+                    } else {
+                        LINKS - 1 - c
+                    };
+                    push(&mut views[owner(driver)], c, item);
+                }
+            }
+
+            // Between cycles (what the audits, the gate and snapshots see).
+            for (c, r) in refs.iter().enumerate() {
+                assert_eq!(wheel.busy(c), !r.is_empty(), "{at} link {c}: busy");
+            }
+            assert_eq!(
+                wheel.busy_links(),
+                refs.iter().filter(|r| !r.is_empty()).count()
+            );
             assert_eq!(
                 wheel.flits_in_flight(now + 1),
                 refs.iter().map(|r| r.flits.len()).sum::<usize>()
@@ -1148,6 +1287,14 @@ mod tests {
                 wheel.credits_in_flight(now + 1),
                 refs.iter().map(|r| r.credits.len()).sum::<usize>()
             );
+            let mut w = SnapshotWriter::new();
+            wheel.save(&mut w, now + 1);
+            let bytes = w.into_bytes();
+            let mut restored = reversed_wheel(LINKS, link_latency);
+            restored
+                .load(&mut SnapshotReader::new(&bytes), now + 1)
+                .unwrap();
+            assert_eq!(mask_words(&restored), mask_words(&wheel), "{at}: masks");
         }
         assert!(next_flit > 10 && delivered > 10, "schedule was vacuous");
     }
@@ -1190,6 +1337,7 @@ mod tests {
             let mut now = 0;
             for i in 0..17u64 {
                 let mut lanes = wheel.lanes(now);
+                lanes.clear_arrivals();
                 if i % 3 != 1 {
                     lanes.push_flit((i % 2) as usize, flit(i));
                 }
@@ -1219,18 +1367,22 @@ mod tests {
                 restored.credits_in_flight(now),
                 wheel.credits_in_flight(now)
             );
+            assert_eq!(mask_words(&restored), mask_words(&wheel));
             // Draining both must produce identical arrivals.
             for now in now..now + 10 {
-                let (a, b) = (wheel.lanes(now), restored.lanes(now));
+                let (mut a, mut b) = (wheel.lanes(now), restored.lanes(now));
                 for c in 0..2 {
                     assert_eq!(a.flit_at(c), b.flit_at(c));
                     let (ra, rb) = (a.rev_at(c), b.rev_at(c));
                     assert_eq!(ra.map(RevSlot::credits), rb.map(RevSlot::credits));
                     assert_eq!(ra.map(RevSlot::control), rb.map(RevSlot::control));
-                    assert_eq!(a.quiet_after(c), b.quiet_after(c));
+                    assert_eq!((a.has_fwd(c), a.has_rev(c)), (b.has_fwd(c), b.has_rev(c)));
                 }
+                a.clear_arrivals();
+                b.clear_arrivals();
             }
             assert_eq!(restored.flits_in_flight(now + 10), 0);
+            assert_eq!((wheel.busy_links(), restored.busy_links()), (0, 0));
         }
     }
 
@@ -1256,18 +1408,19 @@ mod tests {
             let mut cut = whole.clone();
             for now in 0..24 {
                 let cuts: Vec<usize> = (1..nodes).filter(|_| rng.below(2) == 0).collect();
-                // (link, 0 = flit / 1 = credit / 2 = control)
-                let pushes: Vec<(usize, u64)> = (0..ends.len())
-                    .flat_map(|c| (0..3).map(move |kind| (c, kind)))
+                let pushes: Vec<(usize, Push)> = (0..ends.len())
+                    .flat_map(|c| {
+                        [
+                            Push::Flit(flit(now * 64 + c as u64)),
+                            Push::Credit(Credit::Vc(VcId(c as u8))),
+                            Push::Control(ControlSignal::StopCreditTracking),
+                        ]
+                        .map(|item| (c, item))
+                    })
                     .filter(|_| rng.below(3) == 0)
                     .collect();
-                let push = |lanes: &mut Lanes<'_>, c: usize, kind: u64| match kind {
-                    0 => lanes.push_flit(c, flit(now * 64 + c as u64)),
-                    1 => lanes.push_credit(c, Credit::Vc(VcId(c as u8))),
-                    _ => lanes.push_control(c, ControlSignal::StopCreditTracking),
-                };
                 let mut all = whole.lanes(now);
-                let mut rest = cut.lanes(now);
+                let mut rest = cut.lanes(now).share();
                 let mut views: Vec<_> = cuts.iter().map(|&mid| rest.split_front(mid)).collect();
                 views.push(rest);
                 let owner = |node: usize| cuts.partition_point(|&mid| mid <= node);
@@ -1277,17 +1430,28 @@ mod tests {
                         let (a, b) = (view.rev_at(c), all.rev_at(c));
                         assert_eq!(a.map(RevSlot::credits), b.map(RevSlot::credits));
                         assert_eq!(a.map(RevSlot::control), b.map(RevSlot::control));
+                        let bits = (view.has_fwd(c), view.has_rev(c));
+                        assert_eq!(bits, (all.has_fwd(c), all.has_rev(c)));
+                        assert_eq!(bits, (all.flit_at(c).is_some(), b.is_some()));
                     }
                 }
-                for &(c, kind) in &pushes {
-                    push(&mut all, c, kind);
-                    let driver = if kind == 0 { ends[c].0 } else { ends[c].1 };
-                    push(&mut views[owner(driver)], c, kind);
+                for &(c, item) in &pushes {
+                    push(&mut all, c, item);
+                    let driver = match item {
+                        Push::Flit(_) => ends[c].0,
+                        _ => ends[c].1,
+                    };
+                    push(&mut views[owner(driver)], c, item);
                 }
-                drop(views);
-                for c in 0..ends.len() {
-                    assert_eq!(all.quiet_after(c), cut.lanes(now).quiet_after(c));
-                }
+                drop((views, all));
+                // The epilogue's clear, on a fresh whole view.
+                whole.lanes(now).clear_arrivals();
+                cut.lanes(now).clear_arrivals();
+                assert_eq!(
+                    mask_words(&whole),
+                    mask_words(&cut),
+                    "case {case} cycle {now}"
+                );
                 let (mut a, mut b) = (SnapshotWriter::new(), SnapshotWriter::new());
                 whole.save(&mut a, now + 1);
                 cut.save(&mut b, now + 1);
@@ -1304,10 +1468,11 @@ mod tests {
         lanes.push_credit(0, Credit::Vc(VcId(0)));
         wheel.reset();
         // The restarted clock passes the old arrival cycles and sees nothing.
+        assert!(!wheel.busy(0));
         for now in 0..8 {
             let lanes = wheel.lanes(now);
             assert!(lanes.flit_at(0).is_none() && lanes.rev_at(0).is_none());
-            assert!(lanes.quiet_after(0));
+            assert!(!lanes.has_fwd(0) && !lanes.has_rev(0));
         }
         assert_eq!(
             (wheel.flits_in_flight(0), wheel.credits_in_flight(0)),

@@ -9,11 +9,12 @@
 //! and per-node bookkeeping its schedule owns with the link-wheel view
 //! ([`Lanes`]) of the lanes those routers drive ([`Nodes`]), the [`Accum`]
 //! its counts go to, and two handles saying how shared structures are
-//! touched — activity bits ([`Bits`]) and the fault log ([`FaultLog`]).
-//! The serial schedule takes every node and plugs in the network's own
-//! sets, log and totals; a shard takes its node range, split off the same
-//! view by safe slice splits ([`Nodes::split_front`]), and plugs in atomic
-//! bitmask words and its per-cycle delta. Both are monomorphised, so
+//! touched — bitmask words ([`Bits`]: the activity sets and the wheel's
+//! arrival masks) and the fault log ([`FaultLog`]). The serial schedule
+//! takes every node and plugs in the network's own words through `&mut`,
+//! its log and totals; a shard takes its node range, split off the same
+//! view by safe slice splits ([`Nodes::split_front`]), and plugs in shared
+//! atomic words and its per-cycle delta. Both are monomorphised, so
 //! neither pays for the other — and so is the router type `R` of the
 //! network's bank, so a body calls its routers directly, not through a
 //! vtable.
@@ -32,15 +33,52 @@ use crate::router::{Router, RouterMode, RouterOutputs};
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// One activity bitmask as a schedule reaches it.
+/// One bitmask as a schedule reaches it.
 pub(crate) trait Bits {
-    /// Marks member `i` active.
+    /// Sets member `i`.
     fn set(&mut self, i: usize);
-    /// Marks member `i` inactive.
+    /// Clears member `i`.
     fn clear(&mut self, i: usize);
     /// Snapshot of word `wi` (members `64·wi ..`).
     fn word(&self, wi: usize) -> u64;
+}
+
+/// A bitmask one schedule owns: plain words (`get_mut`; a `Relaxed` load
+/// is a plain load).
+impl Bits for &mut [AtomicU64] {
+    #[inline]
+    fn set(&mut self, i: usize) {
+        *self[i >> 6].get_mut() |= 1u64 << (i & 63);
+    }
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        *self[i >> 6].get_mut() &= !(1u64 << (i & 63));
+    }
+    #[inline]
+    fn word(&self, wi: usize) -> u64 {
+        self[wi].load(Relaxed)
+    }
+}
+
+/// A bitmask shared by every shard: each bit has one writer per phase, but
+/// bits of different shards share words, so updates are word-level atomic
+/// RMWs. `Relaxed` suffices — the barrier's two crossings order them
+/// against everything outside the region.
+impl Bits for &[AtomicU64] {
+    #[inline]
+    fn set(&mut self, i: usize) {
+        self[i >> 6].fetch_or(1u64 << (i & 63), Relaxed);
+    }
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self[i >> 6].fetch_and(!(1u64 << (i & 63)), Relaxed);
+    }
+    #[inline]
+    fn word(&self, wi: usize) -> u64 {
+        self[wi].load(Relaxed)
+    }
 }
 
 /// Where fault-plane events go.
@@ -241,20 +279,35 @@ impl Frame<'_> {
 /// What a schedule owns of the nodes `lo..lo + routers.len()` for one
 /// cycle: their routers, NIs and per-node bookkeeping, and the link lanes
 /// their routers drive. The serial schedule owns every node; the sharded
-/// engine cuts the range at its shard boundaries with
-/// [`Nodes::split_front`], so two shards never share an element.
-pub(crate) struct Nodes<'a, R> {
+/// engine [`shares`](Nodes::share) the mask words and cuts the range at its
+/// shard boundaries with [`Nodes::split_front`], so two shards never share
+/// an element.
+pub(crate) struct Nodes<'a, R, B> {
     pub(crate) lo: usize,
     pub(crate) routers: &'a mut [R],
     pub(crate) nis: &'a mut [NodeInterface],
     pub(crate) accounted_upto: &'a mut [Cycle],
     pub(crate) modes_cache: &'a mut [RouterMode],
-    pub(crate) lanes: Lanes<'a>,
+    pub(crate) lanes: Lanes<'a, B>,
 }
 
-impl<'a, R> Nodes<'a, R> {
+impl<'a, R> Nodes<'a, R, &'a mut [AtomicU64]> {
+    /// The same nodes with the lanes' mask words shared.
+    pub(crate) fn share(self) -> Nodes<'a, R, &'a [AtomicU64]> {
+        Nodes {
+            lo: self.lo,
+            routers: self.routers,
+            nis: self.nis,
+            accounted_upto: self.accounted_upto,
+            modes_cache: self.modes_cache,
+            lanes: self.lanes.share(),
+        }
+    }
+}
+
+impl<'a, R> Nodes<'a, R, &'a [AtomicU64]> {
     /// Splits off the nodes below `mid`, keeping the rest.
-    pub(crate) fn split_front(&mut self, mid: usize) -> Nodes<'a, R> {
+    pub(crate) fn split_front(&mut self, mid: usize) -> Nodes<'a, R, &'a [AtomicU64]> {
         let k = mid - self.lo;
         let inside = "boundary inside the range";
         Nodes {
@@ -272,14 +325,13 @@ impl<'a, R> Nodes<'a, R> {
 /// docs). Bodies take global node indices.
 pub(crate) struct Cx<'a, R, B, F> {
     pub(crate) fr: Frame<'a>,
-    pub(crate) own: Nodes<'a, R>,
+    pub(crate) own: Nodes<'a, R, B>,
     pub(crate) acc: &'a mut Accum,
     pub(crate) scratch: &'a mut RouterOutputs,
     /// The fault plane's stream. Only probabilistic plans draw from it and
     /// those run serially, so a shard's copy is never advanced.
     pub(crate) fault_rng: &'a mut SimRng,
     pub(crate) router_active: B,
-    pub(crate) chan_active: B,
     pub(crate) ni_send_active: B,
     pub(crate) ni_delivered: B,
     pub(crate) fault_log: F,
@@ -429,12 +481,10 @@ impl<R: Router, B: Bits, F: FaultLog> Cx<'_, R, B, F> {
                         flit,
                     });
                 };
-                self.chan_active.set(chan);
                 self.own.lanes.push_flit(chan, flit);
             }
             for &credit in &out.credits[PortId::Net(dir)] {
                 if let Some(chan) = fr.in_chan[i][dir] {
-                    self.chan_active.set(chan);
                     self.own.lanes.push_credit(chan, credit);
                     self.acc.credits_pushed += 1;
                 }
@@ -450,7 +500,6 @@ impl<R: Router, B: Bits, F: FaultLog> Cx<'_, R, B, F> {
         for &signal in &out.control {
             for dir in Direction::ALL {
                 if let Some(chan) = fr.in_chan[i][dir] {
-                    self.chan_active.set(chan);
                     self.own.lanes.push_control(chan, signal);
                 }
             }

@@ -7,15 +7,17 @@
 //! written once, in `kernel.rs`. This file owns the *frame* every
 //! cycle shares — fault detection, NACK/ack queue retirement, NI sideband
 //! collection, the end-of-cycle block — and the serial *schedule*: one walk
-//! per phase over the dirty bitmasks (routers, channels, sending NIs) in
-//! ascending index order, skipping quiescent routers and replaying their
+//! per phase in ascending index order, over the link wheel's arrival masks
+//! (the links something reaches this cycle) and the activity bitmasks
+//! (routers, sending NIs), skipping quiescent routers and replaying their
 //! idle cycles in bulk when they re-activate. Every fault plan runs on it:
 //! the fault RNG is drawn only as a flit or credit arrives, in ascending
 //! link order either way. [`Network::set_full_scan`], and nothing else,
-//! feeds the same walk all-ones words — the activity sets' self-check:
-//! same results, not the same snapshot bytes (it settles idle cycles
-//! eagerly). The third schedule, one node range per thread, is
-//! `parallel.rs`; `parallel::gate` picks per cycle.
+//! feeds the same walk all-ones words and reads links by their stamps
+//! alone — the masks' and activity sets' self-check: same results, not the
+//! same snapshot bytes (it settles idle cycles eagerly). The third
+//! schedule, one node range per thread, is `parallel.rs`; `parallel::gate`
+//! picks per cycle.
 //! Both are compiled against the router type of the network's bank
 //! ([`RouterFactory::build_bank`]), chosen once at construction.
 
@@ -102,11 +104,6 @@ impl ActiveSet {
     }
 
     #[inline]
-    pub(crate) fn remove(&mut self, i: usize) {
-        *self.words[i >> 6].get_mut() &= !(1u64 << (i & 63));
-    }
-
-    #[inline]
     pub(crate) fn contains(&self, i: usize) -> bool {
         self.words
             .get(i >> 6)
@@ -143,21 +140,6 @@ impl ActiveSet {
     }
 }
 
-impl Bits for &mut ActiveSet {
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.insert(i);
-    }
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.remove(i);
-    }
-    #[inline]
-    fn word(&self, wi: usize) -> u64 {
-        self.words[wi].load(Relaxed)
-    }
-}
-
 /// The run's fault log, capped at [`Network::FAULT_LOG_CAP`] events. The
 /// serial walk raises events in log order, so the tags go unused.
 impl FaultLog for &mut Vec<FaultEvent> {
@@ -169,25 +151,31 @@ impl FaultLog for &mut Vec<FaultEvent> {
 }
 
 /// The serial schedule's view: the whole network, touched directly.
-type SerialCx<'a, R> = Cx<'a, R, &'a mut ActiveSet, &'a mut Vec<FaultEvent>>;
+type SerialCx<'a, R> = Cx<'a, R, &'a mut [AtomicU64], &'a mut Vec<FaultEvent>>;
 
 /// Phases 1–3 of one cycle compiled against one router type: what a bank
 /// hands the network at construction ([`Network::cycle_phases`]).
 pub(crate) type Kernel =
     fn(&mut Network, &mut PhaseProfile, &mut Option<std::time::Instant>) -> Result<(), SimError>;
 
-/// Phase 1 of the serial schedule for link `c`: the reverse side, the flit,
-/// then the link's activity bit — settled here, before the cycle's pushes
-/// re-mark it.
-fn deliver_channel<R: Router>(cx: &mut SerialCx<'_, R>, c: usize) -> Result<(), SimError> {
-    cx.deliver_reverse(c);
-    let flit = cx.own.lanes.flit_at(c);
-    if cx.own.lanes.quiet_after(c) {
-        cx.chan_active.remove(c);
-    } else {
-        cx.chan_active.insert(c);
+/// Phase 1 of the serial schedule for link `c`: the reverse side, then the
+/// flit. The tracked walk reads a side only if its arrival bit is set; the
+/// full scan (`full`) reads both and goes by the `due` stamps alone.
+fn deliver_channel<R: Router>(
+    cx: &mut SerialCx<'_, R>,
+    c: usize,
+    full: bool,
+) -> Result<(), SimError> {
+    let lanes = &cx.own.lanes;
+    let (fwd, rev) = (full || lanes.has_fwd(c), full || lanes.has_rev(c));
+    debug_assert!(
+        full || (lanes.flit_at(c).is_some(), lanes.rev_at(c).is_some()) == (fwd, rev),
+        "link {c}: arrival masks disagree with the stamps"
+    );
+    if rev {
+        cx.deliver_reverse(c);
     }
-    match flit {
+    match fwd.then(|| cx.own.lanes.flit_at(c)).flatten() {
         Some(flit) => cx.deliver_flit(c, flit),
         None => Ok(()),
     }
@@ -353,8 +341,6 @@ pub struct Network {
     full_scan: bool,
     /// Routers that must be stepped: everything not proven quiescent.
     pub(crate) router_active: ActiveSet,
-    /// Channels with anything still due on a lane.
-    pub(crate) chan_active: ActiveSet,
     /// NIs with send-side work (queued packets or pending retransmits).
     pub(crate) ni_send_active: ActiveSet,
     /// NIs holding completed packets awaiting [`Network::take_delivered`].
@@ -473,7 +459,6 @@ impl Network {
         let fault_plane = Arc::new(FaultPlane::compile(&config.faults, &mesh, links));
         let (mut modes_cache, mut acc) = (Vec::new(), Accum::default());
         Self::recount_modes(&*routers, &mut modes_cache, &mut acc.mode_counts);
-        let chan_count = ends.len();
         let sim_threads = config.sim_threads;
 
         Ok(Network {
@@ -507,11 +492,10 @@ impl Network {
             audit_baseline: 0,
             offer_log: None,
             full_scan: false,
-            // Conservative starts: every router/channel/NI walks until it
-            // proves itself inactive (unknown implementations default to
+            // Conservative starts: every router/NI walks until it proves
+            // itself inactive (unknown implementations default to
             // never-quiescent and simply stay on the always-step path).
             router_active: ActiveSet::full(n),
-            chan_active: ActiveSet::full(chan_count),
             ni_send_active: ActiveSet::full(n),
             ni_delivered: ActiveSet::empty(n),
             accounted_upto: vec![0; n],
@@ -676,7 +660,6 @@ impl Network {
             + self.accounted_upto.capacity() * size_of::<Cycle>()
             + self.modes_cache.capacity() * size_of::<RouterMode>()
             + self.router_active.heap_bytes()
-            + self.chan_active.heap_bytes()
             + self.ni_send_active.heap_bytes()
             + self.ni_delivered.heap_bytes();
         let fp = MemoryFootprint {
@@ -900,38 +883,40 @@ impl Network {
             acc: &mut self.acc,
             scratch: &mut self.scratch,
             fault_rng: &mut self.fault_rng,
-            router_active: &mut self.router_active,
-            chan_active: &mut self.chan_active,
-            ni_send_active: &mut self.ni_send_active,
-            ni_delivered: &mut self.ni_delivered,
+            router_active: &mut self.router_active.words,
+            ni_send_active: &mut self.ni_send_active.words,
+            ni_delivered: &mut self.ni_delivered.words,
             fault_log: &mut self.fault_log,
         }
     }
 
     /// The serial schedule: one ascending walk per phase over the whole
-    /// network, fed the activity sets' words. Under
-    /// [`Network::set_full_scan`] every walk is fed all-ones words instead
-    /// and so visits every component — the historical full scan. Fault
-    /// plans need neither: the fault RNG is drawn only when a flit or a
-    /// credit arrives, and both walks visit arrivals in ascending link order.
+    /// network, fed the wheel's arrival masks and the activity sets' words.
+    /// Under [`Network::set_full_scan`] every walk is fed all-ones words
+    /// instead and so visits every component — the historical full scan.
+    /// Fault plans need neither: the fault RNG is drawn only when a flit or
+    /// a credit arrives, and both walks visit arrivals in ascending link
+    /// order.
     fn step_serial<R: Router + 'static>(
         &mut self,
         prof: &mut PhaseProfile,
         lap: &mut Option<std::time::Instant>,
     ) -> Result<(), SimError> {
-        let fill = if self.full_scan { !0u64 } else { 0 };
+        let full = self.full_scan;
+        let fill = if full { !0u64 } else { 0 };
         let (nodes, links) = (self.nis.len(), self.ends.len());
         let mut cx = self.view::<R>();
 
-        // Phase 1: deliver what the link wheel has due this cycle. An
-        // inactive link has nothing due, so skipping it is unobservable.
+        // Phase 1: deliver what the link wheel has due this cycle, then
+        // zero the read stripes' masks for the next cycle's pushes.
         walk(
             &mut cx,
             0,
             links,
-            |cx, wi| cx.chan_active.word(wi) | fill,
-            |cx, c| deliver_channel(cx, c),
+            |cx, wi| cx.own.lanes.arrivals(wi) | fill,
+            |cx, c| deliver_channel(cx, c, full),
         )?;
+        cx.own.lanes.clear_arrivals();
         prof.channel_ns += lap_ns(lap);
 
         // Phase 2a tail: NI retransmit timeouts, scanned every cycle.
@@ -1264,7 +1249,6 @@ impl Network {
         self.audit_baseline = 0;
         self.offer_log = None;
         self.router_active.fill_full(n);
-        self.chan_active.fill_full(self.ends.len());
         self.ni_send_active.fill_full(n);
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
@@ -1414,7 +1398,8 @@ impl Network {
         self.audit_baseline.put(w);
         self.offer_log.put(w);
         self.router_active.put(w);
-        self.chan_active.put(w);
+        // Where the link activity set was: the same bits once a cycle ran.
+        (0..self.ends.len().div_ceil(64)).for_each(|wi| self.wheel.busy_word(wi).put(w));
         self.ni_send_active.put(w);
         self.ni_delivered.put(w);
         self.accounted_upto[..].put(w);
@@ -1519,7 +1504,8 @@ impl Network {
         self.offer_log.load(r)?;
         let n = self.nis.len();
         self.router_active.load(r, n)?;
-        self.chan_active.load(r, self.ends.len())?;
+        // The busy-link words follow from the restored wheel.
+        ActiveSet::empty(self.ends.len()).load(r, self.ends.len())?;
         self.ni_send_active.load(r, n)?;
         self.ni_delivered.load(r, n)?;
         self.accounted_upto[..].load(r)?;

@@ -16,20 +16,20 @@
 //!
 //! * **Region** (between the crossings, on a persistent `std::thread`
 //!   pool): each shard builds a [`Cx`] from its piece and its delta and
-//!   runs phase 1 for the links incident on its routers, the NI timeout
-//!   scan, the injection walk and the router walk. All shards read the
-//!   wheel's read stripes, each writes only its own lanes' write slots, so
-//!   phase 1 fuses with phase 3.
+//!   runs phase 1 for the links incident on its routers whose arrival bit
+//!   is set, the NI timeout scan, the injection walk and the router walk.
+//!   All shards read the wheel's read stripes and their masks; each writes
+//!   only its own lanes' write slots, and sets their bits in the write
+//!   stripes' masks atomically (words are shared across shard
+//!   boundaries), so phase 1 fuses with phase 3.
 //! * **Epilogue** (main thread, after the end crossing — exclusive again):
 //!   the deltas fold in ascending shard order — each [`Accum`] merges into
 //!   the network's totals, the tagged fault events are sorted into the
 //!   serial log order, the minimal error and the first panic are kept —
-//!   and the activity bit of every link with nothing due after this cycle
-//!   drops. The serial schedule settles that bit in phase 1, before the
-//!   cycle's pushes; here one shard's phase 1 runs alongside another's
-//!   phase 3, so a clear there would race a push's set — after the end
-//!   crossing every push has landed and the same predicate
-//!   ([`Lanes::quiet_after`]) yields the same bits.
+//!   and the read stripes' masks are zeroed, as the serial schedule does
+//!   after its phase 1 ([`clear_arrivals`]); nothing is walked.
+//!
+//! [`clear_arrivals`]: crate::channel::Lanes::clear_arrivals
 //!
 //! Output is byte-identical at any thread count because every mutation in
 //! a cycle either targets state owned by exactly one shard, whose
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// The gate's floor: active components (routers + channels + sending NIs)
+/// The gate's floor: active components (routers + busy links + sending NIs)
 /// below which a cycle runs serially. Calibrated on the committed
 /// `results/BENCH_parallel.json` rows (EXPERIMENTS.md, "The engine gate"):
 /// forced sharding loses at every budget on an 8×8 (≤ 290 active at
@@ -160,10 +160,10 @@ fn shard_boundaries_into(weights: &[u64], shards: usize, starts: &mut Vec<usize>
     starts.push(n);
 }
 
-/// Per-node load weights derived from the activity bitmasks: an active
-/// router dominates (it pays the pipeline step), a sending NI and each
-/// live outgoing channel add smaller shares, and every node keeps a floor
-/// of 1 so idle stretches still split evenly.
+/// Per-node load weights derived from the activity bitmasks and the busy
+/// links: an active router dominates (it pays the pipeline step), a
+/// sending NI and each busy outgoing link add smaller shares, and every
+/// node keeps a floor of 1 so idle stretches still split evenly.
 fn shard_weights(net: &Network, weights: &mut Vec<u64>) {
     weights.clear();
     weights.extend((0..net.nis.len()).map(|j| {
@@ -175,7 +175,7 @@ fn shard_weights(net: &Network, weights: &mut Vec<u64>) {
             wt += 2;
         }
         for (_, &c) in net.out_chan[j].iter() {
-            if c.is_some_and(|c| net.chan_active.contains(c)) {
+            if c.is_some_and(|c| net.wheel.busy(c)) {
                 wt += 1;
             }
         }
@@ -193,10 +193,9 @@ struct Job<'a, R> {
     fr: Frame<'a>,
     plan: &'a Plan,
     router_active: &'a [AtomicU64],
-    chan_active: &'a [AtomicU64],
     ni_send_active: &'a [AtomicU64],
     ni_delivered: &'a [AtomicU64],
-    nodes: Nodes<'a, R>,
+    nodes: Nodes<'a, R, &'a [AtomicU64]>,
 }
 
 /// A worker's job and delta for the cycle in flight; empty between cycles.
@@ -226,25 +225,6 @@ fn publish<'a, R: Router>(slot: &Slot<R>, job: Job<'a, R>, delta: &'a mut ShardD
 /// the lock.
 fn lock<T>(m: &CachePadded<Mutex<T>>) -> MutexGuard<'_, T> {
     m.0.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// An activity bitmask shared by every shard: each bit has one writer per
-/// phase, but bits of different shards share words, so updates are
-/// word-level atomic RMWs. `Relaxed` suffices — the barrier's two crossings
-/// order them against everything outside the region.
-impl Bits for &[AtomicU64] {
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self[i >> 6].fetch_or(1u64 << (i & 63), Ordering::Relaxed);
-    }
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self[i >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::Relaxed);
-    }
-    #[inline]
-    fn word(&self, wi: usize) -> u64 {
-        self[wi].load(Ordering::Relaxed)
-    }
 }
 
 /// Fault-plane events tagged `(channel, is_flit_event)`. The epilogue
@@ -450,22 +430,23 @@ impl Engine {
         let shared = &*self.shared;
         let slots: &Vec<Slot<R>> = shared.jobs.downcast_ref().expect("built for this bank");
         {
-            // The exclusive view of the whole network, cut into one piece
-            // per shard: workers' pieces go to their slots, shard 0's stays.
+            // The exclusive view of the whole network, its words shared and
+            // cut into one piece per shard: workers' pieces go to their
+            // slots, shard 0's stays.
             let cx = net.view::<R>();
             let (fr, plan) = (cx.fr, &self.plan);
-            let (router_active, chan_active) = (&cx.router_active.words, &cx.chan_active.words);
-            let (ni_send_active, ni_delivered) = (&cx.ni_send_active.words, &cx.ni_delivered.words);
+            let router_active: &[AtomicU64] = cx.router_active;
+            let ni_send_active: &[AtomicU64] = cx.ni_send_active;
+            let ni_delivered: &[AtomicU64] = cx.ni_delivered;
             let job = |nodes| Job {
                 fr,
                 plan,
                 router_active,
-                chan_active,
                 ni_send_active,
                 ni_delivered,
                 nodes,
             };
-            let mut rest = cx.own;
+            let mut rest = cx.own.share();
             let mine = rest.split_front(self.node_start[1]);
             let (own, others) = self.deltas.split_first_mut().expect("one shard at least");
             for ((slot, &end), delta) in slots[1..].iter().zip(&self.node_start[2..]).zip(others) {
@@ -506,21 +487,7 @@ impl Engine {
         if let Some((_, _, e)) = error {
             return Err(e);
         }
-        // Every push of the cycle has landed: drop the activity bit of
-        // links with nothing due after it.
-        let links = cx.fr.ends.len();
-        let Ok(()) = walk(
-            &mut cx,
-            0,
-            links,
-            |cx, wi| cx.chan_active.word(wi),
-            |cx, c| {
-                if cx.own.lanes.quiet_after(c) {
-                    cx.chan_active.remove(c);
-                }
-                Ok::<(), Infallible>(())
-            },
-        );
+        cx.own.lanes.clear_arrivals();
         Ok(())
     }
 }
@@ -562,7 +529,6 @@ fn region<R: Router>(job: Job<'_, R>, delta: &mut ShardDelta) -> Option<(u8, u32
         scratch: &mut delta.scratch,
         fault_rng: &mut delta.fault_rng,
         router_active: job.router_active,
-        chan_active: job.chan_active,
         ni_send_active: job.ni_send_active,
         ni_delivered: job.ni_delivered,
         fault_log: &mut delta.fault_events,
@@ -572,13 +538,25 @@ fn region<R: Router>(job: Job<'_, R>, delta: &mut ShardDelta) -> Option<(u8, u32
     for j in lo..hi {
         for &(c32, is_fwd) in &plan.events[plan.ev_off[j] as usize..plan.ev_off[j + 1] as usize] {
             let c = c32 as usize;
+            let lanes = &cx.own.lanes;
+            debug_assert_eq!(
+                (lanes.has_fwd(c), lanes.has_rev(c)),
+                (lanes.flit_at(c).is_some(), lanes.rev_at(c).is_some()),
+                "link {c}: arrival masks disagree with the stamps"
+            );
             if !is_fwd {
-                if error.is_none() {
+                if error.is_none() && cx.own.lanes.has_rev(c) {
                     cx.deliver_reverse(c);
                 }
                 continue;
             }
-            let Some(flit) = cx.own.lanes.flit_at(c) else {
+            let Some(flit) = cx
+                .own
+                .lanes
+                .has_fwd(c)
+                .then(|| cx.own.lanes.flit_at(c))
+                .flatten()
+            else {
                 continue;
             };
             let result = if error.is_none() {
@@ -666,7 +644,7 @@ pub(crate) fn gate(net: &Network) -> bool {
         return false;
     }
     let active =
-        net.router_active.popcount() + net.chan_active.popcount() + net.ni_send_active.popcount();
+        net.router_active.popcount() + net.wheel.busy_links() + net.ni_send_active.popcount();
     active >= net.par_min_active
 }
 
