@@ -17,7 +17,8 @@
 //! atomic words and its per-cycle delta. Both are monomorphised, so
 //! neither pays for the other — and so is the router type `R` of the
 //! network's bank, so a body calls its routers directly, not through a
-//! vtable.
+//! vtable. `tests/reference_stepper.rs` re-implements the bodies naively,
+//! from the public API, and checks them in lockstep with the network.
 
 use crate::channel::Lanes;
 use crate::config::NetworkConfig;
@@ -546,7 +547,7 @@ impl<R: Router, B: Bits, F: FaultLog> Cx<'_, R, B, F> {
 /// at a time: `word(cx, wi)` is read once per word, so a bit set while
 /// that word is being walked — behind the cursor or ahead of it — is not
 /// visited this cycle, while bits set in later words are. Feeding all-ones
-/// words visits exactly `lo..hi` (the full scan). Stops at the first error.
+/// words visits exactly `lo..hi`. Stops at the first error.
 #[inline]
 pub(crate) fn walk<C, E>(
     cx: &mut C,
@@ -625,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn walk_under_full_scan_visits_exactly_the_range() {
+    fn walk_of_all_ones_words_visits_exactly_the_range() {
         for (lo, hi) in [
             (0, 1),
             (0, 63),

@@ -1,7 +1,7 @@
 //! The network engine: wires routers, channels and network interfaces
 //! together and advances them cycle by cycle.
 //!
-//! ## One kernel, three schedules (DESIGN.md §8)
+//! ## One kernel, two schedules (DESIGN.md §8)
 //!
 //! What happens to a link, an NI or a router when a cycle visits it is
 //! written once, in `kernel.rs`. This file owns the *frame* every
@@ -12,14 +12,12 @@
 //! (routers, sending NIs), skipping quiescent routers and replaying their
 //! idle cycles in bulk when they re-activate. Every fault plan runs on it:
 //! the fault RNG is drawn only as a flit or credit arrives, in ascending
-//! link order either way. [`Network::set_full_scan`], and nothing else,
-//! feeds the same walk all-ones words and reads links by their stamps
-//! alone — the masks' and activity sets' self-check: same results, not the
-//! same snapshot bytes (it settles idle cycles eagerly). The third
-//! schedule, one node range per thread, is `parallel.rs`; `parallel::gate`
-//! picks per cycle.
-//! Both are compiled against the router type of the network's bank
-//! ([`RouterFactory::build_bank`]), chosen once at construction.
+//! link order. The other schedule, one node range per thread, is
+//! `parallel.rs`; `parallel::gate` picks per cycle. Both are compiled
+//! against the router type of the network's bank
+//! ([`RouterFactory::build_bank`]), chosen once at construction. Their
+//! second opinion is `tests/reference_stepper.rs`, a naive stepper run in
+//! lockstep on random configurations.
 
 use crate::channel::LinkWheel;
 use crate::config::NetworkConfig;
@@ -159,17 +157,12 @@ pub(crate) type Kernel =
     fn(&mut Network, &mut PhaseProfile, &mut Option<std::time::Instant>) -> Result<(), SimError>;
 
 /// Phase 1 of the serial schedule for link `c`: the reverse side, then the
-/// flit. The tracked walk reads a side only if its arrival bit is set; the
-/// full scan (`full`) reads both and goes by the `due` stamps alone.
-fn deliver_channel<R: Router>(
-    cx: &mut SerialCx<'_, R>,
-    c: usize,
-    full: bool,
-) -> Result<(), SimError> {
+/// flit, each read only if its arrival bit is set.
+fn deliver_channel<R: Router>(cx: &mut SerialCx<'_, R>, c: usize) -> Result<(), SimError> {
     let lanes = &cx.own.lanes;
-    let (fwd, rev) = (full || lanes.has_fwd(c), full || lanes.has_rev(c));
+    let (fwd, rev) = (lanes.has_fwd(c), lanes.has_rev(c));
     debug_assert!(
-        full || (lanes.flit_at(c).is_some(), lanes.rev_at(c).is_some()) == (fwd, rev),
+        (lanes.flit_at(c).is_some(), lanes.rev_at(c).is_some()) == (fwd, rev),
         "link {c}: arrival masks disagree with the stamps"
     );
     if rev {
@@ -336,9 +329,6 @@ pub struct Network {
     audit_baseline: usize,
     /// When enabled, every offered packet is logged for trace capture.
     offer_log: Option<Vec<(Cycle, NodeId, PacketInput)>>,
-    /// Force the historical walk over every component each cycle
-    /// (the full-scan self-check).
-    full_scan: bool,
     /// Routers that must be stepped: everything not proven quiescent.
     pub(crate) router_active: ActiveSet,
     /// NIs with send-side work (queued packets or pending retransmits).
@@ -491,7 +481,6 @@ impl Network {
             last_progress_cycle: 0,
             audit_baseline: 0,
             offer_log: None,
-            full_scan: false,
             // Conservative starts: every router/NI walks until it proves
             // itself inactive (unknown implementations default to
             // never-quiescent and simply stay on the always-step path).
@@ -572,18 +561,6 @@ impl Network {
     /// Read access to a node's network interface.
     pub fn ni(&self, node: NodeId) -> &NodeInterface {
         &self.nis[node.index()]
-    }
-
-    /// Forces (or releases) the historical full-component walk, mid-run
-    /// too: stats, deliveries and counter views are the same either way,
-    /// snapshot bytes are not (it settles idle router cycles eagerly).
-    pub fn set_full_scan(&mut self, on: bool) {
-        self.full_scan = on;
-    }
-
-    /// Whether the full-scan self-check walk is currently forced.
-    pub fn full_scan(&self) -> bool {
-        self.full_scan
     }
 
     /// Enables (or disables) per-phase wall-clock attribution; enabling
@@ -892,18 +869,14 @@ impl Network {
 
     /// The serial schedule: one ascending walk per phase over the whole
     /// network, fed the wheel's arrival masks and the activity sets' words.
-    /// Under [`Network::set_full_scan`] every walk is fed all-ones words
-    /// instead and so visits every component — the historical full scan.
-    /// Fault plans need neither: the fault RNG is drawn only when a flit or
-    /// a credit arrives, and both walks visit arrivals in ascending link
+    /// Fault plans need no more: the fault RNG is drawn only when a flit or
+    /// a credit arrives, and the walk visits arrivals in ascending link
     /// order.
     fn step_serial<R: Router + 'static>(
         &mut self,
         prof: &mut PhaseProfile,
         lap: &mut Option<std::time::Instant>,
     ) -> Result<(), SimError> {
-        let full = self.full_scan;
-        let fill = if full { !0u64 } else { 0 };
         let (nodes, links) = (self.nis.len(), self.ends.len());
         let mut cx = self.view::<R>();
 
@@ -913,8 +886,8 @@ impl Network {
             &mut cx,
             0,
             links,
-            |cx, wi| cx.own.lanes.arrivals(wi) | fill,
-            |cx, c| deliver_channel(cx, c, full),
+            |cx, wi| cx.own.lanes.arrivals(wi),
+            deliver_channel,
         )?;
         cx.own.lanes.clear_arrivals();
         prof.channel_ns += lap_ns(lap);
@@ -930,7 +903,7 @@ impl Network {
             &mut cx,
             0,
             nodes,
-            |cx, wi| cx.ni_send_active.word(wi) | fill,
+            |cx, wi| cx.ni_send_active.word(wi),
             |cx, i| -> Result<(), SimError> {
                 cx.inject(i);
                 Ok(())
@@ -943,7 +916,7 @@ impl Network {
             &mut cx,
             0,
             nodes,
-            |cx, wi| cx.router_active.word(wi) | fill,
+            |cx, wi| cx.router_active.word(wi),
             |cx, i| cx.step_one_router(i),
         )?;
         prof.router_ns += lap_ns(lap);
@@ -1361,11 +1334,11 @@ impl Network {
     /// Static topology and configuration are *not* written: restore
     /// targets a network freshly built from the same configuration, and
     /// the embedded fingerprint (mechanism, mesh dimensions, vnet count,
-    /// link latency) catches mismatches. Engine-mode toggles
-    /// ([`Network::set_full_scan`], conservation checking) are
-    /// deliberately excluded — they are observer settings, not simulation
-    /// state. The full scan's bytes differ from the tracked walk's: it
-    /// settles idle router cycles eagerly.
+    /// link latency) catches mismatches. Engine settings (thread budget,
+    /// gate floor, conservation checking) are deliberately excluded — they
+    /// are observer settings, not simulation state. Nor is anything the
+    /// restored components determine: the wheel's arrival masks follow
+    /// from its stamps.
     ///
     /// # Errors
     ///
@@ -1398,8 +1371,6 @@ impl Network {
         self.audit_baseline.put(w);
         self.offer_log.put(w);
         self.router_active.put(w);
-        // Where the link activity set was: the same bits once a cycle ran.
-        (0..self.ends.len().div_ceil(64)).for_each(|wi| self.wheel.busy_word(wi).put(w));
         self.ni_send_active.put(w);
         self.ni_delivered.put(w);
         self.accounted_upto[..].put(w);
@@ -1504,11 +1475,16 @@ impl Network {
         self.offer_log.load(r)?;
         let n = self.nis.len();
         self.router_active.load(r, n)?;
-        // The busy-link words follow from the restored wheel.
-        ActiveSet::empty(self.ends.len()).load(r, self.ends.len())?;
         self.ni_send_active.load(r, n)?;
         self.ni_delivered.load(r, n)?;
         self.accounted_upto[..].load(r)?;
+        // Idle cycles pending replay are `now - accounted_upto[i]`; a cursor
+        // past the clock would underflow there.
+        if self.accounted_upto.iter().any(|&upto| upto > self.now) {
+            return Err(SnapshotError::Malformed {
+                what: "router accounting ahead of the clock",
+            });
+        }
         self.check_packet_refs(r.take_flit_packets())?;
 
         // Derived accounting, recomputed from the restored components.

@@ -686,13 +686,13 @@ impl NodeInterface {
     /// Drains the corrupt arrivals collected since the last drain (the
     /// network routes them onto the NACK circuit); the outbox keeps its
     /// capacity.
-    pub(crate) fn drain_corrupt(&mut self) -> std::vec::Drain<'_, Flit> {
+    pub fn drain_corrupt(&mut self) -> std::vec::Drain<'_, Flit> {
         self.corrupt_outbox.drain(..)
     }
 
     /// Drains the pending end-to-end acknowledgements `(source, packet)`,
     /// keeping the outbox's capacity.
-    pub(crate) fn drain_acks(&mut self) -> std::vec::Drain<'_, (NodeId, PacketId)> {
+    pub fn drain_acks(&mut self) -> std::vec::Drain<'_, (NodeId, PacketId)> {
         self.acks_outbox.drain(..)
     }
 

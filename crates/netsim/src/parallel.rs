@@ -633,14 +633,14 @@ fn worker_loop<R: Router + 'static>(shared: &Shared, shard: usize) {
 }
 
 /// The engine gate: whether this cycle runs sharded. A pure function of
-/// simulation state — the thread budget, the tracked walk (the full-scan
-/// self-check is a serial walk), a deterministic fault plan (shards own no
-/// fault RNG), and enough active components to amortize the barrier. Runs
-/// after phase 0 and queue retirement, whose marks it therefore sees.
+/// simulation state — the thread budget, a deterministic fault plan
+/// (shards own no fault RNG), and enough active components to amortize the
+/// barrier. Runs after phase 0 and queue retirement, whose marks it
+/// therefore sees.
 #[inline]
 pub(crate) fn gate(net: &Network) -> bool {
     let threads = net.sim_threads.min(net.nis.len());
-    if threads < 2 || net.full_scan() || !net.config.faults.is_deterministic() {
+    if threads < 2 || !net.config.faults.is_deterministic() {
         return false;
     }
     let active =

@@ -77,7 +77,9 @@ pub const MAGIC: [u8; 8] = *b"AFCSNAP\0";
 // drops its per-lane route-owner column (DESIGN.md §6.2, §11).
 // v7: no router stalls — the network drops its per-link section of flits
 // held back at a stalled receiver (DESIGN.md §6.1, §11).
-pub const FORMAT_VERSION: u32 = 7;
+// v8: the network drops the link wheel's busy words, which follow from the
+// restored wheel (DESIGN.md §11).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Errors raised while encoding, sealing, opening, or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -978,11 +980,11 @@ mod tests {
 
     #[test]
     fn open_refuses_previous_format_version() {
-        // A v6 container must be refused outright, not half-decoded: its
-        // network state carries a per-link hold-back section v7 does not.
-        assert_eq!(FORMAT_VERSION, 7);
+        // A v7 container must be refused outright, not half-decoded: its
+        // network state carries the link wheel's busy words, v8 does not.
+        assert_eq!(FORMAT_VERSION, 8);
         let mut old = seal(SnapshotWriter::new());
-        old[8..12].copy_from_slice(&6u32.to_le_bytes());
+        old[8..12].copy_from_slice(&7u32.to_le_bytes());
         let body_len = old.len() - 8;
         let sum = fnv1a64(&old[..body_len]);
         old[body_len..].copy_from_slice(&sum.to_le_bytes());
@@ -990,8 +992,8 @@ mod tests {
             Err(SnapshotError::BadVersion {
                 found, expected, ..
             }) => {
-                assert_eq!(found, 6);
-                assert_eq!(expected, 7);
+                assert_eq!(found, 7);
+                assert_eq!(expected, 8);
             }
             other => panic!("expected BadVersion, got {other:?}"),
         }

@@ -9,7 +9,7 @@
 //! every run must end in clean delivery of all reachable traffic (drained,
 //! conservation audits green) or a structured error — never a hang, never
 //! an audit failure. Runs rotate through the serial, parallel ({2, 4, 8}
-//! worker threads), full-scan, and snapshot-resume engine paths so the
+//! worker threads) and snapshot-resume engine paths so the
 //! soaks exercise each one, and cross-path goldens prove bit-identity
 //! between the paths.
 //!
@@ -109,12 +109,11 @@ fn make_sim(
 }
 
 /// Engine paths exercised by the soaks, in `run_one` path-index order.
-const PATHS: [&str; 6] = [
+const PATHS: [&str; 5] = [
     "serial",
     "threads-2",
     "threads-4",
     "threads-8",
-    "full-scan",
     "snapshot-resume",
 ];
 
@@ -129,16 +128,12 @@ fn run_one(
     label: &str,
 ) -> (String, u64) {
     let mut sim = make_sim(cfg, factory, seed);
-    match path {
-        1..=3 => {
-            // Parallel: force the sharded engine on even at 4x4 occupancy.
-            sim.network.set_sim_threads(1 << path);
-            sim.network.set_parallel_threshold(0);
-        }
-        4 => sim.network.set_full_scan(true),
-        _ => {}
+    if (1..=3).contains(&path) {
+        // Parallel: force the sharded engine on even at 4x4 occupancy.
+        sim.network.set_sim_threads(1 << path);
+        sim.network.set_parallel_threshold(0);
     }
-    let mut error = if path == 5 {
+    let mut error = if path == 4 {
         // Snapshot-resume: checkpoint mid-storm (for revival plans this
         // lands inside open dead windows), then continue from the restored
         // copy instead of the original simulation.
@@ -233,8 +228,8 @@ fn kill_storm_soak_never_hangs() {
     );
 }
 
-/// Cross-path bit-identity on a few schedules: the serial, parallel,
-/// full-scan, and snapshot-resume paths must agree byte-for-byte on the
+/// Cross-path bit-identity on a few schedules: the serial, parallel and
+/// snapshot-resume paths must agree byte-for-byte on the
 /// entire behavioral fingerprint (stats, fault log, unreachable records).
 #[test]
 fn chaos_paths_are_bit_identical() {
@@ -290,7 +285,7 @@ fn random_heal_plan(rng: &mut SimRng, mesh: &Mesh) -> FaultPlan {
 /// The repair-plane soak: `schedule_count()` seeded kill+revive schedules,
 /// each run under all four mechanisms. Every (schedule, mechanism) pair is
 /// run on the serial path and on one rotating alternate engine path
-/// ({2, 4, 8} worker threads, full-scan, or mid-churn snapshot-resume),
+/// ({2, 4, 8} worker threads, or mid-churn snapshot-resume),
 /// and the two behavioral fingerprints — stats, fault log, unreachable
 /// records — must match byte for byte. Across the corpus every alternate
 /// path is exercised against every mechanism.

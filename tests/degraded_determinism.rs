@@ -1,8 +1,7 @@
 //! Degraded-mode determinism goldens (DESIGN.md §13): a fixed kill
 //! schedule — a mid-run link kill followed by a full node kill — must be
-//! **byte-identical** across `sim_threads` ∈ {1, 2, 4, 8}, across the
-//! full-scan and activity-tracked stepping paths, and across a mid-storm
-//! snapshot/restore.
+//! **byte-identical** across `sim_threads` ∈ {1, 2, 4, 8} and across a
+//! mid-storm snapshot/restore.
 //!
 //! The fingerprint extends the fault-free parallel-equivalence one with the
 //! structured fault artifacts: the ordered fault log (every killed flit and
@@ -13,7 +12,7 @@
 //! runs, that the parallel engine genuinely stepped, so the comparisons are
 //! never vacuous.
 
-use afc_bench::{Engine, MechanismId};
+use afc_bench::MechanismId;
 use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::faults::FaultPlan;
 use afc_netsim::flit::Cycle;
@@ -203,32 +202,6 @@ fn kill_storm_is_thread_count_invariant() {
                 id.label()
             );
         }
-    }
-}
-
-/// Full-scan stepping (the activity-gate bypass) must agree with the
-/// activity-tracked path through the same storm: fault detection and gossip
-/// keep exactly the right routers live.
-#[test]
-fn kill_storm_survives_full_scan() {
-    let config = storm_config();
-    for id in [MechanismId::Backpressured, MechanismId::Afc] {
-        let (base_fp, base_log, _) = run_case(&config, id, 0xDE6AD, 1);
-        let mut sim = make_sim(&config, id, 0xDE6AD, 1);
-        Engine::FullScan.apply(&mut sim.network);
-        sim.run(900);
-        sim.traffic.inner.stop();
-        sim.drain(20_000);
-        Engine::FullScan.assert_ran(&sim.network);
-        sim.network.audit().expect("flit conservation");
-        sim.network.credit_audit().expect("credit conservation");
-        assert_eq!(
-            base_fp,
-            fingerprint_of(&sim),
-            "{}: full-scan diverges under kills",
-            id.label()
-        );
-        assert_eq!(base_log, sim.traffic.log, "{}", id.label());
     }
 }
 

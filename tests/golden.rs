@@ -4,13 +4,13 @@
 //! behavioral change (new arbitration order, pipeline tweak, RNG change)
 //! WILL move these numbers — update them deliberately, with the diff in
 //! review, rather than loosening the assertions. Every run is made on the
-//! tracked walk, the full scan and the sharded engine.
+//! tracked walk and the sharded engine.
 
 use afc_bench::Engine;
 use afc_noc::prelude::*;
 
-/// One canonical run on each engine; all three must give the tuple the
-/// tests below pin.
+/// One canonical run on each engine; both must give the tuple the tests
+/// below pin.
 fn golden_run(factory: &dyn afc_netsim::router::RouterFactory) -> (u64, u64, u64, u64) {
     let (cfg, seed) = (NetworkConfig::paper_3x3(), 0xC0FFEE);
     let kind = RunKind::OpenLoop {

@@ -13,8 +13,8 @@
 //! - in-order per-(src, dest, vnet) delivery where the mechanism actually
 //!   guarantees it — see [`backpressured_single_vc_delivers_in_order`].
 //!
-//! Every case runs on the tracked walk, the full scan and the sharded
-//! engine, which must deliver the same packets at the same cycles.
+//! Every case runs on the tracked walk and the sharded engine, which must
+//! deliver the same packets at the same cycles.
 //!
 //! On ordering: with multiple VCs per vnet, even the deterministic-XY
 //! backpressured router legally reorders same-pair packets (a later packet
@@ -80,8 +80,8 @@ fn run_case(mech: &Mechanism, pattern: Pattern, rate: f64, context: &str) -> Cas
     run_case_with(mech, NetworkConfig::paper_3x3(), pattern, rate, context)
 }
 
-/// Runs [`run_on`] on every engine; all three must deliver the same
-/// packets at the same cycles.
+/// Runs [`run_on`] on every engine; both must deliver the same packets at
+/// the same cycles.
 fn run_case_with(
     mech: &Mechanism,
     cfg: NetworkConfig,

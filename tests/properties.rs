@@ -31,7 +31,7 @@ fn small_config(w: u16, h: u16) -> NetworkConfig {
     }
 }
 
-/// The engine case `case` runs on: the three rotate.
+/// The engine case `case` runs on: the two alternate.
 fn engine(case: u64) -> Engine {
     Engine::ALL[case as usize % Engine::ALL.len()]
 }

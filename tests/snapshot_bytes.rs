@@ -4,7 +4,7 @@
 //! run checkpoint file and a sweep manifest. Any change to what a type
 //! encodes, or in what order, moves a pin; such a change is a new
 //! `FORMAT_VERSION`, so the version is pinned alongside. Every state is
-//! written on each engine; on a mismatch the test prints the whole column
+//! written on each engine; on a mismatch the test prints the whole table
 //! of new values for the engine that moved.
 
 use afc_bench::sweep::{RunKind as SweepKind, RunOutput, RunSpec, SweepManifest, SweepSpec};
@@ -179,73 +179,24 @@ fn manifest_file(dir: &std::path::Path) -> (usize, u64) {
 #[test]
 fn snapshot_bytes_are_pinned() {
     assert_eq!(
-        FORMAT_VERSION, 7,
+        FORMAT_VERSION, 8,
         "a layout change bumps FORMAT_VERSION and re-pins this table"
     );
-    // Columns: payload length, then the hash under the activity-tracked
-    // walk (which the sharded engine matches) and under the full scan.
-    // The full scan settles idle router cycles eagerly where the tracked
-    // walk defers them, so a quiescent router's cycle counter and the
-    // network's idle-accounting cursors differ in the bytes.
-    let pins: &[(&str, usize, u64, u64)] = &[
-        (
-            "mesh8/backpressured",
-            121022,
-            0x09764c53900f83d3,
-            0x52aaa488e3f58828,
-        ),
-        (
-            "mesh8/backpressureless",
-            69108,
-            0x65dfdda0bc34f8ab,
-            0xd21ca71a512edc10,
-        ),
-        (
-            "mesh8/afc-always-bp",
-            102289,
-            0x6f5a622741f7750f,
-            0xa5cbe8dfdc1c9507,
-        ),
-        ("mesh8/afc", 100499, 0xc1485949670cf7f1, 0x2b4e1fdba6d46804),
-        (
-            "mesh8/bp-read-bypass",
-            121034,
-            0x4fe705215c57fb82,
-            0xd946d6c6acbd3f96,
-        ),
-        (
-            "mesh8/bp-ideal-bypass",
-            121022,
-            0x09764c53900f83d3,
-            0x52aaa488e3f58828,
-        ),
-        ("mesh8/drop", 83529, 0xe1f461a4ec635af1, 0xe1f461a4ec635af1),
-        (
-            "mesh6-faults/backpressured",
-            71909,
-            0xde05c85cd9b8846e,
-            0x2527cceb029c9946,
-        ),
-        (
-            "mesh6-faults/drop",
-            66457,
-            0xcd2c6c84993f292d,
-            0xb734f459d44a7edd,
-        ),
-        (
-            "mesh6-faults/afc",
-            62798,
-            0xd4a995966157691a,
-            0xd4a995966157691a,
-        ),
-        (
-            "closed-loop/afc",
-            27394,
-            0xe3695f42b1fb8079,
-            0xe3695f42b1fb8079,
-        ),
-        ("checkpoint", 10999, 0x0e7e45199b5f41a4, 0x458161c056075f63),
-        ("manifest", 311, 0xeca4c62b4b10e13a, 0xeca4c62b4b10e13a),
+    // Columns: payload length and hash, the same on every engine.
+    let pins: &[(&str, usize, u64)] = &[
+        ("mesh8/backpressured", 120990, 0x5e3e7bcb678c087a),
+        ("mesh8/backpressureless", 69076, 0xe1ceb773cd20bcc6),
+        ("mesh8/afc-always-bp", 102257, 0xf67dee5ad5f334ec),
+        ("mesh8/afc", 100467, 0xb046e47e23b65f56),
+        ("mesh8/bp-read-bypass", 121002, 0xcc9c558de81a6b8d),
+        ("mesh8/bp-ideal-bypass", 120990, 0x5e3e7bcb678c087a),
+        ("mesh8/drop", 83497, 0x21f48a2436ea384c),
+        ("mesh6-faults/backpressured", 71893, 0x3b36e0d99b3de581),
+        ("mesh6-faults/drop", 66441, 0x3ea41e7558dc18f3),
+        ("mesh6-faults/afc", 62782, 0x727e2829d6d63c1d),
+        ("closed-loop/afc", 27386, 0x9eb41ebc7f30aa90),
+        ("checkpoint", 10991, 0x37fc51035c5fd080),
+        ("manifest", 311, 0x0b75e9baeb03b598),
     ];
     let dir = std::env::temp_dir().join(format!("afc-snapshot-bytes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -257,14 +208,7 @@ fn snapshot_bytes_are_pinned() {
         got.push(("manifest".to_string(), manifest_file(&dir)));
         let expected: Vec<(&str, (usize, u64))> = pins
             .iter()
-            .map(|&(k, len, walk, scan)| {
-                let hash = if engine == Engine::FullScan {
-                    scan
-                } else {
-                    walk
-                };
-                (k, (len, hash))
-            })
+            .map(|&(k, len, hash)| (k, (len, hash)))
             .collect();
         let got_ref: Vec<(&str, (usize, u64))> =
             got.iter().map(|(k, v)| (k.as_str(), *v)).collect();

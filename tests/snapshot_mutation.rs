@@ -17,6 +17,9 @@
 //!   a late copy: an id the table issued, headed for an NI that runs
 //!   recovery (which discards it on arrival). At an NI without recovery,
 //!   or with an id the table never issued, it is `Malformed`.
+//! * A router whose idle-cycle accounting runs ahead of the restored clock
+//!   is `Malformed`; an edit that stays in range restores, and the
+//!   restored network steps and reads its counters without a panic.
 //! * Every single-byte flip and every truncation of a run checkpoint file
 //!   is `RunError::Snapshot`, naming the file.
 
@@ -312,6 +315,54 @@ fn a_flit_without_a_live_entry_restores_only_as_a_late_copy() {
             }
             other => panic!("id {id}: expected a missing table entry, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn router_accounting_ahead_of_the_clock_is_malformed() {
+    // A 4×4 backpressured network at 0.05, seed 7, after 200 cycles; the
+    // last router's `accounted_upto` is the last word of its payload.
+    let (factory, seed) = (BackpressuredFactory::new(), 7);
+    let network = Network::new(mesh4(), &factory, seed).expect("valid config");
+    let traffic = OpenLoopTraffic::new(
+        RateSpec::Uniform(0.05),
+        Pattern::UniformRandom,
+        PacketMix::paper(),
+        seed,
+    );
+    let mut live = Simulation::new(network, traffic);
+    live.run(200);
+    let now = live.network.now();
+    let mut w = SnapshotWriter::new();
+    live.network.save_state(&mut w).expect("save");
+    let bytes = w.into_bytes();
+    let at = bytes.len() - 8;
+    let word = |b: &[u8]| u64::from_le_bytes(b[at..].try_into().unwrap());
+    assert!(word(&bytes) <= now, "the last word is an accounting cursor");
+    let restore = |upto: u64| {
+        let mut edited = bytes.clone();
+        edited[at..].copy_from_slice(&upto.to_le_bytes());
+        let mut net = Network::new(mesh4(), &factory, seed).expect("valid config");
+        net.load_state(&mut SnapshotReader::new(&edited))
+            .map(|()| net)
+    };
+    for ahead in [now + 1, now + 1_000] {
+        match restore(ahead) {
+            Err(SnapshotError::Malformed { what }) => {
+                assert_eq!(what, "router accounting ahead of the clock")
+            }
+            other => panic!("accounted up to {ahead} at {now}: {other:?}"),
+        }
+    }
+    let last = NodeId::new(15);
+    for upto in [0, now] {
+        let mut net = restore(upto).expect("an in-range cursor restores");
+        net.router_counters(last);
+        for _ in 0..100 {
+            net.step();
+        }
+        net.total_counters();
+        net.router_counters(last);
     }
 }
 

@@ -9,8 +9,9 @@
 //! identical second snapshot, which covers every router register, channel
 //! lane, NI queue, RNG stream, counter, and statistic in one comparison.
 //!
-//! Variants cover the fault plane (retransmissions, fault logs) and the closed-loop memory-system workload; every case runs on
-//! the tracked walk, the full scan and the sharded engine.
+//! Variants cover the fault plane (retransmissions, fault logs) and the
+//! closed-loop memory-system workload; every case runs on the tracked walk
+//! and the sharded engine.
 
 use afc_bench::Engine;
 use afc_netsim::config::{NetworkConfig, RetransmitConfig};
@@ -201,28 +202,6 @@ fn open_loop_round_trip_all_mechanisms_and_patterns() {
     }
 }
 
-/// Round trip under the forced full-component-scan engine path, at a
-/// fixed warm-up.
-#[test]
-fn open_loop_round_trip_full_scan_engine() {
-    let cfg = NetworkConfig::paper_3x3();
-    for m in 0..5 {
-        let (mname, factory) = mechanism(m);
-        let ctx = format!("{mname}/uniform/full-scan");
-        round_trip_on(
-            Engine::FullScan,
-            &cfg,
-            factory.as_ref(),
-            Pattern::UniformRandom,
-            0.15,
-            0xC0FFEE,
-            500,
-            400,
-            &ctx,
-        );
-    }
-}
-
 /// Round trip with the fault plane enabled: retransmit machinery,
 /// NACK/ack queues, and the fault log all survive the snapshot. A
 /// probabilistic fault plan steps every cycle on the serial walk, so there
@@ -236,20 +215,17 @@ fn open_loop_round_trip_under_faults() {
     };
     for m in 0..5 {
         let (mname, factory) = mechanism(m);
-        for engine in [Engine::Tracked, Engine::FullScan] {
-            let ctx = format!("{mname}/uniform/faults on {engine:?}");
-            round_trip_on(
-                engine,
-                &cfg,
-                factory.as_ref(),
-                Pattern::UniformRandom,
-                0.10,
-                0xFA017,
-                600,
-                600,
-                &ctx,
-            );
-        }
+        round_trip_on(
+            Engine::Tracked,
+            &cfg,
+            factory.as_ref(),
+            Pattern::UniformRandom,
+            0.10,
+            0xFA017,
+            600,
+            600,
+            &format!("{mname}/uniform/faults"),
+        );
     }
 }
 
