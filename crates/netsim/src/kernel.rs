@@ -17,8 +17,8 @@
 //! atomic words and its per-cycle delta. Both are monomorphised, so
 //! neither pays for the other — and so is the router type `R` of the
 //! network's bank, so a body calls its routers directly, not through a
-//! vtable. `tests/reference_stepper.rs` re-implements the bodies naively,
-//! from the public API, and checks them in lockstep with the network.
+//! vtable. `tests/common/lockstep.rs` re-implements the bodies naively,
+//! from the public API, and checks both schedules in lockstep.
 
 use crate::channel::Lanes;
 use crate::config::NetworkConfig;

@@ -16,8 +16,8 @@
 //! `parallel.rs`; `parallel::gate` picks per cycle. Both are compiled
 //! against the router type of the network's bank
 //! ([`RouterFactory::build_bank`]), chosen once at construction. Their
-//! second opinion is `tests/reference_stepper.rs`, a naive stepper run in
-//! lockstep on random configurations.
+//! second opinion is `tests/common/lockstep.rs`, a naive stepper run in
+//! lockstep with both on random configurations.
 
 use crate::channel::LinkWheel;
 use crate::config::NetworkConfig;

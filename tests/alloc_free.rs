@@ -29,13 +29,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use afc_bench::{Engine, MechanismId};
+mod common;
+
+use afc_bench::MechanismId;
 use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::faults::FaultPlan;
 use afc_netsim::network::Network;
 use afc_netsim::sim::Simulation;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
 use afc_traffic::synthetic::Pattern;
+use common::{Engine, MECHANISMS};
 
 struct CountingAlloc;
 
@@ -65,13 +68,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
-
-const MECHANISMS: [MechanismId; 4] = [
-    MechanismId::Backpressured,
-    MechanismId::Backpressureless,
-    MechanismId::Drop,
-    MechanismId::Afc,
-];
 
 /// An 8×8 network with end-to-end retransmission and a link killed for
 /// 250 of every 500 cycles through the whole measurement.

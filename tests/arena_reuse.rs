@@ -9,6 +9,8 @@
 //! Also pins the crash story: a sweep SIGKILLed mid-flight resumes from
 //! its manifest to byte-identical results.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -20,13 +22,7 @@ use afc_netsim::sim::Simulation;
 use afc_netsim::snapshot::fnv1a64;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
 use afc_traffic::synthetic::Pattern;
-
-const MECHANISMS: [MechanismId; 4] = [
-    MechanismId::Backpressured,
-    MechanismId::Backpressureless,
-    MechanismId::Drop,
-    MechanismId::Afc,
-];
+use common::MECHANISMS;
 
 fn patterns() -> [Pattern; 3] {
     [

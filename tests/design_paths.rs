@@ -32,3 +32,42 @@ fn every_source_path_design_md_names_is_on_disk() {
         "only {checked} paths recognised: the scan is broken"
     );
 }
+
+/// CI runs named test targets and name filters; a filter that matches
+/// nothing passes with "0 passed". Every `--test X` in `ci.yml` must name
+/// a test file, and every filter after it a `fn` in that file.
+#[test]
+fn every_test_target_and_filter_ci_names_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let ci = ci.replace("\\\n", " ");
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let test_dirs: Vec<_> = std::iter::once(root.join("tests"))
+        .chain(crates.map(|e| e.expect("entry").path().join("tests")))
+        .collect();
+    let mut checked = 0;
+    for line in ci.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        for (i, _) in words.iter().enumerate().filter(|&(_, &w)| w == "--test") {
+            let target = words[i + 1];
+            let file = (test_dirs.iter().map(|d| d.join(format!("{target}.rs"))))
+                .find(|f| f.is_file())
+                .unwrap_or_else(|| panic!("ci.yml runs --test {target}, which does not exist"));
+            let source = std::fs::read_to_string(&file).expect("test source");
+            let filters = words[i + 2..]
+                .iter()
+                .take_while(|w| !w.starts_with('-') && !["&&", "||", ";", "|", ">"].contains(w));
+            for filter in filters {
+                assert!(
+                    source.contains(&format!("fn {filter}(")),
+                    "ci.yml filters --test {target} by {filter}, which names no fn there"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 4,
+        "only {checked} --test runs found: the scan is broken"
+    );
+}

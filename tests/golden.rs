@@ -6,8 +6,10 @@
 //! review, rather than loosening the assertions. Every run is made on the
 //! tracked walk and the sharded engine.
 
-use afc_bench::Engine;
+mod common;
+
 use afc_noc::prelude::*;
+use common::Engine;
 
 /// One canonical run on each engine; both must give the tuple the tests
 /// below pin.

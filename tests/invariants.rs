@@ -27,8 +27,9 @@
 //! pinned below for the backpressured router and holds with zero
 //! violations across all patterns and loads.
 
+mod common;
+
 use afc_bench::mechanisms::{Mechanism, MechanismId};
-use afc_bench::Engine;
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::flit::Cycle;
 use afc_netsim::network::Network;
@@ -36,15 +37,8 @@ use afc_netsim::packet::DeliveredPacket;
 use afc_netsim::sim::{Simulation, TrafficModel};
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
 use afc_traffic::synthetic::Pattern;
+use common::{Engine, MECHANISMS};
 use std::collections::HashMap;
-
-/// The four routers of the paper's comparison.
-const MECHANISMS: [MechanismId; 4] = [
-    MechanismId::Backpressured,
-    MechanismId::Backpressureless,
-    MechanismId::Drop,
-    MechanismId::Afc,
-];
 
 fn patterns() -> Vec<(&'static str, Pattern)> {
     vec![

@@ -1,7 +1,7 @@
 //! The parallel engine must *pay or get out of the way* — and which of the
 //! two it does must be reproducible.
 //!
-//! Complements the byte-identity suite in `parallel_equivalence.rs`:
+//! Complements the byte-identity lockstep harness (`common/lockstep.rs`):
 //!
 //! * **The engine gate** is a pure function of simulation state: meshes
 //!   where sharding loses stay serial under the default floor, the mesh it

@@ -10,8 +10,10 @@
 //! is enforced by panics inside the routers themselves, so every property
 //! here doubles as a fuzz of those assertions.
 
-use afc_bench::Engine;
+mod common;
+
 use afc_noc::prelude::*;
+use common::Engine;
 
 fn mechanism(idx: usize) -> Box<dyn afc_netsim::router::RouterFactory> {
     match idx % 5 {

@@ -8,9 +8,12 @@
 //! of new values for the engine that moved.
 
 use afc_bench::sweep::{RunKind as SweepKind, RunOutput, RunSpec, SweepManifest, SweepSpec};
-use afc_bench::{Engine, MechanismId};
+mod common;
+
+use afc_bench::MechanismId;
 use afc_netsim::snapshot::{fnv1a64, FORMAT_VERSION};
 use afc_noc::prelude::*;
+use common::Engine;
 
 fn pin(bytes: &[u8]) -> (usize, u64) {
     (bytes.len(), fnv1a64(bytes))

@@ -13,7 +13,8 @@
 //! closed-loop memory-system workload; every case runs on the tracked walk
 //! and the sharded engine.
 
-use afc_bench::Engine;
+mod common;
+
 use afc_netsim::config::{NetworkConfig, RetransmitConfig};
 use afc_netsim::faults::FaultPlan;
 use afc_netsim::flit::Cycle;
@@ -24,6 +25,7 @@ use afc_netsim::router::RouterFactory;
 use afc_netsim::sim::{Simulation, TrafficModel};
 use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_noc::prelude::*;
+use common::Engine;
 
 fn mechanism(idx: usize) -> (&'static str, Box<dyn RouterFactory>) {
     match idx % 5 {
