@@ -14,7 +14,7 @@ use afc_traffic::runner::{RunKind, RunOutcome};
 use afc_traffic::synthetic::{quadrant_of, Pattern};
 
 use crate::mechanisms::Mechanism;
-use crate::sweep::{run_grid, threads, Job, Tuning};
+use crate::sweep::{run_grid, threads, Job};
 
 /// Result of one (workload, mechanism) closed-loop cell.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ pub struct ClosedLoopRow {
 }
 
 /// Runs `jobs` on the sweep engine's planner ([`run_grid`]) with [`threads`]
-/// workers and pooled arenas; `reduce` reads each job's result off its
+/// workers; `reduce` reads each job's result off its
 /// unit's outcome (pricing it with the job's own [`Mechanism::price`]).
 ///
 /// # Panics
@@ -51,11 +51,7 @@ fn grid<R: Send>(
     jobs: &[Job<'_>],
     reduce: impl Fn(&Job<'_>, usize, &RunOutcome) -> R + Sync,
 ) -> Vec<R> {
-    let tuning = Tuning {
-        threads: threads(),
-        pool: true,
-    };
-    run_grid(name, net_cfg, jobs, tuning, reduce, |_, _| {})
+    run_grid(name, net_cfg, jobs, threads(), reduce, |_, _| {})
         .into_iter()
         .map(|r| r.unwrap_or_else(|fail| panic!("sweep '{name}': {fail}")))
         .collect()

@@ -40,8 +40,16 @@ impl Mechanism {
     /// factory or by its [`MechanismId::simulated_as`] representative's.
     /// The one way to price a [`Mechanism`] — `EnergyModel::price_network`
     /// on the factory's network would price ideal bypass as the baseline.
+    ///
+    /// # Panics
+    ///
+    /// When `net` is neither: a backpressured accounting asked of another
+    /// mechanism's network ([`EnergyModel::price_network_as`]'s error).
     pub fn price(&self, model: &EnergyModel, net: &Network) -> EnergyBreakdown {
-        model.price_network_as(net, self.accounting())
+        model.price_network_as(net, self.accounting()).expect(
+            "only the backpressured class has a non-default accounting, and it is \
+             simulated on a backpressured network",
+        )
     }
 }
 

@@ -67,23 +67,21 @@
 //! Thread count: `--threads N` ([`HarnessArgs`]), else
 //! [`std::thread::available_parallelism`].
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use afc_energy::{EnergyModel, EnergyParams};
 use afc_netsim::config::NetworkConfig;
-use afc_netsim::network::Network;
 use afc_netsim::router::RouterFactory;
 use afc_netsim::snapshot::{self, fnv1a64, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use afc_traffic::runner::RunKind;
-use afc_traffic::runner::{run, RunEnv, RunOutcome};
+use afc_traffic::runner::{run, CheckpointPolicy, RunOutcome};
 
 use crate::mechanisms::{Mechanism, MechanismId};
 
@@ -317,35 +315,24 @@ where
     R: Send,
     F: Fn(usize, &J) -> R + Sync,
 {
-    let order = (0..jobs.len()).collect();
-    run_scheduled(name, jobs, order, 1, &f, threads(), |_, _| {})
+    run_scheduled(name, jobs, &f, threads(), |_, _| {})
         .into_iter()
         .map(|r| r.unwrap_or_else(|fail| panic!("sweep '{name}': {fail}")))
         .collect()
 }
 
-/// Batch width for the grouped scheduler: large enough that a worker
-/// amortizes an arena miss over several pool hits, small enough that the
-/// tail of the sweep still load-balances across workers.
-fn batch_size(jobs: usize, workers: usize) -> usize {
-    (jobs / (workers * 4).max(1)).clamp(1, 8)
-}
-
-/// The panic-isolating scheduler core: an atomic cursor hands out
-/// contiguous `batch`-sized windows of `order` (a permutation of job
-/// indices), each job runs under [`catch_unwind`] with `JOB_ATTEMPTS`
-/// tries — one that panics every time yields `Err(`[`JobFailure`]`)` in its
-/// slot instead of killing the pool — workers report `(index, result)` over
-/// a channel, and the collector writes each result into its spec-index slot:
-/// output order is spec order by construction, independent of `order`,
-/// `batch`, and timing. `progress` is invoked on the collector thread as
-/// each job finishes (completion order, not spec order); checkpointing
-/// callers use it to persist manifests incrementally.
+/// The panic-isolating scheduler core: an atomic cursor hands out job
+/// indices one at a time, in order, each job runs under [`catch_unwind`]
+/// with `JOB_ATTEMPTS` tries — one that panics every time yields
+/// `Err(`[`JobFailure`]`)` in its slot instead of killing the pool — workers
+/// report `(index, result)` over a channel, and the collector writes each
+/// result into its spec-index slot: output order is spec order by
+/// construction, independent of timing. `progress` is invoked on the
+/// collector thread as each job finishes (completion order, not spec
+/// order); checkpointing callers use it to persist manifests incrementally.
 fn run_scheduled<J, R, F, P>(
     name: &str,
     jobs: &[J],
-    order: Vec<usize>,
-    batch: usize,
     f: &F,
     threads: usize,
     mut progress: P,
@@ -356,7 +343,6 @@ where
     F: Fn(usize, &J) -> R + Sync,
     P: FnMut(usize, &Result<R, JobFailure>),
 {
-    debug_assert_eq!(order.len(), jobs.len());
     let workers = threads.max(1).min(jobs.len());
     let mut slots: Vec<Option<Result<R, JobFailure>>> = (0..jobs.len()).map(|_| None).collect();
     let mut land = |(i, r, micros): (usize, Result<R, JobFailure>, u128)| {
@@ -370,27 +356,18 @@ where
         (i, r, start.elapsed().as_micros())
     };
     if workers <= 1 {
-        // The serial pass walks the grouped order too, on the calling
-        // thread, so a single-threaded sweep still reuses its arena.
-        order.iter().for_each(|&i| land(timed(i)));
+        (0..jobs.len()).for_each(|i| land(timed(i)));
     } else {
         let cursor = AtomicUsize::new(0);
-        let batch = batch.max(1);
         let (tx, rx) = mpsc::channel();
-        let (order, cursor, timed) = (&order, &cursor, &timed);
+        let (cursor, timed) = (&cursor, &timed);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                scope.spawn(move || 'steal: loop {
-                    let from = cursor.fetch_add(batch, Ordering::Relaxed);
-                    if from >= order.len() {
+                scope.spawn(move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() || tx.send(timed(i)).is_err() {
                         break;
-                    }
-                    let to = (from + batch).min(order.len());
-                    for &i in &order[from..to] {
-                        if tx.send(timed(i)).is_err() {
-                            break 'steal;
-                        }
                     }
                 });
             }
@@ -438,18 +415,10 @@ impl Plan {
 /// times (one row of the timing report per unit — per simulated network)
 /// and isolates: a unit that panics on every attempt yields a
 /// [`JobFailure`] for each of its members. `progress` sees each unit as it
-/// completes.
-///
-/// Workers take contiguous batches of a stable permutation sorted by
-/// `group` (an arena-compatibility key), so they tend to see
-/// arena-compatible units back to back and reset their pooled [`Network`]
-/// instead of rebuilding it. The traversal is a pure function of the keys,
-/// never of worker timing, and output is byte-identical to the ungrouped
-/// order at any worker count.
-pub(crate) fn run_planned<R, F, K, P>(
+/// completes. Units go out one at a time in plan order.
+pub(crate) fn run_planned<R, F, P>(
     name: &str,
     plan: &Plan,
-    group: K,
     f: &F,
     threads: usize,
     mut progress: P,
@@ -457,18 +426,12 @@ pub(crate) fn run_planned<R, F, K, P>(
 where
     R: Send,
     F: Fn(&[usize]) -> Vec<R> + Sync,
-    K: Fn(&[usize]) -> u64,
     P: FnMut(&[usize], &Result<Vec<R>, JobFailure>),
 {
     let units = &plan.units;
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&unit| group(&units[unit]));
-    let workers = threads.max(1).min(units.len().max(1));
     let per_unit = run_scheduled(
         name,
         units,
-        order,
-        batch_size(units.len(), workers),
         &|_, members: &Vec<usize>| {
             let results = f(members);
             assert_eq!(results.len(), members.len(), "one result per member");
@@ -556,66 +519,21 @@ pub fn write_timing_report(binary: &str) -> Result<PathBuf, SweepError> {
     Ok(path)
 }
 
-// ---------------------------------------------------------------------------
-// Simulation arenas
-// ---------------------------------------------------------------------------
+/// Does nothing: sweeps keep no network between jobs. afc-perf only: the
+/// detached `benchmark/` crate calls it before each timed sweep, so it
+/// stays until ROADMAP item 9 drops that call.
+pub fn pool_clear() {}
 
-// Per-worker simulation arena: each sweep worker thread keeps its most
-// recently used `Network` here and offers it to the next job. When the
-// next job has the same mechanism and configuration (which the grouped
-// scheduler arranges), `Network::reset_from_config` reinitializes it in
-// place — no allocation, no construction — and the run is byte-identical
-// to one on a freshly built network. Worker threads are scoped to one
-// sweep, so arenas are reclaimed when the sweep ends.
-thread_local! {
-    static SIM_POOL: RefCell<Option<Network>> = const { RefCell::new(None) };
-}
-
-/// Arena jobs whose pooled network matched the incoming job (reset path).
-static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-/// Arena jobs that found no compatible pooled network (fresh construction).
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Takes this worker's pooled network if [`Network::arena_compatible`]
-/// — the judge [`Network::reset_from_config`] itself uses — accepts it for
-/// the requested factory and configuration. An incompatible arena is
-/// dropped (the completed job's network replaces it), so a
-/// worker holds at most one network at a time; a worker with no arena yet
-/// counts as a miss.
-fn pool_take(factory: &dyn RouterFactory, cfg: &NetworkConfig) -> Option<Network> {
-    let net = SIM_POOL
-        .with(|p| p.borrow_mut().take())
-        .filter(|net| net.arena_compatible(cfg, factory));
-    let outcome = if net.is_some() {
-        &POOL_HITS
-    } else {
-        &POOL_MISSES
-    };
-    outcome.fetch_add(1, Ordering::Relaxed);
-    net
-}
-
-/// Drops this worker's pooled arena (tests use it to force cold starts).
-pub fn pool_clear() {
-    SIM_POOL.with(|p| *p.borrow_mut() = None);
-}
-
-/// Cumulative `(arena hits, arena misses, 0, 0)` across all sweeps in this
-/// process. A hit means the job reset a pooled network in place, a miss
-/// that it constructed one. The last two fields, once the warm-start
-/// cache's hits and misses, stay until ROADMAP item 7 drops afc-perf's
-/// probe of them.
+/// Always `(0, 0, 0, 0)`: every run builds its network with
+/// `Network::new`, and nothing counts hits or misses. afc-perf only: the
+/// detached `benchmark/` crate reads it as `sweep.pool_hit_ratio`, so it
+/// stays until ROADMAP item 9 drops that probe.
 pub fn pool_stats() -> (u64, u64, u64, u64) {
-    (
-        POOL_HITS.load(Ordering::Relaxed),
-        POOL_MISSES.load(Ordering::Relaxed),
-        0,
-        0,
-    )
+    (0, 0, 0, 0)
 }
 
 /// What is left of the warm-start cache: afc-perf clears it and reads its
-/// usage, so it stays, holding nothing, until ROADMAP item 7 drops that
+/// usage, so it stays, holding nothing, until ROADMAP item 9 drops that
 /// probe. Every run simulates its own warm-up.
 pub struct WarmCache;
 
@@ -674,9 +592,7 @@ impl RunSpec {
     }
 
     /// Executes the run against `net_cfg` and reduces it to the flat
-    /// deterministic metrics of [`RunOutput`], using this worker's pooled
-    /// arena. A pooled run is byte-identical to a fresh one, so results do
-    /// not depend on pool state.
+    /// deterministic metrics of [`RunOutput`].
     ///
     /// This is a sweep of one: the run goes through the same
     /// derive-from-representative path as a unit of a planned sweep.
@@ -687,19 +603,13 @@ impl RunSpec {
     /// configuration or a blown closed-loop cycle budget (inside a sweep
     /// the pool catches the unwind and reports a [`JobFailure`]).
     pub fn execute(&self, net_cfg: &NetworkConfig) -> RunOutput {
-        self.execute_tuned(net_cfg, true)
-    }
-
-    /// [`RunSpec::execute`] with an explicit arena-pool switch: the fresh
-    /// path the tests and `sweep_throughput` hold the pooled one to.
-    pub fn execute_tuned(&self, net_cfg: &NetworkConfig, pool: bool) -> RunOutput {
         let mechanism = self.mechanism.mechanism();
         let job = self.job(&mechanism);
-        execute_unit(net_cfg, &job, pool, |out| flat_output(&job, out))
+        execute_unit(net_cfg, &job, |out| flat_output(&job, out))
     }
 
-    /// Executes the run on its own mechanism's network — no representative
-    /// or arena: the reference the planner's derived outputs are
+    /// Executes the run on its own mechanism's network — no
+    /// representative: the reference the planner's derived outputs are
     /// checked against (the determinism and one-engine walls).
     pub fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
         self.job(&self.mechanism.mechanism()).execute_alone(net_cfg)
@@ -728,50 +638,17 @@ impl Job<'_> {
         (class, own, self.seed, format!("{:?}", self.kind))
     }
 
-    /// Arena-compatibility group key: two jobs with the same key (and the
-    /// same grid-level `net_cfg`) build identical networks, so one can
-    /// reuse the other's pooled arena via [`Network::reset_from_config`].
-    /// The simulated mechanism always discriminates (a custom variant by
-    /// its factory's build key); fault runs additionally fold in the
-    /// fault-plan parameters they patch into the configuration.
-    fn arena_group(&self) -> u64 {
-        let detail = match &self.kind {
-            RunKind::Fault {
-                drop_rate,
-                corrupt_rate,
-                ..
-            } => format!("fault|{drop_rate:?}|{corrupt_rate:?}"),
-            RunKind::ClosedLoop { .. } | RunKind::OpenLoop { .. } => String::new(),
-        };
-        let simulated = match self.mechanism.id {
-            Some(id) => id.simulated_as().label().to_string(),
-            None => self.mechanism.factory.build_key(),
-        };
-        fnv1a64(format!("{simulated}|{detail}").as_bytes())
-    }
-
-    /// [`run`]s the scenario on `factory`'s network (this worker's pooled
-    /// arena when `pool`), panicking with a `RunError`'s text.
-    fn simulate(
-        &self,
-        net_cfg: &NetworkConfig,
-        factory: &dyn RouterFactory,
-        pool: bool,
-    ) -> RunOutcome {
-        let arena = pool
-            .then(|| pool_take(factory, &self.kind.network_config(net_cfg)))
-            .flatten();
-        let env = RunEnv {
-            arena,
-            ..RunEnv::default()
-        };
-        run(&self.kind, factory, net_cfg, self.seed, env).unwrap_or_else(|e| panic!("{e}"))
+    /// [`run`]s the scenario on `factory`'s network, panicking with a
+    /// `RunError`'s text.
+    fn simulate(&self, net_cfg: &NetworkConfig, factory: &dyn RouterFactory) -> RunOutcome {
+        let policy = CheckpointPolicy::default();
+        run(&self.kind, factory, net_cfg, self.seed, policy).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`RunSpec::execute_alone`], for any mechanism.
     fn execute_alone(&self, net_cfg: &NetworkConfig) -> RunOutput {
         let factory = self.mechanism.factory.as_ref();
-        flat_output(self, &self.simulate(net_cfg, factory, false))
+        flat_output(self, &self.simulate(net_cfg, factory))
     }
 }
 
@@ -781,18 +658,12 @@ impl Job<'_> {
 fn execute_unit<V>(
     net_cfg: &NetworkConfig,
     first: &Job<'_>,
-    pool: bool,
     read: impl FnOnce(&RunOutcome) -> V,
 ) -> V {
     // A custom variant stands for itself.
     let class = first.mechanism.id.map(|id| id.simulated_as().mechanism());
     let factory = class.as_ref().unwrap_or(first.mechanism).factory.as_ref();
-    let out = first.simulate(net_cfg, factory, pool);
-    let value = read(&out);
-    if pool {
-        SIM_POOL.with(|p| *p.borrow_mut() = Some(out.network));
-    }
-    value
+    read(&first.simulate(net_cfg, factory))
 }
 
 /// The flat [`RunOutput`] of `job`, read off `out` — the outcome of its own
@@ -833,22 +704,15 @@ fn flat_output(job: &Job<'_>, out: &RunOutcome) -> RunOutput {
     }
 }
 
-/// How a grid executes; none of it changes a result.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tuning {
-    pub(crate) threads: usize,
-    pub(crate) pool: bool,
-}
-
 /// The one planner/executor: plans `jobs` by [`Job::sim_key`], simulates
-/// each unit once on the pool and returns `reduce(job, index, outcome)` per
-/// job, in job order. `progress` sees each completed unit: its members'
-/// indices and their results.
+/// each unit once on `threads` workers and returns `reduce(job, index,
+/// outcome)` per job, in job order. `progress` sees each completed unit:
+/// its members' indices and their results.
 pub(crate) fn run_grid<R, D, P>(
     name: &str,
     net_cfg: &NetworkConfig,
     jobs: &[Job<'_>],
-    tuning: Tuning,
+    threads: usize,
     reduce: D,
     mut progress: P,
 ) -> Vec<Result<R, JobFailure>>
@@ -861,13 +725,12 @@ where
     run_planned(
         name,
         &plan,
-        |members| jobs[members[0]].arena_group(),
         &|members: &[usize]| {
-            execute_unit(net_cfg, &jobs[members[0]], tuning.pool, |out| {
+            execute_unit(net_cfg, &jobs[members[0]], |out| {
                 members.iter().map(|&m| reduce(&jobs[m], m, out)).collect()
             })
         },
-        tuning.threads,
+        threads,
         |members, result| {
             if let Ok(results) = result {
                 progress(members, results);
@@ -906,16 +769,8 @@ impl SweepSpec {
     /// attempt becomes a zeroed [`RunOutput`] whose `outcome` records the
     /// failure; the other runs are unaffected.
     pub fn execute_with_threads(&self, threads: usize) -> SweepResults {
-        self.execute_with_threads_tuned(threads, true)
-    }
-
-    /// [`SweepSpec::execute_with_threads`] with an explicit arena-pool
-    /// switch; the `sweep_throughput` benchmark uses this to time fresh and
-    /// pooled execution of identical sweeps within one process.
-    pub fn execute_with_threads_tuned(&self, threads: usize, pool: bool) -> SweepResults {
         let jobs: Vec<usize> = (0..self.runs.len()).collect();
-        let tuning = Tuning { threads, pool };
-        let outputs = self.run_jobs(&jobs, tuning, |_, _| {});
+        let outputs = self.run_jobs(&jobs, threads, |_, _| {});
         SweepResults { outputs }
     }
 
@@ -923,7 +778,7 @@ impl SweepSpec {
     /// flat output per job, in `jobs` order (a job that failed every attempt:
     /// zeroed, the failure in `outcome`). `progress` sees each completed
     /// unit: its members' spec indices and their outputs.
-    fn run_jobs<P>(&self, jobs: &[usize], tuning: Tuning, mut progress: P) -> Vec<RunOutput>
+    fn run_jobs<P>(&self, jobs: &[usize], threads: usize, mut progress: P) -> Vec<RunOutput>
     where
         P: FnMut(&[usize], &[RunOutput]),
     {
@@ -935,7 +790,7 @@ impl SweepSpec {
             &self.name,
             &self.net_cfg,
             &grid,
-            tuning,
+            threads,
             |job, _, out| flat_output(job, out),
             |members, outputs| {
                 let indices: Vec<usize> = members.iter().map(|&job| jobs[job]).collect();
@@ -1003,11 +858,7 @@ impl SweepSpec {
             .filter(|&i| outputs[i].is_none())
             .collect();
         let mut save_err: Option<SweepError> = None;
-        let tuning = Tuning {
-            threads: threads(),
-            pool: true,
-        };
-        let results = self.run_jobs(&missing, tuning, |indices, outputs| {
+        let results = self.run_jobs(&missing, threads(), |indices, outputs| {
             for (&i, output) in indices.iter().zip(outputs) {
                 manifest.record(i, output);
             }
@@ -1237,17 +1088,16 @@ mod tests {
     use afc_traffic::openloop::PacketMix;
     use afc_traffic::synthetic::Pattern;
 
-    /// The scheduler core in spec order, one job per batch, no progress
-    /// hook: what `run_sweep` runs, with the worker count explicit and
-    /// failures returned instead of raised.
+    /// The scheduler core with no progress hook: what `run_sweep` runs,
+    /// with the worker count explicit and failures returned instead of
+    /// raised.
     fn pool<J: Sync, R: Send>(
         name: &str,
         jobs: &[J],
         f: impl Fn(usize, &J) -> R + Sync,
         workers: usize,
     ) -> Vec<Result<R, JobFailure>> {
-        let order = (0..jobs.len()).collect();
-        run_scheduled(name, jobs, order, 1, &f, workers, |_, _| {})
+        run_scheduled(name, jobs, &f, workers, |_, _| {})
     }
 
     #[test]
@@ -1321,7 +1171,6 @@ mod tests {
             let results = run_planned(
                 "planned",
                 &plan,
-                |_| 0,
                 &|members: &[usize]| {
                     if members[0] == 1 {
                         panic!("unit one always explodes");
@@ -1373,8 +1222,7 @@ mod tests {
     fn progress_hook_sees_every_completion() {
         let jobs: Vec<u64> = (0..12).collect();
         let mut seen = Vec::new();
-        let order = (0..jobs.len()).collect();
-        let results = run_scheduled("progress", &jobs, order, 1, &|_, &j| j, 4, |i, r| {
+        let results = run_scheduled("progress", &jobs, &|_, &j| j, 4, |i, r| {
             assert!(r.is_ok());
             seen.push(i);
         });

@@ -110,15 +110,6 @@ impl ContentionMonitor {
         self.window.skip_zero(count);
         self.ewma.decay_zero(count);
     }
-
-    /// Resets the measurement state (window + EWMA) in place to the
-    /// freshly constructed state. Thresholds and the window allocation are
-    /// untouched, so this is allocation-free — the arena-reuse path's
-    /// requirement.
-    pub fn reset(&mut self) {
-        self.window.reset();
-        self.ewma.reset();
-    }
 }
 
 /// The mutable measurement state (window + EWMA); thresholds are

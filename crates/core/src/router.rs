@@ -1028,45 +1028,6 @@ impl Router for AfcRouter {
         c
     }
 
-    fn reset(&mut self) -> bool {
-        // Mirrors `AfcRouter::new` on the same configuration, including the
-        // always-backpressured seeding of mode and tracking, while keeping
-        // every allocation (banks, scratch, credit vectors) in place.
-        self.monitor.reset();
-        self.mode = AfcMode::Backpressureless;
-        self.flits_this_cycle = 0;
-        self.reverse_allowed_at = 0;
-        self.bank.clear();
-        // Stale slot contents behind a cleared occupancy bit are never
-        // read, so zeroing the bitwords is the whole buffer reset.
-        self.occ_bits = [0; PORTS];
-        self.route_bits = [[0; PORTS]; PORTS];
-        for port in PortId::ALL {
-            if let Some(arb) = self.input_arb[port].as_mut() {
-                arb.set_cursor(0);
-            }
-            self.output_arb[port].set_cursor(0);
-        }
-        self.tracking = DirMap::default();
-        for d in Direction::ALL {
-            self.refill_credits(d);
-        }
-        self.counters = ActivityCounters::new();
-        self.buffered = 0;
-        self.fa.reset();
-        self.resync.reset();
-        self.overflow_scratch.clear();
-        if self.cfg.always_backpressured {
-            self.mode = AfcMode::Backpressured;
-            for d in Direction::ALL {
-                if self.mesh.neighbor(self.node, d).is_some() {
-                    self.tracking[d] = true;
-                }
-            }
-        }
-        true
-    }
-
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         (self.mode, self.flits_this_cycle, self.reverse_allowed_at).put(w);
         self.monitor.put(w);

@@ -39,5 +39,7 @@
 pub mod model;
 pub mod params;
 
-pub use model::{BufferAccounting, EnergyBreakdown, EnergyModel, MechanismProfile};
+pub use model::{
+    AccountingError, BufferAccounting, EnergyBreakdown, EnergyModel, MechanismProfile,
+};
 pub use params::EnergyParams;

@@ -4,6 +4,28 @@ use crate::params::EnergyParams;
 use afc_netsim::counters::ActivityCounters;
 use afc_netsim::network::Network;
 
+/// A buffer accounting asked of a network it is not defined for
+/// ([`EnergyModel::price_network_as`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccountingError {
+    /// The accounting asked for.
+    pub buffers: BufferAccounting,
+    /// The network's mechanism name.
+    pub mechanism: &'static str,
+}
+
+impl std::fmt::Display for AccountingError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let AccountingError { buffers, mechanism } = self;
+        write!(
+            f,
+            "{buffers:?} accounting is defined for backpressured networks, not {mechanism}"
+        )
+    }
+}
+
+impl std::error::Error for AccountingError {}
+
 /// Energy of one run, split by component (all values in picojoules).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
@@ -210,33 +232,34 @@ impl EnergyModel {
     /// Convenience: prices a whole network run (its aggregated counters
     /// under its own mechanism profile).
     pub fn price_network(&self, net: &Network) -> EnergyBreakdown {
-        self.price_network_as(net, BufferAccounting::default())
+        let profile = MechanismProfile::of(net);
+        self.price(&net.total_counters(), &profile)
     }
 
     /// [`EnergyModel::price_network`] under an explicit buffer accounting:
     /// how one simulated backpressured network yields all three of its
     /// Figure 2(b) bars.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `buffers` is not the default and `net` is not a
-    /// backpressured network: anywhere else a latch write is a real event,
-    /// and recounting it as an SRAM read would misprice the run silently.
-    pub fn price_network_as(&self, net: &Network, buffers: BufferAccounting) -> EnergyBreakdown {
-        assert!(
-            buffers == BufferAccounting::default()
-                || matches!(
-                    net.mechanism(),
-                    "backpressured" | "backpressured-read-bypass"
-                ),
-            "{buffers:?} accounting is defined for backpressured networks, not {}",
-            net.mechanism()
-        );
+    /// [`AccountingError`] when `buffers` is not the default and `net` is
+    /// not a backpressured network: anywhere else a latch write is a real
+    /// event, and recounting it as an SRAM read would misprice the run.
+    pub fn price_network_as(
+        &self,
+        net: &Network,
+        buffers: BufferAccounting,
+    ) -> Result<EnergyBreakdown, AccountingError> {
+        let mechanism = net.mechanism();
+        let backpressured = matches!(mechanism, "backpressured" | "backpressured-read-bypass");
+        if buffers != BufferAccounting::default() && !backpressured {
+            return Err(AccountingError { buffers, mechanism });
+        }
         let profile = MechanismProfile {
             buffers,
             ..MechanismProfile::of(net)
         };
-        self.price(&net.total_counters(), &profile)
+        Ok(self.price(&net.total_counters(), &profile))
     }
 
     /// Prices each router separately (e.g. to render spatial energy maps).
@@ -448,19 +471,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Sram accounting is defined for backpressured networks")]
     fn recounting_another_mechanisms_latches_is_refused() {
         use afc_netsim::config::NetworkConfig;
-        use afc_routers::DeflectionFactory;
+        use afc_netsim::router::RouterFactory;
+        use afc_routers::{BackpressuredFactory, DeflectionFactory, DropFactory};
         let cfg = NetworkConfig::paper_3x3();
         let model = EnergyModel::new(EnergyParams::micro2010_70nm());
+        let bp = Network::new(cfg.clone(), &BackpressuredFactory::new(), 5).unwrap();
         for ok in [BufferAccounting::Sram, BufferAccounting::IdealBypass] {
-            let bp = Network::new(cfg.clone(), &afc_routers::BackpressuredFactory::new(), 5);
-            model.price_network_as(&bp.unwrap(), ok);
+            assert!(model.price_network_as(&bp, ok).is_ok());
         }
         // A deflection router's latch writes are its datapath.
-        let bless = Network::new(cfg, &DeflectionFactory::new(), 5).unwrap();
-        model.price_network_as(&bless, BufferAccounting::Sram);
+        let bless = Network::new(cfg.clone(), &DeflectionFactory::new(), 5).unwrap();
+        let err = model
+            .price_network_as(&bless, BufferAccounting::IdealBypass)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "IdealBypass accounting is defined for backpressured networks, not bless"
+        );
+        // Every mechanism prices under its own (the default) accounting.
+        let factories: [&dyn RouterFactory; 3] = [
+            &BackpressuredFactory::new(),
+            &DeflectionFactory::new(),
+            &DropFactory::new(),
+        ];
+        for factory in factories {
+            let net = Network::new(cfg.clone(), factory, 5).unwrap();
+            let priced = model.price_network_as(&net, BufferAccounting::default());
+            assert_eq!(priced, Ok(model.price_network(&net)), "{}", factory.name());
+        }
     }
 
     #[test]

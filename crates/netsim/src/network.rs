@@ -69,7 +69,12 @@ impl ActiveSet {
 
     fn full(len: usize) -> ActiveSet {
         let mut set = ActiveSet::empty(len);
-        set.fill_full(len);
+        set.words.iter_mut().for_each(|w| *w.get_mut() = !0u64);
+        if !len.is_multiple_of(64) {
+            if let Some(last) = set.words.last_mut() {
+                *last.get_mut() = (1u64 << (len % 64)) - 1;
+            }
+        }
         set
     }
 
@@ -81,24 +86,6 @@ impl ActiveSet {
     /// Heap bytes of the bitmask (1 bit per component).
     fn heap_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<AtomicU64>()
-    }
-
-    /// Refills the set to all-members-present in place (the arena-reuse
-    /// counterpart of [`ActiveSet::full`]); `len` must match the length
-    /// the set was built for.
-    fn fill_full(&mut self, len: usize) {
-        debug_assert_eq!(self.words.len(), len.div_ceil(64));
-        self.words.iter_mut().for_each(|w| *w.get_mut() = !0u64);
-        if !len.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last.get_mut() = (1u64 << (len % 64)) - 1;
-            }
-        }
-    }
-
-    /// Empties the set in place.
-    fn fill_empty(&mut self) {
-        self.words.iter_mut().for_each(|w| *w.get_mut() = 0);
     }
 
     #[inline]
@@ -271,8 +258,6 @@ pub struct Network {
     pub(crate) mesh: Mesh,
     pub(crate) config: NetworkConfig,
     mechanism: &'static str,
-    /// [`RouterFactory::build_key`] of the factory the routers came from.
-    build_key: String,
     flit_width_bits: u32,
     buffer_flits_per_port: usize,
     /// One router per node, by value ([`RouterFactory::build_bank`]).
@@ -360,8 +345,8 @@ pub struct Network {
     /// High-water mark of [`Network::memory_footprint`] samples.
     pub(crate) mem_high_water: usize,
     /// Per-phase wall-clock attribution (see [`PhaseProfile`]); `None`
-    /// unless enabled. Observer state: never snapshotted, carried over by
-    /// arena resets exactly like the thread budget.
+    /// unless enabled. Observer state: never snapshotted, kept across a
+    /// restore exactly like the thread budget.
     phase_profile: Option<Box<PhaseProfile>>,
 }
 
@@ -455,7 +440,6 @@ impl Network {
             mesh,
             config,
             mechanism: factory.name(),
-            build_key: factory.build_key(),
             flit_width_bits: factory.flit_width_bits(),
             buffer_flits_per_port,
             kernel: routers.kernel(),
@@ -1015,7 +999,7 @@ impl Network {
     }
 
     /// Rebuilds the cached router modes and their residency counts from the
-    /// routers themselves: construction, arena reset and snapshot restore.
+    /// routers themselves: construction and snapshot restore.
     fn recount_modes(routers: &dyn RouterBank, cache: &mut Vec<RouterMode>, counts: &mut [i64; 3]) {
         cache.clear();
         cache.extend(routers.iter().map(|r| r.mode()));
@@ -1161,77 +1145,21 @@ impl Network {
         self.last_progress_cycle = self.now;
     }
 
-    /// The one judge of arena compatibility: whether this network, reset,
-    /// can stand in for `Network::new(config, factory, _)` — `factory`
-    /// would build the routers it has ([`RouterFactory::build_key`], its
-    /// options included) and `config` equals the network's own.
-    pub fn arena_compatible(&self, config: &NetworkConfig, factory: &dyn RouterFactory) -> bool {
-        factory.build_key() == self.build_key && *config == self.config
-    }
-
-    /// Returns this network, in place, to the state
-    /// `Network::new(config, factory, seed)` would produce — reusing every
-    /// allocation (router buffers, link-wheel slabs, NI queues, activity
-    /// bitmasks) instead of freeing and reacquiring them. Succeeds only
-    /// when the target is [arena-compatible](Network::arena_compatible).
-    /// On `false` the network is untouched and the caller must construct
-    /// fresh.
-    ///
-    /// Routers reset in place; if one's [`Router::reset`] declines, the
-    /// whole bank is rebuilt through the factory. Everything else clears
-    /// in place. The parallel-engine state (thread budget, gate floor,
-    /// shard plan) is deliberately carried over — it is never observable
-    /// in results, exactly as with snapshot restore (DESIGN.md §12).
-    /// Byte-identity to fresh construction is pinned by the arena test
-    /// wall via [`Network::save_state`] fingerprints.
+    /// Replaces this network with `Network::new(config, factory, seed)`;
+    /// `false`, leaving it untouched, when that refuses `config`.
+    /// afc-perf only: the detached `benchmark/` crate times it as
+    /// `network.reset_ms`, and it stays until ROADMAP item 9 drops that
+    /// probe. Nothing in the workspace calls it.
     pub fn reset_from_config(
         &mut self,
         config: &NetworkConfig,
         factory: &dyn RouterFactory,
         seed: u64,
     ) -> bool {
-        if !self.arena_compatible(config, factory) {
-            return false;
+        match Network::new(config.clone(), factory, seed) {
+            Ok(fresh) => *self = fresh,
+            Err(_) => return false,
         }
-        let n = self.mesh.node_count();
-        if !(0..n).all(|i| self.routers.router_mut(i).reset()) {
-            self.routers = Self::build_routers(factory, &self.mesh, &self.config);
-            self.kernel = self.routers.kernel();
-        }
-        for ni in &mut self.nis {
-            ni.reset();
-            if let Some(r) = self.config.retransmit {
-                ni.enable_recovery(r);
-            }
-        }
-        self.wheel.reset();
-        self.now = 0;
-        self.rng = SimRng::seed_from(seed);
-        self.fault_rng = self.rng.fork(0x00FA_0171);
-        self.acc.clear();
-        self.packets.clear();
-        self.scratch.clear();
-        self.ack_queue.clear();
-        self.fault_log.clear();
-        // `detect_schedule` is a pure function of the (equal) configuration
-        // and stays; only the firing cursor rewinds.
-        self.detect_next = 0;
-        self.unreachable_packets.clear();
-        self.last_progress = 0;
-        self.last_progress_cycle = 0;
-        self.audit_baseline = 0;
-        self.offer_log = None;
-        self.router_active.fill_full(n);
-        self.ni_send_active.fill_full(n);
-        self.ni_delivered.fill_empty();
-        self.accounted_upto.fill(0);
-        Self::recount_modes(
-            &*self.routers,
-            &mut self.modes_cache,
-            &mut self.acc.mode_counts,
-        );
-        self.check_conservation = true;
-        self.mem_high_water = 0;
         true
     }
 

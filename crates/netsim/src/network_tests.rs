@@ -140,21 +140,6 @@ fn mechanism_metadata_is_exposed() {
     assert_eq!(net.modes().len(), 9);
 }
 
-/// A factory's every option is part of its build key: a network of one
-/// factory is no arena for another of the same name but other options.
-#[test]
-fn same_named_factories_with_other_options_are_not_arena_compatible() {
-    let mut net = build(false);
-    let config = NetworkConfig::paper_3x3();
-    assert!(net.arena_compatible(&config, &FifoFactory::default()));
-    let lossy = FifoFactory {
-        lossy: true,
-        ..FifoFactory::default()
-    };
-    assert!(!net.arena_compatible(&config, &lossy));
-    assert!(!net.reset_from_config(&config, &lossy, 1));
-}
-
 #[test]
 fn watchdog_catches_ancient_flits() {
     // A flit bouncing forever would trip the age watchdog. Simulate by

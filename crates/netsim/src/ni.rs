@@ -233,30 +233,6 @@ impl NodeInterface {
         }
     }
 
-    /// Returns the interface to its freshly constructed state in place:
-    /// queues, in-flight injections, reassembly buffers, outboxes, and the
-    /// recovery block are all emptied without freeing backing storage
-    /// (clearing a `Vec`/`VecDeque` keeps its allocation; the recovery
-    /// block is dropped). The network re-enables recovery after a reset
-    /// exactly as it does after construction.
-    pub fn reset(&mut self) {
-        for lane in self.lanes.iter_mut() {
-            lane.queue.clear();
-            lane.progress = None;
-        }
-        (self.pending_packets, self.pending_flits) = (0, 0);
-        self.rr_next = 0;
-        self.retransmit.clear();
-        self.open.clear();
-        self.open_ids.clear();
-        self.delivered.clear();
-        self.reassembly_high_water = 0;
-        self.recovery = None;
-        self.corrupt_outbox.clear();
-        self.acks_outbox.clear();
-        self.unreachable_outbox.clear();
-    }
-
     /// Switches on end-to-end recovery: outstanding-packet tracking, timeout
     /// retransmission, and duplicate-tolerant reassembly.
     pub fn enable_recovery(&mut self, cfg: RetransmitConfig) {

@@ -116,24 +116,6 @@ impl RefInterface {
         }
     }
 
-    pub fn reset(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        for slot in &mut self.in_progress {
-            *slot = None;
-        }
-        self.rr_next = 0;
-        self.retransmit.clear();
-        self.close_reassemblies();
-        self.delivered.clear();
-        self.reassembly_high_water = 0;
-        self.recovery = None;
-        self.corrupt_outbox.clear();
-        self.acks_outbox.clear();
-        self.unreachable_outbox.clear();
-    }
-
     fn close_reassemblies(&mut self) {
         let open = self.reassembly.drain().map(|(_, e)| e.received);
         self.spare_bitmaps.extend(open);
@@ -753,7 +735,7 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
     const VNETS: usize = 3;
     let here = NodeId::new(0);
     let mut totals = NetworkStats::new();
-    let (mut resets, mut restores, mut wide) = (0, 0, 0);
+    let (mut restores, mut wide) = (0, 0);
     for seed in 0..12u64 {
         // Odd seeds run with recovery on (duplicates, timeouts, TTL expiry,
         // give-up); even seeds without (where a duplicate is a panic).
@@ -937,7 +919,7 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
             }
 
             // Now and then: save, load each side from the other's bytes,
-            // save again; or reset both in place.
+            // save again.
             if rng.gen_bool(0.01) {
                 let (mut wa, mut wb) = (SnapshotWriter::new(), SnapshotWriter::new());
                 new.put(&mut wa);
@@ -954,16 +936,6 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
                 old.save(&mut wb);
                 assert!(wa.into_bytes() == from_new && wb.into_bytes() == from_new);
                 restores += 1;
-            } else if rng.gen_bool(0.002) {
-                new.reset();
-                old.reset();
-                if let Some(cfg) = recovery {
-                    new.enable_recovery(cfg);
-                    old.enable_recovery(cfg);
-                }
-                inbound.clear();
-                sent.clear();
-                resets += 1;
             }
         }
         let stats = &pair.0 .1;
@@ -979,8 +951,5 @@ fn dense_tables_equal_the_map_reference_under_seeded_traffic() {
     assert!(totals.duplicate_flits_discarded > 50 && totals.flits_corrupted > 20);
     assert!(totals.retransmit_timeouts > 50 && totals.reassemblies_expired > 20);
     assert!(totals.packets_unreachable > 5 && wide > 20);
-    assert!(
-        resets > 5 && restores > 100,
-        "{resets} resets, {restores} restores"
-    );
+    assert!(restores > 100, "{restores} restores");
 }

@@ -211,13 +211,6 @@ impl PacketTable {
         }
     }
 
-    /// Empties the table, keeping its allocations.
-    pub(crate) fn clear(&mut self) {
-        self.base = 0;
-        self.window.clear();
-        self.orphans.clear();
-    }
-
     /// Heap bytes held by the table.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;

@@ -212,19 +212,6 @@ pub trait Router: Send {
         c
     }
 
-    /// Returns the router to its freshly constructed state *in place* —
-    /// buffers emptied, latches cleared, arbitration cursors rewound,
-    /// counters zeroed — without freeing backing storage, and reports
-    /// whether it did so. A `true` return is a strict contract: the
-    /// router's subsequent behaviour (and [`Router::save_state`] bytes)
-    /// must be indistinguishable from a router newly built by its factory
-    /// with the same configuration. The default `false` keeps unknown
-    /// implementations on the rebuild-from-factory path used by
-    /// [`Network::reset_from_config`](crate::network::Network::reset_from_config).
-    fn reset(&mut self) -> bool {
-        false
-    }
-
     /// Serializes the router's complete mutable state (buffers, latches,
     /// arbitration cursors, mode, counters) for a deterministic snapshot.
     ///
@@ -337,8 +324,7 @@ pub fn alloc_rings(flits_per_port: usize) -> Box<[Flit]> {
 ///
 /// Factories are plain configuration data, so the trait requires
 /// `Send + Sync`: harnesses share one factory set across worker threads
-/// when replicating runs over seeds. Their `Debug` form is their
-/// [`Self::build_key`].
+/// when replicating runs over seeds.
 pub trait RouterFactory: std::fmt::Debug + Send + Sync {
     /// Constructs every node's router, one per node in node order, around
     /// `rings` (one [`alloc_rings`]`(self.buffer_flits_per_port(config))`
@@ -360,15 +346,6 @@ pub trait RouterFactory: std::fmt::Debug + Send + Sync {
 
     /// Short mechanism name (`"backpressured"`, `"bless"`, `"afc"`, ...).
     fn name(&self) -> &'static str;
-
-    /// Everything about this factory that decides what [`Self::build_bank`]
-    /// constructs: equal keys build identical routers from equal
-    /// configurations. [`Network::reset_from_config`](crate::network::Network::reset_from_config)
-    /// judges arena compatibility on it. It is the factory's `Debug` form,
-    /// so every option a factory holds is part of it.
-    fn build_key(&self) -> String {
-        format!("{self:?}")
-    }
 
     /// Total flit width in bits (payload + control), used by the energy
     /// model: the paper reports 41 (backpressured), 45 (backpressureless)

@@ -80,28 +80,6 @@ impl<T: TrafficModel> Simulation<T> {
         }
     }
 
-    /// Rebuilds this simulation in place for a new run: the network is
-    /// returned to its freshly constructed state via
-    /// [`Network::reset_from_config`] — reusing its arena of allocations —
-    /// and `traffic` replaces the previous model. Returns `false` (leaving
-    /// the simulation untouched except for the dropped `traffic` argument)
-    /// when the network is not arena-compatible with the requested
-    /// configuration; the caller then constructs fresh.
-    pub fn reset_from_config(
-        &mut self,
-        config: &crate::config::NetworkConfig,
-        factory: &dyn crate::router::RouterFactory,
-        seed: u64,
-        traffic: T,
-    ) -> bool {
-        if !self.network.reset_from_config(config, factory, seed) {
-            return false;
-        }
-        self.traffic = traffic;
-        self.delivered_buf.clear();
-        true
-    }
-
     /// Advances one cycle: traffic generation, network step, delivery
     /// callbacks.
     pub fn step(&mut self) {

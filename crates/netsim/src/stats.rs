@@ -275,11 +275,6 @@ impl Ewma {
             self.value *= self.weight;
         }
     }
-
-    /// Resets the average to zero.
-    pub fn reset(&mut self) {
-        self.value = 0.0;
-    }
 }
 
 // Bit-exact: `f64`s travel as their IEEE-754 patterns.
@@ -359,17 +354,6 @@ impl SlidingWindow {
             .filled
             .saturating_add(count.min(len as u64) as usize)
             .min(len);
-    }
-
-    /// Zeroes the window in place — contents, cursor, sum, and fill level
-    /// all return to the freshly constructed state — without touching the
-    /// backing allocation (the arena-reuse path relies on this being
-    /// allocation-free).
-    pub fn reset(&mut self) {
-        self.buf.fill(0);
-        self.next = 0;
-        self.sum = 0;
-        self.filled = 0;
     }
 }
 
@@ -705,8 +689,6 @@ pub(crate) mod tests {
             e.update(2.0);
         }
         assert!((e.value() - 2.0).abs() < 0.01);
-        e.reset();
-        assert_eq!(e.value(), 0.0);
     }
 
     #[test]

@@ -989,42 +989,6 @@ impl Router for BackpressuredRouter {
         self.occ == 0 && !self.fa.has_pending_gossip() && !self.resync.has_pending()
     }
 
-    fn reset(&mut self) -> bool {
-        // Everything below is either cleared in place or config-derived
-        // (layout, options, eject bandwidth, whether the route-owner column
-        // exists), so the result is indistinguishable from `with_options`
-        // on the same configuration — and no backing storage is freed.
-        for lane in self.lanes.iter_mut() {
-            *lane = Lane::empty(lane.depth as usize);
-        }
-        self.route_packet.fill(None);
-        self.occ_bits = [0; PORTS];
-        self.alloc_bits = [0; DIRS];
-        for di in 0..DIRS {
-            for v in 0..self.total {
-                self.credits[di * self.total + v] = if self.out_present[di] {
-                    self.layout.depth_of[v] as u16
-                } else {
-                    0
-                };
-            }
-        }
-        for port in PortId::ALL {
-            if let Some(arb) = self.input_arb[port].as_mut() {
-                arb.set_cursor(0);
-            }
-            self.output_arb[port].set_cursor(0);
-        }
-        self.inject_vc.fill(None);
-        self.inject_rr.fill(0);
-        self.occ = 0;
-        self.port_occ = PortMap::default();
-        self.fa.reset();
-        self.resync.reset();
-        self.counters = ActivityCounters::new();
-        true
-    }
-
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         // Identical byte stream to the pre-slab layout: lanes visit in the
         // same (port, vc) order the per-VC vectors iterated, flits in FIFO

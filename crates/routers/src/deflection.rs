@@ -483,13 +483,6 @@ impl<const DROP: bool> Router for Bufferless<DROP> {
         self.bank.is_empty() && !self.fa.has_pending_gossip()
     }
 
-    fn reset(&mut self) -> bool {
-        self.bank.clear();
-        self.fa.reset();
-        self.counters = ActivityCounters::new();
-        true
-    }
-
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         self.bank.put(w);
         self.counters.put(w);

@@ -30,8 +30,8 @@ pub mod workloads;
 pub use closedloop::{ClosedLoopTraffic, WorkloadParams};
 pub use openloop::{OpenLoopTraffic, PacketMix, RateSpec};
 pub use runner::{
-    run, run_closed_loop, run_fault_scenario, run_open_loop, CheckpointPolicy, FaultRunOutcome,
-    RunEnv, RunError, RunKind, RunOutcome,
+    run, run_closed_loop, run_fault_scenario, run_on, run_open_loop, CheckpointPolicy,
+    FaultRunOutcome, RunError, RunKind, RunOutcome,
 };
 pub use synthetic::Pattern;
 pub use trace::{TraceReplay, TrafficTrace};

@@ -1,13 +1,12 @@
 //! End-to-end run orchestration: one protocol, written once.
 //!
-//! Every result is *acquire a network → warm it up → zero the counters →
+//! Every result is *build a network → warm it up → zero the counters →
 //! measure a window → capture*. [`run`] holds the only copy, for a scenario
-//! described as data ([`RunKind`]); [`RunEnv`] carries what may shorten or
-//! protect a run — a recycled arena, a crash-safe [`CheckpointPolicy`] —
-//! without changing a byte of it. Checkpoints are keyed by
+//! described as data ([`RunKind`]); a crash-safe [`CheckpointPolicy`]
+//! protects a run without changing a byte of it. Checkpoints are keyed by
 //! [`RunKind::identity`], so none can be mistaken for another scenario's.
 //! [`run_closed_loop`], [`run_open_loop`] and [`run_fault_scenario`] are
-//! the same protocol with general traffic arguments, no environment, and
+//! the same protocol with general traffic arguments, no checkpoints, and
 //! a panic where [`run`] returns [`RunError::Budget`].
 
 use std::borrow::Cow;
@@ -167,17 +166,6 @@ pub struct CheckpointPolicy<'a> {
     pub resume_from: Option<&'a Path>,
 }
 
-/// What may shorten or protect a [`run`] without changing its result.
-/// `RunEnv::default()` is a fresh, unprotected run.
-#[derive(Default)]
-pub struct RunEnv<'a> {
-    /// A network to recycle in place when [`Network::reset_from_config`]
-    /// accepts it (consumed either way; reclaim [`RunOutcome::network`]).
-    pub arena: Option<Network>,
-    /// Crash-safe mid-run checkpointing.
-    pub checkpoint: CheckpointPolicy<'a>,
-}
-
 /// Errors from [`run`].
 #[derive(Debug)]
 pub enum RunError {
@@ -236,22 +224,6 @@ impl From<SnapshotError> for RunError {
     fn from(e: SnapshotError) -> Self {
         RunError::Snapshot(e)
     }
-}
-
-/// Reuses `arena` when it is arena-compatible with the requested run,
-/// falling back to fresh construction.
-fn acquire_network(
-    arena: Option<Network>,
-    cfg: &NetworkConfig,
-    factory: &dyn RouterFactory,
-    seed: u64,
-) -> Result<Network, ConfigError> {
-    if let Some(mut net) = arena {
-        if net.reset_from_config(cfg, factory, seed) {
-            return Ok(net);
-        }
-    }
-    Network::new(cfg.clone(), factory, seed)
 }
 
 /// A traffic model the protocol can run to a transaction count and name in
@@ -393,18 +365,15 @@ fn advance<T: Steer>(
 /// The protocol of [`run`] for any steerable traffic model: `identity` keys
 /// the checkpoint, `goals` end the warm-up and the measurement.
 fn drive<T: Steer>(
-    factory: &dyn RouterFactory,
-    cfg: &NetworkConfig,
+    network: Network,
     seed: u64,
     identity: &str,
-    env: RunEnv<'_>,
+    policy: CheckpointPolicy<'_>,
     traffic: impl FnOnce(usize) -> T,
     goals: [Goal; 2],
 ) -> Result<RunOutcome, RunError> {
-    let network = acquire_network(env.arena, cfg, factory, seed)?;
     let traffic = traffic(network.mesh().node_count());
     let mut sim = Simulation::new(network, traffic);
-    let policy = env.checkpoint;
     // 0 = no periodic checkpoints.
     let every = NonZeroU64::new(policy.every).map_or(u64::MAX, u64::from);
     let header = CheckpointHeader(identity, seed, goals[1].at);
@@ -437,11 +406,10 @@ fn drive<T: Steer>(
 /// `window[0]` cycles, measure `window[1]` more.
 #[allow(clippy::too_many_arguments)] // `drive`'s arguments plus the traffic's
 fn drive_open_loop(
-    factory: &dyn RouterFactory,
-    cfg: &NetworkConfig,
+    network: Network,
     seed: u64,
     identity: &str,
-    env: RunEnv<'_>,
+    policy: CheckpointPolicy<'_>,
     rates: &RateSpec,
     pattern: &Pattern,
     mix: PacketMix,
@@ -449,16 +417,16 @@ fn drive_open_loop(
 ) -> Result<RunOutcome, RunError> {
     let traffic = |_| OpenLoopTraffic::new(rates.clone(), pattern.clone(), mix, seed);
     let goals = [window[0], window[0] + window[1]].map(Goal::cycle);
-    drive(factory, cfg, seed, identity, env, traffic, goals)
+    drive(network, seed, identity, policy, traffic, goals)
 }
 
 /// Runs `kind` on a network built by `factory` from `cfg` and `seed`:
-/// *acquire (arena or fresh) → resume from a checkpoint | simulate the
-/// warm-up → checkpoint → zero the counters → measure → capture*, stepping
-/// in checkpoint-sized chunks. Whatever `env` holds, the outcome is
-/// byte-identical to `RunEnv::default()`'s. A fault scenario measures from
-/// cycle 0 with its own inject→drain protocol: it has no warm-up and
-/// refuses a checkpoint policy.
+/// *build → resume from a checkpoint | simulate the warm-up → checkpoint →
+/// zero the counters → measure → capture*, stepping in checkpoint-sized
+/// chunks. Whatever `policy` holds, the outcome is byte-identical to
+/// `CheckpointPolicy::default()`'s. A fault scenario measures from cycle 0
+/// with its own inject→drain protocol: it has no warm-up and refuses a
+/// checkpoint policy.
 ///
 /// # Errors
 ///
@@ -477,9 +445,33 @@ pub fn run(
     factory: &dyn RouterFactory,
     cfg: &NetworkConfig,
     seed: u64,
-    env: RunEnv<'_>,
+    policy: CheckpointPolicy<'_>,
 ) -> Result<RunOutcome, RunError> {
-    let (cfg, identity) = (&*kind.network_config(cfg), &kind.identity());
+    let network = Network::new(kind.network_config(cfg).into_owned(), factory, seed)?;
+    run_on(network, kind, seed, policy)
+}
+
+/// [`run`] on `network`, which the caller built as [`run`] does —
+/// `Network::new(kind.network_config(cfg), factory, seed)` — and may have
+/// put on another engine ([`Network::set_sim_threads`],
+/// [`Network::set_parallel_threshold`]): the outcome is the same on every
+/// engine.
+///
+/// # Errors
+///
+/// As [`run`], less the configuration error.
+///
+/// # Panics
+///
+/// As [`run`].
+pub fn run_on(
+    network: Network,
+    kind: &RunKind,
+    seed: u64,
+    policy: CheckpointPolicy<'_>,
+) -> Result<RunOutcome, RunError> {
+    debug_assert_eq!(network.now(), 0, "run_on takes a freshly built network");
+    let identity = &kind.identity();
     match kind {
         RunKind::ClosedLoop {
             workload,
@@ -490,7 +482,7 @@ pub fn run(
             let budget = Some(*max_cycles);
             let goals = [*warmup_txns, warmup_txns + measure_txns].map(|at| Goal { at, budget });
             let traffic = |nodes| ClosedLoopTraffic::new(*workload, nodes, seed);
-            drive(factory, cfg, seed, identity, env, traffic, goals)
+            drive(network, seed, identity, policy, traffic, goals)
         }
         RunKind::OpenLoop {
             rate,
@@ -501,7 +493,7 @@ pub fn run(
         } => {
             let (rates, window) = (RateSpec::Uniform(*rate), [*warmup_cycles, *measure_cycles]);
             drive_open_loop(
-                factory, cfg, seed, identity, env, &rates, pattern, *mix, window,
+                network, seed, identity, policy, &rates, pattern, *mix, window,
             )
         }
         RunKind::Fault {
@@ -510,12 +502,11 @@ pub fn run(
             drain_cycles,
             ..
         } => {
-            if env.checkpoint.file.or(env.checkpoint.resume_from).is_some() {
+            if policy.file.or(policy.resume_from).is_some() {
                 return Err(RunError::Snapshot(SnapshotError::Unsupported {
                     what: "a fault scenario (no warm-up/measure boundary)",
                 }));
             }
-            let network = acquire_network(env.arena, cfg, factory, seed)?;
             let (rates, mix) = (RateSpec::Uniform(*rate), PacketMix::paper());
             let traffic = OpenLoopTraffic::new(rates, Pattern::UniformRandom, mix, seed);
             let out = inject_then_drain(network, traffic, *inject_cycles, *drain_cycles);
@@ -535,7 +526,7 @@ fn or_panic(result: Result<RunOutcome, RunError>) -> Result<RunOutcome, ConfigEr
 
 /// Closed-loop run: warm up for `warmup_txns` completed transactions, then
 /// measure the cycles needed to complete `measure_txns` more — [`run`] on a
-/// [`RunKind::ClosedLoop`] with no environment.
+/// [`RunKind::ClosedLoop`] with no checkpoints.
 ///
 /// # Errors
 ///
@@ -559,11 +550,12 @@ pub fn run_closed_loop(
         measure_txns,
         max_cycles,
     };
-    or_panic(run(&kind, factory, net_cfg, seed, RunEnv::default()))
+    let policy = CheckpointPolicy::default();
+    or_panic(run(&kind, factory, net_cfg, seed, policy))
 }
 
 /// Open-loop run: warm up for `warmup_cycles`, then measure statistics over
-/// `measure_cycles` — [`run`]'s protocol for any [`RateSpec`], no environment.
+/// `measure_cycles` — [`run`]'s protocol for any [`RateSpec`], no checkpoints.
 ///
 /// # Errors
 ///
@@ -579,10 +571,11 @@ pub fn run_open_loop(
     measure_cycles: u64,
     seed: u64,
 ) -> Result<RunOutcome, ConfigError> {
-    // No checkpoint file in the environment: nothing reads an identity.
-    let (env, window) = (RunEnv::default(), [warmup_cycles, measure_cycles]);
+    let network = Network::new(net_cfg.clone(), factory, seed)?;
+    // No checkpoint file: nothing reads an identity.
+    let (policy, window) = (CheckpointPolicy::default(), [warmup_cycles, measure_cycles]);
     or_panic(drive_open_loop(
-        factory, net_cfg, seed, "", env, &rates, &pattern, mix, window,
+        network, seed, "", policy, &rates, &pattern, mix, window,
     ))
 }
 
@@ -769,9 +762,9 @@ mod tests {
         }
     }
 
-    fn run_in(kind: &RunKind, env: RunEnv<'_>) -> Result<RunOutcome, RunError> {
+    fn run_in(kind: &RunKind, policy: CheckpointPolicy<'_>) -> Result<RunOutcome, RunError> {
         let cfg = NetworkConfig::paper_3x3();
-        run(kind, &BackpressuredFactory::new(), &cfg, SEED, env)
+        run(kind, &BackpressuredFactory::new(), &cfg, SEED, policy)
     }
 
     /// Everything a leg must reproduce: the window, every statistic and
@@ -787,15 +780,15 @@ mod tests {
         )
     }
 
-    /// An environment with nothing but a checkpoint policy.
-    fn policy<'a>(every: u64, file: Option<&'a Path>, resume_from: Option<&'a Path>) -> RunEnv<'a> {
-        RunEnv {
-            checkpoint: CheckpointPolicy {
-                every,
-                file,
-                resume_from,
-            },
-            ..RunEnv::default()
+    fn policy<'a>(
+        every: u64,
+        file: Option<&'a Path>,
+        resume_from: Option<&'a Path>,
+    ) -> CheckpointPolicy<'a> {
+        CheckpointPolicy {
+            every,
+            file,
+            resume_from,
         }
     }
 
@@ -803,16 +796,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("afc-run-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// A network left dirty by an unrelated run: what a sweep worker's
-    /// arena looks like.
-    fn dirty_arena(kind: &RunKind) -> Option<Network> {
-        let cfg = NetworkConfig::paper_3x3();
-        let cfg = kind.network_config(&cfg);
-        let factory = BackpressuredFactory::new();
-        let out = run(&open(300), &factory, &cfg, 99, RunEnv::default()).unwrap();
-        Some(out.network)
     }
 
     /// Writes the checkpoint a run of `kind` leaves when it is killed
@@ -861,25 +844,15 @@ mod tests {
     }
 
     /// The protocol's table: every scenario x every way of getting through
-    /// it — fresh, on a recycled arena, resumed from a mid-warm-up
-    /// checkpoint, resumed from a mid-measure checkpoint, and with a
-    /// do-nothing checkpoint policy — ends in the same outcome.
+    /// it — fresh, resumed from a mid-warm-up checkpoint, resumed from a
+    /// mid-measure checkpoint, and with a do-nothing checkpoint policy —
+    /// ends in the same outcome.
     #[test]
     fn every_kind_reaches_one_outcome_by_every_road() {
         let dir = scratch_dir("table");
         let file = dir.join("run.ckpt");
         for kind in [closed(workloads::water(), 2_000_000), open(1_800), fault()] {
-            let fresh = fingerprint(&run_in(&kind, RunEnv::default()).unwrap());
-
-            let arena = RunEnv {
-                arena: dirty_arena(&kind),
-                ..RunEnv::default()
-            };
-            assert_eq!(
-                fingerprint(&run_in(&kind, arena).unwrap()),
-                fresh,
-                "{kind:?}: arena"
-            );
+            let fresh = fingerprint(&run_in(&kind, CheckpointPolicy::default()).unwrap());
 
             if matches!(kind, RunKind::Fault { .. }) {
                 // No boundary to checkpoint.
@@ -944,7 +917,7 @@ mod tests {
             },
             2_000_000,
         );
-        let alone = |kind| run_in(kind, RunEnv::default()).unwrap().measured_cycles;
+        let alone = |kind| run_in(kind, policy(0, None, None)).unwrap().measured_cycles;
         assert_ne!(
             alone(&stock),
             alone(&variant),
@@ -965,7 +938,7 @@ mod tests {
         let dir = scratch_dir("budget");
         let file = dir.join("run.ckpt");
         let kind = closed(workloads::water(), 2_000_000);
-        let reference = run_in(&kind, RunEnv::default()).unwrap();
+        let reference = run_in(&kind, CheckpointPolicy::default()).unwrap();
 
         // A per-phase budget of a quarter of the full run cannot cover even
         // the warm-up: one structured error, the last periodic
@@ -986,8 +959,8 @@ mod tests {
         // another measure length.
         let refused = |kind: &RunKind, seed| {
             let cfg = NetworkConfig::paper_3x3();
-            let env = policy(0, None, Some(&file));
-            match run(kind, &BackpressuredFactory::new(), &cfg, seed, env) {
+            let policy = policy(0, None, Some(&file));
+            match run(kind, &BackpressuredFactory::new(), &cfg, seed, policy) {
                 Err(RunError::Snapshot(SnapshotError::ContextMismatch { what, .. })) => what,
                 other => panic!("expected a context mismatch, got {other:?}"),
             }

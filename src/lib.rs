@@ -55,8 +55,8 @@ pub mod prelude {
     pub use afc_netsim::prelude::*;
     pub use afc_routers::{BackpressuredFactory, DeflectionFactory, DropFactory, RankPolicy};
     pub use afc_traffic::{
-        run, run_closed_loop, run_fault_scenario, run_open_loop, workloads, CheckpointPolicy,
-        ClosedLoopTraffic, FaultRunOutcome, OpenLoopTraffic, PacketMix, Pattern, RateSpec, RunEnv,
-        RunError, RunKind, RunOutcome, WorkloadParams,
+        run, run_closed_loop, run_fault_scenario, run_on, run_open_loop, workloads,
+        CheckpointPolicy, ClosedLoopTraffic, FaultRunOutcome, OpenLoopTraffic, PacketMix, Pattern,
+        RateSpec, RunError, RunKind, RunOutcome, WorkloadParams,
     };
 }

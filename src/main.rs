@@ -82,17 +82,15 @@ fn do_run(args: &RunArgs) -> Result<(), String> {
         measure_txns: args.txns,
         max_cycles: 500_000_000,
     };
-    let env = RunEnv {
-        checkpoint: CheckpointPolicy {
-            every: args.checkpoint_every,
-            file: (args.checkpoint_every > 0).then_some(Path::new(&args.checkpoint_file)),
-            resume_from: args.resume_from.as_deref().map(Path::new),
-        },
-        ..RunEnv::default()
+    let policy = CheckpointPolicy {
+        every: args.checkpoint_every,
+        file: (args.checkpoint_every > 0).then_some(Path::new(&args.checkpoint_file)),
+        resume_from: args.resume_from.as_deref().map(Path::new),
     };
-    let out = run(&kind, factory.as_ref(), &cfg, args.seed, env).map_err(|e| e.to_string())?;
+    let out = run(&kind, factory.as_ref(), &cfg, args.seed, policy).map_err(|e| e.to_string())?;
     let energy = EnergyModel::new(EnergyParams::micro2010_70nm())
-        .price_network_as(&out.network, mechanism_accounting(&args.mechanism));
+        .price_network_as(&out.network, mechanism_accounting(&args.mechanism))
+        .map_err(|e| e.to_string())?;
     let nodes = out.network.mesh().node_count();
     println!(
         "mechanism={} workload={} mesh={}x{} seed={}",

@@ -15,10 +15,12 @@ use afc_netsim::geom::{Direction, NodeId};
 use afc_netsim::network::Network;
 use afc_netsim::packet::DeliveredPacket;
 use afc_netsim::rng::SimRng;
+use afc_netsim::router::RouterFactory;
 use afc_netsim::sim::{Simulation, TrafficModel};
 use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_netsim::topology::Mesh;
 use afc_traffic::openloop::{OpenLoopTraffic, PacketMix, RateSpec};
+use afc_traffic::runner::{run_on, CheckpointPolicy, RunKind, RunOutcome};
 use afc_traffic::synthetic::Pattern;
 
 pub const MECHANISMS: [MechanismId; 4] = [
@@ -55,6 +57,24 @@ impl Engine {
             Engine::Sharded => net.parallel_cycles() > 0,
         };
         assert!(ran, "{self:?}: the network did not run on this engine");
+    }
+
+    /// `afc_traffic::run` on this schedule: the network it would build, put
+    /// on this schedule first. Panics on a run error, or unless it ran here.
+    pub fn run(
+        self,
+        kind: &RunKind,
+        factory: &dyn RouterFactory,
+        cfg: &NetworkConfig,
+        seed: u64,
+        policy: CheckpointPolicy<'_>,
+    ) -> RunOutcome {
+        let cfg = kind.network_config(cfg).into_owned();
+        let mut net = Network::new(cfg, factory, seed).expect("valid config");
+        self.apply(&mut net);
+        let out = run_on(net, kind, seed, policy).expect("run");
+        self.assert_ran(&out.network);
+        out
     }
 }
 

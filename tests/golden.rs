@@ -25,15 +25,7 @@ fn golden_run(factory: &dyn afc_netsim::router::RouterFactory) -> (u64, u64, u64
     let runs: Vec<_> = Engine::ALL
         .iter()
         .map(|&engine| {
-            // The runner recycles an arena network with its engine settings.
-            let mut arena = Network::new(cfg.clone(), factory, seed).unwrap();
-            engine.apply(&mut arena);
-            let env = RunEnv {
-                arena: Some(arena),
-                ..RunEnv::default()
-            };
-            let out = run(&kind, factory, &cfg, seed, env).unwrap();
-            engine.assert_ran(&out.network);
+            let out = engine.run(&kind, factory, &cfg, seed, CheckpointPolicy::default());
             (
                 out.stats.flits_delivered,
                 out.stats.network_latency.sum(),

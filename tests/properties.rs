@@ -38,24 +38,15 @@ fn engine(case: u64) -> Engine {
     Engine::ALL[case as usize % Engine::ALL.len()]
 }
 
-/// `kind` on `engine`: the runner recycles an arena network with its
-/// engine settings.
+/// `kind` on `engine`, on the 3x3 paper mesh.
 fn run_on(
     engine: Engine,
     kind: &RunKind,
     factory: &dyn afc_netsim::router::RouterFactory,
     seed: u64,
 ) -> RunOutcome {
-    let cfg = NetworkConfig::paper_3x3();
-    let mut arena = Network::new(cfg.clone(), factory, seed).unwrap();
-    engine.apply(&mut arena);
-    let env = RunEnv {
-        arena: Some(arena),
-        ..RunEnv::default()
-    };
-    let out = run(kind, factory, &cfg, seed, env).unwrap();
-    engine.assert_ran(&out.network);
-    out
+    let (cfg, policy) = (NetworkConfig::paper_3x3(), CheckpointPolicy::default());
+    engine.run(kind, factory, &cfg, seed, policy)
 }
 
 /// Everything offered below saturation is eventually delivered, exactly

@@ -111,7 +111,7 @@ fn closed_loop(engine: Engine) -> (usize, u64) {
 }
 
 /// The checkpoint file `run` leaves behind for a closed-loop scenario, on
-/// an arena network that carries the engine.
+/// `engine`.
 fn checkpoint_file(dir: &std::path::Path, engine: Engine) -> (usize, u64) {
     let path = dir.join("run.ckpt");
     let kind = RunKind::ClosedLoop {
@@ -121,18 +121,12 @@ fn checkpoint_file(dir: &std::path::Path, engine: Engine) -> (usize, u64) {
         max_cycles: 1_000_000,
     };
     let (factory, cfg) = (AfcFactory::paper(), NetworkConfig::paper_3x3());
-    let mut arena = Network::new(cfg.clone(), &factory, 3).expect("valid config");
-    engine.apply(&mut arena);
-    let env = RunEnv {
-        arena: Some(arena),
-        checkpoint: CheckpointPolicy {
-            every: 500,
-            file: Some(&path),
-            resume_from: None,
-        },
+    let policy = CheckpointPolicy {
+        every: 500,
+        file: Some(&path),
+        resume_from: None,
     };
-    let out = run(&kind, &factory, &cfg, 3, env).expect("run");
-    engine.assert_ran(&out.network);
+    engine.run(&kind, &factory, &cfg, 3, policy);
     pin(&std::fs::read(&path).expect("checkpoint written"))
 }
 

@@ -92,7 +92,6 @@ fn every_mutated_payload_byte_restores_or_is_refused() {
         );
         let sealed = live.snapshot().expect("snapshot");
         assert_eq!(reseal(payload(&sealed)), sealed);
-        let mut target = sim(factory, 0.3);
         let (mut accepted, mut refused) = (0, 0);
         for at in (0..payload(&sealed).len()).step_by(STRIDE) {
             // Alternately every bit of a byte, and its value plus one (a
@@ -103,7 +102,7 @@ fn every_mutated_payload_byte_restores_or_is_refused() {
                 _ => bytes[at].wrapping_add(1),
             };
             let mutant = reseal(&bytes);
-            assert!(target.reset_from_config(&mesh4(), factory, SEED, traffic(0.3)));
+            let mut target = sim(factory, 0.3);
             let restored = catch_unwind(AssertUnwindSafe(|| {
                 let ok = target.restore(&mutant, "mutant").is_ok();
                 if ok {
@@ -114,10 +113,7 @@ fn every_mutated_payload_byte_restores_or_is_refused() {
             match restored {
                 Ok(true) => accepted += 1,
                 Ok(false) => refused += 1,
-                Err(_) => {
-                    panicked.push(format!("{name} byte {at}"));
-                    target = sim(factory, 0.3);
-                }
+                Err(_) => panicked.push(format!("{name} byte {at}")),
             }
         }
         eprintln!("{name}: {accepted} mutants restored, {refused} refused");
@@ -385,11 +381,7 @@ fn every_flipped_or_truncated_checkpoint_byte_is_refused_naming_the_file() {
             file,
             resume_from: from,
         };
-        let env = RunEnv {
-            checkpoint,
-            ..RunEnv::default()
-        };
-        run(&kind, &factory, &cfg, SEED, env)
+        run(&kind, &factory, &cfg, SEED, checkpoint)
     };
     let clean = resume(Some(&path), None).expect("a checkpointed run");
     let saved = std::fs::read(&path).unwrap();

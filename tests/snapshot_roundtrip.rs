@@ -11,7 +11,8 @@
 //!
 //! Variants cover the fault plane (retransmissions, fault logs) and the
 //! closed-loop memory-system workload; every case runs on the tracked walk
-//! and the sharded engine.
+//! and the sharded engine. A post-warm-up snapshot restored into a fresh
+//! network also lands where simulating the warm-up does.
 
 mod common;
 
@@ -23,9 +24,9 @@ use afc_netsim::packet::DeliveredPacket;
 use afc_netsim::rng::SimRng;
 use afc_netsim::router::RouterFactory;
 use afc_netsim::sim::{Simulation, TrafficModel};
-use afc_netsim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use afc_netsim::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
 use afc_noc::prelude::*;
-use common::Engine;
+use common::{Engine, MECHANISMS};
 
 fn mechanism(idx: usize) -> (&'static str, Box<dyn RouterFactory>) {
     match idx % 5 {
@@ -365,4 +366,77 @@ fn restore_rejects_corrupt_and_mismatched_snapshots() {
 
     // The pristine snapshot still loads fine afterwards.
     sim.restore(&snap, "<memory>").expect("pristine restore");
+}
+
+/// Fingerprint of a network's complete state.
+fn network_fp(net: &Network) -> u64 {
+    let mut w = SnapshotWriter::new();
+    net.save_state(&mut w).expect("snapshot-capable");
+    fnv1a64(&w.into_bytes())
+}
+
+/// A fresh network warmed up and measured, and a fresh one fast-forwarded
+/// by the post-warm-up snapshot, end in the same bytes — four mechanisms
+/// on three patterns. So does a dirty network rebuilt by
+/// `Network::reset_from_config` (kept for afc-perf) against `Network::new`.
+#[test]
+fn warm_restore_and_reset_are_byte_identical_to_fresh_construction() {
+    let cfg = NetworkConfig::paper_8x8();
+    const SEED: u64 = 0xA11CE;
+    const WARMUP: u64 = 200;
+    const MEASURE: u64 = 200;
+    let traffic = |pattern: Pattern, seed| {
+        OpenLoopTraffic::new(RateSpec::Uniform(0.10), pattern, PacketMix::paper(), seed)
+    };
+    let state_fp =
+        |sim: &Simulation<OpenLoopTraffic>| fnv1a64(&sim.snapshot().expect("snapshot-capable"));
+    for id in MECHANISMS {
+        let mech = id.mechanism();
+        let factory = mech.factory.as_ref();
+        let patterns = [
+            Pattern::UniformRandom,
+            Pattern::Transpose,
+            Pattern::BitComplement,
+        ];
+        for pattern in patterns {
+            // Fresh: construct, warm up, measure; fingerprint both the
+            // post-warmup state and the final state.
+            let net = Network::new(cfg.clone(), factory, SEED).expect("valid");
+            let mut fresh = Simulation::new(net, traffic(pattern.clone(), SEED));
+            fresh.run(WARMUP);
+            let warm_bytes = fresh.snapshot().expect("snapshot-capable");
+            fresh.run(MEASURE);
+            let fp_final = state_fp(&fresh);
+
+            // Restore: a fresh simulation fast-forwarded by the
+            // post-warmup snapshot must land on the same final state as
+            // simulating the warmup.
+            let net = Network::new(cfg.clone(), factory, SEED).expect("valid");
+            let mut warmed = Simulation::new(net, traffic(pattern.clone(), SEED));
+            warmed
+                .restore(&warm_bytes, "<post-warmup>")
+                .expect("self-consistent snapshot");
+            warmed.run(MEASURE);
+            assert_eq!(
+                state_fp(&warmed),
+                fp_final,
+                "{}/{pattern:?}: final state after restore diverged \
+                 from simulating the warmup",
+                id.label()
+            );
+        }
+
+        // The shim: a network dirtied under another seed, reset to `SEED`.
+        let net = Network::new(cfg.clone(), factory, 0xD1127).expect("valid");
+        let mut dirty = Simulation::new(net, traffic(Pattern::UniformRandom, 0xD1127));
+        dirty.run(137);
+        assert!(dirty.network.reset_from_config(&cfg, factory, SEED));
+        let fresh = Network::new(cfg.clone(), factory, SEED).expect("valid");
+        assert_eq!(
+            network_fp(&dirty.network),
+            network_fp(&fresh),
+            "{}: reset_from_config diverged from Network::new",
+            id.label()
+        );
+    }
 }
