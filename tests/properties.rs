@@ -39,7 +39,7 @@ fn engine(case: u64) -> Engine {
 }
 
 /// `kind` on `engine`, on the 3x3 paper mesh.
-fn run_on(
+fn run_3x3(
     engine: Engine,
     kind: &RunKind,
     factory: &dyn afc_netsim::router::RouterFactory,
@@ -112,7 +112,7 @@ fn closed_loop_requests_match_replies() {
             measure_txns: 60,
             max_cycles: 10_000_000,
         };
-        let out = run_on(engine(case), &kind, mechanism(mech).as_ref(), seed);
+        let out = run_3x3(engine(case), &kind, mechanism(mech).as_ref(), seed);
         assert!(
             out.stats.packets_delivered > 0,
             "case {case}: mech {mech} seed {seed}"
@@ -143,7 +143,7 @@ fn identical_seeds_replay_identically() {
             measure_cycles: 1_500,
         };
         let replay = || {
-            let out = run_on(engine(case), &kind, factory.as_ref(), seed);
+            let out = run_3x3(engine(case), &kind, factory.as_ref(), seed);
             (
                 out.stats.flits_delivered,
                 out.stats.network_latency.sum(),
