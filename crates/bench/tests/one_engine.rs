@@ -1,8 +1,7 @@
 //! The two former experiment engines are one: a figure's grid
 //! (`experiments::closed_loop_matrix`, what `fig2` runs) and a declarative
 //! [`SweepSpec`] of the same scenarios go through one planner and one
-//! executor, so they must agree to the bit — at any worker count, on a
-//! cold worker and on one whose arena an earlier sweep left behind.
+//! executor, so they must agree to the bit — at any worker count.
 //!
 //! The grids of `fig2 --quick` and `open_loop --quick` are also held to
 //! the reference: planned, they must equal every run executed alone on its
@@ -10,9 +9,7 @@
 //! the three backpressured accountings may share one simulation.
 
 use afc_bench::experiments::closed_loop_matrix;
-use afc_bench::sweep::{
-    pool_clear, set_threads, RunKind, RunOutput, RunSpec, SweepResults, SweepSpec,
-};
+use afc_bench::sweep::{set_threads, RunKind, RunOutput, RunSpec, SweepResults, SweepSpec};
 use afc_bench::{all_mechanisms, MechanismId};
 use afc_netsim::config::NetworkConfig;
 use afc_traffic::openloop::PacketMix;
@@ -118,35 +115,32 @@ fn fig2_quick_grid_equals_the_sweep_spec_of_the_same_run_kinds() {
     for threads in [1, 2] {
         set_threads(threads);
         let outputs = spec.execute_with_threads(threads).outputs;
-        pool_clear();
-        for worker in ["cold", "pooled"] {
-            let rows = closed_loop_matrix(
-                &mechanisms,
-                &workloads,
-                &cfg,
-                WARMUP_TXNS,
-                MEASURE_TXNS,
-                MAX_CYCLES,
-                1,
+        let rows = closed_loop_matrix(
+            &mechanisms,
+            &workloads,
+            &cfg,
+            WARMUP_TXNS,
+            MEASURE_TXNS,
+            MAX_CYCLES,
+            1,
+        );
+        assert_eq!(rows.len(), outputs.len());
+        for (row, out) in rows.iter().zip(&outputs) {
+            let at = format!("{} at {threads} workers", out.label);
+            assert_eq!(format!("{}/{}@1", row.mechanism, row.workload), out.label);
+            assert_eq!(row.cycles, out.cycles, "{at}");
+            assert_eq!(
+                row.injection_rate.to_bits(),
+                out.injection_rate.to_bits(),
+                "{at}"
             );
-            assert_eq!(rows.len(), outputs.len());
-            for (row, out) in rows.iter().zip(&outputs) {
-                let at = format!("{} at {threads} workers, {worker}", out.label);
-                assert_eq!(format!("{}/{}@1", row.mechanism, row.workload), out.label);
-                assert_eq!(row.cycles, out.cycles, "{at}");
-                assert_eq!(
-                    row.injection_rate.to_bits(),
-                    out.injection_rate.to_bits(),
-                    "{at}"
-                );
-                assert_eq!(
-                    row.energy.total().to_bits(),
-                    out.energy_pj.to_bits(),
-                    "{at}"
-                );
-                let (row_bp, out_bp) = (row.backpressured_fraction, out.backpressured_fraction);
-                assert_eq!(row_bp.to_bits(), out_bp.to_bits(), "{at}");
-            }
+            assert_eq!(
+                row.energy.total().to_bits(),
+                out.energy_pj.to_bits(),
+                "{at}"
+            );
+            let (row_bp, out_bp) = (row.backpressured_fraction, out.backpressured_fraction);
+            assert_eq!(row_bp.to_bits(), out_bp.to_bits(), "{at}");
         }
     }
 }

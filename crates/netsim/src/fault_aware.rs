@@ -116,6 +116,43 @@ pub struct LinkUpdate {
     pub local_in: Option<(Direction, bool, u32)>,
 }
 
+/// The two answers of a [`FaultAwareness`] a router asks every cycle — is
+/// the view clean, is gossip queued — copied into the router's hot header
+/// (DESIGN.md §16.1) so a clean cycle never reads the awareness itself.
+/// Retake it with [`FaultAwareness::bits`] after every call that can change
+/// either: [`learn`](FaultAwareness::learn),
+/// [`on_control`](FaultAwareness::on_control),
+/// [`drain_gossip`](FaultAwareness::drain_gossip) and a snapshot load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultBits {
+    clean: bool,
+    gossip: bool,
+}
+
+impl FaultBits {
+    /// [`FaultAwareness::is_clean`] when taken.
+    #[inline]
+    pub fn is_clean(self) -> bool {
+        self.clean
+    }
+
+    /// [`FaultAwareness::has_pending_gossip`] when taken.
+    #[inline]
+    pub fn has_pending_gossip(self) -> bool {
+        self.gossip
+    }
+}
+
+/// A fresh awareness's bits: clean, nothing queued.
+impl Default for FaultBits {
+    fn default() -> FaultBits {
+        FaultBits {
+            clean: true,
+            gossip: false,
+        }
+    }
+}
+
 /// Per-router fault mask, gossip queue and alive-graph routing table.
 #[derive(Debug, Clone)]
 pub struct FaultAwareness {
@@ -174,6 +211,16 @@ impl FaultAwareness {
     #[inline]
     pub fn is_clean(&self) -> bool {
         self.dead_count == 0
+    }
+
+    /// [`is_clean`](Self::is_clean) and
+    /// [`has_pending_gossip`](Self::has_pending_gossip), to cache.
+    #[inline]
+    pub fn bits(&self) -> FaultBits {
+        FaultBits {
+            clean: self.is_clean(),
+            gossip: self.has_pending_gossip(),
+        }
     }
 
     /// Whether this node's output link toward `dir` is believed dead.

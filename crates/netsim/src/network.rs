@@ -25,8 +25,8 @@ use crate::counters::ActivityCounters;
 use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultPlane, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
-use crate::geom::{DirMap, Direction, NodeId};
-use crate::kernel::{walk, Accum, Bits, Cx, DueQueue, FaultLog, Frame, Nodes};
+use crate::geom::{Direction, NodeId};
+use crate::kernel::{walk, Accum, Bits, Cx, DueQueue, FaultLog, Frame, LinkIds, Nodes};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput, PacketTable};
 use crate::rng::SimRng;
@@ -149,7 +149,7 @@ fn deliver_channel<R: Router>(cx: &mut SerialCx<'_, R>, c: usize) -> Result<(), 
     let lanes = &cx.own.lanes;
     let (fwd, rev) = (lanes.has_fwd(c), lanes.has_rev(c));
     debug_assert!(
-        (lanes.flit_at(c).is_some(), lanes.rev_at(c).is_some()) == (fwd, rev),
+        lanes.masks_match_stamps(c),
         "link {c}: arrival masks disagree with the stamps"
     );
     if rev {
@@ -269,9 +269,9 @@ pub struct Network {
     pub(crate) wheel: LinkWheel,
     pub(crate) ends: Vec<ChannelEnds>,
     /// Outgoing channel index per (node, direction).
-    pub(crate) out_chan: Vec<DirMap<Option<usize>>>,
+    pub(crate) out_chan: Vec<LinkIds>,
     /// Incoming channel index per (node, direction of the input port).
-    pub(crate) in_chan: Vec<DirMap<Option<usize>>>,
+    pub(crate) in_chan: Vec<LinkIds>,
     pub(crate) now: Cycle,
     pub(crate) rng: SimRng,
     /// Independent RNG stream for the fault plane: drawing fault outcomes
@@ -407,8 +407,8 @@ impl Network {
             .collect();
 
         let mut ends = Vec::new();
-        let mut out_chan: Vec<DirMap<Option<usize>>> = vec![DirMap::default(); n];
-        let mut in_chan: Vec<DirMap<Option<usize>>> = vec![DirMap::default(); n];
+        let mut out_chan = vec![LinkIds::EMPTY; n];
+        let mut in_chan = vec![LinkIds::EMPTY; n];
         for node in mesh.nodes() {
             for dir in Direction::ALL {
                 if let Some(nb) = mesh.neighbor(node, dir) {
@@ -418,8 +418,8 @@ impl Network {
                         dir,
                         to: nb,
                     });
-                    out_chan[node.index()][dir] = Some(idx);
-                    in_chan[nb.index()][dir.opposite()] = Some(idx);
+                    out_chan[node.index()].set(dir, idx);
+                    in_chan[nb.index()].set(dir.opposite(), idx);
                 }
             }
         }
@@ -610,8 +610,7 @@ impl Network {
         let engine_bytes = self.engine.as_ref().map_or(0, |e| e.heap_bytes());
         let other_bytes = self.acc.heap_bytes()
             + self.scratch.heap_bytes()
-            + (self.out_chan.capacity() + self.in_chan.capacity())
-                * size_of::<DirMap<Option<usize>>>()
+            + (self.out_chan.capacity() + self.in_chan.capacity()) * size_of::<LinkIds>()
             + self.ack_queue.heap_bytes()
             + self.packets.heap_bytes()
             + self.fault_log.capacity() * size_of::<FaultEvent>()

@@ -174,8 +174,8 @@ fn shard_weights(net: &Network, weights: &mut Vec<u64>) {
         if net.ni_send_active.contains(j) {
             wt += 2;
         }
-        for (_, &c) in net.out_chan[j].iter() {
-            if c.is_some_and(|c| net.wheel.busy(c)) {
+        for c in net.out_chan[j].iter() {
+            if net.wheel.busy(c) {
                 wt += 1;
             }
         }
@@ -538,10 +538,8 @@ fn region<R: Router>(job: Job<'_, R>, delta: &mut ShardDelta) -> Option<(u8, u32
     for j in lo..hi {
         for &(c32, is_fwd) in &plan.events[plan.ev_off[j] as usize..plan.ev_off[j + 1] as usize] {
             let c = c32 as usize;
-            let lanes = &cx.own.lanes;
-            debug_assert_eq!(
-                (lanes.has_fwd(c), lanes.has_rev(c)),
-                (lanes.flit_at(c).is_some(), lanes.rev_at(c).is_some()),
+            debug_assert!(
+                cx.own.lanes.masks_match_stamps(c),
                 "link {c}: arrival masks disagree with the stamps"
             );
             if !is_fwd {

@@ -64,7 +64,9 @@
 use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
-use afc_netsim::fault_aware::{FaultAwareness, LinkUpdate, ResyncHandshake, RouteOutcome};
+use afc_netsim::fault_aware::{
+    FaultAwareness, FaultBits, LinkUpdate, ResyncHandshake, RouteOutcome,
+};
 use afc_netsim::flit::{Cycle, Flit, PacketId, VcId};
 use afc_netsim::geom::Direction;
 use afc_netsim::geom::{Coord, NodeId, PortId, PortMap};
@@ -203,41 +205,40 @@ fn range_mask(range: &std::ops::Range<usize>) -> u64 {
     hi & !((1u64 << range.start) - 1)
 }
 
+/// One vnet's injection state and VC range, four bytes in the hot header's
+/// `vnets` slice: the local VCs `start..end`, the one its mid-flight packet
+/// holds ([`NONE8`] between packets) and the round-robin start for the next.
+#[derive(Debug, Clone, Copy)]
+struct Vnet {
+    start: u8,
+    end: u8,
+    open: u8,
+    rr: u8,
+}
+
+impl Vnet {
+    /// The vnet's VC range.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    /// The local VC open for its mid-flight packet.
+    fn open_vc(&self) -> Option<usize> {
+        (self.open != NONE8).then_some(self.open as usize)
+    }
+}
+
 /// The backpressured virtual-channel router.
+///
+/// `#[repr(C)]`, hot header first (DESIGN.md §16.1): every field a clean
+/// `step`, `receive_flit`, `receive_credit`, `injection_ready` or `inject`
+/// reads sits in the fields up to and including `resync`; the cold fields
+/// behind it are read on construction, route computation, faults and
+/// snapshots only. The `layout_pins` tests hold the header's end and the
+/// struct's size.
+#[repr(C)]
 pub struct BackpressuredRouter {
-    node: NodeId,
-    /// `node`'s coordinate, cached for route computation.
-    at: Coord,
-    mesh: Mesh,
-    layout: VcLayout,
-    eject_bandwidth: usize,
-    /// `layout.total()`, cached for lane index math.
-    total: usize,
-    /// Shallowest VC depth: the number of slab rows every lane owns a slot
-    /// in (see [`Self::slot`]).
-    d_min: u16,
-    /// Flits in one port's tail region: `Σ (depth_of[v] - d_min)`, zero
-    /// under uniform depth.
-    tail_span: u32,
-    /// Offset of each VC's tail (its positions `d_min..depth`) within its
-    /// port's tail region: prefix sums of `depth_of[v] - d_min`.
-    tail_off: Box<[u32]>,
-    /// Which input ports exist (Local always; `Net(d)` iff neighbor).
-    in_present: [bool; PORTS],
-    /// Which network output directions exist.
-    out_present: [bool; DIRS],
-    /// Flit ring storage for all lanes, addressed by [`Self::slot`]: row
-    /// `k` holds slot `k` of every lane, deeper VCs' extra slots follow.
-    flits: Box<[Flit]>,
-    /// Per-lane ring indices and head-packet allocation.
-    lanes: Box<[Lane]>,
-    /// Packet that owns each lane's open route, kept only when the network
-    /// injects link faults (empty otherwise; see
-    /// [`Self::tolerate_orphans`]). In a fault-free run the tail always
-    /// closes the route, so ownership is implied; under fault injection a
-    /// dropped tail leaves the route open, and the mismatch with the packet
-    /// now at HoQ is how the stale hold is detected.
-    route_packet: Box<[Option<PacketId>]>,
+    counters: ActivityCounters,
     /// Per-input-port occupancy word: bit `vc` set ⇔ that lane is
     /// non-empty. The stage-1/route kernels walk set bits instead of
     /// iterating every VC.
@@ -245,32 +246,65 @@ pub struct BackpressuredRouter {
     /// Per-output-direction allocation word: bit `vc` set ⇔ some packet
     /// holds that downstream VC.
     alloc_bits: [u64; DIRS],
+    /// Buffered flits across all input VCs, maintained incrementally so
+    /// [`Router::occupancy`] and the per-step occupancy integral are O(1).
+    occ: usize,
+    eject_bandwidth: usize,
+    /// The VC count, for lane index math.
+    total: usize,
+    /// Flit ring storage for all lanes, addressed by [`Self::slot`]: row
+    /// `k` holds slot `k` of every lane, deeper VCs' extra slots follow.
+    flits: Box<[Flit]>,
+    /// Per-lane ring indices and head-packet allocation.
+    lanes: Box<[Lane]>,
     /// Flat downstream credit counters, `credits[dir * total + vc]`.
     credits: Box<[u16]>,
+    /// Packet that owns each lane's open route, kept only when the network
+    /// injects link faults (empty otherwise; see
+    /// [`Self::tolerate_orphans`]). In a fault-free run the tail always
+    /// closes the route, so ownership is implied; under fault injection a
+    /// dropped tail leaves the route open, and the mismatch with the packet
+    /// now at HoQ is how the stale hold is detected.
+    route_packet: Box<[Option<PacketId>]>,
+    /// Per-vnet VC range and local injection state.
+    vnets: Box<[Vnet]>,
+    /// Flits in one port's tail region: `Σ (depth_of[v] - d_min)`, zero
+    /// under uniform depth.
+    tail_span: u32,
     /// Per-input-port VC-selection arbiters.
     input_arb: PortMap<Option<RoundRobin>>,
     /// Per-output-port (and Local) input-selection arbiters.
     output_arb: PortMap<RoundRobin>,
-    /// Local input VC currently open for each vnet's mid-flight packet.
-    inject_vc: Vec<Option<usize>>,
-    /// Round-robin start for choosing a local VC for new packets, per vnet.
-    inject_rr: Vec<usize>,
-    options: BackpressuredOptions,
-    /// Buffered flits across all input VCs, maintained incrementally so
-    /// [`Router::occupancy`] and the per-step occupancy integral are O(1).
-    occ: usize,
     /// Buffered flits per input port, maintained alongside `occ` so route
     /// allocation and stage-1 nomination skip empty ports entirely (the
     /// dominant case at low load, where most cycles see one busy port).
-    port_occ: PortMap<usize>,
-    /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
-    /// §13). While clean, routing stays on the historical DOR path.
-    fa: FaultAwareness,
+    port_occ: PortMap<u16>,
+    /// Shallowest VC depth: the number of slab rows every lane owns a slot
+    /// in (see [`Self::slot`]), and every VC's depth when `tail_span` is 0.
+    d_min: u16,
+    /// Which input ports exist (Local always; `Net(d)` iff neighbor).
+    in_present: [bool; PORTS],
+    /// Which network output directions exist.
+    out_present: [bool; DIRS],
+    options: BackpressuredOptions,
+    /// `fa`'s clean and gossip bits.
+    fault_bits: FaultBits,
     /// Credit re-sync handshake for revived links (DESIGN.md §15.3): a
     /// held output's pool was zeroed at the revival and returns to full
     /// depth only on the downstream endpoint's confirmation.
     resync: ResyncHandshake,
-    counters: ActivityCounters,
+    // Cold: construction, route computation, faults and snapshots.
+    node: NodeId,
+    /// `node`'s coordinate, cached for route computation.
+    at: Coord,
+    mesh: Mesh,
+    layout: VcLayout,
+    /// Offset of each VC's tail (its positions `d_min..depth`) within its
+    /// port's tail region: prefix sums of `depth_of[v] - d_min`.
+    tail_off: Box<[u32]>,
+    /// Fault mask, gossip queue and alive-graph routing table (DESIGN.md
+    /// §13). While clean, routing stays on the historical DOR path.
+    fa: FaultAwareness,
 }
 
 impl BackpressuredRouter {
@@ -305,8 +339,8 @@ impl BackpressuredRouter {
             "occupancy bitwords hold at most 64 VCs per port"
         );
         assert!(
-            layout.depth_of.iter().all(|&d| d <= u16::MAX as usize),
-            "ring indices are u16"
+            layout.depth_of.iter().sum::<usize>() <= u16::MAX as usize,
+            "ring indices and port occupancies are u16"
         );
         let d_min = layout.depth_of.iter().copied().min().unwrap_or(0);
         let mut tail_off = Vec::with_capacity(total);
@@ -341,37 +375,45 @@ impl BackpressuredRouter {
             PortId::Net(d) => mesh.neighbor(node, d).map(|_| RoundRobin::new(total)),
         });
         let output_arb = PortMap::from_fn(|_| RoundRobin::new(PortId::ALL.len()));
+        let vnets = (layout.range_of.iter())
+            .map(|r| Vnet {
+                start: r.start as u8,
+                end: r.end as u8,
+                open: NONE8,
+                rr: 0,
+            })
+            .collect();
         BackpressuredRouter {
-            node,
-            at: mesh.coord(node),
-            mesh: mesh.clone(),
+            counters: ActivityCounters::new(),
+            occ_bits: [0; PORTS],
+            alloc_bits: [0; DIRS],
+            occ: 0,
             eject_bandwidth: config.eject_bandwidth,
             total,
-            d_min: d_min as u16,
-            tail_span,
-            tail_off: tail_off.into_boxed_slice(),
-            in_present,
-            out_present,
             flits,
             lanes: (0..lanes)
                 .map(|l| Lane::empty(layout.depth_of[l % total]))
                 .collect(),
+            credits: credits.into_boxed_slice(),
             route_packet: vec![None; if config.faults.is_empty() { 0 } else { lanes }]
                 .into_boxed_slice(),
-            occ_bits: [0; PORTS],
-            alloc_bits: [0; DIRS],
-            credits: credits.into_boxed_slice(),
+            vnets,
+            tail_span,
             input_arb,
             output_arb,
-            inject_vc: vec![None; config.vnet_count()],
-            inject_rr: vec![0; config.vnet_count()],
-            options,
-            occ: 0,
             port_occ: PortMap::default(),
-            fa: FaultAwareness::new(node, mesh.clone()),
+            d_min: d_min as u16,
+            in_present,
+            out_present,
+            options,
+            fault_bits: FaultBits::default(),
             resync: ResyncHandshake::default(),
-            counters: ActivityCounters::new(),
+            node,
+            at: mesh.coord(node),
+            mesh: mesh.clone(),
             layout,
+            tail_off: tail_off.into_boxed_slice(),
+            fa: FaultAwareness::new(node, mesh.clone()),
         }
     }
 
@@ -394,6 +436,17 @@ impl BackpressuredRouter {
             let (pi, vc) = (lane / self.total, lane % self.total);
             let rows = d_min * PORTS * self.total;
             rows + pi * self.tail_span as usize + self.tail_off[vc] as usize + (k - d_min)
+        }
+    }
+
+    /// VC `vc`'s buffer depth: the header's `d_min` under uniform depth,
+    /// its lane record otherwise.
+    #[inline]
+    fn depth(&self, vc: usize) -> usize {
+        if self.tail_span == 0 {
+            self.d_min as usize
+        } else {
+            self.lanes[vc].depth as usize
         }
     }
 
@@ -485,7 +538,7 @@ impl BackpressuredRouter {
     /// would break its nothing-in-flight precondition. Each port with a
     /// request nominates one lane through its round-robin arbiter.
     fn nominate(&mut self) -> Nominations {
-        let clean = self.fa.is_clean();
+        let clean = self.fault_bits.is_clean();
         let recheck = self.tolerate_orphans() || !clean;
         let wait = self.resync.wait_mask();
         let total = self.total;
@@ -611,14 +664,14 @@ impl BackpressuredRouter {
     /// direction `r` (ascending); atomic buffers additionally require a
     /// full credit pool.
     fn free_out_vc(&self, r: usize, vnet: usize) -> Option<usize> {
-        let mut free = !self.alloc_bits[r] & range_mask(&self.layout.range_of[vnet]);
+        let mut free = !self.alloc_bits[r] & range_mask(&self.vnets[vnet].range());
         if !self.options.atomic_vc_reallocation {
             return (free != 0).then(|| free.trailing_zeros() as usize);
         }
         while free != 0 {
             let i = free.trailing_zeros() as usize;
             free &= free - 1;
-            if self.credits[r * self.total + i] as usize == self.layout.depth_of[i] {
+            if self.credits[r * self.total + i] as usize == self.depth(i) {
                 return Some(i);
             }
         }
@@ -711,14 +764,16 @@ impl BackpressuredRouter {
     ) {
         self.counters.cycles += 1;
         self.counters.buffer_occupancy_sum += self.occupancy() as u64;
-        if !self.fa.is_clean() {
+        debug_assert_eq!(self.fault_bits, self.fa.bits(), "stale fault bits");
+        if !self.fault_bits.is_clean() {
             self.sweep_unreachable(out);
         }
-        if self.fa.has_pending_gossip() {
+        if self.fault_bits.has_pending_gossip() {
             // Gossip is gated on the queue, not on cleanliness: revival
             // facts must keep flooding after the fault view empties (the
             // router is already clean again when it re-gossips them).
             self.fa.drain_gossip(out);
+            self.fault_bits = self.fa.bits();
         }
         if self.resync.has_pending() {
             let port_occ = &self.port_occ;
@@ -822,7 +877,7 @@ impl Router for BackpressuredRouter {
         let i = di * self.total + vc.index();
         self.credits[i] += 1;
         assert!(
-            self.credits[i] as usize <= self.layout.depth_of[vc.index()],
+            self.credits[i] as usize <= self.depth(vc.index()),
             "credit overflow on {output} {vc}"
         );
     }
@@ -845,7 +900,9 @@ impl Router for BackpressuredRouter {
             }
             return;
         }
-        if let Some(update) = self.fa.on_control(signal, now) {
+        let update = self.fa.on_control(signal, now);
+        self.fault_bits = self.fa.bits();
+        if let Some(update) = update {
             self.counters.fault_notices += 1;
             self.apply_link_update(&update);
         }
@@ -859,7 +916,9 @@ impl Router for BackpressuredRouter {
         alive: bool,
         now: Cycle,
     ) {
-        if let Some(update) = self.fa.learn(node, dir, epoch, alive, now) {
+        let update = self.fa.learn(node, dir, epoch, alive, now);
+        self.fault_bits = self.fa.bits();
+        if let Some(update) = update {
             self.apply_link_update(&update);
         }
     }
@@ -871,7 +930,7 @@ impl Router for BackpressuredRouter {
             let lane = self.lanes[pi * self.total + vc];
             lane.len < lane.depth
         };
-        match self.inject_vc[vnet] {
+        match self.vnets[vnet].open_vc() {
             Some(vc) => lane_free(vc),
             None => {
                 // Under fault injection, a corruption NACK without recovery
@@ -881,7 +940,7 @@ impl Router for BackpressuredRouter {
                     flit.is_head() || self.tolerate_orphans(),
                     "mid-packet injection without open VC"
                 );
-                self.layout.range_of[vnet].clone().any(lane_free)
+                self.vnets[vnet].range().any(lane_free)
             }
         }
     }
@@ -889,12 +948,12 @@ impl Router for BackpressuredRouter {
     fn inject(&mut self, mut flit: Flit, _now: Cycle) {
         let pi = PortId::Local.index();
         let vnet = flit.vnet.index();
-        let vc = match self.inject_vc[vnet] {
+        let vc = match self.vnets[vnet].open_vc() {
             Some(vc) => vc,
             None => {
-                let range = self.layout.range_of[vnet].clone();
+                let range = self.vnets[vnet].range();
                 let n = range.len();
-                let start = self.inject_rr[vnet];
+                let start = self.vnets[vnet].rr as usize;
                 let vc = (0..n)
                     .map(|i| range.start + (start + i) % n)
                     .find(|vc| {
@@ -902,11 +961,11 @@ impl Router for BackpressuredRouter {
                         lane.len < lane.depth
                     })
                     .expect("injection_ready checked");
-                self.inject_rr[vnet] = (vc - range.start + 1) % n;
+                self.vnets[vnet].rr = ((vc - range.start + 1) % n) as u8;
                 vc
             }
         };
-        self.inject_vc[vnet] = if flit.is_tail() { None } else { Some(vc) };
+        self.vnets[vnet].open = if flit.is_tail() { NONE8 } else { vc as u8 };
         flit.vc = Some(VcId(vc as u8));
         self.push_lane(pi, vc, flit);
         self.occ += 1;
@@ -929,8 +988,7 @@ impl Router for BackpressuredRouter {
             + self.lanes.len() * size_of::<Lane>()
             + self.route_packet.len() * size_of::<Option<PacketId>>()
             + self.credits.len() * size_of::<u16>()
-            + self.inject_vc.capacity() * size_of::<Option<usize>>()
-            + self.inject_rr.capacity() * size_of::<usize>()
+            + self.vnets.len() * size_of::<Vnet>()
             + self.fa.heap_bytes()
     }
 
@@ -956,7 +1014,7 @@ impl Router for BackpressuredRouter {
         debug_assert!(
             PortId::ALL.into_iter().all(|p| {
                 let pi = p.index();
-                self.port_occ[p]
+                self.port_occ[p] as usize
                     == self.lanes[pi * self.total..(pi + 1) * self.total]
                         .iter()
                         .map(|l| l.len as usize)
@@ -986,7 +1044,7 @@ impl Router for BackpressuredRouter {
         // `note_idle_cycles` replays it exactly. Pending fault gossip keeps
         // the router live: an idle step still drains the flood queue. A
         // pending credit re-sync likewise: the step must emit the signal.
-        self.occ == 0 && !self.fa.has_pending_gossip() && !self.resync.has_pending()
+        self.occ == 0 && !self.fault_bits.has_pending_gossip() && !self.resync.has_pending()
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
@@ -1024,8 +1082,8 @@ impl Router for BackpressuredRouter {
             arb.put(w);
         }
         self.output_arb.put(w);
-        self.inject_vc[..].put(w);
-        self.inject_rr[..].put(w);
+        self.vnets.iter().for_each(|v| v.open_vc().put(w));
+        self.vnets.iter().for_each(|v| (v.rr as usize).put(w));
         self.resync.put(w);
         self.counters.put(w);
         self.fa.put(w);
@@ -1053,7 +1111,7 @@ impl Router for BackpressuredRouter {
                 (self.lanes[lane].head, self.lanes[lane].len) = (0, n as u16);
                 self.occ_bits[pi] |= ((n > 0) as u64) << vc;
                 self.occ += n;
-                self.port_occ[port] += n;
+                self.port_occ[port] += n as u16;
                 self.lanes[lane].route = match Option::<u8>::get(r)? {
                     None => NONE8,
                     Some(p) if (p as usize) < PORTS => p,
@@ -1074,24 +1132,64 @@ impl Router for BackpressuredRouter {
         for di in (0..DIRS).filter(|&di| self.out_present[di]) {
             for vc in 0..total {
                 self.alloc_bits[di] |= (r.get_bool("output vc allocated")? as u64) << vc;
-                let credits = r.get_index(self.layout.depth_of[vc] + 1, "output vc credits")?;
+                let credits = r.get_index(self.depth(vc) + 1, "output vc credits")?;
                 self.credits[di * total + vc] = credits as u16;
             }
         }
+        self.check_holds()?;
         for arb in self.input_arb.iter_mut().flat_map(|(_, arb)| arb) {
             arb.load(r)?;
         }
         self.output_arb.load(r)?;
-        for vc in &mut self.inject_vc {
-            *vc = get_vc(r, total, "inject vc")?;
+        for vnet in 0..self.vnets.len() {
+            let vc = get_vc(r, total, "inject vc")?;
+            self.vnets[vnet].open = vc.map_or(NONE8, |vc| vc as u8);
         }
-        for (vnet, rr) in self.inject_rr.iter_mut().enumerate() {
-            let vcs = self.layout.range_of[vnet].len();
-            *rr = r.get_index(vcs, "inject round-robin cursor")?;
+        for v in self.vnets.iter_mut() {
+            v.rr = r.get_index(v.range().len(), "inject round-robin cursor")? as u8;
         }
         self.resync.load(r)?;
         self.counters.load(r)?;
-        self.fa.load(r)
+        let loaded = self.fa.load(r);
+        self.fault_bits = self.fa.bits();
+        loaded
+    }
+}
+
+impl BackpressuredRouter {
+    /// Snapshot cross-checks of the loaded lanes against the allocation
+    /// words: the words must be exactly the `(route, out_vc)` pairs the
+    /// lanes hold, no pair held twice, and (outside
+    /// [`Self::tolerate_orphans`]) an unrouted lane must have a head flit
+    /// at its head. A payload that breaks one would otherwise panic on a
+    /// later step.
+    fn check_holds(&self) -> Result<(), SnapshotError> {
+        let malformed = |what| Err(SnapshotError::Malformed { what });
+        let mut held = [0u64; DIRS];
+        for pi in (0..PORTS).filter(|&pi| self.in_present[pi]) {
+            for vc in 0..self.total {
+                let Lane {
+                    len, route, out_vc, ..
+                } = self.lanes[pi * self.total + vc];
+                if out_vc != NONE8 {
+                    let Some(words) = held.get_mut(route as usize) else {
+                        return malformed("output vc without a network route");
+                    };
+                    if *words >> out_vc & 1 != 0 {
+                        return malformed("output vc held twice");
+                    }
+                    *words |= 1 << out_vc;
+                }
+                let unrouted_body = || !self.front(pi, vc).is_head();
+                if route == NONE8 && len > 0 && !self.tolerate_orphans() && unrouted_body() {
+                    return malformed("unrouted body flit at input vc head");
+                }
+            }
+        }
+        if held != self.alloc_bits {
+            return malformed("output vc allocation");
+        }
+        Ok(())
     }
 }
 
@@ -2239,6 +2337,96 @@ mod tests {
         assert_eq!(
             BackpressuredFactory::read_bypass().name(),
             "backpressured-read-bypass"
+        );
+    }
+
+    /// The hot header (DESIGN.md §16.1) is the first 452 bytes, every
+    /// field a clean cycle reads ahead of `node`; the router is 704 bytes,
+    /// 920 before the header was split from the cold fields.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn layout_pins() {
+        use std::mem::{offset_of, size_of};
+        type R = BackpressuredRouter;
+        let header_end = offset_of!(R, resync) + size_of::<ResyncHandshake>();
+        assert_eq!(header_end, 452);
+        assert_eq!(offset_of!(R, node), header_end, "cold fields follow");
+        let hot = [
+            offset_of!(R, counters),
+            offset_of!(R, occ_bits),
+            offset_of!(R, lanes),
+            offset_of!(R, credits),
+            offset_of!(R, vnets),
+            offset_of!(R, input_arb),
+            offset_of!(R, port_occ),
+            offset_of!(R, fault_bits),
+        ];
+        assert!(hot.iter().all(|&at| at < header_end));
+        assert_eq!(size_of::<R>(), 704);
+        assert_eq!(size_of::<PortMap<Option<RoundRobin>>>(), 20);
+    }
+
+    /// A router mid-packet: two three-flit packets entered on West and
+    /// North, each head left east or south holding a downstream VC, and
+    /// their body flits wait behind.
+    fn mid_traffic() -> (Mesh, NetworkConfig, BackpressuredRouter) {
+        let (mesh, cfg, mut r) = setup();
+        let east = mesh.node_at(Coord::new(2, 1)).unwrap();
+        let south = mesh.node_at(Coord::new(1, 2)).unwrap();
+        for seq in 0..3u16 {
+            let mut a = flit_to(east, 0, seq, 3);
+            a.packet = PacketId(10);
+            r.receive_flit(PortId::Net(Direction::West), a, 0);
+            let mut b = flit_to(south, 1, seq, 3);
+            b.packet = PacketId(20);
+            r.receive_flit(PortId::Net(Direction::North), b, 0);
+        }
+        r.step(0, &mut SimRng::seed_from(0), &mut RouterOutputs::new());
+        assert_eq!(r.occupancy(), 4);
+        assert_eq!(r.alloc_bits.iter().map(|w| w.count_ones()).sum::<u32>(), 2);
+        (mesh, cfg, r)
+    }
+
+    /// What loading `r`'s saved state into a fresh router of its node
+    /// says.
+    fn reload(
+        mesh: &Mesh,
+        cfg: &NetworkConfig,
+        r: &BackpressuredRouter,
+    ) -> Result<(), SnapshotError> {
+        let bytes = state_bytes(r);
+        let mut fresh = BackpressuredRouter::new(r.node(), mesh, cfg);
+        fresh.load_state(&mut SnapshotReader::new(&bytes))
+    }
+
+    #[test]
+    fn load_refuses_an_allocation_word_the_lanes_do_not_hold() {
+        let (mesh, cfg, mut r) = mid_traffic();
+        assert_eq!(reload(&mesh, &cfg, &r), Ok(()));
+        let east = Direction::East.index();
+        assert_ne!(r.alloc_bits[east], 0, "the east packet holds a VC");
+        r.alloc_bits[east] = 0;
+        assert_eq!(
+            reload(&mesh, &cfg, &r),
+            Err(SnapshotError::Malformed {
+                what: "output vc allocation"
+            })
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_mid_packet_lane_without_its_route() {
+        let (mesh, cfg, mut r) = mid_traffic();
+        let lane = PortId::Net(Direction::West).index() * r.total;
+        assert!(!r.front(PortId::Net(Direction::West).index(), 0).is_head());
+        // Drop the route and, so the allocation words still agree, the
+        // downstream VC it held.
+        r.release_lane_route(lane);
+        assert_eq!(
+            reload(&mesh, &cfg, &r),
+            Err(SnapshotError::Malformed {
+                what: "unrouted body flit at input vc head"
+            })
         );
     }
 }

@@ -71,3 +71,15 @@ fn every_test_target_and_filter_ci_names_exists() {
         "only {checked} --test runs found: the scan is broken"
     );
 }
+
+/// The two front-door documents stay readable in one sitting: a change that
+/// documents something new replaces prose rather than piling it on.
+/// EXPERIMENTS.md, the append-only lab notebook, has no cap.
+#[test]
+fn design_and_readme_stay_under_their_size_caps() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (doc, cap) in [("DESIGN.md", 68_000), ("README.md", 20_000)] {
+        let bytes = std::fs::metadata(root.join(doc)).expect(doc).len();
+        assert!(bytes <= cap, "{doc} is {bytes} B, over its {cap} B cap");
+    }
+}
