@@ -208,8 +208,9 @@ impl NetworkConfig {
     /// # Errors
     ///
     /// Returns the first violated constraint: nonzero mesh, at least one
-    /// vnet, nonzero VCs/depths, nonzero link latency, nonzero ejection
-    /// bandwidth.
+    /// vnet, nonzero VCs/depths, at most 65 535 buffer flits per port (the
+    /// buffered routers count a port's flits in 16 bits), nonzero link
+    /// latency, nonzero ejection bandwidth.
     pub fn validate(&self) -> Result<(), ConfigError> {
         Mesh::new(self.width, self.height)?;
         if (self.width as u32) * (self.height as u32) < 2 {
@@ -231,6 +232,15 @@ impl NetworkConfig {
             if v.buffer_depth == 0 {
                 return Err(ConfigError::ZeroBufferDepth { vnet: i });
             }
+        }
+        let flits = (self.vnets.iter()).fold(0usize, |n, v| {
+            n.saturating_add(v.vcs.saturating_mul(v.buffer_depth))
+        });
+        if flits > u16::MAX as usize {
+            return Err(ConfigError::OutOfRange {
+                what: "buffer flits per port",
+                range: "<= 65535",
+            });
         }
         if self.link_latency == 0 {
             return Err(ConfigError::ZeroLinkLatency);
@@ -297,6 +307,23 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::ZeroBufferDepth { vnet: 2 })
         );
+
+        // A port's buffer flits fit 16 bits, summed over every vnet.
+        let mut cfg = NetworkConfig::paper_3x3();
+        let others = cfg.buffer_flits_per_port() - cfg.vnets[0].flit_slots();
+        cfg.vnets[0].buffer_depth = (u16::MAX as usize - others) / cfg.vnets[0].vcs;
+        assert!(cfg.validate().is_ok());
+        cfg.vnets[0].buffer_depth += 1;
+        assert!(cfg.buffer_flits_per_port() > u16::MAX as usize);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange { .. })
+        ));
+        cfg.vnets[0].buffer_depth = usize::MAX;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange { .. })
+        ));
 
         let mut cfg = NetworkConfig::paper_3x3();
         cfg.link_latency = 0;

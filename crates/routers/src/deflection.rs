@@ -19,7 +19,7 @@
 use afc_netsim::channel::{ControlSignal, Credit};
 use afc_netsim::config::NetworkConfig;
 use afc_netsim::counters::ActivityCounters;
-use afc_netsim::fault_aware::{FaultAwareness, RouteOutcome};
+use afc_netsim::fault_aware::{FaultAwareness, FaultBits, RouteOutcome};
 use afc_netsim::flit::{Cycle, Flit, PacketId};
 use afc_netsim::geom::{Coord, Direction, NodeId, PortId};
 use afc_netsim::rng::SimRng;
@@ -166,19 +166,23 @@ impl LatchBank {
         self.degree().saturating_sub(staying)
     }
 
-    /// Runs [`LatchBank::step_with`] against a router's fault view: clean
-    /// means plain DOR; otherwise believed-dead output links are blocked
-    /// and flits follow the alive-graph next hop.
+    /// Runs [`LatchBank::step_with`] against a router's fault view `fa`,
+    /// whose [`FaultBits`] are `bits`: clean means plain DOR, and `fa`
+    /// itself is not read; otherwise believed-dead output links are
+    /// blocked and flits follow the alive-graph next hop.
+    #[allow(clippy::too_many_arguments)]
     pub fn step(
         &mut self,
         loser: Loser,
+        bits: FaultBits,
         fa: &mut FaultAwareness,
         held: u8,
         rng: &mut SimRng,
         out: &mut RouterOutputs,
         counters: &mut ActivityCounters,
     ) -> u8 {
-        if fa.is_clean() {
+        debug_assert_eq!(bits, fa.bits(), "stale fault bits");
+        if bits.is_clean() {
             return self.step_with(loser, 0, held, None, rng, out, counters);
         }
         let dead = fa.dead_out_mask();
@@ -452,7 +456,8 @@ impl<const DROP: bool> Router for Bufferless<DROP> {
         }
         if !self.bank.is_empty() {
             let (fa, counters) = (&mut self.fa, &mut self.counters);
-            self.bank.step(Self::LOSER, fa, 0, rng, out, counters);
+            self.bank
+                .step(Self::LOSER, fa.bits(), fa, 0, rng, out, counters);
         }
     }
 
